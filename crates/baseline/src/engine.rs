@@ -303,7 +303,7 @@ fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
                     .and_then(|row| {
                         shared
                             .catalog
-                            .apply_batch(&[(table, UpdateOp::Insert { values: row })])
+                            .apply(&table, UpdateOp::Insert { values: row })
                     })
                     .map(|_| Vec::new())
             }

@@ -189,8 +189,7 @@ pub fn execute_update(
     params: &[Value],
 ) -> Result<usize> {
     let bound = bind_update_op(op_template, params)?;
-    let results = catalog.apply_batch(&[(table.to_string(), bound)])?;
-    Ok(results.first().map(|r| r.rows_affected).unwrap_or(0))
+    Ok(catalog.apply(table, bound)?.rows_affected)
 }
 
 /// Binds the parameters of an update operation.

@@ -88,7 +88,7 @@ fn main() {
         Some(index) => {
             print!(
                 "{}",
-                render_explain_text(&plan, &registry, index, analyze.as_ref())
+                render_explain_text(&catalog, &plan, &registry, index, analyze.as_ref())
             );
         }
         None => {
@@ -101,7 +101,7 @@ fn main() {
                 println!();
                 print!(
                     "{}",
-                    render_explain_text(&plan, &registry, index, analyze.as_ref())
+                    render_explain_text(&catalog, &plan, &registry, index, analyze.as_ref())
                 );
             }
         }

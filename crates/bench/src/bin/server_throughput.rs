@@ -27,9 +27,11 @@
 //! Environment: `TPCW_ITEMS` (scale, default 2000), `BENCH_SECONDS` (per
 //! point, default 2), `SERVER_MAX_CLIENTS` (sweep ceiling, default 1024),
 //! `SERVER_MIN_CLIENTS` (sweep floor, default 1), `BENCH_UPDATE_CLIENTS`
-//! (extra connections issuing `addOrderLine` inserts concurrently, default
-//! 0 — the cluster-soak lane uses this to exercise snapshot-pinned fanout
-//! under write load), `BENCH_REPLICATE` (comma-separated statement names
+//! (extra connections alternating `addOrderLine` inserts with
+//! `adminUpdateItem` updates — each of which must change exactly one row, so
+//! an index miss on the write path is an error — concurrently, default 0;
+//! the cluster-soak lane uses this to exercise snapshot-pinned fanout under
+//! write load), `BENCH_REPLICATE` (comma-separated statement names
 //! forced onto the replicated route from the start, e.g. `getBestSellers`
 //! to exercise co-partitioned join fanout deterministically),
 //! `BENCH_SCRAPE_HZ` (scrape the server's `/metrics` endpoint this many
@@ -267,8 +269,10 @@ fn run_point(
     let orders = scale.orders as i64;
     let started = std::thread::scope(|scope| {
         // Concurrent writers: each keeps appending ORDER_LINE rows (the
-        // probe side of the getBestSellers join), so fanned-out joins and
-        // aggregates run against a continuously moving version set.
+        // probe side of the getBestSellers join) and, every other statement,
+        // updating one ITEM row through its primary key (the build side, and
+        // the table getItemById probes), so fanned-out joins and aggregates
+        // run against a continuously moving version set.
         for writer_idx in 0..update_clients {
             let updates_ok = Arc::clone(&updates_ok);
             let errors = Arc::clone(&errors);
@@ -277,13 +281,14 @@ fn run_point(
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(9_000 + writer_idx as u64);
                 let setup = Connection::connect(addr).and_then(|mut conn| {
-                    let prepared = conn.prepare("addOrderLine")?;
-                    Ok((conn, prepared))
+                    let add_line = conn.prepare("addOrderLine")?;
+                    let update_item = conn.prepare("adminUpdateItem")?;
+                    Ok((conn, add_line, update_item))
                 });
                 ready.wait();
                 go.wait();
-                let (mut conn, prepared) = match setup {
-                    Ok(pair) => pair,
+                let (mut conn, add_line, update_item) = match setup {
+                    Ok(prepared) => prepared,
                     Err(_) => {
                         errors.fetch_add(1, Ordering::Relaxed);
                         return;
@@ -293,16 +298,31 @@ fn run_point(
                 let mut seq: i64 = 0;
                 while started.elapsed() < duration {
                     seq += 1;
-                    // Unique OL_ID far above the generated data.
-                    let params = vec![
-                        Value::Int(50_000_000 + writer_idx as i64 * 1_000_000 + seq),
-                        Value::Int(rng.gen_range(0..orders.max(1))),
-                        Value::Int(rng.gen_range(0..items.max(1))),
-                        Value::Int(rng.gen_range(1..5)),
-                    ];
-                    match conn.execute(&prepared, &params) {
-                        Ok(_) => {
+                    let (prepared, params) = if seq % 2 == 0 {
+                        let params = vec![
+                            Value::Int(rng.gen_range(0..items.max(1))),
+                            Value::Float(rng.gen_range(1.0..100.0)),
+                            Value::Date(15_403),
+                        ];
+                        (&update_item, params)
+                    } else {
+                        // Unique OL_ID far above the generated data.
+                        let params = vec![
+                            Value::Int(50_000_000 + writer_idx as i64 * 1_000_000 + seq),
+                            Value::Int(rng.gen_range(0..orders.max(1))),
+                            Value::Int(rng.gen_range(0..items.max(1))),
+                            Value::Int(rng.gen_range(1..5)),
+                        ];
+                        (&add_line, params)
+                    };
+                    match conn.execute(prepared, &params) {
+                        // Either statement touches exactly one row.
+                        Ok(outcome) if outcome.rows_affected() == 1 => {
                             updates_ok.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Ok(_) => {
+                            errors.fetch_add(1, Ordering::Relaxed);
+                            return;
                         }
                         Err(e) if e.is_retryable() => {
                             std::thread::sleep(std::time::Duration::from_micros(200));

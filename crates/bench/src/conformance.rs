@@ -454,7 +454,9 @@ pub fn run_explain_golden(dir: &Path) -> Result<Report, String> {
     let mut rendered = String::new();
     for name in &names {
         let (index, _) = registry.get(name).map_err(|e| e.to_string())?;
-        rendered.push_str(&render_explain_text(&plan, &registry, index, None));
+        rendered.push_str(&render_explain_text(
+            &catalog, &plan, &registry, index, None,
+        ));
         rendered.push('\n');
     }
 

@@ -9,7 +9,7 @@ use shareddb_core::engine::{QueryHandle, QueryOutcome};
 use shareddb_core::scatter::{scatter_spec, ScatterSpec};
 use shareddb_core::stats::{
     merge_attribution, AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot, Phase,
-    PhaseTable, SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot,
+    PhaseTable, SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot, UpdateRowsSnapshot,
 };
 use shareddb_core::trace::TraceRecord;
 use shareddb_core::{Engine, EngineConfig, GlobalPlan, StatementRegistry, SubmitOptions};
@@ -245,6 +245,23 @@ impl ClusterEngine {
     /// batch-wait / execute / total recorded by each engine).
     pub fn replica_phase_stats(&self) -> Vec<Vec<StatementPhaseSnapshot>> {
         self.engines.iter().map(|e| e.phase_snapshot()).collect()
+    }
+
+    /// Rows examined and affected per update statement type, summed over
+    /// replicas (every replica applies its own batches' writes to the one
+    /// shared catalog).
+    pub fn update_row_stats(&self) -> Vec<UpdateRowsSnapshot> {
+        let mut merged: Vec<UpdateRowsSnapshot> = Vec::new();
+        for snap in self.engines.iter().flat_map(|e| e.update_row_stats()) {
+            match merged.iter_mut().find(|m| m.statement == snap.statement) {
+                Some(total) => {
+                    total.examined += snap.examined;
+                    total.affected += snap.affected;
+                }
+                None => merged.push(snap),
+            }
+        }
+        merged
     }
 
     /// Cluster-level phase histograms (scatter + merge of fanned-out

@@ -33,7 +33,7 @@ use crate::scatter::{scatter_spec, ScatterSpec};
 use crate::stats::{
     AttributionEntry, AttributionTable, EngineStats, EngineStatsSnapshot, OperatorStats,
     OperatorStatsSnapshot, Phase, SegmentStats, SegmentStatsSnapshot, SlowQueryRecord,
-    StatementPhaseSnapshot,
+    StatementPhaseSnapshot, UpdateRowsSnapshot,
 };
 use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{TraceEvent, TraceJournal, TraceRecord};
@@ -735,6 +735,11 @@ impl Engine {
         self.inner.stats.phase_snapshot()
     }
 
+    /// Rows examined and affected per update statement type.
+    pub fn update_row_stats(&self) -> Vec<UpdateRowsSnapshot> {
+        self.inner.stats.update_rows_snapshot()
+    }
+
     /// Total slow-query offenders plus the retained tail of the log.
     pub fn slow_queries(&self) -> (u64, Vec<SlowQueryRecord>) {
         self.inner.stats.slow_queries()
@@ -1381,7 +1386,8 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
     });
 
     // Phase 1: apply the batch's updates in arrival order (one commit
-    // timestamp for the whole batch, group commit into the WAL).
+    // timestamp for the whole batch, group commit into the WAL). Each costs
+    // O(rows it touches) when its WHERE clause has an indexed equality.
     if !batch.updates.is_empty() {
         let ops: Vec<(String, shareddb_storage::UpdateOp)> = batch
             .updates
@@ -1398,41 +1404,32 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
                 fence.resolve(watermark);
             }
         }
-        match applied {
-            Ok(results) => {
-                for (update, result) in batch.updates.iter().zip(results) {
-                    complete(
-                        inner,
-                        update.ticket,
-                        Ok(QueryOutcome::Updated {
-                            rows_affected: result.rows_affected,
-                        }),
-                        Some(PhaseCtx {
-                            statement_index: update.statement_index,
-                            enqueued: update.enqueued,
-                            batch_started,
-                            segments: 1,
-                            heartbeat_us,
-                        }),
-                    );
+        // Each update completes with its own result; only a failure of the
+        // log itself fails them all.
+        let results = applied.unwrap_or_else(|e| vec![Err(e); batch.updates.len()]);
+        for (update, result) in batch.updates.iter().zip(results) {
+            let outcome = result.map(|applied| {
+                inner.stats.record_update_rows(
+                    update.statement_index,
+                    applied.rows_examined,
+                    applied.rows_affected,
+                );
+                QueryOutcome::Updated {
+                    rows_affected: applied.rows_affected,
                 }
-            }
-            Err(e) => {
-                for update in &batch.updates {
-                    complete(
-                        inner,
-                        update.ticket,
-                        Err(e.clone()),
-                        Some(PhaseCtx {
-                            statement_index: update.statement_index,
-                            enqueued: update.enqueued,
-                            batch_started,
-                            segments: 1,
-                            heartbeat_us,
-                        }),
-                    );
-                }
-            }
+            });
+            complete(
+                inner,
+                update.ticket,
+                outcome,
+                Some(PhaseCtx {
+                    statement_index: update.statement_index,
+                    enqueued: update.enqueued,
+                    batch_started,
+                    segments: 1,
+                    heartbeat_us,
+                }),
+            );
         }
     }
 

@@ -12,11 +12,14 @@
 //! for a shared cycle.
 //!
 //! Everything here is a pure function over plan + registry (+ optional
-//! snapshots), so the server, the `plan_dump` bin and the golden-output
+//! snapshots; the catalog only says which columns of an update's table are
+//! indexed), so the server, the `plan_dump` bin and the golden-output
 //! conformance tests all render through one code path.
 
-use crate::plan::{GlobalPlan, OperatorId, StatementKind, StatementRegistry};
+use crate::plan::{GlobalPlan, OperatorId, StatementKind, StatementRegistry, UpdateTemplate};
 use crate::stats::{AttributionEntry, OperatorStatsSnapshot};
+use shareddb_common::{BinaryOp, DataType, Expr, Value};
+use shareddb_storage::{AccessPath, Catalog};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -150,8 +153,10 @@ pub fn explain_statement(
 /// Renders the statement's annotated subtree as indented text — the body of
 /// an `EXPLAIN [ANALYZE]` reply. Deterministic for a fixed plan + registry
 /// (golden-tested over the SQL conformance corpus); `analyze` appends live
-/// counters and the per-statement attributed costs under each node.
+/// counters and the per-statement attributed costs under each node. An
+/// `UPDATE`/`DELETE` statement shows the access path its rows are found by.
 pub fn render_explain_text(
+    catalog: &Catalog,
     plan: &GlobalPlan,
     registry: &StatementRegistry,
     index: usize,
@@ -161,13 +166,19 @@ pub fn render_explain_text(
     let spec = registry.by_index(index);
     let mut out = String::new();
     match (&spec.kind, tree.root) {
-        (StatementKind::Update { table, .. }, _) => {
+        (StatementKind::Update { table, template }, _) => {
             let _ = writeln!(
                 out,
                 "statement {}: update on table {table} (no shared operators; applied \
                  by the storage owner of {table})",
                 tree.statement
             );
+            if let UpdateTemplate::Update { predicate, .. } | UpdateTemplate::Delete { predicate } =
+                template
+            {
+                let path = template_access_path(catalog, table, predicate);
+                let _ = writeln!(out, "  rows found by: {path}");
+            }
         }
         (_, Some(root)) => {
             let _ = writeln!(out, "statement {}: query", tree.statement);
@@ -178,6 +189,43 @@ pub fn render_explain_text(
         }
     }
     out
+}
+
+/// The access path the storage layer picks for an update template's WHERE
+/// clause (`pk(I_ID)`, `index(SCL_CART)`, `scan`). The chooser reads only the
+/// top-level `column = literal` conjuncts, so each `column = $n` conjunct is
+/// shown to it with a literal of the column's own type — which is all it
+/// needs of a literal to trust an index with it — and the rest as they are.
+fn template_access_path(catalog: &Catalog, table: &str, predicate: &Expr) -> String {
+    let Ok(handle) = catalog.table(table) else {
+        return format!("scan (no table {table} in the catalog)");
+    };
+    let table = handle.read();
+    let typed = |conjunct: &Expr| -> Option<Expr> {
+        let Expr::Binary {
+            op: BinaryOp::Eq,
+            left,
+            right,
+        } = conjunct
+        else {
+            return None;
+        };
+        let column = match (left.as_ref(), right.as_ref()) {
+            (Expr::Column(c), Expr::Param(_)) | (Expr::Param(_), Expr::Column(c)) => *c,
+            _ => return None,
+        };
+        let literal = match table.schema().columns().get(column)?.data_type {
+            DataType::Int => Value::Int(0),
+            DataType::Float => Value::Float(0.0),
+            DataType::Text => Value::Text(String::new()),
+            DataType::Bool => Value::Bool(false),
+            DataType::Date => Value::Date(0),
+        };
+        Some(Expr::col(column).eq(Expr::Literal(literal)))
+    };
+    let conjuncts = predicate.split_conjuncts().into_iter();
+    let shown = conjuncts.map(|c| typed(c).unwrap_or_else(|| c.clone()));
+    AccessPath::choose(&table, &Expr::conjunction(shown.collect())).describe(&table)
 }
 
 fn render_node_text(
@@ -276,18 +324,26 @@ pub fn render_dot(
 mod tests {
     use super::*;
     use crate::plan::{ActivationTemplate, PlanBuilder, StatementSpec, UpdateTemplate};
-    use shareddb_common::{DataType, Expr, SortKey};
-    use shareddb_storage::{Catalog, TableDef};
+    use shareddb_common::SortKey;
+    use shareddb_storage::{IndexDef, TableDef};
 
-    fn fixture() -> (GlobalPlan, StatementRegistry) {
+    fn fixture() -> (Catalog, GlobalPlan, StatementRegistry) {
         let catalog = Catalog::new();
         catalog
             .create_table(
                 TableDef::new("T")
                     .column("ID", DataType::Int)
                     .column("V", DataType::Int)
+                    .column("NOTE", DataType::Text)
                     .primary_key(&["ID"]),
             )
+            .unwrap();
+        catalog
+            .create_index(IndexDef {
+                name: "T_V".into(),
+                table: "T".into(),
+                column: "V".into(),
+            })
             .unwrap();
         let mut builder = PlanBuilder::new(&catalog);
         let scan = builder.table_scan("T").unwrap();
@@ -319,17 +375,32 @@ mod tests {
                 "addT",
                 "T",
                 UpdateTemplate::Insert {
-                    values: vec![Expr::lit(0i64), Expr::lit(0i64)],
+                    values: vec![Expr::lit(0i64), Expr::lit(0i64), Expr::lit("")],
                 },
             ))
             .unwrap();
+        let mut delete = |name: &str, predicate: Expr| {
+            let template = UpdateTemplate::Delete { predicate };
+            registry
+                .register(StatementSpec::update(name, "T", template))
+                .unwrap();
+        };
+        let note_is = Expr::col(2).eq(Expr::param(1));
+        delete("byPk", Expr::param(0).eq(Expr::col(0)).and(note_is.clone()));
+        delete(
+            "byIndex",
+            Expr::col(1).eq(Expr::param(0)).and(note_is.clone()),
+        );
+        delete("byScan", note_is.or(Expr::col(0).eq(Expr::param(0))));
+        // A literal the index's order cannot be trusted with: scan.
+        delete("byFloat", Expr::col(0).eq(Expr::lit(1.5f64)));
         registry.validate(&plan).unwrap();
-        (plan, registry)
+        (catalog, plan, registry)
     }
 
     #[test]
     fn sharing_sets_cover_subtrees_and_activations() {
-        let (plan, registry) = fixture();
+        let (_, plan, registry) = fixture();
         let sets = sharing_sets(&plan, &registry);
         // The scan is shared by both queries; the sort only by allT; the
         // update statement shares nothing.
@@ -339,7 +410,7 @@ mod tests {
 
     #[test]
     fn explain_tree_annotates_sharing_and_activation() {
-        let (plan, registry) = fixture();
+        let (_, plan, registry) = fixture();
         let tree = explain_statement(&plan, &registry, 1);
         assert_eq!(tree.statement, "allT");
         assert_eq!(tree.nodes.len(), 2);
@@ -358,13 +429,29 @@ mod tests {
 
     #[test]
     fn text_rendering_is_deterministic_and_marks_updates() {
-        let (plan, registry) = fixture();
-        let text = render_explain_text(&plan, &registry, 1, None);
+        let (catalog, plan, registry) = fixture();
+        let text = render_explain_text(&catalog, &plan, &registry, 1, None);
         assert!(text.starts_with("statement allT: query\n"));
         assert!(text.contains("[shared by 2: pointT, allT]"));
-        assert_eq!(text, render_explain_text(&plan, &registry, 1, None));
-        let update = render_explain_text(&plan, &registry, 2, None);
+        assert_eq!(
+            text,
+            render_explain_text(&catalog, &plan, &registry, 1, None)
+        );
+        let update = render_explain_text(&catalog, &plan, &registry, 2, None);
         assert!(update.contains("update on table T"));
+        assert!(
+            !update.contains("rows found by"),
+            "an insert selects no rows"
+        );
+        // UPDATE/DELETE statements name the access path of their template.
+        for (index, path) in [(3, "pk(ID)"), (4, "index(T_V)"), (5, "scan"), (6, "scan")] {
+            let text = render_explain_text(&catalog, &plan, &registry, index, None);
+            assert!(text.contains("update on table T"));
+            assert!(
+                text.ends_with(&format!("  rows found by: {path}\n")),
+                "{text}"
+            );
+        }
         let dot = render_dot(&plan, &registry, Some(1));
         assert!(dot.starts_with("digraph global_plan {"));
         assert!(dot.contains("op0 -> op1;"));
@@ -373,7 +460,7 @@ mod tests {
 
     #[test]
     fn analyze_appends_runtime_and_attribution() {
-        let (plan, registry) = fixture();
+        let (catalog, plan, registry) = fixture();
         let data = AnalyzeData {
             operators: vec![
                 OperatorStatsSnapshot {
@@ -400,7 +487,7 @@ mod tests {
             }],
             wall: Duration::from_secs(1),
         };
-        let text = render_explain_text(&plan, &registry, 0, Some(&data));
+        let text = render_explain_text(&catalog, &plan, &registry, 0, Some(&data));
         assert!(text.contains("cycles=4 active=3 rows=12 busy=90us"));
         assert!(text.contains("attributed pointT: activations=3 rows=9 busy=60us"));
     }

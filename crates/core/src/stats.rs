@@ -603,10 +603,26 @@ pub struct EngineStats {
     occupancy: Histogram,
     /// Per-statement-type, per-phase latency histograms.
     phases: PhaseTable,
+    /// `[rows examined, rows affected]` per update statement type, by registry
+    /// index (the names are the phase table's).
+    update_rows: Vec<[AtomicU64; 2]>,
     /// Total statements that crossed the slow-query threshold.
     slow_total: AtomicU64,
     /// The most recent offenders (bounded ring).
     slow: Mutex<VecDeque<SlowQueryRecord>>,
+}
+
+/// Rows one update statement type examined and affected — the write path's
+/// useful-work ratio. `examined` far above `affected` means the statement's
+/// WHERE clause has no usable index and every execution scans its table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UpdateRowsSnapshot {
+    /// Statement name.
+    pub statement: String,
+    /// Live row versions the WHERE clause was evaluated on.
+    pub examined: u64,
+    /// Rows modified or deleted (and inserted: an insert examines nothing).
+    pub affected: u64,
 }
 
 /// Point-in-time snapshot of the engine counters.
@@ -646,6 +662,7 @@ impl EngineStats {
     /// Statistics with one phase-table slot per registered statement.
     pub fn with_statements(statement_names: Vec<String>) -> EngineStats {
         EngineStats {
+            update_rows: statement_names.iter().map(|_| Default::default()).collect(),
             phases: PhaseTable::new(statement_names),
             ..EngineStats::default()
         }
@@ -679,6 +696,29 @@ impl EngineStats {
     /// Records one phase observation for the statement at `statement_index`.
     pub fn record_phase(&self, statement_index: usize, phase: Phase, d: Duration) {
         self.phases.record(statement_index, phase, d);
+    }
+
+    /// Adds one applied update's row counts to its statement type.
+    pub fn record_update_rows(&self, statement_index: usize, examined: usize, affected: usize) {
+        if let Some([e, a]) = self.update_rows.get(statement_index) {
+            e.fetch_add(examined as u64, Ordering::Relaxed);
+            a.fetch_add(affected as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Row counts of every update statement type that has applied at least
+    /// one operation since the last reset.
+    pub fn update_rows_snapshot(&self) -> Vec<UpdateRowsSnapshot> {
+        let names = self.phases.slots.iter().map(|(name, _)| name);
+        names
+            .zip(&self.update_rows)
+            .map(|(name, [e, a])| UpdateRowsSnapshot {
+                statement: name.clone(),
+                examined: e.load(Ordering::Relaxed),
+                affected: a.load(Ordering::Relaxed),
+            })
+            .filter(|snap| snap.examined + snap.affected > 0)
+            .collect()
     }
 
     /// Appends one offender to the slow-query log (bounded; the oldest entry
@@ -731,6 +771,9 @@ impl EngineStats {
         self.histogram.reset();
         self.occupancy.reset();
         self.phases.reset();
+        for counter in self.update_rows.iter().flatten() {
+            counter.store(0, Ordering::Relaxed);
+        }
         self.slow_total.store(0, Ordering::Relaxed);
         self.slow.lock().clear();
     }

@@ -23,7 +23,7 @@ use shareddb_cluster::{ClusterConfig, ClusterEngine, ClusterHandle};
 use shareddb_common::{Result, Value};
 use shareddb_core::stats::{
     AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot, SegmentStatsSnapshot,
-    StatementPhaseSnapshot,
+    StatementPhaseSnapshot, UpdateRowsSnapshot,
 };
 use shareddb_core::trace::TraceRecord;
 use shareddb_core::{EngineConfig, GlobalPlan, SlowQueryRecord, StatementRegistry, SubmitOptions};
@@ -118,6 +118,12 @@ impl ClusterBackend {
     /// Per-replica, per-statement phase histograms.
     pub fn replica_phase_stats(&self) -> Vec<Vec<StatementPhaseSnapshot>> {
         self.cluster.replica_phase_stats()
+    }
+
+    /// Rows examined and affected per update statement type, summed over
+    /// replicas.
+    pub fn update_row_stats(&self) -> Vec<UpdateRowsSnapshot> {
+        self.cluster.update_row_stats()
     }
 
     /// Cluster-level scatter/merge phase histograms.

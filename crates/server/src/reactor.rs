@@ -1316,7 +1316,7 @@ impl Reactor {
             None
         };
         let tree = explain_statement(plan, registry, index);
-        let text = render_explain_text(plan, registry, index, data.as_ref());
+        let text = render_explain_text(&backend.catalog(), plan, registry, index, data.as_ref());
         let nodes = tree
             .nodes
             .iter()

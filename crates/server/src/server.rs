@@ -342,6 +342,25 @@ impl Shared {
         render_phase_block(w, &backend.cluster_phase_stats(), "replica=\"cluster\"");
         render_phase_block(w, &self.flush_phases.snapshot(), "replica=\"frontend\"");
 
+        // The write path's useful-work ratio per update statement type:
+        // live versions its WHERE clause was evaluated on vs rows it changed.
+        // examined ≫ affected means the statement has no usable index.
+        let _ = writeln!(w, "# TYPE shareddb_update_rows_examined_total counter");
+        let _ = writeln!(w, "# TYPE shareddb_update_rows_affected_total counter");
+        for snap in backend.update_row_stats() {
+            let statement = escape_label_value(&snap.statement);
+            let _ = writeln!(
+                w,
+                "shareddb_update_rows_examined_total{{statement=\"{statement}\"}} {}",
+                snap.examined
+            );
+            let _ = writeln!(
+                w,
+                "shareddb_update_rows_affected_total{{statement=\"{statement}\"}} {}",
+                snap.affected
+            );
+        }
+
         // Static sharing factor per operator: how many statement types'
         // subtrees or activation lists touch it in the global plan.
         let plan = backend.plan();

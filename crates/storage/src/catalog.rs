@@ -5,10 +5,9 @@
 //! on the same [`Catalog`] so that performance comparisons run against the
 //! identical data structures.
 
-use crate::clockscan::apply_update;
 use crate::mvcc::TimestampOracle;
 use crate::table::Table;
-use crate::update::UpdateOp;
+use crate::update::{apply_update, UpdateOp, UpdateResult};
 use crate::wal::{
     committed_ops, encode_frame, scan_frames, FileSink, LogRecord, TornTail, Wal, WalSink as _,
 };
@@ -191,22 +190,48 @@ impl Catalog {
         Ok(n)
     }
 
-    /// Applies a batch of update operations atomically (one commit timestamp
-    /// for the whole batch) and logs it to the WAL.
-    pub fn apply_batch(&self, ops: &[(String, UpdateOp)]) -> Result<Vec<crate::UpdateResult>> {
+    /// Applies a batch of update operations in arrival order under one
+    /// commit timestamp and logs it to the WAL as one group commit.
+    ///
+    /// Each operation succeeds or fails **alone**: the returned vector holds
+    /// one `Result` per operation, a failed one (constraint violation,
+    /// unknown table, predicate that does not evaluate) leaves its table
+    /// untouched, and only the successful ones are logged — so what a client
+    /// was told, what later snapshots see and what recovery replays agree.
+    /// The outer `Err` is a failure of the log itself.
+    pub fn apply_batch(&self, ops: &[(String, UpdateOp)]) -> Result<Vec<Result<UpdateResult>>> {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
         let commit_ts = self.oracle.next_commit_ts();
-        let mut results = Vec::with_capacity(ops.len());
-        for (table_name, op) in ops {
-            let handle = self.table(table_name)?;
-            let mut table = handle.write();
-            results.push(apply_update(&mut table, op, commit_ts)?);
+        let results: Vec<Result<UpdateResult>> = ops
+            .iter()
+            .map(|(table_name, op)| {
+                let handle = self.table(table_name)?;
+                let mut table = handle.write();
+                apply_update(&mut table, op, commit_ts)
+            })
+            .collect();
+        if results.iter().all(Result::is_ok) {
+            self.wal.log_batch(commit_ts, ops)?;
+        } else {
+            let applied: Vec<(String, UpdateOp)> = ops
+                .iter()
+                .zip(&results)
+                .filter(|(_, result)| result.is_ok())
+                .map(|(op, _)| op.clone())
+                .collect();
+            if !applied.is_empty() {
+                self.wal.log_batch(commit_ts, &applied)?;
+            }
         }
-        self.wal.log_batch(commit_ts, ops)?;
         self.oracle.publish(commit_ts);
         Ok(results)
+    }
+
+    /// Applies one operation as a batch of its own; its failure is the `Err`.
+    pub fn apply(&self, table: &str, op: UpdateOp) -> Result<UpdateResult> {
+        self.apply_batch(&[(table.to_string(), op)])?.remove(0)
     }
 
     /// Writes a checkpoint of all live rows into `dir`: a CRC-framed snapshot
@@ -546,11 +571,72 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(results.len(), 3);
-        assert_eq!(results[2].rows_affected, 1);
+        assert_eq!(results[2].as_ref().unwrap().rows_affected, 1);
         let table = catalog.table("ITEM").unwrap();
         // Nothing visible at the pre-batch snapshot; everything after.
         assert_eq!(table.read().scan(before).count(), 0);
         assert_eq!(table.read().scan(catalog.oracle().read_ts()).count(), 2);
+    }
+
+    /// One bad write fails alone: its batch-mates commit, become visible with
+    /// the batch's own timestamp, are the only ops in the WAL, and nothing of
+    /// the failed op surfaces later or after a restart.
+    #[test]
+    fn failed_op_neither_poisons_nor_leaks() {
+        let dir = temp_data_dir("poison");
+        let catalog = Catalog::new();
+        catalog.create_table(item_def()).unwrap();
+        catalog.recover(&dir).unwrap();
+        let insert = |id: i64, title: &str| {
+            let values = tuple![id, title, 1.0f64];
+            ("ITEM".to_string(), UpdateOp::Insert { values })
+        };
+        let results = catalog
+            .apply_batch(&[
+                insert(1, "first"),
+                insert(1, "duplicate"),
+                ("NOPE".into(), insert(5, "x").1),
+                (
+                    "ITEM".into(),
+                    UpdateOp::Delete {
+                        predicate: Expr::col(1).like(Expr::col(0)),
+                    },
+                ),
+                insert(2, "second"),
+            ])
+            .unwrap();
+        let ok: Vec<bool> = results.iter().map(Result::is_ok).collect();
+        assert_eq!(ok, [true, false, false, false, true]);
+        assert!(matches!(results[1], Err(Error::ConstraintViolation(_))));
+        assert!(matches!(results[2], Err(Error::UnknownTable(_))));
+        let visible = |c: &Catalog| {
+            let table = c.table("ITEM").unwrap();
+            let t = table.read();
+            let mut titles: Vec<String> = t
+                .scan(c.snapshot())
+                .map(|(_, r)| r[1].as_text().unwrap().to_string())
+                .collect();
+            titles.sort();
+            (titles, t.version_count())
+        };
+        let expected = (vec!["first".to_string(), "second".to_string()], 2);
+        assert_eq!(visible(&catalog), expected);
+        // A later batch publishes a later timestamp: still nothing leaks.
+        catalog.apply_batch(&[insert(1, "again")]).unwrap()[0]
+            .as_ref()
+            .unwrap_err();
+        assert_eq!(visible(&catalog), expected);
+        // A batch in which nothing succeeds logs nothing.
+        let lsn = catalog.wal().next_lsn();
+        assert!(catalog.apply_batch(&[insert(2, "dup")]).unwrap()[0].is_err());
+        assert_eq!(catalog.wal().next_lsn(), lsn);
+
+        let reborn = Catalog::new();
+        reborn.create_table(item_def()).unwrap();
+        let report = reborn.recover(&dir).unwrap();
+        assert_eq!(report.replayed_ops, 2);
+        assert_eq!(visible(&reborn), expected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn temp_data_dir(tag: &str) -> std::path::PathBuf {

@@ -18,7 +18,7 @@
 use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::predicate_index::{IndexedQuery, PredicateIndex};
 use crate::table::Table;
-use crate::update::{UpdateOp, UpdateResult};
+use crate::update::{apply_update, UpdateOp, UpdateResult};
 use parking_lot::{Mutex, RwLock};
 use shareddb_common::{tuple_partition, Expr, QTuple, QueryId, Result, Schema, Tuple};
 use std::collections::VecDeque;
@@ -230,58 +230,6 @@ impl ClockScan {
             }
         }
         Ok(result)
-    }
-}
-
-/// Applies one update to a table at `commit_ts`. Row selection for UPDATE and
-/// DELETE statements acts on the *live* (newest) versions — updates are
-/// applied in arrival order against the latest state, so an update sees the
-/// effect of all earlier updates of the same batch.
-pub(crate) fn apply_update(
-    table: &mut Table,
-    update: &UpdateOp,
-    commit_ts: shareddb_common::ids::Timestamp,
-) -> Result<UpdateResult> {
-    match update {
-        UpdateOp::Insert { values } => {
-            table.insert(values.clone(), commit_ts)?;
-            Ok(UpdateResult::new(1))
-        }
-        UpdateOp::Update {
-            assignments,
-            predicate,
-        } => {
-            // Collect matching live rows first (borrow rules: scan immutably,
-            // then mutate).
-            let matching: Vec<(crate::table::RowId, Tuple)> = table
-                .scan_live()
-                .filter(|(_, row)| predicate.eval_predicate(row).unwrap_or(false))
-                .map(|(rid, row)| (rid, row.clone()))
-                .collect();
-            let mut affected = 0;
-            for (rid, old_row) in matching {
-                let mut new_values = old_row.clone().into_values();
-                for (col, expr) in assignments {
-                    new_values[*col] = expr.eval(&old_row)?;
-                }
-                table.update_row(rid, Tuple::new(new_values), commit_ts)?;
-                affected += 1;
-            }
-            Ok(UpdateResult::new(affected))
-        }
-        UpdateOp::Delete { predicate } => {
-            let matching: Vec<crate::table::RowId> = table
-                .scan_live()
-                .filter(|(_, row)| predicate.eval_predicate(row).unwrap_or(false))
-                .map(|(rid, _)| rid)
-                .collect();
-            let mut affected = 0;
-            for rid in matching {
-                table.delete_row(rid, commit_ts)?;
-                affected += 1;
-            }
-            Ok(UpdateResult::new(affected))
-        }
     }
 }
 

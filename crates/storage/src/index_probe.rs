@@ -13,10 +13,9 @@
 //! locality benefits of batched information filters (Fischer & Kossmann,
 //! ICDE 2005 — reference [12] of the paper).
 
-use crate::clockscan::apply_update;
 use crate::mvcc::TimestampOracle;
 use crate::table::Table;
-use crate::update::{UpdateOp, UpdateResult};
+use crate::update::{apply_update, UpdateOp, UpdateResult};
 use parking_lot::{Mutex, RwLock};
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Value};
 use std::collections::VecDeque;

@@ -37,7 +37,7 @@ pub use clockscan::{ClockScan, ScanQuery, SegmentView};
 pub use index_probe::{IndexProbe, ProbeQuery, ProbeRange};
 pub use mvcc::{Snapshot, TimestampOracle};
 pub use table::{RowId, StoredRow, Table};
-pub use update::{UpdateOp, UpdateResult};
+pub use update::{AccessPath, UpdateOp, UpdateResult};
 pub use wal::{
     scan_frames, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy, TornTail,
     Wal, WalConfig, WalScan, WalSink, WalStatsSnapshot, FRAME_HEADER_LEN, FRAME_MAGIC,

@@ -11,7 +11,7 @@ use crate::btree::BTreeIndex;
 use crate::mvcc::{Snapshot, TS_INFINITY};
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{Error, Result, Schema, Tuple, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
 
@@ -108,7 +108,9 @@ impl Table {
         self.rows.len()
     }
 
-    /// Number of live rows.
+    /// Number of live rows. Costs one pass over the whole version arena —
+    /// O(versions), dead ones included — so it is for tests, reports and
+    /// checkpoints, never for a per-statement path.
     pub fn live_count(&self) -> usize {
         self.rows.iter().filter(|r| r.is_live()).count()
     }
@@ -162,24 +164,16 @@ impl Table {
     /// the same primary key already exists.
     pub fn insert(&mut self, values: Tuple, ts: Timestamp) -> Result<RowId> {
         self.schema.check_tuple(values.values())?;
+        let row_id = RowId(self.rows.len() as u64);
         if !self.primary_key.is_empty() {
             let key = self.pk_values(&values);
-            if let Some(&existing) = self.pk_index.get(&key) {
-                if self.rows[existing.idx()].is_live() {
-                    return Err(Error::ConstraintViolation(format!(
-                        "duplicate primary key in table {}: {:?}",
-                        self.name, key
-                    )));
-                }
+            if self.lookup_pk_live(&key).is_some() {
+                return Err(self.duplicate_key(&key));
             }
+            self.pk_index.insert(key, row_id);
         }
-        let row_id = RowId(self.rows.len() as u64);
         for index in &mut self.indexes {
             index.tree.insert(values[index.column].clone(), row_id);
-        }
-        if !self.primary_key.is_empty() {
-            let key = self.pk_values(&values);
-            self.pk_index.insert(key, row_id);
         }
         self.rows.push(StoredRow {
             values,
@@ -192,52 +186,86 @@ impl Table {
     /// Replaces the row version `row_id` with `new_values` at timestamp `ts`.
     /// Returns the id of the new version.
     pub fn update_row(&mut self, row_id: RowId, new_values: Tuple, ts: Timestamp) -> Result<RowId> {
-        self.schema.check_tuple(new_values.values())?;
-        let old = self
-            .rows
-            .get(row_id.idx())
-            .ok_or_else(|| Error::Internal(format!("invalid row id {row_id:?}")))?;
-        if !old.is_live() {
-            return Err(Error::Internal(format!(
-                "update of non-live row version {row_id:?} in table {}",
-                self.name
-            )));
-        }
-        let old_key = self.pk_values(&old.values);
-        let new_key = self.pk_values(&new_values);
-        if !self.primary_key.is_empty() && old_key != new_key {
-            // Primary-key update: treat as delete + insert, enforcing
-            // uniqueness of the new key.
-            if let Some(&existing) = self.pk_index.get(&new_key) {
-                if self.rows[existing.idx()].is_live() && existing != row_id {
-                    return Err(Error::ConstraintViolation(format!(
-                        "duplicate primary key in table {}: {:?}",
-                        self.name, new_key
-                    )));
-                }
-            }
-        }
-        // End the old version and append the new one.
-        self.rows[row_id.idx()].end = ts;
         let new_id = RowId(self.rows.len() as u64);
-        for index in &mut self.indexes {
-            index.tree.insert(new_values[index.column].clone(), new_id);
-        }
-        if !self.primary_key.is_empty() {
-            self.pk_index.insert(new_key, new_id);
-            if old_key != self.pk_values(&new_values) {
-                // Only remap; the old key still points at the old version for
-                // older snapshots, but lookups of the latest state should no
-                // longer find it.
-                self.pk_index.remove(&old_key);
-            }
-        }
-        self.rows.push(StoredRow {
-            values: new_values,
-            begin: ts,
-            end: TS_INFINITY,
-        });
+        self.update_rows(vec![(row_id, new_values)], ts)?;
         Ok(new_id)
+    }
+
+    /// Replaces each listed live version (ascending `RowId`) with its new
+    /// tuple at timestamp `ts`, **all or nothing**: every new version is
+    /// validated — schema, liveness, primary-key uniqueness against the
+    /// table *and* against the earlier rows of this call, exactly as applying
+    /// them one by one would see it — before the first version is ended, so
+    /// an error leaves the table untouched. New versions are appended in the
+    /// order given.
+    pub fn update_rows(&mut self, updates: Vec<(RowId, Tuple)>, ts: Timestamp) -> Result<()> {
+        // Keys vacated / taken by earlier pk-changing rows of this call.
+        let mut freed: HashSet<Vec<Value>> = HashSet::new();
+        let mut claimed: HashSet<Vec<Value>> = HashSet::new();
+        let mut keys = Vec::with_capacity(updates.len());
+        let mut previous = None;
+        for (row_id, new_values) in &updates {
+            self.schema.check_tuple(new_values.values())?;
+            let old = self
+                .rows
+                .get(row_id.idx())
+                .ok_or_else(|| Error::Internal(format!("invalid row id {row_id:?}")))?;
+            if !old.is_live() {
+                return Err(Error::Internal(format!(
+                    "update of non-live row version {row_id:?} in table {}",
+                    self.name
+                )));
+            }
+            if previous.replace(*row_id).is_some_and(|p| p >= *row_id) {
+                return Err(Error::Internal(format!(
+                    "row versions to update are not in ascending order at {row_id:?}"
+                )));
+            }
+            let old_key = self.pk_values(&old.values);
+            let new_key = self.pk_values(new_values);
+            if old_key != new_key {
+                // Primary-key update: treat as delete + insert, enforcing
+                // uniqueness of the new key.
+                let taken = claimed.contains(&new_key)
+                    || (!freed.contains(&new_key) && self.lookup_pk_live(&new_key).is_some());
+                if taken {
+                    return Err(self.duplicate_key(&new_key));
+                }
+                freed.insert(old_key.clone());
+                claimed.insert(new_key.clone());
+            }
+            keys.push((old_key, new_key));
+        }
+        // End the old versions and append the new ones.
+        for ((row_id, new_values), (old_key, new_key)) in updates.into_iter().zip(keys) {
+            self.rows[row_id.idx()].end = ts;
+            let new_id = RowId(self.rows.len() as u64);
+            for index in &mut self.indexes {
+                index.tree.insert(new_values[index.column].clone(), new_id);
+            }
+            if !self.primary_key.is_empty() {
+                if old_key != new_key {
+                    // Only remap; the old key still points at the old version
+                    // for older snapshots, but lookups of the latest state
+                    // should no longer find it.
+                    self.pk_index.remove(&old_key);
+                }
+                self.pk_index.insert(new_key, new_id);
+            }
+            self.rows.push(StoredRow {
+                values: new_values,
+                begin: ts,
+                end: TS_INFINITY,
+            });
+        }
+        Ok(())
+    }
+
+    fn duplicate_key(&self, key: &[Value]) -> Error {
+        Error::ConstraintViolation(format!(
+            "duplicate primary key in table {}: {:?}",
+            self.name, key
+        ))
     }
 
     /// Deletes the row version `row_id` at timestamp `ts`.
@@ -303,6 +331,23 @@ impl Table {
         self.rows[row_id.idx()].is_live().then_some(row_id)
     }
 
+    /// Probes the secondary index on `column` for an exact key and returns the
+    /// *live* versions filed under it, in posting-list order (empty when the
+    /// column has no index). The posting list holds every version ever
+    /// written with that key, so the cost is O(versions with the key).
+    pub fn index_lookup_live<'a>(
+        &'a self,
+        column: usize,
+        key: &Value,
+    ) -> impl Iterator<Item = RowId> + 'a {
+        let index = self.indexes.iter().find(|i| i.column == column);
+        let postings = index.map_or(&[][..], |i| i.tree.get(key));
+        postings
+            .iter()
+            .copied()
+            .filter(|rid| self.rows[rid.idx()].is_live())
+    }
+
     /// Probes a secondary index for an exact key, returning all visible rows.
     pub fn index_lookup(
         &self,
@@ -344,6 +389,27 @@ impl Table {
     /// Approximate memory footprint in bytes (payloads only).
     pub fn heap_size(&self) -> usize {
         self.rows.iter().map(|r| r.values.heap_size()).sum()
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Everything a write can change, spelled out exactly (`Debug` keeps
+    /// `Int(1)` and `Float(1.0)` apart where `==` does not): the version
+    /// arena in order, the key map and every secondary index.
+    pub(crate) fn dump(&self) -> String {
+        let mut keys: Vec<String> = self
+            .pk_index
+            .iter()
+            .map(|(key, row)| format!("{key:?} -> {row:?}"))
+            .collect();
+        keys.sort();
+        let indexes: Vec<_> = self
+            .indexes
+            .iter()
+            .map(|i| (&i.name, i.tree.range(Bound::Unbounded, Bound::Unbounded)))
+            .collect();
+        format!("{:#?}\n{keys:#?}\n{indexes:?}", self.rows)
     }
 }
 

@@ -9,18 +9,31 @@
 //!   deterministically seeded random cases.
 //! * [`prop_assert!`] / [`prop_assert_eq!`] — plain assertion forwarding.
 //!
-//! Unlike real proptest there is **no shrinking**: a failing case panics with
-//! the ordinary assertion message. Failures are reproducible because the
-//! per-test RNG is seeded from the test's name (override the whole run's seed
-//! mix with `PROPTEST_SHIM_SEED=<u64>`).
+//! Shrinking works on the *draws*, not on the values (the Hypothesis way, so
+//! it needs nothing from a strategy): every case records the numbers its
+//! strategies drew; when a case fails, [`run_cases`] replays the body with
+//! draws deleted, zeroed and halved — shorter vectors, values nearer the
+//! start of their range — keeps every variant that still fails, and finally
+//! re-runs the smallest one so the test dies with *its* assertion message.
+//! Failures are reproducible because the per-test RNG is seeded from the
+//! test's name (override the whole run's seed mix with
+//! `PROPTEST_SHIM_SEED=<u64>`).
 
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Deterministic SplitMix64 generator driving all strategies.
+/// Deterministic SplitMix64 generator driving all strategies. It records
+/// every draw of the current case, and can replay a recorded (and edited)
+/// sequence instead of generating — which is how failing cases are shrunk.
 #[derive(Debug, Clone)]
 pub struct TestRng {
     state: u64,
+    /// Draws of the current case: bounded draws as the value drawn, raw draws
+    /// as the 64 bits.
+    record: Vec<u64>,
+    /// When set, draws come from this sequence (0 once it runs out).
+    replay: Option<std::vec::IntoIter<u64>>,
 }
 
 impl TestRng {
@@ -38,11 +51,24 @@ impl TestRng {
             .unwrap_or(0);
         TestRng {
             state: hash ^ mix.rotate_left(17),
+            record: Vec::new(),
+            replay: None,
         }
     }
 
-    /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    /// A generator that replays `draws` instead of generating.
+    fn replaying(draws: Vec<u64>) -> TestRng {
+        TestRng {
+            state: 0,
+            record: Vec::new(),
+            replay: Some(draws.into_iter()),
+        }
+    }
+
+    fn draw(&mut self) -> u64 {
+        if let Some(replay) = &mut self.replay {
+            return replay.next().unwrap_or(0);
+        }
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -50,11 +76,104 @@ impl TestRng {
         z ^ (z >> 31)
     }
 
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let bits = self.draw();
+        self.record.push(bits);
+        bits
+    }
+
     fn below(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             0
         } else {
-            self.next_u64() % bound
+            let value = self.draw() % bound;
+            self.record.push(value);
+            value
+        }
+    }
+}
+
+/// Body runs a failing case may be shrunk with.
+const SHRINK_BUDGET: usize = 2000;
+
+/// Runs `case` for `config.cases` random cases; each call draws its inputs
+/// from the generator it is handed. A failing case is shrunk (see the module
+/// docs) and the smallest failing variant is run once more, unprotected, so
+/// the test fails with that variant's own panic message.
+pub fn run_cases(name: &str, config: ProptestConfig, mut case: impl FnMut(&mut TestRng)) {
+    let mut rng = TestRng::for_test(name);
+    for _ in 0..config.cases {
+        rng.record.clear();
+        let Err(panic) = catch_unwind(AssertUnwindSafe(|| case(&mut rng))) else {
+            continue;
+        };
+        let draws = std::mem::take(&mut rng.record);
+        let total = draws.len();
+        let smallest = shrink(draws, |candidate| {
+            let mut replay = TestRng::replaying(candidate.to_vec());
+            catch_unwind(AssertUnwindSafe(|| case(&mut replay))).is_err()
+        });
+        eprintln!(
+            "proptest shim: {name} failed; shrunk the case from {total} to {} draws, \
+             re-running it:",
+            smallest.len()
+        );
+        case(&mut TestRng::replaying(smallest));
+        resume_unwind(panic); // the shrunk case passed this time: a flaky body
+    }
+}
+
+/// Greedy shrinking of a failing draw sequence, to a fixpoint or until the
+/// budget is spent: delete runs of draws (long runs first), then bisect each
+/// remaining draw towards zero. A variant is kept only if `fails` says the
+/// body still fails with it.
+fn shrink(mut draws: Vec<u64>, mut fails: impl FnMut(&[u64]) -> bool) -> Vec<u64> {
+    let mut budget = SHRINK_BUDGET;
+    let mut attempt = |candidate: &[u64]| {
+        budget > 0 && {
+            budget -= 1;
+            fails(candidate)
+        }
+    };
+    loop {
+        let before = draws.clone();
+        let mut run = draws.len() / 2;
+        while run > 0 {
+            let mut at = 0;
+            while at + run <= draws.len() {
+                let mut candidate = draws.clone();
+                candidate.drain(at..at + run);
+                if attempt(&candidate) {
+                    draws = candidate;
+                } else {
+                    at += run;
+                }
+            }
+            run /= 2;
+        }
+        for at in 0..draws.len() {
+            // `passes` is a value the body is known (or, for 0, about to be
+            // shown) not to fail with; `draws[at]` always fails.
+            let mut candidate = draws.clone();
+            candidate[at] = 0;
+            if draws[at] == 0 || attempt(&candidate) {
+                draws[at] = 0;
+                continue;
+            }
+            let mut passes = 0;
+            while draws[at] - passes > 1 {
+                let middle = passes + (draws[at] - passes) / 2;
+                candidate[at] = middle;
+                if attempt(&candidate) {
+                    draws[at] = middle;
+                } else {
+                    passes = middle;
+                }
+            }
+        }
+        if draws == before {
+            return draws;
         }
     }
 }
@@ -236,12 +355,10 @@ macro_rules! __proptest_functions {
     )*) => {$(
         $(#[$meta])*
         fn $name() {
-            let config: $crate::ProptestConfig = $cfg;
-            let mut proptest_shim_rng = $crate::TestRng::for_test(stringify!($name));
-            for _ in 0..config.cases {
-                $(let $arg = $crate::Strategy::generate(&($strategy), &mut proptest_shim_rng);)+
+            $crate::run_cases(stringify!($name), $cfg, |proptest_shim_rng| {
+                $(let $arg = $crate::Strategy::generate(&($strategy), proptest_shim_rng);)+
                 $body
-            }
+            });
         }
     )*};
 }
@@ -279,6 +396,22 @@ mod tests {
                 prop_assert!(n < 10);
             }
         }
+    }
+
+    /// A failing property is shrunk to a local minimum before it is reported:
+    /// "some element is ≥ 50" fails, at its smallest, for the vector `[50]`.
+    #[test]
+    fn failing_case_is_shrunk() {
+        let strategy = crate::collection::vec(0u32..1000, 0..30);
+        let mut last = Vec::new();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::run_cases("shrinks", ProptestConfig::with_cases(64), |rng| {
+                last = crate::Strategy::generate(&strategy, rng);
+                assert!(last.iter().all(|&v| v < 50), "{last:?}");
+            })
+        }));
+        assert!(outcome.is_err(), "the property must fail");
+        assert_eq!(last, vec![50]);
     }
 
     #[test]

@@ -571,3 +571,89 @@ fn reset_stats_clears_every_surface() {
     let _ = conn.close();
     server.shutdown();
 }
+
+/// The write path's useful-work ratio, read back from `/metrics`: on the
+/// TPC-W catalog every single-row UPDATE examines exactly the row it changes,
+/// a cart's DELETE exactly the cart's lines, and `EXPLAIN` names the access
+/// path that makes it so.
+#[test]
+fn update_row_counters_and_access_paths_on_tpcw() {
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::with_items(1_000)).unwrap());
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let mut server = Server::start(
+        catalog,
+        plan,
+        registry,
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let mut run = |statement: &str, params: &[Value]| {
+        let prepared = conn.prepare(statement).unwrap();
+        conn.execute(&prepared, params).unwrap().rows_affected()
+    };
+    for i in 0..25i64 {
+        let item = [Value::Int(i * 7), Value::Float(9.5), Value::Date(15_403)];
+        assert_eq!(run("adminUpdateItem", &item), 1);
+        // The same item again: its superseded version is not examined.
+        assert_eq!(run("adminUpdateItem", &item), 1);
+        let login = [Value::Int(i * 13), Value::Date(15_500)];
+        assert_eq!(run("updateCustomerLogin", &login), 1);
+    }
+    // Cart 3 is loaded with one line; two more, one of them refreshed.
+    for (line, item) in [(900_001i64, 11i64), (900_002, 12)] {
+        let params = [line, 3, item, 1].map(Value::Int);
+        assert_eq!(run("addToCart", &params), 1);
+    }
+    assert_eq!(run("refreshCart", &[3, 12, 5].map(Value::Int)), 1);
+    assert_eq!(run("clearCart", &[Value::Int(3)]), 3);
+    assert_eq!(run("clearCart", &[Value::Int(3)]), 0);
+
+    let metrics = server.metrics_text();
+    let counter = |name: &str, statement: &str| -> u64 {
+        let series = format!("shareddb_update_rows_{name}_total{{statement=\"{statement}\"}} ");
+        let line = metrics.lines().find(|l| l.starts_with(&series));
+        let line = line.unwrap_or_else(|| panic!("no series {series} in /metrics"));
+        line[series.len()..].parse().unwrap()
+    };
+    for (statement, examined, affected) in [
+        ("adminUpdateItem", 50, 50),
+        ("updateCustomerLogin", 25, 25),
+        ("addToCart", 0, 2),
+        ("refreshCart", 3, 1),
+        ("clearCart", 3, 3),
+    ] {
+        assert_eq!(counter("examined", statement), examined, "{statement}");
+        assert_eq!(counter("affected", statement), affected, "{statement}");
+    }
+    assert!(metrics.contains("# TYPE shareddb_update_rows_examined_total counter"));
+    assert!(metrics.contains("# TYPE shareddb_update_rows_affected_total counter"));
+
+    for (statement, path) in [
+        ("adminUpdateItem", "pk(I_ID)"),
+        ("updateCustomerLogin", "pk(C_ID)"),
+        ("refreshCart", "index(SCL_CART)"),
+        ("clearCart", "index(SCL_CART)"),
+    ] {
+        let text = conn.explain(statement, false).unwrap().text;
+        assert!(
+            text.ends_with(&format!("  rows found by: {path}\n")),
+            "{statement}: {text}"
+        );
+    }
+    assert!(!conn
+        .explain("addToCart", false)
+        .unwrap()
+        .text
+        .contains("rows found by"));
+
+    server.reset_stats();
+    assert!(!server
+        .metrics_text()
+        .contains("shareddb_update_rows_examined_total{"));
+    let _ = conn.close();
+    server.shutdown();
+}

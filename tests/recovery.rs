@@ -425,7 +425,7 @@ fn recovery_preserves_explain_output() {
         .unwrap();
     let (plan, registry) = compile_workload(&catalog, &statements).unwrap();
     let before: Vec<String> = (0..statements.len())
-        .map(|i| shareddb::core::render_explain_text(&plan, &registry, i, None))
+        .map(|i| shareddb::core::render_explain_text(&catalog, &plan, &registry, i, None))
         .collect();
     drop(plan);
     drop(registry);
@@ -435,7 +435,7 @@ fn recovery_preserves_explain_output() {
     reborn.recover(&dir).unwrap();
     let (plan2, registry2) = compile_workload(&reborn, &statements).unwrap();
     let after: Vec<String> = (0..statements.len())
-        .map(|i| shareddb::core::render_explain_text(&plan2, &registry2, i, None))
+        .map(|i| shareddb::core::render_explain_text(&reborn, &plan2, &registry2, i, None))
         .collect();
     assert_eq!(before, after);
     let _ = std::fs::remove_dir_all(&dir);
@@ -519,6 +519,85 @@ fn durable_server_restart_serves_recovered_data() {
         let outcome = conn.execute(&get, &[Value::Int(99)]).unwrap();
         assert_eq!(outcome.rows().len(), 1);
         conn.close().unwrap();
+        server.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two connections whose writes share one batch: the duplicate-key insert
+/// fails alone, its batch-mate commits, is visible at once and is still
+/// there — without the failed row — after a restart from the data directory.
+#[test]
+fn batch_mates_fail_alone_over_the_wire() {
+    use shareddb::client::Connection;
+    use shareddb::core::{EngineConfig, HeartbeatPolicy};
+
+    let dir = temp_dir("batch-mates");
+    let statements: Vec<(&str, &str)> = vec![
+        ("getItem", "SELECT * FROM ITEM WHERE I_ID = ?"),
+        ("addItem", "INSERT INTO ITEM VALUES (?, ?, ?)"),
+    ];
+    let start = || {
+        let catalog = Catalog::new();
+        catalog.create_table(item_def()).unwrap();
+        // A long, non-eager heartbeat: statements sent within it share a batch.
+        let engine_config = EngineConfig {
+            heartbeat: HeartbeatPolicy::Fixed(std::time::Duration::from_millis(300)),
+            eager_heartbeat: false,
+            ..EngineConfig::default()
+        };
+        let server_config = ServerConfig {
+            data_dir: Some(dir.clone()),
+            wal_sync: SyncPolicy::Always,
+            ..ServerConfig::default()
+        };
+        Server::start_sql(Arc::new(catalog), &statements, engine_config, server_config).unwrap()
+    };
+    let titles = |conn: &mut Connection, id: i64| -> Vec<Value> {
+        let get = conn.prepare("getItem").unwrap();
+        let outcome = conn.execute(&get, &[Value::Int(id)]).unwrap();
+        outcome.rows().iter().map(|row| row[1].clone()).collect()
+    };
+    let item = |id: i64, title: &str| [Value::Int(id), Value::text(title), Value::Float(1.0)];
+
+    let mut good_id = 1; // ids 2..=good_id are the good batch-mates
+    {
+        let mut server = start();
+        let mut a = Connection::connect(server.local_addr()).unwrap();
+        let mut b = Connection::connect(server.local_addr()).unwrap();
+        let (add_a, add_b) = (a.prepare("addItem").unwrap(), b.prepare("addItem").unwrap());
+        // Also the warm-up: the engine's first batch runs at once.
+        a.execute(&add_a, &item(1, "first")).unwrap();
+        // The heartbeat makes sharing a batch all but certain, the batch
+        // counter makes it known; a round that did not share is run again.
+        let shared = (0..5).any(|_| {
+            good_id += 1;
+            let batches = server.engine_stats().unwrap().batches;
+            let duplicate = a.submit(&add_a, &item(1, "duplicate")).unwrap();
+            let good = b.submit(&add_b, &item(good_id, "good")).unwrap();
+            let (duplicate, good) = (a.wait(duplicate), b.wait(good));
+            let error = duplicate.expect_err("the duplicate key must be refused");
+            assert!(
+                error.to_string().contains("duplicate primary key"),
+                "{error}"
+            );
+            assert_eq!(good.unwrap().rows_affected(), 1);
+            server.engine_stats().unwrap().batches == batches + 1
+        });
+        assert!(shared, "the two writes never shared a batch");
+        assert_eq!(titles(&mut a, 1), [Value::text("first")]);
+        assert_eq!(titles(&mut b, good_id), [Value::text("good")]);
+        let (_, _) = (a.close(), b.close());
+        server.shutdown();
+    }
+    {
+        let mut server = start();
+        let mut conn = Connection::connect(server.local_addr()).unwrap();
+        assert_eq!(titles(&mut conn, 1), [Value::text("first")]);
+        for id in 2..=good_id {
+            assert_eq!(titles(&mut conn, id), [Value::text("good")]);
+        }
+        let _ = conn.close();
         server.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
