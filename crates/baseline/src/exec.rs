@@ -246,24 +246,11 @@ fn exec(
             let table = handle.read();
             let key = key.bind(params)?.eval(&Tuple::empty())?;
             let residual = residual.as_ref().map(|p| p.bind(params)).transpose()?;
-            let rows: Vec<Tuple> = if table.has_index_on(*column) {
-                table
-                    .index_lookup(*column, &key, snapshot)
-                    .into_iter()
-                    .map(|(_, r)| r.clone())
-                    .collect()
-            } else if table.primary_key() == [*column] {
-                table
-                    .lookup_pk(std::slice::from_ref(&key), snapshot)
-                    .map(|(_, r)| vec![r.clone()])
-                    .unwrap_or_default()
-            } else {
-                table
-                    .scan(snapshot)
-                    .filter(|(_, r)| r[*column].sql_eq(&key))
-                    .map(|(_, r)| r.clone())
-                    .collect()
-            };
+            let rows: Vec<Tuple> = table
+                .eq_lookup(*column)
+                .rows(&key, snapshot)
+                .map(|(_, r)| r.clone())
+                .collect();
             Ok(filter_rows(rows, &residual)?)
         }
         QueryPlan::IndexRange {
@@ -355,32 +342,15 @@ fn exec(
             let outer_rows = exec(catalog, outer, params, snapshot)?;
             let handle = catalog.table(table)?;
             let inner = handle.read();
+            let lookup = inner.eq_lookup(*inner_column);
             let mut out = Vec::new();
             for outer_row in &outer_rows {
                 let key = &outer_row[*outer_key];
                 if key.is_null() {
                     continue;
                 }
-                let matches: Vec<Tuple> = if inner.has_index_on(*inner_column) {
-                    inner
-                        .index_lookup(*inner_column, key, snapshot)
-                        .into_iter()
-                        .map(|(_, r)| r.clone())
-                        .collect()
-                } else if inner.primary_key() == [*inner_column] {
-                    inner
-                        .lookup_pk(std::slice::from_ref(key), snapshot)
-                        .map(|(_, r)| vec![r.clone()])
-                        .unwrap_or_default()
-                } else {
-                    inner
-                        .scan(snapshot)
-                        .filter(|(_, r)| r[*inner_column].sql_eq(key))
-                        .map(|(_, r)| r.clone())
-                        .collect()
-                };
-                for inner_row in matches {
-                    out.push(outer_row.concat(&inner_row));
+                for (_, inner_row) in lookup.rows(key, snapshot) {
+                    out.push(outer_row.concat(inner_row));
                 }
             }
             Ok(out)

@@ -9,7 +9,8 @@ use shareddb_core::engine::{QueryHandle, QueryOutcome};
 use shareddb_core::scatter::{scatter_spec, ScatterSpec};
 use shareddb_core::stats::{
     merge_attribution, AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot, Phase,
-    PhaseTable, SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot, UpdateRowsSnapshot,
+    PhaseTable, ScanRowsSnapshot, SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot,
+    UpdateRowsSnapshot,
 };
 use shareddb_core::trace::TraceRecord;
 use shareddb_core::{Engine, EngineConfig, GlobalPlan, StatementRegistry, SubmitOptions};
@@ -257,6 +258,25 @@ impl ClusterEngine {
                 Some(total) => {
                     total.examined += snap.examined;
                     total.affected += snap.affected;
+                }
+                None => merged.push(snap),
+            }
+        }
+        merged
+    }
+
+    /// What the shared scans did, per table, summed over replicas (and over
+    /// the scan operators of one table, should a plan have several).
+    pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
+        let mut merged: Vec<ScanRowsSnapshot> = Vec::new();
+        for snap in self.engines.iter().flat_map(|e| e.scan_row_stats()) {
+            match merged.iter_mut().find(|m| m.table == snap.table) {
+                Some(total) => {
+                    total.examined += snap.examined;
+                    total.emitted += snap.emitted;
+                    for (sum, served) in total.queries.iter_mut().zip(snap.queries) {
+                        *sum += served;
+                    }
                 }
                 None => merged.push(snap),
             }

@@ -44,21 +44,6 @@ impl QTuple {
         self.queries.iter().map(move |q| (q, &self.tuple))
     }
 
-    /// Joins two data-query tuples: concatenates the payloads and intersects
-    /// the query sets. Returns `None` when the intersection is empty, i.e.
-    /// when no query is interested in the combination (this implements the
-    /// `R.query_id = S.query_id` part of the shared join predicate).
-    pub fn join(&self, other: &QTuple) -> Option<QTuple> {
-        let queries = self.queries.intersect(&other.queries);
-        if queries.is_empty() {
-            return None;
-        }
-        Some(QTuple {
-            tuple: self.tuple.concat(&other.tuple),
-            queries,
-        })
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_size(&self) -> usize {
         self.tuple.heap_size() + self.queries.heap_size()
@@ -86,20 +71,6 @@ mod tests {
         );
         let pairs: Vec<_> = t.explode().map(|(q, _)| q.raw()).collect();
         assert_eq!(pairs, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn join_requires_common_query() {
-        let r = QTuple::for_query(tuple![1i64, "r"], QueryId(1));
-        let s = QTuple::for_query(tuple![1i64, "s"], QueryId(2));
-        // R tuple only relevant for Q1 must not match S tuple only relevant
-        // for Q2 (Section 3.3).
-        assert!(r.join(&s).is_none());
-
-        let s2 = QTuple::new(tuple![1i64, "s"], [1u32, 2].into_iter().collect());
-        let joined = r.join(&s2).unwrap();
-        assert_eq!(joined.tuple, tuple![1i64, "r", 1i64, "s"]);
-        assert_eq!(joined.queries, QuerySet::singleton(QueryId(1)));
     }
 
     #[test]

@@ -130,29 +130,37 @@ impl QuerySet {
     /// emitting a joined tuple when the intersection is non-empty.
     pub fn intersect(&self, other: &QuerySet) -> QuerySet {
         // Iterate over the smaller side and binary-search the larger one when
-        // the sizes are lopsided; otherwise do a linear merge.
+        // the sizes are lopsided; otherwise do a linear merge. The output is
+        // allocated at the first common id, sized for what can still follow,
+        // so an empty intersection — the common outcome when an operator
+        // restricts a tuple to its own queries — allocates nothing.
         let (small, large) = if self.len() <= other.len() {
             (self, other)
         } else {
             (other, self)
         };
+        let mut out = Vec::new();
         if large.len() > 16 * small.len().max(1) {
-            let mut out = Vec::with_capacity(small.len());
-            for &id in &small.ids {
+            for (i, &id) in small.ids.iter().enumerate() {
                 if large.contains(id) {
+                    if out.is_empty() {
+                        out.reserve_exact(small.len() - i);
+                    }
                     out.push(id);
                 }
             }
             return QuerySet { ids: out };
         }
-        let mut out = Vec::with_capacity(small.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
+        while i < small.ids.len() && j < large.ids.len() {
+            match small.ids[i].cmp(&large.ids[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    out.push(self.ids[i]);
+                    if out.is_empty() {
+                        out.reserve_exact(small.len() - i);
+                    }
+                    out.push(small.ids[i]);
                     i += 1;
                     j += 1;
                 }

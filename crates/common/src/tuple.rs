@@ -1,29 +1,39 @@
 //! Row representation.
 //!
-//! Tuples are plain vectors of [`Value`]s. The engine moves tuples between
-//! operators in *vectors* (batches) following the vectorised execution model
-//! referenced in Section 3.2 of the paper; the batch container lives in
-//! `shareddb-core`, this module only defines the per-row type.
+//! A tuple is one immutable, reference-counted slice of [`Value`]s. A stored
+//! row version, the data-query tuple a scan emits for it, the copy a join
+//! keeps in its hash table and the row of the `ResultSet` a client reads
+//! are all the *same* allocation: `clone` bumps a counter. Versions are never
+//! changed in place (an update appends a new version), so sharing needs no
+//! lock, and a reader that still holds a row keeps its old values alive.
+//! The engine moves tuples between operators in *vectors* (batches) following
+//! the vectorised execution model referenced in Section 3.2 of the paper; the
+//! batch container lives in `shareddb-core`, this module only defines the
+//! per-row type.
 
 use crate::value::Value;
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
-/// A single row of values.
+/// A single immutable row of values; cloning shares the allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
-    /// Creates a tuple from a vector of values.
+    /// Creates a tuple from a vector of values (one allocation; the values
+    /// are moved, not cloned).
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// Creates an empty tuple.
     pub fn empty() -> Self {
-        Tuple { values: Vec::new() }
+        Tuple::default()
     }
 
     /// Number of values.
@@ -41,27 +51,42 @@ impl Tuple {
         &self.values
     }
 
-    /// Mutable access to the values (used by updates in the storage layer).
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
+    /// True when both tuples are the same allocation — not merely equal:
+    /// the row was handed on, never copied.
+    pub fn ptr_eq(&self, other: &Tuple) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
     }
 
-    /// Consumes the tuple and returns the underlying vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
+    /// Returns the values as an owned vector. The last holder of the row
+    /// moves them out; while the row is still shared (with the table's
+    /// version arena, typically) every value is cloned, text included — so
+    /// this belongs at the edge of the system, not on a per-tuple path.
+    pub fn into_values(mut self) -> Vec<Value> {
+        match Arc::get_mut(&mut self.values) {
+            Some(values) => values
+                .iter_mut()
+                .map(|v| std::mem::replace(v, Value::Null))
+                .collect(),
+            None => self.values.to_vec(),
+        }
     }
 
     /// Returns the value at `idx`, if present.
+    #[inline]
     pub fn get(&self, idx: usize) -> Option<&Value> {
         self.values.get(idx)
     }
 
     /// Concatenates two tuples (the output of a join).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.len() + other.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple { values }
+        Tuple {
+            values: self
+                .values
+                .iter()
+                .chain(other.values.iter())
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Returns a tuple consisting of the selected column indices.
@@ -71,9 +96,12 @@ impl Tuple {
         }
     }
 
-    /// Approximate heap footprint in bytes (used by memory accounting).
+    /// Approximate heap footprint in bytes (used by memory accounting): the
+    /// shared allocation — its two reference counts included — plus the text
+    /// the values own.
     pub fn heap_size(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<Value>()
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of_val::<[Value]>(&self.values)
             + self.values.iter().map(Value::heap_size).sum::<usize>()
     }
 }
@@ -91,9 +119,21 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+impl<const N: usize> From<[Value; N]> for Tuple {
+    /// One allocation, no intermediate vector (what [`tuple!`](crate::tuple)
+    /// expands to, and with it every bulk load).
+    fn from(values: [Value; N]) -> Self {
+        Tuple {
+            values: values.into(),
+        }
+    }
+}
+
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Tuple::new(iter.into_iter().collect())
+        Tuple {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -120,7 +160,7 @@ impl fmt::Display for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::Tuple::new(vec![$($crate::Value::from($v)),*])
+        $crate::Tuple::from([$($crate::Value::from($v)),*])
     };
 }
 
@@ -167,6 +207,21 @@ mod tests {
     fn from_iterator() {
         let t: Tuple = (0..3).map(Value::from).collect();
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn clone_shares_and_into_values_moves_when_unique() {
+        let t = tuple![1i64, "a"];
+        let shared = t.clone();
+        assert!(t.ptr_eq(&shared));
+        assert!(!t.ptr_eq(&tuple![1i64, "a"]), "equal is not shared");
+        // Shared: the values are cloned and the other holder keeps its row.
+        assert_eq!(shared.into_values(), vec![Value::Int(1), Value::text("a")]);
+        assert_eq!(t[1], Value::text("a"));
+        // Unique: the text moves out with its buffer.
+        let text = t[1].as_text().unwrap().as_ptr();
+        let values = t.into_values();
+        assert_eq!(values[1].as_text().unwrap().as_ptr(), text);
     }
 
     #[test]

@@ -146,6 +146,7 @@ impl Value {
     /// SQL comparison: returns `None` when either side is NULL (three-valued
     /// logic), otherwise the ordering. Numeric types are compared after
     /// coercion to `f64` when mixed.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
         match (self, other) {

@@ -27,13 +27,13 @@ use crate::batch::{bind_query, bind_update, Activation, ActiveQuery, ActiveUpdat
 use crate::budget::CoreBudget;
 use crate::config::{EngineConfig, HeartbeatPolicy};
 use crate::merge::{merge_results, MergeSpec};
-use crate::operators::{execute_operator, ExecContext};
+use crate::operators::{execute_on, ExecContext};
 use crate::plan::{GlobalPlan, OperatorId, OperatorSpec, StatementKind, StatementRegistry};
 use crate::scatter::{scatter_spec, ScatterSpec};
 use crate::stats::{
     AttributionEntry, AttributionTable, EngineStats, EngineStatsSnapshot, OperatorStats,
-    OperatorStatsSnapshot, Phase, SegmentStats, SegmentStatsSnapshot, SlowQueryRecord,
-    StatementPhaseSnapshot, UpdateRowsSnapshot,
+    OperatorStatsSnapshot, Phase, ScanCounters, ScanRowsSnapshot, SegmentStats,
+    SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot, UpdateRowsSnapshot,
 };
 use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{TraceEvent, TraceJournal, TraceRecord};
@@ -437,6 +437,9 @@ struct EngineInner {
     /// busy times sum exactly to the per-operator busy counters).
     attribution: AttributionTable,
     operator_senders: Vec<Sender<OperatorMessage>>,
+    /// The scan and probe operators of the plan (shared with the operator
+    /// threads); held here for their counters.
+    storage_ops: Arc<Vec<Option<StorageOperator>>>,
     trace: TraceJournal,
     /// Per-statement partitionability analysis, precomputed at start; `None`
     /// for updates and shapes the walker does not recognise. Only populated
@@ -563,6 +566,7 @@ impl Engine {
                 statement_names,
             ),
             operator_senders,
+            storage_ops: Arc::clone(&storage_ops),
             trace,
             scatter_specs,
             segment_jobs: Mutex::new(segment_jobs),
@@ -735,6 +739,23 @@ impl Engine {
         self.inner.stats.phase_snapshot()
     }
 
+    /// Rows examined and emitted, and queries served per predicate class, by
+    /// every shared scan of the plan since the last reset.
+    pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
+        self.scan_counters()
+            .map(|(table, counters)| counters.snapshot(table))
+            .collect()
+    }
+
+    fn scan_counters(&self) -> impl Iterator<Item = (&String, &ScanCounters)> {
+        self.inner.storage_ops.iter().filter_map(|op| match op {
+            Some(StorageOperator::Scan {
+                table, counters, ..
+            }) => Some((table, counters)),
+            _ => None,
+        })
+    }
+
     /// Rows examined and affected per update statement type.
     pub fn update_row_stats(&self) -> Vec<UpdateRowsSnapshot> {
         self.inner.stats.update_rows_snapshot()
@@ -770,6 +791,8 @@ impl Engine {
         for seg in &self.inner.segment_stats {
             seg.reset();
         }
+        self.scan_counters()
+            .for_each(|(_, counters)| counters.reset());
         *self.inner.stats_epoch.lock() = Instant::now();
     }
 
@@ -855,19 +878,17 @@ fn operator_loop(
             OperatorMessage::Shutdown => break,
         };
         // Gather the inputs of this batch first (waiting does not consume a
-        // core), then acquire a core permit for the actual processing.
-        let mut inputs: Vec<Vec<QTuple>> = Vec::with_capacity(task.inputs.len());
+        // core), then acquire a core permit for the actual processing. An
+        // input stays the producer's one shared vector: it is read, never
+        // copied, however many operators consume it.
+        let mut inputs: Vec<TaskData> = Vec::with_capacity(task.inputs.len());
         let mut input_failed = false;
         for rx in &task.inputs {
+            // A producer that failed hangs up; its error is reported through
+            // its own done message and fails the batch at the coordinator.
             match rx.recv() {
-                Ok(data) => inputs.push(data.as_ref().clone()),
-                Err(_) => {
-                    // The producer failed; propagate an empty input. The
-                    // producer's error is reported through its own done
-                    // message and fails the batch at the coordinator.
-                    inputs.push(Vec::new());
-                    input_failed = true;
-                }
+                Ok(data) => inputs.push(data),
+                Err(_) => input_failed = true,
             }
         }
 
@@ -883,7 +904,8 @@ fn operator_loop(
                 catalog: &catalog,
                 snapshot: task.snapshot,
             };
-            execute_operator(&node.spec, &task.activations, inputs, &ctx)
+            let inputs: Vec<&[QTuple]> = inputs.iter().map(|data| data.as_slice()).collect();
+            execute_on(&node.spec, &task.activations, &inputs, &ctx)
         };
         let busy = started.elapsed();
         drop(permit);
@@ -956,13 +978,13 @@ fn segment_worker_loop(
             let result = if let Some(storage) = &storage_ops[node.id] {
                 storage.execute(activations)
             } else {
-                let inputs: Vec<Vec<QTuple>> =
-                    node.inputs.iter().map(|i| outputs[*i].clone()).collect();
+                let inputs: Vec<&[QTuple]> =
+                    node.inputs.iter().map(|i| outputs[*i].as_slice()).collect();
                 let ctx = ExecContext {
                     catalog: &catalog,
                     snapshot: job.snapshot,
                 };
-                execute_operator(&node.spec, activations, inputs, &ctx)
+                execute_on(&node.spec, activations, &inputs, &ctx)
             };
             match result {
                 Ok(tuples) => {

@@ -16,10 +16,12 @@
 //! indexed), so the server, the `plan_dump` bin and the golden-output
 //! conformance tests all render through one code path.
 
-use crate::plan::{GlobalPlan, OperatorId, StatementKind, StatementRegistry, UpdateTemplate};
+use crate::plan::{
+    ActivationTemplate, GlobalPlan, OperatorId, StatementKind, StatementRegistry, UpdateTemplate,
+};
 use crate::stats::{AttributionEntry, OperatorStatsSnapshot};
-use shareddb_common::{BinaryOp, DataType, Expr, Value};
-use shareddb_storage::{AccessPath, Catalog};
+use shareddb_common::{DataType, Expr, Schema, Value};
+use shareddb_storage::{AccessPath, Catalog, PredicateClass};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -154,7 +156,8 @@ pub fn explain_statement(
 /// an `EXPLAIN [ANALYZE]` reply. Deterministic for a fixed plan + registry
 /// (golden-tested over the SQL conformance corpus); `analyze` appends live
 /// counters and the per-statement attributed costs under each node. An
-/// `UPDATE`/`DELETE` statement shows the access path its rows are found by.
+/// `UPDATE`/`DELETE` statement shows the access path its rows are found by,
+/// a query the predicate-index class each of its scan predicates lands in.
 pub fn render_explain_text(
     catalog: &Catalog,
     plan: &GlobalPlan,
@@ -182,7 +185,17 @@ pub fn render_explain_text(
         }
         (_, Some(root)) => {
             let _ = writeln!(out, "statement {}: query", tree.statement);
-            render_node_text(&tree, root, 1, analyze, &mut out);
+            let classes: Vec<(OperatorId, String)> = spec
+                .activations
+                .iter()
+                .filter_map(|(op, template)| match template {
+                    ActivationTemplate::Scan { predicate } => {
+                        Some((*op, template_class(&plan.node(*op).schema, predicate)))
+                    }
+                    _ => None,
+                })
+                .collect();
+            render_node_text(&tree, root, 1, &classes, analyze, &mut out);
         }
         (_, None) => {
             let _ = writeln!(out, "statement {}: query (no root)", tree.statement);
@@ -191,47 +204,68 @@ pub fn render_explain_text(
     out
 }
 
-/// The access path the storage layer picks for an update template's WHERE
-/// clause (`pk(I_ID)`, `index(SCL_CART)`, `scan`). The chooser reads only the
-/// top-level `column = literal` conjuncts, so each `column = $n` conjunct is
-/// shown to it with a literal of the column's own type — which is all it
-/// needs of a literal to trust an index with it — and the rest as they are.
-fn template_access_path(catalog: &Catalog, table: &str, predicate: &Expr) -> String {
-    let Ok(handle) = catalog.table(table) else {
-        return format!("scan (no table {table} in the catalog)");
-    };
-    let table = handle.read();
+/// The template as the storage layer classifies it: both the access-path
+/// chooser and the predicate index read only the top-level `column ⟨cmp⟩
+/// literal` conjuncts, so each `column ⟨cmp⟩ $n` conjunct is shown to them
+/// with a literal of the column's own type — which is all they need of a
+/// literal — and the rest as it is.
+fn with_typed_params(schema: &Schema, predicate: &Expr) -> Expr {
     let typed = |conjunct: &Expr| -> Option<Expr> {
-        let Expr::Binary {
-            op: BinaryOp::Eq,
-            left,
-            right,
-        } = conjunct
-        else {
+        let Expr::Binary { op, left, right } = conjunct else {
             return None;
         };
         let column = match (left.as_ref(), right.as_ref()) {
             (Expr::Column(c), Expr::Param(_)) | (Expr::Param(_), Expr::Column(c)) => *c,
             _ => return None,
         };
-        let literal = match table.schema().columns().get(column)?.data_type {
+        let literal = match schema.columns().get(column)?.data_type {
             DataType::Int => Value::Int(0),
             DataType::Float => Value::Float(0.0),
             DataType::Text => Value::Text(String::new()),
             DataType::Bool => Value::Bool(false),
             DataType::Date => Value::Date(0),
         };
-        Some(Expr::col(column).eq(Expr::Literal(literal)))
+        let side = |e: &Expr| match e {
+            Expr::Param(_) => Expr::Literal(literal.clone()),
+            other => other.clone(),
+        };
+        op.is_comparison()
+            .then(|| side(left).binary(*op, side(right)))
     };
     let conjuncts = predicate.split_conjuncts().into_iter();
-    let shown = conjuncts.map(|c| typed(c).unwrap_or_else(|| c.clone()));
-    AccessPath::choose(&table, &Expr::conjunction(shown.collect())).describe(&table)
+    Expr::conjunction(
+        conjuncts
+            .map(|c| typed(c).unwrap_or_else(|| c.clone()))
+            .collect(),
+    )
+}
+
+/// The access path the storage layer picks for an update template's WHERE
+/// clause (`pk(I_ID)`, `index(SCL_CART)`, `scan`).
+fn template_access_path(catalog: &Catalog, table: &str, predicate: &Expr) -> String {
+    let Ok(handle) = catalog.table(table) else {
+        return format!("scan (no table {table} in the catalog)");
+    };
+    let table = handle.read();
+    AccessPath::choose(&table, &with_typed_params(table.schema(), predicate)).describe(&table)
+}
+
+/// The predicate-index class a scan template lands in every cycle
+/// (`eq(I_SUBJECT)`, `range(OL_O_ID)`, `residual`).
+fn template_class(schema: &Schema, predicate: &Expr) -> String {
+    let name = |column: usize| &schema.columns()[column].name;
+    match PredicateClass::of(&with_typed_params(schema, predicate)) {
+        PredicateClass::Equality(column) => format!("eq({})", name(column)),
+        PredicateClass::Range(column) => format!("range({})", name(column)),
+        PredicateClass::Residual => "residual".to_string(),
+    }
 }
 
 fn render_node_text(
     tree: &ExplainTree,
     id: OperatorId,
     depth: usize,
+    classes: &[(OperatorId, String)],
     analyze: Option<&AnalyzeData>,
     out: &mut String,
 ) {
@@ -248,6 +282,9 @@ fn render_node_text(
         out.push_str(" (activated)");
     }
     out.push('\n');
+    for (_, class) in classes.iter().filter(|(op, _)| *op == id) {
+        let _ = writeln!(out, "{indent}  predicate: {class}");
+    }
     if let Some(data) = analyze {
         if let Some(op) = data.operators.get(id) {
             let _ = writeln!(
@@ -273,7 +310,7 @@ fn render_node_text(
         }
     }
     for &input in &node.inputs {
-        render_node_text(tree, input, depth + 1, analyze, out);
+        render_node_text(tree, input, depth + 1, classes, analyze, out);
     }
 }
 

@@ -67,8 +67,8 @@ pub use plan::{
 };
 pub use scatter::{scatter_spec, ScatterSpec};
 pub use stats::{
-    merge_attribution, AttributionEntry, Phase, SegmentStatsSnapshot, SlowQueryRecord,
-    StatementPhaseSnapshot, UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
+    merge_attribution, AttributionEntry, Phase, ScanRowsSnapshot, SegmentStatsSnapshot,
+    SlowQueryRecord, StatementPhaseSnapshot, UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
 };
 pub use storage_ops::tuple_partition;
 pub use trace::{TraceEvent, TraceJournal, TraceRecord};

@@ -38,64 +38,73 @@ pub struct ExecContext<'a> {
 ///
 /// `inputs[i]` holds the tuples produced by the operator's `i`-th input for
 /// this batch. Storage operators (scans, probes) are executed by
-/// [`crate::storage_ops`] instead.
+/// [`crate::storage_ops`] instead. The inputs are only read — see
+/// [`execute_on`], which this wraps for callers that own them.
 pub fn execute_operator(
     spec: &OperatorSpec,
     activations: &[(QueryId, Activation)],
     inputs: Vec<Vec<QTuple>>,
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<QTuple>> {
+    let inputs: Vec<&[QTuple]> = inputs.iter().map(Vec::as_slice).collect();
+    execute_on(spec, activations, &inputs, ctx)
+}
+
+/// [`execute_operator`] over borrowed inputs: one producer's output serves
+/// all its consumers, none of which copies it. An operator allocates for what
+/// it emits and for its own state (hash table, groups) — a payload is built
+/// only by a join (the concatenation) and by group-by (the aggregate row);
+/// everything else hands the input row on by reference count — and nothing
+/// for an input tuple none of its queries wants.
+pub fn execute_on(
+    spec: &OperatorSpec,
+    activations: &[(QueryId, Activation)],
+    inputs: &[&[QTuple]],
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<QTuple>> {
+    let active = active_set(activations);
+    let input = |i: usize| inputs.get(i).copied().unwrap_or_default();
+    let only = || match inputs {
+        [input] => Ok(*input),
+        _ => Err(Error::Internal(format!(
+            "operator expected exactly one input, got {}",
+            inputs.len()
+        ))),
+    };
     match spec {
         OperatorSpec::TableScan { .. } | OperatorSpec::IndexProbe { .. } => Err(Error::Internal(
             "storage operators are executed by the storage layer".into(),
         )),
-        OperatorSpec::Filter => execute_filter(activations, one_input(inputs)?),
+        OperatorSpec::Filter => execute_filter(activations, &active, only()?),
         OperatorSpec::HashJoin {
             build_key,
             probe_key,
-        } => {
-            let mut inputs = inputs.into_iter();
-            let build = inputs.next().unwrap_or_default();
-            let probe = inputs.next().unwrap_or_default();
-            execute_hash_join(activations, build, probe, *build_key, *probe_key)
-        }
-        OperatorSpec::NestedLoopJoin => {
-            let mut inputs = inputs.into_iter();
-            let build = inputs.next().unwrap_or_default();
-            let probe = inputs.next().unwrap_or_default();
-            execute_nested_loop_join(activations, build, probe)
-        }
+        } => Ok(execute_hash_join(
+            &active,
+            input(0),
+            input(1),
+            *build_key,
+            *probe_key,
+        )),
+        OperatorSpec::NestedLoopJoin => Ok(execute_nested_loop_join(&active, input(0), input(1))),
         OperatorSpec::IndexNlJoin {
             table,
             outer_key,
             inner_column,
-        } => execute_index_nl_join(
-            activations,
-            one_input(inputs)?,
-            table,
-            *outer_key,
-            *inner_column,
-            ctx,
-        ),
-        OperatorSpec::Sort { keys } => execute_sort(activations, one_input(inputs)?, keys),
-        OperatorSpec::TopN { keys } => execute_top_n(activations, one_input(inputs)?, keys),
+        } => execute_index_nl_join(&active, only()?, table, *outer_key, *inner_column, ctx),
+        OperatorSpec::Sort { keys } => Ok(execute_sort(&active, only()?, keys)),
+        OperatorSpec::TopN { keys } => Ok(execute_top_n(activations, &active, only()?, keys)),
         OperatorSpec::GroupBy {
             group_columns,
             aggregates,
-        } => execute_group_by(activations, one_input(inputs)?, group_columns, aggregates),
-        OperatorSpec::Distinct => execute_distinct(activations, one_input(inputs)?),
-        OperatorSpec::Union => execute_union(activations, inputs),
+        } => execute_group_by(activations, &active, only()?, group_columns, aggregates),
+        OperatorSpec::Distinct => Ok(execute_distinct(&active, only()?)),
+        OperatorSpec::Union => Ok(inputs
+            .iter()
+            .flat_map(|input| restricted(input, &active))
+            .map(|(tuple, queries)| QTuple::new(tuple.clone(), queries))
+            .collect()),
     }
-}
-
-fn one_input(mut inputs: Vec<Vec<QTuple>>) -> Result<Vec<QTuple>> {
-    if inputs.len() != 1 {
-        return Err(Error::Internal(format!(
-            "operator expected exactly one input, got {}",
-            inputs.len()
-        )));
-    }
-    Ok(inputs.remove(0))
 }
 
 /// The set of queries activated at this operator in the current batch.
@@ -103,15 +112,16 @@ fn active_set(activations: &[(QueryId, Activation)]) -> QuerySet {
     activations.iter().map(|(q, _)| *q).collect()
 }
 
-/// Restricts a tuple to the queries activated at this operator; returns `None`
-/// when no activated query is interested.
-fn restrict(tuple: &QTuple, active: &QuerySet) -> Option<QTuple> {
-    let queries = tuple.queries.intersect(active);
-    if queries.is_empty() {
-        None
-    } else {
-        Some(QTuple::new(tuple.tuple.clone(), queries))
-    }
+/// The input rows some query activated at this operator is interested in,
+/// each with those of its queries (the row itself is borrowed, not copied).
+fn restricted<'a>(
+    input: &'a [QTuple],
+    active: &'a QuerySet,
+) -> impl Iterator<Item = (&'a Tuple, QuerySet)> {
+    input.iter().filter_map(|t| {
+        let queries = t.queries.intersect(active);
+        (!queries.is_empty()).then_some((&t.tuple, queries))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -120,9 +130,9 @@ fn restrict(tuple: &QTuple, active: &QuerySet) -> Option<QTuple> {
 
 fn execute_filter(
     activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
+    active: &QuerySet,
+    input: &[QTuple],
 ) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
     // query -> residual predicate
     let mut predicates: HashMap<QueryId, &Expr> = HashMap::new();
     for (q, a) in activations {
@@ -131,27 +141,20 @@ fn execute_filter(
         }
     }
     let mut out = Vec::new();
-    for tuple in &input {
-        let Some(restricted) = restrict(tuple, &active) else {
-            continue;
-        };
+    for (tuple, queries) in restricted(input, active) {
         let mut keep = QuerySet::new();
-        for q in restricted.queries.iter() {
-            match predicates.get(&q) {
-                Some(p) => {
-                    if p.eval_predicate(&restricted.tuple)? {
-                        keep.insert(q);
-                    }
-                }
-                // A query that participates without a predicate keeps the
-                // tuple unconditionally.
-                None => {
-                    keep.insert(q);
-                }
+        for q in queries.iter() {
+            // A query that participates without a predicate keeps the tuple
+            // unconditionally.
+            if predicates
+                .get(&q)
+                .map_or(Ok(true), |p| p.eval_predicate(tuple))?
+            {
+                keep.insert(q);
             }
         }
         if !keep.is_empty() {
-            out.push(QTuple::new(restricted.tuple, keep));
+            out.push(QTuple::new(tuple.clone(), keep));
         }
     }
     Ok(out)
@@ -162,44 +165,39 @@ fn execute_filter(
 // ---------------------------------------------------------------------------
 
 fn execute_hash_join(
-    activations: &[(QueryId, Activation)],
-    build: Vec<QTuple>,
-    probe: Vec<QTuple>,
+    active: &QuerySet,
+    build: &[QTuple],
+    probe: &[QTuple],
     build_key: usize,
     probe_key: usize,
-) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
+) -> Vec<QTuple> {
     // Build phase: hash the (restricted) build side on its join key.
-    let mut table: HashMap<Value, Vec<QTuple>> = HashMap::new();
-    for tuple in &build {
-        if let Some(restricted) = restrict(tuple, &active) {
-            let key = restricted.tuple[build_key].clone();
-            if key.is_null() {
-                continue; // NULL never joins
-            }
-            table.entry(key).or_default().push(restricted);
+    let mut table: HashMap<&Value, Vec<(&Tuple, QuerySet)>> = HashMap::new();
+    for (tuple, queries) in restricted(build, active) {
+        let key = &tuple[build_key];
+        if !key.is_null() {
+            // NULL never joins
+            table.entry(key).or_default().push((tuple, queries));
         }
     }
     // Probe phase: the effective join predicate is
-    // `build_key = probe_key AND build.query_id ∩ probe.query_id ≠ ∅`.
+    // `build_key = probe_key AND build.query_id ∩ probe.query_id ≠ ∅`. The
+    // build side carries only queries active here, so the intersection
+    // restricts the probe side as well.
     let mut out = Vec::new();
-    for tuple in &probe {
-        let Some(restricted) = restrict(tuple, &active) else {
-            continue;
-        };
-        let key = &restricted.tuple[probe_key];
-        if key.is_null() {
-            continue;
-        }
-        if let Some(matches) = table.get(key) {
-            for build_tuple in matches {
-                if let Some(joined) = build_tuple.join(&restricted) {
-                    out.push(joined);
-                }
-            }
-        }
+    for probe in probe {
+        let key = &probe.tuple[probe_key];
+        let matches = table.get(key).into_iter().flatten();
+        out.extend(matches.filter_map(|build| join(build, probe)));
     }
-    Ok(out)
+    out
+}
+
+/// The shared-join rule (Section 3.3): a pair joins for the queries
+/// interested in both sides, if there are any.
+fn join((build, build_queries): &(&Tuple, QuerySet), probe: &QTuple) -> Option<QTuple> {
+    let queries = build_queries.intersect(&probe.queries);
+    (!queries.is_empty()).then(|| QTuple::new(build.concat(&probe.tuple), queries))
 }
 
 // ---------------------------------------------------------------------------
@@ -212,28 +210,18 @@ fn execute_hash_join(
 /// once for *all* statements of the batch.
 const NL_BLOCK: usize = 256;
 
-fn execute_nested_loop_join(
-    activations: &[(QueryId, Activation)],
-    build: Vec<QTuple>,
-    probe: Vec<QTuple>,
-) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
-    // Restrict both sides once; the pairing below only has to intersect the
+fn execute_nested_loop_join(active: &QuerySet, build: &[QTuple], probe: &[QTuple]) -> Vec<QTuple> {
+    // Restrict the build side once; pairing then only has to intersect the
     // two per-tuple query sets (the shared-join rule of Section 3.3 with the
     // key predicate dropped: `build.query_id ∩ probe.query_id ≠ ∅`).
-    let build: Vec<QTuple> = build.iter().filter_map(|t| restrict(t, &active)).collect();
-    let probe: Vec<QTuple> = probe.iter().filter_map(|t| restrict(t, &active)).collect();
+    let build: Vec<(&Tuple, QuerySet)> = restricted(build, active).collect();
     let mut out = Vec::new();
     for build_block in build.chunks(NL_BLOCK) {
-        for probe_tuple in &probe {
-            for build_tuple in build_block {
-                if let Some(joined) = build_tuple.join(probe_tuple) {
-                    out.push(joined);
-                }
-            }
+        for probe in probe {
+            out.extend(build_block.iter().filter_map(|build| join(build, probe)));
         }
     }
-    Ok(out)
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -241,48 +229,25 @@ fn execute_nested_loop_join(
 // ---------------------------------------------------------------------------
 
 fn execute_index_nl_join(
-    activations: &[(QueryId, Activation)],
-    outer: Vec<QTuple>,
+    active: &QuerySet,
+    outer: &[QTuple],
     table: &str,
     outer_key: usize,
     inner_column: usize,
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
     let handle = ctx.catalog.table(table)?;
     let inner = handle.read();
+    // The access path is a property of the table, not of the key.
+    let lookup = inner.eq_lookup(inner_column);
     let mut out = Vec::new();
-    for tuple in &outer {
-        let Some(restricted) = restrict(tuple, &active) else {
-            continue;
-        };
-        let key = &restricted.tuple[outer_key];
+    for (tuple, queries) in restricted(outer, active) {
+        let key = &tuple[outer_key];
         if key.is_null() {
             continue;
         }
-        let matches: Vec<Tuple> = if inner.has_index_on(inner_column) {
-            inner
-                .index_lookup(inner_column, key, ctx.snapshot)
-                .into_iter()
-                .map(|(_, row)| row.clone())
-                .collect()
-        } else if inner.primary_key() == [inner_column] {
-            inner
-                .lookup_pk(std::slice::from_ref(key), ctx.snapshot)
-                .map(|(_, row)| vec![row.clone()])
-                .unwrap_or_default()
-        } else {
-            inner
-                .scan(ctx.snapshot)
-                .filter(|(_, row)| row[inner_column].sql_eq(key))
-                .map(|(_, row)| row.clone())
-                .collect()
-        };
-        for inner_row in matches {
-            out.push(QTuple::new(
-                restricted.tuple.concat(&inner_row),
-                restricted.queries.clone(),
-            ));
+        for (_, inner_row) in lookup.rows(key, ctx.snapshot) {
+            out.push(QTuple::new(tuple.concat(inner_row), queries.clone()));
         }
     }
     Ok(out)
@@ -292,25 +257,28 @@ fn execute_index_nl_join(
 // Sort / Top-N
 // ---------------------------------------------------------------------------
 
-fn execute_sort(
-    activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
-    keys: &[SortKey],
-) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
-    let mut tuples: Vec<QTuple> = input.iter().filter_map(|t| restrict(t, &active)).collect();
-    // One shared sort over the union of all interested tuples (Figure 4).
+/// One shared sort over the union of all interesting tuples (Figure 4).
+fn execute_sort(active: &QuerySet, input: &[QTuple], keys: &[SortKey]) -> Vec<QTuple> {
+    let mut tuples: Vec<QTuple> = restricted(input, active)
+        .map(|(tuple, queries)| QTuple::new(tuple.clone(), queries))
+        .collect();
     tuples.sort_by(|a, b| compare_tuples(&a.tuple, &b.tuple, keys));
-    Ok(tuples)
+    tuples
 }
 
 fn execute_top_n(
     activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
+    active: &QuerySet,
+    input: &[QTuple],
     keys: &[SortKey],
-) -> Result<Vec<QTuple>> {
-    // Phase 1 (shared): sort everything once.
-    let sorted = execute_sort(activations, input, keys)?;
+) -> Vec<QTuple> {
+    // Phase 1 (shared): sort everything once — by reference, so that only
+    // a row that is kept costs an allocation.
+    let mut sorted: Vec<&QTuple> = input
+        .iter()
+        .filter(|t| t.queries.intersects(active))
+        .collect();
+    sorted.sort_by(|a, b| compare_tuples(&a.tuple, &b.tuple, keys));
     // Phase 2 (per query): keep the first `limit` rows of each query.
     let mut limits: HashMap<QueryId, usize> = HashMap::new();
     for (q, a) in activations {
@@ -322,7 +290,7 @@ fn execute_top_n(
     let mut out = Vec::new();
     for tuple in sorted {
         let mut keep = QuerySet::new();
-        for q in tuple.queries.iter() {
+        for q in tuple.queries.iter().filter(|q| active.contains(*q)) {
             let limit = limits.get(&q).copied().unwrap_or(usize::MAX);
             let count = taken.entry(q).or_insert(0);
             if *count < limit {
@@ -331,10 +299,10 @@ fn execute_top_n(
             }
         }
         if !keep.is_empty() {
-            out.push(QTuple::new(tuple.tuple, keep));
+            out.push(QTuple::new(tuple.tuple.clone(), keep));
         }
     }
-    Ok(out)
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -343,11 +311,11 @@ fn execute_top_n(
 
 fn execute_group_by(
     activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
+    active: &QuerySet,
+    input: &[QTuple],
     group_columns: &[usize],
     aggregates: &[AggregateSpec],
 ) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
     let mut having: HashMap<QueryId, Option<&Expr>> = HashMap::new();
     // Queries in partial-aggregation mode (fanned-out group-by roots): their
     // AVG output columns carry the partial sum, with one hidden count column
@@ -362,51 +330,45 @@ fn execute_group_by(
     }
 
     // Phase 1 (shared): group all interesting tuples once, regardless of which
-    // query they belong to.
-    struct GroupState {
-        key: Vec<Value>,
-        /// Per query: one accumulator per aggregate.
-        per_query: HashMap<QueryId, Vec<Accumulator>>,
-    }
-    let mut groups: HashMap<Vec<Value>, GroupState> = HashMap::new();
-    for tuple in &input {
-        let Some(restricted) = restrict(tuple, &active) else {
-            continue;
-        };
-        let key: Vec<Value> = group_columns
-            .iter()
-            .map(|&c| restricted.tuple[c].clone())
-            .collect();
-        let state = groups.entry(key.clone()).or_insert_with(|| GroupState {
-            key,
-            per_query: HashMap::new(),
-        });
+    // query they belong to. A group's key borrows the columns of its first
+    // row; looking a row up reuses one scratch key, so only a new group
+    // allocates. Per group: one accumulator per aggregate and query,
+    // ascending by query.
+    type PerQuery = Vec<(QueryId, Vec<Accumulator>)>;
+    let mut groups: HashMap<Vec<&Value>, PerQuery> = HashMap::new();
+    let mut key: Vec<&Value> = Vec::with_capacity(group_columns.len());
+    for (tuple, queries) in restricted(input, active) {
+        key.clear();
+        key.extend(group_columns.iter().map(|&c| &tuple[c]));
+        if !groups.contains_key(&key) {
+            groups.insert(key.clone(), Vec::new());
+        }
+        let per_query = groups.get_mut(&key).expect("present or just inserted");
         // Phase 2 (per query): aggregation state is per query because each
         // query may aggregate a different subset of the group.
-        for q in restricted.queries.iter() {
-            let accumulators = state.per_query.entry(q).or_insert_with(|| {
-                aggregates
-                    .iter()
-                    .map(|a| a.function.accumulator())
-                    .collect()
-            });
-            for (acc, spec) in accumulators.iter_mut().zip(aggregates) {
-                acc.update(&restricted.tuple[spec.column])?;
+        for q in queries.iter() {
+            let at = match per_query.binary_search_by_key(&q, |(q, _)| *q) {
+                Ok(at) => at,
+                Err(at) => {
+                    let fresh = aggregates.iter().map(|a| a.function.accumulator());
+                    per_query.insert(at, (q, fresh.collect()));
+                    at
+                }
+            };
+            for (acc, spec) in per_query[at].1.iter_mut().zip(aggregates) {
+                acc.update(&tuple[spec.column])?;
             }
         }
     }
 
     // Emit one output row per (group, query), applying the per-query HAVING.
-    let mut states: Vec<&GroupState> = groups.values().collect();
-    states.sort_by(|a, b| a.key.cmp(&b.key));
+    let mut groups: Vec<(Vec<&Value>, PerQuery)> = groups.into_iter().collect();
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out = Vec::new();
-    for state in states {
-        let mut queries: Vec<QueryId> = state.per_query.keys().copied().collect();
-        queries.sort_unstable();
-        for q in queries {
-            let accumulators = &state.per_query[&q];
+    for (key, per_query) in groups {
+        for (q, accumulators) in per_query {
             let partial = partials.get(&q).copied().unwrap_or(false);
-            let mut values = state.key.clone();
+            let mut values: Vec<Value> = key.iter().map(|&v| v.clone()).collect();
             if partial {
                 values.extend(accumulators.iter().map(|a| {
                     if a.function() == AggregateFunction::Avg {
@@ -443,51 +405,23 @@ fn execute_group_by(
 }
 
 // ---------------------------------------------------------------------------
-// Distinct / Union
+// Distinct
 // ---------------------------------------------------------------------------
 
-fn execute_distinct(
-    activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
-) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
-    let mut seen: HashMap<Tuple, QuerySet> = HashMap::new();
-    let mut order: Vec<Tuple> = Vec::new();
-    for tuple in &input {
-        let Some(restricted) = restrict(tuple, &active) else {
-            continue;
-        };
-        match seen.get_mut(&restricted.tuple) {
-            Some(set) => set.union_in_place(&restricted.queries),
+fn execute_distinct(active: &QuerySet, input: &[QTuple]) -> Vec<QTuple> {
+    // Row -> its position in the output (first occurrence order).
+    let mut seen: HashMap<&Tuple, usize> = HashMap::new();
+    let mut out: Vec<QTuple> = Vec::new();
+    for (tuple, queries) in restricted(input, active) {
+        match seen.get(tuple) {
+            Some(&at) => out[at].queries.union_in_place(&queries),
             None => {
-                order.push(restricted.tuple.clone());
-                seen.insert(restricted.tuple.clone(), restricted.queries);
+                seen.insert(tuple, out.len());
+                out.push(QTuple::new(tuple.clone(), queries));
             }
         }
     }
-    Ok(order
-        .into_iter()
-        .map(|t| {
-            let queries = seen.remove(&t).unwrap_or_default();
-            QTuple::new(t, queries)
-        })
-        .collect())
-}
-
-fn execute_union(
-    activations: &[(QueryId, Activation)],
-    inputs: Vec<Vec<QTuple>>,
-) -> Result<Vec<QTuple>> {
-    let active = active_set(activations);
-    let mut out = Vec::new();
-    for input in inputs {
-        for tuple in &input {
-            if let Some(restricted) = restrict(tuple, &active) {
-                out.push(restricted);
-            }
-        }
-    }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

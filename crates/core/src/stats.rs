@@ -625,6 +625,56 @@ pub struct UpdateRowsSnapshot {
     pub affected: u64,
 }
 
+/// What the shared scan of one table did — the read path's useful-work
+/// ratio. `emitted` far below `examined` is the normal shape of a selective
+/// batch; a large `residual` count says how many queries took the un-shared
+/// path (full expression evaluated per row). Counted per scan pass, so a
+/// query running on N row segments counts N times.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanRowsSnapshot {
+    /// Scanned table.
+    pub table: String,
+    /// Visible rows probed against the predicate index.
+    pub examined: u64,
+    /// Rows that left the operator (selected by at least one query).
+    pub emitted: u64,
+    /// Queries served per predicate class, in the order of
+    /// `shareddb_storage::PredicateClass::NAMES`.
+    pub queries: [u64; 3],
+}
+
+/// Live counters behind a [`ScanRowsSnapshot`], owned by one scan operator:
+/// rows examined, rows emitted, then the queries of each predicate class.
+#[derive(Debug, Default)]
+pub struct ScanCounters([AtomicU64; 5]);
+
+impl ScanCounters {
+    /// Adds one scan cycle.
+    pub fn record(&self, examined: usize, emitted: usize, queries: [usize; 3]) {
+        let cycle = [examined, emitted].into_iter().chain(queries);
+        for (total, counted) in self.0.iter().zip(cycle) {
+            total.fetch_add(counted as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// The counts since the last reset.
+    pub fn snapshot(&self, table: &str) -> ScanRowsSnapshot {
+        let [examined, emitted, queries @ ..] =
+            [0, 1, 2, 3, 4].map(|i| self.0[i].load(Ordering::Relaxed));
+        ScanRowsSnapshot {
+            table: table.to_string(),
+            examined,
+            emitted,
+            queries,
+        }
+    }
+
+    /// Zeroes the counters.
+    pub fn reset(&self) {
+        self.0.iter().for_each(|c| c.store(0, Ordering::Relaxed));
+    }
+}
+
 /// Point-in-time snapshot of the engine counters.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStatsSnapshot {

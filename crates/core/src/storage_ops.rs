@@ -10,6 +10,7 @@
 //! same ordering ClockScan implements internally.
 
 use crate::batch::Activation;
+use crate::stats::ScanCounters;
 use shareddb_common::{Error, QTuple, QueryId, Result};
 use shareddb_storage::{Catalog, ClockScan, IndexProbe, ProbeQuery, ScanQuery, SegmentView};
 use std::sync::Arc;
@@ -29,6 +30,10 @@ pub enum StorageOperator {
         scan: ClockScan,
         /// Primary-key column indices (empty = no primary key).
         key_columns: Vec<usize>,
+        /// Scanned table, and what the scan did since the last reset.
+        table: String,
+        /// Rows examined / emitted and queries per predicate class.
+        counters: ScanCounters,
     },
     /// Shared index probe.
     Probe(IndexProbe),
@@ -42,6 +47,8 @@ impl StorageOperator {
         Ok(StorageOperator::Scan {
             scan: ClockScan::new(handle, catalog.oracle()),
             key_columns,
+            table: table.to_string(),
+            counters: ScanCounters::default(),
         })
     }
 
@@ -56,7 +63,12 @@ impl StorageOperator {
     /// Executes the storage operator for one batch of activations.
     pub fn execute(&self, activations: &[(QueryId, Activation)]) -> Result<Vec<QTuple>> {
         match self {
-            StorageOperator::Scan { scan, key_columns } => {
+            StorageOperator::Scan {
+                scan,
+                key_columns,
+                counters,
+                ..
+            } => {
                 let mut partitioned: Vec<PartitionedQuery<'_>> = Vec::new();
                 let mut segmented: Vec<PartitionedQuery<'_>> = Vec::new();
                 let queries: Vec<ScanQuery> = activations
@@ -88,9 +100,8 @@ impl StorageOperator {
                 // becomes a segment-view cursor — rows outside the segment
                 // are skipped before the predicate index evaluates them.
                 let view = uniform_view(&segmented, activations.len(), key_columns);
-                let mut tuples = scan
-                    .execute_batch_segmented(&queries, &[], view.as_ref())?
-                    .tuples;
+                let cycle = scan.execute_batch_segmented(&queries, &[], view.as_ref())?;
+                let mut tuples = cycle.tuples;
                 // Partitioned (and mixed-segment) activations only subscribe
                 // to their slice of the table: unsubscribe them from
                 // out-of-slice rows and drop tuples no query is interested in
@@ -119,6 +130,7 @@ impl StorageOperator {
                         !t.queries.is_empty()
                     });
                 }
+                counters.record(cycle.rows_examined, tuples.len(), cycle.query_classes);
                 Ok(tuples)
             }
             StorageOperator::Probe(probe) => {

@@ -22,8 +22,8 @@
 use shareddb_cluster::{ClusterConfig, ClusterEngine, ClusterHandle};
 use shareddb_common::{Result, Value};
 use shareddb_core::stats::{
-    AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot, SegmentStatsSnapshot,
-    StatementPhaseSnapshot, UpdateRowsSnapshot,
+    AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot, ScanRowsSnapshot,
+    SegmentStatsSnapshot, StatementPhaseSnapshot, UpdateRowsSnapshot,
 };
 use shareddb_core::trace::TraceRecord;
 use shareddb_core::{EngineConfig, GlobalPlan, SlowQueryRecord, StatementRegistry, SubmitOptions};
@@ -124,6 +124,12 @@ impl ClusterBackend {
     /// replicas.
     pub fn update_row_stats(&self) -> Vec<UpdateRowsSnapshot> {
         self.cluster.update_row_stats()
+    }
+
+    /// Rows examined and emitted and queries per predicate class, per
+    /// scanned table, summed over replicas.
+    pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
+        self.cluster.scan_row_stats()
     }
 
     /// Cluster-level scatter/merge phase histograms.

@@ -59,7 +59,7 @@ use shareddb_core::stats::{PhaseTable, StatementPhaseSnapshot};
 use shareddb_core::{EngineConfig, Phase, SlowQueryRecord, StatementRegistry};
 use shareddb_sql::compile::{canonicalize, SqlTemplate};
 use shareddb_sql::compile_workload;
-use shareddb_storage::{Catalog, RecoveryReport, SyncPolicy};
+use shareddb_storage::{Catalog, PredicateClass, RecoveryReport, SyncPolicy};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -359,6 +359,32 @@ impl Shared {
                 "shareddb_update_rows_affected_total{{statement=\"{statement}\"}} {}",
                 snap.affected
             );
+        }
+
+        // The read path's counterpart: what each table's shared scan probed
+        // and emitted, and how many queries it served per predicate class
+        // (`residual` = evaluated row by row, the un-shared path).
+        let _ = writeln!(w, "# TYPE shareddb_scan_rows_examined_total counter");
+        let _ = writeln!(w, "# TYPE shareddb_scan_rows_emitted_total counter");
+        let _ = writeln!(w, "# TYPE shareddb_scan_queries_total counter");
+        for snap in backend.scan_row_stats() {
+            let table = escape_label_value(&snap.table);
+            let _ = writeln!(
+                w,
+                "shareddb_scan_rows_examined_total{{table=\"{table}\"}} {}",
+                snap.examined
+            );
+            let _ = writeln!(
+                w,
+                "shareddb_scan_rows_emitted_total{{table=\"{table}\"}} {}",
+                snap.emitted
+            );
+            for (class, served) in PredicateClass::NAMES.iter().zip(snap.queries) {
+                let _ = writeln!(
+                    w,
+                    "shareddb_scan_queries_total{{table=\"{table}\",class=\"{class}\"}} {served}"
+                );
+            }
         }
 
         // Static sharing factor per operator: how many statement types'

@@ -16,11 +16,11 @@
 //! row carries the set of queries that selected it.
 
 use crate::mvcc::{Snapshot, TimestampOracle};
-use crate::predicate_index::{IndexedQuery, PredicateIndex};
+use crate::predicate_index::PredicateIndex;
 use crate::table::Table;
 use crate::update::{apply_update, UpdateOp, UpdateResult};
 use parking_lot::{Mutex, RwLock};
-use shareddb_common::{tuple_partition, Expr, QTuple, QueryId, Result, Schema, Tuple};
+use shareddb_common::{tuple_partition, Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -99,6 +99,12 @@ pub struct ScanCycleResult {
     pub served_queries: Vec<QueryId>,
     /// The snapshot the queries of this cycle read.
     pub snapshot: Snapshot,
+    /// Visible rows of the scanned view probed against the predicate index
+    /// (`tuples.len() / rows_examined` is the scan's useful-work ratio).
+    pub rows_examined: usize,
+    /// Queries served per predicate class, in the order of
+    /// [`PredicateClass::NAMES`](crate::predicate_index::PredicateClass::NAMES).
+    pub query_classes: [usize; 3],
 }
 
 /// The shared-scan operator for one table.
@@ -205,26 +211,25 @@ impl ClockScan {
             let groups = crate::mvcc::group_by_snapshot(queries, snapshot, |q| q.snapshot);
             let table = self.table.read();
             for (snapshot, members) in groups {
-                let index = PredicateIndex::build(
-                    members
-                        .iter()
-                        .map(|q| IndexedQuery {
-                            query_id: q.query_id,
-                            predicate: q.predicate.clone(),
-                        })
-                        .collect(),
-                );
+                let index =
+                    PredicateIndex::over(members.iter().map(|q| (q.query_id, &q.predicate)));
+                for (total, served) in result.query_classes.iter_mut().zip(index.class_counts()) {
+                    *total += served;
+                }
+                let mut matches = Vec::new();
                 for (_, row) in table.scan(snapshot) {
                     // The segment-view cursor: rows outside the view are
                     // skipped before the query-data join even looks at them.
-                    if let Some(view) = view {
-                        if !view.contains(row) {
-                            continue;
-                        }
+                    if view.is_some_and(|view| !view.contains(row)) {
+                        continue;
                     }
-                    let matches = index.matching_queries(row)?;
+                    result.rows_examined += 1;
+                    index.matches_into(row, &mut matches)?;
                     if !matches.is_empty() {
-                        result.tuples.push(QTuple::new(row.clone(), matches));
+                        // The emitted tuple *is* the stored version: a
+                        // reference, not a copy.
+                        let queries = QuerySet::from_ids(matches.drain(..));
+                        result.tuples.push(QTuple::new(row.clone(), queries));
                     }
                 }
             }

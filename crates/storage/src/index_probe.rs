@@ -14,10 +14,11 @@
 //! ICDE 2005 — reference [12] of the paper).
 
 use crate::mvcc::TimestampOracle;
-use crate::table::Table;
+use crate::table::{RowId, Table};
 use crate::update::{apply_update, UpdateOp, UpdateResult};
 use parking_lot::{Mutex, RwLock};
-use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Value};
+use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -220,54 +221,39 @@ impl IndexProbe {
         queries: &[&ProbeQuery],
         result: &mut ProbeCycleResult,
     ) -> Result<()> {
-        // Deduplicate fetched rows across all probes of the batch: the NF²
-        // data-query model stores each row once with the union of interested
-        // queries.
-        let mut by_row: std::collections::HashMap<crate::table::RowId, QuerySet> =
-            std::collections::HashMap::new();
+        // Every (row, probe) hit of the group; sorted, the hits of one row
+        // are neighbours and its queries ascend. Rows fetched by several
+        // probes are emitted once: the NF² data-query model stores each row
+        // once with the union of interested queries.
+        let mut hits: Vec<(RowId, QueryId)> = Vec::new();
         for q in queries {
-            let rows: Vec<(crate::table::RowId, &shareddb_common::Tuple)> = match &q.range {
-                ProbeRange::Key(key) => {
-                    if table.has_index_on(q.column) {
-                        table.index_lookup(q.column, key, snapshot)
-                    } else if table.primary_key() == [q.column] {
-                        table
-                            .lookup_pk(std::slice::from_ref(key), snapshot)
-                            .into_iter()
-                            .collect()
-                    } else {
-                        // Fallback: scan (correct, but the planner should have
-                        // avoided this).
-                        table
-                            .scan(snapshot)
-                            .filter(|(_, row)| row[q.column].sql_eq(key))
-                            .collect()
-                    }
+            let mut fetched = |(rid, row): (RowId, &Tuple)| -> Result<()> {
+                let residual = q.residual.as_ref();
+                if residual.map_or(Ok(true), |r| r.eval_predicate(row))? {
+                    hits.push((rid, q.query_id));
                 }
-                ProbeRange::Range { low, high } => {
-                    if table.has_index_on(q.column) {
-                        table.index_range(q.column, as_ref_bound(low), as_ref_bound(high), snapshot)
-                    } else {
-                        table
-                            .scan(snapshot)
-                            .filter(|(_, row)| range_contains(low, high, &row[q.column]))
-                            .collect()
-                    }
-                }
+                Ok(())
             };
-            for (rid, row) in rows {
-                if let Some(residual) = &q.residual {
-                    if !residual.eval_predicate(row)? {
-                        continue;
-                    }
-                }
-                by_row.entry(rid).or_default().insert(q.query_id);
+            match &q.range {
+                ProbeRange::Key(key) => table
+                    .eq_lookup(q.column)
+                    .rows(key, snapshot)
+                    .try_for_each(&mut fetched)?,
+                ProbeRange::Range { low, high } if table.has_index_on(q.column) => table
+                    .index_range(q.column, low.as_ref(), high.as_ref(), snapshot)
+                    .into_iter()
+                    .try_for_each(&mut fetched)?,
+                ProbeRange::Range { low, high } => table
+                    .scan(snapshot)
+                    .filter(|(_, row)| range_contains(low, high, &row[q.column]))
+                    .try_for_each(&mut fetched)?,
             }
         }
-        let mut rows: Vec<(crate::table::RowId, QuerySet)> = by_row.into_iter().collect();
-        rows.sort_by_key(|(rid, _)| *rid);
-        for (rid, queries) in rows {
-            if let Some(row) = table.read(rid, snapshot) {
+        hits.sort_unstable();
+        for of_row in hits.chunk_by(|a, b| a.0 == b.0) {
+            // The emitted tuple *is* the stored version, not a copy.
+            if let Some(row) = table.read(of_row[0].0, snapshot) {
+                let queries = QuerySet::from_ids(of_row.iter().map(|(_, q)| *q));
                 result.tuples.push(QTuple::new(row.clone(), queries));
             }
         }
@@ -275,26 +261,16 @@ impl IndexProbe {
     }
 }
 
-fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
+/// SQL range membership: a comparison with NULL is never true, so a NULL key
+/// is in no range — not even one with an open end — and a NULL bound admits
+/// nothing.
 fn range_contains(low: &Bound<Value>, high: &Bound<Value>, v: &Value) -> bool {
-    let low_ok = match low {
-        Bound::Unbounded => true,
-        Bound::Included(l) => v >= l,
-        Bound::Excluded(l) => v > l,
+    let within = |bound: &Bound<Value>, outside: Ordering| match bound {
+        Bound::Unbounded => !v.is_null(),
+        Bound::Included(b) => v.sql_cmp(b).is_some_and(|o| o != outside),
+        Bound::Excluded(b) => v.sql_cmp(b) == Some(outside.reverse()),
     };
-    let high_ok = match high {
-        Bound::Unbounded => true,
-        Bound::Included(h) => v <= h,
-        Bound::Excluded(h) => v < h,
-    };
-    low_ok && high_ok
+    within(low, Ordering::Less) && within(high, Ordering::Greater)
 }
 
 #[cfg(test)]
@@ -412,6 +388,58 @@ mod tests {
             .collect();
         assert_eq!(q1.len(), 4); // 196..199
         assert_eq!(q2.len(), 2); // 0, 1
+    }
+
+    /// SQL comparisons with NULL are never true: a NULL key is in no range,
+    /// least of all one that is open below (the index orders NULL first) —
+    /// on the indexed path and on the scan fallback alike — and a probe
+    /// emits the table's own row, not a copy.
+    #[test]
+    fn null_keys_are_in_no_range() {
+        let schema = Schema::new(vec![
+            Column::new("ID", DataType::Int),
+            Column::nullable("INDEXED", DataType::Int),
+            Column::nullable("PLAIN", DataType::Int),
+        ]);
+        let mut t = Table::new("T", schema, vec![0]);
+        t.create_index("T_INDEXED", 1).unwrap();
+        for (id, key) in [
+            (1, Value::Null),
+            (2, 3.into()),
+            (3, 4.into()),
+            (4, 7.into()),
+        ] {
+            let row = tuple![id as i64, key.clone(), key];
+            t.insert(row, shareddb_common::ids::Timestamp(0)).unwrap();
+        }
+        let table = Arc::new(RwLock::new(t));
+        let probe = IndexProbe::new(Arc::clone(&table), Arc::new(TimestampOracle::new()));
+        let five = || Value::Int(5);
+        for column in [1, 2] {
+            let ranges = [
+                (ProbeRange::less_than(five()), vec![2, 3]),
+                (ProbeRange::greater_than(five()), vec![4]),
+                (ProbeRange::between(Value::Null, five()), vec![]),
+                (ProbeRange::less_than(Value::Null), vec![]),
+            ];
+            for (range, expected) in ranges {
+                let query = ProbeQuery::range(QueryId(1), column, range.clone());
+                let res = probe.execute_batch(&[query], &[]).unwrap();
+                let ids: Vec<i64> = res
+                    .tuples
+                    .iter()
+                    .map(|t| t.tuple[0].as_int().unwrap())
+                    .collect();
+                assert_eq!(ids, expected, "column {column}, {range:?}");
+                let table = table.read();
+                let stored = |id: i64| &table.row(RowId(id as u64 - 1)).unwrap().values;
+                assert!(res
+                    .tuples
+                    .iter()
+                    .zip(ids)
+                    .all(|(t, id)| t.tuple.ptr_eq(stored(id))));
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub use catalog::{
 pub use clockscan::{ClockScan, ScanQuery, SegmentView};
 pub use index_probe::{IndexProbe, ProbeQuery, ProbeRange};
 pub use mvcc::{Snapshot, TimestampOracle};
-pub use table::{RowId, StoredRow, Table};
+pub use predicate_index::PredicateClass;
+pub use table::{EqLookup, RowId, StoredRow, Table};
 pub use update::{AccessPath, UpdateOp, UpdateResult};
 pub use wal::{
     scan_frames, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy, TornTail,

@@ -348,26 +348,23 @@ impl Table {
             .filter(|rid| self.rows[rid.idx()].is_live())
     }
 
-    /// Probes a secondary index for an exact key, returning all visible rows.
-    pub fn index_lookup(
-        &self,
-        column: usize,
-        key: &Value,
-        snapshot: Snapshot,
-    ) -> Vec<(RowId, &Tuple)> {
-        let Some(index) = self.indexes.iter().find(|i| i.column == column) else {
-            return Vec::new();
-        };
-        index
-            .tree
-            .get(key)
-            .iter()
-            .filter_map(|&rid| self.read(rid, snapshot).map(|t| (rid, t)))
-            .collect()
+    /// Resolves how rows with `column = key` are found — the column's
+    /// secondary index, else the primary-key map when `column` alone is the
+    /// key, else a scan — once, for any number of keys.
+    pub fn eq_lookup(&self, column: usize) -> EqLookup<'_> {
+        let index = self.indexes.iter().find(|i| i.column == column);
+        EqLookup {
+            table: self,
+            column,
+            index: index.map(|i| &i.tree),
+            by_key: index.is_none() && self.primary_key == [column],
+        }
     }
 
     /// Probes a secondary index for a key range, returning all visible rows in
-    /// key order.
+    /// key order. SQL comparisons with NULL are never true: rows whose key is
+    /// NULL are in no range (the index orders NULL before every value, so an
+    /// open lower end stops above it), and a NULL bound selects nothing.
     pub fn index_range(
         &self,
         column: usize,
@@ -378,6 +375,15 @@ impl Table {
         let Some(index) = self.indexes.iter().find(|i| i.column == column) else {
             return Vec::new();
         };
+        let null_bound =
+            |b: &Bound<&Value>| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null());
+        if null_bound(&low) || null_bound(&high) {
+            return Vec::new();
+        }
+        let low = match low {
+            Bound::Unbounded => Bound::Excluded(&Value::Null),
+            bounded => bounded,
+        };
         index
             .tree
             .range_rows(low, high)
@@ -386,9 +392,48 @@ impl Table {
             .collect()
     }
 
-    /// Approximate memory footprint in bytes (payloads only).
+    /// Approximate memory footprint in bytes (payloads only, each with the
+    /// header of its shared allocation).
     pub fn heap_size(&self) -> usize {
         self.rows.iter().map(|r| r.values.heap_size()).sum()
+    }
+}
+
+/// The access path for `column = key` look-ups on one table, resolved by
+/// [`Table::eq_lookup`].
+pub struct EqLookup<'t> {
+    table: &'t Table,
+    column: usize,
+    index: Option<&'t BTreeIndex>,
+    by_key: bool,
+}
+
+impl<'t> EqLookup<'t> {
+    /// The visible rows whose column equals `key`. Nothing is allocated; the
+    /// rows are the table's own versions.
+    pub fn rows<'k>(
+        &'k self,
+        key: &'k Value,
+        snapshot: Snapshot,
+    ) -> impl Iterator<Item = (RowId, &'t Tuple)> + 'k {
+        let (table, column) = (self.table, self.column);
+        let visible = move |rid: RowId| table.read(rid, snapshot).map(|row| (rid, row));
+        let postings = self.index.map_or(&[][..], |tree| tree.get(key));
+        let keyed = self
+            .by_key
+            .then(|| table.lookup_pk(std::slice::from_ref(key), snapshot))
+            .flatten();
+        // The fallback: correct, but the planner should have avoided it.
+        let scanned = (self.index.is_none() && !self.by_key)
+            .then(|| table.scan(snapshot))
+            .into_iter()
+            .flatten()
+            .filter(move |(_, row)| row[column].sql_eq(key));
+        postings
+            .iter()
+            .filter_map(move |&rid| visible(rid))
+            .chain(keyed)
+            .chain(scanned)
     }
 }
 
@@ -529,7 +574,7 @@ mod tests {
             .unwrap();
         }
         let snap = Snapshot::at(Timestamp(1));
-        let hits = t.index_lookup(2, &Value::Float(3.0), snap);
+        let hits: Vec<_> = t.eq_lookup(2).rows(&Value::Float(3.0), snap).collect();
         assert_eq!(hits.len(), 10);
         assert!(hits.iter().all(|(_, r)| r[2] == Value::Float(3.0)));
         let ranged = t.index_range(
@@ -553,12 +598,12 @@ mod tests {
             .unwrap();
         // At ts=2, only the old version (price 5.0) is visible.
         let snap = Snapshot::at(Timestamp(2));
-        assert_eq!(t.index_lookup(2, &Value::Float(5.0), snap).len(), 1);
-        assert_eq!(t.index_lookup(2, &Value::Float(6.0), snap).len(), 0);
+        assert_eq!(t.eq_lookup(2).rows(&Value::Float(5.0), snap).count(), 1);
+        assert_eq!(t.eq_lookup(2).rows(&Value::Float(6.0), snap).count(), 0);
         // At ts=5 the situation flips.
         let snap = Snapshot::at(Timestamp(5));
-        assert_eq!(t.index_lookup(2, &Value::Float(5.0), snap).len(), 0);
-        assert_eq!(t.index_lookup(2, &Value::Float(6.0), snap).len(), 1);
+        assert_eq!(t.eq_lookup(2).rows(&Value::Float(5.0), snap).count(), 0);
+        assert_eq!(t.eq_lookup(2).rows(&Value::Float(6.0), snap).count(), 1);
     }
 
     #[test]

@@ -1,0 +1,289 @@
+//! The copy-free heavy path as counts, not timings: a row is one shared
+//! allocation from the table's version arena to the result set a client
+//! holds, and what a scan cycle or an operator cycle allocates depends on
+//! what it emits — not on the rows it looks at, nor on how many operators
+//! read one producer's output.
+
+use shareddb::common::{tuple, DataType, Expr, QTuple, QueryId, SortKey, Tuple, Value};
+use shareddb::core::batch::Activation;
+use shareddb::core::operators::{execute_on, ExecContext};
+use shareddb::core::{
+    ActivationTemplate, Engine, EngineConfig, OperatorSpec, PlanBuilder, StatementRegistry,
+    StatementSpec,
+};
+use shareddb::storage::{Catalog, ClockScan, ScanQuery, TableDef};
+use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Counts every allocation (a `realloc` counts as one): per thread, for the
+/// exact comparisons of single-threaded work, and process-wide, for bounds on
+/// work that crosses the engine's threads.
+struct Counting;
+
+static EVERYWHERE: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static ON_THIS_THREAD: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    EVERYWHERE.fetch_add(1, Ordering::Relaxed);
+    // Const-initialised and without a destructor: touching it allocates
+    // nothing and works for the whole life of the thread.
+    let _ = ON_THIS_THREAD.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator, which
+// upholds the `GlobalAlloc` contract; the counters are statistics that
+// publish no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`,
+        // and the caller upholds `realloc`'s contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The tests of this file run one at a time, so that the process-wide count
+/// of one is not the table loading of another.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Allocations `work` makes on the calling thread.
+fn allocations<R>(work: impl FnOnce() -> R) -> (u64, R) {
+    let before = ON_THIS_THREAD.get();
+    let result = work();
+    (ON_THIS_THREAD.get() - before, result)
+}
+
+/// `ID`, `KIND` (`HIT`: ids under `hits`, else `MISS`), `N` (= id), with
+/// `misses` rows no query of [`queries`] selects after the hits.
+fn table_with(catalog: &Catalog, name: &str, hits: i64, misses: i64) {
+    let def = TableDef::new(name)
+        .column("ID", DataType::Int)
+        .column("KIND", DataType::Text)
+        .column("N", DataType::Int)
+        .primary_key(&["ID"]);
+    catalog.create_table(def).unwrap();
+    let kind = |id| if id < hits { "HIT" } else { "MISS" };
+    let rows = (0..hits + misses).map(|id| tuple![id, kind(id), id]);
+    catalog.bulk_load(name, rows.collect()).unwrap();
+}
+
+/// Equality, range and conjunction queries that select ids under 40 only.
+fn queries() -> Vec<ScanQuery> {
+    let hit = || Expr::col(1).eq(Expr::lit("HIT"));
+    vec![
+        ScanQuery::new(QueryId(1), hit()),
+        ScanQuery::new(QueryId(2), hit()),
+        ScanQuery::new(QueryId(3), Expr::col(2).lt(Expr::lit(25i64))),
+        ScanQuery::new(QueryId(4), Expr::col(2).lt_eq(Expr::lit(10i64))),
+        ScanQuery::new(QueryId(5), hit().and(Expr::col(2).gt(Expr::lit(30i64)))),
+        ScanQuery::new(QueryId(6), Expr::col(0).eq(Expr::lit(7i64))),
+    ]
+}
+
+#[test]
+fn a_scan_cycle_allocates_nothing_for_rows_that_match_nothing() {
+    let _alone = alone();
+    let catalog = Catalog::new();
+    table_with(&catalog, "SMALL", 40, 1_000);
+    table_with(&catalog, "LARGE", 40, 4_000);
+    let queries = queries();
+    let cycle = |table: &str| {
+        let scan = ClockScan::new(catalog.table(table).unwrap(), catalog.oracle());
+        let (count, result) = allocations(|| scan.execute_batch(&queries, &[]).unwrap());
+        assert_eq!(result.tuples.len(), 40);
+        assert_eq!(result.query_classes, [4, 2, 0]);
+        (count, result.rows_examined)
+    };
+    let (small, examined_small) = cycle("SMALL");
+    let (large, examined_large) = cycle("LARGE");
+    assert_eq!((examined_small, examined_large), (1_040, 4_040));
+    assert_eq!(
+        small, large,
+        "allocations depend on rows that match nothing"
+    );
+    // Per emitted row one query set, and what evaluating query 5's full
+    // predicate clones; per cycle the index and the result vector's growth.
+    assert!(
+        small < 4 * 40 + 40,
+        "{small} allocations for 40 emitted rows"
+    );
+}
+
+#[test]
+fn an_operator_cycle_allocates_for_what_it_emits() {
+    let _alone = alone();
+    let catalog = Catalog::new();
+    let ctx = ExecContext {
+        catalog: &catalog,
+        snapshot: catalog.snapshot(),
+    };
+    // Query 1 is active at the operators below and wants ten rows; the other
+    // `foreign` rows belong to a query that is active elsewhere in the plan.
+    let input = |foreign: i64| -> Vec<QTuple> {
+        let wanted = |id| if id < 10 { 1 } else { 2 };
+        (0..10 + foreign)
+            .map(|id| QTuple::for_query(tuple![id, format!("row {id}")], QueryId(wanted(id))))
+            .collect()
+    };
+    let (small, large) = (input(1_000), input(4_000));
+    let keys = vec![SortKey::desc(0)];
+    let top_n = (
+        OperatorSpec::TopN { keys: keys.clone() },
+        Activation::TopN { limit: 5 },
+        5,
+    );
+    let sort = (OperatorSpec::Sort { keys }, Activation::Participate, 10);
+    let distinct = (OperatorSpec::Distinct, Activation::Participate, 10);
+    let union = (OperatorSpec::Union, Activation::Participate, 10);
+    for (spec, activation, emitted) in [top_n, sort, distinct, union] {
+        let activations = [(QueryId(1), activation)];
+        let cycle = |input: &[QTuple]| {
+            let (count, out) =
+                allocations(|| execute_on(&spec, &activations, &[input], &ctx).unwrap());
+            assert_eq!(out.len(), emitted, "{spec:?}");
+            // What is emitted is the input row itself.
+            assert!(out
+                .iter()
+                .all(|t| input.iter().any(|i| i.tuple.ptr_eq(&t.tuple))));
+            count
+        };
+        let count = cycle(&small);
+        assert_eq!(
+            count,
+            cycle(&large),
+            "{spec:?}: allocations depend on foreign rows"
+        );
+        assert!(
+            count < 40,
+            "{spec:?}: {count} allocations for {emitted} rows out"
+        );
+        // A second consumer of the same producer output costs the same
+        // again — nothing was copied to be handed to either.
+        assert_eq!(count, cycle(&small), "{spec:?}");
+    }
+}
+
+/// A scan feeding two top-n consumers, through the engine: the rows cross
+/// two operator threads and the router, and the batch allocates about one
+/// query set per row the scan emits — not several copies of every row per
+/// consumer.
+#[test]
+fn a_batch_allocates_per_row_emitted_not_per_row_and_consumer() {
+    let _alone = alone();
+    const ROWS: i64 = 5_000;
+    let catalog = Arc::new(Catalog::new());
+    table_with(&catalog, "T", ROWS, 0);
+    let mut builder = PlanBuilder::new(&catalog);
+    let scan = builder.table_scan("T").unwrap();
+    let newest = builder.top_n(scan, vec![SortKey::desc(0)]).unwrap();
+    let oldest = builder.top_n(scan, vec![SortKey::asc(0)]).unwrap();
+    let plan = builder.build();
+    let mut registry = StatementRegistry::new();
+    for (name, root) in [("newest", newest), ("oldest", oldest)] {
+        let everything = ActivationTemplate::Scan {
+            predicate: Expr::col(1).eq(Expr::lit("HIT")),
+        };
+        let spec = StatementSpec::query(name, root)
+            .activate(scan, everything)
+            .activate(root, ActivationTemplate::TopN { limit: 5 });
+        registry.register(spec).unwrap();
+    }
+    let engine = Engine::start(
+        Arc::clone(&catalog),
+        plan,
+        registry,
+        EngineConfig::default(),
+    )
+    .unwrap();
+    engine.execute_sync("newest", &[]).unwrap(); // threads, channels, lazy state
+                                                 // Process-wide: the work is on the engine's threads.
+    let before = EVERYWHERE.load(Ordering::Relaxed);
+    let newest = engine.execute("newest", &[]).unwrap();
+    let oldest = engine.execute("oldest", &[]).unwrap();
+    let rows = (newest.wait().unwrap(), oldest.wait().unwrap());
+    let count = EVERYWHERE.load(Ordering::Relaxed) - before;
+    assert_eq!(rows.0.rows()[0][0], Value::Int(ROWS - 1));
+    assert_eq!(rows.1.rows()[0][0], Value::Int(0));
+    // Each row is the table's stored version (scan path: no join, no
+    // projection), whether the two statements shared a batch or not.
+    let table = catalog.table("T").unwrap();
+    let table = table.read();
+    let stored = |row: &Tuple| {
+        table
+            .lookup_pk(&row.values()[..1], catalog.snapshot())
+            .unwrap()
+            .1
+    };
+    for row in rows.0.rows().iter().chain(rows.1.rows()) {
+        assert!(row.ptr_eq(stored(row)), "{row} was copied on its way out");
+    }
+    // One query set per row and scan cycle; the statements may have taken
+    // a batch each.
+    assert!(
+        count < 3 * ROWS as u64,
+        "{count} allocations for two statements over {ROWS} emitted rows"
+    );
+}
+
+/// The probe path hands out the stored version as well, and a result set a
+/// client holds keeps its old values when the row is updated later: the
+/// shared version is immutable, the update appended a new one.
+#[test]
+fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
+    let _alone = alone();
+    let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let engine = Engine::start(
+        Arc::clone(&catalog),
+        plan,
+        registry,
+        EngineConfig::default(),
+    )
+    .unwrap();
+    let item = [Value::Int(5)];
+    let held = engine.execute_sync("getItemById", &item).unwrap();
+    let old_cost = held.rows()[0][4].clone();
+    let table = catalog.table("ITEM").unwrap();
+    let version = table.read().lookup_pk(&item, catalog.snapshot()).unwrap().0;
+    assert!(held.rows()[0].ptr_eq(&table.read().row(version).unwrap().values));
+
+    let new_cost = Value::Float(old_cost.as_float().unwrap() + 1.0);
+    let update = [item[0].clone(), new_cost.clone(), Value::Date(15_403)];
+    engine.execute_sync("adminUpdateItem", &update).unwrap();
+    let fresh = engine.execute_sync("getItemById", &item).unwrap();
+    assert_eq!(fresh.rows()[0][4], new_cost);
+    assert_eq!(
+        held.rows()[0][4],
+        old_cost,
+        "the held row changed under the client"
+    );
+    assert!(!fresh.rows()[0].ptr_eq(&held.rows()[0]));
+    // The held row still is the superseded version in the arena.
+    assert!(held.rows()[0].ptr_eq(&table.read().row(version).unwrap().values));
+    assert!(!table.read().row(version).unwrap().is_live());
+}

@@ -657,3 +657,87 @@ fn update_row_counters_and_access_paths_on_tpcw() {
     let _ = conn.close();
     server.shutdown();
 }
+
+/// The read path's useful-work ratio, read back from `/metrics`: every scan
+/// cycle probes each visible row of its table once, emits exactly the rows
+/// some query selected, and files each query under the predicate class that
+/// `EXPLAIN` names for its statement type.
+#[test]
+fn scan_row_counters_and_predicate_classes_on_tpcw() {
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, SUBJECTS};
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::with_items(1_000)).unwrap());
+    let rows_of = |table: &str| catalog.table(table).unwrap().read().version_count() as u64;
+    let (items, lines) = (rows_of("ITEM"), rows_of("ORDER_LINE"));
+    let arts = {
+        let item = catalog.table("ITEM").unwrap();
+        let item = item.read();
+        let of_subject =
+            |(_, row): &(_, &shareddb::common::Tuple)| row[3] == Value::text(SUBJECTS[0]);
+        item.scan_live().filter(of_subject).count() as u64
+    };
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let mut server = Server::start(
+        catalog,
+        plan,
+        registry,
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    // One statement at a time: each is a batch, and a scan cycle, of its own.
+    let mut run = |statement: &str, params: &[Value]| {
+        let prepared = conn.prepare(statement).unwrap();
+        conn.execute(&prepared, params).unwrap().rows().len()
+    };
+    let subject = Value::text(SUBJECTS[0]);
+    for _ in 0..3 {
+        assert!(run("doSubjectSearch", std::slice::from_ref(&subject)) > 0);
+    }
+    for _ in 0..2 {
+        run("getBestSellers", &[subject.clone(), Value::Int(0)]);
+    }
+    assert_eq!(run("doTitleSearch", &[Value::text("%no such title%")]), 0);
+
+    let counter = |metrics: &str, series: &str| -> u64 {
+        let line = metrics.lines().find(|l| l.starts_with(series));
+        let line = line.unwrap_or_else(|| panic!("no series {series} in /metrics"));
+        line[series.len()..].trim().parse().unwrap()
+    };
+    let metrics = server.metrics_text();
+    for (table, examined, emitted, classes) in [
+        ("ITEM", 6 * items, 5 * arts, [5, 0, 1]),
+        ("ORDER_LINE", 2 * lines, 2 * lines, [0, 2, 0]),
+    ] {
+        let rows = |kind: &str| format!("shareddb_scan_rows_{kind}_total{{table=\"{table}\"}}");
+        assert_eq!(counter(&metrics, &rows("examined")), examined, "{table}");
+        assert_eq!(counter(&metrics, &rows("emitted")), emitted, "{table}");
+        for (class, served) in ["equality", "range", "residual"].iter().zip(classes) {
+            let series =
+                format!("shareddb_scan_queries_total{{table=\"{table}\",class=\"{class}\"}}");
+            assert_eq!(counter(&metrics, &series), served, "{table} {class}");
+        }
+    }
+    assert!(metrics.contains("# TYPE shareddb_scan_rows_examined_total counter"));
+    assert!(metrics.contains("# TYPE shareddb_scan_queries_total counter"));
+
+    for (statement, classes) in [
+        ("getBestSellers", &["eq(I_SUBJECT)", "range(OL_O_ID)"][..]),
+        ("doSubjectSearch", &["eq(I_SUBJECT)"][..]),
+        ("doTitleSearch", &["residual"][..]),
+    ] {
+        let text = conn.explain(statement, false).unwrap().text;
+        let shown: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("predicate: "))
+            .collect();
+        assert_eq!(shown, classes, "{statement}: {text}");
+    }
+
+    server.reset_stats();
+    let series = "shareddb_scan_rows_examined_total{table=\"ITEM\"}";
+    assert_eq!(counter(&server.metrics_text(), series), 0);
+    let _ = conn.close();
+    server.shutdown();
+}
