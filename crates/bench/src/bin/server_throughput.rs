@@ -5,7 +5,8 @@
 //! Every connection runs a closed loop over the wire protocol. Most
 //! connections issue TPC-W `getItemById` point look-ups (the hot, light
 //! statement type); one connection per 64 issues `getBestSellers` (a heavy
-//! scan-join-aggregate over ITEM × ORDER_LINE). On a single engine the heavy
+//! scan-join-aggregate over ITEM × ORDER_LINE, the latter from TPC-W's own
+//! "latest orders" threshold on). On a single engine the heavy
 //! statement convoys every batch: light queries admitted in the same
 //! heartbeat wait for the heavy operators to finish (batch-granularity
 //! head-of-line blocking). With `--replicas N` the cluster router promotes
@@ -55,7 +56,7 @@ use shareddb_core::stats::StatementPhaseSnapshot;
 use shareddb_core::{EngineConfig, HeartbeatPolicy, Phase};
 use shareddb_server::{Server, ServerConfig};
 use shareddb_tpcw::schema::SUBJECTS;
-use shareddb_tpcw::{build_catalog, build_shared_plan};
+use shareddb_tpcw::{build_catalog, build_shared_plan, ParamGenerator};
 use std::io::{Read as _, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -267,6 +268,7 @@ fn run_point(
     let ready = Arc::new(Barrier::new(parties));
     let go = Arc::new(Barrier::new(parties));
     let orders = scale.orders as i64;
+    let latest_orders = ParamGenerator::new(scale).bestseller_threshold();
     let started = std::thread::scope(|scope| {
         // Concurrent writers: each keeps appending ORDER_LINE rows (the
         // probe side of the getBestSellers join) and, every other statement,
@@ -370,7 +372,7 @@ fn run_point(
                     let params = if is_heavy {
                         vec![
                             Value::text(SUBJECTS[rng.gen_range(0..SUBJECTS.len())]),
-                            Value::Int(0),
+                            Value::Int(latest_orders),
                         ]
                     } else {
                         vec![Value::Int(rng.gen_range(0..items.max(1)))]

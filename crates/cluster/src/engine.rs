@@ -274,6 +274,7 @@ impl ClusterEngine {
                 Some(total) => {
                     total.examined += snap.examined;
                     total.emitted += snap.emitted;
+                    total.skipped += snap.skipped;
                     for (sum, served) in total.queries.iter_mut().zip(snap.queries) {
                         *sum += served;
                     }

@@ -9,7 +9,7 @@
 //!   completion waker; the waker that observes the **last** partition
 //!   completing dispatches the execution to the pool;
 //! * a pool worker collects the partial results, runs the
-//!   [`crate::merge::MergeSpec`] merge, stores the merged outcome in the
+//!   [`shareddb_core::merge::MergeSpec`] merge, stores the merged outcome in the
 //!   shared [`FanoutState`], and only then fires the caller's own completion
 //!   waker — so an event-driven caller (the reactor) is woken exactly once,
 //!   with the finished result already posted to its reply queue;
@@ -18,11 +18,11 @@
 //!   covers stragglers during teardown — nothing can deadlock on a
 //!   never-merged handle).
 
-use crate::merge::{merge_results, MergeSpec};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use shareddb_common::{Error, Result};
 use shareddb_core::engine::{QueryHandle, QueryOutcome, ResultSet};
+use shareddb_core::merge::{merge_results, MergeSpec};
 use shareddb_core::stats::{Phase, PhaseTable};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -19,10 +19,11 @@
 //!   [`engine::ClusterEngine`] — then **scatter** over all replicas with
 //!   disjoint scan partitions
 //!   ([`shareddb_core::SubmitOptions::scan_partition`]) and their partial
-//!   results recombine in a [`merge::MergeSpec`] merge step (ordered merge,
-//!   partial-aggregate recombination incl. exact AVG from sum/count
-//!   partials, re-deduplication). Other parameterised executions route by a
-//!   hash of the parameter vector (hash-partitioned input routing);
+//!   results recombine in a [`shareddb_core::merge::MergeSpec`] merge step
+//!   (ordered merge, partial-aggregate recombination incl. exact AVG from
+//!   sum/count partials, re-deduplication). Other parameterised executions
+//!   route by a hash of the parameter vector (hash-partitioned input
+//!   routing);
 //! * **fanned-out executions are snapshot-pinned**: the cluster captures one
 //!   [`shareddb_storage::Catalog::snapshot`] per execution and every
 //!   partition reads exactly that version set
@@ -43,11 +44,9 @@
 
 pub mod engine;
 pub mod fanout;
-pub mod merge;
 pub mod router;
 
 pub use engine::{ClusterEngine, ClusterHandle};
-pub use merge::MergeSpec;
 pub use router::Route;
 
 use std::time::Duration;

@@ -739,8 +739,8 @@ impl Engine {
         self.inner.stats.phase_snapshot()
     }
 
-    /// Rows examined and emitted, and queries served per predicate class, by
-    /// every shared scan of the plan since the last reset.
+    /// Rows examined, emitted and skipped, and queries served per predicate
+    /// class, by every shared scan of the plan since the last reset.
     pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
         self.scan_counters()
             .map(|(table, counters)| counters.snapshot(table))

@@ -628,8 +628,10 @@ pub struct UpdateRowsSnapshot {
 /// What the shared scan of one table did — the read path's useful-work
 /// ratio. `emitted` far below `examined` is the normal shape of a selective
 /// batch; a large `residual` count says how many queries took the un-shared
-/// path (full expression evaluated per row). Counted per scan pass, so a
-/// query running on N row segments counts N times.
+/// path (full expression evaluated per row). `skipped ÷ (skipped +
+/// examined)` is the share of the table the chunk directory spared the
+/// scan. Counted per scan pass, so a query running on N row segments counts
+/// N times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanRowsSnapshot {
     /// Scanned table.
@@ -638,20 +640,24 @@ pub struct ScanRowsSnapshot {
     pub examined: u64,
     /// Rows that left the operator (selected by at least one query).
     pub emitted: u64,
+    /// Versions in the chunks a pass left out because no query of its cycle
+    /// could match anything in them.
+    pub skipped: u64,
     /// Queries served per predicate class, in the order of
     /// `shareddb_storage::PredicateClass::NAMES`.
     pub queries: [u64; 3],
 }
 
 /// Live counters behind a [`ScanRowsSnapshot`], owned by one scan operator:
-/// rows examined, rows emitted, then the queries of each predicate class.
+/// rows examined, emitted and skipped, then the queries of each predicate
+/// class.
 #[derive(Debug, Default)]
-pub struct ScanCounters([AtomicU64; 5]);
+pub struct ScanCounters([AtomicU64; 6]);
 
 impl ScanCounters {
-    /// Adds one scan cycle.
-    pub fn record(&self, examined: usize, emitted: usize, queries: [usize; 3]) {
-        let cycle = [examined, emitted].into_iter().chain(queries);
+    /// Adds one scan cycle: `rows` are the examined, emitted and skipped.
+    pub fn record(&self, rows: [usize; 3], queries: [usize; 3]) {
+        let cycle = rows.into_iter().chain(queries);
         for (total, counted) in self.0.iter().zip(cycle) {
             total.fetch_add(counted as u64, Ordering::Relaxed);
         }
@@ -659,12 +665,13 @@ impl ScanCounters {
 
     /// The counts since the last reset.
     pub fn snapshot(&self, table: &str) -> ScanRowsSnapshot {
-        let [examined, emitted, queries @ ..] =
-            [0, 1, 2, 3, 4].map(|i| self.0[i].load(Ordering::Relaxed));
+        let [examined, emitted, skipped, queries @ ..] =
+            [0, 1, 2, 3, 4, 5].map(|i| self.0[i].load(Ordering::Relaxed));
         ScanRowsSnapshot {
             table: table.to_string(),
             examined,
             emitted,
+            skipped,
             queries,
         }
     }

@@ -32,7 +32,7 @@ pub enum StorageOperator {
         key_columns: Vec<usize>,
         /// Scanned table, and what the scan did since the last reset.
         table: String,
-        /// Rows examined / emitted and queries per predicate class.
+        /// Rows examined / emitted / skipped and queries per predicate class.
         counters: ScanCounters,
     },
     /// Shared index probe.
@@ -130,7 +130,8 @@ impl StorageOperator {
                         !t.queries.is_empty()
                     });
                 }
-                counters.record(cycle.rows_examined, tuples.len(), cycle.query_classes);
+                let rows = [cycle.rows_examined, tuples.len(), cycle.rows_skipped];
+                counters.record(rows, cycle.query_classes);
                 Ok(tuples)
             }
             StorageOperator::Probe(probe) => {

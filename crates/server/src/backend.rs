@@ -126,7 +126,7 @@ impl ClusterBackend {
         self.cluster.update_row_stats()
     }
 
-    /// Rows examined and emitted and queries per predicate class, per
+    /// Rows examined, emitted and skipped and queries per predicate class, per
     /// scanned table, summed over replicas.
     pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
         self.cluster.scan_row_stats()

@@ -361,11 +361,13 @@ impl Shared {
             );
         }
 
-        // The read path's counterpart: what each table's shared scan probed
-        // and emitted, and how many queries it served per predicate class
-        // (`residual` = evaluated row by row, the un-shared path).
+        // The read path's counterpart: what each table's shared scan probed,
+        // emitted and was spared by the chunk directory, and how many queries
+        // it served per predicate class (`residual` = evaluated row by row,
+        // the un-shared path).
         let _ = writeln!(w, "# TYPE shareddb_scan_rows_examined_total counter");
         let _ = writeln!(w, "# TYPE shareddb_scan_rows_emitted_total counter");
+        let _ = writeln!(w, "# TYPE shareddb_scan_rows_skipped_total counter");
         let _ = writeln!(w, "# TYPE shareddb_scan_queries_total counter");
         for snap in backend.scan_row_stats() {
             let table = escape_label_value(&snap.table);
@@ -378,6 +380,11 @@ impl Shared {
                 w,
                 "shareddb_scan_rows_emitted_total{{table=\"{table}\"}} {}",
                 snap.emitted
+            );
+            let _ = writeln!(
+                w,
+                "shareddb_scan_rows_skipped_total{{table=\"{table}\"}} {}",
+                snap.skipped
             );
             for (class, served) in PredicateClass::NAMES.iter().zip(snap.queries) {
                 let _ = writeln!(

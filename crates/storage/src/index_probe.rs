@@ -15,11 +15,10 @@
 
 use crate::mvcc::TimestampOracle;
 use crate::table::{RowId, Table};
-use crate::update::{apply_update, UpdateOp, UpdateResult};
-use parking_lot::{Mutex, RwLock};
+use crate::update::{apply_cycle_updates, UpdateOp, UpdateResult};
+use parking_lot::RwLock;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -131,8 +130,6 @@ pub struct ProbeCycleResult {
 pub struct IndexProbe {
     table: Arc<RwLock<Table>>,
     oracle: Arc<TimestampOracle>,
-    pending_queries: Mutex<VecDeque<ProbeQuery>>,
-    pending_updates: Mutex<VecDeque<UpdateOp>>,
 }
 
 impl IndexProbe {
@@ -140,12 +137,7 @@ impl IndexProbe {
     /// a secondary index or be the primary key; otherwise the probe falls
     /// back to a (correct but slow) scan of the table.
     pub fn new(table: Arc<RwLock<Table>>, oracle: Arc<TimestampOracle>) -> Self {
-        IndexProbe {
-            table,
-            oracle,
-            pending_queries: Mutex::new(VecDeque::new()),
-            pending_updates: Mutex::new(VecDeque::new()),
-        }
+        IndexProbe { table, oracle }
     }
 
     /// Schema of the probed table.
@@ -153,47 +145,18 @@ impl IndexProbe {
         self.table.read().schema().clone()
     }
 
-    /// Queues a probe for the next cycle.
-    pub fn enqueue_query(&self, query: ProbeQuery) {
-        self.pending_queries.lock().push_back(query);
-    }
-
-    /// Queues an update for the next cycle.
-    pub fn enqueue_update(&self, update: UpdateOp) {
-        self.pending_updates.lock().push_back(update);
-    }
-
-    /// Number of probes waiting for the next cycle.
-    pub fn pending_query_count(&self) -> usize {
-        self.pending_queries.lock().len()
-    }
-
-    /// Runs one cycle: applies pending updates in arrival order, then executes
-    /// all pending look-ups against one consistent snapshot.
-    pub fn run_cycle(&self) -> Result<ProbeCycleResult> {
-        let queries: Vec<ProbeQuery> = self.pending_queries.lock().drain(..).collect();
-        let updates: Vec<UpdateOp> = self.pending_updates.lock().drain(..).collect();
-        self.execute_batch(&queries, &updates)
-    }
-
-    /// Executes an explicit batch of probes and updates.
+    /// Executes one cycle over an explicit batch (the engine owns the
+    /// queueing): applies the updates in arrival order, then executes all
+    /// look-ups against one consistent snapshot.
     pub fn execute_batch(
         &self,
         queries: &[ProbeQuery],
         updates: &[UpdateOp],
     ) -> Result<ProbeCycleResult> {
-        let mut result = ProbeCycleResult::default();
-
-        if !updates.is_empty() {
-            let commit_ts = self.oracle.next_commit_ts();
-            let mut table = self.table.write();
-            for update in updates {
-                let applied = apply_update(&mut table, update, commit_ts)?;
-                result.update_results.push(applied);
-            }
-            drop(table);
-            self.oracle.publish(commit_ts);
-        }
+        let mut result = ProbeCycleResult {
+            update_results: apply_cycle_updates(&self.table, &self.oracle, updates)?,
+            ..ProbeCycleResult::default()
+        };
 
         let default_snapshot = self.oracle.read_ts();
         result.served_queries = queries.iter().map(|q| q.query_id).collect();
@@ -304,10 +267,12 @@ mod tests {
     fn batched_point_lookups_share_rows() {
         let (_, _, probe) = setup();
         // Three queries, two of which ask for the same key.
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 0, Value::Int(5)));
-        probe.enqueue_query(ProbeQuery::key(QueryId(2), 0, Value::Int(5)));
-        probe.enqueue_query(ProbeQuery::key(QueryId(3), 0, Value::Int(7)));
-        let res = probe.run_cycle().unwrap();
+        let queries = [
+            ProbeQuery::key(QueryId(1), 0, Value::Int(5)),
+            ProbeQuery::key(QueryId(2), 0, Value::Int(5)),
+            ProbeQuery::key(QueryId(3), 0, Value::Int(7)),
+        ];
+        let res = probe.execute_batch(&queries, &[]).unwrap();
         assert_eq!(res.served_queries.len(), 3);
         // Row 5 appears once, subscribed by queries 1 and 2.
         assert_eq!(res.tuples.len(), 2);
@@ -322,15 +287,13 @@ mod tests {
     #[test]
     fn range_probe_and_residual() {
         let (_, _, probe) = setup();
-        probe.enqueue_query(
-            ProbeQuery::range(
-                QueryId(1),
-                2,
-                ProbeRange::between(Value::Int(18), Value::Int(19)),
-            )
-            .with_residual(Expr::col(0).lt(Expr::lit(100i64))),
-        );
-        let res = probe.run_cycle().unwrap();
+        let query = ProbeQuery::range(
+            QueryId(1),
+            2,
+            ProbeRange::between(Value::Int(18), Value::Int(19)),
+        )
+        .with_residual(Expr::col(0).lt(Expr::lit(100i64)));
+        let res = probe.execute_batch(&[query], &[]).unwrap();
         // QTY in {18, 19} occurs for 20 rows; residual keeps ids < 100 → 10.
         assert_eq!(res.tuples.len(), 10);
         assert!(res
@@ -342,12 +305,12 @@ mod tests {
     #[test]
     fn updates_run_before_lookups() {
         let (_, _, probe) = setup();
-        probe.enqueue_update(UpdateOp::Update {
+        let update = UpdateOp::Update {
             assignments: vec![(2, Expr::lit(999i64))],
             predicate: Expr::col(0).eq(Expr::lit(3i64)),
-        });
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 0, Value::Int(3)));
-        let res = probe.run_cycle().unwrap();
+        };
+        let query = ProbeQuery::key(QueryId(1), 0, Value::Int(3));
+        let res = probe.execute_batch(&[query], &[update]).unwrap();
         assert_eq!(res.update_results[0].rows_affected, 1);
         assert_eq!(res.tuples.len(), 1);
         assert_eq!(res.tuples[0].tuple[2], Value::Int(999));
@@ -356,8 +319,8 @@ mod tests {
     #[test]
     fn probe_on_unindexed_column_falls_back_to_scan() {
         let (_, _, probe) = setup();
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 1, Value::text("row42")));
-        let res = probe.run_cycle().unwrap();
+        let query = ProbeQuery::key(QueryId(1), 1, Value::text("row42"));
+        let res = probe.execute_batch(&[query], &[]).unwrap();
         assert_eq!(res.tuples.len(), 1);
         assert_eq!(res.tuples[0].tuple[0], Value::Int(42));
     }
@@ -365,17 +328,11 @@ mod tests {
     #[test]
     fn greater_and_less_than_ranges() {
         let (_, _, probe) = setup();
-        probe.enqueue_query(ProbeQuery::range(
-            QueryId(1),
-            0,
-            ProbeRange::greater_than(Value::Int(195)),
-        ));
-        probe.enqueue_query(ProbeQuery::range(
-            QueryId(2),
-            0,
-            ProbeRange::less_than(Value::Int(2)),
-        ));
-        let res = probe.run_cycle().unwrap();
+        let queries = [
+            ProbeQuery::range(QueryId(1), 0, ProbeRange::greater_than(Value::Int(195))),
+            ProbeQuery::range(QueryId(2), 0, ProbeRange::less_than(Value::Int(2))),
+        ];
+        let res = probe.execute_batch(&queries, &[]).unwrap();
         let q1: Vec<_> = res
             .tuples
             .iter()
@@ -445,11 +402,11 @@ mod tests {
     #[test]
     fn deleted_rows_not_returned() {
         let (_, _, probe) = setup();
-        probe.enqueue_update(UpdateOp::Delete {
+        let delete = UpdateOp::Delete {
             predicate: Expr::col(0).eq(Expr::lit(10i64)),
-        });
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 0, Value::Int(10)));
-        let res = probe.run_cycle().unwrap();
+        };
+        let query = ProbeQuery::key(QueryId(1), 0, Value::Int(10));
+        let res = probe.execute_batch(&[query], &[delete]).unwrap();
         assert!(res.tuples.is_empty());
     }
 }

@@ -4,10 +4,12 @@
 //! manager the paper builds on (Section 4.4):
 //!
 //! * Main-memory, multi-versioned tables with snapshot-consistent reads
-//!   ([`table`], [`mvcc`]).
+//!   ([`table`], [`mvcc`]), their version arena summarised chunk by chunk
+//!   in a directory of per-column value ranges.
 //! * **ClockScan** shared table scans ([`clockscan`]): queries *and* updates
 //!   are batched and executed within a single pass over the data; query
-//!   predicates are indexed (a query-data join) instead of the data.
+//!   predicates are indexed (a query-data join) instead of the data, and the
+//!   pass leaves out the chunks no query of its cycle can match.
 //! * B-tree indexes and **shared index probes** ([`btree`], [`index_probe`]):
 //!   look-ups of a whole batch of queries are executed in one cycle, with
 //!   updates applied in arrival order, so that all selects of the cycle read a
@@ -37,7 +39,7 @@ pub use clockscan::{ClockScan, ScanQuery, SegmentView};
 pub use index_probe::{IndexProbe, ProbeQuery, ProbeRange};
 pub use mvcc::{Snapshot, TimestampOracle};
 pub use predicate_index::PredicateClass;
-pub use table::{EqLookup, RowId, StoredRow, Table};
+pub use table::{Chunk, ChunkZones, EqLookup, RowId, StoredRow, Table, Zone, CHUNK_ROWS};
 pub use update::{AccessPath, UpdateOp, UpdateResult};
 pub use wal::{
     scan_frames, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy, TornTail,

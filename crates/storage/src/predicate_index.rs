@@ -34,7 +34,16 @@
 //! `Int(5)` literal selects a row holding `Date(5)`, and NULL or a value of
 //! a foreign family selects nothing. A row that no query selects allocates
 //! nothing.
+//!
+//! The same runs answer for a whole chunk of the version arena at once
+//! ([`PredicateIndex::may_match`]): given the smallest and largest value the
+//! chunk holds in a run's column, two searches of the run say whether any of
+//! its comparisons can hold for a value in between. A chunk costs
+//! `O(runs · log d)` — nothing at all when the cycle holds a residual query,
+//! which admits every chunk — against the `O(rows · runs · log d)` of
+//! probing the up to 1 024 versions it spares when the answer is no.
 
+use crate::table::{ChunkZones, Zone};
 use shareddb_common::{BinaryOp, Expr, QueryId, QuerySet, Result, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -128,7 +137,10 @@ impl Literals {
     /// the rest over it — by the rules of [`Value::sql_cmp`], spelled out per
     /// pair of types. `None` when the row value is NULL or of a family the
     /// literals do not compare with: no comparison of the run holds.
-    #[inline]
+    /// (Forced inline: the per-row probe runs this once per run and row, and
+    /// with the per-chunk test as a second caller the inliner's own choice
+    /// is a call there.)
+    #[inline(always)]
     fn rank(&self, row: &Value) -> Option<(usize, usize)> {
         fn rank<K>(keys: &[K], literal_to_row: impl Fn(&K) -> Ordering) -> Option<(usize, usize)> {
             let below = keys.partition_point(|k| literal_to_row(k) == Ordering::Less);
@@ -340,6 +352,42 @@ impl<'a> PredicateIndex<'a> {
         Ok(())
     }
 
+    /// False when no query of the index can select any version of a chunk
+    /// with these zones, so a scan may pass over the chunk: there is no
+    /// residual query, and in every run no comparison holds for any value
+    /// between the chunk's smallest and largest in the run's column. A query
+    /// that is only a candidate of its entry counts like one the entry
+    /// decides — the indexed conjunct is necessary either way. A run's
+    /// comparisons hold for more of its entries the larger (`>`, `>=`) or the
+    /// smaller (`<`, `<=`) the value, so the end of the zone they favour
+    /// speaks for all of it.
+    pub fn may_match(&self, zones: &ChunkZones<'_>) -> bool {
+        if !self.residual.is_empty() {
+            return true;
+        }
+        self.runs.iter().any(|run| {
+            let (column, _, bound) = run.key;
+            let (min, max) = match zones.zone(column) {
+                Zone::Unknown => return true,
+                Zone::Empty => return false,
+                Zone::Int(min, max) => (Value::Int(min), Value::Int(max)),
+                Zone::Float(min, max) => (Value::Float(min), Value::Float(max)),
+            };
+            let (Some(at_min), Some(at_max)) = (run.literals.rank(&min), run.literals.rank(&max))
+            else {
+                return false;
+            };
+            let entries = &self.entries[run.first..run.end];
+            let inclusive_at =
+                |(below, above): (usize, usize)| entries[below..above].iter().any(|e| e.inclusive);
+            match bound {
+                Bound::Point => at_min.0 < at_max.1,
+                Bound::Lower => at_max.0 > 0 || inclusive_at(at_max),
+                Bound::Upper => at_min.1 < entries.len() || inclusive_at(at_min),
+            }
+        })
+    }
+
     fn check(&self, slot: u32, tuple: &Tuple, out: &mut Vec<QueryId>) -> Result<()> {
         let (query_id, predicate) = &self.checked[slot as usize];
         if predicate.eval_predicate(tuple)? {
@@ -484,6 +532,83 @@ mod tests {
         }
         let other = tuple![Value::Date(6)];
         assert!(index.matching_queries(&other).unwrap().is_empty());
+    }
+
+    /// `may_match` is exact at the ends of a zone: `>` the largest value
+    /// holds for nothing, `>=` it for something; a candidate's indexed
+    /// conjunct counts like a deciding one, a residual query or a column no
+    /// zone is kept for admits every chunk, and a column holding only NULLs
+    /// rules out its own runs, not the others'.
+    #[test]
+    fn may_match_is_exact_at_the_ends_of_a_zone() {
+        use crate::table::Table;
+        use shareddb_common::ids::Timestamp;
+        use shareddb_common::{Column, DataType, Schema};
+        // N in 10..=20 (a NULL among them), F in 1.5..=2.5, S text.
+        let table = |n: fn(i64) -> Value| {
+            let schema = Schema::new(vec![
+                Column::nullable("N", DataType::Int),
+                Column::new("F", DataType::Float),
+                Column::new("S", DataType::Text),
+            ]);
+            let mut table = Table::new("T", schema, vec![]);
+            for i in 10..=20 {
+                let row = tuple![n(i), 1.5 + (i - 10) as f64 / 10.0, "x"];
+                table.insert(row, Timestamp(1)).unwrap();
+            }
+            table
+        };
+        let may_match = |table: &Table, predicates: &[Expr]| {
+            let queries = predicates.iter().enumerate();
+            let index = PredicateIndex::over(queries.map(|(i, p)| (QueryId(i as u32), p)));
+            index.may_match(&table.chunks().next().unwrap().zones)
+        };
+        let numbers = table(|i| if i == 15 { Value::Null } else { Value::Int(i) });
+        let (n, f, s) = (|| Expr::col(0), || Expr::col(1), || Expr::col(2));
+        let cases = [
+            (vec![n().gt(Expr::lit(20i64))], false),
+            (vec![n().gt_eq(Expr::lit(20i64))], true),
+            (vec![n().lt(Expr::lit(10i64))], false),
+            (vec![n().lt_eq(Expr::Literal(Value::Date(10)))], true),
+            (
+                vec![n().eq(Expr::lit(21i64)), n().eq(Expr::lit(9i64))],
+                false,
+            ),
+            (vec![n().eq(Expr::lit(15i64))], true),
+            (vec![n().gt(Expr::lit(19.5f64))], true),
+            (vec![n().gt(Expr::lit(20.5f64))], false),
+            (vec![n().lt(Expr::lit(10.5f64))], true),
+            (vec![n().eq(Expr::lit("a"))], false),
+            (
+                vec![f().lt(Expr::lit(1i64)), n().gt(Expr::lit(20i64))],
+                false,
+            ),
+            (
+                vec![f().lt_eq(Expr::lit(1.5f64)), n().gt(Expr::lit(20i64))],
+                true,
+            ),
+            (vec![s().eq(Expr::lit("zzz"))], true),
+            (
+                vec![n().gt(Expr::lit(20i64)).and(s().like(Expr::lit("%")))],
+                false,
+            ),
+            (
+                vec![n().gt(Expr::lit(20i64)), s().like(Expr::lit("y%"))],
+                true,
+            ),
+            (
+                vec![n().gt(Expr::lit(20i64)).or(n().lt(Expr::lit(5i64)))],
+                true,
+            ),
+            (vec![], false),
+        ];
+        for (predicates, expected) in cases {
+            assert_eq!(may_match(&numbers, &predicates), expected, "{predicates:?}");
+        }
+        let nulls = table(|_| Value::Null);
+        let any_n = n().gt_eq(Expr::lit(i64::MIN));
+        assert!(!may_match(&nulls, std::slice::from_ref(&any_n)));
+        assert!(may_match(&nulls, &[any_n, f().gt(Expr::lit(2i64))]));
     }
 
     // -- the differential property ------------------------------------------

@@ -6,11 +6,19 @@
 //! isolation, Section 4.4). Updates never modify a version in place: they end
 //! the old version and append a new one, which keeps concurrent readers of an
 //! older snapshot consistent without any locking during the scan itself.
+//!
+//! Over the arena sits a **chunk directory**: one entry per run of
+//! [`CHUNK_ROWS`] versions holding, for every numeric column, a [`Zone`] —
+//! the smallest and largest value ever appended to that chunk. It is kept
+//! where versions are pushed and only ever widens, so it covers dead versions
+//! as well as live ones and holds under every snapshot; a shared scan walks
+//! the arena through [`Table::chunks`] and passes over a chunk whose zones no
+//! query of its cycle can meet.
 
 use crate::btree::BTreeIndex;
 use crate::mvcc::{Snapshot, TS_INFINITY};
 use shareddb_common::ids::Timestamp;
-use shareddb_common::{Error, Result, Schema, Tuple, Value};
+use shareddb_common::{DataType, Error, Result, Schema, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
@@ -52,6 +60,70 @@ impl StoredRow {
     }
 }
 
+/// Versions per entry of the chunk directory.
+pub const CHUNK_ROWS: usize = 1024;
+
+/// What one chunk holds in one column, NULLs aside. A zone is widened by
+/// every version appended to its chunk and by nothing else: ending a version
+/// leaves it alone, so it bounds dead and live versions alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Zone {
+    /// No value yet (an empty chunk, or NULLs only): no comparison holds.
+    Empty,
+    /// Integers and dates only, all within `[min, max]`.
+    Int(i64, i64),
+    /// Floats only, none NaN, all within `[min, max]` by `total_cmp`.
+    Float(f64, f64),
+    /// Values of more than one family, a NaN, or a column zones are not kept
+    /// for: anything may be in the chunk.
+    Unknown,
+}
+
+impl Zone {
+    fn widen(&mut self, value: &Value) {
+        *self = match (*self, value) {
+            (zone, Value::Null) => zone,
+            (Zone::Empty, Value::Int(v) | Value::Date(v)) => Zone::Int(*v, *v),
+            (Zone::Int(min, max), Value::Int(v) | Value::Date(v)) => {
+                Zone::Int(min.min(*v), max.max(*v))
+            }
+            (Zone::Empty, Value::Float(v)) if !v.is_nan() => Zone::Float(*v, *v),
+            (Zone::Float(min, max), Value::Float(v)) if !v.is_nan() => Zone::Float(
+                if v.total_cmp(&min).is_lt() { *v } else { min },
+                if v.total_cmp(&max).is_gt() { *v } else { max },
+            ),
+            _ => Zone::Unknown,
+        };
+    }
+}
+
+/// The zones of one chunk, by column.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkZones<'t> {
+    /// The columns zones are kept for, ascending; `zones[i]` is of
+    /// `columns[i]`.
+    columns: &'t [usize],
+    zones: &'t [Zone],
+}
+
+impl ChunkZones<'_> {
+    /// The zone of `column` ([`Zone::Unknown`] for a column of a type no zone
+    /// is kept for).
+    pub fn zone(&self, column: usize) -> Zone {
+        let slot = self.columns.iter().position(|&c| c == column);
+        slot.map_or(Zone::Unknown, |slot| self.zones[slot])
+    }
+}
+
+/// One run of up to [`CHUNK_ROWS`] consecutive versions of the arena.
+#[derive(Debug, Clone, Copy)]
+pub struct Chunk<'t> {
+    /// The versions, dead ones included, in arena order.
+    pub rows: &'t [StoredRow],
+    /// What they hold, per column.
+    pub zones: ChunkZones<'t>,
+}
+
 /// A secondary index maintained by the table.
 struct SecondaryIndex {
     name: String,
@@ -73,13 +145,24 @@ pub struct Table {
     /// Secondary indexes. Indexes contain entries for every version; probes
     /// filter by visibility.
     indexes: Vec<SecondaryIndex>,
+    /// The integer, date and float columns, ascending: the ones the chunk
+    /// directory keeps a zone for.
+    zoned: Vec<usize>,
+    /// The chunk directory: `zoned.len()` zones per chunk, chunk after chunk.
+    zones: Vec<Zone>,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(name: impl Into<String>, schema: Schema, primary_key: Vec<usize>) -> Self {
+        let numeric = |column: &usize| {
+            let data_type = schema.columns()[*column].data_type;
+            matches!(data_type, DataType::Int | DataType::Date | DataType::Float)
+        };
         Table {
             name: name.into(),
+            zoned: (0..schema.len()).filter(numeric).collect(),
+            zones: Vec::new(),
             schema,
             primary_key,
             rows: Vec::new(),
@@ -172,15 +255,30 @@ impl Table {
             }
             self.pk_index.insert(key, row_id);
         }
+        Ok(self.push_version(values, ts))
+    }
+
+    /// Appends a version to the arena — the one place that does — filing it
+    /// in the secondary indexes and widening the zones of the tail chunk.
+    fn push_version(&mut self, values: Tuple, begin: Timestamp) -> RowId {
+        let row_id = RowId(self.rows.len() as u64);
+        if self.rows.len().is_multiple_of(CHUNK_ROWS) {
+            let directory = self.zones.len() + self.zoned.len();
+            self.zones.resize(directory, Zone::Empty);
+        }
+        let tail = self.zones.len() - self.zoned.len();
+        for (zone, &column) in self.zones[tail..].iter_mut().zip(&self.zoned) {
+            zone.widen(&values[column]);
+        }
         for index in &mut self.indexes {
             index.tree.insert(values[index.column].clone(), row_id);
         }
         self.rows.push(StoredRow {
             values,
-            begin: ts,
+            begin,
             end: TS_INFINITY,
         });
-        Ok(row_id)
+        row_id
     }
 
     /// Replaces the row version `row_id` with `new_values` at timestamp `ts`.
@@ -239,10 +337,7 @@ impl Table {
         // End the old versions and append the new ones.
         for ((row_id, new_values), (old_key, new_key)) in updates.into_iter().zip(keys) {
             self.rows[row_id.idx()].end = ts;
-            let new_id = RowId(self.rows.len() as u64);
-            for index in &mut self.indexes {
-                index.tree.insert(new_values[index.column].clone(), new_id);
-            }
+            let new_id = self.push_version(new_values, ts);
             if !self.primary_key.is_empty() {
                 if old_key != new_key {
                     // Only remap; the old key still points at the old version
@@ -252,11 +347,6 @@ impl Table {
                 }
                 self.pk_index.insert(new_key, new_id);
             }
-            self.rows.push(StoredRow {
-                values: new_values,
-                begin: ts,
-                end: TS_INFINITY,
-            });
         }
         Ok(())
     }
@@ -304,6 +394,23 @@ impl Table {
             .enumerate()
             .filter(move |(_, r)| r.visible(snapshot))
             .map(|(i, r)| (RowId(i as u64), &r.values))
+    }
+
+    /// The version arena chunk by chunk, in order, each with its zones: the
+    /// cursor of the shared scan. Visibility is the caller's to check, per
+    /// version.
+    pub fn chunks(&self) -> impl Iterator<Item = Chunk<'_>> + '_ {
+        let width = self.zoned.len();
+        self.rows
+            .chunks(CHUNK_ROWS)
+            .enumerate()
+            .map(move |(i, rows)| Chunk {
+                rows,
+                zones: ChunkZones {
+                    columns: &self.zoned,
+                    zones: &self.zones[i * width..(i + 1) * width],
+                },
+            })
     }
 
     /// Iterates over all *live* row versions (the newest state), regardless of
@@ -392,10 +499,11 @@ impl Table {
             .collect()
     }
 
-    /// Approximate memory footprint in bytes (payloads only, each with the
-    /// header of its shared allocation).
+    /// Approximate memory footprint in bytes: the payloads, each with the
+    /// header of its shared allocation, and the chunk directory.
     pub fn heap_size(&self) -> usize {
-        self.rows.iter().map(|r| r.values.heap_size()).sum()
+        let payloads: usize = self.rows.iter().map(|r| r.values.heap_size()).sum();
+        payloads + self.zones.len() * std::mem::size_of::<Zone>()
     }
 }
 
@@ -604,6 +712,63 @@ mod tests {
         let snap = Snapshot::at(Timestamp(5));
         assert_eq!(t.eq_lookup(2).rows(&Value::Float(5.0), snap).count(), 0);
         assert_eq!(t.eq_lookup(2).rows(&Value::Float(6.0), snap).count(), 1);
+    }
+
+    /// The chunk directory follows the arena: a zone per numeric column and
+    /// run of `CHUNK_ROWS` versions, widened by inserts and updates alike,
+    /// never narrowed, NULLs aside, and unknown once a value is of another
+    /// family or no number at all.
+    #[test]
+    fn chunk_directory_follows_the_arena() {
+        let schema = Schema::new(vec![
+            Column::new("ID", DataType::Int),
+            Column::new("NAME", DataType::Text),
+            Column::nullable("PRICE", DataType::Float),
+        ]);
+        let mut t = Table::new("T", schema, vec![0]);
+        let payloads = |t: &Table| t.rows.iter().map(|r| r.values.heap_size()).sum::<usize>();
+        assert_eq!((t.chunks().count(), t.heap_size()), (0, 0));
+        for i in 0..=CHUNK_ROWS as i64 {
+            let price = Value::Float((i % 10) as f64 + 0.5);
+            let price = if i == 7 { Value::Null } else { price };
+            t.insert(tuple![i, "x", price], Timestamp(1)).unwrap();
+        }
+        let zones =
+            |t: &Table, column| t.chunks().map(|c| c.zones.zone(column)).collect::<Vec<_>>();
+        let last = CHUNK_ROWS as i64;
+        assert_eq!(
+            zones(&t, 0),
+            [Zone::Int(0, last - 1), Zone::Int(last, last)]
+        );
+        assert_eq!(zones(&t, 1), [Zone::Unknown, Zone::Unknown]);
+        assert_eq!(zones(&t, 2), [Zone::Float(0.5, 9.5), Zone::Float(4.5, 4.5)]);
+        assert_eq!(
+            t.chunks().map(|c| c.rows.len()).collect::<Vec<_>>(),
+            [CHUNK_ROWS, 1]
+        );
+        // Two chunks of two zoned columns.
+        assert_eq!(
+            t.heap_size(),
+            payloads(&t) + 4 * std::mem::size_of::<Zone>()
+        );
+        // An update appends to the tail chunk and widens it; the chunk of the
+        // version it ended, and of one deleted, keep what they held.
+        t.update_row(RowId(3), tuple![3i64, "x", Value::Null], Timestamp(2))
+            .unwrap();
+        t.update_row(RowId(4), tuple![-4i64, "x", 99.0f64], Timestamp(2))
+            .unwrap();
+        t.delete_row(RowId(0), Timestamp(2)).unwrap();
+        assert_eq!(zones(&t, 0), [Zone::Int(0, last - 1), Zone::Int(-4, last)]);
+        assert_eq!(
+            zones(&t, 2),
+            [Zone::Float(0.5, 9.5), Zone::Float(4.5, 99.0)]
+        );
+        // An integer among floats, or a NaN: anything may be in the chunk.
+        t.insert(tuple![-1i64, "x", 3i64], Timestamp(3)).unwrap();
+        assert_eq!(zones(&t, 2)[1], Zone::Unknown);
+        let mut nan = Zone::Float(1.0, 2.0);
+        nan.widen(&Value::Float(f64::NAN));
+        assert_eq!(nan, Zone::Unknown);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! (Section 4.4). An [`UpdateOp`] is the unit queued at a storage operator
 //! (ClockScan or index probe) and applied at the beginning of its next cycle.
 
+use crate::mvcc::TimestampOracle;
 use crate::table::{RowId, Table};
+use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{BinaryOp, DataType, Expr, Result, Tuple, Value};
 
@@ -209,6 +211,31 @@ pub(crate) fn apply_update(
     commit_ts: Timestamp,
 ) -> Result<UpdateResult> {
     apply_update_via(table, update, commit_ts, AccessPath::choose)
+}
+
+/// The update phase of a storage operator's cycle: applies `updates` in
+/// arrival order at one fresh commit timestamp, up to the first that fails,
+/// and publishes the timestamp on every exit — what was applied before a
+/// failing operation is committed state the next snapshot must show, not
+/// versions waiting for some later writer's publish.
+pub(crate) fn apply_cycle_updates(
+    table: &RwLock<Table>,
+    oracle: &TimestampOracle,
+    updates: &[UpdateOp],
+) -> Result<Vec<UpdateResult>> {
+    if updates.is_empty() {
+        return Ok(Vec::new());
+    }
+    let commit_ts = oracle.next_commit_ts();
+    let applied = {
+        let mut table = table.write();
+        let each = updates
+            .iter()
+            .map(|u| apply_update(&mut table, u, commit_ts));
+        each.collect()
+    };
+    oracle.publish(commit_ts);
+    applied
 }
 
 /// [`apply_update`] with the access-path rule as a parameter, so tests can

@@ -214,7 +214,9 @@ impl ParamGenerator {
         Value::text(SUBJECTS[rng.gen_range(0..SUBJECTS.len())])
     }
 
-    fn bestseller_threshold(&self) -> i64 {
+    /// The smallest order id the best-sellers query considers: the loaded
+    /// orders less [`ParamGenerator::bestseller_window`].
+    pub fn bestseller_threshold(&self) -> i64 {
         (self.scale.orders as i64 - self.bestseller_window).max(0)
     }
 
