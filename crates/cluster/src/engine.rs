@@ -275,7 +275,8 @@ impl ClusterEngine {
                     total.examined += snap.examined;
                     total.emitted += snap.emitted;
                     total.skipped += snap.skipped;
-                    for (sum, served) in total.queries.iter_mut().zip(snap.queries) {
+                    let sums = total.queries.iter_mut().chain(&mut total.cycles);
+                    for (sum, served) in sums.zip(snap.queries.into_iter().chain(snap.cycles)) {
                         *sum += served;
                     }
                 }

@@ -11,6 +11,7 @@ use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -441,13 +442,12 @@ impl Expr {
         }
     }
 
-    /// Evaluates the expression against a tuple.
+    /// Evaluates the expression against a tuple. Operands are borrowed where
+    /// they lie (`Expr::operand`): only a value that is computed, and the
+    /// result, is ever owned.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
         match self {
-            Expr::Column(i) => tuple
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| Error::Internal(format!("column index {i} out of bounds"))),
+            Expr::Column(_) | Expr::Literal(_) => self.operand(tuple).map(Cow::into_owned),
             Expr::NamedColumn { qualifier, name } => Err(Error::Internal(format!(
                 "unresolved column reference {}{name}",
                 qualifier
@@ -455,15 +455,14 @@ impl Expr {
                     .map(|q| format!("{q}."))
                     .unwrap_or_default()
             ))),
-            Expr::Literal(v) => Ok(v.clone()),
             Expr::Param(i) => Err(Error::InvalidParameter(format!("unbound parameter ${i}"))),
             Expr::Binary { op, left, right } => {
-                eval_binary(*op, &left.eval(tuple)?, &right.eval(tuple)?)
+                eval_binary(*op, &*left.operand(tuple)?, &*right.operand(tuple)?)
             }
             Expr::Unary { op, expr } => {
-                let v = expr.eval(tuple)?;
+                let v = expr.operand(tuple)?;
                 match op {
-                    UnaryOp::Not => match v {
+                    UnaryOp::Not => match &*v {
                         Value::Null => Ok(Value::Null),
                         Value::Bool(b) => Ok(Value::Bool(!b)),
                         other => Err(Error::TypeMismatch {
@@ -471,7 +470,7 @@ impl Expr {
                             found: format!("{other:?}"),
                         }),
                     },
-                    UnaryOp::Neg => match v {
+                    UnaryOp::Neg => match &*v {
                         Value::Null => Ok(Value::Null),
                         Value::Int(i) => Ok(Value::Int(-i)),
                         Value::Float(f) => Ok(Value::Float(-f)),
@@ -489,14 +488,11 @@ impl Expr {
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(tuple)?;
-                let p = pattern.eval(tuple)?;
-                match (&v, &p) {
+                let v = expr.operand(tuple)?;
+                let p = pattern.operand(tuple)?;
+                match (&*v, &*p) {
                     (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                    (Value::Text(s), Value::Text(pat)) => {
-                        let m = like_match(s, pat);
-                        Ok(Value::Bool(if *negated { !m } else { m }))
-                    }
+                    (Value::Text(s), Value::Text(pat)) => Ok(Value::Bool(like(s, pat) != *negated)),
                     _ => Err(Error::TypeMismatch {
                         expected: "Text LIKE Text".into(),
                         found: format!("{v:?} LIKE {p:?}"),
@@ -508,24 +504,23 @@ impl Expr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(tuple)?;
+                let v = expr.operand(tuple)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut found = false;
                 for item in list {
-                    let iv = item.eval(tuple)?;
-                    if v.sql_eq(&iv) {
+                    if v.sql_eq(&*item.operand(tuple)?) {
                         found = true;
                         break;
                     }
                 }
-                Ok(Value::Bool(if *negated { !found } else { found }))
+                Ok(Value::Bool(found != *negated))
             }
             Expr::Between { expr, low, high } => {
-                let v = expr.eval(tuple)?;
-                let lo = low.eval(tuple)?;
-                let hi = high.eval(tuple)?;
+                let v = expr.operand(tuple)?;
+                let lo = low.operand(tuple)?;
+                let hi = high.operand(tuple)?;
                 match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => {
                         Ok(Value::Bool(a != Ordering::Less && b != Ordering::Greater))
@@ -533,6 +528,21 @@ impl Expr {
                     _ => Ok(Value::Null),
                 }
             }
+        }
+    }
+
+    /// The value of this expression as an operand of its parent: a column of
+    /// the tuple and a literal (which is what a bound parameter is) are
+    /// borrowed where they lie, anything else is computed and owned.
+    #[inline]
+    fn operand<'a>(&'a self, tuple: &'a Tuple) -> Result<Cow<'a, Value>> {
+        match self {
+            Expr::Column(i) => tuple
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| Error::Internal(format!("column index {i} out of bounds"))),
+            Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+            computed => computed.eval(tuple).map(Cow::Owned),
         }
     }
 
@@ -627,21 +637,65 @@ fn eval_binary(op: BinaryOp, left: &Value, right: &Value) -> Result<Value> {
     }
 }
 
-/// SQL `LIKE` matching with `%` (any sequence) and `_` (any single character).
-/// Matching is case-sensitive, as in the TPC-W reference implementation.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[u8], p: &[u8]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+/// SQL `LIKE`: `%` stands for any run of characters (none included), `_` for
+/// exactly one *character*, everything else for itself — case-sensitive, as
+/// in the TPC-W reference implementation, and with no escape character.
+///
+/// One loop over the bytes of value and pattern with a single backtrack
+/// point, the latest `%`: when the pattern stops matching, the run after that
+/// `%` is tried again one character further on — at the next place its first
+/// byte occurs, if it starts with a literal — and an earlier `%` is never
+/// revisited, because a later start for its run cannot help the runs behind
+/// it. Nothing is allocated and nothing recurses: `%x%`, `x%` and `%x` cost
+/// about one substring search, and the worst case (a run that keeps almost
+/// matching) is `O(|s| · |pattern|)`. Comparing bytes is comparing
+/// characters, since both strings are UTF-8 and `%` and `_` are ASCII; only
+/// `_` and the backtrack step move by a whole character.
+fn like(s: &str, pattern: &str) -> bool {
+    // Whenever `p` is on a character boundary of the pattern, `at` is on one
+    // of `s`.
+    let (s, pattern) = (s.as_bytes(), pattern.as_bytes());
+    let char_len = |lead: u8| match lead {
+        0x00..=0x7F => 1,
+        0x80..=0xDF => 2,
+        0xE0..=0xEF => 3,
+        _ => 4,
+    };
+    let (mut at, mut p) = (0, 0);
+    // Where the pattern resumes after the latest `%`, and the earliest
+    // place in `s` its run has not been tried at yet.
+    let mut retry: Option<(usize, usize)> = None;
+    while at < s.len() {
+        match pattern.get(p) {
             Some(b'%') => {
-                // Try every split point; also allows %% sequences.
-                (0..=s.len()).any(|k| rec(&s[k..], &p[1..]))
+                p += 1;
+                retry = Some((p, at));
             }
-            Some(b'_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
+            Some(b'_') => {
+                at += char_len(s[at]);
+                p += 1;
+            }
+            Some(&literal) if literal == s[at] => {
+                at += 1;
+                p += 1;
+            }
+            _ => {
+                let Some((run, tried)) = retry else {
+                    return false;
+                };
+                let mut next = tried + char_len(s[tried]);
+                if let Some(first) = pattern.get(run).filter(|&&b| b != b'_' && b != b'%') {
+                    match s[next..].iter().position(|b| b == first) {
+                        Some(skipped) => next += skipped,
+                        None => return false,
+                    }
+                }
+                retry = Some((run, next));
+                (at, p) = (next, run);
+            }
         }
     }
-    rec(s.as_bytes(), pattern.as_bytes())
+    pattern[p..].iter().all(|&b| b == b'%')
 }
 
 impl fmt::Display for Expr {
@@ -694,6 +748,8 @@ mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
     use crate::tuple;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -788,14 +844,46 @@ mod tests {
 
     #[test]
     fn like_matching() {
-        assert!(like_match("SharedDB", "Shared%"));
-        assert!(like_match("SharedDB", "%DB"));
-        assert!(like_match("SharedDB", "%are%"));
-        assert!(like_match("SharedDB", "S_aredDB"));
-        assert!(like_match("", "%"));
-        assert!(!like_match("SharedDB", "shared%")); // case sensitive
-        assert!(!like_match("SharedDB", "_"));
-        assert!(like_match("a%b", "a\u{25}b")); // literal percent matches itself via %
+        assert!(like("SharedDB", "Shared%"));
+        assert!(like("SharedDB", "%DB"));
+        assert!(like("SharedDB", "%are%"));
+        assert!(like("SharedDB", "S_aredDB"));
+        assert!(like("", "%"));
+        assert!(!like("SharedDB", "shared%")); // case sensitive
+        assert!(!like("SharedDB", "_"));
+        assert!(like("a%b", "a\u{25}b")); // literal percent matches itself via %
+                                          // The last segment is anchored at the end, the ones before it are not.
+        assert!(like("abcabc", "%b_"));
+        assert!(!like("abcabc", "%b"));
+        assert!(like("abcabc", "a%c"));
+        assert!(!like("abc", "abc_%"));
+        assert!(like("aXbXc", "%X_X%"));
+    }
+
+    /// `_` is one character, however many bytes it takes.
+    #[test]
+    fn like_underscore_is_one_character() {
+        assert!(like("é", "_"));
+        assert!(!like("é", "__"));
+        assert!(like("日本", "_本"));
+        assert!(like("日本語", "%_語"));
+        assert!(!like("日", "_%_"));
+    }
+
+    /// A pattern of many `%` against one value that almost matches: the
+    /// recursive matcher this one replaced tried every split of the value at
+    /// every `%` and did not return.
+    #[test]
+    fn like_with_many_wildcards_is_not_exponential() {
+        let title = tuple!["a".repeat(64)];
+        let almost = Expr::col(0).like(Expr::lit(format!("{}b", "%a".repeat(12))));
+        let started = std::time::Instant::now();
+        assert!(!almost.eval_predicate(&title).unwrap());
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(50),
+            "{:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
@@ -916,5 +1004,302 @@ mod tests {
     fn display_renders_sql_like_text() {
         let e = Expr::named("O.DATE").gt(Expr::param(0));
         assert_eq!(e.to_string(), "(O.DATE > $0)");
+    }
+    // -- the differential properties ----------------------------------------
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (0..n).generate(rng)
+    }
+
+    /// The reference matcher: character by character, every split of the
+    /// value at every `%` considered, memoised in a table — `matches[i][j]`
+    /// says whether `s[i..]` matches `pattern[j..]`.
+    fn like_reference(s: &str, pattern: &str) -> bool {
+        let (s, p): (Vec<char>, Vec<char>) = (s.chars().collect(), pattern.chars().collect());
+        let mut matches = vec![vec![false; p.len() + 1]; s.len() + 1];
+        for i in (0..=s.len()).rev() {
+            for j in (0..=p.len()).rev() {
+                matches[i][j] = match p.get(j) {
+                    None => i == s.len(),
+                    Some('%') => matches[i][j + 1] || (i < s.len() && matches[i + 1][j]),
+                    Some(&c) => i < s.len() && (c == '_' || c == s[i]) && matches[i + 1][j + 1],
+                };
+            }
+        }
+        matches[0][0]
+    }
+
+    /// Three ASCII letters, one character of two bytes, one of three.
+    const ALPHABET: [&str; 5] = ["a", "b", "c", "é", "日"];
+
+    fn letters(rng: &mut TestRng, at_most: usize) -> String {
+        (0..pick(rng, at_most + 1))
+            .map(|_| ALPHABET[pick(rng, ALPHABET.len())])
+            .collect()
+    }
+
+    /// Literals, `_`, `%` and `%%` in any order — so also patterns of
+    /// wildcards only, with wildcards at either end, and the empty one.
+    fn like_pattern(rng: &mut TestRng) -> String {
+        (0..pick(rng, 7))
+            .map(|_| match pick(rng, 8) {
+                0 | 1 => "%",
+                2 => "%%",
+                3 | 4 => "_",
+                _ => ALPHABET[pick(rng, ALPHABET.len())],
+            })
+            .collect()
+    }
+
+    #[derive(Debug)]
+    struct LikeCase {
+        value: Value,
+        pattern: Value,
+        negated: bool,
+    }
+
+    struct LikeCases;
+
+    impl Strategy for LikeCases {
+        type Value = LikeCase;
+        fn generate(&self, rng: &mut TestRng) -> LikeCase {
+            let or_null = |rng: &mut TestRng, text: String| match pick(rng, 12) {
+                0 => Value::Null,
+                _ => Value::Text(text),
+            };
+            let value = letters(rng, 8);
+            let pattern = like_pattern(rng);
+            LikeCase {
+                value: or_null(rng, value),
+                pattern: or_null(rng, pattern),
+                negated: pick(rng, 4) == 0,
+            }
+        }
+    }
+
+    /// What `Expr::eval` did before operands were borrowed: every operand
+    /// evaluated into a value of its own, cloned out of the tuple or the
+    /// tree. Kept as the reference of `borrowed_eval_equals_owned_eval`.
+    fn owned_eval(expr: &Expr, tuple: &Tuple) -> Result<Value> {
+        match expr {
+            Expr::Column(i) => tuple
+                .get(*i)
+                .cloned()
+                .ok_or_else(|| Error::Internal(format!("column index {i} out of bounds"))),
+            Expr::Literal(v) => Ok(v.clone()),
+            Expr::NamedColumn { .. } | Expr::Param(_) => expr.eval(tuple),
+            Expr::Binary { op, left, right } => {
+                eval_binary(*op, &owned_eval(left, tuple)?, &owned_eval(right, tuple)?)
+            }
+            Expr::Unary { op, expr } => {
+                let v = owned_eval(expr, tuple)?;
+                match op {
+                    UnaryOp::Not => match v {
+                        Value::Null => Ok(Value::Null),
+                        Value::Bool(b) => Ok(Value::Bool(!b)),
+                        other => Err(Error::TypeMismatch {
+                            expected: "Bool".into(),
+                            found: format!("{other:?}"),
+                        }),
+                    },
+                    UnaryOp::Neg => match v {
+                        Value::Null => Ok(Value::Null),
+                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Float(f) => Ok(Value::Float(-f)),
+                        other => Err(Error::TypeMismatch {
+                            expected: "numeric".into(),
+                            found: format!("{other:?}"),
+                        }),
+                    },
+                    UnaryOp::IsNull => Ok(Value::Bool(v.is_null())),
+                    UnaryOp::IsNotNull => Ok(Value::Bool(!v.is_null())),
+                }
+            }
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => {
+                let v = owned_eval(expr, tuple)?;
+                let p = owned_eval(pattern, tuple)?;
+                match (&v, &p) {
+                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+                    (Value::Text(s), Value::Text(pat)) => {
+                        let m = like_reference(s, pat);
+                        Ok(Value::Bool(if *negated { !m } else { m }))
+                    }
+                    _ => Err(Error::TypeMismatch {
+                        expected: "Text LIKE Text".into(),
+                        found: format!("{v:?} LIKE {p:?}"),
+                    }),
+                }
+            }
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let v = owned_eval(expr, tuple)?;
+                if v.is_null() {
+                    return Ok(Value::Null);
+                }
+                let mut found = false;
+                for item in list {
+                    let iv = owned_eval(item, tuple)?;
+                    if v.sql_eq(&iv) {
+                        found = true;
+                        break;
+                    }
+                }
+                Ok(Value::Bool(if *negated { !found } else { found }))
+            }
+            Expr::Between { expr, low, high } => {
+                let v = owned_eval(expr, tuple)?;
+                let lo = owned_eval(low, tuple)?;
+                let hi = owned_eval(high, tuple)?;
+                match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
+                    (Some(a), Some(b)) => {
+                        Ok(Value::Bool(a != Ordering::Less && b != Ordering::Greater))
+                    }
+                    _ => Ok(Value::Null),
+                }
+            }
+        }
+    }
+
+    /// A value of any family, NULL among them, from a domain small enough
+    /// for comparisons to come out every way.
+    fn any_value(rng: &mut TestRng) -> Value {
+        let n = pick(rng, 4) as i64 - 1;
+        match pick(rng, 8) {
+            0 => Value::Null,
+            1 => Value::Int(n),
+            2 => Value::Float(n as f64 + 0.5),
+            3 => Value::Float(n as f64),
+            4 => Value::Date(n),
+            5 => Value::Bool(n > 0),
+            6 => Value::Text(like_pattern(rng)),
+            _ => Value::Text(letters(rng, 3)),
+        }
+    }
+
+    const COLUMNS: usize = 4;
+
+    fn any_expr(rng: &mut TestRng, depth: usize) -> Expr {
+        const OPS: [BinaryOp; 12] = [
+            BinaryOp::Eq,
+            BinaryOp::NotEq,
+            BinaryOp::Lt,
+            BinaryOp::LtEq,
+            BinaryOp::Gt,
+            BinaryOp::GtEq,
+            BinaryOp::And,
+            BinaryOp::Or,
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+        ];
+        const UNARY: [UnaryOp; 4] = [
+            UnaryOp::Not,
+            UnaryOp::Neg,
+            UnaryOp::IsNull,
+            UnaryOp::IsNotNull,
+        ];
+        let leaf = depth == 0 || pick(rng, 3) == 0;
+        let sub = |rng: &mut TestRng| Box::new(any_expr(rng, depth.saturating_sub(1)));
+        match (leaf, pick(rng, 16)) {
+            // One column past the end, an unbound parameter and an unresolved
+            // name: the operands that fail to evaluate.
+            (true, 0) => Expr::param(0),
+            (true, 1) => Expr::named("T.MISSING"),
+            (true, 2..=9) => Expr::col(pick(rng, COLUMNS + 1)),
+            (true, _) => Expr::Literal(any_value(rng)),
+            (false, 0..=6) => Expr::Binary {
+                op: OPS[pick(rng, OPS.len())],
+                left: sub(rng),
+                right: sub(rng),
+            },
+            (false, 7..=9) => Expr::Unary {
+                op: UNARY[pick(rng, UNARY.len())],
+                expr: sub(rng),
+            },
+            (false, 10 | 11) => Expr::Like {
+                expr: sub(rng),
+                pattern: sub(rng),
+                negated: pick(rng, 2) == 0,
+            },
+            (false, 12 | 13) => Expr::InList {
+                expr: sub(rng),
+                list: (0..pick(rng, 4)).map(|_| *sub(rng)).collect(),
+                negated: pick(rng, 2) == 0,
+            },
+            (false, _) => Expr::Between {
+                expr: sub(rng),
+                low: sub(rng),
+                high: sub(rng),
+            },
+        }
+    }
+
+    #[derive(Debug)]
+    struct EvalCase {
+        expr: Expr,
+        rows: Vec<Tuple>,
+    }
+
+    struct EvalCases;
+
+    impl Strategy for EvalCases {
+        type Value = EvalCase;
+        fn generate(&self, rng: &mut TestRng) -> EvalCase {
+            let row =
+                |rng: &mut TestRng| Tuple::new((0..COLUMNS).map(|_| any_value(rng)).collect());
+            EvalCase {
+                expr: any_expr(rng, 3),
+                rows: (0..1 + pick(rng, 4)).map(|_| row(rng)).collect(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The matcher is the reference — through `Expr::eval`, so with NULL
+        /// on either side and NOT LIKE as well.
+        #[test]
+        fn like_equals_reference(case in LikeCases) {
+            let expr = Expr::Like {
+                expr: Box::new(Expr::col(0)),
+                pattern: Box::new(Expr::Literal(case.pattern.clone())),
+                negated: case.negated,
+            };
+            let expected = match (&case.value, &case.pattern) {
+                (Value::Text(s), Value::Text(p)) => Value::Bool(like_reference(s, p) != case.negated),
+                _ => Value::Null,
+            };
+            let got = expr.eval(&Tuple::new(vec![case.value.clone()])).unwrap();
+            prop_assert!(
+                format!("{got:?}") == format!("{expected:?}"),
+                "{got:?}, the reference {expected:?}, in {case:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Borrowing an operand never changes what an expression evaluates
+        /// to: the same value, spelled the same, or the same error.
+        #[test]
+        fn borrowed_eval_equals_owned_eval(case in EvalCases) {
+            for row in &case.rows {
+                let (got, expected) = (case.expr.eval(row), owned_eval(&case.expr, row));
+                prop_assert!(
+                    format!("{got:?}") == format!("{expected:?}"),
+                    "{row}: {got:?}, owned {expected:?}\nin {case:#?}"
+                );
+            }
+        }
     }
 }

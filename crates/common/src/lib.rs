@@ -6,8 +6,7 @@
 //! * [`schema`] — columns, schemas and name resolution.
 //! * [`tuple`] — row representation.
 //! * [`queryset`] — the NF² set-valued `query_id` attribute of the paper's
-//!   *data-query model* (Section 3.1), implemented as a sorted list plus a
-//!   bitmap variant used for ablation benchmarks.
+//!   *data-query model* (Section 3.1), implemented as a sorted list.
 //! * [`qtuple`] — a tuple annotated with the set of interested queries.
 //! * [`expr`] — scalar expressions and predicates, with parameter binding.
 //! * [`agg`] — aggregate functions and accumulators.

@@ -3,13 +3,9 @@
 //! Every intermediate tuple of SharedDB carries the set of queries that are
 //! potentially interested in it. The paper evaluates two representations —
 //! bitmaps and lists — and chooses **lists** because they were more space- and
-//! time-efficient in all their experiments. We implement both:
-//!
-//! * [`QuerySet`] — the list-based representation used by the engine: a sorted
-//!   vector of [`QueryId`]s with small inline capacity semantics (most tuples
-//!   are interesting to only a handful of queries).
-//! * [`BitmapQuerySet`] — a dense bitmap keyed by an offset; only used by the
-//!   `queryset` ablation benchmark to reproduce the paper's design decision.
+//! time-efficient in all their experiments; so does [`QuerySet`]: a sorted
+//! vector of [`QueryId`]s (most tuples are interesting to only a handful of
+//! queries).
 
 use crate::ids::QueryId;
 use std::fmt;
@@ -220,115 +216,6 @@ impl fmt::Display for QuerySet {
     }
 }
 
-/// Dense bitmap representation of a query set.
-///
-/// The bitmap covers ids in `[base, base + capacity)`. This mirrors the
-/// alternative the paper rejected; it is kept only for the ablation benchmark
-/// (`crates/bench/benches/queryset.rs`) that reproduces the "lists beat
-/// bitmaps" design decision.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BitmapQuerySet {
-    base: u32,
-    words: Vec<u64>,
-}
-
-impl BitmapQuerySet {
-    /// Creates an empty bitmap covering ids `[base, base + capacity)`.
-    pub fn with_capacity(base: u32, capacity: u32) -> Self {
-        BitmapQuerySet {
-            base,
-            words: vec![0; capacity.div_ceil(64) as usize],
-        }
-    }
-
-    /// Inserts an id; ids outside the covered range grow the bitmap.
-    pub fn insert(&mut self, id: QueryId) {
-        let raw = id.raw();
-        if raw < self.base {
-            // Rebase: shift existing bits up. Rare; simple implementation.
-            let shift = (self.base - raw) as usize;
-            let mut fresh =
-                BitmapQuerySet::with_capacity(raw, (self.words.len() * 64 + shift) as u32);
-            for existing in self.iter() {
-                fresh.insert(existing);
-            }
-            *self = fresh;
-        }
-        let offset = (id.raw() - self.base) as usize;
-        let word = offset / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1u64 << (offset % 64);
-    }
-
-    /// True when `id` is a member.
-    pub fn contains(&self, id: QueryId) -> bool {
-        if id.raw() < self.base {
-            return false;
-        }
-        let offset = (id.raw() - self.base) as usize;
-        let word = offset / 64;
-        word < self.words.len() && (self.words[word] >> (offset % 64)) & 1 == 1
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Iterates over the members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            (0..64u32).filter_map(move |bit| {
-                if (w >> bit) & 1 == 1 {
-                    Some(QueryId(self.base + wi as u32 * 64 + bit))
-                } else {
-                    None
-                }
-            })
-        })
-    }
-
-    /// Bitmap intersection (both bitmaps must share the same base to use the
-    /// fast path; otherwise falls back to iteration).
-    pub fn intersect(&self, other: &BitmapQuerySet) -> BitmapQuerySet {
-        if self.base == other.base {
-            let n = self.words.len().min(other.words.len());
-            let mut words = Vec::with_capacity(n);
-            for i in 0..n {
-                words.push(self.words[i] & other.words[i]);
-            }
-            return BitmapQuerySet {
-                base: self.base,
-                words,
-            };
-        }
-        let mut out = BitmapQuerySet::with_capacity(self.base.min(other.base), 64);
-        for id in self.iter() {
-            if other.contains(id) {
-                out.insert(id);
-            }
-        }
-        out
-    }
-
-    /// Converts to the list representation.
-    pub fn to_query_set(&self) -> QuerySet {
-        QuerySet::from_ids(self.iter())
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_size(&self) -> usize {
-        self.words.capacity() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,76 +302,5 @@ mod tests {
     fn display_format() {
         assert_eq!(qs(&[1, 2]).to_string(), "{1, 2}");
         assert_eq!(QuerySet::new().to_string(), "{}");
-    }
-
-    #[test]
-    fn bitmap_basic_ops() {
-        let mut b = BitmapQuerySet::with_capacity(0, 128);
-        assert!(b.is_empty());
-        b.insert(QueryId(3));
-        b.insert(QueryId(64));
-        b.insert(QueryId(200)); // forces growth
-        assert!(b.contains(QueryId(3)));
-        assert!(b.contains(QueryId(200)));
-        assert!(!b.contains(QueryId(4)));
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.to_query_set(), qs(&[3, 64, 200]));
-    }
-
-    #[test]
-    fn bitmap_rebase_below_base() {
-        let mut b = BitmapQuerySet::with_capacity(100, 64);
-        b.insert(QueryId(150));
-        b.insert(QueryId(10));
-        assert!(b.contains(QueryId(150)));
-        assert!(b.contains(QueryId(10)));
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn bitmap_intersect_matches_list_semantics() {
-        let mut a = BitmapQuerySet::with_capacity(0, 256);
-        let mut b = BitmapQuerySet::with_capacity(0, 256);
-        for id in [1u32, 5, 9, 200] {
-            a.insert(QueryId(id));
-        }
-        for id in [5u32, 200, 201] {
-            b.insert(QueryId(id));
-        }
-        assert_eq!(a.intersect(&b).to_query_set(), qs(&[5, 200]));
-    }
-
-    #[test]
-    fn list_and_bitmap_agree_randomised() {
-        // Deterministic pseudo-random check without external crates.
-        let mut seed = 0x12345678u64;
-        let mut next = || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed % 512) as u32
-        };
-        for _ in 0..50 {
-            let xs: Vec<u32> = (0..40).map(|_| next()).collect();
-            let ys: Vec<u32> = (0..40).map(|_| next()).collect();
-            let la: QuerySet = xs.iter().copied().collect();
-            let lb: QuerySet = ys.iter().copied().collect();
-            let mut ba = BitmapQuerySet::with_capacity(0, 512);
-            let mut bb = BitmapQuerySet::with_capacity(0, 512);
-            for &x in &xs {
-                ba.insert(QueryId(x));
-            }
-            for &y in &ys {
-                bb.insert(QueryId(y));
-            }
-            assert_eq!(la.intersect(&lb), ba.intersect(&bb).to_query_set());
-            assert_eq!(la.union(&lb), {
-                let mut u = ba.clone();
-                for id in bb.iter() {
-                    u.insert(id);
-                }
-                u.to_query_set()
-            });
-        }
     }
 }

@@ -157,7 +157,8 @@ pub fn explain_statement(
 /// (golden-tested over the SQL conformance corpus); `analyze` appends live
 /// counters and the per-statement attributed costs under each node. An
 /// `UPDATE`/`DELETE` statement shows the access path its rows are found by,
-/// a query the predicate-index class each of its scan predicates lands in.
+/// a query the predicate-index class each of its scan predicates lands in
+/// and, beside it, the access path a cycle of such queries alone can take.
 pub fn render_explain_text(
     catalog: &Catalog,
     plan: &GlobalPlan,
@@ -190,7 +191,17 @@ pub fn render_explain_text(
                 .iter()
                 .filter_map(|(op, template)| match template {
                     ActivationTemplate::Scan { predicate } => {
-                        Some((*op, template_class(&plan.node(*op).schema, predicate)))
+                        let node = plan.node(*op);
+                        let class = template_class(&node.schema, predicate);
+                        let table = node.spec.storage_table().unwrap_or_default();
+                        // A scan query is served through an index only when
+                        // every query of its cycle can be, and cheaply.
+                        let path = template_access_path(catalog, table, predicate);
+                        let when = match path.starts_with("scan") {
+                            true => "",
+                            false => " when the cycle allows",
+                        };
+                        Some((*op, format!("{class} · {path}{when}")))
                     }
                     _ => None,
                 })
@@ -240,8 +251,9 @@ fn with_typed_params(schema: &Schema, predicate: &Expr) -> Expr {
     )
 }
 
-/// The access path the storage layer picks for an update template's WHERE
-/// clause (`pk(I_ID)`, `index(SCL_CART)`, `scan`).
+/// The access path the storage layer picks for the WHERE clause of an update
+/// template or the predicate of a scan template (`pk(I_ID)`,
+/// `index(SCL_CART)`, `scan`).
 fn template_access_path(catalog: &Catalog, table: &str, predicate: &Expr) -> String {
     let Ok(handle) = catalog.table(table) else {
         return format!("scan (no table {table} in the catalog)");
@@ -474,6 +486,11 @@ mod tests {
             text,
             render_explain_text(&catalog, &plan, &registry, 1, None)
         );
+        // A scan predicate shows its class and the path a cycle can take.
+        assert!(text.contains("  predicate: residual · scan\n"), "{text}");
+        let point = render_explain_text(&catalog, &plan, &registry, 0, None);
+        let by_key = "  predicate: eq(ID) · pk(ID) when the cycle allows\n";
+        assert!(point.contains(by_key), "{point}");
         let update = render_explain_text(&catalog, &plan, &registry, 2, None);
         assert!(update.contains("update on table T"));
         assert!(

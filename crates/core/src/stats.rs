@@ -630,13 +630,16 @@ pub struct UpdateRowsSnapshot {
 /// batch; a large `residual` count says how many queries took the un-shared
 /// path (full expression evaluated per row). `skipped ÷ (skipped +
 /// examined)` is the share of the table the chunk directory spared the
-/// scan. Counted per scan pass, so a query running on N row segments counts
-/// N times.
+/// scan; `cycles` says how often the pass ran at all — `index ÷ (index +
+/// scan)` is the share of cycles whose queries were served from the table's
+/// indexes, which examine what they fetch and skip nothing. Counted per scan
+/// pass, so a query running on N row segments counts N times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanRowsSnapshot {
     /// Scanned table.
     pub table: String,
-    /// Visible rows probed against the predicate index.
+    /// Visible rows probed against the predicate index, and versions fetched
+    /// through posting lists by the cycles served from the indexes.
     pub examined: u64,
     /// Rows that left the operator (selected by at least one query).
     pub emitted: u64,
@@ -646,18 +649,21 @@ pub struct ScanRowsSnapshot {
     /// Queries served per predicate class, in the order of
     /// `shareddb_storage::PredicateClass::NAMES`.
     pub queries: [u64; 3],
+    /// Cycles (snapshot groups of them) served per path, in the order of
+    /// `shareddb_storage::ScanCycleResult::PATHS`.
+    pub cycles: [u64; 2],
 }
 
 /// Live counters behind a [`ScanRowsSnapshot`], owned by one scan operator:
 /// rows examined, emitted and skipped, then the queries of each predicate
-/// class.
+/// class, then the cycles of each path.
 #[derive(Debug, Default)]
-pub struct ScanCounters([AtomicU64; 6]);
+pub struct ScanCounters([AtomicU64; 8]);
 
 impl ScanCounters {
     /// Adds one scan cycle: `rows` are the examined, emitted and skipped.
-    pub fn record(&self, rows: [usize; 3], queries: [usize; 3]) {
-        let cycle = rows.into_iter().chain(queries);
+    pub fn record(&self, rows: [usize; 3], queries: [usize; 3], paths: [usize; 2]) {
+        let cycle = rows.into_iter().chain(queries).chain(paths);
         for (total, counted) in self.0.iter().zip(cycle) {
             total.fetch_add(counted as u64, Ordering::Relaxed);
         }
@@ -665,14 +671,15 @@ impl ScanCounters {
 
     /// The counts since the last reset.
     pub fn snapshot(&self, table: &str) -> ScanRowsSnapshot {
-        let [examined, emitted, skipped, queries @ ..] =
-            [0, 1, 2, 3, 4, 5].map(|i| self.0[i].load(Ordering::Relaxed));
+        let [examined, emitted, skipped, equality, range, residual, scan, index] =
+            [0, 1, 2, 3, 4, 5, 6, 7].map(|i| self.0[i].load(Ordering::Relaxed));
         ScanRowsSnapshot {
             table: table.to_string(),
             examined,
             emitted,
             skipped,
-            queries,
+            queries: [equality, range, residual],
+            cycles: [scan, index],
         }
     }
 

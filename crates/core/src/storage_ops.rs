@@ -32,7 +32,8 @@ pub enum StorageOperator {
         key_columns: Vec<usize>,
         /// Scanned table, and what the scan did since the last reset.
         table: String,
-        /// Rows examined / emitted / skipped and queries per predicate class.
+        /// Rows examined / emitted / skipped, queries per predicate class and
+        /// cycles per path.
         counters: ScanCounters,
     },
     /// Shared index probe.
@@ -131,7 +132,7 @@ impl StorageOperator {
                     });
                 }
                 let rows = [cycle.rows_examined, tuples.len(), cycle.rows_skipped];
-                counters.record(rows, cycle.query_classes);
+                counters.record(rows, cycle.query_classes, cycle.groups_served);
                 Ok(tuples)
             }
             StorageOperator::Probe(probe) => {

@@ -59,7 +59,7 @@ use shareddb_core::stats::{PhaseTable, StatementPhaseSnapshot};
 use shareddb_core::{EngineConfig, Phase, SlowQueryRecord, StatementRegistry};
 use shareddb_sql::compile::{canonicalize, SqlTemplate};
 use shareddb_sql::compile_workload;
-use shareddb_storage::{Catalog, PredicateClass, RecoveryReport, SyncPolicy};
+use shareddb_storage::{Catalog, PredicateClass, RecoveryReport, ScanCycleResult, SyncPolicy};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -362,13 +362,15 @@ impl Shared {
         }
 
         // The read path's counterpart: what each table's shared scan probed,
-        // emitted and was spared by the chunk directory, and how many queries
-        // it served per predicate class (`residual` = evaluated row by row,
-        // the un-shared path).
+        // emitted and was spared by the chunk directory, how many queries it
+        // served per predicate class (`residual` = evaluated row by row, the
+        // un-shared path), and how many of its cycles were a pass over the
+        // table and how many were served from its indexes.
         let _ = writeln!(w, "# TYPE shareddb_scan_rows_examined_total counter");
         let _ = writeln!(w, "# TYPE shareddb_scan_rows_emitted_total counter");
         let _ = writeln!(w, "# TYPE shareddb_scan_rows_skipped_total counter");
         let _ = writeln!(w, "# TYPE shareddb_scan_queries_total counter");
+        let _ = writeln!(w, "# TYPE shareddb_scan_cycles_total counter");
         for snap in backend.scan_row_stats() {
             let table = escape_label_value(&snap.table);
             let _ = writeln!(
@@ -390,6 +392,12 @@ impl Shared {
                 let _ = writeln!(
                     w,
                     "shareddb_scan_queries_total{{table=\"{table}\",class=\"{class}\"}} {served}"
+                );
+            }
+            for (path, cycles) in ScanCycleResult::PATHS.iter().zip(snap.cycles) {
+                let _ = writeln!(
+                    w,
+                    "shareddb_scan_cycles_total{{table=\"{table}\",path=\"{path}\"}} {cycles}"
                 );
             }
         }

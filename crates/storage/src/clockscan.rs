@@ -12,14 +12,20 @@
 //!   scan performs a *query-data join* between rows and queries.
 //! * Updates are executed in arrival order as part of the same cycle, and all
 //!   select queries of the cycle read one consistent snapshot.
+//! * A cycle does what its queries need and no more: when every query of a
+//!   snapshot group holds an equality an index of the table answers, and the
+//!   posting lists they name are together shorter than the table, the group
+//!   is served through those indexes — the same rows, in the same order, as
+//!   the pass would have emitted (`ClockScan::serve_from_indexes`).
 //!
 //! The scan produces tuples in the data-query model ([`QTuple`]): each emitted
 //! row carries the set of queries that selected it.
 
+use crate::index_probe::Hits;
 use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::predicate_index::PredicateIndex;
 use crate::table::Table;
-use crate::update::{apply_cycle_updates, UpdateOp, UpdateResult};
+use crate::update::{apply_cycle_updates, AccessPath, UpdateOp, UpdateResult};
 use parking_lot::RwLock;
 use shareddb_common::{tuple_partition, Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple};
 use std::sync::Arc;
@@ -100,7 +106,9 @@ pub struct ScanCycleResult {
     /// The snapshot the queries of this cycle read.
     pub snapshot: Snapshot,
     /// Visible rows of the scanned view probed against the predicate index
-    /// (`tuples.len() / rows_examined` is the scan's useful-work ratio).
+    /// (`tuples.len() / rows_examined` is the scan's useful-work ratio); for
+    /// a group served from the indexes, the versions fetched through their
+    /// posting lists and the key map.
     pub rows_examined: usize,
     /// Versions, visible or not, in the chunks the pass left out because no
     /// query of the cycle could match anything in them.
@@ -108,6 +116,15 @@ pub struct ScanCycleResult {
     /// Queries served per predicate class, in the order of
     /// [`PredicateClass::NAMES`](crate::predicate_index::PredicateClass::NAMES).
     pub query_classes: [usize; 3],
+    /// Snapshot groups of the cycle (one, unless queries are pinned) served
+    /// by each path, in the order of [`ScanCycleResult::PATHS`].
+    pub groups_served: [usize; 2],
+}
+
+impl ScanCycleResult {
+    /// How a snapshot group is served: by the pass over the version arena,
+    /// or through the table's indexes.
+    pub const PATHS: [&'static str; 2] = ["scan", "index"];
 }
 
 /// The shared-scan operator for one table.
@@ -154,12 +171,10 @@ impl ClockScan {
 
         // Phase 2: evaluate all queries against one consistent snapshot that
         // includes the updates applied above. Queries pinned to an explicit
-        // snapshot read that version set instead; the pass groups queries by
+        // snapshot read that version set instead; queries are grouped by
         // effective snapshot so each group still shares one table scan
         // (with no pinned queries — the common case — this is exactly one
-        // pass). A pass walks the version arena chunk by chunk and leaves
-        // out every chunk whose zones no query of the group can meet; a
-        // group holding a LIKE or a text comparison meets all of them.
+        // group).
         let snapshot = self.oracle.read_ts();
         let mut result = ScanCycleResult {
             update_results,
@@ -171,38 +186,114 @@ impl ClockScan {
             let groups = crate::mvcc::group_by_snapshot(queries, snapshot, |q| q.snapshot);
             let table = self.table.read();
             for (snapshot, members) in groups {
-                let index =
-                    PredicateIndex::over(members.iter().map(|q| (q.query_id, &q.predicate)));
-                for (total, served) in result.query_classes.iter_mut().zip(index.class_counts()) {
-                    *total += served;
+                let by_index =
+                    Self::serve_from_indexes(&table, snapshot, &members, view, &mut result)?;
+                if !by_index {
+                    Self::scan(&table, snapshot, &members, view, &mut result)?;
                 }
-                let mut matches = Vec::new();
-                for chunk in table.chunks() {
-                    if !index.may_match(&chunk.zones) {
-                        result.rows_skipped += chunk.rows.len();
-                        continue;
-                    }
-                    for version in chunk.rows.iter().filter(|v| v.visible(snapshot)) {
-                        let row = &version.values;
-                        // The segment-view cursor: rows outside the view are
-                        // skipped before the query-data join even looks at
-                        // them.
-                        if view.is_some_and(|view| !view.contains(row)) {
-                            continue;
-                        }
-                        result.rows_examined += 1;
-                        index.matches_into(row, &mut matches)?;
-                        if !matches.is_empty() {
-                            // The emitted tuple *is* the stored version: a
-                            // reference, not a copy.
-                            let queries = QuerySet::from_ids(matches.drain(..));
-                            result.tuples.push(QTuple::new(row.clone(), queries));
-                        }
-                    }
-                }
+                result.groups_served[by_index as usize] += 1;
             }
         }
         Ok(result)
+    }
+
+    /// One pass for one snapshot group: walks the version arena chunk by
+    /// chunk, leaving out every chunk whose zones no query of the group can
+    /// meet (a group holding a LIKE or a text comparison meets all of them),
+    /// and probes each visible row of the view against the group's predicate
+    /// index.
+    fn scan(
+        table: &Table,
+        snapshot: Snapshot,
+        members: &[&ScanQuery],
+        view: Option<&SegmentView>,
+        result: &mut ScanCycleResult,
+    ) -> Result<()> {
+        let index = PredicateIndex::over(members.iter().map(|q| (q.query_id, &q.predicate)));
+        for (total, served) in result.query_classes.iter_mut().zip(index.class_counts()) {
+            *total += served;
+        }
+        let mut matches = Vec::new();
+        for chunk in table.chunks() {
+            if !index.may_match(&chunk.zones) {
+                result.rows_skipped += chunk.rows.len();
+                continue;
+            }
+            for version in chunk.rows.iter().filter(|v| v.visible(snapshot)) {
+                let row = &version.values;
+                // The segment-view cursor: rows outside the view are skipped
+                // before the query-data join even looks at them.
+                if view.is_some_and(|view| !view.contains(row)) {
+                    continue;
+                }
+                result.rows_examined += 1;
+                index.matches_into(row, &mut matches)?;
+                if !matches.is_empty() {
+                    // The emitted tuple *is* the stored version: a reference,
+                    // not a copy.
+                    let queries = QuerySet::from_ids(matches.drain(..));
+                    result.tuples.push(QTuple::new(row.clone(), queries));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Serves one snapshot group through the table's indexes instead of a
+    /// pass, if that is possible and cheaper, and says whether it did.
+    ///
+    /// Possible: [`AccessPath::choose`] — the rule writes find their rows by
+    /// — names the key map or a secondary index for *every* query of the
+    /// group (one query without an indexed equality needs the pass anyway,
+    /// and the pass serves the others for the price of a probe per row), and
+    /// no query asks the key map for a snapshot it is not exact for. Cheaper:
+    /// the versions to fetch — the lengths of the posting lists, read off the
+    /// B-tree before anything is fetched, and one per key of the key map —
+    /// are fewer than the versions a pass walks. Both sides of that
+    /// comparison are exact counts of the same unit, so there is nothing to
+    /// tune, and a cycle never costs more than the pass that bounds it.
+    ///
+    /// The same rows leave as the pass would emit, in the same order, with
+    /// the same query sets: a path only narrows, so each fetched row the view
+    /// holds is checked against the full predicate — unless that *is* the
+    /// equality probed — and the hits leave through the routine an index
+    /// probe's do, one tuple per row in ascending `RowId`.
+    fn serve_from_indexes(
+        table: &Table,
+        snapshot: Snapshot,
+        members: &[&ScanQuery],
+        view: Option<&SegmentView>,
+        result: &mut ScanCycleResult,
+    ) -> Result<bool> {
+        let mut paths = Vec::with_capacity(members.len());
+        let mut to_fetch = 0;
+        for query in members {
+            let path = AccessPath::choose(table, &query.predicate);
+            if matches!(path, AccessPath::PrimaryKey(_)) && !table.sees_every_write(snapshot) {
+                return Ok(false);
+            }
+            let Some(versions) = path.fetch_cost(table) else {
+                return Ok(false);
+            };
+            to_fetch += versions;
+            paths.push(path);
+        }
+        if to_fetch >= table.version_count() {
+            return Ok(false);
+        }
+        let mut hits = Hits::default();
+        for (query, path) in members.iter().zip(&paths) {
+            let in_view = |(_, row): &(_, &Tuple)| view.is_none_or(|view| view.contains(row));
+            let fetched = path.visible_rows(table, snapshot).filter(in_view);
+            let decided = query.predicate.split_conjuncts().len() == 1;
+            let residual = (!decided).then_some(&query.predicate);
+            hits.collect(query.query_id, fetched, residual)?;
+        }
+        hits.emit(table, &mut result.tuples);
+        result.rows_examined += to_fetch;
+        // Every query here holds an equality: the class the pass files it in.
+        result.query_classes[0] += members.len();
+        Ok(true)
     }
 }
 
@@ -738,6 +829,47 @@ mod tests {
         emitted
     }
 
+    /// Runs `cycles` over `table`, written up to timestamp `last_write`, and
+    /// holds what each emits — rows, query sets, order — against the full
+    /// walk.
+    fn assert_cycles_equal_full_walk(
+        table: Table,
+        last_write: u64,
+        cycles: &[Cycle],
+        case: &dyn std::fmt::Debug,
+    ) {
+        let table = Arc::new(RwLock::new(table));
+        let oracle = Arc::new(TimestampOracle::new());
+        oracle.restore(Timestamp(last_write));
+        let scan = ClockScan::new(Arc::clone(&table), Arc::clone(&oracle));
+        for Cycle { queries, view } in cycles {
+            let queries: Vec<ScanQuery> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, (predicate, pinned))| {
+                    let pinned = pinned.map(|ts| Snapshot::at(Timestamp(ts)));
+                    ScanQuery::new(QueryId(i as u32), predicate.clone()).at_snapshot(pinned)
+                })
+                .collect();
+            let view = view.as_ref();
+            let cycle = scan.execute_batch_segmented(&queries, &[], view).unwrap();
+            let emitted: Vec<(Tuple, Vec<QueryId>)> = cycle
+                .tuples
+                .iter()
+                .map(|t| (t.tuple.clone(), t.queries.iter().collect()))
+                .collect();
+            let expected = full_walk(&table.read(), &queries, oracle.read_ts(), view);
+            prop_assert!(
+                emitted == expected,
+                "{queries:?}: {} rows, the full walk {} ({} versions left out, groups served {:?})\nin {case:#?}",
+                emitted.len(),
+                expected.len(),
+                cycle.rows_skipped,
+                cycle.groups_served
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -748,35 +880,278 @@ mod tests {
         /// segment view or the whole table.
         #[test]
         fn zone_skipping_scan_equals_full_scan(case in Cases) {
-            let table = Arc::new(RwLock::new(case.table()));
-            let oracle = Arc::new(TimestampOracle::new());
-            oracle.restore(Timestamp(1 + case.writes.len() as u64));
-            let scan = ClockScan::new(Arc::clone(&table), Arc::clone(&oracle));
-            for Cycle { queries, view } in &case.cycles {
-                let queries: Vec<ScanQuery> = queries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (predicate, pinned))| {
-                        let pinned = pinned.map(|ts| Snapshot::at(Timestamp(ts)));
-                        ScanQuery::new(QueryId(i as u32), predicate.clone()).at_snapshot(pinned)
+            let last_write = 1 + case.writes.len() as u64;
+            assert_cycles_equal_full_walk(case.table(), last_write, &case.cycles, &case);
+        }
+    }
+
+    // -- cycles served from the indexes ---------------------------------------
+
+    /// ID (the key), N (integers, indexed), D (dates, indexed), S (text,
+    /// indexed), X (integers, no index).
+    fn indexed_table() -> Table {
+        let schema = Schema::new(vec![
+            Column::new("ID", DataType::Int),
+            Column::nullable("N", DataType::Int),
+            Column::nullable("D", DataType::Date),
+            Column::new("S", DataType::Text),
+            Column::new("X", DataType::Int),
+        ]);
+        let mut table = Table::new("T", schema, vec![0]);
+        for (name, column) in [("T_N", 1), ("T_D", 2), ("T_S", 3)] {
+            table.create_index(name, column).unwrap();
+        }
+        table
+    }
+
+    /// An equality-only cycle costs its posting lists, not the table — as
+    /// long as they are shorter than the table, every query has one, and the
+    /// key map is asked about the present only.
+    #[test]
+    fn equality_only_cycles_are_served_from_the_indexes() {
+        let mut table = indexed_table();
+        for i in 0..100i64 {
+            let row = tuple![
+                i,
+                i % 10,
+                Value::Date(i % 4),
+                ["a", "b"][(i % 2) as usize],
+                i
+            ];
+            table.insert(row, Timestamp(0)).unwrap();
+        }
+        let table = Arc::new(RwLock::new(table));
+        let oracle = Arc::new(TimestampOracle::new());
+        let scan = ClockScan::new(Arc::clone(&table), Arc::clone(&oracle));
+        let eq = |column: usize, literal: Value| Expr::col(column).eq(Expr::Literal(literal));
+        let counts = |predicates: Vec<Expr>, pinned: Option<Snapshot>| {
+            let queries = predicates.into_iter().enumerate();
+            let queries: Vec<ScanQuery> = queries
+                .map(|(i, p)| ScanQuery::new(QueryId(i as u32), p).at_snapshot(pinned))
+                .collect();
+            let cycle = scan.execute_batch(&queries, &[]).unwrap();
+            let expected = full_walk(&table.read(), &queries, oracle.read_ts(), None);
+            let emitted = cycle.tuples.iter();
+            assert!(emitted
+                .map(|t| (t.tuple.clone(), t.queries.iter().collect()))
+                .eq(expected));
+            (cycle.groups_served, cycle.rows_examined, cycle.tuples.len())
+        };
+        // Ten versions hold N = 3; the second spelling's list is empty.
+        assert_eq!(counts(vec![eq(1, Value::Int(3))], None), ([0, 1], 10, 10));
+        assert_eq!(counts(vec![eq(1, Value::Date(3))], None), ([0, 1], 10, 10));
+        // Fetched rows are held against the rest of the predicate.
+        let and_small = eq(1, Value::Int(3)).and(Expr::col(4).lt(Expr::lit(50i64)));
+        assert_eq!(counts(vec![and_small], None), ([0, 1], 10, 5));
+        // Two queries, five rows in common: 10 + 25 fetched, 30 emitted.
+        let two = vec![eq(1, Value::Int(3)), eq(2, Value::Date(3))];
+        assert_eq!(counts(two, None), ([0, 1], 35, 30));
+        // One key of the key map, under either spelling.
+        assert_eq!(counts(vec![eq(0, Value::Int(7))], None), ([0, 1], 2, 1));
+        // A query no index answers takes the group to the pass …
+        let like = Expr::col(3).like(Expr::lit("a%"));
+        assert_eq!(
+            counts(vec![eq(1, Value::Int(3)), like], None),
+            ([1, 0], 100, 60)
+        );
+        let by_float = vec![eq(1, Value::Float(3.0))];
+        assert_eq!(counts(by_float, None), ([1, 0], 100, 10));
+        // … and so do posting lists as long as the table: 50 + 50.
+        let halves = vec![eq(3, Value::text("a")), eq(3, Value::text("b"))];
+        assert_eq!(counts(halves, None), ([1, 0], 100, 100));
+        // After a write the key map is exact for the present only; the
+        // secondary indexes hold every version and serve any snapshot.
+        let before = oracle.read_ts();
+        let delete = UpdateOp::Delete {
+            predicate: eq(0, Value::Int(7)),
+        };
+        scan.execute_batch(&[], &[delete]).unwrap();
+        let by_key = || vec![eq(0, Value::Int(7))];
+        assert_eq!(counts(by_key(), None), ([0, 1], 2, 0));
+        assert_eq!(counts(by_key(), Some(before)), ([1, 0], 100, 1));
+        let sevens = || vec![eq(1, Value::Int(7))];
+        assert_eq!(counts(sevens(), None), ([0, 1], 10, 9));
+        assert_eq!(counts(sevens(), Some(before)), ([0, 1], 10, 10));
+    }
+
+    /// An integer or a date under either spelling, now and then the float
+    /// the integer column admits as well.
+    fn spelled(rng: &mut TestRng, below: usize) -> Value {
+        let n = pick(rng, below) as i64;
+        match pick(rng, 8) {
+            0..=3 => Value::Int(n),
+            4..=6 => Value::Date(n),
+            _ => Value::Float(n as f64),
+        }
+    }
+
+    const TEXTS: [&str; 4] = ["all", "a", "b", "ab"];
+
+    fn indexed_row(rng: &mut TestRng, id: i64) -> Tuple {
+        let n = match pick(rng, 10) {
+            0 => Value::Null,
+            _ => spelled(rng, 5),
+        };
+        let d = match (pick(rng, 10), pick(rng, 4) as i64) {
+            (0, _) => Value::Null,
+            (1 | 2, d) => Value::Int(d),
+            (_, d) => Value::Date(d),
+        };
+        // Most rows hold 'all': a posting list nearly as long as the table.
+        let s = TEXTS[pick(rng, 8).saturating_sub(4)];
+        Tuple::new(vec![
+            Value::Int(id),
+            n,
+            d,
+            Value::text(s),
+            Value::Int(pick(rng, 7) as i64),
+        ])
+    }
+
+    /// `column = literal` with an index (or the key map) behind it: under
+    /// either spelling of a number, and for a value no row holds.
+    fn probed_equality(rng: &mut TestRng, rows: usize) -> Expr {
+        let number = |rng: &mut TestRng, n: usize| match pick(rng, 2) {
+            0 => Value::Int(pick(rng, n) as i64),
+            _ => Value::Date(pick(rng, n) as i64),
+        };
+        let (column, literal) = match pick(rng, 8) {
+            0 | 1 => (0, number(rng, rows + 2)),
+            2 | 3 => (1, number(rng, 6)),
+            4 | 5 => (2, number(rng, 5)),
+            _ => (
+                3,
+                Value::text(["all", "a", "b", "ab", "none"][pick(rng, 5)]),
+            ),
+        };
+        match pick(rng, 4) {
+            0 => Expr::Literal(literal).eq(Expr::col(column)),
+            _ => Expr::col(column).eq(Expr::Literal(literal)),
+        }
+    }
+
+    /// A predicate no index of the table answers.
+    fn unprobed(rng: &mut TestRng) -> Expr {
+        match pick(rng, 6) {
+            0 => Expr::col(4).eq(Expr::lit(pick(rng, 7) as i64)),
+            1 => Expr::col(1).gt(Expr::lit(pick(rng, 5) as i64)),
+            2 => Expr::col(3).like(Expr::lit(["a%", "%b", "_ll"][pick(rng, 3)])),
+            3 => Expr::col(1).eq(Expr::lit(pick(rng, 5) as f64)),
+            4 => Expr::col(1).eq(Expr::Literal(Value::Null)),
+            _ => Expr::col(1)
+                .eq(Expr::lit(1i64))
+                .or(Expr::col(2).eq(Expr::lit(1i64))),
+        }
+    }
+
+    fn indexed_predicate(rng: &mut TestRng, rows: usize) -> Expr {
+        match pick(rng, 12) {
+            0..=5 => probed_equality(rng, rows),
+            6 | 7 => probed_equality(rng, rows).and(unprobed(rng)),
+            8 => unprobed(rng).and(probed_equality(rng, rows)),
+            9 => probed_equality(rng, rows).and(probed_equality(rng, rows)),
+            _ => unprobed(rng),
+        }
+    }
+
+    /// A write after the load, each at its own timestamp: versions die, keys
+    /// move, rows arrive late.
+    fn indexed_write(rng: &mut TestRng, rows: usize) -> UpdateOp {
+        let row = Expr::col(0).eq(Expr::lit(pick(rng, rows) as i64));
+        let set = |column: usize, value: Value, predicate: Expr| UpdateOp::Update {
+            assignments: vec![(column, Expr::Literal(value))],
+            predicate,
+        };
+        match pick(rng, 7) {
+            0 => UpdateOp::Delete { predicate: row },
+            1 => set(1, spelled(rng, 5), row),
+            2 => set(2, Value::Date(pick(rng, 4) as i64), row),
+            3 => set(3, Value::text(TEXTS[pick(rng, 4)]), row),
+            // Every row of one value at once.
+            4 => set(
+                4,
+                Value::Int(9),
+                Expr::col(1).eq(Expr::lit(pick(rng, 5) as i64)),
+            ),
+            5 => UpdateOp::Update {
+                assignments: vec![(0, Expr::col(0).binary(BinaryOp::Add, Expr::lit(1_000i64)))],
+                predicate: row,
+            },
+            _ => {
+                let id = (2_000 + pick(rng, 100)) as i64;
+                UpdateOp::Insert {
+                    values: indexed_row(rng, id),
+                }
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    struct IndexedCase {
+        rows: Vec<Tuple>,
+        writes: Vec<UpdateOp>,
+        cycles: Vec<Cycle>,
+    }
+
+    struct IndexedCases;
+
+    impl Strategy for IndexedCases {
+        type Value = IndexedCase;
+        fn generate(&self, rng: &mut TestRng) -> IndexedCase {
+            let rows: Vec<Tuple> = (0..8 + pick(rng, 40))
+                .map(|id| indexed_row(rng, id as i64))
+                .collect();
+            let writes: Vec<UpdateOp> = (0..pick(rng, 8))
+                .map(|_| indexed_write(rng, rows.len()))
+                .collect();
+            let cycles = (0..1 + pick(rng, 6)).map(|_| {
+                // Few queries: the fewer, the shorter their posting lists.
+                let mut queries: Vec<(Expr, Option<u64>)> = (0..[1, 1, 2, 3][pick(rng, 4)])
+                    .map(|_| {
+                        let pinned =
+                            (pick(rng, 5) == 0).then(|| 1 + pick(rng, 1 + writes.len()) as u64);
+                        (indexed_predicate(rng, rows.len()), pinned)
                     })
                     .collect();
-                let view = view.as_ref();
-                let cycle = scan.execute_batch_segmented(&queries, &[], view).unwrap();
-                let emitted: Vec<(Tuple, Vec<QueryId>)> = cycle
-                    .tuples
-                    .iter()
-                    .map(|t| (t.tuple.clone(), t.queries.iter().collect()))
-                    .collect();
-                let expected = full_walk(&table.read(), &queries, oracle.read_ts(), view);
-                prop_assert!(
-                    emitted == expected,
-                    "{queries:?}: {} rows, the full walk {} ({} versions left out)\nin {case:#?}",
-                    emitted.len(),
-                    expected.len(),
-                    cycle.rows_skipped
-                );
+                if pick(rng, 4) == 0 {
+                    queries.push(queries[0].clone());
+                }
+                let view = (pick(rng, 4) == 0).then(|| SegmentView {
+                    index: pick(rng, 2) as u32,
+                    of: 2,
+                    key_columns: vec![0],
+                });
+                Cycle { queries, view }
+            });
+            IndexedCase {
+                cycles: cycles.collect(),
+                rows,
+                writes,
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Serving a group from the indexes never changes what a cycle emits:
+        /// the same rows with the same query sets in the same order as the
+        /// full walk — over dead versions and moved keys, numbers stored and
+        /// asked for under either spelling, equalities alone, with a residual
+        /// conjunct, twice in a cycle, beside a query no index answers,
+        /// naming most of the table, pinned to the past, over a segment view.
+        #[test]
+        fn index_served_cycle_equals_scanned_cycle(case in IndexedCases) {
+            let mut table = indexed_table();
+            for row in &case.rows {
+                table.insert(row.clone(), Timestamp(1)).unwrap();
+            }
+            for (i, op) in case.writes.iter().enumerate() {
+                // A write that fails (a taken key, a dead row) writes nothing.
+                let _ = crate::update::apply_update(&mut table, op, Timestamp(2 + i as u64));
+            }
+            let last_write = 1 + case.writes.len() as u64;
+            assert_cycles_equal_full_walk(table, last_write, &case.cycles, &case);
         }
     }
 }

@@ -184,43 +184,70 @@ impl IndexProbe {
         queries: &[&ProbeQuery],
         result: &mut ProbeCycleResult,
     ) -> Result<()> {
-        // Every (row, probe) hit of the group; sorted, the hits of one row
-        // are neighbours and its queries ascend. Rows fetched by several
-        // probes are emitted once: the NF² data-query model stores each row
-        // once with the union of interested queries.
-        let mut hits: Vec<(RowId, QueryId)> = Vec::new();
+        let mut hits = Hits::default();
         for q in queries {
-            let mut fetched = |(rid, row): (RowId, &Tuple)| -> Result<()> {
-                let residual = q.residual.as_ref();
-                if residual.map_or(Ok(true), |r| r.eval_predicate(row))? {
-                    hits.push((rid, q.query_id));
-                }
-                Ok(())
-            };
+            let (query, residual) = (q.query_id, q.residual.as_ref());
             match &q.range {
-                ProbeRange::Key(key) => table
-                    .eq_lookup(q.column)
-                    .rows(key, snapshot)
-                    .try_for_each(&mut fetched)?,
-                ProbeRange::Range { low, high } if table.has_index_on(q.column) => table
-                    .index_range(q.column, low.as_ref(), high.as_ref(), snapshot)
-                    .into_iter()
-                    .try_for_each(&mut fetched)?,
-                ProbeRange::Range { low, high } => table
-                    .scan(snapshot)
-                    .filter(|(_, row)| range_contains(low, high, &row[q.column]))
-                    .try_for_each(&mut fetched)?,
+                ProbeRange::Key(key) => {
+                    let fetched = table.eq_lookup(q.column);
+                    hits.collect(query, fetched.rows(key, snapshot), residual)?
+                }
+                ProbeRange::Range { low, high } if table.has_index_on(q.column) => {
+                    let fetched =
+                        table.index_range(q.column, low.as_ref(), high.as_ref(), snapshot);
+                    hits.collect(query, fetched.into_iter(), residual)?
+                }
+                ProbeRange::Range { low, high } => {
+                    let in_range =
+                        |(_, row): &(_, &Tuple)| range_contains(low, high, &row[q.column]);
+                    hits.collect(query, table.scan(snapshot).filter(in_range), residual)?
+                }
             }
         }
-        hits.sort_unstable();
-        for of_row in hits.chunk_by(|a, b| a.0 == b.0) {
-            // The emitted tuple *is* the stored version, not a copy.
-            if let Some(row) = table.read(of_row[0].0, snapshot) {
-                let queries = QuerySet::from_ids(of_row.iter().map(|(_, q)| *q));
-                result.tuples.push(QTuple::new(row.clone(), queries));
+        hits.emit(table, &mut result.tuples);
+        Ok(())
+    }
+}
+
+/// The `(row, query)` hits of one snapshot group of look-ups, however the
+/// rows were reached: by the probes of an [`IndexProbe`] cycle, or by the
+/// access paths of a scan cycle served from the indexes
+/// ([`crate::clockscan`]).
+#[derive(Default)]
+pub(crate) struct Hits(Vec<(RowId, QueryId)>);
+
+impl Hits {
+    /// Files under `query` those of its fetched rows — versions its snapshot
+    /// sees — that `residual` admits.
+    pub(crate) fn collect<'t>(
+        &mut self,
+        query: QueryId,
+        fetched: impl Iterator<Item = (RowId, &'t Tuple)>,
+        residual: Option<&Expr>,
+    ) -> Result<()> {
+        for (rid, row) in fetched {
+            if residual.map_or(Ok(true), |r| r.eval_predicate(row))? {
+                self.0.push((rid, query));
             }
         }
         Ok(())
+    }
+
+    /// Emits every hit row once, in ascending `RowId` — the order a scan
+    /// meets them in — with the queries that hit it: the NF² data-query
+    /// model stores a row once with the union of its interested queries.
+    /// The emitted tuple *is* the stored version, not a copy.
+    pub(crate) fn emit(mut self, table: &Table, out: &mut Vec<QTuple>) {
+        // Sorted, the hits of one row are neighbours and its queries ascend.
+        self.0.sort_unstable();
+        for of_row in self.0.chunk_by(|a, b| a.0 == b.0) {
+            let row = &table
+                .row(of_row[0].0)
+                .expect("a hit is a fetched row")
+                .values;
+            let queries = QuerySet::from_ids(of_row.iter().map(|(_, q)| *q));
+            out.push(QTuple::new(row.clone(), queries));
+        }
     }
 }
 

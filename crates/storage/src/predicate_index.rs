@@ -24,7 +24,12 @@
 //!   query.
 //! * **Residual** — everything else (LIKE-only predicates, disjunctions,
 //!   comparisons with NULL, ...): the whole expression is evaluated on every
-//!   row, `O(residual queries)` tree walks per row, the un-shared path.
+//!   row, `O(residual queries)` evaluations per row, the un-shared path. An
+//!   evaluation borrows the row's values and the literals where they lie
+//!   and allocates nothing ([`Expr::eval`]): ≈ 15 ns for a text comparison,
+//!   ≈ 25–30 ns for a `LIKE '%x%'` over a title — against one search among
+//!   the distinct literals of a run, shared by all its queries, for the two
+//!   indexed classes.
 //!
 //! A query whose whole predicate *is* its indexed conjunct is decided by the
 //! entry alone. Any other indexed query is a candidate only: its full

@@ -150,6 +150,8 @@ pub struct Table {
     zoned: Vec<usize>,
     /// The chunk directory: `zoned.len()` zones per chunk, chunk after chunk.
     zones: Vec<Zone>,
+    /// The largest timestamp a version began or ended at.
+    newest_write: Timestamp,
 }
 
 impl Table {
@@ -163,6 +165,7 @@ impl Table {
             name: name.into(),
             zoned: (0..schema.len()).filter(numeric).collect(),
             zones: Vec::new(),
+            newest_write: Timestamp(0),
             schema,
             primary_key,
             rows: Vec::new(),
@@ -273,6 +276,7 @@ impl Table {
         for index in &mut self.indexes {
             index.tree.insert(values[index.column].clone(), row_id);
         }
+        self.newest_write = self.newest_write.max(begin);
         self.rows.push(StoredRow {
             values,
             begin,
@@ -371,6 +375,7 @@ impl Table {
             )));
         }
         row.end = ts;
+        self.newest_write = self.newest_write.max(ts);
         Ok(())
     }
 
@@ -438,21 +443,32 @@ impl Table {
         self.rows[row_id.idx()].is_live().then_some(row_id)
     }
 
-    /// Probes the secondary index on `column` for an exact key and returns the
-    /// *live* versions filed under it, in posting-list order (empty when the
-    /// column has no index). The posting list holds every version ever
-    /// written with that key, so the cost is O(versions with the key).
+    /// True when `snapshot` sees every write the table holds, so that its
+    /// visible versions are the live ones. Only then is the key map — which
+    /// knows the newest version of a key and nothing of the ones before it,
+    /// nor of a key a row was moved away from — exact for a read.
+    pub fn sees_every_write(&self, snapshot: Snapshot) -> bool {
+        self.newest_write <= snapshot.ts
+    }
+
+    /// The posting list of `key` in the secondary index on `column`: every
+    /// version ever written with that key, dead ones included, ascending
+    /// (empty when the column has no index). `O(log n)`, and its length is
+    /// what fetching through it will cost.
+    pub fn index_postings(&self, column: usize, key: &Value) -> &[RowId] {
+        let index = self.indexes.iter().find(|i| i.column == column);
+        index.map_or(&[][..], |i| i.tree.get(key))
+    }
+
+    /// The *live* versions of [`Table::index_postings`], in posting-list
+    /// order: O(versions with the key).
     pub fn index_lookup_live<'a>(
         &'a self,
         column: usize,
         key: &Value,
     ) -> impl Iterator<Item = RowId> + 'a {
-        let index = self.indexes.iter().find(|i| i.column == column);
-        let postings = index.map_or(&[][..], |i| i.tree.get(key));
-        postings
-            .iter()
-            .copied()
-            .filter(|rid| self.rows[rid.idx()].is_live())
+        let postings = self.index_postings(column, key).iter().copied();
+        postings.filter(|rid| self.rows[rid.idx()].is_live())
     }
 
     /// Resolves how rows with `column = key` are found — the column's
@@ -463,6 +479,7 @@ impl Table {
         EqLookup {
             table: self,
             column,
+            data_type: self.schema.columns()[column].data_type,
             index: index.map(|i| &i.tree),
             by_key: index.is_none() && self.primary_key == [column],
         }
@@ -507,41 +524,76 @@ impl Table {
     }
 }
 
+/// The index keys under which every stored value that is `sql_eq` to
+/// `literal` is filed — the literal itself and, for some, a second spelling —
+/// or `None` when the index cannot answer the equality exactly and a scan
+/// must. An index may only be probed with a literal of the column's own type
+/// family, because `Value::sql_cmp` equates values the index's total order
+/// (`Value::cmp`, and the hash behind the key map) keeps apart: `Int(5) =
+/// Date(5)` and `Date(5) = Float(5.0)`. `Int` and `Date` columns admit each
+/// other's values (`Column::check_value`), so they are probed under both
+/// spellings; a `Float` literal against them, `NULL`, and any literal of a
+/// foreign family are left to the scan. Reads ([`EqLookup`]) and writes
+/// (`AccessPath::choose`) spell their keys here and nowhere else.
+pub(crate) fn index_keys(column: DataType, literal: &Value) -> Option<(&Value, Option<Value>)> {
+    match (column, literal) {
+        (DataType::Text, Value::Text(_))
+        | (DataType::Bool, Value::Bool(_))
+        | (DataType::Float, Value::Int(_) | Value::Float(_)) => Some((literal, None)),
+        (DataType::Int | DataType::Date, Value::Int(n)) => Some((literal, Some(Value::Date(*n)))),
+        (DataType::Int | DataType::Date, Value::Date(n)) => Some((literal, Some(Value::Int(*n)))),
+        _ => None,
+    }
+}
+
 /// The access path for `column = key` look-ups on one table, resolved by
 /// [`Table::eq_lookup`].
 pub struct EqLookup<'t> {
     table: &'t Table,
     column: usize,
+    data_type: DataType,
     index: Option<&'t BTreeIndex>,
     by_key: bool,
 }
 
 impl<'t> EqLookup<'t> {
-    /// The visible rows whose column equals `key`. Nothing is allocated; the
-    /// rows are the table's own versions.
+    /// The visible rows whose column is `sql_eq` to `key` — under whichever
+    /// spelling they were stored ([`index_keys`]). Nothing is allocated; the
+    /// rows are the table's own versions. A NULL key equals nothing.
     pub fn rows<'k>(
         &'k self,
         key: &'k Value,
         snapshot: Snapshot,
     ) -> impl Iterator<Item = (RowId, &'t Tuple)> + 'k {
         let (table, column) = (self.table, self.column);
-        let visible = move |rid: RowId| table.read(rid, snapshot).map(|row| (rid, row));
-        let postings = self.index.map_or(&[][..], |tree| tree.get(key));
-        let keyed = self
-            .by_key
-            .then(|| table.lookup_pk(std::slice::from_ref(key), snapshot))
-            .flatten();
-        // The fallback: correct, but the planner should have avoided it.
-        let scanned = (self.index.is_none() && !self.by_key)
+        let spelled =
+            index_keys(self.data_type, key).filter(|_| self.index.is_some() || self.by_key);
+        let (first, second) = match &spelled {
+            Some((key, twin)) => (Some(*key), twin.as_ref()),
+            None => (None, None),
+        };
+        let postings = |key: Option<&Value>| match (self.index, key) {
+            (Some(tree), Some(key)) => tree.get(key),
+            _ => &[],
+        };
+        let keyed = |key: Option<&Value>| {
+            key.filter(|_| self.by_key)
+                .and_then(|key| table.lookup_pk(std::slice::from_ref(key), snapshot))
+        };
+        let fetched = postings(first)
+            .iter()
+            .chain(postings(second))
+            .filter_map(move |&rid| table.read(rid, snapshot).map(|row| (rid, row)))
+            .chain(keyed(first))
+            .chain(keyed(second));
+        // The fallback — no index on the column, or a key no index can be
+        // trusted with: correct, but the planner should have avoided it.
+        let scanned = (spelled.is_none() && !key.is_null())
             .then(|| table.scan(snapshot))
             .into_iter()
             .flatten()
             .filter(move |(_, row)| row[column].sql_eq(key));
-        postings
-            .iter()
-            .filter_map(move |&rid| visible(rid))
-            .chain(keyed)
-            .chain(scanned)
+        fetched.chain(scanned)
     }
 }
 

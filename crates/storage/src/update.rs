@@ -5,11 +5,11 @@
 //! (Section 4.4). An [`UpdateOp`] is the unit queued at a storage operator
 //! (ClockScan or index probe) and applied at the beginning of its next cycle.
 
-use crate::mvcc::TimestampOracle;
-use crate::table::{RowId, Table};
+use crate::mvcc::{Snapshot, TimestampOracle};
+use crate::table::{index_keys, RowId, Table};
 use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
-use shareddb_common::{BinaryOp, DataType, Expr, Result, Tuple, Value};
+use shareddb_common::{BinaryOp, Expr, Result, Tuple, Value};
 
 /// A single data-modification operation against one table.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,8 +56,9 @@ pub struct UpdateResult {
     pub rows_examined: usize,
 }
 
-/// How the rows of one `UPDATE`/`DELETE` are found. Chosen per operation from
-/// its bound predicate; in order of preference:
+/// How the rows of one `UPDATE`/`DELETE` — and, when its cycle allows, of one
+/// scan query ([`crate::clockscan`]) — are found. Chosen from the bound
+/// predicate; in order of preference:
 ///
 /// 1. equality conjuncts cover the primary key → hash probes of the key map;
 /// 2. an equality conjunct on a column with a secondary index → that index's
@@ -65,7 +66,8 @@ pub struct UpdateResult {
 /// 3. otherwise one pass over the live versions of the table.
 ///
 /// The path only narrows: `apply_update` re-evaluates the *full* predicate
-/// on every candidate, the rule [`crate::predicate_index`] states for reads.
+/// on every candidate, the rule [`crate::predicate_index`] states for reads
+/// (which spare a predicate that *is* the probed equality the second look).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
     /// Probe the primary-key map with each of these key vectors.
@@ -91,7 +93,8 @@ impl AccessPath {
             .into_iter()
             .filter_map(|conjunct| match conjunct.as_column_literal_cmp()? {
                 (column, BinaryOp::Eq, literal) => {
-                    Some((column, index_keys(columns.get(column)?.data_type, literal)?))
+                    let (key, twin) = index_keys(columns.get(column)?.data_type, literal)?;
+                    Some((column, std::iter::once(key.clone()).chain(twin).collect()))
                 }
                 _ => None,
             })
@@ -151,6 +154,43 @@ impl AccessPath {
         }
     }
 
+    /// How many versions a read through this path fetches: one per key of the
+    /// key map, the posting lists' lengths for an index — exact, and known
+    /// before anything is fetched. `None` for the scan.
+    pub(crate) fn fetch_cost(&self, table: &Table) -> Option<usize> {
+        match self {
+            AccessPath::PrimaryKey(keys) => Some(keys.len()),
+            AccessPath::Index { column, keys } => {
+                let postings = keys.iter().map(|key| table.index_postings(*column, key));
+                Some(postings.map(<[RowId]>::len).sum())
+            }
+            AccessPath::Scan => None,
+        }
+    }
+
+    /// The versions the path leads to that `snapshot` sees (none for the
+    /// scan). The key map is exact only for a snapshot that
+    /// [`Table::sees_every_write`].
+    pub(crate) fn visible_rows<'t>(
+        &'t self,
+        table: &'t Table,
+        snapshot: Snapshot,
+    ) -> impl Iterator<Item = (RowId, &'t Tuple)> + 't {
+        let (by_key, column, by_index) = match self {
+            AccessPath::PrimaryKey(keys) => (&keys[..], 0, &[][..]),
+            AccessPath::Index { column, keys } => (&[][..], *column, &keys[..]),
+            AccessPath::Scan => (&[][..], 0, &[][..]),
+        };
+        let keyed = by_key
+            .iter()
+            .filter_map(move |key| table.lookup_pk(key, snapshot));
+        let posted = by_index
+            .iter()
+            .flat_map(move |key| table.index_postings(column, key))
+            .filter_map(move |&rid| table.read(rid, snapshot).map(|row| (rid, row)));
+        keyed.chain(posted)
+    }
+
     /// The live candidates in ascending `RowId` — the order the scan visits
     /// them in, so the arena, the WAL and recovery replay do not depend on
     /// the path.
@@ -169,27 +209,6 @@ impl AccessPath {
         rows.sort_unstable();
         rows.dedup();
         rows
-    }
-}
-
-/// The index keys under which every stored value that is `sql_eq` to
-/// `literal` is filed, or `None` when the index cannot answer the equality
-/// exactly and the scan must. An index may only be probed with a literal of
-/// the column's own type family, because `Value::sql_cmp` equates values the
-/// index's total order (`Value::cmp`, and the hash behind the key map) keeps
-/// apart: `Int(5) = Date(5)` and `Date(5) = Float(5.0)`. `Int` and `Date`
-/// columns admit each other's values (`Column::check_value`), so they are
-/// probed under both spellings; a `Float` literal against them, `NULL`, and
-/// any literal of a foreign family fall back to the scan.
-fn index_keys(column: DataType, literal: &Value) -> Option<Vec<Value>> {
-    match (column, literal) {
-        (DataType::Text, Value::Text(_))
-        | (DataType::Bool, Value::Bool(_))
-        | (DataType::Float, Value::Int(_) | Value::Float(_)) => Some(vec![literal.clone()]),
-        (DataType::Int | DataType::Date, Value::Int(n) | Value::Date(n)) => {
-            Some(vec![Value::Int(*n), Value::Date(*n)])
-        }
-        _ => None,
     }
 }
 
@@ -295,7 +314,7 @@ mod tests {
     use crate::catalog::{Catalog, IndexDef, TableDef};
     use proptest::prelude::*;
     use proptest::TestRng;
-    use shareddb_common::{tuple, Column, Schema, UnaryOp};
+    use shareddb_common::{tuple, Column, DataType, Schema, UnaryOp};
 
     #[test]
     fn kinds() {

@@ -690,3 +690,44 @@ fn sorted_limited_results_decode_with_schema() {
     conn.close().unwrap();
     server.shutdown();
 }
+
+/// One hostile title pattern must not stall the batch it rides in: twelve
+/// `%` against a title that almost matches took the recursive matcher longer
+/// than anyone waited; now the look-up sent behind it is answered within the
+/// `point_lookup` SLO.
+#[test]
+fn a_many_wildcard_title_search_does_not_stall_a_lookup() {
+    use shareddb::common::Expr;
+    use shareddb::storage::UpdateOp;
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::with_items(200)).unwrap());
+    let almost = UpdateOp::Update {
+        assignments: vec![(1, Expr::lit("a".repeat(64)))],
+        predicate: Expr::col(0).eq(Expr::lit(0i64)),
+    };
+    catalog.apply_batch(&[("ITEM".into(), almost)]).unwrap();
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let (engine, frontend) = (EngineConfig::default(), ServerConfig::default());
+    let mut server = Server::start(catalog, plan, registry, engine, frontend).unwrap();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let search = conn.prepare("doTitleSearch").unwrap();
+    let lookup = conn.prepare("getItemById").unwrap();
+    conn.execute(&lookup, &[Value::Int(1)]).unwrap();
+    let pattern = Value::text(format!("{}b", "%a".repeat(12)));
+    // The bound is the SLO, not a scheduler's mood: the best of three rounds.
+    let mut fastest = Duration::MAX;
+    for _ in 0..3 {
+        let started = Instant::now();
+        let search = conn
+            .submit(&search, std::slice::from_ref(&pattern))
+            .unwrap();
+        let lookup = conn.submit(&lookup, &[Value::Int(5)]).unwrap();
+        assert!(conn.wait(search).unwrap().rows().is_empty());
+        assert_eq!(conn.wait(lookup).unwrap().rows().len(), 1);
+        fastest = fastest.min(started.elapsed());
+    }
+    assert!(fastest < Duration::from_millis(50), "{fastest:?}");
+    let _ = conn.close();
+    server.shutdown();
+}

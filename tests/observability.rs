@@ -729,10 +729,22 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
         let prepared = conn.prepare(statement).unwrap();
         conn.execute(&prepared, params).unwrap().rows().to_vec()
     }
+    // Whatever path serves a statement, its reply is the query-at-a-time
+    // engine's.
+    let same_as_classic = |statement: &str, params: &[Value], rows: &[Vec<Value>]| {
+        let classic = classic.execute_sync(statement, params).unwrap();
+        assert!(
+            rows.iter()
+                .map(Vec::as_slice)
+                .eq(classic.iter().map(|row| row.values())),
+            "{statement}"
+        );
+    };
     let subject = Value::text(SUBJECTS[0]);
     for _ in 0..3 {
         let found = run(&mut conn, "doSubjectSearch", std::slice::from_ref(&subject));
         assert!(!found.is_empty());
+        same_as_classic("doSubjectSearch", std::slice::from_ref(&subject), &found);
     }
     for _ in 0..2 {
         run(
@@ -757,13 +769,23 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
         let rows = |kind: &str| format!("shareddb_scan_rows_{kind}_total{{table=\"{table}\"}}");
         ["examined", "emitted", "skipped"].map(|kind| counter(metrics, &rows(kind)))
     };
+    // Cycles served by a pass over the table and through its indexes.
+    let scan_cycles = |metrics: &str, table: &str| {
+        ["scan", "index"].map(|path| {
+            let series = format!("shareddb_scan_cycles_total{{table=\"{table}\",path=\"{path}\"}}");
+            counter(metrics, &series)
+        })
+    };
     let metrics = server.metrics_text();
-    for (table, rows, classes) in [
-        ("ITEM", [6 * items, 5 * arts, 0], [5, 0, 1]),
+    for (table, rows, classes, cycles) in [
+        // A lone `I_SUBJECT = ?` is served from ITEM_SUBJECT — what is
+        // examined is the subject's posting list — and a LIKE by a pass.
+        ("ITEM", [5 * arts + items, 5 * arts, 0], [5, 0, 1], [1, 5]),
         // Every order is at or above 0: no chunk is left out.
-        ("ORDER_LINE", [2 * lines, 2 * lines, 0], [0, 2, 0]),
+        ("ORDER_LINE", [2 * lines, 2 * lines, 0], [0, 2, 0], [2, 0]),
     ] {
         assert_eq!(scan_rows(&metrics, table), rows, "{table}");
+        assert_eq!(scan_cycles(&metrics, table), cycles, "{table}");
         for (class, served) in ["equality", "range", "residual"].iter().zip(classes) {
             let series =
                 format!("shareddb_scan_queries_total{{table=\"{table}\",class=\"{class}\"}}");
@@ -773,52 +795,68 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     assert!(metrics.contains("# TYPE shareddb_scan_rows_examined_total counter"));
     assert!(metrics.contains("# TYPE shareddb_scan_rows_skipped_total counter"));
     assert!(metrics.contains("# TYPE shareddb_scan_queries_total counter"));
+    assert!(metrics.contains("# TYPE shareddb_scan_cycles_total counter"));
+
+    // A cart's lines are found through SCL_CART: SHOPPING_CART_LINE is never
+    // walked for them.
+    let cart = [Value::Int(3)];
+    let in_cart = run(&mut conn, "getCart", &cart);
+    assert_eq!(in_cart.len(), 1);
+    same_as_classic("getCart", &cart, &in_cart);
+    let metrics = server.metrics_text();
+    assert_eq!(scan_cycles(&metrics, "SHOPPING_CART_LINE"), [0, 1]);
+    assert_eq!(scan_rows(&metrics, "SHOPPING_CART_LINE"), [1, 1, 0]);
 
     // The latest orders only: the old chunks are left out, their versions
     // counted, and the reply is the query-at-a-time engine's.
     let latest = [subject.clone(), Value::Int(threshold)];
-    let same_as_classic = |rows: &[Vec<Value>]| {
-        let classic = classic.execute_sync("getBestSellers", &latest).unwrap();
-        assert!(rows
-            .iter()
-            .map(Vec::as_slice)
-            .eq(classic.iter().map(|row| row.values())));
-    };
     let best = run(&mut conn, "getBestSellers", &latest);
     assert!(!best.is_empty());
-    same_as_classic(&best);
+    same_as_classic("getBestSellers", &latest, &best);
     let [examined, emitted, skipped] = scan_rows(&server.metrics_text(), "ORDER_LINE");
     assert_eq!([examined, skipped], [3 * lines - old, old]);
     assert!(emitted < 2 * lines + (lines - old));
 
     // A title search (LIKE) in the cycle of a best-sellers query: the ITEM
-    // scan they share leaves nothing out, the ORDER_LINE scan still does.
-    // The heartbeat makes sharing a batch all but certain, the batch counter
-    // makes it known; a round that did not share is run again.
-    // (Scan passes so far: seven over ITEM, three over ORDER_LINE, of which
-    // the first two left nothing out.)
-    let (mut item_passes, mut line_passes) = (7, 3);
+    // cycle they share is a pass again — one query without an indexed
+    // equality needs it anyway — that leaves nothing out; the ORDER_LINE
+    // scan still does. The heartbeat makes sharing a batch all but certain,
+    // the batch counter makes it known; a round that did not share is run
+    // again.
+    // (Cycles so far: one pass over ITEM and six served from ITEM_SUBJECT,
+    // three passes over ORDER_LINE, of which the first two left nothing out.)
+    let (mut item_passes, mut item_probes, mut line_passes) = (1, 6, 3);
+    let title = [Value::text("%BOOK 1%")];
     let shared = (0..5).any(|_| {
         let batches = server.engine_stats().unwrap().batches;
         let best = conn.prepare("getBestSellers").unwrap();
         let search = conn.prepare("doTitleSearch").unwrap();
         let best = conn.submit(&best, &latest).unwrap();
-        let search = conn.submit(&search, &[Value::text("%BOOK 1%")]).unwrap();
-        same_as_classic(conn.wait(best).unwrap().rows());
-        assert!(!conn.wait(search).unwrap().rows().is_empty());
+        let search = conn.submit(&search, &title).unwrap();
+        same_as_classic("getBestSellers", &latest, conn.wait(best).unwrap().rows());
+        let found = conn.wait(search).unwrap();
+        assert!(!found.rows().is_empty());
+        same_as_classic("doTitleSearch", &title, found.rows());
         let batches = server.engine_stats().unwrap().batches - batches;
-        item_passes += batches;
+        // Apart, the best sellers are served from the index once more.
+        item_passes += 1;
+        item_probes += batches - 1;
         line_passes += 1;
         batches == 1
     });
     assert!(shared, "the two statements never shared a batch");
     let metrics = server.metrics_text();
+    assert_eq!(scan_cycles(&metrics, "ITEM"), [item_passes, item_probes]);
     let [examined, _, skipped] = scan_rows(&metrics, "ITEM");
-    assert_eq!([examined, skipped], [item_passes * items, 0]);
+    assert_eq!(
+        [examined, skipped],
+        [item_passes * items + item_probes * arts, 0]
+    );
     let [examined, _, skipped] = scan_rows(&metrics, "ORDER_LINE");
     let skipping_passes = line_passes - 2;
     assert_eq!(skipped, skipping_passes * old);
     assert_eq!(examined, line_passes * lines - skipped);
+    assert_eq!(scan_cycles(&metrics, "ORDER_LINE"), [line_passes, 0]);
 
     // A line that arrives late for an old order lands in the tail chunk and
     // widens that chunk's zone alone; the next best-sellers query leaves out
@@ -833,15 +871,28 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     assert_eq!(order_zones(), widened);
     let best = run(&mut conn, "getBestSellers", &latest);
     assert_eq!(best[0][0], an_art);
-    same_as_classic(&best);
+    same_as_classic("getBestSellers", &latest, &best);
     let [examined, _, skipped] = scan_rows(&server.metrics_text(), "ORDER_LINE");
     assert_eq!(skipped, (skipping_passes + 1) * old);
     assert_eq!(examined, (line_passes + 1) * lines + 1 - skipped);
 
     for (statement, classes) in [
-        ("getBestSellers", &["eq(I_SUBJECT)", "range(OL_O_ID)"][..]),
-        ("doSubjectSearch", &["eq(I_SUBJECT)"][..]),
-        ("doTitleSearch", &["residual"][..]),
+        (
+            "getBestSellers",
+            &[
+                "eq(I_SUBJECT) · index(ITEM_SUBJECT) when the cycle allows",
+                "range(OL_O_ID) · scan",
+            ][..],
+        ),
+        (
+            "doSubjectSearch",
+            &["eq(I_SUBJECT) · index(ITEM_SUBJECT) when the cycle allows"][..],
+        ),
+        ("doTitleSearch", &["residual · scan"][..]),
+        (
+            "getCart",
+            &["eq(SCL_SC_ID) · index(SCL_CART) when the cycle allows"][..],
+        ),
     ] {
         let text = conn.explain(statement, false).unwrap().text;
         let shown: Vec<&str> = text

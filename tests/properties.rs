@@ -281,3 +281,95 @@ proptest! {
         prop_assert_eq!(table.read().scan(before).count(), 100);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Index look-ups agree with `sql_cmp`
+// ---------------------------------------------------------------------------
+
+/// `Int(5) = Date(5)` under `sql_cmp` — what a scan and `Expr::eval` go by —
+/// while the B-tree and the key map file the two apart. Every index look-up
+/// spells its key both ways: the shared index probe, the index nested-loops
+/// join, and the query-at-a-time baseline find what the scan finds.
+#[test]
+fn index_probe_spells_int_and_date_alike() {
+    use shareddb::baseline::exec::{execute_plan, QueryPlan};
+    use shareddb::common::{tuple, DataType, Expr};
+    use shareddb::storage::{IndexDef, IndexProbe, ProbeQuery, TableDef};
+
+    let catalog = Catalog::new();
+    let items = TableDef::new("ITEM")
+        .column("I_ID", DataType::Int)
+        .column("I_PUB", DataType::Date)
+        .primary_key(&["I_ID"]);
+    catalog.create_table(items).unwrap();
+    let (name, table, column) = ("ITEM_PUB".into(), "ITEM".into(), "I_PUB".into());
+    let by_date = IndexDef {
+        name,
+        table,
+        column,
+    };
+    catalog.create_index(by_date).unwrap();
+    let orders = TableDef::new("ORDERS")
+        .column("O_ID", DataType::Int)
+        .column("O_DATE", DataType::Date)
+        .primary_key(&["O_ID"]);
+    catalog.create_table(orders).unwrap();
+    let dated = |id: i64, day: i64| tuple![id, Value::Date(day)];
+    let rows = vec![dated(4, 5), dated(5, 9), dated(6, 5)];
+    catalog.bulk_load("ITEM", rows).unwrap();
+    catalog.bulk_load("ORDERS", vec![dated(1, 5)]).unwrap();
+    let snapshot = catalog.snapshot();
+    let ids = |rows: Vec<Tuple>| -> Vec<i64> {
+        let mut ids: Vec<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        ids.sort_unstable();
+        ids
+    };
+    // (column, the key as the column does not spell it, the rows a scan finds)
+    for (column, key, expected) in [(0, Value::Date(5), vec![5]), (1, Value::Int(5), vec![4, 6])] {
+        let equals = Expr::col(column).eq(Expr::Literal(key.clone()));
+        let scanned = execute_plan(
+            &catalog,
+            &QueryPlan::scan_where("ITEM", equals),
+            &[],
+            snapshot,
+        );
+        assert_eq!(ids(scanned.unwrap().rows), expected);
+        let probe = IndexProbe::new(catalog.table("ITEM").unwrap(), catalog.oracle());
+        let probed = probe.execute_batch(&[ProbeQuery::key(QueryId(1), column, key.clone())], &[]);
+        let probed = probed.unwrap().tuples;
+        assert_eq!(ids(probed.into_iter().map(|t| t.tuple).collect()), expected);
+        let lookup = QueryPlan::IndexLookup {
+            table: "ITEM".into(),
+            column,
+            key: Expr::param(0),
+            residual: None,
+        };
+        let looked_up = execute_plan(&catalog, &lookup, &[key], snapshot);
+        assert_eq!(ids(looked_up.unwrap().rows), expected);
+    }
+    // ORDERS.O_DATE (a date) joined into ITEM.I_ID (integers): order 1 of
+    // day 5 meets item 5.
+    let ctx = ExecContext {
+        catalog: &catalog,
+        snapshot,
+    };
+    let join = OperatorSpec::IndexNlJoin {
+        table: "ITEM".into(),
+        outer_key: 1,
+        inner_column: 0,
+    };
+    let outer = vec![QTuple::new(dated(1, 5), qs(&[1]))];
+    let activations = [(QueryId(1), Activation::Participate)];
+    let joined = execute_operator(&join, &activations, vec![outer], &ctx).unwrap();
+    let expected = tuple![1i64, Value::Date(5), 5i64, Value::Date(9)];
+    assert_eq!(joined.len(), 1);
+    assert_eq!(joined[0].tuple, expected);
+    let classic = QueryPlan::IndexNlJoin {
+        outer: Box::new(QueryPlan::scan("ORDERS")),
+        table: "ITEM".into(),
+        outer_key: 1,
+        inner_column: 0,
+    };
+    let joined = execute_plan(&catalog, &classic, &[], snapshot).unwrap();
+    assert_eq!(joined.rows, vec![expected]);
+}
