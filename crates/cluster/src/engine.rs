@@ -143,14 +143,12 @@ impl ClusterEngine {
         // Read-your-writes: a fanned-out execution pins one snapshot for
         // every partition, so that snapshot itself must already cover the
         // session's last write — the per-engine fence deferral cannot help a
-        // query that brings its own (older) snapshot. Bounded wait, matching
-        // the engine coordinator's fence cap: a wedged writer must not hang
-        // the submitting session forever.
+        // query that brings its own (older) snapshot. The wait is bounded,
+        // matching the engine coordinator's fence cap: at the cap the read
+        // proceeds on the current snapshot, as an unfenced read would — a
+        // wedged writer must not hang the submitting session forever.
         if let Some(fence) = &opts.read_after {
-            let waited = Instant::now();
-            while fence.committed_ts().is_none() && waited.elapsed() < FENCE_WAIT_CAP {
-                std::thread::sleep(Duration::from_micros(100));
-            }
+            let _ = fence.wait_resolved(FENCE_WAIT_CAP);
         }
         // One MVCC snapshot per fanned-out execution: every partition reads
         // the same version set, so the merged result is indistinguishable
@@ -223,6 +221,10 @@ impl ClusterEngine {
             total.updates += stats.updates;
             total.failed += stats.failed;
             total.result_rows += stats.result_rows;
+            total.tasks_run_by_coordinator += stats.tasks_run_by_coordinator;
+            total.tasks_run_by_workers += stats.tasks_run_by_workers;
+            total.worker_wakeups += stats.worker_wakeups;
+            total.executor_threads += stats.executor_threads;
             total.max_latency = total.max_latency.max(stats.max_latency);
             total.histogram.merge_from(&stats.histogram);
             total.occupancy.merge_from(&stats.occupancy);
@@ -1460,5 +1462,51 @@ mod tests {
             );
             write.wait().unwrap();
         }
+    }
+
+    /// A fan-out read whose session fence is unresolved blocks in `submit`
+    /// until the fence resolves — woken by the resolve, not by a poll or by
+    /// the one-second cap.
+    #[test]
+    fn fanout_read_returns_when_its_fence_resolves() {
+        let config = ClusterConfig {
+            replicate_statements: vec!["allItems".into()],
+            ..ClusterConfig::default()
+        };
+        let cluster = start(2, config);
+        cluster.execute_sync("allItems", &[]).unwrap();
+        let fence = Arc::new(shareddb_core::WriteFence::new());
+        let watermark = cluster.catalog().oracle().read_ts().ts.0;
+        let resolver = {
+            let fence = Arc::clone(&fence);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                let about_to_resolve = Instant::now();
+                fence.resolve(watermark);
+                about_to_resolve
+            })
+        };
+        let handle = cluster
+            .submit(
+                "allItems",
+                &[],
+                SubmitOptions {
+                    read_after: Some(fence),
+                    ..SubmitOptions::default()
+                },
+            )
+            .unwrap();
+        let submitted = Instant::now();
+        let about_to_resolve = resolver.join().unwrap();
+        assert!(
+            submitted >= about_to_resolve,
+            "the fenced fan-out read was submitted before its fence resolved"
+        );
+        let late = submitted - about_to_resolve;
+        assert!(
+            late < Duration::from_millis(100),
+            "submit returned {late:?} after the resolve: it slept through it"
+        );
+        assert_eq!(handle.wait().unwrap().rows().len(), 200);
     }
 }

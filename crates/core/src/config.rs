@@ -114,9 +114,12 @@ pub struct EngineConfig {
     /// Maximum number of queries and updates admitted into one batch; `0`
     /// means unlimited. Bounding the batch bounds the latency of a cycle.
     pub max_batch_size: usize,
-    /// Number of CPU cores the engine may use concurrently. This models the
-    /// `maxcpus` knob of Section 5.1: operators still exist as threads, but at
-    /// most `core_budget` of them execute a cycle at any moment.
+    /// Number of CPU cores the engine may use concurrently — the `maxcpus`
+    /// knob of Section 5.1. It is the number of threads that run operator
+    /// cycles: the coordinator plus `core_budget − 1` pool threads (no
+    /// semaphore: a thread that does not exist cannot take a core).
+    /// `usize::MAX`, the default, means the machine's
+    /// `available_parallelism()`.
     pub core_budget: usize,
     /// If true, the engine processes an available batch immediately instead of
     /// waiting for the full heartbeat interval (keeps latency low under light
@@ -132,11 +135,12 @@ pub struct EngineConfig {
     /// Number of row segments each table is logically split into for
     /// intra-engine parallel shared scans (the paper's Crescando substrate
     /// runs one clock scan per core over a data partition). Eligible queries
-    /// (see [`crate::scatter::scatter_spec`]) execute segment-parallel on an
-    /// engine-owned worker pool and recombine per batch through
-    /// [`crate::merge::MergeSpec`]; updates always stay unsegmented (the
-    /// single-writer group commit is untouched). `1` (the default) compiles
-    /// to the exact pre-segmentation inline path: no pool, no merge step.
+    /// (see [`crate::scatter::scatter_spec`]) execute once per segment, each
+    /// segment a task of the engine's executor, and recombine per batch
+    /// through [`crate::merge::MergeSpec`]; updates always stay unsegmented
+    /// (the single-writer group commit is untouched). `1` (the default)
+    /// compiles to the exact pre-segmentation path: no segment task, no
+    /// merge step.
     /// `0` is rejected by [`crate::Engine::start`].
     pub scan_segments: usize,
     /// Statement types forced into the *light* admission lane, overriding the

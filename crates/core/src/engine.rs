@@ -2,32 +2,33 @@
 //!
 //! The engine owns:
 //!
-//! * one **operator thread per plan node** (Section 4.3: "all database
-//!   operators are executed in a separate hardware context"),
 //! * an **admission queue** where freshly submitted queries and updates wait
 //!   while the current batch is processed (Section 3.2),
 //! * a **coordinator thread** that drains the admission queue at every
-//!   heartbeat, forms a [`QueryBatch`], wires per-batch data channels between
-//!   the operator threads, applies the batch's updates (group commit), routes
-//!   the roots' outputs back to the waiting clients (the Γ(query_id) step) and
-//!   records statistics,
-//! * with `EngineConfig::scan_segments > 1`, a **segment worker pool**: the
-//!   coordinator splits each batch into a *whole lane* (the operator threads,
-//!   as above) and a *segment lane* — queries whose statement shape has a
-//!   [`crate::scatter::ScatterSpec`] are rewritten into one activation set per
-//!   row segment, each segment executes the plan on a pool worker, and the
-//!   partial results recombine through [`crate::merge::merge_results`] before
-//!   routing. Updates are never segmented (single-writer group commit), and
-//!   every segment of a batch reads the batch's one snapshot.
+//!   heartbeat, forms a [`QueryBatch`], applies the batch's updates (group
+//!   commit), hands the batch's operator cycles to the executor and works
+//!   them off beside its pool, routes the roots' outputs back to the waiting
+//!   clients (the Γ(query_id) step) and records statistics,
+//! * the **executor** ([`crate::executor`]): one operator cycle is one task,
+//!   one thread is one core (Section 4.3: "when fewer cores than operators
+//!   are available, operators share cores"). Only the operators a batch
+//!   activates get a task; statements complete when the batch's last task
+//!   has finished,
+//! * with `EngineConfig::scan_segments > 1`, a **segment lane**: queries
+//!   whose statement shape has a [`crate::scatter::ScatterSpec`] are
+//!   rewritten into one activation set per row segment, each segment is one
+//!   more task of the batch (a walk of the plan over that segment), and the
+//!   partial results recombine through [`crate::merge::merge_results`]
+//!   before routing. Updates are never segmented (single-writer group
+//!   commit), and every segment of a batch reads the batch's one snapshot.
 //!
 //! Clients interact through [`Engine::execute`] (asynchronous, returns a
 //! [`QueryHandle`]) or [`Engine::execute_sync`].
 
 use crate::batch::{bind_query, bind_update, Activation, ActiveQuery, ActiveUpdate, QueryBatch};
-use crate::budget::CoreBudget;
 use crate::config::{EngineConfig, HeartbeatPolicy};
+use crate::executor::{Activations, Executor, NodeRun, Run};
 use crate::merge::{merge_results, MergeSpec};
-use crate::operators::{execute_on, ExecContext};
 use crate::plan::{GlobalPlan, OperatorId, OperatorSpec, StatementKind, StatementRegistry};
 use crate::scatter::{scatter_spec, ScatterSpec};
 use crate::stats::{
@@ -158,60 +159,8 @@ impl QueryHandle {
 // Internal messages
 // ---------------------------------------------------------------------------
 
-type TaskData = Arc<Vec<QTuple>>;
-
 /// Γ routing table of one lane: root operator → query → that query's rows.
 type RoutingTable = HashMap<OperatorId, HashMap<QueryId, Vec<Tuple>>>;
-
-struct OperatorTask {
-    activations: Vec<(QueryId, Activation)>,
-    inputs: Vec<Receiver<TaskData>>,
-    outputs: Vec<Sender<TaskData>>,
-    collector: Option<Sender<(OperatorId, TaskData)>>,
-    done: Sender<OperatorDone>,
-    snapshot: Snapshot,
-}
-
-struct OperatorDone {
-    id: OperatorId,
-    result: Result<usize>,
-    busy: Duration,
-    had_queries: bool,
-}
-
-enum OperatorMessage {
-    Task(Box<OperatorTask>),
-    Shutdown,
-}
-
-/// One segment lane of one batch: the full plan, restricted to the
-/// segment-eligible queries, over one row segment `(segment, of)`. A pool
-/// worker executes the plan nodes **sequentially in id order** (plan ids are
-/// topological), materialising each node's output for its consumers — no
-/// per-segment channel mesh, no cross-segment synchronisation until the
-/// coordinator's merge barrier.
-struct SegmentJob {
-    segment: u32,
-    /// Bound activations per plan node (indexed by operator id); nodes with
-    /// no activations are skipped.
-    activations: Vec<Vec<(QueryId, Activation)>>,
-    /// Root operators whose output the coordinator needs for merging.
-    collect: Vec<bool>,
-    snapshot: Snapshot,
-    done: Sender<SegmentDone>,
-}
-
-struct SegmentDone {
-    segment: u32,
-    /// `(tuples_out, busy)` per executed plan node (`None` = not executed in
-    /// this lane). Feeds the per-operator counters without double-counting:
-    /// the coordinator folds lanes with max-busy / summed-tuples.
-    node_stats: Vec<Option<(usize, Duration)>>,
-    /// Root outputs by operator id, or the first node failure.
-    outputs: Result<HashMap<OperatorId, Vec<QTuple>>>,
-    /// Wall-clock duration of the whole segment job.
-    busy: Duration,
-}
 
 enum Submission {
     Query(ActiveQuery),
@@ -306,6 +255,11 @@ pub struct WriteFence {
     /// mean "not yet resolved" even when the watermark itself is 0 (a write
     /// that failed before anything ever committed constrains no read).
     ts_plus_one: AtomicU64,
+    /// Parks the callers of [`WriteFence::wait_resolved`]. `resolve`
+    /// notifies under the lock, so a waiter that has looked and not yet
+    /// parked cannot miss it; `committed_ts` never takes it.
+    waiting: Mutex<()>,
+    resolved: Condvar,
 }
 
 impl WriteFence {
@@ -319,6 +273,8 @@ impl WriteFence {
     pub fn resolve(&self, ts: u64) {
         self.ts_plus_one
             .fetch_max(ts.saturating_add(1), Ordering::Release);
+        let _waiting = self.waiting.lock();
+        self.resolved.notify_all();
     }
 
     /// The committed watermark covering the write, once resolved.
@@ -326,6 +282,24 @@ impl WriteFence {
         match self.ts_plus_one.load(Ordering::Acquire) {
             0 => None,
             v => Some(v - 1),
+        }
+    }
+
+    /// Blocks until the fence is resolved and returns its watermark, or
+    /// `None` when `timeout` passes first — the caller then proceeds as if
+    /// there were no fence: a wedged writer must not hang its session.
+    pub fn wait_resolved(&self, timeout: Duration) -> Option<u64> {
+        let deadline = Instant::now() + timeout;
+        let mut waiting = self.waiting.lock();
+        loop {
+            if let Some(ts) = self.committed_ts() {
+                return Some(ts);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            self.resolved.wait_for(&mut waiting, left);
         }
     }
 }
@@ -427,7 +401,7 @@ struct EngineInner {
     query_ids: QueryIdGenerator,
     tickets: TicketGenerator,
     shutdown: AtomicBool,
-    stats: EngineStats,
+    stats: Arc<EngineStats>,
     /// Start of the current statistics window (engine start, or the last
     /// [`Engine::reset_stats`]); the wall clock for busy-fraction numbers.
     stats_epoch: Mutex<Instant>,
@@ -436,18 +410,16 @@ struct EngineInner {
     /// `operator_stats` from the same folded per-batch numbers (so attributed
     /// busy times sum exactly to the per-operator busy counters).
     attribution: AttributionTable,
-    operator_senders: Vec<Sender<OperatorMessage>>,
-    /// The scan and probe operators of the plan (shared with the operator
-    /// threads); held here for their counters.
+    /// Runs each batch's operator cycles and segment jobs as tasks.
+    executor: Arc<Executor>,
+    /// The scan and probe operators of the plan (shared with the executor);
+    /// held here for their counters.
     storage_ops: Arc<Vec<Option<StorageOperator>>>,
     trace: TraceJournal,
     /// Per-statement partitionability analysis, precomputed at start; `None`
     /// for updates and shapes the walker does not recognise. Only populated
     /// when `config.scan_segments > 1`.
     scatter_specs: Vec<Option<ScatterSpec>>,
-    /// Job channel of the segment worker pool (`None` when segmenting is
-    /// off); taken and dropped on shutdown to disconnect the workers.
-    segment_jobs: Mutex<Option<Sender<SegmentJob>>>,
     /// One counter slot per segment lane (empty when segmenting is off).
     segment_stats: Vec<SegmentStats>,
 }
@@ -456,13 +428,12 @@ struct EngineInner {
 pub struct Engine {
     inner: Arc<EngineInner>,
     coordinator: Option<JoinHandle<()>>,
-    operators: Vec<JoinHandle<()>>,
-    segment_workers: Vec<JoinHandle<()>>,
 }
 
 impl Engine {
-    /// Starts the engine: spawns one thread per plan operator plus the
-    /// coordinator thread.
+    /// Starts the engine: spawns the coordinator thread and the executor's
+    /// pool — `core_budget − 1` threads when a budget is set, else one fewer
+    /// than the machine's cores — whatever the size of the plan.
     pub fn start(
         catalog: Arc<Catalog>,
         plan: GlobalPlan,
@@ -476,7 +447,6 @@ impl Engine {
             ));
         }
         let storage_ops = Arc::new(build_storage_operators(&catalog, &plan)?);
-        let budget = CoreBudget::new(config.core_budget);
 
         // Which statement shapes may run segment-parallel, and how their
         // partial results recombine. The analysis is per statement type, so
@@ -490,35 +460,6 @@ impl Engine {
             registry.iter().map(|_| None).collect()
         };
 
-        let mut operator_senders = Vec::with_capacity(plan.len());
-        let mut operator_receivers = Vec::with_capacity(plan.len());
-        for _ in 0..plan.len() {
-            let (tx, rx) = unbounded::<OperatorMessage>();
-            operator_senders.push(tx);
-            operator_receivers.push(rx);
-        }
-
-        // Segment worker pool: one worker per segment lane, all draining one
-        // shared job channel, so a batch's N segment jobs run concurrently.
-        let mut segment_workers = Vec::new();
-        let segment_jobs = if config.scan_segments > 1 {
-            let (tx, rx) = unbounded::<SegmentJob>();
-            for i in 0..config.scan_segments {
-                let rx = rx.clone();
-                let plan = plan.clone();
-                let storage_ops = Arc::clone(&storage_ops);
-                let catalog = Arc::clone(&catalog);
-                let budget = budget.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("shareddb-seg-{i}"))
-                    .spawn(move || segment_worker_loop(rx, plan, storage_ops, catalog, budget))
-                    .map_err(|e| Error::Internal(format!("failed to spawn segment worker: {e}")))?;
-                segment_workers.push(handle);
-            }
-            Some(tx)
-        } else {
-            None
-        };
         let segment_stats: Vec<SegmentStats> = if config.scan_segments > 1 {
             (0..config.scan_segments)
                 .map(|_| SegmentStats::default())
@@ -541,6 +482,19 @@ impl Engine {
             .map(|(i, _)| i)
             .collect();
         let initial_heartbeat_us = config.heartbeat.initial_interval().as_micros() as u64;
+        let stats = Arc::new(EngineStats::with_statements(statement_names.clone()));
+        let workers = if config.core_budget == usize::MAX {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            config.core_budget
+        };
+        let executor = Executor::start(
+            plan.clone(),
+            Arc::clone(&storage_ops),
+            Arc::clone(&catalog),
+            Arc::clone(&stats),
+            workers,
+        )?;
         let inner = Arc::new(EngineInner {
             catalog: Arc::clone(&catalog),
             plan: plan.clone(),
@@ -558,47 +512,33 @@ impl Engine {
             query_ids: QueryIdGenerator::new(),
             tickets: TicketGenerator::new(),
             shutdown: AtomicBool::new(false),
-            stats: EngineStats::with_statements(statement_names.clone()),
+            stats,
             stats_epoch: Mutex::new(Instant::now()),
             operator_stats: (0..plan.len()).map(|_| OperatorStats::default()).collect(),
             attribution: AttributionTable::new(
                 plan.nodes().iter().map(|n| n.name.clone()).collect(),
                 statement_names,
             ),
-            operator_senders,
-            storage_ops: Arc::clone(&storage_ops),
+            executor,
+            storage_ops,
             trace,
             scatter_specs,
-            segment_jobs: Mutex::new(segment_jobs),
             segment_stats,
         });
-
-        // Operator threads.
-        let mut operators = Vec::with_capacity(plan.len());
-        for (node, rx) in plan.nodes().iter().zip(operator_receivers) {
-            let node = node.clone();
-            let storage_ops = Arc::clone(&storage_ops);
-            let catalog = Arc::clone(&catalog);
-            let budget = budget.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("shareddb-op-{}", node.name))
-                .spawn(move || operator_loop(node.id, node, rx, storage_ops, catalog, budget))
-                .map_err(|e| Error::Internal(format!("failed to spawn operator thread: {e}")))?;
-            operators.push(handle);
-        }
 
         // Coordinator thread.
         let coordinator_inner = Arc::clone(&inner);
         let coordinator = std::thread::Builder::new()
             .name("shareddb-coordinator".to_string())
             .spawn(move || coordinator_loop(coordinator_inner))
-            .map_err(|e| Error::Internal(format!("failed to spawn coordinator: {e}")))?;
+            .map_err(|e| {
+                inner.executor.shutdown();
+                Error::Internal(format!("failed to spawn coordinator: {e}"))
+            })?;
 
         Ok(Engine {
             inner,
             coordinator: Some(coordinator),
-            operators,
-            segment_workers,
         })
     }
 
@@ -700,7 +640,10 @@ impl Engine {
 
     /// Engine-level statistics.
     pub fn stats(&self) -> EngineStatsSnapshot {
-        self.inner.stats.snapshot()
+        EngineStatsSnapshot {
+            executor_threads: self.inner.executor.threads(),
+            ..self.inner.stats.snapshot()
+        }
     }
 
     /// Per-operator statistics.
@@ -838,183 +781,15 @@ impl Engine {
         if let Some(handle) = self.coordinator.take() {
             let _ = handle.join();
         }
-        // Disconnect the segment pool's job channel after the coordinator is
-        // gone (it is the only sender of jobs); the workers' recv fails and
-        // they exit.
-        drop(self.inner.segment_jobs.lock().take());
-        for handle in self.segment_workers.drain(..) {
-            let _ = handle.join();
-        }
-        for sender in &self.inner.operator_senders {
-            let _ = sender.send(OperatorMessage::Shutdown);
-        }
-        for handle in self.operators.drain(..) {
-            let _ = handle.join();
-        }
+        // The coordinator is the only source of runs: with it gone the pool
+        // is idle.
+        self.inner.executor.shutdown();
     }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Operator threads
-// ---------------------------------------------------------------------------
-
-fn operator_loop(
-    id: OperatorId,
-    node: crate::plan::OperatorNode,
-    receiver: Receiver<OperatorMessage>,
-    storage_ops: Arc<Vec<Option<StorageOperator>>>,
-    catalog: Arc<Catalog>,
-    budget: CoreBudget,
-) {
-    while let Ok(message) = receiver.recv() {
-        let task = match message {
-            OperatorMessage::Task(task) => task,
-            OperatorMessage::Shutdown => break,
-        };
-        // Gather the inputs of this batch first (waiting does not consume a
-        // core), then acquire a core permit for the actual processing. An
-        // input stays the producer's one shared vector: it is read, never
-        // copied, however many operators consume it.
-        let mut inputs: Vec<TaskData> = Vec::with_capacity(task.inputs.len());
-        let mut input_failed = false;
-        for rx in &task.inputs {
-            // A producer that failed hangs up; its error is reported through
-            // its own done message and fails the batch at the coordinator.
-            match rx.recv() {
-                Ok(data) => inputs.push(data),
-                Err(_) => input_failed = true,
-            }
-        }
-
-        let had_queries = !task.activations.is_empty();
-        let permit = budget.acquire();
-        let started = Instant::now();
-        let result: Result<Vec<QTuple>> = if input_failed {
-            Ok(Vec::new())
-        } else if let Some(storage) = &storage_ops[id] {
-            storage.execute(&task.activations)
-        } else {
-            let ctx = ExecContext {
-                catalog: &catalog,
-                snapshot: task.snapshot,
-            };
-            let inputs: Vec<&[QTuple]> = inputs.iter().map(|data| data.as_slice()).collect();
-            execute_on(&node.spec, &task.activations, &inputs, &ctx)
-        };
-        let busy = started.elapsed();
-        drop(permit);
-
-        match result {
-            Ok(tuples) => {
-                let count = tuples.len();
-                let data: TaskData = Arc::new(tuples);
-                for out in &task.outputs {
-                    let _ = out.send(Arc::clone(&data));
-                }
-                if let Some(collector) = &task.collector {
-                    let _ = collector.send((id, Arc::clone(&data)));
-                }
-                let _ = task.done.send(OperatorDone {
-                    id,
-                    result: Ok(count),
-                    busy,
-                    had_queries,
-                });
-            }
-            Err(e) => {
-                // Emit empty outputs so downstream operators do not hang, then
-                // report the failure.
-                let data: TaskData = Arc::new(Vec::new());
-                for out in &task.outputs {
-                    let _ = out.send(Arc::clone(&data));
-                }
-                if let Some(collector) = &task.collector {
-                    let _ = collector.send((id, Arc::clone(&data)));
-                }
-                let _ = task.done.send(OperatorDone {
-                    id,
-                    result: Err(e),
-                    busy,
-                    had_queries,
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segment workers
-// ---------------------------------------------------------------------------
-
-/// One pool worker of the segment-parallel scan path: executes whole-plan
-/// segment jobs, one at a time, holding one core-budget permit per job. Plan
-/// node ids are assigned in topological order, so a single forward pass with
-/// materialised per-node outputs respects every producer/consumer edge.
-fn segment_worker_loop(
-    jobs: Receiver<SegmentJob>,
-    plan: GlobalPlan,
-    storage_ops: Arc<Vec<Option<StorageOperator>>>,
-    catalog: Arc<Catalog>,
-    budget: CoreBudget,
-) {
-    while let Ok(job) = jobs.recv() {
-        let permit = budget.acquire();
-        let started = Instant::now();
-        let mut outputs: Vec<Vec<QTuple>> = vec![Vec::new(); plan.len()];
-        let mut node_stats: Vec<Option<(usize, Duration)>> = vec![None; plan.len()];
-        let mut failure: Option<Error> = None;
-        for node in plan.nodes() {
-            let activations = &job.activations[node.id];
-            if activations.is_empty() {
-                continue;
-            }
-            let node_started = Instant::now();
-            let result = if let Some(storage) = &storage_ops[node.id] {
-                storage.execute(activations)
-            } else {
-                let inputs: Vec<&[QTuple]> =
-                    node.inputs.iter().map(|i| outputs[*i].as_slice()).collect();
-                let ctx = ExecContext {
-                    catalog: &catalog,
-                    snapshot: job.snapshot,
-                };
-                execute_on(&node.spec, activations, &inputs, &ctx)
-            };
-            match result {
-                Ok(tuples) => {
-                    node_stats[node.id] = Some((tuples.len(), node_started.elapsed()));
-                    outputs[node.id] = tuples;
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let busy = started.elapsed();
-        drop(permit);
-        let result = match failure {
-            Some(e) => Err(e),
-            None => Ok(job
-                .collect
-                .iter()
-                .enumerate()
-                .filter(|(_, wanted)| **wanted)
-                .map(|(id, _)| (id, std::mem::take(&mut outputs[id])))
-                .collect()),
-        };
-        let _ = job.done.send(SegmentDone {
-            segment: job.segment,
-            node_stats,
-            outputs: result,
-            busy,
-        });
     }
 }
 
@@ -1464,12 +1239,12 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
     let plan = &inner.plan;
     let segments = inner.config.scan_segments as u32;
 
-    // Lane split. Queries whose statement shape is partitionable run
-    // segment-parallel on the worker pool (segment lane); everything else —
-    // and everything, when segmenting is off — runs on the operator threads
-    // exactly as before (whole lane). Both lanes execute against this
-    // batch's single snapshot, so the split is invisible to MVCC, and
-    // updates were already applied in Phase 1, never segmented.
+    // Lane split. Queries whose statement shape is partitionable run once
+    // per row segment, each segment one task (segment lane); everything else
+    // — and everything, when segmenting is off — runs one task per active
+    // operator (whole lane). Both lanes execute against this batch's single
+    // snapshot, so the split is invisible to MVCC, and updates were already
+    // applied in Phase 1, never segmented.
     let mut whole_lane: Vec<&ActiveQuery> = Vec::new();
     let mut seg_lane: Vec<&ActiveQuery> = Vec::new();
     for q in &batch.queries {
@@ -1480,31 +1255,26 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         }
     }
 
-    // Whole lane: per-operator activations and router subscriptions.
-    let mut collect: Vec<bool> = vec![false; plan.len()];
-    let mut node_activations: Vec<Vec<(QueryId, Activation)>> =
-        (0..plan.len()).map(|_| Vec::new()).collect();
+    // Whole lane: per-operator activations.
+    let mut nodes: Vec<NodeRun> = (0..plan.len()).map(|_| NodeRun::default()).collect();
     for q in &whole_lane {
-        collect[q.root] = true;
         for (op, activation) in &q.activations {
-            node_activations[*op].push((q.query_id, activation.clone()));
+            nodes[*op]
+                .activations
+                .push((q.query_id, activation.clone()));
         }
     }
 
     // Segment lane: rewrite each eligible query's activations per row
-    // segment and dispatch one whole-plan job per segment to the pool.
-    let (segment_done_tx, segment_done_rx) = unbounded::<SegmentDone>();
-    let mut seg_error: Option<Error> = None;
-    let mut dispatched_segments: u32 = 0;
+    // segment; each segment is one more task of the run.
+    let mut segment_roots: Vec<bool> = vec![false; plan.len()];
+    let mut segment_runs = Vec::new();
     if !seg_lane.is_empty() {
-        let mut seg_collect: Vec<bool> = vec![false; plan.len()];
         for q in &seg_lane {
-            seg_collect[q.root] = true;
+            segment_roots[q.root] = true;
         }
-        let jobs = inner.segment_jobs.lock();
         for s in 0..segments {
-            let mut activations: Vec<Vec<(QueryId, Activation)>> =
-                (0..plan.len()).map(|_| Vec::new()).collect();
+            let mut activations: Vec<Activations> = vec![Vec::new(); plan.len()];
             for q in &seg_lane {
                 let spec = inner.scatter_specs[q.statement_index]
                     .as_ref()
@@ -1516,146 +1286,77 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
                     ));
                 }
             }
-            let job = SegmentJob {
-                segment: s,
-                activations,
-                collect: seg_collect.clone(),
-                snapshot,
-                done: segment_done_tx.clone(),
-            };
-            match jobs.as_ref() {
-                Some(tx) if tx.send(job).is_ok() => dispatched_segments += 1,
-                _ => {
-                    seg_error = Some(Error::EngineShutdown);
-                    break;
-                }
-            }
+            segment_runs.push((activations, Default::default()));
         }
     }
-    drop(segment_done_tx);
 
-    // Build the per-batch data channels along plan edges (whole lane).
-    let mut input_receivers: Vec<Vec<Receiver<TaskData>>> =
-        (0..plan.len()).map(|_| Vec::new()).collect();
-    let mut output_senders: Vec<Vec<Sender<TaskData>>> =
-        (0..plan.len()).map(|_| Vec::new()).collect();
-    for node in plan.nodes() {
-        for &input in &node.inputs {
-            let (tx, rx) = unbounded::<TaskData>();
-            output_senders[input].push(tx);
-            input_receivers[node.id].push(rx);
-        }
-    }
-    let (collector_tx, collector_rx) = unbounded::<(OperatorId, TaskData)>();
-    let (done_tx, done_rx) = unbounded::<OperatorDone>();
+    // Always-on plan, on shared cores: every operator counts the cycle, but
+    // only those with an activation get a task. The coordinator works the
+    // tasks off beside the pool and comes back when the last has finished.
+    let run = inner.executor.run(Run {
+        snapshot,
+        nodes,
+        segments: segment_runs,
+        segment_roots,
+    });
 
-    let expected_collects = collect.iter().filter(|&&c| c).count();
-
-    // Dispatch one task per operator (always-on plan: every operator runs
-    // every cycle, possibly with zero active queries).
-    let mut receivers_iter: Vec<Vec<Receiver<TaskData>>> = input_receivers;
-    let mut senders_iter: Vec<Vec<Sender<TaskData>>> = output_senders;
-    let mut activations_iter = node_activations;
-    for node in plan.nodes() {
-        let task = OperatorTask {
-            activations: std::mem::take(&mut activations_iter[node.id]),
-            inputs: std::mem::take(&mut receivers_iter[node.id]),
-            outputs: std::mem::take(&mut senders_iter[node.id]),
-            collector: if collect[node.id] {
-                Some(collector_tx.clone())
-            } else {
-                None
-            },
-            done: done_tx.clone(),
-            snapshot,
-        };
-        let _ = inner.operator_senders[node.id].send(OperatorMessage::Task(Box::new(task)));
-    }
-    drop(collector_tx);
-    drop(done_tx);
-
-    // Gather per-operator completion. Per-operator counters are recorded
-    // exactly ONCE per operator per batch, folding both lanes: tuples are
-    // SUMMED (the lanes' row sets are disjoint), busy is the MAXIMUM across
-    // lanes. The lanes run concurrently, so the max approximates the
-    // wall-clock busy union; summing would let N parallel segments multiply
-    // the reported busy-fraction and deflate tuples-per-active-cycle.
+    // Per-operator counters are recorded exactly ONCE per operator per
+    // batch, folding both lanes: tuples are SUMMED (the lanes' row sets are
+    // disjoint), busy is the MAXIMUM across lanes. The lanes run
+    // concurrently, so the max approximates the wall-clock busy union;
+    // summing would let N parallel segments multiply the reported
+    // busy-fraction and deflate tuples-per-active-cycle.
     let mut batch_error: Option<Error> = None;
     let mut active_operators = 0usize;
     let mut total_busy = Duration::ZERO;
     let mut op_tuples: Vec<usize> = vec![0; plan.len()];
     let mut op_busy: Vec<Duration> = vec![Duration::ZERO; plan.len()];
     let mut op_active: Vec<bool> = vec![false; plan.len()];
-    for _ in 0..plan.len() {
-        match done_rx.recv() {
-            Ok(done) => {
-                let tuples = match &done.result {
-                    Ok(n) => *n,
-                    Err(e) => {
-                        if batch_error.is_none() {
-                            batch_error = Some(e.clone());
-                        }
-                        0
-                    }
-                };
-                op_tuples[done.id] += tuples;
-                op_busy[done.id] = op_busy[done.id].max(done.busy);
-                op_active[done.id] |= done.had_queries;
-                total_busy += done.busy;
-                if done.had_queries {
-                    active_operators += 1;
-                    inner.trace.push(TraceEvent::OperatorFired {
-                        batch: batch.id.0,
-                        operator: done.id,
-                        tuples,
-                        busy_us: done.busy.as_micros() as u64,
-                    });
-                }
+    for (id, node) in run.nodes.iter().enumerate() {
+        let Some((result, busy)) = node.done.get() else {
+            continue;
+        };
+        let tuples = match result {
+            Ok(n) => *n,
+            Err(e) => {
+                batch_error.get_or_insert_with(|| e.clone());
+                0
             }
-            Err(_) => {
-                batch_error = Some(Error::Internal("operator thread disappeared".into()));
-                break;
-            }
-        }
+        };
+        op_tuples[id] = tuples;
+        op_busy[id] = *busy;
+        op_active[id] = true;
+        total_busy += *busy;
+        active_operators += 1;
+        inner.trace.push(TraceEvent::OperatorFired {
+            batch: batch.id.0,
+            operator: id,
+            tuples,
+            busy_us: busy.as_micros() as u64,
+        });
     }
 
-    // Merge barrier of the segment lane: gather every dispatched segment
-    // job. A failed segment fails only the segment lane's queries; the
-    // whole lane is unaffected (and vice versa).
-    let mut segment_outputs: Vec<Option<HashMap<OperatorId, Vec<QTuple>>>> =
-        (0..segments).map(|_| None).collect();
-    for _ in 0..dispatched_segments {
-        match segment_done_rx.recv() {
-            Ok(done) => {
-                total_busy += done.busy;
-                for (id, stats) in done.node_stats.iter().enumerate() {
-                    if let Some((tuples, busy)) = stats {
-                        op_tuples[id] += tuples;
-                        op_busy[id] = op_busy[id].max(*busy);
-                        op_active[id] = true;
-                    }
-                }
-                match done.outputs {
-                    Ok(outputs) => {
-                        let rows = outputs.values().map(|o| o.len()).sum();
-                        inner.segment_stats[done.segment as usize].record(rows, done.busy);
-                        segment_outputs[done.segment as usize] = Some(outputs);
-                    }
-                    Err(e) => {
-                        inner.segment_stats[done.segment as usize].record(0, done.busy);
-                        if seg_error.is_none() {
-                            seg_error = Some(e);
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                if seg_error.is_none() {
-                    seg_error = Some(Error::Internal("segment worker disappeared".into()));
-                }
-                break;
+    // The segment lane's share. A failed segment fails only the segment
+    // lane's queries; the whole lane is unaffected (and vice versa).
+    let mut seg_error: Option<Error> = None;
+    for (s, (_, done)) in run.segments.iter().enumerate() {
+        let done = done.get().expect("the run returns after its last task");
+        total_busy += done.busy;
+        for (id, stats) in done.node_stats.iter().enumerate() {
+            if let Some((tuples, busy)) = stats {
+                op_tuples[id] += tuples;
+                op_busy[id] = op_busy[id].max(*busy);
+                op_active[id] = true;
             }
         }
+        let rows = match &done.outputs {
+            Ok(outputs) => outputs.values().map(|o| o.len()).sum(),
+            Err(e) => {
+                seg_error.get_or_insert_with(|| e.clone());
+                0
+            }
+        };
+        inner.segment_stats[s].record(rows, done.busy);
     }
 
     for node in plan.nodes() {
@@ -1693,51 +1394,30 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         total_busy_us: total_busy.as_micros() as u64,
     });
 
-    // Gather the whole lane's root outputs.
-    let mut root_outputs: HashMap<OperatorId, TaskData> = HashMap::new();
-    for _ in 0..expected_collects {
-        match collector_rx.recv() {
-            Ok((id, data)) => {
-                root_outputs.insert(id, data);
-            }
-            Err(_) => break,
-        }
-    }
-
     // Phase 3: route results back to the clients (Γ by query_id). The root
     // outputs are exploded into per-query row lists in ONE pass per root
     // operator, so routing cost is O(results), not O(results × queries).
     let mut routed: RoutingTable = HashMap::new();
     if batch_error.is_none() {
-        for (root, output) in root_outputs.iter() {
-            let per_query = routed.entry(*root).or_default();
-            for tuple in output.iter() {
-                for query_id in tuple.queries.iter() {
-                    per_query
-                        .entry(query_id)
-                        .or_default()
-                        .push(tuple.tuple.clone());
-                }
-            }
+        for q in &whole_lane {
+            routed.entry(q.root).or_insert_with(|| {
+                let output = run.nodes[q.root].output.get();
+                explode_by_query(output.map_or(&[], |tuples| tuples.as_slice()))
+            });
         }
     }
     // Segment lane: the same Γ step, once per segment; each query's
     // per-segment partial rows then recombine through its statement's merge
     // spec before finalisation.
-    let mut seg_routed: Vec<RoutingTable> = (0..segments).map(|_| HashMap::new()).collect();
+    let mut seg_routed: Vec<RoutingTable> =
+        (0..run.segments.len()).map(|_| HashMap::new()).collect();
     if seg_error.is_none() {
-        for (s, outputs) in segment_outputs.iter().enumerate() {
-            let Some(outputs) = outputs else { continue };
+        for ((_, done), routed) in run.segments.iter().zip(&mut seg_routed) {
+            let Some(Ok(outputs)) = done.get().map(|done| &done.outputs) else {
+                continue;
+            };
             for (root, output) in outputs {
-                let per_query = seg_routed[s].entry(*root).or_default();
-                for tuple in output {
-                    for query_id in tuple.queries.iter() {
-                        per_query
-                            .entry(query_id)
-                            .or_default()
-                            .push(tuple.tuple.clone());
-                    }
-                }
+                routed.insert(*root, explode_by_query(output));
             }
         }
     }
@@ -1782,6 +1462,20 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         });
         complete(inner, q.ticket, outcome, ctx);
     }
+}
+
+/// The Γ step over one root's output: each query's rows, in output order.
+fn explode_by_query(output: &[QTuple]) -> HashMap<QueryId, Vec<Tuple>> {
+    let mut per_query: HashMap<QueryId, Vec<Tuple>> = HashMap::new();
+    for tuple in output {
+        for query_id in tuple.queries.iter() {
+            per_query
+                .entry(query_id)
+                .or_default()
+                .push(tuple.tuple.clone());
+        }
+    }
+    per_query
 }
 
 /// Recombines one segment-lane query's per-segment partial rows into the
@@ -2091,6 +1785,14 @@ mod tests {
             )
             .unwrap();
         let top = b.top_n(orders_scan, vec![SortKey::desc(3)]).unwrap();
+        // Two operators that cannot run: a sort on a column the rows do not
+        // have (its comparator panics), and a filter the statement below
+        // gives a text column as predicate (it returns a type error) with a
+        // sort and a top-n downstream of it.
+        let bad_sort = b.sort(users_scan, vec![SortKey::asc(99)]).unwrap();
+        let bad_filter = b.filter(orders_scan).unwrap();
+        let after_bad_filter = b.sort(bad_filter, vec![SortKey::asc(0)]).unwrap();
+        let top_after_bad_filter = b.top_n(after_bad_filter, vec![SortKey::asc(0)]).unwrap();
         let plan = b.build();
 
         let mut registry = StatementRegistry::new();
@@ -2178,7 +1880,89 @@ mod tests {
             ))
             .unwrap();
 
+        // B1: every user, through the sort that panics.
+        registry
+            .register(
+                StatementSpec::query("brokenSort", bad_sort)
+                    .activate(
+                        users_scan,
+                        ActivationTemplate::Scan {
+                            predicate: Expr::lit(true),
+                        },
+                    )
+                    .activate(bad_sort, ActivationTemplate::Participate),
+            )
+            .unwrap();
+        // B2: the filter fails; its consumers two hops down must still end.
+        registry
+            .register(
+                StatementSpec::query("brokenFilter", top_after_bad_filter)
+                    .activate(
+                        orders_scan,
+                        ActivationTemplate::Scan {
+                            predicate: Expr::lit(true),
+                        },
+                    )
+                    .activate(
+                        bad_filter,
+                        ActivationTemplate::Filter {
+                            predicate: Expr::col(2),
+                        },
+                    )
+                    .activate(after_bad_filter, ActivationTemplate::Participate)
+                    .activate(top_after_bad_filter, ActivationTemplate::TopN { limit: 3 }),
+            )
+            .unwrap();
+
         Engine::start(catalog, plan, registry, config).unwrap()
+    }
+
+    /// One batch holding `broken` and a healthy look-up: both get `broken`'s
+    /// error (a batch fails as one), the next batch on the same engine
+    /// answers, and shutdown joins every thread.
+    fn broken_statement_fails_its_batch_only(broken: &str, expected: fn(&Error) -> bool) {
+        for cores in [1, 2, 8] {
+            // Paced, so that the two statements share the second batch.
+            let mut engine = build_engine(EngineConfig {
+                heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(30)),
+                eager_heartbeat: false,
+                ..EngineConfig::with_cores(cores)
+            });
+            engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
+            let bystander = engine.execute("userById", &[Value::Int(2)]).unwrap();
+            let failing = engine.execute(broken, &[]).unwrap();
+            let error = failing.wait().unwrap_err();
+            assert!(expected(&error), "{cores} cores: unexpected {error:?}");
+            let bystander = bystander.wait();
+            let shared_a_batch = engine
+                .trace()
+                .iter()
+                .any(|record| matches!(record.event, TraceEvent::BatchFormed { queries: 2, .. }));
+            if shared_a_batch {
+                assert!(expected(&bystander.unwrap_err()), "a batch fails as one");
+            }
+            let rows = engine.execute_sync("userById", &[Value::Int(33)]).unwrap();
+            assert_eq!(rows.rows()[0][1], Value::text("user33"));
+            let rows = engine.execute_sync("usersByCountry", &[]).unwrap();
+            assert_eq!(rows.rows().len(), 2);
+            engine.shutdown();
+        }
+    }
+
+    #[test]
+    fn panicking_operator_fails_its_batch_only() {
+        broken_statement_fails_its_batch_only(
+            "brokenSort",
+            |e| matches!(e, Error::Internal(m) if m.starts_with("operator Sort") && m.contains("panicked: index out of bounds")),
+        );
+    }
+
+    #[test]
+    fn failing_operator_fails_its_batch_only() {
+        broken_statement_fails_its_batch_only(
+            "brokenFilter",
+            |e| matches!(e, Error::TypeMismatch { expected, .. } if expected == "Bool"),
+        );
     }
 
     #[test]
@@ -2780,6 +2564,8 @@ mod tests {
         assert_eq!(fence.committed_ts(), Some(7));
         fence.resolve(3); // monotonic
         assert_eq!(fence.committed_ts(), Some(7));
+        assert_eq!(fence.wait_resolved(Duration::ZERO), Some(7));
+        assert_eq!(WriteFence::new().wait_resolved(Duration::ZERO), None);
     }
 
     /// Rebuilds the writer fixture's registry for a second engine over the

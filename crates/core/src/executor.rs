@@ -1,0 +1,389 @@
+//! The plan executor: an operator cycle is a task, a thread is a core.
+//!
+//! The paper gives every operator a hardware context and says what to do on
+//! a smaller machine: "when fewer cores than operators are available,
+//! operators share cores" (Section 4.3). This is that sharing: `workers − 1`
+//! pool threads plus the coordinator, which hands over one [`Run`] per batch
+//! and works its tasks off beside the pool (`docs/ARCHITECTURE.md`, *Threads
+//! and scheduling*). The rules:
+//!
+//! * **Tasks.** One per plan node with an activation in the batch, one per
+//!   segment job. A node without an activation gets no task: nobody is woken
+//!   for it and its consumers read an empty input.
+//! * **Readiness.** A node is ready when every *active* producer of it has
+//!   finished. Finishing a task publishes its output once for all consumers,
+//!   decrements each active consumer and enqueues those that reach zero. The
+//!   run is over when its task counter is zero — not when the queue is
+//!   empty, which it also is while the last tasks still execute.
+//! * **Wake-ups.** The thread that makes tasks ready takes the first itself
+//!   and notifies one parked thread per task *beyond* it, so a chain of
+//!   single consumers runs on one thread without a hand-off.
+//! * **Failures.** A task body runs under `catch_unwind`. A failed or
+//!   panicking node publishes an empty output, so its consumers proceed and
+//!   the run ends; its error fails the batch's queries at the coordinator.
+
+use crate::batch::Activation;
+use crate::operators::{execute_on, ExecContext};
+use crate::plan::{GlobalPlan, OperatorId, OperatorNode};
+use crate::stats::EngineStats;
+use crate::storage_ops::StorageOperator;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use shareddb_common::{Error, QTuple, QueryId, Result};
+use shareddb_storage::mvcc::Snapshot;
+use shareddb_storage::Catalog;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// The activations of one plan node in one batch.
+pub(crate) type Activations = Vec<(QueryId, Activation)>;
+
+/// One plan node's share of a [`Run`].
+#[derive(Default)]
+pub(crate) struct NodeRun {
+    /// The node's activations; empty = the node is idle in this batch.
+    pub activations: Activations,
+    /// The node's output, published once for all its consumers.
+    pub output: OnceLock<Arc<Vec<QTuple>>>,
+    /// Set when the node's task has finished: the tuples it emitted (or why
+    /// it failed) and the wall-clock time of the operator body.
+    pub done: OnceLock<(Result<usize>, Duration)>,
+}
+
+/// What one segment job did.
+pub(crate) struct SegmentDone {
+    /// `(tuples_out, busy)` per executed plan node (`None` = not executed in
+    /// this lane). Feeds the per-operator counters without double-counting:
+    /// the coordinator folds lanes with max-busy / summed-tuples.
+    pub node_stats: Vec<Option<(usize, Duration)>>,
+    /// Root outputs by operator id, or the first node failure.
+    pub outputs: Result<HashMap<OperatorId, Vec<QTuple>>>,
+    /// Wall-clock duration of the whole job.
+    pub busy: Duration,
+}
+
+/// Everything the tasks of one batch read and write.
+pub(crate) struct Run {
+    /// The batch's snapshot.
+    pub snapshot: Snapshot,
+    /// The whole lane: one entry per plan node, by operator id.
+    pub nodes: Vec<NodeRun>,
+    /// The segment lane: per segment job the bound activations of every
+    /// plan node (those without any are skipped), and what the job did. A
+    /// job walks the plan **sequentially in id order** (ids are topological)
+    /// over one row segment — no cross-segment synchronisation until the
+    /// coordinator's merge.
+    pub segments: Vec<(Vec<Activations>, OnceLock<SegmentDone>)>,
+    /// Root operators whose output the coordinator merges from each segment.
+    pub segment_roots: Vec<bool>,
+}
+
+#[derive(Clone, Copy)]
+enum Task {
+    Node(OperatorId),
+    Segment(usize),
+}
+
+/// Scheduling state, all of it under one mutex.
+#[derive(Default)]
+struct Schedule {
+    /// The run in flight (one at a time), whose tasks `ready` holds.
+    run: Option<Arc<Run>>,
+    ready: VecDeque<Task>,
+    /// Per node: active producers (counted per input edge) not yet finished.
+    pending: Vec<usize>,
+    /// Tasks of the run not yet finished.
+    unfinished: usize,
+    /// Pool threads parked on `Executor::work`.
+    parked_workers: usize,
+    /// The coordinator is parked on `Executor::idle`, not yet notified.
+    coordinator_parked: bool,
+    shutdown: bool,
+    pool: Vec<JoinHandle<()>>,
+}
+
+/// The engine's task pool (see the module docs).
+pub(crate) struct Executor {
+    plan: GlobalPlan,
+    /// Per node: its consumers, one entry per input edge.
+    consumers: Vec<Vec<OperatorId>>,
+    storage_ops: Arc<Vec<Option<StorageOperator>>>,
+    catalog: Arc<Catalog>,
+    stats: Arc<EngineStats>,
+    /// Threads that run tasks: the pool plus the caller of `run`.
+    workers: usize,
+    schedule: Mutex<Schedule>,
+    /// Pool threads wait here for a ready task.
+    work: Condvar,
+    /// The coordinator waits here for a ready task or the end of the run.
+    idle: Condvar,
+}
+
+impl Executor {
+    /// An executor of `workers` threads in all: the caller of
+    /// [`Executor::run`] and `workers − 1` pool threads spawned here.
+    pub fn start(
+        plan: GlobalPlan,
+        storage_ops: Arc<Vec<Option<StorageOperator>>>,
+        catalog: Arc<Catalog>,
+        stats: Arc<EngineStats>,
+        workers: usize,
+    ) -> Result<Arc<Executor>> {
+        let mut consumers: Vec<Vec<OperatorId>> = vec![Vec::new(); plan.len()];
+        for node in plan.nodes() {
+            for &input in &node.inputs {
+                consumers[input].push(node.id);
+            }
+        }
+        let mut schedule = Schedule::default();
+        schedule.pending.resize(plan.len(), 0);
+        let executor = Arc::new(Executor {
+            plan,
+            consumers,
+            storage_ops,
+            catalog,
+            stats,
+            workers: workers.max(1),
+            schedule: Mutex::new(schedule),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+        });
+        for i in 1..workers {
+            let worker = Arc::clone(&executor);
+            let spawned = std::thread::Builder::new()
+                .name(format!("shareddb-worker-{i}"))
+                .spawn(move || worker.work(false));
+            match spawned {
+                Ok(handle) => executor.schedule.lock().pool.push(handle),
+                Err(e) => {
+                    executor.shutdown();
+                    let message = format!("failed to spawn executor worker: {e}");
+                    return Err(Error::Internal(message));
+                }
+            }
+        }
+        Ok(executor)
+    }
+
+    /// Threads that run tasks: the pool plus the caller of [`Executor::run`].
+    pub fn threads(&self) -> usize {
+        self.workers
+    }
+
+    /// Executes every task of `run`, working the queue on the calling thread
+    /// beside the pool, and returns once the last one has finished: every
+    /// active node's and every segment's `done` is then set.
+    pub fn run(&self, run: Run) -> Arc<Run> {
+        let run = Arc::new(run);
+        let mut schedule = self.schedule.lock();
+        let active = |id: OperatorId| !run.nodes[id].activations.is_empty();
+        for node in self.plan.nodes().iter().filter(|n| active(n.id)) {
+            let pending = node.inputs.iter().filter(|i| active(**i)).count();
+            schedule.pending[node.id] = pending;
+            if pending == 0 {
+                schedule.ready.push_back(Task::Node(node.id));
+            }
+            schedule.unfinished += 1;
+        }
+        schedule
+            .ready
+            .extend((0..run.segments.len()).map(Task::Segment));
+        schedule.unfinished += run.segments.len();
+        schedule.run = Some(Arc::clone(&run));
+        let pushed = schedule.ready.len();
+        self.wake(&mut schedule, pushed);
+        drop(schedule);
+        self.work(true);
+        run
+    }
+
+    /// Stops and joins the pool. No run may be in flight.
+    pub fn shutdown(&self) {
+        let pool = {
+            let mut schedule = self.schedule.lock();
+            schedule.shutdown = true;
+            std::mem::take(&mut schedule.pool)
+        };
+        self.work.notify_all();
+        for handle in pool {
+            let _ = handle.join();
+        }
+    }
+
+    /// The loop of every thread that runs tasks. A pool thread leaves it at
+    /// shutdown, the coordinator when its run has no unfinished task.
+    fn work(&self, coordinator: bool) {
+        let mut schedule = self.schedule.lock();
+        loop {
+            if let Some(task) = schedule.ready.pop_front() {
+                let run = Arc::clone(schedule.run.as_ref().expect("a ready task has its run"));
+                drop(schedule);
+                self.execute(&run, task);
+                self.stats.record_task(coordinator);
+                schedule = self.schedule.lock();
+                self.finish(&mut schedule, &run, task);
+            } else if coordinator {
+                if schedule.unfinished == 0 {
+                    schedule.run = None;
+                    return;
+                }
+                schedule.coordinator_parked = true;
+                self.idle.wait(&mut schedule);
+                schedule.coordinator_parked = false;
+            } else {
+                if schedule.shutdown {
+                    return;
+                }
+                schedule.parked_workers += 1;
+                self.work.wait(&mut schedule);
+                schedule.parked_workers -= 1;
+            }
+        }
+    }
+
+    /// Accounts a finished (and published) task: readies the consumers it
+    /// was the last active producer of, and ends the run with the last task.
+    fn finish(&self, schedule: &mut MutexGuard<'_, Schedule>, run: &Run, task: Task) {
+        let before = schedule.ready.len();
+        if let Task::Node(id) = task {
+            for &consumer in &self.consumers[id] {
+                if run.nodes[consumer].activations.is_empty() {
+                    continue;
+                }
+                schedule.pending[consumer] -= 1;
+                if schedule.pending[consumer] == 0 {
+                    schedule.ready.push_back(Task::Node(consumer));
+                }
+            }
+        }
+        schedule.unfinished -= 1;
+        if schedule.unfinished > 0 {
+            let readied = schedule.ready.len() - before;
+            self.wake(schedule, readied);
+        } else if schedule.coordinator_parked {
+            schedule.coordinator_parked = false;
+            self.idle.notify_one();
+        }
+    }
+
+    /// Wakes parked threads for `pushed` tasks just made ready by a thread
+    /// that takes the first of them itself: one thread per task beyond it,
+    /// the coordinator before a pool thread.
+    fn wake(&self, schedule: &mut MutexGuard<'_, Schedule>, pushed: usize) {
+        let mut spare = pushed.saturating_sub(1);
+        if spare > 0 && schedule.coordinator_parked {
+            schedule.coordinator_parked = false;
+            self.idle.notify_one();
+            spare -= 1;
+        }
+        let woken = spare.min(schedule.parked_workers);
+        (0..woken).for_each(|_| self.work.notify_one());
+        self.stats.record_worker_wakeups(woken);
+    }
+
+    fn execute(&self, run: &Run, task: Task) {
+        match task {
+            Task::Node(id) => {
+                let slot = &run.nodes[id];
+                let started = Instant::now();
+                let node = self.plan.node(id);
+                let result = self.operate(node, &slot.activations, run.snapshot, |input| {
+                    let producer = &run.nodes[input];
+                    if producer.activations.is_empty() {
+                        return &[];
+                    }
+                    let published = producer.output.get();
+                    published.expect("a node is ready only after its active producers published")
+                });
+                let busy = started.elapsed();
+                // A failed node publishes an empty output.
+                let (output, emitted) = match result {
+                    Ok(tuples) => (Arc::new(tuples), Ok(())),
+                    Err(e) => (Arc::default(), Err(e)),
+                };
+                let emitted = emitted.map(|()| output.len());
+                let _ = slot.output.set(output);
+                let _ = slot.done.set((emitted, busy));
+            }
+            Task::Segment(segment) => {
+                let (activations, done) = &run.segments[segment];
+                let _ = done.set(self.walk_segment(activations, run));
+            }
+        }
+    }
+
+    /// One segment job: the plan's active nodes in id order on this thread.
+    fn walk_segment(&self, activations: &[Activations], run: &Run) -> SegmentDone {
+        let started = Instant::now();
+        let plan = &self.plan;
+        let mut outputs: Vec<Vec<QTuple>> = vec![Vec::new(); plan.len()];
+        let mut node_stats: Vec<Option<(usize, Duration)>> = vec![None; plan.len()];
+        let mut failure: Option<Error> = None;
+        for node in plan.nodes() {
+            let activations = &activations[node.id];
+            if activations.is_empty() {
+                continue;
+            }
+            let node_started = Instant::now();
+            match self.operate(node, activations, run.snapshot, |input| &outputs[input]) {
+                Ok(tuples) => {
+                    node_stats[node.id] = Some((tuples.len(), node_started.elapsed()));
+                    outputs[node.id] = tuples;
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+        }
+        let roots = run.segment_roots.iter().enumerate().filter(|(_, r)| **r);
+        let outputs = match failure {
+            Some(e) => Err(e),
+            None => Ok(roots
+                .map(|(id, _)| (id, std::mem::take(&mut outputs[id])))
+                .collect()),
+        };
+        SegmentDone {
+            node_stats,
+            outputs,
+            busy: started.elapsed(),
+        }
+    }
+
+    /// One operator cycle: `node` over `activations`, reading the output of
+    /// input node `i` through `input_of(i)`. A panic in the operator is
+    /// returned as an error, so the thread — and the run's accounting —
+    /// survive it.
+    fn operate<'a>(
+        &self,
+        node: &OperatorNode,
+        activations: &Activations,
+        snapshot: Snapshot,
+        input_of: impl Fn(OperatorId) -> &'a [QTuple],
+    ) -> Result<Vec<QTuple>> {
+        catch_unwind(AssertUnwindSafe(|| {
+            if let Some(storage) = &self.storage_ops[node.id] {
+                return storage.execute(activations);
+            }
+            let inputs: Vec<&[QTuple]> = node.inputs.iter().map(|i| input_of(*i)).collect();
+            let catalog = &self.catalog;
+            execute_on(
+                &node.spec,
+                activations,
+                &inputs,
+                &ExecContext { catalog, snapshot },
+            )
+        }))
+        .unwrap_or_else(|panic| {
+            let message = panic.downcast_ref::<&str>().map(|s| s.to_string());
+            let message = message.or_else(|| panic.downcast_ref::<String>().cloned());
+            let message = message.unwrap_or_else(|| "no message".into());
+            let name = &node.name;
+            Err(Error::Internal(format!(
+                "operator {name} panicked: {message}"
+            )))
+        })
+    }
+}

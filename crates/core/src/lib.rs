@@ -14,8 +14,9 @@
 //! Queries and updates are **batched**: while one batch is processed, newly
 //! arriving queries queue up; when the batch finishes, the queues are drained
 //! to form the next batch ("heartbeat", Section 3.2). Every operator of the
-//! plan runs on its own thread ([`engine::Engine`]) and processes one batch
-//! per cycle, following the operator skeleton of Algorithm 1.
+//! plan processes one batch per cycle, following the operator skeleton of
+//! Algorithm 1; a cycle is a task of the engine's executor, which has as
+//! many threads as the machine has cores ([`engine::Engine`]).
 //!
 //! Shared operators implement the NF² data-query model: tuples carry the set
 //! of interested queries, joins amend their predicate with the query-set
@@ -28,7 +29,8 @@
 //! * [`operators`] — the shared relational operators (pure batch functions).
 //! * [`storage_ops`] — scan / index-probe operators backed by `shareddb-storage`.
 //! * [`batch`] — activations, active queries, batch assembly.
-//! * [`engine`] — the multi-threaded batching runtime and client sessions.
+//! * [`engine`] — the batching runtime: admission, coordinator, completion.
+//! * `executor` — operator cycles as tasks on a ready queue, cores as threads.
 //! * [`scatter`] — the partitionability walker: which statement shapes can run
 //!   over disjoint row partitions (cluster fanout and intra-engine segments).
 //! * [`merge`] — recombination of partitioned partial results (`MergeSpec`).
@@ -37,13 +39,12 @@
 //! * [`stats`] — per-operator and engine-level metrics, phase histograms,
 //!   per-statement-type cost attribution.
 //! * [`trace`] — the bounded batch-lifecycle trace journal.
-//! * [`budget`] — the core budget used to emulate "number of CPU cores".
 //! * [`config`] — engine configuration.
 
 pub mod batch;
-pub mod budget;
 pub mod config;
 pub mod engine;
+mod executor;
 pub mod explain;
 pub mod merge;
 pub mod operators;

@@ -6,8 +6,8 @@
 //! * **cluster fanout** (`shareddb-cluster`) scatters one execution across
 //!   engine replicas, each scanning one `(index, of)` partition;
 //! * **intra-engine segment parallelism** ([`crate::engine::Engine`] with
-//!   `scan_segments > 1`) splits one engine's shared scan into row segments
-//!   executed on a worker pool, recombined per batch.
+//!   `scan_segments > 1`) splits one engine's shared scan into row segments,
+//!   each a task of the engine's executor, recombined per batch.
 //!
 //! Both levels compose: a fanned-out partition may itself run segmented, in
 //! which case the fanout's partition columns take precedence over the default

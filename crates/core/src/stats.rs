@@ -610,6 +610,10 @@ pub struct EngineStats {
     slow_total: AtomicU64,
     /// The most recent offenders (bounded ring).
     slow: Mutex<VecDeque<SlowQueryRecord>>,
+    /// Executor tasks run on the coordinator thread / on a pool thread.
+    tasks_run: [AtomicU64; 2],
+    /// Notifications sent to parked pool threads.
+    worker_wakeups: AtomicU64,
 }
 
 /// Rows one update statement type examined and affected — the write path's
@@ -720,6 +724,17 @@ pub struct EngineStatsSnapshot {
     /// units: one unit = one statement), merged bucket-wise across replicas
     /// like the latency histograms.
     pub occupancy: HistogramSnapshot,
+    /// Executor tasks (operator cycles and segment jobs) the coordinator ran
+    /// itself.
+    pub tasks_run_by_coordinator: u64,
+    /// Executor tasks run on a pool thread.
+    pub tasks_run_by_workers: u64,
+    /// Notifications the executor sent to parked pool threads. Divided by
+    /// `batches`: the cross-thread hand-offs a batch pays for.
+    pub worker_wakeups: u64,
+    /// Threads that run executor tasks: the coordinator and its pool (a
+    /// gauge; summed over the replicas of a cluster).
+    pub executor_threads: usize,
 }
 
 impl EngineStats {
@@ -737,6 +752,17 @@ impl EngineStats {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.occupancy
             .record(Duration::from_micros(statements as u64));
+    }
+
+    /// Records one executor task, run by the coordinator or by a pool thread.
+    pub fn record_task(&self, by_coordinator: bool) {
+        self.tasks_run[usize::from(!by_coordinator)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records notifications sent to parked pool threads.
+    pub fn record_worker_wakeups(&self, woken: usize) {
+        self.worker_wakeups
+            .fetch_add(woken as u64, Ordering::Relaxed);
     }
 
     /// Records a completed query with its end-to-end latency.
@@ -840,6 +866,9 @@ impl EngineStats {
         }
         self.slow_total.store(0, Ordering::Relaxed);
         self.slow.lock().clear();
+        for counter in self.tasks_run.iter().chain([&self.worker_wakeups]) {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Takes a snapshot.
@@ -862,6 +891,11 @@ impl EngineStats {
             p99_latency: Duration::from_micros(histogram.percentile_us(0.99)),
             histogram,
             occupancy: self.occupancy.snapshot(),
+            tasks_run_by_coordinator: self.tasks_run[0].load(Ordering::Relaxed),
+            tasks_run_by_workers: self.tasks_run[1].load(Ordering::Relaxed),
+            worker_wakeups: self.worker_wakeups.load(Ordering::Relaxed),
+            // Not a counter: the engine that owns the executor fills it in.
+            executor_threads: 0,
         }
     }
 }

@@ -234,6 +234,26 @@ impl Shared {
         let _ = writeln!(w, "shareddb_engine_failed {}", total.failed);
         let _ = writeln!(w, "# TYPE shareddb_engine_queued gauge");
         let _ = writeln!(w, "shareddb_engine_queued {}", backend.queued());
+        // The executor: who ran the operator cycles, and what it cost in
+        // cross-thread hand-offs (wake-ups ÷ batches).
+        let _ = writeln!(w, "# TYPE shareddb_executor_tasks_total counter");
+        for (ran_on, tasks) in [
+            ("coordinator", total.tasks_run_by_coordinator),
+            ("worker", total.tasks_run_by_workers),
+        ] {
+            let _ = writeln!(
+                w,
+                "shareddb_executor_tasks_total{{ran_on=\"{ran_on}\"}} {tasks}"
+            );
+        }
+        let _ = writeln!(w, "# TYPE shareddb_executor_worker_wakeups_total counter");
+        let _ = writeln!(
+            w,
+            "shareddb_executor_worker_wakeups_total {}",
+            total.worker_wakeups
+        );
+        let _ = writeln!(w, "# TYPE shareddb_executor_threads gauge");
+        let _ = writeln!(w, "shareddb_executor_threads {}", total.executor_threads);
         let (slow_total, _) = backend.slow_queries();
         let _ = writeln!(w, "# TYPE shareddb_slow_queries counter");
         let _ = writeln!(w, "shareddb_slow_queries {slow_total}");

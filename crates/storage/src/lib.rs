@@ -25,6 +25,7 @@ pub mod btree;
 pub mod catalog;
 pub mod clockscan;
 pub mod index_probe;
+mod keymap;
 pub mod mvcc;
 pub mod predicate_index;
 pub mod table;

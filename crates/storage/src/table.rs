@@ -16,10 +16,11 @@
 //! query of its cycle can meet.
 
 use crate::btree::BTreeIndex;
+use crate::keymap::KeyMap;
 use crate::mvcc::{Snapshot, TS_INFINITY};
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{DataType, Error, Result, Schema, Tuple, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Bound;
 
@@ -140,8 +141,8 @@ pub struct Table {
     primary_key: Vec<usize>,
     /// Append-only arena of row versions.
     rows: Vec<StoredRow>,
-    /// Maps a primary-key value vector to the row id of its *latest* version.
-    pk_index: HashMap<Vec<Value>, RowId>,
+    /// Maps a primary key to the row id of its *latest* version.
+    pk_index: KeyMap,
     /// Secondary indexes. Indexes contain entries for every version; probes
     /// filter by visibility.
     indexes: Vec<SecondaryIndex>,
@@ -169,7 +170,7 @@ impl Table {
             schema,
             primary_key,
             rows: Vec::new(),
-            pk_index: HashMap::new(),
+            pk_index: KeyMap::new(),
             indexes: Vec::new(),
         }
     }
@@ -250,15 +251,37 @@ impl Table {
     /// the same primary key already exists.
     pub fn insert(&mut self, values: Tuple, ts: Timestamp) -> Result<RowId> {
         self.schema.check_tuple(values.values())?;
-        let row_id = RowId(self.rows.len() as u64);
-        if !self.primary_key.is_empty() {
-            let key = self.pk_values(&values);
-            if self.lookup_pk_live(&key).is_some() {
-                return Err(self.duplicate_key(&key));
-            }
-            self.pk_index.insert(key, row_id);
+        if self.primary_key.is_empty() {
+            return Ok(self.push_version(values, ts));
         }
-        Ok(self.push_version(values, ts))
+        let key = self.pk_values(&values);
+        if self.lookup_pk_live(&key).is_some() {
+            return Err(self.duplicate_key(&key));
+        }
+        // The key map reads keys from the arena: the version goes in first.
+        let row_id = self.push_version(values, ts);
+        self.file_key(&key, row_id);
+        Ok(row_id)
+    }
+
+    /// True when the version `row_id` was written under the primary key `key`.
+    fn holds_key(rows: &[StoredRow], primary_key: &[usize], row_id: RowId, key: &[Value]) -> bool {
+        let row = &rows[row_id.idx()].values;
+        key.len() == primary_key.len() && primary_key.iter().zip(key).all(|(&c, k)| row[c] == *k)
+    }
+
+    /// Points the key map's entry for `key` at `row_id`, a version in the arena.
+    fn file_key(&mut self, key: &[Value], row_id: RowId) {
+        let (rows, columns) = (&self.rows, &self.primary_key);
+        let hash = self.pk_index.hash(key);
+        let is_key = |row| Self::holds_key(rows, columns, row, key);
+        self.pk_index.insert(hash, row_id, is_key);
+    }
+
+    /// The newest version written under `key`, dead or alive.
+    fn newest_version(&self, key: &[Value]) -> Option<RowId> {
+        let is_key = |row| Self::holds_key(&self.rows, &self.primary_key, row, key);
+        self.pk_index.get(self.pk_index.hash(key), is_key)
     }
 
     /// Appends a version to the arena — the one place that does — filing it
@@ -347,9 +370,11 @@ impl Table {
                     // Only remap; the old key still points at the old version
                     // for older snapshots, but lookups of the latest state
                     // should no longer find it.
-                    self.pk_index.remove(&old_key);
+                    let (rows, columns) = (&self.rows, &self.primary_key);
+                    let is_key = |row| Self::holds_key(rows, columns, row, &old_key);
+                    self.pk_index.remove(self.pk_index.hash(&old_key), is_key);
                 }
-                self.pk_index.insert(new_key, new_id);
+                self.file_key(&new_key, new_id);
             }
         }
         Ok(())
@@ -432,14 +457,14 @@ impl Table {
     /// Looks up the latest version for a primary key and returns it if it is
     /// visible in the snapshot.
     pub fn lookup_pk(&self, key: &[Value], snapshot: Snapshot) -> Option<(RowId, &Tuple)> {
-        let row_id = *self.pk_index.get(key)?;
+        let row_id = self.newest_version(key)?;
         self.read(row_id, snapshot).map(|t| (row_id, t))
     }
 
     /// Looks up the latest *live* version for a primary key regardless of
     /// snapshots (used by updates, which always act on the newest state).
     pub fn lookup_pk_live(&self, key: &[Value]) -> Option<RowId> {
-        let row_id = *self.pk_index.get(key)?;
+        let row_id = self.newest_version(key)?;
         self.rows[row_id.idx()].is_live().then_some(row_id)
     }
 
@@ -605,8 +630,13 @@ impl Table {
     pub(crate) fn dump(&self) -> String {
         let mut keys: Vec<String> = self
             .pk_index
-            .iter()
-            .map(|(key, row)| format!("{key:?} -> {row:?}"))
+            .rows()
+            .map(|row| {
+                format!(
+                    "{:?} -> {row:?}",
+                    self.pk_values(&self.rows[row.idx()].values)
+                )
+            })
             .collect();
         keys.sort();
         let indexes: Vec<_> = self
@@ -720,6 +750,46 @@ mod tests {
         assert!(t
             .lookup_pk(&[Value::Int(99)], Snapshot::at(Timestamp(9)))
             .is_none());
+    }
+
+    /// The key map reads keys back from the arena: a key is its columns in
+    /// full, a row moved to another key leaves the old one free, and a key
+    /// written again after a delete points at the new version.
+    #[test]
+    fn pk_lookup_reads_the_key_from_the_newest_version() {
+        let schema = Schema::new(vec![
+            Column::new("OL_O_ID", DataType::Int),
+            Column::new("OL_ID", DataType::Int),
+            Column::new("OL_QTY", DataType::Int),
+        ]);
+        let mut t = Table::new("ORDER_LINE", schema, vec![0, 1]);
+        for order in 0..200i64 {
+            for line in 0..3i64 {
+                t.insert(tuple![order, line, 1i64], Timestamp(1)).unwrap();
+            }
+        }
+        let key = |order, line| [Value::Int(order), Value::Int(line)];
+        assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(RowId(23)));
+        assert_eq!(t.lookup_pk_live(&key(7, 3)), None);
+        // Neither a prefix of the key nor the key with a column to spare.
+        assert_eq!(t.lookup_pk_live(&[Value::Int(7)]), None);
+        let long = [Value::Int(7), Value::Int(2), Value::Int(1)];
+        assert_eq!(t.lookup_pk_live(&long), None);
+        // (7, 2) moves to (7, 9): the old key is free, the new one taken.
+        let moved = t
+            .update_row(RowId(23), tuple![7i64, 9i64, 1i64], Timestamp(2))
+            .unwrap();
+        assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
+        assert_eq!(t.lookup_pk_live(&key(7, 9)), Some(moved));
+        let again = t.insert(tuple![7i64, 2i64, 5i64], Timestamp(3)).unwrap();
+        assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(again));
+        // A deleted key stays on the map, dead, until it is written again.
+        t.delete_row(again, Timestamp(4)).unwrap();
+        assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
+        let reborn = t.insert(tuple![7i64, 2i64, 6i64], Timestamp(5)).unwrap();
+        assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(reborn));
+        assert!(t.insert(tuple![7i64, 2i64, 7i64], Timestamp(6)).is_err());
+        assert_eq!(t.live_count(), 601);
     }
 
     #[test]

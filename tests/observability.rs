@@ -908,3 +908,84 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     let _ = conn.close();
     server.shutdown();
 }
+
+/// Always-on accounting on shared cores: after N lone look-ups every operator
+/// of the TPC-W plan has counted N cycles, but only the ITEM probe has had a
+/// task — nothing else was busy, nobody was woken — and `/metrics` says so.
+#[test]
+fn lone_lookups_cycle_every_operator_and_run_one_task() {
+    use shareddb::core::Engine;
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
+    const N: u64 = 40;
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
+    let deployment = || {
+        let (plan, registry) = build_shared_plan(&catalog).unwrap();
+        (Arc::clone(&catalog), plan, registry)
+    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+
+    let (catalog_, plan, registry) = deployment();
+    let engine = Engine::start(catalog_, plan, registry, EngineConfig::default()).unwrap();
+    for i in 0..N as i64 {
+        let rows = engine
+            .execute_sync("getItemById", &[Value::Int(i)])
+            .unwrap();
+        assert_eq!(rows.rows().len(), 1);
+    }
+    for op in engine.operator_stats() {
+        assert_eq!(op.cycles, N, "{}", op.name);
+        if op.name.starts_with("Probe(ITEM)") {
+            assert_eq!(op.active_cycles, N);
+            assert!(!op.busy.is_zero());
+        } else {
+            assert_eq!(
+                (op.active_cycles, op.busy),
+                (0, Duration::ZERO),
+                "{}",
+                op.name
+            );
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.tasks_run_by_coordinator, N, "{stats:?}");
+    assert_eq!((stats.tasks_run_by_workers, stats.worker_wakeups), (0, 0));
+    assert_eq!(stats.executor_threads, threads);
+
+    let (catalog_, plan, registry) = deployment();
+    let config = EngineConfig::default();
+    let mut server =
+        Server::start(catalog_, plan, registry, config, ServerConfig::default()).unwrap();
+    let series = |metrics: &str, series: &str| -> u64 {
+        let line = metrics.lines().find(|l| l.starts_with(series));
+        let line = line.unwrap_or_else(|| panic!("no series {series} in /metrics"));
+        line[series.len()..].trim().parse().unwrap()
+    };
+    let tasks = |metrics: &str| {
+        series(
+            metrics,
+            "shareddb_executor_tasks_total{ran_on=\"coordinator\"}",
+        ) + series(metrics, "shareddb_executor_tasks_total{ran_on=\"worker\"}")
+    };
+    let before = server.metrics_text();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let lookup = conn.prepare("getItemById").unwrap();
+    for i in 0..N as i64 {
+        conn.execute(&lookup, &[Value::Int(i)]).unwrap();
+    }
+    let after = server.metrics_text();
+    assert_eq!(tasks(&after) - tasks(&before), N);
+    assert_eq!(series(&after, "shareddb_executor_worker_wakeups_total"), 0);
+    assert_eq!(series(&after, "shareddb_executor_threads"), threads as u64);
+    for kind in ["executor_tasks_total counter", "executor_threads gauge"] {
+        assert!(after.contains(&format!("# TYPE shareddb_{kind}")), "{kind}");
+    }
+    for line in after
+        .lines()
+        .filter(|l| l.starts_with("shareddb_operator_busy_us{"))
+    {
+        let busy: u64 = line.rsplit_once(' ').unwrap().1.parse().unwrap();
+        assert_eq!(busy > 0, line.contains("operator=\"Probe(ITEM)"), "{line}");
+    }
+    server.shutdown();
+}
