@@ -1,7 +1,7 @@
 //! Stable horizontal partitioning of rows.
 
 use crate::tuple::Tuple;
-use crate::value::{hash_values, Value};
+use crate::value::hash_values;
 
 /// Deterministic horizontal partition of a row: a stable FNV-1a hash
 /// ([`hash_values`]) of the row's key values (`key_columns`; the whole tuple
@@ -21,15 +21,10 @@ pub fn tuple_partition(tuple: &Tuple, key_columns: &[usize], of: u32) -> u32 {
     if of <= 1 {
         return 0;
     }
-    let values = tuple.values();
     let hash = if key_columns.is_empty() {
-        hash_values(0, values)
+        hash_values(0, tuple)
     } else {
-        let key: Vec<Value> = key_columns
-            .iter()
-            .filter_map(|&c| values.get(c).cloned())
-            .collect();
-        hash_values(0, &key)
+        hash_values(0, key_columns.iter().filter_map(|&c| tuple.get(c)))
     };
     (hash % of as u64) as u32
 }

@@ -236,7 +236,7 @@ impl Ord for Value {
 /// (row keys): both sides must agree byte-for-byte, so neither reimplements
 /// it. Unlike the [`Hash`] impl below, the encoding is explicitly versioned
 /// by the tag bytes and independent of `std` hasher internals.
-pub fn hash_values(seed: u64, values: &[Value]) -> u64 {
+pub fn hash_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
     let mut eat = |byte: u8| {
         hash ^= byte as u64;

@@ -127,7 +127,7 @@ pub fn merge_results(spec: &MergeSpec, mut parts: Vec<ResultSet>) -> Result<Resu
 }
 
 fn compare_all(a: &Tuple, b: &Tuple) -> Ordering {
-    for (va, vb) in a.values().iter().zip(b.values()) {
+    for (va, vb) in a.iter().zip(b) {
         let ord = va.cmp(vb);
         if ord != Ordering::Equal {
             return ord;

@@ -23,7 +23,10 @@ use shareddb_common::sort::compare_tuples;
 use shareddb_common::{Error, Expr, QTuple, QueryId, QuerySet, Result, SortKey, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::Catalog;
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Context handed to operator execution: the catalog (for index nested-loops
 /// joins that probe base tables) and the snapshot of the current batch.
@@ -52,10 +55,11 @@ pub fn execute_operator(
 
 /// [`execute_operator`] over borrowed inputs: one producer's output serves
 /// all its consumers, none of which copies it. An operator allocates for what
-/// it emits and for its own state (hash table, groups) — a payload is built
-/// only by a join (the concatenation) and by group-by (the aggregate row);
-/// everything else hands the input row on by reference count — and nothing
-/// for an input tuple none of its queries wants.
+/// it emits and for its own state (hash table, groups) — a join one pair per
+/// emitted row, naming its two input rows; group-by the aggregate row, the
+/// only payload built here; everything else hands the input row on by
+/// reference count — and nothing for an input tuple none of its queries
+/// wants.
 pub fn execute_on(
     spec: &OperatorSpec,
     activations: &[(QueryId, Activation)],
@@ -171,13 +175,28 @@ fn execute_hash_join(
     build_key: usize,
     probe_key: usize,
 ) -> Vec<QTuple> {
-    // Build phase: hash the (restricted) build side on its join key.
-    let mut table: HashMap<&Value, Vec<(&Tuple, QuerySet)>> = HashMap::new();
+    // Build phase: hash the (restricted) build side on its join key. The
+    // rows lie in one vector, those of one key chained in arrival order
+    // through their last field; the table maps a key to the first and the
+    // last row of its chain, so a key costs no allocation of its own.
+    let mut rows: Vec<(&Tuple, QuerySet, u32)> = Vec::new();
+    let mut table: HashMap<&Value, (u32, u32)> = HashMap::new();
     for (tuple, queries) in restricted(build, active) {
         let key = &tuple[build_key];
-        if !key.is_null() {
-            // NULL never joins
-            table.entry(key).or_default().push((tuple, queries));
+        if key.is_null() {
+            continue; // NULL never joins
+        }
+        let at = link(rows.len());
+        rows.push((tuple, queries, END));
+        match table.entry(key) {
+            Entry::Vacant(first) => {
+                first.insert((at, at));
+            }
+            Entry::Occupied(mut chain) => {
+                let (_, last) = chain.get_mut();
+                rows[*last as usize].2 = at;
+                *last = at;
+            }
         }
     }
     // Probe phase: the effective join predicate is
@@ -186,16 +205,32 @@ fn execute_hash_join(
     // restricts the probe side as well.
     let mut out = Vec::new();
     for probe in probe {
-        let key = &probe.tuple[probe_key];
-        let matches = table.get(key).into_iter().flatten();
-        out.extend(matches.filter_map(|build| join(build, probe)));
+        let chain = table.get(&probe.tuple[probe_key]);
+        let mut at = chain.map_or(END, |&(first, _)| first);
+        while at != END {
+            let (build, queries, next) = &rows[at as usize];
+            out.extend(join(build, queries, probe));
+            at = *next;
+        }
     }
     out
 }
 
+/// The end of a chain of `u32` links into one of a cycle's vectors.
+const END: u32 = u32::MAX;
+
+/// The link to the entry a vector of `len` entries is about to take.
+fn link(len: usize) -> u32 {
+    match u32::try_from(len) {
+        Ok(at) if at != END => at,
+        _ => panic!("an operator cycle holds {len} entries, more than its links can name"),
+    }
+}
+
 /// The shared-join rule (Section 3.3): a pair joins for the queries
-/// interested in both sides, if there are any.
-fn join((build, build_queries): &(&Tuple, QuerySet), probe: &QTuple) -> Option<QTuple> {
+/// interested in both sides, if there are any. The joined tuple holds both
+/// rows by reference.
+fn join(build: &Tuple, build_queries: &QuerySet, probe: &QTuple) -> Option<QTuple> {
     let queries = build_queries.intersect(&probe.queries);
     (!queries.is_empty()).then(|| QTuple::new(build.concat(&probe.tuple), queries))
 }
@@ -218,7 +253,8 @@ fn execute_nested_loop_join(active: &QuerySet, build: &[QTuple], probe: &[QTuple
     let mut out = Vec::new();
     for build_block in build.chunks(NL_BLOCK) {
         for probe in probe {
-            out.extend(build_block.iter().filter_map(|build| join(build, probe)));
+            let pairs = build_block.iter();
+            out.extend(pairs.filter_map(|(build, queries)| join(build, queries, probe)));
         }
     }
     out
@@ -331,44 +367,66 @@ fn execute_group_by(
 
     // Phase 1 (shared): group all interesting tuples once, regardless of which
     // query they belong to. A group's key borrows the columns of its first
-    // row; looking a row up reuses one scratch key, so only a new group
-    // allocates. Per group: one accumulator per aggregate and query,
-    // ascending by query.
-    type PerQuery = Vec<(QueryId, Vec<Accumulator>)>;
-    let mut groups: HashMap<Vec<&Value>, PerQuery> = HashMap::new();
-    let mut key: Vec<&Value> = Vec::with_capacity(group_columns.len());
+    // row and is hashed once per row. Phase 2 (per query): aggregation state
+    // is per query because each query may aggregate a different subset of
+    // the group — one slot per (group, query), the slots of a group chained
+    // ascending by query from the group's map entry, slot `i` owning the
+    // accumulators `i * aggregates.len()..` of the cycle's one vector. A new
+    // group allocates nothing of its own.
+    struct Slot {
+        query: QueryId,
+        next: u32,
+    }
+    let mut groups: HashMap<GroupKey<'_>, u32> = HashMap::new();
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut accumulators: Vec<Accumulator> = Vec::new();
+    let of_slot = |slot: u32| {
+        let first = slot as usize * aggregates.len();
+        first..first + aggregates.len()
+    };
     for (tuple, queries) in restricted(input, active) {
-        key.clear();
-        key.extend(group_columns.iter().map(|&c| &tuple[c]));
-        if !groups.contains_key(&key) {
-            groups.insert(key.clone(), Vec::new());
-        }
-        let per_query = groups.get_mut(&key).expect("present or just inserted");
-        // Phase 2 (per query): aggregation state is per query because each
-        // query may aggregate a different subset of the group.
+        let key = GroupKey {
+            row: tuple,
+            columns: group_columns,
+        };
+        let head = groups.entry(key).or_insert(END);
+        // The chain and the row's queries both ascend: walked in step.
+        let (mut before, mut at) = (END, *head);
         for q in queries.iter() {
-            let at = match per_query.binary_search_by_key(&q, |(q, _)| *q) {
-                Ok(at) => at,
-                Err(at) => {
-                    let fresh = aggregates.iter().map(|a| a.function.accumulator());
-                    per_query.insert(at, (q, fresh.collect()));
-                    at
+            while at != END && slots[at as usize].query < q {
+                (before, at) = (at, slots[at as usize].next);
+            }
+            if at == END || slots[at as usize].query != q {
+                let fresh = link(slots.len());
+                slots.push(Slot { query: q, next: at });
+                accumulators.extend(aggregates.iter().map(|a| a.function.accumulator()));
+                match before {
+                    END => *head = fresh,
+                    before => slots[before as usize].next = fresh,
                 }
-            };
-            for (acc, spec) in per_query[at].1.iter_mut().zip(aggregates) {
+                at = fresh;
+            }
+            for (acc, spec) in accumulators[of_slot(at)].iter_mut().zip(aggregates) {
                 acc.update(&tuple[spec.column])?;
             }
         }
     }
 
-    // Emit one output row per (group, query), applying the per-query HAVING.
-    let mut groups: Vec<(Vec<&Value>, PerQuery)> = groups.into_iter().collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    // Emit one output row per (group, query) — ascending by key, then by
+    // query — applying the per-query HAVING. A row is gathered in one
+    // scratch vector and collected once into its shared slice.
+    let mut groups: Vec<(GroupKey<'_>, u32)> = groups.into_iter().collect();
+    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut out = Vec::new();
-    for (key, per_query) in groups {
-        for (q, accumulators) in per_query {
+    let mut values: Vec<Value> = Vec::new();
+    for (key, head) in groups {
+        let mut at = head;
+        while at != END {
+            let Slot { query: q, next } = slots[at as usize];
+            let accumulators = &accumulators[of_slot(at)];
+            at = next;
             let partial = partials.get(&q).copied().unwrap_or(false);
-            let mut values: Vec<Value> = key.iter().map(|&v| v.clone()).collect();
+            values.extend(key.values().cloned());
             if partial {
                 values.extend(accumulators.iter().map(|a| {
                     if a.function() == AggregateFunction::Avg {
@@ -387,7 +445,7 @@ fn execute_group_by(
             } else {
                 values.extend(accumulators.iter().map(|a| a.finish()));
             }
-            let row = Tuple::new(values);
+            let row: Tuple = values.drain(..).collect();
             // HAVING evaluates over *final* aggregate values; a query in
             // partial mode ships partial groups, so its predicate is applied
             // after recombination (the cluster merge), not here.
@@ -402,6 +460,47 @@ fn execute_group_by(
         }
     }
     Ok(out)
+}
+
+/// A group's key: the grouping columns of the first row that fell into the
+/// group, read where they lie.
+#[derive(Clone, Copy)]
+struct GroupKey<'a> {
+    row: &'a Tuple,
+    columns: &'a [usize],
+}
+
+impl<'a> GroupKey<'a> {
+    fn values(&self) -> impl Iterator<Item = &'a Value> + use<'a> {
+        let row = self.row;
+        self.columns.iter().map(move |&c| &row[c])
+    }
+}
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for GroupKey<'_> {}
+
+impl Hash for GroupKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().for_each(|v| v.hash(state));
+    }
+}
+
+impl PartialOrd for GroupKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for GroupKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.values().cmp(other.values())
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@
 //! (error code [`error_codes::OVERLOADED`]): the statement was *not* admitted
 //! and the client may back off and retry.
 
-use shareddb_common::{DataType, Error, Result, Value};
+use shareddb_common::{DataType, Error, Result, Tuple, Value};
 use std::io::{Read, Write};
 
 /// Protocol version spoken by this build. v2 added the per-replica section
@@ -547,11 +547,64 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_values(buf: &mut Vec<u8>, values: &[Value]) {
+fn put_values<'a>(buf: &mut Vec<u8>, values: impl ExactSizeIterator<Item = &'a Value>) {
     put_u32(buf, values.len() as u32);
     for v in values {
         encode_value(buf, v);
     }
+}
+
+/// Opcode of [`Frame::ResultChunk`].
+const RESULT_CHUNK: u8 = 0x83;
+
+/// The body of a [`Frame::ResultChunk`] after the opcode, each row read
+/// through its iterator — from a `Vec<Value>` or from a [`Tuple`] of either
+/// shape, where the values lie.
+fn put_result_chunk<'a, R: ExactSizeIterator<Item = &'a Value>>(
+    buf: &mut Vec<u8>,
+    request_id: u64,
+    flags: u8,
+    rows_affected: u64,
+    schema: &[(String, DataType)],
+    rows: impl ExactSizeIterator<Item = R>,
+) {
+    put_u64(buf, request_id);
+    put_u8(buf, flags);
+    put_u64(buf, rows_affected);
+    put_u32(buf, schema.len() as u32);
+    for (name, dt) in schema {
+        put_string(buf, name);
+        put_u8(buf, data_type_tag(*dt));
+    }
+    put_u32(buf, rows.len() as u32);
+    rows.for_each(|row| put_values(buf, row));
+}
+
+/// Appends to `buf` the bytes of `Frame::ResultChunk { request_id, flags,
+/// rows_affected: 0, schema, rows }.encode()` without building the frame:
+/// the rows of a result are encoded from the tuples the engine handed over —
+/// stored versions and joins of them — value by value, no row is copied or
+/// flattened on the way. Returns false, leaving `buf` as it was, when the
+/// frame would exceed [`MAX_FRAME_LEN`].
+pub fn encode_result_chunk(
+    buf: &mut Vec<u8>,
+    request_id: u64,
+    flags: u8,
+    schema: &[(String, DataType)],
+    rows: &[Tuple],
+) -> bool {
+    let start = buf.len();
+    put_u32(buf, 0); // the length, once it is known
+    put_u8(buf, RESULT_CHUNK);
+    let rows = rows.iter().map(Tuple::iter);
+    put_result_chunk(buf, request_id, flags, 0, schema, rows);
+    let len = buf.len() - start - 4;
+    if len > MAX_FRAME_LEN {
+        buf.truncate(start);
+        return false;
+    }
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    true
 }
 
 fn put_statement_phases(buf: &mut Vec<u8>, statements: &[WireStatementPhases]) {
@@ -610,7 +663,7 @@ impl Frame {
             Frame::Ping { .. } => 0x07,
             Frame::HelloOk { .. } => 0x81,
             Frame::Prepared { .. } => 0x82,
-            Frame::ResultChunk { .. } => 0x83,
+            Frame::ResultChunk { .. } => RESULT_CHUNK,
             Frame::Error { .. } => 0x84,
             Frame::StatsReply { .. } => 0x85,
             Frame::Explain { .. } => 0x08,
@@ -647,7 +700,7 @@ impl Frame {
             } => {
                 put_u64(&mut body, *request_id);
                 put_u32(&mut body, *statement_id);
-                put_values(&mut body, params);
+                put_values(&mut body, params.iter());
             }
             Frame::Stats { request_id }
             | Frame::Ping { request_id }
@@ -725,18 +778,8 @@ impl Frame {
                 schema,
                 rows,
             } => {
-                put_u64(&mut body, *request_id);
-                put_u8(&mut body, *flags);
-                put_u64(&mut body, *rows_affected);
-                put_u32(&mut body, schema.len() as u32);
-                for (name, dt) in schema {
-                    put_string(&mut body, name);
-                    put_u8(&mut body, data_type_tag(*dt));
-                }
-                put_u32(&mut body, rows.len() as u32);
-                for row in rows {
-                    put_values(&mut body, row);
-                }
+                let rows = rows.iter().map(|r| r.iter());
+                put_result_chunk(&mut body, *request_id, *flags, *rows_affected, schema, rows);
             }
             Frame::Error {
                 request_id,
@@ -1159,6 +1202,55 @@ mod tests {
         let mut cursor = std::io::Cursor::new(encoded);
         let read = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(read, frame);
+    }
+
+    /// A result chunk encoded straight from the engine's tuples — stored
+    /// rows, joins of rows, joins of joins — is byte for byte the frame built
+    /// from copies of their values, behind whatever the buffer already held,
+    /// and reads back as that frame; one past the limit is refused and leaves
+    /// the buffer as it was.
+    #[test]
+    fn result_chunks_encode_straight_from_tuples() {
+        let schema: Vec<(String, DataType)> = vec![
+            ("I_ID".into(), DataType::Int),
+            ("I_TITLE".into(), DataType::Text),
+            ("A_LNAME".into(), DataType::Text),
+        ];
+        let item = |i: i64| Tuple::new(vec![Value::Int(i), Value::text(format!("title {i}"))]);
+        let author = |i: i64| Tuple::new(vec![Value::text(format!("author {i}"))]);
+        let row = |i: i64| match i % 3 {
+            0 => Tuple::new(vec![Value::Int(i), Value::Null, Value::text("flat")]),
+            1 => item(i).concat(&author(i)),
+            _ => Tuple::empty().concat(&item(i)).concat(&author(i)),
+        };
+        let flags = chunk_flags::FIRST | chunk_flags::LAST;
+        for n in [0, 1, 50] {
+            let rows: Vec<Tuple> = (0..n).map(row).collect();
+            let mut buf = vec![0xAA];
+            assert!(encode_result_chunk(&mut buf, 9, flags, &schema, &rows));
+            let frame = Frame::ResultChunk {
+                request_id: 9,
+                flags,
+                rows_affected: 0,
+                schema: schema.clone(),
+                rows: rows.iter().map(|t| t.values().to_vec()).collect(),
+            };
+            assert_eq!(buf[1..], frame.encode()[..], "{n} rows");
+            assert_eq!(read_frame(&mut &buf[1..]).unwrap().unwrap(), frame);
+        }
+        // Nine references to one 8 MiB row: 72 MiB on the wire.
+        let big = Tuple::new(vec![Value::text("x".repeat(MAX_FRAME_LEN / 8))]);
+        let mut buf = vec![0xAA];
+        assert!(encode_result_chunk(
+            &mut buf,
+            9,
+            flags,
+            &[],
+            &vec![big.clone(); 7]
+        ));
+        buf.truncate(1);
+        assert!(!encode_result_chunk(&mut buf, 9, flags, &[], &vec![big; 9]));
+        assert_eq!(buf, [0xAA]);
     }
 
     #[test]

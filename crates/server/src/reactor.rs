@@ -38,9 +38,9 @@
 //! deadline is armed.
 
 use crate::protocol::{
-    self, chunk_flags, error_to_wire, Frame, FrameDecoder, WireAttributedCost, WireExplain,
-    WireExplainNode, WireOperatorStats, WirePhaseSummary, WireReplicaStats, WireStatementPhases,
-    WireStats, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    self, chunk_flags, encode_result_chunk, error_to_wire, Frame, FrameDecoder, WireAttributedCost,
+    WireExplain, WireExplainNode, WireOperatorStats, WirePhaseSummary, WireReplicaStats,
+    WireStatementPhases, WireStats, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::server::Shared;
 use shareddb_cluster::ClusterHandle;
@@ -1728,7 +1728,8 @@ fn encode_outcome(
                 schema: vec![],
                 rows: vec![],
             };
-            append_frame(buf, &frame)
+            buf.extend_from_slice(&frame.encode()); // a few dozen bytes
+            true
         }
         QueryOutcome::Rows(result) => {
             let schema: Vec<(String, shareddb_common::DataType)> = result
@@ -1755,27 +1756,13 @@ fn encode_outcome(
                 if i + 1 == n_chunks {
                     flags |= chunk_flags::LAST;
                 }
-                let frame = Frame::ResultChunk {
-                    request_id,
-                    flags,
-                    rows_affected: 0,
-                    schema: if i == 0 { schema.clone() } else { vec![] },
-                    rows: chunk.iter().map(|t| t.values().to_vec()).collect(),
-                };
-                if !append_frame(buf, &frame) {
+                // Only the first chunk carries the schema.
+                let schema = if i == 0 { &schema[..] } else { &[] };
+                if !encode_result_chunk(buf, request_id, flags, schema, chunk) {
                     return false;
                 }
             }
             true
         }
     }
-}
-
-fn append_frame(buf: &mut Vec<u8>, frame: &Frame) -> bool {
-    let bytes = frame.encode();
-    if bytes.len() - 4 > MAX_FRAME_LEN {
-        return false;
-    }
-    buf.extend_from_slice(&bytes);
-    true
 }

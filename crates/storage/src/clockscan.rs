@@ -214,6 +214,9 @@ impl ClockScan {
             *total += served;
         }
         let mut matches = Vec::new();
+        // Neighbouring rows mostly interest the same queries: a set too long
+        // to live inline is the previous row's, shared, when it is equal.
+        let mut previous = QuerySet::new();
         for chunk in table.chunks() {
             if !index.may_match(&chunk.zones) {
                 result.rows_skipped += chunk.rows.len();
@@ -231,8 +234,11 @@ impl ClockScan {
                 if !matches.is_empty() {
                     // The emitted tuple *is* the stored version: a reference,
                     // not a copy.
-                    let queries = QuerySet::from_ids(matches.drain(..));
-                    result.tuples.push(QTuple::new(row.clone(), queries));
+                    previous = QuerySet::from_ids_like(&mut matches, &previous);
+                    matches.clear();
+                    result
+                        .tuples
+                        .push(QTuple::new(row.clone(), previous.clone()));
                 }
             }
         }

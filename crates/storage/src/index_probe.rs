@@ -240,13 +240,18 @@ impl Hits {
     pub(crate) fn emit(mut self, table: &Table, out: &mut Vec<QTuple>) {
         // Sorted, the hits of one row are neighbours and its queries ascend.
         self.0.sort_unstable();
+        // As in a scan pass, a set too long to live inline is shared with
+        // the row before when both interest the same queries.
+        let (mut ids, mut previous) = (Vec::new(), QuerySet::new());
         for of_row in self.0.chunk_by(|a, b| a.0 == b.0) {
             let row = &table
                 .row(of_row[0].0)
                 .expect("a hit is a fetched row")
                 .values;
-            let queries = QuerySet::from_ids(of_row.iter().map(|(_, q)| *q));
-            out.push(QTuple::new(row.clone(), queries));
+            ids.clear();
+            ids.extend(of_row.iter().map(|(_, q)| *q));
+            previous = QuerySet::from_ids_like(&mut ids, &previous);
+            out.push(QTuple::new(row.clone(), previous.clone()));
         }
     }
 }

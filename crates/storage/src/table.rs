@@ -250,7 +250,7 @@ impl Table {
     /// Fails when the tuple does not match the schema or when a live row with
     /// the same primary key already exists.
     pub fn insert(&mut self, values: Tuple, ts: Timestamp) -> Result<RowId> {
-        self.schema.check_tuple(values.values())?;
+        self.schema.check_tuple(&values.values())?;
         if self.primary_key.is_empty() {
             return Ok(self.push_version(values, ts));
         }
@@ -330,7 +330,7 @@ impl Table {
         let mut keys = Vec::with_capacity(updates.len());
         let mut previous = None;
         for (row_id, new_values) in &updates {
-            self.schema.check_tuple(new_values.values())?;
+            self.schema.check_tuple(&new_values.values())?;
             let old = self
                 .rows
                 .get(row_id.idx())

@@ -728,7 +728,7 @@ fn decode_value(s: &str) -> Result<(Value, &str)> {
 
 fn encode_tuple(t: &Tuple, out: &mut String) {
     out.push('(');
-    for (i, v) in t.values().iter().enumerate() {
+    for (i, v) in t.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

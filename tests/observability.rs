@@ -735,8 +735,9 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
         let classic = classic.execute_sync(statement, params).unwrap();
         assert!(
             rows.iter()
-                .map(Vec::as_slice)
-                .eq(classic.iter().map(|row| row.values())),
+                .zip(&classic)
+                .all(|(row, classic)| row.iter().eq(classic))
+                && rows.len() == classic.len(),
             "{statement}"
         );
     };

@@ -8,6 +8,7 @@
 //!   would have computed on its own.
 
 use proptest::prelude::*;
+use proptest::TestRng;
 use shareddb::common::agg::AggregateFunction;
 use shareddb::common::{QTuple, QueryId, QuerySet, SortKey, Tuple, Value};
 use shareddb::core::batch::Activation;
@@ -15,7 +16,9 @@ use shareddb::core::operators::{execute_operator, ExecContext};
 use shareddb::core::plan::{AggregateSpec, OperatorSpec};
 use shareddb::storage::table::RowId;
 use shareddb::storage::{BTreeIndex, Catalog};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 
 // ---------------------------------------------------------------------------
@@ -61,6 +64,256 @@ proptest! {
         let expect: Vec<u32> = model.iter().copied().collect();
         prop_assert_eq!(got, expect);
     }
+}
+
+/// `QuerySet` keeps a handful of ids inline and a longer list in a shared
+/// slice: random operations around that boundary (0..=12 ids, so a set
+/// crosses it both ways), each checked against `BTreeSet`. Mutations of
+/// `crates/common/src/queryset.rs` this was checked to kill are listed in
+/// CHANGES.md (PR 20).
+mod queryset_across_the_inline_boundary {
+    use super::*;
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (0..n).generate(rng)
+    }
+
+    /// Up to twelve ids under 16 — sets overlap and are often equal — or, now
+    /// and then, a long one that sends `intersect` down its binary-search
+    /// path.
+    fn some_ids(rng: &mut TestRng) -> Vec<u32> {
+        if pick(rng, 8) == 0 {
+            let step = 1 + pick(rng, 3) as u32;
+            return (0..100 + pick(rng, 100) as u32).map(|i| i * step).collect();
+        }
+        (0..pick(rng, 13)).map(|_| pick(rng, 16) as u32).collect()
+    }
+
+    #[derive(Debug)]
+    enum Op {
+        FromIds(Vec<u32>),
+        FromIdsLike(Vec<u32>),
+        Insert(u32),
+        Remove(u32),
+        Union(Vec<u32>),
+        UnionInPlace(Vec<u32>),
+        Intersect(Vec<u32>),
+        RetainIn(Vec<u32>),
+    }
+
+    struct Ops;
+
+    impl Strategy for Ops {
+        type Value = Vec<Op>;
+        fn generate(&self, rng: &mut TestRng) -> Vec<Op> {
+            let op = |rng: &mut TestRng| match pick(rng, 12) {
+                0 => Op::FromIds(some_ids(rng)),
+                1 => Op::FromIdsLike(some_ids(rng)),
+                2..=4 => Op::Insert(pick(rng, 16) as u32),
+                5..=7 => Op::Remove(pick(rng, 16) as u32),
+                8 => Op::Union(some_ids(rng)),
+                9 => Op::UnionInPlace(some_ids(rng)),
+                10 => Op::Intersect(some_ids(rng)),
+                _ => Op::RetainIn(some_ids(rng)),
+            };
+            (0..1 + pick(rng, 40)).map(|_| op(rng)).collect()
+        }
+    }
+
+    fn raw(set: &QuerySet) -> Vec<u32> {
+        set.iter().map(QueryId::raw).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn queryset_matches_btreeset(ops in Ops) {
+            let mut set = QuerySet::new();
+            let mut model: BTreeSet<u32> = BTreeSet::new();
+            for op in &ops {
+                let before = set.clone();
+                match op {
+                    Op::FromIds(ids) => {
+                        set = QuerySet::from_ids(ids.iter().copied().map(QueryId));
+                        model = ids.iter().copied().collect();
+                    }
+                    Op::FromIdsLike(ids) => {
+                        // Once like the current set, once like itself: the
+                        // second is handed on, not rebuilt.
+                        let mut scratch: Vec<QueryId> = ids.iter().copied().map(QueryId).collect();
+                        set = QuerySet::from_ids_like(&mut scratch, &set);
+                        model = ids.iter().copied().collect();
+                        scratch.extend(ids.iter().rev().copied().map(QueryId));
+                        let again = QuerySet::from_ids_like(&mut scratch, &set);
+                        prop_assert_eq!(&again, &set);
+                        let handed_on = std::ptr::eq(again.as_slice(), set.as_slice());
+                        prop_assert_eq!(handed_on, set.heap_size() > 0, "{:?}", again);
+                    }
+                    Op::Insert(id) => {
+                        prop_assert_eq!(set.insert(QueryId(*id)), model.insert(*id), "{:?}", op);
+                    }
+                    Op::Remove(id) => {
+                        prop_assert_eq!(set.remove(QueryId(*id)), model.remove(id), "{:?}", op);
+                    }
+                    Op::Union(ids) => {
+                        set = set.union(&qs(ids));
+                        prop_assert_eq!(&set, &qs(ids).union(&before));
+                        model.extend(ids);
+                    }
+                    Op::UnionInPlace(ids) => {
+                        set.union_in_place(&qs(ids));
+                        model.extend(ids);
+                    }
+                    Op::Intersect(ids) => {
+                        let other = qs(ids);
+                        let common = model.iter().any(|id| ids.contains(id));
+                        prop_assert_eq!(set.intersects(&other), common);
+                        prop_assert_eq!(other.intersects(&set), common);
+                        set = set.intersect(&other);
+                        prop_assert_eq!(&set, &other.intersect(&before));
+                        model.retain(|id| ids.contains(id));
+                    }
+                    Op::RetainIn(ids) => {
+                        set.retain_in(&qs(ids));
+                        model.retain(|id| ids.contains(id));
+                    }
+                }
+                // The set reads as the model whichever way it is stored …
+                let expected: Vec<u32> = model.iter().copied().collect();
+                prop_assert_eq!(raw(&set), expected.clone(), "after {:?} on {:?}", op, before);
+                let slice: Vec<u32> = set.as_slice().iter().map(|q| q.raw()).collect();
+                prop_assert_eq!(&slice, &expected);
+                prop_assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()));
+                for id in 0..17 {
+                    prop_assert_eq!(set.contains(QueryId(id)), model.contains(&id));
+                }
+                // … is stored inline exactly when it is a handful, and equals
+                // — and hashes as — the same set built any other way.
+                prop_assert_eq!(set.heap_size() == 0, model.len() <= 5, "{:?}", set);
+                let rebuilt: QuerySet = expected.iter().rev().copied().collect();
+                prop_assert_eq!(&rebuilt, &set);
+                prop_assert_eq!(hash_of(&rebuilt), hash_of(&set));
+                prop_assert_eq!(set.to_string(), rebuilt.to_string());
+            }
+        }
+    }
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+// ---------------------------------------------------------------------------
+// Tuple: a join reads as the flat row
+// ---------------------------------------------------------------------------
+
+/// A tuple as a tree of `concat`s over rows.
+#[derive(Debug, Clone)]
+enum Shape {
+    Row(Vec<Value>),
+    Join(Box<Shape>, Box<Shape>),
+}
+
+impl Shape {
+    fn any(rng: &mut TestRng, depth: usize) -> Shape {
+        let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+        if depth == 0 || pick(rng, 3) == 0 {
+            let value = |rng: &mut TestRng| match pick(rng, 4) {
+                0 => Value::Null,
+                1 => Value::text(["", "a", "ab"][pick(rng, 3)]),
+                _ => Value::Int(pick(rng, 3) as i64),
+            };
+            // Rows without values included: a side may be empty.
+            return Shape::Row((0..pick(rng, 4)).map(|_| value(rng)).collect());
+        }
+        let side = |rng: &mut TestRng| Box::new(Shape::any(rng, depth - 1));
+        Shape::Join(side(rng), side(rng))
+    }
+
+    fn build(&self) -> Tuple {
+        match self {
+            Shape::Row(values) => Tuple::new(values.clone()),
+            Shape::Join(left, right) => left.build().concat(&right.build()),
+        }
+    }
+
+    fn flat(&self) -> Vec<Value> {
+        match self {
+            Shape::Row(values) => values.clone(),
+            Shape::Join(left, right) => [left.flat(), right.flat()].concat(),
+        }
+    }
+}
+
+struct Shapes;
+
+impl Strategy for Shapes {
+    type Value = (Shape, Shape);
+    /// Two shapes; half the time the second holds the values of the first
+    /// under another shape, so that equal tuples of different shapes meet.
+    fn generate(&self, rng: &mut TestRng) -> (Shape, Shape) {
+        let first = Shape::any(rng, 3);
+        let second = match (0..2).generate(rng) {
+            0 => Shape::any(rng, 3),
+            _ => {
+                let values = first.flat();
+                let (left, right) = values.split_at((0..values.len() + 1).generate(rng));
+                let row = |values: &[Value]| Box::new(Shape::Row(values.to_vec()));
+                Shape::Join(row(left), row(right))
+            }
+        };
+        (first, second)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn a_nested_join_reads_as_the_flat_row((shape, other) in Shapes) {
+        let (tuple, flat) = (shape.build(), shape.flat());
+        let row = Tuple::new(flat.clone());
+        prop_assert_eq!((tuple.len(), tuple.is_empty()), (flat.len(), flat.is_empty()));
+        for i in 0..flat.len() + 2 {
+            prop_assert_eq!(tuple.get(i), flat.get(i), "get({}) of {:?}", i, shape);
+        }
+        for (i, value) in flat.iter().enumerate() {
+            prop_assert_eq!(&tuple[i], value);
+        }
+        prop_assert!(tuple.iter().eq(flat.iter()), "iter of {:?}", shape);
+        prop_assert_eq!(tuple.iter().len(), flat.len());
+        prop_assert_eq!(&*tuple.values(), &flat[..]);
+        let reversed: Vec<usize> = (0..flat.len()).rev().collect();
+        prop_assert_eq!(tuple.project(&reversed), row.project(&reversed));
+        prop_assert_eq!(tuple.project(&reversed).into_values(), flat.iter().rev().cloned().collect::<Vec<_>>());
+        prop_assert_eq!(tuple.clone().into_values(), flat.clone());
+        prop_assert_eq!(tuple.to_string(), row.to_string());
+        // Equality, hashing and order see the values, never the shape.
+        prop_assert_eq!(&tuple, &row);
+        prop_assert_eq!(hash_of(&tuple), hash_of(&row));
+        let (other_tuple, other_flat) = (other.build(), other.flat());
+        prop_assert_eq!(tuple == other_tuple, flat == other_flat);
+        prop_assert_eq!(tuple.cmp(&other_tuple), flat.cmp(&other_flat), "{:?} against {:?}", shape, other);
+        prop_assert_eq!(tuple.partial_cmp(&other_tuple), Some(flat.cmp(&other_flat)));
+        if flat == other_flat {
+            prop_assert_eq!(hash_of(&tuple), hash_of(&other_tuple));
+        }
+        // Shared is not the same as equal: a clone is the tuple itself, a
+        // rebuilt one is not, whatever the shape.
+        prop_assert!(tuple.ptr_eq(&tuple.clone()));
+        prop_assert!(!tuple.ptr_eq(&shape.build()));
+        prop_assert!(!tuple.ptr_eq(&row) && row.ptr_eq(&row.clone()));
+        prop_assert_eq!(tuple.sides().is_some(), matches!(shape, Shape::Join(..)));
+    }
+}
+
+/// What the arena stores per version and the operators move per tuple.
+#[test]
+fn tuples_and_query_sets_stay_small() {
+    assert_eq!(std::mem::size_of::<Tuple>(), 16);
+    assert!(std::mem::size_of::<QuerySet>() <= 24);
+    assert!(std::mem::size_of::<QTuple>() <= 40);
 }
 
 // ---------------------------------------------------------------------------
