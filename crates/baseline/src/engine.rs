@@ -17,6 +17,7 @@ use crate::exec::{execute_plan, execute_update, QueryPlan};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use shareddb_common::{Error, Result, Tuple, Value};
+use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::{Catalog, UpdateOp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -201,6 +202,25 @@ impl ClassicEngine {
     /// Submits and waits for the result.
     pub fn execute_sync(&self, statement: &str, params: &[Value]) -> Result<Vec<Tuple>> {
         self.execute(statement, params)?.wait()
+    }
+
+    /// A registered query's result at `snapshot`, computed on the calling
+    /// thread: what a shared execution pinned to the same snapshot must
+    /// return, whatever is written meanwhile.
+    pub fn execute_at(
+        &self,
+        statement: &str,
+        params: &[Value],
+        snapshot: Snapshot,
+    ) -> Result<Vec<Tuple>> {
+        let registered = self.shared.statements.lock().get(statement).cloned();
+        match registered {
+            Some(BaselineStatement::Query(plan)) => {
+                execute_plan(&self.shared.catalog, &plan, params, snapshot).map(|r| r.rows)
+            }
+            Some(_) => Err(Error::Internal(format!("{statement} is not a query"))),
+            None => Err(Error::UnknownStatement(statement.to_string())),
+        }
     }
 
     /// Engine statistics.

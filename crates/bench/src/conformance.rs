@@ -43,6 +43,7 @@
 //!   4`, `T` maps `b → b + 2 mod 4`.
 
 use shareddb_common::{DataType, Value};
+use shareddb_core::demand::push_down;
 use shareddb_core::{render_explain_text, Engine, EngineConfig};
 use shareddb_sql::SqlCompiler;
 use shareddb_storage::{Catalog, TableDef};
@@ -450,7 +451,9 @@ pub fn run_explain_golden(dir: &Path) -> Result<Report, String> {
             names.push(case.name.clone());
         }
     }
-    let (plan, registry) = compiler.finish();
+    let (plan, mut registry) = compiler.finish();
+    // As an engine takes it: with each `ORDER BY … LIMIT`'s row demand.
+    push_down(&plan, &mut registry);
     let mut rendered = String::new();
     for name in &names {
         let (index, _) = registry.get(name).map_err(|e| e.to_string())?;

@@ -5,6 +5,7 @@ use crate::fanout::{FanoutState, MergePool};
 use crate::router::{Route, Router};
 use crate::ClusterConfig;
 use shareddb_common::{Result, Value};
+use shareddb_core::demand::push_down;
 use shareddb_core::engine::{QueryHandle, QueryOutcome};
 use shareddb_core::scatter::{scatter_spec, ScatterSpec};
 use shareddb_core::stats::{
@@ -47,10 +48,14 @@ impl ClusterEngine {
     pub fn start(
         catalog: Arc<Catalog>,
         plan: GlobalPlan,
-        registry: StatementRegistry,
+        mut registry: StatementRegistry,
         engine_config: EngineConfig,
         config: ClusterConfig,
     ) -> Result<ClusterEngine> {
+        // What every replica derives for itself, so that `registry()` —
+        // EXPLAIN's source — shows the statements as they execute.
+        registry.validate(&plan)?;
+        push_down(&plan, &mut registry);
         let replicas = config.replicas.max(1);
         let mut engines = Vec::with_capacity(replicas);
         for _ in 0..replicas {

@@ -11,9 +11,10 @@ use crate::plan::{
     ActivationTemplate, ComputedColumn, StatementKind, StatementSpec, UpdateTemplate,
 };
 use shareddb_common::ids::{BatchId, TicketId};
-use shareddb_common::{Error, Expr, QueryId, Result, Tuple, Value};
+use shareddb_common::{Error, Expr, QueryId, Result, SortKey, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::{ProbeRange, UpdateOp};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A bound (parameter-free) activation of one operator for one query.
@@ -79,6 +80,28 @@ pub enum Activation {
         /// appended to the row.
         partial: bool,
     },
+    /// `base`, of whose output rows the query needs only its first `limit`
+    /// under `(keys, arrival position)` — see
+    /// [`ActivationTemplate::Demand`].
+    Demand {
+        /// The activation the operator would have without the demand.
+        base: Box<Activation>,
+        /// Sort keys over the operator's output schema.
+        keys: Arc<[SortKey]>,
+        /// Rows the query keeps.
+        limit: usize,
+    },
+}
+
+impl Activation {
+    /// The activation without a row demand it may carry, and that demand as
+    /// `(keys, limit)`.
+    pub fn split_demand(&self) -> (&Activation, Option<(&[SortKey], usize)>) {
+        match self {
+            Activation::Demand { base, keys, limit } => (base, Some((keys, *limit))),
+            plain => (plain, None),
+        }
+    }
 }
 
 /// One admitted query: an activation of a registered statement with concrete
@@ -201,41 +224,11 @@ pub fn bind_query(
             spec.name
         )));
     };
-    let mut activations = Vec::with_capacity(spec.activations.len());
-    for (op, template) in &spec.activations {
-        let bound = match template {
-            ActivationTemplate::Scan { predicate } => Activation::Scan {
-                predicate: predicate.bind(params)?,
-                partition: opts.scan_partition,
-                partition_columns: opts
-                    .partition_columns
-                    .as_ref()
-                    .and_then(|m| m.get(op).cloned()),
-                segment: None,
-                snapshot: opts.pinned_snapshot,
-            },
-            ActivationTemplate::Probe {
-                column,
-                range,
-                residual,
-            } => Activation::Probe {
-                column: *column,
-                range: range.bind(params)?,
-                residual: residual.as_ref().map(|e| e.bind(params)).transpose()?,
-                snapshot: opts.pinned_snapshot,
-            },
-            ActivationTemplate::Filter { predicate } => Activation::Filter {
-                predicate: predicate.bind(params)?,
-            },
-            ActivationTemplate::Participate => Activation::Participate,
-            ActivationTemplate::TopN { limit } => Activation::TopN { limit: *limit },
-            ActivationTemplate::Having { predicate } => Activation::Having {
-                predicate: predicate.as_ref().map(|e| e.bind(params)).transpose()?,
-                partial: opts.partial_aggregation,
-            },
-        };
-        activations.push((*op, bound));
-    }
+    let activations = spec
+        .activations
+        .iter()
+        .map(|(op, template)| Ok((*op, bind_activation(*op, template, params, opts)?)))
+        .collect::<Result<Vec<_>>>()?;
     let compute = compute
         .iter()
         .map(|c| {
@@ -270,6 +263,52 @@ pub fn bind_query(
         segment_ok: false,
         enqueued: Instant::now(),
         read_after: opts.read_after.clone(),
+    })
+}
+
+fn bind_activation(
+    op: OperatorId,
+    template: &ActivationTemplate,
+    params: &[Value],
+    opts: &SubmitOptions,
+) -> Result<Activation> {
+    Ok(match template {
+        ActivationTemplate::Scan { predicate } => Activation::Scan {
+            predicate: predicate.bind(params)?,
+            partition: opts.scan_partition,
+            partition_columns: opts
+                .partition_columns
+                .as_ref()
+                .and_then(|m| m.get(&op).cloned()),
+            segment: None,
+            snapshot: opts.pinned_snapshot,
+        },
+        ActivationTemplate::Probe {
+            column,
+            range,
+            residual,
+        } => Activation::Probe {
+            column: *column,
+            range: range.bind(params)?,
+            residual: residual.as_ref().map(|e| e.bind(params)).transpose()?,
+            snapshot: opts.pinned_snapshot,
+        },
+        ActivationTemplate::Filter { predicate } => Activation::Filter {
+            predicate: predicate.bind(params)?,
+        },
+        ActivationTemplate::Participate => Activation::Participate,
+        ActivationTemplate::TopN { limit } => Activation::TopN { limit: *limit },
+        ActivationTemplate::Having { predicate } => Activation::Having {
+            predicate: predicate.as_ref().map(|e| e.bind(params)).transpose()?,
+            partial: opts.partial_aggregation,
+        },
+        ActivationTemplate::Demand {
+            base, keys, limit, ..
+        } => Activation::Demand {
+            base: Box::new(bind_activation(op, base, params, opts)?),
+            keys: Arc::clone(keys),
+            limit: *limit,
+        },
     })
 }
 

@@ -437,10 +437,11 @@ impl Engine {
     pub fn start(
         catalog: Arc<Catalog>,
         plan: GlobalPlan,
-        registry: StatementRegistry,
+        mut registry: StatementRegistry,
         config: EngineConfig,
     ) -> Result<Engine> {
         registry.validate(&plan)?;
+        crate::demand::push_down(&plan, &mut registry);
         if config.scan_segments == 0 {
             return Err(Error::InvalidParameter(
                 "scan_segments must be >= 1 (1 disables segment parallelism)".into(),
@@ -827,6 +828,12 @@ fn segment_activation(
         Activation::Having { predicate, partial } => Activation::Having {
             predicate: predicate.clone(),
             partial: *partial || spec.partial_aggregation,
+        },
+        // A segment's best rows contain its share of the best rows overall.
+        Activation::Demand { base, keys, limit } => Activation::Demand {
+            base: Box::new(segment_activation(base, op, index, of, spec)),
+            keys: Arc::clone(keys),
+            limit: *limit,
         },
         other => other.clone(),
     }
@@ -1310,20 +1317,22 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
     let mut active_operators = 0usize;
     let mut total_busy = Duration::ZERO;
     let mut op_tuples: Vec<usize> = vec![0; plan.len()];
+    let mut op_pruned: Vec<usize> = vec![0; plan.len()];
     let mut op_busy: Vec<Duration> = vec![Duration::ZERO; plan.len()];
     let mut op_active: Vec<bool> = vec![false; plan.len()];
     for (id, node) in run.nodes.iter().enumerate() {
         let Some((result, busy)) = node.done.get() else {
             continue;
         };
-        let tuples = match result {
-            Ok(n) => *n,
+        let (tuples, pruned) = match result {
+            Ok(counts) => *counts,
             Err(e) => {
                 batch_error.get_or_insert_with(|| e.clone());
-                0
+                (0, 0)
             }
         };
         op_tuples[id] = tuples;
+        op_pruned[id] = pruned;
         op_busy[id] = *busy;
         op_active[id] = true;
         total_busy += *busy;
@@ -1343,8 +1352,9 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         let done = done.get().expect("the run returns after its last task");
         total_busy += done.busy;
         for (id, stats) in done.node_stats.iter().enumerate() {
-            if let Some((tuples, busy)) = stats {
+            if let Some((tuples, pruned, busy)) = stats {
                 op_tuples[id] += tuples;
+                op_pruned[id] += pruned;
                 op_busy[id] = op_busy[id].max(*busy);
                 op_active[id] = true;
             }
@@ -1363,6 +1373,7 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         inner.operator_stats[node.id].record_cycle(
             op_active[node.id],
             op_tuples[node.id],
+            op_pruned[node.id],
             op_busy[node.id],
         );
     }

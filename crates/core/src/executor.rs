@@ -23,7 +23,7 @@
 //!   the run ends; its error fails the batch's queries at the coordinator.
 
 use crate::batch::Activation;
-use crate::operators::{execute_on, ExecContext};
+use crate::operators::{execute_on, Emitted, ExecContext};
 use crate::plan::{GlobalPlan, OperatorId, OperatorNode};
 use crate::stats::EngineStats;
 use crate::storage_ops::StorageOperator;
@@ -47,17 +47,19 @@ pub(crate) struct NodeRun {
     pub activations: Activations,
     /// The node's output, published once for all its consumers.
     pub output: OnceLock<Arc<Vec<QTuple>>>,
-    /// Set when the node's task has finished: the tuples it emitted (or why
-    /// it failed) and the wall-clock time of the operator body.
-    pub done: OnceLock<(Result<usize>, Duration)>,
+    /// Set when the node's task has finished: the tuples it emitted and the
+    /// work a row demand let it skip (or why it failed), and the wall-clock
+    /// time of the operator body.
+    pub done: OnceLock<(Result<(usize, usize)>, Duration)>,
 }
 
 /// What one segment job did.
 pub(crate) struct SegmentDone {
-    /// `(tuples_out, busy)` per executed plan node (`None` = not executed in
-    /// this lane). Feeds the per-operator counters without double-counting:
-    /// the coordinator folds lanes with max-busy / summed-tuples.
-    pub node_stats: Vec<Option<(usize, Duration)>>,
+    /// `(tuples_out, pruned, busy)` per executed plan node (`None` = not
+    /// executed in this lane). Feeds the per-operator counters without
+    /// double-counting: the coordinator folds lanes with max-busy /
+    /// summed-tuples.
+    pub node_stats: Vec<Option<(usize, usize, Duration)>>,
     /// Root outputs by operator id, or the first node failure.
     pub outputs: Result<HashMap<OperatorId, Vec<QTuple>>>,
     /// Wall-clock duration of the whole job.
@@ -299,13 +301,15 @@ impl Executor {
                 });
                 let busy = started.elapsed();
                 // A failed node publishes an empty output.
-                let (output, emitted) = match result {
-                    Ok(tuples) => (Arc::new(tuples), Ok(())),
+                let (output, counts) = match result {
+                    Ok(Emitted { tuples, pruned }) => {
+                        let counts = (tuples.len(), pruned);
+                        (Arc::new(tuples), Ok(counts))
+                    }
                     Err(e) => (Arc::default(), Err(e)),
                 };
-                let emitted = emitted.map(|()| output.len());
                 let _ = slot.output.set(output);
-                let _ = slot.done.set((emitted, busy));
+                let _ = slot.done.set((counts, busy));
             }
             Task::Segment(segment) => {
                 let (activations, done) = &run.segments[segment];
@@ -319,7 +323,7 @@ impl Executor {
         let started = Instant::now();
         let plan = &self.plan;
         let mut outputs: Vec<Vec<QTuple>> = vec![Vec::new(); plan.len()];
-        let mut node_stats: Vec<Option<(usize, Duration)>> = vec![None; plan.len()];
+        let mut node_stats: Vec<Option<(usize, usize, Duration)>> = vec![None; plan.len()];
         let mut failure: Option<Error> = None;
         for node in plan.nodes() {
             let activations = &activations[node.id];
@@ -328,8 +332,8 @@ impl Executor {
             }
             let node_started = Instant::now();
             match self.operate(node, activations, run.snapshot, |input| &outputs[input]) {
-                Ok(tuples) => {
-                    node_stats[node.id] = Some((tuples.len(), node_started.elapsed()));
+                Ok(Emitted { tuples, pruned }) => {
+                    node_stats[node.id] = Some((tuples.len(), pruned, node_started.elapsed()));
                     outputs[node.id] = tuples;
                 }
                 Err(e) => {
@@ -362,10 +366,11 @@ impl Executor {
         activations: &Activations,
         snapshot: Snapshot,
         input_of: impl Fn(OperatorId) -> &'a [QTuple],
-    ) -> Result<Vec<QTuple>> {
+    ) -> Result<Emitted> {
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(storage) = &self.storage_ops[node.id] {
-                return storage.execute(activations);
+                let tuples = storage.execute(activations)?;
+                return Ok(Emitted { tuples, pruned: 0 });
             }
             let inputs: Vec<&[QTuple]> = node.inputs.iter().map(|i| input_of(*i)).collect();
             let catalog = &self.catalog;

@@ -20,7 +20,7 @@ use crate::plan::{
     ActivationTemplate, GlobalPlan, OperatorId, StatementKind, StatementRegistry, UpdateTemplate,
 };
 use crate::stats::{AttributionEntry, OperatorStatsSnapshot};
-use shareddb_common::{DataType, Expr, Schema, Value};
+use shareddb_common::{DataType, Expr, Schema, SortOrder, Value};
 use shareddb_storage::{AccessPath, Catalog, PredicateClass};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -206,7 +206,12 @@ pub fn render_explain_text(
                     _ => None,
                 })
                 .collect();
-            render_node_text(&tree, root, 1, &classes, analyze, &mut out);
+            let demands: Vec<(OperatorId, String)> = spec
+                .activations
+                .iter()
+                .filter_map(|(op, template)| Some((*op, describe_demand(plan, *op, template)?)))
+                .collect();
+            render_node_text(&tree, root, 1, &classes, &demands, analyze, &mut out);
         }
         (_, None) => {
             let _ = writeln!(out, "statement {}: query (no root)", tree.statement);
@@ -273,11 +278,50 @@ fn template_class(schema: &Schema, predicate: &Expr) -> String {
     }
 }
 
+/// The row demand a template carries, as EXPLAIN shows it on the line of the
+/// operator that honours it: `top 50 by [I_PUB_DATE desc, I_TITLE] for
+/// TopN#9` — `for LIMIT` on a root sort that is told of the statement's own.
+fn describe_demand(
+    plan: &GlobalPlan,
+    op: OperatorId,
+    template: &ActivationTemplate,
+) -> Option<String> {
+    let ActivationTemplate::Demand {
+        keys,
+        limit,
+        consumer,
+        ..
+    } = template
+    else {
+        return None;
+    };
+    let schema = &plan.node(op).schema;
+    let keys: Vec<String> = keys
+        .iter()
+        .map(|key| {
+            let name = &schema.column(key.column).name;
+            match key.order {
+                SortOrder::Ascending => name.clone(),
+                SortOrder::Descending => format!("{name} desc"),
+            }
+        })
+        .collect();
+    let consumer = match *consumer == op {
+        true => "LIMIT",
+        false => &plan.node(*consumer).name,
+    };
+    Some(format!(
+        "top {limit} by [{}] for {consumer}",
+        keys.join(", ")
+    ))
+}
+
 fn render_node_text(
     tree: &ExplainTree,
     id: OperatorId,
     depth: usize,
     classes: &[(OperatorId, String)],
+    demands: &[(OperatorId, String)],
     analyze: Option<&AnalyzeData>,
     out: &mut String,
 ) {
@@ -293,6 +337,9 @@ fn render_node_text(
     if node.activated {
         out.push_str(" (activated)");
     }
+    for (_, demand) in demands.iter().filter(|(op, _)| *op == id) {
+        let _ = write!(out, " {demand}");
+    }
     out.push('\n');
     for (_, class) in classes.iter().filter(|(op, _)| *op == id) {
         let _ = writeln!(out, "{indent}  predicate: {class}");
@@ -301,10 +348,11 @@ fn render_node_text(
         if let Some(op) = data.operators.get(id) {
             let _ = writeln!(
                 out,
-                "{indent}  · cycles={} active={} rows={} busy={}us",
+                "{indent}  · cycles={} active={} rows={} pruned={} busy={}us",
                 op.cycles,
                 op.active_cycles,
                 op.tuples_out,
+                op.rows_pruned,
                 op.busy.as_micros()
             );
         }
@@ -322,7 +370,7 @@ fn render_node_text(
         }
     }
     for &input in &node.inputs {
-        render_node_text(tree, input, depth + 1, classes, analyze, out);
+        render_node_text(tree, input, depth + 1, classes, demands, analyze, out);
     }
 }
 
@@ -522,6 +570,7 @@ mod tests {
                     cycles: 4,
                     active_cycles: 3,
                     tuples_out: 12,
+                    rows_pruned: 7,
                     busy: Duration::from_micros(90),
                 },
                 OperatorStatsSnapshot {
@@ -529,6 +578,7 @@ mod tests {
                     cycles: 4,
                     active_cycles: 1,
                     tuples_out: 12,
+                    rows_pruned: 0,
                     busy: Duration::from_micros(30),
                 },
             ],
@@ -542,7 +592,7 @@ mod tests {
             wall: Duration::from_secs(1),
         };
         let text = render_explain_text(&catalog, &plan, &registry, 0, Some(&data));
-        assert!(text.contains("cycles=4 active=3 rows=12 busy=90us"));
+        assert!(text.contains("cycles=4 active=3 rows=12 pruned=7 busy=90us"));
         assert!(text.contains("attributed pointT: activations=3 rows=9 busy=60us"));
     }
 }

@@ -29,6 +29,7 @@
 //! * [`operators`] — the shared relational operators (pure batch functions).
 //! * [`storage_ops`] — scan / index-probe operators backed by `shareddb-storage`.
 //! * [`batch`] — activations, active queries, batch assembly.
+//! * [`demand`] — a statement's Top-N limit, carried one edge down the plan.
 //! * [`engine`] — the batching runtime: admission, coordinator, completion.
 //! * `executor` — operator cycles as tasks on a ready queue, cores as threads.
 //! * [`scatter`] — the partitionability walker: which statement shapes can run
@@ -43,6 +44,7 @@
 
 pub mod batch;
 pub mod config;
+pub mod demand;
 pub mod engine;
 mod executor;
 pub mod explain;

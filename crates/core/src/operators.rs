@@ -37,6 +37,18 @@ pub struct ExecContext<'a> {
     pub snapshot: Snapshot,
 }
 
+/// What one operator cycle produced.
+#[derive(Debug, Default)]
+pub struct Emitted {
+    /// The output tuples of the batch.
+    pub tuples: Vec<QTuple>,
+    /// Work a row demand ([`Activation::Demand`], a Top-N's limit) let the
+    /// cycle skip: outer rows a join did not look up, (group, query) rows a
+    /// group-by did not build, (row, query) pairs a sort or Top-N did not
+    /// keep. Zero in a cycle without demands.
+    pub pruned: usize,
+}
+
 /// Executes one non-storage operator over the inputs of the current batch.
 ///
 /// `inputs[i]` holds the tuples produced by the operator's `i`-th input for
@@ -50,7 +62,7 @@ pub fn execute_operator(
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<QTuple>> {
     let inputs: Vec<&[QTuple]> = inputs.iter().map(Vec::as_slice).collect();
-    execute_on(spec, activations, &inputs, ctx)
+    execute_on(spec, activations, &inputs, ctx).map(|emitted| emitted.tuples)
 }
 
 /// [`execute_operator`] over borrowed inputs: one producer's output serves
@@ -60,12 +72,17 @@ pub fn execute_operator(
 /// only payload built here; everything else hands the input row on by
 /// reference count — and nothing for an input tuple none of its queries
 /// wants.
+///
+/// A query that carries an [`Activation::Demand`] gets, of what the operator
+/// would emit for it, a sub-sequence that holds its first `limit` rows under
+/// `(keys, position in that output)` — all a stable cut to `limit` rows
+/// above can tell apart.
 pub fn execute_on(
     spec: &OperatorSpec,
     activations: &[(QueryId, Activation)],
     inputs: &[&[QTuple]],
     ctx: &ExecContext<'_>,
-) -> Result<Vec<QTuple>> {
+) -> Result<Emitted> {
     let active = active_set(activations);
     let input = |i: usize| inputs.get(i).copied().unwrap_or_default();
     let only = || match inputs {
@@ -75,39 +92,51 @@ pub fn execute_on(
             inputs.len()
         ))),
     };
+    let all = |tuples: Vec<QTuple>| Emitted { tuples, pruned: 0 };
     match spec {
         OperatorSpec::TableScan { .. } | OperatorSpec::IndexProbe { .. } => Err(Error::Internal(
             "storage operators are executed by the storage layer".into(),
         )),
-        OperatorSpec::Filter => execute_filter(activations, &active, only()?),
+        OperatorSpec::Filter => execute_filter(activations, &active, only()?).map(all),
         OperatorSpec::HashJoin {
             build_key,
             probe_key,
-        } => Ok(execute_hash_join(
+        } => Ok(all(execute_hash_join(
             &active,
             input(0),
             input(1),
             *build_key,
             *probe_key,
-        )),
-        OperatorSpec::NestedLoopJoin => Ok(execute_nested_loop_join(&active, input(0), input(1))),
+        ))),
+        OperatorSpec::NestedLoopJoin => {
+            Ok(all(execute_nested_loop_join(&active, input(0), input(1))))
+        }
         OperatorSpec::IndexNlJoin {
             table,
             outer_key,
             inner_column,
-        } => execute_index_nl_join(&active, only()?, table, *outer_key, *inner_column, ctx),
-        OperatorSpec::Sort { keys } => Ok(execute_sort(&active, only()?, keys)),
-        OperatorSpec::TopN { keys } => Ok(execute_top_n(activations, &active, only()?, keys)),
+        } => execute_index_nl_join(
+            activations,
+            &active,
+            only()?,
+            table,
+            *outer_key,
+            *inner_column,
+            ctx,
+        ),
+        OperatorSpec::Sort { keys } | OperatorSpec::TopN { keys } => {
+            Ok(execute_sort(activations, &active, only()?, keys))
+        }
         OperatorSpec::GroupBy {
             group_columns,
             aggregates,
         } => execute_group_by(activations, &active, only()?, group_columns, aggregates),
-        OperatorSpec::Distinct => Ok(execute_distinct(&active, only()?)),
-        OperatorSpec::Union => Ok(inputs
+        OperatorSpec::Distinct => Ok(all(execute_distinct(&active, only()?))),
+        OperatorSpec::Union => Ok(all(inputs
             .iter()
             .flat_map(|input| restricted(input, &active))
             .map(|(tuple, queries)| QTuple::new(tuple.clone(), queries))
-            .collect()),
+            .collect())),
     }
 }
 
@@ -126,6 +155,119 @@ fn restricted<'a>(
         let queries = t.queries.intersect(active);
         (!queries.is_empty()).then_some((&t.tuple, queries))
     })
+}
+
+// ---------------------------------------------------------------------------
+// Row demand
+// ---------------------------------------------------------------------------
+
+/// The queries of a cycle that want only their first `limit` rows under
+/// `keys`: `(query, keys, limit)`, ascending by query.
+struct Demands<'a>(Vec<(QueryId, &'a [SortKey], usize)>);
+
+impl<'a> Demands<'a> {
+    fn of(demands: impl Iterator<Item = (QueryId, &'a [SortKey], usize)>) -> Self {
+        let mut demands: Vec<_> = demands.collect();
+        demands.sort_unstable_by_key(|d| d.0);
+        Demands(demands)
+    }
+
+    /// The demands the activations carry.
+    fn carried(activations: &'a [(QueryId, Activation)]) -> Self {
+        let carried = |(q, a): &'a (QueryId, Activation)| {
+            let (_, demand) = a.split_demand();
+            demand.map(|(keys, limit)| (*q, keys, limit))
+        };
+        Self::of(activations.iter().filter_map(carried))
+    }
+
+    /// The place of `query`'s demand in the list, if it has one.
+    fn slot(&self, query: QueryId) -> Option<usize> {
+        self.0.binary_search_by_key(&query, |d| d.0).ok()
+    }
+
+    fn queries(&self) -> QuerySet {
+        self.0.iter().map(|d| d.0).collect()
+    }
+}
+
+/// What each demanding query of a cycle chooses from: items — positions in
+/// an input, slots of a table — filed under the query's slot, each query's
+/// in the order they were filed.
+struct Candidates {
+    items: Vec<u32>,
+    /// Query slot `i` owns `items[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Candidates {
+    /// Sorts `filed` — `(query slot, item)` pairs — by slot, stably.
+    fn file(filed: &[(u32, u32)], slots: usize) -> Self {
+        let mut starts = vec![0usize; slots + 1];
+        for (slot, _) in filed {
+            starts[*slot as usize + 1] += 1;
+        }
+        for slot in 0..slots {
+            starts[slot + 1] += starts[slot];
+        }
+        let mut next = starts.clone();
+        let mut items = vec![0u32; filed.len()];
+        for (slot, item) in filed {
+            items[next[*slot as usize]] = *item;
+            next[*slot as usize] += 1;
+        }
+        Candidates { items, starts }
+    }
+
+    fn of(&mut self, slot: usize) -> &mut [u32] {
+        &mut self.items[self.starts[slot]..self.starts[slot + 1]]
+    }
+}
+
+/// Offers `item` to `best`, the `limit` first under `rank` — a total order —
+/// of the items offered so far, kept as a heap with the last of them on top.
+/// True when that cost a row its place: `item` itself, or the one it ousts.
+fn offer(
+    best: &mut Vec<u32>,
+    limit: usize,
+    item: u32,
+    rank: impl Fn(&u32, &u32) -> Ordering,
+) -> bool {
+    if best.len() < limit {
+        best.push(item);
+        let mut at = best.len() - 1;
+        while at > 0 && rank(&best[at], &best[(at - 1) / 2]).is_gt() {
+            best.swap(at, (at - 1) / 2);
+            at = (at - 1) / 2;
+        }
+        return false;
+    }
+    if limit > 0 && rank(&item, &best[0]).is_lt() {
+        best[0] = item;
+        let mut at = 0;
+        loop {
+            let children = 2 * at + 1..best.len().min(2 * at + 3);
+            let Some(last) = children.max_by(|a, b| rank(&best[*a], &best[*b])) else {
+                break;
+            };
+            if rank(&best[last], &best[at]).is_le() {
+                break;
+            }
+            best.swap(at, last);
+            at = last;
+        }
+    }
+    true
+}
+
+/// Moves the first `limit` of `items` under `rank` — a total order — to the
+/// front, in no particular order, and returns how many those are.
+fn select_first(items: &mut [u32], limit: usize, rank: impl Fn(&u32, &u32) -> Ordering) -> usize {
+    let keep = limit.min(items.len());
+    if 0 < keep && keep < items.len() {
+        items.select_nth_unstable_by(keep - 1, rank);
+    }
+    keep
 }
 
 // ---------------------------------------------------------------------------
@@ -265,80 +407,203 @@ fn execute_nested_loop_join(active: &QuerySet, build: &[QTuple], probe: &[QTuple
 // ---------------------------------------------------------------------------
 
 fn execute_index_nl_join(
+    activations: &[(QueryId, Activation)],
     active: &QuerySet,
     outer: &[QTuple],
     table: &str,
     outer_key: usize,
     inner_column: usize,
     ctx: &ExecContext<'_>,
-) -> Result<Vec<QTuple>> {
+) -> Result<Emitted> {
     let handle = ctx.catalog.table(table)?;
     let inner = handle.read();
     // The access path is a property of the table, not of the key.
     let lookup = inner.eq_lookup(inner_column);
-    let mut out = Vec::new();
-    for (tuple, queries) in restricted(outer, active) {
-        let key = &tuple[outer_key];
-        if key.is_null() {
+    // NULL never joins.
+    let key_at = |at: usize| Some(&outer[at].tuple[outer_key]).filter(|key| !key.is_null());
+
+    // A demanding query looks up its best outer rows only — the sort keys
+    // lie in the outer row — and as many of them as it takes to see `limit`
+    // joined rows. A row is looked up once, whoever asked first.
+    let demands = Demands::carried(activations);
+    let demanding = demands.queries();
+    let mut wanted: Vec<(u32, QueryId)> = Vec::new();
+    let mut found = Found::default();
+    if !demands.0.is_empty() {
+        found.span_of = vec![NOT_LOOKED_UP; outer.len()];
+        let mut filed: Vec<(u32, u32)> = Vec::new();
+        for (at, t) in outer.iter().enumerate() {
+            for q in t.queries.intersect(&demanding).iter() {
+                let slot = demands.slot(q).expect("a demanding query has a slot");
+                filed.push((slot as u32, link(at)));
+            }
+        }
+        let mut candidates = Candidates::file(&filed, demands.0.len());
+        for (slot, &(query, keys, limit)) in demands.0.iter().enumerate() {
+            let rank = |a: &u32, b: &u32| {
+                let (a_row, b_row) = (&outer[*a as usize].tuple, &outer[*b as usize].tuple);
+                compare_tuples(a_row, b_row, keys).then(a.cmp(b))
+            };
+            let (mut rest, mut tried, mut joined) = (candidates.of(slot), 0, 0);
+            while joined < limit && !rest.is_empty() {
+                // The rows still missing if each of the next finds one — and
+                // no fewer than were tried before, so that a query whose rows
+                // find nothing selects a linear number of times in all.
+                let take = select_first(rest, (limit - joined).max(tried), rank);
+                let (next, later) = std::mem::take(&mut rest).split_at_mut(take);
+                next.sort_unstable_by(rank);
+                for &at in next.iter() {
+                    if joined >= limit {
+                        break;
+                    }
+                    let rows = found.look_up(at, || {
+                        let rows = key_at(at as usize).map(|key| lookup.rows(key, ctx.snapshot));
+                        rows.into_iter().flatten().map(|(_, inner_row)| inner_row)
+                    });
+                    if !rows.is_empty() {
+                        joined += rows.len();
+                        wanted.push((at, query));
+                    }
+                }
+                tried += take;
+                rest = later;
+            }
+        }
+        wanted.sort_unstable();
+    }
+
+    // Output in outer order: every row for the queries that asked for all of
+    // them, a demanding query's chosen rows for it as well.
+    let mut undemanding = active.clone();
+    for (q, ..) in &demands.0 {
+        undemanding.remove(*q);
+    }
+    let mut wanted = wanted.into_iter().peekable();
+    let mut emitted = Emitted::default();
+    for (at, t) in outer.iter().enumerate() {
+        let mut queries = t.queries.intersect(&undemanding);
+        while let Some((_, q)) = wanted.next_if(|(chosen, _)| *chosen as usize == at) {
+            queries.insert(q);
+        }
+        if queries.is_empty() {
+            let skipped = found.looked_up(at).is_none() && t.queries.intersects(&demanding);
+            emitted.pruned += usize::from(skipped);
             continue;
         }
-        for (_, inner_row) in lookup.rows(key, ctx.snapshot) {
-            out.push(QTuple::new(tuple.concat(inner_row), queries.clone()));
+        let pair = |inner_row: &Tuple| QTuple::new(t.tuple.concat(inner_row), queries.clone());
+        match (found.looked_up(at), key_at(at)) {
+            (Some(rows), _) => emitted.tuples.extend(rows.iter().copied().map(pair)),
+            (None, Some(key)) => {
+                for (_, inner_row) in lookup.rows(key, ctx.snapshot) {
+                    emitted.tuples.push(pair(inner_row));
+                }
+            }
+            (None, None) => {}
         }
     }
-    Ok(out)
+    Ok(emitted)
+}
+
+/// The inner rows a join cycle found ahead of its output pass.
+#[derive(Default)]
+struct Found<'t> {
+    /// Per outer position the `(first, count)` of its inner rows in `rows`;
+    /// empty when the cycle looked nothing up ahead.
+    span_of: Vec<(u32, u32)>,
+    rows: Vec<&'t Tuple>,
+}
+
+const NOT_LOOKED_UP: (u32, u32) = (END, 0);
+
+impl<'t> Found<'t> {
+    /// The inner rows of the outer row at `at`, from `matches` the first time.
+    fn look_up<I: Iterator<Item = &'t Tuple>>(
+        &mut self,
+        at: u32,
+        matches: impl FnOnce() -> I,
+    ) -> &[&'t Tuple] {
+        if self.span_of[at as usize] == NOT_LOOKED_UP {
+            let first = link(self.rows.len());
+            self.rows.extend(matches());
+            self.span_of[at as usize] = (first, link(self.rows.len()) - first);
+        }
+        self.looked_up(at as usize).expect("just looked up")
+    }
+
+    fn looked_up(&self, at: usize) -> Option<&[&'t Tuple]> {
+        let (first, count) = *self.span_of.get(at)?;
+        (first != END).then(|| &self.rows[first as usize..(first + count) as usize])
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Sort / Top-N
 // ---------------------------------------------------------------------------
 
-/// One shared sort over the union of all interesting tuples (Figure 4).
-fn execute_sort(active: &QuerySet, input: &[QTuple], keys: &[SortKey]) -> Vec<QTuple> {
-    let mut tuples: Vec<QTuple> = restricted(input, active)
-        .map(|(tuple, queries)| QTuple::new(tuple.clone(), queries))
-        .collect();
-    tuples.sort_by(|a, b| compare_tuples(&a.tuple, &b.tuple, keys));
-    tuples
-}
-
-fn execute_top_n(
+/// The shared sort and the shared Top-N (Figure 4): every query keeps its
+/// first `limit` rows under `(keys, position)` — all of them without a limit
+/// — and what is kept is emitted once, in that one order, for the queries
+/// that kept it.
+fn execute_sort(
     activations: &[(QueryId, Activation)],
     active: &QuerySet,
     input: &[QTuple],
     keys: &[SortKey],
-) -> Vec<QTuple> {
-    // Phase 1 (shared): sort everything once — by reference, so that only
-    // a row that is kept costs an allocation.
-    let mut sorted: Vec<&QTuple> = input
-        .iter()
-        .filter(|t| t.queries.intersects(active))
-        .collect();
-    sorted.sort_by(|a, b| compare_tuples(&a.tuple, &b.tuple, keys));
-    // Phase 2 (per query): keep the first `limit` rows of each query.
-    let mut limits: HashMap<QueryId, usize> = HashMap::new();
-    for (q, a) in activations {
-        if let Activation::TopN { limit } = a {
-            limits.insert(*q, *limit);
+) -> Emitted {
+    // A Top-N query's limit is its activation; a sort is told of the `LIMIT`
+    // its output is cut to by a demand.
+    let limits = Demands::of(activations.iter().filter_map(|(q, a)| match a {
+        Activation::TopN { limit } | Activation::Demand { limit, .. } => Some((*q, keys, *limit)),
+        _ => None,
+    }));
+    let rank = |a: &u32, b: &u32| {
+        let (a_row, b_row) = (&input[*a as usize].tuple, &input[*b as usize].tuple);
+        compare_tuples(a_row, b_row, keys).then(a.cmp(b))
+    };
+    // Per limited query the rows it keeps so far, their last on top.
+    let room = |&(_, _, limit): &(QueryId, &[SortKey], usize)| limit.min(input.len());
+    let mut best: Vec<Vec<u32>> = limits.0.iter().map(room).map(Vec::with_capacity).collect();
+    let mut kept: Vec<(u32, QuerySet)> = Vec::new();
+    let mut emitted = Emitted::default();
+    for (at, t) in input.iter().enumerate() {
+        let mut queries = t.queries.intersect(active);
+        if !limits.0.is_empty() {
+            let mut unlimited = QuerySet::new();
+            for q in queries.iter() {
+                match limits.slot(q) {
+                    Some(slot) => {
+                        let dropped = offer(&mut best[slot], limits.0[slot].2, link(at), rank);
+                        emitted.pruned += usize::from(dropped);
+                    }
+                    None => {
+                        unlimited.insert(q);
+                    }
+                }
+            }
+            queries = unlimited;
+        }
+        if !queries.is_empty() {
+            kept.push((link(at), queries));
         }
     }
-    let mut taken: HashMap<QueryId, usize> = HashMap::new();
-    let mut out = Vec::new();
-    for tuple in sorted {
-        let mut keep = QuerySet::new();
-        for q in tuple.queries.iter().filter(|q| active.contains(*q)) {
-            let limit = limits.get(&q).copied().unwrap_or(usize::MAX);
-            let count = taken.entry(q).or_insert(0);
-            if *count < limit {
-                *count += 1;
-                keep.insert(q);
+    for (best, &(query, ..)) in best.iter().zip(&limits.0) {
+        kept.extend(best.iter().map(|at| (*at, QuerySet::singleton(query))));
+    }
+    // `rank` is total, so this is the stable sort by `keys`; a row several
+    // queries kept lies in it once per query, side by side.
+    kept.sort_unstable_by(|a, b| rank(&a.0, &b.0));
+    let mut last = END;
+    for (at, queries) in kept {
+        match emitted.tuples.last_mut() {
+            Some(row) if at == last => row.queries.union_in_place(&queries),
+            _ => {
+                let row = input[at as usize].tuple.clone();
+                emitted.tuples.push(QTuple::new(row, queries));
             }
         }
-        if !keep.is_empty() {
-            out.push(QTuple::new(tuple.tuple.clone(), keep));
-        }
+        last = at;
     }
-    out
+    emitted
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +616,7 @@ fn execute_group_by(
     input: &[QTuple],
     group_columns: &[usize],
     aggregates: &[AggregateSpec],
-) -> Result<Vec<QTuple>> {
+) -> Result<Emitted> {
     let mut having: HashMap<QueryId, Option<&Expr>> = HashMap::new();
     // Queries in partial-aggregation mode (fanned-out group-by roots): their
     // AVG output columns carry the partial sum, with one hidden count column
@@ -359,11 +624,15 @@ fn execute_group_by(
     // exact averages across partitions.
     let mut partials: HashMap<QueryId, bool> = HashMap::new();
     for (q, a) in activations {
-        if let Activation::Having { predicate, partial } = a {
+        if let Activation::Having { predicate, partial } = a.split_demand().0 {
             having.insert(*q, predicate.as_ref());
             partials.insert(*q, *partial);
         }
     }
+    let is_partial = |q: QueryId| partials.get(&q).copied().unwrap_or(false);
+    // A partial group is cut nowhere: whoever recombines it wants it whole.
+    let mut demands = Demands::carried(activations);
+    demands.0.retain(|(q, ..)| !is_partial(*q));
 
     // Phase 1 (shared): group all interesting tuples once, regardless of which
     // query they belong to. A group's key borrows the columns of its first
@@ -412,54 +681,111 @@ fn execute_group_by(
         }
     }
 
-    // Emit one output row per (group, query) — ascending by key, then by
-    // query — applying the per-query HAVING. A row is gathered in one
-    // scratch vector and collected once into its shared slice.
-    let mut groups: Vec<(GroupKey<'_>, u32)> = groups.into_iter().collect();
-    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::new();
+    // The output row of a (group, query) slot, gathered in one scratch
+    // vector and collected once into its shared slice.
     let mut values: Vec<Value> = Vec::new();
+    let mut row_of = |first_row: &Tuple, slot: u32| -> Tuple {
+        let accumulators = &accumulators[of_slot(slot)];
+        values.extend(group_columns.iter().map(|&c| first_row[c].clone()));
+        if is_partial(slots[slot as usize].query) {
+            values.extend(accumulators.iter().map(|a| {
+                if a.function() == AggregateFunction::Avg {
+                    a.partial_sum()
+                } else {
+                    a.finish()
+                }
+            }));
+            // Hidden AVG count columns, in aggregate order.
+            values.extend(
+                accumulators
+                    .iter()
+                    .filter(|a| a.function() == AggregateFunction::Avg)
+                    .map(|a| Value::Int(a.count() as i64)),
+            );
+        } else {
+            values.extend(accumulators.iter().map(|a| a.finish()));
+        }
+        values.drain(..).collect()
+    };
+
+    // HAVING first — over *final* aggregate values; a query in partial mode
+    // ships partial groups, so its predicate is applied after recombination
+    // (the cluster merge), not here — and the row built to be judged is
+    // kept. Then a demanding query chooses among what passed: `(first row of
+    // the group, slot, row if built)` each.
+    type Passed<'a> = (&'a Tuple, u32, Option<Tuple>);
+    let mut passed: Vec<Passed<'_>> = Vec::new();
+    let mut filed: Vec<(u32, u32)> = Vec::new();
     for (key, head) in groups {
-        let mut at = head;
-        while at != END {
-            let Slot { query: q, next } = slots[at as usize];
-            let accumulators = &accumulators[of_slot(at)];
-            at = next;
-            let partial = partials.get(&q).copied().unwrap_or(false);
-            values.extend(key.values().cloned());
-            if partial {
-                values.extend(accumulators.iter().map(|a| {
-                    if a.function() == AggregateFunction::Avg {
-                        a.partial_sum()
-                    } else {
-                        a.finish()
-                    }
-                }));
-                // Hidden AVG count columns, in aggregate order.
-                values.extend(
-                    accumulators
-                        .iter()
-                        .filter(|a| a.function() == AggregateFunction::Avg)
-                        .map(|a| Value::Int(a.count() as i64)),
-                );
-            } else {
-                values.extend(accumulators.iter().map(|a| a.finish()));
-            }
-            let row: Tuple = values.drain(..).collect();
-            // HAVING evaluates over *final* aggregate values; a query in
-            // partial mode ships partial groups, so its predicate is applied
-            // after recombination (the cluster merge), not here.
-            if !partial {
-                if let Some(Some(pred)) = having.get(&q) {
-                    if !pred.eval_predicate(&row)? {
+        let mut next = head;
+        while next != END {
+            let slot = next;
+            let query = slots[slot as usize].query;
+            next = slots[slot as usize].next;
+            let judged = match having.get(&query) {
+                Some(Some(predicate)) if !is_partial(query) => {
+                    let row = row_of(key.row, slot);
+                    if !predicate.eval_predicate(&row)? {
                         continue;
                     }
+                    Some(row)
                 }
+                _ => None,
+            };
+            if let Some(demand) = demands.slot(query) {
+                filed.push((demand as u32, link(passed.len())));
             }
-            out.push(QTuple::new(row, QuerySet::singleton(q)));
+            passed.push((key.row, slot, judged));
         }
     }
-    Ok(out)
+    let key_of = |row| GroupKey {
+        row,
+        columns: group_columns,
+    };
+    // Two slots by a column of their output rows, before there are any.
+    let by_column = |a: &Passed<'_>, b: &Passed<'_>, column: usize| match group_columns.get(column)
+    {
+        Some(&c) => a.0[c].cmp(&b.0[c]),
+        None => {
+            let aggregate = column - group_columns.len();
+            let finished = |slot: u32| accumulators[of_slot(slot)][aggregate].finish();
+            finished(a.1).cmp(&finished(b.1))
+        }
+    };
+    let mut emitted = Emitted::default();
+    let mut candidates = Candidates::file(&filed, demands.0.len());
+    for (demand, &(_, keys, limit)) in demands.0.iter().enumerate() {
+        // A query's rows leave in ascending key order: that is its position.
+        let rank = |a: &u32, b: &u32| {
+            let (a, b) = (&passed[*a as usize], &passed[*b as usize]);
+            let by = |key: &SortKey| key.order.apply(by_column(a, b, key.column));
+            let by_keys = keys.iter().map(by).find(|o| o.is_ne());
+            by_keys.unwrap_or_else(|| key_of(a.0).cmp(&key_of(b.0)))
+        };
+        let of_query = candidates.of(demand);
+        let keep = select_first(of_query, limit, rank);
+        emitted.pruned += of_query.len() - keep;
+        for &unwanted in &of_query[keep..] {
+            passed[unwanted as usize].1 = END;
+        }
+    }
+    if emitted.pruned > 0 {
+        passed.retain(|(_, slot, _)| *slot != END);
+    }
+
+    // One output row per (group, query) still there — ascending by key, then
+    // by query.
+    passed.sort_unstable_by(|a, b| {
+        let by_key = key_of(a.0).cmp(&key_of(b.0));
+        by_key.then_with(|| slots[a.1 as usize].query.cmp(&slots[b.1 as usize].query))
+    });
+    emitted.tuples.reserve_exact(passed.len());
+    for (first_row, slot, judged) in passed {
+        let row = judged.unwrap_or_else(|| row_of(first_row, slot));
+        let query = QuerySet::singleton(slots[slot as usize].query);
+        emitted.tuples.push(QTuple::new(row, query));
+    }
+    Ok(emitted)
 }
 
 /// A group's key: the grouping columns of the first row that fell into the
@@ -766,6 +1092,63 @@ mod tests {
         assert_eq!(out[0].tuple.len(), 4);
         assert_eq!(out[0].tuple[3], Value::text("title3"));
         assert_eq!(out[1].queries, [1u32, 2].into_iter().collect());
+    }
+
+    /// A demanding query's page is filled past outer rows that find nothing
+    /// — looked up in the order of its keys, no further than it takes — and
+    /// a row two queries want is looked up, and emitted, once.
+    #[test]
+    fn index_nl_join_looks_up_what_a_demanded_page_takes() {
+        let catalog = Catalog::new();
+        catalog
+            .create_table(
+                TableDef::new("AUTHOR")
+                    .column("A_ID", shareddb_common::DataType::Int)
+                    .primary_key(&["A_ID"]),
+            )
+            .unwrap();
+        // Authors 0, 2, 4, … : every odd item is an orphan.
+        let authors = (0..10i64).map(|a| tuple![2 * a]).collect();
+        catalog.bulk_load("AUTHOR", authors).unwrap();
+        // Items (rank, author) in arrival order; query 1 wants its two best
+        // by rank, query 2 its best by descending rank, query 3 everything
+        // of the two rows it subscribes to.
+        let item = |rank: i64, author: i64, queries: &[u32]| qt(tuple![rank, author], queries);
+        let outer = vec![
+            item(5, 4, &[1, 2]),
+            item(1, 3, &[1]),    // best of query 1: no author
+            item(2, 6, &[1, 3]), // its first hit
+            item(9, 1, &[2, 3]), // best of query 2: no author
+            item(3, 8, &[1]),    // query 1's second hit
+            item(4, 0, &[1, 2]), // not needed by either
+        ];
+        let demand = |keys: Vec<SortKey>, limit| Activation::Demand {
+            base: Box::new(Activation::Participate),
+            keys: keys.into(),
+            limit,
+        };
+        let activations = vec![
+            (QueryId(1), demand(vec![SortKey::asc(0)], 2)),
+            (QueryId(2), demand(vec![SortKey::desc(0)], 1)),
+            (QueryId(3), Activation::Participate),
+        ];
+        let spec = OperatorSpec::IndexNlJoin {
+            table: "AUTHOR".into(),
+            outer_key: 1,
+            inner_column: 0,
+        };
+        let emitted = execute_on(&spec, &activations, &[&outer], &ctx(&catalog)).unwrap();
+        let out: Vec<(i64, Vec<u32>)> = emitted
+            .tuples
+            .iter()
+            .map(|t| {
+                let queries = t.queries.iter().map(|q| q.raw()).collect();
+                (t.tuple[0].as_int().unwrap(), queries)
+            })
+            .collect();
+        // In outer order; rank 5 is query 2's page after its miss on rank 9.
+        assert_eq!(out, vec![(5, vec![2]), (2, vec![1, 3]), (3, vec![1])]);
+        assert_eq!(emitted.pruned, 1, "rank 4 was looked up for nobody");
     }
 
     #[test]

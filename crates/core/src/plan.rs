@@ -16,6 +16,7 @@ use shareddb_common::{Error, Expr, Result, Schema, SortKey, Value};
 use shareddb_storage::{Catalog, ProbeRange};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an operator node within a [`GlobalPlan`].
 pub type OperatorId = usize;
@@ -78,13 +79,14 @@ pub enum OperatorSpec {
         /// Indexed column of the inner table.
         inner_column: usize,
     },
-    /// Shared sort (Figure 4): one big sort over the union of all interested
-    /// tuples.
+    /// Shared sort (Figure 4): one sort over the union of the tuples its
+    /// queries keep — all of them, unless a demand tells of a `LIMIT`.
     Sort {
         /// Sort keys over the input schema.
         keys: Vec<SortKey>,
     },
-    /// Shared Top-N: shared sort followed by a per-query limit.
+    /// Shared Top-N: a per-query selection of `limit` rows, then one shared
+    /// sort of what was kept.
     TopN {
         /// Sort keys over the input schema.
         keys: Vec<SortKey>,
@@ -502,6 +504,32 @@ pub enum ActivationTemplate {
         /// Optional predicate template.
         predicate: Option<Expr>,
     },
+    /// `base`, of whose output rows the statement needs only its first
+    /// `limit` under `(keys, arrival position)`: the operator may emit any
+    /// sub-sequence of what it would emit for `base` that contains them.
+    /// Never registered by hand — [`crate::demand::push_down`] derives it
+    /// from the node that cuts the statement's rows.
+    Demand {
+        /// The activation the operator would have without the demand.
+        base: Box<ActivationTemplate>,
+        /// Sort keys over the operator's output schema.
+        keys: Arc<[SortKey]>,
+        /// Rows the statement keeps.
+        limit: usize,
+        /// The operator that cuts to `limit` (the statement's own `LIMIT`
+        /// when this is its root sort).
+        consumer: OperatorId,
+    },
+}
+
+impl ActivationTemplate {
+    /// The template without a row demand it may carry.
+    pub fn base(&self) -> &ActivationTemplate {
+        match self {
+            ActivationTemplate::Demand { base, .. } => base,
+            plain => plain,
+        }
+    }
 }
 
 /// Template for a probe key or key range; expressions may contain parameters.
@@ -776,6 +804,12 @@ impl StatementRegistry {
         self.statements.iter()
     }
 
+    /// The statements, for [`crate::demand::push_down`] to rewrite their
+    /// activation templates in place (names and indices stay).
+    pub(crate) fn statements_mut(&mut self) -> &mut [StatementSpec] {
+        &mut self.statements
+    }
+
     /// Checks that every statement references existing operators and that
     /// activation templates are compatible with the operator kinds.
     pub fn validate(&self, plan: &GlobalPlan) -> Result<()> {
@@ -810,7 +844,7 @@ impl StatementRegistry {
                 }
                 let node = plan.node(*op);
                 let compatible = matches!(
-                    (&node.spec, template),
+                    (&node.spec, template.base()),
                     (
                         OperatorSpec::TableScan { .. },
                         ActivationTemplate::Scan { .. }
@@ -825,7 +859,15 @@ impl StatementRegistry {
                         )
                         | (_, ActivationTemplate::Participate)
                 );
-                if !compatible {
+                // Only these read a demand; elsewhere it would hide `base`.
+                let demand_read = matches!(
+                    node.spec,
+                    OperatorSpec::IndexNlJoin { .. }
+                        | OperatorSpec::GroupBy { .. }
+                        | OperatorSpec::Sort { .. }
+                );
+                let demanded = matches!(template, ActivationTemplate::Demand { .. });
+                if !compatible || (demanded && !demand_read) {
                     return Err(Error::Internal(format!(
                         "statement {} has an incompatible activation for operator {} ({})",
                         spec.name,

@@ -134,7 +134,7 @@ pub fn scatter_spec(
 
     let mut templates: HashMap<OperatorId, &ActivationTemplate> = HashMap::new();
     for (op, template) in &spec.activations {
-        if templates.insert(*op, template).is_some() {
+        if templates.insert(*op, template.base()).is_some() {
             return None; // several activations on one operator: bail
         }
     }

@@ -26,6 +26,9 @@ pub struct OperatorStatsSnapshot {
     pub active_cycles: u64,
     /// Total tuples emitted.
     pub tuples_out: u64,
+    /// Total work row demands let the operator skip
+    /// ([`crate::operators::Emitted::pruned`]).
+    pub rows_pruned: u64,
     /// Total busy time across cycles.
     pub busy: Duration,
 }
@@ -62,18 +65,27 @@ pub struct OperatorStats {
     cycles: AtomicU64,
     active_cycles: AtomicU64,
     tuples_out: AtomicU64,
+    rows_pruned: AtomicU64,
     busy_nanos: AtomicU64,
 }
 
 impl OperatorStats {
     /// Records one processed cycle.
-    pub fn record_cycle(&self, had_queries: bool, tuples_out: usize, busy: Duration) {
+    pub fn record_cycle(
+        &self,
+        had_queries: bool,
+        tuples_out: usize,
+        rows_pruned: usize,
+        busy: Duration,
+    ) {
         self.cycles.fetch_add(1, Ordering::Relaxed);
         if had_queries {
             self.active_cycles.fetch_add(1, Ordering::Relaxed);
         }
         self.tuples_out
             .fetch_add(tuples_out as u64, Ordering::Relaxed);
+        self.rows_pruned
+            .fetch_add(rows_pruned as u64, Ordering::Relaxed);
         self.busy_nanos
             .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -85,6 +97,7 @@ impl OperatorStats {
             cycles: self.cycles.load(Ordering::Relaxed),
             active_cycles: self.active_cycles.load(Ordering::Relaxed),
             tuples_out: self.tuples_out.load(Ordering::Relaxed),
+            rows_pruned: self.rows_pruned.load(Ordering::Relaxed),
             busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
         }
     }
@@ -94,6 +107,7 @@ impl OperatorStats {
         self.cycles.store(0, Ordering::Relaxed);
         self.active_cycles.store(0, Ordering::Relaxed);
         self.tuples_out.store(0, Ordering::Relaxed);
+        self.rows_pruned.store(0, Ordering::Relaxed);
         self.busy_nanos.store(0, Ordering::Relaxed);
     }
 }
@@ -907,12 +921,13 @@ mod tests {
     #[test]
     fn operator_stats_accumulate() {
         let stats = OperatorStats::default();
-        stats.record_cycle(true, 10, Duration::from_millis(2));
-        stats.record_cycle(false, 0, Duration::from_millis(1));
+        stats.record_cycle(true, 10, 3, Duration::from_millis(2));
+        stats.record_cycle(false, 0, 0, Duration::from_millis(1));
         let snap = stats.snapshot("HashJoin#3");
         assert_eq!(snap.cycles, 2);
         assert_eq!(snap.active_cycles, 1);
         assert_eq!(snap.tuples_out, 10);
+        assert_eq!(snap.rows_pruned, 3);
         assert_eq!(snap.busy, Duration::from_millis(3));
         assert_eq!(snap.name, "HashJoin#3");
         assert_eq!(snap.tuples_per_active_cycle(), 10.0);

@@ -38,7 +38,7 @@
 //! (error code [`error_codes::OVERLOADED`]): the statement was *not* admitted
 //! and the client may back off and retry.
 
-use shareddb_common::{DataType, Error, Result, Tuple, Value};
+use shareddb_common::{Column, DataType, Error, Result, Tuple, Value};
 use std::io::{Read, Write};
 
 /// Protocol version spoken by this build. v2 added the per-replica section
@@ -559,30 +559,38 @@ const RESULT_CHUNK: u8 = 0x83;
 
 /// The body of a [`Frame::ResultChunk`] after the opcode, each row read
 /// through its iterator — from a `Vec<Value>` or from a [`Tuple`] of either
-/// shape, where the values lie.
+/// shape, where the values lie — and each column name written from its
+/// parts: `(qualifier, name, type)` goes out as `QUALIFIER.NAME`, or `NAME`.
 fn put_result_chunk<'a, R: ExactSizeIterator<Item = &'a Value>>(
     buf: &mut Vec<u8>,
     request_id: u64,
     flags: u8,
     rows_affected: u64,
-    schema: &[(String, DataType)],
+    schema: impl ExactSizeIterator<Item = (Option<&'a str>, &'a str, DataType)>,
     rows: impl ExactSizeIterator<Item = R>,
 ) {
     put_u64(buf, request_id);
     put_u8(buf, flags);
     put_u64(buf, rows_affected);
     put_u32(buf, schema.len() as u32);
-    for (name, dt) in schema {
-        put_string(buf, name);
-        put_u8(buf, data_type_tag(*dt));
+    for (qualifier, name, dt) in schema {
+        let qualified = qualifier.map_or(0, |q| q.len() + 1);
+        put_u32(buf, (qualified + name.len()) as u32);
+        if let Some(qualifier) = qualifier {
+            buf.extend_from_slice(qualifier.as_bytes());
+            buf.push(b'.');
+        }
+        buf.extend_from_slice(name.as_bytes());
+        put_u8(buf, data_type_tag(dt));
     }
     put_u32(buf, rows.len() as u32);
     rows.for_each(|row| put_values(buf, row));
 }
 
 /// Appends to `buf` the bytes of `Frame::ResultChunk { request_id, flags,
-/// rows_affected: 0, schema, rows }.encode()` without building the frame:
-/// the rows of a result are encoded from the tuples the engine handed over —
+/// rows_affected: 0, schema, rows }.encode()` — `schema` being the qualified
+/// names and types of `columns` — without building the frame or a name: the
+/// rows of a result are encoded from the tuples the engine handed over —
 /// stored versions and joins of them — value by value, no row is copied or
 /// flattened on the way. Returns false, leaving `buf` as it was, when the
 /// frame would exceed [`MAX_FRAME_LEN`].
@@ -590,12 +598,15 @@ pub fn encode_result_chunk(
     buf: &mut Vec<u8>,
     request_id: u64,
     flags: u8,
-    schema: &[(String, DataType)],
+    columns: &[Column],
     rows: &[Tuple],
 ) -> bool {
     let start = buf.len();
     put_u32(buf, 0); // the length, once it is known
     put_u8(buf, RESULT_CHUNK);
+    let schema = columns
+        .iter()
+        .map(|c| (c.qualifier.as_deref(), c.name.as_str(), c.data_type));
     let rows = rows.iter().map(Tuple::iter);
     put_result_chunk(buf, request_id, flags, 0, schema, rows);
     let len = buf.len() - start - 4;
@@ -778,6 +789,7 @@ impl Frame {
                 schema,
                 rows,
             } => {
+                let schema = schema.iter().map(|(name, dt)| (None, name.as_str(), *dt));
                 let rows = rows.iter().map(|r| r.iter());
                 put_result_chunk(&mut body, *request_id, *flags, *rows_affected, schema, rows);
             }
@@ -1205,17 +1217,25 @@ mod tests {
     }
 
     /// A result chunk encoded straight from the engine's tuples — stored
-    /// rows, joins of rows, joins of joins — is byte for byte the frame built
-    /// from copies of their values, behind whatever the buffer already held,
-    /// and reads back as that frame; one past the limit is refused and leaves
-    /// the buffer as it was.
+    /// rows, joins of rows, joins of joins — and its schema's columns,
+    /// qualified or not, is byte for byte the frame built from copies of
+    /// their values and names, behind whatever the buffer already held, and
+    /// reads back as that frame; one past the limit is refused and leaves the
+    /// buffer as it was.
     #[test]
     fn result_chunks_encode_straight_from_tuples() {
-        let schema: Vec<(String, DataType)> = vec![
-            ("I_ID".into(), DataType::Int),
-            ("I_TITLE".into(), DataType::Text),
-            ("A_LNAME".into(), DataType::Text),
+        let columns = [
+            Column::new("I_ID", DataType::Int).with_qualifier("ITEM"),
+            Column::nullable("I_TITLE", DataType::Text).with_qualifier("i"),
+            Column::nullable("SUM0_OL_QTY", DataType::Text),
         ];
+        let schema: Vec<(String, DataType)> = vec![
+            ("ITEM.I_ID".into(), DataType::Int),
+            ("I.I_TITLE".into(), DataType::Text),
+            ("SUM0_OL_QTY".into(), DataType::Text),
+        ];
+        let named: Vec<_> = columns.iter().map(|c| c.qualified_name()).collect();
+        assert!(named.iter().eq(schema.iter().map(|(name, _)| name)));
         let item = |i: i64| Tuple::new(vec![Value::Int(i), Value::text(format!("title {i}"))]);
         let author = |i: i64| Tuple::new(vec![Value::text(format!("author {i}"))]);
         let row = |i: i64| match i % 3 {
@@ -1224,10 +1244,13 @@ mod tests {
             _ => Tuple::empty().concat(&item(i)).concat(&author(i)),
         };
         let flags = chunk_flags::FIRST | chunk_flags::LAST;
+        // Each reply goes behind the ones before it, as on a connection whose
+        // socket has not taken them yet.
+        let mut buf = vec![0xAA];
         for n in [0, 1, 50] {
             let rows: Vec<Tuple> = (0..n).map(row).collect();
-            let mut buf = vec![0xAA];
-            assert!(encode_result_chunk(&mut buf, 9, flags, &schema, &rows));
+            let unflushed = buf.clone();
+            assert!(encode_result_chunk(&mut buf, 9, flags, &columns, &rows));
             let frame = Frame::ResultChunk {
                 request_id: 9,
                 flags,
@@ -1235,8 +1258,10 @@ mod tests {
                 schema: schema.clone(),
                 rows: rows.iter().map(|t| t.values().to_vec()).collect(),
             };
-            assert_eq!(buf[1..], frame.encode()[..], "{n} rows");
-            assert_eq!(read_frame(&mut &buf[1..]).unwrap().unwrap(), frame);
+            assert_eq!(buf[..unflushed.len()], unflushed[..], "{n} rows");
+            assert_eq!(buf[unflushed.len()..], frame.encode()[..], "{n} rows");
+            let mut appended = &buf[unflushed.len()..];
+            assert_eq!(read_frame(&mut appended).unwrap().unwrap(), frame);
         }
         // Nine references to one 8 MiB row: 72 MiB on the wire.
         let big = Tuple::new(vec![Value::text("x".repeat(MAX_FRAME_LEN / 8))]);
@@ -1249,7 +1274,13 @@ mod tests {
             &vec![big.clone(); 7]
         ));
         buf.truncate(1);
-        assert!(!encode_result_chunk(&mut buf, 9, flags, &[], &vec![big; 9]));
+        assert!(!encode_result_chunk(
+            &mut buf,
+            9,
+            flags,
+            &columns,
+            &vec![big; 9]
+        ));
         assert_eq!(buf, [0xAA]);
     }
 

@@ -548,7 +548,10 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
-    fn push_out(&mut self, bytes: &[u8]) {
+    /// The write buffer, to append a reply to: what the socket has taken
+    /// already is dropped from its front first, when that is free (nothing
+    /// left behind it) or due (64 KiB of it).
+    fn out_for_append(&mut self) -> &mut Vec<u8> {
         if self.out_pos == self.out.len() {
             self.out.clear();
             self.out_pos = 0;
@@ -556,7 +559,7 @@ impl Conn {
             self.out.drain(..self.out_pos);
             self.out_pos = 0;
         }
-        self.out.extend_from_slice(bytes);
+        &mut self.out
     }
 
     /// The interest this connection wants given its current state.
@@ -1011,7 +1014,7 @@ impl Reactor {
     fn finish_http(&mut self, token: u64, response: Vec<u8>) -> bool {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.decoder.clear();
-            conn.push_out(&response);
+            conn.out_for_append().extend_from_slice(&response);
             conn.read_closed = true;
         }
         false
@@ -1304,6 +1307,7 @@ impl Reactor {
                     total.cycles += snap.cycles;
                     total.active_cycles += snap.active_cycles;
                     total.tuples_out += snap.tuples_out;
+                    total.rows_pruned += snap.rows_pruned;
                     total.busy += snap.busy;
                 }
             }
@@ -1492,7 +1496,7 @@ impl Reactor {
                     None => break,
                     Some(Reply::Ready(bytes)) => {
                         let bytes = std::mem::take(bytes);
-                        conn.push_out(&bytes);
+                        conn.out_for_append().extend_from_slice(&bytes);
                         conn.replies.pop_front();
                         round = true;
                     }
@@ -1510,16 +1514,19 @@ impl Reactor {
                                 conn.replies.pop_front();
                                 round = true;
                                 let ready_at = Instant::now();
-                                let mut bytes = Vec::new();
+                                // Encoded where it is sent from.
+                                let out = conn.out_for_append();
                                 let ok = match outcome {
                                     Ok(outcome) => encode_outcome(
-                                        &mut bytes,
+                                        out,
                                         request_id,
                                         &outcome,
                                         self.shared.config.chunk_rows,
                                     ),
                                     Err(e) => {
-                                        bytes = error_frame(request_id, &e).encode();
+                                        out.extend_from_slice(
+                                            &error_frame(request_id, &e).encode(),
+                                        );
                                         true
                                     }
                                 };
@@ -1527,7 +1534,6 @@ impl Reactor {
                                     conn.dead = true;
                                     break;
                                 }
-                                conn.push_out(&bytes);
                                 // Flush phase: outcome ready → last byte of
                                 // this reply accepted by the socket.
                                 let watermark = conn.flushed + conn.out_len() as u64;
@@ -1711,8 +1717,9 @@ fn error_frame(request_id: u64, error: &Error) -> Frame {
     }
 }
 
-/// Encodes a statement outcome as its response frames. Returns false when a
-/// frame would exceed the protocol limit (the connection must be dropped).
+/// Appends a statement outcome to `buf` as its response frames. Returns
+/// false, leaving `buf` as it was, when a frame would exceed the protocol
+/// limit (the connection must be dropped).
 fn encode_outcome(
     buf: &mut Vec<u8>,
     request_id: u64,
@@ -1732,12 +1739,7 @@ fn encode_outcome(
             true
         }
         QueryOutcome::Rows(result) => {
-            let schema: Vec<(String, shareddb_common::DataType)> = result
-                .schema
-                .columns()
-                .iter()
-                .map(|c| (c.qualified_name(), c.data_type))
-                .collect();
+            let start = buf.len();
             let chunk_rows = chunk_rows.max(1);
             let n_chunks = result.rows.len().div_ceil(chunk_rows).max(1);
             for (i, chunk) in result
@@ -1757,8 +1759,9 @@ fn encode_outcome(
                     flags |= chunk_flags::LAST;
                 }
                 // Only the first chunk carries the schema.
-                let schema = if i == 0 { &schema[..] } else { &[] };
-                if !encode_result_chunk(buf, request_id, flags, schema, chunk) {
+                let columns = if i == 0 { result.schema.columns() } else { &[] };
+                if !encode_result_chunk(buf, request_id, flags, columns, chunk) {
+                    buf.truncate(start);
                     return false;
                 }
             }

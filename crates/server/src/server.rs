@@ -463,6 +463,20 @@ impl Shared {
             }
         }
 
+        // Input a statement's row demand let an operator skip: outer rows a
+        // join did not look up, groups not built, rows a Top-N did not keep.
+        let _ = writeln!(w, "# TYPE shareddb_operator_rows_pruned_total counter");
+        for (i, (_, ops)) in operator_stats.iter().enumerate() {
+            for op in ops {
+                let _ = writeln!(
+                    w,
+                    "shareddb_operator_rows_pruned_total{{replica=\"{i}\",operator=\"{}\"}} {}",
+                    escape_label_value(&op.name),
+                    op.rows_pruned
+                );
+            }
+        }
+
         // Per-operator × per-statement-type cost attribution: each
         // operator's busy time split by the activation mix of its batches
         // (`stmt_type="_idle"` covers cycles with no activation of that
@@ -895,7 +909,7 @@ fn spec_param_count(spec: &shareddb_core::plan::StatementSpec) -> usize {
     }
     let mut max = 0;
     for (_, template) in &spec.activations {
-        match template {
+        match template.base() {
             ActivationTemplate::Scan { predicate } | ActivationTemplate::Filter { predicate } => {
                 scan(predicate, &mut max)
             }
@@ -922,7 +936,8 @@ fn spec_param_count(spec: &shareddb_core::plan::StatementSpec) -> usize {
             } => scan(predicate, &mut max),
             ActivationTemplate::Having { predicate: None }
             | ActivationTemplate::Participate
-            | ActivationTemplate::TopN { .. } => {}
+            | ActivationTemplate::TopN { .. }
+            | ActivationTemplate::Demand { .. } => {}
         }
     }
     if let StatementKind::Query { compute, .. } = &spec.kind {

@@ -684,6 +684,44 @@ mod tests {
         assert!(census.keys().any(|k| k.starts_with("TopN")));
     }
 
+    /// The pages of fifty say so to what feeds them: the searches to the
+    /// AUTHOR join under their Top-N, the best-seller page to the group-by.
+    /// An author search ranks by a column the look-up fetches, the look-ups
+    /// and the order display are cut nowhere: no demand.
+    #[test]
+    fn pages_demand_their_rows_of_the_join_and_the_group_by() {
+        use shareddb_core::demand::push_down;
+        let catalog = build_catalog(&TpcwScale::tiny()).unwrap();
+        let (plan, mut registry) = build_shared_plan(&catalog).unwrap();
+        push_down(&plan, &mut registry);
+        registry.validate(&plan).unwrap();
+        let demands = |statement: &str| -> Vec<String> {
+            let (_, spec) = registry.get(statement).unwrap();
+            let demanded = spec.activations.iter().filter_map(|(op, t)| match t {
+                ActivationTemplate::Demand {
+                    keys,
+                    limit,
+                    consumer,
+                    ..
+                } => {
+                    let (at, to) = (&plan.node(*op).name, &plan.node(*consumer).name);
+                    let columns: Vec<usize> = keys.iter().map(|k| k.column).collect();
+                    Some(format!("{at} {limit} {columns:?} {to}"))
+                }
+                _ => None,
+            });
+            demanded.collect()
+        };
+        let join = "IndexNlJoin(AUTHOR)#7 50";
+        assert_eq!(demands("doSubjectSearch"), [format!("{join} [1] TopN#8")]);
+        assert_eq!(demands("doTitleSearch"), [format!("{join} [1] TopN#8")]);
+        assert_eq!(demands("getNewProducts"), [format!("{join} [5, 1] TopN#9")]);
+        assert_eq!(demands("getBestSellers"), ["GroupBy#13 50 [2, 0] TopN#14"]);
+        for statement in ["doAuthorSearch", "getBook", "getCart", "getCustomerOrder"] {
+            assert!(demands(statement).is_empty(), "{statement}");
+        }
+    }
+
     #[test]
     fn shared_and_baseline_agree_on_point_queries() {
         let (_, engine, baseline) = setup();

@@ -149,3 +149,176 @@ fn updates_are_visible_across_engines_sharing_a_catalog() {
         .unwrap();
     assert_eq!(rows, 0);
 }
+
+/// Pages over a catalog the generator never produces: the best-ranked items
+/// of two subjects have lost their AUTHOR row, so the join under a search has
+/// to look past them to fill its page of fifty — while a writer keeps moving
+/// publication dates. On one engine, on four scan segments and through four
+/// replicas (a best-seller page is then cut per segment / per partition and
+/// merged), every page is row for row what the query-at-a-time engine
+/// computes at the same pinned snapshot.
+#[test]
+fn pages_look_past_items_without_an_author_on_every_lane() {
+    use shareddb::baseline::ClassicEngine;
+    use shareddb::cluster::{ClusterConfig, ClusterEngine};
+    use shareddb::common::{Expr, Tuple};
+    use shareddb::core::{Engine, SubmitOptions};
+    use shareddb::storage::UpdateOp;
+    use shareddb::tpcw::{build_shared_plan, register_baseline_statements, PAGE_SIZE};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let scale = TpcwScale::with_items(12_000);
+    let catalog = Arc::new(build_catalog(&scale).unwrap());
+    let classic = ClassicEngine::start(Arc::clone(&catalog), EngineProfile::Tuned, 1);
+    register_baseline_statements(&classic);
+    let subjects = [Value::text(SUBJECTS[1]), Value::text(SUBJECTS[4])];
+    let threshold = (scale.orders as i64 - ParamGenerator::new(&scale).bestseller_window).max(0);
+    let mut pages: Vec<(&str, Vec<Value>)> = Vec::new();
+    for subject in &subjects {
+        pages.push(("doSubjectSearch", vec![subject.clone()]));
+        pages.push(("getNewProducts", vec![subject.clone()]));
+        pages.push((
+            "getBestSellers",
+            vec![subject.clone(), Value::Int(threshold)],
+        ));
+    }
+
+    // The authors of the rows ranked 1st, 2nd, 4th and 8th on each search
+    // page go: `A_ID` is the first column behind ITEM's.
+    let a_id = catalog.table("ITEM").unwrap().read().schema().len();
+    let mut orphaned: Vec<Value> = Vec::new();
+    for (statement, params) in pages.iter().filter(|(s, _)| *s != "getBestSellers") {
+        let page = classic.execute_sync(statement, params).unwrap();
+        assert_eq!(page.len(), PAGE_SIZE);
+        orphaned.extend([0, 1, 3, 7].map(|rank| page[rank][a_id].clone()));
+    }
+    for author in &orphaned {
+        let predicate = Expr::col(0).eq(Expr::Literal(author.clone()));
+        catalog
+            .apply("AUTHOR", UpdateOp::Delete { predicate })
+            .unwrap();
+    }
+    for (statement, params) in pages.iter().filter(|(s, _)| *s != "getBestSellers") {
+        let page = classic.execute_sync(statement, params).unwrap();
+        assert_eq!(page.len(), PAGE_SIZE, "{statement}: the page is refilled");
+        assert!(page.iter().all(|row| !orphaned.contains(&row[a_id])));
+    }
+
+    let engine = |segments: usize| {
+        let (plan, registry) = build_shared_plan(&catalog).unwrap();
+        let config = EngineConfig::default().scan_segments(segments);
+        Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap()
+    };
+    let (whole, segmented) = (engine(1), engine(4));
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let replicated = ClusterConfig {
+        replicas: 4,
+        replicate_statements: pages.iter().map(|(s, _)| s.to_string()).collect(),
+        ..ClusterConfig::default()
+    };
+    let cluster = ClusterEngine::start(
+        Arc::clone(&catalog),
+        plan,
+        registry,
+        EngineConfig::default(),
+        replicated,
+    )
+    .unwrap();
+
+    // The writer ages items all over the table, and every other time one of
+    // a subject's newest: that page changes under the readers for certain.
+    let newest = classic
+        .execute_sync("getNewProducts", &subjects[..1])
+        .unwrap();
+    let newest: Vec<i64> = newest.iter().map(|row| row[0].as_int().unwrap()).collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (stop, writer, items) = (Arc::clone(&stop), engine(1), scale.items as i64);
+        std::thread::spawn(move || {
+            let mut writes = 0i64;
+            while !stop.load(Ordering::Relaxed) {
+                let item = match writes % 2 {
+                    0 => newest[(writes / 2) as usize % newest.len()],
+                    _ => (writes * 7_919) % items,
+                };
+                let moved = [
+                    Value::Int(item),
+                    Value::Float(9.5),
+                    Value::Date(15_000 + writes % 900),
+                ];
+                writer.execute_sync("adminUpdateItem", &moved).unwrap();
+                writes += 1;
+            }
+            writes
+        })
+    };
+
+    let mut first_pages: Vec<Vec<Tuple>> = Vec::new();
+    for round in 0..12 {
+        for (statement, params) in &pages {
+            let snapshot = catalog.snapshot();
+            let pinned = || SubmitOptions {
+                pinned_snapshot: Some(snapshot),
+                ..SubmitOptions::default()
+            };
+            let want = classic.execute_at(statement, params, snapshot).unwrap();
+            assert!(!want.is_empty());
+            let lanes = [
+                (
+                    "one engine",
+                    whole.submit(statement, params, pinned()).unwrap().wait(),
+                ),
+                (
+                    "four segments",
+                    segmented
+                        .submit(statement, params, pinned())
+                        .unwrap()
+                        .wait(),
+                ),
+                // Scattered, a best-seller page is pinned by the cluster to a
+                // snapshot of its own: nothing it reads is what the writer
+                // writes, so it is the same page.
+                (
+                    "four replicas",
+                    cluster.submit(statement, params, pinned()).unwrap().wait(),
+                ),
+            ];
+            for (lane, got) in lanes {
+                let got = got.unwrap();
+                assert_eq!(
+                    got.rows(),
+                    &want[..],
+                    "{statement}{params:?} on {lane}, round {round}"
+                );
+            }
+            if *statement == "getNewProducts" && params[0] == subjects[0] {
+                first_pages.push(want);
+            }
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    assert!(writer.join().unwrap() > 0, "the writer never ran");
+    // The writer was seen: the newest products of a subject changed meanwhile.
+    assert!(first_pages.iter().any(|page| *page != first_pages[0]));
+    // And the lanes did prune: the join by the demand of the searches, the
+    // group-by of every segment and partition by that of the best-seller pages.
+    for (lane, stats) in [
+        ("one engine", whole.operator_stats()),
+        ("four segments", segmented.operator_stats()),
+    ] {
+        for pruning in ["IndexNlJoin(AUTHOR)#7", "GroupBy#13"] {
+            let op = stats.iter().find(|op| op.name == pruning).unwrap();
+            assert!(op.rows_pruned > 0, "{pruning} on {lane}: {op:?}");
+        }
+    }
+    assert!(segmented.segment_stats().iter().all(|s| s.batches > 0));
+    let fanned_out = cluster.replica_operator_stats();
+    let pruned_by = |name: &str| -> Vec<u64> {
+        let operators = fanned_out.iter().flat_map(|(_, ops)| ops);
+        let named = operators.filter(|op| op.name == name);
+        named.map(|op| op.rows_pruned).collect()
+    };
+    // Every partition cuts its own best-seller page.
+    assert!(pruned_by("GroupBy#13").iter().all(|pruned| *pruned > 0));
+    assert!(pruned_by("IndexNlJoin(AUTHOR)#7").iter().sum::<u64>() > 0);
+}

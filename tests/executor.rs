@@ -98,7 +98,7 @@ fn serial_walk(deployment: &Deployment, calls: &[&StatementCall]) -> Vec<Vec<Tup
             None => {
                 let inputs: Vec<&[QTuple]> =
                     node.inputs.iter().map(|i| outputs[*i].as_slice()).collect();
-                execute_on(&node.spec, &activations, &inputs, &ctx)
+                execute_on(&node.spec, &activations, &inputs, &ctx).map(|emitted| emitted.tuples)
             }
         };
         outputs.push(output.unwrap());

@@ -990,3 +990,85 @@ fn lone_lookups_cycle_every_operator_and_run_one_task() {
     }
     server.shutdown();
 }
+
+/// What a row demand saves is a number: after a `getBook` — its AUTHOR join
+/// fed by one probed row, nothing to cut — no operator has pruned anything;
+/// after a `doSubjectSearch` the AUTHOR join under the ITEM scan has skipped
+/// the outer rows its page of fifty did not need, and `EXPLAIN`, `EXPLAIN
+/// ANALYZE` and `/metrics` all say so.
+#[test]
+fn a_search_prunes_the_author_join_and_a_lookup_nothing() {
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, PAGE_SIZE, SUBJECTS};
+
+    let scale = TpcwScale::with_items(4_000);
+    let catalog = Arc::new(build_catalog(&scale).unwrap());
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let config = EngineConfig::default();
+    let mut server =
+        Server::start(catalog, plan, registry, config, ServerConfig::default()).unwrap();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let pruned = |metrics: &str| -> Vec<(String, u64)> {
+        let series = "shareddb_operator_rows_pruned_total{replica=\"0\",operator=\"";
+        let lines = metrics.lines().filter_map(|l| l.strip_prefix(series));
+        lines
+            .map(|l| {
+                let (operator, count) = l.split_once("\"} ").unwrap();
+                (operator.to_string(), count.parse().unwrap())
+            })
+            .collect()
+    };
+
+    let book = conn.prepare("getBook").unwrap();
+    assert_eq!(
+        conn.execute(&book, &[Value::Int(7)]).unwrap().rows().len(),
+        1
+    );
+    let after_lookup = pruned(&server.metrics_text());
+    assert!(after_lookup.len() > 10, "{after_lookup:?}");
+    assert!(
+        after_lookup.iter().all(|(_, count)| *count == 0),
+        "{after_lookup:?}"
+    );
+
+    let search = conn.prepare("doSubjectSearch").unwrap();
+    let page = conn.execute(&search, &[Value::text(SUBJECTS[2])]).unwrap();
+    assert_eq!(page.rows().len(), PAGE_SIZE);
+    let metrics = server.metrics_text();
+    assert!(metrics.contains("# TYPE shareddb_operator_rows_pruned_total counter"));
+    // One subject of twenty-four: some 166 items, fifty of them looked up.
+    let of_subject = scale.items as u64 / SUBJECTS.len() as u64;
+    for (operator, count) in pruned(&metrics) {
+        match operator.as_str() {
+            "IndexNlJoin(AUTHOR)#7" => {
+                assert!((of_subject / 2..of_subject * 2).contains(&(count + PAGE_SIZE as u64)))
+            }
+            _ => assert_eq!(count, 0, "{operator}"),
+        }
+    }
+    let explained = conn.explain("doSubjectSearch", true).unwrap().text;
+    let join = explained
+        .lines()
+        .position(|l| l.contains("IndexNlJoin(AUTHOR)#7"));
+    let join = join.unwrap_or_else(|| panic!("{explained}"));
+    let lines: Vec<&str> = explained.lines().collect();
+    assert!(
+        lines[join].ends_with("(activated) top 50 by [I_TITLE] for TopN#8"),
+        "{explained}"
+    );
+    assert!(
+        lines[join + 1].contains(" rows=50 pruned=") && !lines[join + 1].contains("pruned=0 "),
+        "{explained}"
+    );
+    let static_text = conn.explain("getNewProducts", false).unwrap().text;
+    assert!(
+        static_text.contains("top 50 by [I_PUB_DATE desc, I_TITLE] for TopN#9"),
+        "{static_text}"
+    );
+    assert!(!conn
+        .explain("getBook", false)
+        .unwrap()
+        .text
+        .contains(" top "));
+    let _ = conn.close();
+    server.shutdown();
+}

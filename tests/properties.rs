@@ -626,3 +626,522 @@ fn index_probe_spells_int_and_date_alike() {
     let joined = execute_plan(&catalog, &classic, &[], snapshot).unwrap();
     assert_eq!(joined.rows, vec![expected]);
 }
+
+// ---------------------------------------------------------------------------
+// Row demand: what an operator prunes, the cut above it cannot miss
+// ---------------------------------------------------------------------------
+
+/// A query cut to `limit` rows under sort keys needs only those rows of the
+/// cut's producer (`docs/ARCHITECTURE.md`, *Row demand*). The model of every
+/// property here is the sentence itself: *stable sort, then cut* — over the
+/// operator's plain output, against the same over its demanded output.
+/// Mutations of `crates/core/src/operators.rs` and `demand.rs` these were
+/// checked to kill are listed in CHANGES.md (PR 21).
+mod row_demand {
+    use super::*;
+    use shareddb::common::sort::compare_tuples;
+    use shareddb::common::{DataType, Expr, TicketId};
+    use shareddb::core::batch::bind_query;
+    use shareddb::core::demand::push_down;
+    use shareddb::core::operators::execute_on;
+    use shareddb::core::plan::{ActivationTemplate, PlanBuilder, StatementRegistry, StatementSpec};
+    use shareddb::core::SubmitOptions;
+    use shareddb::storage::{IndexDef, TableDef};
+
+    const QUERIES: u32 = 4;
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (0..n).generate(rng)
+    }
+
+    /// Sort keys over the first `columns` columns: one or two, either way
+    /// round, and the values under them few — ties are the rule.
+    fn some_keys(rng: &mut TestRng, columns: usize) -> Vec<SortKey> {
+        let key = |rng: &mut TestRng| match pick(rng, 2) {
+            0 => SortKey::asc(pick(rng, columns)),
+            _ => SortKey::desc(pick(rng, columns)),
+        };
+        (0..1 + pick(rng, 2)).map(|_| key(rng)).collect()
+    }
+
+    /// From nothing to beyond any input here.
+    fn some_limit(rng: &mut TestRng) -> usize {
+        [0, 1, 2, 3, 5, 8, 1_000][pick(rng, 7)]
+    }
+
+    fn some_queries(rng: &mut TestRng) -> QuerySet {
+        (1..=QUERIES)
+            .filter(|_| pick(rng, 2) == 0)
+            .map(QueryId)
+            .collect()
+    }
+
+    /// The model: the first `limit` of `rows` under `(keys, position)`.
+    fn sorted_then_cut(rows: &[Tuple], keys: &[SortKey], limit: usize) -> Vec<Tuple> {
+        let mut sorted = rows.to_vec();
+        sorted.sort_by(|a, b| compare_tuples(a, b, keys));
+        sorted.truncate(limit);
+        sorted
+    }
+
+    fn rows_of(out: &[QTuple], query: QueryId) -> Vec<Tuple> {
+        let mine = out.iter().filter(|t| t.queries.contains(query));
+        mine.map(|t| t.tuple.clone()).collect()
+    }
+
+    /// True when `part` is `whole` with rows left out.
+    fn is_subsequence(part: &[Tuple], whole: &[Tuple]) -> bool {
+        let mut whole = whole.iter();
+        part.iter().all(|row| whole.any(|other| other == row))
+    }
+
+    fn demand(base: Activation, keys: &[SortKey], limit: usize) -> Activation {
+        Activation::Demand {
+            base: Box::new(base),
+            keys: keys.into(),
+            limit,
+        }
+    }
+
+    // -- (a) the selection ---------------------------------------------------
+
+    /// Rows of two small columns under random query sets, and per query a
+    /// limit or none.
+    #[derive(Debug)]
+    struct Selection {
+        rows: Vec<(i64, i64, QuerySet)>,
+        keys: Vec<SortKey>,
+        limits: Vec<Option<usize>>,
+    }
+
+    struct Selections;
+
+    impl Strategy for Selections {
+        type Value = Selection;
+        fn generate(&self, rng: &mut TestRng) -> Selection {
+            let row =
+                |rng: &mut TestRng| (pick(rng, 3) as i64, pick(rng, 4) as i64, some_queries(rng));
+            let limit = |rng: &mut TestRng| (pick(rng, 3) > 0).then(|| some_limit(rng));
+            Selection {
+                rows: (0..pick(rng, 40)).map(|_| row(rng)).collect(),
+                keys: some_keys(rng, 2),
+                limits: (0..QUERIES).map(|_| limit(rng)).collect(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn selection_is_a_stable_sort_then_a_cut(case in Selections) {
+            let catalog = Catalog::new();
+            let ctx = ExecContext { catalog: &catalog, snapshot: catalog.snapshot() };
+            let input: Vec<QTuple> = case
+                .rows
+                .iter()
+                .map(|(a, b, queries)| QTuple::new(Tuple::new(vec![Value::Int(*a), Value::Int(*b)]), queries.clone()))
+                .collect();
+            let queries = || (1..=QUERIES).map(QueryId).zip(&case.limits);
+            // A Top-N takes a limit from its activation, a sort from the
+            // demand that tells it of its statement's.
+            let top_n = queries().map(|(q, limit)| match limit {
+                Some(limit) => (q, Activation::TopN { limit: *limit }),
+                None => (q, Activation::Participate),
+            });
+            let sort = queries().map(|(q, limit)| match limit {
+                Some(limit) => (q, demand(Activation::Participate, &case.keys, *limit)),
+                None => (q, Activation::Participate),
+            });
+            let keys = case.keys.clone();
+            let cycles = [
+                (OperatorSpec::TopN { keys: keys.clone() }, top_n.collect::<Vec<_>>()),
+                (OperatorSpec::Sort { keys }, sort.collect::<Vec<_>>()),
+            ];
+            for (spec, activations) in cycles {
+                let emitted = execute_on(&spec, &activations, &[&input], &ctx).unwrap();
+                let mut pruned = 0;
+                for (q, limit) in queries() {
+                    let arrived = rows_of(&input, q);
+                    let limit = limit.unwrap_or(usize::MAX);
+                    let expected = sorted_then_cut(&arrived, &case.keys, limit);
+                    prop_assert_eq!(rows_of(&emitted.tuples, q), expected, "{:?} of {:?}", q, spec);
+                    pruned += arrived.len().saturating_sub(limit);
+                }
+                prop_assert_eq!(emitted.pruned, pruned);
+                // One shared order, and a row emitted once for all who keep it.
+                let out = &emitted.tuples;
+                prop_assert!(out.windows(2).all(|w| compare_tuples(&w[0].tuple, &w[1].tuple, &case.keys).is_le()));
+                for (i, row) in out.iter().enumerate() {
+                    prop_assert!(!row.queries.is_empty());
+                    prop_assert!(out[..i].iter().all(|earlier| !earlier.tuple.ptr_eq(&row.tuple)));
+                }
+            }
+        }
+    }
+
+    // -- (b) the join ---------------------------------------------------------
+
+    /// `INNER(KEY, TAG)`, indexed on `KEY`: key `k` of 0..6 has `k % 3` rows,
+    /// so an outer key finds none, one or two — and 6 and up nothing at all.
+    fn inner_table() -> Catalog {
+        let catalog = Catalog::new();
+        let def = TableDef::new("INNER")
+            .column("KEY", DataType::Int)
+            .column("TAG", DataType::Int);
+        catalog.create_table(def).unwrap();
+        let (name, table, column) = ("INNER_KEY".into(), "INNER".into(), "KEY".into());
+        catalog
+            .create_index(IndexDef {
+                name,
+                table,
+                column,
+            })
+            .unwrap();
+        let rows = (0..6i64)
+            .flat_map(|k| (0..k % 3).map(move |n| shareddb::common::tuple![k, 10 * k + n]));
+        catalog.bulk_load("INNER", rows.collect()).unwrap();
+        catalog
+    }
+
+    /// Outer rows `(A, B, KEY)` — the key NULL now and then, or of no inner
+    /// row — and per query a demand `(keys over A and B, limit)` or none.
+    #[derive(Debug)]
+    struct Join {
+        outer: Vec<(i64, i64, Option<i64>, QuerySet)>,
+        demands: Vec<Option<(Vec<SortKey>, usize)>>,
+    }
+
+    struct Joins;
+
+    impl Strategy for Joins {
+        type Value = Join;
+        fn generate(&self, rng: &mut TestRng) -> Join {
+            let row = |rng: &mut TestRng| {
+                let key = (pick(rng, 6) > 0).then(|| pick(rng, 8) as i64);
+                (
+                    pick(rng, 3) as i64,
+                    pick(rng, 3) as i64,
+                    key,
+                    some_queries(rng),
+                )
+            };
+            let demand = |rng: &mut TestRng| {
+                (pick(rng, 4) > 0).then(|| (some_keys(rng, 2), some_limit(rng)))
+            };
+            Join {
+                outer: (0..pick(rng, 40)).map(|_| row(rng)).collect(),
+                demands: (0..QUERIES).map(|_| demand(rng)).collect(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn a_demanded_join_feeds_its_top_n_what_a_plain_join_does(case in Joins) {
+            let catalog = inner_table();
+            let ctx = ExecContext { catalog: &catalog, snapshot: catalog.snapshot() };
+            let spec = OperatorSpec::IndexNlJoin { table: "INNER".into(), outer_key: 2, inner_column: 0 };
+            let outer: Vec<QTuple> = case
+                .outer
+                .iter()
+                .map(|(a, b, key, queries)| {
+                    let key = key.map_or(Value::Null, Value::Int);
+                    QTuple::new(Tuple::new(vec![Value::Int(*a), Value::Int(*b), key]), queries.clone())
+                })
+                .collect();
+            let queries = || (1..=QUERIES).map(QueryId).zip(&case.demands);
+            let plain: Vec<_> = queries().map(|(q, _)| (q, Activation::Participate)).collect();
+            let demanded: Vec<_> = queries()
+                .map(|(q, d)| match d {
+                    Some((keys, limit)) => (q, demand(Activation::Participate, keys, *limit)),
+                    None => (q, Activation::Participate),
+                })
+                .collect();
+            let plain = execute_on(&spec, &plain, &[&outer], &ctx).unwrap();
+            let pruning = execute_on(&spec, &demanded, &[&outer], &ctx).unwrap();
+            prop_assert_eq!(plain.pruned, 0);
+            for (q, d) in queries() {
+                let (all, some) = (rows_of(&plain.tuples, q), rows_of(&pruning.tuples, q));
+                match d {
+                    None => prop_assert_eq!(&some, &all, "{:?} demands nothing", q),
+                    Some((keys, limit)) => {
+                        prop_assert!(is_subsequence(&some, &all), "{:?}: {:?} of {:?}", q, some, all);
+                        prop_assert_eq!(
+                            sorted_then_cut(&some, keys, *limit),
+                            sorted_then_cut(&all, keys, *limit),
+                            "{:?} under {:?}, {}", q, keys, limit
+                        );
+                        // A page is filled from no more outer rows than it
+                        // takes: without the last one looked up (last under
+                        // the keys), it was not full yet.
+                        let ranked = sorted_then_cut(&some, keys, usize::MAX);
+                        if let Some(last) = ranked.last() {
+                            let outer_of = |row: &Tuple| row.sides().unwrap().0.clone();
+                            let last = outer_of(last);
+                            let before = ranked.iter().filter(|r| !outer_of(r).ptr_eq(&last)).count();
+                            prop_assert!(before < *limit, "{:?}: {:?} for a page of {}", q, some, limit);
+                        }
+                    }
+                }
+            }
+            // A row looked up once serves all its queries: emitted once.
+            let out = &pruning.tuples;
+            for (i, row) in out.iter().enumerate() {
+                let sides = |t: &QTuple| t.tuple.sides().map(|(o, i)| (o.clone(), i.clone())).unwrap();
+                let (outer_row, inner_row) = sides(row);
+                prop_assert!(out[..i].iter().all(|e| {
+                    let (o, i) = sides(e);
+                    !(o.ptr_eq(&outer_row) && i.ptr_eq(&inner_row))
+                }));
+            }
+            // What was pruned was not looked up: it is in no emitted row.
+            let wanted = outer.iter().filter(|t| !t.queries.is_empty());
+            let unseen = wanted.filter(|t| out.iter().all(|row| !row.tuple.sides().unwrap().0.ptr_eq(&t.tuple)));
+            prop_assert!(pruning.pruned <= unseen.count());
+            if case.demands.iter().all(Option::is_none) {
+                prop_assert_eq!(pruning.pruned, 0);
+            }
+        }
+    }
+
+    // -- (c) the group-by -----------------------------------------------------
+
+    /// Rows `(G, V)` grouped by `G` into `(G, SUM(V), COUNT(V))`; per query a
+    /// HAVING or none, partial mode or not, and a demand over the output
+    /// columns or none.
+    #[derive(Debug)]
+    struct Grouping {
+        rows: Vec<(i64, i64, QuerySet)>,
+        having: Vec<Option<Expr>>,
+        partial: Vec<bool>,
+        demands: Vec<Option<(Vec<SortKey>, usize)>>,
+    }
+
+    struct Groupings;
+
+    impl Strategy for Groupings {
+        type Value = Grouping;
+        fn generate(&self, rng: &mut TestRng) -> Grouping {
+            let row =
+                |rng: &mut TestRng| (pick(rng, 6) as i64, pick(rng, 4) as i64, some_queries(rng));
+            let having = |rng: &mut TestRng| match pick(rng, 3) {
+                0 => None,
+                1 => Some(Expr::col(1).gt(Expr::lit(pick(rng, 6) as i64))),
+                _ => Some(Expr::col(2).lt_eq(Expr::lit(pick(rng, 4) as i64))),
+            };
+            let demand = |rng: &mut TestRng| {
+                (pick(rng, 4) > 0).then(|| (some_keys(rng, 3), some_limit(rng)))
+            };
+            Grouping {
+                rows: (0..pick(rng, 50)).map(|_| row(rng)).collect(),
+                having: (0..QUERIES).map(|_| having(rng)).collect(),
+                partial: (0..QUERIES).map(|_| pick(rng, 4) == 0).collect(),
+                demands: (0..QUERIES).map(|_| demand(rng)).collect(),
+            }
+        }
+    }
+
+    fn sum_and_count_by_first_column() -> OperatorSpec {
+        let aggregate = |function, name: &str| AggregateSpec {
+            function,
+            column: 1,
+            output_name: name.into(),
+        };
+        OperatorSpec::GroupBy {
+            group_columns: vec![0],
+            aggregates: vec![
+                aggregate(AggregateFunction::Sum, "S"),
+                aggregate(AggregateFunction::Count, "C"),
+            ],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn a_demanded_group_by_feeds_its_top_n_what_a_plain_one_does(case in Groupings) {
+            let catalog = Catalog::new();
+            let ctx = ExecContext { catalog: &catalog, snapshot: catalog.snapshot() };
+            let spec = sum_and_count_by_first_column();
+            let input: Vec<QTuple> = case
+                .rows
+                .iter()
+                .map(|(g, v, queries)| QTuple::new(Tuple::new(vec![Value::Int(*g), Value::Int(*v)]), queries.clone()))
+                .collect();
+            let having = |i: usize| Activation::Having { predicate: case.having[i].clone(), partial: case.partial[i] };
+            let plain: Vec<_> = (0..QUERIES as usize).map(|i| (QueryId(i as u32 + 1), having(i))).collect();
+            let demanded: Vec<_> = (0..QUERIES as usize)
+                .map(|i| match &case.demands[i] {
+                    Some((keys, limit)) => (QueryId(i as u32 + 1), demand(having(i), keys, *limit)),
+                    None => (QueryId(i as u32 + 1), having(i)),
+                })
+                .collect();
+            let plain = execute_on(&spec, &plain, &[&input], &ctx).unwrap();
+            let pruning = execute_on(&spec, &demanded, &[&input], &ctx).unwrap();
+            prop_assert_eq!(plain.pruned, 0);
+            let mut pruned = 0;
+            for i in 0..QUERIES as usize {
+                let q = QueryId(i as u32 + 1);
+                let (all, some) = (rows_of(&plain.tuples, q), rows_of(&pruning.tuples, q));
+                match &case.demands[i] {
+                    // A partial group is another partition's to complete.
+                    Some((keys, limit)) if !case.partial[i] => {
+                        prop_assert!(is_subsequence(&some, &all), "{:?}: {:?} of {:?}", q, some, all);
+                        prop_assert_eq!(
+                            sorted_then_cut(&some, keys, *limit),
+                            sorted_then_cut(&all, keys, *limit),
+                            "{:?} under {:?}, {}", q, keys, limit
+                        );
+                        prop_assert_eq!(some.len(), all.len().min(*limit));
+                        pruned += all.len() - some.len();
+                    }
+                    _ => prop_assert_eq!(&some, &all, "{:?} demands nothing", q),
+                }
+            }
+            prop_assert_eq!(pruning.pruned, pruned);
+            // Ascending by key, then by query, as ever.
+            let place = |t: &QTuple| (t.tuple[0].clone(), t.queries.as_slice()[0]);
+            prop_assert!(pruning.tuples.windows(2).all(|w| place(&w[0]) < place(&w[1])));
+        }
+    }
+
+    // -- (d) the derivation ---------------------------------------------------
+
+    /// One statement over `scan → p → t`, `p` an index join or a group-by,
+    /// `t` a Top-N or a sort, and a filter beside `t` that reads `p` as well.
+    #[derive(Debug)]
+    struct Shape {
+        join: bool,
+        top_n: bool,
+        keys: Vec<SortKey>,
+        top_n_limit: usize,
+        /// 0: `t`, 1: `p`, 2: the filter beside `t`.
+        root: usize,
+        reads_p_twice: bool,
+        limit: Option<usize>,
+        distinct: bool,
+        partial: bool,
+    }
+
+    struct Shapes;
+
+    impl Strategy for Shapes {
+        type Value = Shape;
+        fn generate(&self, rng: &mut TestRng) -> Shape {
+            let join = pick(rng, 2) == 0;
+            // A join's output: three outer columns, then two inner ones.
+            let columns = if join { 5 } else { 2 };
+            let root = [0, 0, 0, 1, 2][pick(rng, 5)];
+            Shape {
+                join,
+                top_n: pick(rng, 2) == 0,
+                keys: some_keys(rng, columns),
+                top_n_limit: 1 + pick(rng, 3),
+                root,
+                reads_p_twice: root == 2 || pick(rng, 4) == 0,
+                limit: (pick(rng, 3) > 0).then(|| 1 + pick(rng, 3)),
+                distinct: pick(rng, 4) == 0,
+                partial: pick(rng, 3) == 0,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn demand_derivation_refuses_what_is_not_sound(shape in Shapes) {
+            let catalog = inner_table();
+            let outer = TableDef::new("OUTER")
+                .column("A", DataType::Int)
+                .column("B", DataType::Int)
+                .column("KEY", DataType::Int);
+            catalog.create_table(outer).unwrap();
+            let mut builder = PlanBuilder::new(&catalog);
+            let scan = builder.table_scan("OUTER").unwrap();
+            let p = match shape.join {
+                true => builder.index_nl_join(scan, "INNER", "OUTER.KEY", "KEY").unwrap(),
+                false => builder.group_by(scan, vec!["A"], vec![(AggregateFunction::Sum, "B", "S")]).unwrap(),
+            };
+            let t = match shape.top_n {
+                true => builder.top_n(p, shape.keys.clone()).unwrap(),
+                false => builder.sort(p, shape.keys.clone()).unwrap(),
+            };
+            let beside = builder.filter(p).unwrap();
+            let plan = builder.build();
+
+            let everything = ActivationTemplate::Scan { predicate: Expr::lit(true) };
+            let at_p = match shape.join {
+                true => ActivationTemplate::Participate,
+                false => ActivationTemplate::Having { predicate: None },
+            };
+            let at_t = match shape.top_n {
+                true => ActivationTemplate::TopN { limit: shape.top_n_limit },
+                false => ActivationTemplate::Participate,
+            };
+            let mut spec = StatementSpec::query("q", [t, p, beside][shape.root])
+                .activate(scan, everything)
+                .activate(p, at_p.clone())
+                .activate(t, at_t.clone());
+            if shape.reads_p_twice {
+                spec = spec.activate(beside, ActivationTemplate::Filter { predicate: Expr::lit(true) });
+            }
+            if let Some(limit) = shape.limit {
+                spec = spec.limit(limit);
+            }
+            if shape.distinct {
+                spec = spec.distinct();
+            }
+            let mut registry = StatementRegistry::new();
+            registry.register(spec).unwrap();
+            push_down(&plan, &mut registry);
+            registry.validate(&plan).unwrap();
+
+            // The rule, said once more: some node cuts the statement's rows …
+            let sort_is_cut = !shape.top_n && shape.root == 0 && shape.limit.is_some() && !shape.distinct;
+            let cut = match shape.top_n {
+                true => Some(shape.top_n_limit),
+                false => shape.limit.filter(|_| sort_is_cut),
+            };
+            // … takes them from `p` alone, which hands them nowhere else, and
+            // `p` can rank a row before it has built it.
+            let ranks_early = !shape.join || shape.keys.iter().all(|k| k.column < 3);
+            let at_p_cut = cut.filter(|_| shape.root != 1 && !shape.reads_p_twice && ranks_early);
+            let (_, derived) = registry.get("q").unwrap();
+            for (op, template) in &derived.activations {
+                let expected = match *op {
+                    op if op == p => at_p_cut.map(|limit| (&at_p, limit, t)),
+                    op if op == t && sort_is_cut => shape.limit.map(|limit| (&at_t, limit, t)),
+                    _ => None,
+                };
+                match (template, expected) {
+                    (ActivationTemplate::Demand { base, keys, limit, consumer }, Some(expected)) => {
+                        prop_assert_eq!((&**base, *limit, *consumer), expected);
+                        prop_assert_eq!(&keys[..], &shape.keys[..]);
+                    }
+                    (ActivationTemplate::Demand { .. }, None) => panic!("{template:?} at {op}"),
+                    (plain, expected) => prop_assert!(expected.is_none(), "{:?} at {}", plain, op),
+                }
+            }
+            let once = derived.clone();
+            push_down(&plan, &mut registry);
+            prop_assert_eq!(&registry.get("q").unwrap().1.activations, &once.activations);
+
+            // Bound for a fan-out that recombines partial groups, the demand
+            // prunes nothing; bound plainly, all but the rows it names.
+            if let (false, Some(limit)) = (shape.join, at_p_cut) {
+                let opts = SubmitOptions { partial_aggregation: shape.partial, ..SubmitOptions::default() };
+                let query = bind_query(&once, 0, QueryId(1), TicketId(1), &[], &opts).unwrap();
+                let (_, activation) = query.activations.iter().find(|(op, _)| *op == p).unwrap();
+                let groups: Vec<QTuple> = (0..5i64)
+                    .map(|g| QTuple::for_query(Tuple::new(vec![Value::Int(g), Value::Int(g % 2), Value::Null]), QueryId(1)))
+                    .collect();
+                let ctx = ExecContext { catalog: &catalog, snapshot: catalog.snapshot() };
+                let activations = [(QueryId(1), activation.clone())];
+                let emitted = execute_on(&plan.node(p).spec, &activations, &[&groups], &ctx).unwrap();
+                let pruned = if shape.partial { 0 } else { 5 - limit };
+                prop_assert_eq!((emitted.tuples.len(), emitted.pruned), (5 - pruned, pruned));
+            }
+        }
+    }
+}
