@@ -31,10 +31,10 @@
 //! (extra connections alternating `addOrderLine` inserts with
 //! `adminUpdateItem` updates — each of which must change exactly one row, so
 //! an index miss on the write path is an error — concurrently, default 0;
-//! the cluster-soak lane uses this to exercise snapshot-pinned fanout under
-//! write load), `BENCH_REPLICATE` (comma-separated statement names
-//! forced onto the replicated route from the start, e.g. `getBestSellers`
-//! to exercise co-partitioned join fanout deterministically),
+//! the cluster-soak lane uses this to run segmented joins under write
+//! load), `BENCH_REPLICATE` (comma-separated statement names forced onto the
+//! replicated route from the start, e.g. `getBestSellers` to spread a heavy
+//! type over every replica by parameter hash),
 //! `BENCH_SCRAPE_HZ` (scrape the server's `/metrics` endpoint this many
 //! times per second while the bench runs, writing the last exposition to
 //! `BENCH_metrics_scrape.prom` — exercises scrape-under-load overhead).
@@ -273,7 +273,7 @@ fn run_point(
         // Concurrent writers: each keeps appending ORDER_LINE rows (the
         // probe side of the getBestSellers join) and, every other statement,
         // updating one ITEM row through its primary key (the build side, and
-        // the table getItemById probes), so fanned-out joins and aggregates
+        // the table getItemById probes), so scattered joins and aggregates
         // run against a continuously moving version set.
         for writer_idx in 0..update_clients {
             let updates_ok = Arc::clone(&updates_ok);
@@ -462,11 +462,9 @@ fn run_point(
                 .unwrap_or_default(),
         })
         .collect();
-    // Scatter + merge live in the cluster-level table, reply-flush in the
-    // frontend's; both happen outside any single replica, so they share the
-    // JSON's `cluster_phases` section.
-    let mut cluster_phases = phase_rows(&server.cluster_phase_stats().unwrap_or_default());
-    cluster_phases.extend(phase_rows(&server.flush_phase_stats()));
+    // Reply-flush happens outside any single replica: the JSON's
+    // `cluster_phases` section.
+    let cluster_phases = phase_rows(&server.flush_phase_stats());
     // Server-side tail of the light statement: merge the Total-phase
     // histograms for getItemById across replicas and read the p99 — this is
     // the latency floor check_regression guards (client-side p99 includes

@@ -11,7 +11,6 @@
 //! | `fig9_interactions` | Figure 9 | max WIPS per individual web interaction |
 //! | `fig10_heavy_light` | Figure 10 | batch response time vs batch size, light vs heavy query |
 //! | `fig11_load_interaction` | Figure 11 | light-query throughput under increasing heavy-query load |
-//! | `ablation_overlap` | §3.5 analysis | shared vs per-query work as a function of overlap |
 //!
 //! All binaries print CSV-like rows to stdout and accept environment
 //! variables to scale the run (`TPCW_ITEMS`, `BENCH_SECONDS`, ...); the

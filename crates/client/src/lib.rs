@@ -157,10 +157,10 @@ fn find_phase(
 /// [`WireStats`] snapshot (protocol v3).
 pub trait StatsPhases {
     /// One replica's latency summary for `statement` in `phase` (admission,
-    /// batch-wait, execute, total), if that phase recorded anything there.
+    /// batch-wait, execute, merge, total), if it recorded anything there.
     fn replica_phase(&self, replica: usize, statement: &str, phase: Phase) -> Option<PhaseLatency>;
-    /// The cluster-level summary for `statement` in `phase` — the scatter,
-    /// merge and reply-flush phases, which happen outside any replica.
+    /// The cluster-level summary for `statement` in `phase` — the
+    /// reply-flush phase, which happens outside any replica.
     fn cluster_phase(&self, statement: &str, phase: Phase) -> Option<PhaseLatency>;
 }
 

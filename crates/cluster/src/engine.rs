@@ -1,29 +1,21 @@
 //! The clustered engine: N replicas of the shared-operator runtime behind one
 //! submit interface.
 
-use crate::fanout::{FanoutState, MergePool};
 use crate::router::{Route, Router};
 use crate::ClusterConfig;
 use shareddb_common::{Result, Value};
 use shareddb_core::demand::push_down;
 use shareddb_core::engine::{QueryHandle, QueryOutcome};
-use shareddb_core::scatter::{scatter_spec, ScatterSpec};
 use shareddb_core::stats::{
-    merge_attribution, AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot, Phase,
-    PhaseTable, ScanRowsSnapshot, SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot,
+    merge_attribution, AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot,
+    ScanRowsSnapshot, SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot,
     UpdateRowsSnapshot,
 };
 use shareddb_core::trace::TraceRecord;
 use shareddb_core::{Engine, EngineConfig, GlobalPlan, StatementRegistry, SubmitOptions};
 use shareddb_storage::Catalog;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How long a fanned-out read waits for its session's write fence to
-/// resolve before pinning the fanout snapshot anyway (mirrors the engine
-/// coordinator's cap — a wedged writer must not hang readers).
-const FENCE_WAIT_CAP: Duration = Duration::from_secs(1);
+use std::time::Duration;
 
 /// N engine replicas over one shared [`Catalog`], fronted by a [`Router`]
 /// that dispatches each admitted statement by type (see the crate docs).
@@ -32,19 +24,13 @@ pub struct ClusterEngine {
     router: Router,
     registry: StatementRegistry,
     plan: GlobalPlan,
-    fanout: Vec<Option<ScatterSpec>>,
     catalog: Arc<Catalog>,
-    merge_pool: MergePool,
-    merge_workers: Vec<JoinHandle<()>>,
-    /// Cluster-level phase histograms (scatter + merge of fanned-out
-    /// statements), keyed by statement index like the per-engine tables.
-    phases: Arc<PhaseTable>,
 }
 
 impl ClusterEngine {
     /// Starts `config.replicas` engines over one shared catalog and global
     /// plan. With `replicas == 1` the cluster behaves exactly like a single
-    /// [`Engine`] (everything pinned to replica 0, no fanout).
+    /// [`Engine`] (everything pinned to replica 0).
     pub fn start(
         catalog: Arc<Catalog>,
         plan: GlobalPlan,
@@ -67,24 +53,12 @@ impl ClusterEngine {
             )?);
         }
         let router = Router::new(&registry, &config);
-        let fanout = registry
-            .iter()
-            .map(|spec| scatter_spec(&catalog, &plan, spec))
-            .collect();
-        let (merge_pool, merge_workers) = MergePool::start(config.merge_threads);
-        let phases = Arc::new(PhaseTable::new(
-            registry.iter().map(|s| s.name.clone()).collect(),
-        ));
         Ok(ClusterEngine {
             engines,
             router,
             registry,
             plan,
-            fanout,
             catalog,
-            merge_pool,
-            merge_workers,
-            phases,
         })
     }
 
@@ -108,97 +82,22 @@ impl ClusterEngine {
         self.engines.len()
     }
 
-    /// Submits a statement; the router picks the replica (or fans the query
-    /// out over all replicas with partitioned scans).
+    /// Submits a statement to the replica the router picks: the statement
+    /// runs whole on that one engine (which may itself run it
+    /// segment-parallel, `EngineConfig::scan_segments`).
     pub fn submit(
         &self,
         statement: &str,
         params: &[Value],
         opts: SubmitOptions,
     ) -> Result<ClusterHandle> {
-        let (index, spec) = self.registry.get(statement)?;
+        let (index, _) = self.registry.get(statement)?;
         self.router.note_submit(index);
         self.router
             .maybe_refresh(|| self.engines.iter().map(|e| e.queued()).collect());
-        if !spec.is_update()
-            && self.engines.len() > 1
-            && matches!(self.router.route(index), Route::Replicated)
-        {
-            if let Some(fanout) = &self.fanout[index] {
-                if params.is_empty() || fanout.scatter_with_params {
-                    return self.submit_fanout(statement, index, params, opts, fanout);
-                }
-            }
-        }
         let replica = self.router.pick_replica(index, params);
         let handle = self.engines[replica].submit(statement, params, opts)?;
-        Ok(ClusterHandle::Single { replica, handle })
-    }
-
-    fn submit_fanout(
-        &self,
-        statement: &str,
-        index: usize,
-        params: &[Value],
-        opts: SubmitOptions,
-        fanout: &ScatterSpec,
-    ) -> Result<ClusterHandle> {
-        let of = self.engines.len() as u32;
-        let scatter_started = Instant::now();
-        // Read-your-writes: a fanned-out execution pins one snapshot for
-        // every partition, so that snapshot itself must already cover the
-        // session's last write — the per-engine fence deferral cannot help a
-        // query that brings its own (older) snapshot. The wait is bounded,
-        // matching the engine coordinator's fence cap: at the cap the read
-        // proceeds on the current snapshot, as an unfenced read would — a
-        // wedged writer must not hang the submitting session forever.
-        if let Some(fence) = &opts.read_after {
-            let _ = fence.wait_resolved(FENCE_WAIT_CAP);
-        }
-        // One MVCC snapshot per fanned-out execution: every partition reads
-        // the same version set, so the merged result is indistinguishable
-        // from a single-engine execution at that snapshot even under
-        // concurrent writes (and co-partitioning by non-key join columns
-        // stays exactly-once: a row version cannot move between partitions
-        // within one pinned snapshot).
-        let snapshot = self.catalog.snapshot();
-        // Bind statement parameters into the merge spec: the deferred HAVING
-        // of a grouped merge may carry `?` placeholders.
-        let state = FanoutState::new(
-            self.engines.len(),
-            fanout.merge.bind(params)?,
-            fanout.limit,
-            opts.completion_waker.clone(),
-        );
-        state.tag_phases(Arc::clone(&self.phases), index);
-        for (part_index, engine) in self.engines.iter().enumerate() {
-            let mut part_opts = opts.clone();
-            part_opts.scan_partition = Some((part_index as u32, of));
-            part_opts.partition_columns = fanout.partition_columns.clone();
-            part_opts.pinned_snapshot = Some(snapshot);
-            part_opts.partial_aggregation = fanout.partial_aggregation;
-            // Partitions wake the cluster, not the caller: the last one
-            // dispatches the merge to the worker pool, and the caller's own
-            // waker fires once the merged result is posted.
-            part_opts.completion_waker = Some(state.partition_waker(&self.merge_pool));
-            match engine.submit(statement, params, part_opts) {
-                Ok(handle) => state.push_part(handle),
-                Err(e) => {
-                    // Partial-admission failure: the already-submitted
-                    // partitions complete into an abandoned merge job
-                    // (harmless discarded work) and the caller sees the
-                    // rejection.
-                    state.abandon(self.engines.len() - part_index, &self.merge_pool);
-                    return Err(e);
-                }
-            }
-        }
-        state.arm(&self.merge_pool);
-        // Scatter phase: snapshot capture, merge binding and the submission
-        // of every partition to its replica.
-        self.phases
-            .record(index, Phase::Scatter, scatter_started.elapsed());
-        Ok(ClusterHandle::Fanout { state })
+        Ok(ClusterHandle { replica, handle })
     }
 
     /// Submits and returns the handle (default options).
@@ -206,7 +105,7 @@ impl ClusterEngine {
         self.submit(statement, params, SubmitOptions::default())
     }
 
-    /// Submits and blocks until the (merged) result is available.
+    /// Submits and blocks until the result is available.
     pub fn execute_sync(&self, statement: &str, params: &[Value]) -> Result<QueryOutcome> {
         self.execute(statement, params)?.wait()
     }
@@ -250,7 +149,7 @@ impl ClusterEngine {
     }
 
     /// Per-replica, per-statement, per-phase latency histograms (admission /
-    /// batch-wait / execute / total recorded by each engine).
+    /// batch-wait / execute / segment merge / total recorded by each engine).
     pub fn replica_phase_stats(&self) -> Vec<Vec<StatementPhaseSnapshot>> {
         self.engines.iter().map(|e| e.phase_snapshot()).collect()
     }
@@ -293,12 +192,6 @@ impl ClusterEngine {
         merged
     }
 
-    /// Cluster-level phase histograms (scatter + merge of fanned-out
-    /// statements).
-    pub fn cluster_phase_stats(&self) -> Vec<StatementPhaseSnapshot> {
-        self.phases.snapshot()
-    }
-
     /// Per-replica operator statistics with the wall-clock length of each
     /// replica's statistics window (the busy-fraction denominator).
     pub fn replica_operator_stats(&self) -> Vec<(Duration, Vec<OperatorStatsSnapshot>)> {
@@ -309,9 +202,7 @@ impl ClusterEngine {
     }
 
     /// Per-replica segment-lane statistics (`EngineConfig::scan_segments`):
-    /// empty inner vectors when segment parallelism is off. Cluster fanout
-    /// and segment parallelism compose — a fanned-out partition may itself
-    /// run segmented — so segment skew is reported per replica.
+    /// empty inner vectors when segment parallelism is off.
     pub fn replica_segment_stats(&self) -> Vec<(Duration, Vec<SegmentStatsSnapshot>)> {
         self.engines
             .iter()
@@ -359,13 +250,11 @@ impl ClusterEngine {
     }
 
     /// Zeroes every replica's statistics (counters, histograms, slow-query
-    /// logs, operator counters) and the cluster-level scatter/merge
-    /// histograms. Bench harnesses call this after warm-up.
+    /// logs, operator counters). Bench harnesses call this after warm-up.
     pub fn reset_stats(&self) {
         for engine in &self.engines {
             engine.reset_stats();
         }
-        self.phases.reset();
     }
 
     /// Statements queued but not yet batched, summed over replicas.
@@ -411,17 +300,11 @@ impl ClusterEngine {
             .collect()
     }
 
-    /// Stops every replica, then drains and joins the merge workers.
+    /// Stops every replica (in-flight statements fail with a shutdown
+    /// error).
     pub fn shutdown(&mut self) {
-        // Engines first: their shutdown fails in-flight work and fires the
-        // partition wakers, so every outstanding fanout dispatches its merge
-        // job before the pool closes.
         for engine in &mut self.engines {
             engine.shutdown();
-        }
-        self.merge_pool.shutdown();
-        for worker in self.merge_workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -436,66 +319,40 @@ impl Drop for ClusterEngine {
 // Handles
 // ---------------------------------------------------------------------------
 
-/// Handle to a statement submitted to the cluster. Like
-/// [`shareddb_core::engine::QueryHandle`] it supports blocking
-/// ([`ClusterHandle::wait`]) and event-driven polling
+/// Handle to a statement submitted to the cluster: the executing replica's
+/// [`QueryHandle`] — blocking ([`ClusterHandle::wait`]) or event-driven
 /// ([`ClusterHandle::try_wait`], paired with
-/// [`SubmitOptions::completion_waker`]). For fanned-out executions the
-/// caller's waker fires exactly **once**, after the merge worker posted the
-/// recombined result — polling never runs the merge on the caller's thread.
-pub enum ClusterHandle {
-    /// The statement runs wholly on one replica.
-    Single {
-        /// Executing replica.
-        replica: usize,
-        /// The replica's handle.
-        handle: QueryHandle,
-    },
-    /// The statement was scattered over all replicas with partitioned scans;
-    /// the shared state tracks the partitions and receives the merged
-    /// outcome from the merge pool.
-    Fanout {
-        /// Shared state of the fanned-out execution.
-        state: Arc<FanoutState>,
-    },
+/// [`SubmitOptions::completion_waker`]) — and which replica that is.
+pub struct ClusterHandle {
+    replica: usize,
+    handle: QueryHandle,
 }
 
 impl ClusterHandle {
-    /// The executing replica for single-replica submissions (fanned-out
-    /// executions run everywhere).
-    pub fn replica(&self) -> Option<usize> {
-        match self {
-            ClusterHandle::Single { replica, .. } => Some(*replica),
-            ClusterHandle::Fanout { .. } => None,
-        }
+    /// The executing replica.
+    pub fn replica(&self) -> usize {
+        self.replica
     }
 
-    /// Blocks until the (merged) outcome is available.
+    /// Blocks until the outcome is available.
     pub fn wait(self) -> Result<QueryOutcome> {
-        match self {
-            ClusterHandle::Single { handle, .. } => handle.wait(),
-            ClusterHandle::Fanout { state } => state.wait(),
-        }
+        self.handle.wait()
     }
 
-    /// Non-blocking poll: `None` while any partition is in flight or the
-    /// merge has not been posted yet, `Some(outcome)` exactly once when the
-    /// merged result is ready.
-    pub fn try_wait(&mut self) -> Option<Result<QueryOutcome>> {
-        match self {
-            ClusterHandle::Single { handle, .. } => handle.try_wait(),
-            ClusterHandle::Fanout { state } => state.try_take(),
-        }
+    /// Non-blocking poll: `None` while the statement is in flight,
+    /// `Some(outcome)` exactly once when it is ready.
+    pub fn try_wait(&self) -> Option<Result<QueryOutcome>> {
+        self.handle.try_wait()
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shareddb_common::agg::AggregateFunction;
     use shareddb_common::tuple;
     use shareddb_common::DataType;
     use shareddb_common::Error;
-    use shareddb_core::plan::ActivationTemplate;
+    use shareddb_core::stats::Phase;
     use shareddb_sql::compile_workload;
     use shareddb_storage::TableDef;
     use std::time::Duration;
@@ -625,41 +482,32 @@ mod tests {
         assert!(cluster.replica_stats()[1..].iter().all(|s| s.updates == 0));
     }
 
-    /// The merge step: a parameterless ordered statement on a hot route
-    /// scatters over all replicas with disjoint scan partitions and the
-    /// ordered merge reassembles the exact single-engine result.
+    /// What a replicated heavy type does: each parameterless execution runs
+    /// whole — complete and ordered — on one replica, and consecutive
+    /// executions take the replicas in turn.
     #[test]
-    fn fanout_ordered_merge_matches_single_engine() {
+    fn replicated_parameterless_type_round_robins_whole() {
         let config = ClusterConfig {
-            replicate_statements: vec!["allItems".into()],
+            replicate_statements: vec!["allItems".into(), "costBySubject".into()],
             ..ClusterConfig::default()
         };
         let cluster = start(4, config);
-        let outcome = cluster.execute_sync("allItems", &[]).unwrap();
-        let rows = outcome.rows();
-        assert_eq!(rows.len(), 200);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row[0], Value::Int(i as i64), "order broken at {i}");
+        for _ in 0..4 {
+            let outcome = cluster.execute_sync("allItems", &[]).unwrap();
+            let rows = outcome.rows();
+            assert_eq!(rows.len(), 200);
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(row[0], Value::Int(i as i64), "order broken at {i}");
+            }
         }
-        // Every replica executed its partition.
         assert!(
             cluster.replica_stats().iter().all(|s| s.queries == 1),
-            "scatter did not reach all replicas: {:?}",
+            "round-robin skipped a replica: {:?}",
             cluster.replica_stats()
         );
-    }
-
-    #[test]
-    fn fanout_grouped_merge_recombines_partial_aggregates() {
-        let config = ClusterConfig {
-            replicate_statements: vec!["costBySubject".into()],
-            ..ClusterConfig::default()
-        };
-        let cluster = start(4, config);
         let outcome = cluster.execute_sync("costBySubject", &[]).unwrap();
-        let rows = outcome.rows();
-        assert_eq!(rows.len(), 2);
-        let history = rows
+        let history = outcome
+            .rows()
             .iter()
             .find(|r| r[0] == Value::text("HISTORY"))
             .unwrap();
@@ -672,26 +520,28 @@ mod tests {
         assert_eq!(history[2], Value::Int(50));
         assert_eq!(history[3], Value::Float(0.0));
         assert_eq!(history[4], Value::Float(48.0));
+        assert_eq!(cluster.stats().queries, 5, "an execution ran twice");
     }
 
-    /// Observability satellite: under concurrent fanout the cluster-level
-    /// latency histogram must be the exact bucket-wise sum of the per-replica
-    /// histograms (lossless merge), its percentiles must be monotone, and
-    /// the scatter/merge phase histograms must have seen every fanout.
+    /// Under concurrent hash-routed look-ups the cluster-level latency
+    /// histogram must be the exact bucket-wise sum of the per-replica
+    /// histograms (lossless merge) and its percentiles must be monotone.
     #[test]
-    fn fanout_histograms_merge_losslessly() {
+    fn replica_histograms_merge_losslessly() {
         let config = ClusterConfig {
-            replicate_statements: vec!["allItems".into()],
+            replicate_statements: vec!["getItem".into()],
             ..ClusterConfig::default()
         };
         let cluster = start(4, config);
-        const FANOUTS: usize = 16;
+        const LOOKUPS: i64 = 64;
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..FANOUTS / 4 {
-                        let outcome = cluster.execute_sync("allItems", &[]).unwrap();
-                        assert_eq!(outcome.rows().len(), 200);
+            for thread in 0..4 {
+                let cluster = &cluster;
+                scope.spawn(move || {
+                    for i in 0..LOOKUPS / 4 {
+                        let key = Value::Int(thread * LOOKUPS / 4 + i);
+                        let outcome = cluster.execute_sync("getItem", &[key]).unwrap();
+                        assert_eq!(outcome.rows().len(), 1);
                     }
                 });
             }
@@ -699,8 +549,9 @@ mod tests {
 
         let total = cluster.stats();
         let replicas = cluster.replica_stats();
-        // Each fanout scattered one partition per replica.
-        assert_eq!(total.queries, (FANOUTS * cluster.replicas()) as u64);
+        // Each look-up ran once, and they spread.
+        assert_eq!(total.queries, LOOKUPS as u64);
+        assert!(replicas.iter().filter(|s| s.queries > 0).count() > 1);
         // Lossless merge: bucket-wise the cluster histogram is the sum of
         // the replica histograms, as if one engine had seen all the traffic.
         let mut merged = shareddb_common::metrics::HistogramSnapshot::default();
@@ -718,23 +569,23 @@ mod tests {
         assert!(p50 <= p95 && p95 <= p99 && p99 <= total.histogram.max_us);
         assert_eq!(total.p99_latency.as_micros() as u64, p99);
 
-        // The cluster phase table saw every scatter and every merge.
-        let phases = cluster.cluster_phase_stats();
-        let all_items = phases.iter().find(|s| s.statement == "allItems").unwrap();
-        assert_eq!(all_items.phase(Phase::Scatter).count, FANOUTS as u64);
-        assert_eq!(all_items.phase(Phase::Merge).count, FANOUTS as u64);
-        // Each replica recorded execute/total phases for its partitions.
-        for replica in cluster.replica_phase_stats() {
-            let snap = replica.iter().find(|s| s.statement == "allItems").unwrap();
-            assert_eq!(snap.phase(Phase::Execute).count, FANOUTS as u64);
-            assert_eq!(snap.phase(Phase::Total).count, FANOUTS as u64);
+        // Each replica recorded the phases of the look-ups it ran.
+        for (stats, phases) in replicas.iter().zip(cluster.replica_phase_stats()) {
+            let snap = phases.iter().find(|s| s.statement == "getItem").unwrap();
+            assert_eq!(snap.phase(Phase::Execute).count, stats.queries);
+            assert_eq!(snap.phase(Phase::Total).count, stats.queries);
+            assert_eq!(snap.phase(Phase::Merge).count, 0);
         }
 
-        // reset_stats zeroes replicas and the cluster phase table.
+        // reset_stats zeroes every replica.
         cluster.reset_stats();
         assert_eq!(cluster.stats().queries, 0);
         assert!(cluster.stats().histogram.is_empty());
-        assert!(cluster.cluster_phase_stats().is_empty());
+        assert!(cluster
+            .replica_phase_stats()
+            .iter()
+            .flatten()
+            .all(|s| s.phases.iter().all(|h| h.is_empty())));
     }
 
     /// Dynamic promotion: a statement type whose submission rate crosses the
@@ -773,578 +624,6 @@ mod tests {
             .routes()
             .iter()
             .any(|(name, route)| name == "addItem" && *route == Route::Pinned(0)));
-    }
-
-    // -- join fanout -------------------------------------------------------
-
-    use shareddb_common::{Expr, SortKey};
-    use shareddb_core::plan::{PlanBuilder, StatementSpec as Spec};
-
-    /// ITEM ⨝ ORDER_LINE catalog (the `getBestSellers` shape): ITEM's pk is
-    /// the join key, ORDER_LINE joins on a non-key column.
-    fn join_catalog() -> Arc<Catalog> {
-        let catalog = Catalog::new();
-        catalog
-            .create_table(
-                TableDef::new("ITEM")
-                    .column("I_ID", DataType::Int)
-                    .column("I_SUBJECT", DataType::Text)
-                    .column("I_COST", DataType::Float)
-                    .primary_key(&["I_ID"]),
-            )
-            .unwrap();
-        catalog
-            .create_table(
-                TableDef::new("ORDER_LINE")
-                    .column("OL_ID", DataType::Int)
-                    .column("OL_I_ID", DataType::Int)
-                    .column("OL_QTY", DataType::Int)
-                    .column("OL_WEIGHT", DataType::Float)
-                    .primary_key(&["OL_ID"]),
-            )
-            .unwrap();
-        catalog
-            .bulk_load(
-                "ITEM",
-                (0..40i64)
-                    .map(|i| tuple![i, format!("S{}", i % 3), (i % 7) as f64])
-                    .collect(),
-            )
-            .unwrap();
-        catalog
-            .bulk_load(
-                "ORDER_LINE",
-                (0..200i64)
-                    .map(|ol| tuple![ol, (ol * 13) % 40, 1 + ol % 5, ((ol * 13) % 40) as f64])
-                    .collect(),
-            )
-            .unwrap();
-        Arc::new(catalog)
-    }
-
-    /// Builds the bestsellers-style plan: two scans, a hash equi-join on the
-    /// ITEM pk, a group-by whose key contains the join key, a Top-N root;
-    /// plus a plain join root, an AVG group-by root and a non-key join.
-    fn join_cluster(replicas: usize, replicate: &[&str]) -> ClusterEngine {
-        let catalog = join_catalog();
-        let mut b = PlanBuilder::new(&catalog);
-        let item_scan = b.table_scan("ITEM").unwrap();
-        let ol_scan = b.table_scan("ORDER_LINE").unwrap();
-        let join = b
-            .hash_join(item_scan, ol_scan, "ITEM.I_ID", "ORDER_LINE.OL_I_ID")
-            .unwrap();
-        let group = b
-            .group_by(
-                join,
-                vec!["ITEM.I_ID", "ITEM.I_SUBJECT"],
-                vec![(AggregateFunction::Sum, "ORDER_LINE.OL_QTY", "TOTAL")],
-            )
-            .unwrap();
-        let topn = b
-            .top_n(group, vec![SortKey::desc(2), SortKey::asc(0)])
-            .unwrap();
-        let avg_group = b
-            .group_by(
-                item_scan,
-                vec!["ITEM.I_SUBJECT"],
-                vec![
-                    (AggregateFunction::Avg, "ITEM.I_COST", "AVG_COST"),
-                    (AggregateFunction::Count, "ITEM.I_ID", "CNT"),
-                ],
-            )
-            .unwrap();
-        // Non-key equi-join: neither side joins on its primary key.
-        let nonkey_join = b
-            .hash_join(item_scan, ol_scan, "ITEM.I_COST", "ORDER_LINE.OL_QTY")
-            .unwrap();
-        // Cross-type equi-join: keyed on the ITEM pk, but Int joins Float —
-        // join equality is numeric-normalizing while the partition hash is
-        // type-tagged, so this shape must never scatter.
-        let crosstype_join = b
-            .hash_join(item_scan, ol_scan, "ITEM.I_ID", "ORDER_LINE.OL_WEIGHT")
-            .unwrap();
-        let plan = b.build();
-
-        let mut registry = StatementRegistry::new();
-        registry
-            .register(
-                Spec::query("bestsellers", topn)
-                    .activate(
-                        item_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(
-                        ol_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::col(0).gt_eq(Expr::param(0)),
-                        },
-                    )
-                    .activate(join, ActivationTemplate::Participate)
-                    .activate(group, ActivationTemplate::Having { predicate: None })
-                    .activate(topn, ActivationTemplate::TopN { limit: 10 }),
-            )
-            .unwrap();
-        // Same shape with a HAVING under the Top-N: the grouping key contains
-        // the join (= partition) key, so every group is complete within its
-        // partition and the HAVING filters locally on final values.
-        registry
-            .register(
-                Spec::query("bestsellersHaving", topn)
-                    .activate(
-                        item_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(
-                        ol_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::col(0).gt_eq(Expr::param(0)),
-                        },
-                    )
-                    .activate(join, ActivationTemplate::Participate)
-                    .activate(
-                        group,
-                        ActivationTemplate::Having {
-                            predicate: Some(Expr::col(2).gt(Expr::param(1))),
-                        },
-                    )
-                    .activate(topn, ActivationTemplate::TopN { limit: 10 }),
-            )
-            .unwrap();
-        registry
-            .register(
-                Spec::query("joinAll", join)
-                    .activate(
-                        item_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(
-                        ol_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(join, ActivationTemplate::Participate),
-            )
-            .unwrap();
-        registry
-            .register(
-                Spec::query("avgCost", avg_group)
-                    .activate(
-                        item_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(avg_group, ActivationTemplate::Having { predicate: None }),
-            )
-            .unwrap();
-        registry
-            .register(
-                Spec::query("nonKeyJoin", nonkey_join)
-                    .activate(
-                        item_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(
-                        ol_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(nonkey_join, ActivationTemplate::Participate),
-            )
-            .unwrap();
-        registry
-            .register(
-                Spec::query("crossTypeJoin", crosstype_join)
-                    .activate(
-                        item_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(
-                        ol_scan,
-                        ActivationTemplate::Scan {
-                            predicate: Expr::lit(true),
-                        },
-                    )
-                    .activate(crosstype_join, ActivationTemplate::Participate),
-            )
-            .unwrap();
-        ClusterEngine::start(
-            catalog,
-            plan,
-            registry,
-            EngineConfig::default(),
-            ClusterConfig {
-                replicas,
-                replicate_statements: replicate.iter().map(|s| s.to_string()).collect(),
-                ..ClusterConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
-    fn sorted_rows(outcome: &QueryOutcome) -> Vec<Vec<Value>> {
-        let mut rows: Vec<Vec<Value>> =
-            outcome.rows().iter().map(|r| r.values().to_vec()).collect();
-        rows.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        rows
-    }
-
-    /// The tentpole shape: a parameterised equi-join on the partitioning key
-    /// (ITEM pk ⨝ ORDER_LINE.OL_I_ID) with group-by and Top-N scatters over
-    /// all replicas and merges to exactly the single-replica result.
-    #[test]
-    fn join_fanout_matches_single_replica() {
-        let single = join_cluster(1, &[]);
-        let fanned = join_cluster(4, &["bestsellers", "joinAll"]);
-        let params = [Value::Int(20)];
-        let expect = single.execute_sync("bestsellers", &params).unwrap();
-        let got = fanned.execute_sync("bestsellers", &params).unwrap();
-        assert_eq!(
-            expect.rows(),
-            got.rows(),
-            "fanned-out join result diverged from single engine"
-        );
-        assert!(!got.rows().is_empty());
-        // The scatter really used every replica.
-        assert!(
-            fanned.replica_stats().iter().all(|s| s.queries >= 1),
-            "join fanout did not reach all replicas: {:?}",
-            fanned.replica_stats()
-        );
-        // A join root without blocking operators concat-merges completely.
-        let expect = sorted_rows(&single.execute_sync("joinAll", &[]).unwrap());
-        let got = sorted_rows(&fanned.execute_sync("joinAll", &[]).unwrap());
-        assert_eq!(expect.len(), 200);
-        assert_eq!(expect, got, "concat join merge lost or duplicated rows");
-    }
-
-    /// HAVING below a Top-N root (the real `getBestSellers` shape): groups
-    /// are partition-complete, the HAVING filters locally, and the fanned
-    /// result matches the single engine exactly.
-    #[test]
-    fn having_under_topn_fanout_matches_single_replica() {
-        let single = join_cluster(1, &[]);
-        let fanned = join_cluster(4, &["bestsellersHaving"]);
-        let params = [Value::Int(0), Value::Int(20)];
-        let expect = single.execute_sync("bestsellersHaving", &params).unwrap();
-        let got = fanned.execute_sync("bestsellersHaving", &params).unwrap();
-        assert!(!expect.rows().is_empty(), "threshold filtered everything");
-        assert!(expect.rows().len() < 10, "threshold filtered nothing");
-        assert_eq!(expect.rows(), got.rows());
-        assert!(
-            fanned.replica_stats().iter().all(|s| s.queries >= 1),
-            "HAVING-under-TopN did not scatter: {:?}",
-            fanned.replica_stats()
-        );
-    }
-
-    /// AVG fanout: partial (sum, count) shipping recombines to the exact
-    /// single-engine average.
-    #[test]
-    fn avg_fanout_recombines_exactly() {
-        let single = join_cluster(1, &[]);
-        let fanned = join_cluster(4, &["avgCost"]);
-        let expect = single.execute_sync("avgCost", &[]).unwrap();
-        let got = fanned.execute_sync("avgCost", &[]).unwrap();
-        assert_eq!(got.rows().len(), 3);
-        let find = |o: &QueryOutcome, key: &Value| {
-            o.rows()
-                .iter()
-                .find(|r| &r[0] == key)
-                .map(|r| r.values().to_vec())
-                .unwrap()
-        };
-        for row in expect.rows() {
-            assert_eq!(
-                find(&got, &row[0]),
-                row.values().to_vec(),
-                "AVG diverged for group {:?}",
-                row[0]
-            );
-        }
-        assert!(
-            fanned.replica_stats().iter().all(|s| s.queries >= 1),
-            "AVG fanout did not scatter: {:?}",
-            fanned.replica_stats()
-        );
-    }
-
-    /// A cross-type equi-join (Int pk = Float column) must NOT fan out even
-    /// though it is keyed on a primary key: `Int(5)` joins `Float(5.0)` under
-    /// SQL equality, but the type-tagged partition hash would send the two
-    /// rows to different partitions and silently drop the match. The result
-    /// must equal the single-replica execution AND run whole on one replica.
-    #[test]
-    fn cross_type_join_stays_whole_and_exact() {
-        let single = join_cluster(1, &[]);
-        let cluster = join_cluster(4, &["crossTypeJoin"]);
-        let expect = sorted_rows(&single.execute_sync("crossTypeJoin", &[]).unwrap());
-        let got = sorted_rows(&cluster.execute_sync("crossTypeJoin", &[]).unwrap());
-        assert!(!expect.is_empty(), "cross-type join matched nothing");
-        assert_eq!(expect, got, "cross-type join lost matches");
-        let active = cluster
-            .replica_stats()
-            .iter()
-            .filter(|s| s.queries > 0)
-            .count();
-        assert_eq!(
-            active,
-            1,
-            "cross-type join was scattered: {:?}",
-            cluster.replica_stats()
-        );
-    }
-
-    /// A join keyed on neither side's primary key must NOT fan out: it runs
-    /// whole on one replica (round-robin of the replicated route).
-    #[test]
-    fn non_key_join_stays_whole() {
-        let cluster = join_cluster(4, &["nonKeyJoin"]);
-        cluster.execute_sync("nonKeyJoin", &[]).unwrap();
-        let active = cluster
-            .replica_stats()
-            .iter()
-            .filter(|s| s.queries > 0)
-            .count();
-        assert_eq!(
-            active,
-            1,
-            "non-key join was scattered: {:?}",
-            cluster.replica_stats()
-        );
-    }
-
-    // -- multi-join chains & HAVING fanout (SQL-compiled) -------------------
-
-    /// ITEM / ORDER_LINE / STOCK catalog: both ITEM and STOCK key their pk
-    /// on the chain's join class; ORDER_LINE joins on a non-key column.
-    fn chain_catalog() -> Arc<Catalog> {
-        let catalog = Catalog::new();
-        catalog
-            .create_table(
-                TableDef::new("ITEM")
-                    .column("I_ID", DataType::Int)
-                    .column("I_SUBJECT", DataType::Text)
-                    .column("I_COST", DataType::Float)
-                    .primary_key(&["I_ID"]),
-            )
-            .unwrap();
-        catalog
-            .create_table(
-                TableDef::new("ORDER_LINE")
-                    .column("OL_ID", DataType::Int)
-                    .column("OL_I_ID", DataType::Int)
-                    .column("OL_QTY", DataType::Int)
-                    .primary_key(&["OL_ID"]),
-            )
-            .unwrap();
-        catalog
-            .create_table(
-                TableDef::new("STOCK")
-                    .column("ST_I_ID", DataType::Int)
-                    .column("ST_QTY", DataType::Int)
-                    .primary_key(&["ST_I_ID"]),
-            )
-            .unwrap();
-        catalog
-            .bulk_load(
-                "ITEM",
-                (0..40i64)
-                    .map(|i| tuple![i, format!("S{}", i % 3), (i % 7) as f64])
-                    .collect(),
-            )
-            .unwrap();
-        catalog
-            .bulk_load(
-                "ORDER_LINE",
-                (0..200i64)
-                    .map(|ol| tuple![ol, (ol * 13) % 40, 1 + ol % 5])
-                    .collect(),
-            )
-            .unwrap();
-        catalog
-            .bulk_load(
-                "STOCK",
-                (0..40i64).map(|i| tuple![i, (i * 3) % 11]).collect(),
-            )
-            .unwrap();
-        Arc::new(catalog)
-    }
-
-    const CHAIN_WORKLOAD: &[(&str, &str)] = &[
-        // Two-join chain, every join keyed on the I_ID equivalence class
-        // (ITEM pk and STOCK pk are both members) → co-partitionable.
-        (
-            "chainAll",
-            "SELECT * FROM ITEM I, ORDER_LINE OL, STOCK S \
-             WHERE I.I_ID = OL.OL_I_ID AND I.I_ID = S.ST_I_ID",
-        ),
-        // The second join leaves the partition-key class (OL_QTY is not in
-        // it) → must stay pinned whole.
-        (
-            "offClassChain",
-            "SELECT * FROM ITEM I, ORDER_LINE OL, STOCK S \
-             WHERE I.I_ID = OL.OL_I_ID AND OL.OL_QTY = S.ST_QTY",
-        ),
-        // Group-by root with HAVING: groups span partitions, so HAVING is
-        // deferred to the merge (partial mode).
-        (
-            "bigSubjects",
-            "SELECT I_SUBJECT, SUM(I_COST) FROM ITEM GROUP BY I_SUBJECT \
-             HAVING SUM(I_COST) > ?",
-        ),
-        // SQL-compiled AVG fanout: the compiler emits an *identity*
-        // projection, which must not strip the hidden AVG count columns the
-        // partial rows ship to the merge.
-        (
-            "avgBySubject",
-            "SELECT I_SUBJECT, AVG(I_COST) FROM ITEM GROUP BY I_SUBJECT",
-        ),
-        (
-            "avgHaving",
-            "SELECT I_SUBJECT, AVG(I_COST) FROM ITEM GROUP BY I_SUBJECT \
-             HAVING AVG(I_COST) > ?",
-        ),
-    ];
-
-    fn chain_cluster(replicas: usize, replicate: &[&str]) -> ClusterEngine {
-        let catalog = chain_catalog();
-        let (plan, registry) = compile_workload(&catalog, CHAIN_WORKLOAD).unwrap();
-        ClusterEngine::start(
-            catalog,
-            plan,
-            registry,
-            EngineConfig::default(),
-            ClusterConfig {
-                replicas,
-                replicate_statements: replicate.iter().map(|s| s.to_string()).collect(),
-                ..ClusterConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
-    /// A two-join chain keyed on the partition-key class end to end scatters
-    /// over all replicas and concat-merges to exactly the single-engine
-    /// result.
-    #[test]
-    fn multi_join_chain_fanout_matches_single_replica() {
-        let single = chain_cluster(1, &[]);
-        let fanned = chain_cluster(4, &["chainAll"]);
-        let expect = sorted_rows(&single.execute_sync("chainAll", &[]).unwrap());
-        let got = sorted_rows(&fanned.execute_sync("chainAll", &[]).unwrap());
-        assert_eq!(expect.len(), 200); // every ORDER_LINE matches one item + stock
-        assert_eq!(expect, got, "chain fanout lost or duplicated rows");
-        assert!(
-            fanned.replica_stats().iter().all(|s| s.queries >= 1),
-            "chain fanout did not reach all replicas: {:?}",
-            fanned.replica_stats()
-        );
-    }
-
-    /// A chain whose second join leaves the partition-key class must not
-    /// scatter: co-location would break at the second join.
-    #[test]
-    fn off_class_chain_stays_whole() {
-        let single = chain_cluster(1, &[]);
-        let cluster = chain_cluster(4, &["offClassChain"]);
-        let expect = sorted_rows(&single.execute_sync("offClassChain", &[]).unwrap());
-        let got = sorted_rows(&cluster.execute_sync("offClassChain", &[]).unwrap());
-        assert!(!expect.is_empty());
-        assert_eq!(expect, got);
-        let active = cluster
-            .replica_stats()
-            .iter()
-            .filter(|s| s.queries > 0)
-            .count();
-        assert_eq!(
-            active,
-            1,
-            "off-class chain was scattered: {:?}",
-            cluster.replica_stats()
-        );
-    }
-
-    /// HAVING on a fanned-out group-by root: the predicate must see the
-    /// recombined totals, not per-partition partials. Thresholds are picked
-    /// around one group's exact total, so a partition-local HAVING (which
-    /// would drop every partial of that group) cannot pass the test.
-    #[test]
-    fn having_fanout_filters_on_recombined_groups() {
-        let single = chain_cluster(1, &[]);
-        let fanned = chain_cluster(4, &["bigSubjects"]);
-        // All groups with their totals.
-        let all = single
-            .execute_sync("bigSubjects", &[Value::Float(-1.0)])
-            .unwrap();
-        assert_eq!(all.rows().len(), 3);
-        let top_total = all
-            .rows()
-            .iter()
-            .map(|r| r[1].as_float().unwrap())
-            .fold(f64::MIN, f64::max);
-        for threshold in [top_total - 0.5, top_total, -1.0] {
-            let params = [Value::Float(threshold)];
-            let expect = sorted_rows(&single.execute_sync("bigSubjects", &params).unwrap());
-            let got = sorted_rows(&fanned.execute_sync("bigSubjects", &params).unwrap());
-            assert_eq!(expect, got, "HAVING fanout diverged at {threshold}");
-        }
-        assert!(
-            fanned.replica_stats().iter().all(|s| s.queries >= 1),
-            "HAVING fanout did not scatter: {:?}",
-            fanned.replica_stats()
-        );
-        // The strictest threshold keeps exactly the top group.
-        let got = fanned
-            .execute_sync("bigSubjects", &[Value::Float(top_total - 0.5)])
-            .unwrap();
-        assert_eq!(got.rows().len(), 1);
-    }
-
-    /// SQL-compiled AVG statements fan out correctly despite their identity
-    /// projection: partial-mode executions skip the projection so the hidden
-    /// (sum, count) columns reach the merge, and the recombined average is
-    /// exact. Regression test for a merge-width crash found in review.
-    #[test]
-    fn sql_compiled_avg_fanout_matches_single_replica() {
-        let single = chain_cluster(1, &[]);
-        let fanned = chain_cluster(4, &["avgBySubject", "avgHaving"]);
-        let expect = sorted_rows(&single.execute_sync("avgBySubject", &[]).unwrap());
-        let got = sorted_rows(&fanned.execute_sync("avgBySubject", &[]).unwrap());
-        assert_eq!(expect.len(), 3);
-        assert_eq!(expect, got, "SQL-compiled AVG fanout diverged");
-        // Deferred HAVING over the *finalized* average.
-        let all = single
-            .execute_sync("avgHaving", &[Value::Float(-1.0)])
-            .unwrap();
-        let top_avg = all
-            .rows()
-            .iter()
-            .map(|r| r[1].as_float().unwrap())
-            .fold(f64::MIN, f64::max);
-        for threshold in [top_avg - 0.01, -1.0] {
-            let params = [Value::Float(threshold)];
-            let expect = sorted_rows(&single.execute_sync("avgHaving", &params).unwrap());
-            let got = sorted_rows(&fanned.execute_sync("avgHaving", &params).unwrap());
-            assert_eq!(expect, got, "AVG HAVING fanout diverged at {threshold}");
-        }
-        assert!(
-            fanned.replica_stats().iter().all(|s| s.queries >= 1),
-            "AVG statements did not scatter: {:?}",
-            fanned.replica_stats()
-        );
     }
 
     /// The admission bound is accounted per replica: saturating one replica's
@@ -1430,7 +709,7 @@ mod tests {
         );
         write.wait().unwrap();
         // Fenced rounds: 100% of N pipelined write→read pairs observe the
-        // session's write, whichever replica (or fanout) serves the read.
+        // session's write, whichever replica serves the read.
         for round in 0..8i64 {
             let fence = Arc::new(shareddb_core::WriteFence::new());
             let write = cluster
@@ -1467,51 +746,5 @@ mod tests {
             );
             write.wait().unwrap();
         }
-    }
-
-    /// A fan-out read whose session fence is unresolved blocks in `submit`
-    /// until the fence resolves — woken by the resolve, not by a poll or by
-    /// the one-second cap.
-    #[test]
-    fn fanout_read_returns_when_its_fence_resolves() {
-        let config = ClusterConfig {
-            replicate_statements: vec!["allItems".into()],
-            ..ClusterConfig::default()
-        };
-        let cluster = start(2, config);
-        cluster.execute_sync("allItems", &[]).unwrap();
-        let fence = Arc::new(shareddb_core::WriteFence::new());
-        let watermark = cluster.catalog().oracle().read_ts().ts.0;
-        let resolver = {
-            let fence = Arc::clone(&fence);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                let about_to_resolve = Instant::now();
-                fence.resolve(watermark);
-                about_to_resolve
-            })
-        };
-        let handle = cluster
-            .submit(
-                "allItems",
-                &[],
-                SubmitOptions {
-                    read_after: Some(fence),
-                    ..SubmitOptions::default()
-                },
-            )
-            .unwrap();
-        let submitted = Instant::now();
-        let about_to_resolve = resolver.join().unwrap();
-        assert!(
-            submitted >= about_to_resolve,
-            "the fenced fan-out read was submitted before its fence resolved"
-        );
-        let late = submitted - about_to_resolve;
-        assert!(
-            late < Duration::from_millis(100),
-            "submit returned {late:?} after the resolve: it slept through it"
-        );
-        assert_eq!(handle.wait().unwrap().rows().len(), 200);
     }
 }

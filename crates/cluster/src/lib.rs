@@ -1,7 +1,13 @@
 //! # shareddb-cluster
 //!
 //! Replicated SharedDB engines behind one endpoint (paper §4.5: "hot
-//! operators that saturate a core are replicated or partitioned").
+//! operators that saturate a core are replicated or partitioned"). This
+//! crate is the *replicated* half — routing and session fences; the
+//! *partitioned* half lives inside each engine
+//! (`EngineConfig::scan_segments`, `shareddb_core::scatter`). A replica
+//! partitions **statements**, a segment partitions **rows**, and nothing
+//! does both: every statement runs whole, in one batch on one snapshot, on
+//! the replica it is routed to (`docs/ARCHITECTURE.md`, *Partitioning*).
 //!
 //! A [`ClusterEngine`] owns N [`shareddb_core::Engine`] replicas over **one
 //! shared [`shareddb_storage::Catalog`]** — every replica runs the same
@@ -14,36 +20,21 @@
 //! * **hot types are replicated**: the router watches per-type submission
 //!   throughput and per-replica admission-queue depth (the engines'
 //!   [`shareddb_core::stats::EngineStats`]) and promotes a type once it
-//!   saturates its home engine. Fanout-eligible statements — single-scan
-//!   shapes *and* equi-joins keyed on a partitioning key, see
-//!   [`engine::ClusterEngine`] — then **scatter** over all replicas with
-//!   disjoint scan partitions
-//!   ([`shareddb_core::SubmitOptions::scan_partition`]) and their partial
-//!   results recombine in a [`shareddb_core::merge::MergeSpec`] merge step
-//!   (ordered merge, partial-aggregate recombination incl. exact AVG from
-//!   sum/count partials, re-deduplication). Other parameterised executions
-//!   route by a hash of the parameter vector (hash-partitioned input
-//!   routing);
-//! * **fanned-out executions are snapshot-pinned**: the cluster captures one
-//!   [`shareddb_storage::Catalog::snapshot`] per execution and every
-//!   partition reads exactly that version set
-//!   ([`shareddb_core::SubmitOptions::pinned_snapshot`]), so a scattered
-//!   query is transactionally indistinguishable from a single-engine
-//!   execution even under concurrent writes;
-//! * **merges run off the caller's thread**: the last-completing partition
-//!   dispatches the recombination to a small merge worker pool
-//!   ([`ClusterConfig::merge_threads`]), and the submitter's completion
-//!   waker fires once with the finished result — the network reactor never
-//!   merges on its event loop;
+//!   saturates its home engine. Its executions then spread over all
+//!   replicas — by a hash of the parameter vector (the same key always hits
+//!   the same replica), round-robin when parameterless;
 //! * **updates always pin to replica 0**, keeping the shared catalog's group
 //!   commit single-writer; MVCC snapshots make the writes visible to every
-//!   replica's next batch.
+//!   replica's next batch;
+//! * **read-your-writes crosses replicas** through
+//!   [`shareddb_core::WriteFence`]: a read carrying its session's fence is
+//!   held out of any replica's batch until the committed watermark covers
+//!   the write.
 //!
 //! With `replicas == 1` the cluster degenerates to exactly the single-engine
 //! behaviour, which is how the network server embeds it by default.
 
 pub mod engine;
-pub mod fanout;
 pub mod router;
 
 pub use engine::{ClusterEngine, ClusterHandle};
@@ -68,10 +59,6 @@ pub struct ClusterConfig {
     /// Statement types that are replicated from the start (no detection
     /// delay); used by benchmarks and tests.
     pub replicate_statements: Vec<String>,
-    /// Size of the worker pool that recombines fanned-out partial results
-    /// (at least 1). Merges run here instead of on the polling caller (the
-    /// network reactor), so huge merged results cannot stall the event loop.
-    pub merge_threads: usize,
 }
 
 impl Default for ClusterConfig {
@@ -82,7 +69,6 @@ impl Default for ClusterConfig {
             hot_queue_depth: 128,
             refresh_interval: Duration::from_millis(200),
             replicate_statements: Vec::new(),
-            merge_threads: 2,
         }
     }
 }

@@ -12,9 +12,8 @@
 //!   operators it activates", paper §4.5). Parameterised executions are
 //!   routed by a hash of their parameter vector (hash-partitioned input
 //!   routing: the same key always hits the same replica, preserving
-//!   batch-locality per key range); parameterless executions round-robin or,
-//!   when the statement is fanout-eligible, scatter over all replicas with
-//!   partitioned scans and a merge step.
+//!   batch-locality per key range); parameterless executions round-robin.
+//!   Either way one execution runs whole on one replica.
 //!
 //! Promotion is driven by the engines' own statistics: the router samples
 //! per-type submission throughput and per-replica admission-queue depth at a

@@ -149,10 +149,11 @@ impl Accumulator {
         self.count
     }
 
-    /// The partial sum of an AVG accumulator, as shipped between partitions
-    /// of a fanned-out aggregate: `Float(sum)` (or `Null` with no inputs).
-    /// The merge step divides the recombined sum by the recombined count, so
-    /// partial averages never lose precision to intermediate division.
+    /// The partial sum of an AVG accumulator, as shipped between the
+    /// segments of a scattered aggregate: `Float(sum)` (or `Null` with no
+    /// inputs). The merge step divides the recombined sum by the recombined
+    /// count, so partial averages never lose precision to intermediate
+    /// division.
     pub fn partial_sum(&self) -> Value {
         if self.count == 0 {
             Value::Null

@@ -17,6 +17,22 @@ use shareddb_storage::{ProbeRange, UpdateOp};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Slice `index` of the `of` disjoint row slices of a scanned table: a row
+/// belongs to it iff [`shareddb_common::tuple_partition`] over `columns`
+/// equals `index`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowSlice {
+    /// This slice.
+    pub index: u32,
+    /// Number of slices.
+    pub of: u32,
+    /// Hashed columns (indices into the table schema): the scan's join key
+    /// when the statement co-partitions a join
+    /// ([`crate::scatter::ScatterSpec::partition_columns`]); `None` hashes
+    /// the table's primary key.
+    pub columns: Option<Vec<usize>>,
+}
+
 /// A bound (parameter-free) activation of one operator for one query.
 #[derive(Debug, Clone)]
 pub enum Activation {
@@ -24,25 +40,11 @@ pub enum Activation {
     Scan {
         /// Bound predicate.
         predicate: Expr,
-        /// Optional horizontal partition `(index, of)`: the scan only
-        /// subscribes this query to rows whose
-        /// [`crate::storage_ops::tuple_partition`] equals `index`. Used by the
-        /// cluster layer to fan a query out over engine replicas (§4.5).
-        partition: Option<(u32, u32)>,
-        /// Columns hashed by the partition function for this scan (indices
-        /// into the table schema); `None` hashes the table's primary key.
-        /// Set per operator from [`SubmitOptions::partition_columns`] to
-        /// co-partition join inputs by the join key. The same column set
-        /// feeds the intra-engine `segment` hash, so fanout partition
-        /// columns take precedence over the default pk segmenting.
-        partition_columns: Option<Vec<usize>>,
-        /// Intra-engine row segment `(index, of)`: set by the engine when it
-        /// rewrites an eligible query's activations per scan segment
-        /// (`EngineConfig::scan_segments > 1`). Applied *in addition to* the
-        /// cluster `partition` — a fanned-out partition may itself run
-        /// segmented. `None` (the default; [`crate::engine::bind_query`]
-        /// never sets it) scans the whole table (or cluster partition).
-        segment: Option<(u32, u32)>,
+        /// The one restriction on the rows the query sees: its row segment,
+        /// set by the engine when it rewrites an eligible query's
+        /// activations per scan segment (`EngineConfig::scan_segments > 1`).
+        /// `None` ([`bind_query`] never sets it) scans the whole table.
+        slice: Option<RowSlice>,
         /// Pinned MVCC read snapshot ([`SubmitOptions::pinned_snapshot`]);
         /// `None` reads the executing batch's own snapshot.
         snapshot: Option<Snapshot>,
@@ -74,10 +76,11 @@ pub enum Activation {
     Having {
         /// Bound predicate (over the group-by output schema).
         predicate: Option<Expr>,
-        /// Ship mergeable partials for AVG aggregates
-        /// ([`SubmitOptions::partial_aggregation`]): the AVG output column
-        /// carries the partial sum and one hidden count column per AVG is
-        /// appended to the row.
+        /// Ship mergeable partials instead of final values
+        /// ([`crate::scatter::ScatterSpec::partial_aggregation`], set per
+        /// row segment): HAVING is deferred to the merge, the AVG output
+        /// column carries the partial sum and one hidden count column per
+        /// AVG is appended to the row.
         partial: bool,
     },
     /// `base`, of whose output rows the query needs only its first `limit`
@@ -202,7 +205,7 @@ impl QueryBatch {
 }
 
 /// Binds a query statement: substitutes parameters into every activation
-/// template and attaches the submission's partitioning / snapshot options.
+/// template and attaches the submission's snapshot and fence options.
 pub fn bind_query(
     spec: &StatementSpec,
     statement_index: usize,
@@ -227,7 +230,7 @@ pub fn bind_query(
     let activations = spec
         .activations
         .iter()
-        .map(|(op, template)| Ok((*op, bind_activation(*op, template, params, opts)?)))
+        .map(|(op, template)| Ok((*op, bind_activation(template, params, opts)?)))
         .collect::<Result<Vec<_>>>()?;
     let compute = compute
         .iter()
@@ -239,23 +242,12 @@ pub fn bind_query(
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    // Partial-aggregation executions must deliver the operator's raw rows —
-    // including the dynamic hidden AVG count columns, which the root schema
-    // (and therefore an identity projection over it) does not know about —
-    // to the cluster merge. The fanout walker only scatters statements whose
-    // projection is empty or the identity, so dropping it here is
-    // semantics-preserving.
-    let projection = if opts.partial_aggregation {
-        Vec::new()
-    } else {
-        projection.clone()
-    };
     Ok(ActiveQuery {
         query_id,
         statement_index,
         ticket,
         root: *root,
-        projection,
+        projection: projection.clone(),
         compute,
         limit: *limit,
         distinct: *distinct,
@@ -267,7 +259,6 @@ pub fn bind_query(
 }
 
 fn bind_activation(
-    op: OperatorId,
     template: &ActivationTemplate,
     params: &[Value],
     opts: &SubmitOptions,
@@ -275,12 +266,7 @@ fn bind_activation(
     Ok(match template {
         ActivationTemplate::Scan { predicate } => Activation::Scan {
             predicate: predicate.bind(params)?,
-            partition: opts.scan_partition,
-            partition_columns: opts
-                .partition_columns
-                .as_ref()
-                .and_then(|m| m.get(&op).cloned()),
-            segment: None,
+            slice: None,
             snapshot: opts.pinned_snapshot,
         },
         ActivationTemplate::Probe {
@@ -300,12 +286,12 @@ fn bind_activation(
         ActivationTemplate::TopN { limit } => Activation::TopN { limit: *limit },
         ActivationTemplate::Having { predicate } => Activation::Having {
             predicate: predicate.as_ref().map(|e| e.bind(params)).transpose()?,
-            partial: opts.partial_aggregation,
+            partial: false,
         },
         ActivationTemplate::Demand {
             base, keys, limit, ..
         } => Activation::Demand {
-            base: Box::new(bind_activation(op, base, params, opts)?),
+            base: Box::new(bind_activation(base, params, opts)?),
             keys: Arc::clone(keys),
             limit: *limit,
         },

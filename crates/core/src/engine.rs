@@ -25,7 +25,9 @@
 //! Clients interact through [`Engine::execute`] (asynchronous, returns a
 //! [`QueryHandle`]) or [`Engine::execute_sync`].
 
-use crate::batch::{bind_query, bind_update, Activation, ActiveQuery, ActiveUpdate, QueryBatch};
+use crate::batch::{
+    bind_query, bind_update, Activation, ActiveQuery, ActiveUpdate, QueryBatch, RowSlice,
+};
 use crate::config::{EngineConfig, HeartbeatPolicy};
 use crate::executor::{Activations, Executor, NodeRun, Run};
 use crate::merge::{merge_results, MergeSpec};
@@ -40,7 +42,6 @@ use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{TraceEvent, TraceJournal, TraceRecord};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
-use shareddb_common::agg::AggregateFunction;
 use shareddb_common::ids::{BatchId, QueryIdGenerator, TicketGenerator, TicketId};
 use shareddb_common::metrics::HistogramSnapshot;
 use shareddb_common::{Error, QTuple, QueryId, Result, Schema, Tuple, Value};
@@ -255,11 +256,6 @@ pub struct WriteFence {
     /// mean "not yet resolved" even when the watermark itself is 0 (a write
     /// that failed before anything ever committed constrains no read).
     ts_plus_one: AtomicU64,
-    /// Parks the callers of [`WriteFence::wait_resolved`]. `resolve`
-    /// notifies under the lock, so a waiter that has looked and not yet
-    /// parked cannot miss it; `committed_ts` never takes it.
-    waiting: Mutex<()>,
-    resolved: Condvar,
 }
 
 impl WriteFence {
@@ -273,8 +269,6 @@ impl WriteFence {
     pub fn resolve(&self, ts: u64) {
         self.ts_plus_one
             .fetch_max(ts.saturating_add(1), Ordering::Release);
-        let _waiting = self.waiting.lock();
-        self.resolved.notify_all();
     }
 
     /// The committed watermark covering the write, once resolved.
@@ -282,24 +276,6 @@ impl WriteFence {
         match self.ts_plus_one.load(Ordering::Acquire) {
             0 => None,
             v => Some(v - 1),
-        }
-    }
-
-    /// Blocks until the fence is resolved and returns its watermark, or
-    /// `None` when `timeout` passes first — the caller then proceeds as if
-    /// there were no fence: a wedged writer must not hang its session.
-    pub fn wait_resolved(&self, timeout: Duration) -> Option<u64> {
-        let deadline = Instant::now() + timeout;
-        let mut waiting = self.waiting.lock();
-        loop {
-            if let Some(ts) = self.committed_ts() {
-                return Some(ts);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            self.resolved.wait_for(&mut waiting, left);
         }
     }
 }
@@ -317,34 +293,13 @@ pub struct SubmitOptions {
     /// Lets a nonblocking caller poll [`QueryHandle::try_wait`] only when
     /// woken instead of parking a thread per statement.
     pub completion_waker: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Restrict every shared-scan activation of this query to one horizontal
-    /// partition `(index, of)` of its table: a row participates iff
-    /// `tuple_partition(row, hash_columns, of) == index`. This is the
-    /// replica-aware hook the cluster layer uses to fan one logical query out
-    /// over N engine replicas (paper §4.5) and merge the partial results; a
-    /// plain engine caller leaves it `None`.
-    pub scan_partition: Option<(u32, u32)>,
-    /// Per-scan-operator override of the columns hashed by the partition
-    /// function (operator id → column indices into that scan's table schema).
-    /// Scans not listed hash the table's primary key. The cluster layer uses
-    /// this to co-partition the build and probe sides of a fanned-out
-    /// equi-join by the join key, so rows that join always land in the same
-    /// partition.
-    pub partition_columns: Option<Arc<std::collections::HashMap<OperatorId, Vec<usize>>>>,
     /// Pin every storage read (shared scan / index probe) of this query to a
-    /// fixed MVCC snapshot instead of the executing batch's own snapshot.
-    /// The cluster layer captures one [`Catalog::snapshot`] per fanned-out
-    /// execution and pins all partitions to it, so one logical query reads
-    /// one version set even while its partitions run in different batches on
-    /// different replicas under concurrent writes.
+    /// fixed MVCC snapshot instead of the executing batch's own snapshot
+    /// ([`Catalog::snapshot`]). Two executions pinned to one snapshot read
+    /// one version set whatever commits between them — the hook the
+    /// differential tests compare a segmented engine to an unsegmented one
+    /// through, under a concurrent writer.
     pub pinned_snapshot: Option<Snapshot>,
-    /// Ship partition-mergeable partial aggregates instead of final values:
-    /// a shared group-by emits, for every AVG aggregate of this query, the
-    /// partial sum in the AVG column plus a trailing hidden count column.
-    /// Set by the cluster layer for fanned-out group-by roots (the merge
-    /// step recombines sum/count and drops the hidden columns); meaningless
-    /// without a merge step consuming the partials.
-    pub partial_aggregation: bool,
     /// For updates: the session fence the engine resolves once this write's
     /// batch has group-committed. The submitter keeps the [`Arc`] and
     /// threads it into later reads of the same session as
@@ -587,9 +542,9 @@ impl Engine {
         } else {
             let query_id = self.inner.query_ids.next_id();
             let mut query = bind_query(spec, index, query_id, ticket, params, &opts)?;
-            // Segment eligibility mirrors the cluster fanout gate: the shape
-            // must have a scatter spec, and parameterised executions qualify
-            // only when the shape scatters with parameters.
+            // Segment eligibility: the shape must have a scatter spec, and
+            // parameterised executions qualify only when the shape scatters
+            // with parameters.
             if let Some(scatter) = &self.inner.scatter_specs[index] {
                 query.segment_ok = params.is_empty() || scatter.scatter_with_params;
             }
@@ -794,12 +749,10 @@ impl Drop for Engine {
     }
 }
 
-/// Rewrites one bound activation for one row segment: scans additionally
-/// restrict to segment `(index, of)` — hashing the cluster co-partition
-/// columns when set (fanout partition columns take precedence over the
-/// default primary-key segmenting), else the walker's own join-key columns,
-/// else the table's primary key — and a group-by root switches to partial
-/// mode when the shape merges partial aggregates.
+/// Rewrites one bound activation for one row segment: scans restrict to
+/// slice `index` of `of` — hashing the walker's join-key columns when the
+/// shape co-partitions a join, else the table's primary key — and a group-by
+/// root switches to partial mode when the shape merges partial aggregates.
 fn segment_activation(
     activation: &Activation,
     op: OperatorId,
@@ -810,24 +763,26 @@ fn segment_activation(
     match activation {
         Activation::Scan {
             predicate,
-            partition,
-            partition_columns,
-            segment: _,
+            slice: _,
             snapshot,
         } => Activation::Scan {
             predicate: predicate.clone(),
-            partition: *partition,
-            partition_columns: partition_columns.clone().or_else(|| {
-                spec.partition_columns
+            slice: Some(RowSlice {
+                index,
+                of,
+                columns: spec
+                    .partition_columns
                     .as_ref()
-                    .and_then(|m| m.get(&op).cloned())
+                    .and_then(|m| m.get(&op).cloned()),
             }),
-            segment: Some((index, of)),
             snapshot: *snapshot,
         },
-        Activation::Having { predicate, partial } => Activation::Having {
+        Activation::Having {
+            predicate,
+            partial: _,
+        } => Activation::Having {
             predicate: predicate.clone(),
-            partial: *partial || spec.partial_aggregation,
+            partial: spec.partial_aggregation,
         },
         // A segment's best rows contain its share of the best rows overall.
         Activation::Demand { base, keys, limit } => Activation::Demand {
@@ -1451,12 +1406,15 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
                 ok: false,
             });
             complete(inner, q.ticket, Err(error.clone()), ctx);
-            inner.stats.record_failure();
             continue;
         }
         let outcome = if segmented {
-            merge_segment_partials(inner, q, &mut seg_routed)
-                .and_then(|rows| finalize_query_result(inner, q, rows))
+            let merge_started = Instant::now();
+            let merged = merge_segment_partials(inner, q, &mut seg_routed);
+            inner
+                .stats
+                .record_phase(q.statement_index, Phase::Merge, merge_started.elapsed());
+            merged.and_then(|rows| finalize_query_result(inner, q, rows))
         } else {
             let rows = routed
                 .get_mut(&q.root)
@@ -1491,21 +1449,10 @@ fn explode_by_query(output: &[QTuple]) -> HashMap<QueryId, Vec<Tuple>> {
 
 /// Recombines one segment-lane query's per-segment partial rows into the
 /// single row list [`finalize_query_result`] expects, using the statement's
-/// [`MergeSpec`] — the same machinery the cluster layer uses across replicas,
-/// one level down.
-///
-/// Two composition cases for grouped merges:
-///
-/// * a **direct** caller gets final values: AVG sum/count partials are
-///   recombined exactly and the query's own bound HAVING predicate is
-///   applied per merged group (a segment must not filter a partial group
-///   another segment may complete);
-/// * a caller that itself requested partials (**cluster fanout** over a
-///   segmented replica) gets back *partial* rows in the same extended
-///   layout it asked for — AVG columns keep carrying partial sums, the
-///   trailing hidden count columns are summed per group — and HAVING stays
-///   deferred to the caller's own merge, which is the only place that sees
-///   every partition's contribution to a group.
+/// [`MergeSpec`]. A grouped merge yields final values: AVG sum/count partials
+/// are recombined exactly and the query's own bound HAVING predicate is
+/// applied per merged group (a segment must not filter a partial group
+/// another segment may complete).
 fn merge_segment_partials(
     inner: &Arc<EngineInner>,
     query: &ActiveQuery,
@@ -1514,53 +1461,22 @@ fn merge_segment_partials(
     let spec = inner.scatter_specs[query.statement_index]
         .as_ref()
         .ok_or_else(|| Error::Internal("segment-lane query without scatter spec".into()))?;
-    // The bound HAVING predicate and the caller-requested partial mode live
-    // in the query's own (pre-rewrite) root activation.
-    let mut bound_having: Option<shareddb_common::Expr> = None;
-    let mut caller_wants_partials = false;
-    for (op, activation) in &query.activations {
-        if *op == query.root {
-            if let Activation::Having { predicate, partial } = activation {
-                bound_having = predicate.clone();
-                caller_wants_partials = *partial;
-            }
-        }
-    }
     let effective = match &spec.merge {
         MergeSpec::Grouped {
             group_width,
             functions,
             avg_partials,
             having: _,
-        } => {
-            if caller_wants_partials {
-                let mut extended: Vec<AggregateFunction> = functions
-                    .iter()
-                    .map(|f| match f {
-                        AggregateFunction::Avg => AggregateFunction::Sum,
-                        other => *other,
-                    })
-                    .collect();
-                let hidden = functions
-                    .iter()
-                    .filter(|f| **f == AggregateFunction::Avg)
-                    .count();
-                extended.extend(std::iter::repeat_n(AggregateFunction::Count, hidden));
-                MergeSpec::Grouped {
-                    group_width: *group_width,
-                    functions: extended,
-                    avg_partials: false,
-                    having: None,
-                }
-            } else {
-                MergeSpec::Grouped {
-                    group_width: *group_width,
-                    functions: functions.clone(),
-                    avg_partials: *avg_partials,
-                    having: bound_having,
-                }
-            }
-        }
+        } => MergeSpec::Grouped {
+            group_width: *group_width,
+            functions: functions.clone(),
+            avg_partials: *avg_partials,
+            // The bound HAVING lives in the query's own root activation.
+            having: query.activations.iter().find_map(|(op, a)| match a {
+                Activation::Having { predicate, .. } if *op == query.root => predicate.clone(),
+                _ => None,
+            }),
+        },
         other => other.clone(),
     };
     let schema = inner.plan.node(query.root).schema.clone();
@@ -1929,14 +1845,21 @@ mod tests {
     }
 
     /// One batch holding `broken` and a healthy look-up: both get `broken`'s
-    /// error (a batch fails as one), the next batch on the same engine
-    /// answers, and shutdown joins every thread.
-    fn broken_statement_fails_its_batch_only(broken: &str, expected: fn(&Error) -> bool) {
-        for cores in [1, 2, 8] {
+    /// error (a batch fails as one — when `broken` is `segmentable` and takes
+    /// the segment lane, a lane fails as one and the look-up answers),
+    /// `failed` counts each failed handle once, the next batch on the same
+    /// engine answers, and shutdown joins every thread.
+    fn broken_statement_fails_its_batch_only(
+        broken: &str,
+        segmentable: bool,
+        expected: fn(&Error) -> bool,
+    ) {
+        for (cores, segments) in [(1, 1), (2, 1), (8, 1), (2, 2)] {
             // Paced, so that the two statements share the second batch.
             let mut engine = build_engine(EngineConfig {
                 heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(30)),
                 eager_heartbeat: false,
+                scan_segments: segments,
                 ..EngineConfig::with_cores(cores)
             });
             engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
@@ -1949,9 +1872,20 @@ mod tests {
                 .trace()
                 .iter()
                 .any(|record| matches!(record.event, TraceEvent::BatchFormed { queries: 2, .. }));
-            if shared_a_batch {
-                assert!(expected(&bystander.unwrap_err()), "a batch fails as one");
+            if segments > 1 && segmentable {
+                assert_eq!(engine.segment_stats()[0].batches, 1, "{broken} ran whole");
+                assert!(bystander.is_ok(), "a segment failed the whole lane");
+            } else if shared_a_batch {
+                assert!(
+                    expected(bystander.as_ref().unwrap_err()),
+                    "a batch fails as one"
+                );
             }
+            assert_eq!(
+                engine.stats().failed,
+                1 + bystander.is_err() as u64,
+                "{cores} cores, {segments} segments: one failure per failed handle"
+            );
             let rows = engine.execute_sync("userById", &[Value::Int(33)]).unwrap();
             assert_eq!(rows.rows()[0][1], Value::text("user33"));
             let rows = engine.execute_sync("usersByCountry", &[]).unwrap();
@@ -1964,6 +1898,7 @@ mod tests {
     fn panicking_operator_fails_its_batch_only() {
         broken_statement_fails_its_batch_only(
             "brokenSort",
+            true,
             |e| matches!(e, Error::Internal(m) if m.starts_with("operator Sort") && m.contains("panicked: index out of bounds")),
         );
     }
@@ -1972,6 +1907,7 @@ mod tests {
     fn failing_operator_fails_its_batch_only() {
         broken_statement_fails_its_batch_only(
             "brokenFilter",
+            false,
             |e| matches!(e, Error::TypeMismatch { expected, .. } if expected == "Bool"),
         );
     }
@@ -2214,7 +2150,7 @@ mod tests {
             let got = segmented.execute_sync(statement, params).unwrap();
             if *statement == "topOrders" {
                 // The fixture's totals are full of ties, so WHICH tied rows
-                // make the top 5 is unspecified (same as cluster fanout);
+                // make the top 5 is unspecified;
                 // the ordering-key values must match exactly.
                 let totals = |o: &QueryOutcome| -> Vec<Value> {
                     o.rows().iter().map(|r| r[3].clone()).collect()
@@ -2492,9 +2428,10 @@ mod tests {
     // -- read-your-writes session fences ------------------------------------
 
     /// Two engines over one shared catalog emulate two replicas: a slow
-    /// writer (50ms paced heartbeat) and a fast reader. A read carrying the
-    /// session's write fence observes the write on every round; the
-    /// unfenced negative control reads stale data.
+    /// writer (50ms paced heartbeat) and a fast reader — every other round a
+    /// segmented one, whose read is a join over two sliced scans. A read
+    /// carrying the session's write fence observes the write on every round;
+    /// the unfenced negative control reads stale data.
     #[test]
     fn read_your_writes_fence_blocks_stale_reads() {
         let writer = build_engine(EngineConfig {
@@ -2502,13 +2439,15 @@ mod tests {
             eager_heartbeat: false,
             ..EngineConfig::default()
         });
-        let reader = Engine::start(
-            writer.catalog(),
-            writer.plan().clone(),
-            registry_like(&writer),
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let readers = [1, 2].map(|segments| {
+            Engine::start(
+                writer.catalog(),
+                writer.plan().clone(),
+                registry_like(&writer),
+                EngineConfig::default().scan_segments(segments),
+            )
+            .unwrap()
+        });
         // Warm-up batch: the pacing clock starts already-elapsed, so the
         // first submission would commit immediately; consume that slot.
         writer.execute_sync("userById", &[Value::Int(0)]).unwrap();
@@ -2520,7 +2459,7 @@ mod tests {
                 &[Value::Int(20_000), Value::Int(1), Value::Float(1.0)],
             )
             .unwrap();
-        let rows = reader
+        let rows = readers[0]
             .execute_sync("ordersOfUser", &[Value::text("user1")])
             .unwrap();
         assert!(
@@ -2542,7 +2481,7 @@ mod tests {
                     },
                 )
                 .unwrap();
-            let rows = reader
+            let rows = readers[round as usize % 2]
                 .submit(
                     "ordersOfUser",
                     &[Value::text("user2")],
@@ -2562,6 +2501,7 @@ mod tests {
             );
             write.wait().unwrap();
         }
+        assert_eq!(readers[1].segment_stats()[0].batches, 5);
     }
 
     /// A fence resolved by a *failed* write must not wedge fenced readers.
@@ -2575,8 +2515,6 @@ mod tests {
         assert_eq!(fence.committed_ts(), Some(7));
         fence.resolve(3); // monotonic
         assert_eq!(fence.committed_ts(), Some(7));
-        assert_eq!(fence.wait_resolved(Duration::ZERO), Some(7));
-        assert_eq!(WriteFence::new().wait_resolved(Duration::ZERO), None);
     }
 
     /// Rebuilds the writer fixture's registry for a second engine over the

@@ -33,8 +33,8 @@
 //! * [`engine`] — the batching runtime: admission, coordinator, completion.
 //! * `executor` — operator cycles as tasks on a ready queue, cores as threads.
 //! * [`scatter`] — the partitionability walker: which statement shapes can run
-//!   over disjoint row partitions (cluster fanout and intra-engine segments).
-//! * [`merge`] — recombination of partitioned partial results (`MergeSpec`).
+//!   over the disjoint row segments of `scan_segments`.
+//! * [`merge`] — recombination of the segments' partial results (`MergeSpec`).
 //! * [`explain`] — EXPLAIN/EXPLAIN ANALYZE: annotated statement subtrees,
 //!   sharing sets, text + DOT rendering.
 //! * [`stats`] — per-operator and engine-level metrics, phase histograms,
@@ -73,5 +73,4 @@ pub use stats::{
     merge_attribution, AttributionEntry, Phase, ScanRowsSnapshot, SegmentStatsSnapshot,
     SlowQueryRecord, StatementPhaseSnapshot, UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
 };
-pub use storage_ops::tuple_partition;
 pub use trace::{TraceEvent, TraceJournal, TraceRecord};

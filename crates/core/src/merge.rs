@@ -1,10 +1,9 @@
 //! Recombination of partitioned partial results.
 //!
-//! One statement execution can be split over disjoint horizontal partitions
-//! of its tables at **two levels**: cluster fanout scatters it across engine
-//! replicas, and a single engine splits its shared scan into `scan_segments`
-//! row segments (see [`crate::tuple_partition`]). Either way the partial
-//! results are merged here into one result that is equivalent to an
+//! An engine with `scan_segments > 1` runs an eligible statement once per
+//! row segment of its shared scans (see [`crate::scatter`], the one consumer
+//! of this module, through `engine::merge_segment_partials`). The segments'
+//! partial results are merged here into one result that is equivalent to an
 //! unpartitioned execution:
 //!
 //! * plain scans/filters concatenate,
@@ -22,7 +21,7 @@ use shareddb_common::{Error, Expr, Result, SortKey, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// How the partial results of one fanned-out statement recombine.
+/// How the partial results of one scattered statement recombine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MergeSpec {
     /// Unordered union of the partitions.
@@ -43,7 +42,7 @@ pub enum MergeSpec {
         /// Aggregate function per aggregate column, in schema order.
         functions: Vec<AggregateFunction>,
         /// True when the partial rows ship AVG aggregates as mergeable
-        /// partials (`SubmitOptions::partial_aggregation`): each AVG column
+        /// partials (`ScatterSpec::partial_aggregation`): each AVG column
         /// carries the partial **sum** and one hidden count column per AVG is
         /// appended to the row, in aggregate order. The merge recombines
         /// sum/count, emits the exact average and drops the hidden columns.
@@ -52,33 +51,12 @@ pub enum MergeSpec {
         /// followed by final aggregate values). A partition cannot filter its
         /// partial groups — another partition may complete them — so the
         /// group-by operators run in partial mode (HAVING deferred) and the
-        /// predicate is applied here, once per merged group. Parameters are
-        /// bound at submit time.
+        /// predicate is applied here, once per merged group. The walker
+        /// leaves it `None`; the engine fills in the query's bound predicate.
         having: Option<Expr>,
     },
     /// Union with duplicate elimination over the whole tuple.
     Distinct,
-}
-
-impl MergeSpec {
-    /// Binds statement parameters into the spec's predicate templates (the
-    /// deferred HAVING of grouped merges); other variants pass through.
-    pub fn bind(&self, params: &[Value]) -> Result<MergeSpec> {
-        match self {
-            MergeSpec::Grouped {
-                group_width,
-                functions,
-                avg_partials,
-                having: Some(having),
-            } => Ok(MergeSpec::Grouped {
-                group_width: *group_width,
-                functions: functions.clone(),
-                avg_partials: *avg_partials,
-                having: Some(having.bind(params)?),
-            }),
-            other => Ok(other.clone()),
-        }
-    }
 }
 
 /// Merges the partial results of all partitions into one result set.
@@ -360,7 +338,7 @@ mod tests {
         assert_eq!(merged.rows.len(), 3);
     }
 
-    /// AVG fanout: partial rows ship (sum, hidden count); the merge divides
+    /// AVG partials: partial rows ship (sum, hidden count); the merge divides
     /// the recombined sum by the recombined count and drops the hidden
     /// column, so the merged average is exact (not an average of averages).
     #[test]
@@ -475,30 +453,6 @@ mod tests {
         assert_eq!(merged.rows.len(), 1);
         assert_eq!(merged.rows[0][0], Value::text("x"));
         assert_eq!(merged.rows[0][1], Value::Float(20.0));
-    }
-
-    /// `MergeSpec::bind` substitutes statement parameters into the deferred
-    /// HAVING and leaves parameterless specs untouched.
-    #[test]
-    fn merge_spec_binds_having_parameters() {
-        let spec = MergeSpec::Grouped {
-            group_width: 1,
-            functions: vec![AggregateFunction::Sum],
-            avg_partials: false,
-            having: Some(Expr::col(1).gt(Expr::param(0))),
-        };
-        let bound = spec.bind(&[Value::Int(100)]).unwrap();
-        let MergeSpec::Grouped {
-            having: Some(having),
-            ..
-        } = &bound
-        else {
-            panic!("unexpected {bound:?}");
-        };
-        assert!(having.is_bound());
-        // Missing parameters surface as an error at submit time.
-        assert!(spec.bind(&[]).is_err());
-        assert_eq!(MergeSpec::Concat.bind(&[]).unwrap(), MergeSpec::Concat);
     }
 
     /// An AVG group empty in every partition merges to NULL.

@@ -618,10 +618,10 @@ fn execute_group_by(
     aggregates: &[AggregateSpec],
 ) -> Result<Emitted> {
     let mut having: HashMap<QueryId, Option<&Expr>> = HashMap::new();
-    // Queries in partial-aggregation mode (fanned-out group-by roots): their
+    // Queries in partial-aggregation mode (segmented group-by roots): their
     // AVG output columns carry the partial sum, with one hidden count column
-    // per AVG appended to the row so the cluster merge step can recombine
-    // exact averages across partitions.
+    // per AVG appended to the row so the segment merge can recombine exact
+    // averages across segments.
     let mut partials: HashMap<QueryId, bool> = HashMap::new();
     for (q, a) in activations {
         if let Activation::Having { predicate, partial } = a.split_demand().0 {
@@ -710,7 +710,7 @@ fn execute_group_by(
 
     // HAVING first — over *final* aggregate values; a query in partial mode
     // ships partial groups, so its predicate is applied after recombination
-    // (the cluster merge), not here — and the row built to be judged is
+    // (the segment merge), not here — and the row built to be judged is
     // kept. Then a demanding query chooses among what passed: `(first row of
     // the group, slot, row if built)` each.
     type Passed<'a> = (&'a Tuple, u32, Option<Tuple>);
@@ -1276,7 +1276,7 @@ mod tests {
         assert_eq!(find(2, "DE").unwrap().tuple[1], Value::Int(700));
     }
 
-    /// Partial-aggregation mode (fanout): AVG columns ship the partial sum
+    /// Partial-aggregation mode: AVG columns ship the partial sum
     /// with a hidden count column appended; other aggregates and non-partial
     /// queries of the same batch are untouched.
     #[test]

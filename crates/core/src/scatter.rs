@@ -1,25 +1,18 @@
 //! The partitionability walker: which statement shapes can run over disjoint
 //! horizontal row partitions, and how their partial results recombine.
 //!
-//! Two consumers share this analysis:
-//!
-//! * **cluster fanout** (`shareddb-cluster`) scatters one execution across
-//!   engine replicas, each scanning one `(index, of)` partition;
-//! * **intra-engine segment parallelism** ([`crate::engine::Engine`] with
-//!   `scan_segments > 1`) splits one engine's shared scan into row segments,
-//!   each a task of the engine's executor, recombined per batch.
-//!
-//! Both levels compose: a fanned-out partition may itself run segmented, in
-//! which case the fanout's partition columns take precedence over the default
-//! primary-key segmenting (the column sets are identical by construction —
-//! both come from this walker — so the composition is a further restriction
-//! of the same hash).
+//! The analysis has one consumer: [`crate::engine::Engine`] with
+//! `scan_segments > 1` splits its shared scans into row segments, runs an
+//! eligible statement's plan once per segment (each a task of the engine's
+//! executor, all on the batch's one snapshot) and recombines the partial
+//! results per batch through [`crate::merge`]. Engine replicas
+//! (`shareddb-cluster`) partition *statements*, never rows, and do not read
+//! this module.
 
 use crate::merge::MergeSpec;
 use crate::plan::StatementSpec;
 use crate::plan::{ActivationTemplate, GlobalPlan, OperatorId, OperatorSpec, StatementKind};
 use shareddb_common::agg::AggregateFunction;
-use shareddb_common::Expr;
 use shareddb_storage::Catalog;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -28,22 +21,21 @@ use std::sync::Arc;
 /// type: how to split its scans and how to merge the partial results.
 #[derive(Debug, Clone)]
 pub struct ScatterSpec {
-    /// How the partial results of the partitions recombine.
+    /// How the partial results of the partitions recombine (a grouped
+    /// merge's HAVING is the engine's to fill in, per bound query).
     pub merge: MergeSpec,
-    /// Statement-level LIMIT, re-applied after the merge.
-    pub limit: Option<usize>,
-    /// Per-scan partition-hash column overrides (co-partitioned join fanout:
-    /// both join inputs hash the join key). `None` = every scan hashes its
+    /// Per-scan partition-hash column overrides (co-partitioned join: both
+    /// join inputs hash the join key). `None` = every scan hashes its
     /// table's primary key.
     pub partition_columns: Option<Arc<HashMap<OperatorId, Vec<usize>>>>,
-    /// Ship AVG aggregates as (sum, hidden count) partials
-    /// ([`crate::SubmitOptions::partial_aggregation`]).
+    /// The group-by root runs in partial mode: HAVING deferred to the merge,
+    /// AVG aggregates shipped as (sum, hidden count) partials
+    /// ([`crate::batch::Activation::Having`]'s `partial`).
     pub partial_aggregation: bool,
     /// Scatter parameterised executions too. Heavy shapes (joins, blocking
     /// roots) win from partitioned work even when every execution carries
-    /// parameters; cheap scan/filter roots keep hash-partitioned input
-    /// routing instead, which preserves per-key batch locality and does not
-    /// multiply per-statement admission work.
+    /// parameters; a cheap scan/filter root with parameters runs whole — a
+    /// point look-up must not become one walk of the plan per segment.
     pub scatter_with_params: bool,
 }
 
@@ -79,8 +71,7 @@ struct GroupInfo {
 
 /// Decides whether a statement type can be scattered over partitioned scans,
 /// and how its partial results merge. Conservative by construction: a shape
-/// this function does not recognise is simply not partitioned (at cluster
-/// level it still benefits from hash-partitioned input routing when hot).
+/// this function does not recognise is simply not partitioned.
 ///
 /// Recognised shapes (all with identity projection and no computed columns):
 ///
@@ -96,7 +87,7 @@ struct GroupInfo {
 ///   the same partition function over its own join-key column
 ///   (co-partitioning), which keeps every join match — direct or through the
 ///   chain — inside one partition. Joins not keyed on the partition class
-///   stay pinned.
+///   run whole.
 /// * a group-by **root** may carry a HAVING predicate: the group-by operators
 ///   run in partial mode (HAVING deferred) and the merge applies the
 ///   predicate to each recombined group — a partition must not filter a
@@ -144,8 +135,8 @@ pub fn scatter_spec(
     let root_node = plan.node(*root);
     let mut topn_limit: Option<usize> = None;
     let mut group: Option<GroupInfo> = None;
-    // HAVING of a group-by *root*: deferred to the merge (partial mode).
-    let mut root_having: Option<Expr> = None;
+    // A group-by *root* has a HAVING: deferred to the merge (partial mode).
+    let mut root_having = false;
     let source = match (&root_node.spec, templates.get(root)?) {
         (OperatorSpec::TableScan { .. }, _)
         | (OperatorSpec::Filter, _)
@@ -178,7 +169,7 @@ pub fn scatter_spec(
             source
         }
         (OperatorSpec::GroupBy { .. }, ActivationTemplate::Having { predicate }) => {
-            root_having = predicate.clone();
+            root_having = predicate.is_some();
             visited.insert(*root);
             find_source(
                 catalog,
@@ -270,12 +261,12 @@ pub fn scatter_spec(
             let avg_partials = aggregates
                 .iter()
                 .any(|a| a.function == AggregateFunction::Avg);
-            partial_aggregation = avg_partials || root_having.is_some();
+            partial_aggregation = avg_partials || root_having;
             MergeSpec::Grouped {
                 group_width: group_columns.len(),
                 functions: aggregates.iter().map(|a| a.function).collect(),
                 avg_partials,
-                having: root_having,
+                having: None,
             }
         }
         OperatorSpec::Distinct => {
@@ -288,13 +279,11 @@ pub fn scatter_spec(
     };
     // Heavy shapes — joins and blocking roots (sort / Top-N / group-by /
     // distinct) — scatter even when parameterised; a bare scan/filter root
-    // with parameters stays hash-routed (point look-ups must not multiply
-    // their admission work N-fold).
+    // with parameters runs whole.
     let scatter_with_params =
         matches!(source, Source::Join { .. }) || !matches!(merge, MergeSpec::Concat);
     Some(ScatterSpec {
         merge,
-        limit: *limit,
         partition_columns,
         partial_aggregation,
         scatter_with_params,

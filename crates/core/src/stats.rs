@@ -4,8 +4,7 @@
 //! keeps cheap, always-on counters — per-operator cycle counts and busy time,
 //! engine-level batch/query/latency counters, and **phase-tagged latency
 //! histograms** that break a statement's life into admission → batch-wait →
-//! execute (→ scatter → merge at the cluster layer → flush at the network
-//! layer). All hot-path recording is lock-free
+//! execute (with the segment merge inside it → flush at the network layer). All hot-path recording is lock-free
 //! ([`shareddb_common::metrics::Histogram`]); the benchmark harnesses and the
 //! server's metrics endpoint read the same counters.
 
@@ -386,8 +385,9 @@ pub fn merge_attribution(per_replica: &[Vec<AttributionEntry>]) -> Vec<Attributi
 // ---------------------------------------------------------------------------
 
 /// The phases of a statement's life, in order. The engine records the first
-/// three plus `Total`; the cluster layer records `Scatter` and `Merge` for
-/// fanned-out statements; the network reactor records `Flush`.
+/// three plus `Total`, and `Merge` for statements it ran segment-parallel;
+/// the network reactor records `Flush`. The discriminants are the wire tags
+/// (3 was the cluster's scatter phase and is not reused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
@@ -397,9 +397,8 @@ pub enum Phase {
     BatchWait = 1,
     /// Batch formation → this statement's result routed (shared-cycle time).
     Execute = 2,
-    /// Cluster fanout: scatter of all partitions to their replicas.
-    Scatter = 3,
-    /// Cluster fanout: last partition completed → merged result posted.
+    /// Segment lane: recombining the per-segment partial results of one
+    /// statement (part of its `Execute` span).
     Merge = 4,
     /// Outcome ready at the reactor → reply bytes flushed to the socket.
     Flush = 5,
@@ -408,7 +407,7 @@ pub enum Phase {
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 7;
+pub const NUM_PHASES: usize = 6;
 
 impl Phase {
     /// Every phase, in lifecycle order.
@@ -416,7 +415,6 @@ impl Phase {
         Phase::Admission,
         Phase::BatchWait,
         Phase::Execute,
-        Phase::Scatter,
         Phase::Merge,
         Phase::Flush,
         Phase::Total,
@@ -428,7 +426,6 @@ impl Phase {
             Phase::Admission => "admission",
             Phase::BatchWait => "batch_wait",
             Phase::Execute => "execute",
-            Phase::Scatter => "scatter",
             Phase::Merge => "merge",
             Phase::Flush => "flush",
             Phase::Total => "total",
@@ -437,7 +434,19 @@ impl Phase {
 
     /// Inverse of `self as u8` (wire decoding); `None` for unknown values.
     pub fn from_u8(v: u8) -> Option<Phase> {
-        Phase::ALL.get(v as usize).copied()
+        Phase::ALL.into_iter().find(|p| *p as u8 == v)
+    }
+
+    /// Position in [`Phase::ALL`]: the index of this phase's histogram.
+    fn slot(self) -> usize {
+        match self {
+            Phase::Admission => 0,
+            Phase::BatchWait => 1,
+            Phase::Execute => 2,
+            Phase::Merge => 3,
+            Phase::Flush => 4,
+            Phase::Total => 5,
+        }
     }
 }
 
@@ -450,7 +459,7 @@ pub struct PhaseHistograms {
 impl PhaseHistograms {
     /// Records one observation for `phase`.
     pub fn record(&self, phase: Phase, d: Duration) {
-        self.per_phase[phase as usize].record(d);
+        self.per_phase[phase.slot()].record(d);
     }
 
     /// Snapshots every phase histogram.
@@ -475,14 +484,14 @@ impl PhaseHistograms {
 pub struct StatementPhaseSnapshot {
     /// Statement name (registry name, or `_other` for untracked statements).
     pub statement: String,
-    /// One histogram snapshot per [`Phase`], indexed by `Phase as usize`.
+    /// One histogram snapshot per [`Phase`], in [`Phase::ALL`] order.
     pub phases: [HistogramSnapshot; NUM_PHASES],
 }
 
 impl StatementPhaseSnapshot {
     /// The snapshot of one phase.
     pub fn phase(&self, phase: Phase) -> &HistogramSnapshot {
-        &self.phases[phase as usize]
+        &self.phases[phase.slot()]
     }
 }
 
@@ -525,7 +534,7 @@ impl PhaseTable {
         let mut out = HistogramSnapshot::default();
         for &i in indices {
             if let Some((_, h)) = self.slots.get(i) {
-                out.merge_from(&h.per_phase[phase as usize].snapshot());
+                out.merge_from(&h.per_phase[phase.slot()].snapshot());
             }
         }
         out
@@ -571,8 +580,7 @@ pub struct SlowQueryRecord {
     /// Statement name.
     pub statement: String,
     /// Replica the statement was routed to (stamped by the cluster layer;
-    /// 0 inside a single engine). Without it a slow fanned-out query is
-    /// indistinguishable from a pinned one in the log.
+    /// 0 inside a single engine): which engine's batches to look at.
     pub replica: usize,
     /// Segment lanes the statement executed on (1 = whole lane).
     pub segments: u32,
@@ -1068,8 +1076,12 @@ mod tests {
     fn phase_names_round_trip() {
         for phase in Phase::ALL {
             assert_eq!(Phase::from_u8(phase as u8), Some(phase));
+            assert_eq!(Phase::ALL[phase.slot()], phase);
             assert!(!phase.name().is_empty());
         }
+        // 3 was the cluster scatter phase: the tags around it did not move.
+        assert_eq!(Phase::from_u8(3), None);
+        assert_eq!(Phase::Merge as u8, 4);
         assert_eq!(Phase::from_u8(200), None);
     }
 }

@@ -9,17 +9,11 @@
 //! query of the batch a snapshot that includes the batch's own updates — the
 //! same ordering ClockScan implements internally.
 
-use crate::batch::Activation;
+use crate::batch::{Activation, RowSlice};
 use crate::stats::ScanCounters;
-use shareddb_common::{Error, QTuple, QueryId, Result};
+use shareddb_common::{tuple_partition, Error, QTuple, QueryId, Result};
 use shareddb_storage::{Catalog, ClockScan, IndexProbe, ProbeQuery, ScanQuery, SegmentView};
 use std::sync::Arc;
-
-// The stable pk-hash partition function lives in `shareddb-common` so the
-// storage layer's segment-view cursor can apply the same hash below the
-// predicate index; re-exported here because the cluster layer historically
-// imports it from this module.
-pub use shareddb_common::partition::tuple_partition;
 
 /// A storage operator instance owned by one plan node.
 pub enum StorageOperator {
@@ -70,23 +64,17 @@ impl StorageOperator {
                 counters,
                 ..
             } => {
-                let mut partitioned: Vec<PartitionedQuery<'_>> = Vec::new();
-                let mut segmented: Vec<PartitionedQuery<'_>> = Vec::new();
+                let mut sliced: Vec<(QueryId, &RowSlice)> = Vec::new();
                 let queries: Vec<ScanQuery> = activations
                     .iter()
                     .map(|(q, a)| match a {
                         Activation::Scan {
                             predicate,
-                            partition,
-                            partition_columns,
-                            segment,
+                            slice,
                             snapshot,
                         } => {
-                            if let Some(partition) = partition {
-                                partitioned.push((*q, *partition, partition_columns.as_ref()));
-                            }
-                            if let Some(segment) = segment {
-                                segmented.push((*q, *segment, partition_columns.as_ref()));
+                            if let Some(slice) = slice {
+                                sliced.push((*q, slice));
                             }
                             Ok(ScanQuery::new(*q, predicate.clone()).at_snapshot(*snapshot))
                         }
@@ -95,35 +83,24 @@ impl StorageOperator {
                         ))),
                     })
                     .collect::<Result<_>>()?;
-                // Fast path: when every activation of the call reads the same
-                // segment with the same hash columns (the per-segment jobs of
-                // the engine's segment pool always do), the restriction
-                // becomes a segment-view cursor — rows outside the segment
-                // are skipped before the predicate index evaluates them.
-                let view = uniform_view(&segmented, activations.len(), key_columns);
+                // When every activation of the call reads the same slice over
+                // the same hash columns (a segment task's do, unless two
+                // statements hash one table by different columns), the
+                // restriction becomes a segment-view cursor — rows outside
+                // the slice are skipped before the predicate index evaluates
+                // them.
+                let view = uniform_view(&sliced, activations.len(), key_columns);
                 let cycle = scan.execute_batch_segmented(&queries, &[], view.as_ref())?;
                 let mut tuples = cycle.tuples;
-                // Partitioned (and mixed-segment) activations only subscribe
-                // to their slice of the table: unsubscribe them from
-                // out-of-slice rows and drop tuples no query is interested in
-                // any more. Each activation hashes either the table's primary
-                // key (stable row identity) or its per-operator column
-                // override (e.g. the join key of a co-partitioned fanout —
-                // which also takes precedence over pk segmenting).
-                let residual: Vec<&PartitionedQuery<'_>> = partitioned
-                    .iter()
-                    .chain(if view.is_some() {
-                        [].iter()
-                    } else {
-                        segmented.iter()
-                    })
-                    .collect();
-                if !residual.is_empty() {
+                // Mixed slices: unsubscribe each sliced query from the rows
+                // outside its slice and drop tuples no query is interested in
+                // any more.
+                if view.is_none() && !sliced.is_empty() {
                     tuples.retain_mut(|t| {
-                        for (q, (index, of), columns) in &residual {
-                            let hash_columns = columns.map(|c| c.as_slice()).unwrap_or(key_columns);
+                        for (q, slice) in &sliced {
+                            let columns = hash_columns(slice, key_columns);
                             if t.queries.contains(*q)
-                                && tuple_partition(&t.tuple, hash_columns, *of) != *index
+                                && tuple_partition(&t.tuple, columns, slice.of) != slice.index
                             {
                                 t.queries.remove(*q);
                             }
@@ -163,31 +140,30 @@ impl StorageOperator {
     }
 }
 
-/// A query's partition restriction: `(query, (index, of), hash-column
-/// override)`.
-type PartitionedQuery<'a> = (QueryId, (u32, u32), Option<&'a Vec<usize>>);
-
 /// The shared [`SegmentView`] when *all* activations of a scan call restrict
-/// to one identical segment with identical hash columns, `None` otherwise
-/// (then the per-query retain pass applies the segment restrictions).
+/// to one identical slice, `None` otherwise (then the per-query retain pass
+/// applies the restrictions).
 fn uniform_view(
-    segmented: &[PartitionedQuery<'_>],
+    sliced: &[(QueryId, &RowSlice)],
     total_activations: usize,
     key_columns: &[usize],
 ) -> Option<SegmentView> {
-    if segmented.is_empty() || segmented.len() != total_activations {
-        return None;
-    }
-    let (_, (index, of), first_cols) = &segmented[0];
-    let cols = first_cols.map(|c| c.as_slice()).unwrap_or(key_columns);
-    let uniform = segmented.iter().all(|(_, seg, c)| {
-        *seg == (*index, *of) && c.map(|c| c.as_slice()).unwrap_or(key_columns) == cols
-    });
+    let (_, first) = sliced.first()?;
+    let uniform = sliced.len() == total_activations
+        && sliced.iter().all(|(_, slice)| {
+            (slice.index, slice.of) == (first.index, first.of)
+                && hash_columns(slice, key_columns) == hash_columns(first, key_columns)
+        });
     uniform.then(|| SegmentView {
-        index: *index,
-        of: *of,
-        key_columns: cols.to_vec(),
+        index: first.index,
+        of: first.of,
+        key_columns: hash_columns(first, key_columns).to_vec(),
     })
+}
+
+/// The columns a slice hashes: its own, else the table's primary key.
+fn hash_columns<'a>(slice: &'a RowSlice, key_columns: &'a [usize]) -> &'a [usize] {
+    slice.columns.as_deref().unwrap_or(key_columns)
 }
 
 /// Builds the storage operator instances for every storage node of a plan.
@@ -236,12 +212,16 @@ mod tests {
         Arc::new(catalog)
     }
 
-    fn scan_act(predicate: Expr, partition: Option<(u32, u32)>) -> Activation {
+    /// A scan activation over slice `(index, of)` of the primary-key hash.
+    fn scan_act(predicate: Expr, slice: Option<(u32, u32)>) -> Activation {
+        let slice = slice.map(|(index, of)| RowSlice {
+            index,
+            of,
+            columns: None,
+        });
         Activation::Scan {
             predicate,
-            partition,
-            partition_columns: None,
-            segment: None,
+            slice,
             snapshot: None,
         }
     }
@@ -297,11 +277,11 @@ mod tests {
             .is_err());
     }
 
-    /// Partitioned scan activations split a table into disjoint, complete
-    /// slices: the union over all partitions equals the unpartitioned scan
-    /// and no row lands in two partitions.
+    /// Sliced scan activations split a table into disjoint, complete slices:
+    /// the union over all slices equals the whole scan and no row lands in
+    /// two slices.
     #[test]
-    fn partitioned_scans_are_disjoint_and_complete() {
+    fn sliced_scans_are_disjoint_and_complete() {
         let catalog = catalog();
         let scan = StorageOperator::scan(&catalog, "ITEM").unwrap();
         const OF: u32 = 4;
@@ -313,13 +293,13 @@ mod tests {
                 .unwrap();
             for t in &out {
                 assert_eq!(tuple_partition(&t.tuple, &[0], OF), index);
-                assert!(seen.insert(t.tuple[0].clone()), "row in two partitions");
+                assert!(seen.insert(t.tuple[0].clone()), "row in two slices");
                 total += 1;
             }
         }
         assert_eq!(total, 50);
-        // A mixed batch: one partitioned and one unpartitioned query share
-        // the scan; the unpartitioned one still sees every row.
+        // A mixed call (the retain pass): one sliced and one whole query
+        // share the scan; the whole one still sees every row.
         let out = scan
             .execute(&[
                 (QueryId(1), scan_act(Expr::lit(true), Some((0, OF)))),
@@ -335,60 +315,57 @@ mod tests {
             .iter()
             .filter(|t| t.queries.contains(QueryId(1)))
             .count();
-        assert!(q1 < 50, "partition 0 of 4 held the whole table");
+        assert!(q1 < 50, "slice 0 of 4 held the whole table");
     }
 
-    /// A per-operator column override hashes the named columns instead of the
-    /// primary key, and the override partitions stay disjoint and complete —
-    /// this is what co-partitions the probe side of a fanned-out equi-join by
-    /// the join key.
+    /// A slice with its own columns hashes those instead of the primary key,
+    /// and the slices stay disjoint and complete — this is what co-partitions
+    /// the probe side of a scattered equi-join by the join key.
     #[test]
-    fn partition_column_override_is_disjoint_and_complete() {
+    fn slice_columns_are_disjoint_and_complete() {
         let catalog = catalog();
         let scan = StorageOperator::scan(&catalog, "ITEM").unwrap();
         const OF: u32 = 3;
-        let override_cols = vec![1usize]; // hash I_SUBJECT, not the pk
+        let by_subject = vec![1usize]; // hash I_SUBJECT, not the pk
+        let slice = |index| Activation::Scan {
+            predicate: Expr::lit(true),
+            slice: Some(RowSlice {
+                index,
+                of: OF,
+                columns: Some(by_subject.clone()),
+            }),
+            snapshot: None,
+        };
         let mut total = 0usize;
         for index in 0..OF {
-            let out = scan
-                .execute(&[(
-                    QueryId(1),
-                    Activation::Scan {
-                        predicate: Expr::lit(true),
-                        partition: Some((index, OF)),
-                        partition_columns: Some(override_cols.clone()),
-                        segment: None,
-                        snapshot: None,
-                    },
-                )])
-                .unwrap();
+            let out = scan.execute(&[(QueryId(1), slice(index))]).unwrap();
             for t in &out {
-                assert_eq!(tuple_partition(&t.tuple, &override_cols, OF), index);
+                assert_eq!(tuple_partition(&t.tuple, &by_subject, OF), index);
                 total += 1;
             }
         }
         assert_eq!(total, 50);
-        // All rows with the same override-column value land in one partition.
-        let history_partition = tuple_partition(&tuple![0i64, "HISTORY"], &override_cols, OF);
+        // All rows with the same hashed value land in one slice — also when
+        // another query of the call hashes the primary key (mixed columns:
+        // the retain pass instead of the segment view).
+        let history = tuple_partition(&tuple![0i64, "HISTORY"], &by_subject, OF);
         let out = scan
-            .execute(&[(
-                QueryId(1),
-                Activation::Scan {
-                    predicate: Expr::lit(true),
-                    partition: Some((history_partition, OF)),
-                    partition_columns: Some(override_cols.clone()),
-                    segment: None,
-                    snapshot: None,
-                },
-            )])
+            .execute(&[
+                (QueryId(1), slice(history)),
+                (QueryId(2), scan_act(Expr::lit(true), Some((history, OF)))),
+            ])
             .unwrap();
         assert_eq!(
             out.iter()
+                .filter(|t| t.queries.contains(QueryId(1)))
                 .filter(|t| t.tuple[1] == Value::text("HISTORY"))
                 .count(),
             10,
-            "co-partitioning split a key group across partitions"
+            "co-partitioning split a key group across slices"
         );
+        for t in out.iter().filter(|t| t.queries.contains(QueryId(2))) {
+            assert_eq!(tuple_partition(&t.tuple, &[0], OF), history);
+        }
     }
 
     /// A pinned snapshot flows through the scan adapter: the query reads the
@@ -412,9 +389,7 @@ mod tests {
                     QueryId(1),
                     Activation::Scan {
                         predicate: Expr::lit(true),
-                        partition: None,
-                        partition_columns: None,
-                        segment: None,
+                        slice: None,
                         snapshot: Some(pinned),
                     },
                 ),

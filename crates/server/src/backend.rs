@@ -11,11 +11,10 @@
 //!   own admission-queue lock (the cluster router picks the replica first,
 //!   then the bound applies to that queue — so N replicas admit up to
 //!   N × `max_queue_depth` in total, each queue individually exact);
-//! * completion wakers pass through to the cluster: a single-replica
-//!   statement wakes the reactor when its outcome is delivered, and a
-//!   fanned-out statement wakes it exactly **once**, after the cluster's
-//!   merge pool has recombined the partitions — the reactor never runs a
-//!   merge on its event loop (the reply pump treats spurious wakes as
+//! * completion wakers pass through to the executing replica: a statement
+//!   wakes the reactor once, when its outcome — merged on that replica's
+//!   coordinator if it ran segmented — is delivered; the reactor never runs
+//!   a merge on its event loop (the reply pump treats spurious wakes as
 //!   no-ops either way);
 //! * per-replica statistics feed the `Stats` wire frame.
 
@@ -130,11 +129,6 @@ impl ClusterBackend {
     /// scanned table, summed over replicas.
     pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
         self.cluster.scan_row_stats()
-    }
-
-    /// Cluster-level scatter/merge phase histograms.
-    pub fn cluster_phase_stats(&self) -> Vec<StatementPhaseSnapshot> {
-        self.cluster.cluster_phase_stats()
     }
 
     /// Per-replica operator statistics with each replica's stats-window wall

@@ -186,8 +186,8 @@ pub struct WireStats {
     pub rejected: u64,
     /// Per-replica breakdown (replica order); one entry per engine replica.
     pub replicas: Vec<WireReplicaStats>,
-    /// Cluster-level phase summaries — scatter and merge of fanned-out
-    /// statements, which happen outside any single replica (v3).
+    /// Phase summaries recorded outside any single replica (v3): the
+    /// frontend's flush phase.
     pub cluster: Vec<WireStatementPhases>,
 }
 

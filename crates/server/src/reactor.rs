@@ -495,8 +495,7 @@ enum Reply {
     /// Already-encoded frames, ready to move to the write queue.
     Ready(Vec<u8>),
     /// A submitted statement; its outcome is pumped out (in submission order)
-    /// when the engine's completion waker fires. Fanned-out statements hold
-    /// one sub-handle per replica and complete when the last partition does.
+    /// when the completion waker of the replica it runs on fires.
     Pending {
         request_id: u64,
         handle: ClusterHandle,
@@ -1151,7 +1150,7 @@ impl Reactor {
             }
             Frame::Stats { request_id } => {
                 let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
-                let (engine_stats, queued, replicas, mut cluster) = match engine.as_ref() {
+                let (engine_stats, queued, replicas) = match engine.as_ref() {
                     Some(e) => {
                         let per_replica = e.replica_stats();
                         let depths = e.queued_per_replica();
@@ -1177,22 +1176,14 @@ impl Reactor {
                                     .unwrap_or_default(),
                             })
                             .collect();
-                        (
-                            e.stats(),
-                            e.queued(),
-                            replicas,
-                            wire_phases(&e.cluster_phase_stats()),
-                        )
+                        (e.stats(), e.queued(), replicas)
                     }
-                    None => (Default::default(), 0, Vec::new(), Vec::new()),
+                    None => (Default::default(), 0, Vec::new()),
                 };
                 drop(engine);
-                // The frontend's Flush phase joins the cluster section: like
-                // scatter and merge it happens outside any single replica.
-                merge_wire_phases(
-                    &mut cluster,
-                    wire_phases(&self.shared.flush_phases.snapshot()),
-                );
+                // The frontend's Flush phase is the cluster section: it
+                // happens outside any single replica.
+                let cluster = wire_phases(&self.shared.flush_phases.snapshot());
                 let reply = Frame::StatsReply {
                     request_id,
                     stats: WireStats {
@@ -1645,17 +1636,6 @@ fn wire_phases(statements: &[StatementPhaseSnapshot]) -> Vec<WireStatementPhases
                 .collect(),
         })
         .collect()
-}
-
-/// Folds `extra` into `into` by statement name (phases concatenate — the
-/// sources record disjoint phase sets).
-fn merge_wire_phases(into: &mut Vec<WireStatementPhases>, extra: Vec<WireStatementPhases>) {
-    for stmt in extra {
-        match into.iter_mut().find(|s| s.statement == stmt.statement) {
-            Some(existing) => existing.phases.extend(stmt.phases),
-            None => into.push(stmt),
-        }
-    }
 }
 
 /// True when a fresh connection's first bytes spell an HTTP method — the

@@ -353,13 +353,12 @@ impl Shared {
             }
         }
 
-        // Phase-tagged latency summaries: per replica, then the cluster-level
-        // scatter/merge phases and the reactor's flush phase.
+        // Phase-tagged latency summaries: per replica, then the reactor's
+        // flush phase.
         let _ = writeln!(w, "# TYPE shareddb_phase_latency_us summary");
         for (i, statements) in backend.replica_phase_stats().iter().enumerate() {
             render_phase_block(w, statements, &format!("replica=\"{i}\""));
         }
-        render_phase_block(w, &backend.cluster_phase_stats(), "replica=\"cluster\"");
         render_phase_block(w, &self.flush_phases.snapshot(), "replica=\"frontend\"");
 
         // The write path's useful-work ratio per update statement type:
@@ -536,7 +535,7 @@ impl Shared {
 
 /// Renders one set of per-statement phase snapshots under
 /// `shareddb_phase_latency_us` with `statement`/`phase` labels plus the
-/// caller's extra label (replica id, `cluster`, or `frontend`).
+/// caller's extra label (replica id or `frontend`).
 fn render_phase_block(out: &mut String, statements: &[StatementPhaseSnapshot], extra: &str) {
     for snap in statements {
         for phase in Phase::ALL {
@@ -752,16 +751,6 @@ impl Server {
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
             .map(|e| e.replica_segment_stats())
-    }
-
-    /// Cluster-level scatter/merge phase histograms.
-    pub fn cluster_phase_stats(&self) -> Option<Vec<StatementPhaseSnapshot>> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.cluster_phase_stats())
     }
 
     /// Per-statement Flush-phase histograms recorded by the reactor's write

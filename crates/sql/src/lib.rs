@@ -12,7 +12,6 @@
 //! * [`ast`] — the abstract syntax tree.
 //! * [`parser`] — the recursive-descent parser.
 //! * [`logical`] — per-query logical plans with predicate push-down.
-//! * [`merge`] — merging per-query plans into a global shared plan (sketch).
 //! * [`compile`] — compiling a whole SQL workload into an *executable*
 //!   [`shareddb_core::GlobalPlan`] + [`shareddb_core::StatementRegistry`],
 //!   plus token-level auto-parameterisation for ad-hoc statements.
@@ -20,7 +19,6 @@
 pub mod ast;
 pub mod compile;
 pub mod logical;
-pub mod merge;
 pub mod parser;
 pub mod token;
 
@@ -30,5 +28,4 @@ pub use compile::{
     TemplateSlot,
 };
 pub use logical::{LogicalPlan, QueryPlanSummary};
-pub use merge::{GlobalPlanSketch, SharedJoinGroup};
 pub use parser::parse;

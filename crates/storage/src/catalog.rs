@@ -120,8 +120,8 @@ impl Catalog {
     /// The handle can be carried across threads and engines that share this
     /// catalog: every scan or probe executed with the pinned snapshot reads
     /// exactly the version set that was committed when the snapshot was
-    /// taken. The cluster layer uses this to give a fanned-out query one
-    /// consistent view across all of its partitions (see
+    /// taken. Differential tests use this to run one query on two engines
+    /// against one version set under a concurrent writer (see
     /// `SubmitOptions::pinned_snapshot` in `shareddb-core`).
     pub fn snapshot(&self) -> crate::mvcc::Snapshot {
         self.oracle.read_ts()

@@ -65,9 +65,9 @@ pub struct ScanQuery {
     pub predicate: Expr,
     /// Optional pinned read snapshot. `None` (the default) reads the cycle's
     /// own snapshot — the latest committed state after the cycle's updates.
-    /// A pinned snapshot lets a caller that spreads one logical query over
-    /// several scan cycles (e.g. the cluster fanout) give every part the same
-    /// consistent view.
+    /// A pinned snapshot lets a caller that runs one logical query in
+    /// several scan cycles (a differential test comparing two engines) give
+    /// every run the same consistent view.
     pub snapshot: Option<Snapshot>,
 }
 

@@ -1,15 +1,16 @@
-//! Engine-cluster integration tests over the wire: N engine replicas behind
-//! one endpoint, statement-type routing, the scatter/merge step (snapshot
-//! pinning, off-reactor merging), and the per-replica section of the `Stats`
-//! frame — all through the real reactor and client library.
+//! Engine-cluster integration tests: N engine replicas behind one endpoint,
+//! statement-type routing (a replica partitions *statements*, never rows —
+//! row scatter is `tests/segments.rs`), and the per-replica section of the
+//! `Stats` frame through the real reactor and client library.
 
 use shareddb::client::Connection;
 use shareddb::cluster::{ClusterConfig, ClusterEngine};
-use shareddb::common::{tuple, DataType, Expr, Value};
-use shareddb::core::plan::{ActivationTemplate, PlanBuilder, StatementSpec, UpdateTemplate};
+use shareddb::common::{tuple, DataType, Value};
 use shareddb::core::EngineConfig;
 use shareddb::server::{Server, ServerConfig};
+use shareddb::sql::SqlCompiler;
 use shareddb::storage::{Catalog, TableDef};
+use shareddb_bench::conformance::{corpus_catalog, load_corpus, Case, Expectation};
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -85,29 +86,59 @@ fn replicated_statements_spread_and_stats_show_replicas() {
     server.shutdown();
 }
 
-/// A parameterless ordered statement on a hot route scatters over all
-/// replicas with partitioned scans; the merged result that reaches the
-/// client over the wire is complete and ordered.
+/// Replication is routing only: with every statement type of the SQL corpus
+/// forced `Replicated`, a 4-replica cluster answers each case with the rows
+/// 1 replica answers it with — whichever replica the parameter hash or the
+/// round-robin picks runs the statement whole.
 #[test]
-fn fanout_merge_is_exact_over_the_wire() {
-    let mut server = start_cluster(4, &["allItems"]);
-    let mut conn = Connection::connect(server.local_addr()).unwrap();
-    let all = conn.prepare("allItems").unwrap();
-    let outcome = conn.execute(&all, &[]).unwrap();
-    let rows = outcome.rows();
-    assert_eq!(rows.len(), 300);
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row[0], Value::Int(i as i64), "merge broke order at {i}");
+fn replicated_corpus_matches_single_replica() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/sql_corpus");
+    let cases: Vec<Case> = load_corpus(&dir)
+        .expect("load corpus")
+        .into_iter()
+        .filter(|c| matches!(c.expect, Expectation::Rows { .. }))
+        .collect();
+    let start = |replicas: usize| {
+        let catalog = corpus_catalog();
+        let mut compiler = SqlCompiler::new(&catalog);
+        for case in &cases {
+            compiler.add_statement(&case.name, &case.sql).unwrap();
+        }
+        let (plan, registry) = compiler.finish();
+        let config = ClusterConfig {
+            replicas,
+            replicate_statements: cases.iter().map(|c| c.name.clone()).collect(),
+            ..ClusterConfig::default()
+        };
+        ClusterEngine::start(catalog, plan, registry, EngineConfig::default(), config).unwrap()
+    };
+    let (one, four) = (start(1), start(4));
+    assert!(four
+        .routes()
+        .iter()
+        .all(|(_, route)| *route == shareddb::cluster::Route::Replicated));
+    let sorted_rows = |outcome: &shareddb::core::QueryOutcome| {
+        let mut rows: Vec<String> = outcome.rows().iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    };
+    // Twice over, so that round-robin moves the parameterless cases on.
+    for round in 0..2 {
+        for case in &cases {
+            let want = one.execute_sync(&case.name, &case.params).unwrap();
+            let got = four.execute_sync(&case.name, &case.params).unwrap();
+            assert_eq!(
+                sorted_rows(&want),
+                sorted_rows(&got),
+                "case {} diverged in round {round}",
+                case.name
+            );
+        }
     }
-    // The scatter really used every replica.
-    let stats = conn.stats().unwrap();
-    assert_eq!(stats.replicas.len(), 4);
-    assert!(
-        stats.replicas.iter().all(|r| r.queries == 1),
-        "stats: {stats:?}"
-    );
-    conn.close().unwrap();
-    server.shutdown();
+    // Every statement ran once, and the corpus spread over the replicas.
+    let replicas = four.replica_stats();
+    assert_eq!(four.stats().queries, 2 * cases.len() as u64);
+    assert!(replicas.iter().all(|r| r.queries > 0), "{replicas:?}");
 }
 
 /// Updates pin to the write replica; their effects are visible to statements
@@ -134,121 +165,11 @@ fn updates_are_visible_across_replicas() {
     server.shutdown();
 }
 
-/// Property-style snapshot-pinning check: a writer thread keeps bumping every
-/// row's generation column (one UPDATE statement per generation, atomic under
-/// group commit), while fanned-out reads scatter over 4 replicas. Every
-/// merged result must be a *single-snapshot* view: the full row set with one
-/// uniform generation value — exactly what a 1-replica execution would
-/// return at some commit point. Before snapshot pinning, each partition read
-/// its own replica's batch snapshot and mixed generations freely under this
-/// load.
-#[test]
-fn fanout_under_concurrent_updates_is_single_snapshot_consistent() {
-    const ROWS: i64 = 256;
-    let catalog = Catalog::new();
-    catalog
-        .create_table(
-            TableDef::new("G")
-                .column("ID", DataType::Int)
-                .column("GEN", DataType::Int)
-                .primary_key(&["ID"]),
-        )
-        .unwrap();
-    catalog
-        .bulk_load("G", (0..ROWS).map(|i| tuple![i, 0i64]).collect())
-        .unwrap();
-    let catalog = Arc::new(catalog);
-
-    let mut b = PlanBuilder::new(&catalog);
-    let scan = b.table_scan("G").unwrap();
-    let sort = b
-        .sort(scan, vec![shareddb::common::SortKey::asc(0)])
-        .unwrap();
-    let plan = b.build();
-    let mut registry = shareddb::core::StatementRegistry::new();
-    registry
-        .register(
-            StatementSpec::query("snap", sort)
-                .activate(
-                    scan,
-                    ActivationTemplate::Scan {
-                        predicate: Expr::lit(true),
-                    },
-                )
-                .activate(sort, ActivationTemplate::Participate),
-        )
-        .unwrap();
-    registry
-        .register(StatementSpec::update(
-            "tick",
-            "G",
-            UpdateTemplate::Update {
-                assignments: vec![(1, Expr::param(0))],
-                predicate: Expr::lit(true),
-            },
-        ))
-        .unwrap();
-
-    let cluster = ClusterEngine::start(
-        catalog,
-        plan,
-        registry,
-        EngineConfig::default(),
-        ClusterConfig {
-            replicas: 4,
-            replicate_statements: vec!["snap".into()],
-            ..ClusterConfig::default()
-        },
-    )
-    .unwrap();
-    let cluster = Arc::new(cluster);
-
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let writer = {
-        let cluster = Arc::clone(&cluster);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut gen = 0i64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                gen += 1;
-                cluster.execute_sync("tick", &[Value::Int(gen)]).unwrap();
-            }
-            gen
-        })
-    };
-
-    let mut distinct_generations = std::collections::HashSet::new();
-    for round in 0..80 {
-        let outcome = cluster.execute_sync("snap", &[]).unwrap();
-        let rows = outcome.rows();
-        assert_eq!(rows.len(), ROWS as usize, "round {round}: torn row set");
-        let generation = rows[0][1].clone();
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row[0], Value::Int(i as i64), "round {round}: order broken");
-            assert_eq!(
-                row[1], generation,
-                "round {round}: rows from different snapshots in one \
-                 fanned-out result (row {i} vs row 0)"
-            );
-        }
-        distinct_generations.insert(format!("{generation:?}"));
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let final_gen = writer.join().unwrap();
-    assert!(final_gen > 0, "writer never ran");
-    assert!(
-        distinct_generations.len() > 1,
-        "updates never interleaved with the reads — the test exercised \
-         nothing (final generation {final_gen})"
-    );
-}
-
 /// Per-statement cost attribution must be invariant under replication: for
 /// point lookups hash-routed over 4 replicas, the cluster-merged
 /// (activations, rows) per (operator, statement) pair equals the 1-replica
 /// run exactly, and the merge itself is the element-wise sum of the
-/// per-replica snapshots. Point lookups only — fanned-out statements
-/// multiply activations by the replica count by design.
+/// per-replica snapshots.
 #[test]
 fn attribution_merge_is_replica_count_invariant() {
     use shareddb::core::AttributionEntry;
@@ -340,86 +261,6 @@ fn attribution_merge_is_replica_count_invariant() {
     assert!(routed > 1, "hash routing left attribution on one replica");
 }
 
-/// Off-reactor merge: a multi-megabyte fanned-out merged result must not
-/// stall an unrelated connection's ping. The merge runs on the cluster's
-/// worker pool; the reactor only ships the already-merged bytes.
-#[test]
-fn huge_fanout_merge_does_not_block_ping() {
-    const ROWS: i64 = 8_000;
-    let catalog = Catalog::new();
-    catalog
-        .create_table(
-            TableDef::new("BIG")
-                .column("ID", DataType::Int)
-                .column("PAD", DataType::Text)
-                .primary_key(&["ID"]),
-        )
-        .unwrap();
-    let pad = "x".repeat(256);
-    catalog
-        .bulk_load("BIG", (0..ROWS).map(|i| tuple![i, pad.clone()]).collect())
-        .unwrap();
-    let mut server = Server::start_sql(
-        Arc::new(catalog),
-        &[("bigSort", "SELECT * FROM BIG ORDER BY ID")],
-        EngineConfig::default(),
-        ServerConfig {
-            cluster: ClusterConfig {
-                replicas: 4,
-                replicate_statements: vec!["bigSort".into()],
-                ..ClusterConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let heavy = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut conn = Connection::connect(addr).unwrap();
-            let big = conn.prepare("bigSort").unwrap();
-            let mut merged = 0usize;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let outcome = conn.execute(&big, &[]).unwrap();
-                assert_eq!(outcome.rows().len(), ROWS as usize);
-                merged += 1;
-            }
-            let _ = conn.close();
-            merged
-        })
-    };
-
-    // Concurrent light path: pings must keep completing promptly while ~2 MB
-    // merges run back to back. The bound is deliberately generous (CI noise);
-    // the regression this guards against is a reactor wedged for the whole
-    // merge + encode of the big result, which showed up as multi-second
-    // stalls.
-    let mut conn = Connection::connect(addr).unwrap();
-    let mut worst = std::time::Duration::ZERO;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3);
-    let mut pings = 0u32;
-    while std::time::Instant::now() < deadline {
-        let begun = std::time::Instant::now();
-        conn.ping().unwrap();
-        worst = worst.max(begun.elapsed());
-        pings += 1;
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let merged = heavy.join().unwrap();
-    assert!(merged > 0, "no big merge ever completed");
-    assert!(pings > 50, "ping loop starved entirely ({pings} pings)");
-    assert!(
-        worst < std::time::Duration::from_secs(2),
-        "ping stalled {worst:?} behind a fanned-out merge ({merged} merges)"
-    );
-    conn.close().unwrap();
-    server.shutdown();
-}
-
 /// `replicas: 1` (the default) keeps the classic single-engine behaviour:
 /// one replica entry in the stats, everything served by it.
 #[test]
@@ -431,72 +272,6 @@ fn single_replica_default_is_unchanged() {
     let stats = conn.stats().unwrap();
     assert_eq!(stats.replicas.len(), 1);
     assert_eq!(stats.replicas[0].queries, stats.queries);
-    conn.close().unwrap();
-    server.shutdown();
-}
-
-/// Two-level composition: cluster fanout over replicas whose engines each
-/// split their shared scans into segments. A fanned-out AVG group-by is
-/// partially aggregated per replica AND segment-parallel inside each — the
-/// replica's per-batch segment merge must preserve sum/count partials (not
-/// finalize them) so the cluster merge still recombines exactly.
-#[test]
-fn fanout_composes_with_segmented_replicas() {
-    let catalog = Catalog::new();
-    catalog
-        .create_table(
-            TableDef::new("SEG")
-                .column("S_ID", DataType::Int)
-                .column("S_GRP", DataType::Text)
-                .column("S_VAL", DataType::Float)
-                .primary_key(&["S_ID"]),
-        )
-        .unwrap();
-    catalog
-        .bulk_load(
-            "SEG",
-            (0..240i64)
-                .map(|i| tuple![i, format!("g{}", i % 3), i as f64])
-                .collect(),
-        )
-        .unwrap();
-    let mut server = Server::start_sql(
-        Arc::new(catalog),
-        &[(
-            "avgByGrp",
-            "SELECT S_GRP, AVG(S_VAL) FROM SEG GROUP BY S_GRP",
-        )],
-        EngineConfig::default().scan_segments(2),
-        ServerConfig {
-            cluster: ClusterConfig {
-                replicas: 3,
-                replicate_statements: vec!["avgByGrp".into()],
-                ..ClusterConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut conn = Connection::connect(server.local_addr()).unwrap();
-    let avg = conn.prepare("avgByGrp").unwrap();
-    let outcome = conn.execute(&avg, &[]).unwrap();
-    let mut rows = outcome.rows().to_vec();
-    rows.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap());
-    assert_eq!(rows.len(), 3, "rows: {rows:?}");
-    // Group g{k} holds values k, k+3, ..., 237+k — exactly 80 of them, so
-    // AVG(g{k}) = k + 3 * 79 / 2. Exact equality: sum/count partials must
-    // survive both merge levels (6 partial fragments per group).
-    for (k, row) in rows.iter().enumerate() {
-        assert_eq!(row[0], Value::text(format!("g{k}")));
-        assert_eq!(row[1], Value::Float(k as f64 + 118.5), "group g{k}");
-    }
-    // The scatter really spanned every (segmented) replica.
-    let stats = conn.stats().unwrap();
-    assert_eq!(stats.replicas.len(), 3);
-    assert!(
-        stats.replicas.iter().all(|r| r.queries == 1),
-        "stats: {stats:?}"
-    );
     conn.close().unwrap();
     server.shutdown();
 }

@@ -275,9 +275,8 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
                         .unwrap()
                         .wait(),
                 ),
-                // Scattered, a best-seller page is pinned by the cluster to a
-                // snapshot of its own: nothing it reads is what the writer
-                // writes, so it is the same page.
+                // Routed by its parameters' hash, a page runs whole on one
+                // of the replicas, at the caller's snapshot.
                 (
                     "four replicas",
                     cluster.submit(statement, params, pinned()).unwrap().wait(),
@@ -301,7 +300,7 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     // The writer was seen: the newest products of a subject changed meanwhile.
     assert!(first_pages.iter().any(|page| *page != first_pages[0]));
     // And the lanes did prune: the join by the demand of the searches, the
-    // group-by of every segment and partition by that of the best-seller pages.
+    // group-by of every segment by that of the best-seller pages.
     for (lane, stats) in [
         ("one engine", whole.operator_stats()),
         ("four segments", segmented.operator_stats()),
@@ -312,13 +311,15 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
         }
     }
     assert!(segmented.segment_stats().iter().all(|s| s.batches > 0));
-    let fanned_out = cluster.replica_operator_stats();
+    // So did the replicas the pages were routed to, more than one of them.
+    let replicas = cluster.replica_operator_stats();
     let pruned_by = |name: &str| -> Vec<u64> {
-        let operators = fanned_out.iter().flat_map(|(_, ops)| ops);
+        let operators = replicas.iter().flat_map(|(_, ops)| ops);
         let named = operators.filter(|op| op.name == name);
         named.map(|op| op.rows_pruned).collect()
     };
-    // Every partition cuts its own best-seller page.
-    assert!(pruned_by("GroupBy#13").iter().all(|pruned| *pruned > 0));
+    assert!(pruned_by("GroupBy#13").iter().sum::<u64>() > 0);
     assert!(pruned_by("IndexNlJoin(AUTHOR)#7").iter().sum::<u64>() > 0);
+    let ran = cluster.replica_stats();
+    assert!(ran.iter().filter(|r| r.queries > 0).count() > 1, "{ran:?}");
 }

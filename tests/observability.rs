@@ -136,10 +136,116 @@ fn metrics_endpoint_serves_phase_histograms() {
         .cluster_phase("getItem", Phase::Flush)
         .expect("flush phase");
     assert!(flush.count >= QUERIES as u64);
-    assert!(stats.replica_phase(0, "getItem", Phase::Scatter).is_none());
+    // A statement that ran whole merged nothing.
+    assert!(stats.replica_phase(0, "getItem", Phase::Merge).is_none());
+    assert!(!body.contains("replica=\"cluster\""));
 
     let _ = conn.close();
     server.shutdown();
+}
+
+/// The value of one sample of a `/metrics` scrape.
+fn scrape_sample(addr: std::net::SocketAddr, series: &str) -> Option<u64> {
+    let response = http_exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+    let (series, value) = response
+        .lines()
+        .filter_map(|l| l.rsplit_once(' '))
+        .find(|(name, _)| *name == series)?;
+    Some(value.parse().unwrap_or_else(|_| panic!("{series} {value}")))
+}
+
+/// A segmented statement's merge is a phase of the replica whose
+/// coordinator ran it — in `/metrics` and in the wire stats — and a part of
+/// its execute span.
+#[test]
+fn segmented_statement_records_merge_under_its_replica() {
+    const QUERIES: u64 = 8;
+    let mut server = Server::start_sql(
+        catalog(),
+        &[("allItems", "SELECT * FROM ITEM ORDER BY I_ID")],
+        EngineConfig::default().scan_segments(2),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut conn = Connection::connect(addr).unwrap();
+    let all = conn.prepare("allItems").unwrap();
+    for _ in 0..QUERIES {
+        assert_eq!(conn.execute(&all, &[]).unwrap().rows().len(), 200);
+    }
+    let merges = scrape_sample(
+        addr,
+        "shareddb_phase_latency_us_count{replica=\"0\",statement=\"allItems\",phase=\"merge\"}",
+    );
+    assert_eq!(merges, Some(QUERIES));
+    let stats = conn.stats().unwrap();
+    let merge = stats.replica_phase(0, "allItems", Phase::Merge).unwrap();
+    let execute = stats.replica_phase(0, "allItems", Phase::Execute).unwrap();
+    assert_eq!((merge.count, execute.count), (QUERIES, QUERIES));
+    assert!(merge.max <= execute.max);
+    assert!(stats.cluster_phase("allItems", Phase::Merge).is_none());
+    let _ = conn.close();
+    server.shutdown();
+}
+
+/// `shareddb_engine_failed` and the wire stats count a statement failed by
+/// its batch once, on the whole lane and on the segment lane.
+#[test]
+fn engine_failed_counts_one_per_failed_statement() {
+    use shareddb::common::Expr;
+    use shareddb::core::plan::{ActivationTemplate, PlanBuilder, StatementSpec};
+    use shareddb::core::StatementRegistry;
+
+    for segments in [1, 2] {
+        let catalog = catalog();
+        let mut b = PlanBuilder::new(&catalog);
+        let scan = b.table_scan("ITEM").unwrap();
+        let filter = b.filter(scan).unwrap();
+        let plan = b.build();
+        let mut registry = StatementRegistry::new();
+        // The filter's predicate is a text column, not a boolean.
+        let broken = StatementSpec::query("broken", filter)
+            .activate(
+                scan,
+                ActivationTemplate::Scan {
+                    predicate: Expr::lit(true),
+                },
+            )
+            .activate(
+                filter,
+                ActivationTemplate::Filter {
+                    predicate: Expr::col(1),
+                },
+            );
+        registry.register(broken).unwrap();
+        let engine_config = EngineConfig::default().scan_segments(segments);
+        let mut server = Server::start(
+            catalog,
+            plan,
+            registry,
+            engine_config,
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let mut conn = Connection::connect(addr).unwrap();
+        let broken = conn.prepare("broken").unwrap();
+        for _ in 0..3 {
+            conn.execute(&broken, &[]).unwrap_err();
+        }
+        assert_eq!(scrape_sample(addr, "shareddb_engine_failed"), Some(3));
+        let stats = conn.stats().unwrap();
+        assert_eq!((stats.failed, stats.replicas[0].failed), (3, 3));
+        if segments > 1 {
+            let batches = scrape_sample(
+                addr,
+                "shareddb_segment_batches{replica=\"0\",segment=\"0\"}",
+            );
+            assert_eq!(batches, Some(3), "the statement ran whole");
+        }
+        let _ = conn.close();
+        server.shutdown();
+    }
 }
 
 /// Malformed HTTP on the shared port gets clean error responses without

@@ -1127,12 +1127,19 @@ mod row_demand {
             push_down(&plan, &mut registry);
             prop_assert_eq!(&registry.get("q").unwrap().1.activations, &once.activations);
 
-            // Bound for a fan-out that recombines partial groups, the demand
-            // prunes nothing; bound plainly, all but the rows it names.
+            // Rewritten for a segment that ships partial groups, the demand
+            // prunes nothing; as bound, all but the rows it names.
             if let (false, Some(limit)) = (shape.join, at_p_cut) {
-                let opts = SubmitOptions { partial_aggregation: shape.partial, ..SubmitOptions::default() };
-                let query = bind_query(&once, 0, QueryId(1), TicketId(1), &[], &opts).unwrap();
+                let query = bind_query(&once, 0, QueryId(1), TicketId(1), &[], &SubmitOptions::default()).unwrap();
                 let (_, activation) = query.activations.iter().find(|(op, _)| *op == p).unwrap();
+                let Activation::Demand { base, keys, limit: kept } = activation else {
+                    panic!("{activation:?} at {p}");
+                };
+                let Activation::Having { predicate, partial: false } = &**base else {
+                    panic!("{base:?} at {p}");
+                };
+                let partial = Activation::Having { predicate: predicate.clone(), partial: shape.partial };
+                let activation = &Activation::Demand { base: Box::new(partial), keys: keys.clone(), limit: *kept };
                 let groups: Vec<QTuple> = (0..5i64)
                     .map(|g| QTuple::for_query(Tuple::new(vec![Value::Int(g), Value::Int(g % 2), Value::Null]), QueryId(1)))
                     .collect();

@@ -2,8 +2,11 @@
 //! binary, so that the process holds no other engine's threads.
 #![cfg(target_os = "linux")]
 
+use shareddb::client::Connection;
+use shareddb::cluster::{ClusterConfig, ClusterEngine};
 use shareddb::common::{tuple, DataType, Value};
 use shareddb::core::{Engine, EngineConfig};
+use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
 use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
@@ -21,8 +24,18 @@ fn engine_threads() -> Vec<String> {
     names
 }
 
+/// [`engine_threads`], once `count` of them have named themselves — a thread
+/// does that when it first runs, which nothing waits for.
+fn started_threads(count: usize) -> Vec<String> {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while engine_threads().len() < count && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    engine_threads()
+}
+
 #[test]
-fn an_engine_has_one_thread_per_core_whatever_its_plan() {
+fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none() {
     assert_eq!(engine_threads(), Vec::<String>::new());
 
     // Twenty operators, four cores, four scan segments.
@@ -52,5 +65,56 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan() {
 
     large.shutdown();
     small.shutdown();
+    assert_eq!(engine_threads(), Vec::<String>::new());
+
+    // A default server — one replica — is its reactor and that engine: no
+    // thread of the cluster layer's own (it once parked two merge workers).
+    let item_by_id = [("get", "SELECT * FROM T WHERE ID = ?")];
+    let catalog = Arc::new(Catalog::new());
+    let table = TableDef::new("T")
+        .column("ID", DataType::Int)
+        .primary_key(&["ID"]);
+    catalog.create_table(table).unwrap();
+    let engine_config = EngineConfig::with_cores(2);
+    let mut server = Server::start_sql(
+        Arc::clone(&catalog),
+        &item_by_id,
+        engine_config.clone(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    assert!(conn
+        .query("SELECT * FROM T WHERE ID = 1")
+        .unwrap()
+        .rows()
+        .is_empty());
+    conn.close().unwrap();
+    let one = ["coordi", "reacto", "worker"].map(|kind| format!("shareddb-{kind}"));
+    assert_eq!(started_threads(3), one);
+    server.shutdown();
+    assert_eq!(engine_threads(), Vec::<String>::new());
+
+    // Four replicas of two cores are four coordinators and four workers and
+    // nothing else: every replica still starts its own pool (ROADMAP, *one
+    // executor*: a process-wide pool would show up here as a diff).
+    let (plan, registry) = compile_workload(&catalog, &item_by_id).unwrap();
+    let mut cluster = ClusterEngine::start(
+        catalog,
+        plan,
+        registry,
+        engine_config,
+        ClusterConfig::with_replicas(4),
+    )
+    .unwrap();
+    cluster.execute_sync("get", &[Value::Int(1)]).unwrap();
+    let eight = ["coordi"; 4]
+        .iter()
+        .chain(&["worker"; 4])
+        .map(|kind| format!("shareddb-{kind}"))
+        .collect::<Vec<_>>();
+    assert_eq!(started_threads(8), eight);
+    assert_eq!(cluster.stats().executor_threads, 8);
+    cluster.shutdown();
     assert_eq!(engine_threads(), Vec::<String>::new());
 }
