@@ -430,51 +430,39 @@ fn run_point(
     });
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
     let batches = server.engine_stats().map(|s| s.batches).unwrap_or(0);
-    let replica_phases = server.replica_phase_stats().unwrap_or_default();
-    let replica_segments = server.replica_segment_stats().unwrap_or_default();
-    let per_replica: Vec<ReplicaPoint> = server
-        .replica_stats()
-        .unwrap_or_default()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| ReplicaPoint {
-            batches: s.batches,
-            queries: s.queries,
-            updates: s.updates,
-            failed: s.failed,
-            phases: replica_phases
-                .get(i)
-                .map(|p| phase_rows(p))
-                .unwrap_or_default(),
-            segments: replica_segments
-                .get(i)
-                .map(|(_, segs)| {
-                    segs.iter()
-                        .map(|seg| SegmentRow {
-                            segment: seg.segment,
-                            batches: seg.batches,
-                            rows: seg.rows,
-                            execute_p50_us: seg.execute.percentile_us(0.50),
-                            execute_p99_us: seg.execute.percentile_us(0.99),
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-        })
-        .collect();
-    // Reply-flush happens outside any single replica: the JSON's
-    // `cluster_phases` section.
-    let cluster_phases = phase_rows(&server.flush_phase_stats());
     // Server-side tail of the light statement: merge the Total-phase
     // histograms for getItemById across replicas and read the p99 — this is
     // the latency floor check_regression guards (client-side p99 includes
     // scheduling noise from hundreds of bench threads; this does not).
     let mut light_total = shareddb_common::metrics::HistogramSnapshot::default();
-    for statements in &replica_phases {
-        if let Some(snap) = statements.iter().find(|s| s.statement == "getItemById") {
+    let point = |e: &shareddb_core::Engine| {
+        let stats = e.stats();
+        let phases = e.phase_snapshot();
+        if let Some(snap) = phases.iter().find(|s| s.statement == "getItemById") {
             light_total.merge_from(snap.phase(Phase::Total));
         }
-    }
+        let segment = |seg: &shareddb_core::SegmentStatsSnapshot| SegmentRow {
+            segment: seg.segment,
+            batches: seg.batches,
+            rows: seg.rows,
+            execute_p50_us: seg.execute.percentile_us(0.50),
+            execute_p99_us: seg.execute.percentile_us(0.99),
+        };
+        ReplicaPoint {
+            batches: stats.batches,
+            queries: stats.queries,
+            updates: stats.updates,
+            failed: stats.failed,
+            phases: phase_rows(&phases),
+            segments: e.segment_stats().iter().map(segment).collect(),
+        }
+    };
+    let per_replica: Vec<ReplicaPoint> = server
+        .with_cluster(|c| c.engines().iter().map(point).collect())
+        .unwrap_or_default();
+    // Reply-flush happens outside any single replica: the JSON's
+    // `cluster_phases` section.
+    let cluster_phases = phase_rows(&server.flush_phase_stats());
     if scrape_hz > 0 {
         let body = last_scrape
             .lock()

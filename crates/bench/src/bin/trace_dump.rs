@@ -67,8 +67,8 @@ fn main() {
         }
     }
 
-    for replica in 0..cluster.replicas() {
-        let records = cluster.replica_trace(replica);
+    for (replica, engine) in cluster.engines().iter().enumerate() {
+        let records = engine.trace();
         println!("== replica {replica}: {} retained events ==", records.len());
         for record in &records {
             print!(
@@ -127,8 +127,8 @@ fn main() {
     }
 
     println!("== phase latency summaries ==");
-    for (replica, snapshots) in cluster.replica_phase_stats().iter().enumerate() {
-        for snap in snapshots {
+    for (replica, engine) in cluster.engines().iter().enumerate() {
+        for snap in engine.phase_snapshot() {
             for phase in Phase::ALL {
                 let histogram = snap.phase(phase);
                 if histogram.is_empty() {

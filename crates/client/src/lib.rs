@@ -27,10 +27,8 @@
 //! ```
 
 use shareddb_common::{DataType, Error, Result, Value};
-pub use shareddb_core::Phase;
 use shareddb_server::protocol::{
-    chunk_flags, read_frame, wire_to_error, write_frame, Frame, WirePhaseSummary,
-    WireStatementPhases, WireStats, PROTOCOL_VERSION,
+    chunk_flags, read_frame, wire_to_error, write_frame, Frame, PROTOCOL_VERSION,
 };
 pub use shareddb_server::protocol::{WireAttributedCost, WireExplain, WireExplainNode};
 use std::collections::VecDeque;
@@ -106,73 +104,6 @@ impl Outcome {
 /// submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ticket(u64);
-
-/// Typed latency summary of one execution phase, decoded from a v3
-/// [`Frame::StatsReply`]: percentiles and extremes as [`Duration`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseLatency {
-    /// Durations recorded in this phase.
-    pub count: u64,
-    /// Mean recorded duration.
-    pub mean: Duration,
-    /// Exact maximum.
-    pub max: Duration,
-    /// 50th percentile (histogram-bucket resolution).
-    pub p50: Duration,
-    /// 95th percentile.
-    pub p95: Duration,
-    /// 99th percentile.
-    pub p99: Duration,
-}
-
-impl PhaseLatency {
-    fn from_wire(summary: &WirePhaseSummary) -> PhaseLatency {
-        let mean_us = summary.sum_us.checked_div(summary.count).unwrap_or(0);
-        PhaseLatency {
-            count: summary.count,
-            mean: Duration::from_micros(mean_us),
-            max: Duration::from_micros(summary.max_us),
-            p50: Duration::from_micros(summary.p50_us),
-            p95: Duration::from_micros(summary.p95_us),
-            p99: Duration::from_micros(summary.p99_us),
-        }
-    }
-}
-
-fn find_phase(
-    statements: &[WireStatementPhases],
-    statement: &str,
-    phase: Phase,
-) -> Option<PhaseLatency> {
-    statements
-        .iter()
-        .find(|s| s.statement == statement)?
-        .phases
-        .iter()
-        .find(|p| p.phase == phase as u8)
-        .map(PhaseLatency::from_wire)
-}
-
-/// Typed accessors over the phase-tagged latency summaries of a
-/// [`WireStats`] snapshot (protocol v3).
-pub trait StatsPhases {
-    /// One replica's latency summary for `statement` in `phase` (admission,
-    /// batch-wait, execute, merge, total), if it recorded anything there.
-    fn replica_phase(&self, replica: usize, statement: &str, phase: Phase) -> Option<PhaseLatency>;
-    /// The cluster-level summary for `statement` in `phase` — the
-    /// reply-flush phase, which happens outside any replica.
-    fn cluster_phase(&self, statement: &str, phase: Phase) -> Option<PhaseLatency>;
-}
-
-impl StatsPhases for WireStats {
-    fn replica_phase(&self, replica: usize, statement: &str, phase: Phase) -> Option<PhaseLatency> {
-        find_phase(&self.replicas.get(replica)?.statements, statement, phase)
-    }
-
-    fn cluster_phase(&self, statement: &str, phase: Phase) -> Option<PhaseLatency> {
-        find_phase(&self.cluster, statement, phase)
-    }
-}
 
 /// A blocking connection to a SharedDB server.
 ///
@@ -454,7 +385,7 @@ impl Connection {
     /// Keepalive no-op: round-trips a [`Frame::Ping`] without touching the
     /// engine. Useful for long-lived idle connections (liveness probing) and
     /// as the cheapest way to exercise the server's incremental frame
-    /// decoder. Requires a drained pipeline, like [`Connection::stats`].
+    /// decoder. Requires a drained pipeline, like [`Connection::explain`].
     pub fn ping(&mut self) -> Result<()> {
         self.check_poisoned()?;
         self.check_pipeline_empty("ping")?;
@@ -469,24 +400,6 @@ impl Connection {
                 ..
             } => Err(wire_to_error(code, retryable, &message)),
             other => Err(Error::Io(format!("unexpected ping reply: {other:?}"))),
-        }
-    }
-
-    /// Fetches engine + server statistics.
-    pub fn stats(&mut self) -> Result<WireStats> {
-        self.check_poisoned()?;
-        self.check_pipeline_empty("requesting stats")?;
-        let request_id = self.fresh_request_id();
-        self.send(&Frame::Stats { request_id })?;
-        match self.read()? {
-            Frame::StatsReply { stats, .. } => Ok(stats),
-            Frame::Error {
-                code,
-                retryable,
-                message,
-                ..
-            } => Err(wire_to_error(code, retryable, &message)),
-            other => Err(Error::Io(format!("unexpected reply: {other:?}"))),
         }
     }
 

@@ -7,11 +7,9 @@ use shareddb_common::{Result, Value};
 use shareddb_core::demand::push_down;
 use shareddb_core::engine::{QueryHandle, QueryOutcome};
 use shareddb_core::stats::{
-    merge_attribution, AttributionEntry, EngineStatsSnapshot, OperatorStatsSnapshot,
-    ScanRowsSnapshot, SegmentStatsSnapshot, SlowQueryRecord, StatementPhaseSnapshot,
+    merge_attribution, AttributionEntry, EngineStatsSnapshot, ScanRowsSnapshot, SlowQueryRecord,
     UpdateRowsSnapshot,
 };
-use shareddb_core::trace::TraceRecord;
 use shareddb_core::{Engine, EngineConfig, GlobalPlan, StatementRegistry, SubmitOptions};
 use shareddb_storage::Catalog;
 use std::sync::Arc;
@@ -82,6 +80,13 @@ impl ClusterEngine {
         self.engines.len()
     }
 
+    /// The replicas, in replica order: every per-replica number — counters,
+    /// phase and operator tables, queue depths, the heartbeat, the trace
+    /// ring — is read from the engine that records it.
+    pub fn engines(&self) -> &[Engine] {
+        &self.engines
+    }
+
     /// Submits a statement to the replica the router picks: the statement
     /// runs whole on that one engine (which may itself run it
     /// segment-parallel, `EngineConfig::scan_segments`).
@@ -143,17 +148,6 @@ impl ClusterEngine {
         total
     }
 
-    /// Per-replica statistics snapshots, in replica order.
-    pub fn replica_stats(&self) -> Vec<EngineStatsSnapshot> {
-        self.engines.iter().map(|e| e.stats()).collect()
-    }
-
-    /// Per-replica, per-statement, per-phase latency histograms (admission /
-    /// batch-wait / execute / segment merge / total recorded by each engine).
-    pub fn replica_phase_stats(&self) -> Vec<Vec<StatementPhaseSnapshot>> {
-        self.engines.iter().map(|e| e.phase_snapshot()).collect()
-    }
-
     /// Rows examined and affected per update statement type, summed over
     /// replicas (every replica applies its own batches' writes to the one
     /// shared catalog).
@@ -192,24 +186,6 @@ impl ClusterEngine {
         merged
     }
 
-    /// Per-replica operator statistics with the wall-clock length of each
-    /// replica's statistics window (the busy-fraction denominator).
-    pub fn replica_operator_stats(&self) -> Vec<(Duration, Vec<OperatorStatsSnapshot>)> {
-        self.engines
-            .iter()
-            .map(|e| (e.stats_wall(), e.operator_stats()))
-            .collect()
-    }
-
-    /// Per-replica segment-lane statistics (`EngineConfig::scan_segments`):
-    /// empty inner vectors when segment parallelism is off.
-    pub fn replica_segment_stats(&self) -> Vec<(Duration, Vec<SegmentStatsSnapshot>)> {
-        self.engines
-            .iter()
-            .map(|e| (e.stats_wall(), e.segment_stats()))
-            .collect()
-    }
-
     /// Slow-query offenders summed over replicas: total count plus the
     /// retained records, each stamped with the replica that executed it
     /// (replica order preserved within the concatenation).
@@ -227,26 +203,13 @@ impl ClusterEngine {
         (total, records)
     }
 
-    /// Per-replica per-operator × per-statement-type cost attribution
-    /// snapshots, in replica order.
-    pub fn replica_attribution_stats(&self) -> Vec<Vec<AttributionEntry>> {
-        self.engines.iter().map(|e| e.attribution_stats()).collect()
-    }
-
     /// Cluster-wide cost attribution: per-replica tables summed by
     /// `(operator, statement)` key. Because every replica deploys the same
     /// plan, the merged table reads exactly like a single engine that saw
     /// all the traffic.
     pub fn attribution_stats(&self) -> Vec<AttributionEntry> {
-        merge_attribution(&self.replica_attribution_stats())
-    }
-
-    /// The batch-lifecycle trace journal of one replica, oldest first.
-    pub fn replica_trace(&self, replica: usize) -> Vec<TraceRecord> {
-        self.engines
-            .get(replica)
-            .map(|e| e.trace())
-            .unwrap_or_default()
+        let per_replica: Vec<_> = self.engines.iter().map(|e| e.attribution_stats()).collect();
+        merge_attribution(&per_replica)
     }
 
     /// Zeroes every replica's statistics (counters, histograms, slow-query
@@ -260,35 +223,6 @@ impl ClusterEngine {
     /// Statements queued but not yet batched, summed over replicas.
     pub fn queued(&self) -> usize {
         self.engines.iter().map(|e| e.queued()).sum()
-    }
-
-    /// Per-replica admission-queue depths.
-    pub fn queued_per_replica(&self) -> Vec<usize> {
-        self.engines.iter().map(|e| e.queued()).collect()
-    }
-
-    /// Per-replica admission-lane depths, `(light, heavy)` per replica.
-    pub fn lane_depths_per_replica(&self) -> Vec<(usize, usize)> {
-        self.engines.iter().map(|e| e.lane_depths()).collect()
-    }
-
-    /// Per-replica heartbeat interval currently in effect (equals the
-    /// configured interval under a fixed policy; moves within `[min, max]`
-    /// under an adaptive one).
-    pub fn replica_heartbeats(&self) -> Vec<Duration> {
-        self.engines
-            .iter()
-            .map(|e| e.heartbeat_interval())
-            .collect()
-    }
-
-    /// Per-replica count of adaptive heartbeat adjustments (0 under a fixed
-    /// policy).
-    pub fn replica_heartbeat_adjustments(&self) -> Vec<u64> {
-        self.engines
-            .iter()
-            .map(|e| e.heartbeat_adjustments())
-            .collect()
     }
 
     /// Current route per statement type (name, route).
@@ -396,6 +330,10 @@ mod tests {
         ("addItem", "INSERT INTO ITEM VALUES (?, ?, ?)"),
     ];
 
+    fn replica_stats(cluster: &ClusterEngine) -> Vec<EngineStatsSnapshot> {
+        cluster.engines().iter().map(|e| e.stats()).collect()
+    }
+
     fn start(replicas: usize, config: ClusterConfig) -> ClusterEngine {
         let catalog = catalog();
         let (plan, registry) = compile_workload(&catalog, WORKLOAD).unwrap();
@@ -428,8 +366,7 @@ mod tests {
             let outcome = cluster.execute_sync("getItem", &[Value::Int(i)]).unwrap();
             assert_eq!(outcome.rows().len(), 1);
         }
-        let active: Vec<usize> = cluster
-            .replica_stats()
+        let active: Vec<usize> = replica_stats(&cluster)
             .iter()
             .enumerate()
             .filter(|(_, s)| s.queries > 0)
@@ -455,8 +392,7 @@ mod tests {
             let outcome = cluster.execute_sync("getItem", &[Value::Int(i)]).unwrap();
             assert_eq!(outcome.rows().len(), 1, "item {i}");
         }
-        let active = cluster
-            .replica_stats()
+        let active = replica_stats(&cluster)
             .iter()
             .filter(|s| s.queries > 0)
             .count();
@@ -478,8 +414,8 @@ mod tests {
         let all = cluster.execute_sync("allItems", &[]).unwrap();
         assert_eq!(all.rows().len(), 201);
         // Updates stay on replica 0 regardless of load.
-        assert_eq!(cluster.replica_stats()[0].updates, 1);
-        assert!(cluster.replica_stats()[1..].iter().all(|s| s.updates == 0));
+        assert_eq!(replica_stats(&cluster)[0].updates, 1);
+        assert!(replica_stats(&cluster)[1..].iter().all(|s| s.updates == 0));
     }
 
     /// What a replicated heavy type does: each parameterless execution runs
@@ -501,9 +437,9 @@ mod tests {
             }
         }
         assert!(
-            cluster.replica_stats().iter().all(|s| s.queries == 1),
+            replica_stats(&cluster).iter().all(|s| s.queries == 1),
             "round-robin skipped a replica: {:?}",
-            cluster.replica_stats()
+            replica_stats(&cluster)
         );
         let outcome = cluster.execute_sync("costBySubject", &[]).unwrap();
         let history = outcome
@@ -548,7 +484,7 @@ mod tests {
         });
 
         let total = cluster.stats();
-        let replicas = cluster.replica_stats();
+        let replicas = replica_stats(&cluster);
         // Each look-up ran once, and they spread.
         assert_eq!(total.queries, LOOKUPS as u64);
         assert!(replicas.iter().filter(|s| s.queries > 0).count() > 1);
@@ -570,7 +506,8 @@ mod tests {
         assert_eq!(total.p99_latency.as_micros() as u64, p99);
 
         // Each replica recorded the phases of the look-ups it ran.
-        for (stats, phases) in replicas.iter().zip(cluster.replica_phase_stats()) {
+        for (stats, engine) in replicas.iter().zip(cluster.engines()) {
+            let phases = engine.phase_snapshot();
             let snap = phases.iter().find(|s| s.statement == "getItem").unwrap();
             assert_eq!(snap.phase(Phase::Execute).count, stats.queries);
             assert_eq!(snap.phase(Phase::Total).count, stats.queries);
@@ -582,9 +519,9 @@ mod tests {
         assert_eq!(cluster.stats().queries, 0);
         assert!(cluster.stats().histogram.is_empty());
         assert!(cluster
-            .replica_phase_stats()
+            .engines()
             .iter()
-            .flatten()
+            .flat_map(|e| e.phase_snapshot())
             .all(|s| s.phases.iter().all(|h| h.is_empty())));
     }
 

@@ -1,6 +1,7 @@
-//! Lock-free metrics primitives: log-bucketed latency histograms, counters
-//! and gauges, plus a name-keyed registry that renders Prometheus text
-//! exposition.
+//! Lock-free metrics primitives: log-bucketed latency histograms and
+//! counters, plus the two helpers the server's `/metrics` renderer writes
+//! Prometheus text exposition with ([`escape_label_value`],
+//! [`render_summary`]).
 //!
 //! Hand-rolled in the repo's offline style (no crates.io): a histogram is a
 //! fixed-size array of `AtomicU64` buckets with power-of-two boundaries, so
@@ -10,8 +11,7 @@
 //! aggregate losslessly (the merged percentile is computed from the merged
 //! counts, never approximated from pre-computed percentiles).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of histogram buckets. Bucket 0 holds zero-valued observations;
@@ -275,123 +275,6 @@ impl Counter {
     }
 }
 
-/// An instantaneous signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A name-keyed registry of counters, gauges and histograms.
-///
-/// Registration takes a short lock and happens once per metric (callers hold
-/// on to the returned `Arc`); recording through the handles is lock-free.
-/// Metric names may carry Prometheus-style labels (`name{k="v"}`); the
-/// renderer groups series by base name for the `# TYPE` header.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<Vec<(String, Arc<Counter>)>>,
-    gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
-    histograms: Mutex<Vec<(String, Arc<Histogram>)>>,
-}
-
-fn base_name(name: &str) -> &str {
-    name.split('{').next().unwrap_or(name)
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Returns the counter registered under `name`, creating it on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut counters = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, c)) = counters.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::new());
-        counters.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut gauges = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, g)) = gauges.iter().find(|(n, _)| n == name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::new());
-        gauges.push((name.to_string(), Arc::clone(&g)));
-        g
-    }
-
-    /// Returns the histogram registered under `name`, creating it on first
-    /// use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut histograms = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, h)) = histograms.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        histograms.push((name.to_string(), Arc::clone(&h)));
-        h
-    }
-
-    /// Renders every registered metric in Prometheus text exposition format.
-    pub fn render(&self, out: &mut String) {
-        let counters = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        let mut last_base = "";
-        for (name, c) in counters.iter() {
-            if base_name(name) != last_base {
-                out.push_str(&format!("# TYPE {} counter\n", base_name(name)));
-            }
-            last_base = base_name(name);
-            out.push_str(&format!("{name} {}\n", c.get()));
-        }
-        drop(counters);
-        let gauges = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        let mut last_base = "";
-        for (name, g) in gauges.iter() {
-            if base_name(name) != last_base {
-                out.push_str(&format!("# TYPE {} gauge\n", base_name(name)));
-            }
-            last_base = base_name(name);
-            out.push_str(&format!("{name} {}\n", g.get()));
-        }
-        drop(gauges);
-        let histograms = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        let mut last_base = "";
-        for (name, h) in histograms.iter() {
-            if base_name(name) != last_base {
-                out.push_str(&format!("# TYPE {} summary\n", base_name(name)));
-            }
-            last_base = base_name(name);
-            render_summary(out, name, &h.snapshot());
-        }
-    }
-}
-
 /// Escapes a string for use inside a Prometheus label value (the text
 /// exposition format requires `\`, `"` and newline escaped as `\\`, `\"` and
 /// `\n`). Auto-parameterised ad-hoc statement names can carry arbitrary SQL
@@ -441,6 +324,7 @@ pub fn render_summary(out: &mut String, name: &str, snap: &HistogramSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn bucket_bounds_are_monotone_powers_of_two() {
@@ -565,26 +449,5 @@ mod tests {
             r#"q_select_\"I_TITLE\"_from\\items"#
         );
         assert_eq!(escape_label_value("a\nb"), "a\\nb");
-    }
-
-    #[test]
-    fn registry_reuses_handles_and_renders() {
-        let reg = MetricsRegistry::new();
-        let c1 = reg.counter("requests_total");
-        let c2 = reg.counter("requests_total");
-        c1.inc();
-        c2.add(2);
-        assert_eq!(c1.get(), 3);
-        reg.gauge("sessions").set(5);
-        reg.histogram("latency_us{phase=\"execute\"}")
-            .record_us(100);
-        let mut out = String::new();
-        reg.render(&mut out);
-        assert!(out.contains("# TYPE requests_total counter"));
-        assert!(out.contains("requests_total 3"));
-        assert!(out.contains("sessions 5"));
-        assert!(out.contains("# TYPE latency_us summary"));
-        assert!(out.contains("latency_us{phase=\"execute\",quantile=\"0.99\"}"));
-        assert!(out.contains("latency_us_count{phase=\"execute\"} 1"));
     }
 }

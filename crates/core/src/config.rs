@@ -111,9 +111,6 @@ pub struct EngineConfig {
     /// OLTP workloads; the default here is much smaller because the
     /// reproduced experiments run at laptop scale.
     pub heartbeat: HeartbeatPolicy,
-    /// Maximum number of queries and updates admitted into one batch; `0`
-    /// means unlimited. Bounding the batch bounds the latency of a cycle.
-    pub max_batch_size: usize,
     /// Number of CPU cores the engine may use concurrently — the `maxcpus`
     /// knob of Section 5.1. It is the number of threads that run operator
     /// cycles: the coordinator plus `core_budget − 1` pool threads (no
@@ -157,7 +154,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(2)),
-            max_batch_size: 0,
             core_budget: usize::MAX,
             eager_heartbeat: true,
             slow_query_threshold: None,
@@ -209,12 +205,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the maximum batch size (0 = unlimited).
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch_size = n;
-        self
-    }
-
     /// Sets the slow-query threshold (`None` disables the slow-query log).
     pub fn slow_query(mut self, threshold: Option<Duration>) -> Self {
         self.slow_query_threshold = threshold;
@@ -244,22 +234,18 @@ mod tests {
         let c = EngineConfig::default();
         assert!(c.core_budget >= 1);
         assert!(c.eager_heartbeat);
-        assert_eq!(c.max_batch_size, 0);
         // The default must stay 1 so committed baselines remain comparable.
         assert_eq!(c.scan_segments, 1);
     }
 
     #[test]
     fn builders() {
-        let c = EngineConfig::with_cores(0)
-            .heartbeat(Duration::from_millis(10))
-            .max_batch(100);
+        let c = EngineConfig::with_cores(0).heartbeat(Duration::from_millis(10));
         assert_eq!(c.core_budget, 1); // clamped
         assert_eq!(
             c.heartbeat,
             HeartbeatPolicy::Fixed(Duration::from_millis(10))
         );
-        assert_eq!(c.max_batch_size, 100);
         let c = c.heartbeat_policy(HeartbeatPolicy::Adaptive {
             min: Duration::from_millis(1),
             max: Duration::from_millis(8),

@@ -981,38 +981,21 @@ fn coordinator_loop(inner: Arc<EngineInner>) {
                     queue = inner.admission.queue.lock();
                 }
             }
-            let limit = if inner.config.max_batch_size == 0 {
-                queue.len()
-            } else {
-                inner.config.max_batch_size.min(queue.len())
-            };
-            // Light-first drain: light admissions never wait behind heavy
-            // backlog. The heavy lane joins when the policy allows it (fixed:
-            // always; adaptive: interval elapsed or draining for shutdown);
-            // when the batch is capped with both lanes waiting, one slot
-            // stays reserved for heavy work so a saturated light lane cannot
-            // starve the heavy lane either. Adaptive eligibility is purely
-            // clock-based: under a continuous light stream the light queue
-            // still empties at most drain instants, so an "admit heavy when
-            // no light is waiting" shortcut would defeat the pacing exactly
-            // when the SLO needs it.
+            // Light-first drain: the light lane drains whole, so light
+            // admissions never wait behind heavy backlog. The heavy lane
+            // joins, whole too, when the policy allows it (fixed: always;
+            // adaptive: interval elapsed or draining for shutdown). Adaptive
+            // eligibility is purely clock-based: under a continuous light
+            // stream the light queue still empties at most drain instants,
+            // so an "admit heavy when no light is waiting" shortcut would
+            // defeat the pacing exactly when the SLO needs it.
             let heavy_eligible =
                 !adaptive || shutting_down || last_heavy_admit.elapsed() >= heartbeat;
-            let light_take = if heavy_eligible && !queue.heavy.is_empty() {
-                queue.light.len().min(limit.saturating_sub(1))
-            } else {
-                queue.light.len().min(limit)
-            };
-            let heavy_take = if heavy_eligible {
-                queue.heavy.len().min(limit - light_take)
-            } else {
-                0
-            };
-            if heavy_take > 0 {
+            let mut drained: Vec<Submission> = queue.light.drain(..).collect();
+            if heavy_eligible && !queue.heavy.is_empty() {
                 last_heavy_admit = Instant::now();
+                drained.extend(queue.heavy.drain(..));
             }
-            let mut drained: Vec<Submission> = queue.light.drain(..light_take).collect();
-            drained.extend(queue.heavy.drain(..heavy_take));
             let backlog = queue.len();
             (drained, backlog, shutting_down)
         };

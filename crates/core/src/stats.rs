@@ -386,24 +386,22 @@ pub fn merge_attribution(per_replica: &[Vec<AttributionEntry>]) -> Vec<Attributi
 
 /// The phases of a statement's life, in order. The engine records the first
 /// three plus `Total`, and `Merge` for statements it ran segment-parallel;
-/// the network reactor records `Flush`. The discriminants are the wire tags
-/// (3 was the cluster's scatter phase and is not reused).
+/// the network reactor records `Flush`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Phase {
     /// Submit call → enqueued on the admission queue (binding + lock wait).
-    Admission = 0,
+    Admission,
     /// Admission queue → drained into a batch at a heartbeat.
-    BatchWait = 1,
+    BatchWait,
     /// Batch formation → this statement's result routed (shared-cycle time).
-    Execute = 2,
+    Execute,
     /// Segment lane: recombining the per-segment partial results of one
     /// statement (part of its `Execute` span).
-    Merge = 4,
+    Merge,
     /// Outcome ready at the reactor → reply bytes flushed to the socket.
-    Flush = 5,
+    Flush,
     /// Submission → outcome delivered (end-to-end, per statement type).
-    Total = 6,
+    Total,
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
@@ -432,21 +430,9 @@ impl Phase {
         }
     }
 
-    /// Inverse of `self as u8` (wire decoding); `None` for unknown values.
-    pub fn from_u8(v: u8) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| *p as u8 == v)
-    }
-
     /// Position in [`Phase::ALL`]: the index of this phase's histogram.
     fn slot(self) -> usize {
-        match self {
-            Phase::Admission => 0,
-            Phase::BatchWait => 1,
-            Phase::Execute => 2,
-            Phase::Merge => 3,
-            Phase::Flush => 4,
-            Phase::Total => 5,
-        }
+        self as usize
     }
 }
 
@@ -1073,15 +1059,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_names_round_trip() {
+    fn phases_index_their_own_histogram() {
         for phase in Phase::ALL {
-            assert_eq!(Phase::from_u8(phase as u8), Some(phase));
             assert_eq!(Phase::ALL[phase.slot()], phase);
             assert!(!phase.name().is_empty());
         }
-        // 3 was the cluster scatter phase: the tags around it did not move.
-        assert_eq!(Phase::from_u8(3), None);
-        assert_eq!(Phase::Merge as u8, 4);
-        assert_eq!(Phase::from_u8(200), None);
     }
 }

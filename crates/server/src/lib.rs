@@ -1,8 +1,9 @@
 //! # shareddb-server
 //!
-//! The SharedDB **network frontend**: a multi-threaded TCP server that owns an
-//! always-on [`shareddb_core::Engine`] and funnels the statements of many
-//! client connections into the engine's admission queue, so that one
+//! The SharedDB **network frontend**: a one-thread reactor that owns a
+//! [`shareddb_cluster::ClusterEngine`] — N always-on [`shareddb_core::Engine`]
+//! replicas, one by default — and funnels the statements of many client
+//! connections into the engines' admission queues, so that one
 //! [`shareddb_core::QueryBatch`] serves many sockets. This is the missing
 //! client tier of the paper's architecture (Figure 1): concurrent queries from
 //! many clients are admitted, queued while the current batch executes, formed
@@ -15,6 +16,12 @@
 //!   adaptive-parking poll loop elsewhere), admission control and graceful
 //!   drain.
 //!
+//! There is one way to ask a server how it is doing: `GET /metrics` on the
+//! wire port ([`Server::metrics_text`] in process), which reads every number
+//! from the engine that records it. In-process callers reach the same
+//! engines through [`Server::with_cluster`]. The wire protocol carries
+//! statements, results and EXPLAIN — no statistics (v5).
+//!
 //! Servers are started either over a pre-built plan
 //! ([`Server::start`], e.g. the TPC-W plan of `shareddb-tpcw`) or directly
 //! from a SQL workload ([`Server::start_sql`]), which is compiled into a
@@ -23,11 +30,9 @@
 //! compiled statement *types* — queries whose type is not part of the plan are
 //! rejected, mirroring the paper's prepared-workload model.
 
-pub mod backend;
 pub mod protocol;
 mod reactor;
 pub mod server;
 
-pub use backend::ClusterBackend;
-pub use protocol::{Frame, WireReplicaStats, WireStats, PROTOCOL_VERSION};
+pub use protocol::{Frame, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ServerStatsSnapshot};

@@ -14,7 +14,7 @@
 //! | `0x02` | C→S | [`Frame::Query`] | `u64 request_id, string sql` — ad-hoc SQL, matched against the compiled statement types by auto-parameterisation |
 //! | `0x03` | C→S | [`Frame::Prepare`] | `u64 request_id, string statement_name` |
 //! | `0x04` | C→S | [`Frame::ExecutePrepared`] | `u64 request_id, u32 statement_id, values params` |
-//! | `0x05` | C→S | [`Frame::Stats`] | `u64 request_id` |
+//! | `0x05` | — | *retired in v5* | was the `Stats` request; never reused, decodes as an unknown opcode |
 //! | `0x06` | C→S | [`Frame::Goodbye`] | empty |
 //! | `0x07` | C→S | [`Frame::Ping`] | `u64 request_id` — keepalive no-op |
 //! | `0x08` | C→S | [`Frame::Explain`] | `u64 request_id, u8 analyze, string sql` — plan introspection (v4) |
@@ -22,7 +22,7 @@
 //! | `0x82` | S→C | [`Frame::Prepared`] | `u64 request_id, u32 statement_id, u32 param_count, u8 is_update` |
 //! | `0x83` | S→C | [`Frame::ResultChunk`] | `u64 request_id, u8 flags, u64 rows_affected, [schema], [rows]` |
 //! | `0x84` | S→C | [`Frame::Error`] | `u64 request_id, u8 code, u8 retryable, string message` |
-//! | `0x85` | S→C | [`Frame::StatsReply`] | engine + server counters, see [`WireStats`] |
+//! | `0x85` | — | *retired in v5* | was the `Stats` reply; the same port answers `GET /metrics` with a superset |
 //! | `0x86` | S→C | [`Frame::GoodbyeOk`] | empty |
 //! | `0x87` | S→C | [`Frame::Pong`] | `u64 request_id` |
 //! | `0x88` | S→C | [`Frame::ExplainReply`] | annotated statement subtree, see [`WireExplain`] (v4) |
@@ -41,14 +41,12 @@
 use shareddb_common::{Column, DataType, Error, Result, Tuple, Value};
 use std::io::{Read, Write};
 
-/// Protocol version spoken by this build. v2 added the per-replica section
-/// of [`Frame::StatsReply`] (the engine-cluster frontend); v3 extended it
-/// with per-replica operator utilisation and per-statement phase-tagged
-/// latency summaries (the observability PR); v4 added
+/// Protocol version spoken by this build. v4 added
 /// [`Frame::Explain`]/[`Frame::ExplainReply`] — EXPLAIN / EXPLAIN ANALYZE of
 /// a statement's view of the shared global plan, with per-statement-type
-/// cost attribution.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// cost attribution; v5 retired the statistics frames (opcodes `0x05` /
+/// `0x85`): counters are read from `GET /metrics` on the same port.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Frames larger than this are rejected (malformed or hostile peer).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
@@ -94,101 +92,6 @@ pub mod error_codes {
     pub const UNSUPPORTED: u8 = 13;
     /// Admission control rejected the request; retry after backing off.
     pub const OVERLOADED: u8 = 14;
-}
-
-/// Utilisation of one shared operator of a replica's global plan (v3).
-///
-/// Fractions travel as fixed-point integers so the frame stays `Eq` and
-/// float-free: `busy_ppm` is the busy fraction of the statistics window in
-/// parts-per-million, `tuples_per_cycle_milli` is tuples emitted per *active*
-/// cycle times 1000.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireOperatorStats {
-    /// Operator id (index into the global plan).
-    pub operator: u32,
-    /// Busy time / statistics-window wall time, in parts-per-million.
-    pub busy_ppm: u32,
-    /// Tuples emitted per cycle that had active queries, ×1000.
-    pub tuples_per_cycle_milli: u64,
-    /// Cycles this operator ran.
-    pub cycles: u64,
-    /// Tuples this operator emitted.
-    pub tuples: u64,
-}
-
-/// Latency summary of one execution phase (v3): the histogram's counters
-/// plus its extracted percentiles, all in microseconds.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WirePhaseSummary {
-    /// Phase tag (decode with `shareddb_core::Phase::from_u8`).
-    pub phase: u8,
-    /// Durations recorded.
-    pub count: u64,
-    /// Sum of recorded durations, µs.
-    pub sum_us: u64,
-    /// Exact maximum, µs.
-    pub max_us: u64,
-    /// 50th percentile (histogram-bucket resolution), µs.
-    pub p50_us: u64,
-    /// 95th percentile, µs.
-    pub p95_us: u64,
-    /// 99th percentile, µs.
-    pub p99_us: u64,
-}
-
-/// Phase-tagged latency summaries of one statement type (v3). Only phases
-/// that recorded at least one duration are present.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireStatementPhases {
-    /// Statement name.
-    pub statement: String,
-    /// Non-empty phase summaries, in phase order.
-    pub phases: Vec<WirePhaseSummary>,
-}
-
-/// Per-replica engine counters reported by [`Frame::StatsReply`] when the
-/// server runs an engine cluster (one entry per replica, in replica order;
-/// a single-engine server reports one entry).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireReplicaStats {
-    /// Batches executed by this replica.
-    pub batches: u64,
-    /// Queries answered by this replica.
-    pub queries: u64,
-    /// Updates applied by this replica.
-    pub updates: u64,
-    /// Statements that failed on this replica.
-    pub failed: u64,
-    /// Statements in this replica's admission queue.
-    pub queued: u64,
-    /// Per-operator utilisation (v3).
-    pub operators: Vec<WireOperatorStats>,
-    /// Per-statement phase-tagged latency summaries (v3).
-    pub statements: Vec<WireStatementPhases>,
-}
-
-/// Engine and server counters reported by [`Frame::StatsReply`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireStats {
-    /// Batches executed.
-    pub batches: u64,
-    /// Queries answered.
-    pub queries: u64,
-    /// Updates applied.
-    pub updates: u64,
-    /// Statements that failed.
-    pub failed: u64,
-    /// Statements admitted but not yet batched.
-    pub queued: u64,
-    /// Currently connected sessions.
-    pub sessions: u64,
-    /// Requests rejected by admission control since the server started.
-    pub rejected: u64,
-    /// Per-replica breakdown (replica order); one entry per engine replica.
-    pub replicas: Vec<WireReplicaStats>,
-    /// Phase summaries recorded outside any single replica (v3): the
-    /// frontend's flush phase.
-    pub cluster: Vec<WireStatementPhases>,
 }
 
 /// One statement type's share of an operator's work (v4): how much of the
@@ -311,11 +214,6 @@ pub enum Frame {
         /// Positional parameters.
         params: Vec<Value>,
     },
-    /// Requests server statistics.
-    Stats {
-        /// Client-chosen id echoed on the response.
-        request_id: u64,
-    },
     /// Orderly connection termination.
     Goodbye,
     /// Keepalive no-op: answered with [`Frame::Pong`] without touching the
@@ -380,13 +278,6 @@ pub enum Frame {
         retryable: bool,
         /// Human-readable description.
         message: String,
-    },
-    /// Statistics snapshot.
-    StatsReply {
-        /// Echoed request id.
-        request_id: u64,
-        /// The counters.
-        stats: WireStats,
     },
     /// Acknowledges [`Frame::Goodbye`]; the server closes after sending it.
     GoodbyeOk,
@@ -618,46 +509,6 @@ pub fn encode_result_chunk(
     true
 }
 
-fn put_statement_phases(buf: &mut Vec<u8>, statements: &[WireStatementPhases]) {
-    put_u32(buf, statements.len() as u32);
-    for stmt in statements {
-        put_string(buf, &stmt.statement);
-        put_u32(buf, stmt.phases.len() as u32);
-        for p in &stmt.phases {
-            put_u8(buf, p.phase);
-            put_u64(buf, p.count);
-            put_u64(buf, p.sum_us);
-            put_u64(buf, p.max_us);
-            put_u64(buf, p.p50_us);
-            put_u64(buf, p.p95_us);
-            put_u64(buf, p.p99_us);
-        }
-    }
-}
-
-fn read_statement_phases(c: &mut Cursor<'_>) -> Result<Vec<WireStatementPhases>> {
-    let n = c.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let statement = c.string()?;
-        let n_phases = c.u32()? as usize;
-        let mut phases = Vec::with_capacity(n_phases.min(16));
-        for _ in 0..n_phases {
-            phases.push(WirePhaseSummary {
-                phase: c.u8()?,
-                count: c.u64()?,
-                sum_us: c.u64()?,
-                max_us: c.u64()?,
-                p50_us: c.u64()?,
-                p95_us: c.u64()?,
-                p99_us: c.u64()?,
-            });
-        }
-        out.push(WireStatementPhases { statement, phases });
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Frame encoding
 // ---------------------------------------------------------------------------
@@ -669,14 +520,12 @@ impl Frame {
             Frame::Query { .. } => 0x02,
             Frame::Prepare { .. } => 0x03,
             Frame::ExecutePrepared { .. } => 0x04,
-            Frame::Stats { .. } => 0x05,
             Frame::Goodbye => 0x06,
             Frame::Ping { .. } => 0x07,
             Frame::HelloOk { .. } => 0x81,
             Frame::Prepared { .. } => 0x82,
             Frame::ResultChunk { .. } => RESULT_CHUNK,
             Frame::Error { .. } => 0x84,
-            Frame::StatsReply { .. } => 0x85,
             Frame::Explain { .. } => 0x08,
             Frame::GoodbyeOk => 0x86,
             Frame::Pong { .. } => 0x87,
@@ -713,9 +562,7 @@ impl Frame {
                 put_u32(&mut body, *statement_id);
                 put_values(&mut body, params.iter());
             }
-            Frame::Stats { request_id }
-            | Frame::Ping { request_id }
-            | Frame::Pong { request_id } => {
+            Frame::Ping { request_id } | Frame::Pong { request_id } => {
                 put_u64(&mut body, *request_id);
             }
             Frame::Explain {
@@ -804,34 +651,6 @@ impl Frame {
                 put_u8(&mut body, *retryable as u8);
                 put_string(&mut body, message);
             }
-            Frame::StatsReply { request_id, stats } => {
-                put_u64(&mut body, *request_id);
-                put_u64(&mut body, stats.batches);
-                put_u64(&mut body, stats.queries);
-                put_u64(&mut body, stats.updates);
-                put_u64(&mut body, stats.failed);
-                put_u64(&mut body, stats.queued);
-                put_u64(&mut body, stats.sessions);
-                put_u64(&mut body, stats.rejected);
-                put_u32(&mut body, stats.replicas.len() as u32);
-                for replica in &stats.replicas {
-                    put_u64(&mut body, replica.batches);
-                    put_u64(&mut body, replica.queries);
-                    put_u64(&mut body, replica.updates);
-                    put_u64(&mut body, replica.failed);
-                    put_u64(&mut body, replica.queued);
-                    put_u32(&mut body, replica.operators.len() as u32);
-                    for op in &replica.operators {
-                        put_u32(&mut body, op.operator);
-                        put_u32(&mut body, op.busy_ppm);
-                        put_u64(&mut body, op.tuples_per_cycle_milli);
-                        put_u64(&mut body, op.cycles);
-                        put_u64(&mut body, op.tuples);
-                    }
-                    put_statement_phases(&mut body, &replica.statements);
-                }
-                put_statement_phases(&mut body, &stats.cluster);
-            }
         }
         let mut out = Vec::with_capacity(4 + body.len());
         put_u32(&mut out, body.len() as u32);
@@ -860,9 +679,6 @@ impl Frame {
                 request_id: c.u64()?,
                 statement_id: c.u32()?,
                 params: c.values()?,
-            },
-            0x05 => Frame::Stats {
-                request_id: c.u64()?,
             },
             0x06 => Frame::Goodbye,
             0x07 => Frame::Ping {
@@ -914,45 +730,6 @@ impl Frame {
                 retryable: c.u8()? != 0,
                 message: c.string()?,
             },
-            0x85 => {
-                let request_id = c.u64()?;
-                let mut stats = WireStats {
-                    batches: c.u64()?,
-                    queries: c.u64()?,
-                    updates: c.u64()?,
-                    failed: c.u64()?,
-                    queued: c.u64()?,
-                    sessions: c.u64()?,
-                    rejected: c.u64()?,
-                    replicas: Vec::new(),
-                    cluster: Vec::new(),
-                };
-                let n_replicas = c.u32()? as usize;
-                for _ in 0..n_replicas.min(4096) {
-                    let mut replica = WireReplicaStats {
-                        batches: c.u64()?,
-                        queries: c.u64()?,
-                        updates: c.u64()?,
-                        failed: c.u64()?,
-                        queued: c.u64()?,
-                        ..WireReplicaStats::default()
-                    };
-                    let n_ops = c.u32()? as usize;
-                    for _ in 0..n_ops.min(4096) {
-                        replica.operators.push(WireOperatorStats {
-                            operator: c.u32()?,
-                            busy_ppm: c.u32()?,
-                            tuples_per_cycle_milli: c.u64()?,
-                            cycles: c.u64()?,
-                            tuples: c.u64()?,
-                        });
-                    }
-                    replica.statements = read_statement_phases(&mut c)?;
-                    stats.replicas.push(replica);
-                }
-                stats.cluster = read_statement_phases(&mut c)?;
-                Frame::StatsReply { request_id, stats }
-            }
             0x86 => Frame::GoodbyeOk,
             0x87 => Frame::Pong {
                 request_id: c.u64()?,
@@ -1310,7 +1087,6 @@ mod tests {
                 Value::Date(20_000),
             ],
         });
-        round_trip(Frame::Stats { request_id: 10 });
         round_trip(Frame::Goodbye);
         round_trip(Frame::Ping { request_id: 77 });
         round_trip(Frame::Pong { request_id: 77 });
@@ -1350,70 +1126,6 @@ mod tests {
             code: error_codes::OVERLOADED,
             retryable: true,
             message: "queue full".into(),
-        });
-        round_trip(Frame::StatsReply {
-            request_id: 13,
-            stats: WireStats {
-                batches: 1,
-                queries: 2,
-                updates: 3,
-                failed: 4,
-                queued: 5,
-                sessions: 6,
-                rejected: 7,
-                replicas: vec![
-                    WireReplicaStats {
-                        batches: 1,
-                        queries: 2,
-                        updates: 0,
-                        failed: 0,
-                        queued: 3,
-                        operators: vec![WireOperatorStats {
-                            operator: 4,
-                            busy_ppm: 125_000,
-                            tuples_per_cycle_milli: 1_500,
-                            cycles: 10,
-                            tuples: 15,
-                        }],
-                        statements: vec![WireStatementPhases {
-                            statement: "getItem".into(),
-                            phases: vec![WirePhaseSummary {
-                                phase: 2,
-                                count: 100,
-                                sum_us: 5_000,
-                                max_us: 90,
-                                p50_us: 31,
-                                p95_us: 63,
-                                p99_us: 90,
-                            }],
-                        }],
-                    },
-                    WireReplicaStats::default(),
-                ],
-                cluster: vec![WireStatementPhases {
-                    statement: "getBestSellers".into(),
-                    phases: vec![
-                        WirePhaseSummary {
-                            phase: 3,
-                            count: 8,
-                            sum_us: 400,
-                            max_us: 70,
-                            p50_us: 31,
-                            p95_us: 63,
-                            p99_us: 70,
-                        },
-                        WirePhaseSummary {
-                            phase: 4,
-                            count: 8,
-                            sum_us: 800,
-                            max_us: 130,
-                            p50_us: 127,
-                            p95_us: 127,
-                            p99_us: 130,
-                        },
-                    ],
-                }],
-            },
         });
         round_trip(Frame::GoodbyeOk);
         round_trip(Frame::Explain {
@@ -1583,8 +1295,11 @@ mod tests {
         // Garbage length.
         let mut cursor = std::io::Cursor::new(vec![0xff, 0xff, 0xff, 0xff, 0x06]);
         assert!(read_frame(&mut cursor).is_err());
-        // Unknown opcode.
+        // Unknown opcode — the retired statistics pair included, whatever
+        // body follows it.
         assert!(Frame::decode(&[0x77]).is_err());
+        assert!(Frame::decode(&[0x05, 10, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        assert!(Frame::decode(&[0x85]).is_err());
         // Trailing bytes.
         assert!(Frame::decode(&[0x06, 0x00]).is_err());
     }

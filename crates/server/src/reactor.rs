@@ -39,13 +39,12 @@
 
 use crate::protocol::{
     self, chunk_flags, encode_result_chunk, error_to_wire, Frame, FrameDecoder, WireAttributedCost,
-    WireExplain, WireExplainNode, WireOperatorStats, WirePhaseSummary, WireReplicaStats,
-    WireStatementPhases, WireStats, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    WireExplain, WireExplainNode, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::server::Shared;
 use shareddb_cluster::ClusterHandle;
 use shareddb_common::{DataType, Error, Value};
-use shareddb_core::stats::{OperatorStatsSnapshot, StatementPhaseSnapshot};
+use shareddb_core::stats::OperatorStatsSnapshot;
 use shareddb_core::{explain_statement, render_explain_text, AnalyzeData};
 use shareddb_core::{Phase, QueryOutcome, SubmitOptions, WriteFence};
 use shareddb_sql::compile::{bind_adhoc, canonicalize, parse_explain};
@@ -1148,59 +1147,6 @@ impl Reactor {
                 }
                 true
             }
-            Frame::Stats { request_id } => {
-                let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
-                let (engine_stats, queued, replicas) = match engine.as_ref() {
-                    Some(e) => {
-                        let per_replica = e.replica_stats();
-                        let depths = e.queued_per_replica();
-                        let phase_stats = e.replica_phase_stats();
-                        let operator_stats = e.replica_operator_stats();
-                        let replicas = per_replica
-                            .iter()
-                            .zip(depths)
-                            .enumerate()
-                            .map(|(i, (stats, queued))| WireReplicaStats {
-                                batches: stats.batches,
-                                queries: stats.queries,
-                                updates: stats.updates,
-                                failed: stats.failed,
-                                queued: queued as u64,
-                                operators: operator_stats
-                                    .get(i)
-                                    .map(|(wall, ops)| wire_operators(*wall, ops))
-                                    .unwrap_or_default(),
-                                statements: phase_stats
-                                    .get(i)
-                                    .map(|s| wire_phases(s))
-                                    .unwrap_or_default(),
-                            })
-                            .collect();
-                        (e.stats(), e.queued(), replicas)
-                    }
-                    None => (Default::default(), 0, Vec::new()),
-                };
-                drop(engine);
-                // The frontend's Flush phase is the cluster section: it
-                // happens outside any single replica.
-                let cluster = wire_phases(&self.shared.flush_phases.snapshot());
-                let reply = Frame::StatsReply {
-                    request_id,
-                    stats: WireStats {
-                        batches: engine_stats.batches,
-                        queries: engine_stats.queries,
-                        updates: engine_stats.updates,
-                        failed: engine_stats.failed,
-                        queued: queued as u64,
-                        sessions: self.shared.sessions_active.load(Ordering::Relaxed),
-                        rejected: self.shared.rejected.load(Ordering::Relaxed),
-                        replicas,
-                        cluster,
-                    },
-                };
-                self.enqueue_reply(token, &reply);
-                true
-            }
             Frame::Ping { request_id } => {
                 self.enqueue_reply(token, &Frame::Pong { request_id });
                 true
@@ -1239,7 +1185,6 @@ impl Reactor {
             | Frame::Prepared { .. }
             | Frame::ResultChunk { .. }
             | Frame::Error { .. }
-            | Frame::StatsReply { .. }
             | Frame::GoodbyeOk
             | Frame::Pong { .. }
             | Frame::ExplainReply { .. } => {
@@ -1279,9 +1224,9 @@ impl Reactor {
     /// summed over replicas plus the cluster-merged cost attribution.
     fn build_explain(&self, index: usize, analyze: bool) -> Result<WireExplain, Error> {
         let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
-        let backend = engine.as_ref().ok_or(Error::EngineShutdown)?;
-        let plan = backend.plan();
-        let registry = backend.registry();
+        let cluster = engine.as_ref().ok_or(Error::EngineShutdown)?;
+        let plan = cluster.plan();
+        let registry = cluster.registry();
         let data = if analyze {
             let mut wall = Duration::ZERO;
             let mut operators: Vec<OperatorStatsSnapshot> = plan
@@ -1292,9 +1237,9 @@ impl Reactor {
                     ..OperatorStatsSnapshot::default()
                 })
                 .collect();
-            for (replica_wall, ops) in backend.replica_operator_stats() {
-                wall = wall.max(replica_wall);
-                for (total, snap) in operators.iter_mut().zip(ops) {
+            for engine in cluster.engines() {
+                wall = wall.max(engine.stats_wall());
+                for (total, snap) in operators.iter_mut().zip(engine.operator_stats()) {
                     total.cycles += snap.cycles;
                     total.active_cycles += snap.active_cycles;
                     total.tuples_out += snap.tuples_out;
@@ -1304,14 +1249,14 @@ impl Reactor {
             }
             Some(AnalyzeData {
                 operators,
-                attribution: backend.attribution_stats(),
+                attribution: cluster.attribution_stats(),
                 wall,
             })
         } else {
             None
         };
         let tree = explain_statement(plan, registry, index);
-        let text = render_explain_text(&backend.catalog(), plan, registry, index, data.as_ref());
+        let text = render_explain_text(&cluster.catalog(), plan, registry, index, data.as_ref());
         let nodes = tree
             .nodes
             .iter()
@@ -1594,49 +1539,6 @@ impl Reactor {
 // ---------------------------------------------------------------------------
 // Response encoding
 // ---------------------------------------------------------------------------
-
-/// Converts per-operator counters to their fixed-point wire form.
-fn wire_operators(wall: Duration, ops: &[OperatorStatsSnapshot]) -> Vec<WireOperatorStats> {
-    ops.iter()
-        .enumerate()
-        .map(|(i, op)| WireOperatorStats {
-            operator: i as u32,
-            busy_ppm: (op.busy_fraction(wall) * 1_000_000.0).round() as u32,
-            tuples_per_cycle_milli: (op.tuples_per_active_cycle() * 1000.0).round() as u64,
-            cycles: op.cycles,
-            tuples: op.tuples_out,
-        })
-        .collect()
-}
-
-/// Converts per-statement phase snapshots to their wire form, keeping only
-/// phases that recorded at least one duration.
-fn wire_phases(statements: &[StatementPhaseSnapshot]) -> Vec<WireStatementPhases> {
-    statements
-        .iter()
-        .map(|snap| WireStatementPhases {
-            statement: snap.statement.clone(),
-            phases: Phase::ALL
-                .iter()
-                .filter_map(|&phase| {
-                    let h = snap.phase(phase);
-                    if h.is_empty() {
-                        return None;
-                    }
-                    Some(WirePhaseSummary {
-                        phase: phase as u8,
-                        count: h.count,
-                        sum_us: h.sum_us,
-                        max_us: h.max_us,
-                        p50_us: h.percentile_us(0.50),
-                        p95_us: h.percentile_us(0.95),
-                        p99_us: h.percentile_us(0.99),
-                    })
-                })
-                .collect(),
-        })
-        .collect()
-}
 
 /// True when a fresh connection's first bytes spell an HTTP method — the
 /// binary protocol's first frame is a length-prefixed Hello, whose little-

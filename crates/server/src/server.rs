@@ -36,31 +36,34 @@
 //!
 //! * `max_inflight_per_session` — statements a single connection may have
 //!   unanswered; prevents one client from monopolising a batch.
-//! * `max_queue_depth` — global bound on the engine's admission queue,
-//!   enforced **atomically** under the queue lock
-//!   ([`shareddb_core::SubmitOptions::max_queue_depth`]); requests beyond it
-//!   are rejected with a *retryable*
-//!   [`crate::protocol::error_codes::OVERLOADED`] error instead of growing the queue
-//!   without bound.
+//! * `max_queue_depth` — bound on an engine's admission queue, enforced
+//!   **atomically** under the queue lock
+//!   ([`shareddb_core::SubmitOptions::max_queue_depth`]) of the replica the
+//!   cluster router picked (N replicas admit up to N × `max_queue_depth`,
+//!   each queue individually exact); requests beyond it are rejected with a
+//!   *retryable* [`crate::protocol::error_codes::OVERLOADED`] error instead
+//!   of growing the queue without bound.
 //!
 //! On [`Server::shutdown`] the listener stops accepting, sessions drain their
 //! in-flight work (bounded by `drain_timeout`, signalled event-driven by the
 //! reactor rather than polled), and only then is the engine stopped.
 
-use crate::backend::ClusterBackend;
 use crate::reactor::{Poller, Reactor, ScanPoller};
-use shareddb_cluster::ClusterConfig;
+use shareddb_cluster::{ClusterConfig, ClusterEngine};
 use shareddb_common::metrics::{escape_label_value, render_summary};
 use shareddb_common::{Error, Expr, Result};
 use shareddb_core::plan::{
     ActivationTemplate, GlobalPlan, ProbeTemplate, StatementKind, UpdateTemplate,
 };
-use shareddb_core::stats::{PhaseTable, StatementPhaseSnapshot};
-use shareddb_core::{EngineConfig, Phase, SlowQueryRecord, StatementRegistry};
+use shareddb_core::stats::{
+    PhaseTable, ScanRowsSnapshot, StatementPhaseSnapshot, UpdateRowsSnapshot,
+};
+use shareddb_core::{EngineConfig, Phase, StatementRegistry};
 use shareddb_sql::compile::{canonicalize, SqlTemplate};
 use shareddb_sql::compile_workload;
 use shareddb_storage::{Catalog, PredicateClass, RecoveryReport, ScanCycleResult, SyncPolicy};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -137,7 +140,7 @@ pub struct ServerStatsSnapshot {
 }
 
 pub(crate) struct Shared {
-    pub(crate) engine: RwLock<Option<ClusterBackend>>,
+    pub(crate) engine: RwLock<Option<ClusterEngine>>,
     pub(crate) registry: StatementRegistry,
     pub(crate) param_counts: Vec<usize>,
     /// canonical SQL text → (statement name, template slot map); used to
@@ -180,96 +183,93 @@ impl Shared {
     }
 
     /// Renders the full Prometheus text exposition: server counters, engine
-    /// counters per replica, per-statement per-phase latency summaries,
-    /// operator utilisation, and the cluster-level scatter/merge phases.
+    /// counters in total and per replica, the WAL, per-statement per-phase
+    /// latency summaries (each replica's, then the frontend's flush phase),
+    /// update and scan row counters, operator utilisation and attribution,
+    /// segment lanes. Every number is read from the engine that records it
+    /// ([`ClusterEngine::engines`]) and written through [`family`], one
+    /// metric family at a time.
     pub(crate) fn metrics_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
         let w = &mut out;
-        let _ = writeln!(w, "# TYPE shareddb_sessions_opened counter");
-        let _ = writeln!(
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        scalar(
             w,
-            "shareddb_sessions_opened {}",
-            self.sessions_opened.load(Ordering::Relaxed)
+            "shareddb_sessions_opened",
+            "counter",
+            load(&self.sessions_opened),
         );
-        let _ = writeln!(w, "# TYPE shareddb_sessions_active gauge");
-        let _ = writeln!(
+        scalar(
             w,
-            "shareddb_sessions_active {}",
-            self.sessions_active.load(Ordering::Relaxed)
+            "shareddb_sessions_active",
+            "gauge",
+            load(&self.sessions_active),
         );
-        let _ = writeln!(w, "# TYPE shareddb_requests counter");
-        let _ = writeln!(
+        scalar(w, "shareddb_requests", "counter", load(&self.requests));
+        scalar(w, "shareddb_rejected", "counter", load(&self.rejected));
+        scalar(
             w,
-            "shareddb_requests {}",
-            self.requests.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(w, "# TYPE shareddb_rejected counter");
-        let _ = writeln!(
-            w,
-            "shareddb_rejected {}",
-            self.rejected.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(w, "# TYPE shareddb_metrics_scrapes counter");
-        let _ = writeln!(
-            w,
-            "shareddb_metrics_scrapes {}",
-            self.scrapes.load(Ordering::Relaxed)
+            "shareddb_metrics_scrapes",
+            "counter",
+            load(&self.scrapes),
         );
 
         let engine = self.engine.read().unwrap_or_else(|e| e.into_inner());
-        let backend = match engine.as_ref() {
-            Some(b) => b,
-            None => return out,
+        let Some(cluster) = engine.as_ref() else {
+            return out;
         };
+        let engines = cluster.engines();
+        let replica = |i: usize| format!("replica=\"{i}\"");
         // Engine counters, aggregated and per replica.
-        let total = backend.stats();
-        let _ = writeln!(w, "# TYPE shareddb_engine_batches counter");
-        let _ = writeln!(w, "shareddb_engine_batches {}", total.batches);
-        let _ = writeln!(w, "# TYPE shareddb_engine_queries counter");
-        let _ = writeln!(w, "shareddb_engine_queries {}", total.queries);
-        let _ = writeln!(w, "# TYPE shareddb_engine_updates counter");
-        let _ = writeln!(w, "shareddb_engine_updates {}", total.updates);
-        let _ = writeln!(w, "# TYPE shareddb_engine_failed counter");
-        let _ = writeln!(w, "shareddb_engine_failed {}", total.failed);
-        let _ = writeln!(w, "# TYPE shareddb_engine_queued gauge");
-        let _ = writeln!(w, "shareddb_engine_queued {}", backend.queued());
+        let total = cluster.stats();
+        scalar(w, "shareddb_engine_batches", "counter", total.batches);
+        scalar(w, "shareddb_engine_queries", "counter", total.queries);
+        scalar(w, "shareddb_engine_updates", "counter", total.updates);
+        scalar(w, "shareddb_engine_failed", "counter", total.failed);
+        scalar(w, "shareddb_engine_queued", "gauge", cluster.queued());
         // The executor: who ran the operator cycles, and what it cost in
         // cross-thread hand-offs (wake-ups ÷ batches).
-        let _ = writeln!(w, "# TYPE shareddb_executor_tasks_total counter");
-        for (ran_on, tasks) in [
-            ("coordinator", total.tasks_run_by_coordinator),
-            ("worker", total.tasks_run_by_workers),
-        ] {
-            let _ = writeln!(
-                w,
-                "shareddb_executor_tasks_total{{ran_on=\"{ran_on}\"}} {tasks}"
-            );
-        }
-        let _ = writeln!(w, "# TYPE shareddb_executor_worker_wakeups_total counter");
-        let _ = writeln!(
+        family(
             w,
-            "shareddb_executor_worker_wakeups_total {}",
-            total.worker_wakeups
+            "shareddb_executor_tasks_total",
+            "counter",
+            [
+                ("ran_on=\"coordinator\"", total.tasks_run_by_coordinator),
+                ("ran_on=\"worker\"", total.tasks_run_by_workers),
+            ],
         );
-        let _ = writeln!(w, "# TYPE shareddb_executor_threads gauge");
-        let _ = writeln!(w, "shareddb_executor_threads {}", total.executor_threads);
-        let (slow_total, _) = backend.slow_queries();
-        let _ = writeln!(w, "# TYPE shareddb_slow_queries counter");
-        let _ = writeln!(w, "shareddb_slow_queries {slow_total}");
+        scalar(
+            w,
+            "shareddb_executor_worker_wakeups_total",
+            "counter",
+            total.worker_wakeups,
+        );
+        scalar(
+            w,
+            "shareddb_executor_threads",
+            "gauge",
+            total.executor_threads,
+        );
+        scalar(
+            w,
+            "shareddb_slow_queries",
+            "counter",
+            cluster.slow_queries().0,
+        );
 
         // Write-ahead-log durability series: how many bytes and group
         // commits the log absorbed, how often and how slowly it fsynced,
         // and the commit-batch size distribution.
-        let wal = backend.catalog().wal().stats_snapshot();
-        let _ = writeln!(w, "# TYPE shareddb_wal_appended_bytes counter");
-        let _ = writeln!(w, "shareddb_wal_appended_bytes {}", wal.appended_bytes);
-        let _ = writeln!(w, "# TYPE shareddb_wal_batches counter");
-        let _ = writeln!(w, "shareddb_wal_batches {}", wal.batches);
-        let _ = writeln!(w, "# TYPE shareddb_wal_syncs counter");
-        let _ = writeln!(w, "shareddb_wal_syncs {}", wal.syncs);
-        let _ = writeln!(w, "# TYPE shareddb_wal_last_lsn gauge");
-        let _ = writeln!(w, "shareddb_wal_last_lsn {}", wal.last_lsn);
+        let wal = cluster.catalog().wal().stats_snapshot();
+        scalar(
+            w,
+            "shareddb_wal_appended_bytes",
+            "counter",
+            wal.appended_bytes,
+        );
+        scalar(w, "shareddb_wal_batches", "counter", wal.batches);
+        scalar(w, "shareddb_wal_syncs", "counter", wal.syncs);
+        scalar(w, "shareddb_wal_last_lsn", "gauge", wal.last_lsn);
         if !wal.fsync_us.is_empty() {
             let _ = writeln!(w, "# TYPE shareddb_wal_fsync_us summary");
             render_summary(w, "shareddb_wal_fsync_us", &wal.fsync_us);
@@ -279,66 +279,71 @@ impl Shared {
             render_summary(w, "shareddb_wal_group_commit_size", &wal.group_commit_size);
         }
         if let Some(recovery) = &self.recovery {
-            let _ = writeln!(w, "# TYPE shareddb_recovery_checkpoint_rows gauge");
-            let _ = writeln!(
+            scalar(
                 w,
-                "shareddb_recovery_checkpoint_rows {}",
-                recovery.checkpoint_rows
+                "shareddb_recovery_checkpoint_rows",
+                "gauge",
+                recovery.checkpoint_rows,
             );
-            let _ = writeln!(w, "# TYPE shareddb_recovery_replayed_batches gauge");
-            let _ = writeln!(
+            scalar(
                 w,
-                "shareddb_recovery_replayed_batches {}",
-                recovery.replayed_batches
+                "shareddb_recovery_replayed_batches",
+                "gauge",
+                recovery.replayed_batches,
             );
-            let _ = writeln!(w, "# TYPE shareddb_recovery_torn_tail gauge");
-            let _ = writeln!(
+            scalar(
                 w,
-                "shareddb_recovery_torn_tail {}",
-                u8::from(recovery.torn_tail.is_some())
+                "shareddb_recovery_torn_tail",
+                "gauge",
+                u8::from(recovery.torn_tail.is_some()),
             );
         }
 
-        let replica_stats = backend.replica_stats();
-        let _ = writeln!(w, "# TYPE shareddb_replica_queries counter");
-        for (i, stats) in replica_stats.iter().enumerate() {
-            let _ = writeln!(
-                w,
-                "shareddb_replica_queries{{replica=\"{i}\"}} {}",
-                stats.queries
-            );
-        }
+        let replica_stats: Vec<_> = engines.iter().map(|e| e.stats()).collect();
+        family(
+            w,
+            "shareddb_replica_queries",
+            "counter",
+            replica_stats
+                .iter()
+                .enumerate()
+                .map(|(i, stats)| (replica(i), stats.queries)),
+        );
 
         // Adaptive heartbeat + priority admission: the interval each
         // replica's coordinator is currently running (constant under a fixed
         // policy), how often its controller moved it, and the depth of the
         // two admission lanes.
-        let _ = writeln!(w, "# TYPE shareddb_heartbeat_interval_us gauge");
-        for (i, interval) in backend.replica_heartbeats().iter().enumerate() {
-            let _ = writeln!(
-                w,
-                "shareddb_heartbeat_interval_us{{replica=\"{i}\"}} {}",
-                interval.as_micros()
-            );
-        }
-        let _ = writeln!(w, "# TYPE shareddb_heartbeat_adjustments counter");
-        for (i, adjustments) in backend.replica_heartbeat_adjustments().iter().enumerate() {
-            let _ = writeln!(
-                w,
-                "shareddb_heartbeat_adjustments{{replica=\"{i}\"}} {adjustments}"
-            );
-        }
-        let _ = writeln!(w, "# TYPE shareddb_admission_lane_depth gauge");
-        for (i, (light, heavy)) in backend.lane_depths_per_replica().iter().enumerate() {
-            let _ = writeln!(
-                w,
-                "shareddb_admission_lane_depth{{replica=\"{i}\",lane=\"light\"}} {light}"
-            );
-            let _ = writeln!(
-                w,
-                "shareddb_admission_lane_depth{{replica=\"{i}\",lane=\"heavy\"}} {heavy}"
-            );
-        }
+        family(
+            w,
+            "shareddb_heartbeat_interval_us",
+            "gauge",
+            engines
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (replica(i), e.heartbeat_interval().as_micros())),
+        );
+        family(
+            w,
+            "shareddb_heartbeat_adjustments",
+            "counter",
+            engines
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (replica(i), e.heartbeat_adjustments())),
+        );
+        family(
+            w,
+            "shareddb_admission_lane_depth",
+            "gauge",
+            engines.iter().enumerate().flat_map(|(i, e)| {
+                let (light, heavy) = e.lane_depths();
+                [
+                    (format!("replica=\"{i}\",lane=\"light\""), light),
+                    (format!("replica=\"{i}\",lane=\"heavy\""), heavy),
+                ]
+            }),
+        );
 
         // Batch occupancy: how many statements each heartbeat batch carried
         // (the sharing opportunity the batcher actually realised).
@@ -356,181 +361,233 @@ impl Shared {
         // Phase-tagged latency summaries: per replica, then the reactor's
         // flush phase.
         let _ = writeln!(w, "# TYPE shareddb_phase_latency_us summary");
-        for (i, statements) in backend.replica_phase_stats().iter().enumerate() {
-            render_phase_block(w, statements, &format!("replica=\"{i}\""));
+        for (i, engine) in engines.iter().enumerate() {
+            render_phase_block(w, &engine.phase_snapshot(), &replica(i));
         }
         render_phase_block(w, &self.flush_phases.snapshot(), "replica=\"frontend\"");
 
         // The write path's useful-work ratio per update statement type:
         // live versions its WHERE clause was evaluated on vs rows it changed.
         // examined ≫ affected means the statement has no usable index.
-        let _ = writeln!(w, "# TYPE shareddb_update_rows_examined_total counter");
-        let _ = writeln!(w, "# TYPE shareddb_update_rows_affected_total counter");
-        for snap in backend.update_row_stats() {
-            let statement = escape_label_value(&snap.statement);
-            let _ = writeln!(
-                w,
-                "shareddb_update_rows_examined_total{{statement=\"{statement}\"}} {}",
-                snap.examined
-            );
-            let _ = writeln!(
-                w,
-                "shareddb_update_rows_affected_total{{statement=\"{statement}\"}} {}",
-                snap.affected
-            );
-        }
+        let update_rows = cluster.update_row_stats();
+        let statement =
+            |s: &UpdateRowsSnapshot| format!("statement=\"{}\"", escape_label_value(&s.statement));
+        family(
+            w,
+            "shareddb_update_rows_examined_total",
+            "counter",
+            update_rows.iter().map(|s| (statement(s), s.examined)),
+        );
+        family(
+            w,
+            "shareddb_update_rows_affected_total",
+            "counter",
+            update_rows.iter().map(|s| (statement(s), s.affected)),
+        );
 
         // The read path's counterpart: what each table's shared scan probed,
         // emitted and was spared by the chunk directory, how many queries it
         // served per predicate class (`residual` = evaluated row by row, the
         // un-shared path), and how many of its cycles were a pass over the
         // table and how many were served from its indexes.
-        let _ = writeln!(w, "# TYPE shareddb_scan_rows_examined_total counter");
-        let _ = writeln!(w, "# TYPE shareddb_scan_rows_emitted_total counter");
-        let _ = writeln!(w, "# TYPE shareddb_scan_rows_skipped_total counter");
-        let _ = writeln!(w, "# TYPE shareddb_scan_queries_total counter");
-        let _ = writeln!(w, "# TYPE shareddb_scan_cycles_total counter");
-        for snap in backend.scan_row_stats() {
-            let table = escape_label_value(&snap.table);
-            let _ = writeln!(
-                w,
-                "shareddb_scan_rows_examined_total{{table=\"{table}\"}} {}",
-                snap.examined
-            );
-            let _ = writeln!(
-                w,
-                "shareddb_scan_rows_emitted_total{{table=\"{table}\"}} {}",
-                snap.emitted
-            );
-            let _ = writeln!(
-                w,
-                "shareddb_scan_rows_skipped_total{{table=\"{table}\"}} {}",
-                snap.skipped
-            );
-            for (class, served) in PredicateClass::NAMES.iter().zip(snap.queries) {
-                let _ = writeln!(
-                    w,
-                    "shareddb_scan_queries_total{{table=\"{table}\",class=\"{class}\"}} {served}"
-                );
-            }
-            for (path, cycles) in ScanCycleResult::PATHS.iter().zip(snap.cycles) {
-                let _ = writeln!(
-                    w,
-                    "shareddb_scan_cycles_total{{table=\"{table}\",path=\"{path}\"}} {cycles}"
-                );
-            }
-        }
+        let scan_rows = cluster.scan_row_stats();
+        let table = |s: &ScanRowsSnapshot| format!("table=\"{}\"", escape_label_value(&s.table));
+        family(
+            w,
+            "shareddb_scan_rows_examined_total",
+            "counter",
+            scan_rows.iter().map(|s| (table(s), s.examined)),
+        );
+        family(
+            w,
+            "shareddb_scan_rows_emitted_total",
+            "counter",
+            scan_rows.iter().map(|s| (table(s), s.emitted)),
+        );
+        family(
+            w,
+            "shareddb_scan_rows_skipped_total",
+            "counter",
+            scan_rows.iter().map(|s| (table(s), s.skipped)),
+        );
+        family(
+            w,
+            "shareddb_scan_queries_total",
+            "counter",
+            scan_rows.iter().flat_map(|s| {
+                let classes = PredicateClass::NAMES.iter().zip(s.queries);
+                classes.map(|(class, served)| (format!("{},class=\"{class}\"", table(s)), served))
+            }),
+        );
+        family(
+            w,
+            "shareddb_scan_cycles_total",
+            "counter",
+            scan_rows.iter().flat_map(|s| {
+                let paths = ScanCycleResult::PATHS.iter().zip(s.cycles);
+                paths.map(|(path, cycles)| (format!("{},path=\"{path}\"", table(s)), cycles))
+            }),
+        );
 
         // Static sharing factor per operator: how many statement types'
         // subtrees or activation lists touch it in the global plan.
-        let plan = backend.plan();
-        let sets = shareddb_core::sharing_sets(plan, backend.registry());
-        let _ = writeln!(w, "# TYPE shareddb_operator_sharing_factor gauge");
-        for node in plan.nodes() {
-            let _ = writeln!(
-                w,
-                "shareddb_operator_sharing_factor{{operator=\"{}\"}} {}",
-                escape_label_value(&node.name),
-                sets.get(node.id).map_or(0, Vec::len)
-            );
-        }
+        let plan = cluster.plan();
+        let sets = shareddb_core::sharing_sets(plan, cluster.registry());
+        family(
+            w,
+            "shareddb_operator_sharing_factor",
+            "gauge",
+            plan.nodes().iter().map(|node| {
+                (
+                    format!("operator=\"{}\"", escape_label_value(&node.name)),
+                    sets.get(node.id).map_or(0, Vec::len),
+                )
+            }),
+        );
 
         // Operator utilisation (busy fraction of the stats window) and total
         // busy time — the latter is the attribution denominator: the
-        // attributed series below sums to it per operator, `_idle` included.
-        let operator_stats = backend.replica_operator_stats();
-        let _ = writeln!(w, "# TYPE shareddb_operator_busy_fraction gauge");
-        for (i, (wall, ops)) in operator_stats.iter().enumerate() {
-            for op in ops {
-                let _ = writeln!(
-                    w,
-                    "shareddb_operator_busy_fraction{{replica=\"{i}\",operator=\"{}\"}} {:.6}",
-                    escape_label_value(&op.name),
-                    op.busy_fraction(*wall)
-                );
-            }
-        }
-        let _ = writeln!(w, "# TYPE shareddb_operator_busy_us counter");
-        for (i, (_, ops)) in operator_stats.iter().enumerate() {
-            for op in ops {
-                let _ = writeln!(
-                    w,
-                    "shareddb_operator_busy_us{{replica=\"{i}\",operator=\"{}\"}} {}",
-                    escape_label_value(&op.name),
-                    op.busy.as_micros()
-                );
-            }
-        }
-
-        // Input a statement's row demand let an operator skip: outer rows a
-        // join did not look up, groups not built, rows a Top-N did not keep.
-        let _ = writeln!(w, "# TYPE shareddb_operator_rows_pruned_total counter");
-        for (i, (_, ops)) in operator_stats.iter().enumerate() {
-            for op in ops {
-                let _ = writeln!(
-                    w,
-                    "shareddb_operator_rows_pruned_total{{replica=\"{i}\",operator=\"{}\"}} {}",
-                    escape_label_value(&op.name),
-                    op.rows_pruned
-                );
-            }
-        }
+        // attributed series below sums to it per operator, `_idle` included —
+        // and the input a statement's row demand let an operator skip: outer
+        // rows a join did not look up, groups not built, rows a Top-N did not
+        // keep.
+        let operators: Vec<_> = engines
+            .iter()
+            .enumerate()
+            .flat_map(|(i, e)| {
+                let wall = e.stats_wall();
+                e.operator_stats().into_iter().map(move |op| {
+                    let operator = escape_label_value(&op.name);
+                    let labels = format!("replica=\"{i}\",operator=\"{operator}\"");
+                    (labels, wall, op)
+                })
+            })
+            .collect();
+        family(
+            w,
+            "shareddb_operator_busy_fraction",
+            "gauge",
+            operators
+                .iter()
+                .map(|(labels, wall, op)| (labels, format!("{:.6}", op.busy_fraction(*wall)))),
+        );
+        family(
+            w,
+            "shareddb_operator_busy_us",
+            "counter",
+            operators
+                .iter()
+                .map(|(labels, _, op)| (labels, op.busy.as_micros())),
+        );
+        family(
+            w,
+            "shareddb_operator_rows_pruned_total",
+            "counter",
+            operators
+                .iter()
+                .map(|(labels, _, op)| (labels, op.rows_pruned)),
+        );
 
         // Per-operator × per-statement-type cost attribution: each
         // operator's busy time split by the activation mix of its batches
         // (`stmt_type="_idle"` covers cycles with no activation of that
         // operator).
-        let _ = writeln!(w, "# TYPE shareddb_attributed_busy_us counter");
-        let _ = writeln!(w, "# TYPE shareddb_attributed_rows counter");
-        for (i, entries) in backend.replica_attribution_stats().iter().enumerate() {
-            for entry in entries {
-                let labels = format!(
-                    "replica=\"{i}\",operator=\"{}\",stmt_type=\"{}\"",
-                    escape_label_value(&entry.operator),
-                    escape_label_value(&entry.statement)
-                );
-                let _ = writeln!(
-                    w,
-                    "shareddb_attributed_busy_us{{{labels}}} {}",
-                    entry.busy.as_micros()
-                );
-                let _ = writeln!(w, "shareddb_attributed_rows{{{labels}}} {}", entry.rows);
-            }
-        }
+        let attributed: Vec<_> = engines
+            .iter()
+            .enumerate()
+            .flat_map(|(i, e)| {
+                e.attribution_stats().into_iter().map(move |entry| {
+                    let labels = format!(
+                        "replica=\"{i}\",operator=\"{}\",stmt_type=\"{}\"",
+                        escape_label_value(&entry.operator),
+                        escape_label_value(&entry.statement)
+                    );
+                    (labels, entry)
+                })
+            })
+            .collect();
+        family(
+            w,
+            "shareddb_attributed_busy_us",
+            "counter",
+            attributed
+                .iter()
+                .map(|(labels, entry)| (labels, entry.busy.as_micros())),
+        );
+        family(
+            w,
+            "shareddb_attributed_rows",
+            "counter",
+            attributed
+                .iter()
+                .map(|(labels, entry)| (labels, entry.rows)),
+        );
 
         // Intra-engine segment parallelism: per-segment utilisation, batch
         // and row counters, and per-batch execute latency. Absent entirely
         // when replicas run with `scan_segments == 1`.
-        let segment_stats = backend.replica_segment_stats();
-        if segment_stats.iter().any(|(_, segs)| !segs.is_empty()) {
-            let _ = writeln!(w, "# TYPE shareddb_segment_busy_fraction gauge");
-            let _ = writeln!(w, "# TYPE shareddb_segment_batches counter");
-            let _ = writeln!(w, "# TYPE shareddb_segment_rows counter");
-            for (i, (wall, segs)) in segment_stats.iter().enumerate() {
-                for seg in segs {
+        let segments: Vec<_> = engines
+            .iter()
+            .enumerate()
+            .flat_map(|(i, e)| {
+                let wall = e.stats_wall();
+                e.segment_stats().into_iter().map(move |seg| {
                     let labels = format!("replica=\"{i}\",segment=\"{}\"", seg.segment);
-                    let _ = writeln!(
-                        w,
-                        "shareddb_segment_busy_fraction{{{labels}}} {:.6}",
-                        seg.busy_fraction(*wall)
-                    );
-                    let _ = writeln!(w, "shareddb_segment_batches{{{labels}}} {}", seg.batches);
-                    let _ = writeln!(w, "shareddb_segment_rows{{{labels}}} {}", seg.rows);
-                }
-            }
+                    (labels, wall, seg)
+                })
+            })
+            .collect();
+        if !segments.is_empty() {
+            family(
+                w,
+                "shareddb_segment_busy_fraction",
+                "gauge",
+                segments.iter().map(|(labels, wall, seg)| {
+                    (labels, format!("{:.6}", seg.busy_fraction(*wall)))
+                }),
+            );
+            family(
+                w,
+                "shareddb_segment_batches",
+                "counter",
+                segments
+                    .iter()
+                    .map(|(labels, _, seg)| (labels, seg.batches)),
+            );
+            family(
+                w,
+                "shareddb_segment_rows",
+                "counter",
+                segments.iter().map(|(labels, _, seg)| (labels, seg.rows)),
+            );
             let _ = writeln!(w, "# TYPE shareddb_segment_execute_us summary");
-            for (i, (_, segs)) in segment_stats.iter().enumerate() {
-                for seg in segs {
-                    let name = format!(
-                        "shareddb_segment_execute_us{{replica=\"{i}\",segment=\"{}\"}}",
-                        seg.segment
-                    );
-                    render_summary(w, &name, &seg.execute);
-                }
+            for (labels, _, seg) in &segments {
+                let name = format!("shareddb_segment_execute_us{{{labels}}}");
+                render_summary(w, &name, &seg.execute);
             }
         }
         out
     }
+}
+
+/// Writes one metric family: its `# TYPE` line, then its samples in one
+/// group — the text exposition format forbids a family's samples to be
+/// interleaved with another's. `labels` is the text between the braces.
+fn family<L: AsRef<str>, V: std::fmt::Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    samples: impl IntoIterator<Item = (L, V)>,
+) {
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (labels, value) in samples {
+        let _ = writeln!(out, "{name}{{{}}} {value}", labels.as_ref());
+    }
+}
+
+/// Writes a family of one unlabelled sample.
+fn scalar(out: &mut String, name: &str, kind: &str, value: impl std::fmt::Display) {
+    let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
 }
 
 /// Renders one set of per-statement phase snapshots under
@@ -631,7 +688,7 @@ impl Server {
             }
             None => None,
         };
-        let engine = ClusterBackend::start(
+        let engine = ClusterEngine::start(
             catalog,
             plan,
             registry.clone(),
@@ -682,75 +739,25 @@ impl Server {
         self.addr
     }
 
+    /// Runs `read` on the engine cluster — the one way in to everything the
+    /// engines record: `c.engines()` for a replica's counters, phase,
+    /// operator, segment and attribution tables, queue depths and trace
+    /// ring; `c.slow_queries()`, `c.routes()` and the other cluster-wide
+    /// sums. `None` once the server has shut its engines down.
+    pub fn with_cluster<T>(&self, read: impl FnOnce(&ClusterEngine) -> T) -> Option<T> {
+        let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
+        engine.as_ref().map(read)
+    }
+
     /// Engine statistics (batches, queries, latencies), aggregated over all
     /// replicas.
     pub fn engine_stats(&self) -> Option<shareddb_core::stats::EngineStatsSnapshot> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.stats())
-    }
-
-    /// Per-replica engine statistics, in replica order.
-    pub fn replica_stats(&self) -> Option<Vec<shareddb_core::stats::EngineStatsSnapshot>> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.replica_stats())
-    }
-
-    /// Current route of every statement type (cold types pinned, hot types
-    /// replicated).
-    pub fn routes(&self) -> Option<Vec<(String, shareddb_cluster::Route)>> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.routes())
+        self.with_cluster(|c| c.stats())
     }
 
     /// Statements admitted to the engine but not yet formed into a batch.
     pub fn queued(&self) -> usize {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.queued())
-            .unwrap_or(0)
-    }
-
-    /// Per-replica, per-statement phase-tagged latency histograms.
-    pub fn replica_phase_stats(&self) -> Option<Vec<Vec<StatementPhaseSnapshot>>> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.replica_phase_stats())
-    }
-
-    /// Per-replica scan-segment statistics with each replica's stats-window
-    /// wall clock (inner vectors empty when `scan_segments == 1`).
-    pub fn replica_segment_stats(
-        &self,
-    ) -> Option<
-        Vec<(
-            std::time::Duration,
-            Vec<shareddb_core::SegmentStatsSnapshot>,
-        )>,
-    > {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.replica_segment_stats())
+        self.with_cluster(|c| c.queued()).unwrap_or(0)
     }
 
     /// Per-statement Flush-phase histograms recorded by the reactor's write
@@ -759,45 +766,10 @@ impl Server {
         self.shared.flush_phases.snapshot()
     }
 
-    /// Slow-query count and retained offender records, summed over replicas.
-    pub fn slow_queries(&self) -> Option<(u64, Vec<SlowQueryRecord>)> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.slow_queries())
-    }
-
     /// Cluster-wide per-operator × per-statement-type cost attribution,
     /// merged over replicas by `(operator, statement)` key.
     pub fn attribution_stats(&self) -> Option<Vec<shareddb_core::AttributionEntry>> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.attribution_stats())
-    }
-
-    /// Per-replica cost-attribution snapshots, in replica order.
-    pub fn replica_attribution_stats(&self) -> Option<Vec<Vec<shareddb_core::AttributionEntry>>> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.replica_attribution_stats())
-    }
-
-    /// One replica's batch-lifecycle trace journal, oldest first.
-    pub fn replica_trace(&self, replica: usize) -> Option<Vec<shareddb_core::TraceRecord>> {
-        self.shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|e| e.replica_trace(replica))
+        self.with_cluster(|c| c.attribution_stats())
     }
 
     /// What startup recovery restored and replayed, when the server runs
@@ -814,15 +786,7 @@ impl Server {
     /// Zeroes engine, cluster and frontend-flush statistics. Bench harnesses
     /// call this after warm-up so sweep points measure only their own window.
     pub fn reset_stats(&self) {
-        if let Some(backend) = self
-            .shared
-            .engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-        {
-            backend.reset_stats();
-        }
+        self.with_cluster(|c| c.reset_stats());
         self.shared.flush_phases.reset();
     }
 
@@ -1101,15 +1065,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Stats + goodbye.
-        write_frame(&mut stream, &Frame::Stats { request_id: 5 }).unwrap();
-        match read_frame(&mut stream).unwrap().unwrap() {
-            Frame::StatsReply { stats, .. } => {
-                assert_eq!(stats.queries, 2);
-                assert_eq!(stats.sessions, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(server.engine_stats().unwrap().queries, 2);
+        assert_eq!(server.stats().sessions_active, 1);
         write_frame(&mut stream, &Frame::Goodbye).unwrap();
         match read_frame(&mut stream).unwrap().unwrap() {
             Frame::GoodbyeOk => {}

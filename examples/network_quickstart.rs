@@ -94,7 +94,7 @@ fn main() {
         }
     });
 
-    let stats = conn.stats().unwrap();
+    let stats = server.engine_stats().unwrap();
     println!(
         "server answered {} queries + {} updates in {} shared batches",
         stats.queries, stats.updates, stats.batches

@@ -1,11 +1,12 @@
 //! Engine-cluster integration tests: N engine replicas behind one endpoint,
 //! statement-type routing (a replica partitions *statements*, never rows —
-//! row scatter is `tests/segments.rs`), and the per-replica section of the
-//! `Stats` frame through the real reactor and client library.
+//! row scatter is `tests/segments.rs`), and the per-replica engine counters
+//! after traffic through the real reactor and client library.
 
 use shareddb::client::Connection;
 use shareddb::cluster::{ClusterConfig, ClusterEngine};
 use shareddb::common::{tuple, DataType, Value};
+use shareddb::core::stats::EngineStatsSnapshot;
 use shareddb::core::EngineConfig;
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::SqlCompiler;
@@ -58,9 +59,16 @@ fn start_cluster(replicas: usize, replicate: &[&str]) -> Server {
     .unwrap()
 }
 
-/// The acceptance shape of the PR: N replicas behind one endpoint, hot-type
-/// executions spread over the engines, and the per-replica breakdown visible
-/// through the `Stats` wire frame.
+/// Each replica's engine counters, in replica order.
+fn replica_stats(server: &Server) -> Vec<EngineStatsSnapshot> {
+    server
+        .with_cluster(|c| c.engines().iter().map(|e| e.stats()).collect())
+        .unwrap()
+}
+
+/// The acceptance shape of the cluster: N replicas behind one endpoint,
+/// hot-type executions spread over the engines, and the per-replica
+/// breakdown adding up to the cluster's total.
 #[test]
 fn replicated_statements_spread_and_stats_show_replicas() {
     let mut server = start_cluster(3, &["getItem"]);
@@ -71,16 +79,15 @@ fn replicated_statements_spread_and_stats_show_replicas() {
         assert_eq!(outcome.rows().len(), 1);
         assert_eq!(outcome.rows()[0][0], Value::Int(i));
     }
-    let stats = conn.stats().unwrap();
-    assert_eq!(stats.queries, 96);
-    assert_eq!(stats.replicas.len(), 3, "stats: {stats:?}");
-    let busy = stats.replicas.iter().filter(|r| r.queries > 0).count();
+    assert_eq!(server.engine_stats().unwrap().queries, 96);
+    let replicas = replica_stats(&server);
+    assert_eq!(replicas.len(), 3);
+    let busy = replicas.iter().filter(|r| r.queries > 0).count();
     assert!(
         busy > 1,
-        "hash-partitioned routing left replicas idle: {:?}",
-        stats.replicas
+        "hash-partitioned routing left replicas idle: {replicas:?}"
     );
-    let per_replica: u64 = stats.replicas.iter().map(|r| r.queries).sum();
+    let per_replica: u64 = replicas.iter().map(|r| r.queries).sum();
     assert_eq!(per_replica, 96);
     conn.close().unwrap();
     server.shutdown();
@@ -136,7 +143,7 @@ fn replicated_corpus_matches_single_replica() {
         }
     }
     // Every statement ran once, and the corpus spread over the replicas.
-    let replicas = four.replica_stats();
+    let replicas: Vec<_> = four.engines().iter().map(|e| e.stats()).collect();
     assert_eq!(four.stats().queries, 2 * cases.len() as u64);
     assert!(replicas.iter().all(|r| r.queries > 0), "{replicas:?}");
 }
@@ -155,12 +162,9 @@ fn updates_are_visible_across_replicas() {
     let outcome = conn.execute(&get_item, &[Value::Int(9000)]).unwrap();
     assert_eq!(outcome.rows().len(), 1);
     assert_eq!(outcome.rows()[0][1], Value::text("clustered book"));
-    let stats = conn.stats().unwrap();
-    assert_eq!(stats.replicas.iter().map(|r| r.updates).sum::<u64>(), 1);
-    assert_eq!(
-        stats.replicas[0].updates, 1,
-        "update left the write replica"
-    );
+    let replicas = replica_stats(&server);
+    assert_eq!(replicas.iter().map(|r| r.updates).sum::<u64>(), 1);
+    assert_eq!(replicas[0].updates, 1, "update left the write replica");
     conn.close().unwrap();
     server.shutdown();
 }
@@ -197,7 +201,11 @@ fn attribution_merge_is_replica_count_invariant() {
             assert_eq!(outcome.rows().len(), 1);
         }
         let merged = cluster.attribution_stats();
-        let per_replica = cluster.replica_attribution_stats();
+        let per_replica = cluster
+            .engines()
+            .iter()
+            .map(|e| e.attribution_stats())
+            .collect();
         cluster.shutdown();
         (merged, per_replica)
     }
@@ -269,9 +277,10 @@ fn single_replica_default_is_unchanged() {
     let mut conn = Connection::connect(server.local_addr()).unwrap();
     let outcome = conn.query("SELECT * FROM ITEM WHERE I_ID = 7").unwrap();
     assert_eq!(outcome.rows().len(), 1);
-    let stats = conn.stats().unwrap();
-    assert_eq!(stats.replicas.len(), 1);
-    assert_eq!(stats.replicas[0].queries, stats.queries);
+    let replicas = replica_stats(&server);
+    assert_eq!(replicas.len(), 1);
+    assert_eq!(replicas[0].queries, server.engine_stats().unwrap().queries);
+    assert_eq!(replicas[0].queries, 1);
     conn.close().unwrap();
     server.shutdown();
 }

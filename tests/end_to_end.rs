@@ -312,14 +312,13 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     }
     assert!(segmented.segment_stats().iter().all(|s| s.batches > 0));
     // So did the replicas the pages were routed to, more than one of them.
-    let replicas = cluster.replica_operator_stats();
     let pruned_by = |name: &str| -> Vec<u64> {
-        let operators = replicas.iter().flat_map(|(_, ops)| ops);
+        let operators = cluster.engines().iter().flat_map(|e| e.operator_stats());
         let named = operators.filter(|op| op.name == name);
         named.map(|op| op.rows_pruned).collect()
     };
     assert!(pruned_by("GroupBy#13").iter().sum::<u64>() > 0);
     assert!(pruned_by("IndexNlJoin(AUTHOR)#7").iter().sum::<u64>() > 0);
-    let ran = cluster.replica_stats();
+    let ran: Vec<_> = cluster.engines().iter().map(|e| e.stats()).collect();
     assert!(ran.iter().filter(|r| r.queries > 0).count() > 1, "{ran:?}");
 }

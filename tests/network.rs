@@ -11,7 +11,6 @@ use shareddb::server::{Server, ServerConfig};
 use shareddb::storage::{Catalog, TableDef};
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -137,7 +136,7 @@ fn pipelined_submissions_batch_and_preserve_order() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    let stats = conn.stats().unwrap();
+    let stats = server.engine_stats().unwrap();
     assert_eq!(stats.queries, PIPELINE as u64);
     assert!(
         stats.batches < PIPELINE as u64,
@@ -324,30 +323,8 @@ fn admission_queue_bound_is_never_exceeded() {
         conn.close().unwrap();
     }
 
-    let stop_sampler = Arc::new(AtomicBool::new(false));
-    let max_queued = Arc::new(AtomicU64::new(0));
     let submitted = Arc::new(Barrier::new(CONNS + 1));
     let observed = std::thread::scope(|scope| {
-        // Sampler: watches the queue depth over its own stats connection for
-        // the whole hammer phase.
-        {
-            let stop = Arc::clone(&stop_sampler);
-            let max_queued = Arc::clone(&max_queued);
-            scope.spawn(move || {
-                let mut conn = match Connection::connect(addr) {
-                    Ok(c) => c,
-                    Err(_) => return,
-                };
-                while !stop.load(Ordering::Acquire) {
-                    match conn.stats() {
-                        Ok(stats) => {
-                            max_queued.fetch_max(stats.queued, Ordering::AcqRel);
-                        }
-                        Err(_) => return, // server draining
-                    }
-                }
-            });
-        }
         // Hammer: every connection fires its whole pipeline as fast as it
         // can, racing the others for the DEPTH admission slots.
         let go = Arc::new(Barrier::new(CONNS));
@@ -375,24 +352,24 @@ fn admission_queue_bound_is_never_exceeded() {
                 }
             });
         }
-        submitted.wait();
-
-        // The barrier only means "written to the sockets" — poll until the
-        // server has processed all 128 submissions (plus the arming one).
+        // Sampler: watches the queue depth for the whole hammer phase, until
+        // the server has processed all 128 submissions (plus the arming one).
+        let mut max_queued = 0;
         let expected_requests = (CONNS as u64) * (PER_CONN as u64) + 1;
         let deadline = Instant::now() + Duration::from_secs(10);
         while server.stats().requests < expected_requests && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+            max_queued = max_queued.max(server.queued());
+            std::thread::yield_now();
         }
+        submitted.wait();
         // Capture now, assert after shutdown: a failed assert inside the
         // scope would leave the submitters blocked on their tickets forever.
         let queued_at_peak = server.queued();
         let stats = server.stats();
-        stop_sampler.store(true, Ordering::Release);
         server.shutdown();
-        (queued_at_peak, stats)
+        (queued_at_peak, max_queued, stats)
     });
-    let (queued_at_peak, stats) = observed;
+    let (queued_at_peak, max_queued, stats) = observed;
     // All 128 submissions were in and nothing had drained (glacial
     // heartbeat): the queue must hold exactly DEPTH, every submission beyond
     // that must have been rejected, and no sampled instant may ever have seen
@@ -405,9 +382,8 @@ fn admission_queue_bound_is_never_exceeded() {
         "stats: {stats:?}"
     );
     assert!(
-        max_queued.load(Ordering::Acquire) <= DEPTH as u64,
-        "sampler saw the queue above the bound: {} > {DEPTH}",
-        max_queued.load(Ordering::Acquire)
+        max_queued <= DEPTH,
+        "sampler saw the queue above the bound: {max_queued} > {DEPTH}"
     );
 }
 
@@ -569,11 +545,13 @@ fn run_frame_reassembly(force_portable_poller: bool) {
 
 /// Hostile or broken peers are dropped cleanly and never destabilise the
 /// reactor: garbage bytes, an absurd declared frame length, a foreign
-/// protocol version — after each, a healthy client still gets answers.
+/// protocol version, a retired opcode — a session opened before them keeps
+/// answering, and so does one opened after.
 #[test]
 fn hostile_clients_are_dropped_cleanly() {
     let mut server = start_server(EngineConfig::default(), ServerConfig::default());
     let addr = server.local_addr();
+    let mut bystander = Connection::connect(addr).unwrap();
 
     let expect_dropped = |mut s: TcpStream| {
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -599,27 +577,57 @@ fn hostile_clients_are_dropped_cleanly() {
     write_frame(&mut s, &Frame::Ping { request_id: 1 }).unwrap();
     expect_dropped(s);
 
-    // A foreign protocol version gets an UNSUPPORTED error, then the close.
-    let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut s,
-        &Frame::Hello {
-            version: 99,
-            client_name: "from-the-future".into(),
-        },
-    )
-    .unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    match read_frame(&mut s).unwrap().unwrap() {
-        Frame::Error {
-            code, retryable, ..
-        } => {
-            assert_eq!(code, 13); // UNSUPPORTED
-            assert!(!retryable);
+    // A foreign protocol version — the last one that carried statistics
+    // frames, or one from the future — gets an UNSUPPORTED error naming both
+    // versions, then the close.
+    for version in [PROTOCOL_VERSION - 1, 99] {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let client_name = "from-another-time".into();
+        let hello = Frame::Hello {
+            version,
+            client_name,
+        };
+        write_frame(&mut s, &hello).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match read_frame(&mut s).unwrap().unwrap() {
+            Frame::Error {
+                code,
+                retryable,
+                message,
+                ..
+            } => {
+                assert_eq!(code, 13); // UNSUPPORTED
+                assert!(!retryable);
+                let named = format!("version {version} is not supported (server speaks 5)");
+                assert!(message.contains(&named), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
         }
-        other => panic!("unexpected {other:?}"),
+        expect_dropped(s);
     }
+
+    // Opcode 0x05 was the statistics request until v5: a greeted session
+    // that sends one is closed like any malformed frame, and the session
+    // beside it goes on.
+    let mut s = TcpStream::connect(addr).unwrap();
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client_name: "asks-for-stats".into(),
+    };
+    write_frame(&mut s, &hello).unwrap();
+    assert!(matches!(
+        read_frame(&mut s).unwrap().unwrap(),
+        Frame::HelloOk { .. }
+    ));
+    // length 9 | opcode | u64 request id
+    s.write_all(&[9, 0, 0, 0, 0x05, 1, 0, 0, 0, 0, 0, 0, 0])
+        .unwrap();
     expect_dropped(s);
+    let outcome = bystander
+        .query("SELECT * FROM ITEM WHERE I_ID = 5")
+        .unwrap();
+    assert_eq!(outcome.rows().len(), 1);
+    bystander.close().unwrap();
 
     // The server is still healthy for well-behaved clients.
     let mut conn = Connection::connect(addr).unwrap();

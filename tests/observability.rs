@@ -1,9 +1,10 @@
 //! End-to-end observability tests: the `/metrics` Prometheus endpoint served
-//! on the binary-protocol port, typed phase-percentile accessors over the
-//! wire stats reply, the slow-query log, and stats reset.
+//! on the binary-protocol port against what the engines report in process,
+//! the shape of the exposition, the slow-query log, and stats reset.
 
-use shareddb::client::{Connection, Phase, StatsPhases};
+use shareddb::client::Connection;
 use shareddb::common::{tuple, DataType, Value};
+use shareddb::core::stats::{Phase, StatementPhaseSnapshot};
 use shareddb::core::EngineConfig;
 use shareddb::server::{Server, ServerConfig};
 use shareddb::storage::{Catalog, TableDef};
@@ -56,9 +57,17 @@ fn http_exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
     response
 }
 
+/// One replica's phase histograms of one statement type, read from the
+/// engine that recorded them.
+fn replica_phases(server: &Server, replica: usize, statement: &str) -> StatementPhaseSnapshot {
+    let phases = server.with_cluster(|c| c.engines()[replica].phase_snapshot());
+    let mut phases = phases.unwrap().into_iter();
+    phases.find(|s| s.statement == statement).unwrap()
+}
+
 /// The wire port answers plain HTTP GETs with a well-formed Prometheus text
 /// exposition carrying nonzero phase histograms, while binary-protocol
-/// sessions stay connected; the typed client accessors see the same phases.
+/// sessions stay connected; the engine's own phase tables say the same.
 #[test]
 fn metrics_endpoint_serves_phase_histograms() {
     const QUERIES: usize = 32;
@@ -119,29 +128,39 @@ fn metrics_endpoint_serves_phase_histograms() {
     );
     assert!(body.contains("shareddb_metrics_scrapes 1"));
 
-    // The still-open binary session keeps working after the scrape, and its
-    // typed stats accessors agree with the exposition.
+    // The still-open binary session keeps working after the scrape, and the
+    // engine's and the frontend's phase tables agree with the exposition.
     let outcome = conn.execute(&prepared, &[Value::Int(7)]).unwrap();
     assert_eq!(outcome.rows().len(), 1);
-    let stats = conn.stats().unwrap();
-    let execute = stats
-        .replica_phase(0, "getItem", Phase::Execute)
-        .expect("execute phase");
+    let phases = replica_phases(&server, 0, "getItem");
+    let execute = phases.phase(Phase::Execute);
     assert_eq!(execute.count, QUERIES as u64 + 1);
-    assert!(execute.p50 <= execute.p95);
-    assert!(execute.p95 <= execute.p99);
-    assert!(execute.p99 <= execute.max);
-    assert!(execute.mean <= execute.max);
-    let flush = stats
-        .cluster_phase("getItem", Phase::Flush)
-        .expect("flush phase");
-    assert!(flush.count >= QUERIES as u64);
+    let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|p| execute.percentile_us(p));
+    assert!(p50 <= p95 && p95 <= p99 && p99 <= execute.max_us);
+    assert!(execute.mean_us() <= execute.max_us as f64);
+    let flush = server.flush_phase_stats();
+    let flush = flush.iter().find(|s| s.statement == "getItem").unwrap();
+    assert!(flush.phase(Phase::Flush).count >= QUERIES as u64);
     // A statement that ran whole merged nothing.
-    assert!(stats.replica_phase(0, "getItem", Phase::Merge).is_none());
+    assert!(phases.phase(Phase::Merge).is_empty());
     assert!(!body.contains("replica=\"cluster\""));
 
     let _ = conn.close();
     server.shutdown();
+}
+
+/// A coordinator books a batch (count, occupancy) after it has handed out
+/// the replies: a scrape that wants the last reply's batch waits for it.
+/// Statements sent one at a time are one batch each.
+fn wait_for_batches(server: &Server, batches: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.engine_stats().unwrap().batches < batches {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a batch went unbooked"
+        );
+        std::thread::yield_now();
+    }
 }
 
 /// The value of one sample of a `/metrics` scrape.
@@ -155,8 +174,8 @@ fn scrape_sample(addr: std::net::SocketAddr, series: &str) -> Option<u64> {
 }
 
 /// A segmented statement's merge is a phase of the replica whose
-/// coordinator ran it — in `/metrics` and in the wire stats — and a part of
-/// its execute span.
+/// coordinator ran it — in `/metrics` and in the engine's phase table — and a
+/// part of its execute span.
 #[test]
 fn segmented_statement_records_merge_under_its_replica() {
     const QUERIES: u64 = 8;
@@ -178,18 +197,18 @@ fn segmented_statement_records_merge_under_its_replica() {
         "shareddb_phase_latency_us_count{replica=\"0\",statement=\"allItems\",phase=\"merge\"}",
     );
     assert_eq!(merges, Some(QUERIES));
-    let stats = conn.stats().unwrap();
-    let merge = stats.replica_phase(0, "allItems", Phase::Merge).unwrap();
-    let execute = stats.replica_phase(0, "allItems", Phase::Execute).unwrap();
+    let phases = replica_phases(&server, 0, "allItems");
+    let (merge, execute) = (phases.phase(Phase::Merge), phases.phase(Phase::Execute));
     assert_eq!((merge.count, execute.count), (QUERIES, QUERIES));
-    assert!(merge.max <= execute.max);
-    assert!(stats.cluster_phase("allItems", Phase::Merge).is_none());
+    assert!(merge.max_us <= execute.max_us);
+    let frontend = server.flush_phase_stats();
+    assert!(frontend.iter().all(|s| s.phase(Phase::Merge).is_empty()));
     let _ = conn.close();
     server.shutdown();
 }
 
-/// `shareddb_engine_failed` and the wire stats count a statement failed by
-/// its batch once, on the whole lane and on the segment lane.
+/// `shareddb_engine_failed` and the engine's own counter count a statement
+/// failed by its batch once, on the whole lane and on the segment lane.
 #[test]
 fn engine_failed_counts_one_per_failed_statement() {
     use shareddb::common::Expr;
@@ -234,8 +253,7 @@ fn engine_failed_counts_one_per_failed_statement() {
             conn.execute(&broken, &[]).unwrap_err();
         }
         assert_eq!(scrape_sample(addr, "shareddb_engine_failed"), Some(3));
-        let stats = conn.stats().unwrap();
-        assert_eq!((stats.failed, stats.replicas[0].failed), (3, 3));
+        assert_eq!(server.engine_stats().unwrap().failed, 3);
         if segments > 1 {
             let batches = scrape_sample(
                 addr,
@@ -308,7 +326,7 @@ fn slow_query_log_fires_exactly_for_offenders() {
     for i in 0..QUERIES {
         conn.execute(&prepared, &[Value::Int(i as i64)]).unwrap();
     }
-    let (count, records) = server.slow_queries().unwrap();
+    let (count, records) = server.with_cluster(|c| c.slow_queries()).unwrap();
     assert_eq!(count, QUERIES as u64);
     assert_eq!(records.len(), QUERIES);
     for record in &records {
@@ -331,7 +349,7 @@ fn slow_query_log_fires_exactly_for_offenders() {
     for i in 0..QUERIES {
         conn.execute(&prepared, &[Value::Int(i as i64)]).unwrap();
     }
-    let (count, records) = server.slow_queries().unwrap();
+    let (count, records) = server.with_cluster(|c| c.slow_queries()).unwrap();
     assert_eq!(count, 0);
     assert!(records.is_empty());
     let _ = conn.close();
@@ -510,7 +528,7 @@ fn slow_query_records_carry_replica_and_segments() {
     for i in 0..48 {
         conn.execute(&prepared, &[Value::Int(i)]).unwrap();
     }
-    let (count, records) = server.slow_queries().unwrap();
+    let (count, records) = server.with_cluster(|c| c.slow_queries()).unwrap();
     assert_eq!(count, 48);
     let mut replicas_seen = std::collections::HashSet::new();
     for record in &records {
@@ -553,6 +571,7 @@ fn attributed_busy_sums_to_operator_busy_in_metrics() {
         conn.execute(&titled, &[Value::text(format!("title{i}"))])
             .unwrap();
     }
+    wait_for_batches(&server, 48);
 
     let response = http_exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
     let body = response.split_once("\r\n\r\n").unwrap().1;
@@ -667,9 +686,9 @@ fn reset_stats_clears_every_surface() {
     assert_eq!(stats.batches, 0);
     assert!(stats.histogram.is_empty());
     assert!(server.flush_phase_stats().is_empty());
-    assert_eq!(server.slow_queries().unwrap().0, 0);
-    let phases = server.replica_phase_stats().unwrap();
-    assert!(phases.iter().all(|statements| statements.is_empty()));
+    assert_eq!(server.with_cluster(|c| c.slow_queries()).unwrap().0, 0);
+    let phases = server.with_cluster(|c| c.engines()[0].phase_snapshot());
+    assert!(phases.unwrap().is_empty());
 
     // The engine keeps serving after a reset, and new work is counted fresh.
     conn.execute(&prepared, &[Value::Int(1)]).unwrap();
@@ -1175,6 +1194,165 @@ fn a_search_prunes_the_author_join_and_a_lookup_nothing() {
         .unwrap()
         .text
         .contains(" top "));
+    let _ = conn.close();
+    server.shutdown();
+}
+
+/// One series of an exposition (a sample line less its value), split into
+/// its name and the sorted keys of its labels (`quantile`, which a summary adds to its
+/// percentile lines only, left out).
+fn series_of(series: &str) -> (&str, Vec<&str>) {
+    let Some((name, mut labels)) = series.split_once('{') else {
+        return (series, Vec::new());
+    };
+    let mut keys = Vec::new();
+    while let Some((key, rest)) = labels.split_once("=\"") {
+        // The value ends at the first quote that no backslash escapes.
+        let mut escaped = false;
+        let end = rest.find(|c| {
+            let closes = c == '"' && !escaped;
+            escaped = c == '\\' && !escaped;
+            closes
+        });
+        labels = rest[end.unwrap() + 1..].trim_start_matches(',');
+        if key != "quantile" {
+            keys.push(key);
+        }
+    }
+    assert_eq!(labels, "}", "{series}");
+    keys.sort_unstable();
+    (name, keys)
+}
+
+/// The exposition is well formed by construction, and what it carries is
+/// what the engines count: after a mixed read / write / segmented load on a
+/// two-replica TPC-W server, every family of the scrape has one `# TYPE` line
+/// ahead of its samples, its samples stand in one group, the set of
+/// `(family, label keys)` is the checked-in `tests/metrics_families.txt` —
+/// taken from the scrape of this load at the commit before the engines were
+/// read directly, and extended on purpose by whoever adds a series — and the
+/// engine counters and phase counts equal what `engines()` reports.
+#[test]
+fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
+    use shareddb::cluster::ClusterConfig;
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, SUBJECTS};
+    use std::collections::{BTreeSet, HashMap};
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::with_items(1_000)).unwrap());
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let server_config = ServerConfig {
+        cluster: ClusterConfig {
+            replicas: 2,
+            replicate_statements: vec!["getItemById".into(), "getBestSellers".into()],
+            ..ClusterConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let engine_config = EngineConfig::default().scan_segments(2);
+    let mut server = Server::start(catalog, plan, registry, engine_config, server_config).unwrap();
+    let addr = server.local_addr();
+    let mut conn = Connection::connect(addr).unwrap();
+    let mut run = |statement: &str, params: &[Value]| {
+        let prepared = conn.prepare(statement).unwrap();
+        conn.execute(&prepared, params).unwrap()
+    };
+    for i in 0..24i64 {
+        assert_eq!(run("getItemById", &[Value::Int(i * 7)]).rows().len(), 1);
+        let subject = Value::text(SUBJECTS[i as usize % SUBJECTS.len()]);
+        run("doSubjectSearch", std::slice::from_ref(&subject));
+        run("getBestSellers", &[subject, Value::Int(0)]);
+        let item = [Value::Int(i * 3), Value::Float(9.5), Value::Date(15_403)];
+        assert_eq!(run("adminUpdateItem", &item).rows_affected(), 1);
+    }
+    wait_for_batches(&server, 96);
+
+    let response = http_exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+    let body = response.split_once("\r\n\r\n").unwrap().1;
+
+    // (i) + (ii): one `# TYPE` line per family, ahead of its samples, which
+    // stand in one group. A summary's `_sum`, `_count` and `_max` lines
+    // belong to the summary.
+    let mut kinds: HashMap<&str, &str> = HashMap::new();
+    let mut closed: BTreeSet<&str> = BTreeSet::new();
+    let mut open = "";
+    let mut shape: BTreeSet<String> = BTreeSet::new();
+    let mut samples: HashMap<&str, u64> = HashMap::new();
+    for line in body.lines() {
+        if let Some(declared) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = declared.split_once(' ').unwrap();
+            assert!(
+                kinds.insert(family, kind).is_none(),
+                "{family} declared twice"
+            );
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').unwrap();
+        let (name, keys) = series_of(series);
+        let companion = ["_sum", "_count", "_max"].iter().find_map(|suffix| {
+            let family = name.strip_suffix(suffix)?;
+            (kinds.get(family) == Some(&"summary")).then_some(family)
+        });
+        let family = companion.unwrap_or(name);
+        assert!(kinds.contains_key(family), "no # TYPE line before {line}");
+        if family != open {
+            assert!(!closed.contains(family), "{family} continues at {line}");
+            closed.insert(open);
+            open = family;
+        }
+        let shaped = format!("{family} {}", keys.join(","));
+        shape.insert(shaped.trim_end().to_string());
+        if let Ok(value) = value.parse() {
+            samples.insert(series, value);
+        }
+    }
+
+    // (iii): the families and their label keys are the checked-in list.
+    let listed: Vec<&str> = include_str!("metrics_families.txt").lines().collect();
+    let shape: Vec<&String> = shape.iter().collect();
+    assert_eq!(
+        shape, listed,
+        "left: scraped, right: tests/metrics_families.txt"
+    );
+
+    // The numbers are the engines': nothing ran since the scrape.
+    let (total, replicas) = server
+        .with_cluster(|c| {
+            let replica = |e: &shareddb::core::Engine| (e.stats(), e.phase_snapshot());
+            (
+                c.stats(),
+                c.engines().iter().map(replica).collect::<Vec<_>>(),
+            )
+        })
+        .unwrap();
+    assert_eq!((total.queries, total.updates, total.failed), (72, 24, 0));
+    assert_eq!(total.batches, 96);
+    assert_eq!(samples["shareddb_engine_batches"], total.batches);
+    assert_eq!(samples["shareddb_engine_queries"], total.queries);
+    assert_eq!(samples["shareddb_engine_updates"], total.updates);
+    assert_eq!(samples["shareddb_engine_failed"], total.failed);
+    let mut phase_counts = 0;
+    for (i, (stats, statements)) in replicas.iter().enumerate() {
+        let series = format!("shareddb_replica_queries{{replica=\"{i}\"}}");
+        assert_eq!(samples[series.as_str()], stats.queries);
+        assert!(stats.queries > 0, "replica {i} sat idle");
+        for snap in statements {
+            for phase in Phase::ALL {
+                let count = snap.phase(phase).count;
+                let series = format!(
+                    "shareddb_phase_latency_us_count{{replica=\"{i}\",statement=\"{}\",phase=\"{}\"}}",
+                    snap.statement,
+                    phase.name()
+                );
+                assert_eq!(samples.get(series.as_str()).copied().unwrap_or(0), count);
+                phase_counts += usize::from(count > 0);
+            }
+        }
+    }
+    let scraped = samples.keys().filter(|s| {
+        s.starts_with("shareddb_phase_latency_us_count{") && !s.contains("replica=\"frontend\"")
+    });
+    assert_eq!(scraped.count(), phase_counts);
+
     let _ = conn.close();
     server.shutdown();
 }

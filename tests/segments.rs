@@ -841,10 +841,16 @@ fn sql_compiled_avg_scatter_matches_single_segment() {
 // ---------------------------------------------------------------------------
 
 fn every_segment_ran(server: &Server) -> bool {
-    let replicas = server.replica_segment_stats().unwrap();
+    let replicas = server
+        .with_cluster(|c| {
+            c.engines()
+                .iter()
+                .map(|e| e.segment_stats())
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
     assert_eq!(replicas.len(), 1);
-    let (_, segments) = &replicas[0];
-    segments.len() == 4 && segments.iter().all(|s| s.batches > 0)
+    replicas[0].len() == 4 && replicas[0].iter().all(|s| s.batches > 0)
 }
 
 /// A parameterless ordered statement scatters over the segments of the one
@@ -886,8 +892,15 @@ fn segmented_merge_is_exact_over_the_wire() {
     }
     assert!(every_segment_ran(&server));
     // One logical execution: the segments' partial rows are not statements.
-    let stats = conn.stats().unwrap();
-    assert_eq!((stats.queries, stats.replicas.len()), (1, 1));
+    let per_replica = server
+        .with_cluster(|c| {
+            c.engines()
+                .iter()
+                .map(|e| e.stats().queries)
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
+    assert_eq!(per_replica, [1]);
     conn.close().unwrap();
     server.shutdown();
 }
