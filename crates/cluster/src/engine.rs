@@ -97,11 +97,22 @@ impl ClusterEngine {
         opts: SubmitOptions,
     ) -> Result<ClusterHandle> {
         let (index, _) = self.registry.get(statement)?;
+        self.submit_prepared(index, params, opts)
+    }
+
+    /// [`ClusterEngine::submit`] of the statement at `index` of the registry
+    /// (every replica's is this one), without the look-up by name.
+    pub fn submit_prepared(
+        &self,
+        index: usize,
+        params: &[Value],
+        opts: SubmitOptions,
+    ) -> Result<ClusterHandle> {
         self.router.note_submit(index);
         self.router
             .maybe_refresh(|| self.engines.iter().map(|e| e.queued()).collect());
         let replica = self.router.pick_replica(index, params);
-        let handle = self.engines[replica].submit(statement, params, opts)?;
+        let handle = self.engines[replica].submit_prepared(index, params, opts)?;
         Ok(ClusterHandle { replica, handle })
     }
 
@@ -133,6 +144,7 @@ impl ClusterEngine {
             total.tasks_run_by_coordinator += stats.tasks_run_by_coordinator;
             total.tasks_run_by_workers += stats.tasks_run_by_workers;
             total.worker_wakeups += stats.worker_wakeups;
+            total.completion_wakes += stats.completion_wakes;
             total.executor_threads += stats.executor_threads;
             total.max_latency = total.max_latency.max(stats.max_latency);
             total.histogram.merge_from(&stats.histogram);
@@ -254,9 +266,9 @@ impl Drop for ClusterEngine {
 // ---------------------------------------------------------------------------
 
 /// Handle to a statement submitted to the cluster: the executing replica's
-/// [`QueryHandle`] — blocking ([`ClusterHandle::wait`]) or event-driven
-/// ([`ClusterHandle::try_wait`], paired with
-/// [`SubmitOptions::completion_waker`]) — and which replica that is.
+/// [`QueryHandle`] — for callers that block; an event loop names a queue in
+/// [`SubmitOptions::completions`] and needs no handle — and which replica
+/// that is.
 pub struct ClusterHandle {
     replica: usize,
     handle: QueryHandle,
@@ -271,12 +283,6 @@ impl ClusterHandle {
     /// Blocks until the outcome is available.
     pub fn wait(self) -> Result<QueryOutcome> {
         self.handle.wait()
-    }
-
-    /// Non-blocking poll: `None` while the statement is in flight,
-    /// `Some(outcome)` exactly once when it is ready.
-    pub fn try_wait(&self) -> Option<Result<QueryOutcome>> {
-        self.handle.try_wait()
     }
 }
 

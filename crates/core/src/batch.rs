@@ -5,6 +5,7 @@
 //! producing an [`ActiveQuery`] (or [`ActiveUpdate`]); active queries queue up
 //! and are grouped into a [`QueryBatch`] at the next heartbeat (Section 3.2).
 
+use crate::completions::Completions;
 use crate::engine::{SubmitOptions, WriteFence};
 use crate::plan::OperatorId;
 use crate::plan::{
@@ -107,17 +108,46 @@ impl Activation {
     }
 }
 
+/// What every admitted statement carries from its submission to its
+/// completion.
+#[derive(Debug, Clone)]
+pub struct Admitted {
+    /// Index of the statement in the registry.
+    pub statement_index: usize,
+    /// Ticket of this execution ([`crate::engine::QueryHandle::ticket`]).
+    pub ticket: TicketId,
+    /// When it was submitted: [`crate::Engine::submit`] sets its own entry
+    /// time, a bare [`bind_query`] the time of binding.
+    pub submitted: Instant,
+    /// When it was bound and enqueued (start of the batch-wait phase).
+    pub enqueued: Instant,
+    /// Where the outcome goes, under which tag
+    /// ([`SubmitOptions::completions`]); `None` answers nobody.
+    pub completion: Option<(Arc<Completions>, u64)>,
+}
+
+impl Admitted {
+    fn now(statement_index: usize, ticket: TicketId, opts: &SubmitOptions) -> Admitted {
+        let now = Instant::now();
+        Admitted {
+            statement_index,
+            ticket,
+            submitted: now,
+            enqueued: now,
+            completion: opts.completions.clone(),
+        }
+    }
+}
+
 /// One admitted query: an activation of a registered statement with concrete
 /// parameters.
 #[derive(Debug, Clone)]
 pub struct ActiveQuery {
+    /// Statement, times and target.
+    pub admitted: Admitted,
     /// Unique id of this activation; this is the value that travels through
     /// the data-query model.
     pub query_id: QueryId,
-    /// Index of the statement in the registry.
-    pub statement_index: usize,
-    /// Ticket used to deliver results back to the waiting client.
-    pub ticket: TicketId,
     /// Operator whose output is this query's result.
     pub root: OperatorId,
     /// Output projection (empty = all columns of the root schema).
@@ -136,31 +166,25 @@ pub struct ActiveQuery {
     /// (parameterless, or a shape that scatters with parameters). Set by
     /// [`crate::Engine::submit`] after binding; defaults to `false`.
     pub segment_ok: bool,
-    /// When the query was bound and enqueued (start of the batch-wait phase).
-    pub enqueued: Instant,
     /// Read-your-writes fence ([`SubmitOptions::read_after`]): the
     /// coordinator defers this query until the fence's write is covered by
     /// the committed watermark (or the covering update rides in the same
     /// batch).
-    pub read_after: Option<std::sync::Arc<WriteFence>>,
+    pub read_after: Option<Arc<WriteFence>>,
 }
 
 /// One admitted update.
 #[derive(Debug, Clone)]
 pub struct ActiveUpdate {
-    /// Ticket used to report the update result.
-    pub ticket: TicketId,
-    /// Index of the statement in the registry.
-    pub statement_index: usize,
+    /// Statement, times and target.
+    pub admitted: Admitted,
     /// Target table.
     pub table: String,
     /// The bound update operation.
     pub op: UpdateOp,
-    /// When the update was bound and enqueued (start of the batch-wait phase).
-    pub enqueued: Instant,
     /// Session write fence ([`SubmitOptions::write_fence`]): resolved by the
     /// engine at the committed watermark once this update's batch group-commits.
-    pub write_fence: Option<std::sync::Arc<WriteFence>>,
+    pub write_fence: Option<Arc<WriteFence>>,
 }
 
 /// One batch ("generation") of queries and updates processed by a heartbeat.
@@ -243,9 +267,8 @@ pub fn bind_query(
         })
         .collect::<Result<Vec<_>>>()?;
     Ok(ActiveQuery {
+        admitted: Admitted::now(statement_index, ticket, opts),
         query_id,
-        statement_index,
-        ticket,
         root: *root,
         projection: projection.clone(),
         compute,
@@ -253,7 +276,6 @@ pub fn bind_query(
         distinct: *distinct,
         activations,
         segment_ok: false,
-        enqueued: Instant::now(),
         read_after: opts.read_after.clone(),
     })
 }
@@ -298,12 +320,14 @@ fn bind_activation(
     })
 }
 
-/// Binds an update statement into a storage [`UpdateOp`].
+/// Binds an update statement into a storage [`UpdateOp`] and attaches the
+/// submission's completion target and session fence.
 pub fn bind_update(
     spec: &StatementSpec,
     statement_index: usize,
     ticket: TicketId,
     params: &[Value],
+    opts: &SubmitOptions,
 ) -> Result<ActiveUpdate> {
     let StatementKind::Update { table, template } = &spec.kind else {
         return Err(Error::Internal(format!(
@@ -337,12 +361,10 @@ pub fn bind_update(
         },
     };
     Ok(ActiveUpdate {
-        ticket,
-        statement_index,
+        admitted: Admitted::now(statement_index, ticket, opts),
         table: table.clone(),
         op,
-        enqueued: Instant::now(),
-        write_fence: None,
+        write_fence: opts.write_fence.clone(),
     })
 }
 
@@ -407,7 +429,7 @@ mod tests {
         )
         .is_err());
         // Binding it as an update is an error.
-        assert!(bind_update(&spec, 7, TicketId(1), &[]).is_err());
+        assert!(bind_update(&spec, 7, TicketId(1), &[], &SubmitOptions::default()).is_err());
     }
 
     #[test]
@@ -419,7 +441,15 @@ mod tests {
                 values: vec![Expr::param(0), Expr::param(1), Expr::lit("OK")],
             },
         );
-        let u = bind_update(&spec, 0, TicketId(1), &[Value::Int(1), Value::Int(2)]).unwrap();
+        let opts = SubmitOptions::default();
+        let u = bind_update(
+            &spec,
+            0,
+            TicketId(1),
+            &[Value::Int(1), Value::Int(2)],
+            &opts,
+        )
+        .unwrap();
         assert_eq!(u.table, "ORDERS");
         match u.op {
             UpdateOp::Insert { values } => {
@@ -436,7 +466,7 @@ mod tests {
                 predicate: Expr::col(0).eq(Expr::param(0)),
             },
         );
-        let u = bind_update(&spec, 0, TicketId(2), &[Value::Int(5)]).unwrap();
+        let u = bind_update(&spec, 0, TicketId(2), &[Value::Int(5)], &opts).unwrap();
         match u.op {
             UpdateOp::Delete { predicate } => assert!(predicate.is_bound()),
             other => panic!("unexpected {other:?}"),

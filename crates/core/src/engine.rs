@@ -26,8 +26,9 @@
 //! [`QueryHandle`]) or [`Engine::execute_sync`].
 
 use crate::batch::{
-    bind_query, bind_update, Activation, ActiveQuery, ActiveUpdate, QueryBatch, RowSlice,
+    bind_query, bind_update, Activation, ActiveQuery, ActiveUpdate, Admitted, QueryBatch, RowSlice,
 };
+use crate::completions::Completions;
 use crate::config::{EngineConfig, HeartbeatPolicy};
 use crate::executor::{Activations, Executor, NodeRun, Run};
 use crate::merge::{merge_results, MergeSpec};
@@ -40,7 +41,6 @@ use crate::stats::{
 };
 use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{TraceEvent, TraceJournal, TraceRecord};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use shareddb_common::ids::{BatchId, QueryIdGenerator, TicketGenerator, TicketId};
 use shareddb_common::metrics::HistogramSnapshot;
@@ -108,8 +108,9 @@ impl QueryOutcome {
 #[derive(Debug)]
 pub struct QueryHandle {
     ticket: TicketId,
-    receiver: Receiver<Result<QueryOutcome>>,
-    submitted: Instant,
+    /// The statement's private target. `None`: it was submitted with
+    /// [`SubmitOptions::completions`] and is answered there.
+    slot: Option<Arc<Completions>>,
 }
 
 impl QueryHandle {
@@ -118,40 +119,32 @@ impl QueryHandle {
         self.ticket
     }
 
-    /// Time since submission.
-    pub fn elapsed(&self) -> Duration {
-        self.submitted.elapsed()
-    }
-
     /// Blocks until the result is available.
     pub fn wait(self) -> Result<QueryOutcome> {
-        self.receiver.recv().map_err(|_| Error::EngineShutdown)?
+        self.outcome(None)
+            .expect("a wait without deadline ends with an outcome")
     }
 
     /// Non-blocking poll: `None` while the statement is still in flight,
-    /// `Some(outcome)` exactly once when it completes. Event-driven callers
-    /// (the network reactor) pair this with
-    /// [`SubmitOptions::completion_waker`] instead of parking a thread in
-    /// [`QueryHandle::wait`].
+    /// `Some(outcome)` exactly once when it completes.
     pub fn try_wait(&self) -> Option<Result<QueryOutcome>> {
-        match self.receiver.try_recv() {
-            Ok(outcome) => Some(outcome),
-            // Every handle is delivered exactly one message before its sender
-            // is dropped (the outcome, or the failure injected on engine
-            // shutdown), so `Disconnected` only means the outcome was already
-            // consumed by an earlier call — keep the "exactly once" contract
-            // rather than surfacing a spurious shutdown error.
-            Err(crossbeam_channel::TryRecvError::Empty)
-            | Err(crossbeam_channel::TryRecvError::Disconnected) => None,
-        }
+        self.outcome(Some(Instant::now()))
     }
 
     /// Blocks until the result is available or the deadline passes.
     pub fn wait_timeout(self, timeout: Duration) -> Result<QueryOutcome> {
-        match self.receiver.recv_timeout(timeout) {
-            Ok(outcome) => outcome,
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(Error::DeadlineExceeded),
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(Error::EngineShutdown),
+        self.outcome(Some(Instant::now() + timeout))
+            .unwrap_or(Err(Error::DeadlineExceeded))
+    }
+
+    /// Every statement is pushed one outcome — by its batch, or by the
+    /// shutdown that finds it queued — so a wait without deadline returns.
+    fn outcome(&self, deadline: Option<Instant>) -> Option<Result<QueryOutcome>> {
+        match &self.slot {
+            Some(slot) => slot.wait(deadline),
+            None => Some(Err(Error::InvalidParameter(
+                "the statement is answered through its submitter's completion queue".into(),
+            ))),
         }
     }
 }
@@ -169,18 +162,12 @@ enum Submission {
 }
 
 impl Submission {
-    fn statement_index(&self) -> usize {
+    fn admitted(&self) -> &Admitted {
         match self {
-            Submission::Query(q) => q.statement_index,
-            Submission::Update(u) => u.statement_index,
+            Submission::Query(q) => &q.admitted,
+            Submission::Update(u) => &u.admitted,
         }
     }
-}
-
-struct PendingResult {
-    sender: Sender<Result<QueryOutcome>>,
-    submitted: Instant,
-    waker: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 /// Admission lane of a statement type (see [`Engine::statement_lane`]).
@@ -288,11 +275,11 @@ pub struct SubmitOptions {
     /// happen under the queue lock, so the bound is exact even with many
     /// concurrent submitters (no check-then-enqueue TOCTOU).
     pub max_queue_depth: Option<usize>,
-    /// Invoked after the statement's outcome has been delivered to its
-    /// [`QueryHandle`] (including the failure delivered on engine shutdown).
-    /// Lets a nonblocking caller poll [`QueryHandle::try_wait`] only when
-    /// woken instead of parking a thread per statement.
-    pub completion_waker: Option<Arc<dyn Fn() + Send + Sync>>,
+    /// Where the outcome goes, under which tag (including the failure of a
+    /// statement an engine shutdown finds queued): one reader serves any
+    /// number of statements and engines and is woken once per drain, not per
+    /// statement. `None` answers through the returned [`QueryHandle`].
+    pub completions: Option<(Arc<Completions>, u64)>,
     /// Pin every storage read (shared scan / index probe) of this query to a
     /// fixed MVCC snapshot instead of the executing batch's own snapshot
     /// ([`Catalog::snapshot`]). Two executions pinned to one snapshot read
@@ -352,7 +339,6 @@ struct EngineInner {
     heartbeat_us: AtomicU64,
     /// Number of interval changes the adaptive controller has made.
     heartbeat_adjustments: AtomicU64,
-    pending: Mutex<HashMap<TicketId, PendingResult>>,
     query_ids: QueryIdGenerator,
     tickets: TicketGenerator,
     shutdown: AtomicBool,
@@ -464,7 +450,6 @@ impl Engine {
             light_indices,
             heartbeat_us: AtomicU64::new(initial_heartbeat_us),
             heartbeat_adjustments: AtomicU64::new(0),
-            pending: Mutex::new(HashMap::new()),
             query_ids: QueryIdGenerator::new(),
             tickets: TicketGenerator::new(),
             shutdown: AtomicBool::new(false),
@@ -526,22 +511,43 @@ impl Engine {
         params: &[Value],
         opts: SubmitOptions,
     ) -> Result<QueryHandle> {
+        let (index, _) = self.inner.registry.get(statement)?;
+        self.submit_prepared(index, params, opts)
+    }
+
+    /// [`Engine::submit`] of the statement at `index` of the registry (as
+    /// [`StatementRegistry::get`] returned it), without the look-up by name.
+    pub fn submit_prepared(
+        &self,
+        index: usize,
+        params: &[Value],
+        mut opts: SubmitOptions,
+    ) -> Result<QueryHandle> {
+        // `shutdown` takes the engine exclusively, so what is queued was
+        // queued before it: all of it is in the coordinator's last batch at
+        // the latest, and nothing is queued that nobody will answer.
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(Error::EngineShutdown);
         }
-        // The admission phase spans binding, pending registration and the
-        // queue push — everything between the caller's submit call and the
-        // statement waiting for its heartbeat.
+        // The admission phase spans binding and the queue push — everything
+        // between the caller's submit call and the statement waiting for its
+        // heartbeat.
         let submitted = Instant::now();
-        let (index, spec) = self.inner.registry.get(statement)?;
+        let spec = self.inner.registry.by_index(index);
         let ticket = self.inner.tickets.next_id();
+        let slot = opts.completions.is_none().then(|| {
+            let slot = Arc::new(Completions::new(None));
+            opts.completions = Some((Arc::clone(&slot), 0));
+            slot
+        });
         let submission = if spec.is_update() {
-            let mut update = bind_update(spec, index, ticket, params)?;
-            update.write_fence = opts.write_fence.clone();
+            let mut update = bind_update(spec, index, ticket, params, &opts)?;
+            update.admitted.submitted = submitted;
             Submission::Update(update)
         } else {
             let query_id = self.inner.query_ids.next_id();
             let mut query = bind_query(spec, index, query_id, ticket, params, &opts)?;
+            query.admitted.submitted = submitted;
             // Segment eligibility: the shape must have a scatter spec, and
             // parameterised executions qualify only when the shape scatters
             // with parameters.
@@ -550,43 +556,34 @@ impl Engine {
             }
             Submission::Query(query)
         };
-        let (tx, rx) = unbounded();
-        self.inner.pending.lock().insert(
-            ticket,
-            PendingResult {
-                sender: tx,
-                submitted,
-                waker: opts.completion_waker,
-            },
-        );
-        {
-            let mut queue = self.inner.admission.queue.lock();
-            // The depth bound spans BOTH lanes, checked and enqueued under
-            // the one queue lock — adding lanes must not soften the exact
-            // admission bound.
-            if let Some(max) = opts.max_queue_depth {
-                if queue.len() >= max {
-                    drop(queue);
-                    self.inner.pending.lock().remove(&ticket);
-                    return Err(Error::Overloaded(format!(
-                        "admission queue depth limit of {max} reached"
-                    )));
-                }
-            }
-            match self.inner.lanes.get(index).copied().unwrap_or(Lane::Heavy) {
-                Lane::Light => queue.light.push_back(submission),
-                Lane::Heavy => queue.heavy.push_back(submission),
+        let mut queue = self.inner.admission.queue.lock();
+        // The depth bound spans BOTH lanes, checked and enqueued under the
+        // one queue lock — adding lanes must not soften the exact admission
+        // bound.
+        if let Some(max) = opts.max_queue_depth {
+            if queue.len() >= max {
+                return Err(Error::Overloaded(format!(
+                    "admission queue depth limit of {max} reached"
+                )));
             }
         }
-        self.inner.admission.signal.notify_one();
+        let lane = match self.inner.lanes[index] {
+            Lane::Light => &mut queue.light,
+            Lane::Heavy => &mut queue.heavy,
+        };
+        // The coordinator parks only over an empty lane (the light one, or
+        // both) and drains a lane whole: whoever fills an empty lane wakes
+        // it, and what is pushed behind rides along.
+        let wake = lane.is_empty();
+        lane.push_back(submission);
+        drop(queue);
+        if wake {
+            self.inner.admission.signal.notify_one();
+        }
         self.inner
             .stats
             .record_phase(index, Phase::Admission, submitted.elapsed());
-        Ok(QueryHandle {
-            ticket,
-            receiver: rx,
-            submitted,
-        })
+        Ok(QueryHandle { ticket, slot })
     }
 
     /// Submits a statement and blocks until its result is available.
@@ -727,8 +724,8 @@ impl Engine {
         self.inner.heartbeat_adjustments.load(Ordering::Relaxed)
     }
 
-    /// Stops the engine: drains nothing further, fails queued work with
-    /// [`Error::EngineShutdown`] and joins all threads.
+    /// Stops the engine: admits nothing further ([`Error::EngineShutdown`]),
+    /// answers what is queued from one last batch and joins all threads.
     pub fn shutdown(&mut self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -1025,7 +1022,7 @@ fn coordinator_loop(inner: Arc<EngineInner>) {
                         Some(fence) => {
                             let covered = fence.committed_ts().is_some_and(|ts| ts <= watermark);
                             let in_batch = batch_fences.iter().any(|f| Arc::ptr_eq(f, fence));
-                            !covered && !in_batch && q.enqueued.elapsed() < FENCE_WAIT_CAP
+                            !covered && !in_batch && q.admitted.enqueued.elapsed() < FENCE_WAIT_CAP
                         }
                         None => false,
                     },
@@ -1046,12 +1043,7 @@ fn coordinator_loop(inner: Arc<EngineInner>) {
             // reverse drain order, preserving FIFO within each lane.
             let mut queue = inner.admission.queue.lock();
             for submission in deferred.into_iter().rev() {
-                let lane = inner
-                    .lanes
-                    .get(submission.statement_index())
-                    .copied()
-                    .unwrap_or(Lane::Heavy);
-                match lane {
+                match inner.lanes[submission.admitted().statement_index] {
                     Lane::Light => queue.light.push_front(submission),
                     Lane::Heavy => queue.heavy.push_front(submission),
                 }
@@ -1080,38 +1072,26 @@ fn coordinator_loop(inner: Arc<EngineInner>) {
                 Submission::Update(u) => batch.updates.push(u),
             }
         }
+        // Counted before it is answered: whoever holds a reply of the batch
+        // finds the batch in the counters.
+        inner.stats.record_batch(batch.len());
         process_batch(&inner, &batch, heartbeat);
-        inner
-            .stats
-            .record_batch(batch.queries.len() + batch.updates.len());
         heartbeat = controller.step(&inner, admitted_count, backlog);
-    }
-
-    // Fail everything still pending.
-    let drained: Vec<PendingResult> = {
-        let mut pending = inner.pending.lock();
-        pending.drain().map(|(_, result)| result).collect()
-    };
-    for result in drained {
-        let _ = result.sender.send(Err(Error::EngineShutdown));
-        if let Some(waker) = &result.waker {
-            waker();
-        }
     }
 }
 
 fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Duration) {
-    let batch_started = Instant::now();
+    let started = Instant::now();
     let heartbeat_us = heartbeat.as_micros() as u64;
     // The statement-type mix (computed only when tracing is on — it
     // allocates) is what the attribution table splits operator busy time by.
     let mix = if inner.trace.capacity() > 0 {
         let mut counts: HashMap<usize, usize> = HashMap::new();
         for q in &batch.queries {
-            *counts.entry(q.statement_index).or_default() += 1;
+            *counts.entry(q.admitted.statement_index).or_default() += 1;
         }
         for u in &batch.updates {
-            *counts.entry(u.statement_index).or_default() += 1;
+            *counts.entry(u.admitted.statement_index).or_default() += 1;
         }
         let mut mix: Vec<(usize, usize)> = counts.into_iter().collect();
         mix.sort_unstable();
@@ -1152,7 +1132,7 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         for (update, result) in batch.updates.iter().zip(results) {
             let outcome = result.map(|applied| {
                 inner.stats.record_update_rows(
-                    update.statement_index,
+                    update.admitted.statement_index,
                     applied.rows_examined,
                     applied.rows_affected,
                 );
@@ -1160,18 +1140,7 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
                     rows_affected: applied.rows_affected,
                 }
             });
-            complete(
-                inner,
-                update.ticket,
-                outcome,
-                Some(PhaseCtx {
-                    statement_index: update.statement_index,
-                    enqueued: update.enqueued,
-                    batch_started,
-                    segments: 1,
-                    heartbeat_us,
-                }),
-            );
+            complete(inner, &update.admitted, outcome, started, heartbeat_us, 1);
         }
     }
 
@@ -1221,7 +1190,7 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         for s in 0..segments {
             let mut activations: Vec<Activations> = vec![Vec::new(); plan.len()];
             for q in &seg_lane {
-                let spec = inner.scatter_specs[q.statement_index]
+                let spec = inner.scatter_specs[q.admitted.statement_index]
                     .as_ref()
                     .expect("segment_ok implies a scatter spec");
                 for (op, activation) in &q.activations {
@@ -1325,7 +1294,7 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
     let mut act_counts: Vec<u64> = vec![0; plan.len() * n_stmts];
     for q in &batch.queries {
         for (op, _) in &q.activations {
-            act_counts[*op * n_stmts + q.statement_index] += 1;
+            act_counts[*op * n_stmts + q.admitted.statement_index] += 1;
         }
     }
     for node in plan.nodes() {
@@ -1371,32 +1340,17 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         }
     }
     for q in &batch.queries {
+        let index = q.admitted.statement_index;
         let segmented = segments > 1 && q.segment_ok;
-        let ctx = Some(PhaseCtx {
-            statement_index: q.statement_index,
-            enqueued: q.enqueued,
-            batch_started,
-            segments: if segmented { segments } else { 1 },
-            heartbeat_us,
-        });
         let lane_error = if segmented { &seg_error } else { &batch_error };
-        if let Some(error) = lane_error {
-            inner.trace.push(TraceEvent::QueryRouted {
-                batch: batch.id.0,
-                statement: q.statement_index,
-                ticket: q.ticket.0,
-                rows: 0,
-                ok: false,
-            });
-            complete(inner, q.ticket, Err(error.clone()), ctx);
-            continue;
-        }
-        let outcome = if segmented {
+        let outcome = if let Some(error) = lane_error {
+            Err(error.clone())
+        } else if segmented {
             let merge_started = Instant::now();
             let merged = merge_segment_partials(inner, q, &mut seg_routed);
             inner
                 .stats
-                .record_phase(q.statement_index, Phase::Merge, merge_started.elapsed());
+                .record_phase(index, Phase::Merge, merge_started.elapsed());
             merged.and_then(|rows| finalize_query_result(inner, q, rows))
         } else {
             let rows = routed
@@ -1407,12 +1361,13 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         };
         inner.trace.push(TraceEvent::QueryRouted {
             batch: batch.id.0,
-            statement: q.statement_index,
-            ticket: q.ticket.0,
+            statement: index,
+            ticket: q.admitted.ticket.0,
             rows: outcome.as_ref().map(|o| o.rows().len()).unwrap_or(0),
             ok: outcome.is_ok(),
         });
-        complete(inner, q.ticket, outcome, ctx);
+        let lanes = if segmented { segments } else { 1 };
+        complete(inner, &q.admitted, outcome, started, heartbeat_us, lanes);
     }
 }
 
@@ -1441,7 +1396,7 @@ fn merge_segment_partials(
     query: &ActiveQuery,
     seg_routed: &mut [RoutingTable],
 ) -> Result<Vec<Tuple>> {
-    let spec = inner.scatter_specs[query.statement_index]
+    let spec = inner.scatter_specs[query.admitted.statement_index]
         .as_ref()
         .ok_or_else(|| Error::Internal("segment-lane query without scatter spec".into()))?;
     let effective = match &spec.merge {
@@ -1548,68 +1503,58 @@ fn finish_output_rows(query: &ActiveQuery, mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows
 }
 
-/// Phase context of a completion: everything needed to attribute the
-/// batch-wait and execute spans to the right statement type.
-struct PhaseCtx {
-    statement_index: usize,
-    enqueued: Instant,
-    batch_started: Instant,
-    /// Segment lanes the statement executed on (1 = whole lane).
-    segments: u32,
-    /// Heartbeat interval in effect when the batch formed, µs.
-    heartbeat_us: u64,
-}
-
+/// Books one statement of the batch that started at `started` under
+/// a heartbeat of `heartbeat_us` µs, executed on `segments` segment lanes
+/// (1 = whole lane), and hands its outcome over — while the batch's
+/// intermediates are still alive: a reader woken here works beside the
+/// coordinator freeing them, not after it.
 fn complete(
-    inner: &Arc<EngineInner>,
-    ticket: TicketId,
+    inner: &EngineInner,
+    statement: &Admitted,
     outcome: Result<QueryOutcome>,
-    ctx: Option<PhaseCtx>,
+    started: Instant,
+    heartbeat_us: u64,
+    segments: u32,
 ) {
-    let pending = inner.pending.lock().remove(&ticket);
-    if let Some(pending) = pending {
-        // One completion timestamp for every span, so total >= execute and
-        // total >= batch_wait hold exactly (two elapsed() calls would let
-        // the later-measured span overshoot the earlier one).
-        let now = Instant::now();
-        let latency = now.duration_since(pending.submitted);
-        match &outcome {
-            Ok(QueryOutcome::Rows(rs)) => inner.stats.record_query(rs.len(), latency),
-            Ok(QueryOutcome::Updated { .. }) => inner.stats.record_update(latency),
-            Err(_) => inner.stats.record_failure(),
-        }
-        if let Some(ctx) = ctx {
-            let batch_wait = ctx.batch_started.duration_since(ctx.enqueued);
-            let execute = now.duration_since(ctx.batch_started);
-            inner
-                .stats
-                .record_phase(ctx.statement_index, Phase::BatchWait, batch_wait);
-            inner
-                .stats
-                .record_phase(ctx.statement_index, Phase::Execute, execute);
-            inner
-                .stats
-                .record_phase(ctx.statement_index, Phase::Total, latency);
-            if let Some(threshold) = inner.config.slow_query_threshold {
-                if latency >= threshold {
-                    inner.stats.record_slow(SlowQueryRecord {
-                        statement: inner.registry.by_index(ctx.statement_index).name.clone(),
-                        // The engine does not know its replica id; the
-                        // cluster layer stamps it when concatenating logs.
-                        replica: 0,
-                        segments: ctx.segments,
-                        total: latency,
-                        admission: ctx.enqueued.duration_since(pending.submitted),
-                        batch_wait,
-                        execute,
-                        heartbeat_us: ctx.heartbeat_us,
-                    });
-                }
-            }
-        }
-        let _ = pending.sender.send(outcome);
-        if let Some(waker) = &pending.waker {
-            waker();
+    // One completion timestamp for every span, so total >= execute and
+    // total >= batch_wait hold exactly (two elapsed() calls would let
+    // the later-measured span overshoot the earlier one).
+    let now = Instant::now();
+    let latency = now.duration_since(statement.submitted);
+    match &outcome {
+        Ok(QueryOutcome::Rows(rs)) => inner.stats.record_query(rs.len(), latency),
+        Ok(QueryOutcome::Updated { .. }) => inner.stats.record_update(latency),
+        Err(_) => inner.stats.record_failure(),
+    }
+    let batch_wait = started.duration_since(statement.enqueued);
+    let execute = now.duration_since(started);
+    let index = statement.statement_index;
+    inner
+        .stats
+        .record_phase(index, Phase::BatchWait, batch_wait);
+    inner.stats.record_phase(index, Phase::Execute, execute);
+    inner.stats.record_phase(index, Phase::Total, latency);
+    if inner
+        .config
+        .slow_query_threshold
+        .is_some_and(|threshold| latency >= threshold)
+    {
+        inner.stats.record_slow(SlowQueryRecord {
+            statement: inner.registry.by_index(index).name.clone(),
+            // The engine does not know its replica id; the cluster layer
+            // stamps it when concatenating logs.
+            replica: 0,
+            segments,
+            total: latency,
+            admission: statement.enqueued.duration_since(statement.submitted),
+            batch_wait,
+            execute,
+            heartbeat_us,
+        });
+    }
+    if let Some((queue, tag)) = &statement.completion {
+        if queue.push(*tag, outcome) {
+            inner.stats.record_completion_wake();
         }
     }
 }
@@ -2071,14 +2016,52 @@ mod tests {
         }
     }
 
+    /// A shutdown answers what it finds queued — here a thousand statements
+    /// behind a heartbeat that never comes, a failing one among them, all
+    /// bound for one queue nobody reads meanwhile — from one last batch:
+    /// every tag once, a failed statement counted once, the reader woken
+    /// once for the lot; and admits nothing after.
     #[test]
-    fn shutdown_fails_pending_work() {
-        let mut engine = build_engine(EngineConfig::default());
+    fn shutdown_answers_what_is_queued_exactly_once() {
+        let mut engine = build_engine(EngineConfig {
+            heartbeat: HeartbeatPolicy::Fixed(Duration::from_secs(30)),
+            eager_heartbeat: false,
+            ..EngineConfig::default()
+        });
+        engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
+        let queue = Arc::new(Completions::new(Some(Arc::new(|| {}))));
+        for tag in 0..1_000u64 {
+            let (statement, params) = match tag {
+                500 => ("brokenFilter", vec![]),
+                _ => ("userById", vec![Value::Int(tag as i64 % 100)]),
+            };
+            let opts = SubmitOptions {
+                completions: Some((Arc::clone(&queue), tag)),
+                ..SubmitOptions::default()
+            };
+            let handle = engine.submit(statement, &params, opts).unwrap();
+            assert!(matches!(handle.try_wait(), Some(Err(_))), "answered there");
+        }
+        let mut outcomes = Vec::new();
+        queue.take(&mut outcomes);
+        assert!(outcomes.is_empty(), "a batch before its heartbeat");
         engine.shutdown();
+        queue.take(&mut outcomes);
+        outcomes.sort_by_key(|(tag, _)| *tag);
+        let tags: Vec<u64> = outcomes.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, (0..1_000).collect::<Vec<u64>>());
+        // A batch fails as one.
+        let failed = outcomes.iter().filter(|(_, o)| o.is_err()).count() as u64;
+        let stats = engine.stats();
+        assert_eq!((failed, stats.failed), (1_000, 1_000), "{stats:?}");
+        // The warm-up's private slot, and the queue once.
+        assert_eq!(stats.completion_wakes, 2);
         assert!(matches!(
             engine.execute("usersByCountry", &[]),
             Err(Error::EngineShutdown)
         ));
+        queue.take(&mut outcomes);
+        assert_eq!(outcomes.len(), 1_000);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! * [`operators`] — the shared relational operators (pure batch functions).
 //! * [`storage_ops`] — scan / index-probe operators backed by `shareddb-storage`.
 //! * [`batch`] — activations, active queries, batch assembly.
+//! * [`completions`] — the wake-on-empty queue outcomes reach their reader by.
 //! * [`demand`] — a statement's Top-N limit, carried one edge down the plan.
 //! * [`engine`] — the batching runtime: admission, coordinator, completion.
 //! * `executor` — operator cycles as tasks on a ready queue, cores as threads.
@@ -43,6 +44,7 @@
 //! * [`config`] — engine configuration.
 
 pub mod batch;
+pub mod completions;
 pub mod config;
 pub mod demand;
 pub mod engine;
@@ -57,6 +59,7 @@ pub mod storage_ops;
 pub mod trace;
 
 pub use batch::{Activation, ActiveQuery, QueryBatch};
+pub use completions::Completions;
 pub use config::{EngineConfig, HeartbeatPolicy};
 pub use engine::{Engine, Lane, QueryOutcome, ResultSet, SubmitOptions, WriteFence};
 pub use explain::{

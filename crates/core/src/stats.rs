@@ -622,6 +622,8 @@ pub struct EngineStats {
     tasks_run: [AtomicU64; 2],
     /// Notifications sent to parked pool threads.
     worker_wakeups: AtomicU64,
+    /// Wakes of the readers of completion queues.
+    completion_wakes: AtomicU64,
 }
 
 /// Rows one update statement type examined and affected — the write path's
@@ -740,6 +742,10 @@ pub struct EngineStatsSnapshot {
     /// Notifications the executor sent to parked pool threads. Divided by
     /// `batches`: the cross-thread hand-offs a batch pays for.
     pub worker_wakeups: u64,
+    /// Outcomes that found their completion queue empty and woke its reader.
+    /// Divided by `queries + updates + failed`: 1 when statements come one
+    /// at a time, far below it when the reader is handed batches.
+    pub completion_wakes: u64,
     /// Threads that run executor tasks: the coordinator and its pool (a
     /// gauge; summed over the replicas of a cluster).
     pub executor_threads: usize,
@@ -755,7 +761,8 @@ impl EngineStats {
         }
     }
 
-    /// Records a completed batch and its occupancy (statements it carried).
+    /// Records a batch, as it forms, and its occupancy (statements it
+    /// carries).
     pub fn record_batch(&self, statements: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.occupancy
@@ -771,6 +778,11 @@ impl EngineStats {
     pub fn record_worker_wakeups(&self, woken: usize) {
         self.worker_wakeups
             .fetch_add(woken as u64, Ordering::Relaxed);
+    }
+
+    /// Records one wake of a completion queue's reader.
+    pub fn record_completion_wake(&self) {
+        self.completion_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a completed query with its end-to-end latency.
@@ -874,7 +886,8 @@ impl EngineStats {
         }
         self.slow_total.store(0, Ordering::Relaxed);
         self.slow.lock().clear();
-        for counter in self.tasks_run.iter().chain([&self.worker_wakeups]) {
+        let wakes = [&self.worker_wakeups, &self.completion_wakes];
+        for counter in self.tasks_run.iter().chain(wakes) {
             counter.store(0, Ordering::Relaxed);
         }
     }
@@ -902,6 +915,7 @@ impl EngineStats {
             tasks_run_by_coordinator: self.tasks_run[0].load(Ordering::Relaxed),
             tasks_run_by_workers: self.tasks_run[1].load(Ordering::Relaxed),
             worker_wakeups: self.worker_wakeups.load(Ordering::Relaxed),
+            completion_wakes: self.completion_wakes.load(Ordering::Relaxed),
             // Not a counter: the engine that owns the executor fills it in.
             executor_threads: 0,
         }

@@ -8,8 +8,8 @@
 //!             │        ▲                (partial-frame      (atomic     submit   │
 //!             │        │                 buffers)            bound)        │     │
 //!             │   epoll/park                                               ▼     │
-//!             │        ▲                per-conn reply queue ◀── completion      │
-//!             │        │                (submission order)       waker (eventfd) │
+//!             │        ▲                per-conn reply queue ◀── completions     │
+//!             │        │                (submission order)       (one eventfd)   │
 //!             │   write queues ◀────────────┘                                    │
 //!             └────────────────────────────────────────────────────────────────--┘
 //! ```
@@ -24,9 +24,12 @@
 //!   partial-frame state, so a client that stalls mid-frame costs a buffer,
 //!   not a parked thread;
 //! * submitted statements park as [`Reply::Pending`] entries in the
-//!   connection's reply queue; the engine's completion waker (an
-//!   eventfd/condvar wake, not a timed poll) tells the reactor to pump them
-//!   out in submission order;
+//!   connection's reply queue, each tagged with its place there; outcomes
+//!   come back through the reactor's one [`Completions`] queue, whose push
+//!   wakes the poll (an eventfd/condvar wake, not a timed poll) only when it
+//!   found the queue empty — one wake carries whatever has gathered by the
+//!   time the reactor looks — and are filed by tag, so replies leave in
+//!   submission order whatever order the replicas finished in;
 //! * responses drain through a per-connection write queue flushed when the
 //!   socket is writable; a connection whose write queue passes the high-water
 //!   mark stops being polled for readability (socket-level backpressure)
@@ -42,11 +45,11 @@ use crate::protocol::{
     WireExplain, WireExplainNode, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::server::Shared;
-use shareddb_cluster::ClusterHandle;
 use shareddb_common::{DataType, Error, Value};
+use shareddb_core::completions::Completion;
 use shareddb_core::stats::OperatorStatsSnapshot;
 use shareddb_core::{explain_statement, render_explain_text, AnalyzeData};
-use shareddb_core::{Phase, QueryOutcome, SubmitOptions, WriteFence};
+use shareddb_core::{Completions, Phase, QueryOutcome, SubmitOptions, WriteFence};
 use shareddb_sql::compile::{bind_adhoc, canonicalize, parse_explain};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -459,31 +462,19 @@ impl Poller for ScanPoller {
 }
 
 // ---------------------------------------------------------------------------
-// Completion queue: engine → reactor
+// Completion tags: engine → reactor
 // ---------------------------------------------------------------------------
 
-/// Connections whose statements completed since the reactor last looked.
-/// Engine completion wakers push here from the coordinator thread and then
-/// fire the poller's waker.
-pub(crate) struct CompletionQueue {
-    tokens: std::sync::Mutex<Vec<u64>>,
-    wake: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl CompletionQueue {
-    fn notify(&self, token: u64) {
-        self.tokens
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(token);
-        (self.wake)();
-    }
-
-    fn drain(&self, into: &mut Vec<u64>) {
-        let mut tokens = self.tokens.lock().unwrap_or_else(|e| e.into_inner());
-        into.append(&mut tokens);
-    }
-}
+/// A statement's completion tag names the reply slot its outcome belongs in:
+/// the connection's token above, the slot's sequence number — its position
+/// in the connection's reply stream, modulo 2^24 — in the low bits. Tokens
+/// are never reused, so an outcome whose connection has gone names nothing.
+const SEQ_BITS: u32 = 24;
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+/// A connection's reply queue stays far shorter than the sequence space
+/// (each in-flight statement is one slot, with at most one coalesced ready
+/// slot between two), so a sequence number names one live slot.
+const MAX_INFLIGHT: usize = 1 << (SEQ_BITS - 2);
 
 // ---------------------------------------------------------------------------
 // Per-connection state machine
@@ -493,13 +484,14 @@ impl CompletionQueue {
 enum Reply {
     /// Already-encoded frames, ready to move to the write queue.
     Ready(Vec<u8>),
-    /// A submitted statement; its outcome is pumped out (in submission order)
-    /// when the completion waker of the replica it runs on fires.
+    /// A submitted statement. Its outcome is filed here when it comes off
+    /// the completion queue and pumped out when every reply before it has
+    /// been.
     Pending {
         request_id: u64,
-        handle: ClusterHandle,
         /// Statement registry index, for the Flush-phase histogram.
         statement: usize,
+        outcome: Option<shareddb_common::Result<QueryOutcome>>,
     },
 }
 
@@ -509,6 +501,8 @@ struct Conn {
     /// Replies in submission order; `Pending` entries park here until the
     /// engine completes them.
     replies: VecDeque<Reply>,
+    /// Sequence number of `replies.front()`: the replies popped so far.
+    front_seq: u64,
     /// Number of `Reply::Pending` entries (the per-session in-flight count).
     inflight: usize,
     /// Encoded response bytes not yet accepted by the socket.
@@ -530,8 +524,6 @@ struct Conn {
     frame_started: Option<Instant>,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// Wakes the reactor when one of this connection's statements completes.
-    waker: Arc<dyn Fn() + Send + Sync>,
     /// Read-your-writes session fence: the latest update this session
     /// submitted. Subsequent reads carry it as
     /// [`SubmitOptions::read_after`], so whichever replica they land on
@@ -542,6 +534,11 @@ struct Conn {
 }
 
 impl Conn {
+    /// Frames are still read from the connection.
+    fn reading(&self) -> bool {
+        !self.read_closed && !self.dead
+    }
+
     fn out_len(&self) -> usize {
         self.out.len() - self.out_pos
     }
@@ -585,7 +582,8 @@ pub(crate) struct Reactor {
     listener: TcpListener,
     poller: Box<dyn Poller>,
     conns: HashMap<u64, Conn>,
-    completions: Arc<CompletionQueue>,
+    /// Where every replica puts the outcomes of this reactor's statements.
+    completions: Arc<Completions>,
     next_token: u64,
     /// Set when a drain begins: the hard deadline after which surviving
     /// connections are force-closed.
@@ -595,7 +593,8 @@ pub(crate) struct Reactor {
     mid_frame_conns: usize,
     /// Reused buffers.
     events: Vec<Event>,
-    completed: Vec<u64>,
+    completed: Vec<Completion>,
+    touched: Vec<u64>,
     scratch: Box<[u8]>,
 }
 
@@ -605,21 +604,19 @@ impl Reactor {
         listener: TcpListener,
         poller: Box<dyn Poller>,
     ) -> Reactor {
-        let wake = poller.waker();
+        let completions = Arc::new(Completions::new(Some(poller.waker())));
         Reactor {
             shared,
             listener,
             poller,
             conns: HashMap::new(),
-            completions: Arc::new(CompletionQueue {
-                tokens: std::sync::Mutex::new(Vec::new()),
-                wake,
-            }),
+            completions,
             next_token: FIRST_CONN_TOKEN,
             drain_deadline: None,
             mid_frame_conns: 0,
             events: Vec::new(),
             completed: Vec::new(),
+            touched: Vec::new(),
             scratch: vec![0u8; 64 * 1024].into_boxed_slice(),
         }
     }
@@ -637,16 +634,30 @@ impl Reactor {
                 progressed = true;
             }
 
-            // Engine completions since the last sweep.
-            self.completed.clear();
-            let mut completed = std::mem::take(&mut self.completed);
-            self.completions.drain(&mut completed);
-            for &token in &completed {
+            // Engine completions since the last sweep: each outcome goes to
+            // the slot its tag names, then every connection that got one is
+            // pumped once.
+            self.completions.take(&mut self.completed);
+            for (tag, outcome) in self.completed.drain(..) {
+                let token = tag >> SEQ_BITS;
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    continue;
+                };
+                let slot = (tag.wrapping_sub(conn.front_seq) & SEQ_MASK) as usize;
+                if let Some(Reply::Pending { outcome: place, .. }) = conn.replies.get_mut(slot) {
+                    *place = Some(outcome);
+                    self.touched.push(token);
+                }
+            }
+            let mut touched = std::mem::take(&mut self.touched);
+            touched.sort_unstable();
+            touched.dedup();
+            for token in touched.drain(..) {
                 progressed = true;
                 self.pump_and_flush(token);
                 self.maybe_reap(token);
             }
-            self.completed = completed;
+            self.touched = touched;
 
             let now = Instant::now();
             // Stall timers only exist while some client is mid-frame; the
@@ -809,9 +820,6 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    let completions = Arc::clone(&self.completions);
-                    let waker: Arc<dyn Fn() + Send + Sync> =
-                        Arc::new(move || completions.notify(token));
                     let interest = Interest {
                         readable: true,
                         writable: false,
@@ -827,6 +835,7 @@ impl Reactor {
                             stream,
                             decoder: FrameDecoder::new(),
                             replies: VecDeque::new(),
+                            front_seq: 0,
                             inflight: 0,
                             out: Vec::new(),
                             out_pos: 0,
@@ -837,7 +846,6 @@ impl Reactor {
                             read_closed: false,
                             frame_started: None,
                             interest,
-                            waker,
                             last_write: None,
                             dead: false,
                         },
@@ -859,23 +867,19 @@ impl Reactor {
 
     fn conn_readable(&mut self, token: u64) -> bool {
         let mut progressed = false;
-        // Bounded sweeps keep one firehose client from starving the rest; a
-        // level-triggered poller re-reports the remainder immediately.
-        for _ in 0..8 {
-            let conn = match self.conns.get_mut(&token) {
-                Some(c) if !c.read_closed && !c.dead => c,
-                _ => break,
-            };
+        // One read per readiness report. A read that did not fill the buffer
+        // drained the socket — asking again would only buy a `WouldBlock` —
+        // and what a full buffer left behind is reported again (both pollers
+        // are level-triggered) once the other connections had their turn and
+        // unless the write queue passed its high-water mark meanwhile.
+        if let Some(conn) = self.conns.get_mut(&token).filter(|c| c.reading()) {
+            use std::io::ErrorKind::{Interrupted, WouldBlock};
+            progressed = true;
             match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    // Clean EOF (possibly a half-close: the client may still
-                    // be reading its pending responses).
-                    conn.read_closed = true;
-                    progressed = true;
-                    break;
-                }
+                // Clean EOF (possibly a half-close: the client may still be
+                // reading its pending responses).
+                Ok(0) => conn.read_closed = true,
                 Ok(n) => {
-                    progressed = true;
                     conn.decoder.push(&self.scratch[..n]);
                     // A fresh connection that opens with an ASCII HTTP method
                     // is a metrics scrape, not a protocol peer: those bytes
@@ -883,29 +887,14 @@ impl Reactor {
                     if !conn.greeted && !conn.http && looks_like_http(conn.decoder.peek()) {
                         conn.http = true;
                     }
-                    let keep_reading = if conn.http {
-                        self.process_http(token)
+                    if conn.http {
+                        self.process_http(token);
                     } else {
-                        self.process_frames(token)
-                    };
-                    if !keep_reading {
-                        break;
-                    }
-                    let conn = match self.conns.get_mut(&token) {
-                        Some(c) => c,
-                        None => break,
-                    };
-                    if conn.out_len() >= WRITE_HIGH_WATER {
-                        break; // backpressure: stop reading until drained
+                        self.process_frames(token);
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    progressed = true;
-                    break;
-                }
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => progressed = false,
+                Err(_) => conn.dead = true,
             }
         }
         let mid_frame_delta = match self.conns.get_mut(&token) {
@@ -930,28 +919,19 @@ impl Reactor {
         progressed
     }
 
-    /// Decodes and handles every complete frame in the connection's buffer.
-    /// Returns false when the connection stopped accepting frames.
-    fn process_frames(&mut self, token: u64) -> bool {
-        loop {
-            let conn = match self.conns.get_mut(&token) {
-                Some(c) if !c.read_closed && !c.dead => c,
-                _ => return false,
-            };
+    /// Decodes and handles every complete frame in the connection's buffer,
+    /// until it runs out or the connection stopped accepting frames.
+    fn process_frames(&mut self, token: u64) {
+        while let Some(conn) = self.conns.get_mut(&token).filter(|c| c.reading()) {
             match conn.decoder.poll_frame() {
-                Ok(Some(frame)) => {
-                    if !self.handle_frame(token, frame) {
-                        return false;
-                    }
-                }
-                Ok(None) => return true,
+                Ok(Some(frame)) => self.handle_frame(token, frame),
+                Ok(None) => return,
                 Err(_) => {
                     // The stream can no longer be framed: flush what was
                     // already owed, then close (mirrors the old session
                     // behaviour of dropping on a malformed frame).
                     conn.read_closed = true;
                     conn.decoder.clear();
-                    return false;
                 }
             }
         }
@@ -960,12 +940,10 @@ impl Reactor {
     // -- HTTP metrics endpoint ---------------------------------------------
 
     /// Handles a connection in HTTP mode: waits for one complete request
-    /// head, answers it, and closes. Returns false once the connection
-    /// stopped reading (response queued or fatal).
-    fn process_http(&mut self, token: u64) -> bool {
-        let conn = match self.conns.get_mut(&token) {
-            Some(c) if !c.read_closed && !c.dead => c,
-            _ => return false,
+    /// head, answers it, and closes.
+    fn process_http(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token).filter(|c| c.reading()) else {
+            return;
         };
         let head_len = match find_header_end(conn.decoder.peek()) {
             Some(len) => len,
@@ -973,9 +951,9 @@ impl Reactor {
                 if conn.decoder.buffered() > MAX_HTTP_REQUEST {
                     self.shared.http_errors.fetch_add(1, Ordering::Relaxed);
                     let response = http_response(400, "Bad Request", "request too large\n");
-                    return self.finish_http(token, response);
+                    self.finish_http(token, response);
                 }
-                return true; // head still arriving
+                return; // head still arriving, or refused
             }
         };
         let head = conn.decoder.peek()[..head_len].to_vec();
@@ -1009,23 +987,22 @@ impl Reactor {
 
     /// Queues the HTTP response and half-closes: the reply flushes through
     /// the normal write path, then the connection is reaped.
-    fn finish_http(&mut self, token: u64, response: Vec<u8>) -> bool {
+    fn finish_http(&mut self, token: u64, response: Vec<u8>) {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.decoder.clear();
             conn.out_for_append().extend_from_slice(&response);
             conn.read_closed = true;
         }
-        false
     }
 
     // -- frame handling (the protocol state machine) -----------------------
 
-    /// Handles one decoded frame. Returns false when the connection stops
-    /// reading (goodbye, violation, fatal state).
-    fn handle_frame(&mut self, token: u64, frame: Frame) -> bool {
+    /// Handles one decoded frame. A goodbye or a violation closes the
+    /// connection's read side (`read_closed`, `dead`).
+    fn handle_frame(&mut self, token: u64, frame: Frame) {
         let greeted = match self.conns.get(&token) {
             Some(c) => c.greeted,
-            None => return false,
+            None => return,
         };
         // Hello must be the first frame: anything else before a successful
         // handshake is a protocol violation and drops the connection.
@@ -1033,7 +1010,7 @@ impl Reactor {
             if let Some(conn) = self.conns.get_mut(&token) {
                 conn.dead = true;
             }
-            return false;
+            return;
         }
         match frame {
             Frame::Hello { version, .. } => {
@@ -1055,7 +1032,7 @@ impl Reactor {
                     if let Some(conn) = self.conns.get_mut(&token) {
                         conn.read_closed = true;
                     }
-                    return false;
+                    return;
                 }
                 let reply = Frame::HelloOk {
                     version: PROTOCOL_VERSION,
@@ -1066,7 +1043,6 @@ impl Reactor {
                     conn.greeted = true;
                 }
                 self.enqueue_reply(token, &reply);
-                true
             }
             Frame::Prepare { request_id, name } => {
                 let reply = match self.shared.registry.get(&name) {
@@ -1079,7 +1055,6 @@ impl Reactor {
                     Err(e) => error_frame(request_id, &e),
                 };
                 self.enqueue_reply(token, &reply);
-                true
             }
             Frame::ExecutePrepared {
                 request_id,
@@ -1090,16 +1065,9 @@ impl Reactor {
                     self.shared.requests.fetch_add(1, Ordering::Relaxed);
                     let e = Error::UnknownStatement(format!("statement id {statement_id}"));
                     self.enqueue_reply(token, &error_frame(request_id, &e));
-                    return true;
+                    return;
                 }
-                let name = self
-                    .shared
-                    .registry
-                    .by_index(statement_id as usize)
-                    .name
-                    .clone();
-                self.submit(token, request_id, &name, &params);
-                true
+                self.submit(token, request_id, statement_id as usize, &params);
             }
             Frame::Query { request_id, sql } => {
                 // `EXPLAIN [ANALYZE] <stmt>` answers from the live global
@@ -1126,12 +1094,13 @@ impl Reactor {
                         Err(e) => error_frame(request_id, &e),
                     };
                     self.enqueue_reply(token, &reply);
-                    return true;
+                    return;
                 }
                 let resolved = canonicalize(&sql).and_then(|adhoc_template| {
                     match self.shared.adhoc.get(&adhoc_template.canonical) {
-                        Some((name, template)) => bind_adhoc(template, &adhoc_template)
-                            .map(|params| (name.clone(), params)),
+                        Some((index, template)) => {
+                            bind_adhoc(template, &adhoc_template).map(|params| (*index, params))
+                        }
                         None => Err(Error::UnknownStatement(format!(
                             "no registered statement type matches: {}",
                             adhoc_template.canonical
@@ -1139,17 +1108,15 @@ impl Reactor {
                     }
                 });
                 match resolved {
-                    Ok((name, params)) => self.submit(token, request_id, &name, &params),
+                    Ok((index, params)) => self.submit(token, request_id, index, &params),
                     Err(e) => {
                         self.shared.requests.fetch_add(1, Ordering::Relaxed);
                         self.enqueue_reply(token, &error_frame(request_id, &e));
                     }
                 }
-                true
             }
             Frame::Ping { request_id } => {
                 self.enqueue_reply(token, &Frame::Pong { request_id });
-                true
             }
             Frame::Explain {
                 request_id,
@@ -1170,14 +1137,12 @@ impl Reactor {
                     Err(e) => error_frame(request_id, &e),
                 };
                 self.enqueue_reply(token, &reply);
-                true
             }
             Frame::Goodbye => {
                 self.enqueue_reply(token, &Frame::GoodbyeOk);
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.read_closed = true;
                 }
-                false
             }
             // Server-to-client frames arriving at the server are a protocol
             // violation; drop the connection.
@@ -1191,7 +1156,6 @@ impl Reactor {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.dead = true;
                 }
-                false
             }
         }
     }
@@ -1211,7 +1175,7 @@ impl Reactor {
         }
         let template = canonicalize(text)?;
         match self.shared.adhoc.get(&template.canonical) {
-            Some((name, _)) => self.shared.registry.get(name).map(|(index, _)| index),
+            Some((index, _)) => Ok(*index),
             None => Err(Error::UnknownStatement(format!(
                 "no registered statement type matches: {}",
                 template.canonical
@@ -1306,56 +1270,47 @@ impl Reactor {
         })
     }
 
-    /// Admission control + submission of one statement.
-    fn submit(
-        &mut self,
-        token: u64,
-        request_id: u64,
-        statement: &str,
-        params: &[shareddb_common::Value],
-    ) {
+    /// Admission control + submission of the statement at `statement` of
+    /// the registry.
+    fn submit(&mut self, token: u64, request_id: u64, statement: usize, params: &[Value]) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         if self.shared.shutdown.load(Ordering::Acquire) {
             self.enqueue_reply(token, &error_frame(request_id, &Error::EngineShutdown));
             return;
         }
-        let (inflight, waker, last_write) = match self.conns.get(&token) {
-            Some(c) => (c.inflight, Arc::clone(&c.waker), c.last_write.clone()),
-            None => return,
+        let Some(conn) = self.conns.get(&token) else {
+            return;
         };
+        // Where the outcome is to be filed: the slot the reply is about to
+        // take in this connection's queue.
+        let seq = conn.front_seq.wrapping_add(conn.replies.len() as u64) & SEQ_MASK;
+        let last_write = conn.last_write.clone();
         // Per-session in-flight cap: a pipelining client beyond its budget is
         // rejected (retryably) rather than throttled, so its already-admitted
         // work keeps flowing.
-        if inflight >= self.shared.config.max_inflight_per_session {
+        let cap = self.shared.config.max_inflight_per_session;
+        if conn.inflight >= cap.min(MAX_INFLIGHT) {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            let e = Error::Overloaded(format!(
-                "session in-flight limit of {} reached",
-                self.shared.config.max_inflight_per_session
-            ));
+            let e = Error::Overloaded(format!("session in-flight limit of {cap} reached"));
             self.enqueue_reply(token, &error_frame(request_id, &e));
             return;
         }
         // Read-your-writes: an update gets a fresh session fence (remembered
         // on success), a query carries the session's latest fence so any
         // replica it routes to waits for that write's commit to be visible.
-        let is_update = self
-            .shared
-            .registry
-            .get(statement)
-            .map(|(_, spec)| spec.is_update())
-            .unwrap_or(false);
+        let is_update = self.shared.registry.by_index(statement).is_update();
         let write_fence = is_update.then(|| Arc::new(WriteFence::new()));
         let guard = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
         // Global queue-depth backpressure: enforced inside the engine under
         // the admission-queue lock, so concurrent sessions cannot overshoot
         // the bound (the old check-then-enqueue TOCTOU is gone).
         let outcome = match guard.as_ref() {
-            Some(engine) => engine.submit(
+            Some(engine) => engine.submit_prepared(
                 statement,
                 params,
                 SubmitOptions {
                     max_queue_depth: Some(self.shared.config.max_queue_depth),
-                    completion_waker: Some(waker),
+                    completions: Some((Arc::clone(&self.completions), token << SEQ_BITS | seq)),
                     write_fence: write_fence.clone(),
                     read_after: if is_update { None } else { last_write },
                     ..SubmitOptions::default()
@@ -1365,13 +1320,7 @@ impl Reactor {
         };
         drop(guard);
         match outcome {
-            Ok(handle) => {
-                let statement_index = self
-                    .shared
-                    .registry
-                    .get(statement)
-                    .map(|(idx, _)| idx)
-                    .unwrap_or(usize::MAX);
+            Ok(_) => {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.inflight += 1;
                     if let Some(fence) = write_fence {
@@ -1379,8 +1328,8 @@ impl Reactor {
                     }
                     conn.replies.push_back(Reply::Pending {
                         request_id,
-                        handle,
-                        statement: statement_index,
+                        statement,
+                        outcome: None,
                     });
                 }
             }
@@ -1434,20 +1383,22 @@ impl Reactor {
                         let bytes = std::mem::take(bytes);
                         conn.out_for_append().extend_from_slice(&bytes);
                         conn.replies.pop_front();
+                        conn.front_seq += 1;
                         round = true;
                     }
                     Some(Reply::Pending {
                         request_id,
-                        handle,
                         statement,
+                        outcome,
                     }) => {
                         let request_id = *request_id;
                         let statement = *statement;
-                        match handle.try_wait() {
+                        match outcome.take() {
                             None => break,
                             Some(outcome) => {
                                 conn.inflight -= 1;
                                 conn.replies.pop_front();
+                                conn.front_seq += 1;
                                 round = true;
                                 let ready_at = Instant::now();
                                 // Encoded where it is sent from.

@@ -143,10 +143,10 @@ pub(crate) struct Shared {
     pub(crate) engine: RwLock<Option<ClusterEngine>>,
     pub(crate) registry: StatementRegistry,
     pub(crate) param_counts: Vec<usize>,
-    /// canonical SQL text → (statement name, template slot map); used to
-    /// match ad-hoc [`crate::protocol::Frame::Query`] SQL against the compiled
-    /// statement types.
-    pub(crate) adhoc: HashMap<String, (String, SqlTemplate)>,
+    /// canonical SQL text → (statement's registry index, template slot map);
+    /// used to match ad-hoc [`crate::protocol::Frame::Query`] SQL against
+    /// the compiled statement types.
+    pub(crate) adhoc: HashMap<String, (usize, SqlTemplate)>,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     pub(crate) sessions_opened: AtomicU64,
@@ -244,6 +244,19 @@ impl Shared {
             "counter",
             total.worker_wakeups,
         );
+        // The hand-off back: wakes ÷ (queries + updates) is 1 when statements
+        // come one at a time and far below it when outcomes reach their
+        // reader a batch at a time.
+        let replica_stats: Vec<_> = engines.iter().map(|e| e.stats()).collect();
+        family(
+            w,
+            "shareddb_engine_completion_wakes_total",
+            "counter",
+            replica_stats
+                .iter()
+                .enumerate()
+                .map(|(i, stats)| (replica(i), stats.completion_wakes)),
+        );
         scalar(
             w,
             "shareddb_executor_threads",
@@ -299,7 +312,6 @@ impl Shared {
             );
         }
 
-        let replica_stats: Vec<_> = engines.iter().map(|e| e.stats()).collect();
         family(
             w,
             "shareddb_replica_queries",
@@ -653,8 +665,9 @@ impl Server {
         let mut adhoc = HashMap::new();
         for (name, sql) in statements {
             let template = canonicalize(sql)?;
+            let (index, _) = registry.get(name)?;
             if adhoc
-                .insert(template.canonical.clone(), (name.to_string(), template))
+                .insert(template.canonical.clone(), (index, template))
                 .is_some()
             {
                 return Err(Error::ConstraintViolation(format!(
@@ -669,7 +682,7 @@ impl Server {
         catalog: Arc<Catalog>,
         plan: GlobalPlan,
         registry: StatementRegistry,
-        adhoc: HashMap<String, (String, SqlTemplate)>,
+        adhoc: HashMap<String, (usize, SqlTemplate)>,
         engine_config: EngineConfig,
         config: ServerConfig,
     ) -> Result<Server> {

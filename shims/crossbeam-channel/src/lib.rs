@@ -21,6 +21,10 @@ struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers blocked on `signal`. `std`'s condition variable makes its
+    /// `futex` call whether or not anyone waits; like the real crate, `send`
+    /// and the last `Sender`'s drop notify only when someone does.
+    waiting: usize,
 }
 
 /// Error returned by [`Sender::send`] when all receivers dropped.
@@ -91,6 +95,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receivers: 1,
+            waiting: 0,
         }),
         signal: Condvar::new(),
     });
@@ -110,8 +115,11 @@ impl<T> Sender<T> {
             return Err(SendError(value));
         }
         inner.queue.push_back(value);
+        let waiting = inner.waiting > 0;
         drop(inner);
-        self.shared.signal.notify_one();
+        if waiting {
+            self.shared.signal.notify_one();
+        }
         Ok(())
     }
 }
@@ -133,9 +141,9 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.senders -= 1;
-        let last = inner.senders == 0;
+        let wake = inner.senders == 0 && inner.waiting > 0;
         drop(inner);
-        if last {
+        if wake {
             // Wake blocked receivers so they observe the disconnect.
             self.shared.signal.notify_all();
         }
@@ -153,11 +161,13 @@ impl<T> Receiver<T> {
             if inner.senders == 0 {
                 return Err(RecvError);
             }
+            inner.waiting += 1;
             inner = self
                 .shared
                 .signal
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
+            inner.waiting -= 1;
         }
     }
 
@@ -177,12 +187,14 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            inner.waiting += 1;
             let (guard, _) = self
                 .shared
                 .signal
                 .wait_timeout(inner, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
             inner = guard;
+            inner.waiting -= 1;
         }
     }
 
@@ -291,5 +303,40 @@ mod tests {
         let mut got = vec![t1.join().unwrap(), t2.join().unwrap()];
         got.sort();
         assert_eq!(got, vec![Some(1), Some(2)]);
+    }
+
+    /// Two threads bounce one message over two channels: every `send` either
+    /// finds its receiver counted as waiting or was seen by its check of the
+    /// queue. A lost wake hangs both; the timed receive fails the test.
+    #[test]
+    fn ping_pong_loses_no_wake() {
+        const ROUNDS: u32 = 100_000;
+        let (ping_tx, ping_rx) = unbounded::<u32>();
+        let (pong_tx, pong_rx) = unbounded::<u32>();
+        let echo = std::thread::spawn(move || {
+            while let Ok(n) = ping_rx.recv() {
+                pong_tx.send(n).unwrap();
+            }
+        });
+        for n in 0..ROUNDS {
+            ping_tx.send(n).unwrap();
+            let back = pong_rx.recv_timeout(Duration::from_secs(60));
+            assert_eq!(back, Ok(n), "a wake was lost");
+        }
+        // The last sender's drop wakes the receiver blocked in `recv`.
+        drop(ping_tx);
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn send_without_a_waiter_is_still_received() {
+        let (tx, rx) = unbounded();
+        tx.send(1).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(10)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert_eq!(rx.shared.inner.lock().unwrap().waiting, 0);
     }
 }

@@ -5,6 +5,7 @@
 //! `wait`/`wait_for` take the guard by `&mut` reference.
 
 use std::sync;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// A mutex whose `lock` never returns a poison error.
@@ -120,19 +121,35 @@ impl WaitTimeoutResult {
 }
 
 /// Condition variable working on [`MutexGuard`]s by `&mut` reference.
+///
+/// Like the real crate's, a notify that finds nobody waiting is a load and a
+/// return: `std`'s condition variable makes its `futex` call either way, and
+/// the callers here notify once per statement with a waiter once per batch.
 #[derive(Default, Debug)]
-pub struct Condvar(sync::Condvar);
+pub struct Condvar {
+    inner: sync::Condvar,
+    /// Threads between the start of a wait and their return from it. A
+    /// waiter counts itself while it still holds the caller's mutex, so a
+    /// notifier that changed the awaited state under that mutex either was
+    /// seen by the waiter's check or sees the waiter here.
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     /// Creates a new condition variable.
     pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
+        Condvar {
+            inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+        }
     }
 
     /// Blocks until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard taken");
-        let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -143,22 +160,28 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard taken");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) = self
-            .0
+            .inner
             .wait_timeout(inner, timeout)
             .unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes all waiters.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -208,5 +231,47 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         t.join().unwrap();
+    }
+
+    /// Two threads hand a turn back and forth, each notifying after it let
+    /// go of the mutex: every notify either meets a counted waiter or was
+    /// seen by the other side's check. A lost wake hangs a player; the timed
+    /// receive turns that into a failure.
+    #[test]
+    fn ping_pong_loses_no_wake() {
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let (done, finished) = std::sync::mpsc::channel();
+        for me in 0..2 {
+            let (pair, done) = (Arc::clone(&pair), done.clone());
+            std::thread::spawn(move || {
+                let (turn, cv) = &*pair;
+                for _ in 0..100_000 {
+                    let mut turn = turn.lock();
+                    while *turn % 2 != me {
+                        cv.wait(&mut turn);
+                    }
+                    *turn += 1;
+                    drop(turn);
+                    cv.notify_one();
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            let player = finished.recv_timeout(Duration::from_secs(120));
+            player.expect("a wake was lost");
+        }
+        assert_eq!(*pair.0.lock(), 200_000);
+    }
+
+    #[test]
+    fn notify_without_a_waiter_is_not_remembered() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(10)).timed_out());
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 }

@@ -739,3 +739,188 @@ fn a_many_wildcard_title_search_does_not_stall_a_lookup() {
     let _ = conn.close();
     server.shutdown();
 }
+
+/// How a run of [`pipelined_replies`] ends, once the server has read every
+/// request.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Ending {
+    /// Every statement is answered, then the server is shut down.
+    AllAnswered,
+    /// `Server::shutdown` with a heartbeat's worth of statements in flight:
+    /// the drain delivers them from the batches still to come.
+    Drain,
+    /// The same behind a heartbeat that never comes: what the reactor
+    /// submitted is still queued in the engines when the drain times out
+    /// and `Engine::shutdown` finds it.
+    EngineShutdown,
+}
+
+/// Eight connections pipeline 2 000 statements each — updates, which complete
+/// in phase 1 of their batch, before the reads submitted ahead of them;
+/// look-ups; best-seller pages, which ride the heavy lane — and read their
+/// replies as they come. Every request is answered exactly once, in
+/// submission order, with its own rows (a look-up names its item), whichever
+/// poller watches the sockets, however many replicas finish in whatever
+/// order, and whether the answer comes from a batch of its time, from one
+/// formed during the drain or from the last batch of an engine shutting down.
+fn pipelined_replies(force_portable_poller: bool, replicas: usize, ending: Ending) {
+    use shareddb::cluster::ClusterConfig;
+    use shareddb::server::protocol::chunk_flags;
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, SUBJECTS};
+    const CONNECTIONS: u64 = 8;
+    const EACH: u64 = 2_000;
+    let label = format!("portable {force_portable_poller}, {replicas} replicas, {ending:?}");
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let id = |name: &str| registry.get(name).unwrap().0 as u32;
+    let (update, lookup, page) = (
+        id("adminUpdateItem"),
+        id("getItemById"),
+        id("getBestSellers"),
+    );
+    let request = move |request_id: u64| {
+        let item = Value::Int((request_id * 7 % 100) as i64);
+        let (statement_id, params) = match request_id % 5 {
+            0 => (update, vec![item, Value::Float(9.5), Value::Date(15_403)]),
+            4 => (page, vec![Value::text(SUBJECTS[0]), Value::Int(0)]),
+            _ => (lookup, vec![item]),
+        };
+        Frame::ExecutePrepared {
+            request_id,
+            statement_id,
+            params,
+        }
+    };
+    let heartbeat = match ending {
+        Ending::AllAnswered => None,
+        Ending::Drain => Some(Duration::from_millis(20)),
+        Ending::EngineShutdown => Some(Duration::from_secs(30)),
+    };
+    let engine_config = match heartbeat {
+        Some(interval) => EngineConfig {
+            eager_heartbeat: false,
+            heartbeat: HeartbeatPolicy::Fixed(interval),
+            ..EngineConfig::default()
+        },
+        None => EngineConfig::default(),
+    };
+    let server_config = ServerConfig {
+        max_inflight_per_session: EACH as usize,
+        max_queue_depth: (CONNECTIONS * EACH) as usize,
+        // What an engine shutting down finds queued it answers from one
+        // batch, which has as long again (and two seconds) to reach the
+        // clients before the reactor gives up on them.
+        drain_timeout: Duration::from_secs(1),
+        force_portable_poller,
+        cluster: ClusterConfig {
+            replicas,
+            replicate_statements: vec!["getItemById".into()],
+            ..ClusterConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(catalog, plan, registry, engine_config, server_config).unwrap();
+    let addr = server.local_addr();
+
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|_| {
+            let label = label.clone();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.set_nodelay(true).unwrap();
+                let timeout = Some(Duration::from_secs(60));
+                stream.set_read_timeout(timeout).unwrap();
+                let hello = Frame::Hello {
+                    version: PROTOCOL_VERSION,
+                    client_name: "pipeliner".into(),
+                };
+                write_frame(&mut stream, &hello).unwrap();
+                let greeting = read_frame(&mut stream).unwrap().unwrap();
+                assert!(matches!(greeting, Frame::HelloOk { .. }));
+                let mut writer = stream.try_clone().unwrap();
+                let sender = std::thread::spawn(move || {
+                    (1..=EACH).for_each(|id| write_frame(&mut writer, &request(id)).unwrap())
+                });
+                for next in 1..=EACH {
+                    loop {
+                        let frame = read_frame(&mut stream);
+                        let Ok(Some(Frame::ResultChunk {
+                            request_id,
+                            flags,
+                            rows_affected,
+                            rows,
+                            ..
+                        })) = frame
+                        else {
+                            panic!("{label}: {frame:?} for request {next}");
+                        };
+                        assert_eq!(request_id, next, "{label}: reply out of order");
+                        match request_id % 5 {
+                            0 => assert_eq!((flags, rows_affected), (7, 1), "{label}"),
+                            4 => assert!(rows.len() <= 50, "{label}"),
+                            _ => {
+                                let item = Value::Int((request_id * 7 % 100) as i64);
+                                assert_eq!(rows.len(), 1, "{label}");
+                                assert_eq!(rows[0][0], item, "{label}: another's rows");
+                            }
+                        }
+                        if flags & chunk_flags::LAST != 0 {
+                            break;
+                        }
+                    }
+                }
+                sender.join().unwrap();
+                // Nothing follows the last reply: no request is answered twice.
+                stream
+            })
+        })
+        .collect();
+
+    // A shutdown with unread requests on a socket would reset it under the
+    // client; what is tested is what becomes of the requests the server has.
+    let started = Instant::now();
+    let submitted = |server: &Server| match ending {
+        Ending::AllAnswered => {
+            let stats = server.engine_stats().unwrap();
+            assert_eq!(stats.failed, 0, "{label}");
+            stats.queries + stats.updates
+        }
+        _ => server.stats().requests,
+    };
+    while submitted(&server) < CONNECTIONS * EACH {
+        assert!(
+            started.elapsed() < Duration::from_secs(120),
+            "{label}: hung"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.shutdown();
+    for client in clients {
+        let mut stream = client.join().unwrap();
+        let after = read_frame(&mut stream);
+        assert!(!matches!(after, Ok(Some(_))), "{label}: {after:?}");
+    }
+    assert_eq!(server.stats().requests, CONNECTIONS * EACH, "{label}");
+}
+
+#[test]
+fn pipelined_replies_arrive_once_and_in_order() {
+    for (portable, replicas) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+        pipelined_replies(portable, replicas, Ending::AllAnswered);
+    }
+}
+
+#[test]
+fn pipelined_replies_survive_a_drain() {
+    for (portable, replicas) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+        pipelined_replies(portable, replicas, Ending::Drain);
+    }
+}
+
+#[test]
+fn pipelined_replies_survive_an_engine_shutdown_with_statements_queued() {
+    for (portable, replicas) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+        pipelined_replies(portable, replicas, Ending::EngineShutdown);
+    }
+}

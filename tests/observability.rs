@@ -1356,3 +1356,73 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
     let _ = conn.close();
     server.shutdown();
 }
+
+/// The health number of the hand-off back, `completion_wakes ÷ (queries +
+/// updates)`: statements that come one at a time each find the queue their
+/// outcome goes to empty and its reader asleep — one wake each, a ratio of
+/// exactly 1 — while the outcomes of a batch reach a reader that is woken
+/// for the first and finds the others when it looks.
+#[test]
+fn completion_wakes_are_one_per_lone_statement_and_few_per_batch() {
+    use shareddb::core::HeartbeatPolicy;
+    // Paced, so that what a client pipelines shares a batch.
+    let mut server = start_server(EngineConfig {
+        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(10)),
+        eager_heartbeat: false,
+        ..EngineConfig::default()
+    });
+    let counts = |server: &Server| {
+        let metrics = server.metrics_text();
+        let series = |name: &str| -> u64 {
+            let line = metrics.lines().find(|l| l.starts_with(name));
+            let line = line.unwrap_or_else(|| panic!("no series {name} in /metrics"));
+            line[name.len()..].trim().parse().unwrap()
+        };
+        (
+            series("shareddb_engine_completion_wakes_total{replica=\"0\"}"),
+            series("shareddb_engine_queries ") + series("shareddb_engine_updates "),
+        )
+    };
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let get_item = conn.prepare("getItem").unwrap();
+    let add_item = conn.prepare("addItem").unwrap();
+    for i in 0..20 {
+        if i % 4 == 0 {
+            let row = [Value::Int(1_000 + i), Value::text("new"), Value::Float(1.0)];
+            assert_eq!(conn.execute(&add_item, &row).unwrap().rows_affected(), 1);
+        } else {
+            assert_eq!(
+                conn.execute(&get_item, &[Value::Int(i)])
+                    .unwrap()
+                    .rows()
+                    .len(),
+                1
+            );
+        }
+    }
+    // The coordinator books a wake once it has woken the reader — who may
+    // have answered, and the scrape come, a moment before.
+    let settled = |server: &Server| {
+        let started = std::time::Instant::now();
+        while counts(server).0 < 20 && started.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        counts(server)
+    };
+    assert_eq!(settled(&server), (20, 20));
+
+    for _ in 0..10 {
+        let tickets: Vec<_> = (0..60)
+            .map(|i| conn.submit(&get_item, &[Value::Int(i)]).unwrap())
+            .collect();
+        for ticket in tickets {
+            assert_eq!(conn.wait(ticket).unwrap().rows().len(), 1);
+        }
+    }
+    let (wakes, answered) = counts(&server);
+    assert_eq!(answered, 620);
+    let ratio = (wakes - 20) as f64 / 600.0;
+    assert!(ratio < 0.5, "{wakes} wakes for {answered} statements");
+    let _ = conn.close();
+    server.shutdown();
+}
