@@ -224,9 +224,22 @@ pub fn render_explain_text(
 /// chooser and the predicate index read only the top-level `column ⟨cmp⟩
 /// literal` conjuncts, so each `column ⟨cmp⟩ $n` conjunct is shown to them
 /// with a literal of the column's own type — which is all they need of a
-/// literal — and the rest as it is.
+/// literal — each `column LIKE $n` with a prefix pattern, the kindest a
+/// parameter can be, and the rest as it is.
 fn with_typed_params(schema: &Schema, predicate: &Expr) -> Expr {
     let typed = |conjunct: &Expr| -> Option<Expr> {
+        if let Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } = conjunct
+        {
+            return matches!(**pattern, Expr::Param(_)).then(|| Expr::Like {
+                expr: expr.clone(),
+                pattern: Box::new(Expr::lit("prefix%")),
+                negated: *negated,
+            });
+        }
         let Expr::Binary { op, left, right } = conjunct else {
             return None;
         };
@@ -258,13 +271,22 @@ fn with_typed_params(schema: &Schema, predicate: &Expr) -> Expr {
 
 /// The access path the storage layer picks for the WHERE clause of an update
 /// template or the predicate of a scan template (`pk(I_ID)`,
-/// `index(SCL_CART)`, `scan`).
+/// `index(SCL_CART)`, `index(AUTHOR_LNAME) range`, `scan`). A range that
+/// hangs on a pattern still to be bound says so: a pattern that turns out to
+/// be no prefix is left to the scan.
 fn template_access_path(catalog: &Catalog, table: &str, predicate: &Expr) -> String {
     let Ok(handle) = catalog.table(table) else {
         return format!("scan (no table {table} in the catalog)");
     };
     let table = handle.read();
-    AccessPath::choose(&table, &with_typed_params(table.schema(), predicate)).describe(&table)
+    let typed = with_typed_params(table.schema(), predicate);
+    let path = AccessPath::choose(&table, &typed);
+    let unbound =
+        |c: &&Expr| matches!(c, Expr::Like { pattern, .. } if matches!(**pattern, Expr::Param(_)));
+    let hangs = matches!(path, AccessPath::IndexRange { .. })
+        && predicate.split_conjuncts().iter().any(unbound);
+    let if_prefix = if hangs { " for a prefix pattern" } else { "" };
+    format!("{}{if_prefix}", path.describe(&table))
 }
 
 /// The predicate-index class a scan template lands in every cycle

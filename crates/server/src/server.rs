@@ -441,6 +441,41 @@ impl Shared {
             }),
         );
 
+        // The footprint: the versions each table holds, dead ones included,
+        // and the entries of each of its B-trees — one per version, so both
+        // grow with every write until something reclaims them. A primary key
+        // is indexed by its table's key map and has no tree here.
+        let catalog = cluster.catalog();
+        let tables: Vec<_> = catalog
+            .table_names()
+            .into_iter()
+            .filter_map(|name| {
+                let label = format!("table=\"{}\"", escape_label_value(&name));
+                Some((label, catalog.table(&name).ok()?))
+            })
+            .collect();
+        family(
+            w,
+            "shareddb_table_versions",
+            "gauge",
+            tables
+                .iter()
+                .map(|(table, stored)| (table, stored.read().version_count())),
+        );
+        family(
+            w,
+            "shareddb_table_index_entries",
+            "gauge",
+            tables.iter().flat_map(|(table, stored)| {
+                let stored = stored.read();
+                let entries = stored.index_entry_counts().map(|(index, entries)| {
+                    let index = escape_label_value(index);
+                    (format!("{table},index=\"{index}\""), entries)
+                });
+                entries.collect::<Vec<_>>()
+            }),
+        );
+
         // Static sharing factor per operator: how many statement types'
         // subtrees or activation lists touch it in the global plan.
         let plan = cluster.plan();

@@ -141,13 +141,28 @@ impl BTreeIndex {
     /// order.
     pub fn range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<(Value, RowId)> {
         let mut out = Vec::new();
-        self.root.range(&low, &high, &mut out);
+        self.root.visit_range(&low, &high, &mut |key, posting| {
+            out.extend(posting.iter().map(|&row| (key.clone(), row)));
+        });
         out
     }
 
-    /// Returns all row ids with keys in the given range.
+    /// Returns all row ids with keys in the given range, in key order.
     pub fn range_rows(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<RowId> {
-        self.range(low, high).into_iter().map(|(_, r)| r).collect()
+        let mut out = Vec::new();
+        self.root
+            .visit_range(&low, &high, &mut |_, posting| out.extend(posting));
+        out
+    }
+
+    /// Number of `(key, row)` entries with keys in the given range: what
+    /// [`BTreeIndex::range_rows`] would return, counted off the posting
+    /// lists without reading one.
+    pub fn range_len(&self, low: Bound<&Value>, high: Bound<&Value>) -> usize {
+        let mut entries = 0;
+        self.root
+            .visit_range(&low, &high, &mut |_, posting| entries += posting.len());
+        entries
     }
 
     /// Iterates over every `(key, posting list)` pair in key order. Intended
@@ -262,14 +277,19 @@ impl Node {
         }
     }
 
-    fn range(&self, low: &Bound<&Value>, high: &Bound<&Value>, out: &mut Vec<(Value, RowId)>) {
+    /// Calls `visit` with every key in the range and its posting list, in
+    /// key order.
+    fn visit_range(
+        &self,
+        low: &Bound<&Value>,
+        high: &Bound<&Value>,
+        visit: &mut impl FnMut(&Value, &[RowId]),
+    ) {
         match self {
             Node::Leaf(leaf) => {
                 for (k, posting) in leaf.keys.iter().zip(&leaf.postings) {
                     if bound_contains(low, high, k) {
-                        for &r in posting {
-                            out.push((k.clone(), r));
-                        }
+                        visit(k, posting);
                     }
                 }
             }
@@ -292,7 +312,7 @@ impl Node {
                         _ => false,
                     };
                     if !above_high && !below_low {
-                        child.range(low, high, out);
+                        child.visit_range(low, high, visit);
                     }
                 }
             }
@@ -523,11 +543,14 @@ mod tests {
         {
             idx.insert(Value::text(*name), row(i as u64));
         }
-        let rows = idx.range_rows(
-            Bound::Included(&Value::text("B")),
-            Bound::Excluded(&Value::text("D")),
-        );
+        let (low, high) = (Value::text("B"), Value::text("D"));
+        let rows = idx.range_rows(Bound::Included(&low), Bound::Excluded(&high));
         assert_eq!(rows, vec![row(1), row(2)]);
+        assert_eq!(
+            idx.range_len(Bound::Included(&low), Bound::Excluded(&high)),
+            2
+        );
+        assert_eq!(idx.range_len(Bound::Included(&low), Bound::Unbounded), 4);
     }
 
     #[test]

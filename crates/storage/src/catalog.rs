@@ -92,13 +92,10 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// Creates an empty catalog with an in-memory WAL.
+    /// Creates an empty catalog whose WAL counts what is logged and keeps
+    /// none of it, until [`Catalog::recover`] puts a file behind it.
     pub fn new() -> Self {
-        Catalog {
-            tables: RwLock::new(HashMap::new()),
-            oracle: Arc::new(TimestampOracle::new()),
-            wal: Arc::new(Wal::in_memory()),
-        }
+        Self::with_wal(Wal::counting())
     }
 
     /// Creates a catalog that logs to the given WAL.
@@ -866,6 +863,44 @@ mod tests {
         reborn.create_table(item_def()).unwrap();
         assert!(reborn.restore_checkpoint(&info.path).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A catalog without a data directory logs into a sink that counts and
+    /// keeps nothing: after 10 000 operations it holds not a byte of log and
+    /// reports what a log kept in memory reports of the same operations.
+    #[test]
+    fn the_default_log_counts_and_keeps_nothing() {
+        let (counted, kept) = (Catalog::new(), Catalog::with_wal(Wal::in_memory()));
+        for catalog in [&counted, &kept] {
+            catalog.create_table(item_def()).unwrap();
+            for batch in 0..2_500i64 {
+                let ops: Vec<(String, UpdateOp)> = (0..4)
+                    .map(|i| {
+                        let values = tuple![batch * 4 + i, "title", 1.0f64];
+                        ("ITEM".to_string(), UpdateOp::Insert { values })
+                    })
+                    .collect();
+                let applied = catalog.apply_batch(&ops).unwrap();
+                assert!(applied.iter().all(Result::is_ok));
+            }
+            catalog.wal().sync().unwrap();
+        }
+        let stats = |catalog: &Catalog| {
+            let stats = catalog.wal().stats_snapshot();
+            let sizes = stats.group_commit_size;
+            (
+                stats.appended_bytes,
+                stats.batches,
+                stats.syncs,
+                stats.last_lsn,
+                sizes.count,
+            )
+        };
+        assert_eq!(stats(&counted), stats(&kept));
+        assert_eq!(stats(&counted).1, 2_500);
+        let retained = |catalog: &Catalog| catalog.wal().with_sink(|sink| sink.retained_bytes());
+        assert_eq!(retained(&counted), 0);
+        assert_eq!(retained(&kept) as u64, stats(&kept).0);
     }
 
     #[test]

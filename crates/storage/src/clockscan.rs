@@ -13,17 +13,18 @@
 //! * Updates are executed in arrival order as part of the same cycle, and all
 //!   select queries of the cycle read one consistent snapshot.
 //! * A cycle does what its queries need and no more: when every query of a
-//!   snapshot group holds an equality an index of the table answers, and the
-//!   posting lists they name are together shorter than the table, the group
-//!   is served through those indexes — the same rows, in the same order, as
-//!   the pass would have emitted (`ClockScan::serve_from_indexes`).
+//!   snapshot group holds an equality — or a `LIKE 'prefix%'` — an index of
+//!   the table answers, and the posting lists they name are together shorter
+//!   than the table, the group is served through those indexes — the same
+//!   rows, in the same order, as the pass would have emitted
+//!   (`ClockScan::serve_from_indexes`).
 //!
 //! The scan produces tuples in the data-query model ([`QTuple`]): each emitted
 //! row carries the set of queries that selected it.
 
 use crate::index_probe::Hits;
 use crate::mvcc::{Snapshot, TimestampOracle};
-use crate::predicate_index::PredicateIndex;
+use crate::predicate_index::{PredicateClass, PredicateIndex};
 use crate::table::Table;
 use crate::update::{apply_cycle_updates, AccessPath, UpdateOp, UpdateResult};
 use parking_lot::RwLock;
@@ -250,12 +251,12 @@ impl ClockScan {
     ///
     /// Possible: [`AccessPath::choose`] — the rule writes find their rows by
     /// — names the key map or a secondary index for *every* query of the
-    /// group (one query without an indexed equality needs the pass anyway,
-    /// and the pass serves the others for the price of a probe per row), and
-    /// no query asks the key map for a snapshot it is not exact for. Cheaper:
-    /// the versions to fetch — the lengths of the posting lists, read off the
-    /// B-tree before anything is fetched, and one per key of the key map —
-    /// are fewer than the versions a pass walks. Both sides of that
+    /// group (one query without an indexed equality or prefix needs the pass
+    /// anyway, and the pass serves the others for the price of a probe per
+    /// row); the key map answers for whichever snapshot the group reads.
+    /// Cheaper: the versions to fetch — the lengths of the posting lists,
+    /// read off the B-tree before anything is fetched, and one per key of the
+    /// key map — are fewer than the versions a pass walks. Both sides of that
     /// comparison are exact counts of the same unit, so there is nothing to
     /// tune, and a cycle never costs more than the pass that bounds it.
     ///
@@ -275,9 +276,6 @@ impl ClockScan {
         let mut to_fetch = 0;
         for query in members {
             let path = AccessPath::choose(table, &query.predicate);
-            if matches!(path, AccessPath::PrimaryKey(_)) && !table.sees_every_write(snapshot) {
-                return Ok(false);
-            }
             let Some(versions) = path.fetch_cost(table) else {
                 return Ok(false);
             };
@@ -291,14 +289,15 @@ impl ClockScan {
         for (query, path) in members.iter().zip(&paths) {
             let in_view = |(_, row): &(_, &Tuple)| view.is_none_or(|view| view.contains(row));
             let fetched = path.visible_rows(table, snapshot).filter(in_view);
-            let decided = query.predicate.split_conjuncts().len() == 1;
+            let decided = !matches!(path, AccessPath::IndexRange { .. })
+                && query.predicate.split_conjuncts().len() == 1;
             let residual = (!decided).then_some(&query.predicate);
             hits.collect(query.query_id, fetched, residual)?;
+            // The class the pass would have filed the query in.
+            result.query_classes[PredicateClass::of(&query.predicate).slot()] += 1;
         }
         hits.emit(table, &mut result.tuples);
         result.rows_examined += to_fetch;
-        // Every query here holds an equality: the class the pass files it in.
-        result.query_classes[0] += members.len();
         Ok(true)
     }
 }
@@ -911,8 +910,8 @@ mod tests {
     }
 
     /// An equality-only cycle costs its posting lists, not the table — as
-    /// long as they are shorter than the table, every query has one, and the
-    /// key map is asked about the present only.
+    /// long as they are shorter than the table and every query has one —
+    /// whichever snapshot it reads.
     #[test]
     fn equality_only_cycles_are_served_from_the_indexes() {
         let mut table = indexed_table();
@@ -954,19 +953,24 @@ mod tests {
         assert_eq!(counts(two, None), ([0, 1], 35, 30));
         // One key of the key map, under either spelling.
         assert_eq!(counts(vec![eq(0, Value::Int(7))], None), ([0, 1], 2, 1));
+        // A prefix is a range of the index: the entries in it are the cost,
+        // and the pattern is held against every row fetched.
+        let like = |pattern: &str| Expr::col(3).like(Expr::lit(pattern));
+        assert_eq!(counts(vec![like("a%")], None), ([0, 1], 50, 50));
+        let both = vec![eq(1, Value::Int(3)), like("a%")];
+        assert_eq!(counts(both, None), ([0, 1], 60, 60));
         // A query no index answers takes the group to the pass …
-        let like = Expr::col(3).like(Expr::lit("a%"));
-        assert_eq!(
-            counts(vec![eq(1, Value::Int(3)), like], None),
-            ([1, 0], 100, 60)
-        );
+        for (pattern, selected) in [("%a", 60), ("%", 100), ("a_%", 10), ("a%a%", 10)] {
+            let beside = vec![eq(1, Value::Int(3)), like(pattern)];
+            assert_eq!(counts(beside, None), ([1, 0], 100, selected), "{pattern}");
+        }
         let by_float = vec![eq(1, Value::Float(3.0))];
         assert_eq!(counts(by_float, None), ([1, 0], 100, 10));
         // … and so do posting lists as long as the table: 50 + 50.
         let halves = vec![eq(3, Value::text("a")), eq(3, Value::text("b"))];
         assert_eq!(counts(halves, None), ([1, 0], 100, 100));
-        // After a write the key map is exact for the present only; the
-        // secondary indexes hold every version and serve any snapshot.
+        // After a write the key map leads a pinned query back to the version
+        // it sees; the secondary indexes hold every version anyway.
         let before = oracle.read_ts();
         let delete = UpdateOp::Delete {
             predicate: eq(0, Value::Int(7)),
@@ -974,7 +978,7 @@ mod tests {
         scan.execute_batch(&[], &[delete]).unwrap();
         let by_key = || vec![eq(0, Value::Int(7))];
         assert_eq!(counts(by_key(), None), ([0, 1], 2, 0));
-        assert_eq!(counts(by_key(), Some(before)), ([1, 0], 100, 1));
+        assert_eq!(counts(by_key(), Some(before)), ([0, 1], 2, 1));
         let sevens = || vec![eq(1, Value::Int(7))];
         assert_eq!(counts(sevens(), None), ([0, 1], 10, 9));
         assert_eq!(counts(sevens(), Some(before)), ([0, 1], 10, 10));
@@ -993,6 +997,40 @@ mod tests {
 
     const TEXTS: [&str; 4] = ["all", "a", "b", "ab"];
 
+    /// Strings whose last character is where a prefix's successor is hard:
+    /// two and four bytes long, either side of the surrogate gap, the last
+    /// character there is — alone, twice, and with a character behind it.
+    const EDGES: [&str; 9] = [
+        "a\u{e9}",
+        "a\u{ff}",
+        "a\u{ff}b",
+        "a\u{d7ff}",
+        "a\u{e000}",
+        "a\u{10ffff}",
+        "a\u{10ffff}b",
+        "\u{10ffff}",
+        "\u{10ffff}\u{10ffff}",
+    ];
+
+    fn text(rng: &mut TestRng) -> &'static str {
+        match pick(rng, 6) {
+            0 => EDGES[pick(rng, EDGES.len())],
+            _ => TEXTS[pick(rng, TEXTS.len())],
+        }
+    }
+
+    /// `S LIKE pattern`: mostly a prefix of something the column holds (a
+    /// range of its index), now and then a pattern that is none — no prefix
+    /// before the `%`, or a second wildcard — and has to take the pass.
+    fn prefix_like(rng: &mut TestRng) -> Expr {
+        let pattern = match pick(rng, 8) {
+            0 => ["%", "a_%", "%a", "a%l%", "al"][pick(rng, 5)].to_string(),
+            1 => format!("{}%", ["al", "all", "none", "b"][pick(rng, 4)]),
+            _ => format!("{}%", text(rng)),
+        };
+        Expr::col(3).like(Expr::lit(pattern))
+    }
+
     fn indexed_row(rng: &mut TestRng, id: i64) -> Tuple {
         let n = match pick(rng, 10) {
             0 => Value::Null,
@@ -1004,7 +1042,10 @@ mod tests {
             (_, d) => Value::Date(d),
         };
         // Most rows hold 'all': a posting list nearly as long as the table.
-        let s = TEXTS[pick(rng, 8).saturating_sub(4)];
+        let s = match pick(rng, 8) {
+            0..=4 => "all",
+            _ => text(rng),
+        };
         Tuple::new(vec![
             Value::Int(id),
             n,
@@ -1041,7 +1082,7 @@ mod tests {
         match pick(rng, 6) {
             0 => Expr::col(4).eq(Expr::lit(pick(rng, 7) as i64)),
             1 => Expr::col(1).gt(Expr::lit(pick(rng, 5) as i64)),
-            2 => Expr::col(3).like(Expr::lit(["a%", "%b", "_ll"][pick(rng, 3)])),
+            2 => Expr::col(3).like(Expr::lit(["%a", "%b", "_ll"][pick(rng, 3)])),
             3 => Expr::col(1).eq(Expr::lit(pick(rng, 5) as f64)),
             4 => Expr::col(1).eq(Expr::Literal(Value::Null)),
             _ => Expr::col(1)
@@ -1051,11 +1092,14 @@ mod tests {
     }
 
     fn indexed_predicate(rng: &mut TestRng, rows: usize) -> Expr {
-        match pick(rng, 12) {
+        match pick(rng, 16) {
             0..=5 => probed_equality(rng, rows),
             6 | 7 => probed_equality(rng, rows).and(unprobed(rng)),
             8 => unprobed(rng).and(probed_equality(rng, rows)),
             9 => probed_equality(rng, rows).and(probed_equality(rng, rows)),
+            10 | 11 => prefix_like(rng),
+            12 => prefix_like(rng).and(unprobed(rng)),
+            13 => prefix_like(rng).and(probed_equality(rng, rows)),
             _ => unprobed(rng),
         }
     }
@@ -1072,7 +1116,7 @@ mod tests {
             0 => UpdateOp::Delete { predicate: row },
             1 => set(1, spelled(rng, 5), row),
             2 => set(2, Value::Date(pick(rng, 4) as i64), row),
-            3 => set(3, Value::text(TEXTS[pick(rng, 4)]), row),
+            3 => set(3, Value::text(text(rng)), row),
             // Every row of one value at once.
             4 => set(
                 4,
@@ -1143,9 +1187,10 @@ mod tests {
         /// Serving a group from the indexes never changes what a cycle emits:
         /// the same rows with the same query sets in the same order as the
         /// full walk — over dead versions and moved keys, numbers stored and
-        /// asked for under either spelling, equalities alone, with a residual
-        /// conjunct, twice in a cycle, beside a query no index answers,
-        /// naming most of the table, pinned to the past, over a segment view.
+        /// asked for under either spelling, equalities and prefixes alone,
+        /// with a residual conjunct, twice in a cycle, beside a query no
+        /// index answers, naming most of the table, pinned to the past — the
+        /// key map included — over a segment view.
         #[test]
         fn index_served_cycle_equals_scanned_cycle(case in IndexedCases) {
             let mut table = indexed_table();

@@ -4,8 +4,11 @@
 //! every key: an entry is 8 bytes — 32 bits of the key's hash and the id of
 //! the newest version written under the key — and a look-up reads the key
 //! back from that version. The table is open-addressed (linear probing from
-//! `hash & mask`, backward-shift deletion, at most three quarters full) and
-//! doubles by re-filing the entries themselves, which carry their hash.
+//! `hash & mask`, at most three quarters full) and doubles by re-filing the
+//! entries themselves, which carry their hash. Nothing is ever removed: a
+//! key whose row was deleted, or moved to another key, keeps its entry,
+//! pointing at the version that ended — the head of the chain of back-links
+//! (`StoredRow::previous`) an older snapshot is answered from.
 //!
 //! Why not a `HashMap<Vec<Value>, RowId>`: it costs a 32-byte bucket and a
 //! heap-allocated key per row, and every doubling touches a new table of four
@@ -52,15 +55,23 @@ impl KeyMap {
         self.find(hash, is_key).map(|slot| row_of(self.slots[slot]))
     }
 
-    /// Points the key at `row_id`, a version already in the arena.
-    pub fn insert(&mut self, hash: u32, row_id: RowId, is_key: impl Fn(RowId) -> bool) {
-        // `u32::MAX` would spell `EMPTY` under the hash `u32::MAX`.
+    /// Points the key at `row_id`, a version already in the arena, and
+    /// returns the version it pointed at before.
+    pub fn insert(
+        &mut self,
+        hash: u32,
+        row_id: RowId,
+        is_key: impl Fn(RowId) -> bool,
+    ) -> Option<RowId> {
+        // `u32::MAX` would spell `EMPTY` under the hash `u32::MAX` (and "no
+        // version" in a back-link).
         let row = u32::try_from(row_id.0).ok().filter(|r| *r != u32::MAX);
         let row = row.expect("a table holds fewer than 2^32 - 1 row versions");
         let entry = u64::from(hash) << 32 | u64::from(row);
         if let Some(slot) = self.find(hash, is_key) {
+            let previous = row_of(self.slots[slot]);
             self.slots[slot] = entry;
-            return;
+            return Some(previous);
         }
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             let doubled = (self.slots.len() * 2).max(8);
@@ -71,31 +82,7 @@ impl KeyMap {
         }
         self.file(entry);
         self.len += 1;
-    }
-
-    /// Forgets the key (a row was moved away from it).
-    pub fn remove(&mut self, hash: u32, is_key: impl Fn(RowId) -> bool) {
-        let Some(mut hole) = self.find(hash, is_key) else {
-            return;
-        };
-        // Close the gap: an entry further down its probe run moves into the
-        // hole unless its home slot lies after the hole.
-        let mask = self.slots.len() - 1;
-        let mut slot = hole;
-        loop {
-            slot = (slot + 1) & mask;
-            let entry = self.slots[slot];
-            if entry == EMPTY {
-                break;
-            }
-            let from_home = slot.wrapping_sub(home_of(entry)) & mask;
-            if from_home >= (slot.wrapping_sub(hole) & mask) {
-                self.slots[hole] = entry;
-                hole = slot;
-            }
-        }
-        self.slots[hole] = EMPTY;
-        self.len -= 1;
+        None
     }
 
     /// The newest version of every key, in no order.
@@ -149,15 +136,15 @@ mod tests {
     use std::collections::HashMap;
 
     /// Keys are small integers and every version of the "arena" is its key,
-    /// so a few hundred keys share slots, probe runs wrap around the end of
-    /// the table and removals have gaps to close. Checked against a
-    /// `HashMap` after every step, absent keys included.
+    /// so a few hundred keys share eight home slots and every probe run is
+    /// long. Checked against a `HashMap` after every step, absent keys
+    /// included; an insert hands back what the key pointed at before.
     #[test]
-    fn agrees_with_a_hash_map_through_inserts_replacements_and_removals() {
+    fn agrees_with_a_hash_map_through_inserts_and_replacements() {
         let mut arena: Vec<i64> = Vec::new();
         let mut map = KeyMap::new();
         let mut model: HashMap<i64, RowId> = HashMap::new();
-        // Only the low three bits of the hash vary: every probe run is long.
+        // Only the low three bits of the hash vary.
         let hash = |map: &KeyMap, key: i64| map.hash([&Value::Int(key)]) & 7;
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = |below: u64| {
@@ -167,15 +154,10 @@ mod tests {
         for step in 0..4_000 {
             let key = draw(300) as i64;
             let h = hash(&map, key);
-            if step % 3 == 2 {
-                map.remove(h, |row| arena[row.0 as usize] == key);
-                model.remove(&key);
-            } else {
-                let row = RowId(arena.len() as u64);
-                arena.push(key);
-                map.insert(h, row, |row| arena[row.0 as usize] == key);
-                model.insert(key, row);
-            }
+            let row = RowId(arena.len() as u64);
+            arena.push(key);
+            let previous = map.insert(h, row, |row| arena[row.0 as usize] == key);
+            assert_eq!(previous, model.insert(key, row), "key {key}, step {step}");
             assert_eq!(map.len, model.len());
             for probe in 0..300 {
                 let found = map.get(hash(&map, probe), |row| arena[row.0 as usize] == probe);

@@ -43,7 +43,7 @@ pub use predicate_index::PredicateClass;
 pub use table::{Chunk, ChunkZones, EqLookup, RowId, StoredRow, Table, Zone, CHUNK_ROWS};
 pub use update::{AccessPath, UpdateOp, UpdateResult};
 pub use wal::{
-    scan_frames, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy, TornTail,
-    Wal, WalConfig, WalScan, WalSink, WalStatsSnapshot, FRAME_HEADER_LEN, FRAME_MAGIC,
+    scan_frames, CountingSink, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy,
+    TornTail, Wal, WalConfig, WalScan, WalSink, WalStatsSnapshot, FRAME_HEADER_LEN, FRAME_MAGIC,
     WAL_FORMAT_VERSION,
 };

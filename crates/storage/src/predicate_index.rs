@@ -77,6 +77,15 @@ impl PredicateClass {
     /// Class names in the order of [`PredicateIndex::class_counts`].
     pub const NAMES: [&'static str; 3] = ["equality", "range", "residual"];
 
+    /// Where the class is counted in [`PredicateIndex::class_counts`].
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            PredicateClass::Equality(_) => 0,
+            PredicateClass::Range(_) => 1,
+            PredicateClass::Residual => 2,
+        }
+    }
+
     /// The class a bound predicate lands in.
     pub fn of(predicate: &Expr) -> PredicateClass {
         match indexed_conjunct(&predicate.split_conjuncts()) {

@@ -45,7 +45,14 @@ pub struct StoredRow {
     /// Commit timestamp of the write that superseded / deleted this version
     /// (`TS_INFINITY` while live).
     pub end: Timestamp,
+    /// The back-link: the version the key map's entry for this row's primary
+    /// key pointed at when this one was filed — the version written under
+    /// the same key before it — or [`NO_VERSION`] for the first.
+    previous: u32,
 }
+
+/// A back-link that leads nowhere (the key map refuses this row id).
+const NO_VERSION: u32 = u32::MAX;
 
 impl StoredRow {
     /// True when the version is visible in the given snapshot.
@@ -141,7 +148,8 @@ pub struct Table {
     primary_key: Vec<usize>,
     /// Append-only arena of row versions.
     rows: Vec<StoredRow>,
-    /// Maps a primary key to the row id of its *latest* version.
+    /// Maps a primary key to the row id of its *latest* version, dead or
+    /// alive; the versions before it hang off that one by their back-links.
     pk_index: KeyMap,
     /// Secondary indexes. Indexes contain entries for every version; probes
     /// filter by visibility.
@@ -151,8 +159,6 @@ pub struct Table {
     zoned: Vec<usize>,
     /// The chunk directory: `zoned.len()` zones per chunk, chunk after chunk.
     zones: Vec<Zone>,
-    /// The largest timestamp a version began or ended at.
-    newest_write: Timestamp,
 }
 
 impl Table {
@@ -166,7 +172,6 @@ impl Table {
             name: name.into(),
             zoned: (0..schema.len()).filter(numeric).collect(),
             zones: Vec::new(),
-            newest_write: Timestamp(0),
             schema,
             primary_key,
             rows: Vec::new(),
@@ -225,6 +230,13 @@ impl Table {
         self.indexes.iter().map(|i| i.name.as_str()).collect()
     }
 
+    /// Every secondary index with the `(key, version)` entries it holds —
+    /// one per version ever written, dead ones included. O(indexes).
+    pub fn index_entry_counts(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
+        let counts = self.indexes.iter();
+        counts.map(|i| (i.name.as_str(), i.tree.entry_count()))
+    }
+
     /// Returns the column a named index is built on.
     pub fn index_column(&self, name: &str) -> Option<usize> {
         self.indexes
@@ -270,12 +282,14 @@ impl Table {
         key.len() == primary_key.len() && primary_key.iter().zip(key).all(|(&c, k)| row[c] == *k)
     }
 
-    /// Points the key map's entry for `key` at `row_id`, a version in the arena.
+    /// Points the key map's entry for `key` at `row_id`, a version in the
+    /// arena, and links it back to the version the entry pointed at.
     fn file_key(&mut self, key: &[Value], row_id: RowId) {
         let (rows, columns) = (&self.rows, &self.primary_key);
         let hash = self.pk_index.hash(key);
         let is_key = |row| Self::holds_key(rows, columns, row, key);
-        self.pk_index.insert(hash, row_id, is_key);
+        let previous = self.pk_index.insert(hash, row_id, is_key);
+        self.rows[row_id.idx()].previous = previous.map_or(NO_VERSION, |row| row.0 as u32);
     }
 
     /// The newest version written under `key`, dead or alive.
@@ -299,11 +313,11 @@ impl Table {
         for index in &mut self.indexes {
             index.tree.insert(values[index.column].clone(), row_id);
         }
-        self.newest_write = self.newest_write.max(begin);
         self.rows.push(StoredRow {
             values,
             begin,
             end: TS_INFINITY,
+            previous: NO_VERSION,
         });
         row_id
     }
@@ -356,24 +370,20 @@ impl Table {
                 if taken {
                     return Err(self.duplicate_key(&new_key));
                 }
-                freed.insert(old_key.clone());
+                freed.insert(old_key);
                 claimed.insert(new_key.clone());
             }
-            keys.push((old_key, new_key));
+            keys.push(new_key);
         }
         // End the old versions and append the new ones.
-        for ((row_id, new_values), (old_key, new_key)) in updates.into_iter().zip(keys) {
+        for ((row_id, new_values), new_key) in updates.into_iter().zip(keys) {
             self.rows[row_id.idx()].end = ts;
             let new_id = self.push_version(new_values, ts);
+            // A row moved to another key leaves the old key's entry where it
+            // is, pointing at the version just ended: older snapshots find it
+            // there, the live look-up sees it is dead, and a later insert
+            // under the old key chains onto it.
             if !self.primary_key.is_empty() {
-                if old_key != new_key {
-                    // Only remap; the old key still points at the old version
-                    // for older snapshots, but lookups of the latest state
-                    // should no longer find it.
-                    let (rows, columns) = (&self.rows, &self.primary_key);
-                    let is_key = |row| Self::holds_key(rows, columns, row, &old_key);
-                    self.pk_index.remove(self.pk_index.hash(&old_key), is_key);
-                }
                 self.file_key(&new_key, new_id);
             }
         }
@@ -400,7 +410,6 @@ impl Table {
             )));
         }
         row.end = ts;
-        self.newest_write = self.newest_write.max(ts);
         Ok(())
     }
 
@@ -454,11 +463,27 @@ impl Table {
             .map(|(i, r)| (RowId(i as u64), &r.values))
     }
 
-    /// Looks up the latest version for a primary key and returns it if it is
-    /// visible in the snapshot.
+    /// The version of a primary key that `snapshot` sees, if any — exact
+    /// under every snapshot. The walk starts at the newest version written
+    /// under the key and follows the back-links to the first one that began
+    /// at or before the snapshot; that version decides, visible or not: the
+    /// ones after it began too late, and the ones before it had ended by the
+    /// time it began (a key has one live version at a time). The latest
+    /// snapshot stops at the first version it looks at.
     pub fn lookup_pk(&self, key: &[Value], snapshot: Snapshot) -> Option<(RowId, &Tuple)> {
-        let row_id = self.newest_version(key)?;
-        self.read(row_id, snapshot).map(|t| (row_id, t))
+        let mut row_id = self.newest_version(key)?;
+        loop {
+            let version = &self.rows[row_id.idx()];
+            if version.begin <= snapshot.ts {
+                return version
+                    .visible(snapshot)
+                    .then_some((row_id, &version.values));
+            }
+            if version.previous == NO_VERSION {
+                return None;
+            }
+            row_id = RowId(u64::from(version.previous));
+        }
     }
 
     /// Looks up the latest *live* version for a primary key regardless of
@@ -466,14 +491,6 @@ impl Table {
     pub fn lookup_pk_live(&self, key: &[Value]) -> Option<RowId> {
         let row_id = self.newest_version(key)?;
         self.rows[row_id.idx()].is_live().then_some(row_id)
-    }
-
-    /// True when `snapshot` sees every write the table holds, so that its
-    /// visible versions are the live ones. Only then is the key map — which
-    /// knows the newest version of a key and nothing of the ones before it,
-    /// nor of a key a row was moved away from — exact for a read.
-    pub fn sees_every_write(&self, snapshot: Snapshot) -> bool {
-        self.newest_write <= snapshot.ts
     }
 
     /// The posting list of `key` in the secondary index on `column`: every
@@ -496,17 +513,19 @@ impl Table {
         postings.filter(|rid| self.rows[rid.idx()].is_live())
     }
 
-    /// Resolves how rows with `column = key` are found — the column's
-    /// secondary index, else the primary-key map when `column` alone is the
-    /// key, else a scan — once, for any number of keys.
+    /// Resolves how rows with `column = key` are found — the primary-key map
+    /// when `column` alone is the key (an index declared on such a column
+    /// serves ranges only), else the column's secondary index, else a scan —
+    /// once, for any number of keys.
     pub fn eq_lookup(&self, column: usize) -> EqLookup<'_> {
+        let by_key = self.primary_key == [column];
         let index = self.indexes.iter().find(|i| i.column == column);
         EqLookup {
             table: self,
             column,
             data_type: self.schema.columns()[column].data_type,
-            index: index.map(|i| &i.tree),
-            by_key: index.is_none() && self.primary_key == [column],
+            index: index.filter(|_| !by_key).map(|i| &i.tree),
+            by_key,
         }
     }
 
@@ -521,24 +540,50 @@ impl Table {
         high: Bound<&Value>,
         snapshot: Snapshot,
     ) -> Vec<(RowId, &Tuple)> {
-        let Some(index) = self.indexes.iter().find(|i| i.column == column) else {
-            return Vec::new();
-        };
+        self.index_range_versions(column, low, high)
+            .into_iter()
+            .filter_map(|rid| self.read(rid, snapshot).map(|t| (rid, t)))
+            .collect()
+    }
+
+    /// Every version — dead ones included — the index on `column` files
+    /// under a key of the range, in key order (none without an index).
+    pub fn index_range_versions(
+        &self,
+        column: usize,
+        low: Bound<&Value>,
+        high: Bound<&Value>,
+    ) -> Vec<RowId> {
+        let ranged = self.ranged(column, low, high);
+        ranged.map_or(Vec::new(), |(tree, low, high)| tree.range_rows(low, high))
+    }
+
+    /// The length of [`Table::index_range_versions`], read off the index
+    /// before a version is fetched: what fetching through the range costs.
+    pub fn index_range_len(&self, column: usize, low: Bound<&Value>, high: Bound<&Value>) -> usize {
+        let ranged = self.ranged(column, low, high);
+        ranged.map_or(0, |(tree, low, high)| tree.range_len(low, high))
+    }
+
+    /// The index on `column` and the range to ask it for, NULL keys left
+    /// out; `None` when nothing is in the range whatever the index holds.
+    fn ranged<'a>(
+        &'a self,
+        column: usize,
+        low: Bound<&'a Value>,
+        high: Bound<&'a Value>,
+    ) -> Option<(&'a BTreeIndex, Bound<&'a Value>, Bound<&'a Value>)> {
+        let index = self.indexes.iter().find(|i| i.column == column)?;
         let null_bound =
             |b: &Bound<&Value>| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null());
         if null_bound(&low) || null_bound(&high) {
-            return Vec::new();
+            return None;
         }
         let low = match low {
             Bound::Unbounded => Bound::Excluded(&Value::Null),
             bounded => bounded,
         };
-        index
-            .tree
-            .range_rows(low, high)
-            .into_iter()
-            .filter_map(|rid| self.read(rid, snapshot).map(|t| (rid, t)))
-            .collect()
+        Some((&index.tree, low, high))
     }
 
     /// Approximate memory footprint in bytes: the payloads, each with the
@@ -662,6 +707,8 @@ impl fmt::Debug for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use shareddb_common::{tuple, Column, DataType};
 
     fn items_table() -> Table {
@@ -741,10 +788,15 @@ mod tests {
             .unwrap();
         assert_eq!(row[2], Value::Float(2.0));
         assert!(rid != r1);
-        // At an old snapshot the *latest* version is invisible; the lookup
-        // reports nothing (index probes fall back to scans for time travel).
+        // An old snapshot is led back to the version it sees, and a snapshot
+        // older than the key to nothing.
+        let old = t.lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(2)));
+        assert_eq!(
+            old.map(|(rid, row)| (rid, &row[2])),
+            Some((r1, &Value::Float(1.0)))
+        );
         assert!(t
-            .lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(2)))
+            .lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(0)))
             .is_none());
         assert!(t.lookup_pk_live(&[Value::Int(7)]).is_some());
         assert!(t
@@ -753,8 +805,9 @@ mod tests {
     }
 
     /// The key map reads keys back from the arena: a key is its columns in
-    /// full, a row moved to another key leaves the old one free, and a key
-    /// written again after a delete points at the new version.
+    /// full, a row moved to another key leaves the old one free — and, for
+    /// the snapshots that saw it there, still answering — and a key written
+    /// again after a delete points at the new version.
     #[test]
     fn pk_lookup_reads_the_key_from_the_newest_version() {
         let schema = Schema::new(vec![
@@ -781,6 +834,12 @@ mod tests {
             .unwrap();
         assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
         assert_eq!(t.lookup_pk_live(&key(7, 9)), Some(moved));
+        let at = |ts| Snapshot::at(Timestamp(ts));
+        let found = |t: &Table, key: &[Value], ts| t.lookup_pk(key, at(ts)).map(|(rid, _)| rid);
+        assert_eq!(found(&t, &key(7, 2), 1), Some(RowId(23)));
+        assert_eq!(found(&t, &key(7, 2), 2), None);
+        assert_eq!(found(&t, &key(7, 9), 1), None);
+        assert_eq!(found(&t, &key(7, 9), 2), Some(moved));
         let again = t.insert(tuple![7i64, 2i64, 5i64], Timestamp(3)).unwrap();
         assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(again));
         // A deleted key stays on the map, dead, until it is written again.
@@ -789,7 +848,135 @@ mod tests {
         let reborn = t.insert(tuple![7i64, 2i64, 6i64], Timestamp(5)).unwrap();
         assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(reborn));
         assert!(t.insert(tuple![7i64, 2i64, 7i64], Timestamp(6)).is_err());
+        let seen: Vec<_> = (1..=5).map(|ts| found(&t, &key(7, 2), ts)).collect();
+        let expected = [Some(RowId(23)), None, Some(again), None, Some(reborn)];
+        assert_eq!(seen, expected);
         assert_eq!(t.live_count(), 601);
+    }
+
+    // -- the key map under every snapshot -----------------------------------
+
+    /// One write to a table keyed by its first column, over six keys.
+    #[derive(Debug, Clone, Copy)]
+    enum Write {
+        Insert(i64),
+        Update(i64),
+        /// Two updates of one row inside one commit timestamp: the version
+        /// between them begins and ends at once.
+        UpdateTwice(i64),
+        Delete(i64),
+        /// Delete, and insert again at the next timestamp.
+        Reinsert(i64),
+        Move(i64, i64),
+        /// Move, and move back at the next timestamp.
+        MoveAndBack(i64, i64),
+    }
+
+    struct Histories;
+
+    impl Strategy for Histories {
+        /// Each write with whether it commits at a timestamp of its own
+        /// (else at the one before it).
+        type Value = Vec<(Write, bool)>;
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+            let steps = 1 + pick(rng, 40);
+            let writes = (0..steps).map(|_| {
+                let (key, other) = (pick(rng, 6) as i64, pick(rng, 6) as i64);
+                let write = match pick(rng, 10) {
+                    0..=2 => Write::Insert(key),
+                    3 => Write::Update(key),
+                    4 => Write::UpdateTwice(key),
+                    5 => Write::Delete(key),
+                    6 => Write::Reinsert(key),
+                    7 | 8 => Write::Move(key, other),
+                    _ => Write::MoveAndBack(key, other),
+                };
+                (write, pick(rng, 3) != 0)
+            });
+            writes.collect()
+        }
+    }
+
+    /// Applies a history (a write that cannot be — a taken key, a row that
+    /// is not there — writes nothing) and returns the last timestamp used.
+    fn apply_history(t: &mut Table, history: &[(Write, bool)]) -> u64 {
+        let mut ts = 1;
+        let mut serial = 0i64;
+        let live = |t: &Table, key: i64| t.lookup_pk_live(&[Value::Int(key)]);
+        let mut put = |t: &mut Table, from: i64, to: i64, ts: u64| {
+            serial += 1;
+            if let Some(row) = live(t, from) {
+                let _ = t.update_row(row, tuple![to, serial], Timestamp(ts));
+            }
+        };
+        for (write, own_timestamp) in history {
+            ts += *own_timestamp as u64;
+            match *write {
+                Write::Insert(key) => put_new(t, key, ts),
+                Write::Update(key) => put(t, key, key, ts),
+                Write::UpdateTwice(key) => {
+                    put(t, key, key, ts);
+                    put(t, key, key, ts);
+                }
+                Write::Delete(key) => drop_key(t, key, ts),
+                Write::Reinsert(key) => {
+                    drop_key(t, key, ts);
+                    ts += 1;
+                    put_new(t, key, ts);
+                }
+                Write::Move(from, to) => put(t, from, to, ts),
+                Write::MoveAndBack(from, to) => {
+                    put(t, from, to, ts);
+                    ts += 1;
+                    put(t, to, from, ts);
+                }
+            }
+        }
+        ts
+    }
+
+    fn put_new(t: &mut Table, key: i64, ts: u64) {
+        let _ = t.insert(tuple![key, -(ts as i64)], Timestamp(ts));
+    }
+
+    fn drop_key(t: &mut Table, key: i64, ts: u64) {
+        if let Some(row) = t.lookup_pk_live(&[Value::Int(key)]) {
+            t.delete_row(row, Timestamp(ts)).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The key map is exact under every snapshot: for every key and every
+        /// timestamp from before the first write to the last, the look-up
+        /// returns the one version of the key a walk over the whole arena
+        /// sees — through updates, several of them inside one commit,
+        /// deletes, keys written again, rows moved to another key and back.
+        #[test]
+        fn pk_lookup_equals_the_full_walk_under_every_snapshot(history in Histories) {
+            let schema = Schema::new(vec![
+                Column::new("K", DataType::Int),
+                Column::new("V", DataType::Int),
+            ]);
+            let mut t = Table::new("T", schema, vec![0]);
+            let last = apply_history(&mut t, &history);
+            for ts in 0..=last {
+                let snapshot = Snapshot::at(Timestamp(ts));
+                for key in 0..7i64 {
+                    let key = Value::Int(key);
+                    let walked: Vec<_> = t.scan(snapshot).filter(|(_, row)| row[0] == key).collect();
+                    prop_assert!(walked.len() <= 1, "{walked:?} share a key at {ts}");
+                    let found = t.lookup_pk(std::slice::from_ref(&key), snapshot);
+                    prop_assert!(
+                        found == walked.first().copied(),
+                        "key {key} at {ts}: found {found:?}, the walk {walked:?}\nin {history:?}\n{:#?}",
+                        t.rows
+                    );
+                }
+            }
+        }
     }
 
     #[test]

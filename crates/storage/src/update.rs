@@ -9,7 +9,8 @@ use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::table::{index_keys, RowId, Table};
 use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
-use shareddb_common::{BinaryOp, Expr, Result, Tuple, Value};
+use shareddb_common::{BinaryOp, DataType, Expr, Result, Tuple, Value};
+use std::ops::Bound;
 
 /// A single data-modification operation against one table.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +63,10 @@ pub struct UpdateResult {
 ///
 /// 1. equality conjuncts cover the primary key → hash probes of the key map;
 /// 2. an equality conjunct on a column with a secondary index → that index's
-///    posting list, live versions only;
-/// 3. otherwise one pass over the live versions of the table.
+///    posting list;
+/// 3. a `LIKE 'prefix%'` conjunct on a text column with a secondary index →
+///    the index's keys from the prefix up to its successor;
+/// 4. otherwise one pass over the versions of the table.
 ///
 /// The path only narrows: `apply_update` re-evaluates the *full* predicate
 /// on every candidate, the rule [`crate::predicate_index`] states for reads
@@ -79,18 +82,51 @@ pub enum AccessPath {
         /// Keys to probe.
         keys: Vec<Value>,
     },
+    /// Walk the secondary index on `column` over the keys in `[low, high)`:
+    /// the strings that start with `low`.
+    IndexRange {
+        /// The indexed column.
+        column: usize,
+        /// The prefix.
+        low: Value,
+        /// The smallest string above every string with the prefix (`None`:
+        /// there is none, the range is open).
+        high: Option<Value>,
+    },
     /// Evaluate the predicate on every live version.
     Scan,
+}
+
+/// The prefix of a pattern that asks for one and nothing else: a trailing
+/// `%`, no other wildcard, at least one character before it.
+fn like_prefix(pattern: &str) -> Option<&str> {
+    let prefix = pattern.strip_suffix('%')?;
+    (!prefix.is_empty() && !prefix.contains(['%', '_'])).then_some(prefix)
+}
+
+/// The smallest string greater than every string that starts with `prefix`:
+/// the prefix up to its last character that has a successor, with that
+/// character replaced by it. Strings order by code point, as UTF-8 bytes do.
+fn prefix_successor(prefix: &str) -> Option<String> {
+    let mut chars: Vec<char> = prefix.chars().collect();
+    while let Some(last) = chars.pop() {
+        // The step past a character minds the surrogate gap.
+        if let Some(next) = (last..=char::MAX).nth(1) {
+            chars.push(next);
+            return Some(chars.into_iter().collect());
+        }
+    }
+    None
 }
 
 impl AccessPath {
     /// Picks the access path for a bound predicate on `table`.
     pub fn choose(table: &Table, predicate: &Expr) -> AccessPath {
         let columns = table.schema().columns();
+        let conjuncts = predicate.split_conjuncts();
         // `column = literal` conjuncts an index can answer exactly.
-        let equalities: Vec<(usize, Vec<Value>)> = predicate
-            .split_conjuncts()
-            .into_iter()
+        let equalities: Vec<(usize, Vec<Value>)> = conjuncts
+            .iter()
             .filter_map(|conjunct| match conjunct.as_column_literal_cmp()? {
                 (column, BinaryOp::Eq, literal) => {
                     let (key, twin) = index_keys(columns.get(column)?.data_type, literal)?;
@@ -124,13 +160,53 @@ impl AccessPath {
                 return AccessPath::PrimaryKey(keys);
             }
         }
-        match equalities.into_iter().find(|(c, _)| table.has_index_on(*c)) {
-            Some((column, keys)) => AccessPath::Index { column, keys },
+        if let Some((column, keys)) = equalities.into_iter().find(|(c, _)| table.has_index_on(*c)) {
+            return AccessPath::Index { column, keys };
+        }
+        let mut prefixes = conjuncts.iter().filter_map(|c| match c {
+            Expr::Like {
+                expr,
+                pattern,
+                negated: false,
+            } => match (expr.as_ref(), pattern.as_ref()) {
+                (Expr::Column(column), Expr::Literal(Value::Text(pattern))) => {
+                    Some((*column, like_prefix(pattern)?))
+                }
+                _ => None,
+            },
+            _ => None,
+        });
+        let indexed_text = |column: usize| {
+            columns
+                .get(column)
+                .is_some_and(|c| c.data_type == DataType::Text)
+                && table.has_index_on(column)
+        };
+        match prefixes.find(|(column, _)| indexed_text(*column)) {
+            Some((column, prefix)) => AccessPath::IndexRange {
+                column,
+                low: Value::text(prefix),
+                high: prefix_successor(prefix).map(Value::Text),
+            },
             None => AccessPath::Scan,
         }
     }
 
-    /// Renders the path for `EXPLAIN`: `pk(I_ID)`, `index(SCL_CART)`, `scan`.
+    /// The bounds of an [`AccessPath::IndexRange`].
+    fn bounds<'a>(low: &'a Value, high: &'a Option<Value>) -> (Bound<&'a Value>, Bound<&'a Value>) {
+        let high = high.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
+        (Bound::Included(low), high)
+    }
+
+    /// The name of the index on `column`, for `EXPLAIN`.
+    fn index_name(table: &Table, column: usize) -> &str {
+        let names = table.index_names();
+        let on_column = |name: &&str| table.index_column(name) == Some(column);
+        names.into_iter().find(on_column).unwrap_or("?")
+    }
+
+    /// Renders the path for `EXPLAIN`: `pk(I_ID)`, `index(SCL_CART)`,
+    /// `index(AUTHOR_LNAME) range`, `scan`.
     pub fn describe(&self, table: &Table) -> String {
         match self {
             AccessPath::PrimaryKey(_) => {
@@ -143,20 +219,19 @@ impl AccessPath {
                 format!("pk({})", names.join(", "))
             }
             AccessPath::Index { column, .. } => {
-                let names = table.index_names();
-                let on_column = |name: &&str| table.index_column(name) == Some(*column);
-                format!(
-                    "index({})",
-                    names.into_iter().find(on_column).unwrap_or("?")
-                )
+                format!("index({})", Self::index_name(table, *column))
+            }
+            AccessPath::IndexRange { column, .. } => {
+                format!("index({}) range", Self::index_name(table, *column))
             }
             AccessPath::Scan => "scan".to_string(),
         }
     }
 
     /// How many versions a read through this path fetches: one per key of the
-    /// key map, the posting lists' lengths for an index — exact, and known
-    /// before anything is fetched. `None` for the scan.
+    /// key map, the posting lists' lengths for an index, the entries of a
+    /// range — exact, and known before anything is fetched. `None` for the
+    /// scan.
     pub(crate) fn fetch_cost(&self, table: &Table) -> Option<usize> {
         match self {
             AccessPath::PrimaryKey(keys) => Some(keys.len()),
@@ -164,13 +239,16 @@ impl AccessPath {
                 let postings = keys.iter().map(|key| table.index_postings(*column, key));
                 Some(postings.map(<[RowId]>::len).sum())
             }
+            AccessPath::IndexRange { column, low, high } => {
+                let (low, high) = Self::bounds(low, high);
+                Some(table.index_range_len(*column, low, high))
+            }
             AccessPath::Scan => None,
         }
     }
 
     /// The versions the path leads to that `snapshot` sees (none for the
-    /// scan). The key map is exact only for a snapshot that
-    /// [`Table::sees_every_write`].
+    /// scan), whatever the snapshot.
     pub(crate) fn visible_rows<'t>(
         &'t self,
         table: &'t Table,
@@ -179,7 +257,14 @@ impl AccessPath {
         let (by_key, column, by_index) = match self {
             AccessPath::PrimaryKey(keys) => (&keys[..], 0, &[][..]),
             AccessPath::Index { column, keys } => (&[][..], *column, &keys[..]),
-            AccessPath::Scan => (&[][..], 0, &[][..]),
+            AccessPath::IndexRange { .. } | AccessPath::Scan => (&[][..], 0, &[][..]),
+        };
+        let ranged = match self {
+            AccessPath::IndexRange { column, low, high } => {
+                let (low, high) = Self::bounds(low, high);
+                table.index_range(*column, low, high, snapshot)
+            }
+            _ => Vec::new(),
         };
         let keyed = by_key
             .iter()
@@ -188,7 +273,7 @@ impl AccessPath {
             .iter()
             .flat_map(move |key| table.index_postings(column, key))
             .filter_map(move |&rid| table.read(rid, snapshot).map(|row| (rid, row)));
-        keyed.chain(posted)
+        keyed.chain(posted).chain(ranged)
     }
 
     /// The live candidates in ascending `RowId` — the order the scan visits
@@ -204,6 +289,12 @@ impl AccessPath {
                 .iter()
                 .flat_map(|key| table.index_lookup_live(*column, key))
                 .collect(),
+            AccessPath::IndexRange { column, low, high } => {
+                let (low, high) = Self::bounds(low, high);
+                let mut rows = table.index_range_versions(*column, low, high);
+                rows.retain(|&rid| table.row(rid).is_some_and(|row| row.is_live()));
+                rows
+            }
             AccessPath::Scan => return table.scan_live().map(|(rid, _)| rid).collect(),
         };
         rows.sort_unstable();
@@ -475,6 +566,70 @@ mod tests {
         );
     }
 
+    /// A pattern that is a prefix and a `%` becomes the keys from the prefix
+    /// up to its successor, on a text column with an index; anything else
+    /// stays where it was.
+    #[test]
+    fn a_prefix_is_a_range_of_the_index() {
+        let successor = |prefix: &str| prefix_successor(prefix);
+        assert_eq!(successor("ALAST7").as_deref(), Some("ALAST8"));
+        assert_eq!(successor("a\u{ff}").as_deref(), Some("a\u{100}"));
+        assert_eq!(successor("a\u{d7ff}").as_deref(), Some("a\u{e000}"));
+        assert_eq!(successor("a\u{10ffff}\u{10ffff}").as_deref(), Some("b"));
+        assert_eq!(successor("\u{10ffff}"), None);
+        assert_eq!(like_prefix("ab%"), Some("ab"));
+        for none in ["%", "ab", "%ab", "a%b%", "a_%", "_%", ""] {
+            assert_eq!(like_prefix(none), None, "{none}");
+        }
+
+        let schema = Schema::new(vec![
+            Column::new("ID", DataType::Int),
+            Column::nullable("NAME", DataType::Text),
+            Column::new("NOTE", DataType::Text),
+        ]);
+        let mut table = Table::new("T", schema, vec![0]);
+        table.create_index("T_NAME", 1).unwrap();
+        let names = ["ab", "abc", "ab\u{10ffff}c", "ac", "b"];
+        for (id, name) in names.iter().enumerate() {
+            let row = tuple![id as i64, *name, *name];
+            table.insert(row, Timestamp(0)).unwrap();
+        }
+        table
+            .insert(tuple![9i64, Value::Null, "ab"], Timestamp(0))
+            .unwrap();
+        let like = |column: usize, pattern: &str| Expr::col(column).like(Expr::lit(pattern));
+        let path = |predicate: Expr| AccessPath::choose(&table, &predicate);
+        let range = path(like(1, "ab%"));
+        assert_eq!(range.describe(&table), "index(T_NAME) range");
+        assert_eq!(range.fetch_cost(&table), Some(3));
+        assert_eq!(
+            range.candidates(&table),
+            [RowId(0), RowId(1), RowId(2)],
+            "the prefix itself, and past the last character there is"
+        );
+        // Beside another conjunct; an equality with an index behind it is
+        // preferred, the key first of all.
+        let beside = like(1, "a%").and(Expr::col(2).eq(Expr::lit("ac")));
+        assert_eq!(path(beside).fetch_cost(&table), Some(4));
+        let keyed = like(1, "a%").and(Expr::col(0).eq(Expr::lit(1i64)));
+        assert_eq!(path(keyed).describe(&table), "pk(ID)");
+        // No index, no prefix, a negation, a disjunct: the scan.
+        let negated = Expr::Like {
+            expr: Box::new(Expr::col(1)),
+            pattern: Box::new(Expr::lit("ab%")),
+            negated: true,
+        };
+        for scanned in [
+            like(2, "ab%"),
+            like(1, "%"),
+            like(1, "a%c"),
+            negated,
+            like(1, "ab%").or(like(1, "b%")),
+        ] {
+            assert_eq!(path(scanned.clone()), AccessPath::Scan, "{scanned}");
+        }
+    }
+
     #[test]
     fn failing_operations_leave_the_table_untouched() {
         let mut table = big_table();
@@ -538,6 +693,11 @@ mod tests {
         DataType::Bool,
     ];
 
+    /// Few strings, so that keys collide: some a prefix of others, some
+    /// ending where a prefix's successor is hard — a two-byte character, the
+    /// last character there is, and that one with a character behind it.
+    const TEXTS: [&str; 5] = ["a", "b", "ab", "a\u{ff}", "a\u{10ffff}b"];
+
     /// A value of any kind from a small domain, so that keys collide.
     fn any_value(rng: &mut TestRng) -> Value {
         let n = pick(rng, 5) as i64;
@@ -547,9 +707,25 @@ mod tests {
             2 => Value::Float(n as f64),
             3 => Value::Float(n as f64 + 0.5),
             4 => Value::Date(n),
-            5 => Value::text(["a", "b", "c"][n as usize % 3]),
+            5 => Value::text(TEXTS[n as usize]),
             _ => Value::Bool(n % 2 == 0),
         }
+    }
+
+    /// `C2 LIKE pattern` on the text column: a prefix (a range of its index,
+    /// when it has one), or a pattern that is none and takes the scan.
+    fn like(rng: &mut TestRng) -> Expr {
+        const PATTERNS: [&str; 8] = [
+            "a%",
+            "ab%",
+            "a\u{ff}%",
+            "a\u{10ffff}%",
+            "c%",
+            "%",
+            "a_%",
+            "%b",
+        ];
+        Expr::col(2).like(Expr::lit(PATTERNS[pick(rng, PATTERNS.len())]))
     }
 
     /// A value the column admits — not always one of its own type: Int,
@@ -566,7 +742,7 @@ mod tests {
         match TYPES[column] {
             DataType::Int => Value::Int(0),
             DataType::Float => Value::Float(0.0),
-            DataType::Text => Value::text("a"),
+            DataType::Text => Value::text(TEXTS[pick(rng, TEXTS.len())]),
             DataType::Date => Value::Date(0),
             DataType::Bool => Value::Bool(false),
         }
@@ -586,7 +762,9 @@ mod tests {
                 column.eq(literal)
             }
         };
-        match pick(rng, 10) {
+        match pick(rng, 13) {
+            10 | 11 => like(rng),
+            12 => like(rng).and(equality(rng)),
             0..=2 => equality(rng),
             3 | 4 => equality(rng).and(equality(rng)),
             5 => equality(rng).and(column(rng).gt(Expr::Literal(any_value(rng)))),

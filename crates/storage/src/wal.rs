@@ -226,11 +226,58 @@ pub trait WalSink: Send {
     fn sync(&mut self) -> Result<()> {
         self.flush()
     }
+    /// Bytes of appended frames the sink holds in memory.
+    fn retained_bytes(&self) -> usize {
+        0
+    }
 }
 
-/// A sink that keeps frames in memory. Used by tests and by benchmark
-/// configurations where logging is functionally enabled but not a measured
-/// bottleneck (both baselines in the paper were CPU-bound).
+/// A sink that counts what passes through it and keeps none of it: the log
+/// of a catalog without a data directory, which nothing will ever replay. A
+/// server left running on it pays the encoding of every frame — so the write
+/// path costs what it costs with a disk behind it — and not a byte of memory.
+#[derive(Debug, Default)]
+pub struct CountingSink {
+    bytes: u64,
+    flushes: usize,
+    syncs: usize,
+}
+
+impl CountingSink {
+    /// Frame bytes appended so far.
+    pub fn appended_bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Number of flush calls.
+    pub fn flush_count(&self) -> usize {
+        self.flushes
+    }
+
+    /// Number of sync calls.
+    pub fn sync_count(&self) -> usize {
+        self.syncs
+    }
+}
+
+impl WalSink for CountingSink {
+    fn append(&mut self, frame: &[u8]) -> Result<()> {
+        self.bytes += frame.len() as u64;
+        Ok(())
+    }
+    fn flush(&mut self) -> Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+    fn sync(&mut self) -> Result<()> {
+        self.flushes += 1;
+        self.syncs += 1;
+        Ok(())
+    }
+}
+
+/// A sink that keeps frames in memory, for ever: for tests and benchmarks
+/// that read the records back, not for a server (see [`CountingSink`]).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     bytes: Vec<u8>,
@@ -278,6 +325,9 @@ impl WalSink for MemorySink {
         self.flushes += 1;
         self.syncs += 1;
         Ok(())
+    }
+    fn retained_bytes(&self) -> usize {
+        self.bytes.len()
     }
 }
 
@@ -346,6 +396,9 @@ impl WalSink for FileSink {
         self.writer.get_ref().sync_data()?;
         Ok(())
     }
+    fn retained_bytes(&self) -> usize {
+        self.writer.buffer().len()
+    }
 }
 
 /// Write-side fault injection for recovery tests.
@@ -411,6 +464,9 @@ impl WalSink for FaultSink {
     }
     fn sync(&mut self) -> Result<()> {
         self.inner.sync()
+    }
+    fn retained_bytes(&self) -> usize {
+        self.inner.retained_bytes()
     }
 }
 
@@ -537,6 +593,11 @@ impl Wal {
     /// A WAL that discards nothing but keeps everything in memory.
     pub fn in_memory() -> Self {
         Wal::new(Box::new(MemorySink::new()))
+    }
+
+    /// A WAL that encodes and counts every frame and keeps none.
+    pub fn counting() -> Self {
+        Wal::new(Box::new(CountingSink::default()))
     }
 
     /// The current configuration.
@@ -1145,6 +1206,31 @@ mod tests {
         assert_eq!(stats.last_lsn, 4); // BEGIN + 2 ops + COMMIT
         assert!(stats.appended_bytes > 0);
         assert_eq!(stats.group_commit_size.count, 1);
+    }
+
+    /// Fed the same frames, the sink that keeps nothing counts what the sink
+    /// that keeps everything holds.
+    #[test]
+    fn counting_sink_counts_what_a_memory_sink_keeps() {
+        let (mut counting, mut memory) = (CountingSink::default(), MemorySink::new());
+        for lsn in 1..=100u64 {
+            let frame = encode_frame(lsn, &LogRecord::BeginBatch(Timestamp(lsn)));
+            counting.append(&frame).unwrap();
+            memory.append(&frame).unwrap();
+            if lsn % 10 == 0 {
+                counting.flush().unwrap();
+                memory.flush().unwrap();
+            }
+        }
+        counting.sync().unwrap();
+        memory.sync().unwrap();
+        assert_eq!(counting.appended_bytes(), memory.bytes().len() as u64);
+        assert_eq!(counting.flush_count(), memory.flush_count());
+        assert_eq!(counting.sync_count(), memory.sync_count());
+        assert_eq!(
+            (counting.retained_bytes(), memory.retained_bytes()),
+            (0, memory.bytes().len())
+        );
     }
 
     #[test]

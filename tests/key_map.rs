@@ -1,0 +1,302 @@
+//! The key map under pinned snapshots, end to end.
+//!
+//! A primary key is indexed once, by its table's key map, and the map answers
+//! for every snapshot: a look-up pinned before a write is led back along the
+//! versions' back-links to the version it sees. Here every way a statement
+//! reaches a row by its key — an `IndexProbe`, the inner side of an
+//! `IndexNlJoin`, a ClockScan cycle served from the indexes — is pinned
+//! before an update, a delete, a re-insert and a key move, while a writer
+//! keeps doing all four to the neighbouring rows, and returns what a
+//! query-at-a-time engine that only *scans* returns at the same snapshot, on
+//! one scan segment and on four.
+//!
+//! `SubmitOptions::pinned_snapshot` pins a statement's storage reads — its
+//! scans and probes. The look-ups of an `IndexNlJoin` read the snapshot of
+//! the batch they run in, so the join is pinned where that snapshot is
+//! handed to it: as an operator cycle over the references its scan emits.
+
+use shareddb::baseline::{BaselineStatement, ClassicEngine, EngineProfile, QueryPlan};
+use shareddb::common::{tuple, DataType, Expr, QTuple, QueryId, QuerySet, Tuple, Value};
+use shareddb::core::batch::Activation;
+use shareddb::core::operators::{execute_operator, ExecContext};
+use shareddb::core::plan::{
+    ActivationTemplate, OperatorSpec, PlanBuilder, ProbeTemplate, StatementSpec,
+};
+use shareddb::core::{Engine, EngineConfig, StatementRegistry, SubmitOptions};
+use shareddb::storage::{Catalog, ClockScan, ScanQuery, Snapshot, TableDef, UpdateOp};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+const ITEMS: i64 = 64;
+
+/// `ITEMS(ID key, VAL)` and `REFS(R_ID key, R_GROUP, R_ITEM)`: four
+/// references to every item, in eight groups.
+fn catalog() -> Arc<Catalog> {
+    let catalog = Catalog::new();
+    catalog
+        .create_table(
+            TableDef::new("ITEMS")
+                .column("ID", DataType::Int)
+                .column("VAL", DataType::Int)
+                .primary_key(&["ID"]),
+        )
+        .unwrap();
+    catalog
+        .create_table(
+            TableDef::new("REFS")
+                .column("R_ID", DataType::Int)
+                .column("R_GROUP", DataType::Int)
+                .column("R_ITEM", DataType::Int)
+                .primary_key(&["R_ID"]),
+        )
+        .unwrap();
+    let items = (0..ITEMS).map(|id| tuple![id, 0i64]).collect();
+    catalog.bulk_load("ITEMS", items).unwrap();
+    let refs = (0..4 * ITEMS)
+        .map(|r| tuple![r, r % 8, r % ITEMS])
+        .collect();
+    catalog.bulk_load("REFS", refs).unwrap();
+    Arc::new(catalog)
+}
+
+/// `probed`: ITEMS by key through the index probe. `joined`: the references
+/// of a group (a pass over REFS), each with its item by key. `scanned`: ITEMS
+/// by key as a scan predicate — a cycle the key map serves.
+fn engine(catalog: &Arc<Catalog>, segments: usize) -> Engine {
+    let mut b = PlanBuilder::new(catalog);
+    let probe = b.index_probe("ITEMS").unwrap();
+    let scan = b.table_scan("ITEMS").unwrap();
+    let refs = b.table_scan("REFS").unwrap();
+    let join = b.index_nl_join(refs, "ITEMS", "REFS.R_ITEM", "ID").unwrap();
+    let plan = b.build();
+    let mut registry = StatementRegistry::new();
+    let by_key = |column: usize| Expr::col(column).eq(Expr::param(0));
+    registry
+        .register(StatementSpec::query("probed", probe).activate(
+            probe,
+            ActivationTemplate::Probe {
+                column: 0,
+                range: ProbeTemplate::Key(Expr::param(0)),
+                residual: None,
+            },
+        ))
+        .unwrap();
+    registry
+        .register(
+            StatementSpec::query("joined", join)
+                .activate(
+                    refs,
+                    ActivationTemplate::Scan {
+                        predicate: by_key(1),
+                    },
+                )
+                .activate(join, ActivationTemplate::Participate),
+        )
+        .unwrap();
+    registry
+        .register(StatementSpec::query("scanned", scan).activate(
+            scan,
+            ActivationTemplate::Scan {
+                predicate: by_key(0),
+            },
+        ))
+        .unwrap();
+    let config = EngineConfig::default().scan_segments(segments);
+    Engine::start(Arc::clone(catalog), plan, registry, config).unwrap()
+}
+
+/// The same three statements for the query-at-a-time engine, with no index
+/// and no key map anywhere: scans, a filter and a hash join.
+fn reference(catalog: &Arc<Catalog>) -> ClassicEngine {
+    let classic = ClassicEngine::start(Arc::clone(catalog), EngineProfile::Tuned, 1);
+    let by_key = |column: usize| Expr::col(column).eq(Expr::param(0));
+    let items_by_key = QueryPlan::scan_where("ITEMS", by_key(0));
+    classic.register("probed", BaselineStatement::Query(items_by_key.clone()));
+    classic.register("scanned", BaselineStatement::Query(items_by_key));
+    classic.register(
+        "joined",
+        BaselineStatement::Query(QueryPlan::HashJoin {
+            build: Box::new(QueryPlan::scan_where("REFS", by_key(1))),
+            probe: Box::new(QueryPlan::scan("ITEMS")),
+            build_key: 2,
+            probe_key: 0,
+        }),
+    );
+    classic
+}
+
+/// One cycle of the `joined` statement's operators at `snapshot`: the scan of
+/// REFS for the group, then the join's look-ups of ITEMS by key.
+fn join_cycle(catalog: &Arc<Catalog>, group: i64, snapshot: Snapshot) -> Vec<Tuple> {
+    let query = QueryId(1);
+    let refs = ClockScan::new(catalog.table("REFS").unwrap(), catalog.oracle());
+    let of_group = Expr::col(1).eq(Expr::lit(group));
+    let of_group = ScanQuery::new(query, of_group).at_snapshot(Some(snapshot));
+    let outer: Vec<QTuple> = refs.execute_batch(&[of_group], &[]).unwrap().tuples;
+    assert!(outer
+        .iter()
+        .all(|t| t.queries == QuerySet::singleton(query)));
+    let join = OperatorSpec::IndexNlJoin {
+        table: "ITEMS".into(),
+        outer_key: 2,
+        inner_column: 0,
+    };
+    let ctx = ExecContext {
+        catalog: catalog.as_ref(),
+        snapshot,
+    };
+    let activations = [(query, Activation::Participate)];
+    let joined = execute_operator(&join, &activations, vec![outer], &ctx).unwrap();
+    joined.into_iter().map(|t| t.tuple).collect()
+}
+
+fn item_is(id: i64) -> Expr {
+    Expr::col(0).eq(Expr::lit(id))
+}
+
+fn set(column: usize, value: i64, id: i64) -> UpdateOp {
+    UpdateOp::Update {
+        assignments: vec![(column, Expr::lit(value))],
+        predicate: item_is(id),
+    }
+}
+
+fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+    rows.sort();
+    rows
+}
+
+#[test]
+fn pinned_key_lookups_equal_the_scanning_engine_on_one_and_four_segments() {
+    let catalog = catalog();
+    let classic = reference(&catalog);
+    let engines = [(1, engine(&catalog, 1)), (4, engine(&catalog, 4))];
+
+    // The writer: updates, deletes, re-inserts, moves and moves back, round
+    // and round the items above the four the test writes itself.
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (stop, catalog) = (Arc::clone(&stop), Arc::clone(&catalog));
+        std::thread::spawn(move || {
+            let mut writes = 0i64;
+            while !stop.load(Ordering::Relaxed) {
+                let id = 8 + writes % (ITEMS - 8);
+                let op = match writes / (ITEMS - 8) % 5 {
+                    0 => set(1, writes, id),
+                    1 => UpdateOp::Delete {
+                        predicate: item_is(id),
+                    },
+                    2 => UpdateOp::Insert {
+                        values: tuple![id, writes],
+                    },
+                    3 => set(0, id + 1_000, id),
+                    _ => set(0, id, id + 1_000),
+                };
+                catalog.apply("ITEMS", op).unwrap();
+                writes += 1;
+            }
+            writes
+        })
+    };
+
+    // Item 1 is updated, item 2 deleted, item 3 deleted and written again,
+    // item 4 moved to 104 and back, item 5 updated twice inside one commit;
+    // a snapshot is pinned before the first write and after every one.
+    let mut pins: Vec<Snapshot> = vec![catalog.snapshot()];
+    let writes: Vec<Vec<UpdateOp>> = vec![
+        vec![set(1, 11, 1)],
+        vec![UpdateOp::Delete {
+            predicate: item_is(2),
+        }],
+        vec![UpdateOp::Delete {
+            predicate: item_is(3),
+        }],
+        vec![UpdateOp::Insert {
+            values: tuple![3i64, 33i64],
+        }],
+        vec![set(0, 104, 4)],
+        vec![set(0, 4, 104)],
+        vec![set(1, 51, 5), set(1, 52, 5)],
+    ];
+    for ops in writes {
+        let ops: Vec<(String, UpdateOp)> = ops
+            .into_iter()
+            .map(|op| ("ITEMS".to_string(), op))
+            .collect();
+        let applied = catalog.apply_batch(&ops).unwrap();
+        assert!(applied
+            .iter()
+            .all(|r| r.as_ref().is_ok_and(|r| r.rows_affected == 1)));
+        pins.push(catalog.snapshot());
+    }
+    assert!(pins.windows(2).all(|w| w[0].ts < w[1].ts));
+
+    let mut compared = 0;
+    let mut differing_views = std::collections::HashSet::new();
+    for round in 0..3 {
+        for (pin, snapshot) in pins.iter().enumerate() {
+            // The keys written above, a neighbour the writer churns, the key
+            // item 4 visits, one that never was; every group of references.
+            let keys = [1, 2, 3, 4, 5, 104, 20 + round, 1_020 + round, 7_777];
+            let calls = keys
+                .iter()
+                .flat_map(|&key| [("probed", key), ("scanned", key)])
+                .chain((0..8).map(|group| ("joined", group)));
+            for (statement, param) in calls {
+                let params = [Value::Int(param)];
+                let want = classic.execute_at(statement, &params, *snapshot).unwrap();
+                if statement == "joined" {
+                    let got = join_cycle(&catalog, param, *snapshot);
+                    assert_eq!(sorted(got), sorted(want), "joined({param}) at pin {pin}");
+                    compared += 1;
+                    continue;
+                }
+                for (segments, engine) in &engines {
+                    let pinned = SubmitOptions {
+                        pinned_snapshot: Some(*snapshot),
+                        ..SubmitOptions::default()
+                    };
+                    let got = engine.submit(statement, &params, pinned).unwrap();
+                    let got = got.wait().unwrap().rows().to_vec();
+                    assert_eq!(
+                        sorted(got),
+                        sorted(want.clone()),
+                        "{statement}({param}) at pin {pin}, {segments} segment(s)"
+                    );
+                    compared += 1;
+                }
+                if statement == "probed" && (1..=5).contains(&param) {
+                    differing_views.insert((param, format!("{want:?}")));
+                }
+            }
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    let writes = writer.join().unwrap();
+    assert!(writes > 0 && compared > 0);
+    // With the writer at rest the batch's snapshot is the latest one, and the
+    // join inside the engine is the join at that snapshot.
+    for group in 0..8 {
+        let params = [Value::Int(group)];
+        let want = classic.execute_at("joined", &params, catalog.snapshot());
+        for (segments, engine) in &engines {
+            let got = engine.execute_sync("joined", &params).unwrap();
+            let got = sorted(got.rows().to_vec());
+            let want = sorted(want.clone().unwrap());
+            assert_eq!(got, want, "joined({group}), {segments} segment(s)");
+        }
+    }
+    // The pins do see different things: items 1–5 are there and gone, under
+    // two or three values each.
+    assert!(differing_views.len() >= 5 + 6, "{differing_views:?}");
+
+    // A key look-up pinned to the past was served by the key map, not by a
+    // pass: every cycle of the ITEMS scan fetched its one or two spellings
+    // of the key and walked nothing.
+    for (segments, engine) in &engines {
+        let scans = engine.scan_row_stats();
+        let items = scans.iter().find(|s| s.table == "ITEMS").unwrap();
+        assert_eq!(items.cycles[0], 0, "{segments} segment(s): {items:?}");
+        assert!(items.cycles[1] > 0);
+    }
+}

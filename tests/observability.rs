@@ -799,6 +799,7 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     let catalog = Arc::new(build_catalog(&TpcwScale::with_items(1_000)).unwrap());
     let rows_of = |table: &str| catalog.table(table).unwrap().read().version_count() as u64;
     let (items, lines) = (rows_of("ITEM"), rows_of("ORDER_LINE"));
+    let rows_of_author = rows_of("AUTHOR");
     let (arts, an_art) = {
         let item = catalog.table("ITEM").unwrap();
         let item = item.read();
@@ -923,6 +924,29 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     assert!(metrics.contains("# TYPE shareddb_scan_queries_total counter"));
     assert!(metrics.contains("# TYPE shareddb_scan_cycles_total counter"));
 
+    // An author search is a prefix, a range of AUTHOR_LNAME: AUTHOR is never
+    // walked for it — the names filed under the range are what is examined —
+    // unless the pattern is no prefix.
+    let authors = rows_of_author;
+    let prefix = [Value::text("ALAST7%")];
+    let by_prefix = run(&mut conn, "doAuthorSearch", &prefix);
+    assert!(!by_prefix.is_empty());
+    same_as_classic("doAuthorSearch", &prefix, &by_prefix);
+    let metrics = server.metrics_text();
+    assert_eq!(scan_cycles(&metrics, "AUTHOR"), [0, 1]);
+    let [examined, emitted, skipped] = scan_rows(&metrics, "AUTHOR");
+    assert!(
+        0 < emitted && emitted < authors / 10,
+        "{emitted} of {authors}"
+    );
+    assert_eq!([examined, skipped], [emitted, 0]);
+    let infix = [Value::text("%LAST7%")];
+    let by_infix = run(&mut conn, "doAuthorSearch", &infix);
+    same_as_classic("doAuthorSearch", &infix, &by_infix);
+    let metrics = server.metrics_text();
+    assert_eq!(scan_cycles(&metrics, "AUTHOR"), [1, 1]);
+    assert_eq!(scan_rows(&metrics, "AUTHOR")[0], emitted + authors);
+
     // A cart's lines are found through SCL_CART: SHOPPING_CART_LINE is never
     // walked for them.
     let cart = [Value::Int(3)];
@@ -1016,6 +1040,10 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
         ),
         ("doTitleSearch", &["residual · scan"][..]),
         (
+            "doAuthorSearch",
+            &["residual · index(AUTHOR_LNAME) range for a prefix pattern when the cycle allows"][..],
+        ),
+        (
             "getCart",
             &["eq(SCL_SC_ID) · index(SCL_CART) when the cycle allows"][..],
         ),
@@ -1031,6 +1059,87 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     server.reset_stats();
     let series = "shareddb_scan_rows_examined_total{table=\"ITEM\"}";
     assert_eq!(counter(&server.metrics_text(), series), 0);
+    let _ = conn.close();
+    server.shutdown();
+}
+
+/// The footprint as a scrape: a table's versions move by exactly the writes
+/// applied, every B-tree holds an entry per version of its table, and no
+/// B-tree repeats a primary key — the key map is its only index.
+#[test]
+fn table_versions_and_index_entries_on_tpcw() {
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::with_items(1_000)).unwrap());
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let mut server = Server::start(
+        Arc::clone(&catalog),
+        plan,
+        registry,
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let gauge = |metrics: &str, series: &str| -> u64 {
+        let line = metrics.lines().find(|l| l.starts_with(series));
+        let line = line.unwrap_or_else(|| panic!("no series {series} in /metrics"));
+        line[series.len()..].trim().parse().unwrap()
+    };
+    let versions = |metrics: &str, table: &str| {
+        gauge(
+            metrics,
+            &format!("shareddb_table_versions{{table=\"{table}\"}}"),
+        )
+    };
+    let entries = |metrics: &str, table: &str, index: &str| {
+        let labels = format!("table=\"{table}\",index=\"{index}\"");
+        gauge(
+            metrics,
+            &format!("shareddb_table_index_entries{{{labels}}}"),
+        )
+    };
+    let fresh = server.metrics_text();
+    assert!(fresh.contains("# TYPE shareddb_table_versions gauge"));
+    assert!(fresh.contains("# TYPE shareddb_table_index_entries gauge"));
+    let index_series: Vec<&str> = fresh
+        .lines()
+        .filter(|l| l.starts_with("shareddb_table_index_entries{"))
+        .collect();
+    assert_eq!(index_series.len(), 8, "{index_series:?}");
+    assert!(index_series.iter().all(|series| !series.contains("_PK")));
+    for table in catalog.table_names() {
+        let held = catalog.table(&table).unwrap().read().version_count() as u64;
+        assert_eq!(versions(&fresh, &table), held, "{table}");
+    }
+    assert_eq!(versions(&fresh, "ITEM"), 1_000);
+    assert_eq!(entries(&fresh, "ITEM", "ITEM_SUBJECT"), 1_000);
+
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let mut run = |statement: &str, params: &[Value]| {
+        let prepared = conn.prepare(statement).unwrap();
+        conn.execute(&prepared, params).unwrap().rows_affected()
+    };
+    for i in 0..7i64 {
+        let item = [Value::Int(i * 3), Value::Float(9.5), Value::Date(15_403)];
+        assert_eq!(run("adminUpdateItem", &item), 1);
+    }
+    let lines = versions(&fresh, "SHOPPING_CART_LINE");
+    for line in 0..3i64 {
+        let params = [900_001 + line, 3, 11 + line, 1].map(Value::Int);
+        assert_eq!(run("addToCart", &params), 1);
+    }
+    // A delete ends versions and writes none.
+    assert_eq!(run("clearCart", &[Value::Int(3)]), 4);
+    let written = server.metrics_text();
+    assert_eq!(versions(&written, "ITEM"), 1_007);
+    assert_eq!(entries(&written, "ITEM", "ITEM_SUBJECT"), 1_007);
+    assert_eq!(entries(&written, "ITEM", "ITEM_AUTHOR"), 1_007);
+    assert_eq!(versions(&written, "SHOPPING_CART_LINE"), lines + 3);
+    assert_eq!(
+        entries(&written, "SHOPPING_CART_LINE", "SCL_CART"),
+        lines + 3
+    );
+    assert_eq!(versions(&written, "AUTHOR"), versions(&fresh, "AUTHOR"));
     let _ = conn.close();
     server.shutdown();
 }
