@@ -13,14 +13,15 @@ use shareddb_common::sort::compare_tuples;
 use shareddb_common::SortKey;
 use shareddb_common::{Error, Expr, Result, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
-use shareddb_storage::{Catalog, UpdateOp};
+use shareddb_storage::{AccessPath, Catalog, UpdateOp};
 use std::collections::HashMap;
 use std::ops::Bound;
 
 /// A per-query execution plan.
 #[derive(Debug, Clone)]
 pub enum QueryPlan {
-    /// Full table scan with an optional pushed-down predicate.
+    /// Table scan with an optional pushed-down predicate, read through an
+    /// index when the bound predicate names one ([`AccessPath::choose`]).
     Scan {
         /// Table name.
         table: String,
@@ -225,14 +226,27 @@ fn exec(
             let handle = catalog.table(table)?;
             let table = handle.read();
             let predicate = predicate.as_ref().map(|p| p.bind(params)).transpose()?;
+            // The rule the shared engine's scans and writes find rows by:
+            // an index when the bound predicate names one, else the pass —
+            // either way in arena order, against the whole predicate.
+            let path = predicate.as_ref().map(|p| AccessPath::choose(&table, p));
             let mut out = Vec::new();
-            for (_, row) in table.scan(snapshot) {
-                if let Some(p) = &predicate {
-                    if !p.eval_predicate(row)? {
-                        continue;
-                    }
+            let mut select = |row: &Tuple| -> Result<()> {
+                if predicate
+                    .as_ref()
+                    .map_or(Ok(true), |p| p.eval_predicate(row))?
+                {
+                    out.push(row.clone());
                 }
-                out.push(row.clone());
+                Ok(())
+            };
+            match &path {
+                Some(path) if *path != AccessPath::Scan => {
+                    let mut fetched: Vec<_> = path.visible_rows(&table, snapshot).collect();
+                    fetched.sort_unstable_by_key(|(rid, _)| *rid);
+                    fetched.into_iter().try_for_each(|(_, row)| select(row))?
+                }
+                _ => table.scan(snapshot).try_for_each(|(_, row)| select(row))?,
             }
             Ok(out)
         }
@@ -476,7 +490,7 @@ pub fn bind_insert_values(values: &[Expr], params: &[Value]) -> Result<Tuple> {
 mod tests {
     use super::*;
     use shareddb_common::{tuple, DataType};
-    use shareddb_storage::{IndexDef, TableDef};
+    use shareddb_storage::{IndexDef, IndexKind, TableDef};
 
     fn catalog() -> Catalog {
         let catalog = Catalog::new();
@@ -503,6 +517,7 @@ mod tests {
                 name: "ITEM_PK".into(),
                 table: "ITEM".into(),
                 column: "I_ID".into(),
+                kind: IndexKind::Values,
             })
             .unwrap();
         catalog

@@ -1065,7 +1065,7 @@ mod tests {
         fn generate(&self, rng: &mut TestRng) -> LikeCase {
             let or_null = |rng: &mut TestRng, text: String| match pick(rng, 12) {
                 0 => Value::Null,
-                _ => Value::Text(text),
+                _ => Value::text(text),
             };
             let value = letters(rng, 8);
             let pattern = like_pattern(rng);
@@ -1178,8 +1178,8 @@ mod tests {
             3 => Value::Float(n as f64),
             4 => Value::Date(n),
             5 => Value::Bool(n > 0),
-            6 => Value::Text(like_pattern(rng)),
-            _ => Value::Text(letters(rng, 3)),
+            6 => Value::text(like_pattern(rng)),
+            _ => Value::text(letters(rng, 3)),
         }
     }
 

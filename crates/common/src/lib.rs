@@ -40,4 +40,4 @@ pub use queryset::QuerySet;
 pub use schema::{Column, Schema};
 pub use sort::{SortKey, SortOrder};
 pub use tuple::Tuple;
-pub use value::{hash_values, DataType, Value};
+pub use value::{hash_values, DataType, Text, Value};

@@ -297,8 +297,9 @@ pub fn escape_label_value(s: &str) -> std::borrow::Cow<'_, str> {
 }
 
 /// Renders one histogram snapshot as a Prometheus summary series
-/// (`quantile` labels plus `_sum`, `_count` and a `_max` gauge companion).
-/// `name` may already carry labels; quantile labels are merged in.
+/// (`quantile` labels plus `_sum` and `_count`, the two companions the text
+/// format gives a summary). `name` may already carry labels; quantile labels
+/// are merged in.
 pub fn render_summary(out: &mut String, name: &str, snap: &HistogramSnapshot) {
     let (base, labels) = match name.find('{') {
         Some(i) => (&name[..i], name[i + 1..name.len() - 1].to_string()),
@@ -318,7 +319,6 @@ pub fn render_summary(out: &mut String, name: &str, snap: &HistogramSnapshot) {
     };
     out.push_str(&format!("{base}_sum{brace} {}\n", snap.sum_us));
     out.push_str(&format!("{base}_count{brace} {}\n", snap.count));
-    out.push_str(&format!("{base}_max{brace} {}\n", snap.max_us));
 }
 
 #[cfg(test)]

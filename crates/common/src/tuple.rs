@@ -426,13 +426,15 @@ mod tests {
 
     #[test]
     fn clone_shares_and_into_values_moves_when_unique() {
-        let t = tuple![1i64, "a"];
+        // A text too long to lie in the value: it owns a buffer.
+        let long = "a title of more than twenty-two bytes";
+        let t = tuple![1i64, long];
         let shared = t.clone();
         assert!(t.ptr_eq(&shared));
-        assert!(!t.ptr_eq(&tuple![1i64, "a"]), "equal is not shared");
+        assert!(!t.ptr_eq(&tuple![1i64, long]), "equal is not shared");
         // Shared: the values are cloned and the other holder keeps its row.
-        assert_eq!(shared.into_values(), vec![Value::Int(1), Value::text("a")]);
-        assert_eq!(t[1], Value::text("a"));
+        assert_eq!(shared.into_values(), vec![Value::Int(1), Value::text(long)]);
+        assert_eq!(t[1], Value::text(long));
         // Unique: the text moves out with its buffer.
         let text = t[1].as_text().unwrap().as_ptr();
         let values = t.into_values();

@@ -8,6 +8,7 @@ use crate::error::{Error, Result};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 /// The SQL data types supported by the engine.
 ///
@@ -41,6 +42,131 @@ impl fmt::Display for DataType {
     }
 }
 
+/// The most bytes a [`Text`] holds in place.
+const INLINE_BYTES: usize = 22;
+
+/// The string of a [`Value::Text`]: up to 22 bytes lie in the value itself,
+/// a longer one in an allocation of exactly its length. It is the `str` it
+/// derefs to — compared, ordered, hashed and printed as that — and never
+/// changes once built.
+///
+/// The 22-byte rule is what keeps [`Value`] at 24 bytes: a length byte and
+/// 22 bytes of text beside the one-byte tag that tells the two layouts apart,
+/// whose unused values hold `Value`'s own variants. Most strings of a TPC-W
+/// catalog (`"VISA"`, a name, a subject, a phone number) are that short, and
+/// each used to own a heap chunk.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// Invariant: `len <= INLINE_BYTES` and `bytes[..len]` is valid UTF-8.
+    /// `From<&str>` is the one place that builds an `Inline` — by copying a
+    /// whole `str` — and nothing changes one afterwards; [`Text::as_str`]
+    /// relies on it.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_BYTES],
+    },
+    Heap(Box<str>),
+}
+
+impl Text {
+    /// The string.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                let text = &bytes[..usize::from(*len)];
+                // SAFETY: `text` is the bytes of the `str` this value was
+                // built from (the invariant on `Repr::Inline`). Checking it
+                // again on every read cost a `LIKE` a quarter of its time
+                // (CHANGES.md, PR 27).
+                unsafe { std::str::from_utf8_unchecked(text) }
+            }
+            Repr::Heap(text) => text,
+        }
+    }
+
+    /// Bytes allocated outside the value: none for a text held in place.
+    pub fn heap_size(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(text) => text.len(),
+        }
+    }
+}
+
+impl From<&str> for Text {
+    fn from(text: &str) -> Self {
+        if text.len() > INLINE_BYTES {
+            return Text(Repr::Heap(text.into()));
+        }
+        let mut bytes = [0; INLINE_BYTES];
+        bytes[..text.len()].copy_from_slice(text.as_bytes());
+        Text(Repr::Inline {
+            len: text.len() as u8,
+            bytes,
+        })
+    }
+}
+
+impl From<String> for Text {
+    fn from(text: String) -> Self {
+        if text.len() > INLINE_BYTES {
+            Text(Repr::Heap(text.into_boxed_str()))
+        } else {
+            Text::from(text.as_str())
+        }
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    #[inline]
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// A single SQL value.
 ///
 /// `Value` implements a *total* ordering (`Ord`) so that it can be used as a
@@ -57,7 +183,7 @@ pub enum Value {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 string.
-    Text(String),
+    Text(Text),
     /// Boolean.
     Bool(bool),
     /// Days since the Unix epoch.
@@ -84,7 +210,7 @@ impl Value {
     }
 
     /// Creates a text value from anything string-like.
-    pub fn text(s: impl Into<String>) -> Self {
+    pub fn text(s: impl Into<Text>) -> Self {
         Value::Text(s.into())
     }
 
@@ -185,7 +311,7 @@ impl Value {
     /// and the workload generators.
     pub fn heap_size(&self) -> usize {
         match self {
-            Value::Text(s) => s.capacity(),
+            Value::Text(s) => s.heap_size(),
             _ => 0,
         }
     }
@@ -330,12 +456,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_string())
+        Value::text(v)
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::text(v)
     }
 }
 impl From<bool> for Value {
@@ -394,7 +520,7 @@ mod tests {
     #[test]
     fn total_order_null_first() {
         assert!(Value::Null < Value::Int(i64::MIN));
-        assert!(Value::Null < Value::Text(String::new()));
+        assert!(Value::Null < Value::text(""));
     }
 
     #[test]

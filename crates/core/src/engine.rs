@@ -1567,7 +1567,7 @@ mod tests {
     };
     use shareddb_common::agg::AggregateFunction;
     use shareddb_common::{tuple, DataType, Expr, SortKey};
-    use shareddb_storage::{IndexDef, TableDef};
+    use shareddb_storage::{IndexDef, IndexKind, TableDef};
 
     /// Builds a small catalog + plan resembling Figure 2 of the paper:
     /// USERS and ORDERS scans, a shared hash join, a group-by over USERS and
@@ -1599,6 +1599,7 @@ mod tests {
                 name: "USERS_PK".into(),
                 table: "USERS".into(),
                 column: "USER_ID".into(),
+                kind: IndexKind::Values,
             })
             .unwrap();
         let users: Vec<_> = (0..100i64)

@@ -225,7 +225,8 @@ pub fn render_explain_text(
 /// literal` conjuncts, so each `column ⟨cmp⟩ $n` conjunct is shown to them
 /// with a literal of the column's own type — which is all they need of a
 /// literal — each `column LIKE $n` with a prefix pattern, the kindest a
-/// parameter can be, and the rest as it is.
+/// parameter can be (a range of a value index, a gram of a gram index), and
+/// the rest as it is.
 fn with_typed_params(schema: &Schema, predicate: &Expr) -> Expr {
     let typed = |conjunct: &Expr| -> Option<Expr> {
         if let Expr::Like {
@@ -250,7 +251,7 @@ fn with_typed_params(schema: &Schema, predicate: &Expr) -> Expr {
         let literal = match schema.columns().get(column)?.data_type {
             DataType::Int => Value::Int(0),
             DataType::Float => Value::Float(0.0),
-            DataType::Text => Value::Text(String::new()),
+            DataType::Text => Value::text(""),
             DataType::Bool => Value::Bool(false),
             DataType::Date => Value::Date(0),
         };
@@ -271,9 +272,10 @@ fn with_typed_params(schema: &Schema, predicate: &Expr) -> Expr {
 
 /// The access path the storage layer picks for the WHERE clause of an update
 /// template or the predicate of a scan template (`pk(I_ID)`,
-/// `index(SCL_CART)`, `index(AUTHOR_LNAME) range`, `scan`). A range that
-/// hangs on a pattern still to be bound says so: a pattern that turns out to
-/// be no prefix is left to the scan.
+/// `index(SCL_CART)`, `index(AUTHOR_LNAME) range`, `index(ITEM_TITLE) grams`,
+/// `scan`). A range that hangs on a pattern still to be bound says so: a
+/// pattern that turns out to be no prefix is left to the scan (as one that
+/// turns out to hold no gram is, on a column indexed by gram).
 fn template_access_path(catalog: &Catalog, table: &str, predicate: &Expr) -> String {
     let Ok(handle) = catalog.table(table) else {
         return format!("scan (no table {table} in the catalog)");
@@ -444,7 +446,7 @@ mod tests {
     use super::*;
     use crate::plan::{ActivationTemplate, PlanBuilder, StatementSpec, UpdateTemplate};
     use shareddb_common::SortKey;
-    use shareddb_storage::{IndexDef, TableDef};
+    use shareddb_storage::{IndexDef, IndexKind, TableDef};
 
     fn fixture() -> (Catalog, GlobalPlan, StatementRegistry) {
         let catalog = Catalog::new();
@@ -462,6 +464,15 @@ mod tests {
                 name: "T_V".into(),
                 table: "T".into(),
                 column: "V".into(),
+                kind: IndexKind::Values,
+            })
+            .unwrap();
+        catalog
+            .create_index(IndexDef {
+                name: "T_NOTE".into(),
+                table: "T".into(),
+                column: "NOTE".into(),
+                kind: IndexKind::Grams,
             })
             .unwrap();
         let mut builder = PlanBuilder::new(&catalog);
@@ -513,6 +524,8 @@ mod tests {
         delete("byScan", note_is.or(Expr::col(0).eq(Expr::param(0))));
         // A literal the index's order cannot be trusted with: scan.
         delete("byFloat", Expr::col(0).eq(Expr::lit(1.5f64)));
+        // A pattern still to be bound, on a column indexed by gram.
+        delete("byInfix", Expr::col(2).like(Expr::param(0)));
         registry.validate(&plan).unwrap();
         (catalog, plan, registry)
     }
@@ -568,7 +581,14 @@ mod tests {
             "an insert selects no rows"
         );
         // UPDATE/DELETE statements name the access path of their template.
-        for (index, path) in [(3, "pk(ID)"), (4, "index(T_V)"), (5, "scan"), (6, "scan")] {
+        let paths = [
+            (3, "pk(ID)"),
+            (4, "index(T_V)"),
+            (5, "scan"),
+            (6, "scan"),
+            (7, "index(T_NOTE) grams"),
+        ];
+        for (index, path) in paths {
             let text = render_explain_text(&catalog, &plan, &registry, index, None);
             assert!(text.contains("update on table T"));
             assert!(

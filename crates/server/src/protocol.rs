@@ -414,7 +414,7 @@ impl<'a> Cursor<'a> {
             0 => Value::Null,
             1 => Value::Int(self.u64()? as i64),
             2 => Value::Float(f64::from_bits(self.u64()?)),
-            3 => Value::Text(self.string()?),
+            3 => Value::text(self.string()?),
             4 => Value::Bool(self.u8()? != 0),
             5 => Value::Date(self.u64()? as i64),
             other => return Err(malformed(format!("bad value tag {other}"))),

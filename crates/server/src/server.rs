@@ -50,7 +50,7 @@
 
 use crate::reactor::{Poller, Reactor, ScanPoller};
 use shareddb_cluster::{ClusterConfig, ClusterEngine};
-use shareddb_common::metrics::{escape_label_value, render_summary};
+use shareddb_common::metrics::{escape_label_value, render_summary, HistogramSnapshot};
 use shareddb_common::{Error, Expr, Result};
 use shareddb_core::plan::{
     ActivationTemplate, GlobalPlan, ProbeTemplate, StatementKind, UpdateTemplate,
@@ -283,14 +283,9 @@ impl Shared {
         scalar(w, "shareddb_wal_batches", "counter", wal.batches);
         scalar(w, "shareddb_wal_syncs", "counter", wal.syncs);
         scalar(w, "shareddb_wal_last_lsn", "gauge", wal.last_lsn);
-        if !wal.fsync_us.is_empty() {
-            let _ = writeln!(w, "# TYPE shareddb_wal_fsync_us summary");
-            render_summary(w, "shareddb_wal_fsync_us", &wal.fsync_us);
-        }
-        if !wal.group_commit_size.is_empty() {
-            let _ = writeln!(w, "# TYPE shareddb_wal_group_commit_size summary");
-            render_summary(w, "shareddb_wal_group_commit_size", &wal.group_commit_size);
-        }
+        summaries(w, "shareddb_wal_fsync_us", [("", &wal.fsync_us)]);
+        let group_commit_size = [("", &wal.group_commit_size)];
+        summaries(w, "shareddb_wal_group_commit_size", group_commit_size);
         if let Some(recovery) = &self.recovery {
             scalar(
                 w,
@@ -359,24 +354,27 @@ impl Shared {
 
         // Batch occupancy: how many statements each heartbeat batch carried
         // (the sharing opportunity the batcher actually realised).
-        let _ = writeln!(w, "# TYPE shareddb_batch_occupancy summary");
-        for (i, stats) in replica_stats.iter().enumerate() {
-            if !stats.occupancy.is_empty() {
-                render_summary(
-                    w,
-                    &format!("shareddb_batch_occupancy{{replica=\"{i}\"}}"),
-                    &stats.occupancy,
-                );
-            }
-        }
+        let occupancy = replica_stats.iter().enumerate();
+        summaries(
+            w,
+            "shareddb_batch_occupancy",
+            occupancy.map(|(i, stats)| (replica(i), &stats.occupancy)),
+        );
 
         // Phase-tagged latency summaries: per replica, then the reactor's
         // flush phase.
-        let _ = writeln!(w, "# TYPE shareddb_phase_latency_us summary");
-        for (i, engine) in engines.iter().enumerate() {
-            render_phase_block(w, &engine.phase_snapshot(), &replica(i));
-        }
-        render_phase_block(w, &self.flush_phases.snapshot(), "replica=\"frontend\"");
+        let mut phases: Vec<(String, Vec<StatementPhaseSnapshot>)> = engines
+            .iter()
+            .enumerate()
+            .map(|(i, engine)| (replica(i), engine.phase_snapshot()))
+            .collect();
+        phases.push(("replica=\"frontend\"".into(), self.flush_phases.snapshot()));
+        let phases = phases.iter();
+        summaries(
+            w,
+            "shareddb_phase_latency_us",
+            phases.flat_map(|(extra, statements)| phase_samples(statements, extra)),
+        );
 
         // The write path's useful-work ratio per update statement type:
         // live versions its WHERE clause was evaluated on vs rows it changed.
@@ -607,11 +605,12 @@ impl Shared {
                 "counter",
                 segments.iter().map(|(labels, _, seg)| (labels, seg.rows)),
             );
-            let _ = writeln!(w, "# TYPE shareddb_segment_execute_us summary");
-            for (labels, _, seg) in &segments {
-                let name = format!("shareddb_segment_execute_us{{{labels}}}");
-                render_summary(w, &name, &seg.execute);
-            }
+            let execute = segments.iter();
+            summaries(
+                w,
+                "shareddb_segment_execute_us",
+                execute.map(|(labels, _, seg)| (labels, &seg.execute)),
+            );
         }
         out
     }
@@ -628,8 +627,35 @@ fn family<L: AsRef<str>, V: std::fmt::Display>(
 ) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
     for (labels, value) in samples {
-        let _ = writeln!(out, "{name}{{{}}} {value}", labels.as_ref());
+        let _ = match labels.as_ref() {
+            "" => writeln!(out, "{name} {value}"),
+            labels => writeln!(out, "{name}{{{labels}}} {value}"),
+        };
     }
+}
+
+/// Writes a family of summaries — the ones that hold a sample — and behind
+/// it, as a gauge family of its own, the largest value each has seen
+/// (`{name}_max`): the text exposition format gives a summary `_sum` and
+/// `_count` and no other companion.
+fn summaries<'a, L: AsRef<str>>(
+    out: &mut String,
+    name: &str,
+    samples: impl IntoIterator<Item = (L, &'a HistogramSnapshot)>,
+) {
+    let samples: Vec<(L, &HistogramSnapshot)> = samples
+        .into_iter()
+        .filter(|(_, histogram)| !histogram.is_empty())
+        .collect();
+    let _ = writeln!(out, "# TYPE {name} summary");
+    for (labels, histogram) in &samples {
+        match labels.as_ref() {
+            "" => render_summary(out, name, histogram),
+            labels => render_summary(out, &format!("{name}{{{labels}}}"), histogram),
+        }
+    }
+    let largest = samples.iter().map(|(labels, h)| (labels, h.max_us));
+    family(out, &format!("{name}_max"), "gauge", largest);
 }
 
 /// Writes a family of one unlabelled sample.
@@ -637,24 +663,23 @@ fn scalar(out: &mut String, name: &str, kind: &str, value: impl std::fmt::Displa
     let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
 }
 
-/// Renders one set of per-statement phase snapshots under
-/// `shareddb_phase_latency_us` with `statement`/`phase` labels plus the
-/// caller's extra label (replica id or `frontend`).
-fn render_phase_block(out: &mut String, statements: &[StatementPhaseSnapshot], extra: &str) {
-    for snap in statements {
-        for phase in Phase::ALL {
-            let histogram = snap.phase(phase);
-            if histogram.is_empty() {
-                continue;
-            }
-            let name = format!(
-                "shareddb_phase_latency_us{{{extra},statement=\"{}\",phase=\"{}\"}}",
+/// The phase snapshots of one set of statements, each with its
+/// `statement`/`phase` labels behind the caller's extra label (replica id or
+/// `frontend`): samples of `shareddb_phase_latency_us`.
+fn phase_samples<'a>(
+    statements: &'a [StatementPhaseSnapshot],
+    extra: &'a str,
+) -> impl Iterator<Item = (String, &'a HistogramSnapshot)> {
+    statements.iter().flat_map(move |snap| {
+        Phase::ALL.into_iter().map(move |phase| {
+            let labels = format!(
+                "{extra},statement=\"{}\",phase=\"{}\"",
                 escape_label_value(&snap.statement),
                 phase.name()
             );
-            render_summary(out, &name, histogram);
-        }
-    }
+            (labels, snap.phase(phase))
+        })
+    })
 }
 
 /// The SharedDB network frontend: owns the engine and a TCP listener.

@@ -460,7 +460,7 @@ impl Parser {
                     })?))
                 }
             }
-            Some(Token::StringLit(s)) => Ok(Expr::lit(Value::Text(s))),
+            Some(Token::StringLit(s)) => Ok(Expr::lit(Value::text(s))),
             Some(Token::Minus) => {
                 let inner = self.primary()?;
                 Ok(Expr::Unary {
@@ -575,7 +575,7 @@ mod tests {
         for value in &values {
             value.visit(&mut |e| {
                 if let Expr::Literal(Value::Text(s)) = e {
-                    assert_eq!(s, "O'Brien");
+                    assert_eq!(&**s, "O'Brien");
                     found_text = true;
                 }
             });

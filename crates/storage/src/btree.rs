@@ -4,9 +4,19 @@
 //! ClockScan; for SharedDB the authors "extended Crescando and implemented
 //! B-Tree indexes and index probe operators as an additional access path"
 //! (Section 4.4). This module is that extension: a classic order-`B` B+-tree
-//! mapping a key [`Value`] to a posting list of [`RowId`]s. Keys may be
+//! mapping a key [`Value`] to a posting list of row ids. Keys may be
 //! duplicated across rows (secondary indexes), so each leaf entry carries the
 //! full posting list for its key.
+//!
+//! A posting is the 32 bits a row id fits in (the key map and the back-links
+//! already bound a table to 2³² − 1 versions): a key's only posting lies in
+//! the leaf, a `Vec<u32>` takes over from the second on. A table's arena only
+//! grows, so the ids filed under a key arrive ascending and a list stays
+//! sorted; "is it filed already" is a look at the list's last id. Leaves are
+//! allocated once, at the size a split finds them at, and a key appended past
+//! the end of a full leaf starts the next leaf alone: keys that arrive
+//! ascending — ids handed out in order, most of a bulk load — leave every
+//! leaf behind them full, not half empty for good.
 //!
 //! The tree is single-writer / multi-reader; the owning [`crate::Table`] wraps
 //! it in the appropriate lock. Visibility (MVCC) is *not* handled here — the
@@ -37,7 +47,39 @@ enum Node {
 struct LeafNode {
     keys: Vec<Value>,
     /// Posting list per key: the row ids of all row versions with this key.
-    postings: Vec<Vec<RowId>>,
+    postings: Vec<Postings>,
+}
+
+/// The row ids filed under one key, ascending and never none.
+enum Postings {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Postings::One(row) => std::slice::from_ref(row),
+            Postings::Many(rows) => rows,
+        }
+    }
+
+    /// Files `row` behind the others; `false` when it is the last one filed.
+    fn push(&mut self, row: u32) -> bool {
+        let last = *self
+            .as_slice()
+            .last()
+            .expect("a posting list is never empty");
+        debug_assert!(last <= row, "row ids are filed ascending");
+        if last == row {
+            return false;
+        }
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, row]),
+            Postings::Many(rows) => rows.push(row),
+        }
+        true
+    }
 }
 
 struct InternalNode {
@@ -60,14 +102,16 @@ impl Default for BTreeIndex {
     }
 }
 
+/// The 32 bits of a row id (see the module docs).
+fn posting(row: RowId) -> u32 {
+    u32::try_from(row.0).expect("a table holds fewer than 2^32 row versions")
+}
+
 impl BTreeIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         BTreeIndex {
-            root: Node::Leaf(LeafNode {
-                keys: Vec::new(),
-                postings: Vec::new(),
-            }),
+            root: Node::Leaf(LeafNode::new()),
             len: 0,
             entries: 0,
         }
@@ -88,9 +132,10 @@ impl BTreeIndex {
         self.entries == 0
     }
 
-    /// Inserts a `(key, row)` pair. Duplicate `(key, row)` pairs are ignored.
+    /// Inserts a `(key, row)` pair. The rows of a key arrive ascending; the
+    /// one filed last under the key is ignored when it arrives again.
     pub fn insert(&mut self, key: Value, row: RowId) {
-        let (added_key, added_entry, result) = self.root.insert(key, row);
+        let (added_key, added_entry, result) = self.root.insert(key, posting(row));
         if added_key {
             self.len += 1;
         }
@@ -122,6 +167,9 @@ impl BTreeIndex {
     /// later insert splits through them. This keeps removals O(log n) without
     /// the full rebalancing machinery; the tree never returns wrong results.
     pub fn remove(&mut self, key: &Value, row: RowId) -> bool {
+        let Ok(row) = u32::try_from(row.0) else {
+            return false;
+        };
         let (removed, removed_key) = self.root.remove(key, row);
         if removed {
             self.entries -= 1;
@@ -132,8 +180,9 @@ impl BTreeIndex {
         removed
     }
 
-    /// Returns the posting list for an exact key (empty slice when absent).
-    pub fn get(&self, key: &Value) -> &[RowId] {
+    /// Returns the posting list for an exact key, ascending (empty slice
+    /// when absent): each the 32 bits of a [`RowId`].
+    pub fn get(&self, key: &Value) -> &[u32] {
         self.root.get(key).unwrap_or(&[])
     }
 
@@ -142,7 +191,7 @@ impl BTreeIndex {
     pub fn range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<(Value, RowId)> {
         let mut out = Vec::new();
         self.root.visit_range(&low, &high, &mut |key, posting| {
-            out.extend(posting.iter().map(|&row| (key.clone(), row)));
+            out.extend(posting.iter().map(|&row| (key.clone(), RowId::from(row))));
         });
         out
     }
@@ -150,8 +199,9 @@ impl BTreeIndex {
     /// Returns all row ids with keys in the given range, in key order.
     pub fn range_rows(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<RowId> {
         let mut out = Vec::new();
-        self.root
-            .visit_range(&low, &high, &mut |_, posting| out.extend(posting));
+        self.root.visit_range(&low, &high, &mut |_, posting| {
+            out.extend(posting.iter().map(|&row| RowId::from(row)))
+        });
         out
     }
 
@@ -169,8 +219,18 @@ impl BTreeIndex {
     /// for tests and for rebuilding indexes after recovery.
     pub fn iter_all(&self) -> Vec<(Value, Vec<RowId>)> {
         let mut out = Vec::new();
-        self.root.collect_all(&mut out);
+        self.root
+            .visit_range(&Bound::Unbounded, &Bound::Unbounded, &mut |key, posting| {
+                let rows = posting.iter().map(|&row| RowId::from(row));
+                out.push((key.clone(), rows.collect()));
+            });
         out
+    }
+
+    /// Bytes the tree holds on the heap: nodes and posting lists at their
+    /// capacity, text keys aside.
+    pub fn heap_size(&self) -> usize {
+        self.root.heap_size()
     }
 
     /// Depth of the tree (1 for a single leaf). Exposed for tests that verify
@@ -180,7 +240,8 @@ impl BTreeIndex {
     }
 
     /// Verifies structural invariants (key ordering, separator correctness,
-    /// fanout bounds). Used by tests and property-based checks.
+    /// fanout bounds, ascending posting lists). Used by tests and
+    /// property-based checks.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.root.check(None, None, true)?;
         Ok(())
@@ -195,7 +256,7 @@ impl Node {
         }
     }
 
-    fn get(&self, key: &Value) -> Option<&[RowId]> {
+    fn get(&self, key: &Value) -> Option<&[u32]> {
         match self {
             Node::Leaf(leaf) => leaf
                 .keys
@@ -210,22 +271,23 @@ impl Node {
     }
 
     /// Returns (added_new_key, added_new_entry, split_result).
-    fn insert(&mut self, key: Value, row: RowId) -> (bool, bool, InsertResult) {
+    fn insert(&mut self, key: Value, row: u32) -> (bool, bool, InsertResult) {
         match self {
             Node::Leaf(leaf) => match leaf.keys.binary_search(&key) {
-                Ok(i) => {
-                    if leaf.postings[i].contains(&row) {
-                        (false, false, InsertResult::Done)
-                    } else {
-                        leaf.postings[i].push(row);
-                        (false, true, InsertResult::Done)
-                    }
-                }
+                Ok(i) => (false, leaf.postings[i].push(row), InsertResult::Done),
                 Err(pos) => {
                     leaf.keys.insert(pos, key);
-                    leaf.postings.insert(pos, vec![row]);
+                    leaf.postings.insert(pos, Postings::One(row));
                     if leaf.keys.len() > MAX_KEYS {
-                        let (sep, right) = leaf.split();
+                        // Appended past the end of a full leaf: more of the
+                        // same is likely to follow, so the leaf stays full
+                        // and the key starts the next one.
+                        let mid = if pos == MAX_KEYS {
+                            pos
+                        } else {
+                            leaf.keys.len() / 2
+                        };
+                        let (sep, right) = leaf.split(mid);
                         (true, true, InsertResult::Split(sep, right))
                     } else {
                         (true, true, InsertResult::Done)
@@ -249,27 +311,32 @@ impl Node {
     }
 
     /// Returns (removed_entry, removed_whole_key).
-    fn remove(&mut self, key: &Value, row: RowId) -> (bool, bool) {
+    fn remove(&mut self, key: &Value, row: u32) -> (bool, bool) {
         match self {
-            Node::Leaf(leaf) => match leaf.keys.binary_search(key) {
-                Ok(i) => {
-                    let posting = &mut leaf.postings[i];
-                    match posting.iter().position(|r| *r == row) {
-                        Some(p) => {
-                            posting.swap_remove(p);
-                            if posting.is_empty() {
-                                leaf.keys.remove(i);
-                                leaf.postings.remove(i);
-                                (true, true)
-                            } else {
-                                (true, false)
-                            }
+            Node::Leaf(leaf) => {
+                let Ok(i) = leaf.keys.binary_search(key) else {
+                    return (false, false);
+                };
+                match &mut leaf.postings[i] {
+                    Postings::One(only) if *only == row => {
+                        leaf.keys.remove(i);
+                        leaf.postings.remove(i);
+                        (true, true)
+                    }
+                    Postings::One(_) => (false, false),
+                    Postings::Many(rows) => {
+                        let Ok(at) = rows.binary_search(&row) else {
+                            return (false, false);
+                        };
+                        // In place: the rows behind it stay in order.
+                        rows.remove(at);
+                        if let [only] = rows[..] {
+                            leaf.postings[i] = Postings::One(only);
                         }
-                        None => (false, false),
+                        (true, false)
                     }
                 }
-                Err(_) => (false, false),
-            },
+            }
             Node::Internal(node) => {
                 let idx = node.child_index(key);
                 node.children[idx].remove(key, row)
@@ -283,13 +350,13 @@ impl Node {
         &self,
         low: &Bound<&Value>,
         high: &Bound<&Value>,
-        visit: &mut impl FnMut(&Value, &[RowId]),
+        visit: &mut impl FnMut(&Value, &[u32]),
     ) {
         match self {
             Node::Leaf(leaf) => {
                 for (k, posting) in leaf.keys.iter().zip(&leaf.postings) {
                     if bound_contains(low, high, k) {
-                        visit(k, posting);
+                        visit(k, posting.as_slice());
                     }
                 }
             }
@@ -319,17 +386,22 @@ impl Node {
         }
     }
 
-    fn collect_all(&self, out: &mut Vec<(Value, Vec<RowId>)>) {
+    fn heap_size(&self) -> usize {
+        use std::mem::size_of;
         match self {
             Node::Leaf(leaf) => {
-                for (k, p) in leaf.keys.iter().zip(&leaf.postings) {
-                    out.push((k.clone(), p.clone()));
-                }
+                let lists = leaf.postings.iter().map(|p| match p {
+                    Postings::One(_) => 0,
+                    Postings::Many(rows) => rows.capacity() * size_of::<u32>(),
+                });
+                leaf.keys.capacity() * size_of::<Value>()
+                    + leaf.postings.capacity() * size_of::<Postings>()
+                    + lists.sum::<usize>()
             }
             Node::Internal(node) => {
-                for child in &node.children {
-                    child.collect_all(out);
-                }
+                node.keys.capacity() * size_of::<Value>()
+                    + node.children.capacity() * size_of::<Node>()
+                    + node.children.iter().map(Node::heap_size).sum::<usize>()
             }
         }
     }
@@ -344,6 +416,9 @@ impl Node {
             Node::Leaf(leaf) => {
                 if leaf.keys.len() != leaf.postings.len() {
                     return Err("leaf keys/postings length mismatch".into());
+                }
+                if leaf.keys.len() > MAX_KEYS {
+                    return Err(format!("a leaf of {} keys", leaf.keys.len()));
                 }
                 for w in leaf.keys.windows(2) {
                     if w[0] >= w[1] {
@@ -362,8 +437,15 @@ impl Node {
                         }
                     }
                 }
-                if leaf.postings.iter().any(|p| p.is_empty()) {
-                    return Err("empty posting list".into());
+                for (key, posting) in leaf.keys.iter().zip(&leaf.postings) {
+                    let rows = posting.as_slice();
+                    let lone_list = matches!(posting, Postings::Many(rows) if rows.len() < 2);
+                    if rows.is_empty() || lone_list {
+                        return Err(format!("{} postings under {key} in a list", rows.len()));
+                    }
+                    if rows.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(format!("postings of {key} out of order: {rows:?}"));
+                    }
                 }
                 Ok(())
             }
@@ -400,18 +482,21 @@ impl Node {
 }
 
 impl LeafNode {
-    fn split(&mut self) -> (Value, Node) {
-        let mid = self.keys.len() / 2;
-        let right_keys = self.keys.split_off(mid);
-        let right_postings = self.postings.split_off(mid);
-        let sep = right_keys[0].clone();
-        (
-            sep,
-            Node::Leaf(LeafNode {
-                keys: right_keys,
-                postings: right_postings,
-            }),
-        )
+    /// An empty leaf with room for the key that makes it split: a leaf is
+    /// allocated once.
+    fn new() -> Self {
+        LeafNode {
+            keys: Vec::with_capacity(MAX_KEYS + 1),
+            postings: Vec::with_capacity(MAX_KEYS + 1),
+        }
+    }
+
+    /// Moves the keys from `mid` on to a new right sibling.
+    fn split(&mut self, mid: usize) -> (Value, Node) {
+        let mut right = LeafNode::new();
+        right.keys.extend(self.keys.drain(mid..));
+        right.postings.extend(self.postings.drain(mid..));
+        (right.keys[0].clone(), Node::Leaf(right))
     }
 }
 
@@ -467,9 +552,27 @@ impl fmt::Debug for BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use std::collections::BTreeMap;
 
     fn row(i: u64) -> RowId {
         RowId(i)
+    }
+
+    impl BTreeIndex {
+        /// Keys per leaf, left to right.
+        fn leaf_fill(&self) -> Vec<usize> {
+            fn walk(node: &Node, fill: &mut Vec<usize>) {
+                match node {
+                    Node::Leaf(leaf) => fill.push(leaf.keys.len()),
+                    Node::Internal(node) => node.children.iter().for_each(|c| walk(c, fill)),
+                }
+            }
+            let mut fill = Vec::new();
+            walk(&self.root, &mut fill);
+            fill
+        }
     }
 
     #[test]
@@ -478,8 +581,8 @@ mod tests {
         idx.insert(Value::Int(5), row(50));
         idx.insert(Value::Int(3), row(30));
         idx.insert(Value::Int(5), row(51));
-        assert_eq!(idx.get(&Value::Int(5)), &[row(50), row(51)]);
-        assert_eq!(idx.get(&Value::Int(3)), &[row(30)]);
+        assert_eq!(idx.get(&Value::Int(5)), &[50, 51]);
+        assert_eq!(idx.get(&Value::Int(3)), &[30]);
         assert!(idx.get(&Value::Int(99)).is_empty());
         assert_eq!(idx.key_count(), 2);
         assert_eq!(idx.entry_count(), 3);
@@ -507,7 +610,7 @@ mod tests {
         for i in 0..n {
             let key = Value::Int((i * 7919) % n);
             assert!(
-                idx.get(&key).contains(&row(i as u64)),
+                idx.get(&key).contains(&(i as u32)),
                 "missing entry for key {key}"
             );
         }
@@ -561,7 +664,7 @@ mod tests {
         idx.insert(Value::Int(2), row(20));
         assert!(idx.remove(&Value::Int(1), row(10)));
         assert!(!idx.remove(&Value::Int(1), row(10)));
-        assert_eq!(idx.get(&Value::Int(1)), &[row(11)]);
+        assert_eq!(idx.get(&Value::Int(1)), &[11]);
         assert!(idx.remove(&Value::Int(1), row(11)));
         assert!(idx.get(&Value::Int(1)).is_empty());
         assert_eq!(idx.key_count(), 1);
@@ -609,5 +712,164 @@ mod tests {
         let all = idx.iter_all();
         assert_eq!(all.len(), 50);
         assert_eq!(all.iter().map(|(_, p)| p.len()).sum::<usize>(), 500);
+    }
+
+    /// A key's only posting lies in the leaf; a list takes over from the
+    /// second and gives way again when one is left.
+    #[test]
+    fn a_lone_posting_lies_in_the_leaf() {
+        let mut idx = BTreeIndex::new();
+        let empty = idx.heap_size();
+        for key in 0..MAX_KEYS as i64 {
+            idx.insert(Value::Int(key), row(key as u64));
+        }
+        assert_eq!(idx.heap_size(), empty, "a leaf is allocated once");
+        idx.insert(Value::Int(3), row(40));
+        assert!(idx.heap_size() > empty);
+        assert_eq!(idx.get(&Value::Int(3)), &[3, 40]);
+        assert!(idx.remove(&Value::Int(3), row(3)));
+        assert_eq!(idx.get(&Value::Int(3)), &[40]);
+        idx.check_invariants().unwrap();
+    }
+
+    /// Keys that arrive ascending leave every leaf behind them full.
+    #[test]
+    fn ascending_keys_fill_their_leaves() {
+        let mut idx = BTreeIndex::new();
+        for key in 0..10 * MAX_KEYS as i64 + 5 {
+            idx.insert(Value::Int(key), row(key as u64));
+        }
+        let fill = idx.leaf_fill();
+        let (last, full) = fill.split_last().unwrap();
+        assert!(full.iter().all(|&keys| keys == MAX_KEYS), "{fill:?}");
+        assert_eq!(*last, 5);
+    }
+
+    // -- the tree against a model ---------------------------------------------
+
+    /// One step: a key, whether the next row id is a new one (else the last
+    /// one again — a repeated pair when the key is the same too), and what
+    /// to do with them.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Insert {
+            key: i64,
+            fresh: bool,
+        },
+        /// Removes the `nth` row (modulo their number) filed under the key.
+        Remove {
+            key: i64,
+            nth: usize,
+        },
+    }
+
+    #[derive(Debug)]
+    struct Steps {
+        ascending: bool,
+        steps: Vec<Step>,
+    }
+
+    struct AnySteps;
+
+    impl Strategy for AnySteps {
+        type Value = Steps;
+        fn generate(&self, rng: &mut TestRng) -> Steps {
+            let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+            let ascending = pick(rng, 3) == 0;
+            let mut next_key = 0;
+            let steps = (0..1 + pick(rng, 600)).map(|_| {
+                if pick(rng, 5) == 0 {
+                    let (key, nth) = (pick(rng, 300) as i64, pick(rng, 4));
+                    return Step::Remove { key, nth };
+                }
+                // Ascending keys repeat now and then, as an id handed out in
+                // order is posted under for each of its rows.
+                next_key += (pick(rng, 3) != 0) as i64;
+                let key = if ascending {
+                    next_key
+                } else {
+                    pick(rng, 300) as i64
+                };
+                let fresh = pick(rng, 8) != 0;
+                Step::Insert { key, fresh }
+            });
+            Steps {
+                ascending,
+                steps: steps.collect(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The tree is a `BTreeMap<key, Vec<row>>` that ignores a pair filed
+        /// last under its key: after every step it holds the model's keys,
+        /// postings — in the order filed — counts and ranges, its invariants
+        /// hold, and keys that only ever arrived ascending left every leaf
+        /// but the last full.
+        #[test]
+        fn btree_matches_model(case in AnySteps, lo in 0i64..300, len in 0i64..100) {
+            let mut tree = BTreeIndex::new();
+            let mut model: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
+            let mut next_row = 0u32;
+            let mut removed = false;
+            for step in &case.steps {
+                match *step {
+                    Step::Insert { key, fresh } => {
+                        next_row += fresh as u32;
+                        tree.insert(Value::Int(key), RowId::from(next_row));
+                        let rows = model.entry(key).or_default();
+                        if rows.last() != Some(&next_row) {
+                            rows.push(next_row);
+                        }
+                    }
+                    Step::Remove { key, nth } => {
+                        let rows = model.get(&key).cloned().unwrap_or_default();
+                        let row = if rows.is_empty() { 7 } else { rows[nth % rows.len()] };
+                        let was_there = tree.remove(&Value::Int(key), RowId::from(row));
+                        prop_assert_eq!(was_there, !rows.is_empty());
+                        removed |= was_there;
+                        if let Some(rows) = model.get_mut(&key) {
+                            rows.retain(|r| *r != row);
+                            if rows.is_empty() {
+                                model.remove(&key);
+                            }
+                        }
+                    }
+                }
+                tree.check_invariants().unwrap();
+                prop_assert_eq!(tree.key_count(), model.len());
+                prop_assert_eq!(tree.entry_count(), model.values().map(Vec::len).sum::<usize>());
+            }
+            for (key, rows) in &model {
+                prop_assert_eq!(tree.get(&Value::Int(*key)), &rows[..]);
+            }
+            let all: Vec<(i64, Vec<u32>)> = tree
+                .iter_all()
+                .into_iter()
+                .map(|(key, rows)| (key.as_int().unwrap(), rows.iter().map(|r| r.0 as u32).collect()))
+                .collect();
+            prop_assert_eq!(all, model.clone().into_iter().collect::<Vec<_>>());
+            // Range scan.
+            let hi = lo + len;
+            let (low, high) = (Value::Int(lo), Value::Int(hi));
+            let got: Vec<(i64, u64)> = tree
+                .range(Bound::Included(&low), Bound::Excluded(&high))
+                .into_iter()
+                .map(|(k, row)| (k.as_int().unwrap(), row.0))
+                .collect();
+            let expect: Vec<(i64, u64)> = model
+                .range(lo..hi)
+                .flat_map(|(k, rows)| rows.iter().map(|row| (*k, u64::from(*row))))
+                .collect();
+            prop_assert_eq!(tree.range_len(Bound::Included(&low), Bound::Excluded(&high)), expect.len());
+            prop_assert_eq!(got, expect);
+            if case.ascending && !removed {
+                let fill = tree.leaf_fill();
+                let full = &fill[..fill.len() - 1];
+                prop_assert!(full.iter().all(|&keys| keys == MAX_KEYS), "{:?}", fill);
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! identical data structures.
 
 use crate::mvcc::TimestampOracle;
-use crate::table::Table;
+use crate::table::{IndexKind, Table};
 use crate::update::{apply_update, UpdateOp, UpdateResult};
 use crate::wal::{
     committed_ops, encode_frame, scan_frames, FileSink, LogRecord, TornTail, Wal, WalSink as _,
@@ -76,6 +76,8 @@ pub struct IndexDef {
     pub table: String,
     /// Indexed column name.
     pub column: String,
+    /// What the index files a version under.
+    pub kind: IndexKind,
 }
 
 /// The catalog of all tables, plus the shared timestamp oracle and WAL.
@@ -155,7 +157,7 @@ impl Catalog {
         let table = self.table(&def.table)?;
         let mut table = table.write();
         let column = table.schema().resolve(None, &def.column)?;
-        table.create_index(def.name, column)
+        table.create_index(def.name, column, def.kind)
     }
 
     /// Returns a handle to a table.
@@ -531,6 +533,7 @@ mod tests {
                 name: "ITEM_COST".into(),
                 table: "ITEM".into(),
                 column: "I_COST".into(),
+                kind: IndexKind::Values,
             })
             .unwrap();
         let table = catalog.table("ITEM").unwrap();

@@ -13,11 +13,12 @@
 //! * Updates are executed in arrival order as part of the same cycle, and all
 //!   select queries of the cycle read one consistent snapshot.
 //! * A cycle does what its queries need and no more: when every query of a
-//!   snapshot group holds an equality — or a `LIKE 'prefix%'` — an index of
-//!   the table answers, and the posting lists they name are together shorter
-//!   than the table, the group is served through those indexes — the same
-//!   rows, in the same order, as the pass would have emitted
-//!   (`ClockScan::serve_from_indexes`).
+//!   snapshot group holds an equality, a `LIKE 'prefix%'` — or, on a column
+//!   indexed by gram, any `LIKE` whose pattern spells three bytes in a row
+//!   (`'%BOOK 12%'`) — an index of the table answers, and the posting lists
+//!   they name are together shorter than the table, the group is served
+//!   through those indexes — the same rows, in the same order, as the pass
+//!   would have emitted (`ClockScan::serve_from_indexes`).
 //!
 //! The scan produces tuples in the data-query model ([`QTuple`]): each emitted
 //! row carries the set of queries that selected it.
@@ -251,8 +252,8 @@ impl ClockScan {
     ///
     /// Possible: [`AccessPath::choose`] — the rule writes find their rows by
     /// — names the key map or a secondary index for *every* query of the
-    /// group (one query without an indexed equality or prefix needs the pass
-    /// anyway, and the pass serves the others for the price of a probe per
+    /// group (one query without an indexed equality, prefix or gram needs the
+    /// pass anyway, and the pass serves the others for the price of a probe per
     /// row); the key map answers for whichever snapshot the group reads.
     /// Cheaper: the versions to fetch — the lengths of the posting lists,
     /// read off the B-tree before anything is fetched, and one per key of the
@@ -289,8 +290,12 @@ impl ClockScan {
         for (query, path) in members.iter().zip(&paths) {
             let in_view = |(_, row): &(_, &Tuple)| view.is_none_or(|view| view.contains(row));
             let fetched = path.visible_rows(table, snapshot).filter(in_view);
-            let decided = !matches!(path, AccessPath::IndexRange { .. })
-                && query.predicate.split_conjuncts().len() == 1;
+            // A range or a gram narrows a pattern, it does not decide it.
+            let narrowed = matches!(
+                path,
+                AccessPath::IndexRange { .. } | AccessPath::IndexGrams { .. }
+            );
+            let decided = !narrowed && query.predicate.split_conjuncts().len() == 1;
             let residual = (!decided).then_some(&query.predicate);
             hits.collect(query.query_id, fetched, residual)?;
             // The class the pass would have filed the query in.
@@ -305,7 +310,7 @@ impl ClockScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::CHUNK_ROWS;
+    use crate::table::{IndexKind, CHUNK_ROWS};
     use proptest::prelude::*;
     use proptest::TestRng;
     use shareddb_common::ids::Timestamp;
@@ -893,7 +898,8 @@ mod tests {
     // -- cycles served from the indexes ---------------------------------------
 
     /// ID (the key), N (integers, indexed), D (dates, indexed), S (text,
-    /// indexed), X (integers, no index).
+    /// indexed by value and by gram), X (integers, no index), G (text or
+    /// NULL, indexed by gram only).
     fn indexed_table() -> Table {
         let schema = Schema::new(vec![
             Column::new("ID", DataType::Int),
@@ -901,10 +907,14 @@ mod tests {
             Column::nullable("D", DataType::Date),
             Column::new("S", DataType::Text),
             Column::new("X", DataType::Int),
+            Column::nullable("G", DataType::Text),
         ]);
         let mut table = Table::new("T", schema, vec![0]);
         for (name, column) in [("T_N", 1), ("T_D", 2), ("T_S", 3)] {
-            table.create_index(name, column).unwrap();
+            table.create_index(name, column, IndexKind::Values).unwrap();
+        }
+        for (name, column) in [("T_S_GRAMS", 3), ("T_G", 5)] {
+            table.create_index(name, column, IndexKind::Grams).unwrap();
         }
         table
     }
@@ -921,7 +931,8 @@ mod tests {
                 i % 10,
                 Value::Date(i % 4),
                 ["a", "b"][(i % 2) as usize],
-                i
+                i,
+                format!("BOOK {i} of {}", i % 7)
             ];
             table.insert(row, Timestamp(0)).unwrap();
         }
@@ -959,6 +970,30 @@ mod tests {
         assert_eq!(counts(vec![like("a%")], None), ([0, 1], 50, 50));
         let both = vec![eq(1, Value::Int(3)), like("a%")];
         assert_eq!(counts(both, None), ([0, 1], 60, 60));
+        // An infix is the shortest posting list among the pattern's grams —
+        // `K 7`, ` 7 `, `7 o`: eleven titles hold the first, one all three —
+        // and the pattern is held against every row fetched.
+        let title = |pattern: &str| Expr::col(5).like(Expr::lit(pattern));
+        assert_eq!(counts(vec![title("%K 7 o%")], None), ([0, 1], 1, 1));
+        assert_eq!(counts(vec![title("%OK 7%")], None), ([0, 1], 11, 11));
+        assert_eq!(counts(vec![title("%K 7_ of%")], None), ([0, 1], 11, 10));
+        // Two segments: `K 3` of the first (11 titles) is rarer than `f 3`
+        // of the second (14).
+        assert_eq!(counts(vec![title("BOOK 3%of 3")], None), ([0, 1], 11, 3));
+        assert_eq!(counts(vec![title("%no such%")], None), ([0, 1], 0, 0));
+        let beside = vec![eq(1, Value::Int(3)), title("%K 7 o%")];
+        assert_eq!(counts(beside, None), ([0, 1], 11, 11));
+        // A gram every title holds names the whole table: the pass is as
+        // cheap; and so is it when no segment is three bytes long.
+        for (pattern, selected) in [("%BOOK%", 100), ("%7_ o%", 10), ("_O%", 100)] {
+            assert_eq!(counts(vec![title(pattern)], None), ([1, 0], 100, selected));
+        }
+        let negated = Expr::Like {
+            expr: Box::new(Expr::col(5)),
+            pattern: Box::new(Expr::lit("%K 7 o%")),
+            negated: true,
+        };
+        assert_eq!(counts(vec![negated], None), ([1, 0], 100, 99));
         // A query no index answers takes the group to the pass …
         for (pattern, selected) in [("%a", 60), ("%", 100), ("a_%", 10), ("a%a%", 10)] {
             let beside = vec![eq(1, Value::Int(3)), like(pattern)];
@@ -1031,6 +1066,72 @@ mod tests {
         Expr::col(3).like(Expr::lit(pattern))
     }
 
+    /// What a gram-indexed column holds: nothing, less than a gram, one gram,
+    /// a gram twice, segments a pattern names in and out of order, and two-,
+    /// three- and four-byte characters in the middle of a window.
+    const TITLES: [&str; 14] = [
+        "",
+        "ab",
+        "abc",
+        "abcabc",
+        "xabcdex",
+        "ab cde",
+        "cde ab",
+        "abXcde",
+        "a\u{e9}bc",
+        "a\u{20ac}bc",
+        "a\u{1f600}bc",
+        "\u{e9}\u{20ac}",
+        "BOOK 12",
+        "BOOK 123",
+    ];
+
+    /// `G LIKE pattern` — on S at times, whose values an index files as well:
+    /// an infix, several segments, `_` inside a segment and between two,
+    /// segments too short to hold a gram, a pattern that is one gram, a
+    /// prefix (a range on S, grams on G), characters of several bytes, the
+    /// empty pattern; negated now and then, which no index answers.
+    fn gram_like(rng: &mut TestRng) -> Expr {
+        const PATTERNS: [&str; 30] = [
+            "%abc%",
+            "abc",
+            "%ab%cde%",
+            "%cde%ab%",
+            "%ab_cde%",
+            "%a_c%",
+            "a_c",
+            "%ab%",
+            "_b%",
+            "%",
+            "",
+            "%bcd",
+            "abc%",
+            "%bca%",
+            "%a\u{e9}%",
+            "%a\u{e9}b%",
+            "%\u{e9}bc",
+            "%\u{20ac}%",
+            "%a\u{20ac}b%",
+            "%\u{1f600}%",
+            "%a\u{1f600}b%",
+            "a_bc",
+            "%_\u{20ac}",
+            "%BOOK 1%",
+            "%OK 12_",
+            "%K 123%",
+            "%all%",
+            "%ll",
+            "a%l",
+            "%a\u{10ffff}b%",
+        ];
+        let column = [5, 5, 5, 3][pick(rng, 4)];
+        Expr::Like {
+            expr: Box::new(Expr::col(column)),
+            pattern: Box::new(Expr::lit(PATTERNS[pick(rng, PATTERNS.len())])),
+            negated: pick(rng, 10) == 0,
+        }
+    }
+
     fn indexed_row(rng: &mut TestRng, id: i64) -> Tuple {
         let n = match pick(rng, 10) {
             0 => Value::Null,
@@ -1046,12 +1147,17 @@ mod tests {
             0..=4 => "all",
             _ => text(rng),
         };
+        let g = match pick(rng, 12) {
+            0 => Value::Null,
+            _ => Value::text(TITLES[pick(rng, TITLES.len())]),
+        };
         Tuple::new(vec![
             Value::Int(id),
             n,
             d,
             Value::text(s),
             Value::Int(pick(rng, 7) as i64),
+            g,
         ])
     }
 
@@ -1092,7 +1198,7 @@ mod tests {
     }
 
     fn indexed_predicate(rng: &mut TestRng, rows: usize) -> Expr {
-        match pick(rng, 16) {
+        match pick(rng, 22) {
             0..=5 => probed_equality(rng, rows),
             6 | 7 => probed_equality(rng, rows).and(unprobed(rng)),
             8 => unprobed(rng).and(probed_equality(rng, rows)),
@@ -1100,6 +1206,10 @@ mod tests {
             10 | 11 => prefix_like(rng),
             12 => prefix_like(rng).and(unprobed(rng)),
             13 => prefix_like(rng).and(probed_equality(rng, rows)),
+            14..=17 => gram_like(rng),
+            18 => gram_like(rng).and(unprobed(rng)),
+            19 => gram_like(rng).and(gram_like(rng)),
+            20 => gram_like(rng).and(probed_equality(rng, rows)),
             _ => unprobed(rng),
         }
     }
@@ -1112,11 +1222,20 @@ mod tests {
             assignments: vec![(column, Expr::Literal(value))],
             predicate,
         };
-        match pick(rng, 7) {
+        match pick(rng, 9) {
             0 => UpdateOp::Delete { predicate: row },
             1 => set(1, spelled(rng, 5), row),
             2 => set(2, Value::Date(pick(rng, 4) as i64), row),
             3 => set(3, Value::text(text(rng)), row),
+            // The title changes; every other update keeps it.
+            7 => set(5, Value::text(TITLES[pick(rng, TITLES.len())]), row),
+            // A key written again, if a delete has freed it.
+            8 => {
+                let id = pick(rng, rows) as i64;
+                UpdateOp::Insert {
+                    values: indexed_row(rng, id),
+                }
+            }
             // Every row of one value at once.
             4 => set(
                 4,
@@ -1151,7 +1270,7 @@ mod tests {
             let rows: Vec<Tuple> = (0..8 + pick(rng, 40))
                 .map(|id| indexed_row(rng, id as i64))
                 .collect();
-            let writes: Vec<UpdateOp> = (0..pick(rng, 8))
+            let writes: Vec<UpdateOp> = (0..pick(rng, 10))
                 .map(|_| indexed_write(rng, rows.len()))
                 .collect();
             let cycles = (0..1 + pick(rng, 6)).map(|_| {
@@ -1187,10 +1306,11 @@ mod tests {
         /// Serving a group from the indexes never changes what a cycle emits:
         /// the same rows with the same query sets in the same order as the
         /// full walk — over dead versions and moved keys, numbers stored and
-        /// asked for under either spelling, equalities and prefixes alone,
-        /// with a residual conjunct, twice in a cycle, beside a query no
-        /// index answers, naming most of the table, pinned to the past — the
-        /// key map included — over a segment view.
+        /// asked for under either spelling, equalities, prefixes and patterns
+        /// with a gram in them alone, with a residual conjunct, twice in a
+        /// cycle, beside a query no index answers, naming most of the table,
+        /// pinned to the past — the key map included, titles changed, kept,
+        /// deleted and written again since — over a segment view.
         #[test]
         fn index_served_cycle_equals_scanned_cycle(case in IndexedCases) {
             let mut table = indexed_table();

@@ -271,6 +271,7 @@ fn range_contains(low: &Bound<Value>, high: &Bound<Value>, v: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::IndexKind;
     use shareddb_common::{tuple, Column, DataType};
 
     fn setup() -> (Arc<RwLock<Table>>, Arc<TimestampOracle>, IndexProbe) {
@@ -280,8 +281,8 @@ mod tests {
             Column::new("QTY", DataType::Int).with_qualifier("T"),
         ]);
         let mut t = Table::new("T", schema, vec![0]);
-        t.create_index("T_ID", 0).unwrap();
-        t.create_index("T_QTY", 2).unwrap();
+        t.create_index("T_ID", 0, IndexKind::Values).unwrap();
+        t.create_index("T_QTY", 2, IndexKind::Values).unwrap();
         for i in 0..200i64 {
             t.insert(
                 tuple![i, format!("row{i}"), i % 20],
@@ -391,7 +392,7 @@ mod tests {
             Column::nullable("PLAIN", DataType::Int),
         ]);
         let mut t = Table::new("T", schema, vec![0]);
-        t.create_index("T_INDEXED", 1).unwrap();
+        t.create_index("T_INDEXED", 1, IndexKind::Values).unwrap();
         for (id, key) in [
             (1, Value::Null),
             (2, 3.into()),

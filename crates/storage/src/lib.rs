@@ -40,7 +40,9 @@ pub use clockscan::{ClockScan, ScanCycleResult, ScanQuery, SegmentView};
 pub use index_probe::{IndexProbe, ProbeQuery, ProbeRange};
 pub use mvcc::{Snapshot, TimestampOracle};
 pub use predicate_index::PredicateClass;
-pub use table::{Chunk, ChunkZones, EqLookup, RowId, StoredRow, Table, Zone, CHUNK_ROWS};
+pub use table::{
+    Chunk, ChunkZones, EqLookup, IndexKind, RowId, StoredRow, Table, Zone, CHUNK_ROWS,
+};
 pub use update::{AccessPath, UpdateOp, UpdateResult};
 pub use wal::{
     scan_frames, CountingSink, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy,

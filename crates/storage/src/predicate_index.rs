@@ -29,7 +29,12 @@
 //!   and allocates nothing ([`Expr::eval`]): ≈ 15 ns for a text comparison,
 //!   ≈ 25–30 ns for a `LIKE '%x%'` over a title — against one search among
 //!   the distinct literals of a run, shared by all its queries, for the two
-//!   indexed classes.
+//!   indexed classes. A `LIKE`-only predicate need not come here at all: on
+//!   a column indexed by gram a cycle whose every query names an index is
+//!   served from the posting list of the pattern's rarest gram
+//!   (`ClockScan::serve_from_indexes`, `AccessPath::IndexGrams`) and builds
+//!   no predicate index; it is the residual class only in a cycle that takes
+//!   the pass for another query's sake.
 //!
 //! A query whose whole predicate *is* its indexed conjunct is decided by the
 //! entry alone. Any other indexed query is a candidate only: its full
@@ -49,7 +54,7 @@
 //! probing the up to 1 024 versions it spares when the answer is no.
 
 use crate::table::{ChunkZones, Zone};
-use shareddb_common::{BinaryOp, Expr, QueryId, QuerySet, Result, Tuple, Value};
+use shareddb_common::{BinaryOp, Expr, QueryId, QuerySet, Result, Text, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
@@ -118,7 +123,7 @@ fn indexed_conjunct<'e>(conjuncts: &[&'e Expr]) -> Option<(usize, BinaryOp, &'e 
 enum Literals {
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Text(Vec<String>),
+    Text(Vec<Text>),
     Bool(Vec<bool>),
 }
 
@@ -170,7 +175,10 @@ impl Literals {
                 rank(keys, |k| k.total_cmp(&(*v as f64)))
             }
             (Literals::Float(keys), Value::Float(v)) => rank(keys, |k| k.total_cmp(v)),
-            (Literals::Text(keys), Value::Text(v)) => rank(keys, |k| k.cmp(v)),
+            (Literals::Text(keys), Value::Text(v)) => {
+                let v = v.as_str();
+                rank(keys, |k| k.as_str().cmp(v))
+            }
             (Literals::Bool(keys), Value::Bool(v)) => rank(keys, |k| k.cmp(v)),
             _ => None,
         }

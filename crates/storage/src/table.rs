@@ -35,6 +35,14 @@ impl RowId {
     }
 }
 
+/// A row id as an index posts it ([`crate::btree`]).
+impl From<u32> for RowId {
+    #[inline]
+    fn from(posting: u32) -> Self {
+        RowId(u64::from(posting))
+    }
+}
+
 /// One stored row version.
 #[derive(Debug, Clone)]
 pub struct StoredRow {
@@ -132,11 +140,46 @@ pub struct Chunk<'t> {
     pub zones: ChunkZones<'t>,
 }
 
+/// What a secondary index files a version under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexKind {
+    /// The value of the column: equalities, ranges and prefixes.
+    Values,
+    /// Every distinct 3-byte window of a text column's value (nothing for a
+    /// NULL, or a string shorter than that): a `LIKE` pattern's literal
+    /// segments name the grams a matching value must hold.
+    Grams,
+}
+
+/// The grams of a string — its 3-byte windows, each packed into an integer
+/// key — in order, repeats included. Bytes, not characters: a pattern segment
+/// occurs in a value as a run of bytes, whatever characters they spell.
+pub(crate) fn grams(text: &str) -> impl Iterator<Item = Value> + '_ {
+    let windows = text.as_bytes().windows(3);
+    windows.map(|w| Value::Int(i64::from(w[0]) << 16 | i64::from(w[1]) << 8 | i64::from(w[2])))
+}
+
 /// A secondary index maintained by the table.
 struct SecondaryIndex {
     name: String,
     column: usize,
+    kind: IndexKind,
     tree: BTreeIndex,
+}
+
+impl SecondaryIndex {
+    /// Files the version `row_id`, whose indexed column holds `value`. A
+    /// gram that occurs twice in the value finds `row_id` the last id under
+    /// it the second time, which the tree ignores.
+    fn file(&mut self, value: &Value, row_id: RowId) {
+        match (self.kind, value) {
+            (IndexKind::Values, value) => self.tree.insert(value.clone(), row_id),
+            (IndexKind::Grams, Value::Text(text)) => {
+                grams(text).for_each(|gram| self.tree.insert(gram, row_id))
+            }
+            (IndexKind::Grams, _) => {}
+        }
+    }
 }
 
 /// A main-memory, multi-versioned table with an optional primary key and any
@@ -207,21 +250,33 @@ impl Table {
         self.rows.iter().filter(|r| r.is_live()).count()
     }
 
-    /// Creates a secondary index over a single column and backfills it with
-    /// all existing versions.
-    pub fn create_index(&mut self, name: impl Into<String>, column: usize) -> Result<()> {
-        if column >= self.schema.len() {
+    /// Creates a secondary index of `kind` over a single column — grams are
+    /// a text column's — and backfills it with all existing versions.
+    pub fn create_index(
+        &mut self,
+        name: impl Into<String>,
+        column: usize,
+        kind: IndexKind,
+    ) -> Result<()> {
+        let Some(indexed) = self.schema.columns().get(column) else {
             return Err(Error::UnknownColumn(format!("column #{column}")));
+        };
+        if kind == IndexKind::Grams && indexed.data_type != DataType::Text {
+            return Err(Error::TypeMismatch {
+                expected: "a Text column under a gram index".into(),
+                found: format!("{} {}", indexed.name, indexed.data_type),
+            });
         }
-        let mut tree = BTreeIndex::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            tree.insert(row.values[column].clone(), RowId(i as u64));
-        }
-        self.indexes.push(SecondaryIndex {
+        let mut index = SecondaryIndex {
             name: name.into(),
             column,
-            tree,
-        });
+            kind,
+            tree: BTreeIndex::new(),
+        };
+        for (i, row) in self.rows.iter().enumerate() {
+            index.file(&row.values[column], RowId(i as u64));
+        }
+        self.indexes.push(index);
         Ok(())
     }
 
@@ -231,10 +286,19 @@ impl Table {
     }
 
     /// Every secondary index with the `(key, version)` entries it holds —
-    /// one per version ever written, dead ones included. O(indexes).
+    /// one per version ever written, dead ones included (one per distinct
+    /// gram of each, under a gram index). O(indexes).
     pub fn index_entry_counts(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
         let counts = self.indexes.iter();
         counts.map(|i| (i.name.as_str(), i.tree.entry_count()))
+    }
+
+    /// Every secondary index with its kind and the bytes its tree holds on
+    /// the heap ([`BTreeIndex::heap_size`]), in the order of
+    /// [`Table::index_entry_counts`]. O(nodes).
+    pub fn index_heap_sizes(&self) -> impl Iterator<Item = (&str, IndexKind, usize)> + '_ {
+        let sizes = self.indexes.iter();
+        sizes.map(|i| (i.name.as_str(), i.kind, i.tree.heap_size()))
     }
 
     /// Returns the column a named index is built on.
@@ -245,9 +309,21 @@ impl Table {
             .map(|i| i.column)
     }
 
-    /// True when some index covers `column`.
+    /// The index of `kind` on `column`.
+    fn index_on(&self, column: usize, kind: IndexKind) -> Option<&SecondaryIndex> {
+        let mut indexes = self.indexes.iter();
+        indexes.find(|i| i.column == column && i.kind == kind)
+    }
+
+    /// The name of the index of `kind` on `column`.
+    pub fn index_name(&self, column: usize, kind: IndexKind) -> Option<&str> {
+        self.index_on(column, kind).map(|i| i.name.as_str())
+    }
+
+    /// True when an index files `column` by its values: equalities, ranges
+    /// and prefixes on it have a B-tree to go through.
     pub fn has_index_on(&self, column: usize) -> bool {
-        self.indexes.iter().any(|i| i.column == column)
+        self.index_on(column, IndexKind::Values).is_some()
     }
 
     fn pk_values(&self, values: &Tuple) -> Vec<Value> {
@@ -311,7 +387,7 @@ impl Table {
             zone.widen(&values[column]);
         }
         for index in &mut self.indexes {
-            index.tree.insert(values[index.column].clone(), row_id);
+            index.file(&values[index.column], row_id);
         }
         self.rows.push(StoredRow {
             values,
@@ -493,13 +569,21 @@ impl Table {
         self.rows[row_id.idx()].is_live().then_some(row_id)
     }
 
-    /// The posting list of `key` in the secondary index on `column`: every
-    /// version ever written with that key, dead ones included, ascending
-    /// (empty when the column has no index). `O(log n)`, and its length is
-    /// what fetching through it will cost.
-    pub fn index_postings(&self, column: usize, key: &Value) -> &[RowId] {
-        let index = self.indexes.iter().find(|i| i.column == column);
-        index.map_or(&[][..], |i| i.tree.get(key))
+    /// The posting list of `key` in the index of `kind` on `column`: every
+    /// version ever written with that key — that value, or a value holding
+    /// that gram — dead ones included, ascending (none when the column has
+    /// no such index). `O(log n)`, and its length is what fetching through
+    /// it will cost.
+    pub fn index_postings(
+        &self,
+        column: usize,
+        kind: IndexKind,
+        key: &Value,
+    ) -> impl ExactSizeIterator<Item = RowId> + '_ {
+        let postings = self
+            .index_on(column, kind)
+            .map_or(&[][..], |i| i.tree.get(key));
+        postings.iter().map(|&row| RowId::from(row))
     }
 
     /// The *live* versions of [`Table::index_postings`], in posting-list
@@ -507,9 +591,10 @@ impl Table {
     pub fn index_lookup_live<'a>(
         &'a self,
         column: usize,
+        kind: IndexKind,
         key: &Value,
     ) -> impl Iterator<Item = RowId> + 'a {
-        let postings = self.index_postings(column, key).iter().copied();
+        let postings = self.index_postings(column, kind, key);
         postings.filter(|rid| self.rows[rid.idx()].is_live())
     }
 
@@ -519,7 +604,7 @@ impl Table {
     /// once, for any number of keys.
     pub fn eq_lookup(&self, column: usize) -> EqLookup<'_> {
         let by_key = self.primary_key == [column];
-        let index = self.indexes.iter().find(|i| i.column == column);
+        let index = self.index_on(column, IndexKind::Values);
         EqLookup {
             table: self,
             column,
@@ -529,7 +614,7 @@ impl Table {
         }
     }
 
-    /// Probes a secondary index for a key range, returning all visible rows in
+    /// Probes a value index for a key range, returning all visible rows in
     /// key order. SQL comparisons with NULL are never true: rows whose key is
     /// NULL are in no range (the index orders NULL before every value, so an
     /// open lower end stops above it), and a NULL bound selects nothing.
@@ -573,7 +658,7 @@ impl Table {
         low: Bound<&'a Value>,
         high: Bound<&'a Value>,
     ) -> Option<(&'a BTreeIndex, Bound<&'a Value>, Bound<&'a Value>)> {
-        let index = self.indexes.iter().find(|i| i.column == column)?;
+        let index = self.index_on(column, IndexKind::Values)?;
         let null_bound =
             |b: &Bound<&Value>| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null());
         if null_bound(&low) || null_bound(&high) {
@@ -653,7 +738,10 @@ impl<'t> EqLookup<'t> {
         let fetched = postings(first)
             .iter()
             .chain(postings(second))
-            .filter_map(move |&rid| table.read(rid, snapshot).map(|row| (rid, row)))
+            .filter_map(move |&rid| {
+                let rid = RowId::from(rid);
+                table.read(rid, snapshot).map(|row| (rid, row))
+            })
             .chain(keyed(first))
             .chain(keyed(second));
         // The fallback — no index on the column, or a key no index can be
@@ -982,7 +1070,7 @@ mod tests {
     #[test]
     fn secondary_index_lookup_and_range() {
         let mut t = items_table();
-        t.create_index("ITEM_PRICE", 2).unwrap();
+        t.create_index("ITEM_PRICE", 2, IndexKind::Values).unwrap();
         for i in 0..100i64 {
             t.insert(
                 tuple![i, format!("Book {i}"), (i % 10) as f64],
@@ -1009,7 +1097,7 @@ mod tests {
     #[test]
     fn index_respects_visibility() {
         let mut t = items_table();
-        t.create_index("ITEM_PRICE", 2).unwrap();
+        t.create_index("ITEM_PRICE", 2, IndexKind::Values).unwrap();
         let r = t.insert(tuple![1i64, "A", 5.0f64], Timestamp(1)).unwrap();
         t.update_row(r, tuple![1i64, "A", 6.0f64], Timestamp(5))
             .unwrap();
@@ -1083,7 +1171,7 @@ mod tests {
     #[test]
     fn index_on_unknown_column_fails() {
         let mut t = items_table();
-        assert!(t.create_index("BAD", 17).is_err());
+        assert!(t.create_index("BAD", 17, IndexKind::Values).is_err());
     }
 
     #[test]

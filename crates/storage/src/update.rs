@@ -6,7 +6,7 @@
 //! (ClockScan or index probe) and applied at the beginning of its next cycle.
 
 use crate::mvcc::{Snapshot, TimestampOracle};
-use crate::table::{index_keys, RowId, Table};
+use crate::table::{grams, index_keys, IndexKind, RowId, Table};
 use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{BinaryOp, DataType, Expr, Result, Tuple, Value};
@@ -66,7 +66,10 @@ pub struct UpdateResult {
 ///    posting list;
 /// 3. a `LIKE 'prefix%'` conjunct on a text column with a secondary index →
 ///    the index's keys from the prefix up to its successor;
-/// 4. otherwise one pass over the versions of the table.
+/// 4. a `LIKE` conjunct on a column with a gram index whose pattern holds a
+///    gram (three bytes in a row with no wildcard among them) → the posting
+///    list of the pattern's rarest gram;
+/// 5. otherwise one pass over the versions of the table.
 ///
 /// The path only narrows: `apply_update` re-evaluates the *full* predicate
 /// on every candidate, the rule [`crate::predicate_index`] states for reads
@@ -92,6 +95,15 @@ pub enum AccessPath {
         /// The smallest string above every string with the prefix (`None`:
         /// there is none, the range is open).
         high: Option<Value>,
+    },
+    /// Fetch the versions the gram index on `column` posts under `gram`:
+    /// of the grams every value matching the pattern holds, the one the
+    /// fewest versions hold.
+    IndexGrams {
+        /// The indexed column.
+        column: usize,
+        /// The gram, as the index keys it.
+        gram: Value,
     },
     /// Evaluate the predicate on every live version.
     Scan,
@@ -163,14 +175,15 @@ impl AccessPath {
         if let Some((column, keys)) = equalities.into_iter().find(|(c, _)| table.has_index_on(*c)) {
             return AccessPath::Index { column, keys };
         }
-        let mut prefixes = conjuncts.iter().filter_map(|c| match c {
+        // `column LIKE 'pattern'` conjuncts.
+        let likes = conjuncts.iter().filter_map(|c| match c {
             Expr::Like {
                 expr,
                 pattern,
                 negated: false,
             } => match (expr.as_ref(), pattern.as_ref()) {
                 (Expr::Column(column), Expr::Literal(Value::Text(pattern))) => {
-                    Some((*column, like_prefix(pattern)?))
+                    Some((*column, pattern.as_str()))
                 }
                 _ => None,
             },
@@ -182,12 +195,30 @@ impl AccessPath {
                 .is_some_and(|c| c.data_type == DataType::Text)
                 && table.has_index_on(column)
         };
-        match prefixes.find(|(column, _)| indexed_text(*column)) {
-            Some((column, prefix)) => AccessPath::IndexRange {
+        let mut prefixes = likes
+            .clone()
+            .filter_map(|(column, pattern)| Some((column, like_prefix(pattern)?)));
+        if let Some((column, prefix)) = prefixes.find(|(column, _)| indexed_text(*column)) {
+            return AccessPath::IndexRange {
                 column,
                 low: Value::text(prefix),
-                high: prefix_successor(prefix).map(Value::Text),
-            },
+                high: prefix_successor(prefix).map(Value::text),
+            };
+        }
+        // A value matching the pattern holds each of its literal segments —
+        // what lies between wildcards (`like` knows no escape) — and so
+        // every gram of each. One list is fetched, the shortest: its length
+        // is read off the tree here, before anything is.
+        let posted =
+            |column, gram: &Value| table.index_postings(column, IndexKind::Grams, gram).len();
+        let held = likes
+            .filter(|(column, _)| table.index_name(*column, IndexKind::Grams).is_some())
+            .flat_map(|(column, pattern)| {
+                let segments = pattern.split(['%', '_']);
+                segments.flat_map(grams).map(move |gram| (column, gram))
+            });
+        match held.min_by_key(|(column, gram)| posted(*column, gram)) {
+            Some((column, gram)) => AccessPath::IndexGrams { column, gram },
             None => AccessPath::Scan,
         }
     }
@@ -198,16 +229,10 @@ impl AccessPath {
         (Bound::Included(low), high)
     }
 
-    /// The name of the index on `column`, for `EXPLAIN`.
-    fn index_name(table: &Table, column: usize) -> &str {
-        let names = table.index_names();
-        let on_column = |name: &&str| table.index_column(name) == Some(column);
-        names.into_iter().find(on_column).unwrap_or("?")
-    }
-
     /// Renders the path for `EXPLAIN`: `pk(I_ID)`, `index(SCL_CART)`,
-    /// `index(AUTHOR_LNAME) range`, `scan`.
+    /// `index(AUTHOR_LNAME) range`, `index(ITEM_TITLE) grams`, `scan`.
     pub fn describe(&self, table: &Table) -> String {
+        let index_name = |column, kind| table.index_name(column, kind).unwrap_or("?");
         match self {
             AccessPath::PrimaryKey(_) => {
                 let columns = table.schema().columns();
@@ -219,12 +244,27 @@ impl AccessPath {
                 format!("pk({})", names.join(", "))
             }
             AccessPath::Index { column, .. } => {
-                format!("index({})", Self::index_name(table, *column))
+                format!("index({})", index_name(*column, IndexKind::Values))
             }
             AccessPath::IndexRange { column, .. } => {
-                format!("index({}) range", Self::index_name(table, *column))
+                format!("index({}) range", index_name(*column, IndexKind::Values))
+            }
+            AccessPath::IndexGrams { column, .. } => {
+                format!("index({}) grams", index_name(*column, IndexKind::Grams))
             }
             AccessPath::Scan => "scan".to_string(),
+        }
+    }
+
+    /// The keys whose posting lists the path reads, and the index they are
+    /// of (none for a path that reads no list).
+    fn posted(&self) -> (usize, IndexKind, &[Value]) {
+        match self {
+            AccessPath::Index { column, keys } => (*column, IndexKind::Values, keys),
+            AccessPath::IndexGrams { column, gram } => {
+                (*column, IndexKind::Grams, std::slice::from_ref(gram))
+            }
+            _ => (0, IndexKind::Values, &[]),
         }
     }
 
@@ -232,12 +272,15 @@ impl AccessPath {
     /// key map, the posting lists' lengths for an index, the entries of a
     /// range — exact, and known before anything is fetched. `None` for the
     /// scan.
-    pub(crate) fn fetch_cost(&self, table: &Table) -> Option<usize> {
+    pub fn fetch_cost(&self, table: &Table) -> Option<usize> {
         match self {
             AccessPath::PrimaryKey(keys) => Some(keys.len()),
-            AccessPath::Index { column, keys } => {
-                let postings = keys.iter().map(|key| table.index_postings(*column, key));
-                Some(postings.map(<[RowId]>::len).sum())
+            AccessPath::Index { .. } | AccessPath::IndexGrams { .. } => {
+                let (column, kind, keys) = self.posted();
+                let postings = keys
+                    .iter()
+                    .map(|key| table.index_postings(column, kind, key));
+                Some(postings.map(|list| list.len()).sum())
             }
             AccessPath::IndexRange { column, low, high } => {
                 let (low, high) = Self::bounds(low, high);
@@ -248,17 +291,17 @@ impl AccessPath {
     }
 
     /// The versions the path leads to that `snapshot` sees (none for the
-    /// scan), whatever the snapshot.
-    pub(crate) fn visible_rows<'t>(
+    /// scan), whatever the snapshot — each once, in no order.
+    pub fn visible_rows<'t>(
         &'t self,
         table: &'t Table,
         snapshot: Snapshot,
     ) -> impl Iterator<Item = (RowId, &'t Tuple)> + 't {
-        let (by_key, column, by_index) = match self {
-            AccessPath::PrimaryKey(keys) => (&keys[..], 0, &[][..]),
-            AccessPath::Index { column, keys } => (&[][..], *column, &keys[..]),
-            AccessPath::IndexRange { .. } | AccessPath::Scan => (&[][..], 0, &[][..]),
+        let by_key = match self {
+            AccessPath::PrimaryKey(keys) => &keys[..],
+            _ => &[][..],
         };
+        let (column, kind, by_index) = self.posted();
         let ranged = match self {
             AccessPath::IndexRange { column, low, high } => {
                 let (low, high) = Self::bounds(low, high);
@@ -271,8 +314,8 @@ impl AccessPath {
             .filter_map(move |key| table.lookup_pk(key, snapshot));
         let posted = by_index
             .iter()
-            .flat_map(move |key| table.index_postings(column, key))
-            .filter_map(move |&rid| table.read(rid, snapshot).map(|row| (rid, row)));
+            .flat_map(move |key| table.index_postings(column, kind, key))
+            .filter_map(move |rid| table.read(rid, snapshot).map(|row| (rid, row)));
         keyed.chain(posted).chain(ranged)
     }
 
@@ -285,10 +328,12 @@ impl AccessPath {
                 .iter()
                 .filter_map(|key| table.lookup_pk_live(key))
                 .collect(),
-            AccessPath::Index { column, keys } => keys
-                .iter()
-                .flat_map(|key| table.index_lookup_live(*column, key))
-                .collect(),
+            AccessPath::Index { .. } | AccessPath::IndexGrams { .. } => {
+                let (column, kind, keys) = self.posted();
+                let live = keys.iter();
+                live.flat_map(|key| table.index_lookup_live(column, kind, key))
+                    .collect()
+            }
             AccessPath::IndexRange { column, low, high } => {
                 let (low, high) = Self::bounds(low, high);
                 let mut rows = table.index_range_versions(*column, low, high);
@@ -463,7 +508,7 @@ mod tests {
             Column::new("LOGIN", DataType::Date),
         ]);
         let mut table = Table::new("T", schema, vec![0]);
-        table.create_index("T_CART", 1).unwrap();
+        table.create_index("T_CART", 1, IndexKind::Values).unwrap();
         for id in 0..ROWS {
             let row = tuple![id, id / 4, 1i64, Value::Date(15_000)];
             table.insert(row, Timestamp(0)).unwrap();
@@ -588,7 +633,7 @@ mod tests {
             Column::new("NOTE", DataType::Text),
         ]);
         let mut table = Table::new("T", schema, vec![0]);
-        table.create_index("T_NAME", 1).unwrap();
+        table.create_index("T_NAME", 1, IndexKind::Values).unwrap();
         let names = ["ab", "abc", "ab\u{10ffff}c", "ac", "b"];
         for (id, name) in names.iter().enumerate() {
             let row = tuple![id as i64, *name, *name];
@@ -628,6 +673,91 @@ mod tests {
         ] {
             assert_eq!(path(scanned.clone()), AccessPath::Scan, "{scanned}");
         }
+    }
+
+    /// A pattern's literal segments — what lies between `%` and `_` — name
+    /// the grams a matching value holds; the path is the posting list of the
+    /// rarest, on a column indexed by gram, behind a prefix's range when the
+    /// column is indexed by value as well.
+    #[test]
+    fn an_infix_is_the_rarest_gram_of_the_pattern() {
+        let schema = Schema::new(vec![
+            Column::new("ID", DataType::Int),
+            Column::nullable("TITLE", DataType::Text),
+            Column::new("NOTE", DataType::Text),
+        ]);
+        let mut table = Table::new("T", schema, vec![0]);
+        table.create_index("T_TITLE", 1, IndexKind::Grams).unwrap();
+        assert!(table.create_index("T_ID", 0, IndexKind::Grams).is_err());
+        let titles = ["BOOK 1", "BOOK 12", "BOOK 123", "a\u{20ac}b", "abcabc", ""];
+        for (id, title) in titles.iter().enumerate() {
+            let row = tuple![id as i64, *title, *title];
+            table.insert(row, Timestamp(0)).unwrap();
+        }
+        table
+            .insert(tuple![9i64, Value::Null, "BOOK 9"], Timestamp(0))
+            .unwrap();
+        // One entry per distinct gram of each version: 4 + 5 + 6 + 3 + 3.
+        let entries: Vec<_> = table.index_entry_counts().collect();
+        assert_eq!(entries, [("T_TITLE", 21)]);
+        let like = |column: usize, pattern: &str| Expr::col(column).like(Expr::lit(pattern));
+        let path = |predicate: Expr| AccessPath::choose(&table, &predicate);
+        let found = |pattern: &str| {
+            let path = path(like(1, pattern));
+            (
+                path.describe(&table),
+                path.fetch_cost(&table),
+                path.candidates(&table),
+            )
+        };
+        let grams = || "index(T_TITLE) grams".to_string();
+        // `BOO` is in three titles, `K 1` too, `123` in one.
+        assert_eq!(found("%BOOK 123%"), (grams(), Some(1), vec![RowId(2)]));
+        assert_eq!(found("%OOK 1%").1, Some(3));
+        // Two segments, a `_` between two, a prefix, no wildcard at all.
+        assert_eq!(found("%BOOK%123").1, Some(1));
+        assert_eq!(found("%OOK_123%"), (grams(), Some(1), vec![RowId(2)]));
+        assert_eq!(found("BOOK 12%").1, Some(2));
+        assert_eq!(found("abcabc").1, Some(1));
+        // Bytes, not characters: `a€b` is five bytes, three grams.
+        assert_eq!(found("%a\u{20ac}%").1, Some(1));
+        assert_eq!(found("%\u{20ac}%"), (grams(), Some(1), vec![RowId(3)]));
+        // A gram no title holds: nothing to fetch.
+        assert_eq!(found("%BOOK 7%"), (grams(), Some(0), vec![]));
+        // No segment of three bytes, a negation, a column without the
+        // index, a disjunct: the scan.
+        let negated = Expr::Like {
+            expr: Box::new(Expr::col(1)),
+            pattern: Box::new(Expr::lit("%BOOK 123%")),
+            negated: true,
+        };
+        for scanned in [
+            like(1, "%OK%"),
+            like(1, "%B_O_K%1_"),
+            like(1, ""),
+            negated,
+            like(2, "%BOOK 123%"),
+            like(1, "%BOOK 1%").or(like(1, "%abc%")),
+        ] {
+            assert_eq!(path(scanned.clone()), AccessPath::Scan, "{scanned}");
+        }
+        // Beside other conjuncts the rarest gram of any pattern is taken;
+        // an equality with an index behind it comes first.
+        let both = like(1, "%BOOK%").and(like(1, "%12%")).and(like(1, "%123"));
+        assert_eq!(path(both).fetch_cost(&table), Some(1));
+        let keyed = like(1, "%BOOK 123%").and(Expr::col(0).eq(Expr::lit(1i64)));
+        assert_eq!(path(keyed).describe(&table), "pk(ID)");
+        // Indexed by value as well, a prefix is a range and an infix a gram.
+        table
+            .create_index("T_TITLES", 1, IndexKind::Values)
+            .unwrap();
+        let path = |predicate: Expr| AccessPath::choose(&table, &predicate).describe(&table);
+        assert_eq!(path(like(1, "BOOK 12%")), "index(T_TITLES) range");
+        assert_eq!(path(like(1, "%OOK 12%")), "index(T_TITLE) grams");
+        assert_eq!(
+            path(Expr::col(1).eq(Expr::lit("abcabc"))),
+            "index(T_TITLES)"
+        );
     }
 
     #[test]
@@ -695,8 +825,18 @@ mod tests {
 
     /// Few strings, so that keys collide: some a prefix of others, some
     /// ending where a prefix's successor is hard — a two-byte character, the
-    /// last character there is, and that one with a character behind it.
-    const TEXTS: [&str; 5] = ["a", "b", "ab", "a\u{ff}", "a\u{10ffff}b"];
+    /// last character there is, and that one with a character behind it —
+    /// and some long enough to hold a gram, or one twice.
+    const TEXTS: [&str; 8] = [
+        "a",
+        "b",
+        "ab",
+        "a\u{ff}",
+        "a\u{10ffff}b",
+        "abc",
+        "xabcabx",
+        "ab cab",
+    ];
 
     /// A value of any kind from a small domain, so that keys collide.
     fn any_value(rng: &mut TestRng) -> Value {
@@ -707,15 +847,19 @@ mod tests {
             2 => Value::Float(n as f64),
             3 => Value::Float(n as f64 + 0.5),
             4 => Value::Date(n),
-            5 => Value::text(TEXTS[n as usize]),
+            5 => Value::text(TEXTS[pick(rng, TEXTS.len())]),
             _ => Value::Bool(n % 2 == 0),
         }
     }
 
-    /// `C2 LIKE pattern` on the text column: a prefix (a range of its index,
-    /// when it has one), or a pattern that is none and takes the scan.
+    /// `C2 LIKE pattern` on the text column: a prefix (a range of its value
+    /// index, when it has one), a pattern with a gram in it (a posting list
+    /// of its gram index, when it has one) — an infix, two segments, a `_`
+    /// between them, one gram and no wildcard, a character of several bytes
+    /// — or a pattern with neither, which takes the scan; negated at times,
+    /// which takes it too.
     fn like(rng: &mut TestRng) -> Expr {
-        const PATTERNS: [&str; 8] = [
+        const PATTERNS: [&str; 18] = [
             "a%",
             "ab%",
             "a\u{ff}%",
@@ -724,8 +868,22 @@ mod tests {
             "%",
             "a_%",
             "%b",
+            "%abc%",
+            "abc",
+            "%ab%cab",
+            "%ab_cab%",
+            "%a_c%",
+            "%a\u{ff}",
+            "%\u{10ffff}b",
+            "%a\u{10ffff}b%",
+            "%bca%",
+            "",
         ];
-        Expr::col(2).like(Expr::lit(PATTERNS[pick(rng, PATTERNS.len())]))
+        Expr::Like {
+            expr: Box::new(Expr::col(2)),
+            pattern: Box::new(Expr::lit(PATTERNS[pick(rng, PATTERNS.len())])),
+            negated: pick(rng, 10) == 0,
+        }
     }
 
     /// A value the column admits — not always one of its own type: Int,
@@ -808,11 +966,13 @@ mod tests {
     }
 
     /// A random table definition (no / single / composite key, 0–2 secondary
-    /// indexes) and a sequence of batches of random operations.
+    /// indexes by value, the text column indexed by gram or not) and a
+    /// sequence of batches of random operations.
     #[derive(Debug)]
     struct Case {
         primary_key: Vec<usize>,
         indexed: Vec<usize>,
+        grams: bool,
         batches: Vec<Vec<UpdateOp>>,
     }
 
@@ -825,12 +985,14 @@ mod tests {
             let mut indexed: Vec<usize> =
                 (0..pick(rng, 3)).map(|_| pick(rng, TYPES.len())).collect();
             indexed.dedup();
+            let grams = pick(rng, 2) == 0;
             let batches = (0..1 + pick(rng, 6))
                 .map(|_| (0..1 + pick(rng, 8)).map(|_| random_op(rng)).collect())
                 .collect();
             Case {
                 primary_key,
                 indexed,
+                grams,
                 batches,
             }
         }
@@ -851,7 +1013,12 @@ mod tests {
                 self.primary_key.clone(),
             );
             for &column in &self.indexed {
-                table.create_index(format!("T_C{column}"), column).unwrap();
+                table
+                    .create_index(format!("T_C{column}"), column, IndexKind::Values)
+                    .unwrap();
+            }
+            if self.grams {
+                table.create_index("T_GRAMS", 2, IndexKind::Grams).unwrap();
             }
             table
         }
@@ -920,7 +1087,13 @@ mod tests {
                 catalog.create_table(def.primary_key(&key)).unwrap();
                 for &column in &case.indexed {
                     let (name, table, column) = (format!("T_C{column}"), "T".into(), format!("C{column}"));
-                    catalog.create_index(IndexDef { name, table, column }).unwrap();
+                    let kind = IndexKind::Values;
+                    catalog.create_index(IndexDef { name, table, column, kind }).unwrap();
+                }
+                if case.grams {
+                    let (name, table, column) = ("T_GRAMS".into(), "T".into(), "C2".into());
+                    let kind = IndexKind::Grams;
+                    catalog.create_index(IndexDef { name, table, column, kind }).unwrap();
                 }
                 catalog.recover(&dir).unwrap();
                 catalog

@@ -780,8 +780,8 @@ fn decode_value(s: &str) -> Result<(Value, &str)> {
             if rest.len() < start + len || !rest.is_char_boundary(start + len) {
                 return Err(bad());
             }
-            let text = rest[start..start + len].to_string();
-            Ok((Value::Text(text), &rest[start + len..]))
+            let text = &rest[start..start + len];
+            Ok((Value::text(text), &rest[start + len..]))
         }
         _ => Err(bad()),
     }
@@ -965,7 +965,7 @@ fn decode_expr(s: &str) -> Result<(Expr, &str)> {
                 Some('T') => {
                     let (v, r) = decode_value(rest)?;
                     match v {
-                        Value::Text(q) => (Some(q), r),
+                        Value::Text(q) => (Some(q.to_string()), r),
                         _ => return Err(bad()),
                     }
                 }
@@ -974,7 +974,7 @@ fn decode_expr(s: &str) -> Result<(Expr, &str)> {
             let r = r.strip_prefix(';').ok_or_else(bad)?;
             let (v, r) = decode_value(r)?;
             let name = match v {
-                Value::Text(n) => n,
+                Value::Text(n) => n.to_string(),
                 _ => return Err(bad()),
             };
             let r = r.strip_prefix(';').ok_or_else(bad)?;

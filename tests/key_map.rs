@@ -10,6 +10,11 @@
 //! query-at-a-time engine that only *scans* returns at the same snapshot, on
 //! one scan segment and on four.
 //!
+//! The gram index is held to the same: TPC-W's title search, an infix `LIKE`
+//! served from `ITEM_TITLE`, pinned before and after a title is changed,
+//! kept, deleted and written again under a writer that keeps retitling the
+//! rest of the catalog.
+//!
 //! `SubmitOptions::pinned_snapshot` pins a statement's storage reads — its
 //! scans and probes. The look-ups of an `IndexNlJoin` read the snapshot of
 //! the batch they run in, so the join is pinned where that snapshot is
@@ -105,18 +110,28 @@ fn engine(catalog: &Arc<Catalog>, segments: usize) -> Engine {
     Engine::start(Arc::clone(catalog), plan, registry, config).unwrap()
 }
 
+/// A plan that walks every visible version of `table` and keeps those
+/// `predicate` admits: a scan with a predicate of its own is read through an
+/// index when the predicate names one, a filter above a bare scan never is.
+fn walk_where(table: &str, predicate: Expr) -> QueryPlan {
+    QueryPlan::Filter {
+        input: Box::new(QueryPlan::scan(table)),
+        predicate,
+    }
+}
+
 /// The same three statements for the query-at-a-time engine, with no index
 /// and no key map anywhere: scans, a filter and a hash join.
 fn reference(catalog: &Arc<Catalog>) -> ClassicEngine {
     let classic = ClassicEngine::start(Arc::clone(catalog), EngineProfile::Tuned, 1);
     let by_key = |column: usize| Expr::col(column).eq(Expr::param(0));
-    let items_by_key = QueryPlan::scan_where("ITEMS", by_key(0));
+    let items_by_key = walk_where("ITEMS", by_key(0));
     classic.register("probed", BaselineStatement::Query(items_by_key.clone()));
     classic.register("scanned", BaselineStatement::Query(items_by_key));
     classic.register(
         "joined",
         BaselineStatement::Query(QueryPlan::HashJoin {
-            build: Box::new(QueryPlan::scan_where("REFS", by_key(1))),
+            build: Box::new(walk_where("REFS", by_key(1))),
             probe: Box::new(QueryPlan::scan("ITEMS")),
             build_key: 2,
             probe_key: 0,
@@ -298,5 +313,140 @@ fn pinned_key_lookups_equal_the_scanning_engine_on_one_and_four_segments() {
         let items = scans.iter().find(|s| s.table == "ITEMS").unwrap();
         assert_eq!(items.cycles[0], 0, "{segments} segment(s): {items:?}");
         assert!(items.cycles[1] > 0);
+    }
+}
+
+/// `doTitleSearch` of the TPC-W plan — an infix `LIKE` on `ITEM.I_TITLE`, a
+/// look-up of each item's author, the first page by title — pinned before
+/// and after titles change, against a query-at-a-time engine that walks ITEM
+/// and AUTHOR whole: the same page at every pin, on one scan segment and on
+/// four, and no ITEM cycle was a pass.
+#[test]
+fn pinned_title_searches_equal_the_scanning_engine_on_one_and_four_segments() {
+    use shareddb::common::SortKey;
+    use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, PAGE_SIZE};
+    const TITLE: usize = 1;
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::with_items(400)).unwrap());
+    let classic = ClassicEngine::start(Arc::clone(&catalog), EngineProfile::Tuned, 1);
+    let titled = walk_where("ITEM", Expr::col(TITLE).like(Expr::param(0)));
+    let with_author = QueryPlan::HashJoin {
+        build: Box::new(titled),
+        probe: Box::new(QueryPlan::scan("AUTHOR")),
+        build_key: 2,
+        probe_key: 0,
+    };
+    let first_page = with_author
+        .sorted(vec![SortKey::asc(TITLE)])
+        .limited(PAGE_SIZE);
+    classic.register("doTitleSearch", BaselineStatement::Query(first_page));
+    let engines: Vec<(usize, Engine)> = [1, 4]
+        .into_iter()
+        .map(|segments| {
+            let (plan, registry) = build_shared_plan(&catalog).unwrap();
+            let config = EngineConfig::default().scan_segments(segments);
+            let engine = Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap();
+            (segments, engine)
+        })
+        .collect();
+
+    let retitle = |id: i64, title: String| UpdateOp::Update {
+        assignments: vec![(TITLE, Expr::lit(title))],
+        predicate: item_is(id),
+    };
+    // The writer: the upper half of the catalog is retitled round and round,
+    // into the searched patterns and out of them; every title stays its own.
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (stop, catalog) = (Arc::clone(&stop), Arc::clone(&catalog));
+        std::thread::spawn(move || {
+            let mut writes = 0i64;
+            while !stop.load(Ordering::Relaxed) {
+                let id = 200 + writes % 200;
+                let title = match writes / 200 % 2 {
+                    0 => format!("YET ANOTHER BOOK 12 {id} {writes}"),
+                    _ => format!("VOLUME {id} PRINTING {writes}"),
+                };
+                catalog.apply("ITEM", retitle(id, title)).unwrap();
+                writes += 1;
+            }
+            writes
+        })
+    };
+
+    // Item 120 leaves `%BOOK 12%`, item 7 enters it, item 12 keeps its title
+    // under a new price (`adminUpdateItem`), item 121 is deleted and written
+    // again under another title; a snapshot is pinned around every write.
+    let item_121 = {
+        let item = catalog.table("ITEM").unwrap();
+        let item = item.read();
+        let (_, row) = item
+            .lookup_pk(&[Value::Int(121)], catalog.snapshot())
+            .unwrap();
+        row.values().to_vec()
+    };
+    let mut rewritten = item_121.clone();
+    rewritten[TITLE] = Value::text("BACK IN PRINT: BOOK 121");
+    let writes = vec![
+        retitle(120, "VOLUME ONE HUNDRED AND TWENTY".into()),
+        retitle(7, "SEQUEL TO BOOK 12".into()),
+        UpdateOp::Update {
+            assignments: vec![(4, Expr::lit(9.5f64))],
+            predicate: item_is(12),
+        },
+        UpdateOp::Delete {
+            predicate: item_is(121),
+        },
+        UpdateOp::Insert {
+            values: Tuple::new(rewritten),
+        },
+    ];
+    let mut pins: Vec<Snapshot> = vec![catalog.snapshot()];
+    for op in writes {
+        assert_eq!(catalog.apply("ITEM", op).unwrap().rows_affected, 1);
+        pins.push(catalog.snapshot());
+    }
+
+    let patterns = [
+        "%BOOK 12%",
+        "%OF BOOK 7",
+        "%SEQUEL%BOOK%",
+        "%TITLE 2_ OF%BOOK 12_",
+        "%IN PRINT%",
+        "VOLUME %",
+        "%no such title%",
+    ];
+    let mut pages = std::collections::HashSet::new();
+    for (pin, snapshot) in pins.iter().enumerate() {
+        for pattern in patterns {
+            let params = [Value::text(pattern)];
+            let want = classic
+                .execute_at("doTitleSearch", &params, *snapshot)
+                .unwrap();
+            for (segments, engine) in &engines {
+                let pinned = SubmitOptions {
+                    pinned_snapshot: Some(*snapshot),
+                    ..SubmitOptions::default()
+                };
+                let got = engine.submit("doTitleSearch", &params, pinned).unwrap();
+                let got = got.wait().unwrap().rows().to_vec();
+                assert_eq!(got, want, "{pattern} at pin {pin}, {segments} segment(s)");
+            }
+            if pattern == "%BOOK 12%" {
+                let titles: Vec<String> = want.iter().map(|row| row[TITLE].to_string()).collect();
+                pages.insert(titles);
+            }
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    assert!(writer.join().unwrap() > 0);
+    // The pins do see different pages: an item left, one came, one came back.
+    assert!(pages.len() >= 4, "{pages:?}");
+    // Every ITEM cycle was served from ITEM_TITLE; none walked the table.
+    for (segments, engine) in &engines {
+        let scans = engine.scan_row_stats();
+        let items = scans.iter().find(|s| s.table == "ITEM").unwrap();
+        assert_eq!(items.cycles[0], 0, "{segments} segment(s): {items:?}");
+        assert!(items.cycles[1] as usize >= pins.len() * patterns.len());
     }
 }

@@ -809,6 +809,16 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
         let an_art = arts.next().unwrap().1[0].clone();
         (1 + arts.count() as u64, an_art)
     };
+    // The titles ITEM_TITLE files under the gram `K 1` ("… OF BOOK 1…").
+    let first_ones = {
+        let item = catalog.table("ITEM").unwrap();
+        let item = item.read();
+        let titled = |(_, row): &(_, &shareddb::common::Tuple)| {
+            row[1].as_text().is_ok_and(|title| title.contains("K 1"))
+        };
+        item.scan_live().filter(titled).count() as u64
+    };
+    assert!(0 < first_ones && first_ones < items / 4);
     // ORDER_LINE is appended in OL_O_ID order: what each chunk holds of it.
     let line_table = catalog.table("ORDER_LINE").unwrap();
     let order_zones = || -> Vec<Zone> {
@@ -906,8 +916,10 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     let metrics = server.metrics_text();
     for (table, rows, classes, cycles) in [
         // A lone `I_SUBJECT = ?` is served from ITEM_SUBJECT — what is
-        // examined is the subject's posting list — and a LIKE by a pass.
-        ("ITEM", [5 * arts + items, 5 * arts, 0], [5, 0, 1], [1, 5]),
+        // examined is the subject's posting list — and an infix LIKE from
+        // ITEM_TITLE: the shortest posting list among the pattern's grams,
+        // here one no title holds.
+        ("ITEM", [5 * arts, 5 * arts, 0], [5, 0, 1], [0, 6]),
         // Every order is at or above 0: no chunk is left out.
         ("ORDER_LINE", [2 * lines, 2 * lines, 0], [0, 2, 0], [2, 0]),
     ] {
@@ -967,15 +979,16 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     assert_eq!([examined, skipped], [3 * lines - old, old]);
     assert!(emitted < 2 * lines + (lines - old));
 
-    // A title search (LIKE) in the cycle of a best-sellers query: the ITEM
-    // cycle they share is a pass again — one query without an indexed
-    // equality needs it anyway — that leaves nothing out; the ORDER_LINE
-    // scan still does. The heartbeat makes sharing a batch all but certain,
-    // the batch counter makes it known; a round that did not share is run
-    // again.
-    // (Cycles so far: one pass over ITEM and six served from ITEM_SUBJECT,
-    // three passes over ORDER_LINE, of which the first two left nothing out.)
-    let (mut item_passes, mut item_probes, mut line_passes) = (1, 6, 3);
+    // A title search (an infix LIKE) in the cycle of a best-sellers query:
+    // the ITEM cycle they share is served from the indexes still — the
+    // subject's posting list and that of the pattern's rarest gram, `K 1`,
+    // are what is examined — and the ORDER_LINE scan leaves out what it left
+    // out before. The heartbeat makes sharing a batch all but certain, the
+    // batch counter makes it known; a round that did not share is run again.
+    // (Cycles so far: none a pass over ITEM, seven served from its indexes —
+    // six of them a subject's posting list — and three passes over
+    // ORDER_LINE, of which the first two left nothing out.)
+    let (mut item_probes, mut item_fetched, mut line_passes) = (7, 6 * arts, 3);
     let title = [Value::text("%BOOK 1%")];
     let shared = (0..5).any(|_| {
         let batches = server.engine_stats().unwrap().batches;
@@ -988,20 +1001,29 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
         assert!(!found.rows().is_empty());
         same_as_classic("doTitleSearch", &title, found.rows());
         let batches = server.engine_stats().unwrap().batches - batches;
-        // Apart, the best sellers are served from the index once more.
-        item_passes += 1;
-        item_probes += batches - 1;
+        // Apart, each is served from its own index.
+        item_probes += batches;
+        item_fetched += arts + first_ones;
         line_passes += 1;
         batches == 1
     });
     assert!(shared, "the two statements never shared a batch");
     let metrics = server.metrics_text();
-    assert_eq!(scan_cycles(&metrics, "ITEM"), [item_passes, item_probes]);
+    assert_eq!(scan_cycles(&metrics, "ITEM"), [0, item_probes]);
     let [examined, _, skipped] = scan_rows(&metrics, "ITEM");
-    assert_eq!(
-        [examined, skipped],
-        [item_passes * items + item_probes * arts, 0]
-    );
+    assert_eq!([examined, skipped], [item_fetched, 0]);
+    // A pattern whose every gram is in every title names the whole table:
+    // the pass costs no more, and no gram at all leaves nothing else.
+    for (pattern, found) in [("%OF BOOK%", 50), ("%_K_1_", 10)] {
+        let everywhere = [Value::text(pattern)];
+        let rows = run(&mut conn, "doTitleSearch", &everywhere);
+        assert_eq!(rows.len(), found, "{pattern}");
+        same_as_classic("doTitleSearch", &everywhere, &rows);
+        item_fetched += items;
+    }
+    let metrics = server.metrics_text();
+    assert_eq!(scan_cycles(&metrics, "ITEM"), [2, item_probes]);
+    assert_eq!(scan_rows(&metrics, "ITEM")[0], item_fetched);
     let [examined, _, skipped] = scan_rows(&metrics, "ORDER_LINE");
     let skipping_passes = line_passes - 2;
     assert_eq!(skipped, skipping_passes * old);
@@ -1038,7 +1060,10 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
             "doSubjectSearch",
             &["eq(I_SUBJECT) · index(ITEM_SUBJECT) when the cycle allows"][..],
         ),
-        ("doTitleSearch", &["residual · scan"][..]),
+        (
+            "doTitleSearch",
+            &["residual · index(ITEM_TITLE) grams when the cycle allows"][..],
+        ),
         (
             "doAuthorSearch",
             &["residual · index(AUTHOR_LNAME) range for a prefix pattern when the cycle allows"][..],
@@ -1064,8 +1089,9 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
 }
 
 /// The footprint as a scrape: a table's versions move by exactly the writes
-/// applied, every B-tree holds an entry per version of its table, and no
-/// B-tree repeats a primary key — the key map is its only index.
+/// applied, every B-tree over a column's values holds an entry per version
+/// of its table, the gram index one per distinct gram of each, and no B-tree
+/// repeats a primary key — the key map is its only index.
 #[test]
 fn table_versions_and_index_entries_on_tpcw() {
     use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
@@ -1105,7 +1131,7 @@ fn table_versions_and_index_entries_on_tpcw() {
         .lines()
         .filter(|l| l.starts_with("shareddb_table_index_entries{"))
         .collect();
-    assert_eq!(index_series.len(), 8, "{index_series:?}");
+    assert_eq!(index_series.len(), 9, "{index_series:?}");
     assert!(index_series.iter().all(|series| !series.contains("_PK")));
     for table in catalog.table_names() {
         let held = catalog.table(&table).unwrap().read().version_count() as u64;
@@ -1113,6 +1139,18 @@ fn table_versions_and_index_entries_on_tpcw() {
     }
     assert_eq!(versions(&fresh, "ITEM"), 1_000);
     assert_eq!(entries(&fresh, "ITEM", "ITEM_SUBJECT"), 1_000);
+    // ITEM_TITLE holds an entry per distinct gram of each version's title.
+    let grams_of = |items: &mut dyn Iterator<Item = i64>| -> u64 {
+        let distinct = |id: i64| {
+            let title = shareddb::tpcw::schema::item_title(id);
+            let grams: std::collections::BTreeSet<&[u8]> = title.as_bytes().windows(3).collect();
+            grams.len() as u64
+        };
+        items.map(distinct).sum()
+    };
+    let titles = grams_of(&mut (0..1_000));
+    assert!(titles > 15 * 1_000);
+    assert_eq!(entries(&fresh, "ITEM", "ITEM_TITLE"), titles);
 
     let mut conn = Connection::connect(server.local_addr()).unwrap();
     let mut run = |statement: &str, params: &[Value]| {
@@ -1134,6 +1172,9 @@ fn table_versions_and_index_entries_on_tpcw() {
     assert_eq!(versions(&written, "ITEM"), 1_007);
     assert_eq!(entries(&written, "ITEM", "ITEM_SUBJECT"), 1_007);
     assert_eq!(entries(&written, "ITEM", "ITEM_AUTHOR"), 1_007);
+    // A version that keeps its title is posted under every gram of it again.
+    let rewritten = grams_of(&mut (0..7).map(|i| i * 3));
+    assert_eq!(entries(&written, "ITEM", "ITEM_TITLE"), titles + rewritten);
     assert_eq!(versions(&written, "SHOPPING_CART_LINE"), lines + 3);
     assert_eq!(
         entries(&written, "SHOPPING_CART_LINE", "SCL_CART"),
@@ -1378,42 +1419,41 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
     let response = http_exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
     let body = response.split_once("\r\n\r\n").unwrap().1;
 
-    // (i) + (ii): one `# TYPE` line per family, ahead of its samples, which
-    // stand in one group. A summary's `_sum`, `_count` and `_max` lines
-    // belong to the summary.
+    // (i) + (ii): one `# TYPE` line per family, and every sample line belongs
+    // to the family declared above it — so a family's samples stand in one
+    // group, behind its declaration. A summary's `_sum` and `_count` lines
+    // belong to the summary, and nothing else does.
     let mut kinds: HashMap<&str, &str> = HashMap::new();
-    let mut closed: BTreeSet<&str> = BTreeSet::new();
-    let mut open = "";
+    let mut declared = "";
     let mut shape: BTreeSet<String> = BTreeSet::new();
     let mut samples: HashMap<&str, u64> = HashMap::new();
     for line in body.lines() {
-        if let Some(declared) = line.strip_prefix("# TYPE ") {
-            let (family, kind) = declared.split_once(' ').unwrap();
+        if let Some(declaration) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = declaration.split_once(' ').unwrap();
             assert!(
                 kinds.insert(family, kind).is_none(),
                 "{family} declared twice"
             );
+            declared = family;
             continue;
         }
         let (series, value) = line.rsplit_once(' ').unwrap();
         let (name, keys) = series_of(series);
-        let companion = ["_sum", "_count", "_max"].iter().find_map(|suffix| {
-            let family = name.strip_suffix(suffix)?;
-            (kinds.get(family) == Some(&"summary")).then_some(family)
-        });
-        let family = companion.unwrap_or(name);
-        assert!(kinds.contains_key(family), "no # TYPE line before {line}");
-        if family != open {
-            assert!(!closed.contains(family), "{family} continues at {line}");
-            closed.insert(open);
-            open = family;
-        }
+        let of_summary = kinds[declared] == "summary";
+        let family = ["_sum", "_count"]
+            .iter()
+            .find_map(|suffix| name.strip_suffix(suffix).filter(|_| of_summary))
+            .unwrap_or(name);
+        assert_eq!(family, declared, "{line} stands under # TYPE {declared}");
         let shaped = format!("{family} {}", keys.join(","));
         shape.insert(shaped.trim_end().to_string());
         if let Ok(value) = value.parse() {
             samples.insert(series, value);
         }
     }
+    // The largest value a summary has seen is a gauge of its own.
+    assert_eq!(kinds["shareddb_phase_latency_us"], "summary");
+    assert_eq!(kinds["shareddb_phase_latency_us_max"], "gauge");
 
     // (iii): the families and their label keys are the checked-in list.
     let listed: Vec<&str> = include_str!("metrics_families.txt").lines().collect();

@@ -14,12 +14,10 @@ use shareddb::common::{QTuple, QueryId, QuerySet, SortKey, Tuple, Value};
 use shareddb::core::batch::Activation;
 use shareddb::core::operators::{execute_operator, ExecContext};
 use shareddb::core::plan::{AggregateSpec, OperatorSpec};
-use shareddb::storage::table::RowId;
-use shareddb::storage::{BTreeIndex, Catalog};
+use shareddb::storage::Catalog;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-use std::ops::Bound;
 
 // ---------------------------------------------------------------------------
 // QuerySet laws
@@ -311,55 +309,80 @@ proptest! {
 /// What the arena stores per version and the operators move per tuple.
 #[test]
 fn tuples_and_query_sets_stay_small() {
+    assert_eq!(std::mem::size_of::<Value>(), 24);
     assert_eq!(std::mem::size_of::<Tuple>(), 16);
     assert!(std::mem::size_of::<QuerySet>() <= 24);
     assert!(std::mem::size_of::<QTuple>() <= 40);
 }
 
 // ---------------------------------------------------------------------------
-// B+-tree vs model
+// Text == String
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn btree_matches_model(ops in proptest::collection::vec((0i64..500, 0u64..50, any::<bool>()), 1..400),
-                           lo in 0i64..500, len in 0i64..100) {
-        let mut tree = BTreeIndex::new();
-        let mut model: BTreeMap<i64, BTreeSet<u64>> = BTreeMap::new();
-        for (key, row, insert) in ops {
-            if insert {
-                tree.insert(Value::Int(key), RowId(row));
-                model.entry(key).or_default().insert(row);
-            } else {
-                tree.remove(&Value::Int(key), RowId(row));
-                if let Some(set) = model.get_mut(&key) {
-                    set.remove(&row);
-                    if set.is_empty() {
-                        model.remove(&key);
-                    }
-                }
+/// Strings of 0 to 40 bytes, most near the 22 a `Text` holds in place, of
+/// characters one to four bytes long.
+struct Strings;
+
+impl Strategy for Strings {
+    type Value = String;
+    fn generate(&self, rng: &mut TestRng) -> String {
+        const CHARS: [char; 8] = ['a', 'B', ' ', '\'', '\u{e9}', '\u{20ac}', '\u{1f600}', '%'];
+        let bytes = match (0..3usize).generate(rng) {
+            0 => (0..41usize).generate(rng),
+            _ => (19..26usize).generate(rng),
+        };
+        let mut text = String::new();
+        loop {
+            let next = CHARS[(0..CHARS.len()).generate(rng)];
+            if text.len() + next.len_utf8() > bytes {
+                return text;
             }
+            text.push(next);
         }
-        tree.check_invariants().unwrap();
-        // Point lookups.
-        for (key, rows) in &model {
-            let got: BTreeSet<u64> = tree.get(&Value::Int(*key)).iter().map(|r| r.0).collect();
-            prop_assert_eq!(&got, rows);
-        }
-        prop_assert_eq!(tree.entry_count(), model.values().map(|s| s.len()).sum::<usize>());
-        // Range scan.
-        let hi = lo + len;
-        let got: Vec<i64> = tree
-            .range(Bound::Included(&Value::Int(lo)), Bound::Excluded(&Value::Int(hi)))
-            .into_iter()
-            .map(|(k, _)| k.as_int().unwrap())
-            .collect();
-        let expect: Vec<i64> = model
-            .range(lo..hi)
-            .flat_map(|(k, rows)| std::iter::repeat_n(*k, rows.len()))
-            .collect();
-        prop_assert_eq!(got, expect);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A `Text` is the string it was built from: it derefs to it, compares,
+    /// orders, hashes and prints as it does, lies in the value up to 22
+    /// bytes and in an allocation of its own length beyond, and comes back
+    /// from the WAL and from the wire as it went.
+    #[test]
+    fn text_is_the_string_it_was_built_from(a in Strings, b in Strings) {
+        use shareddb::common::Text;
+        use shareddb::server::protocol::Frame;
+        use shareddb::storage::wal::{decode_record, encode_frame, encode_record, scan_frames, LogRecord};
+        use shareddb::storage::UpdateOp;
+
+        let (ta, tb) = (Text::from(a.as_str()), Text::from(b.clone()));
+        prop_assert_eq!(&*ta, a.as_str());
+        prop_assert_eq!(ta.as_str(), a.as_str());
+        prop_assert_eq!(ta.len(), a.len());
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(ta.cmp(&tb), a.cmp(&b));
+        prop_assert_eq!(hash_of(&ta), hash_of(&a));
+        prop_assert_eq!(ta.to_string(), a.clone());
+        prop_assert_eq!(format!("{ta:?}"), format!("{a:?}"));
+        prop_assert_eq!(format!("{ta:>30}|"), format!("{a:>30}|"));
+        prop_assert!(ta.clone() == ta);
+        let (va, vb) = (Value::text(a.as_str()), Value::from(b.clone()));
+        prop_assert_eq!(va.cmp(&vb), a.cmp(&b));
+        prop_assert_eq!(va.sql_cmp(&vb), Some(a.cmp(&b)));
+        prop_assert_eq!(va.as_text().unwrap(), a.as_str());
+        prop_assert_eq!(va.to_string(), format!("'{a}'"));
+        prop_assert_eq!(va.heap_size(), if a.len() <= 22 { 0 } else { a.len() });
+        // The WAL, as text and framed, and the wire.
+        let op = UpdateOp::Insert { values: Tuple::new(vec![va.clone(), Value::Int(1), vb.clone()]) };
+        let record = LogRecord::Apply { table: "T".into(), op };
+        prop_assert_eq!(&decode_record(&encode_record(&record)).unwrap(), &record);
+        let scanned = scan_frames(&encode_frame(7, &record)).into_records();
+        prop_assert_eq!(scanned, vec![record]);
+        let frame = Frame::ExecutePrepared { request_id: 1, statement_id: 2, params: vec![va, vb] };
+        let body = frame.encode();
+        // A frame is its length, then its body.
+        prop_assert_eq!(Frame::decode(&body[4..]).unwrap(), frame);
     }
 }
 
@@ -547,7 +570,7 @@ proptest! {
 fn index_probe_spells_int_and_date_alike() {
     use shareddb::baseline::exec::{execute_plan, QueryPlan};
     use shareddb::common::{tuple, DataType, Expr};
-    use shareddb::storage::{IndexDef, IndexProbe, ProbeQuery, TableDef};
+    use shareddb::storage::{IndexDef, IndexKind, IndexProbe, ProbeQuery, TableDef};
 
     let catalog = Catalog::new();
     let items = TableDef::new("ITEM")
@@ -560,6 +583,7 @@ fn index_probe_spells_int_and_date_alike() {
         name,
         table,
         column,
+        kind: IndexKind::Values,
     };
     catalog.create_index(by_date).unwrap();
     let orders = TableDef::new("ORDERS")
@@ -646,7 +670,7 @@ mod row_demand {
     use shareddb::core::operators::execute_on;
     use shareddb::core::plan::{ActivationTemplate, PlanBuilder, StatementRegistry, StatementSpec};
     use shareddb::core::SubmitOptions;
-    use shareddb::storage::{IndexDef, TableDef};
+    use shareddb::storage::{IndexDef, IndexKind, TableDef};
 
     const QUERIES: u32 = 4;
 
@@ -795,6 +819,7 @@ mod row_demand {
                 name,
                 table,
                 column,
+                kind: IndexKind::Values,
             })
             .unwrap();
         let rows = (0..6i64)
