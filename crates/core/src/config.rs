@@ -133,21 +133,12 @@ pub struct EngineConfig {
     /// intra-engine parallel shared scans (the paper's Crescando substrate
     /// runs one clock scan per core over a data partition). Eligible queries
     /// (see [`crate::scatter::scatter_spec`]) execute once per segment, each
-    /// segment a task of the engine's executor, and recombine per batch
+    /// segment a lane of the batch's run, and recombine per batch
     /// through [`crate::merge::MergeSpec`]; updates always stay unsegmented
     /// (the single-writer group commit is untouched). `1` (the default)
-    /// compiles to the exact pre-segmentation path: no segment task, no
-    /// merge step.
+    /// is the exact pre-segmentation path: one lane.
     /// `0` is rejected by [`crate::Engine::start`].
     pub scan_segments: usize,
-    /// Statement types forced into the *light* admission lane, overriding the
-    /// plan-shape classification (point lookups light, scans/joins/aggregates
-    /// heavy — see [`crate::Engine::statement_lane`]).
-    pub light_statements: Vec<String>,
-    /// Statement types forced into the *heavy* admission lane, overriding the
-    /// plan-shape classification. A type named in both override lists is
-    /// heavy (the conservative direction).
-    pub heavy_statements: Vec<String>,
 }
 
 impl Default for EngineConfig {
@@ -159,8 +150,6 @@ impl Default for EngineConfig {
             slow_query_threshold: None,
             trace_capacity: 1024,
             scan_segments: 1,
-            light_statements: Vec::new(),
-            heavy_statements: Vec::new(),
         }
     }
 }
@@ -184,24 +173,6 @@ impl EngineConfig {
     /// Sets the heartbeat policy (fixed or adaptive).
     pub fn heartbeat_policy(mut self, policy: HeartbeatPolicy) -> Self {
         self.heartbeat = policy;
-        self
-    }
-
-    /// Forces statement types into the light admission lane.
-    pub fn light_statements<I: IntoIterator<Item = S>, S: Into<String>>(
-        mut self,
-        names: I,
-    ) -> Self {
-        self.light_statements = names.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Forces statement types into the heavy admission lane.
-    pub fn heavy_statements<I: IntoIterator<Item = S>, S: Into<String>>(
-        mut self,
-        names: I,
-    ) -> Self {
-        self.heavy_statements = names.into_iter().map(Into::into).collect();
         self
     }
 

@@ -7,14 +7,18 @@
 //! and works its tasks off beside the pool (`docs/ARCHITECTURE.md`, *Threads
 //! and scheduling*). The rules:
 //!
-//! * **Tasks.** One per plan node with an activation in the batch, one per
-//!   segment job. A node without an activation gets no task: nobody is woken
-//!   for it and its consumers read an empty input.
-//! * **Readiness.** A node is ready when every *active* producer of it has
-//!   finished. Finishing a task publishes its output once for all consumers,
-//!   decrements each active consumer and enqueues those that reach zero. The
-//!   run is over when its task counter is zero — not when the queue is
-//!   empty, which it also is while the last tasks still execute.
+//! * **Tasks.** One shape, `(lane, node)`: one per plan node with an
+//!   activation in a lane of the batch. A batch has one lane, or — when
+//!   `scan_segments = N` scatters some of its queries — one lane per row
+//!   segment beside it; lanes share a snapshot and nothing else. A node
+//!   without an activation in a lane gets no task there: nobody is woken for
+//!   it and its consumers read an empty input.
+//! * **Readiness.** A node is ready in a lane when every producer of it that
+//!   is *active in that lane* has finished there. Finishing a task publishes
+//!   its output once for all consumers, decrements each active consumer and
+//!   enqueues those that reach zero. The run is over when its task counter is
+//!   zero — not when the queue is empty, which it also is while the last
+//!   tasks still execute.
 //! * **Wake-ups.** The thread that makes tasks ready takes the first itself
 //!   and notifies one parked thread per task *beyond* it, so a chain of
 //!   single consumers runs on one thread without a hand-off.
@@ -31,7 +35,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use shareddb_common::{Error, QTuple, QueryId, Result};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::Catalog;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -45,47 +49,27 @@ pub(crate) type Activations = Vec<(QueryId, Activation)>;
 pub(crate) struct NodeRun {
     /// The node's activations; empty = the node is idle in this batch.
     pub activations: Activations,
-    /// The node's output, published once for all its consumers.
-    pub output: OnceLock<Arc<Vec<QTuple>>>,
-    /// Set when the node's task has finished: the tuples it emitted and the
-    /// work a row demand let it skip (or why it failed), and the wall-clock
-    /// time of the operator body.
-    pub done: OnceLock<(Result<(usize, usize)>, Duration)>,
-}
-
-/// What one segment job did.
-pub(crate) struct SegmentDone {
-    /// `(tuples_out, pruned, busy)` per executed plan node (`None` = not
-    /// executed in this lane). Feeds the per-operator counters without
-    /// double-counting: the coordinator folds lanes with max-busy /
-    /// summed-tuples.
-    pub node_stats: Vec<Option<(usize, usize, Duration)>>,
-    /// Root outputs by operator id, or the first node failure.
-    pub outputs: Result<HashMap<OperatorId, Vec<QTuple>>>,
-    /// Wall-clock duration of the whole job.
-    pub busy: Duration,
+    /// Set when the node's task has finished, once for all its consumers: its
+    /// output, the work a row demand let it skip (or why it failed), and the
+    /// wall-clock time of the operator body.
+    pub done: OnceLock<(Vec<QTuple>, Result<usize>, Duration)>,
 }
 
 /// Everything the tasks of one batch read and write.
 pub(crate) struct Run {
     /// The batch's snapshot.
     pub snapshot: Snapshot,
-    /// The whole lane: one entry per plan node, by operator id.
-    pub nodes: Vec<NodeRun>,
-    /// The segment lane: per segment job the bound activations of every
-    /// plan node (those without any are skipped), and what the job did. A
-    /// job walks the plan **sequentially in id order** (ids are topological)
-    /// over one row segment — no cross-segment synchronisation until the
-    /// coordinator's merge.
-    pub segments: Vec<(Vec<Activations>, OnceLock<SegmentDone>)>,
-    /// Root operators whose output the coordinator merges from each segment.
-    pub segment_roots: Vec<bool>,
+    /// Per lane, one entry per plan node, by operator id. A node reads the
+    /// outputs of its own lane's producers only: lanes meet again at the
+    /// coordinator, after the run.
+    pub lanes: Vec<Vec<NodeRun>>,
 }
 
+/// One operator cycle: plan node `node` over the activations of lane `lane`.
 #[derive(Clone, Copy)]
-enum Task {
-    Node(OperatorId),
-    Segment(usize),
+struct Task {
+    lane: usize,
+    node: OperatorId,
 }
 
 /// Scheduling state, all of it under one mutex.
@@ -94,7 +78,8 @@ struct Schedule {
     /// The run in flight (one at a time), whose tasks `ready` holds.
     run: Option<Arc<Run>>,
     ready: VecDeque<Task>,
-    /// Per node: active producers (counted per input edge) not yet finished.
+    /// Per lane and node (`lane × plan.len() + node`): the node's producers
+    /// active in that lane (counted per input edge) and not yet finished.
     pending: Vec<usize>,
     /// Tasks of the run not yet finished.
     unfinished: usize,
@@ -139,8 +124,6 @@ impl Executor {
                 consumers[input].push(node.id);
             }
         }
-        let mut schedule = Schedule::default();
-        schedule.pending.resize(plan.len(), 0);
         let executor = Arc::new(Executor {
             plan,
             consumers,
@@ -148,7 +131,7 @@ impl Executor {
             catalog,
             stats,
             workers: workers.max(1),
-            schedule: Mutex::new(schedule),
+            schedule: Mutex::default(),
             work: Condvar::new(),
             idle: Condvar::new(),
         });
@@ -175,24 +158,26 @@ impl Executor {
     }
 
     /// Executes every task of `run`, working the queue on the calling thread
-    /// beside the pool, and returns once the last one has finished: every
-    /// active node's and every segment's `done` is then set.
+    /// beside the pool, and returns once the last one has finished: the
+    /// `done` of every node active in a lane is then set.
     pub fn run(&self, run: Run) -> Arc<Run> {
         let run = Arc::new(run);
         let mut schedule = self.schedule.lock();
-        let active = |id: OperatorId| !run.nodes[id].activations.is_empty();
-        for node in self.plan.nodes().iter().filter(|n| active(n.id)) {
-            let pending = node.inputs.iter().filter(|i| active(**i)).count();
-            schedule.pending[node.id] = pending;
-            if pending == 0 {
-                schedule.ready.push_back(Task::Node(node.id));
+        let width = self.plan.len();
+        // Entries of nodes idle in a lane are never read.
+        schedule.pending.resize(run.lanes.len() * width, 0);
+        for (lane, nodes) in run.lanes.iter().enumerate() {
+            let active = |id: OperatorId| !nodes[id].activations.is_empty();
+            for node in self.plan.nodes().iter().filter(|n| active(n.id)) {
+                let pending = node.inputs.iter().filter(|i| active(**i)).count();
+                schedule.pending[lane * width + node.id] = pending;
+                if pending == 0 {
+                    let node = node.id;
+                    schedule.ready.push_back(Task { lane, node });
+                }
+                schedule.unfinished += 1;
             }
-            schedule.unfinished += 1;
         }
-        schedule
-            .ready
-            .extend((0..run.segments.len()).map(Task::Segment));
-        schedule.unfinished += run.segments.len();
         schedule.run = Some(Arc::clone(&run));
         let pushed = schedule.ready.len();
         self.wake(&mut schedule, pushed);
@@ -249,15 +234,16 @@ impl Executor {
     /// was the last active producer of, and ends the run with the last task.
     fn finish(&self, schedule: &mut MutexGuard<'_, Schedule>, run: &Run, task: Task) {
         let before = schedule.ready.len();
-        if let Task::Node(id) = task {
-            for &consumer in &self.consumers[id] {
-                if run.nodes[consumer].activations.is_empty() {
-                    continue;
-                }
-                schedule.pending[consumer] -= 1;
-                if schedule.pending[consumer] == 0 {
-                    schedule.ready.push_back(Task::Node(consumer));
-                }
+        let Task { lane, node } = task;
+        for &consumer in &self.consumers[node] {
+            if run.lanes[lane][consumer].activations.is_empty() {
+                continue;
+            }
+            let pending = &mut schedule.pending[lane * self.plan.len() + consumer];
+            *pending -= 1;
+            if *pending == 0 {
+                let node = consumer;
+                schedule.ready.push_back(Task { lane, node });
             }
         }
         schedule.unfinished -= 1;
@@ -286,93 +272,45 @@ impl Executor {
     }
 
     fn execute(&self, run: &Run, task: Task) {
-        match task {
-            Task::Node(id) => {
-                let slot = &run.nodes[id];
-                let started = Instant::now();
-                let node = self.plan.node(id);
-                let result = self.operate(node, &slot.activations, run.snapshot, |input| {
-                    let producer = &run.nodes[input];
-                    if producer.activations.is_empty() {
-                        return &[];
-                    }
-                    let published = producer.output.get();
-                    published.expect("a node is ready only after its active producers published")
-                });
-                let busy = started.elapsed();
-                // A failed node publishes an empty output.
-                let (output, counts) = match result {
-                    Ok(Emitted { tuples, pruned }) => {
-                        let counts = (tuples.len(), pruned);
-                        (Arc::new(tuples), Ok(counts))
-                    }
-                    Err(e) => (Arc::default(), Err(e)),
-                };
-                let _ = slot.output.set(output);
-                let _ = slot.done.set((counts, busy));
-            }
-            Task::Segment(segment) => {
-                let (activations, done) = &run.segments[segment];
-                let _ = done.set(self.walk_segment(activations, run));
-            }
-        }
-    }
-
-    /// One segment job: the plan's active nodes in id order on this thread.
-    fn walk_segment(&self, activations: &[Activations], run: &Run) -> SegmentDone {
+        let nodes = &run.lanes[task.lane];
         let started = Instant::now();
-        let plan = &self.plan;
-        let mut outputs: Vec<Vec<QTuple>> = vec![Vec::new(); plan.len()];
-        let mut node_stats: Vec<Option<(usize, usize, Duration)>> = vec![None; plan.len()];
-        let mut failure: Option<Error> = None;
-        for node in plan.nodes() {
-            let activations = &activations[node.id];
-            if activations.is_empty() {
-                continue;
-            }
-            let node_started = Instant::now();
-            match self.operate(node, activations, run.snapshot, |input| &outputs[input]) {
-                Ok(Emitted { tuples, pruned }) => {
-                    node_stats[node.id] = Some((tuples.len(), pruned, node_started.elapsed()));
-                    outputs[node.id] = tuples;
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let roots = run.segment_roots.iter().enumerate().filter(|(_, r)| **r);
-        let outputs = match failure {
-            Some(e) => Err(e),
-            None => Ok(roots
-                .map(|(id, _)| (id, std::mem::take(&mut outputs[id])))
-                .collect()),
+        let result = self.operate(self.plan.node(task.node), nodes, run.snapshot);
+        let busy = started.elapsed();
+        // A failed node publishes an empty output.
+        let (output, pruned) = match result {
+            Ok(Emitted { tuples, pruned }) => (tuples, Ok(pruned)),
+            Err(e) => (Vec::new(), Err(e)),
         };
-        SegmentDone {
-            node_stats,
-            outputs,
-            busy: started.elapsed(),
-        }
+        let _ = nodes[task.node].done.set((output, pruned, busy));
     }
 
-    /// One operator cycle: `node` over `activations`, reading the output of
-    /// input node `i` through `input_of(i)`. A panic in the operator is
+    /// One operator cycle: `node` over its activations in the lane `nodes`,
+    /// reading what its producers published there. A panic in the operator is
     /// returned as an error, so the thread — and the run's accounting —
     /// survive it.
-    fn operate<'a>(
+    fn operate(
         &self,
         node: &OperatorNode,
-        activations: &Activations,
+        nodes: &[NodeRun],
         snapshot: Snapshot,
-        input_of: impl Fn(OperatorId) -> &'a [QTuple],
     ) -> Result<Emitted> {
+        let activations = &nodes[node.id].activations;
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(storage) = &self.storage_ops[node.id] {
                 let tuples = storage.execute(activations)?;
                 return Ok(Emitted { tuples, pruned: 0 });
             }
-            let inputs: Vec<&[QTuple]> = node.inputs.iter().map(|i| input_of(*i)).collect();
+            let input_of = |input: &OperatorId| -> &[QTuple] {
+                let producer = &nodes[*input];
+                if producer.activations.is_empty() {
+                    return &[];
+                }
+                let published = producer.done.get();
+                &published
+                    .expect("a node is ready only after its active producers published")
+                    .0
+            };
+            let inputs: Vec<&[QTuple]> = node.inputs.iter().map(input_of).collect();
             let catalog = &self.catalog;
             execute_on(
                 &node.spec,

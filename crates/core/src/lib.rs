@@ -31,8 +31,11 @@
 //! * [`batch`] — activations, active queries, batch assembly.
 //! * [`completions`] — the wake-on-empty queue outcomes reach their reader by.
 //! * [`demand`] — a statement's Top-N limit, carried one edge down the plan.
-//! * [`engine`] — the batching runtime: admission, coordinator, completion.
-//! * `executor` — operator cycles as tasks on a ready queue, cores as threads.
+//! * [`engine`] — the engine and its handles; its module docs map the runtime
+//!   behind it, one file per lifetime (`admission`, `coordinator`,
+//!   `heartbeat`, `routing`).
+//! * `executor` — operator cycles as tasks on a ready queue, cores as threads;
+//!   a batch's run is one lane of them, or one more per row segment.
 //! * [`scatter`] — the partitionability walker: which statement shapes can run
 //!   over the disjoint row segments of `scan_segments`.
 //! * [`merge`] — recombination of the segments' partial results (`MergeSpec`).
@@ -43,25 +46,30 @@
 //! * [`trace`] — the bounded batch-lifecycle trace journal.
 //! * [`config`] — engine configuration.
 
+mod admission;
 pub mod batch;
 pub mod completions;
 pub mod config;
+mod coordinator;
 pub mod demand;
 pub mod engine;
 mod executor;
 pub mod explain;
+mod heartbeat;
 pub mod merge;
 pub mod operators;
 pub mod plan;
+mod routing;
 pub mod scatter;
 pub mod stats;
 pub mod storage_ops;
 pub mod trace;
 
+pub use admission::Lane;
 pub use batch::{Activation, ActiveQuery, QueryBatch};
 pub use completions::Completions;
 pub use config::{EngineConfig, HeartbeatPolicy};
-pub use engine::{Engine, Lane, QueryOutcome, ResultSet, SubmitOptions, WriteFence};
+pub use engine::{Engine, QueryOutcome, ResultSet, SubmitOptions, WriteFence};
 pub use explain::{
     explain_statement, render_dot, render_explain_text, sharing_sets, AnalyzeData, ExplainNode,
     ExplainTree,

@@ -2,9 +2,9 @@
 //!
 //! An engine with `scan_segments > 1` runs an eligible statement once per
 //! row segment of its shared scans (see [`crate::scatter`], the one consumer
-//! of this module, through `engine::merge_segment_partials`). The segments'
-//! partial results are merged here into one result that is equivalent to an
-//! unpartitioned execution:
+//! of this module, through `routing::gather`). The segments' partial results
+//! are merged here into one result that is equivalent to an unpartitioned
+//! execution:
 //!
 //! * plain scans/filters concatenate,
 //! * ordered results (shared sort / Top-N roots) merge by the root's sort

@@ -1,0 +1,143 @@
+//! Γ(query_id): from the roots' shared outputs to each statement's outcome
+//! on its way back.
+//!
+//! A root's output is exploded into per-query row lists in ONE pass, so
+//! routing costs O(results), not O(results × queries). A query that ran in
+//! one lane takes its rows as they are; one that ran in several (a row
+//! segment each) recombines them through its statement's [`MergeSpec`]. Either
+//! way the rows are then finished the way the statement asks (limit,
+//! projection or computed columns, DISTINCT); the coordinator books the
+//! outcome and hands it over.
+
+use crate::batch::{Activation, ActiveQuery};
+use crate::engine::{EngineInner, QueryOutcome, ResultSet};
+use crate::merge::{merge_results, MergeSpec};
+use crate::plan::{ComputedColumn, OperatorId};
+use crate::stats::Phase;
+use shareddb_common::{Column, Error, QTuple, QueryId, Result, Schema, Tuple, Value};
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
+
+/// Γ routing table of one lane: root operator → query → that query's rows.
+pub(crate) type RoutingTable = HashMap<OperatorId, HashMap<QueryId, Vec<Tuple>>>;
+
+/// The Γ step over one root's output: each query's rows, in output order.
+pub(crate) fn explode_by_query(output: &[QTuple]) -> HashMap<QueryId, Vec<Tuple>> {
+    let mut per_query: HashMap<QueryId, Vec<Tuple>> = HashMap::new();
+    for tuple in output {
+        for query_id in tuple.queries.iter() {
+            per_query
+                .entry(query_id)
+                .or_default()
+                .push(tuple.tuple.clone());
+        }
+    }
+    per_query
+}
+
+/// Takes `query`'s root rows out of the routing tables of the lanes it ran
+/// in: one lane hands them over, several merge (the statement's `merge`
+/// phase).
+pub(crate) fn gather(
+    inner: &EngineInner,
+    query: &ActiveQuery,
+    routed: &mut [RoutingTable],
+) -> Result<Vec<Tuple>> {
+    let take = |lane: &mut RoutingTable| {
+        let per_query = lane.get_mut(&query.root);
+        let rows = per_query.and_then(|per_query| per_query.remove(&query.query_id));
+        rows.unwrap_or_default()
+    };
+    if let [only] = routed {
+        return Ok(take(only));
+    }
+    let merge_started = Instant::now();
+    let merged = merge_segment_partials(inner, query, routed.iter_mut().map(take));
+    let (stats, index) = (&inner.stats, query.admitted.statement_index);
+    stats.record_phase(index, Phase::Merge, merge_started.elapsed());
+    merged
+}
+
+/// Recombines one scattered query's per-segment partial rows into the single
+/// row list [`finalize_query_result`] expects, using the statement's
+/// [`MergeSpec`]. A grouped merge yields final values: AVG sum/count partials
+/// are recombined exactly and the query's own bound HAVING predicate is
+/// applied per merged group (a segment must not filter a partial group
+/// another segment may complete).
+fn merge_segment_partials(
+    inner: &EngineInner,
+    query: &ActiveQuery,
+    partials: impl Iterator<Item = Vec<Tuple>>,
+) -> Result<Vec<Tuple>> {
+    let spec = inner.scatter_specs[query.admitted.statement_index]
+        .as_ref()
+        .ok_or_else(|| Error::Internal("scattered query without scatter spec".into()))?;
+    let mut effective = spec.merge.clone();
+    if let MergeSpec::Grouped { having, .. } = &mut effective {
+        // The bound HAVING lives in the query's own root activation.
+        *having = query.activations.iter().find_map(|(op, a)| match a {
+            Activation::Having { predicate, .. } if *op == query.root => predicate.clone(),
+            _ => None,
+        });
+    }
+    let schema = &inner.plan.node(query.root).schema;
+    let parts = partials.map(|rows| ResultSet {
+        schema: schema.clone(),
+        rows,
+    });
+    merge_results(&effective, parts.collect()).map(|rs| rs.rows)
+}
+
+pub(crate) fn finalize_query_result(
+    inner: &EngineInner,
+    query: &ActiveQuery,
+    mut rows: Vec<Tuple>,
+) -> Result<QueryOutcome> {
+    // DISTINCT statements dedup the *projected* rows, and their limit counts
+    // deduplicated rows — so the truncate-early fast path only runs for
+    // non-distinct statements.
+    if !query.distinct {
+        if let Some(limit) = query.limit {
+            rows.truncate(limit);
+        }
+    }
+    let root_schema = &inner.plan.node(query.root).schema;
+    let (schema, rows) = if !query.compute.is_empty() {
+        // Computed output columns (expression projections) replace the plain
+        // index projection: each result row is the evaluation of the bound
+        // expressions over the root row.
+        let column = |c: &ComputedColumn| Column::nullable(c.name.clone(), c.data_type);
+        let compute = |row: Tuple| {
+            let values = query.compute.iter().map(|c| c.expr.eval(&row));
+            Ok(Tuple::new(values.collect::<Result<Vec<Value>>>()?))
+        };
+        let rows = rows.into_iter().map(compute).collect::<Result<_>>()?;
+        (
+            Schema::new(query.compute.iter().map(column).collect()),
+            rows,
+        )
+    } else if !query.projection.is_empty() {
+        let project = |row: Tuple| row.project(&query.projection);
+        let rows = rows.into_iter().map(project).collect();
+        (root_schema.project(&query.projection), rows)
+    } else {
+        (root_schema.clone(), rows)
+    };
+    Ok(QueryOutcome::Rows(ResultSet {
+        schema,
+        rows: finish_output_rows(query, rows),
+    }))
+}
+
+/// Applies the statement's post-projection DISTINCT (keeping the first
+/// occurrence, which preserves any ORDER BY) and the deferred limit.
+fn finish_output_rows(query: &ActiveQuery, mut rows: Vec<Tuple>) -> Vec<Tuple> {
+    if query.distinct {
+        let mut seen = HashSet::with_capacity(rows.len());
+        rows.retain(|row| seen.insert(row.clone()));
+        if let Some(limit) = query.limit {
+            rows.truncate(limit);
+        }
+    }
+    rows
+}

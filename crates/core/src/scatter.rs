@@ -3,12 +3,14 @@
 //!
 //! The analysis has one consumer: [`crate::engine::Engine`] with
 //! `scan_segments > 1` splits its shared scans into row segments, runs an
-//! eligible statement's plan once per segment (each a task of the engine's
-//! executor, all on the batch's one snapshot) and recombines the partial
-//! results per batch through [`crate::merge`]. Engine replicas
+//! eligible statement's plan once per segment (each a lane of the batch's
+//! run, its activations rewritten by [`segment_activation`], all on the
+//! batch's one snapshot) and recombines the partial results per batch
+//! through [`crate::merge`]. Engine replicas
 //! (`shareddb-cluster`) partition *statements*, never rows, and do not read
 //! this module.
 
+use crate::batch::{Activation, RowSlice};
 use crate::merge::MergeSpec;
 use crate::plan::StatementSpec;
 use crate::plan::{ActivationTemplate, GlobalPlan, OperatorId, OperatorSpec, StatementKind};
@@ -37,6 +39,36 @@ pub struct ScatterSpec {
     /// parameters; a cheap scan/filter root with parameters runs whole — a
     /// point look-up must not become one walk of the plan per segment.
     pub scatter_with_params: bool,
+}
+
+/// Rewrites one bound activation for one row segment: a scan restricts to
+/// slice `index` of `of` — hashing the walker's join-key columns when the
+/// shape co-partitions a join, else the table's primary key — and a group-by
+/// root switches to partial mode when the shape merges partial aggregates.
+pub(crate) fn segment_activation(
+    activation: &Activation,
+    op: OperatorId,
+    index: u32,
+    of: u32,
+    spec: &ScatterSpec,
+) -> Activation {
+    let mut rewritten = activation.clone();
+    // A row demand stays: a segment's best rows contain its share of the
+    // best rows overall.
+    let mut base = &mut rewritten;
+    while let Activation::Demand { base: inner, .. } = base {
+        base = inner;
+    }
+    match base {
+        Activation::Scan { slice, .. } => {
+            let columns = spec.partition_columns.as_ref();
+            let columns = columns.and_then(|m| m.get(&op).cloned());
+            *slice = Some(RowSlice { index, of, columns });
+        }
+        Activation::Having { partial, .. } => *partial = spec.partial_aggregation,
+        _ => {}
+    }
+    rewritten
 }
 
 /// Where a statement's tuples come from: one partitioned scan, or a

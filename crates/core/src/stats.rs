@@ -125,9 +125,9 @@ pub struct SegmentStatsSnapshot {
     pub batches: u64,
     /// Result rows this segment contributed (pre-merge partial rows).
     pub rows: u64,
-    /// Total busy time of this segment's pool jobs.
+    /// Total busy time of the operator cycles in this segment's lane.
     pub busy: Duration,
-    /// Per-batch execute-time histogram of this segment's pool jobs; the
+    /// Per-batch histogram of that busy time (a batch's cycles summed); the
     /// spread across segments is the skew the merge barrier waits on.
     pub execute: HistogramSnapshot,
 }
@@ -146,7 +146,7 @@ impl SegmentStatsSnapshot {
 }
 
 /// Mutable counters of one segment lane (owned by the engine, updated by the
-/// coordinator as segment jobs complete).
+/// coordinator when it folds a batch's run).
 #[derive(Debug, Default)]
 pub struct SegmentStats {
     batches: AtomicU64,
@@ -156,7 +156,7 @@ pub struct SegmentStats {
 }
 
 impl SegmentStats {
-    /// Records one completed segment job.
+    /// Records one batch of the lane.
     pub fn record(&self, rows: usize, busy: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.rows.fetch_add(rows as u64, Ordering::Relaxed);
@@ -568,7 +568,7 @@ pub struct SlowQueryRecord {
     /// Replica the statement was routed to (stamped by the cluster layer;
     /// 0 inside a single engine): which engine's batches to look at.
     pub replica: usize,
-    /// Segment lanes the statement executed on (1 = whole lane).
+    /// Lanes of its batch's run the statement executed in (1 = it ran whole).
     pub segments: u32,
     /// End-to-end latency (submission → completion).
     pub total: Duration,
@@ -734,8 +734,8 @@ pub struct EngineStatsSnapshot {
     /// units: one unit = one statement), merged bucket-wise across replicas
     /// like the latency histograms.
     pub occupancy: HistogramSnapshot,
-    /// Executor tasks (operator cycles and segment jobs) the coordinator ran
-    /// itself.
+    /// Executor tasks (operator cycles, one per lane a node is active in)
+    /// the coordinator ran itself.
     pub tasks_run_by_coordinator: u64,
     /// Executor tasks run on a pool thread.
     pub tasks_run_by_workers: u64,

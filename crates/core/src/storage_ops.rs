@@ -84,7 +84,7 @@ impl StorageOperator {
                     })
                     .collect::<Result<_>>()?;
                 // When every activation of the call reads the same slice over
-                // the same hash columns (a segment task's do, unless two
+                // the same hash columns (a segment lane's do, unless two
                 // statements hash one table by different columns), the
                 // restriction becomes a segment-view cursor — rows outside
                 // the slice are skipped before the predicate index evaluates

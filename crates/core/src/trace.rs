@@ -1,10 +1,11 @@
 //! Batch-lifecycle trace journal.
 //!
 //! A bounded ring buffer of lifecycle events — batch formed → operators
-//! fired → queries routed — recorded by the coordinator thread as it drives
-//! each heartbeat. The ring has a fixed capacity (events beyond it evict the
-//! oldest), so tracing is always-on with a hard memory bound; `seq` numbers
-//! are global and monotonic, which makes evicted gaps visible to a consumer.
+//! fired → queries routed, and every change of the heartbeat interval —
+//! recorded by the coordinator thread as it drives each heartbeat. The ring
+//! has a fixed capacity (events beyond it evict the oldest), so tracing is
+//! always-on with a hard memory bound; `seq` numbers are global and
+//! monotonic, which makes evicted gaps visible to a consumer.
 //!
 //! The journal answers the question percentiles cannot: *what did this
 //! particular batch do* — how many statements it carried, which operators
@@ -71,6 +72,19 @@ pub enum TraceEvent {
         rows: usize,
         /// Whether the statement completed successfully.
         ok: bool,
+    },
+    /// The adaptive heartbeat controller changed the interval, and the two
+    /// numbers it decided on.
+    HeartbeatAdjusted {
+        /// Interval before the step, µs.
+        from_us: u64,
+        /// Interval after it, µs.
+        to_us: u64,
+        /// Light-lane p99 of the last window that had enough samples, µs
+        /// (0: none had yet).
+        light_p99_us: u64,
+        /// Largest batch + backlog of the window the step closed.
+        peak_pressure: usize,
     },
 }
 
@@ -196,6 +210,15 @@ impl std::fmt::Display for TraceEvent {
             } => write!(
                 f,
                 "batch {batch} routed statement #{statement} ticket {ticket}: {rows} rows, ok={ok}"
+            ),
+            TraceEvent::HeartbeatAdjusted {
+                from_us,
+                to_us,
+                light_p99_us,
+                peak_pressure,
+            } => write!(
+                f,
+                "heartbeat {from_us}us -> {to_us}us: light p99 {light_p99_us}us, peak pressure {peak_pressure}"
             ),
         }
     }

@@ -11,8 +11,9 @@
 # the driver pins (`crates/bench/src/bin/ledger/`) is listed on its own row
 # and kept out of the total a simplification is judged by; the integration
 # tests (`tests/`) and each crate's in-file test modules are listed beside
-# it. `target/` is never read. To compare two commits, run it on a checkout
-# of each.
+# it, and under the table the five largest files of the total (no file is
+# meant to hold a fifth of a crate: ROADMAP, aim 2). `target/` is never read.
+# To compare two commits, run it on a checkout of each.
 set -euo pipefail
 
 root=$(cd "${1:-$(dirname "$0")/..}" && pwd)
@@ -43,3 +44,10 @@ echo "| crates/bench/src/bin/ledger | $code | $test |"
 read -r code test < <(find src examples -name '*.rs' | sort | count)
 echo "| src + examples | $code | $test |"
 echo "| tests/ | $(find tests -name '*.rs' -print0 | xargs -0 cat | wc -l) | |"
+echo
+echo "Largest files outside the ledger (non-test lines):"
+find crates -name target -prune -o -name '*.rs' -print |
+    grep -v '^crates/bench/src/bin/ledger/' | sort | while read -r file; do
+    read -r code test < <(echo "$file" | count)
+    echo "$code $file"
+done | sort -rn | sed -n '1,5s/^/- /p'
