@@ -11,6 +11,8 @@
 //! * [`expr`] — scalar expressions and predicates, with parameter binding.
 //! * [`agg`] — aggregate functions and accumulators.
 //! * [`sort`] — sort specifications and comparators.
+//! * [`wordtable`] — the hash table of the row path, over the hash words of
+//!   [`value`].
 //! * [`ids`] — strongly-typed identifiers (queries, tables, clients, ...).
 //! * [`metrics`] — lock-free histograms, counters, gauges and registries.
 //! * [`crc32`] — hand-rolled CRC-32 for the WAL / checkpoint on-disk framing.
@@ -29,6 +31,7 @@ pub mod schema;
 pub mod sort;
 pub mod tuple;
 pub mod value;
+pub mod wordtable;
 
 pub use crc32::{crc32, Crc32};
 pub use error::{Error, Result};
@@ -40,4 +43,5 @@ pub use queryset::QuerySet;
 pub use schema::{Column, Schema};
 pub use sort::{SortKey, SortOrder};
 pub use tuple::Tuple;
-pub use value::{hash_values, DataType, Text, Value};
+pub use value::{hash_values, hash_words, DataType, Text, Value};
+pub use wordtable::WordTable;

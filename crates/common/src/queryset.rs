@@ -78,9 +78,14 @@ impl Builder {
 }
 
 impl QuerySet {
+    /// The empty set, as a constant: put together at run time, the array
+    /// of a handful is built on the side and copied in.
+    const EMPTY: QuerySet = QuerySet(Repr::Inline(0, [QueryId(0); INLINE]));
+
     /// Creates an empty set.
+    #[inline]
     pub fn new() -> Self {
-        QuerySet(Repr::Inline(0, [QueryId(0); INLINE]))
+        QuerySet::EMPTY
     }
 
     /// Creates a set containing a single query.
@@ -264,8 +269,26 @@ impl QuerySet {
     /// The members `keep` admits, asked in ascending order. Allocates only
     /// when more than [`INLINE`] members stay and at least one goes: a set
     /// that keeps all of itself is handed on as it is.
+    #[inline]
     fn filtered(&self, mut keep: impl FnMut(QueryId) -> bool) -> QuerySet {
-        let ids = self.as_slice();
+        let ids = match &self.0 {
+            // What is left of a handful is a handful, built where it will
+            // lie: a set put together on the side and moved in is copied in
+            // pieces that do not line up with the pieces it was written in.
+            Repr::Inline(len, ids) => {
+                let mut out = QuerySet::new();
+                if let Repr::Inline(left, kept) = &mut out.0 {
+                    for &id in &ids[..*len as usize] {
+                        // No branch on the answer: which rows interest which
+                        // queries is what a processor cannot guess.
+                        kept[*left as usize] = id;
+                        *left += u8::from(keep(id));
+                    }
+                }
+                return out;
+            }
+            Repr::Shared(ids) => &ids[..],
+        };
         let Some(dropped) = ids.iter().position(|&id| !keep(id)) else {
             return self.clone();
         };
@@ -335,6 +358,107 @@ impl QuerySet {
             Repr::Inline(..) => 0,
             Repr::Shared(ids) => {
                 2 * std::mem::size_of::<usize>() + std::mem::size_of_val::<[QueryId]>(ids)
+            }
+        }
+    }
+}
+
+/// The query sets of a cycle's rows, each cut down to the queries active at
+/// one operator — the query-set half of an operator's gather pass, which
+/// meets every input row. Two things make a row cheap. The queries of a
+/// batch were numbered in a row, so the active ones are mostly a bitmap over
+/// a short span of ids, and whether a row's handful is among them is a shift
+/// and a mask each, without a branch. And a set too long to live inline is
+/// one slice shared by the rows that carry it — a scan hands the previous
+/// row's on —, so what is left of it is worked out once per run of rows that
+/// share it, not once per row.
+pub struct Restriction<'a> {
+    active: &'a QuerySet,
+    /// Bit `i` of `bitmap`: the query `first + i` is active. `None` when the
+    /// active ids span more than the bitmap holds.
+    first: u32,
+    bitmap: Option<[u64; Restriction::WORDS]>,
+    /// Per word of the bitmap, the active queries before it.
+    before: [u16; Restriction::WORDS],
+    /// The last shared slice met and what `active` leaves of it.
+    last: Option<(Arc<[QueryId]>, QuerySet)>,
+}
+
+impl<'a> Restriction<'a> {
+    const WORDS: usize = 16;
+
+    /// Restricts to `active`.
+    pub fn to(active: &'a QuerySet) -> Self {
+        let ids = active.as_slice();
+        let first = ids.first().map_or(0, |id| id.0);
+        let spanned = ids
+            .last()
+            .is_some_and(|last| ((last.0 - first) as usize) < 64 * Self::WORDS);
+        let bitmap = spanned.then(|| {
+            let mut bitmap = [0u64; Self::WORDS];
+            for id in ids {
+                let at = (id.0 - first) as usize;
+                bitmap[at / 64] |= 1 << (at % 64);
+            }
+            bitmap
+        });
+        let mut before = [0; Self::WORDS];
+        for word in 1..Self::WORDS {
+            let bits = bitmap.map_or(0, |bitmap| bitmap[word - 1].count_ones());
+            before[word] = before[word - 1] + bits as u16;
+        }
+        Restriction {
+            active,
+            first,
+            bitmap,
+            before,
+            last: None,
+        }
+    }
+
+    /// The place of `id` among the active queries, in ascending order, if it
+    /// is one of them.
+    #[inline]
+    fn place_of(&self, id: QueryId) -> Option<usize> {
+        let Some(bitmap) = &self.bitmap else {
+            return self.active.as_slice().binary_search(&id).ok();
+        };
+        let at = id.0.wrapping_sub(self.first) as usize;
+        let (word, bit) = (at / 64, at % 64);
+        let bits = *bitmap.get(word)?;
+        let below = (bits & ((1 << bit) - 1)).count_ones() as usize;
+        (bits >> bit & 1 == 1).then_some(self.before[word] as usize + below)
+    }
+
+    /// Calls `each` with the place among the active queries, in ascending
+    /// order, of every query in `queries ∩ active`, ascending.
+    #[inline]
+    pub fn places_of(&mut self, queries: &QuerySet, mut each: impl FnMut(usize)) {
+        match &queries.0 {
+            Repr::Inline(len, ids) => ids[..*len as usize]
+                .iter()
+                .filter_map(|id| self.place_of(*id))
+                .for_each(each),
+            Repr::Shared(_) => {
+                let left = self.of(queries);
+                let places = left.iter().map(|id| self.place_of(id));
+                places.for_each(|place| each(place.expect("an active query has a place")));
+            }
+        }
+    }
+
+    /// `queries ∩ active`.
+    #[inline]
+    pub fn of(&mut self, queries: &QuerySet) -> QuerySet {
+        let Repr::Shared(slice) = &queries.0 else {
+            return queries.filtered(|id| self.place_of(id).is_some());
+        };
+        match &self.last {
+            Some((seen, left)) if Arc::ptr_eq(seen, slice) => left.clone(),
+            _ => {
+                let left = queries.intersect(self.active);
+                self.last = Some((Arc::clone(slice), left.clone()));
+                left
             }
         }
     }

@@ -67,6 +67,16 @@ pub fn compare_tuples(a: &Tuple, b: &Tuple, keys: &[SortKey]) -> Ordering {
     Ordering::Equal
 }
 
+/// The order word of `row` under `keys`: [`crate::Value::order_word`] of its
+/// first key — `word(a) < word(b)` implies `compare_tuples(a, b, keys)` is
+/// `Less`, and equal words decide nothing. Whoever ranks many rows gathers
+/// their words once and compares two rows only when their words tie.
+#[inline]
+pub fn key_word(row: &Tuple, keys: &[SortKey]) -> u64 {
+    keys.first()
+        .map_or(0, |key| row[key.column].order_word(key.order))
+}
+
 /// Sorts a vector of tuples by the given keys (stable sort, so ties keep their
 /// arrival order — important for reproducible test expectations).
 pub fn sort_tuples(tuples: &mut [Tuple], keys: &[SortKey]) {

@@ -5,10 +5,12 @@
 //! never reference external buffers.
 
 use crate::error::{Error, Result};
+use crate::sort::SortOrder;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// The SQL data types supported by the engine.
 ///
@@ -391,6 +393,114 @@ pub fn hash_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -
         }
     }
     hash
+}
+
+// ---------------------------------------------------------------------------
+// Key words
+// ---------------------------------------------------------------------------
+
+/// The seed of this process's hash words: drawn once, so which keys share a
+/// bucket cannot be worked out ahead of a run.
+fn seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| RandomState::new().hash_one(0u8))
+}
+
+/// Folds one 64-bit word of a key into its hash.
+#[inline]
+fn fold(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The finaliser of a hash word: every bit of the folded key reaches every
+/// bit of the word. Not optional — a bit of a product depends on the bits of
+/// its factors at and below it alone, and an integer key is folded as the
+/// bits of its `f64`, whose low 32 are zero for every small integer: without
+/// this, keys that differ in their high bits only agree in every bit below,
+/// and a table that picks a slot by any of those files them in one run.
+#[inline]
+fn finish(hash: u64) -> u64 {
+    let hash = (hash ^ (hash >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let hash = (hash ^ (hash >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    hash ^ (hash >> 31)
+}
+
+/// The hash word of a key given as its values: 64 bits, equal for keys whose
+/// values are `==` one by one — the `Int`/`Float` family is folded as the
+/// `f64` it is compared as —, seeded once per process and not cryptographic
+/// (see `docs/ARCHITECTURE.md`, *Key words*). What every operator table and
+/// the key map of a table hash with.
+#[inline]
+pub fn hash_words<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    finish(values.into_iter().fold(seed(), |hash, value| match value {
+        Value::Null => fold(hash, 0x4E55),
+        Value::Bool(b) => fold(hash, 0xB001 + u64::from(*b)),
+        Value::Int(v) => fold(hash, (*v as f64).to_bits()),
+        Value::Float(v) => fold(hash, v.to_bits()),
+        Value::Date(d) => fold(hash, 0xDA7E ^ *d as u64),
+        Value::Text(text) => {
+            let mut chunks = text.as_bytes().chunks_exact(8);
+            let whole = chunks.by_ref().fold(hash, |hash, chunk| {
+                let chunk = chunk.try_into().expect("chunks_exact(8) yields 8 bytes");
+                fold(hash, u64::from_le_bytes(chunk))
+            });
+            let mut last = [0; 8];
+            last[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+            fold(fold(whole, u64::from_le_bytes(last)), text.len() as u64)
+        }
+    }))
+}
+
+/// The bits of `v` as an unsigned integer that orders as `f64::total_cmp`.
+#[inline]
+fn sortable_bits(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+impl Value {
+    /// [`hash_words`] of the one value.
+    #[inline]
+    pub fn hash_word(&self) -> u64 {
+        hash_words([self])
+    }
+
+    /// A 64-bit prefix of the value's place in the total order, *weakly*
+    /// monotone under [`Ord`]: `a.order_word(o) < b.order_word(o)` implies
+    /// that `a` sorts before `b` under `o`; equal words decide nothing, and
+    /// whoever ranks by words falls back to comparing the values. Two bits
+    /// say which quarter of the order the value lies in — NULL and the
+    /// booleans, the numeric family, dates, text —, 62 where in it: the
+    /// `f64` an `Int` or a `Float` is compared as by its sortable bits (an
+    /// integer up to 2^51 exactly), a date exactly, a text by its first 62
+    /// bits. Descending is the complement of the whole word.
+    #[inline]
+    pub fn order_word(&self, order: SortOrder) -> u64 {
+        const HALF: i64 = 1 << 61;
+        let (quarter, place) = match self {
+            Value::Null => (0, 0),
+            Value::Bool(b) => (0, 1 + u64::from(*b)),
+            Value::Int(v) => (1, sortable_bits(*v as f64) >> 2),
+            Value::Float(v) => (1, sortable_bits(*v) >> 2),
+            Value::Date(d) => (2, ((*d).clamp(-HALF, HALF - 1) + HALF) as u64),
+            Value::Text(text) => {
+                let bytes = text.as_bytes();
+                let mut first = [0; 8];
+                let held = bytes.len().min(8);
+                first[..held].copy_from_slice(&bytes[..held]);
+                (3, u64::from_be_bytes(first) >> 2)
+            }
+        };
+        let word = quarter << 62 | place;
+        match order {
+            SortOrder::Ascending => word,
+            SortOrder::Descending => !word,
+        }
+    }
 }
 
 impl Hash for Value {

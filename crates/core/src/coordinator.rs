@@ -15,7 +15,7 @@ use crate::engine::{EngineInner, QueryOutcome, WriteFence};
 use crate::executor::{NodeRun, Run};
 use crate::heartbeat::HeartbeatController;
 use crate::plan::OperatorId;
-use crate::routing::{explode_by_query, finalize_query_result, gather, RoutingTable};
+use crate::routing::{finalize_query_result, gather, QueryRows, RoutingTable};
 use crate::scatter::segment_activation;
 use crate::stats::{Phase, SlowQueryRecord};
 use crate::trace::TraceEvent;
@@ -268,11 +268,8 @@ impl BatchCtx<'_> {
         if updates.is_empty() {
             return;
         }
-        let ops: Vec<(String, shareddb_storage::UpdateOp)> = updates
-            .iter()
-            .map(|u| (u.table.clone(), u.op.clone()))
-            .collect();
-        let applied = inner.catalog.apply_batch(&ops);
+        let ops = updates.iter().map(|u| (u.table.as_str(), &u.op));
+        let applied = inner.catalog.apply_ops(ops);
         // Resolve session write fences at the watermark now covering this
         // group commit — in the error path too: a failed write constrains no
         // read, and a session must not block on it.
@@ -441,13 +438,21 @@ impl BatchCtx<'_> {
     /// and all of them before the first outcome is handed over: a reader
     /// woken between two roots drains one reply, parks and is woken again.
     fn route(&self, run: &Run, errors: &[Option<Error>]) -> Vec<RoutingTable> {
-        let mut routed: Vec<RoutingTable> = run.lanes.iter().map(|_| HashMap::new()).collect();
+        let nodes = self.inner.plan.len();
+        let none = || (0..nodes).map(|_| None).collect();
+        let mut routed: Vec<RoutingTable> = run.lanes.iter().map(|_| none()).collect();
         let answered = |q: &&ActiveQuery| self.error_of(q, errors).is_none();
+        // The statements that read each root: what its table is sized for.
+        let mut readers = vec![0; nodes];
+        for q in &self.batch.queries {
+            readers[q.root] += 1;
+        }
         for q in self.batch.queries.iter().filter(answered) {
             for lane in self.lanes_of(q) {
-                routed[lane].entry(q.root).or_insert_with(|| {
+                routed[lane][q.root].get_or_insert_with(|| {
                     let done = run.lanes[lane][q.root].done.get();
-                    explode_by_query(done.map_or(&[], |done| done.0.as_slice()))
+                    let output = done.map_or(&[][..], |done| done.0.as_slice());
+                    QueryRows::explode(output, readers[q.root])
                 });
             }
         }

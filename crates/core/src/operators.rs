@@ -19,14 +19,14 @@
 use crate::batch::Activation;
 use crate::plan::{AggregateSpec, OperatorSpec};
 use shareddb_common::agg::{Accumulator, AggregateFunction};
-use shareddb_common::sort::compare_tuples;
-use shareddb_common::{Error, Expr, QTuple, QueryId, QuerySet, Result, SortKey, Tuple, Value};
+use shareddb_common::queryset::Restriction;
+use shareddb_common::sort::{compare_tuples, key_word};
+use shareddb_common::{
+    hash_words, Error, QTuple, QueryId, QuerySet, Result, SortKey, Tuple, Value, WordTable,
+};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::Catalog;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 /// Context handed to operator execution: the catalog (for index nested-loops
 /// joins that probe base tables) and the snapshot of the current batch.
@@ -72,6 +72,10 @@ pub fn execute_operator(
 /// only payload built here; everything else hands the input row on by
 /// reference count — and nothing for an input tuple none of its queries
 /// wants.
+///
+/// Whatever a cycle hashes or ranks rows by, it gathers as one 64-bit word a
+/// row ([`hash_words`], [`key_word`]): its tables, sized once from its input,
+/// compare words before keys, its selections words before rows.
 ///
 /// A query that carries an [`Activation::Demand`] gets, of what the operator
 /// would emit for it, a sub-sequence that holds its first `limit` rows under
@@ -151,10 +155,32 @@ fn restricted<'a>(
     input: &'a [QTuple],
     active: &'a QuerySet,
 ) -> impl Iterator<Item = (&'a Tuple, QuerySet)> {
-    input.iter().filter_map(|t| {
-        let queries = t.queries.intersect(active);
+    let mut restriction = Restriction::to(active);
+    input.iter().filter_map(move |t| {
+        let queries = restriction.of(&t.queries);
         (!queries.is_empty()).then_some((&t.tuple, queries))
     })
+}
+
+/// What the activations of a cycle say of some of its queries: `(query,
+/// what)`, ascending by query.
+struct PerQuery<T>(Vec<(QueryId, T)>);
+
+impl<T> PerQuery<T> {
+    fn of(said: impl Iterator<Item = (QueryId, T)>) -> Self {
+        let mut said: Vec<_> = said.collect();
+        said.sort_unstable_by_key(|(query, _)| *query);
+        PerQuery(said)
+    }
+
+    /// The place of `query` in the list, if it is there.
+    fn slot(&self, query: QueryId) -> Option<usize> {
+        self.0.binary_search_by_key(&query, |(q, _)| *q).ok()
+    }
+
+    fn get(&self, query: QueryId) -> Option<&T> {
+        self.slot(query).map(|slot| &self.0[slot].1)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -162,47 +188,48 @@ fn restricted<'a>(
 // ---------------------------------------------------------------------------
 
 /// The queries of a cycle that want only their first `limit` rows under
-/// `keys`: `(query, keys, limit)`, ascending by query.
-struct Demands<'a>(Vec<(QueryId, &'a [SortKey], usize)>);
+/// `keys`: `(query, (keys, limit))`.
+type Demands<'a> = PerQuery<(&'a [SortKey], usize)>;
 
 impl<'a> Demands<'a> {
-    fn of(demands: impl Iterator<Item = (QueryId, &'a [SortKey], usize)>) -> Self {
-        let mut demands: Vec<_> = demands.collect();
-        demands.sort_unstable_by_key(|d| d.0);
-        Demands(demands)
-    }
-
     /// The demands the activations carry.
     fn carried(activations: &'a [(QueryId, Activation)]) -> Self {
         let carried = |(q, a): &'a (QueryId, Activation)| {
             let (_, demand) = a.split_demand();
-            demand.map(|(keys, limit)| (*q, keys, limit))
+            demand.map(|demand| (*q, demand))
         };
         Self::of(activations.iter().filter_map(carried))
     }
 
-    /// The place of `query`'s demand in the list, if it has one.
-    fn slot(&self, query: QueryId) -> Option<usize> {
-        self.0.binary_search_by_key(&query, |d| d.0).ok()
-    }
-
     fn queries(&self) -> QuerySet {
-        self.0.iter().map(|d| d.0).collect()
+        self.0.iter().map(|(query, _)| *query).collect()
     }
 }
 
-/// What each demanding query of a cycle chooses from: items — positions in
-/// an input, slots of a table — filed under the query's slot, each query's
-/// in the order they were filed.
+/// One row a selection chooses among: the order word of its first key,
+/// gathered once, and what names it — a position in an input, a slot of a
+/// table. Words decide where they differ ([`Value::order_word`]); only rows
+/// whose words tie are looked at.
+type Ranked = (u64, u32);
+
+/// `a` against `b`: by word, then by `ties` — a total order of what the two
+/// name that agrees with the words.
+#[inline]
+fn rank(a: &Ranked, b: &Ranked, ties: &impl Fn(u32, u32) -> Ordering) -> Ordering {
+    a.0.cmp(&b.0).then_with(|| ties(a.1, b.1))
+}
+
+/// What each demanding query of a cycle chooses from, filed under the
+/// query's slot, each query's in the order they were filed.
 struct Candidates {
-    items: Vec<u32>,
+    items: Vec<Ranked>,
     /// Query slot `i` owns `items[starts[i]..starts[i + 1]]`.
     starts: Vec<usize>,
 }
 
 impl Candidates {
     /// Sorts `filed` — `(query slot, item)` pairs — by slot, stably.
-    fn file(filed: &[(u32, u32)], slots: usize) -> Self {
+    fn file(filed: &[(u32, Ranked)], slots: usize) -> Self {
         let mut starts = vec![0usize; slots + 1];
         for (slot, _) in filed {
             starts[*slot as usize + 1] += 1;
@@ -211,7 +238,7 @@ impl Candidates {
             starts[slot + 1] += starts[slot];
         }
         let mut next = starts.clone();
-        let mut items = vec![0u32; filed.len()];
+        let mut items = vec![(0, 0); filed.len()];
         for (slot, item) in filed {
             items[next[*slot as usize]] = *item;
             next[*slot as usize] += 1;
@@ -219,38 +246,38 @@ impl Candidates {
         Candidates { items, starts }
     }
 
-    fn of(&mut self, slot: usize) -> &mut [u32] {
+    fn of(&mut self, slot: usize) -> &mut [Ranked] {
         &mut self.items[self.starts[slot]..self.starts[slot + 1]]
     }
 }
 
-/// Offers `item` to `best`, the `limit` first under `rank` — a total order —
-/// of the items offered so far, kept as a heap with the last of them on top.
-/// True when that cost a row its place: `item` itself, or the one it ousts.
+/// Offers `item` to `best`, the `limit` first under [`rank`] of the items
+/// offered so far, kept as a heap with the last of them on top. True when
+/// that cost a row its place: `item` itself, or the one it ousts.
 fn offer(
-    best: &mut Vec<u32>,
+    best: &mut Vec<Ranked>,
     limit: usize,
-    item: u32,
-    rank: impl Fn(&u32, &u32) -> Ordering,
+    item: Ranked,
+    ties: &impl Fn(u32, u32) -> Ordering,
 ) -> bool {
     if best.len() < limit {
         best.push(item);
         let mut at = best.len() - 1;
-        while at > 0 && rank(&best[at], &best[(at - 1) / 2]).is_gt() {
+        while at > 0 && rank(&best[at], &best[(at - 1) / 2], ties).is_gt() {
             best.swap(at, (at - 1) / 2);
             at = (at - 1) / 2;
         }
         return false;
     }
-    if limit > 0 && rank(&item, &best[0]).is_lt() {
+    if limit > 0 && rank(&item, &best[0], ties).is_lt() {
         best[0] = item;
         let mut at = 0;
         loop {
             let children = 2 * at + 1..best.len().min(2 * at + 3);
-            let Some(last) = children.max_by(|a, b| rank(&best[*a], &best[*b])) else {
+            let Some(last) = children.max_by(|a, b| rank(&best[*a], &best[*b], ties)) else {
                 break;
             };
-            if rank(&best[last], &best[at]).is_le() {
+            if rank(&best[last], &best[at], ties).is_le() {
                 break;
             }
             best.swap(at, last);
@@ -260,12 +287,12 @@ fn offer(
     true
 }
 
-/// Moves the first `limit` of `items` under `rank` — a total order — to the
-/// front, in no particular order, and returns how many those are.
-fn select_first(items: &mut [u32], limit: usize, rank: impl Fn(&u32, &u32) -> Ordering) -> usize {
+/// Moves the first `limit` of `items` under [`rank`] to the front, in no
+/// particular order, and returns how many those are.
+fn select_first(items: &mut [Ranked], limit: usize, ties: &impl Fn(u32, u32) -> Ordering) -> usize {
     let keep = limit.min(items.len());
     if 0 < keep && keep < items.len() {
-        items.select_nth_unstable_by(keep - 1, rank);
+        items.select_nth_unstable_by(keep - 1, |a, b| rank(a, b, ties));
     }
     keep
 }
@@ -280,12 +307,10 @@ fn execute_filter(
     input: &[QTuple],
 ) -> Result<Vec<QTuple>> {
     // query -> residual predicate
-    let mut predicates: HashMap<QueryId, &Expr> = HashMap::new();
-    for (q, a) in activations {
-        if let Activation::Filter { predicate } = a {
-            predicates.insert(*q, predicate);
-        }
-    }
+    let predicates = PerQuery::of(activations.iter().filter_map(|(q, a)| match a {
+        Activation::Filter { predicate } => Some((*q, predicate)),
+        _ => None,
+    }));
     let mut out = Vec::new();
     for (tuple, queries) in restricted(input, active) {
         let mut keep = QuerySet::new();
@@ -293,7 +318,7 @@ fn execute_filter(
             // A query that participates without a predicate keeps the tuple
             // unconditionally.
             if predicates
-                .get(&q)
+                .get(q)
                 .map_or(Ok(true), |p| p.eval_predicate(tuple))?
             {
                 keep.insert(q);
@@ -317,28 +342,36 @@ fn execute_hash_join(
     build_key: usize,
     probe_key: usize,
 ) -> Vec<QTuple> {
-    // Build phase: hash the (restricted) build side on its join key. The
-    // rows lie in one vector, those of one key chained in arrival order
-    // through their last field; the table maps a key to the first and the
-    // last row of its chain, so a key costs no allocation of its own.
-    let mut rows: Vec<(&Tuple, QuerySet, u32)> = Vec::new();
-    let mut table: HashMap<&Value, (u32, u32)> = HashMap::new();
-    for (tuple, queries) in restricted(build, active) {
+    // Build phase: gather the (restricted) build side — NULL never joins —,
+    // then hash it on its join key into a table sized for it. The rows lie
+    // in one vector, those of one key chained in arrival order; the table
+    // maps a key to the first row of its chain, which names the last, so a
+    // key costs no allocation of its own.
+    struct Row<'a> {
+        tuple: &'a Tuple,
+        queries: QuerySet,
+        next: u32,
+        /// Of the first row of a chain: the last.
+        last: u32,
+    }
+    let mut rows: Vec<Row<'_>> = restricted(build, active)
+        .filter(|(tuple, _)| !tuple[build_key].is_null())
+        .map(|(tuple, queries)| Row {
+            tuple,
+            queries,
+            next: END,
+            last: END,
+        })
+        .collect();
+    let mut table = WordTable::with_room(rows.len());
+    for at in 0..link(rows.len()) {
+        let tuple = rows[at as usize].tuple;
         let key = &tuple[build_key];
-        if key.is_null() {
-            continue; // NULL never joins
-        }
-        let at = link(rows.len());
-        rows.push((tuple, queries, END));
-        match table.entry(key) {
-            Entry::Vacant(first) => {
-                first.insert((at, at));
-            }
-            Entry::Occupied(mut chain) => {
-                let (_, last) = chain.get_mut();
-                rows[*last as usize].2 = at;
-                *last = at;
-            }
+        let same_key = |first: u32| rows[first as usize].tuple[build_key] == *key;
+        let first = *table.entry(word_of([key]), at, same_key) as usize;
+        let last = std::mem::replace(&mut rows[first].last, at);
+        if last != END {
+            rows[last as usize].next = at;
         }
     }
     // Probe phase: the effective join predicate is
@@ -347,12 +380,14 @@ fn execute_hash_join(
     // restricts the probe side as well.
     let mut out = Vec::new();
     for probe in probe {
-        let chain = table.get(&probe.tuple[probe_key]);
-        let mut at = chain.map_or(END, |&(first, _)| first);
+        let key = &probe.tuple[probe_key];
+        let same_key = |first: u32| rows[first as usize].tuple[build_key] == *key;
+        let mut at = table.get(word_of([key]), same_key).unwrap_or(END);
         while at != END {
-            let (build, queries, next) = &rows[at as usize];
-            out.extend(join(build, queries, probe));
-            at = *next;
+            let build = &rows[at as usize];
+            let queries = build.queries.intersect(&probe.queries);
+            out.extend(join(build.tuple, &probe.tuple, queries));
+            at = build.next;
         }
     }
     out
@@ -369,12 +404,11 @@ fn link(len: usize) -> u32 {
     }
 }
 
-/// The shared-join rule (Section 3.3): a pair joins for the queries
+/// The shared-join rule (Section 3.3): a pair joins for `queries`, those
 /// interested in both sides, if there are any. The joined tuple holds both
 /// rows by reference.
-fn join(build: &Tuple, build_queries: &QuerySet, probe: &QTuple) -> Option<QTuple> {
-    let queries = build_queries.intersect(&probe.queries);
-    (!queries.is_empty()).then(|| QTuple::new(build.concat(&probe.tuple), queries))
+fn join(build: &Tuple, probe: &Tuple, queries: QuerySet) -> Option<QTuple> {
+    (!queries.is_empty()).then(|| QTuple::new(build.concat(probe), queries))
 }
 
 // ---------------------------------------------------------------------------
@@ -396,7 +430,9 @@ fn execute_nested_loop_join(active: &QuerySet, build: &[QTuple], probe: &[QTuple
     for build_block in build.chunks(NL_BLOCK) {
         for probe in probe {
             let pairs = build_block.iter();
-            out.extend(pairs.filter_map(|(build, queries)| join(build, queries, probe)));
+            out.extend(pairs.filter_map(|(build, queries)| {
+                join(build, &probe.tuple, queries.intersect(&probe.queries))
+            }));
         }
     }
     out
@@ -431,28 +467,31 @@ fn execute_index_nl_join(
     let mut found = Found::default();
     if !demands.0.is_empty() {
         found.span_of = vec![NOT_LOOKED_UP; outer.len()];
-        let mut filed: Vec<(u32, u32)> = Vec::new();
+        let mut filed: Vec<(u32, Ranked)> = Vec::new();
+        // A demand's place among the demanding queries is its slot.
+        let mut restriction = Restriction::to(&demanding);
         for (at, t) in outer.iter().enumerate() {
-            for q in t.queries.intersect(&demanding).iter() {
-                let slot = demands.slot(q).expect("a demanding query has a slot");
-                filed.push((slot as u32, link(at)));
-            }
+            restriction.places_of(&t.queries, |slot| {
+                let (keys, _) = demands.0[slot].1;
+                filed.push((slot as u32, (key_word(&t.tuple, keys), link(at))));
+                found.span_of[at] = CANDIDATE;
+            });
         }
         let mut candidates = Candidates::file(&filed, demands.0.len());
-        for (slot, &(query, keys, limit)) in demands.0.iter().enumerate() {
-            let rank = |a: &u32, b: &u32| {
-                let (a_row, b_row) = (&outer[*a as usize].tuple, &outer[*b as usize].tuple);
-                compare_tuples(a_row, b_row, keys).then(a.cmp(b))
+        for (slot, &(query, (keys, limit))) in demands.0.iter().enumerate() {
+            let ties = |a: u32, b: u32| {
+                let (a_row, b_row) = (&outer[a as usize].tuple, &outer[b as usize].tuple);
+                compare_tuples(a_row, b_row, keys).then(a.cmp(&b))
             };
             let (mut rest, mut tried, mut joined) = (candidates.of(slot), 0, 0);
             while joined < limit && !rest.is_empty() {
                 // The rows still missing if each of the next finds one — and
                 // no fewer than were tried before, so that a query whose rows
                 // find nothing selects a linear number of times in all.
-                let take = select_first(rest, (limit - joined).max(tried), rank);
+                let take = select_first(rest, (limit - joined).max(tried), &ties);
                 let (next, later) = std::mem::take(&mut rest).split_at_mut(take);
-                next.sort_unstable_by(rank);
-                for &at in next.iter() {
+                next.sort_unstable_by(|a, b| rank(a, b, &ties));
+                for &(_, at) in next.iter() {
                     if joined >= limit {
                         break;
                     }
@@ -475,19 +514,25 @@ fn execute_index_nl_join(
     // Output in outer order: every row for the queries that asked for all of
     // them, a demanding query's chosen rows for it as well.
     let mut undemanding = active.clone();
-    for (q, ..) in &demands.0 {
+    for (q, _) in &demands.0 {
         undemanding.remove(*q);
     }
     let mut wanted = wanted.into_iter().peekable();
     let mut emitted = Emitted::default();
+    let mut restriction = Restriction::to(&undemanding);
     for (at, t) in outer.iter().enumerate() {
-        let mut queries = t.queries.intersect(&undemanding);
+        // Mostly every query of the cycle demands: nothing to restrict to.
+        let mut queries = if undemanding.is_empty() {
+            QuerySet::new()
+        } else {
+            restriction.of(&t.queries)
+        };
         while let Some((_, q)) = wanted.next_if(|(chosen, _)| *chosen as usize == at) {
             queries.insert(q);
         }
         if queries.is_empty() {
-            let skipped = found.looked_up(at).is_none() && t.queries.intersects(&demanding);
-            emitted.pruned += usize::from(skipped);
+            // A demanding query's row that was looked up for nobody.
+            emitted.pruned += usize::from(found.span_of.get(at) == Some(&CANDIDATE));
             continue;
         }
         let pair = |inner_row: &Tuple| QTuple::new(t.tuple.concat(inner_row), queries.clone());
@@ -507,13 +552,16 @@ fn execute_index_nl_join(
 /// The inner rows a join cycle found ahead of its output pass.
 #[derive(Default)]
 struct Found<'t> {
-    /// Per outer position the `(first, count)` of its inner rows in `rows`;
-    /// empty when the cycle looked nothing up ahead.
+    /// Per outer position the `(first, count)` of its inner rows in `rows`,
+    /// [`NOT_LOOKED_UP`], or [`CANDIDATE`]; empty when the cycle looked
+    /// nothing up ahead.
     span_of: Vec<(u32, u32)>,
     rows: Vec<&'t Tuple>,
 }
 
 const NOT_LOOKED_UP: (u32, u32) = (END, 0);
+/// Not looked up, and a row some demanding query chooses among.
+const CANDIDATE: (u32, u32) = (END, 1);
 
 impl<'t> Found<'t> {
     /// The inner rows of the outer row at `at`, from `matches` the first time.
@@ -522,7 +570,7 @@ impl<'t> Found<'t> {
         at: u32,
         matches: impl FnOnce() -> I,
     ) -> &[&'t Tuple] {
-        if self.span_of[at as usize] == NOT_LOOKED_UP {
+        if self.span_of[at as usize].0 == END {
             let first = link(self.rows.len());
             self.rows.extend(matches());
             self.span_of[at as usize] = (first, link(self.rows.len()) - first);
@@ -552,27 +600,32 @@ fn execute_sort(
 ) -> Emitted {
     // A Top-N query's limit is its activation; a sort is told of the `LIMIT`
     // its output is cut to by a demand.
-    let limits = Demands::of(activations.iter().filter_map(|(q, a)| match a {
-        Activation::TopN { limit } | Activation::Demand { limit, .. } => Some((*q, keys, *limit)),
+    let limits = PerQuery::of(activations.iter().filter_map(|(q, a)| match a {
+        Activation::TopN { limit } | Activation::Demand { limit, .. } => Some((*q, *limit)),
         _ => None,
     }));
-    let rank = |a: &u32, b: &u32| {
-        let (a_row, b_row) = (&input[*a as usize].tuple, &input[*b as usize].tuple);
-        compare_tuples(a_row, b_row, keys).then(a.cmp(b))
+    let ties = |a: u32, b: u32| {
+        let (a_row, b_row) = (&input[a as usize].tuple, &input[b as usize].tuple);
+        compare_tuples(a_row, b_row, keys).then(a.cmp(&b))
     };
     // Per limited query the rows it keeps so far, their last on top.
-    let room = |&(_, _, limit): &(QueryId, &[SortKey], usize)| limit.min(input.len());
-    let mut best: Vec<Vec<u32>> = limits.0.iter().map(room).map(Vec::with_capacity).collect();
-    let mut kept: Vec<(u32, QuerySet)> = Vec::new();
+    let room = |&(_, limit): &(QueryId, usize)| limit.min(input.len());
+    let mut best: Vec<Vec<Ranked>> = limits.0.iter().map(room).map(Vec::with_capacity).collect();
+    let mut kept: Vec<(Ranked, QuerySet)> = Vec::new();
     let mut emitted = Emitted::default();
+    let mut restriction = Restriction::to(active);
     for (at, t) in input.iter().enumerate() {
-        let mut queries = t.queries.intersect(active);
+        let mut queries = restriction.of(&t.queries);
+        if queries.is_empty() {
+            continue;
+        }
+        let row = (key_word(&t.tuple, keys), link(at));
         if !limits.0.is_empty() {
             let mut unlimited = QuerySet::new();
             for q in queries.iter() {
                 match limits.slot(q) {
                     Some(slot) => {
-                        let dropped = offer(&mut best[slot], limits.0[slot].2, link(at), rank);
+                        let dropped = offer(&mut best[slot], limits.0[slot].1, row, &ties);
                         emitted.pruned += usize::from(dropped);
                     }
                     None => {
@@ -583,17 +636,17 @@ fn execute_sort(
             queries = unlimited;
         }
         if !queries.is_empty() {
-            kept.push((link(at), queries));
+            kept.push((row, queries));
         }
     }
-    for (best, &(query, ..)) in best.iter().zip(&limits.0) {
-        kept.extend(best.iter().map(|at| (*at, QuerySet::singleton(query))));
+    for (best, &(query, _)) in best.iter().zip(&limits.0) {
+        kept.extend(best.iter().map(|row| (*row, QuerySet::singleton(query))));
     }
-    // `rank` is total, so this is the stable sort by `keys`; a row several
+    // The rank is total, so this is the stable sort by `keys`; a row several
     // queries kept lies in it once per query, side by side.
-    kept.sort_unstable_by(|a, b| rank(&a.0, &b.0));
+    kept.sort_unstable_by(|a, b| rank(&a.0, &b.0, &ties));
     let mut last = END;
-    for (at, queries) in kept {
+    for ((_, at), queries) in kept {
         match emitted.tuples.last_mut() {
             Some(row) if at == last => row.queries.union_in_place(&queries),
             _ => {
@@ -617,36 +670,45 @@ fn execute_group_by(
     group_columns: &[usize],
     aggregates: &[AggregateSpec],
 ) -> Result<Emitted> {
-    let mut having: HashMap<QueryId, Option<&Expr>> = HashMap::new();
-    // Queries in partial-aggregation mode (segmented group-by roots): their
-    // AVG output columns carry the partial sum, with one hidden count column
-    // per AVG appended to the row so the segment merge can recombine exact
-    // averages across segments.
-    let mut partials: HashMap<QueryId, bool> = HashMap::new();
-    for (q, a) in activations {
-        if let Activation::Having { predicate, partial } = a.split_demand().0 {
-            having.insert(*q, predicate.as_ref());
-            partials.insert(*q, *partial);
-        }
-    }
-    let is_partial = |q: QueryId| partials.get(&q).copied().unwrap_or(false);
+    // Per query its HAVING predicate and whether it is in partial-aggregation
+    // mode (segmented group-by roots): the AVG output columns of such a query
+    // carry the partial sum, with one hidden count column per AVG appended to
+    // the row so the segment merge can recombine exact averages across
+    // segments.
+    let having = PerQuery::of(
+        activations
+            .iter()
+            .filter_map(|(q, a)| match a.split_demand().0 {
+                Activation::Having { predicate, partial } => {
+                    Some((*q, (predicate.as_ref(), *partial)))
+                }
+                _ => None,
+            }),
+    );
+    let is_partial = |q: QueryId| having.get(q).is_some_and(|(_, partial)| *partial);
     // A partial group is cut nowhere: whoever recombines it wants it whole.
     let mut demands = Demands::carried(activations);
-    demands.0.retain(|(q, ..)| !is_partial(*q));
+    demands.0.retain(|(q, _)| !is_partial(*q));
 
     // Phase 1 (shared): group all interesting tuples once, regardless of which
-    // query they belong to. A group's key borrows the columns of its first
-    // row and is hashed once per row. Phase 2 (per query): aggregation state
-    // is per query because each query may aggregate a different subset of
-    // the group — one slot per (group, query), the slots of a group chained
-    // ascending by query from the group's map entry, slot `i` owning the
-    // accumulators `i * aggregates.len()..` of the cycle's one vector. A new
-    // group allocates nothing of its own.
+    // query they belong to. A group is the first row that fell into it, whose
+    // grouping columns are its key, found through a table of the keys' hash
+    // words, one a row. Phase 2 (per query): aggregation state is per query
+    // because each query may aggregate a different subset of the group — one
+    // slot per (group, query), the slots of a group chained ascending by
+    // query from the group, slot `i` owning the accumulators
+    // `i * aggregates.len()..` of the cycle's one vector. A new group
+    // allocates nothing of its own.
     struct Slot {
         query: QueryId,
         next: u32,
     }
-    let mut groups: HashMap<GroupKey<'_>, u32> = HashMap::new();
+    let key_of = |row| GroupKey {
+        row,
+        columns: group_columns,
+    };
+    let mut table = WordTable::with_room(input.len());
+    let mut groups: Vec<(&Tuple, u32)> = Vec::new();
     let mut slots: Vec<Slot> = Vec::new();
     let mut accumulators: Vec<Accumulator> = Vec::new();
     let of_slot = |slot: u32| {
@@ -654,11 +716,14 @@ fn execute_group_by(
         first..first + aggregates.len()
     };
     for (tuple, queries) in restricted(input, active) {
-        let key = GroupKey {
-            row: tuple,
-            columns: group_columns,
-        };
-        let head = groups.entry(key).or_insert(END);
+        let key = key_of(tuple);
+        let fresh = link(groups.len());
+        let same_key = |group: u32| key_of(groups[group as usize].0) == key;
+        let group = *table.entry(word_of(key.values()), fresh, same_key);
+        if group == fresh {
+            groups.push((tuple, END));
+        }
+        let head = &mut groups[group as usize].1;
         // The chain and the row's queries both ascend: walked in step.
         let (mut before, mut at) = (END, *head);
         for q in queries.iter() {
@@ -707,6 +772,19 @@ fn execute_group_by(
         }
         values.drain(..).collect()
     };
+    // The order word of a slot's output row under `keys`, before there is
+    // one: an aggregate is finished once, here, not once per comparison.
+    let order_word_of = |first_row: &Tuple, slot: u32, keys: &[SortKey]| {
+        keys.first()
+            .map_or(0, |key| match group_columns.get(key.column) {
+                Some(&c) => first_row[c].order_word(key.order),
+                None => {
+                    let aggregate = key.column - group_columns.len();
+                    let finished = accumulators[of_slot(slot)][aggregate].finish();
+                    finished.order_word(key.order)
+                }
+            })
+    };
 
     // HAVING first — over *final* aggregate values; a query in partial mode
     // ships partial groups, so its predicate is applied after recombination
@@ -715,16 +793,16 @@ fn execute_group_by(
     // the group, slot, row if built)` each.
     type Passed<'a> = (&'a Tuple, u32, Option<Tuple>);
     let mut passed: Vec<Passed<'_>> = Vec::new();
-    let mut filed: Vec<(u32, u32)> = Vec::new();
-    for (key, head) in groups {
+    let mut filed: Vec<(u32, Ranked)> = Vec::new();
+    for (first_row, head) in groups {
         let mut next = head;
         while next != END {
             let slot = next;
             let query = slots[slot as usize].query;
             next = slots[slot as usize].next;
-            let judged = match having.get(&query) {
-                Some(Some(predicate)) if !is_partial(query) => {
-                    let row = row_of(key.row, slot);
+            let judged = match having.get(query) {
+                Some((Some(predicate), false)) => {
+                    let row = row_of(first_row, slot);
                     if !predicate.eval_predicate(&row)? {
                         continue;
                     }
@@ -733,15 +811,13 @@ fn execute_group_by(
                 _ => None,
             };
             if let Some(demand) = demands.slot(query) {
-                filed.push((demand as u32, link(passed.len())));
+                let (keys, _) = demands.0[demand].1;
+                let word = order_word_of(first_row, slot, keys);
+                filed.push((demand as u32, (word, link(passed.len()))));
             }
-            passed.push((key.row, slot, judged));
+            passed.push((first_row, slot, judged));
         }
     }
-    let key_of = |row| GroupKey {
-        row,
-        columns: group_columns,
-    };
     // Two slots by a column of their output rows, before there are any.
     let by_column = |a: &Passed<'_>, b: &Passed<'_>, column: usize| match group_columns.get(column)
     {
@@ -754,18 +830,18 @@ fn execute_group_by(
     };
     let mut emitted = Emitted::default();
     let mut candidates = Candidates::file(&filed, demands.0.len());
-    for (demand, &(_, keys, limit)) in demands.0.iter().enumerate() {
+    for (demand, &(_, (keys, limit))) in demands.0.iter().enumerate() {
         // A query's rows leave in ascending key order: that is its position.
-        let rank = |a: &u32, b: &u32| {
-            let (a, b) = (&passed[*a as usize], &passed[*b as usize]);
+        let ties = |a: u32, b: u32| {
+            let (a, b) = (&passed[a as usize], &passed[b as usize]);
             let by = |key: &SortKey| key.order.apply(by_column(a, b, key.column));
             let by_keys = keys.iter().map(by).find(|o| o.is_ne());
             by_keys.unwrap_or_else(|| key_of(a.0).cmp(&key_of(b.0)))
         };
         let of_query = candidates.of(demand);
-        let keep = select_first(of_query, limit, rank);
+        let keep = select_first(of_query, limit, &ties);
         emitted.pruned += of_query.len() - keep;
-        for &unwanted in &of_query[keep..] {
+        for &(_, unwanted) in &of_query[keep..] {
             passed[unwanted as usize].1 = END;
         }
     }
@@ -811,12 +887,6 @@ impl PartialEq for GroupKey<'_> {
 
 impl Eq for GroupKey<'_> {}
 
-impl Hash for GroupKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.values().for_each(|v| v.hash(state));
-    }
-}
-
 impl PartialOrd for GroupKey<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
@@ -835,26 +905,46 @@ impl Ord for GroupKey<'_> {
 
 fn execute_distinct(active: &QuerySet, input: &[QTuple]) -> Vec<QTuple> {
     // Row -> its position in the output (first occurrence order).
-    let mut seen: HashMap<&Tuple, usize> = HashMap::new();
+    let mut seen = WordTable::with_room(input.len());
     let mut out: Vec<QTuple> = Vec::new();
     for (tuple, queries) in restricted(input, active) {
-        match seen.get(tuple) {
-            Some(&at) => out[at].queries.union_in_place(&queries),
-            None => {
-                seen.insert(tuple, out.len());
-                out.push(QTuple::new(tuple.clone(), queries));
-            }
+        let fresh = link(out.len());
+        let same_row = |at: u32| out[at as usize].tuple == *tuple;
+        let at = *seen.entry(word_of(tuple), fresh, same_row);
+        if at == fresh {
+            out.push(QTuple::new(tuple.clone(), queries));
+        } else {
+            out[at as usize].queries.union_in_place(&queries);
         }
     }
     out
+}
+
+/// The hash word of a key ([`hash_words`]) — under test, when a test says
+/// so, one word for every key: all keys then lie in one probe run, and only
+/// the comparison of the keys themselves tells them apart.
+#[inline]
+fn word_of<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
+    #[cfg(test)]
+    if tests::COLLIDE.get() {
+        return 7;
+    }
+    hash_words(key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use shareddb_common::agg::AggregateFunction;
-    use shareddb_common::tuple;
+    use shareddb_common::{tuple, Expr};
     use shareddb_storage::TableDef;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set by a test that wants every key of its cycles to share one hash
+        /// word ([`word_of`]).
+        pub(super) static COLLIDE: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn ctx(catalog: &Catalog) -> ExecContext<'_> {
         ExecContext {
@@ -1393,5 +1483,194 @@ mod tests {
             &ctx(&catalog)
         )
         .is_err());
+    }
+
+    // -----------------------------------------------------------------------
+    // The tables against the equality they stand for
+    // -----------------------------------------------------------------------
+
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use std::collections::BTreeMap;
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (0..n).generate(rng)
+    }
+
+    /// A key out of a handful, so that rows meet: NULL, numbers under both
+    /// spellings (`3` and `3.0` are one key), the same digits as a date and
+    /// as a text (two more keys), and a float no integer equals.
+    fn some_key(rng: &mut TestRng) -> Value {
+        let n = pick(rng, 4) as i64;
+        match pick(rng, 8) {
+            0 => Value::Null,
+            1 | 2 => Value::Int(n),
+            3 => Value::Float(n as f64),
+            4 => Value::Float(n as f64 + 0.5),
+            5 => Value::Date(n),
+            6 => Value::text(n.to_string()),
+            _ => Value::Bool(n % 2 == 0),
+        }
+    }
+
+    /// `(key, key, payload)` rows for some of the queries 1 to 4 and, now and
+    /// then, 9, which is active nowhere — or for a crowd of eight, some of
+    /// them active nowhere either, whose set is too long to live in the row
+    /// and is one slice shared by the rows that carry it, or a slice of its
+    /// own, equal to that one or not.
+    fn some_rows(rng: &mut TestRng) -> Vec<QTuple> {
+        let crowd = |first: u32| -> QuerySet { (first..first + 3).chain(9..14).collect() };
+        let shared = crowd(2);
+        let rows = 0..pick(rng, 24);
+        let row = |payload: usize, rng: &mut TestRng| {
+            let queries = match pick(rng, 6) {
+                0 => shared.clone(),
+                1 => crowd(1 + pick(rng, 2) as u32),
+                _ => {
+                    let mut few: Vec<u32> = (1..=4).filter(|_| pick(rng, 2) == 0).collect();
+                    few.extend((pick(rng, 5) == 0).then_some(9));
+                    few.into_iter().collect()
+                }
+            };
+            let values = tuple![some_key(rng), some_key(rng), payload as i64];
+            QTuple::new(values, queries)
+        };
+        rows.map(|payload| row(payload, rng)).collect()
+    }
+
+    /// Two inputs and the queries active at the operator.
+    #[derive(Debug)]
+    struct Inputs {
+        left: Vec<QTuple>,
+        right: Vec<QTuple>,
+        active: Vec<u32>,
+    }
+
+    struct SomeInputs;
+
+    impl Strategy for SomeInputs {
+        type Value = Inputs;
+        fn generate(&self, rng: &mut TestRng) -> Inputs {
+            Inputs {
+                left: some_rows(rng),
+                right: some_rows(rng),
+                active: (1..=4).filter(|_| pick(rng, 4) != 0).collect(),
+            }
+        }
+    }
+
+    /// Runs `cycle` with the hash words of its keys as they are and with one
+    /// word for every key.
+    fn with_and_without_collisions(cycle: impl Fn()) {
+        for collide in [false, true] {
+            COLLIDE.set(collide);
+            cycle();
+        }
+        COLLIDE.set(false);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hash join emits what a nested loop with the key predicate
+        /// and the query-set intersection emits, pair for pair in the
+        /// loop's order — keys of mixed types that compare equal, NULL keys
+        /// (which never join) and keys that all share one hash word
+        /// included.
+        #[test]
+        fn hash_join_is_a_nested_loop_with_the_key_predicate(case in SomeInputs) {
+            let catalog = Catalog::new();
+            let active: QuerySet = case.active.iter().copied().collect();
+            let mut expected = Vec::new();
+            for probe in &case.right {
+                for build in &case.left {
+                    let (build_key, probe_key) = (&build.tuple[1], &probe.tuple[0]);
+                    let queries = build.queries.intersect(&active).intersect(&probe.queries);
+                    if !build_key.is_null() && build_key == probe_key && !queries.is_empty() {
+                        let values: Vec<Value> = build.tuple.iter().chain(&probe.tuple).cloned().collect();
+                        expected.push((values, queries));
+                    }
+                }
+            }
+            let spec = OperatorSpec::HashJoin { build_key: 1, probe_key: 0 };
+            with_and_without_collisions(|| {
+                let inputs = vec![case.left.clone(), case.right.clone()];
+                let out = execute_operator(&spec, &participate(&case.active), inputs, &ctx(&catalog));
+                let out: Vec<_> = out.unwrap().into_iter().map(|t| (t.tuple.into_values(), t.queries)).collect();
+                assert_eq!(out, expected);
+            });
+        }
+
+        /// The group-by emits, per group and query, what a `BTreeMap` from
+        /// `(key, query)` to a sum and a count holds, in the map's order: a
+        /// group's key is spelled the way its first row spelled it, `3` and
+        /// `3.0` are one group, so are the NULLs, whatever the hash words.
+        #[test]
+        fn group_by_is_a_map_from_key_and_query(case in SomeInputs) {
+            let catalog = Catalog::new();
+            // key -> as its first row spelled it; (key, query) -> (sum, count)
+            let mut spelled: BTreeMap<Vec<Value>, String> = BTreeMap::new();
+            let mut model: BTreeMap<(Vec<Value>, u32), (i64, i64)> = BTreeMap::new();
+            for row in &case.left {
+                let key = vec![row.tuple[0].clone(), row.tuple[1].clone()];
+                let of_row = row.queries.iter().map(|q| q.raw());
+                for query in of_row.filter(|q| case.active.contains(q)) {
+                    spelled.entry(key.clone()).or_insert_with(|| format!("{key:?}"));
+                    let group = model.entry((key.clone(), query)).or_default();
+                    group.0 += row.tuple[2].as_int().unwrap();
+                    group.1 += 1;
+                }
+            }
+            let expected: Vec<(String, Value, Value, u32)> = model
+                .into_iter()
+                .map(|((key, query), (sum, count))| {
+                    (spelled[&key].clone(), Value::Int(sum), Value::Int(count), query)
+                })
+                .collect();
+            let aggregate = |function, name: &str| AggregateSpec { function, column: 2, output_name: name.into() };
+            let spec = OperatorSpec::GroupBy {
+                group_columns: vec![0, 1],
+                aggregates: vec![aggregate(AggregateFunction::Sum, "S"), aggregate(AggregateFunction::Count, "C")],
+            };
+            let having = || Activation::Having { predicate: None, partial: false };
+            let activations: Vec<_> = case.active.iter().map(|q| (QueryId(*q), having())).collect();
+            with_and_without_collisions(|| {
+                let out = execute_operator(&spec, &activations, vec![case.left.clone()], &ctx(&catalog));
+                let out: Vec<_> = out.unwrap().into_iter().map(|t| {
+                    let query = t.queries.iter().next().unwrap().raw();
+                    assert_eq!(t.queries.len(), 1);
+                    let values = t.tuple.into_values();
+                    (format!("{:?}", &values[..2]), values[2].clone(), values[3].clone(), query)
+                }).collect();
+                assert_eq!(out, expected);
+            });
+        }
+
+        /// DISTINCT keeps the first of the rows that are equal — under the
+        /// equality of values, whatever the hash words — with the queries of
+        /// all of them.
+        #[test]
+        fn distinct_is_the_first_of_equal_rows_with_all_their_queries(case in SomeInputs) {
+            let catalog = Catalog::new();
+            let active: QuerySet = case.active.iter().copied().collect();
+            let mut expected: Vec<(Vec<Value>, QuerySet)> = Vec::new();
+            for row in &case.left {
+                let queries = row.queries.intersect(&active);
+                // The payload differs row by row: DISTINCT over the two keys.
+                let values = vec![row.tuple[0].clone(), row.tuple[1].clone()];
+                match expected.iter_mut().find(|(seen, _)| *seen == values) {
+                    _ if queries.is_empty() => {}
+                    Some((_, of_seen)) => of_seen.union_in_place(&queries),
+                    None => expected.push((values, queries)),
+                }
+            }
+            let keys_only = |t: &QTuple| QTuple::new(t.tuple.project(&[0, 1]), t.queries.clone());
+            let input: Vec<QTuple> = case.left.iter().map(keys_only).collect();
+            with_and_without_collisions(|| {
+                let out = execute_operator(&OperatorSpec::Distinct, &participate(&case.active), vec![input.clone()], &ctx(&catalog));
+                let out: Vec<_> = out.unwrap().into_iter().map(|t| (t.tuple.into_values(), t.queries)).collect();
+                assert_eq!(out, expected);
+            });
+        }
     }
 }

@@ -194,13 +194,6 @@ impl GlobalPlan {
             .collect()
     }
 
-    /// Returns the nodes in a topological order (inputs before consumers).
-    /// The plan builder only allows referencing already-created nodes as
-    /// inputs, so ids are already topologically ordered.
-    pub fn topological_order(&self) -> Vec<OperatorId> {
-        (0..self.nodes.len()).collect()
-    }
-
     /// Renders the plan as an indented tree rooted at each sink (an operator
     /// nobody consumes), for logging and the `fig6_plan` harness.
     pub fn render(&self) -> String {
@@ -881,42 +874,6 @@ impl StatementRegistry {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deployment (core assignment + replication description, Section 4.3 / 4.5)
-// ---------------------------------------------------------------------------
-
-/// A deployment plan: which CPU core each operator is pinned to, and which
-/// operators are replicated. The current runtime uses the deployment only to
-/// size its core budget and to document intent (hard affinity is not enforced
-/// at the OS level; see DESIGN.md, substitutions).
-#[derive(Debug, Clone, Default)]
-pub struct Deployment {
-    /// Operator -> core assignments.
-    pub assignments: Vec<(OperatorId, usize)>,
-    /// Operators replicated n-ways (Section 4.5). Not used by the default
-    /// configuration, mirroring the paper's experiments.
-    pub replicas: Vec<(OperatorId, usize)>,
-}
-
-impl Deployment {
-    /// Round-robin assignment of operators to `cores` cores.
-    pub fn round_robin(plan: &GlobalPlan, cores: usize) -> Self {
-        let cores = cores.max(1);
-        Deployment {
-            assignments: plan.nodes().iter().map(|n| (n.id, n.id % cores)).collect(),
-            replicas: Vec::new(),
-        }
-    }
-
-    /// Number of distinct cores used.
-    pub fn cores_used(&self) -> usize {
-        let mut cores: Vec<usize> = self.assignments.iter().map(|(_, c)| *c).collect();
-        cores.sort_unstable();
-        cores.dedup();
-        cores.len()
-    }
-}
-
 impl fmt::Display for GlobalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
@@ -1085,21 +1042,6 @@ mod tests {
             _ => panic!("expected range"),
         }
         assert!(t.bind(&[]).is_err());
-    }
-
-    #[test]
-    fn deployment_round_robin() {
-        let catalog = catalog();
-        let mut b = PlanBuilder::new(&catalog);
-        for _ in 0..5 {
-            b.table_scan("USERS").unwrap();
-        }
-        let plan = b.build();
-        let d = Deployment::round_robin(&plan, 2);
-        assert_eq!(d.assignments.len(), 5);
-        assert_eq!(d.cores_used(), 2);
-        let d1 = Deployment::round_robin(&plan, 0);
-        assert_eq!(d1.cores_used(), 1);
     }
 
     #[test]

@@ -12,27 +12,55 @@
 use crate::batch::{Activation, ActiveQuery};
 use crate::engine::{EngineInner, QueryOutcome, ResultSet};
 use crate::merge::{merge_results, MergeSpec};
-use crate::plan::{ComputedColumn, OperatorId};
+use crate::plan::ComputedColumn;
 use crate::stats::Phase;
-use shareddb_common::{Column, Error, QTuple, QueryId, Result, Schema, Tuple, Value};
-use std::collections::{HashMap, HashSet};
+use shareddb_common::{
+    hash_words, Column, Error, QTuple, QueryId, Result, Schema, Tuple, Value, WordTable,
+};
 use std::time::Instant;
 
-/// Γ routing table of one lane: root operator → query → that query's rows.
-pub(crate) type RoutingTable = HashMap<OperatorId, HashMap<QueryId, Vec<Tuple>>>;
+/// Γ routing table of one lane: root operator → the rows of each query that
+/// reads it (`None`: no query of the lane does).
+pub(crate) type RoutingTable = Vec<Option<QueryRows>>;
 
-/// The Γ step over one root's output: each query's rows, in output order.
-pub(crate) fn explode_by_query(output: &[QTuple]) -> HashMap<QueryId, Vec<Tuple>> {
-    let mut per_query: HashMap<QueryId, Vec<Tuple>> = HashMap::new();
-    for tuple in output {
-        for query_id in tuple.queries.iter() {
-            per_query
-                .entry(query_id)
-                .or_default()
-                .push(tuple.tuple.clone());
+/// One root's output by query: each query's rows, in output order.
+pub(crate) struct QueryRows {
+    /// Query id → its place in `rows`.
+    places: WordTable,
+    rows: Vec<(QueryId, Vec<Tuple>)>,
+}
+
+impl QueryRows {
+    /// The Γ step over one root's output, which `readers` queries read.
+    pub(crate) fn explode(output: &[QTuple], readers: usize) -> Self {
+        let mut places = WordTable::with_room(readers);
+        let mut rows: Vec<(QueryId, Vec<Tuple>)> = Vec::with_capacity(readers);
+        for tuple in output {
+            for query in tuple.queries.iter() {
+                let is_query = |place: u32| rows[place as usize].0 == query;
+                let place = *places.entry(word_of(query), rows.len() as u32, is_query);
+                if place as usize == rows.len() {
+                    rows.push((query, Vec::new()));
+                }
+                rows[place as usize].1.push(tuple.tuple.clone());
+            }
         }
+        QueryRows { places, rows }
     }
-    per_query
+
+    /// Takes the rows of `query` out.
+    fn take(&mut self, query: QueryId) -> Vec<Tuple> {
+        let is_query = |place: u32| self.rows[place as usize].0 == query;
+        let place = self.places.get(word_of(query), is_query);
+        place.map_or_else(Vec::new, |place| {
+            std::mem::take(&mut self.rows[place as usize].1)
+        })
+    }
+}
+
+/// The hash word of a query id.
+fn word_of(query: QueryId) -> u64 {
+    Value::Int(i64::from(query.raw())).hash_word()
 }
 
 /// Takes `query`'s root rows out of the routing tables of the lanes it ran
@@ -44,9 +72,8 @@ pub(crate) fn gather(
     routed: &mut [RoutingTable],
 ) -> Result<Vec<Tuple>> {
     let take = |lane: &mut RoutingTable| {
-        let per_query = lane.get_mut(&query.root);
-        let rows = per_query.and_then(|per_query| per_query.remove(&query.query_id));
-        rows.unwrap_or_default()
+        let of_root = lane[query.root].as_mut();
+        of_root.map_or_else(Vec::new, |of_root| of_root.take(query.query_id))
     };
     if let [only] = routed {
         return Ok(take(only));
@@ -133,8 +160,15 @@ pub(crate) fn finalize_query_result(
 /// occurrence, which preserves any ORDER BY) and the deferred limit.
 fn finish_output_rows(query: &ActiveQuery, mut rows: Vec<Tuple>) -> Vec<Tuple> {
     if query.distinct {
-        let mut seen = HashSet::with_capacity(rows.len());
-        rows.retain(|row| seen.insert(row.clone()));
+        let mut seen = WordTable::with_room(rows.len());
+        let mut kept: Vec<Tuple> = Vec::with_capacity(rows.len());
+        for row in rows {
+            let fresh = kept.len() as u32;
+            if *seen.entry(hash_words(&row), fresh, |at| kept[at as usize] == row) == fresh {
+                kept.push(row);
+            }
+        }
+        rows = kept;
         if let Some(limit) = query.limit {
             rows.truncate(limit);
         }

@@ -199,30 +199,31 @@ impl Catalog {
     /// was told, what later snapshots see and what recovery replays agree.
     /// The outer `Err` is a failure of the log itself.
     pub fn apply_batch(&self, ops: &[(String, UpdateOp)]) -> Result<Vec<Result<UpdateResult>>> {
-        if ops.is_empty() {
+        self.apply_ops(ops.iter().map(|(table, op)| (table.as_str(), op)))
+    }
+
+    /// [`Catalog::apply_batch`] over `(table, operation)` pairs wherever they
+    /// lie: nothing is copied on the way to the tables or to the log.
+    pub fn apply_ops<'a>(
+        &self,
+        ops: impl Iterator<Item = (&'a str, &'a UpdateOp)> + Clone,
+    ) -> Result<Vec<Result<UpdateResult>>> {
+        if ops.clone().next().is_none() {
             return Ok(Vec::new());
         }
         let commit_ts = self.oracle.next_commit_ts();
         let results: Vec<Result<UpdateResult>> = ops
-            .iter()
+            .clone()
             .map(|(table_name, op)| {
                 let handle = self.table(table_name)?;
                 let mut table = handle.write();
                 apply_update(&mut table, op, commit_ts)
             })
             .collect();
-        if results.iter().all(Result::is_ok) {
-            self.wal.log_batch(commit_ts, ops)?;
-        } else {
-            let applied: Vec<(String, UpdateOp)> = ops
-                .iter()
-                .zip(&results)
-                .filter(|(_, result)| result.is_ok())
-                .map(|(op, _)| op.clone())
-                .collect();
-            if !applied.is_empty() {
-                self.wal.log_batch(commit_ts, &applied)?;
-            }
+        let applied = ops.zip(&results).filter(|(_, result)| result.is_ok());
+        let mut applied = applied.map(|(op, _)| op).peekable();
+        if applied.peek().is_some() {
+            self.wal.log_ops(commit_ts, applied)?;
         }
         self.oracle.publish(commit_ts);
         Ok(results)

@@ -29,7 +29,9 @@ use crate::predicate_index::{PredicateClass, PredicateIndex};
 use crate::table::Table;
 use crate::update::{apply_cycle_updates, AccessPath, UpdateOp, UpdateResult};
 use parking_lot::RwLock;
-use shareddb_common::{tuple_partition, Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple};
+use shareddb_common::{
+    tuple_partition, Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, WordTable,
+};
 use std::sync::Arc;
 
 /// A segment-view cursor over the table: restricts one scan pass to the rows
@@ -257,7 +259,8 @@ impl ClockScan {
     /// row); the key map answers for whichever snapshot the group reads.
     /// Cheaper: the versions to fetch — the lengths of the posting lists,
     /// read off the B-tree before anything is fetched, and one per key of the
-    /// key map — are fewer than the versions a pass walks. Both sides of that
+    /// key map, of every *distinct* path: queries that ask the same thing
+    /// share one fetch — are fewer than the versions a pass walks. Both sides of that
     /// comparison are exact counts of the same unit, so there is nothing to
     /// tune, and a cycle never costs more than the pass that bounds it.
     ///
@@ -273,23 +276,14 @@ impl ClockScan {
         view: Option<&SegmentView>,
         result: &mut ScanCycleResult,
     ) -> Result<bool> {
-        let mut paths = Vec::with_capacity(members.len());
+        // What the group fetches: each distinct `(path, residual)` once,
+        // with the queries that carry it — the sixteen subject searches of
+        // a batch name a dozen subjects.
+        let mut fetches: Vec<(AccessPath, Option<&Expr>, QuerySet)> = Vec::new();
+        let mut places = WordTable::with_room(members.len());
         let mut to_fetch = 0;
         for query in members {
             let path = AccessPath::choose(table, &query.predicate);
-            let Some(versions) = path.fetch_cost(table) else {
-                return Ok(false);
-            };
-            to_fetch += versions;
-            paths.push(path);
-        }
-        if to_fetch >= table.version_count() {
-            return Ok(false);
-        }
-        let mut hits = Hits::default();
-        for (query, path) in members.iter().zip(&paths) {
-            let in_view = |(_, row): &(_, &Tuple)| view.is_none_or(|view| view.contains(row));
-            let fetched = path.visible_rows(table, snapshot).filter(in_view);
             // A range or a gram narrows a pattern, it does not decide it.
             let narrowed = matches!(
                 path,
@@ -297,7 +291,30 @@ impl ClockScan {
             );
             let decided = !narrowed && query.predicate.split_conjuncts().len() == 1;
             let residual = (!decided).then_some(&query.predicate);
-            hits.collect(query.query_id, fetched, residual)?;
+            let same = |at: u32| {
+                let (fetched, held_against, _) = &fetches[at as usize];
+                *fetched == path && *held_against == residual
+            };
+            let at = *places.entry(path.word(), fetches.len() as u32, same) as usize;
+            if at == fetches.len() {
+                let Some(versions) = path.fetch_cost(table) else {
+                    return Ok(false);
+                };
+                to_fetch += versions;
+                fetches.push((path, residual, QuerySet::new()));
+            }
+            fetches[at].2.insert(query.query_id);
+        }
+        if to_fetch >= table.version_count() {
+            return Ok(false);
+        }
+        let mut hits = Hits::default();
+        for (path, residual, queries) in &fetches {
+            let in_view = |(_, row): &(_, &Tuple)| view.is_none_or(|view| view.contains(row));
+            let fetched = path.visible_rows(table, snapshot).filter(in_view);
+            hits.collect(queries.as_slice(), fetched, *residual)?;
+        }
+        for query in members {
             // The class the pass would have filed the query in.
             result.query_classes[PredicateClass::of(&query.predicate).slot()] += 1;
         }
@@ -1004,6 +1021,20 @@ mod tests {
         // … and so do posting lists as long as the table: 50 + 50.
         let halves = vec![eq(3, Value::text("a")), eq(3, Value::text("b"))];
         assert_eq!(counts(halves, None), ([1, 0], 100, 100));
+        // Queries that ask the same thing share one fetch, and it is the
+        // fetches that are held against the pass: the same half three times
+        // is 50 versions, not 150 — beside a residual of its own, 50 more.
+        let thrice = vec![eq(3, Value::text("a")); 3];
+        assert_eq!(counts(thrice, None), ([0, 1], 50, 50));
+        let twice = vec![
+            eq(1, Value::Int(3)),
+            eq(2, Value::Date(3)),
+            eq(1, Value::Int(3)),
+        ];
+        assert_eq!(counts(twice, None), ([0, 1], 35, 30));
+        let and_odd = eq(3, Value::text("a")).and(Expr::col(4).lt(Expr::lit(50i64)));
+        let held = vec![eq(3, Value::text("a")), and_odd.clone(), and_odd];
+        assert_eq!(counts(held, None), ([1, 0], 100, 50));
         // After a write the key map leads a pinned query back to the version
         // it sees; the secondary indexes hold every version anyway.
         let before = oracle.read_ts();
@@ -1282,8 +1313,13 @@ mod tests {
                         (indexed_predicate(rng, rows.len()), pinned)
                     })
                     .collect();
-                if pick(rng, 4) == 0 {
-                    queries.push(queries[0].clone());
+                // The same question more than once: one fetch, filed under
+                // every query that asks it, pinned elsewhere or not.
+                for _ in 0..[0, 0, 1, 3][pick(rng, 4)] {
+                    let (predicate, _) = queries[pick(rng, queries.len())].clone();
+                    let pinned =
+                        (pick(rng, 5) == 0).then(|| 1 + pick(rng, 1 + writes.len()) as u64);
+                    queries.push((predicate, pinned));
                 }
                 let view = (pick(rng, 4) == 0).then(|| SegmentView {
                     index: pick(rng, 2) as u32,

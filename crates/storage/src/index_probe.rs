@@ -190,17 +190,17 @@ impl IndexProbe {
             match &q.range {
                 ProbeRange::Key(key) => {
                     let fetched = table.eq_lookup(q.column);
-                    hits.collect(query, fetched.rows(key, snapshot), residual)?
+                    hits.collect(&[query], fetched.rows(key, snapshot), residual)?
                 }
                 ProbeRange::Range { low, high } if table.has_index_on(q.column) => {
                     let fetched =
                         table.index_range(q.column, low.as_ref(), high.as_ref(), snapshot);
-                    hits.collect(query, fetched.into_iter(), residual)?
+                    hits.collect(&[query], fetched.into_iter(), residual)?
                 }
                 ProbeRange::Range { low, high } => {
                     let in_range =
                         |(_, row): &(_, &Tuple)| range_contains(low, high, &row[q.column]);
-                    hits.collect(query, table.scan(snapshot).filter(in_range), residual)?
+                    hits.collect(&[query], table.scan(snapshot).filter(in_range), residual)?
                 }
             }
         }
@@ -217,17 +217,18 @@ impl IndexProbe {
 pub(crate) struct Hits(Vec<(RowId, QueryId)>);
 
 impl Hits {
-    /// Files under `query` those of its fetched rows — versions its snapshot
-    /// sees — that `residual` admits.
+    /// Files under each of `queries` — which fetch the same rows and hold
+    /// them against the same `residual` — those of the fetched rows, versions
+    /// their snapshot sees, that it admits.
     pub(crate) fn collect<'t>(
         &mut self,
-        query: QueryId,
+        queries: &[QueryId],
         fetched: impl Iterator<Item = (RowId, &'t Tuple)>,
         residual: Option<&Expr>,
     ) -> Result<()> {
         for (rid, row) in fetched {
             if residual.map_or(Ok(true), |r| r.eval_predicate(row))? {
-                self.0.push((rid, query));
+                self.0.extend(queries.iter().map(|query| (rid, *query)));
             }
         }
         Ok(())
@@ -239,7 +240,10 @@ impl Hits {
     /// The emitted tuple *is* the stored version, not a copy.
     pub(crate) fn emit(mut self, table: &Table, out: &mut Vec<QTuple>) {
         // Sorted, the hits of one row are neighbours and its queries ascend.
-        self.0.sort_unstable();
+        // Every fetch filed its rows in ascending order: the hits are a few
+        // long runs, which the stable sort merges and the unstable one would
+        // sort from scratch.
+        self.0.sort();
         // As in a scan pass, a set too long to live inline is shared with
         // the row before when both interest the same queries.
         let (mut ids, mut previous) = (Vec::new(), QuerySet::new());

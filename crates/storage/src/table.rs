@@ -362,7 +362,7 @@ impl Table {
     /// arena, and links it back to the version the entry pointed at.
     fn file_key(&mut self, key: &[Value], row_id: RowId) {
         let (rows, columns) = (&self.rows, &self.primary_key);
-        let hash = self.pk_index.hash(key);
+        let hash = KeyMap::hash(key);
         let is_key = |row| Self::holds_key(rows, columns, row, key);
         let previous = self.pk_index.insert(hash, row_id, is_key);
         self.rows[row_id.idx()].previous = previous.map_or(NO_VERSION, |row| row.0 as u32);
@@ -371,7 +371,7 @@ impl Table {
     /// The newest version written under `key`, dead or alive.
     fn newest_version(&self, key: &[Value]) -> Option<RowId> {
         let is_key = |row| Self::holds_key(&self.rows, &self.primary_key, row, key);
-        self.pk_index.get(self.pk_index.hash(key), is_key)
+        self.pk_index.get(KeyMap::hash(key), is_key)
     }
 
     /// Appends a version to the arena — the one place that does — filing it

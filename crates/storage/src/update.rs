@@ -9,7 +9,7 @@ use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::table::{grams, index_keys, IndexKind, RowId, Table};
 use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
-use shareddb_common::{BinaryOp, DataType, Expr, Result, Tuple, Value};
+use shareddb_common::{hash_words, BinaryOp, DataType, Expr, Result, Tuple, Value};
 use std::ops::Bound;
 
 /// A single data-modification operation against one table.
@@ -265,6 +265,18 @@ impl AccessPath {
                 (*column, IndexKind::Grams, std::slice::from_ref(gram))
             }
             _ => (0, IndexKind::Values, &[]),
+        }
+    }
+
+    /// The hash word of the values the path probes with: equal paths have
+    /// equal words.
+    pub(crate) fn word(&self) -> u64 {
+        match self {
+            AccessPath::PrimaryKey(keys) => hash_words(keys.iter().flatten()),
+            AccessPath::Index { keys, .. } => hash_words(keys),
+            AccessPath::IndexRange { low: value, .. }
+            | AccessPath::IndexGrams { gram: value, .. } => value.hash_word(),
+            AccessPath::Scan => 0,
         }
     }
 

@@ -93,7 +93,11 @@ pub enum LogRecord {
 
 /// Encodes one record as a self-checking frame.
 pub fn encode_frame(lsn: u64, record: &LogRecord) -> Vec<u8> {
-    let payload = encode_record(record);
+    frame(lsn, &encode_record(record))
+}
+
+/// The self-checking frame around one record's payload text.
+fn frame(lsn: u64, payload: &str) -> Vec<u8> {
     let payload = payload.as_bytes();
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&FRAME_MAGIC);
@@ -623,28 +627,35 @@ impl Wal {
     /// commit). Returns only after the batch is as durable as the policy
     /// promises, so callers may acknowledge afterwards.
     pub fn log_batch(&self, ts: Timestamp, ops: &[(String, UpdateOp)]) -> Result<()> {
+        self.log_ops(ts, ops.iter().map(|(table, op)| (table.as_str(), op)))
+    }
+
+    /// [`Wal::log_batch`] over `(table, operation)` pairs wherever they lie:
+    /// each is encoded from there — a [`LogRecord::Apply`] would own a copy
+    /// of the table's name and of the operation.
+    pub(crate) fn log_ops<'a>(
+        &self,
+        ts: Timestamp,
+        ops: impl Iterator<Item = (&'a str, &'a UpdateOp)>,
+    ) -> Result<()> {
         let policy = self.config.lock().sync_policy;
         let mut inner = self.inner.lock();
         let mut bytes = 0u64;
-        let mut append = |inner: &mut WalInner, record: &LogRecord| -> Result<()> {
+        let mut append = |inner: &mut WalInner, payload: String| -> Result<()> {
             let lsn = inner.next_lsn;
-            let frame = encode_frame(lsn, record);
+            let frame = frame(lsn, &payload);
             inner.sink.append(&frame)?;
             inner.next_lsn = lsn + 1;
             bytes += frame.len() as u64;
             Ok(())
         };
-        append(&mut inner, &LogRecord::BeginBatch(ts))?;
+        append(&mut inner, encode_record(&LogRecord::BeginBatch(ts)))?;
+        let mut logged = 0;
         for (table, op) in ops {
-            append(
-                &mut inner,
-                &LogRecord::Apply {
-                    table: table.clone(),
-                    op: op.clone(),
-                },
-            )?;
+            append(&mut inner, encode_apply(table, op))?;
+            logged += 1;
         }
-        append(&mut inner, &LogRecord::CommitBatch(ts))?;
+        append(&mut inner, encode_record(&LogRecord::CommitBatch(ts)))?;
         inner.sink.flush()?;
         let need_sync = match policy {
             SyncPolicy::Always => true,
@@ -661,7 +672,7 @@ impl Wal {
             self.stats.syncs.inc();
         }
         self.stats.appended_bytes.add(bytes);
-        self.stats.group_commit_size.record_us(ops.len() as u64);
+        self.stats.group_commit_size.record_us(logged);
         self.stats.batches.inc();
         Ok(())
     }
@@ -1061,38 +1072,38 @@ fn decode_expr(s: &str) -> Result<(Expr, &str)> {
 
 /// Encodes one record's payload text. Inverse of [`decode_record`].
 pub fn encode_record(record: &LogRecord) -> String {
-    let mut out = String::new();
     match record {
-        LogRecord::BeginBatch(ts) => {
-            let _ = write!(out, "BEGIN {}", ts.0);
+        LogRecord::BeginBatch(ts) => format!("BEGIN {}", ts.0),
+        LogRecord::CommitBatch(ts) => format!("COMMIT {}", ts.0),
+        LogRecord::CheckpointMeta { ts, wal_lsn } => format!("CKPT {} {}", ts.0, wal_lsn),
+        LogRecord::Apply { table, op } => encode_apply(table, op),
+    }
+}
+
+/// The payload text of a [`LogRecord::Apply`], from the operation where it
+/// lies.
+fn encode_apply(table: &str, op: &UpdateOp) -> String {
+    let mut out = String::new();
+    match op {
+        UpdateOp::Insert { values } => {
+            let _ = write!(out, "INSERT {table} ");
+            encode_tuple(values, &mut out);
         }
-        LogRecord::CommitBatch(ts) => {
-            let _ = write!(out, "COMMIT {}", ts.0);
+        UpdateOp::Update {
+            assignments,
+            predicate,
+        } => {
+            let _ = write!(out, "UPDATE {table} {};", assignments.len());
+            for (col, expr) in assignments {
+                let _ = write!(out, "{col};");
+                encode_expr(expr, &mut out);
+            }
+            encode_expr(predicate, &mut out);
         }
-        LogRecord::CheckpointMeta { ts, wal_lsn } => {
-            let _ = write!(out, "CKPT {} {}", ts.0, wal_lsn);
+        UpdateOp::Delete { predicate } => {
+            let _ = write!(out, "DELETE {table} ");
+            encode_expr(predicate, &mut out);
         }
-        LogRecord::Apply { table, op } => match op {
-            UpdateOp::Insert { values } => {
-                let _ = write!(out, "INSERT {table} ");
-                encode_tuple(values, &mut out);
-            }
-            UpdateOp::Update {
-                assignments,
-                predicate,
-            } => {
-                let _ = write!(out, "UPDATE {table} {};", assignments.len());
-                for (col, expr) in assignments {
-                    let _ = write!(out, "{col};");
-                    encode_expr(expr, &mut out);
-                }
-                encode_expr(predicate, &mut out);
-            }
-            UpdateOp::Delete { predicate } => {
-                let _ = write!(out, "DELETE {table} ");
-                encode_expr(predicate, &mut out);
-            }
-        },
     }
     out
 }
