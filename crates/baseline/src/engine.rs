@@ -12,15 +12,21 @@
 //!
 //! The penalty factor models the less efficient execution of the weaker
 //! system by repeating predicate evaluation work; it does not change results.
+//!
+//! A query reaches its worker and its reply reaches the caller through
+//! `std::sync::mpsc` channels — one hand-off each way per query, as a
+//! statement pays on its way into and out of the shared engine, so the two
+//! compare executors, not queues. The workers share the one job queue behind
+//! a mutex; a reply has a channel of one slot to itself.
 
 use crate::exec::{execute_plan, execute_update, QueryPlan};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use shareddb_common::{Error, Result, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::{Catalog, UpdateOp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -101,7 +107,7 @@ enum Job {
         statement: String,
         params: Vec<Value>,
         submitted: Instant,
-        reply: Sender<Result<Vec<Tuple>>>,
+        reply: SyncSender<Result<Vec<Tuple>>>,
     },
     Shutdown,
 }
@@ -130,7 +136,8 @@ impl ClassicEngine {
     /// parallelism is capped by the profile (MySQL-like: 12).
     pub fn start(catalog: Arc<Catalog>, profile: EngineProfile, workers: usize) -> Self {
         let effective = workers.clamp(1, profile.parallelism_cap());
-        let (job_tx, job_rx) = unbounded::<Job>();
+        let (job_tx, job_rx) = channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
         let shared = Arc::new(Shared {
             catalog,
             statements: Mutex::new(HashMap::new()),
@@ -145,7 +152,7 @@ impl ClassicEngine {
         let mut handles = Vec::with_capacity(effective);
         for i in 0..effective {
             let shared = Arc::clone(&shared);
-            let rx: Receiver<Job> = job_rx.clone();
+            let rx = Arc::clone(&job_rx);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("baseline-worker-{i}"))
@@ -183,7 +190,7 @@ impl ClassicEngine {
         if !self.shared.statements.lock().contains_key(statement) {
             return Err(Error::UnknownStatement(statement.to_string()));
         }
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = sync_channel(1);
         let submitted = Instant::now();
         self.job_tx
             .send(Job::Execute {
@@ -287,20 +294,23 @@ impl BaselineHandle {
     pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<Tuple>> {
         match self.receiver.recv_timeout(timeout) {
             Ok(r) => r,
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(Error::DeadlineExceeded),
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(Error::EngineShutdown),
+            Err(RecvTimeoutError::Timeout) => Err(Error::DeadlineExceeded),
+            Err(RecvTimeoutError::Disconnected) => Err(Error::EngineShutdown),
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
-    while let Ok(job) = jobs.recv() {
-        let Job::Execute {
+fn worker_loop(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>) {
+    loop {
+        // The queue's lock is held while waiting for a job, not while
+        // executing it.
+        let job = jobs.lock().recv();
+        let Ok(Job::Execute {
             statement,
             params,
             submitted,
             reply,
-        } = job
+        }) = job
         else {
             break;
         };

@@ -23,10 +23,10 @@
 //! }
 //! ```
 //!
-//! A floor entry may additionally pin `"scan_segments"` and/or a
-//! `"heartbeat"` policy spec (matched verbatim against the point's
-//! `heartbeat` string). A top-level `"min_light_p99_improvement_pct"` turns
-//! on the adaptive-vs-fixed gate: every sweep point present under both a
+//! A floor entry may additionally pin a `"heartbeat"` policy spec (matched
+//! verbatim against the point's `heartbeat` string). A top-level
+//! `"min_light_p99_improvement_pct"` turns on the adaptive-vs-fixed gate:
+//! every sweep point present under both a
 //! `fixed:*` and an `adaptive:*` heartbeat must show the adaptive policy
 //! improving `server_light_p99_us` by at least that much, without losing
 //! more than `"max_throughput_loss_pct"` (default 3) of throughput.
@@ -296,16 +296,10 @@ fn main() {
     for floor in floors {
         let replicas = floor.num("replicas").unwrap_or(-1.0);
         let clients = floor.num("clients").unwrap_or(-1.0);
-        // Optional: a floor may pin a scan-segment sweep point and/or a
-        // heartbeat-policy spec; absent, the first matching
-        // (replicas, clients) point is checked regardless (old baselines
-        // keep working against new output).
-        let scan_segments = floor.num("scan_segments");
+        // Optional: a floor may pin a heartbeat-policy spec; absent, the
+        // first matching (replicas, clients) point is checked regardless.
         let heartbeat = floor.str_of("heartbeat");
         let mut label = format!("replicas={replicas}");
-        if let Some(s) = scan_segments {
-            label.push_str(&format!(" segments={s}"));
-        }
         if let Some(hb) = heartbeat {
             label.push_str(&format!(" heartbeat={hb}"));
         }
@@ -313,7 +307,6 @@ fn main() {
         let Some(point) = points.iter().find(|p| {
             p.num("replicas") == Some(replicas)
                 && p.num("clients") == Some(clients)
-                && scan_segments.is_none_or(|s| p.num("scan_segments").unwrap_or(1.0) == s)
                 && heartbeat.is_none_or(|hb| p.str_of("heartbeat").unwrap_or("") == hb)
         }) else {
             println!("FAIL [{label}] point missing from {bench_path}");
@@ -462,7 +455,6 @@ fn main() {
                 p.str_of("heartbeat")
                     .is_some_and(|h| h.starts_with("adaptive:"))
                     && p.num("replicas") == fixed.num("replicas")
-                    && p.num("scan_segments") == fixed.num("scan_segments")
                     && p.num("clients") == fixed.num("clients")
             }) else {
                 continue;

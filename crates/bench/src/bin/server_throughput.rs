@@ -16,9 +16,6 @@
 //! the paper's §4.5 replication argument prescribes.
 //!
 //! Arguments: `--replicas N[,M,...]` (replica counts to sweep, default `1`),
-//! `--scan-segments N[,M,...]` (intra-engine scan-segment counts to sweep,
-//! default `1` — env fallback `BENCH_SCAN_SEGMENTS`; each replica splits its
-//! shared scans into N hash segments executed on the engine's worker pool),
 //! `--heartbeat SPEC[;SPEC...]` (heartbeat policies to sweep, e.g.
 //! `fixed:2;adaptive:0.2,2,5` — `;`-separated because adaptive specs contain
 //! commas; env fallback `BENCH_HEARTBEAT`; default: the engine default),
@@ -31,7 +28,7 @@
 //! (extra connections alternating `addOrderLine` inserts with
 //! `adminUpdateItem` updates — each of which must change exactly one row, so
 //! an index miss on the write path is an error — concurrently, default 0;
-//! the cluster-soak lane uses this to run segmented joins under write
+//! the cluster-soak lane uses this to run replicated joins under write
 //! load), `BENCH_REPLICATE` (comma-separated statement names forced onto the
 //! replicated route from the start, e.g. `getBestSellers` to spread a heavy
 //! type over every replica by parameter hash),
@@ -40,7 +37,7 @@
 //! `BENCH_metrics_scrape.prom` — exercises scrape-under-load overhead).
 //!
 //! Output: CSV on stdout
-//! (`replicas,segments,heartbeat,clients,heavy,upd_clients,ok,updates,errors,throughput_per_s,light_p50_us,light_p99_us,mean_latency_us,batches_per_s`)
+//! (`replicas,heartbeat,clients,heavy,upd_clients,ok,updates,errors,throughput_per_s,light_p50_us,light_p99_us,mean_latency_us,batches_per_s`)
 //! plus the JSON file with per-replica engine statistics per point. The
 //! percentiles cover the **light** connections only (the tail the cluster is
 //! supposed to protect); `mean_latency_us` covers all statements including
@@ -64,7 +61,6 @@ use std::time::Instant;
 
 struct PointResult {
     replicas: usize,
-    scan_segments: usize,
     /// Canonical heartbeat-policy spec this point ran with.
     heartbeat: String,
     clients: usize,
@@ -89,16 +85,6 @@ struct ReplicaPoint {
     updates: u64,
     failed: u64,
     phases: Vec<PhaseRow>,
-    segments: Vec<SegmentRow>,
-}
-
-/// One scan segment's window statistics flattened for the JSON report.
-struct SegmentRow {
-    segment: usize,
-    batches: u64,
-    rows: u64,
-    execute_p50_us: u64,
-    execute_p99_us: u64,
 }
 
 /// One statement × phase latency summary flattened for the JSON report.
@@ -133,7 +119,7 @@ fn phase_rows(statements: &[StatementPhaseSnapshot]) -> Vec<PhaseRow> {
 }
 
 fn main() {
-    let (replica_counts, segment_counts, heartbeats, json_path) = parse_args();
+    let (replica_counts, heartbeats, json_path) = parse_args();
     let scale = bench_scale();
     let duration = bench_duration();
     let max_clients = env_usize("SERVER_MAX_CLIENTS", 1024);
@@ -151,7 +137,6 @@ fn main() {
 
     print_header(&[
         "replicas",
-        "segments",
         "heartbeat",
         "clients",
         "heavy",
@@ -168,43 +153,39 @@ fn main() {
 
     let mut points: Vec<PointResult> = Vec::new();
     for heartbeat in &heartbeats {
-        for &scan_segments in &segment_counts {
-            for &replicas in &replica_counts {
-                let mut clients = min_clients.max(1);
-                while clients <= max_clients {
-                    let point = run_point(
-                        replicas,
-                        scan_segments,
-                        heartbeat,
-                        clients,
-                        update_clients,
-                        &replicate,
-                        items,
-                        duration,
-                        &scale,
-                    );
-                    // The heartbeat spec is CSV-quoted: adaptive specs
-                    // contain commas.
-                    println!(
-                        "{},{},\"{}\",{},{},{},{},{},{},{:.1},{},{},{:.1},{:.1}",
-                        point.replicas,
-                        point.scan_segments,
-                        point.heartbeat,
-                        point.clients,
-                        point.heavy,
-                        point.update_clients,
-                        point.ok,
-                        point.updates_ok,
-                        point.errors,
-                        point.throughput_per_s,
-                        point.light_p50_us,
-                        point.light_p99_us,
-                        point.mean_latency_us,
-                        point.batches_per_s,
-                    );
-                    points.push(point);
-                    clients *= 2;
-                }
+        for &replicas in &replica_counts {
+            let mut clients = min_clients.max(1);
+            while clients <= max_clients {
+                let point = run_point(
+                    replicas,
+                    heartbeat,
+                    clients,
+                    update_clients,
+                    &replicate,
+                    items,
+                    duration,
+                    &scale,
+                );
+                // The heartbeat spec is CSV-quoted: adaptive specs contain
+                // commas.
+                println!(
+                    "{},\"{}\",{},{},{},{},{},{},{:.1},{},{},{:.1},{:.1}",
+                    point.replicas,
+                    point.heartbeat,
+                    point.clients,
+                    point.heavy,
+                    point.update_clients,
+                    point.ok,
+                    point.updates_ok,
+                    point.errors,
+                    point.throughput_per_s,
+                    point.light_p50_us,
+                    point.light_p99_us,
+                    point.mean_latency_us,
+                    point.batches_per_s,
+                );
+                points.push(point);
+                clients *= 2;
             }
         }
     }
@@ -219,7 +200,6 @@ fn main() {
 #[allow(clippy::too_many_arguments)]
 fn run_point(
     replicas: usize,
-    scan_segments: usize,
     heartbeat: &HeartbeatPolicy,
     clients: usize,
     update_clients: usize,
@@ -234,9 +214,7 @@ fn run_point(
         catalog,
         plan,
         registry,
-        EngineConfig::default()
-            .scan_segments(scan_segments)
-            .heartbeat_policy(*heartbeat),
+        EngineConfig::default().heartbeat_policy(*heartbeat),
         ServerConfig {
             max_inflight_per_session: 16,
             cluster: ClusterConfig {
@@ -273,8 +251,8 @@ fn run_point(
         // Concurrent writers: each keeps appending ORDER_LINE rows (the
         // probe side of the getBestSellers join) and, every other statement,
         // updating one ITEM row through its primary key (the build side, and
-        // the table getItemById probes), so scattered joins and aggregates
-        // run against a continuously moving version set.
+        // the table getItemById probes), so the joins and aggregates run
+        // against a continuously moving version set.
         for writer_idx in 0..update_clients {
             let updates_ok = Arc::clone(&updates_ok);
             let errors = Arc::clone(&errors);
@@ -441,20 +419,12 @@ fn run_point(
         if let Some(snap) = phases.iter().find(|s| s.statement == "getItemById") {
             light_total.merge_from(snap.phase(Phase::Total));
         }
-        let segment = |seg: &shareddb_core::SegmentStatsSnapshot| SegmentRow {
-            segment: seg.segment,
-            batches: seg.batches,
-            rows: seg.rows,
-            execute_p50_us: seg.execute.percentile_us(0.50),
-            execute_p99_us: seg.execute.percentile_us(0.99),
-        };
         ReplicaPoint {
             batches: stats.batches,
             queries: stats.queries,
             updates: stats.updates,
             failed: stats.failed,
             phases: phase_rows(&phases),
-            segments: e.segment_stats().iter().map(segment).collect(),
         }
     };
     let per_replica: Vec<ReplicaPoint> = server
@@ -492,7 +462,6 @@ fn run_point(
     };
     let point = PointResult {
         replicas,
-        scan_segments,
         heartbeat: heartbeat.to_string(),
         clients,
         heavy,
@@ -529,7 +498,7 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> Option<String> {
     head.starts_with("HTTP/1.1 200").then(|| body.to_string())
 }
 
-fn parse_args() -> (Vec<usize>, Vec<usize>, Vec<HeartbeatPolicy>, String) {
+fn parse_args() -> (Vec<usize>, Vec<HeartbeatPolicy>, String) {
     let parse_counts = |list: &str, what: &str| -> Vec<usize> {
         list.split(',')
             .map(|n| {
@@ -552,9 +521,6 @@ fn parse_args() -> (Vec<usize>, Vec<usize>, Vec<HeartbeatPolicy>, String) {
     };
     let mut replicas = vec![1usize];
     // The CLI flag wins over the env fallback (CI lanes set the env).
-    let mut scan_segments = std::env::var("BENCH_SCAN_SEGMENTS")
-        .map(|v| parse_counts(&v, "BENCH_SCAN_SEGMENTS"))
-        .unwrap_or_else(|_| vec![1usize]);
     let mut heartbeats = std::env::var("BENCH_HEARTBEAT")
         .map(|v| parse_heartbeats(&v, "BENCH_HEARTBEAT"))
         .unwrap_or_default();
@@ -566,12 +532,6 @@ fn parse_args() -> (Vec<usize>, Vec<usize>, Vec<HeartbeatPolicy>, String) {
             "--replicas" => {
                 let list = args.next().unwrap_or_else(|| usage("--replicas needs N"));
                 replicas = parse_counts(&list, "--replicas");
-            }
-            "--scan-segments" => {
-                let list = args
-                    .next()
-                    .unwrap_or_else(|| usage("--scan-segments needs N"));
-                scan_segments = parse_counts(&list, "--scan-segments");
             }
             "--heartbeat" => {
                 let list = args
@@ -588,14 +548,14 @@ fn parse_args() -> (Vec<usize>, Vec<usize>, Vec<HeartbeatPolicy>, String) {
     if heartbeats.is_empty() {
         heartbeats = vec![EngineConfig::default().heartbeat];
     }
-    (replicas, scan_segments, heartbeats, json_path)
+    (replicas, heartbeats, json_path)
 }
 
 fn usage(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
-        "usage: server_throughput [--replicas N[,M,...]] [--scan-segments N[,M,...]] \
-         [--heartbeat SPEC[;SPEC,...]] [--json PATH]"
+        "usage: server_throughput [--replicas N[,M,...]] [--heartbeat SPEC[;SPEC,...]] \
+         [--json PATH]"
     );
     std::process::exit(2);
 }
@@ -614,8 +574,7 @@ fn write_json(
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"replicas\": {}, \"scan_segments\": {}, \"heartbeat\": \"{}\", \
-             \"clients\": {}, \
+            "    {{\"replicas\": {}, \"heartbeat\": \"{}\", \"clients\": {}, \
              \"heavy_clients\": {}, \
              \"update_clients\": {}, \"ok\": {}, \"updates_ok\": {}, \
              \"errors\": {}, \"throughput_per_s\": {:.1}, \"light_p50_us\": {}, \
@@ -623,7 +582,6 @@ fn write_json(
              \"mean_latency_us\": {:.1}, \"batches_per_s\": {:.1}, \
              \"per_replica\": [",
             p.replicas,
-            p.scan_segments,
             p.heartbeat,
             p.clients,
             p.heavy,
@@ -645,18 +603,6 @@ fn write_json(
                 r.batches, r.queries, r.updates, r.failed
             ));
             write_phase_rows(&mut out, &r.phases);
-            out.push_str(", \"segments\": [");
-            for (k, seg) in r.segments.iter().enumerate() {
-                out.push_str(&format!(
-                    "{{\"segment\": {}, \"batches\": {}, \"rows\": {}, \
-                     \"execute_p50_us\": {}, \"execute_p99_us\": {}}}",
-                    seg.segment, seg.batches, seg.rows, seg.execute_p50_us, seg.execute_p99_us
-                ));
-                if k + 1 < r.segments.len() {
-                    out.push_str(", ");
-                }
-            }
-            out.push(']');
             out.push('}');
             if j + 1 < p.per_replica.len() {
                 out.push_str(", ");

@@ -88,8 +88,7 @@ impl ClusterEngine {
     }
 
     /// Submits a statement to the replica the router picks: the statement
-    /// runs whole on that one engine (which may itself run it
-    /// segment-parallel, `EngineConfig::scan_segments`).
+    /// runs whole on that one engine.
     pub fn submit(
         &self,
         statement: &str,
@@ -517,7 +516,6 @@ mod tests {
             let snap = phases.iter().find(|s| s.statement == "getItem").unwrap();
             assert_eq!(snap.phase(Phase::Execute).count, stats.queries);
             assert_eq!(snap.phase(Phase::Total).count, stats.queries);
-            assert_eq!(snap.phase(Phase::Merge).count, 0);
         }
 
         // reset_stats zeroes every replica.

@@ -2,12 +2,10 @@
 //!
 //! Replicated SharedDB engines behind one endpoint (paper §4.5: "hot
 //! operators that saturate a core are replicated or partitioned"). This
-//! crate is the *replicated* half — routing and session fences; the
-//! *partitioned* half lives inside each engine
-//! (`EngineConfig::scan_segments`, `shareddb_core::scatter`). A replica
-//! partitions **statements**, a segment partitions **rows**, and nothing
-//! does both: every statement runs whole, in one batch on one snapshot, on
-//! the replica it is routed to (`docs/ARCHITECTURE.md`, *Partitioning*).
+//! crate is the *replicated* half — routing and session fences. A replica
+//! partitions **statements**, and nothing partitions rows: every statement
+//! runs whole, in one batch on one snapshot, on the replica it is routed to
+//! (`docs/ARCHITECTURE.md`, *Replicas partition statements*).
 //!
 //! A [`ClusterEngine`] owns N [`shareddb_core::Engine`] replicas over **one
 //! shared [`shareddb_storage::Catalog`]** — every replica runs the same

@@ -149,11 +149,9 @@ impl Accumulator {
         self.count
     }
 
-    /// The partial sum of an AVG accumulator, as shipped between the
-    /// segments of a scattered aggregate: `Float(sum)` (or `Null` with no
-    /// inputs). The merge step divides the recombined sum by the recombined
-    /// count, so partial averages never lose precision to intermediate
-    /// division.
+    /// The partial sum of an AVG accumulator, as a group-by in partial mode
+    /// ships it: `Float(sum)` (or `Null` with no inputs), its count beside
+    /// it, so whoever recombines partials divides once.
     pub fn partial_sum(&self) -> Value {
         if self.count == 0 {
             Value::Null

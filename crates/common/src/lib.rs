@@ -24,7 +24,6 @@ pub mod error;
 pub mod expr;
 pub mod ids;
 pub mod metrics;
-pub mod partition;
 pub mod qtuple;
 pub mod queryset;
 pub mod schema;
@@ -37,7 +36,6 @@ pub use crc32::{crc32, Crc32};
 pub use error::{Error, Result};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use ids::{ClientId, ColumnId, QueryId, StatementId, TableId, TicketId};
-pub use partition::tuple_partition;
 pub use qtuple::QTuple;
 pub use queryset::QuerySet;
 pub use schema::{Column, Schema};

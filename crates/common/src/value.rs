@@ -359,10 +359,8 @@ impl Ord for Value {
 }
 
 /// Stable FNV-1a hash of a value sequence with a caller-chosen seed mixed
-/// into the offset basis. This is THE canonical value hashing used for
-/// cluster routing (parameter vectors) and horizontal scan partitioning
-/// (row keys): both sides must agree byte-for-byte, so neither reimplements
-/// it. Unlike the [`Hash`] impl below, the encoding is explicitly versioned
+/// into the offset basis: what cluster routing hashes a parameter vector
+/// with. Unlike the [`Hash`] impl below, the encoding is explicitly versioned
 /// by the tag bytes and independent of `std` hasher internals.
 pub fn hash_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;

@@ -12,6 +12,7 @@ use crate::engine::{Engine, QueryHandle, QueryOutcome, SubmitOptions};
 use crate::plan::{ActivationTemplate, GlobalPlan, OperatorId, OperatorSpec, StatementSpec};
 use crate::stats::Phase;
 use parking_lot::{Condvar, Mutex};
+use shareddb_common::ids::{QueryIdGenerator, TicketGenerator};
 use shareddb_common::{Error, Result, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -96,10 +97,30 @@ impl Queues {
     }
 }
 
-#[derive(Default)]
+/// Everything a submission writes — the queues, the coordinator's wake-up
+/// and the id counters — on cache lines of its own (128 bytes: a line and the
+/// neighbour the prefetcher pulls with it). Engine state the other thread
+/// reads must not share a line with it, or every submission evicts that
+/// state from the coordinator's cache: where the field layout happened to
+/// put them together, the ledger's workloads spent 2–5 % more CPU a
+/// statement on a 2-vCPU host.
+#[repr(align(128))]
 pub(crate) struct Admission {
     pub queue: Mutex<Queues>,
     pub signal: Condvar,
+    pub query_ids: QueryIdGenerator,
+    pub tickets: TicketGenerator,
+}
+
+impl Default for Admission {
+    fn default() -> Self {
+        Admission {
+            queue: Mutex::default(),
+            signal: Condvar::new(),
+            query_ids: QueryIdGenerator::new(),
+            tickets: TicketGenerator::new(),
+        }
+    }
 }
 
 impl Engine {
@@ -140,7 +161,7 @@ impl Engine {
         // heartbeat.
         let submitted = Instant::now();
         let spec = self.inner.registry.by_index(index);
-        let ticket = self.inner.tickets.next_id();
+        let ticket = self.inner.admission.tickets.next_id();
         let slot = opts.completions.is_none().then(|| {
             let slot = Arc::new(Completions::new(None));
             opts.completions = Some((Arc::clone(&slot), 0));
@@ -151,15 +172,9 @@ impl Engine {
             update.admitted.submitted = submitted;
             Submission::Update(update)
         } else {
-            let query_id = self.inner.query_ids.next_id();
+            let query_id = self.inner.admission.query_ids.next_id();
             let mut query = bind_query(spec, index, query_id, ticket, params, &opts)?;
             query.admitted.submitted = submitted;
-            // Segment eligibility: the shape must have a scatter spec, and
-            // parameterised executions qualify only when the shape scatters
-            // with parameters.
-            if let Some(scatter) = &self.inner.scatter_specs[index] {
-                query.segment_ok = params.is_empty() || scatter.scatter_with_params;
-            }
             Submission::Query(query)
         };
         let mut queue = self.inner.admission.queue.lock();

@@ -18,22 +18,6 @@ use shareddb_storage::{ProbeRange, UpdateOp};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Slice `index` of the `of` disjoint row slices of a scanned table: a row
-/// belongs to it iff [`shareddb_common::tuple_partition`] over `columns`
-/// equals `index`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowSlice {
-    /// This slice.
-    pub index: u32,
-    /// Number of slices.
-    pub of: u32,
-    /// Hashed columns (indices into the table schema): the scan's join key
-    /// when the statement co-partitions a join
-    /// ([`crate::scatter::ScatterSpec::partition_columns`]); `None` hashes
-    /// the table's primary key.
-    pub columns: Option<Vec<usize>>,
-}
-
 /// A bound (parameter-free) activation of one operator for one query.
 #[derive(Debug, Clone)]
 pub enum Activation {
@@ -41,11 +25,6 @@ pub enum Activation {
     Scan {
         /// Bound predicate.
         predicate: Expr,
-        /// The one restriction on the rows the query sees: its row segment,
-        /// set by the engine when it rewrites an eligible query's
-        /// activations per scan segment (`EngineConfig::scan_segments > 1`).
-        /// `None` ([`bind_query`] never sets it) scans the whole table.
-        slice: Option<RowSlice>,
         /// Pinned MVCC read snapshot ([`SubmitOptions::pinned_snapshot`]);
         /// `None` reads the executing batch's own snapshot.
         snapshot: Option<Snapshot>,
@@ -77,11 +56,11 @@ pub enum Activation {
     Having {
         /// Bound predicate (over the group-by output schema).
         predicate: Option<Expr>,
-        /// Ship mergeable partials instead of final values
-        /// ([`crate::scatter::ScatterSpec::partial_aggregation`], set per
-        /// row segment): HAVING is deferred to the merge, the AVG output
-        /// column carries the partial sum and one hidden count column per
-        /// AVG is appended to the row.
+        /// Ship mergeable partials instead of final values: HAVING is not
+        /// applied, the AVG output column carries the partial sum and one
+        /// hidden count column per AVG is appended to the row. [`bind_query`]
+        /// never sets it; it stays because the ledger's per-layer bench names
+        /// the field, until that bench drops it.
         partial: bool,
     },
     /// `base`, of whose output rows the query needs only its first `limit`
@@ -160,12 +139,6 @@ pub struct ActiveQuery {
     pub distinct: bool,
     /// Bound activations per operator.
     pub activations: Vec<(OperatorId, Activation)>,
-    /// The query may run segment-parallel inside the engine
-    /// (`EngineConfig::scan_segments > 1`): its statement has a
-    /// [`crate::scatter::ScatterSpec`] and this execution qualifies
-    /// (parameterless, or a shape that scatters with parameters). Set by
-    /// [`crate::Engine::submit`] after binding; defaults to `false`.
-    pub segment_ok: bool,
     /// Read-your-writes fence ([`SubmitOptions::read_after`]): the
     /// coordinator defers this query until the fence's write is covered by
     /// the committed watermark (or the covering update rides in the same
@@ -275,7 +248,6 @@ pub fn bind_query(
         limit: *limit,
         distinct: *distinct,
         activations,
-        segment_ok: false,
         read_after: opts.read_after.clone(),
     })
 }
@@ -288,7 +260,6 @@ fn bind_activation(
     Ok(match template {
         ActivationTemplate::Scan { predicate } => Activation::Scan {
             predicate: predicate.bind(params)?,
-            slice: None,
             snapshot: opts.pinned_snapshot,
         },
         ActivationTemplate::Probe {

@@ -129,16 +129,6 @@ pub struct EngineConfig {
     /// Capacity (in events) of the batch-lifecycle trace journal — a bounded
     /// ring, so tracing is always-on with fixed memory. `0` disables tracing.
     pub trace_capacity: usize,
-    /// Number of row segments each table is logically split into for
-    /// intra-engine parallel shared scans (the paper's Crescando substrate
-    /// runs one clock scan per core over a data partition). Eligible queries
-    /// (see [`crate::scatter::scatter_spec`]) execute once per segment, each
-    /// segment a lane of the batch's run, and recombine per batch
-    /// through [`crate::merge::MergeSpec`]; updates always stay unsegmented
-    /// (the single-writer group commit is untouched). `1` (the default)
-    /// is the exact pre-segmentation path: one lane.
-    /// `0` is rejected by [`crate::Engine::start`].
-    pub scan_segments: usize,
 }
 
 impl Default for EngineConfig {
@@ -149,7 +139,6 @@ impl Default for EngineConfig {
             eager_heartbeat: true,
             slow_query_threshold: None,
             trace_capacity: 1024,
-            scan_segments: 1,
         }
     }
 }
@@ -187,13 +176,6 @@ impl EngineConfig {
         self.trace_capacity = events;
         self
     }
-
-    /// Sets the number of intra-engine scan segments (1 = unsegmented; 0 is
-    /// rejected at [`crate::Engine::start`]).
-    pub fn scan_segments(mut self, segments: usize) -> Self {
-        self.scan_segments = segments;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -205,8 +187,6 @@ mod tests {
         let c = EngineConfig::default();
         assert!(c.core_budget >= 1);
         assert!(c.eager_heartbeat);
-        // The default must stay 1 so committed baselines remain comparable.
-        assert_eq!(c.scan_segments, 1);
     }
 
     #[test]

@@ -3,26 +3,22 @@
 //! [`coordinator_loop`] waits for work, drains the admission lanes the policy
 //! allows, holds back reads whose session fence is not covered yet, and hands
 //! what is left to [`process_batch`] — a sequence of named steps over one
-//! [`BatchCtx`]: apply the updates (group commit), build the run's lanes,
-//! run them on the executor, fold the done records into the counters (once
-//! per operator), Γ-route the roots' outputs per lane, and complete every
-//! query. A second batch in flight, or a segment becoming a morsel, is a
-//! change to one of these steps.
+//! [`BatchCtx`]: apply the updates (group commit), build the run, run it on
+//! the executor, fold the done records into the counters, Γ-route the roots'
+//! outputs, and complete every query. A second batch in flight is a change
+//! to one of these steps.
 
 use crate::admission::Submission;
-use crate::batch::{ActiveQuery, Admitted, QueryBatch};
+use crate::batch::{Admitted, QueryBatch};
 use crate::engine::{EngineInner, QueryOutcome, WriteFence};
 use crate::executor::{NodeRun, Run};
 use crate::heartbeat::HeartbeatController;
-use crate::plan::OperatorId;
-use crate::routing::{finalize_query_result, gather, QueryRows, RoutingTable};
-use crate::scatter::segment_activation;
+use crate::routing::{finalize_query_result, QueryRows, RoutingTable};
 use crate::stats::{Phase, SlowQueryRecord};
 use crate::trace::TraceEvent;
 use shareddb_common::ids::BatchId;
 use shareddb_common::{Error, Result};
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Range;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -228,10 +224,10 @@ fn process_batch(inner: &EngineInner, batch: &QueryBatch, heartbeat: Duration) {
     }
     // Always-on plan, on shared cores: every operator counts the cycle, only
     // those with an activation get a task, worked off here beside the pool.
-    let run = inner.executor.run(ctx.build_lanes());
-    let errors = ctx.fold_counters(&run);
-    let routed = ctx.route(&run, &errors);
-    ctx.complete_queries(&errors, routed);
+    let run = inner.executor.run(ctx.build_run());
+    let error = ctx.fold_counters(&run);
+    let routed = ctx.route(&run);
+    ctx.complete_queries(error.as_ref(), routed);
 }
 
 impl BatchCtx<'_> {
@@ -293,106 +289,38 @@ impl BatchCtx<'_> {
                     rows_affected: applied.rows_affected,
                 }
             });
-            self.complete(&update.admitted, outcome, 1);
+            self.complete(&update.admitted, outcome);
         }
     }
 
-    /// The lanes `query` runs in. A query whose statement shape the walker
-    /// scatters runs once per row segment, lanes `1..=scan_segments`;
-    /// everything else — and everything, when segmenting is off — runs whole
-    /// in lane 0.
-    fn lanes_of(&self, query: &ActiveQuery) -> Range<usize> {
-        if query.segment_ok {
-            1..self.inner.config.scan_segments + 1
-        } else {
-            0..1
-        }
-    }
-
-    /// The run state of the batch's queries: per lane and plan node, the
-    /// activations of the queries that run there — in a segment's lane
-    /// rewritten for its row slice. Every lane executes against this batch's
-    /// single snapshot, taken here, after the updates: the split is invisible
-    /// to MVCC.
-    fn build_lanes(&self) -> Run {
-        let (inner, queries) = (self.inner, &self.batch.queries);
-        let segments = inner.config.scan_segments;
-        let lanes = queries.iter().map(|q| self.lanes_of(q).end).max();
-        let new_lane = |_| (0..inner.plan.len()).map(|_| NodeRun::default()).collect();
-        let mut lanes: Vec<Vec<NodeRun>> = (0..lanes.unwrap_or(1)).map(new_lane).collect();
-        for q in queries {
-            let spec = inner.scatter_specs[q.admitted.statement_index].as_ref();
-            for lane in self.lanes_of(q) {
-                for (op, activation) in &q.activations {
-                    let activation = match lane.checked_sub(1) {
-                        None => activation.clone(),
-                        Some(segment) => {
-                            let spec = spec.expect("segment_ok implies a scatter spec");
-                            let (segment, of) = (segment as u32, segments as u32);
-                            segment_activation(activation, *op, segment, of, spec)
-                        }
-                    };
-                    let node = &mut lanes[lane][*op];
-                    node.activations.push((q.query_id, activation));
-                }
+    /// The run state of the batch's queries: per plan node, the activations
+    /// of the queries that run there, and the batch's snapshot, taken here,
+    /// after the updates.
+    fn build_run(&self) -> Run {
+        let inner = self.inner;
+        let mut nodes: Vec<NodeRun> = (0..inner.plan.len()).map(|_| NodeRun::default()).collect();
+        for q in &self.batch.queries {
+            for (op, activation) in &q.activations {
+                nodes[*op]
+                    .activations
+                    .push((q.query_id, activation.clone()));
             }
         }
         let snapshot = inner.catalog.oracle().read_ts();
-        Run { snapshot, lanes }
+        Run { snapshot, nodes }
     }
 
-    /// The one fold over lanes × nodes. Per-operator counters are recorded
-    /// exactly ONCE per operator per batch: tuples are SUMMED (the lanes' row
-    /// sets are disjoint), busy is the MAXIMUM across lanes. The lanes run
-    /// concurrently, so the max approximates the wall-clock busy union;
-    /// summing would let N parallel segments multiply the reported
-    /// busy-fraction and deflate tuples-per-active-cycle. Returns, per lane,
-    /// the first failure of a node of it.
-    fn fold_counters(&self, run: &Run) -> Vec<Option<Error>> {
+    /// Records every operator's cycle — active or not — in the counters,
+    /// the attribution table and the trace, and returns the first failure of
+    /// a node: a batch fails as one.
+    fn fold_counters(&self, run: &Run) -> Option<Error> {
         let (inner, batch) = (self.inner, self.batch);
         let plan = &inner.plan;
-        let mut errors: Vec<Option<Error>> = vec![None; run.lanes.len()];
-        // Per operator `(tuples, pruned, busy)`; `None` = active in no lane.
-        let mut folded: Vec<Option<(usize, usize, Duration)>> = vec![None; plan.len()];
-        // The roots whose rows a segment's lane holds for the merge.
-        let scattered = batch.queries.iter().filter(|q| q.segment_ok);
-        let roots: BTreeSet<OperatorId> = scattered.map(|q| q.root).collect();
-        let mut total_busy = Duration::ZERO;
-        for (lane, nodes) in run.lanes.iter().enumerate() {
-            let mut lane_busy = Duration::ZERO;
-            for (node, folded) in nodes.iter().zip(&mut folded) {
-                let Some((output, pruned, busy)) = node.done.get() else {
-                    continue;
-                };
-                let pruned = match pruned {
-                    Ok(pruned) => *pruned,
-                    Err(e) => {
-                        errors[lane].get_or_insert_with(|| e.clone());
-                        0
-                    }
-                };
-                let folded = folded.get_or_insert((0, 0, Duration::ZERO));
-                folded.0 += output.len();
-                folded.1 += pruned;
-                folded.2 = folded.2.max(*busy);
-                lane_busy += *busy;
-            }
-            total_busy += lane_busy;
-            if let Some(segment) = lane.checked_sub(1) {
-                let rows = |root: &OperatorId| nodes[*root].done.get().map_or(0, |d| d.0.len());
-                let rows = match errors[lane] {
-                    None => roots.iter().map(rows).sum(),
-                    Some(_) => 0,
-                };
-                inner.segment_stats[segment].record(rows, lane_busy);
-            }
-        }
-        // Attribution splits every operator's folded cycle across the batch's
-        // activation mix. Counting from the bound activations covers every
-        // lane uniformly (a scattered query still has exactly one activation
-        // per operator per execution), and feeding it the numbers record_cycle
-        // consumes is what makes the attributed sums match the per-operator
-        // totals exactly.
+        let mut error = None;
+        // Attribution splits every operator's cycle across the batch's
+        // activation mix; feeding it the numbers record_cycle consumes is
+        // what makes the attributed sums match the per-operator totals
+        // exactly.
         let n_stmts = inner.attribution.statement_count();
         let mut act_counts: Vec<u64> = vec![0; plan.len() * n_stmts];
         for q in &batch.queries {
@@ -400,15 +328,25 @@ impl BatchCtx<'_> {
                 act_counts[*op * n_stmts + q.admitted.statement_index] += 1;
             }
         }
-        for (id, folded) in folded.iter().enumerate() {
-            let (tuples, pruned, busy) = folded.unwrap_or_default();
-            let active = folded.is_some();
+        let (mut active, mut total_busy) = (0, Duration::ZERO);
+        for (id, node) in run.nodes.iter().enumerate() {
+            let done = node.done.get();
+            let (tuples, pruned, busy) = match done {
+                None => (0, 0, Duration::ZERO),
+                Some((output, Ok(pruned), busy)) => (output.len(), *pruned, *busy),
+                Some((output, Err(e), busy)) => {
+                    error.get_or_insert_with(|| e.clone());
+                    (output.len(), 0, *busy)
+                }
+            };
             let counts = &act_counts[id * n_stmts..(id + 1) * n_stmts];
-            inner.operator_stats[id].record_cycle(active, tuples, pruned, busy);
+            inner.operator_stats[id].record_cycle(done.is_some(), tuples, pruned, busy);
             inner
                 .attribution
                 .record_cycle(id, counts, tuples as u64, busy);
-            if active {
+            if done.is_some() {
+                active += 1;
+                total_busy += busy;
                 inner.trace.push(TraceEvent::OperatorFired {
                     batch: batch.id.0,
                     operator: id,
@@ -420,56 +358,47 @@ impl BatchCtx<'_> {
         inner.trace.push(TraceEvent::OperatorsFired {
             batch: batch.id.0,
             fired: plan.len(),
-            active: folded.iter().flatten().count(),
+            active,
             total_busy_us: total_busy.as_micros() as u64,
         });
-        errors
+        error
     }
 
-    /// The one error rule: a query fails iff a lane it ran in failed — a
-    /// batch fails as one when it has one lane, and a failed segment leaves
-    /// the queries that ran whole alone (and the other way round).
-    fn error_of<'e>(&self, query: &ActiveQuery, errors: &'e [Option<Error>]) -> Option<&'e Error> {
-        errors[self.lanes_of(query)].iter().flatten().next()
-    }
-
-    /// Γ by query id, one routing table per lane: every root a query of the
-    /// lane reads is exploded there once, whatever the number of queries —
-    /// and all of them before the first outcome is handed over: a reader
-    /// woken between two roots drains one reply, parks and is woken again.
-    fn route(&self, run: &Run, errors: &[Option<Error>]) -> Vec<RoutingTable> {
+    /// Γ by query id: every root a query of the batch reads is exploded
+    /// once, whatever the number of queries — and all of them before the
+    /// first outcome is handed over: a reader woken between two roots drains
+    /// one reply, parks and is woken again.
+    fn route(&self, run: &Run) -> RoutingTable {
         let nodes = self.inner.plan.len();
-        let none = || (0..nodes).map(|_| None).collect();
-        let mut routed: Vec<RoutingTable> = run.lanes.iter().map(|_| none()).collect();
-        let answered = |q: &&ActiveQuery| self.error_of(q, errors).is_none();
+        let mut routed: RoutingTable = (0..nodes).map(|_| None).collect();
         // The statements that read each root: what its table is sized for.
         let mut readers = vec![0; nodes];
         for q in &self.batch.queries {
             readers[q.root] += 1;
         }
-        for q in self.batch.queries.iter().filter(answered) {
-            for lane in self.lanes_of(q) {
-                routed[lane][q.root].get_or_insert_with(|| {
-                    let done = run.lanes[lane][q.root].done.get();
-                    let output = done.map_or(&[][..], |done| done.0.as_slice());
-                    QueryRows::explode(output, readers[q.root])
-                });
-            }
+        for q in &self.batch.queries {
+            routed[q.root].get_or_insert_with(|| {
+                let done = run.nodes[q.root].done.get();
+                let output = done.map_or(&[][..], |done| done.0.as_slice());
+                QueryRows::explode(output, readers[q.root])
+            });
         }
         routed
     }
 
-    /// Finishes every query — its rows out of its lanes' tables, merged when
-    /// they are several, then limit, projection and DISTINCT — and hands each
-    /// outcome over as it is finished.
-    fn complete_queries(&self, errors: &[Option<Error>], mut routed: Vec<RoutingTable>) {
+    /// Finishes every query — its rows out of the routing table, then
+    /// limit, projection and DISTINCT — and hands each outcome over as it is
+    /// finished. When a node failed, every query gets its error.
+    fn complete_queries(&self, error: Option<&Error>, mut routed: RoutingTable) {
         let (inner, batch) = (self.inner, self.batch);
         for q in &batch.queries {
-            let lanes = self.lanes_of(q);
-            let outcome = match self.error_of(q, errors) {
+            let outcome = match error {
                 Some(error) => Err(error.clone()),
-                None => gather(inner, q, &mut routed[lanes.clone()])
-                    .and_then(|rows| finalize_query_result(inner, q, rows)),
+                None => {
+                    let of_root = routed[q.root].as_mut();
+                    let rows = of_root.map_or_else(Vec::new, |rows| rows.take(q.query_id));
+                    finalize_query_result(inner, q, rows)
+                }
             };
             inner.trace.push(TraceEvent::QueryRouted {
                 batch: batch.id.0,
@@ -478,15 +407,14 @@ impl BatchCtx<'_> {
                 rows: outcome.as_ref().map(|o| o.rows().len()).unwrap_or(0),
                 ok: outcome.is_ok(),
             });
-            self.complete(&q.admitted, outcome, lanes.len());
+            self.complete(&q.admitted, outcome);
         }
     }
 
-    /// Books one statement of the batch, executed in `lanes` lanes, and hands
-    /// its outcome over — while the batch's intermediates are still alive: a
-    /// reader woken here works beside the coordinator freeing them, not after
-    /// it.
-    fn complete(&self, statement: &Admitted, outcome: Result<QueryOutcome>, lanes: usize) {
+    /// Books one statement of the batch and hands its outcome over — while
+    /// the batch's intermediates are still alive: a reader woken here works
+    /// beside the coordinator freeing them, not after it.
+    fn complete(&self, statement: &Admitted, outcome: Result<QueryOutcome>) {
         let (inner, stats, started) = (self.inner, &self.inner.stats, self.started);
         // One completion timestamp for every span, so total >= execute and
         // total >= batch_wait hold exactly (two elapsed() calls would let
@@ -511,7 +439,6 @@ impl BatchCtx<'_> {
                 // The engine does not know its replica id; the cluster layer
                 // stamps it when concatenating logs.
                 replica: 0,
-                segments: lanes as u32,
                 total: latency,
                 admission: statement.enqueued.duration_since(statement.submitted),
                 batch_wait,
@@ -537,21 +464,15 @@ mod tests {
     use shareddb_common::Value;
 
     /// One batch holding `broken` and a healthy look-up: both get `broken`'s
-    /// error (a batch fails as one — when `broken` is `segmentable` and takes
-    /// the segment lane, a lane fails as one and the look-up answers),
-    /// `failed` counts each failed handle once, the next batch on the same
-    /// engine answers, and shutdown joins every thread.
-    fn broken_statement_fails_its_batch_only(
-        broken: &str,
-        segmentable: bool,
-        expected: fn(&Error) -> bool,
-    ) {
-        for (cores, segments) in [(1, 1), (2, 1), (8, 1), (2, 2)] {
+    /// error (a batch fails as one), `failed` counts each failed handle once,
+    /// the next batch on the same engine answers, and shutdown joins every
+    /// thread.
+    fn broken_statement_fails_its_batch_only(broken: &str, expected: fn(&Error) -> bool) {
+        for cores in [1, 2, 8] {
             // Paced, so that the two statements share the second batch.
             let mut engine = build_engine(EngineConfig {
                 heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(30)),
                 eager_heartbeat: false,
-                scan_segments: segments,
                 ..EngineConfig::with_cores(cores)
             });
             engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
@@ -564,10 +485,7 @@ mod tests {
                 .trace()
                 .iter()
                 .any(|record| matches!(record.event, TraceEvent::BatchFormed { queries: 2, .. }));
-            if segments > 1 && segmentable {
-                assert_eq!(engine.segment_stats()[0].batches, 1, "{broken} ran whole");
-                assert!(bystander.is_ok(), "a segment failed the whole lane");
-            } else if shared_a_batch {
+            if shared_a_batch {
                 assert!(
                     expected(bystander.as_ref().unwrap_err()),
                     "a batch fails as one"
@@ -576,7 +494,7 @@ mod tests {
             assert_eq!(
                 engine.stats().failed,
                 1 + bystander.is_err() as u64,
-                "{cores} cores, {segments} segments: one failure per failed handle"
+                "{cores} cores: one failure per failed handle"
             );
             let rows = engine.execute_sync("userById", &[Value::Int(33)]).unwrap();
             assert_eq!(rows.rows()[0][1], Value::text("user33"));
@@ -590,7 +508,6 @@ mod tests {
     fn panicking_operator_fails_its_batch_only() {
         broken_statement_fails_its_batch_only(
             "brokenSort",
-            true,
             |e| matches!(e, Error::Internal(m) if m.starts_with("operator Sort") && m.contains("panicked: index out of bounds")),
         );
     }
@@ -599,7 +516,6 @@ mod tests {
     fn failing_operator_fails_its_batch_only() {
         broken_statement_fails_its_batch_only(
             "brokenFilter",
-            false,
             |e| matches!(e, Error::TypeMismatch { expected, .. } if expected == "Bool"),
         );
     }
@@ -659,105 +575,10 @@ mod tests {
         assert!(engine.attribution_stats().is_empty());
     }
 
-    /// 1-segment vs N-segment result equality over every statement shape of
-    /// the fixture: group-by (partial-aggregate merge), parameterised join →
-    /// sort (ordered merge over co-partitioned scans), Top-N (ordered merge)
-    /// and the probe-rooted point query (not eligible — whole lane).
-    #[test]
-    fn segmented_results_match_single_segment() {
-        let baseline = build_engine(EngineConfig::default());
-        let segmented = build_engine(EngineConfig::default().scan_segments(4));
-        let cases: Vec<(&str, Vec<Value>)> = vec![
-            ("usersByCountry", vec![]),
-            ("ordersOfUser", vec![Value::text("user7")]),
-            ("ordersOfUser", vec![Value::text("user42")]),
-            ("topOrders", vec![Value::Float(0.0)]),
-            ("userById", vec![Value::Int(33)]),
-        ];
-        for (statement, params) in &cases {
-            let want = baseline.execute_sync(statement, params).unwrap();
-            let got = segmented.execute_sync(statement, params).unwrap();
-            if *statement == "topOrders" {
-                // The fixture's totals are full of ties, so WHICH tied rows
-                // make the top 5 is unspecified;
-                // the ordering-key values must match exactly.
-                let totals = |o: &QueryOutcome| -> Vec<Value> {
-                    o.rows().iter().map(|r| r[3].clone()).collect()
-                };
-                assert_eq!(totals(&want), totals(&got), "topOrders keys diverged");
-                continue;
-            }
-            let mut want_rows = want.rows().to_vec();
-            let mut got_rows = got.rows().to_vec();
-            // Grouped results have no guaranteed group order; ordered shapes
-            // are already deterministic, so sorting is harmless there.
-            want_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            got_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            assert_eq!(want_rows, got_rows, "statement {statement} diverged");
-        }
-        // The segment lane actually ran: every segment recorded work for the
-        // eligible statements.
-        let seg_stats = segmented.segment_stats();
-        assert_eq!(seg_stats.len(), 4);
-        for s in &seg_stats {
-            assert!(s.batches >= 1, "segment {} never executed", s.segment);
-        }
-        assert!(baseline.segment_stats().is_empty());
-    }
-
-    /// Satellite regression: with N segments executing one batch
-    /// concurrently, per-operator busy must not be the sum over segment
-    /// lanes — the busy fraction of a scan must stay <= 1 relative to the
-    /// engine's wall clock even at high segment counts.
-    #[test]
-    fn segment_busy_is_not_double_counted() {
-        let engine = build_engine(EngineConfig::default().scan_segments(8));
-        for _ in 0..5 {
-            engine.execute_sync("usersByCountry", &[]).unwrap();
-        }
-        let wall = engine.stats_wall();
-        for op in engine.operator_stats() {
-            let fraction = op.busy_fraction(wall);
-            assert!(
-                fraction <= 1.0,
-                "operator {} reports busy fraction {fraction} > 1",
-                op.name
-            );
-        }
-        // One logical execution per call: per-segment partial rows must not
-        // inflate the delivered result-row count.
-        assert_eq!(engine.stats().result_rows, 10);
-    }
-
-    /// Updates stay unsegmented and group-committed: a delete submitted
-    /// between segmented reads is observed atomically by the next batch.
-    #[test]
-    fn segmented_reads_observe_unsegmented_updates() {
-        let engine = build_engine(EngineConfig::default().scan_segments(3));
-        engine
-            .execute_sync(
-                "addOrder",
-                &[Value::Int(10_000), Value::Int(1), Value::Float(99.0)],
-            )
-            .unwrap();
-        let rows = engine
-            .execute_sync("ordersOfUser", &[Value::text("user1")])
-            .unwrap();
-        assert!(rows.rows().iter().any(|r| r[4] == Value::Int(10_000)));
-        engine
-            .execute_sync("cancelOrders", &[Value::Int(1)])
-            .unwrap();
-        let rows = engine
-            .execute_sync("ordersOfUser", &[Value::text("user1")])
-            .unwrap();
-        assert!(rows.rows().is_empty());
-    }
-
     // -- read-your-writes session fences ------------------------------------
 
-    /// Two engines over one shared catalog emulate two replicas: a slow
-    /// writer (50ms paced heartbeat) and a fast reader — every other round a
-    /// segmented one, whose read is a join over two sliced scans. A read
+    /// Engines over one shared catalog emulate replicas: a slow writer
+    /// (50ms paced heartbeat) and two fast readers, taking turns. A read
     /// carrying the session's write fence observes the write on every round;
     /// the unfenced negative control reads stale data.
     #[test]
@@ -767,12 +588,12 @@ mod tests {
             eager_heartbeat: false,
             ..EngineConfig::default()
         });
-        let readers = [1, 2].map(|segments| {
+        let readers = [0, 1].map(|_| {
             Engine::start(
                 writer.catalog(),
                 writer.plan().clone(),
                 registry_like(&writer),
-                EngineConfig::default().scan_segments(segments),
+                EngineConfig::default(),
             )
             .unwrap()
         });
@@ -829,7 +650,6 @@ mod tests {
             );
             write.wait().unwrap();
         }
-        assert_eq!(readers[1].segment_stats()[0].batches, 5);
     }
 
     /// Rebuilds the writer fixture's registry for a second engine over the

@@ -6,13 +6,12 @@
 //!   admission lane and queued while the current batch is processed (Section
 //!   3.2);
 //! * per heartbeat — `coordinator`: the queue is drained into a
-//!   [`crate::QueryBatch`] whose steps apply its updates (group commit, never
-//!   segmented), build the run's **lanes** — one, or with
-//!   `EngineConfig::scan_segments > 1` one more per row segment, all on the
-//!   batch's one snapshot — run them, and let `routing` hand every outcome
-//!   back; `heartbeat` steers the interval under an adaptive policy;
-//! * per task — `executor`: one operator cycle in one lane is one task, one
-//!   thread is one core (Section 4.3);
+//!   [`crate::QueryBatch`] whose steps apply its updates (group commit),
+//!   build the run on the batch's one snapshot, run it, and let `routing`
+//!   hand every outcome back; `heartbeat` steers the interval under an
+//!   adaptive policy;
+//! * per task — `executor`: one operator cycle is one task, one thread is
+//!   one core (Section 4.3);
 //! * for the engine's life — this module: [`Engine`] (start, shutdown, the
 //!   statistics accessors), its shared state, and the types a caller holds:
 //!   [`ResultSet`], [`QueryOutcome`], [`QueryHandle`], [`SubmitOptions`],
@@ -27,16 +26,15 @@ use crate::config::EngineConfig;
 use crate::coordinator::coordinator_loop;
 use crate::executor::Executor;
 use crate::plan::{GlobalPlan, StatementRegistry};
-use crate::scatter::{scatter_spec, ScatterSpec};
 use crate::stats::{
     AttributionEntry, AttributionTable, EngineStats, EngineStatsSnapshot, OperatorStats,
-    OperatorStatsSnapshot, ScanCounters, ScanRowsSnapshot, SegmentStats, SegmentStatsSnapshot,
-    SlowQueryRecord, StatementPhaseSnapshot, UpdateRowsSnapshot,
+    OperatorStatsSnapshot, ScanCounters, ScanRowsSnapshot, SlowQueryRecord, StatementPhaseSnapshot,
+    UpdateRowsSnapshot,
 };
 use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{TraceJournal, TraceRecord};
 use parking_lot::Mutex;
-use shareddb_common::ids::{QueryIdGenerator, TicketGenerator, TicketId};
+use shareddb_common::ids::TicketId;
 use shareddb_common::{Error, Result, Schema, Tuple};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::Catalog;
@@ -199,8 +197,8 @@ pub struct SubmitOptions {
     /// fixed MVCC snapshot instead of the executing batch's own snapshot
     /// ([`Catalog::snapshot`]). Two executions pinned to one snapshot read
     /// one version set whatever commits between them — the hook the
-    /// differential tests compare a segmented engine to an unsegmented one
-    /// through, under a concurrent writer.
+    /// differential tests compare two engines through, under a concurrent
+    /// writer.
     pub pinned_snapshot: Option<Snapshot>,
     /// For updates: the session fence the engine resolves once this write's
     /// batch has group-committed. The submitter keeps the [`Arc`] and
@@ -228,8 +226,6 @@ pub(crate) struct EngineInner {
     pub(crate) heartbeat_us: AtomicU64,
     /// Number of interval changes the adaptive controller has made.
     pub(crate) heartbeat_adjustments: AtomicU64,
-    pub(crate) query_ids: QueryIdGenerator,
-    pub(crate) tickets: TicketGenerator,
     pub(crate) shutdown: AtomicBool,
     pub(crate) stats: Arc<EngineStats>,
     /// Start of the current statistics window (engine start, or the last
@@ -246,12 +242,6 @@ pub(crate) struct EngineInner {
     /// held here for their counters.
     pub(crate) storage_ops: Arc<Vec<Option<StorageOperator>>>,
     pub(crate) trace: TraceJournal,
-    /// Per-statement partitionability analysis, precomputed at start; `None`
-    /// for updates and shapes the walker does not recognise. Only populated
-    /// when `config.scan_segments > 1`.
-    pub(crate) scatter_specs: Vec<Option<ScatterSpec>>,
-    /// One counter slot per segment lane (empty when segmenting is off).
-    pub(crate) segment_stats: Vec<SegmentStats>,
 }
 
 /// The SharedDB engine: an always-on global plan plus the batching runtime.
@@ -272,22 +262,7 @@ impl Engine {
     ) -> Result<Engine> {
         registry.validate(&plan)?;
         crate::demand::push_down(&plan, &mut registry);
-        if config.scan_segments == 0 {
-            return Err(Error::InvalidParameter(
-                "scan_segments must be >= 1 (1 disables segment parallelism)".into(),
-            ));
-        }
         let storage_ops = Arc::new(build_storage_operators(&catalog, &plan)?);
-
-        // Which statement shapes may run segment-parallel, and how their
-        // partial results recombine. The analysis is per statement type, so
-        // it runs once here instead of per submission.
-        let segments = Some(config.scan_segments).filter(|n| *n > 1);
-        let scatter = |s| segments.and_then(|_| scatter_spec(&catalog, &plan, s));
-        let scatter_specs: Vec<Option<ScatterSpec>> = registry.iter().map(scatter).collect();
-        let segment_stats = (0..segments.unwrap_or(0)).map(|_| SegmentStats::default());
-        let segment_stats: Vec<SegmentStats> = segment_stats.collect();
-
         let statement_names: Vec<String> = registry.iter().map(|s| s.name.clone()).collect();
         // Lane classification is per statement type, precomputed once.
         let lane_of: Vec<Lane> = registry
@@ -317,8 +292,6 @@ impl Engine {
             admission: Admission::default(),
             lane_of,
             heartbeat_adjustments: AtomicU64::new(0),
-            query_ids: QueryIdGenerator::new(),
-            tickets: TicketGenerator::new(),
             shutdown: AtomicBool::new(false),
             stats,
             stats_epoch: Mutex::new(Instant::now()),
@@ -329,8 +302,6 @@ impl Engine {
             ),
             executor,
             storage_ops,
-            scatter_specs,
-            segment_stats,
         });
 
         let coordinator_inner = Arc::clone(&inner);
@@ -390,18 +361,6 @@ impl Engine {
         self.inner.attribution.snapshot()
     }
 
-    /// Per-segment-lane statistics (empty when `scan_segments <= 1`): busy
-    /// time, contributed rows and the per-batch execute-time histogram of
-    /// each segment of the intra-engine parallel scan path.
-    pub fn segment_stats(&self) -> Vec<SegmentStatsSnapshot> {
-        self.inner
-            .segment_stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.snapshot(i))
-            .collect()
-    }
-
     /// Per-statement-type, per-phase latency histograms.
     pub fn phase_snapshot(&self) -> Vec<StatementPhaseSnapshot> {
         self.inner.stats.phase_snapshot()
@@ -456,9 +415,6 @@ impl Engine {
             op.reset();
         }
         self.inner.attribution.reset();
-        for seg in &self.inner.segment_stats {
-            seg.reset();
-        }
         self.scan_counters()
             .for_each(|(_, counters)| counters.reset());
         *self.inner.stats_epoch.lock() = Instant::now();
@@ -883,23 +839,6 @@ pub(crate) mod tests {
             .unwrap();
         assert!(users_scan.active_cycles >= 1);
         assert!(users_scan.tuples_out >= 100);
-    }
-
-    #[test]
-    fn scan_segments_zero_is_rejected() {
-        let engine = build_engine(EngineConfig::default());
-        let catalog = engine.catalog();
-        let plan = engine.plan().clone();
-        let registry = StatementRegistry::new();
-        assert!(matches!(
-            Engine::start(
-                catalog,
-                plan,
-                registry,
-                EngineConfig::default().scan_segments(0),
-            ),
-            Err(Error::InvalidParameter(_))
-        ));
     }
 
     #[test]

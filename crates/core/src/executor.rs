@@ -7,18 +7,14 @@
 //! and works its tasks off beside the pool (`docs/ARCHITECTURE.md`, *Threads
 //! and scheduling*). The rules:
 //!
-//! * **Tasks.** One shape, `(lane, node)`: one per plan node with an
-//!   activation in a lane of the batch. A batch has one lane, or — when
-//!   `scan_segments = N` scatters some of its queries — one lane per row
-//!   segment beside it; lanes share a snapshot and nothing else. A node
-//!   without an activation in a lane gets no task there: nobody is woken for
-//!   it and its consumers read an empty input.
-//! * **Readiness.** A node is ready in a lane when every producer of it that
-//!   is *active in that lane* has finished there. Finishing a task publishes
-//!   its output once for all consumers, decrements each active consumer and
-//!   enqueues those that reach zero. The run is over when its task counter is
-//!   zero — not when the queue is empty, which it also is while the last
-//!   tasks still execute.
+//! * **Tasks.** A task is a plan node with an activation in the batch. A
+//!   node without one gets no task: nobody is woken for it and its consumers
+//!   read an empty input.
+//! * **Readiness.** A node is ready when every *active* producer of it has
+//!   finished. Finishing a task publishes its output once for all consumers,
+//!   decrements each active consumer and enqueues those that reach zero. The
+//!   run is over when its task counter is zero — not when the queue is empty,
+//!   which it also is while the last tasks still execute.
 //! * **Wake-ups.** The thread that makes tasks ready takes the first itself
 //!   and notifies one parked thread per task *beyond* it, so a chain of
 //!   single consumers runs on one thread without a hand-off.
@@ -59,17 +55,8 @@ pub(crate) struct NodeRun {
 pub(crate) struct Run {
     /// The batch's snapshot.
     pub snapshot: Snapshot,
-    /// Per lane, one entry per plan node, by operator id. A node reads the
-    /// outputs of its own lane's producers only: lanes meet again at the
-    /// coordinator, after the run.
-    pub lanes: Vec<Vec<NodeRun>>,
-}
-
-/// One operator cycle: plan node `node` over the activations of lane `lane`.
-#[derive(Clone, Copy)]
-struct Task {
-    lane: usize,
-    node: OperatorId,
+    /// One entry per plan node, by operator id.
+    pub nodes: Vec<NodeRun>,
 }
 
 /// Scheduling state, all of it under one mutex.
@@ -77,9 +64,10 @@ struct Task {
 struct Schedule {
     /// The run in flight (one at a time), whose tasks `ready` holds.
     run: Option<Arc<Run>>,
-    ready: VecDeque<Task>,
-    /// Per lane and node (`lane × plan.len() + node`): the node's producers
-    /// active in that lane (counted per input edge) and not yet finished.
+    /// Plan nodes whose every active producer has finished.
+    ready: VecDeque<OperatorId>,
+    /// Per node: its active producers (counted per input edge) not yet
+    /// finished.
     pending: Vec<usize>,
     /// Tasks of the run not yet finished.
     unfinished: usize,
@@ -159,24 +147,20 @@ impl Executor {
 
     /// Executes every task of `run`, working the queue on the calling thread
     /// beside the pool, and returns once the last one has finished: the
-    /// `done` of every node active in a lane is then set.
+    /// `done` of every active node is then set.
     pub fn run(&self, run: Run) -> Arc<Run> {
         let run = Arc::new(run);
         let mut schedule = self.schedule.lock();
-        let width = self.plan.len();
-        // Entries of nodes idle in a lane are never read.
-        schedule.pending.resize(run.lanes.len() * width, 0);
-        for (lane, nodes) in run.lanes.iter().enumerate() {
-            let active = |id: OperatorId| !nodes[id].activations.is_empty();
-            for node in self.plan.nodes().iter().filter(|n| active(n.id)) {
-                let pending = node.inputs.iter().filter(|i| active(**i)).count();
-                schedule.pending[lane * width + node.id] = pending;
-                if pending == 0 {
-                    let node = node.id;
-                    schedule.ready.push_back(Task { lane, node });
-                }
-                schedule.unfinished += 1;
+        // Entries of idle nodes are never read.
+        schedule.pending.resize(self.plan.len(), 0);
+        let active = |id: OperatorId| !run.nodes[id].activations.is_empty();
+        for node in self.plan.nodes().iter().filter(|n| active(n.id)) {
+            let pending = node.inputs.iter().filter(|i| active(**i)).count();
+            schedule.pending[node.id] = pending;
+            if pending == 0 {
+                schedule.ready.push_back(node.id);
             }
+            schedule.unfinished += 1;
         }
         schedule.run = Some(Arc::clone(&run));
         let pushed = schedule.ready.len();
@@ -232,18 +216,16 @@ impl Executor {
 
     /// Accounts a finished (and published) task: readies the consumers it
     /// was the last active producer of, and ends the run with the last task.
-    fn finish(&self, schedule: &mut MutexGuard<'_, Schedule>, run: &Run, task: Task) {
+    fn finish(&self, schedule: &mut MutexGuard<'_, Schedule>, run: &Run, node: OperatorId) {
         let before = schedule.ready.len();
-        let Task { lane, node } = task;
         for &consumer in &self.consumers[node] {
-            if run.lanes[lane][consumer].activations.is_empty() {
+            if run.nodes[consumer].activations.is_empty() {
                 continue;
             }
-            let pending = &mut schedule.pending[lane * self.plan.len() + consumer];
+            let pending = &mut schedule.pending[consumer];
             *pending -= 1;
             if *pending == 0 {
-                let node = consumer;
-                schedule.ready.push_back(Task { lane, node });
+                schedule.ready.push_back(consumer);
             }
         }
         schedule.unfinished -= 1;
@@ -271,29 +253,23 @@ impl Executor {
         self.stats.record_worker_wakeups(woken);
     }
 
-    fn execute(&self, run: &Run, task: Task) {
-        let nodes = &run.lanes[task.lane];
+    fn execute(&self, run: &Run, node: OperatorId) {
         let started = Instant::now();
-        let result = self.operate(self.plan.node(task.node), nodes, run.snapshot);
+        let result = self.operate(self.plan.node(node), run);
         let busy = started.elapsed();
         // A failed node publishes an empty output.
         let (output, pruned) = match result {
             Ok(Emitted { tuples, pruned }) => (tuples, Ok(pruned)),
             Err(e) => (Vec::new(), Err(e)),
         };
-        let _ = nodes[task.node].done.set((output, pruned, busy));
+        let _ = run.nodes[node].done.set((output, pruned, busy));
     }
 
-    /// One operator cycle: `node` over its activations in the lane `nodes`,
-    /// reading what its producers published there. A panic in the operator is
-    /// returned as an error, so the thread — and the run's accounting —
-    /// survive it.
-    fn operate(
-        &self,
-        node: &OperatorNode,
-        nodes: &[NodeRun],
-        snapshot: Snapshot,
-    ) -> Result<Emitted> {
+    /// One operator cycle: `node` over its activations in `run`, reading
+    /// what its producers published. A panic in the operator is returned as
+    /// an error, so the thread — and the run's accounting — survive it.
+    fn operate(&self, node: &OperatorNode, run: &Run) -> Result<Emitted> {
+        let (nodes, snapshot) = (&run.nodes, run.snapshot);
         let activations = &nodes[node.id].activations;
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(storage) = &self.storage_ops[node.id] {

@@ -34,11 +34,9 @@
 //! * [`engine`] — the engine and its handles; its module docs map the runtime
 //!   behind it, one file per lifetime (`admission`, `coordinator`,
 //!   `heartbeat`, `routing`).
-//! * `executor` — operator cycles as tasks on a ready queue, cores as threads;
-//!   a batch's run is one lane of them, or one more per row segment.
-//! * [`scatter`] — the partitionability walker: which statement shapes can run
-//!   over the disjoint row segments of `scan_segments`.
-//! * [`merge`] — recombination of the segments' partial results (`MergeSpec`).
+//! * `executor` — operator cycles as tasks on a ready queue, cores as threads.
+//! * [`merge`] — the ordered merge of partial results, kept for the ledger's
+//!   per-layer bench.
 //! * [`explain`] — EXPLAIN/EXPLAIN ANALYZE: annotated statement subtrees,
 //!   sharing sets, text + DOT rendering.
 //! * [`stats`] — per-operator and engine-level metrics, phase histograms,
@@ -60,7 +58,6 @@ pub mod merge;
 pub mod operators;
 pub mod plan;
 mod routing;
-pub mod scatter;
 pub mod stats;
 pub mod storage_ops;
 pub mod trace;
@@ -79,9 +76,8 @@ pub use plan::{
     ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, OperatorSpec, PlanBuilder,
     StatementKind, StatementRegistry, StatementSpec,
 };
-pub use scatter::{scatter_spec, ScatterSpec};
 pub use stats::{
-    merge_attribution, AttributionEntry, Phase, ScanRowsSnapshot, SegmentStatsSnapshot,
-    SlowQueryRecord, StatementPhaseSnapshot, UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
+    merge_attribution, AttributionEntry, Phase, ScanRowsSnapshot, SlowQueryRecord,
+    StatementPhaseSnapshot, UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
 };
 pub use trace::{TraceEvent, TraceJournal, TraceRecord};

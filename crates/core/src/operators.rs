@@ -671,10 +671,10 @@ fn execute_group_by(
     aggregates: &[AggregateSpec],
 ) -> Result<Emitted> {
     // Per query its HAVING predicate and whether it is in partial-aggregation
-    // mode (segmented group-by roots): the AVG output columns of such a query
-    // carry the partial sum, with one hidden count column per AVG appended to
-    // the row so the segment merge can recombine exact averages across
-    // segments.
+    // mode, which the engine never sets and the ledger's per-layer bench
+    // names: the AVG output columns of such a query carry the partial sum,
+    // with one hidden count column per AVG appended to the row, so partials
+    // recombine to exact averages.
     let having = PerQuery::of(
         activations
             .iter()
@@ -787,9 +787,8 @@ fn execute_group_by(
     };
 
     // HAVING first — over *final* aggregate values; a query in partial mode
-    // ships partial groups, so its predicate is applied after recombination
-    // (the segment merge), not here — and the row built to be judged is
-    // kept. Then a demanding query chooses among what passed: `(first row of
+    // ships partial groups, so its predicate is left to whoever recombines
+    // them — and the row built to be judged is kept. Then a demanding query chooses among what passed: `(first row of
     // the group, slot, row if built)` each.
     type Passed<'a> = (&'a Tuple, u32, Option<Tuple>);
     let mut passed: Vec<Passed<'_>> = Vec::new();
@@ -1102,8 +1101,8 @@ mod tests {
         assert_eq!(out.len(), n * 2);
     }
 
-    /// Partial mode defers HAVING to the merge step: partial groups must not
-    /// be filtered on their (incomplete) aggregate values.
+    /// Partial mode defers HAVING to whoever recombines the groups: partial
+    /// groups must not be filtered on their (incomplete) aggregate values.
     #[test]
     fn group_by_partial_mode_defers_having() {
         let catalog = Catalog::new();

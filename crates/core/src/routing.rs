@@ -2,25 +2,20 @@
 //! on its way back.
 //!
 //! A root's output is exploded into per-query row lists in ONE pass, so
-//! routing costs O(results), not O(results × queries). A query that ran in
-//! one lane takes its rows as they are; one that ran in several (a row
-//! segment each) recombines them through its statement's [`MergeSpec`]. Either
-//! way the rows are then finished the way the statement asks (limit,
+//! routing costs O(results), not O(results × queries). A query takes its
+//! rows as they are and finishes them the way its statement asks (limit,
 //! projection or computed columns, DISTINCT); the coordinator books the
 //! outcome and hands it over.
 
-use crate::batch::{Activation, ActiveQuery};
+use crate::batch::ActiveQuery;
 use crate::engine::{EngineInner, QueryOutcome, ResultSet};
-use crate::merge::{merge_results, MergeSpec};
 use crate::plan::ComputedColumn;
-use crate::stats::Phase;
 use shareddb_common::{
-    hash_words, Column, Error, QTuple, QueryId, Result, Schema, Tuple, Value, WordTable,
+    hash_words, Column, QTuple, QueryId, Result, Schema, Tuple, Value, WordTable,
 };
-use std::time::Instant;
 
-/// Γ routing table of one lane: root operator → the rows of each query that
-/// reads it (`None`: no query of the lane does).
+/// Γ routing table of a batch: root operator → the rows of each query that
+/// reads it (`None`: no query of the batch does).
 pub(crate) type RoutingTable = Vec<Option<QueryRows>>;
 
 /// One root's output by query: each query's rows, in output order.
@@ -49,7 +44,7 @@ impl QueryRows {
     }
 
     /// Takes the rows of `query` out.
-    fn take(&mut self, query: QueryId) -> Vec<Tuple> {
+    pub(crate) fn take(&mut self, query: QueryId) -> Vec<Tuple> {
         let is_query = |place: u32| self.rows[place as usize].0 == query;
         let place = self.places.get(word_of(query), is_query);
         place.map_or_else(Vec::new, |place| {
@@ -61,58 +56,6 @@ impl QueryRows {
 /// The hash word of a query id.
 fn word_of(query: QueryId) -> u64 {
     Value::Int(i64::from(query.raw())).hash_word()
-}
-
-/// Takes `query`'s root rows out of the routing tables of the lanes it ran
-/// in: one lane hands them over, several merge (the statement's `merge`
-/// phase).
-pub(crate) fn gather(
-    inner: &EngineInner,
-    query: &ActiveQuery,
-    routed: &mut [RoutingTable],
-) -> Result<Vec<Tuple>> {
-    let take = |lane: &mut RoutingTable| {
-        let of_root = lane[query.root].as_mut();
-        of_root.map_or_else(Vec::new, |of_root| of_root.take(query.query_id))
-    };
-    if let [only] = routed {
-        return Ok(take(only));
-    }
-    let merge_started = Instant::now();
-    let merged = merge_segment_partials(inner, query, routed.iter_mut().map(take));
-    let (stats, index) = (&inner.stats, query.admitted.statement_index);
-    stats.record_phase(index, Phase::Merge, merge_started.elapsed());
-    merged
-}
-
-/// Recombines one scattered query's per-segment partial rows into the single
-/// row list [`finalize_query_result`] expects, using the statement's
-/// [`MergeSpec`]. A grouped merge yields final values: AVG sum/count partials
-/// are recombined exactly and the query's own bound HAVING predicate is
-/// applied per merged group (a segment must not filter a partial group
-/// another segment may complete).
-fn merge_segment_partials(
-    inner: &EngineInner,
-    query: &ActiveQuery,
-    partials: impl Iterator<Item = Vec<Tuple>>,
-) -> Result<Vec<Tuple>> {
-    let spec = inner.scatter_specs[query.admitted.statement_index]
-        .as_ref()
-        .ok_or_else(|| Error::Internal("scattered query without scatter spec".into()))?;
-    let mut effective = spec.merge.clone();
-    if let MergeSpec::Grouped { having, .. } = &mut effective {
-        // The bound HAVING lives in the query's own root activation.
-        *having = query.activations.iter().find_map(|(op, a)| match a {
-            Activation::Having { predicate, .. } if *op == query.root => predicate.clone(),
-            _ => None,
-        });
-    }
-    let schema = &inner.plan.node(query.root).schema;
-    let parts = partials.map(|rows| ResultSet {
-        schema: schema.clone(),
-        rows,
-    });
-    merge_results(&effective, parts.collect()).map(|rs| rs.rows)
 }
 
 pub(crate) fn finalize_query_result(

@@ -4,7 +4,7 @@
 //! keeps cheap, always-on counters — per-operator cycle counts and busy time,
 //! engine-level batch/query/latency counters, and **phase-tagged latency
 //! histograms** that break a statement's life into admission → batch-wait →
-//! execute (with the segment merge inside it → flush at the network layer). All hot-path recording is lock-free
+//! execute → flush at the network layer. All hot-path recording is lock-free
 //! ([`shareddb_common::metrics::Histogram`]); the benchmark harnesses and the
 //! server's metrics endpoint read the same counters.
 
@@ -108,80 +108,6 @@ impl OperatorStats {
         self.tuples_out.store(0, Ordering::Relaxed);
         self.rows_pruned.store(0, Ordering::Relaxed);
         self.busy_nanos.store(0, Ordering::Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-segment statistics (intra-engine segment parallelism)
-// ---------------------------------------------------------------------------
-
-/// Point-in-time snapshot of one segment lane's counters
-/// (`EngineConfig::scan_segments > 1`; empty when segmenting is off).
-#[derive(Debug, Clone)]
-pub struct SegmentStatsSnapshot {
-    /// Segment index (0-based, `< scan_segments`).
-    pub segment: usize,
-    /// Batches in which this segment lane executed at least one query.
-    pub batches: u64,
-    /// Result rows this segment contributed (pre-merge partial rows).
-    pub rows: u64,
-    /// Total busy time of the operator cycles in this segment's lane.
-    pub busy: Duration,
-    /// Per-batch histogram of that busy time (a batch's cycles summed); the
-    /// spread across segments is the skew the merge barrier waits on.
-    pub execute: HistogramSnapshot,
-}
-
-impl SegmentStatsSnapshot {
-    /// Fraction of `wall` this segment lane spent busy (0.0 when `wall` is
-    /// zero). Same wall-clock convention as
-    /// [`OperatorStatsSnapshot::busy_fraction`].
-    pub fn busy_fraction(&self, wall: Duration) -> f64 {
-        if wall.is_zero() {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / wall.as_secs_f64()
-        }
-    }
-}
-
-/// Mutable counters of one segment lane (owned by the engine, updated by the
-/// coordinator when it folds a batch's run).
-#[derive(Debug, Default)]
-pub struct SegmentStats {
-    batches: AtomicU64,
-    rows: AtomicU64,
-    busy_nanos: AtomicU64,
-    execute: Histogram,
-}
-
-impl SegmentStats {
-    /// Records one batch of the lane.
-    pub fn record(&self, rows: usize, busy: Duration) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.rows.fetch_add(rows as u64, Ordering::Relaxed);
-        self.busy_nanos
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-        self.execute.record(busy);
-    }
-
-    /// Takes a snapshot.
-    pub fn snapshot(&self, segment: usize) -> SegmentStatsSnapshot {
-        SegmentStatsSnapshot {
-            segment,
-            batches: self.batches.load(Ordering::Relaxed),
-            rows: self.rows.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            execute: self.execute.snapshot(),
-        }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.batches.store(0, Ordering::Relaxed);
-        self.rows.store(0, Ordering::Relaxed);
-        self.busy_nanos.store(0, Ordering::Relaxed);
-        self.execute.reset();
     }
 }
 
@@ -385,8 +311,7 @@ pub fn merge_attribution(per_replica: &[Vec<AttributionEntry>]) -> Vec<Attributi
 // ---------------------------------------------------------------------------
 
 /// The phases of a statement's life, in order. The engine records the first
-/// three plus `Total`, and `Merge` for statements it ran segment-parallel;
-/// the network reactor records `Flush`.
+/// three plus `Total`; the network reactor records `Flush`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Submit call → enqueued on the admission queue (binding + lock wait).
@@ -395,9 +320,6 @@ pub enum Phase {
     BatchWait,
     /// Batch formation → this statement's result routed (shared-cycle time).
     Execute,
-    /// Segment lane: recombining the per-segment partial results of one
-    /// statement (part of its `Execute` span).
-    Merge,
     /// Outcome ready at the reactor → reply bytes flushed to the socket.
     Flush,
     /// Submission → outcome delivered (end-to-end, per statement type).
@@ -405,7 +327,7 @@ pub enum Phase {
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 6;
+pub const NUM_PHASES: usize = 5;
 
 impl Phase {
     /// Every phase, in lifecycle order.
@@ -413,7 +335,6 @@ impl Phase {
         Phase::Admission,
         Phase::BatchWait,
         Phase::Execute,
-        Phase::Merge,
         Phase::Flush,
         Phase::Total,
     ];
@@ -424,7 +345,6 @@ impl Phase {
             Phase::Admission => "admission",
             Phase::BatchWait => "batch_wait",
             Phase::Execute => "execute",
-            Phase::Merge => "merge",
             Phase::Flush => "flush",
             Phase::Total => "total",
         }
@@ -568,8 +488,6 @@ pub struct SlowQueryRecord {
     /// Replica the statement was routed to (stamped by the cluster layer;
     /// 0 inside a single engine): which engine's batches to look at.
     pub replica: usize,
-    /// Lanes of its batch's run the statement executed in (1 = it ran whole).
-    pub segments: u32,
     /// End-to-end latency (submission → completion).
     pub total: Duration,
     /// Time spent binding + enqueueing.
@@ -646,8 +564,7 @@ pub struct UpdateRowsSnapshot {
 /// examined)` is the share of the table the chunk directory spared the
 /// scan; `cycles` says how often the pass ran at all — `index ÷ (index +
 /// scan)` is the share of cycles whose queries were served from the table's
-/// indexes, which examine what they fetch and skip nothing. Counted per scan
-/// pass, so a query running on N row segments counts N times.
+/// indexes, which examine what they fetch and skip nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanRowsSnapshot {
     /// Scanned table.
@@ -734,8 +651,8 @@ pub struct EngineStatsSnapshot {
     /// units: one unit = one statement), merged bucket-wise across replicas
     /// like the latency histograms.
     pub occupancy: HistogramSnapshot,
-    /// Executor tasks (operator cycles, one per lane a node is active in)
-    /// the coordinator ran itself.
+    /// Executor tasks (operator cycles, one per active node of a batch) the
+    /// coordinator ran itself.
     pub tasks_run_by_coordinator: u64,
     /// Executor tasks run on a pool thread.
     pub tasks_run_by_workers: u64,
@@ -1000,7 +917,6 @@ mod tests {
             stats.record_slow(SlowQueryRecord {
                 statement: format!("q{i}"),
                 replica: 0,
-                segments: 1,
                 total: Duration::from_millis(i as u64),
                 admission: Duration::ZERO,
                 batch_wait: Duration::ZERO,

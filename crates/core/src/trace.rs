@@ -101,7 +101,13 @@ pub struct TraceRecord {
 }
 
 /// Bounded ring buffer of [`TraceRecord`]s.
+///
+/// The coordinator writes it once per statement, so it sits on cache lines
+/// of its own, as [`crate::Engine`]'s admission state does: a field another
+/// thread reads beside it would be evicted from that thread's cache by every
+/// push.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct TraceJournal {
     start: Instant,
     capacity: usize,

@@ -185,8 +185,8 @@ impl Shared {
     /// Renders the full Prometheus text exposition: server counters, engine
     /// counters in total and per replica, the WAL, per-statement per-phase
     /// latency summaries (each replica's, then the frontend's flush phase),
-    /// update and scan row counters, operator utilisation and attribution,
-    /// segment lanes. Every number is read from the engine that records it
+    /// update and scan row counters, operator utilisation and attribution.
+    /// Every number is read from the engine that records it
     /// ([`ClusterEngine::engines`]) and written through [`family`], one
     /// metric family at a time.
     pub(crate) fn metrics_text(&self) -> String {
@@ -567,51 +567,6 @@ impl Shared {
                 .iter()
                 .map(|(labels, entry)| (labels, entry.rows)),
         );
-
-        // Intra-engine segment parallelism: per-segment utilisation, batch
-        // and row counters, and per-batch execute latency. Absent entirely
-        // when replicas run with `scan_segments == 1`.
-        let segments: Vec<_> = engines
-            .iter()
-            .enumerate()
-            .flat_map(|(i, e)| {
-                let wall = e.stats_wall();
-                e.segment_stats().into_iter().map(move |seg| {
-                    let labels = format!("replica=\"{i}\",segment=\"{}\"", seg.segment);
-                    (labels, wall, seg)
-                })
-            })
-            .collect();
-        if !segments.is_empty() {
-            family(
-                w,
-                "shareddb_segment_busy_fraction",
-                "gauge",
-                segments.iter().map(|(labels, wall, seg)| {
-                    (labels, format!("{:.6}", seg.busy_fraction(*wall)))
-                }),
-            );
-            family(
-                w,
-                "shareddb_segment_batches",
-                "counter",
-                segments
-                    .iter()
-                    .map(|(labels, _, seg)| (labels, seg.batches)),
-            );
-            family(
-                w,
-                "shareddb_segment_rows",
-                "counter",
-                segments.iter().map(|(labels, _, seg)| (labels, seg.rows)),
-            );
-            let execute = segments.iter();
-            summaries(
-                w,
-                "shareddb_segment_execute_us",
-                execute.map(|(labels, _, seg)| (labels, &seg.execute)),
-            );
-        }
         out
     }
 }
@@ -814,7 +769,7 @@ impl Server {
 
     /// Runs `read` on the engine cluster — the one way in to everything the
     /// engines record: `c.engines()` for a replica's counters, phase,
-    /// operator, segment and attribution tables, queue depths and trace
+    /// operator and attribution tables, queue depths and trace
     /// ring; `c.slow_queries()`, `c.routes()` and the other cluster-wide
     /// sums. `None` once the server has shut its engines down.
     pub fn with_cluster<T>(&self, read: impl FnOnce(&ClusterEngine) -> T) -> Option<T> {

@@ -29,35 +29,8 @@ use crate::predicate_index::{PredicateClass, PredicateIndex};
 use crate::table::Table;
 use crate::update::{apply_cycle_updates, AccessPath, UpdateOp, UpdateResult};
 use parking_lot::RwLock;
-use shareddb_common::{
-    tuple_partition, Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, WordTable,
-};
+use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, WordTable};
 use std::sync::Arc;
-
-/// A segment-view cursor over the table: restricts one scan pass to the rows
-/// of one stable hash segment (`tuple_partition(row, key_columns, of) ==
-/// index`). The engine's intra-engine segment parallelism runs one pass per
-/// segment concurrently; filtering here — *before* the predicate index
-/// evaluates a row against the whole query batch — means each segment pass
-/// pays the query-data join only for its own slice of the table, which is
-/// what makes N segment passes over 1/N of the rows each add up to roughly
-/// one unsegmented pass of work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentView {
-    /// Segment index in `0..of`.
-    pub index: u32,
-    /// Total number of segments.
-    pub of: u32,
-    /// Columns hashed to place a row (empty = whole tuple).
-    pub key_columns: Vec<usize>,
-}
-
-impl SegmentView {
-    /// True when `row` belongs to this segment.
-    pub fn contains(&self, row: &Tuple) -> bool {
-        tuple_partition(row, &self.key_columns, self.of) == self.index
-    }
-}
 
 /// A query registered with a ClockScan operator for one cycle.
 #[derive(Debug, Clone)]
@@ -109,7 +82,7 @@ pub struct ScanCycleResult {
     pub served_queries: Vec<QueryId>,
     /// The snapshot the queries of this cycle read.
     pub snapshot: Snapshot,
-    /// Visible rows of the scanned view probed against the predicate index
+    /// Visible rows of the table probed against the predicate index
     /// (`tuples.len() / rows_examined` is the scan's useful-work ratio); for
     /// a group served from the indexes, the versions fetched through their
     /// posting lists and the key map.
@@ -156,20 +129,6 @@ impl ClockScan {
         queries: &[ScanQuery],
         updates: &[UpdateOp],
     ) -> Result<ScanCycleResult> {
-        self.execute_batch_segmented(queries, updates, None)
-    }
-
-    /// Executes an explicit batch over one segment view of the table (`None`
-    /// scans every row — identical to [`ClockScan::execute_batch`]). Updates
-    /// are **never** segmented: they apply to the whole table exactly as in
-    /// the unsegmented path, preserving the single-writer group-commit
-    /// ordering; only the read pass is restricted to the view.
-    pub fn execute_batch_segmented(
-        &self,
-        queries: &[ScanQuery],
-        updates: &[UpdateOp],
-        view: Option<&SegmentView>,
-    ) -> Result<ScanCycleResult> {
         // Phase 1: apply updates in arrival order under a write lock.
         let update_results = apply_cycle_updates(&self.table, &self.oracle, updates)?;
 
@@ -190,10 +149,9 @@ impl ClockScan {
             let groups = crate::mvcc::group_by_snapshot(queries, snapshot, |q| q.snapshot);
             let table = self.table.read();
             for (snapshot, members) in groups {
-                let by_index =
-                    Self::serve_from_indexes(&table, snapshot, &members, view, &mut result)?;
+                let by_index = Self::serve_from_indexes(&table, snapshot, &members, &mut result)?;
                 if !by_index {
-                    Self::scan(&table, snapshot, &members, view, &mut result)?;
+                    Self::scan(&table, snapshot, &members, &mut result)?;
                 }
                 result.groups_served[by_index as usize] += 1;
             }
@@ -204,13 +162,11 @@ impl ClockScan {
     /// One pass for one snapshot group: walks the version arena chunk by
     /// chunk, leaving out every chunk whose zones no query of the group can
     /// meet (a group holding a LIKE or a text comparison meets all of them),
-    /// and probes each visible row of the view against the group's predicate
-    /// index.
+    /// and probes each visible row against the group's predicate index.
     fn scan(
         table: &Table,
         snapshot: Snapshot,
         members: &[&ScanQuery],
-        view: Option<&SegmentView>,
         result: &mut ScanCycleResult,
     ) -> Result<()> {
         let index = PredicateIndex::over(members.iter().map(|q| (q.query_id, &q.predicate)));
@@ -228,11 +184,6 @@ impl ClockScan {
             }
             for version in chunk.rows.iter().filter(|v| v.visible(snapshot)) {
                 let row = &version.values;
-                // The segment-view cursor: rows outside the view are skipped
-                // before the query-data join even looks at them.
-                if view.is_some_and(|view| !view.contains(row)) {
-                    continue;
-                }
                 result.rows_examined += 1;
                 index.matches_into(row, &mut matches)?;
                 if !matches.is_empty() {
@@ -265,15 +216,14 @@ impl ClockScan {
     /// tune, and a cycle never costs more than the pass that bounds it.
     ///
     /// The same rows leave as the pass would emit, in the same order, with
-    /// the same query sets: a path only narrows, so each fetched row the view
-    /// holds is checked against the full predicate — unless that *is* the
+    /// the same query sets: a path only narrows, so each fetched row is
+    /// checked against the full predicate — unless that *is* the
     /// equality probed — and the hits leave through the routine an index
     /// probe's do, one tuple per row in ascending `RowId`.
     fn serve_from_indexes(
         table: &Table,
         snapshot: Snapshot,
         members: &[&ScanQuery],
-        view: Option<&SegmentView>,
         result: &mut ScanCycleResult,
     ) -> Result<bool> {
         // What the group fetches: each distinct `(path, residual)` once,
@@ -310,8 +260,7 @@ impl ClockScan {
         }
         let mut hits = Hits::default();
         for (path, residual, queries) in &fetches {
-            let in_view = |(_, row): &(_, &Tuple)| view.is_none_or(|view| view.contains(row));
-            let fetched = path.visible_rows(table, snapshot).filter(in_view);
+            let fetched = path.visible_rows(table, snapshot);
             hits.collect(queries.as_slice(), fetched, *residual)?;
         }
         for query in members {
@@ -331,7 +280,7 @@ mod tests {
     use proptest::prelude::*;
     use proptest::TestRng;
     use shareddb_common::ids::Timestamp;
-    use shareddb_common::{tuple, BinaryOp, Column, DataType, Value};
+    use shareddb_common::{tuple, BinaryOp, Column, DataType, Tuple, Value};
 
     fn setup() -> (Arc<RwLock<Table>>, Arc<TimestampOracle>, ClockScan) {
         let schema = Schema::new(vec![
@@ -500,48 +449,6 @@ mod tests {
         };
         assert_eq!(count(1), 100, "pinned query lost the old version set");
         assert_eq!(count(2), 0, "unpinned query saw resurrected rows");
-    }
-
-    /// Segment views split one scan pass into disjoint, complete slices of
-    /// the table, and updates of a segmented batch still apply to the whole
-    /// table (they are never segmented).
-    #[test]
-    fn segment_views_are_disjoint_and_complete() {
-        let (_, _, scan) = setup();
-        const OF: u32 = 4;
-        let mut seen = std::collections::HashSet::new();
-        for index in 0..OF {
-            let view = SegmentView {
-                index,
-                of: OF,
-                key_columns: vec![0],
-            };
-            let res = scan
-                .execute_batch_segmented(&[ScanQuery::full_scan(QueryId(1))], &[], Some(&view))
-                .unwrap();
-            for t in &res.tuples {
-                assert!(view.contains(&t.tuple));
-                assert!(seen.insert(t.tuple[0].clone()), "row in two segments");
-            }
-        }
-        assert_eq!(seen.len(), 100, "segments did not cover the table");
-        // An update in a segmented batch is whole-table: deleting through a
-        // one-segment view still removes every row.
-        let res = scan
-            .execute_batch_segmented(
-                &[ScanQuery::full_scan(QueryId(2))],
-                &[UpdateOp::Delete {
-                    predicate: Expr::lit(true),
-                }],
-                Some(&SegmentView {
-                    index: 0,
-                    of: OF,
-                    key_columns: vec![0],
-                }),
-            )
-            .unwrap();
-        assert_eq!(res.update_results[0].rows_affected, 100);
-        assert!(res.tuples.is_empty());
     }
 
     #[test]
@@ -748,13 +655,8 @@ mod tests {
         cycles: Vec<Cycle>,
     }
 
-    /// The predicates of one cycle, each with the timestamp it is pinned to,
-    /// and the view the cycle scans.
-    #[derive(Debug)]
-    struct Cycle {
-        queries: Vec<(Expr, Option<u64>)>,
-        view: Option<SegmentView>,
-    }
+    /// The predicates of one cycle, each with the timestamp it is pinned to.
+    type Cycle = Vec<(Expr, Option<u64>)>;
 
     fn cycle(rng: &mut TestRng, last_write: usize) -> Cycle {
         // Mostly few: the fewer a cycle holds, the more it leaves out.
@@ -768,12 +670,7 @@ mod tests {
         if pick(rng, 3) == 0 {
             queries.push(queries[0].clone());
         }
-        let view = (pick(rng, 4) == 0).then(|| SegmentView {
-            index: pick(rng, 2) as u32,
-            of: 2,
-            key_columns: vec![0],
-        });
-        Cycle { queries, view }
+        queries
     }
 
     struct Cases;
@@ -832,17 +729,15 @@ mod tests {
     }
 
     /// What the cycle must emit, from a walk that leaves nothing out and
-    /// evaluates every predicate on every visible row of the view.
+    /// evaluates every predicate on every visible row.
     fn full_walk(
         table: &Table,
         queries: &[ScanQuery],
         latest: Snapshot,
-        view: Option<&SegmentView>,
     ) -> Vec<(Tuple, Vec<QueryId>)> {
         let mut emitted = Vec::new();
         for (snapshot, members) in crate::mvcc::group_by_snapshot(queries, latest, |q| q.snapshot) {
-            let in_view = |row: &Tuple| view.is_none_or(|view| view.contains(row));
-            for (_, row) in table.scan(snapshot).filter(|(_, row)| in_view(row)) {
+            for (_, row) in table.scan(snapshot) {
                 let selecting = members
                     .iter()
                     .filter(|q| q.predicate.eval_predicate(row).unwrap());
@@ -869,7 +764,7 @@ mod tests {
         let oracle = Arc::new(TimestampOracle::new());
         oracle.restore(Timestamp(last_write));
         let scan = ClockScan::new(Arc::clone(&table), Arc::clone(&oracle));
-        for Cycle { queries, view } in cycles {
+        for queries in cycles {
             let queries: Vec<ScanQuery> = queries
                 .iter()
                 .enumerate()
@@ -878,14 +773,13 @@ mod tests {
                     ScanQuery::new(QueryId(i as u32), predicate.clone()).at_snapshot(pinned)
                 })
                 .collect();
-            let view = view.as_ref();
-            let cycle = scan.execute_batch_segmented(&queries, &[], view).unwrap();
+            let cycle = scan.execute_batch(&queries, &[]).unwrap();
             let emitted: Vec<(Tuple, Vec<QueryId>)> = cycle
                 .tuples
                 .iter()
                 .map(|t| (t.tuple.clone(), t.queries.iter().collect()))
                 .collect();
-            let expected = full_walk(&table.read(), &queries, oracle.read_ts(), view);
+            let expected = full_walk(&table.read(), &queries, oracle.read_ts());
             prop_assert!(
                 emitted == expected,
                 "{queries:?}: {} rows, the full walk {} ({} versions left out, groups served {:?})\nin {case:#?}",
@@ -903,8 +797,7 @@ mod tests {
         /// Leaving chunks out never changes what a cycle emits: the same rows
         /// with the same query sets in the same order as the full walk —
         /// whatever lies in the chunks (dead versions, NULLs, odd values,
-        /// late arrivals), whatever the cycle asks, pinned or not, over a
-        /// segment view or the whole table.
+        /// late arrivals), whatever the cycle asks, pinned or not.
         #[test]
         fn zone_skipping_scan_equals_full_scan(case in Cases) {
             let last_write = 1 + case.writes.len() as u64;
@@ -963,7 +856,7 @@ mod tests {
                 .map(|(i, p)| ScanQuery::new(QueryId(i as u32), p).at_snapshot(pinned))
                 .collect();
             let cycle = scan.execute_batch(&queries, &[]).unwrap();
-            let expected = full_walk(&table.read(), &queries, oracle.read_ts(), None);
+            let expected = full_walk(&table.read(), &queries, oracle.read_ts());
             let emitted = cycle.tuples.iter();
             assert!(emitted
                 .map(|t| (t.tuple.clone(), t.queries.iter().collect()))
@@ -1321,12 +1214,7 @@ mod tests {
                         (pick(rng, 5) == 0).then(|| 1 + pick(rng, 1 + writes.len()) as u64);
                     queries.push((predicate, pinned));
                 }
-                let view = (pick(rng, 4) == 0).then(|| SegmentView {
-                    index: pick(rng, 2) as u32,
-                    of: 2,
-                    key_columns: vec![0],
-                });
-                Cycle { queries, view }
+                queries
             });
             IndexedCase {
                 cycles: cycles.collect(),
@@ -1346,7 +1234,7 @@ mod tests {
         /// with a gram in them alone, with a residual conjunct, twice in a
         /// cycle, beside a query no index answers, naming most of the table,
         /// pinned to the past — the key map included, titles changed, kept,
-        /// deleted and written again since — over a segment view.
+        /// deleted and written again since.
         #[test]
         fn index_served_cycle_equals_scanned_cycle(case in IndexedCases) {
             let mut table = indexed_table();

@@ -36,7 +36,7 @@ pub use btree::BTreeIndex;
 pub use catalog::{
     Catalog, CheckpointInfo, IndexDef, RecoveryReport, TableDef, CHECKPOINT_FILE, WAL_FILE,
 };
-pub use clockscan::{ClockScan, ScanCycleResult, ScanQuery, SegmentView};
+pub use clockscan::{ClockScan, ScanCycleResult, ScanQuery};
 pub use index_probe::{IndexProbe, ProbeQuery, ProbeRange};
 pub use mvcc::{Snapshot, TimestampOracle};
 pub use predicate_index::PredicateClass;

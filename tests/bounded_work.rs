@@ -15,10 +15,9 @@
 //!   goes through `ITEM_SUBJECT` while few subjects are asked for, which
 //!   costs less than the pass by the rule that chooses it), rows examined per
 //!   pass at 128 clients are within 1.1 × those at 4. Checked to die
-//!   (CHANGES.md, PR 29) when the scan walks once per query of its cycle.
+//!   (CHANGES.md) when the scan walks once per query of its cycle.
 //! * **(ii) An operator is one task per batch, whatever it serves.**
-//!   Executor tasks per batch are at most the plan nodes the point activated,
-//!   times the batch's lanes (one: `scan_segments` is 1 here).
+//!   Executor tasks per batch are at most the plan nodes the point activated.
 //! * **(iii) A batch's time grows slower than its statements.** The mean
 //!   execute phase of a statement (from its batch's start to its own
 //!   outcome: the batch's operators, then Γ routing up to it) grows from 4 to
@@ -41,7 +40,6 @@ use std::collections::HashMap;
 
 const POINTS: [usize; 3] = [4, 32, 128];
 const STATEMENTS_PER_POINT: usize = 2_048;
-const LANES: f64 = 1.0;
 const SUBLINEAR: f64 = 0.5;
 
 /// What one load point left in the engine's counters.
@@ -138,7 +136,7 @@ fn work_per_heartbeat_is_bounded_by_the_data_not_by_the_clients() {
         }
         // (ii)
         assert!(
-            point.tasks_per_batch <= point.active_nodes as f64 * LANES,
+            point.tasks_per_batch <= point.active_nodes as f64,
             "{} clients: {:.1} tasks a batch, {} active nodes",
             point.clients,
             point.tasks_per_batch,

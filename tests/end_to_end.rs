@@ -153,10 +153,9 @@ fn updates_are_visible_across_engines_sharing_a_catalog() {
 /// Pages over a catalog the generator never produces: the best-ranked items
 /// of two subjects have lost their AUTHOR row, so the join under a search has
 /// to look past them to fill its page of fifty — while a writer keeps moving
-/// publication dates. On one engine, on four scan segments and through four
-/// replicas (a best-seller page is then cut per segment / per partition and
-/// merged), every page is row for row what the query-at-a-time engine
-/// computes at the same pinned snapshot.
+/// publication dates. On one engine and through four replicas, every page is
+/// row for row what the query-at-a-time engine computes at the same pinned
+/// snapshot.
 #[test]
 fn pages_look_past_items_without_an_author_on_every_lane() {
     use shareddb::baseline::ClassicEngine;
@@ -204,12 +203,17 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
         assert!(page.iter().all(|row| !orphaned.contains(&row[a_id])));
     }
 
-    let engine = |segments: usize| {
+    let engine = || {
         let (plan, registry) = build_shared_plan(&catalog).unwrap();
-        let config = EngineConfig::default().scan_segments(segments);
-        Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap()
+        Engine::start(
+            Arc::clone(&catalog),
+            plan,
+            registry,
+            EngineConfig::default(),
+        )
+        .unwrap()
     };
-    let (whole, segmented) = (engine(1), engine(4));
+    let whole = engine();
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
     let replicated = ClusterConfig {
         replicas: 4,
@@ -233,7 +237,7 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     let newest: Vec<i64> = newest.iter().map(|row| row[0].as_int().unwrap()).collect();
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
-        let (stop, writer, items) = (Arc::clone(&stop), engine(1), scale.items as i64);
+        let (stop, writer, items) = (Arc::clone(&stop), engine(), scale.items as i64);
         std::thread::spawn(move || {
             let mut writes = 0i64;
             while !stop.load(Ordering::Relaxed) {
@@ -263,17 +267,10 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
             };
             let want = classic.execute_at(statement, params, snapshot).unwrap();
             assert!(!want.is_empty());
-            let lanes = [
+            let deployments = [
                 (
                     "one engine",
                     whole.submit(statement, params, pinned()).unwrap().wait(),
-                ),
-                (
-                    "four segments",
-                    segmented
-                        .submit(statement, params, pinned())
-                        .unwrap()
-                        .wait(),
                 ),
                 // Routed by its parameters' hash, a page runs whole on one
                 // of the replicas, at the caller's snapshot.
@@ -282,12 +279,12 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
                     cluster.submit(statement, params, pinned()).unwrap().wait(),
                 ),
             ];
-            for (lane, got) in lanes {
+            for (deployment, got) in deployments {
                 let got = got.unwrap();
                 assert_eq!(
                     got.rows(),
                     &want[..],
-                    "{statement}{params:?} on {lane}, round {round}"
+                    "{statement}{params:?} on {deployment}, round {round}"
                 );
             }
             if *statement == "getNewProducts" && params[0] == subjects[0] {
@@ -299,18 +296,13 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     assert!(writer.join().unwrap() > 0, "the writer never ran");
     // The writer was seen: the newest products of a subject changed meanwhile.
     assert!(first_pages.iter().any(|page| *page != first_pages[0]));
-    // And the lanes did prune: the join by the demand of the searches, the
-    // group-by of every segment by that of the best-seller pages.
-    for (lane, stats) in [
-        ("one engine", whole.operator_stats()),
-        ("four segments", segmented.operator_stats()),
-    ] {
-        for pruning in ["IndexNlJoin(AUTHOR)#7", "GroupBy#13"] {
-            let op = stats.iter().find(|op| op.name == pruning).unwrap();
-            assert!(op.rows_pruned > 0, "{pruning} on {lane}: {op:?}");
-        }
+    // And the engine did prune: the join by the demand of the searches, the
+    // group-by by that of the best-seller pages.
+    let stats = whole.operator_stats();
+    for pruning in ["IndexNlJoin(AUTHOR)#7", "GroupBy#13"] {
+        let op = stats.iter().find(|op| op.name == pruning).unwrap();
+        assert!(op.rows_pruned > 0, "{pruning}: {op:?}");
     }
-    assert!(segmented.segment_stats().iter().all(|s| s.batches > 0));
     // So did the replicas the pages were routed to, more than one of them.
     let pruned_by = |name: &str| -> Vec<u64> {
         let operators = cluster.engines().iter().flat_map(|e| e.operator_stats());

@@ -1,12 +1,11 @@
 //! The plan executor against a single-threaded reference, under stress, and
 //! its completion rule.
 //!
-//! `executor_equals_serial_walk`: whatever the number of threads and of row
-//! segments (lanes of the batch's run), a batch returns per statement exactly
-//! the rows of a walk of the whole plan in id order on one thread — in that
-//! walk's order when the batch has one lane, as a multiset when a statement's
-//! rows are merged from four. Mutations of `crates/core/src/executor.rs` this
-//! test was checked to kill are listed in CHANGES.md (PR 19, PR 29).
+//! `executor_equals_serial_walk`: whatever the number of threads, a batch
+//! returns per statement exactly the rows of a walk of the whole plan in id
+//! order on one thread, in that walk's order. Mutations of
+//! `crates/core/src/executor.rs` this test was checked to kill are listed in
+//! CHANGES.md.
 
 use proptest::{run_cases, ProptestConfig, Strategy, TestRng};
 use rand::rngs::StdRng;
@@ -34,58 +33,33 @@ fn pick(rng: &mut TestRng, n: usize) -> usize {
     (0..n).generate(rng)
 }
 
-/// One engine with `cores` executor threads and `segments` row segments over
-/// its own copy of the data.
+/// One engine with `cores` executor threads over its own copy of the data.
 struct Deployment {
     cores: usize,
-    segments: usize,
     catalog: Arc<Catalog>,
     engine: Engine,
 }
 
-/// The same data and plan at 1, 2 and 8 executor threads, each at 1 and 4 row
-/// segments. Paced, so that the statements submitted right after a warm-up
-/// statement share one batch.
+/// The same data and plan at 1, 2 and 8 executor threads. Paced, so that the
+/// statements submitted right after a warm-up statement share one batch.
 fn fleet(build: impl Fn() -> (Arc<Catalog>, GlobalPlan, StatementRegistry)) -> Vec<Deployment> {
-    let shapes = [1, 2, 8]
+    [1, 2, 8]
         .into_iter()
-        .flat_map(|cores| [(cores, 1), (cores, 4)]);
-    shapes
-        .map(|(cores, segments)| {
+        .map(|cores| {
             let (catalog, plan, registry) = build();
             let config = EngineConfig {
                 heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(4)),
                 eager_heartbeat: false,
-                scan_segments: segments,
                 ..EngineConfig::with_cores(cores)
             };
             let engine = Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap();
             Deployment {
                 cores,
-                segments,
                 catalog,
                 engine,
             }
         })
         .collect()
-}
-
-/// What of a statement's rows a deployment has to agree on with the serial
-/// walk: the rows in their order, unless they were merged from several
-/// segments — then the rows in any order (a merge concatenates, or breaks a
-/// tie between sort keys by segment), and of `topOrders`, whose five rows are
-/// cut out of many with equal totals, the totals.
-fn comparable(deployment: &Deployment, call: &StatementCall, rows: &[Tuple]) -> Vec<Tuple> {
-    if deployment.segments == 1 {
-        return rows.to_vec();
-    }
-    let mut rows: Vec<Tuple> = if call.statement == "topOrders" {
-        rows.iter().map(|row| row.project(&[1])).collect()
-    } else {
-        rows.to_vec()
-    };
-    rows.sort_by_cached_key(|row| format!("{row:?}"));
-    rows
 }
 
 /// The reference: every query of `calls` bound into one batch, every node of
@@ -187,10 +161,9 @@ fn check_against_serial_walk(
         let expected = serial_walk(deployment, &reads);
         for ((call, got), expected) in reads.iter().zip(read).zip(expected) {
             assert!(
-                comparable(deployment, call, got.rows()) == comparable(deployment, call, &expected),
-                "{} cores, {} segments, {call:?}: executor {:?}\nserial walk {expected:?}\nin {calls:#?}",
+                got.rows() == expected,
+                "{} cores, {call:?}: executor {:?}\nserial walk {expected:?}\nin {calls:#?}",
                 deployment.cores,
-                deployment.segments,
                 got.rows(),
             );
         }
@@ -201,18 +174,13 @@ fn check_against_serial_walk(
     );
 }
 
-/// After the property: the cases between them activated every node, ran
-/// tasks both on the coordinator and (with more than one thread) on the pool,
-/// and (with more than one segment) in every segment's lane.
+/// After the property: the cases between them activated every node and ran
+/// tasks both on the coordinator and (with more than one thread) on the pool.
 fn assert_every_node_was_exercised(fleet: &[Deployment]) {
     for deployment in fleet {
         for op in deployment.engine.operator_stats() {
             assert!(op.active_cycles > 0, "{} never had a task", op.name);
         }
-        let lanes = deployment.engine.segment_stats();
-        let segmented = deployment.segments > 1;
-        assert_eq!(lanes.len(), if segmented { deployment.segments } else { 0 });
-        assert!(lanes.iter().all(|lane| lane.batches > 0), "{lanes:?}");
         let stats = deployment.engine.stats();
         assert_eq!(stats.executor_threads, deployment.cores);
         assert!(stats.tasks_run_by_coordinator > 0);
@@ -369,28 +337,24 @@ fn executor_equals_serial_walk() {
 
 /// 5 000 back-to-back bursts of two statements — a join over two scans and a
 /// look-up, so a batch has several ready tasks and hands some to the pool —
-/// on eight threads over two cores, in one lane and then with the join in
-/// four. A lost wake-up shows as a hang, which the watchdog turns into a
-/// failure.
+/// on eight threads over two cores. A lost wake-up shows as a hang, which the
+/// watchdog turns into a failure.
 #[test]
 fn executor_stress() {
     let (done, watchdog) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        for segments in [1, 4] {
-            let (catalog, plan, registry) = figure_2_deployment();
-            let config = EngineConfig::with_cores(8).scan_segments(segments);
-            let engine = Engine::start(catalog, plan, registry, config).unwrap();
-            for i in 0..5_000i64 {
-                let user = Value::text(format!("user{}", i % 100));
-                let join = engine.execute("ordersOfUser", &[user]).unwrap();
-                let probe = engine.execute("userById", &[Value::Int(i % 100)]).unwrap();
-                assert_eq!(probe.wait().unwrap().rows().len(), 1);
-                assert_eq!(join.wait().unwrap().rows().len(), 1);
-            }
-            let stats = engine.stats();
-            assert_eq!(stats.queries, 10_000);
-            assert!(stats.tasks_run_by_workers > 0, "{stats:?}");
+        let (catalog, plan, registry) = figure_2_deployment();
+        let engine = Engine::start(catalog, plan, registry, EngineConfig::with_cores(8)).unwrap();
+        for i in 0..5_000i64 {
+            let user = Value::text(format!("user{}", i % 100));
+            let join = engine.execute("ordersOfUser", &[user]).unwrap();
+            let probe = engine.execute("userById", &[Value::Int(i % 100)]).unwrap();
+            assert_eq!(probe.wait().unwrap().rows().len(), 1);
+            assert_eq!(join.wait().unwrap().rows().len(), 1);
         }
+        let stats = engine.stats();
+        assert_eq!(stats.queries, 10_000);
+        assert!(stats.tasks_run_by_workers > 0, "{stats:?}");
         done.send(()).unwrap();
     });
     watchdog

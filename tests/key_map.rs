@@ -7,8 +7,7 @@
 //! `IndexNlJoin`, a ClockScan cycle served from the indexes — is pinned
 //! before an update, a delete, a re-insert and a key move, while a writer
 //! keeps doing all four to the neighbouring rows, and returns what a
-//! query-at-a-time engine that only *scans* returns at the same snapshot, on
-//! one scan segment and on four.
+//! query-at-a-time engine that only *scans* returns at the same snapshot.
 //!
 //! The gram index is held to the same: TPC-W's title search, an infix `LIKE`
 //! served from `ITEM_TITLE`, pinned before and after a title is changed,
@@ -67,7 +66,7 @@ fn catalog() -> Arc<Catalog> {
 /// `probed`: ITEMS by key through the index probe. `joined`: the references
 /// of a group (a pass over REFS), each with its item by key. `scanned`: ITEMS
 /// by key as a scan predicate — a cycle the key map serves.
-fn engine(catalog: &Arc<Catalog>, segments: usize) -> Engine {
+fn engine(catalog: &Arc<Catalog>) -> Engine {
     let mut b = PlanBuilder::new(catalog);
     let probe = b.index_probe("ITEMS").unwrap();
     let scan = b.table_scan("ITEMS").unwrap();
@@ -106,8 +105,7 @@ fn engine(catalog: &Arc<Catalog>, segments: usize) -> Engine {
             },
         ))
         .unwrap();
-    let config = EngineConfig::default().scan_segments(segments);
-    Engine::start(Arc::clone(catalog), plan, registry, config).unwrap()
+    Engine::start(Arc::clone(catalog), plan, registry, EngineConfig::default()).unwrap()
 }
 
 /// A plan that walks every visible version of `table` and keeps those
@@ -182,10 +180,10 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 }
 
 #[test]
-fn pinned_key_lookups_equal_the_scanning_engine_on_one_and_four_segments() {
+fn pinned_key_lookups_equal_the_scanning_engine() {
     let catalog = catalog();
     let classic = reference(&catalog);
-    let engines = [(1, engine(&catalog, 1)), (4, engine(&catalog, 4))];
+    let engine = engine(&catalog);
 
     // The writer: updates, deletes, re-inserts, moves and moves back, round
     // and round the items above the four the test writes itself.
@@ -266,20 +264,18 @@ fn pinned_key_lookups_equal_the_scanning_engine_on_one_and_four_segments() {
                     compared += 1;
                     continue;
                 }
-                for (segments, engine) in &engines {
-                    let pinned = SubmitOptions {
-                        pinned_snapshot: Some(*snapshot),
-                        ..SubmitOptions::default()
-                    };
-                    let got = engine.submit(statement, &params, pinned).unwrap();
-                    let got = got.wait().unwrap().rows().to_vec();
-                    assert_eq!(
-                        sorted(got),
-                        sorted(want.clone()),
-                        "{statement}({param}) at pin {pin}, {segments} segment(s)"
-                    );
-                    compared += 1;
-                }
+                let pinned = SubmitOptions {
+                    pinned_snapshot: Some(*snapshot),
+                    ..SubmitOptions::default()
+                };
+                let got = engine.submit(statement, &params, pinned).unwrap();
+                let got = got.wait().unwrap().rows().to_vec();
+                assert_eq!(
+                    sorted(got),
+                    sorted(want.clone()),
+                    "{statement}({param}) at pin {pin}"
+                );
+                compared += 1;
                 if statement == "probed" && (1..=5).contains(&param) {
                     differing_views.insert((param, format!("{want:?}")));
                 }
@@ -294,12 +290,9 @@ fn pinned_key_lookups_equal_the_scanning_engine_on_one_and_four_segments() {
     for group in 0..8 {
         let params = [Value::Int(group)];
         let want = classic.execute_at("joined", &params, catalog.snapshot());
-        for (segments, engine) in &engines {
-            let got = engine.execute_sync("joined", &params).unwrap();
-            let got = sorted(got.rows().to_vec());
-            let want = sorted(want.clone().unwrap());
-            assert_eq!(got, want, "joined({group}), {segments} segment(s)");
-        }
+        let got = engine.execute_sync("joined", &params).unwrap();
+        let got = sorted(got.rows().to_vec());
+        assert_eq!(got, sorted(want.unwrap()), "joined({group})");
     }
     // The pins do see different things: items 1–5 are there and gone, under
     // two or three values each.
@@ -308,21 +301,19 @@ fn pinned_key_lookups_equal_the_scanning_engine_on_one_and_four_segments() {
     // A key look-up pinned to the past was served by the key map, not by a
     // pass: every cycle of the ITEMS scan fetched its one or two spellings
     // of the key and walked nothing.
-    for (segments, engine) in &engines {
-        let scans = engine.scan_row_stats();
-        let items = scans.iter().find(|s| s.table == "ITEMS").unwrap();
-        assert_eq!(items.cycles[0], 0, "{segments} segment(s): {items:?}");
-        assert!(items.cycles[1] > 0);
-    }
+    let scans = engine.scan_row_stats();
+    let items = scans.iter().find(|s| s.table == "ITEMS").unwrap();
+    assert_eq!(items.cycles[0], 0, "{items:?}");
+    assert!(items.cycles[1] > 0);
 }
 
 /// `doTitleSearch` of the TPC-W plan — an infix `LIKE` on `ITEM.I_TITLE`, a
 /// look-up of each item's author, the first page by title — pinned before
 /// and after titles change, against a query-at-a-time engine that walks ITEM
-/// and AUTHOR whole: the same page at every pin, on one scan segment and on
-/// four, and no ITEM cycle was a pass.
+/// and AUTHOR whole: the same page at every pin, and no ITEM cycle was a
+/// pass.
 #[test]
-fn pinned_title_searches_equal_the_scanning_engine_on_one_and_four_segments() {
+fn pinned_title_searches_equal_the_scanning_engine() {
     use shareddb::common::SortKey;
     use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, PAGE_SIZE};
     const TITLE: usize = 1;
@@ -340,15 +331,9 @@ fn pinned_title_searches_equal_the_scanning_engine_on_one_and_four_segments() {
         .sorted(vec![SortKey::asc(TITLE)])
         .limited(PAGE_SIZE);
     classic.register("doTitleSearch", BaselineStatement::Query(first_page));
-    let engines: Vec<(usize, Engine)> = [1, 4]
-        .into_iter()
-        .map(|segments| {
-            let (plan, registry) = build_shared_plan(&catalog).unwrap();
-            let config = EngineConfig::default().scan_segments(segments);
-            let engine = Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap();
-            (segments, engine)
-        })
-        .collect();
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let config = EngineConfig::default();
+    let engine = Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap();
 
     let retitle = |id: i64, title: String| UpdateOp::Update {
         assignments: vec![(TITLE, Expr::lit(title))],
@@ -423,15 +408,13 @@ fn pinned_title_searches_equal_the_scanning_engine_on_one_and_four_segments() {
             let want = classic
                 .execute_at("doTitleSearch", &params, *snapshot)
                 .unwrap();
-            for (segments, engine) in &engines {
-                let pinned = SubmitOptions {
-                    pinned_snapshot: Some(*snapshot),
-                    ..SubmitOptions::default()
-                };
-                let got = engine.submit("doTitleSearch", &params, pinned).unwrap();
-                let got = got.wait().unwrap().rows().to_vec();
-                assert_eq!(got, want, "{pattern} at pin {pin}, {segments} segment(s)");
-            }
+            let pinned = SubmitOptions {
+                pinned_snapshot: Some(*snapshot),
+                ..SubmitOptions::default()
+            };
+            let got = engine.submit("doTitleSearch", &params, pinned).unwrap();
+            let got = got.wait().unwrap().rows().to_vec();
+            assert_eq!(got, want, "{pattern} at pin {pin}");
             if pattern == "%BOOK 12%" {
                 let titles: Vec<String> = want.iter().map(|row| row[TITLE].to_string()).collect();
                 pages.insert(titles);
@@ -443,10 +426,8 @@ fn pinned_title_searches_equal_the_scanning_engine_on_one_and_four_segments() {
     // The pins do see different pages: an item left, one came, one came back.
     assert!(pages.len() >= 4, "{pages:?}");
     // Every ITEM cycle was served from ITEM_TITLE; none walked the table.
-    for (segments, engine) in &engines {
-        let scans = engine.scan_row_stats();
-        let items = scans.iter().find(|s| s.table == "ITEM").unwrap();
-        assert_eq!(items.cycles[0], 0, "{segments} segment(s): {items:?}");
-        assert!(items.cycles[1] as usize >= pins.len() * patterns.len());
-    }
+    let scans = engine.scan_row_stats();
+    let items = scans.iter().find(|s| s.table == "ITEM").unwrap();
+    assert_eq!(items.cycles[0], 0, "{items:?}");
+    assert!(items.cycles[1] as usize >= pins.len() * patterns.len());
 }

@@ -11,6 +11,7 @@ use shareddb::server::{Server, ServerConfig};
 use shareddb::storage::{Catalog, TableDef};
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -737,6 +738,146 @@ fn a_many_wildcard_title_search_does_not_stall_a_lookup() {
     }
     assert!(fastest < Duration::from_millis(50), "{fastest:?}");
     let _ = conn.close();
+    server.shutdown();
+}
+
+/// Every reply is one snapshot: a writer connection keeps bumping every
+/// row's generation column — one UPDATE per generation, atomic under group
+/// commit — while another connection reads the whole table. Each result holds
+/// every row, in order, with one generation value throughout.
+#[test]
+fn reads_under_a_whole_table_writer_see_one_snapshot() {
+    const ROWS: i64 = 256;
+    let catalog = Catalog::new();
+    let table = TableDef::new("G")
+        .column("ID", DataType::Int)
+        .column("GEN", DataType::Int)
+        .primary_key(&["ID"]);
+    catalog.create_table(table).unwrap();
+    catalog
+        .bulk_load("G", (0..ROWS).map(|i| tuple![i, 0i64]).collect())
+        .unwrap();
+    let mut server = Server::start_sql(
+        Arc::new(catalog),
+        &[
+            ("snap", "SELECT * FROM G ORDER BY ID"),
+            ("tick", "UPDATE G SET GEN = ? WHERE ID >= 0"),
+        ],
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conn = Connection::connect(addr).unwrap();
+            let tick = conn.prepare("tick").unwrap();
+            let mut generation = 0i64;
+            while !stop.load(Ordering::Relaxed) {
+                generation += 1;
+                let outcome = conn.execute(&tick, &[Value::Int(generation)]).unwrap();
+                assert_eq!(outcome.rows_affected(), ROWS as u64);
+            }
+            let _ = conn.close();
+            generation
+        })
+    };
+
+    let mut conn = Connection::connect(addr).unwrap();
+    let snap = conn.prepare("snap").unwrap();
+    let mut generations_seen = std::collections::HashSet::new();
+    for round in 0..80 {
+        let outcome = conn.execute(&snap, &[]).unwrap();
+        let rows = outcome.rows();
+        assert_eq!(rows.len(), ROWS as usize, "round {round}: torn row set");
+        let generation = rows[0][1].clone();
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row[0], Value::Int(i as i64), "round {round}: order broken");
+            assert_eq!(
+                row[1], generation,
+                "round {round}: rows from different snapshots in one result (row {i} vs row 0)"
+            );
+        }
+        generations_seen.insert(format!("{generation:?}"));
+    }
+    stop.store(true, Ordering::Relaxed);
+    let last = writer.join().unwrap();
+    assert!(
+        generations_seen.len() > 1,
+        "updates never interleaved with the reads (last generation {last})"
+    );
+    conn.close().unwrap();
+    server.shutdown();
+}
+
+/// A multi-megabyte reply does not stall another connection: while one
+/// connection reads a 2 MB sorted table back to back, another's pings keep
+/// completing — the reactor only ships bytes the coordinator has finished.
+#[test]
+fn a_multi_megabyte_reply_does_not_stall_a_ping() {
+    const ROWS: i64 = 8_000;
+    let catalog = Catalog::new();
+    let table = TableDef::new("BIG")
+        .column("ID", DataType::Int)
+        .column("PAD", DataType::Text)
+        .primary_key(&["ID"]);
+    catalog.create_table(table).unwrap();
+    let pad = "x".repeat(256);
+    catalog
+        .bulk_load("BIG", (0..ROWS).map(|i| tuple![i, pad.clone()]).collect())
+        .unwrap();
+    let mut server = Server::start_sql(
+        Arc::new(catalog),
+        &[("bigSort", "SELECT * FROM BIG ORDER BY ID")],
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let heavy = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conn = Connection::connect(addr).unwrap();
+            let big = conn.prepare("bigSort").unwrap();
+            let mut replies = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                let outcome = conn.execute(&big, &[]).unwrap();
+                assert_eq!(outcome.rows().len(), ROWS as usize);
+                replies += 1;
+            }
+            let _ = conn.close();
+            replies
+        })
+    };
+
+    // The bound is deliberately generous (a loaded host): the failure this
+    // guards against is a reactor wedged for the whole encode of the big
+    // reply, which showed as multi-second stalls.
+    let mut conn = Connection::connect(addr).unwrap();
+    let mut worst = Duration::ZERO;
+    let deadline = Instant::now() + Duration::from_secs(3);
+    let mut pings = 0u32;
+    while Instant::now() < deadline {
+        let begun = Instant::now();
+        conn.ping().unwrap();
+        worst = worst.max(begun.elapsed());
+        pings += 1;
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    stop.store(true, Ordering::Relaxed);
+    let replies = heavy.join().unwrap();
+    assert!(replies > 0, "no big reply ever completed");
+    assert!(pings > 50, "ping loop starved entirely ({pings} pings)");
+    assert!(
+        worst < Duration::from_secs(2),
+        "ping stalled {worst:?} behind {replies} big replies"
+    );
+    conn.close().unwrap();
     server.shutdown();
 }
 

@@ -141,8 +141,6 @@ fn metrics_endpoint_serves_phase_histograms() {
     let flush = server.flush_phase_stats();
     let flush = flush.iter().find(|s| s.statement == "getItem").unwrap();
     assert!(flush.phase(Phase::Flush).count >= QUERIES as u64);
-    // A statement that ran whole merged nothing.
-    assert!(phases.phase(Phase::Merge).is_empty());
     assert!(!body.contains("replica=\"cluster\""));
 
     let _ = conn.close();
@@ -173,97 +171,48 @@ fn scrape_sample(addr: std::net::SocketAddr, series: &str) -> Option<u64> {
     Some(value.parse().unwrap_or_else(|_| panic!("{series} {value}")))
 }
 
-/// A segmented statement's merge is a phase of the replica whose
-/// coordinator ran it — in `/metrics` and in the engine's phase table — and a
-/// part of its execute span.
-#[test]
-fn segmented_statement_records_merge_under_its_replica() {
-    const QUERIES: u64 = 8;
-    let mut server = Server::start_sql(
-        catalog(),
-        &[("allItems", "SELECT * FROM ITEM ORDER BY I_ID")],
-        EngineConfig::default().scan_segments(2),
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let addr = server.local_addr();
-    let mut conn = Connection::connect(addr).unwrap();
-    let all = conn.prepare("allItems").unwrap();
-    for _ in 0..QUERIES {
-        assert_eq!(conn.execute(&all, &[]).unwrap().rows().len(), 200);
-    }
-    let merges = scrape_sample(
-        addr,
-        "shareddb_phase_latency_us_count{replica=\"0\",statement=\"allItems\",phase=\"merge\"}",
-    );
-    assert_eq!(merges, Some(QUERIES));
-    let phases = replica_phases(&server, 0, "allItems");
-    let (merge, execute) = (phases.phase(Phase::Merge), phases.phase(Phase::Execute));
-    assert_eq!((merge.count, execute.count), (QUERIES, QUERIES));
-    assert!(merge.max_us <= execute.max_us);
-    let frontend = server.flush_phase_stats();
-    assert!(frontend.iter().all(|s| s.phase(Phase::Merge).is_empty()));
-    let _ = conn.close();
-    server.shutdown();
-}
-
 /// `shareddb_engine_failed` and the engine's own counter count a statement
-/// failed by its batch once, on the whole lane and on the segment lane.
+/// failed by its batch once.
 #[test]
 fn engine_failed_counts_one_per_failed_statement() {
     use shareddb::common::Expr;
     use shareddb::core::plan::{ActivationTemplate, PlanBuilder, StatementSpec};
     use shareddb::core::StatementRegistry;
 
-    for segments in [1, 2] {
-        let catalog = catalog();
-        let mut b = PlanBuilder::new(&catalog);
-        let scan = b.table_scan("ITEM").unwrap();
-        let filter = b.filter(scan).unwrap();
-        let plan = b.build();
-        let mut registry = StatementRegistry::new();
-        // The filter's predicate is a text column, not a boolean.
-        let broken = StatementSpec::query("broken", filter)
-            .activate(
-                scan,
-                ActivationTemplate::Scan {
-                    predicate: Expr::lit(true),
-                },
-            )
-            .activate(
-                filter,
-                ActivationTemplate::Filter {
-                    predicate: Expr::col(1),
-                },
-            );
-        registry.register(broken).unwrap();
-        let engine_config = EngineConfig::default().scan_segments(segments);
-        let mut server = Server::start(
-            catalog,
-            plan,
-            registry,
-            engine_config,
-            ServerConfig::default(),
+    let catalog = catalog();
+    let mut b = PlanBuilder::new(&catalog);
+    let scan = b.table_scan("ITEM").unwrap();
+    let filter = b.filter(scan).unwrap();
+    let plan = b.build();
+    let mut registry = StatementRegistry::new();
+    // The filter's predicate is a text column, not a boolean.
+    let broken = StatementSpec::query("broken", filter)
+        .activate(
+            scan,
+            ActivationTemplate::Scan {
+                predicate: Expr::lit(true),
+            },
         )
-        .unwrap();
-        let addr = server.local_addr();
-        let mut conn = Connection::connect(addr).unwrap();
-        let broken = conn.prepare("broken").unwrap();
-        for _ in 0..3 {
-            conn.execute(&broken, &[]).unwrap_err();
-        }
-        assert_eq!(scrape_sample(addr, "shareddb_engine_failed"), Some(3));
-        assert_eq!(server.engine_stats().unwrap().failed, 3);
-        if segments > 1 {
-            let batches = scrape_sample(
-                addr,
-                "shareddb_segment_batches{replica=\"0\",segment=\"0\"}",
-            );
-            assert_eq!(batches, Some(3), "the statement ran whole");
-        }
-        let _ = conn.close();
-        server.shutdown();
+        .activate(
+            filter,
+            ActivationTemplate::Filter {
+                predicate: Expr::col(1),
+            },
+        );
+    registry.register(broken).unwrap();
+    let engine_config = EngineConfig::default();
+    let server_config = ServerConfig::default();
+    let mut server = Server::start(catalog, plan, registry, engine_config, server_config).unwrap();
+    let addr = server.local_addr();
+    let mut conn = Connection::connect(addr).unwrap();
+    let broken = conn.prepare("broken").unwrap();
+    for _ in 0..3 {
+        conn.execute(&broken, &[]).unwrap_err();
     }
+    assert_eq!(scrape_sample(addr, "shareddb_engine_failed"), Some(3));
+    assert_eq!(server.engine_stats().unwrap().failed, 3);
+    let _ = conn.close();
+    server.shutdown();
 }
 
 /// Malformed HTTP on the shared port gets clean error responses without
@@ -503,11 +452,10 @@ fn metrics_escape_labels_with_quotes_and_backslashes() {
     server.shutdown();
 }
 
-/// Slow-query records carry the routed replica and the segment-lane count:
-/// on a 3-replica cluster with a sub-microsecond threshold, the offenders
-/// land on more than one replica and every record reports its lanes.
+/// Slow-query records carry the routed replica: on a 3-replica cluster with
+/// a sub-microsecond threshold, the offenders land on more than one replica.
 #[test]
-fn slow_query_records_carry_replica_and_segments() {
+fn slow_query_records_carry_replica() {
     use shareddb::cluster::ClusterConfig;
     let mut server = Server::start_sql(
         catalog(),
@@ -533,7 +481,6 @@ fn slow_query_records_carry_replica_and_segments() {
     let mut replicas_seen = std::collections::HashSet::new();
     for record in &records {
         assert!(record.replica < 3, "replica out of range: {record:?}");
-        assert!(record.segments >= 1, "no segment count: {record:?}");
         replicas_seen.insert(record.replica);
     }
     assert!(
@@ -1375,8 +1322,8 @@ fn series_of(series: &str) -> (&str, Vec<&str>) {
 }
 
 /// The exposition is well formed by construction, and what it carries is
-/// what the engines count: after a mixed read / write / segmented load on a
-/// two-replica TPC-W server, every family of the scrape has one `# TYPE` line
+/// what the engines count: after a mixed read / write load on a two-replica
+/// TPC-W server, every family of the scrape has one `# TYPE` line
 /// ahead of its samples, its samples stand in one group, the set of
 /// `(family, label keys)` is the checked-in `tests/metrics_families.txt` —
 /// taken from the scrape of this load at the commit before the engines were
@@ -1398,7 +1345,7 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
         },
         ..ServerConfig::default()
     };
-    let engine_config = EngineConfig::default().scan_segments(2);
+    let engine_config = EngineConfig::default();
     let mut server = Server::start(catalog, plan, registry, engine_config, server_config).unwrap();
     let addr = server.local_addr();
     let mut conn = Connection::connect(addr).unwrap();

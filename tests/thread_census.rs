@@ -38,12 +38,11 @@ fn started_threads(count: usize) -> Vec<String> {
 fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none() {
     assert_eq!(engine_threads(), Vec::<String>::new());
 
-    // Twenty operators, four cores, four scan segments.
+    // Twenty operators, four cores.
     let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
     assert!(plan.len() >= 20);
-    let config = EngineConfig::with_cores(4).scan_segments(4);
-    let mut large = Engine::start(catalog, plan, registry, config).unwrap();
+    let mut large = Engine::start(catalog, plan, registry, EngineConfig::with_cores(4)).unwrap();
     large.execute_sync("getItemById", &[Value::Int(1)]).unwrap();
     let four = ["coordi", "worker", "worker", "worker"].map(|kind| format!("shareddb-{kind}"));
     assert_eq!(engine_threads(), four);
