@@ -3,15 +3,9 @@
 //! The engine keeps a pool of worker threads; every submitted query is
 //! executed in isolation by one worker (the traditional model: "traditional
 //! database systems allocate a separate thread for each query", Section 3.5).
-//! Two profiles model the two comparison systems of the paper:
-//!
-//! * [`EngineProfile::Basic`] — MySQL-like: per-query execution with a work
-//!   penalty factor and a parallelism ceiling of 12 workers.
-//! * [`EngineProfile::Tuned`] — SystemX-like: the same executor with no
-//!   penalty and no ceiling (it scales with the configured worker count).
-//!
-//! The penalty factor models the less efficient execution of the weaker
-//! system by repeating predicate evaluation work; it does not change results.
+//! It is the one system SharedDB is compared with: the paper's MySQL and
+//! SystemX are not available to a reproduction, and a penalty invented in
+//! code would only draw a curve its constants chose.
 //!
 //! A query reaches its worker and its reply reaches the caller through
 //! `std::sync::mpsc` channels — one hand-off each way per query, as a
@@ -31,39 +25,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning profile of the baseline engine.
+/// The baseline has one profile. The name stays because the pinned
+/// benchmark's oracle starts its engine with it (`ledger/verify.rs`,
+/// `ledger/trace.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineProfile {
-    /// MySQL-like: modest constants, scalability capped at 12 workers.
-    Basic,
-    /// SystemX-like: efficient per-query execution, scales with workers.
+    /// Per-query execution on as many workers as the engine is given.
     Tuned,
-}
-
-impl EngineProfile {
-    /// Maximum number of worker threads that do useful work.
-    pub fn parallelism_cap(&self) -> usize {
-        match self {
-            EngineProfile::Basic => 12,
-            EngineProfile::Tuned => usize::MAX,
-        }
-    }
-
-    /// Work repetition factor modelling per-query execution efficiency.
-    pub fn work_factor(&self) -> usize {
-        match self {
-            EngineProfile::Basic => 3,
-            EngineProfile::Tuned => 1,
-        }
-    }
-
-    /// Human-readable system name used in benchmark output.
-    pub fn system_name(&self) -> &'static str {
-        match self {
-            EngineProfile::Basic => "MySQL-like",
-            EngineProfile::Tuned => "SystemX-like",
-        }
-    }
 }
 
 /// A registered baseline statement: either a query plan or an update template.
@@ -115,7 +83,6 @@ enum Job {
 struct Shared {
     catalog: Arc<Catalog>,
     statements: Mutex<HashMap<String, BaselineStatement>>,
-    profile: EngineProfile,
     queries: AtomicU64,
     updates: AtomicU64,
     failed: AtomicU64,
@@ -132,16 +99,14 @@ pub struct ClassicEngine {
 }
 
 impl ClassicEngine {
-    /// Starts the engine with `workers` worker threads. The effective
-    /// parallelism is capped by the profile (MySQL-like: 12).
-    pub fn start(catalog: Arc<Catalog>, profile: EngineProfile, workers: usize) -> Self {
-        let effective = workers.clamp(1, profile.parallelism_cap());
+    /// Starts the engine with `workers` worker threads (at least one).
+    pub fn start(catalog: Arc<Catalog>, _profile: EngineProfile, workers: usize) -> Self {
+        let workers = workers.max(1);
         let (job_tx, job_rx) = channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let shared = Arc::new(Shared {
             catalog,
             statements: Mutex::new(HashMap::new()),
-            profile,
             queries: AtomicU64::new(0),
             updates: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -149,8 +114,8 @@ impl ClassicEngine {
             max_latency_nanos: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
-        let mut handles = Vec::with_capacity(effective);
-        for i in 0..effective {
+        let mut handles = Vec::with_capacity(workers);
+        for i in 0..workers {
             let shared = Arc::clone(&shared);
             let rx = Arc::clone(&job_rx);
             handles.push(
@@ -165,16 +130,6 @@ impl ClassicEngine {
             job_tx,
             workers: handles,
         }
-    }
-
-    /// The profile the engine runs with.
-    pub fn profile(&self) -> EngineProfile {
-        self.shared.profile
-    }
-
-    /// Number of worker threads actually running.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Registers a prepared statement.
@@ -319,14 +274,7 @@ fn worker_loop(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>) {
             None => Err(Error::UnknownStatement(statement)),
             Some(BaselineStatement::Query(plan)) => {
                 let snapshot = shared.catalog.oracle().read_ts();
-                // The work factor models a less efficient executor by running
-                // the query repeatedly; only the last result is returned.
-                let mut result = Err(Error::Internal("work factor of zero".into()));
-                for _ in 0..shared.profile.work_factor().max(1) {
-                    result =
-                        execute_plan(&shared.catalog, &plan, &params, snapshot).map(|r| r.rows);
-                }
-                result
+                execute_plan(&shared.catalog, &plan, &params, snapshot).map(|r| r.rows)
             }
             Some(BaselineStatement::Insert { table, values }) => {
                 crate::exec::bind_insert_values(&values, &params)
@@ -389,25 +337,6 @@ mod tests {
             )
             .unwrap();
         Arc::new(catalog)
-    }
-
-    #[test]
-    fn profiles_differ_in_cap_and_factor() {
-        assert_eq!(EngineProfile::Basic.parallelism_cap(), 12);
-        assert_eq!(EngineProfile::Tuned.parallelism_cap(), usize::MAX);
-        assert!(EngineProfile::Basic.work_factor() > EngineProfile::Tuned.work_factor());
-        assert_ne!(
-            EngineProfile::Basic.system_name(),
-            EngineProfile::Tuned.system_name()
-        );
-    }
-
-    #[test]
-    fn worker_count_respects_profile_cap() {
-        let engine = ClassicEngine::start(catalog(), EngineProfile::Basic, 48);
-        assert_eq!(engine.worker_count(), 12);
-        let engine = ClassicEngine::start(catalog(), EngineProfile::Tuned, 24);
-        assert_eq!(engine.worker_count(), 24);
     }
 
     #[test]
@@ -479,37 +408,12 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_work() {
-        let mut engine = ClassicEngine::start(catalog(), EngineProfile::Basic, 2);
+        let mut engine = ClassicEngine::start(catalog(), EngineProfile::Tuned, 2);
         engine.register("all", BaselineStatement::Query(QueryPlan::scan("ITEM")));
         engine.shutdown();
         assert!(matches!(
             engine.execute("all", &[]),
             Err(Error::EngineShutdown)
         ));
-    }
-
-    #[test]
-    fn basic_profile_does_more_work_than_tuned() {
-        // Not a timing assertion (flaky); verify the factor is applied by
-        // checking both produce identical results while Basic repeats work.
-        let c = catalog();
-        let basic = ClassicEngine::start(Arc::clone(&c), EngineProfile::Basic, 2);
-        let tuned = ClassicEngine::start(c, EngineProfile::Tuned, 2);
-        for e in [&basic, &tuned] {
-            e.register(
-                "bySubject",
-                BaselineStatement::Query(QueryPlan::scan_where(
-                    "ITEM",
-                    Expr::col(1).eq(Expr::param(0)),
-                )),
-            );
-        }
-        let a = basic
-            .execute_sync("bySubject", &[Value::text("A")])
-            .unwrap();
-        let b = tuned
-            .execute_sync("bySubject", &[Value::text("A")])
-            .unwrap();
-        assert_eq!(a.len(), b.len());
     }
 }

@@ -1,28 +1,20 @@
 //! # shareddb-baseline
 //!
-//! Query-at-a-time baseline engines used as stand-ins for the two comparison
-//! systems of the paper's evaluation (Section 5.2): **MySQL 5.1/InnoDB** and a
-//! commercial **"SystemX"**. Neither system is available for a reproduction,
-//! so this crate implements a classical Volcano-style executor over the *same*
-//! storage layer SharedDB uses, with two tuning profiles:
+//! The query-at-a-time baseline SharedDB is compared with. The paper's
+//! comparison systems (Section 5.2: MySQL 5.1/InnoDB and a commercial
+//! "SystemX") are not available to a reproduction, so this crate implements a
+//! classical Volcano-style executor over the *same* storage layer SharedDB
+//! uses, with the same access paths (`AccessPath::choose`), on a pool of
+//! workers.
 //!
-//! * [`Profile::Basic`] (MySQL-like) — correct but modest per-query constants
-//!   and a hard ceiling on useful parallelism (~12 worker threads), matching
-//!   the observation (Section 5.4, citing Salomie et al.) that "MySQL does not
-//!   scale beyond twelve cores, independent of the workload".
-//! * [`Profile::Tuned`] (SystemX-like) — the same executor with better
-//!   constants (hash joins, index-aware access paths, no artificial cap),
-//!   matching "SystemX wins because it is the more mature system and carries
-//!   out the same work more efficiently".
-//!
-//! The defining property of both baselines is the *query-at-a-time* model:
+//! Its defining property is the *query-at-a-time* model:
 //! every query is planned and executed in isolation, so total work grows
 //! linearly with the number of concurrent queries — exactly the behaviour the
 //! paper contrasts with SharedDB's bounded, shared computation.
 //!
 //! Modules:
 //! * [`exec`] — the per-query Volcano-style plan and executor.
-//! * [`engine`] — the multi-threaded query-at-a-time engine with profiles.
+//! * [`engine`] — the multi-threaded query-at-a-time engine.
 
 pub mod engine;
 pub mod exec;

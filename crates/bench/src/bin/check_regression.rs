@@ -33,239 +33,29 @@
 //!
 //! A floor entry with no matching point in the bench output is itself a
 //! failure — a lane that silently stopped producing the point would
-//! otherwise pass forever. The JSON parser below is deliberately minimal
-//! (objects, arrays, strings, numbers, booleans, null): the repo has no
-//! serde, and both input files are machine-written.
+//! otherwise pass forever. Both files are read with the ledger's JSON parser
+//! (the repo has no serde).
 
-use std::collections::HashMap;
+#[allow(dead_code)] // `render` and `obj` are the ledger's.
+#[path = "ledger/json.rs"]
+mod json;
 
-// ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
+use json::Json;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(HashMap<String, Json>),
+fn num(json: &Json, key: &str) -> Option<f64> {
+    json.get(key).and_then(Json::as_f64)
 }
 
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    fn num(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn arr(&self, key: &str) -> Option<&[Json]> {
-        match self.get(key)? {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn str_of(&self, key: &str) -> Option<&str> {
-        match self.get(key)? {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
+fn text<'a>(json: &'a Json, key: &str) -> Option<&'a str> {
+    json.get(key).and_then(Json::as_str)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escaped = self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
-                    out.push(match escaped {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'u' => {
-                            // Accept \uXXXX (BMP only — enough for these files).
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad unicode escape".to_string())?;
-                            self.pos += 4;
-                            char::from_u32(hex).unwrap_or('\u{fffd}')
-                        }
-                        other => *other as char,
-                    });
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|b| *b != b'"' && *b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid utf8".to_string())?,
-                    );
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected , or ] at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = HashMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected , or }} at offset {}", self.pos)),
-            }
-        }
+fn array<'a>(json: &'a Json, key: &str) -> Option<&'a [Json]> {
+    match json.get(key)? {
+        Json::Arr(items) => Some(items),
+        _ => None,
     }
 }
-
-// ---------------------------------------------------------------------------
-// The gate
-// ---------------------------------------------------------------------------
 
 /// One evaluated bound, for stdout and the step-summary table.
 struct Check {
@@ -282,32 +72,32 @@ fn main() {
     let baseline = load(&baseline_path);
     let mut checks: Vec<Check> = Vec::new();
 
-    let slack = baseline.num("slack_pct").unwrap_or(0.0) / 100.0;
-    let floors = baseline.arr("floors").unwrap_or_else(|| {
+    let slack = num(&baseline, "slack_pct").unwrap_or(0.0) / 100.0;
+    let floors = array(&baseline, "floors").unwrap_or_else(|| {
         eprintln!("{baseline_path}: missing \"floors\" array");
         std::process::exit(2);
     });
-    let points = bench.arr("points").unwrap_or_else(|| {
+    let points = array(&bench, "points").unwrap_or_else(|| {
         eprintln!("{bench_path}: missing \"points\" array");
         std::process::exit(2);
     });
 
     let mut failures = 0usize;
     for floor in floors {
-        let replicas = floor.num("replicas").unwrap_or(-1.0);
-        let clients = floor.num("clients").unwrap_or(-1.0);
+        let replicas = num(floor, "replicas").unwrap_or(-1.0);
+        let clients = num(floor, "clients").unwrap_or(-1.0);
         // Optional: a floor may pin a heartbeat-policy spec; absent, the
         // first matching (replicas, clients) point is checked regardless.
-        let heartbeat = floor.str_of("heartbeat");
+        let heartbeat = text(floor, "heartbeat");
         let mut label = format!("replicas={replicas}");
         if let Some(hb) = heartbeat {
             label.push_str(&format!(" heartbeat={hb}"));
         }
         label.push_str(&format!(" clients={clients}"));
         let Some(point) = points.iter().find(|p| {
-            p.num("replicas") == Some(replicas)
-                && p.num("clients") == Some(clients)
-                && heartbeat.is_none_or(|hb| p.str_of("heartbeat").unwrap_or("") == hb)
+            num(p, "replicas") == Some(replicas)
+                && num(p, "clients") == Some(clients)
+                && heartbeat.is_none_or(|hb| text(p, "heartbeat").unwrap_or("") == hb)
         }) else {
             println!("FAIL [{label}] point missing from {bench_path}");
             checks.push(Check {
@@ -321,9 +111,9 @@ fn main() {
             continue;
         };
 
-        if let Some(min_tp) = floor.num("min_throughput_per_s") {
+        if let Some(min_tp) = num(floor, "min_throughput_per_s") {
             let bound = min_tp * (1.0 - slack);
-            let got = point.num("throughput_per_s").unwrap_or(0.0);
+            let got = num(point, "throughput_per_s").unwrap_or(0.0);
             let pass = got >= bound;
             if pass {
                 println!("PASS [{label}] throughput {got:.0}/s >= floor {bound:.0}/s");
@@ -343,9 +133,9 @@ fn main() {
                 pass,
             });
         }
-        if let Some(max_p99) = floor.num("max_light_p99_us") {
+        if let Some(max_p99) = num(floor, "max_light_p99_us") {
             let bound = max_p99 * (1.0 + slack);
-            let got = point.num("light_p99_us").unwrap_or(f64::MAX);
+            let got = num(point, "light_p99_us").unwrap_or(f64::MAX);
             let pass = got <= bound;
             if pass {
                 println!("PASS [{label}] light p99 {got:.0}us <= ceiling {bound:.0}us");
@@ -365,13 +155,13 @@ fn main() {
                 pass,
             });
         }
-        if let Some(max_p99) = floor.num("max_server_light_p99_us") {
+        if let Some(max_p99) = num(floor, "max_server_light_p99_us") {
             // Server-side end-to-end (Total phase) p99 of the light
             // statement, from the engines' own histograms — unlike the
             // client-side number it excludes bench-thread scheduling noise,
             // so it can carry a tighter ceiling.
             let bound = max_p99 * (1.0 + slack);
-            let got = point.num("server_light_p99_us").unwrap_or(f64::MAX);
+            let got = num(point, "server_light_p99_us").unwrap_or(f64::MAX);
             let pass = got <= bound;
             if pass {
                 println!("PASS [{label}] server light p99 {got:.0}us <= ceiling {bound:.0}us");
@@ -391,9 +181,9 @@ fn main() {
                 pass,
             });
         }
-        if let Some(min_updates) = floor.num("min_updates_ok") {
+        if let Some(min_updates) = num(floor, "min_updates_ok") {
             let bound = min_updates * (1.0 - slack);
-            let got = point.num("updates_ok").unwrap_or(0.0);
+            let got = num(point, "updates_ok").unwrap_or(0.0);
             let pass = got >= bound;
             if pass {
                 println!("PASS [{label}] {got:.0} concurrent updates >= floor {bound:.0}");
@@ -412,8 +202,8 @@ fn main() {
                 pass,
             });
         }
-        if let Some(max_errors) = floor.num("max_errors") {
-            let got = point.num("errors").unwrap_or(f64::MAX);
+        if let Some(max_errors) = num(floor, "max_errors") {
+            let got = num(point, "errors").unwrap_or(f64::MAX);
             let pass = got <= max_errors;
             if pass {
                 println!("PASS [{label}] {got:.0} errors <= budget {max_errors:.0}");
@@ -441,34 +231,33 @@ fn main() {
     // runner-to-runner variance) deliberately does NOT widen these bounds —
     // it would defeat the improvement requirement; pick the margin via
     // `min_light_p99_improvement_pct` itself.
-    if let Some(min_improvement) = baseline.num("min_light_p99_improvement_pct") {
-        let max_loss = baseline.num("max_throughput_loss_pct").unwrap_or(3.0);
+    if let Some(min_improvement) = num(&baseline, "min_light_p99_improvement_pct") {
+        let max_loss = num(&baseline, "max_throughput_loss_pct").unwrap_or(3.0);
         let mut pairs = 0usize;
         for fixed in points {
-            let Some(hb_fixed) = fixed.str_of("heartbeat") else {
+            let Some(hb_fixed) = text(fixed, "heartbeat") else {
                 continue;
             };
             if !hb_fixed.starts_with("fixed:") {
                 continue;
             }
             let Some(adaptive) = points.iter().find(|p| {
-                p.str_of("heartbeat")
-                    .is_some_and(|h| h.starts_with("adaptive:"))
-                    && p.num("replicas") == fixed.num("replicas")
-                    && p.num("clients") == fixed.num("clients")
+                text(p, "heartbeat").is_some_and(|h| h.starts_with("adaptive:"))
+                    && num(p, "replicas") == num(fixed, "replicas")
+                    && num(p, "clients") == num(fixed, "clients")
             }) else {
                 continue;
             };
             pairs += 1;
             let label = format!(
                 "replicas={} clients={} {} vs {}",
-                fixed.num("replicas").unwrap_or(-1.0),
-                fixed.num("clients").unwrap_or(-1.0),
-                adaptive.str_of("heartbeat").unwrap_or("?"),
+                num(fixed, "replicas").unwrap_or(-1.0),
+                num(fixed, "clients").unwrap_or(-1.0),
+                text(adaptive, "heartbeat").unwrap_or("?"),
                 hb_fixed,
             );
-            let fixed_p99 = fixed.num("server_light_p99_us").unwrap_or(0.0);
-            let adaptive_p99 = adaptive.num("server_light_p99_us").unwrap_or(f64::MAX);
+            let fixed_p99 = num(fixed, "server_light_p99_us").unwrap_or(0.0);
+            let adaptive_p99 = num(adaptive, "server_light_p99_us").unwrap_or(f64::MAX);
             let bound = fixed_p99 * (1.0 - min_improvement / 100.0);
             let delta_pct = if fixed_p99 > 0.0 {
                 (fixed_p99 - adaptive_p99) / fixed_p99 * 100.0
@@ -496,8 +285,8 @@ fn main() {
                 bound: format!("<= {bound:.0}us"),
                 pass,
             });
-            let fixed_tp = fixed.num("throughput_per_s").unwrap_or(0.0);
-            let adaptive_tp = adaptive.num("throughput_per_s").unwrap_or(0.0);
+            let fixed_tp = num(fixed, "throughput_per_s").unwrap_or(0.0);
+            let adaptive_tp = num(adaptive, "throughput_per_s").unwrap_or(0.0);
             let tp_bound = fixed_tp * (1.0 - max_loss / 100.0);
             let tp_pass = adaptive_tp >= tp_bound;
             if tp_pass {
@@ -598,7 +387,7 @@ fn load(path: &str) -> Json {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    Parser::parse(&text).unwrap_or_else(|e| {
+    Json::parse(&text).unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
         std::process::exit(2);
     })
@@ -628,30 +417,24 @@ fn usage(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The contract `json.rs`'s own tests parse, at the root of this crate as in
+/// the ledger's.
+#[cfg(test)]
+const BENCHMARK_JSON: &str = include_str!("../../../../BENCHMARK.json");
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parser_roundtrips_bench_shape() {
-        let json = Parser::parse(
-            r#"{"bench": "x", "points": [{"replicas": 4, "clients": 64,
-                "throughput_per_s": 1234.5, "errors": 0, "nested": [1, -2.5e1],
-                "flag": true, "nothing": null, "esc": "a\"b\nA"}]}"#,
-        )
-        .unwrap();
-        let points = json.arr("points").unwrap();
-        assert_eq!(points[0].num("replicas"), Some(4.0));
-        assert_eq!(points[0].num("throughput_per_s"), Some(1234.5));
-        assert_eq!(
-            points[0].get("esc"),
-            Some(&Json::Str("a\"b\nA".to_string()))
-        );
-        assert_eq!(
-            points[0].get("nested"),
-            Some(&Json::Arr(vec![Json::Num(1.0), Json::Num(-25.0)]))
-        );
-        assert!(Parser::parse("{\"a\": }").is_err());
-        assert!(Parser::parse("[1, 2] trailing").is_err());
+    fn fields_of_a_bench_point_read_by_name() {
+        let bench =
+            Json::parse(r#"{"points": [{"replicas": 4, "heartbeat": "fixed:2ms", "floors": 3}]}"#)
+                .unwrap();
+        let point = &array(&bench, "points").unwrap()[0];
+        assert_eq!(num(point, "replicas"), Some(4.0));
+        assert_eq!(text(point, "heartbeat"), Some("fixed:2ms"));
+        assert_eq!(array(point, "floors"), None);
+        assert_eq!(num(point, "clients"), None);
     }
 }

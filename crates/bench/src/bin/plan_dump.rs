@@ -1,6 +1,8 @@
 //! Annotated global-plan dump: renders every TPC-W statement type's view of
 //! the shared plan — the operator subtree with per-node **sharing sets** —
-//! as text, and optionally the whole plan as a Graphviz digraph.
+//! as text, and optionally the whole plan as a Graphviz digraph. Its default
+//! output, under an operator census, is the paper's Figure 6
+//! (`docs/figures/fig6_plan.txt`).
 //!
 //! SharedDB has no per-query plans, so this is what EXPLAIN means here: the
 //! statement's slice of the one always-on plan, annotated with who else runs
@@ -97,6 +99,10 @@ fn main() {
                 plan.len(),
                 registry.len()
             );
+            let mut census: Vec<_> = plan.operator_census().into_iter().collect();
+            census.sort();
+            let census: Vec<_> = census.iter().map(|(k, n)| format!("{k} {n}")).collect();
+            println!("operators by kind: {}", census.join(", "));
             for index in 0..registry.len() {
                 println!();
                 print!(

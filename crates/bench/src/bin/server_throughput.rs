@@ -45,7 +45,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shareddb_bench::{bench_duration, bench_scale, env_usize, print_header};
+use shareddb_bench::{bench_scale, env_usize};
 use shareddb_client::Connection;
 use shareddb_cluster::ClusterConfig;
 use shareddb_common::Value;
@@ -57,7 +57,7 @@ use shareddb_tpcw::{build_catalog, build_shared_plan, ParamGenerator};
 use std::io::{Read as _, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct PointResult {
     replicas: usize,
@@ -121,7 +121,10 @@ fn phase_rows(statements: &[StatementPhaseSnapshot]) -> Vec<PhaseRow> {
 fn main() {
     let (replica_counts, heartbeats, json_path) = parse_args();
     let scale = bench_scale();
-    let duration = bench_duration();
+    let seconds = std::env::var("BENCH_SECONDS")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    let duration = Duration::from_secs_f64(seconds.unwrap_or(2.0));
     let max_clients = env_usize("SERVER_MAX_CLIENTS", 1024);
     let min_clients = env_usize("SERVER_MIN_CLIENTS", 1);
     let update_clients = env_usize("BENCH_UPDATE_CLIENTS", 0);
@@ -135,7 +138,7 @@ fn main() {
         .unwrap_or_default();
     let items = scale.items as i64;
 
-    print_header(&[
+    let header = [
         "replicas",
         "heartbeat",
         "clients",
@@ -149,7 +152,8 @@ fn main() {
         "light_p99_us",
         "mean_latency_us",
         "batches_per_s",
-    ]);
+    ];
+    println!("{}", header.join(","));
 
     let mut points: Vec<PointResult> = Vec::new();
     for heartbeat in &heartbeats {

@@ -46,7 +46,10 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
         // Wait for work (or shutdown). Under an adaptive policy the interval
         // gates only the *heavy* lane: light submissions open a batch
         // immediately, heavy ones wait out the remainder of the interval so
-        // each shared heavy cycle amortizes over more of the backlog.
+        // each shared heavy cycle amortizes over more of the backlog. Over
+        // empty lanes the wait has no timeout: whoever fills an empty lane
+        // or sets the shutdown flag does so under the queue lock and
+        // notifies, so an idle engine's coordinator sleeps until then.
         let (submissions, backlog, shutting_down) = {
             let mut queue = inner.admission.queue.lock();
             loop {
@@ -71,7 +74,7 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
                 } else if !queue.is_empty() {
                     break;
                 }
-                inner.admission.signal.wait_for(&mut queue, heartbeat);
+                inner.admission.signal.wait(&mut queue);
             }
             let shutting_down = inner.shutdown.load(Ordering::Acquire);
             if shutting_down && queue.is_empty() {

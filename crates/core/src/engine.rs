@@ -435,10 +435,16 @@ impl Engine {
     /// Stops the engine: admits nothing further ([`Error::EngineShutdown`]),
     /// answers what is queued from one last batch and joins all threads.
     pub fn shutdown(&mut self) {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
-            return;
+        {
+            // Under the queue lock: the coordinator checks the flag under it
+            // before it parks without a timeout, so it sees the flag or the
+            // notify.
+            let _queue = self.inner.admission.queue.lock();
+            if self.inner.shutdown.swap(true, Ordering::AcqRel) {
+                return;
+            }
+            self.inner.admission.signal.notify_all();
         }
-        self.inner.admission.signal.notify_all();
         if let Some(handle) = self.coordinator.take() {
             let _ = handle.join();
         }

@@ -195,7 +195,7 @@ impl GlobalPlan {
     }
 
     /// Renders the plan as an indented tree rooted at each sink (an operator
-    /// nobody consumes), for logging and the `fig6_plan` harness.
+    /// nobody consumes), for logging.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let consumed: Vec<bool> = {
@@ -224,7 +224,7 @@ impl GlobalPlan {
         }
     }
 
-    /// Counts operators per kind label (used by tests and the plan harness).
+    /// Counts operators per kind label (used by tests and `plan_dump`).
     pub fn operator_census(&self) -> HashMap<String, usize> {
         let mut census = HashMap::new();
         for n in &self.nodes {

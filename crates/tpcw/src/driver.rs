@@ -9,11 +9,14 @@
 //!
 //! The reproduction uses an open-loop driver: the offered load implied by a
 //! number of EBs (`EBs / think_time`) is translated into a target arrival
-//! rate, and a pool of client threads issues interactions on that schedule.
+//! rate, and a pool of client threads issues interactions on that schedule,
+//! each timed from when it was due; a zero think time is a closed loop, each
+//! client issuing its next interaction as soon as its last one is answered.
 //! Interactions that miss their (scaled) response-time limit count as timed
-//! out. This preserves the quantity the figures plot — successful throughput
-//! as a function of offered load — without emulating a multi-machine client
-//! tier (see DESIGN.md, substitutions).
+//! out, and so do those a busy client pool starts too late. This preserves the
+//! quantity the figures plot — successful throughput as a function of offered
+//! load — without emulating a multi-machine client tier. The sweeps of the
+//! paper's figures that drive it are `shareddb_bench::figures`.
 
 use crate::plans;
 use crate::schema::TpcwScale;
@@ -73,10 +76,10 @@ pub struct BaselineSystem {
 }
 
 impl BaselineSystem {
-    /// Starts a baseline engine with the given profile and worker count and
-    /// registers the TPC-W statements.
-    pub fn new(catalog: Arc<Catalog>, profile: EngineProfile, workers: usize) -> Self {
-        let engine = ClassicEngine::start(catalog, profile, workers);
+    /// Starts a baseline engine with `workers` worker threads and registers
+    /// the TPC-W statements.
+    pub fn new(catalog: Arc<Catalog>, workers: usize) -> Self {
+        let engine = ClassicEngine::start(catalog, EngineProfile::Tuned, workers);
         plans::register_baseline_statements(&engine);
         BaselineSystem { engine }
     }
@@ -89,7 +92,7 @@ impl BaselineSystem {
 
 impl TpcwDatabase for BaselineSystem {
     fn system_name(&self) -> String {
-        self.engine.profile().system_name().to_string()
+        "query-at-a-time".to_string()
     }
     fn execute(&self, statement: &str, params: &[Value], deadline: Duration) -> Result<usize> {
         let handle = self.engine.execute(statement, params)?;
@@ -107,7 +110,7 @@ pub struct DriverConfig {
     pub emulated_browsers: usize,
     /// Mean think time of one emulated browser. The TPC-W value is 7 s; the
     /// reproduction scales it down so laptop-scale runs exercise the same
-    /// offered-load range in seconds instead of hours.
+    /// offered-load range in seconds instead of hours. Zero is a closed loop.
     pub think_time: Duration,
     /// Measurement duration.
     pub duration: Duration,
@@ -136,7 +139,7 @@ impl Default for DriverConfig {
 
 impl DriverConfig {
     /// Offered load in web interactions per second implied by the EB count
-    /// and think time.
+    /// and think time (infinite for a closed loop).
     pub fn offered_rate(&self) -> f64 {
         self.emulated_browsers as f64 / self.think_time.as_secs_f64()
     }
@@ -147,10 +150,6 @@ impl DriverConfig {
 pub struct DriverReport {
     /// System under test.
     pub system: String,
-    /// Mix used.
-    pub mix: &'static str,
-    /// Emulated browsers.
-    pub emulated_browsers: usize,
     /// Offered interactions per second.
     pub offered_rate: f64,
     /// Successful web interactions per second (the WIPS metric).
@@ -159,6 +158,9 @@ pub struct DriverReport {
     pub attempted: u64,
     /// Successful interactions (within the response-time limit).
     pub successful: u64,
+    /// [`DriverReport::successful`] per interaction, indexed by
+    /// `WebInteraction as usize` (the order of `ALL_INTERACTIONS`).
+    pub successful_by_interaction: [u64; 14],
     /// Interactions that missed their deadline.
     pub timed_out: u64,
     /// Interactions that failed with an error.
@@ -173,13 +175,24 @@ pub fn run_workload(
     scale: &TpcwScale,
     config: &DriverConfig,
 ) -> DriverReport {
-    let generator = Arc::new(ParamGenerator::new(scale));
-    let attempted = Arc::new(AtomicU64::new(0));
-    let successful = Arc::new(AtomicU64::new(0));
-    let timed_out = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let latency_nanos = Arc::new(AtomicU64::new(0));
-    let schedule_slot = Arc::new(AtomicUsize::new(0));
+    run_interactions(db, scale, config, |rng| config.mix.sample(rng))
+}
+
+/// [`run_workload`] with each interaction drawn by `pick` instead of from
+/// `config.mix`: one interaction alone, or a stream of two in a set ratio.
+pub fn run_interactions(
+    db: &dyn TpcwDatabase,
+    scale: &TpcwScale,
+    config: &DriverConfig,
+    pick: impl Fn(&mut StdRng) -> WebInteraction + Sync,
+) -> DriverReport {
+    let generator = ParamGenerator::new(scale);
+    let attempted = AtomicU64::new(0);
+    let successful: [AtomicU64; 14] = Default::default();
+    let timed_out = AtomicU64::new(0);
+    let failed = AtomicU64::new(0);
+    let latency_nanos = AtomicU64::new(0);
+    let schedule_slot = AtomicUsize::new(0);
 
     let interarrival = Duration::from_secs_f64(1.0 / config.offered_rate().max(1e-6));
     let start = Instant::now();
@@ -187,14 +200,15 @@ pub fn run_workload(
 
     std::thread::scope(|scope| {
         for thread_idx in 0..config.client_threads.max(1) {
-            let generator = Arc::clone(&generator);
-            let attempted = Arc::clone(&attempted);
-            let successful = Arc::clone(&successful);
-            let timed_out = Arc::clone(&timed_out);
-            let failed = Arc::clone(&failed);
-            let latency_nanos = Arc::clone(&latency_nanos);
-            let schedule_slot = Arc::clone(&schedule_slot);
-            let config = config.clone();
+            let (generator, pick) = (&generator, &pick);
+            let (attempted, successful, timed_out, failed, latency_nanos, schedule_slot) = (
+                &attempted,
+                &successful,
+                &timed_out,
+                &failed,
+                &latency_nanos,
+                &schedule_slot,
+            );
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(config.seed + thread_idx as u64);
                 loop {
@@ -211,11 +225,17 @@ pub fn run_workload(
                     if scheduled > elapsed {
                         std::thread::sleep(scheduled - elapsed);
                     }
-                    let interaction = config.mix.sample(&mut rng);
+                    let interaction = pick(&mut rng);
                     let limit = interaction.time_limit().mul_f64(deadline_scale);
                     let calls = generator.calls(interaction, &mut rng);
                     attempted.fetch_add(1, Ordering::Relaxed);
-                    let begun = Instant::now();
+                    // An open loop times an interaction from when it was due,
+                    // so that waiting for a free client counts against its
+                    // limit; a closed loop from when it is sent.
+                    let begun = match interarrival.is_zero() {
+                        true => Instant::now(),
+                        false => start + scheduled,
+                    };
                     let mut ok = true;
                     let mut err = false;
                     for call in calls {
@@ -239,7 +259,7 @@ pub fn run_workload(
                     }
                     let latency = begun.elapsed();
                     if ok && latency <= limit {
-                        successful.fetch_add(1, Ordering::Relaxed);
+                        successful[interaction as usize].fetch_add(1, Ordering::Relaxed);
                         latency_nanos.fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
                     } else if err {
                         failed.fetch_add(1, Ordering::Relaxed);
@@ -252,109 +272,20 @@ pub fn run_workload(
     });
 
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let successful_count = successful.load(Ordering::Relaxed);
+    let successful_by_interaction = successful.map(|count| count.into_inner());
+    let successful_count = successful_by_interaction.iter().sum::<u64>();
     DriverReport {
         system: db.system_name(),
-        mix: config.mix.name(),
-        emulated_browsers: config.emulated_browsers,
         offered_rate: config.offered_rate(),
         wips: successful_count as f64 / elapsed,
-        attempted: attempted.load(Ordering::Relaxed),
+        attempted: attempted.into_inner(),
         successful: successful_count,
-        timed_out: timed_out.load(Ordering::Relaxed),
-        failed: failed.load(Ordering::Relaxed),
+        successful_by_interaction,
+        timed_out: timed_out.into_inner(),
+        failed: failed.into_inner(),
         mean_latency: Duration::from_nanos(
             latency_nanos
-                .load(Ordering::Relaxed)
-                .checked_div(successful_count)
-                .unwrap_or(0),
-        ),
-    }
-}
-
-/// Runs a single-interaction workload (used by the Figure 9 harness): only
-/// `interaction` is issued, as fast as the client threads can.
-pub fn run_single_interaction(
-    db: &dyn TpcwDatabase,
-    scale: &TpcwScale,
-    interaction: WebInteraction,
-    duration: Duration,
-    client_threads: usize,
-    time_limit_scale: f64,
-) -> DriverReport {
-    let generator = Arc::new(ParamGenerator::new(scale));
-    let attempted = Arc::new(AtomicU64::new(0));
-    let successful = Arc::new(AtomicU64::new(0));
-    let timed_out = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let latency_nanos = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-
-    std::thread::scope(|scope| {
-        for thread_idx in 0..client_threads.max(1) {
-            let generator = Arc::clone(&generator);
-            let attempted = Arc::clone(&attempted);
-            let successful = Arc::clone(&successful);
-            let timed_out = Arc::clone(&timed_out);
-            let failed = Arc::clone(&failed);
-            let latency_nanos = Arc::clone(&latency_nanos);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(1000 + thread_idx as u64);
-                while start.elapsed() < duration {
-                    let limit = interaction.time_limit().mul_f64(time_limit_scale.max(0.01));
-                    let calls = generator.calls(interaction, &mut rng);
-                    attempted.fetch_add(1, Ordering::Relaxed);
-                    let begun = Instant::now();
-                    let mut ok = true;
-                    let mut err = false;
-                    for call in calls {
-                        let remaining = limit.saturating_sub(begun.elapsed());
-                        if remaining.is_zero() {
-                            ok = false;
-                            break;
-                        }
-                        match db.execute(call.statement, &call.params, remaining) {
-                            Ok(_) => {}
-                            Err(shareddb_common::Error::DeadlineExceeded) => {
-                                ok = false;
-                                break;
-                            }
-                            Err(_) => {
-                                ok = false;
-                                err = true;
-                                break;
-                            }
-                        }
-                    }
-                    let latency = begun.elapsed();
-                    if ok && latency <= limit {
-                        successful.fetch_add(1, Ordering::Relaxed);
-                        latency_nanos.fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
-                    } else if err {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        timed_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let successful_count = successful.load(Ordering::Relaxed);
-    DriverReport {
-        system: db.system_name(),
-        mix: interaction.name(),
-        emulated_browsers: client_threads,
-        offered_rate: f64::INFINITY,
-        wips: successful_count as f64 / elapsed,
-        attempted: attempted.load(Ordering::Relaxed),
-        successful: successful_count,
-        timed_out: timed_out.load(Ordering::Relaxed),
-        failed: failed.load(Ordering::Relaxed),
-        mean_latency: Duration::from_nanos(
-            latency_nanos
-                .load(Ordering::Relaxed)
+                .into_inner()
                 .checked_div(successful_count)
                 .unwrap_or(0),
         ),
@@ -396,7 +327,7 @@ mod tests {
     fn baseline_system_runs_the_ordering_mix() {
         let catalog = catalog();
         let scale = TpcwScale::tiny();
-        let db = BaselineSystem::new(catalog, EngineProfile::Tuned, 4);
+        let db = BaselineSystem::new(catalog, 4);
         let config = DriverConfig {
             mix: Mix::Ordering,
             emulated_browsers: 50,
@@ -409,24 +340,24 @@ mod tests {
         let report = run_workload(&db, &scale, &config);
         assert!(report.successful > 0, "report: {report:?}");
         assert_eq!(report.failed, 0, "report: {report:?}");
-        assert_eq!(report.system, "SystemX-like");
+        assert_eq!(report.system, "query-at-a-time");
     }
 
     #[test]
-    fn single_interaction_driver_counts_bestsellers() {
+    fn a_closed_loop_of_one_interaction_counts_only_it() {
         let catalog = catalog();
         let scale = TpcwScale::tiny();
         let db = SharedDbSystem::new(catalog, EngineConfig::default()).unwrap();
-        let report = run_single_interaction(
-            &db,
-            &scale,
-            WebInteraction::BestSellers,
-            Duration::from_millis(300),
-            2,
-            1.0,
-        );
+        let config = DriverConfig {
+            think_time: Duration::ZERO,
+            duration: Duration::from_millis(300),
+            client_threads: 2,
+            ..Default::default()
+        };
+        let report = run_interactions(&db, &scale, &config, |_| WebInteraction::BestSellers);
         assert!(report.successful > 0, "report: {report:?}");
-        assert_eq!(report.mix, "BestSellers");
+        assert_eq!(report.successful_by_interaction[2], report.successful);
+        assert_eq!(report.offered_rate, f64::INFINITY);
     }
 
     #[test]

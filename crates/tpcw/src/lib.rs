@@ -22,8 +22,8 @@ pub mod schema;
 pub mod workload;
 
 pub use driver::{
-    run_single_interaction, run_workload, BaselineSystem, DriverConfig, DriverReport,
-    SharedDbSystem, TpcwDatabase,
+    run_interactions, run_workload, BaselineSystem, DriverConfig, DriverReport, SharedDbSystem,
+    TpcwDatabase,
 };
 pub use plans::{build_shared_plan, register_baseline_statements, statement_names, PAGE_SIZE};
 pub use remote::RemoteSystem;

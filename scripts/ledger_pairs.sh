@@ -8,7 +8,11 @@
 # seed, one after the other, and the side that goes first flips every pair.
 # Each run is appended to DIR/parent.jsonl or DIR/change.jsonl (default DIR:
 # target/ledger_pairs) in the format `ledger compare` reads, so pairs
-# accumulate over calls (and over workloads). The script ends with `ledger
+# accumulate over calls (and over workloads). A line names the commit its
+# binary was built from, `"rev"`: HEAD of the checkout two directories above
+# the binary (CHECKOUT/target/release/ledger), with "-dirty" when that
+# checkout has uncommitted changes. A PR's lines go on to the root
+# BENCH_ledger.jsonl, the trajectory of the benchmark from PR to PR. The script ends with `ledger
 # compare parent.jsonl change.jsonl` — medians and spreads against the bounds
 # of BENCHMARK.json — and, for WORKLOAD, the pair-by-pair score of every
 # end-to-end metric: wins / ties / losses of the change, both medians, the
@@ -42,6 +46,14 @@ parent=$1 change=$2 workload=$3
 shift 3
 mkdir -p "$out"
 
+rev() { # binary
+    local checkout rev
+    checkout=$(dirname "$1")/../..
+    rev=$(git -C "$checkout" rev-parse HEAD 2>/dev/null) || { echo unknown; return; }
+    git -C "$checkout" diff --quiet HEAD 2>/dev/null || rev="$rev-dirty"
+    echo "$rev"
+}
+
 run() { # side binary seed
     local line
     line=$("$2" --workload "$workload" --seed "$3" --seconds 25 --trace 0 "${size[@]}" | tail -n 1)
@@ -50,7 +62,8 @@ run() { # side binary seed
         *) echo "ledger_pairs: $1 run of $workload, seed $3, failed or was incorrect: $line" >&2
            exit 1 ;;
     esac
-    printf '{"workload":"%s","seed":%s,"result":%s}\n' "$workload" "$3" "$line" >>"$out/$1.jsonl"
+    printf '{"workload":"%s","seed":%s,"rev":"%s","result":%s}\n' \
+        "$workload" "$3" "$(rev "$2")" "$line" >>"$out/$1.jsonl"
     echo "ledger_pairs: $workload seed $3 $1 done" >&2
 }
 

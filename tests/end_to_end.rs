@@ -36,20 +36,18 @@ fn every_web_interaction_executes_on_shareddb() {
 }
 
 #[test]
-fn every_web_interaction_executes_on_both_baselines() {
+fn every_web_interaction_executes_on_the_baseline() {
     let scale = tiny_scale();
-    for profile in [EngineProfile::Basic, EngineProfile::Tuned] {
-        let catalog = Arc::new(build_catalog(&scale).unwrap());
-        let db = BaselineSystem::new(catalog, profile, 8);
-        let generator = ParamGenerator::new(&scale);
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(43);
-        for interaction in ALL_INTERACTIONS {
-            for call in generator.calls(interaction, &mut rng) {
-                db.execute(call.statement, &call.params, Duration::from_secs(30))
-                    .unwrap_or_else(|e| {
-                        panic!("{} failed on {}: {e}", interaction.name(), call.statement)
-                    });
-            }
+    let catalog = Arc::new(build_catalog(&scale).unwrap());
+    let db = BaselineSystem::new(catalog, 8);
+    let generator = ParamGenerator::new(&scale);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(43);
+    for interaction in ALL_INTERACTIONS {
+        for call in generator.calls(interaction, &mut rng) {
+            db.execute(call.statement, &call.params, Duration::from_secs(30))
+                .unwrap_or_else(|e| {
+                    panic!("{} failed on {}: {e}", interaction.name(), call.statement)
+                });
         }
     }
 }
@@ -59,7 +57,7 @@ fn shared_and_baseline_return_identical_read_results() {
     let scale = tiny_scale();
     let catalog = Arc::new(build_catalog(&scale).unwrap());
     let shared = SharedDbSystem::new(Arc::clone(&catalog), EngineConfig::default()).unwrap();
-    let baseline = BaselineSystem::new(Arc::clone(&catalog), EngineProfile::Tuned, 4);
+    let baseline = BaselineSystem::new(Arc::clone(&catalog), 4);
 
     // Identical row counts for a spectrum of read statements and parameters.
     let cases: Vec<(&str, Vec<Value>)> = vec![
@@ -120,7 +118,7 @@ fn updates_are_visible_across_engines_sharing_a_catalog() {
     let scale = tiny_scale();
     let catalog = Arc::new(build_catalog(&scale).unwrap());
     let shared = SharedDbSystem::new(Arc::clone(&catalog), EngineConfig::default()).unwrap();
-    let baseline = BaselineSystem::new(Arc::clone(&catalog), EngineProfile::Tuned, 2);
+    let baseline = BaselineSystem::new(Arc::clone(&catalog), 2);
 
     // Insert a cart line through SharedDB, read it through the baseline.
     shared

@@ -1,16 +1,21 @@
-//! An engine's threads are its cores, not its operators. Alone in its test
-//! binary, so that the process holds no other engine's threads.
+//! An engine's threads are its cores, not its operators, and they sleep when
+//! there is nothing to do. Alone in their test binary, and one at a time in
+//! it, so that the process holds no other engine's threads.
 #![cfg(target_os = "linux")]
 
 use shareddb::client::Connection;
 use shareddb::cluster::{ClusterConfig, ClusterEngine};
 use shareddb::common::{tuple, DataType, Value};
-use shareddb::core::{Engine, EngineConfig};
+use shareddb::core::{Engine, EngineConfig, HeartbeatPolicy};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
 use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// Held by each test for its whole length: they count the process's threads.
+static ALONE: Mutex<()> = Mutex::new(());
 
 /// Names (`comm`, at most 15 bytes) of this process's `shareddb-*` threads.
 fn engine_threads() -> Vec<String> {
@@ -34,8 +39,31 @@ fn started_threads(count: usize) -> Vec<String> {
     engine_threads()
 }
 
+/// The voluntary context switches of this process's one coordinator thread.
+fn coordinator_switches() -> u64 {
+    let mut counts = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| {
+            let task = task.ok()?.path();
+            let comm = std::fs::read_to_string(task.join("comm")).ok()?;
+            (comm.trim() == "shareddb-coordi").then_some(task)
+        })
+        .map(|task| {
+            let status = std::fs::read_to_string(task.join("status")).unwrap();
+            let line = status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+                .unwrap();
+            line.trim().parse::<u64>().unwrap()
+        });
+    let count = counts.next().expect("a coordinator thread");
+    assert!(counts.next().is_none(), "one coordinator");
+    count
+}
+
 #[test]
 fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(engine_threads(), Vec::<String>::new());
 
     // Twenty operators, four cores.
@@ -116,4 +144,39 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
     assert_eq!(cluster.stats().executor_threads, 8);
     cluster.shutdown();
     assert_eq!(engine_threads(), Vec::<String>::new());
+}
+
+/// With nothing queued the coordinator parks until a submission or a
+/// shutdown wakes it — under either heartbeat policy — instead of waking every
+/// heartbeat (≈ 480 times a second at the default 2 ms).
+#[test]
+fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = Arc::new(Catalog::new());
+    let table = TableDef::new("T")
+        .column("ID", DataType::Int)
+        .primary_key(&["ID"]);
+    catalog.create_table(table).unwrap();
+    catalog.bulk_load("T", vec![tuple![1i64]]).unwrap();
+    let (plan, registry) =
+        compile_workload(&catalog, &[("get", "SELECT * FROM T WHERE ID = ?")]).unwrap();
+    let adaptive = HeartbeatPolicy::parse("adaptive:0.2,100,10").unwrap();
+    for config in [
+        EngineConfig::default(),
+        EngineConfig::default().heartbeat_policy(adaptive),
+    ] {
+        let policy = format!("{:?}", config.heartbeat);
+        let mut engine =
+            Engine::start(Arc::clone(&catalog), plan.clone(), registry.clone(), config).unwrap();
+        engine.execute_sync("get", &[Value::Int(1)]).unwrap();
+        let before = coordinator_switches();
+        std::thread::sleep(Duration::from_secs(1));
+        let woken = coordinator_switches() - before;
+        assert!(woken <= 5, "{policy}: {woken} wake-ups in an idle second");
+        // A parked coordinator still answers: a statement wakes it, and so
+        // does the shutdown.
+        engine.execute_sync("get", &[Value::Int(1)]).unwrap();
+        engine.shutdown();
+        assert_eq!(engine_threads(), Vec::<String>::new());
+    }
 }
