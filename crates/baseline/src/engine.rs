@@ -168,7 +168,8 @@ impl ClassicEngine {
 
     /// A registered query's result at `snapshot`, computed on the calling
     /// thread: what a shared execution pinned to the same snapshot must
-    /// return, whatever is written meanwhile.
+    /// return, whatever is written meanwhile — while the caller holds the
+    /// pin ([`Catalog::pin`](shareddb_storage::Catalog::pin)).
     pub fn execute_at(
         &self,
         statement: &str,
@@ -273,8 +274,8 @@ fn worker_loop(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>) {
         let result = match spec {
             None => Err(Error::UnknownStatement(statement)),
             Some(BaselineStatement::Query(plan)) => {
-                let snapshot = shared.catalog.oracle().read_ts();
-                execute_plan(&shared.catalog, &plan, &params, snapshot).map(|r| r.rows)
+                let snapshot = shared.catalog.pin();
+                execute_plan(&shared.catalog, &plan, &params, *snapshot).map(|r| r.rows)
             }
             Some(BaselineStatement::Insert { table, values }) => {
                 crate::exec::bind_insert_values(&values, &params)

@@ -78,6 +78,12 @@ pub(crate) fn classify_statement(spec: &StatementSpec, plan: &GlobalPlan) -> Lan
 pub(crate) struct Queues {
     pub light: VecDeque<Submission>,
     pub heavy: VecDeque<Submission>,
+    /// Commits (of any engine on the catalog) and fence resolutions seen:
+    /// what a read held back on its session fence waits for.
+    pub commits: u64,
+    /// The coordinator is parked over reads held back on their fences: a
+    /// submission or a commit wakes it, whatever the lanes hold.
+    pub fence_parked: bool,
 }
 
 impl Queues {
@@ -110,6 +116,18 @@ pub(crate) struct Admission {
     pub signal: Condvar,
     pub query_ids: QueryIdGenerator,
     pub tickets: TicketGenerator,
+}
+
+impl Admission {
+    /// Counts a commit or a resolved fence, and wakes a coordinator parked
+    /// over held reads.
+    pub fn committed(&self) {
+        let mut queue = self.queue.lock();
+        queue.commits += 1;
+        if queue.fence_parked {
+            self.signal.notify_one();
+        }
+    }
 }
 
 impl Default for Admission {
@@ -188,12 +206,13 @@ impl Engine {
                 )));
             }
         }
-        let lane = queue.of(self.inner.lane_of[index]);
+        let lane = self.inner.lane_of[index];
         // The coordinator parks only over an empty lane (the light one, or
-        // both) and drains a lane whole: whoever fills an empty lane wakes
-        // it, and what is pushed behind rides along.
-        let wake = lane.is_empty();
-        lane.push_back(submission);
+        // both) or over held reads, and drains a lane whole: whoever fills
+        // an empty lane, or finds it parked over held reads, wakes it, and
+        // what is pushed behind rides along.
+        let wake = queue.of(lane).is_empty() || queue.fence_parked;
+        queue.of(lane).push_back(submission);
         drop(queue);
         if wake {
             self.inner.admission.signal.notify_one();

@@ -14,7 +14,7 @@ use crate::plan::{
 use shareddb_common::ids::{BatchId, TicketId};
 use shareddb_common::{Error, Expr, QueryId, Result, SortKey, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
-use shareddb_storage::{ProbeRange, UpdateOp};
+use shareddb_storage::{ProbeRange, SnapshotPin, UpdateOp};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -139,6 +139,9 @@ pub struct ActiveQuery {
     pub distinct: bool,
     /// Bound activations per operator.
     pub activations: Vec<(OperatorId, Activation)>,
+    /// The snapshot its scans and probes read ([`SubmitOptions::pinned_snapshot`]),
+    /// held until the query completes.
+    pub pin: Option<SnapshotPin>,
     /// Read-your-writes fence ([`SubmitOptions::read_after`]): the
     /// coordinator defers this query until the fence's write is covered by
     /// the committed watermark (or the covering update rides in the same
@@ -248,6 +251,7 @@ pub fn bind_query(
         limit: *limit,
         distinct: *distinct,
         activations,
+        pin: opts.pinned_snapshot.clone(),
         read_after: opts.read_after.clone(),
     })
 }
@@ -260,7 +264,7 @@ fn bind_activation(
     Ok(match template {
         ActivationTemplate::Scan { predicate } => Activation::Scan {
             predicate: predicate.bind(params)?,
-            snapshot: opts.pinned_snapshot,
+            snapshot: opts.pinned_snapshot.as_deref().copied(),
         },
         ActivationTemplate::Probe {
             column,
@@ -270,7 +274,7 @@ fn bind_activation(
             column: *column,
             range: range.bind(params)?,
             residual: residual.as_ref().map(|e| e.bind(params)).transpose()?,
-            snapshot: opts.pinned_snapshot,
+            snapshot: opts.pinned_snapshot.as_deref().copied(),
         },
         ActivationTemplate::Filter { predicate } => Activation::Filter {
             predicate: predicate.bind(params)?,

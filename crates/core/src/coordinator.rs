@@ -1,7 +1,8 @@
 //! The coordinator thread: one heartbeat after another, each one batch.
 //!
 //! [`coordinator_loop`] waits for work, drains the admission lanes the policy
-//! allows, holds back reads whose session fence is not covered yet, and hands
+//! allows, holds back reads whose session fence is not covered yet — parking
+//! until a submission or a commit when it held back every one — and hands
 //! what is left to [`process_batch`] — a sequence of named steps over one
 //! [`BatchCtx`]: apply the updates (group commit), build the run, run it on
 //! the executor, fold the done records into the counters, Γ-route the roots'
@@ -27,8 +28,18 @@ use std::time::{Duration, Instant};
 /// fence before being admitted anyway — a wedged writer must not hang
 /// readers forever.
 const FENCE_WAIT_CAP: Duration = Duration::from_secs(1);
-/// Pause between fence re-checks when every drained submission deferred.
-const FENCE_POLL: Duration = Duration::from_micros(100);
+
+/// Left by a drain that held back every read it took: until the lanes grow,
+/// a commit is counted ([`crate::admission::Queues::commits`]) or the oldest
+/// held read's cap runs out, draining again would hold back the same reads.
+struct FencePark {
+    /// Statements queued once the held reads went back.
+    queued: usize,
+    /// Commits counted when they were drained.
+    commits: u64,
+    /// When the oldest of them is admitted whatever its fence.
+    due: Instant,
+}
 
 pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
     let mut batch_seq: u64 = 0;
@@ -42,6 +53,7 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
     // batch is admitted at least once per interval no matter how busy the
     // light lane is.
     let mut last_heavy_admit = last_batch_start;
+    let mut parked: Option<FencePark> = None;
     loop {
         // Wait for work (or shutdown). Under an adaptive policy the interval
         // gates only the *heavy* lane: light submissions open a batch
@@ -50,10 +62,26 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
         // empty lanes the wait has no timeout: whoever fills an empty lane
         // or sets the shutdown flag does so under the queue lock and
         // notifies, so an idle engine's coordinator sleeps until then.
-        let (submissions, backlog, shutting_down) = {
+        let (submissions, backlog, commits, shutting_down) = {
             let mut queue = inner.admission.queue.lock();
             loop {
                 if inner.shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                if let Some(park) = parked.take() {
+                    // The held reads' writes commit on some *other* replica:
+                    // sleep until a commit, a submission or a cap, if none yet.
+                    let unchanged = queue.len() == park.queued && queue.commits == park.commits;
+                    let mut timeout = park.due.saturating_duration_since(Instant::now());
+                    if adaptive && !queue.heavy.is_empty() {
+                        let heavy_due = heartbeat.saturating_sub(last_heavy_admit.elapsed());
+                        timeout = timeout.min(heavy_due);
+                    }
+                    if unchanged && !timeout.is_zero() {
+                        queue.fence_parked = true;
+                        inner.admission.signal.wait_for(&mut queue, timeout);
+                        queue.fence_parked = false;
+                    }
                     break;
                 }
                 if adaptive {
@@ -115,7 +143,7 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
                 drained.extend(queue.heavy.drain(..));
             }
             let backlog = queue.len();
-            (drained, backlog, shutting_down)
+            (drained, backlog, queue.commits, shutting_down)
         };
 
         let (admitted, deferred) = if shutting_down {
@@ -123,8 +151,15 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
         } else {
             hold_fenced_reads(&inner, submissions)
         };
-        let held = !deferred.is_empty();
-        if held {
+        if admitted.is_empty() && !deferred.is_empty() {
+            let oldest = deferred.iter().map(|s| s.admitted().enqueued).min();
+            parked = oldest.map(|oldest| FencePark {
+                queued: backlog + deferred.len(),
+                commits,
+                due: oldest + FENCE_WAIT_CAP,
+            });
+        }
+        if !deferred.is_empty() {
             // Deferred queries go back to the *front* of their lanes in
             // reverse drain order, preserving FIFO within each lane.
             let mut queue = inner.admission.queue.lock();
@@ -134,12 +169,6 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
             }
         }
         if admitted.is_empty() {
-            if held {
-                // Only fenced reads are queued: their writes commit on some
-                // *other* replica, so briefly sleep instead of spinning on
-                // the watermark.
-                std::thread::sleep(FENCE_POLL);
-            }
             continue;
         }
 
@@ -272,11 +301,17 @@ impl BatchCtx<'_> {
         // Resolve session write fences at the watermark now covering this
         // group commit — in the error path too: a failed write constrains no
         // read, and a session must not block on it.
-        let watermark = inner.catalog.oracle().read_ts().ts.0;
-        for update in updates {
-            if let Some(fence) = &update.write_fence {
-                fence.resolve(watermark);
-            }
+        let oracle = inner.catalog.oracle();
+        let watermark = oracle.read_ts().ts.0;
+        let mut fenced = false;
+        for fence in updates.iter().filter_map(|u| u.write_fence.as_ref()) {
+            fence.resolve(watermark);
+            fenced = true;
+        }
+        if fenced {
+            // The publish woke the replicas holding reads back before the
+            // fences it covers were resolved: once more, now that they are.
+            oracle.wake_subscribers();
         }
         // Each update completes with its own result; only a failure of the
         // log itself fails them all.
@@ -297,8 +332,8 @@ impl BatchCtx<'_> {
     }
 
     /// The run state of the batch's queries: per plan node, the activations
-    /// of the queries that run there, and the batch's snapshot, taken here,
-    /// after the updates.
+    /// of the queries that run there, and the batch's snapshot, pinned here,
+    /// after the updates, for the life of the run.
     fn build_run(&self) -> Run {
         let inner = self.inner;
         let mut nodes: Vec<NodeRun> = (0..inner.plan.len()).map(|_| NodeRun::default()).collect();
@@ -309,8 +344,8 @@ impl BatchCtx<'_> {
                     .push((q.query_id, activation.clone()));
             }
         }
-        let snapshot = inner.catalog.oracle().read_ts();
-        Run { snapshot, nodes }
+        let pin = inner.catalog.pin();
+        Run { pin, nodes }
     }
 
     /// Records every operator's cycle — active or not — in the counters,

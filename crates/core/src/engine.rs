@@ -36,8 +36,7 @@ use crate::trace::{TraceJournal, TraceRecord};
 use parking_lot::Mutex;
 use shareddb_common::ids::TicketId;
 use shareddb_common::{Error, Result, Schema, Tuple};
-use shareddb_storage::mvcc::Snapshot;
-use shareddb_storage::Catalog;
+use shareddb_storage::{Catalog, SnapshotPin};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -194,12 +193,13 @@ pub struct SubmitOptions {
     /// statement. `None` answers through the returned [`QueryHandle`].
     pub completions: Option<(Arc<Completions>, u64)>,
     /// Pin every storage read (shared scan / index probe) of this query to a
-    /// fixed MVCC snapshot instead of the executing batch's own snapshot
-    /// ([`Catalog::snapshot`]). Two executions pinned to one snapshot read
-    /// one version set whatever commits between them — the hook the
-    /// differential tests compare two engines through, under a concurrent
-    /// writer.
-    pub pinned_snapshot: Option<Snapshot>,
+    /// fixed MVCC snapshot ([`Catalog::pin`]) instead of the executing
+    /// batch's own. The query holds a clone of the pin from its submission
+    /// until it completes, so nothing it may read is reclaimed meanwhile.
+    /// Two executions pinned to one snapshot read one version set whatever
+    /// commits between them — the hook the differential tests compare two
+    /// engines through, under a concurrent writer.
+    pub pinned_snapshot: Option<SnapshotPin>,
     /// For updates: the session fence the engine resolves once this write's
     /// batch has group-committed. The submitter keeps the [`Arc`] and
     /// threads it into later reads of the same session as
@@ -303,6 +303,12 @@ impl Engine {
             executor,
             storage_ops,
         });
+
+        // A commit of any engine on the catalog may admit a read this one
+        // holds back on its session fence.
+        let engine = Arc::downgrade(&inner);
+        let committed = move || engine.upgrade().map(|e| e.admission.committed()).is_some();
+        catalog.oracle().subscribe(committed);
 
         let coordinator_inner = Arc::clone(&inner);
         let coordinator = std::thread::Builder::new()

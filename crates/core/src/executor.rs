@@ -29,8 +29,7 @@ use crate::stats::EngineStats;
 use crate::storage_ops::StorageOperator;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use shareddb_common::{Error, QTuple, QueryId, Result};
-use shareddb_storage::mvcc::Snapshot;
-use shareddb_storage::Catalog;
+use shareddb_storage::{Catalog, SnapshotPin};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -53,8 +52,9 @@ pub(crate) struct NodeRun {
 
 /// Everything the tasks of one batch read and write.
 pub(crate) struct Run {
-    /// The batch's snapshot.
-    pub snapshot: Snapshot,
+    /// The batch's snapshot, pinned for as long as the run lives: every scan,
+    /// probe and look-up of the batch reads it.
+    pub pin: SnapshotPin,
     /// One entry per plan node, by operator id.
     pub nodes: Vec<NodeRun>,
 }
@@ -269,11 +269,11 @@ impl Executor {
     /// what its producers published. A panic in the operator is returned as
     /// an error, so the thread — and the run's accounting — survive it.
     fn operate(&self, node: &OperatorNode, run: &Run) -> Result<Emitted> {
-        let (nodes, snapshot) = (&run.nodes, run.snapshot);
+        let (nodes, snapshot) = (&run.nodes, *run.pin);
         let activations = &nodes[node.id].activations;
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(storage) = &self.storage_ops[node.id] {
-                let tuples = storage.execute(activations)?;
+                let tuples = storage.execute(activations, snapshot)?;
                 return Ok(Emitted { tuples, pruned: 0 });
             }
             let input_of = |input: &OperatorId| -> &[QTuple] {

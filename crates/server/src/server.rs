@@ -440,10 +440,13 @@ impl Shared {
         );
 
         // The footprint: the versions each table holds, dead ones included,
-        // and the entries of each of its B-trees — one per version, so both
-        // grow with every write until something reclaims them. A primary key
-        // is indexed by its table's key map and has no tree here.
+        // those of them that still hold a payload, the payloads version GC
+        // gave back, and the entries of each of its B-trees — one per
+        // version, dead ones included. A primary key is indexed by its
+        // table's key map and has no tree here. The pins hold GC back.
         let catalog = cluster.catalog();
+        let pins = catalog.oracle().pin_count();
+        scalar(w, "shareddb_snapshot_pins", "gauge", pins);
         let tables: Vec<_> = catalog
             .table_names()
             .into_iter()
@@ -459,6 +462,22 @@ impl Shared {
             tables
                 .iter()
                 .map(|(table, stored)| (table, stored.read().version_count())),
+        );
+        family(
+            w,
+            "shareddb_table_payloads",
+            "gauge",
+            tables
+                .iter()
+                .map(|(table, stored)| (table, stored.read().payload_count())),
+        );
+        family(
+            w,
+            "shareddb_gc_versions_reclaimed_total",
+            "counter",
+            tables
+                .iter()
+                .map(|(table, stored)| (table, stored.read().reclaimed_count())),
         );
         family(
             w,

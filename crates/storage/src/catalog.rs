@@ -5,7 +5,7 @@
 //! on the same [`Catalog`] so that performance comparisons run against the
 //! identical data structures.
 
-use crate::mvcc::TimestampOracle;
+use crate::mvcc::{Snapshot, SnapshotPin, TimestampOracle};
 use crate::table::{IndexKind, Table};
 use crate::update::{apply_update, UpdateOp, UpdateResult};
 use crate::wal::{
@@ -114,16 +114,20 @@ impl Catalog {
         Arc::clone(&self.oracle)
     }
 
-    /// Captures the current read snapshot (the latest committed state).
-    ///
-    /// The handle can be carried across threads and engines that share this
-    /// catalog: every scan or probe executed with the pinned snapshot reads
-    /// exactly the version set that was committed when the snapshot was
-    /// taken. Differential tests use this to run one query on two engines
-    /// against one version set under a concurrent writer (see
-    /// `SubmitOptions::pinned_snapshot` in `shareddb-core`).
-    pub fn snapshot(&self) -> crate::mvcc::Snapshot {
+    /// The latest committed state, unpinned: for a reader that reads before
+    /// anyone writes again (a catalog nobody writes, a test between its
+    /// writes). A commit reclaims what only unpinned readers see; a reader
+    /// that a writer may overtake takes [`Catalog::pin`].
+    pub fn snapshot(&self) -> Snapshot {
         self.oracle.read_ts()
+    }
+
+    /// Pins the latest committed state: a read at it sees the version set
+    /// committed when it was taken, whatever commits meanwhile, until the pin
+    /// and its clones are dropped — across the threads and engines sharing
+    /// this catalog (`SubmitOptions::pinned_snapshot` in `shareddb-core`).
+    pub fn pin(&self) -> SnapshotPin {
+        self.oracle.pin()
     }
 
     /// The write-ahead log.
@@ -198,6 +202,10 @@ impl Catalog {
     /// untouched, and only the successful ones are logged — so what a client
     /// was told, what later snapshots see and what recovery replays agree.
     /// The outer `Err` is a failure of the log itself.
+    ///
+    /// Once the commit is published, each table it wrote reclaims what no
+    /// pinned snapshot sees any more ([`Table::reclaim`]): work bounded by
+    /// what earlier commits retired.
     pub fn apply_batch(&self, ops: &[(String, UpdateOp)]) -> Result<Vec<Result<UpdateResult>>> {
         self.apply_ops(ops.iter().map(|(table, op)| (table.as_str(), op)))
     }
@@ -212,12 +220,16 @@ impl Catalog {
             return Ok(Vec::new());
         }
         let commit_ts = self.oracle.next_commit_ts();
+        let mut written: Vec<Arc<RwLock<Table>>> = Vec::new();
         let results: Vec<Result<UpdateResult>> = ops
             .clone()
             .map(|(table_name, op)| {
                 let handle = self.table(table_name)?;
-                let mut table = handle.write();
-                apply_update(&mut table, op, commit_ts)
+                let applied = apply_update(&mut handle.write(), op, commit_ts);
+                if !written.iter().any(|t| Arc::ptr_eq(t, &handle)) {
+                    written.push(handle);
+                }
+                applied
             })
             .collect();
         let applied = ops.zip(&results).filter(|(_, result)| result.is_ok());
@@ -226,6 +238,10 @@ impl Catalog {
             self.wal.log_ops(commit_ts, applied)?;
         }
         self.oracle.publish(commit_ts);
+        let low_water = self.oracle.low_water();
+        for table in written {
+            table.write().reclaim(low_water);
+        }
         Ok(results)
     }
 
@@ -248,7 +264,7 @@ impl Catalog {
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<CheckpointInfo> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let snapshot = self.oracle.read_ts();
+        let snapshot = self.pin();
         let wal_lsn = self.wal.next_lsn().saturating_sub(1);
         let tmp = dir.join(CHECKPOINT_TMP_FILE);
         let _ = std::fs::remove_file(&tmp); // FileSink appends; start clean
@@ -271,7 +287,7 @@ impl Catalog {
             for name in self.table_names() {
                 let handle = self.table(&name)?;
                 let table = handle.read();
-                for (_, row) in table.scan(snapshot) {
+                for (_, row) in table.scan(*snapshot) {
                     append(
                         &mut sink,
                         &LogRecord::Apply {
@@ -408,6 +424,11 @@ impl Catalog {
             replayed_ops += ops.len();
         }
         self.oracle.restore(max_ts);
+        // Nothing reads yet: what the replay retired goes before anyone can.
+        let low_water = self.oracle.low_water();
+        for name in self.table_names() {
+            self.table(&name)?.write().reclaim(low_water);
+        }
         self.wal
             .install_sink(Box::new(FileSink::create(&wal_path)?), next_lsn);
         Ok(RecoveryReport {
@@ -487,8 +508,10 @@ impl std::fmt::Debug for Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shareddb_common::tuple;
-    use shareddb_common::Expr;
+    use crate::update::AccessPath;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use shareddb_common::{tuple, Expr, Value};
 
     fn item_def() -> TableDef {
         TableDef::new("ITEM")
@@ -911,5 +934,317 @@ mod tests {
     fn empty_batch_is_noop() {
         let catalog = Catalog::new();
         assert!(catalog.apply_batch(&[]).unwrap().is_empty());
+    }
+
+    // -- version GC under pinned snapshots ----------------------------------
+
+    /// `T(K key, V, TITLE)`: V indexed by value, TITLE by gram.
+    fn gc_catalog() -> Catalog {
+        let catalog = Catalog::new();
+        let def = TableDef::new("T")
+            .column("K", DataType::Int)
+            .column("V", DataType::Int)
+            .column("TITLE", DataType::Text)
+            .primary_key(&["K"]);
+        catalog.create_table(def).unwrap();
+        for (name, column, kind) in [
+            ("T_V", "V", IndexKind::Values),
+            ("T_TITLE", "TITLE", IndexKind::Grams),
+        ] {
+            let (name, table, column) = (name.into(), "T".into(), column.into());
+            catalog
+                .create_index(IndexDef {
+                    name,
+                    table,
+                    column,
+                    kind,
+                })
+                .unwrap();
+        }
+        catalog
+    }
+
+    /// An update of the row under key `key`.
+    fn set(assignments: Vec<(usize, Value)>, key: i64) -> UpdateOp {
+        let assignments = assignments
+            .into_iter()
+            .map(|(c, v)| (c, Expr::Literal(v)))
+            .collect();
+        let predicate = Expr::col(0).eq(Expr::lit(key));
+        UpdateOp::Update {
+            assignments,
+            predicate,
+        }
+    }
+
+    /// One write of a GC history, over keys `0..6`.
+    #[derive(Debug, Clone, Copy)]
+    enum GcWrite {
+        Insert(i64, i64),
+        /// A new V and TITLE under the key.
+        Update(i64, i64),
+        /// A new TITLE for every row of one V: through the value index.
+        Retitle(i64, i64),
+        Delete(i64),
+        /// The row under the first key moves to the second.
+        Move(i64, i64),
+    }
+
+    #[derive(Debug, Clone)]
+    enum GcStep {
+        /// One to three writes in one commit.
+        Commit(Vec<GcWrite>),
+        /// A snapshot of the latest commit is pinned.
+        Pin,
+        /// The pin at this position (modulo those held) is dropped.
+        Unpin(usize),
+    }
+
+    struct GcHistories;
+
+    impl Strategy for GcHistories {
+        type Value = Vec<GcStep>;
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+            let write = |rng: &mut TestRng| {
+                let (key, x) = (pick(rng, 6) as i64, pick(rng, 6) as i64);
+                match pick(rng, 7) {
+                    0 => GcWrite::Insert(key, x),
+                    1 | 2 => GcWrite::Update(key, x),
+                    3 => GcWrite::Retitle(key % 3, x),
+                    4 => GcWrite::Delete(key),
+                    _ => GcWrite::Move(key, x),
+                }
+            };
+            let steps = 1 + pick(rng, 40);
+            let step = |rng: &mut TestRng| match pick(rng, 6) {
+                0 => GcStep::Pin,
+                1 => GcStep::Unpin(pick(rng, 8)),
+                _ => GcStep::Commit((0..1 + pick(rng, 3)).map(|_| write(rng)).collect()),
+            };
+            (0..steps).map(|_| step(rng)).collect()
+        }
+    }
+
+    /// The table as the model holds it: key → (V, TITLE).
+    type GcState = std::collections::BTreeMap<i64, (i64, String)>;
+
+    /// Applies one write to the model the way the table applies it — each
+    /// alone, a taken key failing the write — and returns the operation.
+    fn gc_apply(state: &mut GcState, write: GcWrite, serial: usize) -> UpdateOp {
+        let title = |x: i64| format!("TITLE {x} NO {serial}");
+        match write {
+            GcWrite::Insert(key, x) => {
+                state.entry(key).or_insert_with(|| (x % 3, title(x)));
+                let values = tuple![key, x % 3, title(x)];
+                UpdateOp::Insert { values }
+            }
+            GcWrite::Update(key, x) => {
+                if let Some(row) = state.get_mut(&key) {
+                    *row = (x % 3, title(x));
+                }
+                set(
+                    vec![(1, Value::Int(x % 3)), (2, Value::text(title(x)))],
+                    key,
+                )
+            }
+            GcWrite::Retitle(v, x) => {
+                let rows = state.values_mut().filter(|(value, _)| *value == v);
+                rows.for_each(|(_, old)| *old = title(x));
+                let assignments = vec![(2, Expr::lit(title(x)))];
+                let predicate = Expr::col(1).eq(Expr::lit(v));
+                UpdateOp::Update {
+                    assignments,
+                    predicate,
+                }
+            }
+            GcWrite::Delete(key) => {
+                state.remove(&key);
+                UpdateOp::Delete {
+                    predicate: Expr::col(0).eq(Expr::lit(key)),
+                }
+            }
+            GcWrite::Move(key, to) => {
+                if to == key || !state.contains_key(&to) {
+                    if let Some(row) = state.remove(&key) {
+                        state.insert(to, row);
+                    }
+                }
+                set(vec![(0, Value::Int(to))], key)
+            }
+        }
+    }
+
+    /// What `snapshot` reads of the table, three ways against the model at
+    /// it: the pass, the key map for every key, and a fetch through each
+    /// index — an equality on V, and two infix `LIKE`s on TITLE through the
+    /// grams — each re-checked by its predicate.
+    fn gc_check(
+        table: &Table,
+        snapshot: crate::mvcc::Snapshot,
+        state: &GcState,
+    ) -> std::result::Result<(), String> {
+        type Row = (i64, i64, String);
+        let row = |t: &Tuple| {
+            (
+                t[0].as_int().unwrap(),
+                t[1].as_int().unwrap(),
+                t[2].to_string(),
+            )
+        };
+        let model = |keep: &dyn Fn(&Row) -> bool| -> Vec<Row> {
+            let rows = state
+                .iter()
+                .map(|(k, (v, title))| (*k, *v, format!("'{title}'")));
+            rows.filter(|r| keep(r)).collect()
+        };
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort();
+            rows
+        };
+        let scanned = sorted(table.scan(snapshot).map(|(_, t)| row(t)).collect());
+        if scanned != model(&|_| true) {
+            return Err(format!("the pass read {scanned:?}"));
+        }
+        for key in 0..7 {
+            let found = table
+                .lookup_pk(&[Value::Int(key)], snapshot)
+                .map(|(_, t)| row(t));
+            if found != model(&|r| r.0 == key).pop() {
+                return Err(format!("key {key} read {found:?}"));
+            }
+        }
+        let by_value = (0..3).map(|v| (Expr::col(1).eq(Expr::lit(v)), format!("V = {v}")));
+        let infixes = ["TLE 1 ", "NO 1"].map(|infix| {
+            (
+                Expr::col(2).like(Expr::lit(format!("%{infix}%"))),
+                infix.to_string(),
+            )
+        });
+        for (predicate, said) in by_value.chain(infixes) {
+            let path = AccessPath::choose(table, &predicate);
+            if path == AccessPath::Scan {
+                return Err(format!("{said} took the pass"));
+            }
+            let fetched = path.visible_rows(table, snapshot);
+            let kept = fetched.filter(|(_, t)| predicate.eval_predicate(t).unwrap());
+            let fetched = sorted(kept.map(|(_, t)| row(t)).collect());
+            let wanted = model(&|r: &Row| match said.strip_prefix("V = ") {
+                Some(v) => r.1.to_string() == v,
+                None => r.2.contains(&said),
+            });
+            if fetched != wanted {
+                return Err(format!("{said} fetched {fetched:?}, the model {wanted:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Version GC never takes what a pin sees: random inserts, updates
+        /// (by key and through the value index), deletes and key moves
+        /// commit through `apply_ops`, each commit reclaiming below the
+        /// low-water mark, while pins are taken and dropped at random; after
+        /// every commit every pin still held reads, through the pass, the
+        /// key map and the value and gram indexes, exactly the model's table
+        /// at its timestamp.
+        #[test]
+        fn a_pin_reads_its_history_while_commits_reclaim(history in GcHistories) {
+            let catalog = gc_catalog();
+            catalog.bulk_load("T", (0..4i64).map(|k| tuple![k, k % 3, format!("TITLE {k} NO 0")]).collect()).unwrap();
+            let mut state: GcState = (0..4).map(|k| (k, (k % 3, format!("TITLE {k} NO 0")))).collect();
+            let mut states = vec![state.clone()];
+            let mut pins: Vec<(SnapshotPin, usize)> = Vec::new();
+            let mut serial = 0;
+            for step in &history {
+                match step {
+                    GcStep::Pin => pins.push((catalog.pin(), states.len() - 1)),
+                    GcStep::Unpin(at) if !pins.is_empty() => drop(pins.remove(at % pins.len())),
+                    GcStep::Unpin(_) => {}
+                    GcStep::Commit(writes) => {
+                        let ops: Vec<UpdateOp> = writes.iter().map(|&write| {
+                            serial += 1;
+                            gc_apply(&mut state, write, serial)
+                        }).collect();
+                        catalog.apply_ops(ops.iter().map(|op| ("T", op))).unwrap();
+                        states.push(state.clone());
+                        let table = catalog.table("T").unwrap();
+                        let table = table.read();
+                        for (pin, at) in &pins {
+                            let checked = gc_check(&table, **pin, &states[*at]);
+                            prop_assert!(checked.is_ok(), "pin at {:?}: {checked:?}\nin {history:?}", pin.ts);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// K keys updated N times each: with no pin held, every superseded
+    /// version gives its payload back at the commit after its own, so one a
+    /// key is left; with a pin held from the start nothing is reclaimed, and
+    /// the first commit after it drops reclaims everything.
+    #[test]
+    fn updates_under_no_pin_leave_one_payload_a_key() {
+        const KEYS: i64 = 16;
+        const ROUNDS: i64 = 5;
+        let catalog = gc_catalog();
+        let rows = (0..KEYS)
+            .map(|k| tuple![k, 0i64, format!("TITLE {k}")])
+            .collect();
+        catalog.bulk_load("T", rows).unwrap();
+        let table = catalog.table("T").unwrap();
+        let update_all = |round: i64| {
+            let ops: Vec<(String, UpdateOp)> = (0..KEYS)
+                .map(|k| ("T".into(), set(vec![(1, Value::Int(round))], k)))
+                .collect();
+            let applied = catalog.apply_batch(&ops).unwrap();
+            assert!(applied
+                .iter()
+                .all(|r| r.as_ref().is_ok_and(|r| r.rows_affected == 1)));
+        };
+        let counts = || {
+            let table = table.read();
+            (
+                table.version_count(),
+                table.payload_count(),
+                table.reclaimed_count(),
+            )
+        };
+        for round in 1..=ROUNDS {
+            update_all(round);
+        }
+        let versions = (KEYS * (ROUNDS + 1)) as usize;
+        assert_eq!(
+            counts(),
+            (versions, KEYS as usize, versions - KEYS as usize)
+        );
+        assert_eq!(catalog.oracle().pin_count(), 0);
+
+        let pin = catalog.pin();
+        for round in 1..=ROUNDS {
+            update_all(ROUNDS + round);
+        }
+        let held = (KEYS * (ROUNDS + 1)) as usize;
+        assert_eq!(
+            counts(),
+            (
+                versions + held - KEYS as usize,
+                held,
+                versions - KEYS as usize
+            )
+        );
+        // What the pin sees is all there: the first round's values.
+        let seen: Vec<Value> = table.read().scan(*pin).map(|(_, t)| t[1].clone()).collect();
+        assert_eq!(seen, vec![Value::Int(ROUNDS); KEYS as usize]);
+        drop(pin);
+        update_all(3 * ROUNDS);
+        let versions = versions + held;
+        assert_eq!(
+            counts(),
+            (versions, KEYS as usize, versions - KEYS as usize)
+        );
     }
 }

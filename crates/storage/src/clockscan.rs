@@ -183,7 +183,7 @@ impl ClockScan {
                 continue;
             }
             for version in chunk.rows.iter().filter(|v| v.visible(snapshot)) {
-                let row = &version.values;
+                let row = version.values();
                 result.rows_examined += 1;
                 index.matches_into(row, &mut matches)?;
                 if !matches.is_empty() {

@@ -248,10 +248,10 @@ impl Hits {
         // the row before when both interest the same queries.
         let (mut ids, mut previous) = (Vec::new(), QuerySet::new());
         for of_row in self.0.chunk_by(|a, b| a.0 == b.0) {
-            let row = &table
+            let row = table
                 .row(of_row[0].0)
                 .expect("a hit is a fetched row")
-                .values;
+                .values();
             ids.clear();
             ids.extend(of_row.iter().map(|(_, q)| *q));
             previous = QuerySet::from_ids_like(&mut ids, &previous);
@@ -426,7 +426,7 @@ mod tests {
                     .collect();
                 assert_eq!(ids, expected, "column {column}, {range:?}");
                 let table = table.read();
-                let stored = |id: i64| &table.row(RowId(id as u64 - 1)).unwrap().values;
+                let stored = |id: i64| table.row(RowId(id as u64 - 1)).unwrap().values();
                 assert!(res
                     .tuples
                     .iter()

@@ -38,7 +38,7 @@ pub use catalog::{
 };
 pub use clockscan::{ClockScan, ScanCycleResult, ScanQuery};
 pub use index_probe::{IndexProbe, ProbeQuery, ProbeRange};
-pub use mvcc::{Snapshot, TimestampOracle};
+pub use mvcc::{Snapshot, SnapshotPin, TimestampOracle};
 pub use predicate_index::PredicateClass;
 pub use table::{
     Chunk, ChunkZones, EqLookup, IndexKind, RowId, StoredRow, Table, Zone, CHUNK_ROWS,

@@ -6,9 +6,20 @@
 //! **snapshot isolation**: every batch of queries reads the snapshot that was
 //! current when its cycle started; updates of the cycle are applied in arrival
 //! order and become visible to the *next* cycle.
+//!
+//! A reader that may outlive the next commit **pins** its snapshot
+//! ([`TimestampOracle::pin`]): the oldest pin is the **low-water mark**
+//! ([`TimestampOracle::low_water`]), and a version that ended at or before it
+//! is seen by no reader that is or will be — the storage layer gives its
+//! payload back (`Table::reclaim`).
 
+use parking_lot::Mutex;
 use shareddb_common::ids::Timestamp;
+use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A read snapshot: all row versions with `begin <= ts < end` are visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,17 +73,23 @@ pub fn group_by_snapshot<Q>(
 
 /// Monotonic logical-clock source shared by the storage layer and the engine.
 ///
-/// * `read_ts()` returns the timestamp of the latest committed state; a batch
-///   uses it as its snapshot.
+/// * `read_ts()` returns the timestamp of the latest committed state; a
+///   reader that a later commit could overtake takes it through `pin()`.
 /// * `next_commit_ts()` allocates a fresh commit timestamp for a batch of
 ///   updates; once the batch finished applying its updates the engine calls
-///   `publish()` so that subsequent snapshots observe them.
-#[derive(Debug)]
+///   `publish()` so that subsequent snapshots observe them, and whoever
+///   `subscribe`d is woken.
 pub struct TimestampOracle {
     /// Latest committed (visible) timestamp.
     committed: AtomicU64,
     /// Next commit timestamp to hand out.
     next: AtomicU64,
+    /// The pinned snapshots: how many pins hold each timestamp. Pinning and
+    /// the low-water mark read `committed` under this lock, so no reader
+    /// reads a timestamp the mark has already passed.
+    pins: Mutex<BTreeMap<u64, usize>>,
+    /// Woken after every publish, each kept while it returns `true`.
+    subscribers: Mutex<Vec<Box<dyn Fn() -> bool + Send + Sync>>>,
 }
 
 impl Default for TimestampOracle {
@@ -88,12 +105,43 @@ impl TimestampOracle {
         TimestampOracle {
             committed: AtomicU64::new(0),
             next: AtomicU64::new(1),
+            pins: Mutex::default(),
+            subscribers: Mutex::default(),
         }
     }
 
-    /// Timestamp of the latest committed state; use as a read snapshot.
+    /// Timestamp of the latest committed state. Unpinned: a version it sees
+    /// may be reclaimed after the next commit — read through [`Self::pin`]
+    /// unless nothing is written meanwhile.
     pub fn read_ts(&self) -> Snapshot {
         Snapshot::at(Timestamp(self.committed.load(Ordering::Acquire)))
+    }
+
+    /// Pins the latest committed state: every version it sees keeps its
+    /// payload until the returned guard — and every clone of it — is dropped.
+    pub fn pin(self: &Arc<Self>) -> SnapshotPin {
+        let mut pins = self.pins.lock();
+        let snapshot = self.read_ts();
+        *pins.entry(snapshot.ts.0).or_default() += 1;
+        SnapshotPin {
+            oracle: Arc::clone(self),
+            snapshot,
+        }
+    }
+
+    /// The low-water mark: the oldest pinned snapshot, or the committed
+    /// timestamp when nothing is pinned. No reader sees, or will see, a
+    /// version that ended at or before it.
+    pub fn low_water(&self) -> Timestamp {
+        let pins = self.pins.lock();
+        let oldest = pins.keys().next().copied();
+        Timestamp(oldest.unwrap_or_else(|| self.committed.load(Ordering::Acquire)))
+    }
+
+    /// Pins held now: a count that never falls back to 0 on an idle server
+    /// is a leaked pin.
+    pub fn pin_count(&self) -> usize {
+        self.pins.lock().values().sum()
     }
 
     /// Allocates a fresh commit timestamp (strictly increasing).
@@ -122,7 +170,7 @@ impl TimestampOracle {
     }
 
     /// Publishes a commit timestamp: snapshots taken afterwards will see all
-    /// versions written with timestamps `<= ts`.
+    /// versions written with timestamps `<= ts`. Wakes the subscribers.
     pub fn publish(&self, ts: Timestamp) {
         // Monotonic max update.
         let mut current = self.committed.load(Ordering::Relaxed);
@@ -137,6 +185,65 @@ impl TimestampOracle {
                 Err(actual) => current = actual,
             }
         }
+        self.wake_subscribers();
+    }
+
+    /// Calls `waker` after every publish — and every [`Self::wake_subscribers`]
+    /// — until it returns `false`.
+    pub fn subscribe(&self, waker: impl Fn() -> bool + Send + Sync + 'static) {
+        self.subscribers.lock().push(Box::new(waker));
+    }
+
+    /// Wakes the subscribers as a publish does: for a state that changed
+    /// with the committed timestamp but after it (a session fence resolved
+    /// at the watermark that covers its write).
+    pub fn wake_subscribers(&self) {
+        self.subscribers.lock().retain(|waker| waker());
+    }
+}
+
+/// A pinned read snapshot ([`TimestampOracle::pin`]): derefs to the
+/// [`Snapshot`] and holds the low-water mark at or below it until dropped. A
+/// clone is one more pin of the same snapshot.
+pub struct SnapshotPin {
+    oracle: Arc<TimestampOracle>,
+    snapshot: Snapshot,
+}
+
+impl Deref for SnapshotPin {
+    type Target = Snapshot;
+    fn deref(&self) -> &Snapshot {
+        &self.snapshot
+    }
+}
+
+impl Clone for SnapshotPin {
+    fn clone(&self) -> Self {
+        let mut pins = self.oracle.pins.lock();
+        *pins.entry(self.snapshot.ts.0).or_default() += 1;
+        SnapshotPin {
+            oracle: Arc::clone(&self.oracle),
+            snapshot: self.snapshot,
+        }
+    }
+}
+
+impl Drop for SnapshotPin {
+    fn drop(&mut self) {
+        let (mut pins, ts) = (self.oracle.pins.lock(), self.snapshot.ts.0);
+        let count = pins.get_mut(&ts).expect("a pin is registered");
+        *count -= 1;
+        if *count == 0 {
+            pins.remove(&ts);
+        }
+    }
+}
+
+impl fmt::Debug for SnapshotPin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SnapshotPin")
+            .field(&self.snapshot.ts)
+            .finish()
     }
 }
 
@@ -194,6 +301,36 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(oracle.read_ts().ts, Timestamp(4000));
+    }
+
+    /// The low-water mark is the oldest pin, or the committed timestamp
+    /// when nothing is pinned; a clone is a pin of its own, and a publish
+    /// wakes every subscriber that still wants it.
+    #[test]
+    fn the_low_water_mark_is_the_oldest_pin() {
+        use std::sync::atomic::AtomicUsize;
+        let oracle = Arc::new(TimestampOracle::new());
+        let woken = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&woken);
+        oracle.subscribe(move || counted.fetch_add(1, Ordering::Relaxed) < 1);
+        let commit = |oracle: &TimestampOracle| oracle.publish(oracle.next_commit_ts());
+        commit(&oracle);
+        let first = oracle.pin();
+        assert_eq!(first.ts, Timestamp(1));
+        commit(&oracle);
+        commit(&oracle);
+        let second = oracle.pin();
+        let copy = first.clone();
+        assert_eq!((oracle.low_water(), oracle.pin_count()), (Timestamp(1), 3));
+        drop(first);
+        assert_eq!(oracle.low_water(), Timestamp(1), "the clone still pins it");
+        drop(copy);
+        assert_eq!(oracle.low_water(), Timestamp(3));
+        drop(second);
+        commit(&oracle);
+        assert_eq!((oracle.low_water(), oracle.pin_count()), (Timestamp(4), 0));
+        // Woken twice: the second call returned false and unsubscribed.
+        assert_eq!(woken.load(Ordering::Relaxed), 2);
     }
 
     #[test]

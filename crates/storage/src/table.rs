@@ -14,15 +14,22 @@
 //! as well as live ones and holds under every snapshot; a shared scan walks
 //! the arena through [`Table::chunks`] and passes over a chunk whose zones no
 //! query of its cycle can meet.
+//!
+//! A version that ended with a successor filed under its key is **retired**;
+//! [`Table::reclaim`] gives its payload back once it ended at or before the
+//! low-water mark of pinned snapshots ([`crate::mvcc`]). It keeps its slot,
+//! back-link, index postings and zones: no id moves, so the back-link walk
+//! and the ascending posting lists stay exact.
 
 use crate::btree::BTreeIndex;
 use crate::keymap::KeyMap;
 use crate::mvcc::{Snapshot, TS_INFINITY};
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{DataType, Error, Result, Schema, Tuple, Value};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::ops::Bound;
+use std::sync::LazyLock;
 
 /// Index of a row *version* in the table's version arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,8 +53,8 @@ impl From<u32> for RowId {
 /// One stored row version.
 #[derive(Debug, Clone)]
 pub struct StoredRow {
-    /// The row payload.
-    pub values: Tuple,
+    /// The row payload, or [`RECLAIMED`] once given back.
+    values: Tuple,
     /// Commit timestamp of the write that created this version.
     pub begin: Timestamp,
     /// Commit timestamp of the write that superseded / deleted this version
@@ -62,7 +69,25 @@ pub struct StoredRow {
 /// A back-link that leads nowhere (the key map refuses this row id).
 const NO_VERSION: u32 = u32::MAX;
 
+/// The payload of every reclaimed version: one shared empty tuple, so giving
+/// a payload back allocates nothing.
+static RECLAIMED: LazyLock<Tuple> = LazyLock::new(Tuple::empty);
+
 impl StoredRow {
+    /// The row payload. Only a version no reader can see is reclaimed, and
+    /// every read checks visibility first: a reclaimed payload is never read.
+    #[inline]
+    pub fn values(&self) -> &Tuple {
+        debug_assert!(self.holds_payload(), "read of a reclaimed version");
+        &self.values
+    }
+
+    /// False once [`Table::reclaim`] gave the payload back.
+    #[inline]
+    pub fn holds_payload(&self) -> bool {
+        !self.values.ptr_eq(&RECLAIMED)
+    }
+
     /// True when the version is visible in the given snapshot.
     #[inline]
     pub fn visible(&self, snapshot: Snapshot) -> bool {
@@ -202,6 +227,14 @@ pub struct Table {
     zoned: Vec<usize>,
     /// The chunk directory: `zoned.len()` zones per chunk, chunk after chunk.
     zones: Vec<Zone>,
+    /// Versions whose payload nothing will read once no snapshot sees them,
+    /// in the order they ended: ended with a successor filed under the same
+    /// key, or ended at all in a table without a primary key. A version still
+    /// its key's newest (a delete, a key move) is not here: the key map
+    /// reads its key from its payload.
+    retired: VecDeque<RowId>,
+    /// Versions whose payload [`Table::reclaim`] gave back.
+    reclaimed: usize,
 }
 
 impl Table {
@@ -220,6 +253,8 @@ impl Table {
             rows: Vec::new(),
             pk_index: KeyMap::new(),
             indexes: Vec::new(),
+            retired: VecDeque::new(),
+            reclaimed: 0,
         }
     }
 
@@ -241,6 +276,17 @@ impl Table {
     /// Number of row versions stored (including superseded ones).
     pub fn version_count(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Versions that still hold their payload: the live ones, and the dead
+    /// ones not reclaimed yet.
+    pub fn payload_count(&self) -> usize {
+        self.rows.len() - self.reclaimed
+    }
+
+    /// Versions whose payload was given back, since the table was created.
+    pub fn reclaimed_count(&self) -> usize {
+        self.reclaimed
     }
 
     /// Number of live rows. Costs one pass over the whole version arena —
@@ -274,7 +320,9 @@ impl Table {
             tree: BTreeIndex::new(),
         };
         for (i, row) in self.rows.iter().enumerate() {
-            index.file(&row.values[column], RowId(i as u64));
+            if row.holds_payload() {
+                index.file(&row.values[column], RowId(i as u64));
+            }
         }
         self.indexes.push(index);
         Ok(())
@@ -354,7 +402,7 @@ impl Table {
 
     /// True when the version `row_id` was written under the primary key `key`.
     fn holds_key(rows: &[StoredRow], primary_key: &[usize], row_id: RowId, key: &[Value]) -> bool {
-        let row = &rows[row_id.idx()].values;
+        let row = rows[row_id.idx()].values();
         key.len() == primary_key.len() && primary_key.iter().zip(key).all(|(&c, k)| row[c] == *k)
     }
 
@@ -438,7 +486,8 @@ impl Table {
             }
             let old_key = self.pk_values(&old.values);
             let new_key = self.pk_values(new_values);
-            if old_key != new_key {
+            let moved = old_key != new_key;
+            if moved {
                 // Primary-key update: treat as delete + insert, enforcing
                 // uniqueness of the new key.
                 let taken = claimed.contains(&new_key)
@@ -449,21 +498,40 @@ impl Table {
                 freed.insert(old_key);
                 claimed.insert(new_key.clone());
             }
-            keys.push(new_key);
+            keys.push((new_key, moved));
         }
         // End the old versions and append the new ones.
-        for ((row_id, new_values), new_key) in updates.into_iter().zip(keys) {
+        for ((row_id, new_values), (new_key, moved)) in updates.into_iter().zip(keys) {
             self.rows[row_id.idx()].end = ts;
             let new_id = self.push_version(new_values, ts);
             // A row moved to another key leaves the old key's entry where it
             // is, pointing at the version just ended: older snapshots find it
             // there, the live look-up sees it is dead, and a later insert
-            // under the old key chains onto it.
+            // under the old key chains onto it. So it keeps its payload.
+            if !moved {
+                self.retired.push_back(row_id);
+            }
             if !self.primary_key.is_empty() {
                 self.file_key(&new_key, new_id);
             }
         }
         Ok(())
+    }
+
+    /// Gives back the payload of every retired version that ended at or
+    /// before `low_water` (a snapshot at or after it sees none of them), in
+    /// the order they ended, stopping at the first that ended later: one
+    /// retired out of order by interleaved commits waits, never goes early.
+    pub fn reclaim(&mut self, low_water: Timestamp) {
+        while let Some(&row_id) = self.retired.front() {
+            let row = &mut self.rows[row_id.idx()];
+            if row.end > low_water {
+                break;
+            }
+            row.values = RECLAIMED.clone();
+            self.retired.pop_front();
+            self.reclaimed += 1;
+        }
     }
 
     fn duplicate_key(&self, key: &[Value]) -> Error {
@@ -486,6 +554,10 @@ impl Table {
             )));
         }
         row.end = ts;
+        // Under a primary key the version stays its key's newest.
+        if self.primary_key.is_empty() {
+            self.retired.push_back(row_id);
+        }
         Ok(())
     }
 
@@ -499,7 +571,7 @@ impl Table {
         self.rows
             .get(row_id.idx())
             .filter(|r| r.visible(snapshot))
-            .map(|r| &r.values)
+            .map(StoredRow::values)
     }
 
     /// Iterates over all row versions visible in the snapshot.
@@ -508,7 +580,7 @@ impl Table {
             .iter()
             .enumerate()
             .filter(move |(_, r)| r.visible(snapshot))
-            .map(|(i, r)| (RowId(i as u64), &r.values))
+            .map(|(i, r)| (RowId(i as u64), r.values()))
     }
 
     /// The version arena chunk by chunk, in order, each with its zones: the
@@ -536,7 +608,7 @@ impl Table {
             .iter()
             .enumerate()
             .filter(|(_, r)| r.is_live())
-            .map(|(i, r)| (RowId(i as u64), &r.values))
+            .map(|(i, r)| (RowId(i as u64), r.values()))
     }
 
     /// The version of a primary key that `snapshot` sees, if any — exact
@@ -553,7 +625,7 @@ impl Table {
             if version.begin <= snapshot.ts {
                 return version
                     .visible(snapshot)
-                    .then_some((row_id, &version.values));
+                    .then(|| (row_id, version.values()));
             }
             if version.previous == NO_VERSION {
                 return None;
@@ -671,10 +743,12 @@ impl Table {
         Some((&index.tree, low, high))
     }
 
-    /// Approximate memory footprint in bytes: the payloads, each with the
-    /// header of its shared allocation, and the chunk directory.
+    /// Approximate memory footprint in bytes: the payloads not reclaimed,
+    /// each with the header of its shared allocation, and the chunk
+    /// directory.
     pub fn heap_size(&self) -> usize {
-        let payloads: usize = self.rows.iter().map(|r| r.values.heap_size()).sum();
+        let held = self.rows.iter().filter(|r| r.holds_payload());
+        let payloads: usize = held.map(|r| r.values.heap_size()).sum();
         payloads + self.zones.len() * std::mem::size_of::<Zone>()
     }
 }
@@ -767,7 +841,7 @@ impl Table {
             .map(|row| {
                 format!(
                     "{:?} -> {row:?}",
-                    self.pk_values(&self.rows[row.idx()].values)
+                    self.pk_values(self.rows[row.idx()].values())
                 )
             })
             .collect();

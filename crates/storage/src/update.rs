@@ -429,7 +429,7 @@ fn apply_update_via(
     let rows_examined = candidates.len();
     let mut matching: Vec<RowId> = Vec::new();
     for rid in candidates {
-        if predicate.eval_predicate(&table.row(rid).expect("candidate exists").values)? {
+        if predicate.eval_predicate(table.row(rid).expect("candidate exists").values())? {
             matching.push(rid);
         }
     }
@@ -437,7 +437,7 @@ fn apply_update_via(
     if let UpdateOp::Update { assignments, .. } = update {
         let mut updates = Vec::with_capacity(matching.len());
         for rid in matching {
-            let old_row = &table.row(rid).expect("candidate exists").values;
+            let old_row = table.row(rid).expect("candidate exists").values();
             let mut new_values = old_row.values().to_vec();
             for (col, expr) in assignments {
                 new_values[*col] = expr.eval(old_row)?;
@@ -1079,7 +1079,8 @@ mod tests {
 
         /// Replaying the WAL reproduces the live state, arena for arena —
         /// which also says failed operations left nothing behind and were
-        /// not logged — and both equal the scan reference.
+        /// not logged — and both equal the scan reference, reclaimed
+        /// payloads included.
         #[test]
         fn recovery_replays_the_live_state(case in Cases) {
             let dir = std::env::temp_dir().join(format!(
@@ -1115,10 +1116,13 @@ mod tests {
             for (batch, ops) in case.batches.iter().enumerate() {
                 let named: Vec<(String, UpdateOp)> = ops.iter().map(|op| ("T".to_string(), op.clone())).collect();
                 let results = live.apply_batch(&named).unwrap();
+                let commit = Timestamp(batch as u64 + 1);
                 for (op, result) in ops.iter().zip(results) {
-                    let expected = apply_update_via(&mut reference, op, Timestamp(batch as u64 + 1), scan_only);
+                    let expected = apply_update_via(&mut reference, op, commit, scan_only);
                     prop_assert_eq!(result.map(|r| r.rows_affected).ok(), expected.map(|r| r.rows_affected).ok());
                 }
+                // Nothing is pinned: the commit reclaims what it retired.
+                reference.reclaim(commit);
             }
             let dump = |catalog: &Catalog| catalog.table("T").unwrap().read().dump();
             // Qualifiers aside (the catalog's columns carry the table name),

@@ -5,7 +5,9 @@
 //! `heavy_light` mix — three look-up clients (`getItemById`) to each heavy one
 //! (`getBestSellers` twice, `getNewProducts`, `doSubjectSearch`, subjects in
 //! rotation) — driven closed-loop by 4, 32 and 128 submitter threads, the
-//! same number of statements at each point. Nothing is written, so a table's
+//! same number of statements at each point. A write pre-roll comes first —
+//! ten `adminUpdateItem` an item, through the engine — so that ITEM holds
+//! eleven versions a row; nothing is written during the points, so a table's
 //! versions are a constant. What a point leaves in the engine's own counters:
 //!
 //! * **(i) A pass reads the table once, not once per query.** Per table,
@@ -29,6 +31,11 @@
 //!   are counts; this is the only check that reads a clock (and depends on
 //!   how the 4-client point happened to batch), so a failed reading is taken
 //!   again, twice at most, before the test fails.
+//! * **(iv) A dead version holds no payload.** The versions of ITEM that
+//!   still hold one (`Table::payload_count`, what
+//!   `shareddb_table_payloads{table="ITEM"}` exports) are its live rows at
+//!   every point: the pre-roll's commits reclaimed every version they
+//!   superseded, pinned by no batch.
 
 use shareddb::common::metrics::HistogramSnapshot;
 use shareddb::common::Value;
@@ -40,6 +47,7 @@ use std::collections::HashMap;
 
 const POINTS: [usize; 3] = [4, 32, 128];
 const STATEMENTS_PER_POINT: usize = 2_048;
+const PRE_ROLL: usize = 10_000;
 const SUBLINEAR: f64 = 0.5;
 
 /// What one load point left in the engine's counters.
@@ -52,6 +60,8 @@ struct Point {
     /// Per scanned table: rows examined, cycles that were a pass, cycles
     /// served from the indexes.
     scans: HashMap<String, (u64, u64, u64)>,
+    /// ITEM's versions that hold a payload, once the point is over.
+    item_payloads: usize,
 }
 
 fn run_point(engine: &Engine, scale: &TpcwScale, clients: usize) -> Point {
@@ -98,6 +108,36 @@ fn run_point(engine: &Engine, scale: &TpcwScale, clients: usize) -> Point {
             .into_iter()
             .map(|s| (s.table, (s.examined, s.cycles[0], s.cycles[1])))
             .collect(),
+        item_payloads: item_payloads(engine),
+    }
+}
+
+fn item_payloads(engine: &Engine) -> usize {
+    engine
+        .catalog()
+        .table("ITEM")
+        .unwrap()
+        .read()
+        .payload_count()
+}
+
+/// `PRE_ROLL` price and date changes spread over the items, pipelined a
+/// hundred at a time.
+fn pre_roll(engine: &Engine, scale: &TpcwScale) {
+    for first in (0..PRE_ROLL).step_by(100) {
+        let handles: Vec<_> = (first..first + 100)
+            .map(|n| {
+                let item = Value::Int((n * 7_919 % scale.items) as i64);
+                let cost = Value::Float(1.0 + (n % 50) as f64);
+                let date = Value::Date(15_000 + (n % 900) as i64);
+                engine
+                    .execute("adminUpdateItem", &[item, cost, date])
+                    .unwrap()
+            })
+            .collect();
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().rows_affected(), 1);
+        }
     }
 }
 
@@ -109,6 +149,9 @@ fn work_per_heartbeat_is_bounded_by_the_data_not_by_the_clients() {
     let config = EngineConfig::default();
     let engine = Engine::start(catalog.clone(), plan, registry, config).unwrap();
     let versions = |table: &str| catalog.table(table).unwrap().read().version_count() as f64;
+    pre_roll(&engine, &scale);
+    let live_items = catalog.table("ITEM").unwrap().read().live_count();
+    assert_eq!(versions("ITEM") as usize, live_items + PRE_ROLL);
 
     let points: Vec<Point> = POINTS
         .map(|clients| run_point(&engine, &scale, clients))
@@ -116,13 +159,14 @@ fn work_per_heartbeat_is_bounded_by_the_data_not_by_the_clients() {
     for point in &points {
         eprintln!(
             "{:>3} clients: {:.1} statements, {:.1} tasks a batch over {} active nodes, \
-             mean execute {:.0} us, scans {:?}",
+             mean execute {:.0} us, scans {:?}, ITEM payloads {}",
             point.clients,
             point.statements_per_batch,
             point.tasks_per_batch,
             point.active_nodes,
             point.mean_execute_us,
-            point.scans
+            point.scans,
+            point.item_payloads
         );
         // (i), the bound: a cycle examines no more than the table holds.
         for (table, (examined, passes, served)) in &point.scans {
@@ -134,6 +178,8 @@ fn work_per_heartbeat_is_bounded_by_the_data_not_by_the_clients() {
                 versions(table)
             );
         }
+        // (iv)
+        assert_eq!(point.item_payloads, live_items, "{} clients", point.clients);
         // (ii)
         assert!(
             point.tasks_per_batch <= point.active_nodes as f64,

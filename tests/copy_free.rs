@@ -260,7 +260,9 @@ fn a_batch_allocates_per_row_emitted_not_per_row_and_consumer() {
 
 /// The probe path hands out the stored version as well, and a result set a
 /// client holds keeps its old values when the row is updated later: the
-/// shared version is immutable, the update appended a new one.
+/// shared version is immutable, the update appended a new one — and when the
+/// arena gives the superseded version's payload back, the client's reference
+/// keeps it alive.
 #[test]
 fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
     let _alone = alone();
@@ -278,7 +280,7 @@ fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
     let old_cost = held.rows()[0][4].clone();
     let table = catalog.table("ITEM").unwrap();
     let version = table.read().lookup_pk(&item, catalog.snapshot()).unwrap().0;
-    assert!(held.rows()[0].ptr_eq(&table.read().row(version).unwrap().values));
+    assert!(held.rows()[0].ptr_eq(table.read().row(version).unwrap().values()));
 
     let new_cost = Value::Float(old_cost.as_float().unwrap() + 1.0);
     let update = [item[0].clone(), new_cost.clone(), Value::Date(15_403)];
@@ -291,9 +293,11 @@ fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
         "the held row changed under the client"
     );
     assert!(!fresh.rows()[0].ptr_eq(&held.rows()[0]));
-    // The held row still is the superseded version in the arena.
-    assert!(held.rows()[0].ptr_eq(&table.read().row(version).unwrap().values));
-    assert!(!table.read().row(version).unwrap().is_live());
+    // No snapshot was pinned at the commit: the arena reclaimed the
+    // superseded version, and the held row is the client's alone.
+    let table = table.read();
+    let superseded = table.row(version).unwrap();
+    assert!(!superseded.is_live() && !superseded.holds_payload());
 }
 
 /// One `heavy_light`-shaped batch — eight `getBestSellers` over the latest
@@ -356,7 +360,7 @@ fn a_heavy_batch_allocates_less_than_once_per_tuple() {
             let inputs: Vec<&[QTuple]> = node.inputs.iter().map(|&i| &outputs[i][..]).collect();
             let started = Instant::now();
             let (count, output) = allocations(|| match &storage[node.id] {
-                Some(storage) => storage.execute(&activations).unwrap(),
+                Some(storage) => storage.execute(&activations, snapshot).unwrap(),
                 None => {
                     execute_on(&node.spec, &activations, &inputs, &ctx)
                         .unwrap()

@@ -258,12 +258,12 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     let mut first_pages: Vec<Vec<Tuple>> = Vec::new();
     for round in 0..12 {
         for (statement, params) in &pages {
-            let snapshot = catalog.snapshot();
+            let snapshot = catalog.pin();
             let pinned = || SubmitOptions {
-                pinned_snapshot: Some(snapshot),
+                pinned_snapshot: Some(snapshot.clone()),
                 ..SubmitOptions::default()
             };
-            let want = classic.execute_at(statement, params, snapshot).unwrap();
+            let want = classic.execute_at(statement, params, *snapshot).unwrap();
             assert!(!want.is_empty());
             let deployments = [
                 (

@@ -95,7 +95,7 @@ fn serial_walk(deployment: &Deployment, calls: &[&StatementCall]) -> Vec<Vec<Tup
             })
             .collect();
         let output = match &storage[node.id] {
-            Some(storage) => storage.execute(&activations),
+            Some(storage) => storage.execute(&activations, ctx.snapshot),
             None => {
                 let inputs: Vec<&[QTuple]> =
                     node.inputs.iter().map(|i| outputs[*i].as_slice()).collect();

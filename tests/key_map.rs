@@ -18,6 +18,8 @@
 //! scans and probes. The look-ups of an `IndexNlJoin` read the snapshot of
 //! the batch they run in, so the join is pinned where that snapshot is
 //! handed to it: as an operator cycle over the references its scan emits.
+//! Every snapshot is held by a `Catalog::pin` for as long as it is read: the
+//! writer's commits reclaim whatever no pin sees.
 
 use shareddb::baseline::{BaselineStatement, ClassicEngine, EngineProfile, QueryPlan};
 use shareddb::common::{tuple, DataType, Expr, QTuple, QueryId, QuerySet, Tuple, Value};
@@ -27,7 +29,7 @@ use shareddb::core::plan::{
     ActivationTemplate, OperatorSpec, PlanBuilder, ProbeTemplate, StatementSpec,
 };
 use shareddb::core::{Engine, EngineConfig, StatementRegistry, SubmitOptions};
-use shareddb::storage::{Catalog, ClockScan, ScanQuery, Snapshot, TableDef, UpdateOp};
+use shareddb::storage::{Catalog, ClockScan, ScanQuery, Snapshot, SnapshotPin, TableDef, UpdateOp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -215,7 +217,7 @@ fn pinned_key_lookups_equal_the_scanning_engine() {
     // Item 1 is updated, item 2 deleted, item 3 deleted and written again,
     // item 4 moved to 104 and back, item 5 updated twice inside one commit;
     // a snapshot is pinned before the first write and after every one.
-    let mut pins: Vec<Snapshot> = vec![catalog.snapshot()];
+    let mut pins: Vec<SnapshotPin> = vec![catalog.pin()];
     let writes: Vec<Vec<UpdateOp>> = vec![
         vec![set(1, 11, 1)],
         vec![UpdateOp::Delete {
@@ -240,7 +242,7 @@ fn pinned_key_lookups_equal_the_scanning_engine() {
         assert!(applied
             .iter()
             .all(|r| r.as_ref().is_ok_and(|r| r.rows_affected == 1)));
-        pins.push(catalog.snapshot());
+        pins.push(catalog.pin());
     }
     assert!(pins.windows(2).all(|w| w[0].ts < w[1].ts));
 
@@ -257,15 +259,15 @@ fn pinned_key_lookups_equal_the_scanning_engine() {
                 .chain((0..8).map(|group| ("joined", group)));
             for (statement, param) in calls {
                 let params = [Value::Int(param)];
-                let want = classic.execute_at(statement, &params, *snapshot).unwrap();
+                let want = classic.execute_at(statement, &params, **snapshot).unwrap();
                 if statement == "joined" {
-                    let got = join_cycle(&catalog, param, *snapshot);
+                    let got = join_cycle(&catalog, param, **snapshot);
                     assert_eq!(sorted(got), sorted(want), "joined({param}) at pin {pin}");
                     compared += 1;
                     continue;
                 }
                 let pinned = SubmitOptions {
-                    pinned_snapshot: Some(*snapshot),
+                    pinned_snapshot: Some(snapshot.clone()),
                     ..SubmitOptions::default()
                 };
                 let got = engine.submit(statement, &params, pinned).unwrap();
@@ -386,10 +388,10 @@ fn pinned_title_searches_equal_the_scanning_engine() {
             values: Tuple::new(rewritten),
         },
     ];
-    let mut pins: Vec<Snapshot> = vec![catalog.snapshot()];
+    let mut pins: Vec<SnapshotPin> = vec![catalog.pin()];
     for op in writes {
         assert_eq!(catalog.apply("ITEM", op).unwrap().rows_affected, 1);
-        pins.push(catalog.snapshot());
+        pins.push(catalog.pin());
     }
 
     let patterns = [
@@ -406,10 +408,10 @@ fn pinned_title_searches_equal_the_scanning_engine() {
         for pattern in patterns {
             let params = [Value::text(pattern)];
             let want = classic
-                .execute_at("doTitleSearch", &params, *snapshot)
+                .execute_at("doTitleSearch", &params, **snapshot)
                 .unwrap();
             let pinned = SubmitOptions {
-                pinned_snapshot: Some(*snapshot),
+                pinned_snapshot: Some(snapshot.clone()),
                 ..SubmitOptions::default()
             };
             let got = engine.submit("doTitleSearch", &params, pinned).unwrap();

@@ -1038,7 +1038,8 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
 /// The footprint as a scrape: a table's versions move by exactly the writes
 /// applied, every B-tree over a column's values holds an entry per version
 /// of its table, the gram index one per distinct gram of each, and no B-tree
-/// repeats a primary key — the key map is its only index.
+/// repeats a primary key — the key map is its only index. Superseded
+/// versions give their payloads back; no pin outlives its reader.
 #[test]
 fn table_versions_and_index_entries_on_tpcw() {
     use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
@@ -1128,6 +1129,26 @@ fn table_versions_and_index_entries_on_tpcw() {
         lines + 3
     );
     assert_eq!(versions(&written, "AUTHOR"), versions(&fresh, "AUTHOR"));
+    // Version GC: each price change committed with nothing pinned, so the
+    // version it superseded gave its payload back at once; a deleted cart
+    // line keeps its, the key map reads its key from it.
+    let of_table = |family: &str, table: &str| format!("{family}{{table=\"{table}\"}}");
+    let payloads = |table: &str| gauge(&written, &of_table("shareddb_table_payloads", table));
+    let reclaimed = |table| {
+        gauge(
+            &written,
+            &of_table("shareddb_gc_versions_reclaimed_total", table),
+        )
+    };
+    assert_eq!((payloads("ITEM"), reclaimed("ITEM")), (1_000, 7));
+    let cart_lines = versions(&written, "SHOPPING_CART_LINE");
+    assert_eq!(payloads("SHOPPING_CART_LINE"), cart_lines);
+    assert_eq!(reclaimed("SHOPPING_CART_LINE"), 0);
+    assert_eq!(
+        gauge(&written, "shareddb_snapshot_pins "),
+        0,
+        "a leaked pin"
+    );
     let _ = conn.close();
     server.shutdown();
 }

@@ -655,7 +655,7 @@ proptest! {
         catalog
             .bulk_load("T", (0..100i64).map(|i| shareddb::common::tuple![i, i]).collect())
             .unwrap();
-        let before = catalog.oracle().read_ts();
+        let before = catalog.pin();
         for key in deletes {
             catalog
                 .apply_batch(&[(
@@ -667,7 +667,7 @@ proptest! {
         // The old snapshot still sees all 100 rows, regardless of what was
         // deleted afterwards.
         let table = catalog.table("T").unwrap();
-        prop_assert_eq!(table.read().scan(before).count(), 100);
+        prop_assert_eq!(table.read().scan(*before).count(), 100);
     }
 }
 

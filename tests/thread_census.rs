@@ -6,13 +6,14 @@
 use shareddb::client::Connection;
 use shareddb::cluster::{ClusterConfig, ClusterEngine};
 use shareddb::common::{tuple, DataType, Value};
-use shareddb::core::{Engine, EngineConfig, HeartbeatPolicy};
+use shareddb::core::{Engine, EngineConfig, HeartbeatPolicy, SubmitOptions, WriteFence};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
 use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Held by each test for its whole length: they count the process's threads.
 static ALONE: Mutex<()> = Mutex::new(());
@@ -39,26 +40,32 @@ fn started_threads(count: usize) -> Vec<String> {
     engine_threads()
 }
 
+/// The `/proc` directories of this process's coordinator threads.
+fn coordinators() -> Vec<PathBuf> {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+    let tasks = tasks.filter_map(|task| {
+        let task = task.ok()?.path();
+        let comm = std::fs::read_to_string(task.join("comm")).ok()?;
+        (comm.trim() == "shareddb-coordi").then_some(task)
+    });
+    tasks.collect()
+}
+
+/// The voluntary context switches of one thread.
+fn switches(task: &Path) -> u64 {
+    let status = std::fs::read_to_string(task.join("status")).unwrap();
+    let line = status
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+        .unwrap();
+    line.trim().parse::<u64>().unwrap()
+}
+
 /// The voluntary context switches of this process's one coordinator thread.
 fn coordinator_switches() -> u64 {
-    let mut counts = std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter_map(|task| {
-            let task = task.ok()?.path();
-            let comm = std::fs::read_to_string(task.join("comm")).ok()?;
-            (comm.trim() == "shareddb-coordi").then_some(task)
-        })
-        .map(|task| {
-            let status = std::fs::read_to_string(task.join("status")).unwrap();
-            let line = status
-                .lines()
-                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
-                .unwrap();
-            line.trim().parse::<u64>().unwrap()
-        });
-    let count = counts.next().expect("a coordinator thread");
-    assert!(counts.next().is_none(), "one coordinator");
-    count
+    let coordinators = coordinators();
+    assert_eq!(coordinators.len(), 1, "one coordinator");
+    switches(&coordinators[0])
 }
 
 #[test]
@@ -179,4 +186,67 @@ fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
         engine.shutdown();
         assert_eq!(engine_threads(), Vec::<String>::new());
     }
+}
+
+/// A read held back on its session fence sleeps until the write's commit
+/// wakes it: a write that commits on a second engine 50 ms later costs the
+/// reader's coordinator a handful of context switches, where a re-check
+/// every 100 µs cost about 500.
+#[test]
+fn a_fenced_read_sleeps_until_its_write_commits_elsewhere() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = Arc::new(Catalog::new());
+    let table = TableDef::new("T")
+        .column("ID", DataType::Int)
+        .column("V", DataType::Int)
+        .primary_key(&["ID"]);
+    catalog.create_table(table).unwrap();
+    catalog.bulk_load("T", vec![tuple![1i64, 0i64]]).unwrap();
+    let statements = [
+        ("get", "SELECT * FROM T WHERE ID = ?"),
+        ("put", "UPDATE T SET V = ? WHERE ID = ?"),
+    ];
+    let (plan, registry) = compile_workload(&catalog, &statements).unwrap();
+    let config = EngineConfig::default();
+    let mut reader =
+        Engine::start(Arc::clone(&catalog), plan.clone(), registry.clone(), config).unwrap();
+    reader.execute_sync("get", &[Value::Int(1)]).unwrap();
+    let reading = coordinators();
+    let paced = EngineConfig {
+        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(50)),
+        eager_heartbeat: false,
+        ..EngineConfig::default()
+    };
+    let mut writer = Engine::start(catalog, plan, registry, paced).unwrap();
+    // The first batch runs at once; the next one 50 ms after it.
+    writer.execute_sync("get", &[Value::Int(1)]).unwrap();
+    let before = switches(&reading[0]);
+
+    let fence = Arc::new(WriteFence::new());
+    let fenced = |write_fence, read_after| SubmitOptions {
+        write_fence,
+        read_after,
+        ..SubmitOptions::default()
+    };
+    let put = [Value::Int(7), Value::Int(1)];
+    let write = writer.submit("put", &put, fenced(Some(Arc::clone(&fence)), None));
+    let started = Instant::now();
+    let read = reader.submit("get", &[Value::Int(1)], fenced(None, Some(fence)));
+    let rows = read.unwrap().wait().unwrap();
+    let waited = started.elapsed();
+    let woken = switches(&reading[0]) - before;
+    write.unwrap().wait().unwrap();
+    eprintln!("the read waited {waited:?}; its coordinator switched {woken} times");
+    assert_eq!(
+        rows.rows()[0][1],
+        Value::Int(7),
+        "the read missed its write"
+    );
+    assert!(
+        waited >= Duration::from_millis(20) && waited < Duration::from_millis(900),
+        "the read waited {waited:?}: not for the write's commit"
+    );
+    assert!(woken <= 10, "{woken} wake-ups of the reader's coordinator");
+    reader.shutdown();
+    writer.shutdown();
 }
