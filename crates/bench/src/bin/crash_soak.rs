@@ -20,14 +20,12 @@
 //! 4. Repeat. Under `SyncPolicy::Always` the WAL fsyncs before the engine
 //!    acks, so the invariant is exact, not probabilistic.
 //!
-//! Arguments / environment: `--cycles N` (kill/restart cycles, default 20,
-//! env `SOAK_CYCLES`), `--json PATH` (report, default `BENCH_crash_soak.json`,
-//! env `SOAK_JSON`), `SOAK_WRITERS` (concurrent writer connections, default
-//! 4). Exit code 0 = all invariants held in every cycle.
+//! `crash_soak` takes no flags and reads no environment: 20 cycles, 4 writer
+//! connections, the report in `BENCH_crash_soak.json`. Exit code 0 = all
+//! invariants held in every cycle.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shareddb_bench::env_usize;
 use shareddb_client::Connection;
 use shareddb_common::{tuple, DataType, Value};
 use shareddb_server::{Server, ServerConfig};
@@ -46,6 +44,12 @@ fn amount_for(id: i64) -> f64 {
     (id % 97) as f64 * 0.5
 }
 
+/// Kill / restart cycles.
+const CYCLES: usize = 20;
+/// Concurrent writer connections.
+const WRITERS: usize = 4;
+const REPORT: &str = "BENCH_crash_soak.json";
+
 fn workload() -> Vec<(&'static str, &'static str)> {
     vec![
         ("addItem", "INSERT INTO SOAK VALUES (?, ?, ?)"),
@@ -61,13 +65,6 @@ fn main() {
         return;
     }
 
-    let cycles = flag_value(&args, "--cycles")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| env_usize("SOAK_CYCLES", 20));
-    let json_path = flag_value(&args, "--json")
-        .unwrap_or_else(|| std::env::var("SOAK_JSON").unwrap_or("BENCH_crash_soak.json".into()));
-    let writers = env_usize("SOAK_WRITERS", 4);
-
     let dir = std::env::temp_dir().join(format!("shareddb-crash-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create soak dir");
@@ -78,16 +75,8 @@ fn main() {
     let mut cycle_reports = Vec::new();
     let mut failures = Vec::new();
 
-    for cycle in 0..cycles {
-        let report = run_cycle(
-            cycle,
-            cycles,
-            writers,
-            &data_dir,
-            &port_file,
-            &mut ledger,
-            &mut failures,
-        );
+    for cycle in 0..CYCLES {
+        let report = run_cycle(cycle, &data_dir, &port_file, &mut ledger, &mut failures);
         eprintln!(
             "cycle {:>3}: recovered {} rows ({} replayed batches, torn_tail={}), \
              acked {:+}, attempted {:+}{}",
@@ -107,9 +96,9 @@ fn main() {
     }
 
     let pass = failures.is_empty();
-    write_report(&json_path, cycles, writers, &ledger, &cycle_reports, pass);
+    write_report(&ledger, &cycle_reports, pass);
     eprintln!(
-        "crash_soak: {cycles} cycles, {} attempted, {} acked, {}",
+        "crash_soak: {CYCLES} cycles, {} attempted, {} acked, {}",
         ledger.attempted.len(),
         ledger.acked.len(),
         if pass { "PASS" } else { "FAIL" },
@@ -141,8 +130,6 @@ struct CycleReport {
 
 fn run_cycle(
     cycle: usize,
-    cycles: usize,
-    writers: usize,
     data_dir: &Path,
     port_file: &Path,
     ledger: &mut Ledger,
@@ -180,7 +167,7 @@ fn run_cycle(
                 ));
             }
 
-            let (acked, attempted) = write_phase(cycle, cycles, writers, addr, ledger, &mut child);
+            let (acked, attempted) = write_phase(cycle, addr, ledger, &mut child);
             CycleReport {
                 cycle,
                 recovered_rows: recovered.rows,
@@ -212,12 +199,9 @@ fn run_cycle(
 
 /// Runs the writer threads against the live child, kills it after a random
 /// delay (SIGKILL — no destructors, no flush), and folds this cycle's
-/// attempted/acked ids into the ledger. The last cycle shuts down without a
-/// kill delay so the final verification exercises a clean tail too.
+/// attempted/acked ids into the ledger.
 fn write_phase(
     cycle: usize,
-    cycles: usize,
-    writers: usize,
     addr: SocketAddr,
     ledger: &mut Ledger,
     child: &mut Child,
@@ -228,10 +212,9 @@ fn write_phase(
     // Kill mid-write: sooner in some cycles (torn small logs), later in
     // others (bigger replay tails).
     let kill_after = Duration::from_millis(rng.gen_range(40..400));
-    let last_cycle = cycle + 1 == cycles;
 
     std::thread::scope(|scope| {
-        for writer in 0..writers {
+        for writer in 0..WRITERS {
             let attempted = Arc::clone(&attempted);
             let acked = Arc::clone(&acked);
             scope.spawn(move || {
@@ -273,7 +256,6 @@ fn write_phase(
     let acked = acked.lock().unwrap_or_else(|e| e.into_inner());
     ledger.attempted.extend(attempted.iter().copied());
     ledger.acked.extend(acked.iter().copied());
-    let _ = last_cycle;
     (acked.len(), attempted.len())
 }
 
@@ -469,19 +451,12 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn write_report(
-    path: &str,
-    cycles: usize,
-    writers: usize,
-    ledger: &Ledger,
-    reports: &[CycleReport],
-    pass: bool,
-) {
+fn write_report(ledger: &Ledger, reports: &[CycleReport], pass: bool) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"crash_soak\",\n");
-    out.push_str(&format!("  \"cycles\": {cycles},\n"));
-    out.push_str(&format!("  \"writers\": {writers},\n"));
+    out.push_str(&format!("  \"cycles\": {CYCLES},\n"));
+    out.push_str(&format!("  \"writers\": {WRITERS},\n"));
     out.push_str("  \"sync_policy\": \"always\",\n");
     out.push_str(&format!("  \"attempted\": {},\n", ledger.attempted.len()));
     out.push_str(&format!("  \"acked\": {},\n", ledger.acked.len()));
@@ -504,7 +479,7 @@ fn write_report(
         ));
     }
     out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("failed to write {path}: {e}");
+    if let Err(e) = std::fs::write(REPORT, out) {
+        eprintln!("failed to write {REPORT}: {e}");
     }
 }

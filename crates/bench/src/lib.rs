@@ -14,7 +14,7 @@
 //!
 //! The sweeps are [`figures`]; `docs/figures/` holds a committed run and
 //! `docs/REPRODUCTION.md` reads it. The repository's benchmark is the
-//! `ledger` binary (`BENCHMARK.json`); `server_throughput`, `crash_soak` and
+//! `ledger` binary (`BENCHMARK.json`); `wire_soak`, `crash_soak` and
 //! `sql_conformance` drive the CI lanes.
 
 pub mod conformance;
@@ -30,8 +30,8 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The TPC-W scale of `plan_dump`, `trace_dump` and `server_throughput`
-/// (default 2000 items; override with `TPCW_ITEMS`).
+/// The TPC-W scale of `plan_dump` and `trace_dump` (default 2000 items;
+/// override with `TPCW_ITEMS`).
 pub fn bench_scale() -> TpcwScale {
     TpcwScale::with_items(env_usize("TPCW_ITEMS", 2_000))
 }

@@ -277,7 +277,11 @@ mod tests {
     fn heavy_backlog_never_starves_light_admissions() {
         // min == max pins the adaptive interval: heavy batches are admitted
         // at most once per 300ms, light batches immediately.
-        let policy = HeartbeatPolicy::parse("adaptive:300,300,50").unwrap();
+        let policy = HeartbeatPolicy::Adaptive {
+            min: Duration::from_millis(300),
+            max: Duration::from_millis(300),
+            target_light_p99: Duration::from_millis(50),
+        };
         let engine = build_engine(EngineConfig::default().heartbeat_policy(policy));
         // Burn the initially-eligible heavy admission slot.
         engine
@@ -311,7 +315,11 @@ mod tests {
         // Exact bound across both lanes: block the coordinator with a pinned
         // heavy interval, fill the bound with heavy work, and watch a light
         // submission be rejected with the same bound.
-        let policy = HeartbeatPolicy::parse("adaptive:400,400,50").unwrap();
+        let policy = HeartbeatPolicy::Adaptive {
+            min: Duration::from_millis(400),
+            max: Duration::from_millis(400),
+            target_light_p99: Duration::from_millis(50),
+        };
         let engine = build_engine(EngineConfig::default().heartbeat_policy(policy));
         engine
             .execute_sync("topOrders", &[Value::Float(0.0)])

@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use std::fmt;
 use std::time::Duration;
 
 /// How the coordinator picks the interval between two heartbeats.
@@ -14,7 +13,9 @@ use std::time::Duration;
 /// oscillating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeartbeatPolicy {
-    /// Constant interval (the pre-controller behaviour).
+    /// Constant interval. Under [`EngineConfig::eager_heartbeat`] (the
+    /// default) it paces nothing: a batch forms as soon as work is queued and
+    /// the previous batch is done, and the interval is only reported.
     Fixed(Duration),
     /// Controller-steered interval.
     Adaptive {
@@ -41,65 +42,6 @@ impl HeartbeatPolicy {
     /// True for [`HeartbeatPolicy::Adaptive`].
     pub fn is_adaptive(&self) -> bool {
         matches!(self, HeartbeatPolicy::Adaptive { .. })
-    }
-
-    /// Parses the operator-facing spec syntax: `fixed:MS` or
-    /// `adaptive:MIN_MS,MAX_MS,TARGET_P99_MS` (fractional milliseconds
-    /// allowed, e.g. `fixed:0.5` or `adaptive:0.5,8,2`).
-    pub fn parse(spec: &str) -> Result<HeartbeatPolicy, String> {
-        let ms = |s: &str| -> Result<Duration, String> {
-            let v: f64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad millisecond value {s:?} in heartbeat spec"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("bad millisecond value {s:?} in heartbeat spec"));
-            }
-            Ok(Duration::from_nanos((v * 1_000_000.0) as u64))
-        };
-        match spec.trim().split_once(':') {
-            Some(("fixed", rest)) => Ok(HeartbeatPolicy::Fixed(ms(rest)?)),
-            Some(("adaptive", rest)) => {
-                let parts: Vec<&str> = rest.split(',').collect();
-                if parts.len() != 3 {
-                    return Err(format!(
-                        "adaptive heartbeat spec {spec:?} needs MIN_MS,MAX_MS,TARGET_P99_MS"
-                    ));
-                }
-                let (min, max, target) = (ms(parts[0])?, ms(parts[1])?, ms(parts[2])?);
-                if min > max {
-                    return Err(format!("adaptive heartbeat spec {spec:?} has min > max"));
-                }
-                Ok(HeartbeatPolicy::Adaptive {
-                    min,
-                    max,
-                    target_light_p99: target,
-                })
-            }
-            _ => Err(format!(
-                "heartbeat spec {spec:?} is neither fixed:MS nor adaptive:MIN,MAX,TARGET"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for HeartbeatPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        match *self {
-            HeartbeatPolicy::Fixed(d) => write!(f, "fixed:{}", ms(d)),
-            HeartbeatPolicy::Adaptive {
-                min,
-                max,
-                target_light_p99,
-            } => write!(
-                f,
-                "adaptive:{},{},{}",
-                ms(min),
-                ms(max),
-                ms(target_light_p99)
-            ),
-        }
     }
 }
 
@@ -204,31 +146,5 @@ mod tests {
         });
         assert!(c.heartbeat.is_adaptive());
         assert_eq!(c.heartbeat.initial_interval(), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn heartbeat_policy_parses_and_round_trips() {
-        let fixed = HeartbeatPolicy::parse("fixed:2").unwrap();
-        assert_eq!(fixed, HeartbeatPolicy::Fixed(Duration::from_millis(2)));
-        let frac = HeartbeatPolicy::parse("fixed:0.5").unwrap();
-        assert_eq!(frac, HeartbeatPolicy::Fixed(Duration::from_micros(500)));
-        let adaptive = HeartbeatPolicy::parse("adaptive:0.5,8,2").unwrap();
-        assert_eq!(
-            adaptive,
-            HeartbeatPolicy::Adaptive {
-                min: Duration::from_micros(500),
-                max: Duration::from_millis(8),
-                target_light_p99: Duration::from_millis(2),
-            }
-        );
-        // The rendered form parses back to the same policy.
-        for p in [fixed, frac, adaptive] {
-            assert_eq!(HeartbeatPolicy::parse(&p.to_string()).unwrap(), p);
-        }
-        assert!(HeartbeatPolicy::parse("adaptive:8,1,2").is_err()); // min > max
-        assert!(HeartbeatPolicy::parse("adaptive:1,2").is_err()); // arity
-        assert!(HeartbeatPolicy::parse("exponential:3").is_err());
-        assert!(HeartbeatPolicy::parse("fixed:abc").is_err());
-        assert!(HeartbeatPolicy::parse("fixed:-1").is_err());
     }
 }

@@ -151,7 +151,11 @@ mod tests {
         // Generous 50ms target: the tiny fixture never exceeds it, so the
         // only active control rules are grow-under-pressure and
         // drift-when-idle.
-        let policy = HeartbeatPolicy::parse("adaptive:0.5,20,50").unwrap();
+        let policy = HeartbeatPolicy::Adaptive {
+            min: Duration::from_micros(500),
+            max: Duration::from_millis(20),
+            target_light_p99: Duration::from_millis(50),
+        };
         let min = Duration::from_micros(500);
         let engine = build_engine(EngineConfig::default().heartbeat_policy(policy));
         assert_eq!(engine.heartbeat_interval(), min);
@@ -236,7 +240,11 @@ mod tests {
             "negative control: fixed-max pacing should violate the {target:?} target, p99 {fixed_p99}us"
         );
         // Adaptive with the same max admits light immediately.
-        let policy = HeartbeatPolicy::parse("adaptive:0.5,10,5").unwrap();
+        let policy = HeartbeatPolicy::Adaptive {
+            min: Duration::from_micros(500),
+            max: Duration::from_millis(10),
+            target_light_p99: Duration::from_millis(5),
+        };
         let adaptive = build_engine(EngineConfig::default().heartbeat_policy(policy));
         for i in 0..20 {
             adaptive

@@ -125,7 +125,8 @@ pub(crate) trait Poller: Send {
 
 #[cfg(target_os = "linux")]
 mod sys {
-    //! Minimal libc surface for epoll + eventfd. The workspace has no
+    //! Minimal libc surface for epoll + eventfd (and the TCP state a drain
+    //! waits on). The workspace has no
     //! crates.io access, so — like the `shims/` crates — we bind the platform
     //! directly: these symbols live in the libc every Rust binary already
     //! links.
@@ -155,7 +156,13 @@ mod sys {
         pub fn close(fd: i32) -> i32;
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        pub fn getsockopt(fd: i32, level: i32, name: i32, value: *mut u8, len: *mut u32) -> i32;
     }
+
+    pub const IPPROTO_TCP: i32 = 6;
+    pub const TCP_INFO: i32 = 11;
+    pub const TCP_FIN_WAIT2: u8 = 5;
+    pub const TCP_TIME_WAIT: u8 = 6;
 
     pub const EPOLL_CTL_ADD: i32 = 1;
     pub const EPOLL_CTL_DEL: i32 = 2;
@@ -531,6 +538,10 @@ struct Conn {
     last_write: Option<Arc<WriteFence>>,
     /// Unrecoverable socket or protocol failure: drop without flushing.
     dead: bool,
+    /// A drain shut the write side after the last owed reply: what the
+    /// client still sends is read and dropped until it hangs up or has
+    /// acknowledged the FIN (`Reactor::close`).
+    half_closed: bool,
 }
 
 impl Conn {
@@ -560,7 +571,8 @@ impl Conn {
     /// The interest this connection wants given its current state.
     fn wanted_interest(&self, draining: bool) -> Interest {
         Interest {
-            readable: !self.read_closed && !draining && self.out_len() < WRITE_HIGH_WATER,
+            readable: self.half_closed
+                || (!self.read_closed && !draining && self.out_len() < WRITE_HIGH_WATER),
             writable: self.out_len() > 0,
         }
     }
@@ -568,9 +580,41 @@ impl Conn {
     /// True once everything owed to the client has been flushed and the
     /// connection has no reason to stay open.
     fn finished(&self, draining: bool) -> bool {
+        if self.half_closed {
+            return self.dead || fin_acked(&self.stream);
+        }
         self.dead
             || (self.replies.is_empty() && self.out_len() == 0 && (self.read_closed || draining))
     }
+}
+
+/// The peer acknowledged every byte written to `stream` and the FIN behind
+/// them (`TCP_INFO` state `FIN_WAIT2`, or `TIME_WAIT` once its own FIN came).
+#[cfg(target_os = "linux")]
+fn fin_acked(stream: &TcpStream) -> bool {
+    use std::os::unix::io::AsRawFd;
+    // `tcpi_state` is the first byte of `struct tcp_info`.
+    let mut info = [0u8; 8];
+    let mut len = info.len() as u32;
+    // SAFETY: the descriptor is the open socket `stream` owns; the kernel
+    // writes at most `len` bytes into `info` and stores the count in `len`,
+    // both of which live for the call.
+    let rc = unsafe {
+        sys::getsockopt(
+            stream.as_raw_fd(),
+            sys::IPPROTO_TCP,
+            sys::TCP_INFO,
+            info.as_mut_ptr(),
+            &mut len,
+        )
+    };
+    rc == 0 && matches!(info[0], sys::TCP_FIN_WAIT2 | sys::TCP_TIME_WAIT)
+}
+
+/// Without `TCP_INFO` a half-closed connection closes at once.
+#[cfg(not(target_os = "linux"))]
+fn fin_acked(_stream: &TcpStream) -> bool {
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -736,6 +780,11 @@ impl Reactor {
     /// With no mid-frame client and no drain armed there is no timer at all —
     /// the poll sleeps until a socket or a waker fires.
     fn next_timeout(&self, now: Instant) -> Option<Duration> {
+        // No readiness event reports a FIN acknowledged: a drain with a
+        // half-closed connection looks again shortly.
+        if self.drain_deadline.is_some() && self.conns.values().any(|c| c.half_closed) {
+            return Some(Duration::from_millis(1));
+        }
         let mut next: Option<Instant> = self.drain_deadline;
         if self.mid_frame_conns > 0 {
             for conn in self.conns.values() {
@@ -775,7 +824,7 @@ impl Reactor {
             .map(|(&t, _)| t)
             .collect();
         for token in finished {
-            self.drop_conn(token);
+            self.close(token);
         }
         if draining && self.conns.is_empty() {
             self.shared.notify_drained();
@@ -788,8 +837,31 @@ impl Reactor {
     fn maybe_reap(&mut self, token: u64) {
         let draining = self.drain_deadline.is_some();
         if self.conns.get(&token).is_some_and(|c| c.finished(draining)) {
-            self.drop_conn(token);
+            self.close(token);
         }
+    }
+
+    /// Closes a finished connection. In a drain its client may still be
+    /// sending, and a close that finds unread bytes — or that such bytes
+    /// reach afterwards — resets the connection, which throws away whatever
+    /// of the replies the kernel has not sent yet. So a drain shuts the
+    /// write side first and keeps the connection half-closed, reading and
+    /// dropping what arrives, until the client's EOF, its acknowledgement of
+    /// the FIN (every reply is in its receive buffer then, where a reset
+    /// cannot reach it; an idle client sends it at once) or the deadline.
+    fn close(&mut self, token: u64) {
+        let draining = self.drain_deadline.is_some();
+        if let Some(conn) = self
+            .conns
+            .get_mut(&token)
+            .filter(|c| draining && !c.dead && !c.half_closed)
+        {
+            let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+            conn.half_closed = true;
+            self.update_interest(token);
+            return;
+        }
+        self.drop_conn(token);
     }
 
     fn drop_conn(&mut self, token: u64) {
@@ -848,6 +920,7 @@ impl Reactor {
                             interest,
                             last_write: None,
                             dead: false,
+                            half_closed: false,
                         },
                     );
                 }
@@ -866,6 +939,18 @@ impl Reactor {
     // -- read path ---------------------------------------------------------
 
     fn conn_readable(&mut self, token: u64) -> bool {
+        use std::io::ErrorKind::{Interrupted, WouldBlock};
+        // A half-closed connection's bytes are dropped; its EOF closes it.
+        if let Some(conn) = self.conns.get_mut(&token).filter(|c| c.half_closed) {
+            return match conn.stream.read(&mut self.scratch) {
+                Ok(n) if n > 0 => true,
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => false,
+                _ => {
+                    conn.dead = true;
+                    true
+                }
+            };
+        }
         let mut progressed = false;
         // One read per readiness report. A read that did not fill the buffer
         // drained the socket — asking again would only buy a `WouldBlock` —
@@ -873,7 +958,6 @@ impl Reactor {
         // are level-triggered) once the other connections had their turn and
         // unless the write queue passed its high-water mark meanwhile.
         if let Some(conn) = self.conns.get_mut(&token).filter(|c| c.reading()) {
-            use std::io::ErrorKind::{Interrupted, WouldBlock};
             progressed = true;
             match conn.stream.read(&mut self.scratch) {
                 // Clean EOF (possibly a half-close: the client may still be

@@ -513,27 +513,6 @@ impl Default for WalConfig {
     }
 }
 
-impl SyncPolicy {
-    /// Parses the operator-facing spelling used by env knobs and the bench
-    /// harnesses: `always`, `everybatch` / `every-batch`, or `interval:MS`.
-    pub fn parse(s: &str) -> Result<SyncPolicy> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
-            "always" => Ok(SyncPolicy::Always),
-            "everybatch" | "every-batch" | "every_batch" => Ok(SyncPolicy::EveryBatch),
-            _ => {
-                if let Some(ms) = s.strip_prefix("interval:") {
-                    let ms = ms
-                        .parse()
-                        .map_err(|_| Error::InvalidParameter(format!("bad sync interval: {s}")))?;
-                    return Ok(SyncPolicy::Interval { ms });
-                }
-                Err(Error::InvalidParameter(format!("unknown sync policy: {s}")))
-            }
-        }
-    }
-}
-
 /// Point-in-time view of the WAL's counters and histograms, rendered at
 /// `/metrics` as `shareddb_wal_*`.
 #[derive(Debug, Clone)]
@@ -1272,20 +1251,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wal.stats_snapshot().syncs, 0);
-    }
-
-    #[test]
-    fn sync_policy_parse() {
-        assert_eq!(SyncPolicy::parse("always").unwrap(), SyncPolicy::Always);
-        assert_eq!(
-            SyncPolicy::parse("every-batch").unwrap(),
-            SyncPolicy::EveryBatch
-        );
-        assert_eq!(
-            SyncPolicy::parse("interval:25").unwrap(),
-            SyncPolicy::Interval { ms: 25 }
-        );
-        assert!(SyncPolicy::parse("sometimes").is_err());
     }
 
     #[test]

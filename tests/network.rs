@@ -1018,8 +1018,9 @@ fn pipelined_replies(force_portable_poller: bool, replicas: usize, ending: Endin
         })
         .collect();
 
-    // A shutdown with unread requests on a socket would reset it under the
-    // client; what is tested is what becomes of the requests the server has.
+    // Shut down once the server has read every request: what is tested is
+    // what becomes of the requests it has (a client still sending through a
+    // drain is `a_drain_delivers_every_reply_to_a_client_still_pipelining`).
     let started = Instant::now();
     let submitted = |server: &Server| match ending {
         Ending::AllAnswered => {
@@ -1064,4 +1065,105 @@ fn pipelined_replies_survive_an_engine_shutdown_with_statements_queued() {
     for (portable, replicas) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
         pipelined_replies(portable, replicas, Ending::EngineShutdown);
     }
+}
+
+/// A client that keeps pipelining through `Server::shutdown` reads every
+/// reply the server wrote, then a clean EOF. A close that finds unread
+/// requests on a socket resets it, and the reset throws away whatever of the
+/// replies the kernel has not sent yet; the drain half-closes the socket once
+/// the last owed reply is flushed and reads what still comes until the
+/// client's EOF.
+#[test]
+fn a_drain_delivers_every_reply_to_a_client_still_pipelining() {
+    for portable in [false, true] {
+        drain_under_a_pipelining_client(portable);
+    }
+}
+
+fn drain_under_a_pipelining_client(force_portable_poller: bool) {
+    use shareddb::server::protocol::chunk_flags;
+    use std::net::Shutdown;
+    let label = format!("portable {force_portable_poller}");
+    let server_config = ServerConfig {
+        force_portable_poller,
+        ..ServerConfig::default()
+    };
+    let mut server = start_server(EngineConfig::default(), server_config);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client_name: "pipeliner".into(),
+    };
+    write_frame(&mut stream, &hello).unwrap();
+    let greeting = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(greeting, Frame::HelloOk { .. }));
+    let prepare = Frame::Prepare {
+        request_id: 0,
+        name: "itemsCheaperThan".into(),
+    };
+    write_frame(&mut stream, &prepare).unwrap();
+    let Some(Frame::Prepared { statement_id, .. }) = read_frame(&mut stream).unwrap() else {
+        panic!("{label}: no statement id");
+    };
+
+    // The sender pipelines (ten rows a reply; past 64 in flight a reply is
+    // a retryable rejection) until the reader has met the end of the replies.
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut writer = stream.try_clone().unwrap();
+    let sender = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            for request_id in 1.. {
+                if stop.load(Ordering::Relaxed) {
+                    let _ = writer.shutdown(Shutdown::Write);
+                    return;
+                }
+                let frame = Frame::ExecutePrepared {
+                    request_id,
+                    statement_id,
+                    params: vec![Value::Float(25.0)],
+                };
+                if write_frame(&mut writer, &frame).is_err() {
+                    return;
+                }
+            }
+        })
+    };
+    // The reader takes its time, so that replies wait in the server's send
+    // queue when its last one is flushed.
+    let reader = std::thread::spawn(move || {
+        let mut replies = 0u64;
+        let end = loop {
+            match read_frame(&mut stream) {
+                Ok(Some(Frame::ResultChunk { flags, .. })) if flags & chunk_flags::LAST == 0 => {
+                    continue
+                }
+                Ok(Some(Frame::ResultChunk { .. } | Frame::Error { .. })) => replies += 1,
+                end => break end,
+            }
+            if replies.is_multiple_of(64) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        stop.store(true, Ordering::Relaxed);
+        (replies, end)
+    });
+
+    let started = Instant::now();
+    while server.stats().requests < 20_000 {
+        assert!(started.elapsed() < Duration::from_secs(60), "{label}: hung");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.shutdown();
+    let (replies, end) = reader.join().unwrap();
+    sender.join().unwrap();
+    assert!(
+        matches!(end, Ok(None)),
+        "{label}: {end:?} after {replies} replies"
+    );
+    assert_eq!(replies, server.stats().requests, "{label}");
 }

@@ -167,7 +167,11 @@ fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
     catalog.bulk_load("T", vec![tuple![1i64]]).unwrap();
     let (plan, registry) =
         compile_workload(&catalog, &[("get", "SELECT * FROM T WHERE ID = ?")]).unwrap();
-    let adaptive = HeartbeatPolicy::parse("adaptive:0.2,100,10").unwrap();
+    let adaptive = HeartbeatPolicy::Adaptive {
+        min: Duration::from_micros(200),
+        max: Duration::from_millis(100),
+        target_light_p99: Duration::from_millis(10),
+    };
     for config in [
         EngineConfig::default(),
         EngineConfig::default().heartbeat_policy(adaptive),
