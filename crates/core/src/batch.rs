@@ -197,11 +197,6 @@ impl QueryBatch {
         }
         out
     }
-
-    /// Ids of all queries of the batch.
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        self.queries.iter().map(|q| q.query_id).collect()
-    }
 }
 
 /// Binds a query statement: substitutes parameters into every activation
@@ -492,6 +487,5 @@ mod tests {
         assert!(!batch.is_empty());
         assert_eq!(batch.activations_for(0).len(), 2);
         assert_eq!(batch.activations_for(5).len(), 0);
-        assert_eq!(batch.query_ids(), vec![QueryId(1), QueryId(2)]);
     }
 }

@@ -371,11 +371,13 @@ impl BatchCtx<'_> {
             let done = node.done.get();
             let (tuples, pruned, busy) = match done {
                 None => (0, 0, Duration::ZERO),
-                Some((output, Ok(pruned), busy)) => (output.len(), *pruned, *busy),
-                Some((output, Err(e), busy)) => {
-                    error.get_or_insert_with(|| e.clone());
-                    (output.len(), 0, *busy)
-                }
+                Some(done) => match &done.pruned {
+                    Ok(pruned) => (done.rows, *pruned, done.busy),
+                    Err(e) => {
+                        error.get_or_insert_with(|| e.clone());
+                        (done.rows, 0, done.busy)
+                    }
+                },
             };
             let counts = &act_counts[id * n_stmts..(id + 1) * n_stmts];
             inner.operator_stats[id].record_cycle(done.is_some(), tuples, pruned, busy);
@@ -417,7 +419,7 @@ impl BatchCtx<'_> {
         for q in &self.batch.queries {
             routed[q.root].get_or_insert_with(|| {
                 let done = run.nodes[q.root].done.get();
-                let output = done.map_or(&[][..], |done| done.0.as_slice());
+                let output = done.map_or(&[][..], |done| done.output.as_slice());
                 QueryRows::explode(output, readers[q.root])
             });
         }
@@ -561,7 +563,8 @@ mod tests {
     #[test]
     fn attribution_sums_to_operator_busy_exactly() {
         let engine = build_engine(EngineConfig::default().heartbeat(Duration::from_millis(5)));
-        // A mixed workload: three query types sharing the USERS/ORDERS scans.
+        // A mixed workload: four query types sharing the USERS/ORDERS scans,
+        // one of them a group-join.
         let mut handles = Vec::new();
         for i in 0..20i64 {
             handles.push(engine.execute("usersByCountry", &[]).unwrap());
@@ -571,11 +574,23 @@ mod tests {
                     .unwrap(),
             );
             handles.push(engine.execute("topOrders", &[Value::Float(0.0)]).unwrap());
+            let country = Value::text(["CH", "DE"][i as usize % 2]);
+            handles.push(engine.execute("salesByUser", &[country]).unwrap());
         }
         for h in handles {
             h.wait().unwrap();
         }
         let operators = engine.operator_stats();
+        // The group-join's join ran inside its group-by every time: it counts
+        // the pairs it matched, the group-by the time of both.
+        let (join, group_by) = (&operators[11], &operators[12]);
+        assert_eq!(
+            (&join.name[..], &group_by.name[..]),
+            ("HashJoin#11", "GroupBy#12")
+        );
+        assert_eq!(join.active_cycles, group_by.active_cycles);
+        assert!(join.tuples_out > 0 && group_by.busy > Duration::ZERO);
+        assert_eq!(join.busy, Duration::ZERO);
         let attribution = engine.attribution_stats();
         // The invariant the whole attribution design hangs on: per operator,
         // the attributed busy times and rows — including the `_idle`

@@ -558,6 +558,18 @@ pub(crate) mod tests {
         let bad_filter = b.filter(orders_scan).unwrap();
         let after_bad_filter = b.sort(bad_filter, vec![SortKey::asc(0)]).unwrap();
         let top_after_bad_filter = b.top_n(after_bad_filter, vec![SortKey::asc(0)]).unwrap();
+        // A group-join: a join that feeds nothing but a group-by over its
+        // build side, as the best-seller chain of TPC-W.
+        let sales_join = b
+            .hash_join(users_scan, orders_scan, "USERS.USER_ID", "ORDERS.USER_ID")
+            .unwrap();
+        let sales = b
+            .group_by(
+                sales_join,
+                vec!["USERS.USER_ID", "USERS.USERNAME"],
+                vec![(AggregateFunction::Sum, "ORDERS.TOTAL", "SALES")],
+            )
+            .unwrap();
         let plan = b.build();
 
         let mut registry = StatementRegistry::new();
@@ -679,6 +691,29 @@ pub(crate) mod tests {
             )
             .unwrap();
 
+        // Q5: SELECT U.USER_ID, U.USERNAME, SUM(O.TOTAL) FROM USERS U, ORDERS O
+        //     WHERE U.USER_ID = O.USER_ID AND U.COUNTRY = ? AND O.TOTAL >= 10
+        //     GROUP BY U.USER_ID, U.USERNAME
+        registry
+            .register(
+                StatementSpec::query("salesByUser", sales)
+                    .activate(
+                        users_scan,
+                        ActivationTemplate::Scan {
+                            predicate: Expr::col(2).eq(Expr::param(0)),
+                        },
+                    )
+                    .activate(
+                        orders_scan,
+                        ActivationTemplate::Scan {
+                            predicate: Expr::col(3).gt_eq(Expr::lit(10.0)),
+                        },
+                    )
+                    .activate(sales_join, ActivationTemplate::Participate)
+                    .activate(sales, ActivationTemplate::Having { predicate: None }),
+            )
+            .unwrap();
+
         Engine::start(catalog, plan, registry, config).unwrap()
     }
 
@@ -693,6 +728,64 @@ pub(crate) mod tests {
         assert_eq!(
             ch[1],
             Value::Int((0..100).filter(|i| i % 2 == 0).map(|i| i * 10).sum())
+        );
+    }
+
+    /// The group-join answers what the join and the group-by answer apart:
+    /// alone in its batch it runs as one task, beside a statement that reads
+    /// its join (the serial walk of `tests/executor.rs` holds the rows), as
+    /// two; EXPLAIN ANALYZE says where the join ran.
+    #[test]
+    fn group_join_query_end_to_end() {
+        let engine = build_engine(EngineConfig::default());
+        let rows = engine
+            .execute_sync("salesByUser", &[Value::text("DE")])
+            .unwrap();
+        // User u has orders u, u + 100, u + 200 of (order % 50) each: all
+        // three of them count, or none.
+        let sales = |u: i64| {
+            let totals = [u, u + 100, u + 200].map(|o| (o % 50) as f64);
+            totals.into_iter().filter(|t| *t >= 10.0).sum::<f64>()
+        };
+        let mut expected: Vec<(i64, f64)> = (1..100)
+            .step_by(2)
+            .filter(|u| sales(*u) > 0.0)
+            .map(|u| (u, sales(u)))
+            .collect();
+        expected.sort_by_key(|(u, _)| *u);
+        let got: Vec<(i64, f64)> = rows
+            .rows()
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[2].as_float().unwrap()))
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(
+            rows.rows()[0][1],
+            Value::text(format!("user{}", expected[0].0))
+        );
+        let stats = engine.operator_stats();
+        assert_eq!(
+            (stats[11].active_cycles, stats[11].busy),
+            (1, Duration::ZERO)
+        );
+        assert_eq!(stats[11].tuples_out, 3 * expected.len() as u64);
+        let (index, _) = engine.registry().get("salesByUser").unwrap();
+        let data = crate::AnalyzeData {
+            operators: stats,
+            attribution: engine.attribution_stats(),
+            wall: engine.stats_wall(),
+        };
+        let text = crate::render_explain_text(
+            &engine.catalog(),
+            engine.plan(),
+            engine.registry(),
+            index,
+            Some(&data),
+        );
+        let join_line = text.lines().find(|l| l.contains("HashJoin#11")).unwrap();
+        assert!(
+            join_line.ends_with("(activated) runs inside GroupBy#12"),
+            "{text}"
         );
     }
 

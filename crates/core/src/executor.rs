@@ -21,14 +21,22 @@
 //! * **Failures.** A task body runs under `catch_unwind`. A failed or
 //!   panicking node publishes an empty output, so its consumers proceed and
 //!   the run ends; its error fails the batch's queries at the coordinator.
+//! * **Group-joins.** A group-by whose only input is a hash join that feeds
+//!   nothing else, grouping by build-side columns
+//!   ([`GlobalPlan::group_join_of`]), runs the join inside its own task
+//!   ([`execute_group_join`]) in every run where each query active at the
+//!   join is active at the group-by as well. The join is then no task: its
+//!   producers ready the group-by, and it publishes no pairs — only the
+//!   count of those it matched. A run with a query that reads the join
+//!   itself runs the two as tasks of their own.
 
 use crate::batch::Activation;
-use crate::operators::{execute_on, Emitted, ExecContext};
+use crate::operators::{execute_group_join, execute_on, Emitted, ExecContext};
 use crate::plan::{GlobalPlan, OperatorId, OperatorNode};
 use crate::stats::EngineStats;
 use crate::storage_ops::StorageOperator;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use shareddb_common::{Error, QTuple, QueryId, Result};
+use shareddb_common::{Error, QTuple, QueryId, QuerySet, Result};
 use shareddb_storage::{Catalog, SnapshotPin};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,10 +52,25 @@ pub(crate) type Activations = Vec<(QueryId, Activation)>;
 pub(crate) struct NodeRun {
     /// The node's activations; empty = the node is idle in this batch.
     pub activations: Activations,
-    /// Set when the node's task has finished, once for all its consumers: its
-    /// output, the work a row demand let it skip (or why it failed), and the
-    /// wall-clock time of the operator body.
-    pub done: OnceLock<(Vec<QTuple>, Result<usize>, Duration)>,
+    /// The group-by whose task runs this join's cycle in this run; `None`:
+    /// the node is a task of its own (when active).
+    pub inside: Option<OperatorId>,
+    /// Set when the node's cycle has finished, once for all its consumers.
+    pub done: OnceLock<Done>,
+}
+
+/// What a finished node publishes.
+pub(crate) struct Done {
+    /// The output tuples of the batch.
+    pub output: Vec<QTuple>,
+    /// The rows the cycle counts: its output's, or — for a join that ran
+    /// inside its group-by — the pairs it matched there.
+    pub rows: usize,
+    /// The work a row demand let the cycle skip, or why it failed.
+    pub pruned: Result<usize>,
+    /// Wall-clock time of the operator body; none of its own for a join
+    /// that ran inside its group-by, whose time is the group-by's.
+    pub busy: Duration,
 }
 
 /// Everything the tasks of one batch read and write.
@@ -84,6 +107,8 @@ pub(crate) struct Executor {
     plan: GlobalPlan,
     /// Per node: its consumers, one entry per input edge.
     consumers: Vec<Vec<OperatorId>>,
+    /// `(join, group-by)`: the group-joins of the plan.
+    group_joins: Vec<(OperatorId, OperatorId)>,
     storage_ops: Arc<Vec<Option<StorageOperator>>>,
     catalog: Arc<Catalog>,
     stats: Arc<EngineStats>,
@@ -112,9 +137,12 @@ impl Executor {
                 consumers[input].push(node.id);
             }
         }
+        let group_by = |node: &OperatorNode| Some((plan.group_join_of(node.id)?, node.id));
+        let group_joins = plan.nodes().iter().filter_map(group_by).collect();
         let executor = Arc::new(Executor {
             plan,
             consumers,
+            group_joins,
             storage_ops,
             catalog,
             stats,
@@ -148,14 +176,37 @@ impl Executor {
     /// Executes every task of `run`, working the queue on the calling thread
     /// beside the pool, and returns once the last one has finished: the
     /// `done` of every active node is then set.
-    pub fn run(&self, run: Run) -> Arc<Run> {
+    pub fn run(&self, mut run: Run) -> Arc<Run> {
+        for &(join, group_by) in &self.group_joins {
+            let (at_join, at_group_by) = (&run.nodes[join], &run.nodes[group_by]);
+            if !at_join.activations.is_empty() {
+                let grouped: QuerySet = at_group_by.activations.iter().map(|(q, _)| *q).collect();
+                let all_grouped = at_join
+                    .activations
+                    .iter()
+                    .all(|(q, _)| grouped.contains(*q));
+                run.nodes[join].inside = all_grouped.then_some(group_by);
+            }
+        }
         let run = Arc::new(run);
         let mut schedule = self.schedule.lock();
         // Entries of idle nodes are never read.
         schedule.pending.resize(self.plan.len(), 0);
         let active = |id: OperatorId| !run.nodes[id].activations.is_empty();
-        for node in self.plan.nodes().iter().filter(|n| active(n.id)) {
-            let pending = node.inputs.iter().filter(|i| active(**i)).count();
+        // A task waits for the active producers of the joins it runs too.
+        let producers = |input: &OperatorId| match run.nodes[*input].inside {
+            Some(_) => self
+                .plan
+                .node(*input)
+                .inputs
+                .iter()
+                .filter(|i| active(**i))
+                .count(),
+            None => usize::from(active(*input)),
+        };
+        let is_task = |node: &&OperatorNode| active(node.id) && run.nodes[node.id].inside.is_none();
+        for node in self.plan.nodes().iter().filter(is_task) {
+            let pending = node.inputs.iter().map(producers).sum();
             schedule.pending[node.id] = pending;
             if pending == 0 {
                 schedule.ready.push_back(node.id);
@@ -219,6 +270,8 @@ impl Executor {
     fn finish(&self, schedule: &mut MutexGuard<'_, Schedule>, run: &Run, node: OperatorId) {
         let before = schedule.ready.len();
         for &consumer in &self.consumers[node] {
+            // A join run inside its group-by hands its producers on to it.
+            let consumer = run.nodes[consumer].inside.unwrap_or(consumer);
             if run.nodes[consumer].activations.is_empty() {
                 continue;
             }
@@ -254,27 +307,56 @@ impl Executor {
     }
 
     fn execute(&self, run: &Run, node: OperatorId) {
+        let node = self.plan.node(node);
+        let joined = match node.inputs[..] {
+            [join] if run.nodes[join].inside == Some(node.id) => Some(join),
+            _ => None,
+        };
         let started = Instant::now();
-        let result = self.operate(self.plan.node(node), run);
+        let result = self.operate(node, joined, run);
         let busy = started.elapsed();
         // A failed node publishes an empty output.
-        let (output, pruned) = match result {
-            Ok(Emitted { tuples, pruned }) => (tuples, Ok(pruned)),
-            Err(e) => (Vec::new(), Err(e)),
+        let (output, pruned, pairs) = match result {
+            Ok(emitted) => (emitted.tuples, Ok(emitted.pruned), emitted.joined),
+            Err(e) => (Vec::new(), Err(e), 0),
         };
-        let _ = run.nodes[node].done.set((output, pruned, busy));
+        if let Some(join) = joined {
+            let (output, rows, pruned, busy) = (Vec::new(), pairs, Ok(0), Duration::ZERO);
+            let _ = run.nodes[join].done.set(Done {
+                output,
+                rows,
+                pruned,
+                busy,
+            });
+        }
+        let rows = output.len();
+        let _ = run.nodes[node.id].done.set(Done {
+            output,
+            rows,
+            pruned,
+            busy,
+        });
     }
 
     /// One operator cycle: `node` over its activations in `run`, reading
-    /// what its producers published. A panic in the operator is returned as
-    /// an error, so the thread — and the run's accounting — survive it.
-    fn operate(&self, node: &OperatorNode, run: &Run) -> Result<Emitted> {
+    /// what its producers published — with the cycle of `joined`, its input,
+    /// inside it. A panic in the operator is returned as an error, so the
+    /// thread — and the run's accounting — survive it.
+    fn operate(
+        &self,
+        node: &OperatorNode,
+        joined: Option<OperatorId>,
+        run: &Run,
+    ) -> Result<Emitted> {
         let (nodes, snapshot) = (&run.nodes, *run.pin);
         let activations = &nodes[node.id].activations;
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(storage) = &self.storage_ops[node.id] {
                 let tuples = storage.execute(activations, snapshot)?;
-                return Ok(Emitted { tuples, pruned: 0 });
+                return Ok(Emitted {
+                    tuples,
+                    ..Emitted::default()
+                });
             }
             let input_of = |input: &OperatorId| -> &[QTuple] {
                 let producer = &nodes[*input];
@@ -284,8 +366,14 @@ impl Executor {
                 let published = producer.done.get();
                 &published
                     .expect("a node is ready only after its active producers published")
-                    .0
+                    .output
             };
+            if let Some(join) = joined {
+                let join = self.plan.node(join);
+                let inputs: Vec<&[QTuple]> = join.inputs.iter().map(input_of).collect();
+                let at_join = &nodes[join.id].activations;
+                return execute_group_join(&join.spec, at_join, &node.spec, activations, &inputs);
+            }
             let inputs: Vec<&[QTuple]> = node.inputs.iter().map(input_of).collect();
             let catalog = &self.catalog;
             execute_on(

@@ -17,7 +17,8 @@
 //! conformance tests all render through one code path.
 
 use crate::plan::{
-    ActivationTemplate, GlobalPlan, OperatorId, StatementKind, StatementRegistry, UpdateTemplate,
+    ActivationTemplate, GlobalPlan, OperatorId, StatementKind, StatementRegistry, StatementSpec,
+    UpdateTemplate,
 };
 use crate::stats::{AttributionEntry, OperatorStatsSnapshot};
 use shareddb_common::{DataType, Expr, Schema, SortOrder, Value};
@@ -206,12 +207,16 @@ pub fn render_explain_text(
                     _ => None,
                 })
                 .collect();
-            let demands: Vec<(OperatorId, String)> = spec
+            let demands = spec
                 .activations
                 .iter()
-                .filter_map(|(op, template)| Some((*op, describe_demand(plan, *op, template)?)))
-                .collect();
-            render_node_text(&tree, root, 1, &classes, &demands, analyze, &mut out);
+                .filter_map(|(op, template)| Some((*op, describe_demand(plan, *op, template)?)));
+            let group_joins = tree
+                .nodes
+                .iter()
+                .filter_map(|node| describe_group_join(plan, registry, node));
+            let notes: Vec<(OperatorId, String)> = demands.chain(group_joins).collect();
+            render_node_text(&tree, root, 1, &classes, &notes, analyze, &mut out);
         }
         (_, None) => {
             let _ = writeln!(out, "statement {}: query (no root)", tree.statement);
@@ -340,12 +345,31 @@ fn describe_demand(
     ))
 }
 
+/// The join a group-by node runs inside its cycle, as EXPLAIN shows it on
+/// the join's line: `runs inside GroupBy#13` — `when the batch allows` when
+/// some statement reads the join without the group-by, so that a batch with
+/// it runs the two apart.
+fn describe_group_join(
+    plan: &GlobalPlan,
+    registry: &StatementRegistry,
+    group_by: &ExplainNode,
+) -> Option<(OperatorId, String)> {
+    let join = plan.group_join_of(group_by.id)?;
+    let activates =
+        |spec: &StatementSpec, op: OperatorId| spec.activations.iter().any(|(o, _)| *o == op);
+    let apart = registry
+        .iter()
+        .any(|spec| activates(spec, join) && !activates(spec, group_by.id));
+    let when = if apart { " when the batch allows" } else { "" };
+    Some((join, format!("runs inside {}{when}", group_by.name)))
+}
+
 fn render_node_text(
     tree: &ExplainTree,
     id: OperatorId,
     depth: usize,
     classes: &[(OperatorId, String)],
-    demands: &[(OperatorId, String)],
+    notes: &[(OperatorId, String)],
     analyze: Option<&AnalyzeData>,
     out: &mut String,
 ) {
@@ -361,8 +385,8 @@ fn render_node_text(
     if node.activated {
         out.push_str(" (activated)");
     }
-    for (_, demand) in demands.iter().filter(|(op, _)| *op == id) {
-        let _ = write!(out, " {demand}");
+    for (_, note) in notes.iter().filter(|(op, _)| *op == id) {
+        let _ = write!(out, " {note}");
     }
     out.push('\n');
     for (_, class) in classes.iter().filter(|(op, _)| *op == id) {
@@ -394,7 +418,7 @@ fn render_node_text(
         }
     }
     for &input in &node.inputs {
-        render_node_text(tree, input, depth + 1, classes, demands, analyze, out);
+        render_node_text(tree, input, depth + 1, classes, notes, analyze, out);
     }
 }
 

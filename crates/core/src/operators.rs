@@ -47,6 +47,9 @@ pub struct Emitted {
     /// group-by did not build, (row, query) pairs a sort or Top-N did not
     /// keep. Zero in a cycle without demands.
     pub pruned: usize,
+    /// Of a group-join ([`execute_group_join`]): the pairs its join matched
+    /// and fed to the group-by instead of emitting them. Zero elsewhere.
+    pub joined: usize,
 }
 
 /// Executes one non-storage operator over the inputs of the current batch.
@@ -71,7 +74,9 @@ pub fn execute_operator(
 /// emitted row, naming its two input rows; group-by the aggregate row, the
 /// only payload built here; everything else hands the input row on by
 /// reference count — and nothing for an input tuple none of its queries
-/// wants.
+/// wants. A hash join whose only consumer is a group-by over build-side
+/// columns builds no pair when the executor runs the two as one cycle,
+/// [`execute_group_join`]: its pairs go straight into the accumulators.
 ///
 /// Whatever a cycle hashes or ranks rows by, it gathers as one 64-bit word a
 /// row ([`hash_words`], [`key_word`]): its tables, sized once from its input,
@@ -96,7 +101,10 @@ pub fn execute_on(
             inputs.len()
         ))),
     };
-    let all = |tuples: Vec<QTuple>| Emitted { tuples, pruned: 0 };
+    let all = |tuples: Vec<QTuple>| Emitted {
+        tuples,
+        ..Emitted::default()
+    };
     match spec {
         OperatorSpec::TableScan { .. } | OperatorSpec::IndexProbe { .. } => Err(Error::Internal(
             "storage operators are executed by the storage layer".into(),
@@ -342,55 +350,72 @@ fn execute_hash_join(
     build_key: usize,
     probe_key: usize,
 ) -> Vec<QTuple> {
-    // Build phase: gather the (restricted) build side — NULL never joins —,
-    // then hash it on its join key into a table sized for it. The rows lie
-    // in one vector, those of one key chained in arrival order; the table
-    // maps a key to the first row of its chain, which names the last, so a
-    // key costs no allocation of its own.
-    struct Row<'a> {
-        tuple: &'a Tuple,
-        queries: QuerySet,
-        next: u32,
-        /// Of the first row of a chain: the last.
-        last: u32,
-    }
-    let mut rows: Vec<Row<'_>> = restricted(build, active)
-        .filter(|(tuple, _)| !tuple[build_key].is_null())
-        .map(|(tuple, queries)| Row {
-            tuple,
-            queries,
-            next: END,
-            last: END,
-        })
-        .collect();
-    let mut table = WordTable::with_room(rows.len());
-    for at in 0..link(rows.len()) {
-        let tuple = rows[at as usize].tuple;
-        let key = &tuple[build_key];
-        let same_key = |first: u32| rows[first as usize].tuple[build_key] == *key;
-        let first = *table.entry(word_of([key]), at, same_key) as usize;
-        let last = std::mem::replace(&mut rows[first].last, at);
-        if last != END {
-            rows[last as usize].next = at;
-        }
-    }
+    let side = BuildSide::of(build, active, build_key);
     // Probe phase: the effective join predicate is
     // `build_key = probe_key AND build.query_id ∩ probe.query_id ≠ ∅`. The
     // build side carries only queries active here, so the intersection
     // restricts the probe side as well.
     let mut out = Vec::new();
     for probe in probe {
-        let key = &probe.tuple[probe_key];
-        let same_key = |first: u32| rows[first as usize].tuple[build_key] == *key;
-        let mut at = table.get(word_of([key]), same_key).unwrap_or(END);
+        let mut at = side.first(&probe.tuple[probe_key]);
         while at != END {
-            let build = &rows[at as usize];
+            let build = &side.rows[at as usize];
             let queries = build.queries.intersect(&probe.queries);
             out.extend(join(build.tuple, &probe.tuple, queries));
             at = build.next;
         }
     }
     out
+}
+
+/// A hash join's build phase: the (restricted) build side — NULL never
+/// joins —, hashed on its join key into a table sized for it. The rows lie
+/// in one vector, those of one key chained in arrival order; the table maps
+/// a key to the first row of its chain, which names the last, so a key
+/// costs no allocation of its own.
+struct BuildSide<'a> {
+    rows: Vec<BuildRow<'a>>,
+    table: WordTable,
+    key: usize,
+}
+
+struct BuildRow<'a> {
+    tuple: &'a Tuple,
+    queries: QuerySet,
+    next: u32,
+    /// Of the first row of a chain: the last.
+    last: u32,
+}
+
+impl<'a> BuildSide<'a> {
+    fn of(build: &'a [QTuple], active: &'a QuerySet, key: usize) -> Self {
+        let mut rows: Vec<BuildRow<'a>> = restricted(build, active)
+            .filter(|(tuple, _)| !tuple[key].is_null())
+            .map(|(tuple, queries)| BuildRow {
+                tuple,
+                queries,
+                next: END,
+                last: END,
+            })
+            .collect();
+        let mut table = WordTable::with_room(rows.len());
+        for at in 0..link(rows.len()) {
+            let value = &rows[at as usize].tuple[key];
+            let same_key = |first: u32| rows[first as usize].tuple[key] == *value;
+            let first = *table.entry(word_of([value]), at, same_key) as usize;
+            let last = std::mem::replace(&mut rows[first].last, at);
+            if last != END {
+                rows[last as usize].next = at;
+            }
+        }
+        BuildSide { rows, table, key }
+    }
+
+    /// The first of the rows whose key equals `key`, [`END`] if none does.
+    fn first(&self, key: &Value) -> u32 {
+        let same_key = |first: u32| self.rows[first as usize].tuple[self.key] == *key;
+        self.table.get(word_of([key]), same_key).unwrap_or(END)
+    }
 }
 
 /// The end of a chain of `u32` links into one of a cycle's vectors.
@@ -670,6 +695,195 @@ fn execute_group_by(
     group_columns: &[usize],
     aggregates: &[AggregateSpec],
 ) -> Result<Emitted> {
+    let mut groups = Groups::new(group_columns, aggregates, input.len());
+    for (tuple, queries) in restricted(input, active) {
+        let group = groups.of_row(tuple);
+        groups.accumulate(group, &queries, |column| &tuple[column])?;
+    }
+    emit(groups, activations)
+}
+
+/// A [`OperatorSpec::GroupBy`] over the [`OperatorSpec::HashJoin`] that is
+/// its only input, as one cycle — a group-join (Moerkotte and Neumann,
+/// PVLDB 2011): the join's build phase, then a probe that feeds each
+/// matching pair to the group-by's accumulators where the join would emit
+/// it, then the group-by's HAVING, row demand and output order. `inputs` are
+/// the join's. The group-by groups by build-side columns only
+/// ([`crate::plan::GlobalPlan::group_join_of`]), so a build row falls into
+/// one group, found the first time one of its pairs counts; a pair counts
+/// for `build.queries ∩ probe.queries ∩ active(group-by)`, the build side
+/// restricted to the queries active at both. The pairs arrive in the order
+/// the join emits them, so every accumulator sees the values it would see
+/// behind the join — a `Float` sum included —, and no pair is built.
+/// [`Emitted::joined`] counts the pairs that counted: the join's output,
+/// when every query active at the join is active at the group-by.
+pub fn execute_group_join(
+    join: &OperatorSpec,
+    join_activations: &[(QueryId, Activation)],
+    group_by: &OperatorSpec,
+    activations: &[(QueryId, Activation)],
+    inputs: &[&[QTuple]],
+) -> Result<Emitted> {
+    let (
+        OperatorSpec::HashJoin {
+            build_key,
+            probe_key,
+        },
+        OperatorSpec::GroupBy {
+            group_columns,
+            aggregates,
+        },
+        [build, probe],
+    ) = (join, group_by, inputs)
+    else {
+        return Err(Error::Internal(
+            "a group-join is a GroupBy over the two inputs of a HashJoin".into(),
+        ));
+    };
+    let active = active_set(join_activations).intersect(&active_set(activations));
+    let side = BuildSide::of(build, &active, *build_key);
+    let mut groups = Groups::new(group_columns, aggregates, side.rows.len());
+    let mut group_of = vec![END; side.rows.len()];
+    let mut joined = 0;
+    for probe in *probe {
+        let mut at = side.first(&probe.tuple[*probe_key]);
+        while at != END {
+            let (row, build) = (at as usize, &side.rows[at as usize]);
+            at = build.next;
+            let queries = build.queries.intersect(&probe.queries);
+            if queries.is_empty() {
+                continue;
+            }
+            joined += 1;
+            let group = &mut group_of[row];
+            if *group == END {
+                *group = groups.of_row(build.tuple);
+            }
+            let width = build.tuple.len();
+            let value = |c: usize| match c.checked_sub(width) {
+                None => &build.tuple[c],
+                Some(c) => &probe.tuple[c],
+            };
+            groups.accumulate(*group, &queries, value)?;
+        }
+    }
+    let mut emitted = emit(groups, activations)?;
+    emitted.joined = joined;
+    Ok(emitted)
+}
+
+/// The groups of one group-by cycle. Phase 1 (shared) puts every
+/// interesting row in its group once, regardless of which query it belongs
+/// to: a group is the first row that fell into it, whose grouping columns are
+/// its key, found through a table of the keys' hash words. Phase 2 (per
+/// query): aggregation state is per query because each query may aggregate a
+/// different subset of the group — one slot per (group, query), the slots of
+/// a group chained ascending by query from the group, slot `i` owning the
+/// accumulators `i * aggregates.len()..` of the cycle's one vector. A new
+/// group allocates nothing of its own.
+struct Groups<'a> {
+    group_columns: &'a [usize],
+    aggregates: &'a [AggregateSpec],
+    table: WordTable,
+    /// Per group: its first row and the first of its slots.
+    groups: Vec<(&'a Tuple, u32)>,
+    slots: Vec<Slot>,
+    accumulators: Vec<Accumulator>,
+}
+
+struct Slot {
+    query: QueryId,
+    next: u32,
+}
+
+impl<'a> Groups<'a> {
+    /// No group yet, and a table that takes `room` of them without growing.
+    fn new(group_columns: &'a [usize], aggregates: &'a [AggregateSpec], room: usize) -> Self {
+        Groups {
+            group_columns,
+            aggregates,
+            table: WordTable::with_room(room),
+            groups: Vec::new(),
+            slots: Vec::new(),
+            accumulators: Vec::new(),
+        }
+    }
+
+    /// The group of `row`'s key, opened with `row` if there is none yet.
+    fn of_row(&mut self, row: &'a Tuple) -> u32 {
+        let columns = self.group_columns;
+        let key = GroupKey { row, columns };
+        let (groups, fresh) = (&self.groups, link(self.groups.len()));
+        let same_key = |group: u32| {
+            GroupKey {
+                row: groups[group as usize].0,
+                columns,
+            } == key
+        };
+        let group = *self.table.entry(word_of(key.values()), fresh, same_key);
+        if group == fresh {
+            self.groups.push((row, END));
+        }
+        group
+    }
+
+    /// Feeds one row, whose columns `value` reads, to the slots of `queries`
+    /// in `group`.
+    fn accumulate<'v>(
+        &mut self,
+        group: u32,
+        queries: &QuerySet,
+        value: impl Fn(usize) -> &'v Value,
+    ) -> Result<()> {
+        let width = self.aggregates.len();
+        let head = &mut self.groups[group as usize].1;
+        // The chain and the row's queries both ascend: walked in step.
+        let (mut before, mut at) = (END, *head);
+        for q in queries.iter() {
+            while at != END && self.slots[at as usize].query < q {
+                (before, at) = (at, self.slots[at as usize].next);
+            }
+            if at == END || self.slots[at as usize].query != q {
+                let fresh = link(self.slots.len());
+                self.slots.push(Slot { query: q, next: at });
+                let fresh_accumulators = self.aggregates.iter().map(|a| a.function.accumulator());
+                self.accumulators.extend(fresh_accumulators);
+                match before {
+                    END => *head = fresh,
+                    before => self.slots[before as usize].next = fresh,
+                }
+                at = fresh;
+            }
+            let first = at as usize * width;
+            let accumulators = &mut self.accumulators[first..first + width];
+            for (acc, spec) in accumulators.iter_mut().zip(self.aggregates) {
+                acc.update(value(spec.column))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The group-by's output: one row per (group, query) slot that passes the
+/// query's HAVING and, for a demanding query, is among its first rows —
+/// ascending by key, then by query.
+fn emit(groups: Groups<'_>, activations: &[(QueryId, Activation)]) -> Result<Emitted> {
+    let Groups {
+        group_columns,
+        aggregates,
+        groups,
+        slots,
+        accumulators,
+        ..
+    } = groups;
+    let key_of = |row| GroupKey {
+        row,
+        columns: group_columns,
+    };
+    let of_slot = |slot: u32| {
+        let first = slot as usize * aggregates.len();
+        first..first + aggregates.len()
+    };
     // Per query its HAVING predicate and whether it is in partial-aggregation
     // mode, which the engine never sets and the ledger's per-layer bench
     // names: the AVG output columns of such a query carry the partial sum,
@@ -689,62 +903,6 @@ fn execute_group_by(
     // A partial group is cut nowhere: whoever recombines it wants it whole.
     let mut demands = Demands::carried(activations);
     demands.0.retain(|(q, _)| !is_partial(*q));
-
-    // Phase 1 (shared): group all interesting tuples once, regardless of which
-    // query they belong to. A group is the first row that fell into it, whose
-    // grouping columns are its key, found through a table of the keys' hash
-    // words, one a row. Phase 2 (per query): aggregation state is per query
-    // because each query may aggregate a different subset of the group — one
-    // slot per (group, query), the slots of a group chained ascending by
-    // query from the group, slot `i` owning the accumulators
-    // `i * aggregates.len()..` of the cycle's one vector. A new group
-    // allocates nothing of its own.
-    struct Slot {
-        query: QueryId,
-        next: u32,
-    }
-    let key_of = |row| GroupKey {
-        row,
-        columns: group_columns,
-    };
-    let mut table = WordTable::with_room(input.len());
-    let mut groups: Vec<(&Tuple, u32)> = Vec::new();
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut accumulators: Vec<Accumulator> = Vec::new();
-    let of_slot = |slot: u32| {
-        let first = slot as usize * aggregates.len();
-        first..first + aggregates.len()
-    };
-    for (tuple, queries) in restricted(input, active) {
-        let key = key_of(tuple);
-        let fresh = link(groups.len());
-        let same_key = |group: u32| key_of(groups[group as usize].0) == key;
-        let group = *table.entry(word_of(key.values()), fresh, same_key);
-        if group == fresh {
-            groups.push((tuple, END));
-        }
-        let head = &mut groups[group as usize].1;
-        // The chain and the row's queries both ascend: walked in step.
-        let (mut before, mut at) = (END, *head);
-        for q in queries.iter() {
-            while at != END && slots[at as usize].query < q {
-                (before, at) = (at, slots[at as usize].next);
-            }
-            if at == END || slots[at as usize].query != q {
-                let fresh = link(slots.len());
-                slots.push(Slot { query: q, next: at });
-                accumulators.extend(aggregates.iter().map(|a| a.function.accumulator()));
-                match before {
-                    END => *head = fresh,
-                    before => slots[before as usize].next = fresh,
-                }
-                at = fresh;
-            }
-            for (acc, spec) in accumulators[of_slot(at)].iter_mut().zip(aggregates) {
-                acc.update(&tuple[spec.column])?;
-            }
-        }
-    }
 
     // The output row of a (group, query) slot, gathered in one scratch
     // vector and collected once into its shared slice.

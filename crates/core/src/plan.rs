@@ -194,6 +194,27 @@ impl GlobalPlan {
             .collect()
     }
 
+    /// The hash join the group-by node `id` runs inside its own cycle, a
+    /// group-join ([`crate::operators::execute_group_join`]): its only input,
+    /// when that is a hash join feeding nothing else and every grouping
+    /// column lies on the join's build side.
+    pub fn group_join_of(&self, id: OperatorId) -> Option<OperatorId> {
+        let node = &self.nodes[id];
+        let (OperatorSpec::GroupBy { group_columns, .. }, &[join]) =
+            (&node.spec, node.inputs.as_slice())
+        else {
+            return None;
+        };
+        let join_node = &self.nodes[join];
+        let OperatorSpec::HashJoin { .. } = join_node.spec else {
+            return None;
+        };
+        let build_width = self.nodes[join_node.inputs[0]].schema.len();
+        let by_build_side = group_columns.iter().all(|&c| c < build_width);
+        let feeds_only_it = self.parents(join) == [id];
+        (by_build_side && feeds_only_it).then_some(join)
+    }
+
     /// Renders the plan as an indented tree rooted at each sink (an operator
     /// nobody consumes), for logging.
     pub fn render(&self) -> String {

@@ -282,7 +282,7 @@ mod tests {
         };
         catalog.apply_batch(&[("ITEM".into(), delete)]).unwrap();
         let run = executor.run(run);
-        let rows = |node: usize| run.nodes[node].done.get().unwrap().0.len();
+        let rows = |node: usize| run.nodes[node].done.get().unwrap().output.len();
         assert_eq!((rows(scan), rows(probe), rows(join)), (10, 1, 10));
         executor.shutdown();
     }

@@ -780,7 +780,7 @@ mod row_demand {
     use shareddb::common::{DataType, Expr, TicketId};
     use shareddb::core::batch::bind_query;
     use shareddb::core::demand::push_down;
-    use shareddb::core::operators::execute_on;
+    use shareddb::core::operators::{execute_group_join, execute_on};
     use shareddb::core::plan::{ActivationTemplate, PlanBuilder, StatementRegistry, StatementSpec};
     use shareddb::core::SubmitOptions;
     use shareddb::storage::{IndexDef, IndexKind, TableDef};
@@ -1286,6 +1286,148 @@ mod row_demand {
                 let emitted = execute_on(&plan.node(p).spec, &activations, &[&groups], &ctx).unwrap();
                 let pruned = if shape.partial { 0 } else { 5 - limit };
                 prop_assert_eq!((emitted.tuples.len(), emitted.pruned), (5 - pruned, pruned));
+            }
+        }
+    }
+
+    // -- (e) the group-join ---------------------------------------------------
+
+    /// A hash join `B ⋈ P` on `KEY` under a group-by, run apart and as one
+    /// group-join cycle. Build rows `(KEY, G, X)`: keys few — a NULL now and
+    /// then, `3.0` beside `3` — and repeated, a key's second row being a
+    /// second version of it (another `G` and `X`), as a cycle whose queries
+    /// read under different pinned snapshots meets them; probe rows `(KEY, N,
+    /// Y)`. `X` and `Y` are floats whose sums depend on their order. The
+    /// group-by groups by build-side columns — with the join key or without
+    /// it, or none —, aggregates columns of either side and carries per query
+    /// a HAVING or none, partial mode or not, and a demand or none; the
+    /// queries active at the join are mostly, not always, active at the
+    /// group-by too.
+    #[derive(Debug)]
+    struct GroupJoin {
+        build: Vec<(Value, i64, f64, QuerySet)>,
+        probe: Vec<(Value, i64, f64, QuerySet)>,
+        group_columns: Vec<usize>,
+        aggregates: Vec<(AggregateFunction, usize)>,
+        at_join: Vec<QueryId>,
+        at_group_by: Vec<QueryId>,
+        having: Vec<Option<Expr>>,
+        partial: Vec<bool>,
+        demands: Vec<Option<(Vec<SortKey>, usize)>>,
+    }
+
+    struct GroupJoins;
+
+    impl Strategy for GroupJoins {
+        type Value = GroupJoin;
+        fn generate(&self, rng: &mut TestRng) -> GroupJoin {
+            let key = |rng: &mut TestRng| match pick(rng, 8) {
+                0 => Value::Null,
+                1 => Value::Float(3.0),
+                k => Value::Int(k as i64 % 5),
+            };
+            let float = |rng: &mut TestRng| [0.1, 0.2, 0.3, 1e16, -1e16, 2.5][pick(rng, 6)];
+            let row =
+                |rng: &mut TestRng| (key(rng), pick(rng, 3) as i64, float(rng), some_queries(rng));
+            let mut build: Vec<_> = (0..pick(rng, 12)).map(|_| row(rng)).collect();
+            for at in 0..build.len() {
+                if pick(rng, 3) == 0 {
+                    let version = (
+                        build[at].0.clone(),
+                        pick(rng, 3) as i64,
+                        float(rng),
+                        some_queries(rng),
+                    );
+                    build.push(version);
+                }
+            }
+            let group_columns = [vec![1], vec![0, 1], vec![0], vec![]][pick(rng, 4)].clone();
+            // Of the joined row: build KEY, G, X, then probe KEY, N, Y.
+            let aggregate = |rng: &mut TestRng| match pick(rng, 6) {
+                0 => (AggregateFunction::Count, pick(rng, 6)),
+                1 => (AggregateFunction::Max, 4),
+                2 => (AggregateFunction::Avg, 5),
+                3 => (AggregateFunction::Sum, 2),
+                _ => (AggregateFunction::Sum, 5),
+            };
+            let outputs = group_columns.len() + 1;
+            let having = |rng: &mut TestRng| match pick(rng, 3) {
+                0 => Some(Expr::col(outputs - 1).gt(Expr::lit(0.25))),
+                _ => None,
+            };
+            let demand = |rng: &mut TestRng| {
+                (pick(rng, 3) > 0).then(|| (some_keys(rng, outputs), some_limit(rng)))
+            };
+            let at_join: Vec<QueryId> = some_queries(rng).iter().collect();
+            let mut at_group_by: Vec<QueryId> = at_join.clone();
+            if pick(rng, 4) == 0 {
+                at_group_by = some_queries(rng).iter().collect();
+            }
+            GroupJoin {
+                build,
+                probe: (0..pick(rng, 16)).map(|_| row(rng)).collect(),
+                group_columns,
+                aggregates: (0..1 + pick(rng, 2)).map(|_| aggregate(rng)).collect(),
+                at_join,
+                at_group_by,
+                having: (0..QUERIES).map(|_| having(rng)).collect(),
+                partial: (0..QUERIES).map(|_| pick(rng, 4) == 0).collect(),
+                demands: (0..QUERIES).map(|_| demand(rng)).collect(),
+            }
+        }
+    }
+
+    /// A row, its floats spelled by their bits: equal only when bit for bit.
+    fn spelled(out: &[QTuple]) -> Vec<(String, QuerySet)> {
+        out.iter()
+            .map(|t| (format!("{:?}", t.tuple.values()), t.queries.clone()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn a_group_join_emits_what_its_group_by_emits_over_the_join(case in GroupJoins) {
+            let catalog = Catalog::new();
+            let ctx = ExecContext { catalog: &catalog, snapshot: catalog.snapshot() };
+            let rows = |rows: &[(Value, i64, f64, QuerySet)]| -> Vec<QTuple> {
+                let row = |(key, n, x, queries): &(Value, i64, f64, QuerySet)| {
+                    let values = vec![key.clone(), Value::Int(*n), Value::Float(*x)];
+                    QTuple::new(Tuple::new(values), queries.clone())
+                };
+                rows.iter().map(row).collect()
+            };
+            let (build, probe) = (rows(&case.build), rows(&case.probe));
+            let join = OperatorSpec::HashJoin { build_key: 0, probe_key: 0 };
+            let aggregates = case.aggregates.iter().map(|&(function, column)| AggregateSpec {
+                function,
+                column,
+                output_name: format!("{function:?}{column}"),
+            });
+            let group_by = OperatorSpec::GroupBy {
+                group_columns: case.group_columns.clone(),
+                aggregates: aggregates.collect(),
+            };
+            let at_join: Vec<_> = case.at_join.iter().map(|q| (*q, Activation::Participate)).collect();
+            let at_group_by: Vec<_> = case
+                .at_group_by
+                .iter()
+                .map(|&q| {
+                    let i = q.raw() as usize - 1;
+                    let having = Activation::Having { predicate: case.having[i].clone(), partial: case.partial[i] };
+                    match &case.demands[i] {
+                        Some((keys, limit)) => (q, demand(having, keys, *limit)),
+                        None => (q, having),
+                    }
+                })
+                .collect();
+            let joined = execute_on(&join, &at_join, &[&build, &probe], &ctx).unwrap();
+            let apart = execute_on(&group_by, &at_group_by, &[&joined.tuples], &ctx).unwrap();
+            let fused = execute_group_join(&join, &at_join, &group_by, &at_group_by, &[&build, &probe]).unwrap();
+            prop_assert_eq!(spelled(&fused.tuples), spelled(&apart.tuples));
+            prop_assert_eq!(fused.pruned, apart.pruned);
+            if case.at_join.iter().all(|q| case.at_group_by.contains(q)) {
+                prop_assert_eq!(fused.joined, joined.tuples.len());
             }
         }
     }
