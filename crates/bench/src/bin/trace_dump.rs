@@ -96,14 +96,10 @@ fn main() {
                     queries,
                     updates,
                     mix,
-                    heartbeat_us,
                 } => {
                     // The mix is what operator busy time gets attributed by,
                     // so print it with statement names resolved.
-                    print!(
-                        "batch {batch} formed: {queries} queries, {updates} updates, \
-                         heartbeat {heartbeat_us}us"
-                    );
+                    print!("batch {batch} formed: {queries} queries, {updates} updates");
                     if mix.is_empty() {
                         println!();
                     } else {

@@ -1,26 +1,26 @@
 //! The wire soak: one heavy/light mix over the wire protocol under
-//! concurrent writes, run under both heartbeat policies and gated by
-//! invariants that hold however fast the host is.
+//! concurrent writes, gated by invariants that hold however fast the host
+//! is.
 //!
 //! TPC-W at 500 items behind 4 replicas, `getBestSellers` on the replicated
 //! route (spread over the replicas by parameter hash, so every replica runs
 //! the shared join). 256 connections in closed loops — 4 run
 //! `getBestSellers`, 252 `getItemById` — beside 4 writers alternating
 //! `addOrderLine` and `adminUpdateItem`, each of which must affect exactly
-//! one row; `/metrics` is scraped once a second; a point lasts 5 s. The
-//! first point runs `EngineConfig::default()` (a fixed 2 ms heartbeat), the
-//! second the adaptive controller.
+//! one row; `/metrics` is scraped once a second; the run lasts 5 s, under
+//! `EngineConfig::default()`.
 //!
 //! ```text
 //! cargo run --release -p shareddb-bench --bin wire_soak
 //! ```
 //!
 //! takes no flags and reads no environment. It prints a markdown table of
-//! both points and one of the gates ([`verdict`]), writes the adaptive
-//! point's last scrape to `BENCH_metrics_scrape.prom` and exits 1 if a gate
-//! fails. What the scrape must show — every replica answered and ran the
-//! shared join, versions reclaimed, a well-formed exposition — is checked on
-//! the file by the CI lane that runs this.
+//! the run — look-ups and best-seller pages a second in columns of their
+//! own, so that starved best-sellers show — and one of the gates
+//! ([`verdict`]), writes the last scrape to `BENCH_metrics_scrape.prom` and
+//! exits 1 if a gate fails. What the scrape must show — every replica
+//! answered and ran the shared join, versions reclaimed, a well-formed
+//! exposition — is checked on the file by the CI lane that runs this.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,7 +28,7 @@ use shareddb_client::Connection;
 use shareddb_cluster::ClusterConfig;
 use shareddb_common::metrics::HistogramSnapshot;
 use shareddb_common::Value;
-use shareddb_core::{EngineConfig, HeartbeatPolicy, Phase};
+use shareddb_core::{EngineConfig, Phase};
 use shareddb_server::{Server, ServerConfig};
 use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::{build_catalog, build_shared_plan, ParamGenerator, TpcwScale};
@@ -45,30 +45,14 @@ const WRITERS: usize = 4;
 const POINT: Duration = Duration::from_secs(5);
 const SCRAPE_EVERY: Duration = Duration::from_secs(1);
 
-/// The one stall ceiling, on the client-side light p99 of each point: ≈ 30×
-/// what a 2-vCPU host measures, far below a wake-up lost until a timer
-/// rescues it.
+/// The one stall ceiling, on the client-side light p99: ≈ 20× what a 2-vCPU
+/// host measures, far below a wake-up lost until a timer rescues it.
 const LIGHT_P99_CEILING: Duration = Duration::from_millis(200);
-/// The adaptive heartbeat must cut the server-side light p99 by this share
-/// of the fixed heartbeat's...
-const MIN_P99_CUT: f64 = 0.15;
-/// ...and give up no more than this share of its statements a second.
-const MAX_THROUGHPUT_LOSS: f64 = 0.03;
 
-fn adaptive() -> HeartbeatPolicy {
-    HeartbeatPolicy::Adaptive {
-        min: Duration::from_micros(200),
-        max: Duration::from_millis(100),
-        target_light_p99: Duration::from_millis(10),
-    }
-}
-
-/// What one point measured.
+/// What the run measured.
 struct Point {
-    heartbeat: &'static str,
-    /// Look-ups and best-seller pages a second (the writers' statements are
-    /// `updates`).
-    stmts_per_s: f64,
+    lookups_per_s: f64,
+    best_sellers_per_s: f64,
     light_p50_us: u64,
     light_p99_us: u64,
     /// The replicas' own `getItemById` end-to-end p99: no client-thread
@@ -81,7 +65,7 @@ struct Point {
     replica_queries: Vec<u64>,
 }
 
-/// One gate on one point (or on the pair).
+/// One gate on the run.
 struct Check {
     gate: String,
     measured: String,
@@ -90,33 +74,22 @@ struct Check {
 }
 
 fn main() {
-    let mut points = Vec::new();
-    let mut scrape = String::new();
-    for (heartbeat, policy) in [
-        ("fixed 2 ms", EngineConfig::default().heartbeat),
-        ("adaptive 0.2–100 ms, 10 ms", adaptive()),
-    ] {
-        let (point, last_scrape) = run_point(heartbeat, policy);
-        points.push(point);
-        scrape = last_scrape;
-    }
-    println!("| heartbeat | stmts/s | light p50 ms | light p99 ms | server light p99 ms | updates | errors | queries per replica |");
-    println!("|---|---:|---:|---:|---:|---:|---:|---|");
-    for p in &points {
-        let replicas: Vec<String> = p.replica_queries.iter().map(u64::to_string).collect();
-        println!(
-            "| {} | {:.0} | {:.2} | {:.2} | {:.2} | {} | {} | {} |",
-            p.heartbeat,
-            p.stmts_per_s,
-            p.light_p50_us as f64 / 1e3,
-            p.light_p99_us as f64 / 1e3,
-            p.server_light_p99_us as f64 / 1e3,
-            p.updates,
-            p.errors,
-            replicas.join(" / "),
-        );
-    }
-    let checks = verdict(&points);
+    let (point, scrape) = run_point();
+    println!("| look-ups/s | best-sellers/s | light p50 ms | light p99 ms | server light p99 ms | updates | errors | queries per replica |");
+    println!("|---:|---:|---:|---:|---:|---:|---:|---|");
+    let replicas: Vec<String> = point.replica_queries.iter().map(u64::to_string).collect();
+    println!(
+        "| {:.0} | {:.1} | {:.2} | {:.2} | {:.2} | {} | {} | {} |",
+        point.lookups_per_s,
+        point.best_sellers_per_s,
+        point.light_p50_us as f64 / 1e3,
+        point.light_p99_us as f64 / 1e3,
+        point.server_light_p99_us as f64 / 1e3,
+        point.updates,
+        point.errors,
+        replicas.join(" / "),
+    );
+    let checks = verdict(&point);
     println!("\n| gate | measured | bound | |\n|---|---|---|---|");
     for c in &checks {
         let status = if c.pass { "pass" } else { "FAIL" };
@@ -135,66 +108,31 @@ fn main() {
     }
 }
 
-/// The gates on the fixed point and the adaptive point, in that order.
-fn verdict(points: &[Point]) -> Vec<Check> {
-    let mut checks = Vec::new();
-    for p in points {
-        checks.push(Check {
-            gate: format!("{}: errors", p.heartbeat),
+/// The gates on the run.
+fn verdict(p: &Point) -> Vec<Check> {
+    // A wedged reactor or replica leaves a connection with nothing.
+    let idle = p.completed.iter().filter(|&&n| n == 0).count();
+    let ceiling = LIGHT_P99_CEILING.as_micros() as u64;
+    vec![
+        Check {
+            gate: "errors".into(),
             measured: p.errors.to_string(),
             bound: "0".into(),
             pass: p.errors == 0,
-        });
-        // A wedged reactor, replica or lane leaves a connection with nothing.
-        let idle = p.completed.iter().filter(|&&n| n == 0).count();
-        checks.push(Check {
-            gate: format!("{}: connections that completed nothing", p.heartbeat),
+        },
+        Check {
+            gate: "connections that completed nothing".into(),
             measured: format!("{idle} of {}", p.completed.len()),
             bound: "0".into(),
             pass: idle == 0 && !p.completed.is_empty(),
-        });
-        let ceiling = LIGHT_P99_CEILING.as_micros() as u64;
-        checks.push(Check {
-            gate: format!("{}: client light p99", p.heartbeat),
+        },
+        Check {
+            gate: "client light p99".into(),
             measured: format!("{} us", p.light_p99_us),
             bound: format!("<= {ceiling} us"),
             pass: p.light_p99_us <= ceiling,
-        });
-    }
-    if let [fixed, adaptive] = points {
-        let cut = 1.0 - adaptive.server_light_p99_us as f64 / fixed.server_light_p99_us as f64;
-        checks.push(Check {
-            gate: "adaptive vs fixed: server light p99 cut".into(),
-            measured: format!(
-                "{:+.1} % ({} -> {} us)",
-                -cut * 100.0,
-                fixed.server_light_p99_us,
-                adaptive.server_light_p99_us
-            ),
-            bound: format!("<= -{:.0} %", MIN_P99_CUT * 100.0),
-            pass: cut >= MIN_P99_CUT,
-        });
-        let change = adaptive.stmts_per_s / fixed.stmts_per_s - 1.0;
-        checks.push(Check {
-            gate: "adaptive vs fixed: stmts/s".into(),
-            measured: format!(
-                "{:+.1} % ({:.0} -> {:.0})",
-                change * 100.0,
-                fixed.stmts_per_s,
-                adaptive.stmts_per_s
-            ),
-            bound: format!(">= -{:.0} %", MAX_THROUGHPUT_LOSS * 100.0),
-            pass: change >= -MAX_THROUGHPUT_LOSS,
-        });
-    } else {
-        checks.push(Check {
-            gate: "adaptive vs fixed".into(),
-            measured: format!("{} points", points.len()),
-            bound: "2 points".into(),
-            pass: false,
-        });
-    }
-    checks
+        },
+    ]
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -213,9 +151,9 @@ struct Client {
     light_us: Vec<u64>,
 }
 
-/// Runs the load against a fresh server under `policy`; returns the point
-/// and the last `/metrics` scrape.
-fn run_point(heartbeat: &'static str, policy: HeartbeatPolicy) -> (Point, String) {
+/// Runs the load against a fresh server; returns what it measured and the
+/// last `/metrics` scrape.
+fn run_point() -> (Point, String) {
     let scale = TpcwScale::with_items(ITEMS);
     let catalog = std::sync::Arc::new(build_catalog(&scale).expect("catalog"));
     let (plan, registry) = build_shared_plan(&catalog).expect("plan");
@@ -228,9 +166,14 @@ fn run_point(heartbeat: &'static str, policy: HeartbeatPolicy) -> (Point, String
         },
         ..ServerConfig::default()
     };
-    let engine_config = EngineConfig::default().heartbeat_policy(policy);
-    let mut server =
-        Server::start(catalog, plan, registry, engine_config, server_config).expect("server");
+    let mut server = Server::start(
+        catalog,
+        plan,
+        registry,
+        EngineConfig::default(),
+        server_config,
+    )
+    .expect("server");
     let load = Load {
         addr: server.local_addr(),
         orders: scale.orders as i64,
@@ -313,8 +256,8 @@ fn run_point(heartbeat: &'static str, policy: HeartbeatPolicy) -> (Point, String
         of_role.map(|(c, _)| c.completed).sum()
     };
     let point = Point {
-        heartbeat,
-        stmts_per_s: (count(Role::Lookup) + count(Role::BestSellers)) as f64 / elapsed,
+        lookups_per_s: count(Role::Lookup) as f64 / elapsed,
+        best_sellers_per_s: count(Role::BestSellers) as f64 / elapsed,
         light_p50_us: percentile(0.50),
         light_p99_us: percentile(0.99),
         server_light_p99_us: server_light.percentile_us(0.99),
@@ -424,23 +367,19 @@ fn scrape_metrics(addr: SocketAddr) -> Option<String> {
 mod tests {
     use super::*;
 
-    /// The pair as a 2-vCPU host measured it.
-    fn measured() -> [Point; 2] {
-        let point = |heartbeat, stmts_per_s, server_light_p99_us| Point {
-            heartbeat,
-            stmts_per_s,
-            light_p50_us: 1_800,
-            light_p99_us: 6_400,
-            server_light_p99_us,
-            updates: 12_402,
+    /// The run as a 2-vCPU host measured it.
+    fn measured() -> Point {
+        Point {
+            lookups_per_s: 53_577.0,
+            best_sellers_per_s: 828.0,
+            light_p50_us: 4_620,
+            light_p99_us: 8_880,
+            server_light_p99_us: 4_095,
+            updates: 4_116,
             errors: 0,
             completed: vec![40; BEST_SELLERS + LOOKUPS + WRITERS],
-            replica_queries: vec![90_000; REPLICAS],
-        };
-        [
-            point("fixed", 76_707.0, 4_095),
-            point("adaptive", 90_201.0, 1_023),
-        ]
+            replica_queries: vec![65_000; REPLICAS],
+        }
     }
 
     fn failed(checks: &[Check]) -> Vec<&str> {
@@ -452,43 +391,29 @@ mod tests {
     }
 
     #[test]
-    fn the_measured_pair_passes_every_gate() {
+    fn the_measured_run_passes_every_gate() {
         let checks = verdict(&measured());
         assert_eq!(failed(&checks), Vec::<&str>::new());
-        assert_eq!(checks.len(), 8);
+        assert_eq!(checks.len(), 3);
     }
 
     #[test]
-    fn each_gate_fails_on_a_point_that_breaks_it_alone() {
-        type Break = fn(&mut [Point; 2]);
-        let cases: [(&str, Break); 5] = [
-            ("adaptive: errors", |p| p[1].errors = 1),
+    fn each_gate_fails_on_a_run_that_breaks_it_alone() {
+        type Break = fn(&mut Point);
+        let cases: [(&str, Break); 3] = [
+            ("errors", |p| p.errors = 1),
             // The first writer.
-            ("fixed: connections that completed nothing", |p| {
-                p[0].completed[LOOKUPS + BEST_SELLERS] = 0
+            ("connections that completed nothing", |p| {
+                p.completed[LOOKUPS + BEST_SELLERS] = 0
             }),
-            ("adaptive: client light p99", |p| {
-                p[1].light_p99_us = LIGHT_P99_CEILING.as_micros() as u64 + 1
-            }),
-            // A 14 % cut: 4 095 -> 3 522 us.
-            ("adaptive vs fixed: server light p99 cut", |p| {
-                p[1].server_light_p99_us = 3_522
-            }),
-            // A 4 % loss.
-            ("adaptive vs fixed: stmts/s", |p| {
-                p[1].stmts_per_s = p[0].stmts_per_s * 0.96
+            ("client light p99", |p| {
+                p.light_p99_us = LIGHT_P99_CEILING.as_micros() as u64 + 1
             }),
         ];
         for (gate, break_it) in cases {
-            let mut points = measured();
-            break_it(&mut points);
-            assert_eq!(failed(&verdict(&points)), vec![gate]);
+            let mut point = measured();
+            break_it(&mut point);
+            assert_eq!(failed(&verdict(&point)), vec![gate]);
         }
-    }
-
-    #[test]
-    fn a_missing_point_fails_the_pair() {
-        let [fixed, _] = measured();
-        assert_eq!(failed(&verdict(&[fixed])), vec!["adaptive vs fixed"]);
     }
 }

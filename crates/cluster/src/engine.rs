@@ -81,8 +81,8 @@ impl ClusterEngine {
     }
 
     /// The replicas, in replica order: every per-replica number — counters,
-    /// phase and operator tables, queue depths, the heartbeat, the trace
-    /// ring — is read from the engine that records it.
+    /// phase and operator tables, queue depths, the trace ring — is read
+    /// from the engine that records it.
     pub fn engines(&self) -> &[Engine] {
         &self.engines
     }
@@ -577,15 +577,15 @@ mod tests {
             catalog,
             plan,
             registry,
+            // Holds every statement after the first queued.
             EngineConfig {
-                eager_heartbeat: false,
-                heartbeat: shareddb_core::HeartbeatPolicy::Fixed(Duration::from_secs(30)),
+                heartbeat: Duration::from_secs(30),
                 ..EngineConfig::default()
             },
             ClusterConfig::with_replicas(2),
         )
         .unwrap();
-        // Arm the heartbeat pacing of the home replica of getItem.
+        // Start the heartbeat's clock on the home replica of getItem.
         cluster.execute_sync("getItem", &[Value::Int(0)]).unwrap();
         let opts = SubmitOptions {
             max_queue_depth: Some(2),
@@ -622,9 +622,9 @@ mod tests {
             catalog,
             plan,
             registry,
+            // Holds the write queued for 60 ms after the write replica's last batch.
             EngineConfig {
-                eager_heartbeat: false,
-                heartbeat: shareddb_core::HeartbeatPolicy::Fixed(Duration::from_millis(60)),
+                heartbeat: Duration::from_millis(60),
                 ..EngineConfig::default()
             },
             ClusterConfig::with_replicas(4),

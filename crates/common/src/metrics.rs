@@ -221,27 +221,6 @@ impl HistogramSnapshot {
         self.sum_us += other.sum_us;
         self.max_us = self.max_us.max(other.max_us);
     }
-
-    /// The window of observations recorded since `earlier`: bucket-wise
-    /// saturating subtraction of an older snapshot of the *same* histogram.
-    /// Percentiles over the result cover only the window, which is how the
-    /// adaptive-heartbeat controller reads a *live* light-query p99 out of
-    /// cumulative histograms. `max_us` keeps the cumulative maximum (the
-    /// per-window maximum is not recoverable from bucket counts).
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::default();
-        for (dst, (new, old)) in out
-            .counts
-            .iter_mut()
-            .zip(self.counts.iter().zip(earlier.counts.iter()))
-        {
-            *dst = new.saturating_sub(*old);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum_us = self.sum_us.saturating_sub(earlier.sum_us);
-        out.max_us = self.max_us;
-        out
-    }
 }
 
 /// A monotonically increasing counter.
@@ -383,25 +362,6 @@ mod tests {
             snap.merge_from(&p.snapshot());
         }
         assert_eq!(snap, single.snapshot());
-    }
-
-    #[test]
-    fn diff_recovers_the_window() {
-        let h = Histogram::new();
-        h.record_us(10);
-        h.record_us(100);
-        let earlier = h.snapshot();
-        h.record_us(5000);
-        h.record_us(5000);
-        h.record_us(6000);
-        let window = h.snapshot().diff(&earlier);
-        assert_eq!(window.count, 3);
-        assert_eq!(window.counts.iter().sum::<u64>(), 3);
-        assert_eq!(window.sum_us, 16_000);
-        // The window's percentile reflects only the new observations.
-        assert!(window.percentile_us(0.5) >= 4096);
-        // Diffing a snapshot against itself is empty.
-        assert!(h.snapshot().diff(&h.snapshot()).is_empty());
     }
 
     #[test]

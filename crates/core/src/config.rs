@@ -2,57 +2,15 @@
 
 use std::time::Duration;
 
-/// How the coordinator picks the interval between two heartbeats.
-///
-/// The paper's central trade-off is batch size vs. latency: a longer
-/// heartbeat amortizes shared operators over more queries, a shorter one
-/// keeps light queries fast. `Fixed` pins the interval; `Adaptive` lets the
-/// coordinator steer it each batch between `min` and `max` from the
-/// admission-queue depth and the live light-query p99 (drawn from the
-/// engine's phase histograms), with hysteresis so it converges instead of
-/// oscillating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeartbeatPolicy {
-    /// Constant interval. Under [`EngineConfig::eager_heartbeat`] (the
-    /// default) it paces nothing: a batch forms as soon as work is queued and
-    /// the previous batch is done, and the interval is only reported.
-    Fixed(Duration),
-    /// Controller-steered interval.
-    Adaptive {
-        /// Lower bound of the interval (latency floor).
-        min: Duration,
-        /// Upper bound of the interval (amortization ceiling).
-        max: Duration,
-        /// Light-query p99 the controller defends: the interval shrinks while
-        /// the observed light p99 exceeds this target.
-        target_light_p99: Duration,
-    },
-}
-
-impl HeartbeatPolicy {
-    /// The interval the coordinator starts with: the fixed interval, or the
-    /// adaptive floor (latency-safe; the controller grows it under backlog).
-    pub fn initial_interval(&self) -> Duration {
-        match *self {
-            HeartbeatPolicy::Fixed(d) => d,
-            HeartbeatPolicy::Adaptive { min, .. } => min,
-        }
-    }
-
-    /// True for [`HeartbeatPolicy::Adaptive`].
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, HeartbeatPolicy::Adaptive { .. })
-    }
-}
-
 /// Configuration of the batched SharedDB runtime.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Interval policy between two heartbeats when queries keep arriving. The
-    /// paper uses heartbeats "in the order of one second or even less" for
-    /// OLTP workloads; the default here is much smaller because the
-    /// reproduced experiments run at laptop scale.
-    pub heartbeat: HeartbeatPolicy,
+    /// The least time between the starts of two batches. The default, zero,
+    /// is the paper's rule (Section 3.2): what arrives while a batch runs is
+    /// queued, and the queue is the next batch as soon as that one is done.
+    /// A longer spacing only gathers more statements into one batch or holds
+    /// them queued; the engine's first batch never waits for it.
+    pub heartbeat: Duration,
     /// Number of CPU cores the engine may use concurrently — the `maxcpus`
     /// knob of Section 5.1. It is the number of threads that run operator
     /// cycles: the coordinator plus `core_budget − 1` pool threads (no
@@ -60,10 +18,6 @@ pub struct EngineConfig {
     /// `usize::MAX`, the default, means the machine's
     /// `available_parallelism()`.
     pub core_budget: usize,
-    /// If true, the engine processes an available batch immediately instead of
-    /// waiting for the full heartbeat interval (keeps latency low under light
-    /// load; the paper's worst case of one queueing cycle still holds).
-    pub eager_heartbeat: bool,
     /// Statements whose end-to-end latency reaches this threshold are written
     /// to the engine's slow-query log with their full phase breakdown
     /// (admission / batch-wait / execute). `None` disables the log.
@@ -76,9 +30,8 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(2)),
+            heartbeat: Duration::ZERO,
             core_budget: usize::MAX,
-            eager_heartbeat: true,
             slow_query_threshold: None,
             trace_capacity: 1024,
         }
@@ -92,19 +45,6 @@ impl EngineConfig {
             core_budget: cores.max(1),
             ..Default::default()
         }
-    }
-
-    /// Sets a fixed heartbeat interval (shorthand for
-    /// [`HeartbeatPolicy::Fixed`]).
-    pub fn heartbeat(mut self, interval: Duration) -> Self {
-        self.heartbeat = HeartbeatPolicy::Fixed(interval);
-        self
-    }
-
-    /// Sets the heartbeat policy (fixed or adaptive).
-    pub fn heartbeat_policy(mut self, policy: HeartbeatPolicy) -> Self {
-        self.heartbeat = policy;
-        self
     }
 
     /// Sets the slow-query threshold (`None` disables the slow-query log).
@@ -128,23 +68,7 @@ mod tests {
     fn defaults_are_sane() {
         let c = EngineConfig::default();
         assert!(c.core_budget >= 1);
-        assert!(c.eager_heartbeat);
-    }
-
-    #[test]
-    fn builders() {
-        let c = EngineConfig::with_cores(0).heartbeat(Duration::from_millis(10));
-        assert_eq!(c.core_budget, 1); // clamped
-        assert_eq!(
-            c.heartbeat,
-            HeartbeatPolicy::Fixed(Duration::from_millis(10))
-        );
-        let c = c.heartbeat_policy(HeartbeatPolicy::Adaptive {
-            min: Duration::from_millis(1),
-            max: Duration::from_millis(8),
-            target_light_p99: Duration::from_millis(4),
-        });
-        assert!(c.heartbeat.is_adaptive());
-        assert_eq!(c.heartbeat.initial_interval(), Duration::from_millis(1));
+        assert_eq!(c.heartbeat, Duration::ZERO);
+        assert_eq!(EngineConfig::with_cores(0).core_budget, 1); // clamped
     }
 }

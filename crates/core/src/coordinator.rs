@@ -1,7 +1,7 @@
 //! The coordinator thread: one heartbeat after another, each one batch.
 //!
-//! [`coordinator_loop`] waits for work, drains the admission lanes the policy
-//! allows, holds back reads whose session fence is not covered yet — parking
+//! [`coordinator_loop`] waits for work, drains the admission queue whole,
+//! holds back reads whose session fence is not covered yet — parking
 //! until a submission or a commit when it held back every one — and hands
 //! what is left to [`process_batch`] — a sequence of named steps over one
 //! [`BatchCtx`]: apply the updates (group commit), build the run, run it on
@@ -9,11 +9,10 @@
 //! outputs, and complete every query. A second batch in flight is a change
 //! to one of these steps.
 
-use crate::admission::Submission;
+use crate::admission::{Lane, Submission};
 use crate::batch::{Admitted, QueryBatch};
 use crate::engine::{EngineInner, QueryOutcome, WriteFence};
 use crate::executor::{NodeRun, Run};
-use crate::heartbeat::HeartbeatController;
 use crate::routing::{finalize_query_result, QueryRows, RoutingTable};
 use crate::stats::{Phase, SlowQueryRecord};
 use crate::trace::TraceEvent;
@@ -29,8 +28,8 @@ use std::time::{Duration, Instant};
 /// readers forever.
 const FENCE_WAIT_CAP: Duration = Duration::from_secs(1);
 
-/// Left by a drain that held back every read it took: until the lanes grow,
-/// a commit is counted ([`crate::admission::Queues::commits`]) or the oldest
+/// Left by a drain that held back every read it took: until the queue grows,
+/// a commit is counted ([`crate::admission::Queue::commits`]) or the oldest
 /// held read's cap runs out, draining again would hold back the same reads.
 struct FencePark {
     /// Statements queued once the held reads went back.
@@ -42,27 +41,19 @@ struct FencePark {
 }
 
 pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
+    let heartbeat = inner.config.heartbeat;
     let mut batch_seq: u64 = 0;
-    let adaptive = inner.config.heartbeat.is_adaptive();
-    let mut heartbeat = inner.config.heartbeat.initial_interval();
-    let mut controller = HeartbeatController::new(inner.config.heartbeat, &inner.lane_of);
-    let mut last_batch_start = Instant::now() - heartbeat;
-    // The heavy lane has its own admission clock: gating it on
-    // `last_batch_start` would let continuous light traffic (which resets
-    // that clock every batch) postpone heavy work forever. This way a heavy
-    // batch is admitted at least once per interval no matter how busy the
-    // light lane is.
-    let mut last_heavy_admit = last_batch_start;
+    // `None` until the first batch, which never waits for the heartbeat.
+    let mut last_batch_start: Option<Instant> = None;
     let mut parked: Option<FencePark> = None;
     loop {
-        // Wait for work (or shutdown). Under an adaptive policy the interval
-        // gates only the *heavy* lane: light submissions open a batch
-        // immediately, heavy ones wait out the remainder of the interval so
-        // each shared heavy cycle amortizes over more of the backlog. Over
-        // empty lanes the wait has no timeout: whoever fills an empty lane
-        // or sets the shutdown flag does so under the queue lock and
-        // notifies, so an idle engine's coordinator sleeps until then.
-        let (submissions, backlog, commits, shutting_down) = {
+        // Wait for work (or shutdown), then for the heartbeat's spacing since
+        // the last batch started. Over an empty queue the wait has no
+        // timeout: whoever fills the queue or sets the shutdown flag does so
+        // under the queue lock and notifies, so an idle engine's coordinator
+        // sleeps until then; the spacing is one timed wait that only the
+        // shutdown cuts short.
+        let (submissions, commits, shutting_down) = {
             let mut queue = inner.admission.queue.lock();
             loop {
                 if inner.shutdown.load(Ordering::Acquire) {
@@ -71,79 +62,35 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
                 if let Some(park) = parked.take() {
                     // The held reads' writes commit on some *other* replica:
                     // sleep until a commit, a submission or a cap, if none yet.
-                    let unchanged = queue.len() == park.queued && queue.commits == park.commits;
-                    let mut timeout = park.due.saturating_duration_since(Instant::now());
-                    if adaptive && !queue.heavy.is_empty() {
-                        let heavy_due = heartbeat.saturating_sub(last_heavy_admit.elapsed());
-                        timeout = timeout.min(heavy_due);
-                    }
+                    let unchanged =
+                        queue.statements.len() == park.queued && queue.commits == park.commits;
+                    let timeout = park.due.saturating_duration_since(Instant::now());
                     if unchanged && !timeout.is_zero() {
                         queue.fence_parked = true;
                         inner.admission.signal.wait_for(&mut queue, timeout);
                         queue.fence_parked = false;
                     }
+                    continue;
+                }
+                if queue.statements.is_empty() {
+                    inner.admission.signal.wait(&mut queue);
+                    continue;
+                }
+                let since = last_batch_start.map_or(heartbeat, |start| start.elapsed());
+                if since >= heartbeat {
                     break;
                 }
-                if adaptive {
-                    if !queue.light.is_empty() {
-                        break;
-                    }
-                    if !queue.heavy.is_empty() {
-                        let since = last_heavy_admit.elapsed();
-                        if since >= heartbeat {
-                            break;
-                        }
-                        inner
-                            .admission
-                            .signal
-                            .wait_for(&mut queue, heartbeat - since);
-                        continue;
-                    }
-                } else if !queue.is_empty() {
-                    break;
-                }
-                inner.admission.signal.wait(&mut queue);
+                inner
+                    .admission
+                    .signal
+                    .wait_for(&mut queue, heartbeat - since);
             }
             let shutting_down = inner.shutdown.load(Ordering::Acquire);
-            if shutting_down && queue.is_empty() {
+            if shutting_down && queue.statements.is_empty() {
                 break;
             }
-            // Heartbeat pacing (fixed policy): in non-eager mode a new batch
-            // starts at most once per heartbeat interval, letting more work
-            // accumulate. Adaptive pacing happened in the wait loop above and
-            // ignores the eager flag.
-            if !adaptive && !inner.config.eager_heartbeat {
-                let since = last_batch_start.elapsed();
-                if since < heartbeat {
-                    let mut wait = heartbeat - since;
-                    drop(queue);
-                    // Sleep in small slices so a shutdown (graceful drain)
-                    // is observed promptly even with long heartbeats.
-                    while !wait.is_zero() && !inner.shutdown.load(Ordering::Acquire) {
-                        let slice = wait.min(Duration::from_millis(10));
-                        std::thread::sleep(slice);
-                        wait = wait.saturating_sub(slice);
-                    }
-                    queue = inner.admission.queue.lock();
-                }
-            }
-            // Light-first drain: the light lane drains whole, so light
-            // admissions never wait behind heavy backlog. The heavy lane
-            // joins, whole too, when the policy allows it (fixed: always;
-            // adaptive: interval elapsed or draining for shutdown). Adaptive
-            // eligibility is purely clock-based: under a continuous light
-            // stream the light queue still empties at most drain instants,
-            // so an "admit heavy when no light is waiting" shortcut would
-            // defeat the pacing exactly when the SLO needs it.
-            let heavy_eligible =
-                !adaptive || shutting_down || last_heavy_admit.elapsed() >= heartbeat;
-            let mut drained: Vec<Submission> = queue.light.drain(..).collect();
-            if heavy_eligible && !queue.heavy.is_empty() {
-                last_heavy_admit = Instant::now();
-                drained.extend(queue.heavy.drain(..));
-            }
-            let backlog = queue.len();
-            (drained, backlog, queue.commits, shutting_down)
+            let drained: Vec<Submission> = queue.statements.drain(..).collect();
+            (drained, queue.commits, shutting_down)
         };
 
         let (admitted, deferred) = if shutting_down {
@@ -154,46 +101,54 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
         if admitted.is_empty() && !deferred.is_empty() {
             let oldest = deferred.iter().map(|s| s.admitted().enqueued).min();
             parked = oldest.map(|oldest| FencePark {
-                queued: backlog + deferred.len(),
+                queued: deferred.len(),
                 commits,
                 due: oldest + FENCE_WAIT_CAP,
             });
         }
         if !deferred.is_empty() {
-            // Deferred queries go back to the *front* of their lanes in
-            // reverse drain order, preserving FIFO within each lane.
+            // Deferred queries go back to the *front* of the queue in
+            // reverse drain order, preserving FIFO.
             let mut queue = inner.admission.queue.lock();
             for submission in deferred.into_iter().rev() {
-                let lane = inner.lane_of[submission.admitted().statement_index];
-                queue.of(lane).push_front(submission);
+                queue.statements.push_front(submission);
             }
         }
         if admitted.is_empty() {
             continue;
         }
 
-        last_batch_start = Instant::now();
+        last_batch_start = Some(Instant::now());
         batch_seq += 1;
-        let admitted_count = admitted.len();
         let mut batch = QueryBatch {
             id: BatchId(batch_seq),
             ..Default::default()
         };
+        // Light queries first, each class in arrival order: the batch
+        // answers in this order, so a look-up's reply does not wait for the
+        // heavy pages to be finished (arrival order cost `heavy_light` 7 %
+        // of its light statements/s).
+        let mut heavy = Vec::new();
         for submission in admitted {
             match submission {
+                Submission::Query(q)
+                    if inner.lane_of[q.admitted.statement_index] == Lane::Heavy =>
+                {
+                    heavy.push(q)
+                }
                 Submission::Query(q) => batch.queries.push(q),
                 Submission::Update(u) => batch.updates.push(u),
             }
         }
+        batch.queries.append(&mut heavy);
         // Counted before it is answered: whoever holds a reply of the batch
         // finds the batch in the counters.
         inner.stats.record_batch(batch.len());
-        process_batch(&inner, &batch, heartbeat);
-        heartbeat = controller.step(&inner, admitted_count, backlog);
+        process_batch(&inner, &batch);
     }
 }
 
-/// Read-your-writes: splits what a heartbeat drained into what its batch
+/// Read-your-writes: splits what a drain took into what its batch
 /// admits and the queries it holds back — those whose session fence is not
 /// yet covered by the committed watermark, unless the covering update rides
 /// in this very batch (updates group-commit before the batch's snapshot is
@@ -238,16 +193,13 @@ struct BatchCtx<'a> {
     /// When the coordinator took the batch up: the end of its statements'
     /// batch wait, the start of their execute phase.
     started: Instant,
-    /// The heartbeat interval the batch formed under, µs.
-    heartbeat_us: u64,
 }
 
-fn process_batch(inner: &EngineInner, batch: &QueryBatch, heartbeat: Duration) {
+fn process_batch(inner: &EngineInner, batch: &QueryBatch) {
     let ctx = BatchCtx {
         inner,
         batch,
         started: Instant::now(),
-        heartbeat_us: heartbeat.as_micros() as u64,
     };
     ctx.trace_formed();
     ctx.apply_updates();
@@ -283,7 +235,6 @@ impl BatchCtx<'_> {
             queries: batch.queries.len(),
             updates: batch.updates.len(),
             mix,
-            heartbeat_us: self.heartbeat_us,
         });
     }
 
@@ -428,7 +379,8 @@ impl BatchCtx<'_> {
 
     /// Finishes every query — its rows out of the routing table, then
     /// limit, projection and DISTINCT — and hands each outcome over as it is
-    /// finished. When a node failed, every query gets its error.
+    /// finished, in batch order. When a node failed, every query gets its
+    /// error.
     fn complete_queries(&self, error: Option<&Error>, mut routed: RoutingTable) {
         let (inner, batch) = (self.inner, self.batch);
         for q in &batch.queries {
@@ -483,7 +435,6 @@ impl BatchCtx<'_> {
                 admission: statement.enqueued.duration_since(statement.submitted),
                 batch_wait,
                 execute,
-                heartbeat_us: self.heartbeat_us,
             });
         }
         if let Some((queue, tag)) = &statement.completion {
@@ -497,7 +448,7 @@ impl BatchCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EngineConfig, HeartbeatPolicy};
+    use crate::config::EngineConfig;
     use crate::engine::tests::build_engine;
     use crate::engine::{Engine, SubmitOptions};
     use crate::plan::StatementRegistry;
@@ -509,10 +460,9 @@ mod tests {
     /// thread.
     fn broken_statement_fails_its_batch_only(broken: &str, expected: fn(&Error) -> bool) {
         for cores in [1, 2, 8] {
-            // Paced, so that the two statements share the second batch.
+            // Gathers the two statements into the second batch.
             let mut engine = build_engine(EngineConfig {
-                heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(30)),
-                eager_heartbeat: false,
+                heartbeat: Duration::from_millis(30),
                 ..EngineConfig::with_cores(cores)
             });
             engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
@@ -562,7 +512,8 @@ mod tests {
 
     #[test]
     fn attribution_sums_to_operator_busy_exactly() {
-        let engine = build_engine(EngineConfig::default().heartbeat(Duration::from_millis(5)));
+        // No heartbeat: what queues behind the first batch shares the next.
+        let engine = build_engine(EngineConfig::default());
         // A mixed workload: four query types sharing the USERS/ORDERS scans,
         // one of them a group-join.
         let mut handles = Vec::new();
@@ -631,14 +582,14 @@ mod tests {
     // -- read-your-writes session fences ------------------------------------
 
     /// Engines over one shared catalog emulate replicas: a slow writer
-    /// (50ms paced heartbeat) and two fast readers, taking turns. A read
+    /// (a 50 ms heartbeat) and two fast readers, taking turns. A read
     /// carrying the session's write fence observes the write on every round;
     /// the unfenced negative control reads stale data.
     #[test]
     fn read_your_writes_fence_blocks_stale_reads() {
+        // Holds each write queued for up to 50 ms after the last batch.
         let writer = build_engine(EngineConfig {
-            heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(50)),
-            eager_heartbeat: false,
+            heartbeat: Duration::from_millis(50),
             ..EngineConfig::default()
         });
         let readers = [0, 1].map(|_| {
@@ -650,8 +601,8 @@ mod tests {
             )
             .unwrap()
         });
-        // Warm-up batch: the pacing clock starts already-elapsed, so the
-        // first submission would commit immediately; consume that slot.
+        // Warm-up batch: the first batch never waits for the heartbeat, so
+        // the first submission would commit immediately; consume that slot.
         writer.execute_sync("userById", &[Value::Int(0)]).unwrap();
         // Negative control first (on pristine data): pipelined write → read
         // without a fence races the writer's 50ms pacing and loses.

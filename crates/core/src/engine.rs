@@ -2,14 +2,12 @@
 //!
 //! An engine is an always-on global plan plus, by lifetime:
 //!
-//! * per submission — `admission`: a statement is bound, classified into its
-//!   admission lane and queued while the current batch is processed (Section
-//!   3.2);
-//! * per heartbeat — `coordinator`: the queue is drained into a
+//! * per submission — `admission`: a statement is bound and queued while the
+//!   current batch is processed (Section 3.2);
+//! * per batch — `coordinator`: the queue is drained into a
 //!   [`crate::QueryBatch`] whose steps apply its updates (group commit),
 //!   build the run on the batch's one snapshot, run it, and let `routing`
-//!   hand every outcome back; `heartbeat` steers the interval under an
-//!   adaptive policy;
+//!   hand every outcome back;
 //! * per task — `executor`: one operator cycle is one task, one thread is
 //!   one core (Section 4.3);
 //! * for the engine's life — this module: [`Engine`] (start, shutdown, the
@@ -219,13 +217,8 @@ pub(crate) struct EngineInner {
     pub(crate) registry: StatementRegistry,
     pub(crate) config: EngineConfig,
     pub(crate) admission: Admission,
-    /// Admission lane per statement (registry index), precomputed at start.
+    /// Class per statement (registry index), precomputed at start.
     pub(crate) lane_of: Vec<Lane>,
-    /// Heartbeat interval currently in effect, µs: the adaptive controller's
-    /// latest decision, or the configured constant under a fixed policy.
-    pub(crate) heartbeat_us: AtomicU64,
-    /// Number of interval changes the adaptive controller has made.
-    pub(crate) heartbeat_adjustments: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     pub(crate) stats: Arc<EngineStats>,
     /// Start of the current statistics window (engine start, or the last
@@ -264,7 +257,6 @@ impl Engine {
         crate::demand::push_down(&plan, &mut registry);
         let storage_ops = Arc::new(build_storage_operators(&catalog, &plan)?);
         let statement_names: Vec<String> = registry.iter().map(|s| s.name.clone()).collect();
-        // Lane classification is per statement type, precomputed once.
         let lane_of: Vec<Lane> = registry
             .iter()
             .map(|s| classify_statement(s, &plan))
@@ -287,11 +279,9 @@ impl Engine {
             plan: plan.clone(),
             registry,
             trace: TraceJournal::new(config.trace_capacity),
-            heartbeat_us: AtomicU64::new(config.heartbeat.initial_interval().as_micros() as u64),
             config,
             admission: Admission::default(),
             lane_of,
-            heartbeat_adjustments: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             stats,
             stats_epoch: Mutex::new(Instant::now()),
@@ -426,25 +416,13 @@ impl Engine {
         *self.inner.stats_epoch.lock() = Instant::now();
     }
 
-    /// The heartbeat interval currently in effect: the configured constant
-    /// under a fixed policy, or the adaptive controller's latest decision.
-    pub fn heartbeat_interval(&self) -> Duration {
-        Duration::from_micros(self.inner.heartbeat_us.load(Ordering::Relaxed))
-    }
-
-    /// Number of interval changes the adaptive heartbeat controller has made
-    /// (0 under a fixed policy).
-    pub fn heartbeat_adjustments(&self) -> u64 {
-        self.inner.heartbeat_adjustments.load(Ordering::Relaxed)
-    }
-
     /// Stops the engine: admits nothing further ([`Error::EngineShutdown`]),
     /// answers what is queued from one last batch and joins all threads.
     pub fn shutdown(&mut self) {
         {
             // Under the queue lock: the coordinator checks the flag under it
-            // before it parks without a timeout, so it sees the flag or the
-            // notify.
+            // before every wait — the one without a timeout and the
+            // heartbeat's timed one — so it sees the flag or the notify.
             let _queue = self.inner.admission.queue.lock();
             if self.inner.shutdown.swap(true, Ordering::AcqRel) {
                 return;
@@ -469,7 +447,6 @@ impl Drop for Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::HeartbeatPolicy;
     use crate::plan::{
         ActivationTemplate, PlanBuilder, ProbeTemplate, StatementSpec, UpdateTemplate,
     };
@@ -804,7 +781,9 @@ pub(crate) mod tests {
 
     #[test]
     fn concurrent_queries_share_one_batch() {
-        let engine = build_engine(EngineConfig::default().heartbeat(Duration::from_millis(20)));
+        // No heartbeat: the 49 statements behind the first batch are queued
+        // while it runs and form the next.
+        let engine = build_engine(EngineConfig::default());
         let handles: Vec<_> = (0..50)
             .map(|i| {
                 engine
@@ -884,15 +863,17 @@ pub(crate) mod tests {
     }
 
     /// A shutdown answers what it finds queued — here a thousand statements
-    /// behind a heartbeat that never comes, a failing one among them, all
+    /// held queued by a heartbeat that never comes, a failing one among them, all
     /// bound for one queue nobody reads meanwhile — from one last batch:
     /// every tag once, a failed statement counted once, the reader woken
     /// once for the lot; and admits nothing after.
     #[test]
     fn shutdown_answers_what_is_queued_exactly_once() {
+        // Holds them queued: no batch follows the warm-up's. The warm-up is
+        // answered at once on any host — the first batch does not measure
+        // its spacing from a clock reading the heartbeat before start-up.
         let mut engine = build_engine(EngineConfig {
-            heartbeat: HeartbeatPolicy::Fixed(Duration::from_secs(30)),
-            eager_heartbeat: false,
+            heartbeat: Duration::MAX,
             ..EngineConfig::default()
         });
         engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
@@ -929,6 +910,50 @@ pub(crate) mod tests {
         ));
         queue.take(&mut outcomes);
         assert_eq!(outcomes.len(), 1_000);
+    }
+
+    /// A shutdown cuts the heartbeat's timed wait short: an engine paced at
+    /// 30 s, with statements queued behind it, stops in well under a second
+    /// and answers each of them once, from one last batch.
+    #[test]
+    fn shutdown_answers_a_paced_queue_at_once() {
+        // Holds them queued: the batch after the warm-up's is 30 s away.
+        let mut engine = build_engine(EngineConfig {
+            heartbeat: Duration::from_secs(30),
+            ..EngineConfig::default()
+        });
+        engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
+        let queue = Arc::new(Completions::new(None));
+        for tag in 0..10u64 {
+            let opts = SubmitOptions {
+                completions: Some((Arc::clone(&queue), tag)),
+                ..SubmitOptions::default()
+            };
+            engine
+                .submit("userById", &[Value::Int(tag as i64)], opts)
+                .unwrap();
+        }
+        // The test holds wherever the coordinator is; the pause puts it in
+        // its timed wait, so that a shutdown that does not notify is caught.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(engine.queued(), 10);
+        let started = Instant::now();
+        engine.shutdown();
+        let stopped = started.elapsed();
+        assert!(
+            stopped < Duration::from_secs(1),
+            "shutdown took {stopped:?}"
+        );
+        let mut outcomes = Vec::new();
+        queue.take(&mut outcomes);
+        outcomes.sort_by_key(|(tag, _)| *tag);
+        let answers: Vec<(u64, Value)> = outcomes
+            .into_iter()
+            .map(|(tag, outcome)| (tag, outcome.unwrap().rows()[0][0].clone()))
+            .collect();
+        let expected: Vec<(u64, Value)> = (0..10).map(|t| (t, Value::Int(t as i64))).collect();
+        assert_eq!(answers, expected);
+        assert_eq!(engine.stats().batches, 2);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! * [`demand`] — a statement's Top-N limit, carried one edge down the plan.
 //! * [`engine`] — the engine and its handles; its module docs map the runtime
 //!   behind it, one file per lifetime (`admission`, `coordinator`,
-//!   `heartbeat`, `routing`).
+//!   `routing`).
 //! * `executor` — operator cycles as tasks on a ready queue, cores as threads.
 //! * [`merge`] — the ordered merge of partial results, kept for the ledger's
 //!   per-layer bench.
@@ -53,7 +53,6 @@ pub mod demand;
 pub mod engine;
 mod executor;
 pub mod explain;
-mod heartbeat;
 pub mod merge;
 pub mod operators;
 pub mod plan;
@@ -65,7 +64,7 @@ pub mod trace;
 pub use admission::Lane;
 pub use batch::{Activation, ActiveQuery, QueryBatch};
 pub use completions::Completions;
-pub use config::{EngineConfig, HeartbeatPolicy};
+pub use config::EngineConfig;
 pub use engine::{Engine, QueryOutcome, ResultSet, SubmitOptions, WriteFence};
 pub use explain::{
     explain_statement, render_dot, render_explain_text, sharing_sets, AnalyzeData, ExplainNode,

@@ -432,20 +432,6 @@ impl PhaseTable {
         }
     }
 
-    /// Merged snapshot of one phase over a set of statement slots. The
-    /// adaptive-heartbeat controller reads the light-lane `Total` phase this
-    /// way — one fixed-size snapshot instead of the full per-statement
-    /// allocation — and diffs consecutive reads into a live window.
-    pub fn merged_phase(&self, indices: &[usize], phase: Phase) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::default();
-        for &i in indices {
-            if let Some((_, h)) = self.slots.get(i) {
-                out.merge_from(&h.per_phase[phase.slot()].snapshot());
-            }
-        }
-        out
-    }
-
     /// Snapshots every statement that has recorded at least one observation.
     pub fn snapshot(&self) -> Vec<StatementPhaseSnapshot> {
         let mut out = Vec::new();
@@ -496,10 +482,6 @@ pub struct SlowQueryRecord {
     pub batch_wait: Duration,
     /// Time spent in the shared execution cycle.
     pub execute: Duration,
-    /// Heartbeat interval in effect when the statement's batch formed, µs.
-    /// Attributes an SLO miss to the adaptive controller's decision (or to
-    /// the fixed interval it was configured with).
-    pub heartbeat_us: u64,
 }
 
 const SLOW_LOG_CAPACITY: usize = 128;
@@ -772,12 +754,6 @@ impl EngineStats {
         self.phases.snapshot()
     }
 
-    /// Merged snapshot of one phase over a set of statement indices (see
-    /// [`PhaseTable::merged_phase`]).
-    pub fn merged_phase(&self, indices: &[usize], phase: Phase) -> HistogramSnapshot {
-        self.phases.merged_phase(indices, phase)
-    }
-
     fn record_latency(&self, latency: Duration) {
         let nanos = latency.as_nanos() as u64;
         self.latency_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -921,7 +897,6 @@ mod tests {
                 admission: Duration::ZERO,
                 batch_wait: Duration::ZERO,
                 execute: Duration::ZERO,
-                heartbeat_us: 2000,
             });
         }
         let (total, tail) = stats.slow_queries();

@@ -1,8 +1,8 @@
 //! Batch-lifecycle trace journal.
 //!
 //! A bounded ring buffer of lifecycle events — batch formed → operators
-//! fired → queries routed, and every change of the heartbeat interval —
-//! recorded by the coordinator thread as it drives each heartbeat. The ring
+//! fired → queries routed — recorded by the coordinator thread as it drives
+//! each batch. The ring
 //! has a fixed capacity (events beyond it evict the oldest), so tracing is
 //! always-on with a hard memory bound; `seq` numbers are global and
 //! monotonic, which makes evicted gaps visible to a consumer.
@@ -33,10 +33,6 @@ pub enum TraceEvent {
         /// counts omitted. This is the activation mix operator busy time is
         /// attributed by.
         mix: Vec<(usize, usize)>,
-        /// Heartbeat interval in effect when the batch formed, µs. Under an
-        /// adaptive heartbeat policy this is what attributes an SLO miss to
-        /// a controller decision.
-        heartbeat_us: u64,
     },
     /// All operators of one cycle completed (one event per batch).
     OperatorsFired {
@@ -72,19 +68,6 @@ pub enum TraceEvent {
         rows: usize,
         /// Whether the statement completed successfully.
         ok: bool,
-    },
-    /// The adaptive heartbeat controller changed the interval, and the two
-    /// numbers it decided on.
-    HeartbeatAdjusted {
-        /// Interval before the step, µs.
-        from_us: u64,
-        /// Interval after it, µs.
-        to_us: u64,
-        /// Light-lane p99 of the last window that had enough samples, µs
-        /// (0: none had yet).
-        light_p99_us: u64,
-        /// Largest batch + backlog of the window the step closed.
-        peak_pressure: usize,
     },
 }
 
@@ -173,11 +156,10 @@ impl std::fmt::Display for TraceEvent {
                 queries,
                 updates,
                 mix,
-                heartbeat_us,
             } => {
                 write!(
                     f,
-                    "batch {batch} formed: {queries} queries, {updates} updates, heartbeat {heartbeat_us}us"
+                    "batch {batch} formed: {queries} queries, {updates} updates"
                 )?;
                 if !mix.is_empty() {
                     write!(f, ", mix [")?;
@@ -217,15 +199,6 @@ impl std::fmt::Display for TraceEvent {
                 f,
                 "batch {batch} routed statement #{statement} ticket {ticket}: {rows} rows, ok={ok}"
             ),
-            TraceEvent::HeartbeatAdjusted {
-                from_us,
-                to_us,
-                light_p99_us,
-                peak_pressure,
-            } => write!(
-                f,
-                "heartbeat {from_us}us -> {to_us}us: light p99 {light_p99_us}us, peak pressure {peak_pressure}"
-            ),
         }
     }
 }
@@ -243,7 +216,6 @@ mod tests {
                 queries: 1,
                 updates: 0,
                 mix: vec![(0, 1)],
-                heartbeat_us: 2000,
             });
         }
         let records = journal.snapshot();
@@ -263,7 +235,6 @@ mod tests {
             queries: 0,
             updates: 0,
             mix: Vec::new(),
-            heartbeat_us: 2000,
         });
         assert!(journal.snapshot().is_empty());
         assert_eq!(journal.pushed(), 0);
@@ -286,10 +257,8 @@ mod tests {
             queries: 6,
             updates: 1,
             mix: vec![(0, 4), (2, 3)],
-            heartbeat_us: 1500,
         };
         let s = format!("{formed}");
         assert!(s.contains("mix [#0\u{00d7}4, #2\u{00d7}3]"));
-        assert!(s.contains("heartbeat 1500us"));
     }
 }

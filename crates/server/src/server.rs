@@ -317,39 +317,15 @@ impl Shared {
                 .map(|(i, stats)| (replica(i), stats.queries)),
         );
 
-        // Adaptive heartbeat + priority admission: the interval each
-        // replica's coordinator is currently running (constant under a fixed
-        // policy), how often its controller moved it, and the depth of the
-        // two admission lanes.
+        // Statements each replica has queued for its next batch.
         family(
             w,
-            "shareddb_heartbeat_interval_us",
+            "shareddb_admission_queue_depth",
             "gauge",
             engines
                 .iter()
                 .enumerate()
-                .map(|(i, e)| (replica(i), e.heartbeat_interval().as_micros())),
-        );
-        family(
-            w,
-            "shareddb_heartbeat_adjustments",
-            "counter",
-            engines
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (replica(i), e.heartbeat_adjustments())),
-        );
-        family(
-            w,
-            "shareddb_admission_lane_depth",
-            "gauge",
-            engines.iter().enumerate().flat_map(|(i, e)| {
-                let (light, heavy) = e.lane_depths();
-                [
-                    (format!("replica=\"{i}\",lane=\"light\""), light),
-                    (format!("replica=\"{i}\",lane=\"heavy\""), heavy),
-                ]
-            }),
+                .map(|(i, e)| (replica(i), e.queued())),
         );
 
         // Batch occupancy: how many statements each heartbeat batch carried

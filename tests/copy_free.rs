@@ -11,8 +11,8 @@ use shareddb::core::demand::push_down;
 use shareddb::core::operators::{execute_group_join, execute_on, Emitted, ExecContext};
 use shareddb::core::storage_ops::build_storage_operators;
 use shareddb::core::{
-    ActivationTemplate, Engine, EngineConfig, HeartbeatPolicy, OperatorSpec, PlanBuilder,
-    QueryBatch, StatementRegistry, StatementSpec, SubmitOptions,
+    ActivationTemplate, Engine, EngineConfig, OperatorSpec, PlanBuilder, QueryBatch,
+    StatementRegistry, StatementSpec, SubmitOptions,
 };
 use shareddb::storage::{Catalog, ClockScan, ScanQuery, TableDef};
 use shareddb::tpcw::{
@@ -538,7 +538,7 @@ fn a_heavy_batch_allocates_less_than_once_per_tuple() {
 }
 
 /// What the hand-off costs a look-up, as a count: sixty-four `getItemById`
-/// submitted and then waited for — one batch: the heartbeat is paced —
+/// submitted and then waited for — one batch: the heartbeat gathers them —
 /// allocate, over every thread of the engine, what binding, the probe, the
 /// result sets and the batch itself need and one shared slot per statement
 /// for the way back, which holds the outcome in place: no channel with its
@@ -550,9 +550,9 @@ fn a_lookup_allocates_one_slot_for_its_way_back() {
     const BATCH: u64 = 64;
     let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    // Gathers a round's statements into one batch.
     let config = EngineConfig {
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(5)),
-        eager_heartbeat: false,
+        heartbeat: Duration::from_millis(5),
         ..EngineConfig::default()
     };
     let engine = Engine::start(catalog, plan, registry, config).unwrap();

@@ -17,8 +17,8 @@ use shareddb::core::operators::{execute_on, ExecContext};
 use shareddb::core::plan::{OperatorNode, StatementSpec};
 use shareddb::core::storage_ops::build_storage_operators;
 use shareddb::core::{
-    ActivationTemplate, Engine, EngineConfig, GlobalPlan, HeartbeatPolicy, OperatorSpec,
-    QueryOutcome, StatementRegistry, SubmitOptions, TraceEvent,
+    ActivationTemplate, Engine, EngineConfig, GlobalPlan, OperatorSpec, QueryOutcome,
+    StatementRegistry, SubmitOptions, TraceEvent,
 };
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
@@ -40,16 +40,16 @@ struct Deployment {
     engine: Engine,
 }
 
-/// The same data and plan at 1, 2 and 8 executor threads. Paced, so that the
-/// statements submitted right after a warm-up statement share one batch.
+/// The same data and plan at 1, 2 and 8 executor threads. The heartbeat
+/// gathers the statements submitted right after a warm-up statement into one
+/// batch.
 fn fleet(build: impl Fn() -> (Arc<Catalog>, GlobalPlan, StatementRegistry)) -> Vec<Deployment> {
     [1, 2, 8]
         .into_iter()
         .map(|cores| {
             let (catalog, plan, registry) = build();
             let config = EngineConfig {
-                heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(4)),
-                eager_heartbeat: false,
+                heartbeat: Duration::from_millis(4),
                 ..EngineConfig::with_cores(cores)
             };
             let engine = Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap();
@@ -369,9 +369,9 @@ fn executor_stress() {
 #[test]
 fn a_lookup_completes_with_its_batch() {
     let (catalog, plan, registry) = tpcw_deployment();
+    // Gathers the look-up and the best-seller page into one batch.
     let config = EngineConfig {
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(20)),
-        eager_heartbeat: false,
+        heartbeat: Duration::from_millis(20),
         slow_query_threshold: Some(Duration::ZERO),
         ..EngineConfig::default()
     };

@@ -5,7 +5,7 @@
 
 use shareddb::client::{Connection, Outcome};
 use shareddb::common::{tuple, DataType, Error, Value};
-use shareddb::core::{EngineConfig, HeartbeatPolicy};
+use shareddb::core::EngineConfig;
 use shareddb::server::protocol::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::storage::{Catalog, TableDef};
@@ -60,11 +60,9 @@ fn start_server(engine_config: EngineConfig, server_config: ServerConfig) -> Ser
 #[test]
 fn concurrent_connections_share_one_batch() {
     const CLIENTS: usize = 8;
-    // Paced (non-eager) heartbeat: statements arriving within one window form
-    // one batch.
+    // Gathers the statements arriving within 250 ms into one batch.
     let engine_config = EngineConfig {
-        eager_heartbeat: false,
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(250)),
+        heartbeat: Duration::from_millis(250),
         ..EngineConfig::default()
     };
     let mut server = start_server(engine_config, ServerConfig::default());
@@ -152,10 +150,9 @@ fn pipelined_submissions_batch_and_preserve_order() {
 /// shutdown error instead of dropping the socket.
 #[test]
 fn backpressure_rejects_with_retryable_error() {
-    // A glacial heartbeat keeps everything in flight for the whole test.
+    // Holds everything queued for the whole test.
     let engine_config = EngineConfig {
-        eager_heartbeat: false,
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_secs(30)),
+        heartbeat: Duration::from_secs(30),
         ..EngineConfig::default()
     };
     let server_config = ServerConfig {
@@ -213,9 +210,9 @@ fn backpressure_rejects_with_retryable_error() {
 /// Global queue-depth backpressure (as opposed to the per-session cap).
 #[test]
 fn queue_depth_backpressure_rejects() {
+    // Holds everything queued for the whole test.
     let engine_config = EngineConfig {
-        eager_heartbeat: false,
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_secs(30)),
+        heartbeat: Duration::from_secs(30),
         ..EngineConfig::default()
     };
     let server_config = ServerConfig {
@@ -300,10 +297,9 @@ fn admission_queue_bound_is_never_exceeded() {
     const CONNS: usize = 8;
     const PER_CONN: i64 = 16;
     const DEPTH: usize = 4;
-    // A glacial heartbeat keeps everything queued for the whole test.
+    // Holds everything queued for the whole test.
     let engine_config = EngineConfig {
-        eager_heartbeat: false,
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_secs(30)),
+        heartbeat: Duration::from_secs(30),
         ..EngineConfig::default()
     };
     let server_config = ServerConfig {
@@ -405,9 +401,9 @@ fn shutdown_under_load_portable_poller() {
 }
 
 fn run_shutdown_under_load(force_portable_poller: bool) {
+    // Holds client A's queries queued until the shutdown.
     let engine_config = EngineConfig {
-        eager_heartbeat: false,
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_secs(30)),
+        heartbeat: Duration::from_secs(30),
         ..EngineConfig::default()
     };
     let server_config = ServerConfig {
@@ -898,7 +894,7 @@ enum Ending {
 
 /// Eight connections pipeline 2 000 statements each — updates, which complete
 /// in phase 1 of their batch, before the reads submitted ahead of them;
-/// look-ups; best-seller pages, which ride the heavy lane — and read their
+/// look-ups; best-seller pages, which keep a batch busy longest — and read their
 /// replies as they come. Every request is answered exactly once, in
 /// submission order, with its own rows (a look-up names its item), whichever
 /// poller watches the sockets, however many replicas finish in whatever
@@ -933,18 +929,16 @@ fn pipelined_replies(force_portable_poller: bool, replicas: usize, ending: Endin
             params,
         }
     };
+    // Drain: gathers a batch every 20 ms; EngineShutdown: holds everything
+    // after the first batch queued until the engine shuts down.
     let heartbeat = match ending {
-        Ending::AllAnswered => None,
-        Ending::Drain => Some(Duration::from_millis(20)),
-        Ending::EngineShutdown => Some(Duration::from_secs(30)),
+        Ending::AllAnswered => Duration::ZERO,
+        Ending::Drain => Duration::from_millis(20),
+        Ending::EngineShutdown => Duration::from_secs(30),
     };
-    let engine_config = match heartbeat {
-        Some(interval) => EngineConfig {
-            eager_heartbeat: false,
-            heartbeat: HeartbeatPolicy::Fixed(interval),
-            ..EngineConfig::default()
-        },
-        None => EngineConfig::default(),
+    let engine_config = EngineConfig {
+        heartbeat,
+        ..EngineConfig::default()
     };
     let server_config = ServerConfig {
         max_inflight_per_session: EACH as usize,

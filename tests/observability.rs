@@ -738,7 +738,6 @@ fn update_row_counters_and_access_paths_on_tpcw() {
 #[test]
 fn scan_row_counters_and_predicate_classes_on_tpcw() {
     use shareddb::baseline::{ClassicEngine, EngineProfile};
-    use shareddb::core::HeartbeatPolicy;
     use shareddb::storage::Zone;
     use shareddb::tpcw::{build_catalog, build_shared_plan, register_baseline_statements};
     use shareddb::tpcw::{TpcwScale, SUBJECTS};
@@ -792,10 +791,9 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     register_baseline_statements(&classic);
 
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
-    // A long, non-eager heartbeat: statements sent within it share a batch.
+    // Gathers the statements sent within 50 ms into one batch.
     let engine_config = EngineConfig {
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(50)),
-        eager_heartbeat: false,
+        heartbeat: Duration::from_millis(50),
         ..EngineConfig::default()
     };
     let mut server = Server::start(
@@ -1481,11 +1479,9 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
 /// for the first and finds the others when it looks.
 #[test]
 fn completion_wakes_are_one_per_lone_statement_and_few_per_batch() {
-    use shareddb::core::HeartbeatPolicy;
-    // Paced, so that what a client pipelines shares a batch.
+    // Gathers what a client pipelines into one batch.
     let mut server = start_server(EngineConfig {
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(10)),
-        eager_heartbeat: false,
+        heartbeat: Duration::from_millis(10),
         ..EngineConfig::default()
     });
     let counts = |server: &Server| {

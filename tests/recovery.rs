@@ -530,7 +530,7 @@ fn durable_server_restart_serves_recovered_data() {
 #[test]
 fn batch_mates_fail_alone_over_the_wire() {
     use shareddb::client::Connection;
-    use shareddb::core::{EngineConfig, HeartbeatPolicy};
+    use shareddb::core::EngineConfig;
 
     let dir = temp_dir("batch-mates");
     let statements: Vec<(&str, &str)> = vec![
@@ -540,10 +540,9 @@ fn batch_mates_fail_alone_over_the_wire() {
     let start = || {
         let catalog = Catalog::new();
         catalog.create_table(item_def()).unwrap();
-        // A long, non-eager heartbeat: statements sent within it share a batch.
+        // Gathers the statements sent within 300 ms into one batch.
         let engine_config = EngineConfig {
-            heartbeat: HeartbeatPolicy::Fixed(std::time::Duration::from_millis(300)),
-            eager_heartbeat: false,
+            heartbeat: std::time::Duration::from_millis(300),
             ..EngineConfig::default()
         };
         let server_config = ServerConfig {

@@ -6,7 +6,7 @@
 use shareddb::client::Connection;
 use shareddb::cluster::{ClusterConfig, ClusterEngine};
 use shareddb::common::{tuple, DataType, Value};
-use shareddb::core::{Engine, EngineConfig, HeartbeatPolicy, SubmitOptions, WriteFence};
+use shareddb::core::{Engine, EngineConfig, SubmitOptions, WriteFence};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
@@ -80,7 +80,7 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
     let mut large = Engine::start(catalog, plan, registry, EngineConfig::with_cores(4)).unwrap();
     large.execute_sync("getItemById", &[Value::Int(1)]).unwrap();
     let four = ["coordi", "worker", "worker", "worker"].map(|kind| format!("shareddb-{kind}"));
-    assert_eq!(engine_threads(), four);
+    assert_eq!(started_threads(4), four);
 
     // One operator, as many cores as the machine has.
     let catalog = Arc::new(Catalog::new());
@@ -154,8 +154,9 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
 }
 
 /// With nothing queued the coordinator parks until a submission or a
-/// shutdown wakes it — under either heartbeat policy — instead of waking every
-/// heartbeat (≈ 480 times a second at the default 2 ms).
+/// shutdown wakes it — paced or not — instead of waking every heartbeat
+/// (≈ 480 times a second at 2 ms). A paced engine's spacing is one timed
+/// wait on the same condition variable, not a poll.
 #[test]
 fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
@@ -167,18 +168,16 @@ fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
     catalog.bulk_load("T", vec![tuple![1i64]]).unwrap();
     let (plan, registry) =
         compile_workload(&catalog, &[("get", "SELECT * FROM T WHERE ID = ?")]).unwrap();
-    let adaptive = HeartbeatPolicy::Adaptive {
-        min: Duration::from_micros(200),
-        max: Duration::from_millis(100),
-        target_light_p99: Duration::from_millis(10),
-    };
-    for config in [
-        EngineConfig::default(),
-        EngineConfig::default().heartbeat_policy(adaptive),
-    ] {
-        let policy = format!("{:?}", config.heartbeat);
+    for heartbeat in [Duration::ZERO, Duration::from_millis(50)] {
+        let config = EngineConfig {
+            heartbeat,
+            ..EngineConfig::default()
+        };
+        let policy = format!("heartbeat {heartbeat:?}");
         let mut engine =
             Engine::start(Arc::clone(&catalog), plan.clone(), registry.clone(), config).unwrap();
+        // The second statement waits out the spacing after the first batch.
+        engine.execute_sync("get", &[Value::Int(1)]).unwrap();
         engine.execute_sync("get", &[Value::Int(1)]).unwrap();
         let before = coordinator_switches();
         std::thread::sleep(Duration::from_secs(1));
@@ -216,9 +215,9 @@ fn a_fenced_read_sleeps_until_its_write_commits_elsewhere() {
         Engine::start(Arc::clone(&catalog), plan.clone(), registry.clone(), config).unwrap();
     reader.execute_sync("get", &[Value::Int(1)]).unwrap();
     let reading = coordinators();
+    // Holds the write queued: its batch starts 50 ms after the warm-up's.
     let paced = EngineConfig {
-        heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(50)),
-        eager_heartbeat: false,
+        heartbeat: Duration::from_millis(50),
         ..EngineConfig::default()
     };
     let mut writer = Engine::start(catalog, plan, registry, paced).unwrap();
