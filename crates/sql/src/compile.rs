@@ -8,17 +8,32 @@
 //!
 //! * one shared **scan** per base table (per occurrence, so self-joins get
 //!   distinct nodes) activated with each statement's pushed-down predicate,
+//! * one shared **index probe** per base table (per occurrence) for a
+//!   statement that neither groups nor limits and whose pushed-down
+//!   predicate holds `column = ?` on the table's single-column primary key
+//!   or a value index: the key is the probe's, the other conjuncts its
+//!   residual,
 //! * one shared **hash join** per `(inputs, join columns)` pair — statements
 //!   joining the same tables on the same keys reuse the same operator,
+//! * one shared **index-NL join** per `(outer input, table, join columns)`
+//!   for an equi-join edge to a table with no pushed-down predicate whose
+//!   join column is its primary key or value-indexed: the table is looked up
+//!   row by row and gets no scan (the key side of a key/foreign-key join),
 //! * general join **graphs**: the equi-join edges are clustered into a
-//!   spanning tree of shared hash joins; cycle-closing edges become residual
+//!   spanning tree of shared joins; cycle-closing edges become residual
 //!   equality filters over the join output, and FROM pieces with no join
 //!   edge at all connect through a shared batched **nested-loop join**
 //!   (cross product),
 //! * one shared **filter**, **group-by**, **distinct** and **sort** node per
 //!   distinct configuration. HAVING (and ORDER BY) may reference aggregate
 //!   outputs; aggregates not in the SELECT list are computed as hidden
-//!   columns of the shared group-by.
+//!   columns of the shared group-by,
+//! * ORDER BY with LIMIT: one shared **Top-N** per `(input, keys)`, the
+//!   limit the statement's activation — unless the statement de-duplicates
+//!   again at result routing, where the limit has to follow that.
+//!
+//! The TPC-W statements (`tpcw::SQL`) compile into the paper's Figure 6 by
+//! these rules.
 //!
 //! The module also provides [`canonicalize`] / [`SqlTemplate`]: token-level
 //! auto-parameterisation that rewrites literals to `?` so that an ad-hoc SQL
@@ -27,17 +42,21 @@
 //! rejected, exactly as in the paper's prepared-workload model).
 
 use crate::ast::{SelectItem, SelectStatement, Statement, AGG_REF_QUALIFIER};
-use crate::logical::LogicalPlan;
+use crate::logical::{JoinEdge, LogicalPlan};
 use crate::parser::parse;
 use crate::token::{tokenize, Token};
 use shareddb_common::agg::AggregateFunction;
-use shareddb_common::{Column, DataType, Error, Expr, Result, Schema, SortKey, Value};
+use shareddb_common::{BinaryOp, Column, DataType, Error, Expr, Result, Schema, SortKey, Value};
 use shareddb_core::plan::{
-    ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, PlanBuilder, StatementRegistry,
-    StatementSpec, UpdateTemplate,
+    ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, PlanBuilder, ProbeTemplate,
+    StatementRegistry, StatementSpec, UpdateTemplate,
 };
 use shareddb_storage::Catalog;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+
+/// One end of a join edge: (table alias, column).
+type End<'e> = (&'e str, &'e str);
 
 /// One connected piece of a statement's join graph during compilation.
 struct Cluster {
@@ -54,14 +73,42 @@ struct Cluster {
     joins: Vec<OperatorId>,
 }
 
+impl Cluster {
+    fn new(node: OperatorId, alias: &str, schema: Schema) -> Cluster {
+        Cluster {
+            node,
+            res: schema.qualified(alias),
+            plan: schema,
+            aliases: vec![alias.to_string()],
+            joins: Vec::new(),
+        }
+    }
+
+    /// Takes `other` in under `join`, whose output is this piece's columns
+    /// followed by `other`'s.
+    fn merge(&mut self, other: Cluster, join: OperatorId) {
+        self.res = self.res.join(&other.res);
+        self.plan = self.plan.join(&other.plan);
+        self.aliases.extend(other.aliases);
+        self.joins.extend(other.joins);
+        self.joins.push(join);
+        self.node = join;
+    }
+}
+
 /// Compiles a workload of named SQL statements into one shared global plan.
 pub struct SqlCompiler<'a> {
     catalog: &'a Catalog,
     builder: PlanBuilder<'a>,
     /// (base table, occurrence within one statement) → shared scan node.
     scans: HashMap<(String, usize), OperatorId>,
+    /// (base table, occurrence within one statement) → shared index probe.
+    probes: HashMap<(String, usize), OperatorId>,
     /// (build node, probe node, build column, probe column) → shared join.
     joins: HashMap<(OperatorId, OperatorId, usize, usize), OperatorId>,
+    /// (outer node, inner table, outer column, inner column) → shared
+    /// index nested-loop join.
+    nl_joins: HashMap<(OperatorId, String, usize, usize), OperatorId>,
     /// (build node, probe node) → shared nested-loop join (cross product).
     cross_joins: HashMap<(OperatorId, OperatorId), OperatorId>,
     /// input node → shared residual-filter node.
@@ -70,6 +117,8 @@ pub struct SqlCompiler<'a> {
     group_bys: HashMap<(OperatorId, String), OperatorId>,
     /// (input node, key shape) → shared sort node.
     sorts: HashMap<(OperatorId, String), OperatorId>,
+    /// (input node, key shape) → shared Top-N node.
+    top_ns: HashMap<(OperatorId, String), OperatorId>,
     /// input node → shared distinct node.
     distincts: HashMap<OperatorId, OperatorId>,
     registry: StatementRegistry,
@@ -82,11 +131,14 @@ impl<'a> SqlCompiler<'a> {
             catalog,
             builder: PlanBuilder::new(catalog),
             scans: HashMap::new(),
+            probes: HashMap::new(),
             joins: HashMap::new(),
+            nl_joins: HashMap::new(),
             cross_joins: HashMap::new(),
             filters: HashMap::new(),
             group_bys: HashMap::new(),
             sorts: HashMap::new(),
+            top_ns: HashMap::new(),
             distincts: HashMap::new(),
             registry: StatementRegistry::new(),
         }
@@ -125,119 +177,222 @@ impl<'a> SqlCompiler<'a> {
         Ok(self.catalog.table(table)?.read().schema().clone())
     }
 
+    /// True when a look-up by `column` of `table` goes through an index:
+    /// the column is the table's whole primary key or has a value index.
+    fn indexed(&self, table: &str, column: &str) -> Result<bool> {
+        let table = self.catalog.table(table)?;
+        let table = table.read();
+        let column = table.schema().resolve(None, column)?;
+        Ok(table.primary_key() == [column] || table.has_index_on(column))
+    }
+
+    /// Reads one table of a statement: through the table's shared index
+    /// probe when `may_probe` and a pushed-down conjunct is `column = ?` on an
+    /// indexed column (the other conjuncts become the probe's residual),
+    /// else through its shared scan with the whole pushed-down predicate.
+    fn access(
+        &mut self,
+        lp: &LogicalPlan,
+        (alias, base): (&str, &str),
+        may_probe: bool,
+        occurrence: &mut HashMap<(String, bool), usize>,
+        activations: &mut Vec<(OperatorId, ActivationTemplate)>,
+    ) -> Result<Cluster> {
+        let schema = self.table_schema(base)?;
+        let res = schema.qualified(alias);
+        let mut conjuncts: Vec<Expr> = lp.table_predicates[alias]
+            .iter()
+            .map(|c| c.resolve(&res))
+            .collect::<Result<_>>()?;
+        let mut probe = None;
+        if may_probe {
+            for (i, conjunct) in conjuncts.iter().enumerate() {
+                if let Some((column, value)) = key_equality(conjunct) {
+                    if self.indexed(base, &schema.column(column).name)? {
+                        probe = Some((i, column, value.clone()));
+                        break;
+                    }
+                }
+            }
+        }
+        let occ = occurrence
+            .entry((base.to_string(), probe.is_some()))
+            .or_insert(0);
+        let key = (base.to_string(), *occ);
+        *occ += 1;
+        let (node, template) = match probe {
+            Some((i, column, value)) => {
+                conjuncts.remove(i);
+                let node = shared(&mut self.probes, key, || self.builder.index_probe(base))?;
+                let template = ActivationTemplate::Probe {
+                    column,
+                    range: ProbeTemplate::Key(value),
+                    residual: (!conjuncts.is_empty()).then(|| Expr::conjunction(conjuncts)),
+                };
+                (node, template)
+            }
+            None => {
+                let node = shared(&mut self.scans, key, || self.builder.table_scan(base))?;
+                let predicate = lp.table_predicate(alias).resolve(&res)?;
+                (node, ActivationTemplate::Scan { predicate })
+            }
+        };
+        activations.push((node, template));
+        Ok(Cluster::new(node, alias, schema))
+    }
+
+    /// Joins along one equi-join edge: two pieces through a shared hash join
+    /// (one piece: a residual equality), a piece and a pending table through
+    /// a shared index-NL join on the table's indexed column. False when the
+    /// edge has to wait for a pending side to be read.
+    fn join_edge(
+        &mut self,
+        lp: &LogicalPlan,
+        edge: &JoinEdge,
+        clusters: &mut Vec<Cluster>,
+        pending: &mut Vec<&str>,
+        residual_edges: &mut Vec<Expr>,
+    ) -> Result<bool> {
+        let left = (edge.left_table.as_str(), edge.left_column.as_str());
+        let right = (edge.right_table.as_str(), edge.right_column.as_str());
+        let piece = |(alias, _): End| {
+            let mut pieces = clusters.iter();
+            pieces.position(|c| c.aliases.iter().any(|a| a == alias))
+        };
+        let (mut build, mut probe) = match (piece(left), piece(right)) {
+            (Some(li), Some(ri)) => ((left, li), (right, ri)),
+            (Some(outer), None) => {
+                return self.index_nl_join(lp, (left, outer), right, clusters, pending)
+            }
+            (None, Some(outer)) => {
+                return self.index_nl_join(lp, (right, outer), left, clusters, pending)
+            }
+            (None, None) => return Ok(false),
+        };
+        if build.1 == probe.1 {
+            let column = |(alias, name): End| Expr::NamedColumn {
+                qualifier: Some(alias.to_string()),
+                name: name.to_string(),
+            };
+            residual_edges.push(column(build.0).eq(column(probe.0)));
+            return Ok(true);
+        }
+        // Canonical build/probe order (smaller node id builds) so that the
+        // same pair of inputs shares one join regardless of alias order.
+        if clusters[probe.1].node < clusters[build.1].node {
+            std::mem::swap(&mut build, &mut probe);
+        }
+        let ((b, bi), (p, pi)) = (build, probe);
+        let (b_node, p_node) = (clusters[bi].node, clusters[pi].node);
+        let b_idx = clusters[bi].res.resolve(Some(b.0), b.1)?;
+        let p_idx = clusters[pi].res.resolve(Some(p.0), p.1)?;
+        let b_path = clusters[bi].plan.column(b_idx).qualified_name();
+        let p_path = clusters[pi].plan.column(p_idx).qualified_name();
+        let join_node = shared(&mut self.joins, (b_node, p_node, b_idx, p_idx), || {
+            self.builder.hash_join(b_node, p_node, &b_path, &p_path)
+        })?;
+        // Merge the probe cluster into the build cluster.
+        let probe = clusters.remove(pi);
+        let bi = if pi < bi { bi - 1 } else { bi };
+        clusters[bi].merge(probe, join_node);
+        Ok(true)
+    }
+
+    /// Joins the pending table at `inner` to the piece `outer` through a
+    /// shared index-NL join, when the inner column is indexed.
+    fn index_nl_join(
+        &mut self,
+        lp: &LogicalPlan,
+        ((outer_alias, outer_col), outer): (End, usize),
+        (inner_alias, inner_col): End,
+        clusters: &mut [Cluster],
+        pending: &mut Vec<&str>,
+    ) -> Result<bool> {
+        let table = &lp.tables[inner_alias];
+        if !self.indexed(table, inner_col)? {
+            return Ok(false);
+        }
+        let schema = self.table_schema(table)?;
+        let outer_idx = clusters[outer].res.resolve(Some(outer_alias), outer_col)?;
+        let inner_idx = schema.resolve(None, inner_col)?;
+        let outer_node = clusters[outer].node;
+        let key = (outer_node, table.clone(), outer_idx, inner_idx);
+        let outer_path = clusters[outer].plan.column(outer_idx).qualified_name();
+        let join_node = shared(&mut self.nl_joins, key, || {
+            self.builder
+                .index_nl_join(outer_node, table, &outer_path, inner_col)
+        })?;
+        pending.retain(|a| *a != inner_alias);
+        clusters[outer].merge(Cluster::new(join_node, inner_alias, schema), join_node);
+        Ok(true)
+    }
+
     fn compile_select(&mut self, name: &str, select: &SelectStatement) -> Result<StatementSpec> {
         let lp = LogicalPlan::from_select(select)?;
         let mut activations: Vec<(OperatorId, ActivationTemplate)> = Vec::new();
+        let grouped = !lp.group_by.is_empty() || !lp.aggregates.is_empty();
+        // A key look-up reads through the table's shared probe unless rows
+        // are grouped or cut: those keep the table's shared scan.
+        let may_probe = !grouped && lp.limit.is_none();
 
-        // Shared scans: one cluster per table alias, reusing one shared scan
-        // node per (base table, occurrence).
-        let mut clusters: Vec<Cluster> = Vec::new();
-        let mut occurrence: HashMap<&str, usize> = HashMap::new();
+        // Tables no predicate narrows that an equi-join edge reaches through
+        // their primary key or a value index are looked up by an index-NL
+        // join over the other side and get no storage node of their own.
+        let mut pending: Vec<&str> = Vec::new();
         for (alias, base) in &lp.tables {
-            let occ = occurrence.entry(base.as_str()).or_insert(0);
-            let key = (base.clone(), *occ);
-            *occ += 1;
-            let node = match self.scans.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.table_scan(base)?;
-                    self.scans.insert(key, node);
-                    node
+            if !lp.table_predicates[alias].is_empty() {
+                continue;
+            }
+            for column in lp.joins.iter().filter_map(|e| e.side(alias)) {
+                if self.indexed(base, column)? {
+                    pending.push(alias);
+                    break;
                 }
-            };
-            let base_schema = self.table_schema(base)?;
-            let predicate = lp
-                .table_predicate(alias)
-                .resolve(&base_schema.qualified(alias))?;
-            activations.push((node, ActivationTemplate::Scan { predicate }));
-            clusters.push(Cluster {
-                node,
-                res: base_schema.qualified(alias),
-                plan: base_schema,
-                aliases: vec![alias.clone()],
-                joins: Vec::new(),
-            });
+            }
+        }
+
+        // Every other table: one cluster each, read through the shared probe
+        // or scan of its (base table, occurrence).
+        let mut clusters: Vec<Cluster> = Vec::new();
+        let mut occurrence: HashMap<(String, bool), usize> = HashMap::new();
+        for (alias, base) in &lp.tables {
+            if !pending.contains(&alias.as_str()) {
+                let read = (alias.as_str(), base.as_str());
+                clusters.push(self.access(
+                    &lp,
+                    read,
+                    may_probe,
+                    &mut occurrence,
+                    &mut activations,
+                )?);
+            }
         }
 
         // Shared joins: merge clusters along the equi-join edges. The edges
         // form a general join *graph*; merging builds a spanning tree of
-        // shared hash joins, and every cycle-closing edge (both endpoints
+        // shared joins, and every cycle-closing edge (both endpoints
         // already in one cluster) is kept as a residual equality filter over
         // the join output — the Yannakakis-style treatment of cyclic queries:
-        // join along a tree, check the remaining edges afterwards.
+        // join along a tree, check the remaining edges afterwards. An edge
+        // to a pending table waits until the other side is read; when no
+        // edge can go on (each waiting one has a pending end), the first
+        // pending table is read by a scan.
         let mut residual_edges: Vec<Expr> = Vec::new();
-        for edge in &lp.joins {
-            let li = clusters
-                .iter()
-                .position(|c| c.aliases.iter().any(|a| a == &edge.left_table))
-                .ok_or_else(|| Error::UnknownTable(edge.left_table.clone()))?;
-            let ri = clusters
-                .iter()
-                .position(|c| c.aliases.iter().any(|a| a == &edge.right_table))
-                .ok_or_else(|| Error::UnknownTable(edge.right_table.clone()))?;
-            if li == ri {
-                residual_edges.push(
-                    Expr::NamedColumn {
-                        qualifier: Some(edge.left_table.clone()),
-                        name: edge.left_column.clone(),
-                    }
-                    .eq(Expr::NamedColumn {
-                        qualifier: Some(edge.right_table.clone()),
-                        name: edge.right_column.clone(),
-                    }),
-                );
-                continue;
-            }
-            // Canonical build/probe order (smaller node id builds) so that the
-            // same pair of inputs shares one join regardless of alias order.
-            let (bi, pi, b_alias, b_col, p_alias, p_col) = if clusters[li].node <= clusters[ri].node
-            {
-                (
-                    li,
-                    ri,
-                    &edge.left_table,
-                    &edge.left_column,
-                    &edge.right_table,
-                    &edge.right_column,
-                )
-            } else {
-                (
-                    ri,
-                    li,
-                    &edge.right_table,
-                    &edge.right_column,
-                    &edge.left_table,
-                    &edge.left_column,
-                )
-            };
-            let b_idx = clusters[bi].res.resolve(Some(b_alias), b_col)?;
-            let p_idx = clusters[pi].res.resolve(Some(p_alias), p_col)?;
-            let key = (clusters[bi].node, clusters[pi].node, b_idx, p_idx);
-            let join_node = match self.joins.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let b_path = clusters[bi].plan.column(b_idx).qualified_name();
-                    let p_path = clusters[pi].plan.column(p_idx).qualified_name();
-                    let node = self.builder.hash_join(
-                        clusters[bi].node,
-                        clusters[pi].node,
-                        &b_path,
-                        &p_path,
-                    )?;
-                    self.joins.insert(key, node);
-                    node
+        let mut edges: Vec<&JoinEdge> = lp.joins.iter().collect();
+        while !edges.is_empty() {
+            let before = edges.len();
+            let mut waiting = Vec::new();
+            for edge in edges {
+                if !self.join_edge(&lp, edge, &mut clusters, &mut pending, &mut residual_edges)? {
+                    waiting.push(edge);
                 }
-            };
-            // Merge the probe cluster into the build cluster.
-            let probe = clusters.remove(pi);
-            let bi = if pi < bi { bi - 1 } else { bi };
-            let build = &mut clusters[bi];
-            build.res = build.res.join(&probe.res);
-            build.plan = build.plan.join(&probe.plan);
-            build.aliases.extend(probe.aliases);
-            build.joins.extend(probe.joins);
-            build.joins.push(join_node);
-            build.node = join_node;
+            }
+            edges = waiting;
+            if edges.len() == before {
+                let alias = pending.remove(0);
+                let read = (alias, lp.tables[alias].as_str());
+                clusters.push(self.access(&lp, read, false, &mut occurrence, &mut activations)?);
+            }
         }
         // Disconnected pieces (no equi-join edge between them) connect
         // through shared nested-loop joins: the cross product runs once per
@@ -250,20 +405,10 @@ impl<'a> SqlCompiler<'a> {
             let probe = clusters.remove(1);
             let build = &mut clusters[0];
             let key = (build.node, probe.node);
-            let join_node = match self.cross_joins.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.nested_loop_join(build.node, probe.node)?;
-                    self.cross_joins.insert(key, node);
-                    node
-                }
-            };
-            build.res = build.res.join(&probe.res);
-            build.plan = build.plan.join(&probe.plan);
-            build.aliases.extend(probe.aliases);
-            build.joins.extend(probe.joins);
-            build.joins.push(join_node);
-            build.node = join_node;
+            let join_node = shared(&mut self.cross_joins, key, || {
+                self.builder.nested_loop_join(key.0, key.1)
+            })?;
+            build.merge(probe, join_node);
         }
         let cluster = clusters.pop().expect("one cluster");
         for join in &cluster.joins {
@@ -277,21 +422,13 @@ impl<'a> SqlCompiler<'a> {
         // cycle-closing join edges, → shared filter over the join output.
         let residuals: Vec<Expr> = lp.residual.iter().cloned().chain(residual_edges).collect();
         if !residuals.is_empty() {
-            let node = match self.filters.get(&root) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.filter(root)?;
-                    self.filters.insert(root, node);
-                    node
-                }
-            };
+            let node = shared(&mut self.filters, root, || self.builder.filter(root))?;
             let predicate = Expr::conjunction(residuals).resolve(&res_schema)?;
             activations.push((node, ActivationTemplate::Filter { predicate }));
             root = node;
         }
 
         // Aggregation → shared group-by.
-        let grouped = !lp.group_by.is_empty() || !lp.aggregates.is_empty();
         if !grouped && (lp.having.is_some() || !lp.agg_refs.is_empty()) {
             return Err(Error::Unsupported(
                 "HAVING and aggregate references require GROUP BY or aggregates in the SELECT \
@@ -338,37 +475,31 @@ impl<'a> SqlCompiler<'a> {
             }
             let shape = format!("{group_cols:?}/{aggs:?}");
             let key = (root, shape);
-            let node = match self.group_bys.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let group_paths: Vec<String> = group_cols
-                        .iter()
-                        .map(|&c| plan_schema.column(c).qualified_name())
-                        .collect();
-                    let agg_names: Vec<String> = aggs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (f, c))| {
-                            format!("{f:?}{}_{}", i, plan_schema.column(*c).name)
-                                .to_ascii_uppercase()
-                        })
-                        .collect();
-                    let agg_paths: Vec<String> = aggs
-                        .iter()
-                        .map(|(_, c)| plan_schema.column(*c).qualified_name())
-                        .collect();
-                    let node = self.builder.group_by(
-                        root,
-                        group_paths.iter().map(String::as_str).collect(),
-                        aggs.iter()
-                            .zip(agg_paths.iter().zip(agg_names.iter()))
-                            .map(|((f, _), (path, name))| (*f, path.as_str(), name.as_str()))
-                            .collect(),
-                    )?;
-                    self.group_bys.insert(key, node);
-                    node
-                }
-            };
+            let node = shared(&mut self.group_bys, key, || {
+                let group_paths: Vec<String> = group_cols
+                    .iter()
+                    .map(|&c| plan_schema.column(c).qualified_name())
+                    .collect();
+                let agg_names: Vec<String> = aggs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (f, c))| {
+                        format!("{f:?}{}_{}", i, plan_schema.column(*c).name).to_ascii_uppercase()
+                    })
+                    .collect();
+                let agg_paths: Vec<String> = aggs
+                    .iter()
+                    .map(|(_, c)| plan_schema.column(*c).qualified_name())
+                    .collect();
+                self.builder.group_by(
+                    root,
+                    group_paths.iter().map(String::as_str).collect(),
+                    aggs.iter()
+                        .zip(agg_paths.iter().zip(agg_names.iter()))
+                        .map(|((f, _), (path, name))| (*f, path.as_str(), name.as_str()))
+                        .collect(),
+                )
+            })?;
             // Mirror the builder's output schema in the alias-qualified
             // resolution world; everything downstream of the group-by
             // (HAVING, DISTINCT, ORDER BY, projection) resolves against it.
@@ -397,39 +528,7 @@ impl<'a> SqlCompiler<'a> {
 
         // DISTINCT → shared duplicate elimination.
         if lp.distinct {
-            let node = match self.distincts.get(&root) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.distinct(root)?;
-                    self.distincts.insert(root, node);
-                    node
-                }
-            };
-            activations.push((node, ActivationTemplate::Participate));
-            root = node;
-        }
-
-        // ORDER BY → shared sort.
-        if !lp.order_by.is_empty() {
-            let mut keys = Vec::new();
-            for (expr, descending) in &lp.order_by {
-                let expr = substitute_agg_refs(expr, &agg_ref_cols)?;
-                let col = resolve_column(&expr, &res_schema, "ORDER BY")?;
-                keys.push(if *descending {
-                    SortKey::desc(col)
-                } else {
-                    SortKey::asc(col)
-                });
-            }
-            let key = (root, format!("{keys:?}"));
-            let node = match self.sorts.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.sort(root, keys)?;
-                    self.sorts.insert(key, node);
-                    node
-                }
-            };
+            let node = shared(&mut self.distincts, root, || self.builder.distinct(root))?;
             activations.push((node, ActivationTemplate::Participate));
             root = node;
         }
@@ -484,27 +583,54 @@ impl<'a> SqlCompiler<'a> {
                 "SELECT * cannot be combined with other select items".into(),
             ));
         }
+        // The shared Distinct node already dedups full root tuples; the
+        // statement dedups again at result routing only when its output
+        // differs from the root tuple — a narrowing projection or computed
+        // columns can reintroduce duplicates, an identity projection or
+        // wildcard cannot.
+        let identity = projection.iter().copied().eq(0..res_schema.len());
+        let redistinct = lp.distinct && !wildcard && (has_expression || !identity);
+
+        // ORDER BY → shared sort; with a LIMIT → shared Top-N, unless the
+        // limit has to wait for the de-duplication at routing.
+        let mut limit = lp.limit;
+        if !lp.order_by.is_empty() {
+            let mut keys = Vec::new();
+            for (expr, descending) in &lp.order_by {
+                let expr = substitute_agg_refs(expr, &agg_ref_cols)?;
+                let col = resolve_column(&expr, &res_schema, "ORDER BY")?;
+                keys.push(if *descending {
+                    SortKey::desc(col)
+                } else {
+                    SortKey::asc(col)
+                });
+            }
+            let key = (root, format!("{keys:?}"));
+            root = match limit.filter(|_| !redistinct) {
+                Some(n) => {
+                    let node = shared(&mut self.top_ns, key, || self.builder.top_n(root, keys))?;
+                    activations.push((node, ActivationTemplate::TopN { limit: n }));
+                    limit = None;
+                    node
+                }
+                None => {
+                    let node = shared(&mut self.sorts, key, || self.builder.sort(root, keys))?;
+                    activations.push((node, ActivationTemplate::Participate));
+                    node
+                }
+            };
+        }
 
         let mut spec = StatementSpec::query(name, root);
-        if lp.distinct {
-            // The shared Distinct node already dedups full root tuples; the
-            // per-statement flag re-dedups at result routing only when this
-            // statement's output differs from the root tuple — a narrowing
-            // projection or computed columns can reintroduce duplicates, an
-            // identity projection or wildcard cannot.
-            let identity: Vec<usize> = (0..res_schema.len()).collect();
-            if !wildcard && (has_expression || projection != identity) {
-                spec = spec.distinct();
-            }
+        if redistinct {
+            spec = spec.distinct();
         }
-        if !wildcard {
-            if has_expression {
-                spec = spec.compute(computed);
-            } else {
-                spec = spec.project(projection);
-            }
+        if has_expression {
+            spec = spec.compute(computed);
+        } else if !wildcard && !identity {
+            spec = spec.project(projection);
         }
-        if let Some(limit) = lp.limit {
+        if let Some(limit) = limit {
             spec = spec.limit(limit);
         }
         for (op, template) in activations {
@@ -600,6 +726,38 @@ impl<'a> SqlCompiler<'a> {
             table,
             UpdateTemplate::Delete { predicate },
         ))
+    }
+}
+
+/// The node `nodes` holds for `key`, built by `build` the first time: one
+/// shared operator per configuration.
+fn shared<K: std::hash::Hash + Eq>(
+    nodes: &mut HashMap<K, OperatorId>,
+    key: K,
+    build: impl FnOnce() -> Result<OperatorId>,
+) -> Result<OperatorId> {
+    match nodes.entry(key) {
+        Entry::Occupied(entry) => Ok(*entry.get()),
+        Entry::Vacant(entry) => Ok(*entry.insert(build()?)),
+    }
+}
+
+/// `column = value` of a resolved conjunct, either way round, when the value
+/// is a parameter or a literal other than NULL: a key an index can look up.
+fn key_equality(conjunct: &Expr) -> Option<(usize, &Expr)> {
+    let Expr::Binary {
+        op: BinaryOp::Eq,
+        left,
+        right,
+    } = conjunct
+    else {
+        return None;
+    };
+    let is_key =
+        |e: &Expr| matches!(e, Expr::Param(_)) || matches!(e, Expr::Literal(v) if !v.is_null());
+    match (left.as_ref(), right.as_ref()) {
+        (Expr::Column(c), key) | (key, Expr::Column(c)) if is_key(key) => Some((*c, key)),
+        _ => None,
     }
 }
 
@@ -762,8 +920,8 @@ pub fn parse_explain(sql: &str) -> Option<(bool, &str)> {
 /// One `?` slot of a canonicalised statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TemplateSlot {
-    /// The slot was a `?` parameter in the original statement text, with the
-    /// given positional parameter index.
+    /// The slot was a parameter in the original statement text, with its
+    /// 0-based index: its position for `?`, `N − 1` for `?N`.
     Param(usize),
     /// The slot was a fixed literal in the original statement text.
     Literal(Value),
@@ -802,7 +960,9 @@ pub fn canonicalize(sql: &str) -> Result<SqlTemplate> {
                 .checked_sub(1)
                 .map(|p| match &tokens[p] {
                     Token::Ident(s) => !is_sql_keyword(s),
-                    Token::Number(_) | Token::StringLit(_) | Token::Param | Token::RParen => true,
+                    Token::Number(_) | Token::StringLit(_) | Token::Param(_) | Token::RParen => {
+                        true
+                    }
                     _ => false,
                 })
                 .unwrap_or(false);
@@ -833,8 +993,8 @@ pub fn canonicalize(sql: &str) -> Result<SqlTemplate> {
                 slots.push(TemplateSlot::Literal(Value::text(text.clone())));
                 "?".into()
             }
-            Token::Param => {
-                slots.push(TemplateSlot::Param(params));
+            Token::Param(number) => {
+                slots.push(TemplateSlot::Param(number.unwrap_or(params)));
                 params += 1;
                 "?".into()
             }
@@ -953,7 +1113,7 @@ pub fn bind_adhoc(template: &SqlTemplate, adhoc: &SqlTemplate) -> Result<Vec<Val
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shareddb_core::{Engine, EngineConfig};
+    use shareddb_core::{Engine, EngineConfig, Lane};
     use shareddb_storage::TableDef;
     use std::sync::Arc;
 
@@ -1190,8 +1350,8 @@ mod tests {
     }
 
     /// A cycle over two tables (two join edges between the same pair): the
-    /// first edge becomes the shared hash join, the second a residual
-    /// equality filter on the join output.
+    /// edge to the users' key becomes the shared index-NL join, the other a
+    /// residual equality filter on the join output.
     #[test]
     fn cyclic_two_table_join_compiles_and_filters() {
         let catalog = catalog();
@@ -1206,7 +1366,7 @@ mod tests {
         .unwrap();
         registry.validate(&plan).unwrap();
         let census = plan.operator_census();
-        assert_eq!(census.get("HashJoin"), Some(&1), "plan:\n{plan}");
+        assert_eq!(census.get("IndexNlJoin(USERS)"), Some(&1), "plan:\n{plan}");
         assert_eq!(census.get("Filter"), Some(&1), "plan:\n{plan}");
         let engine = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
         let outcome = engine.execute_sync("doubleKeyed", &[]).unwrap();
@@ -1285,11 +1445,11 @@ mod tests {
             &[
                 (
                     "userTimesOrders",
-                    "SELECT * FROM USERS U, ORDERS O WHERE U.USER_ID = ?",
+                    "SELECT * FROM USERS U, ORDERS O WHERE U.USERNAME = ?",
                 ),
                 (
                     "pairCount",
-                    "SELECT COUNT(*) FROM USERS U, ORDERS O WHERE U.USER_ID = ? AND O.STATUS = 'OK'",
+                    "SELECT COUNT(*) FROM USERS U, ORDERS O WHERE U.USERNAME = ? AND O.STATUS = 'OK'",
                 ),
             ],
         )
@@ -1299,14 +1459,13 @@ mod tests {
         assert_eq!(census.get("NestedLoopJoin"), Some(&1), "plan:\n{plan}");
         assert_eq!(census.get("HashJoin"), None);
         let engine = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
-        let outcome = engine
-            .execute_sync("userTimesOrders", &[Value::Int(3)])
-            .unwrap();
+        let user3 = [Value::text("user3")];
+        let outcome = engine.execute_sync("userTimesOrders", &user3).unwrap();
         // 1 user × 150 orders.
         assert_eq!(outcome.rows().len(), 150);
         assert_eq!(outcome.rows()[0].len(), 8);
         // 1 user × 50 OK orders (every third of 150).
-        let outcome = engine.execute_sync("pairCount", &[Value::Int(3)]).unwrap();
+        let outcome = engine.execute_sync("pairCount", &user3).unwrap();
         assert_eq!(outcome.rows()[0][0], Value::Int(50));
     }
 
@@ -1459,6 +1618,159 @@ mod tests {
         assert!(compiler
             .add_statement("bad3", "INSERT INTO USERS VALUES (1)")
             .is_err());
+    }
+
+    /// Rule 1: `column = ?` on a key reads through the table's one shared
+    /// index probe — the other conjuncts become its residual — so the
+    /// look-up is a light statement. Grouped or limited statements keep the
+    /// shared scan.
+    #[test]
+    fn a_key_lookup_is_a_light_probe() {
+        let catalog = catalog();
+        let (plan, registry) = compile_workload(
+            &catalog,
+            &[
+                ("userById", "SELECT * FROM USERS WHERE USER_ID = ?"),
+                (
+                    "richUserById",
+                    "SELECT USERNAME FROM USERS WHERE ACCOUNT > ? AND USER_ID = ?",
+                ),
+                (
+                    "firstUserById",
+                    "SELECT * FROM USERS WHERE USER_ID = ? LIMIT 1",
+                ),
+            ],
+        )
+        .unwrap();
+        registry.validate(&plan).unwrap();
+        let census = plan.operator_census();
+        assert_eq!(census.get("Probe(USERS)"), Some(&1), "plan:\n{plan}");
+        assert_eq!(census.get("Scan(USERS)"), Some(&1), "plan:\n{plan}");
+        let (_, spec) = registry.get("richUserById").unwrap();
+        assert_eq!(
+            spec.activations,
+            [(
+                0,
+                ActivationTemplate::Probe {
+                    column: 0,
+                    range: ProbeTemplate::Key(Expr::param(1)),
+                    residual: Some(Expr::col(3).gt(Expr::param(0))),
+                }
+            )]
+        );
+        let engine = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
+        assert!(matches!(engine.statement_lane(0), Lane::Light));
+        assert!(matches!(engine.statement_lane(1), Lane::Light));
+        assert!(matches!(engine.statement_lane(2), Lane::Heavy));
+        let rows = engine.execute_sync("userById", &[Value::Int(7)]).unwrap();
+        assert_eq!(rows.rows().len(), 1);
+        assert_eq!(rows.rows()[0][1], Value::text("user7"));
+        let rich = |account: i64| {
+            let params = [Value::Int(account), Value::Int(7)];
+            engine
+                .execute_sync("richUserById", &params)
+                .unwrap()
+                .rows()
+                .len()
+        };
+        assert_eq!((rich(60), rich(70)), (1, 0));
+    }
+
+    /// Rule 2: a table no predicate narrows, joined on its key, is looked up
+    /// by a shared index-NL join over the other side and gets no scan;
+    /// statements joining the same way share it. Rule 3: ORDER BY with LIMIT
+    /// is a shared Top-N keyed by (input, keys).
+    #[test]
+    fn key_joins_look_up_and_limited_orders_are_top_n() {
+        let catalog = catalog();
+        let (plan, registry) = compile_workload(
+            &catalog,
+            &[
+                (
+                    "okOrdersWithUser",
+                    "SELECT * FROM ORDERS O, USERS U WHERE O.USER_ID = U.USER_ID AND O.STATUS = ?",
+                ),
+                (
+                    "bigOrdersWithUser",
+                    "SELECT * FROM ORDERS O, USERS U WHERE O.USER_ID = U.USER_ID AND O.STATUS = ? \
+                     ORDER BY O.TOTAL DESC, O.ORDER_ID LIMIT 5",
+                ),
+                (
+                    "smallOrdersWithUser",
+                    "SELECT * FROM ORDERS O, USERS U WHERE U.USER_ID = O.USER_ID AND O.TOTAL < ? \
+                     ORDER BY O.TOTAL DESC, O.ORDER_ID LIMIT 3",
+                ),
+            ],
+        )
+        .unwrap();
+        registry.validate(&plan).unwrap();
+        let census = plan.operator_census();
+        assert_eq!(census.get("IndexNlJoin(USERS)"), Some(&1), "plan:\n{plan}");
+        assert_eq!(census.get("Scan(USERS)"), None, "plan:\n{plan}");
+        assert_eq!(census.get("TopN"), Some(&1), "plan:\n{plan}");
+        assert_eq!(census.get("Sort"), None, "plan:\n{plan}");
+        assert_eq!(plan.len(), 3, "plan:\n{plan}");
+        let engine = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
+        let ok = [Value::text("OK")];
+        let all = engine.execute_sync("okOrdersWithUser", &ok).unwrap();
+        assert_eq!(all.rows().len(), 50);
+        assert!(all.rows().iter().all(|r| r[1] == r[4]));
+        let page = engine.execute_sync("bigOrdersWithUser", &ok).unwrap();
+        let ids: Vec<&Value> = page.rows().iter().map(|r| &r[0]).collect();
+        // OK orders are the multiples of 3 below 150, TOTAL = id % 40.
+        assert_eq!(
+            ids,
+            [39, 78, 117, 36, 75]
+                .map(Value::Int)
+                .iter()
+                .collect::<Vec<_>>()
+        );
+        let small = engine
+            .execute_sync("smallOrdersWithUser", &[Value::Float(1.0)])
+            .unwrap();
+        let ids: Vec<&Value> = small.rows().iter().map(|r| &r[0]).collect();
+        assert_eq!(ids, [0, 40, 80].map(Value::Int).iter().collect::<Vec<_>>());
+    }
+
+    /// A statement that de-duplicates again at routing keeps its LIMIT after
+    /// that: a Sort, not a Top-N.
+    #[test]
+    fn a_limit_after_routing_distinct_stays_a_sort() {
+        let catalog = catalog();
+        let (plan, registry) = compile_workload(
+            &catalog,
+            &[(
+                "countries",
+                "SELECT DISTINCT COUNTRY FROM USERS ORDER BY COUNTRY LIMIT 1",
+            )],
+        )
+        .unwrap();
+        let census = plan.operator_census();
+        assert_eq!(census.get("Sort"), Some(&1), "plan:\n{plan}");
+        assert_eq!(census.get("TopN"), None, "plan:\n{plan}");
+        let engine = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
+        let rows = engine.execute_sync("countries", &[]).unwrap();
+        assert_eq!(rows.rows(), [shareddb_common::tuple!["CH"]]);
+    }
+
+    /// `?N` binds the ad-hoc literal at its number: `adminUpdateItem` is
+    /// called with the key first though its SET list comes first.
+    #[test]
+    fn numbered_parameters_bind_adhoc_literals_by_number() {
+        let template =
+            canonicalize("UPDATE ITEM SET I_COST = ?2, I_PUB_DATE = ?3 WHERE I_ID = ?1").unwrap();
+        assert_eq!(
+            template.slots,
+            [2, 3, 1].map(|n| TemplateSlot::Param(n - 1))
+        );
+        let adhoc =
+            canonicalize("update item set i_cost = 12.5, i_pub_date = 15403 where i_id = 7")
+                .unwrap();
+        assert_eq!(template.canonical, adhoc.canonical);
+        assert_eq!(
+            bind_adhoc(&template, &adhoc).unwrap(),
+            [Value::Int(7), Value::Float(12.5), Value::Int(15_403)]
+        );
     }
 
     #[test]

@@ -36,6 +36,17 @@ impl JoinEdge {
         self
     }
 
+    /// The column the edge joins on in `table`, when it is one of its ends.
+    pub fn side(&self, table: &str) -> Option<&str> {
+        if self.left_table == table {
+            Some(&self.left_column)
+        } else if self.right_table == table {
+            Some(&self.right_column)
+        } else {
+            None
+        }
+    }
+
     /// A stable key identifying the shared join this edge belongs to
     /// (same tables + same join columns = shareable, Section 3.3).
     pub fn share_key(&self) -> String {

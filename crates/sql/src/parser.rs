@@ -444,7 +444,8 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         match self.next() {
-            Some(Token::Param) => {
+            Some(Token::Param(Some(idx))) => Ok(Expr::param(idx)),
+            Some(Token::Param(None)) => {
                 let idx = self.params;
                 self.params += 1;
                 Ok(Expr::param(idx))
@@ -675,6 +676,28 @@ mod tests {
         let Statement::Select(s) = stmt else { panic!() };
         let conjuncts = s.where_clause.as_ref().unwrap().split_conjuncts().len();
         assert_eq!(conjuncts, 3);
+    }
+
+    /// `?N` names its parameter whatever its position: an UPDATE called with
+    /// the key first reads `?1` in its WHERE clause after the SET list.
+    #[test]
+    fn numbered_parameters_keep_their_numbers() {
+        let stmt = parse("UPDATE ITEM SET I_COST = ?2, I_PUB_DATE = ?3 WHERE I_ID = ?1").unwrap();
+        assert_eq!(stmt.parameter_count(), 3);
+        let Statement::Update {
+            assignments,
+            where_clause,
+            ..
+        } = stmt
+        else {
+            panic!()
+        };
+        assert_eq!(assignments[0].1, Expr::param(1));
+        assert_eq!(assignments[1].1, Expr::param(2));
+        assert_eq!(
+            where_clause.unwrap(),
+            Expr::named("I_ID").eq(Expr::param(0))
+        );
     }
 
     #[test]

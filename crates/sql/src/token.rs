@@ -11,8 +11,9 @@ pub enum Token {
     Number(String),
     /// String literal (quotes removed).
     StringLit(String),
-    /// `?` prepared-statement parameter.
-    Param,
+    /// A prepared-statement parameter: `?` (`None`, numbered by position)
+    /// or `?N` (`Some(N - 1)`: numbered from 1, as in SQLite).
+    Param(Option<usize>),
     /// `,`
     Comma,
     /// `.`
@@ -50,7 +51,8 @@ impl Token {
     }
 }
 
-/// Tokenizes a SQL string.
+/// Tokenizes a SQL string. `?0` and a statement that mixes `?` with `?N`
+/// are errors.
 pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
     let bytes = sql.as_bytes();
@@ -80,8 +82,23 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 i += 1;
             }
             '?' => {
-                tokens.push(Token::Param);
-                i += 1;
+                let start = i + 1;
+                i = start;
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                let number = match &sql[start..i] {
+                    "" => None,
+                    digits => match digits.parse::<usize>() {
+                        Ok(n) if n > 0 => Some(n - 1),
+                        _ => {
+                            return Err(Error::Parse(format!(
+                                "?{digits}: parameters are numbered from ?1"
+                            )))
+                        }
+                    },
+                };
+                tokens.push(Token::Param(number));
             }
             '+' => {
                 tokens.push(Token::Plus);
@@ -189,6 +206,16 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
             }
         }
     }
+    let numbered = |n: bool| {
+        tokens
+            .iter()
+            .any(|t| matches!(t, Token::Param(p) if p.is_some() == n))
+    };
+    if numbered(true) && numbered(false) {
+        return Err(Error::Parse(
+            "a statement numbers all its parameters (?N) or none (?)".into(),
+        ));
+    }
     Ok(tokens)
 }
 
@@ -231,9 +258,32 @@ mod tests {
     #[test]
     fn params_and_comparisons() {
         let tokens = tokenize("a < ? AND b <> ? AND c != 3.5").unwrap();
-        assert_eq!(tokens.iter().filter(|t| **t == Token::Param).count(), 2);
+        assert_eq!(
+            tokens.iter().filter(|t| **t == Token::Param(None)).count(),
+            2
+        );
         assert_eq!(tokens.iter().filter(|t| **t == Token::NotEq).count(), 2);
         assert!(tokens.contains(&Token::Number("3.5".into())));
+    }
+
+    #[test]
+    fn numbered_params_count_from_one_and_do_not_mix() {
+        let tokens = tokenize("A = ?2 AND B = ?1 AND C = ?10").unwrap();
+        let params: Vec<&Token> = tokens
+            .iter()
+            .filter(|t| matches!(t, Token::Param(_)))
+            .collect();
+        assert_eq!(
+            params,
+            [
+                &Token::Param(Some(1)),
+                &Token::Param(Some(0)),
+                &Token::Param(Some(9))
+            ]
+        );
+        assert!(tokenize("A = ?0").is_err());
+        assert!(tokenize("A = ?1 AND B = ?").is_err());
+        assert!(tokenize("A = ? AND B = ?2").is_err());
     }
 
     #[test]

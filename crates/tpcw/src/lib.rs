@@ -5,9 +5,10 @@
 //! WIPS (successful Web Interactions Per Second) metric.
 //!
 //! * [`schema`] — the base tables, indexes and the synthetic data generator.
-//! * [`plans`] — the SharedDB global plan (Figure 6) and the equivalent
-//!   per-query plans for the query-at-a-time baselines, registered under
-//!   identical statement names.
+//! * [`plans`] — the statements as SQL ([`SQL`]), which the SQL compiler
+//!   turns into the SharedDB global plan of Figure 6, and the equivalent
+//!   hand-written per-query plans for the query-at-a-time baselines,
+//!   registered under identical statement names.
 //! * [`workload`] — the fourteen web interactions, the Browsing / Shopping /
 //!   Ordering mixes, and parameter generation.
 //! * [`driver`] — emulated-browser workload driver measuring WIPS under
@@ -25,7 +26,7 @@ pub use driver::{
     run_interactions, run_workload, BaselineSystem, DriverConfig, DriverReport, SharedDbSystem,
     TpcwDatabase,
 };
-pub use plans::{build_shared_plan, register_baseline_statements, statement_names, PAGE_SIZE};
+pub use plans::{build_shared_plan, register_baseline_statements, statement_names, PAGE_SIZE, SQL};
 pub use remote::RemoteSystem;
 pub use schema::{build_catalog, create_schema, load_data, TpcwScale, SUBJECTS};
 pub use workload::{Mix, ParamGenerator, StatementCall, WebInteraction, ALL_INTERACTIONS};

@@ -287,6 +287,81 @@ fn adhoc_sql_matches_compiled_statement_types() {
     server.shutdown();
 }
 
+/// TPC-W over ad-hoc SQL: a server started from `tpcw::SQL` answers the
+/// literal texts of its statements exactly as it answers the prepared
+/// statements — a look-up, a best-seller page and an update whose SQL
+/// numbers its parameters because it is called with the key first.
+#[test]
+fn tpcw_answers_adhoc_sql_as_its_prepared_statements() {
+    use shareddb::tpcw::{build_catalog, TpcwScale, SQL, SUBJECTS};
+
+    /// The statement's text with each `?` / `?N` replaced by its literal.
+    fn adhoc(name: &str, literals: &[&str]) -> String {
+        let (_, sql) = SQL.iter().find(|(n, _)| *n == name).unwrap();
+        let (mut text, mut next) = (String::new(), 0);
+        let mut chars = sql.chars().peekable();
+        while let Some(c) = chars.next() {
+            if c != '?' {
+                text.push(c);
+                continue;
+            }
+            let slot = match chars.peek().and_then(|d| d.to_digit(10)) {
+                Some(n) => {
+                    chars.next();
+                    n as usize - 1
+                }
+                None => {
+                    next += 1;
+                    next - 1
+                }
+            };
+            text.push_str(literals[slot]);
+        }
+        text
+    }
+
+    let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
+    let mut server = Server::start_sql(
+        catalog,
+        SQL,
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let get_item = conn.prepare("getItemById").unwrap();
+    for id in [0i64, 17, 99] {
+        let text = adhoc("getItemById", &[&id.to_string()]);
+        let by_text = conn.query(&text).unwrap();
+        let prepared = conn.execute(&get_item, &[Value::Int(id)]).unwrap();
+        assert_eq!(by_text.rows().len(), 1, "{text}");
+        assert_eq!(by_text.rows(), prepared.rows(), "{text}");
+    }
+    let best_sellers = conn.prepare("getBestSellers").unwrap();
+    for subject in &SUBJECTS[..4] {
+        let text = adhoc("getBestSellers", &[&format!("'{subject}'"), "100"]);
+        let by_text = conn.query(&text).unwrap();
+        let params = [Value::text(*subject), Value::Int(100)];
+        let prepared = conn.execute(&best_sellers, &params).unwrap();
+        assert!(!by_text.rows().is_empty(), "{text}");
+        assert_eq!(by_text.rows(), prepared.rows(), "{text}");
+    }
+    let update = conn.prepare("adminUpdateItem").unwrap();
+    let text = adhoc("adminUpdateItem", &["7", "12.5", "15403"]);
+    assert!(text.ends_with("WHERE I_ID = 7"), "{text}");
+    let by_text = conn.query(&text).unwrap();
+    let params = [Value::Int(8), Value::Float(12.5), Value::Int(15_403)];
+    let prepared = conn.execute(&update, &params).unwrap();
+    assert_eq!(by_text.rows_affected(), 1);
+    assert_eq!(prepared.rows_affected(), 1);
+    let mut item = |id: i64| conn.execute(&get_item, &[Value::Int(id)]).unwrap().rows()[0].clone();
+    let (seven, eight) = (item(7), item(8));
+    assert_eq!(seven[4..6], [Value::Float(12.5), Value::Int(15_403)]);
+    assert_eq!(seven[4..6], eight[4..6]);
+    conn.close().unwrap();
+    server.shutdown();
+}
+
 /// Regression test for the admission TOCTOU: the queue-depth check and the
 /// enqueue used to be separate steps, so N concurrent sessions could overshoot
 /// the bound by N−1. The bound is now enforced under the engine's queue lock;

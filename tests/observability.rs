@@ -904,15 +904,15 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     assert_eq!(scan_cycles(&metrics, "AUTHOR"), [1, 1]);
     assert_eq!(scan_rows(&metrics, "AUTHOR")[0], emitted + authors);
 
-    // A cart's lines are found through SCL_CART: SHOPPING_CART_LINE is never
-    // walked for them.
+    // A cart's lines are looked up by the shared probe on SCL_CART:
+    // SHOPPING_CART_LINE has no scan to walk for them.
     let cart = [Value::Int(3)];
     let in_cart = run(&mut conn, "getCart", &cart);
     assert_eq!(in_cart.len(), 1);
     same_as_classic("getCart", &cart, &in_cart);
     let metrics = server.metrics_text();
-    assert_eq!(scan_cycles(&metrics, "SHOPPING_CART_LINE"), [0, 1]);
-    assert_eq!(scan_rows(&metrics, "SHOPPING_CART_LINE"), [1, 1, 0]);
+    assert!(metrics.contains("operator=\"Probe(SHOPPING_CART_LINE)#18\""));
+    assert!(!metrics.contains("table=\"SHOPPING_CART_LINE\",path="));
 
     // The latest orders only: the old chunks are left out, their versions
     // counted, and the reply is the query-at-a-time engine's.
@@ -1013,10 +1013,8 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
             "doAuthorSearch",
             &["residual · index(AUTHOR_LNAME) range for a prefix pattern when the cycle allows"][..],
         ),
-        (
-            "getCart",
-            &["eq(SCL_SC_ID) · index(SCL_CART) when the cycle allows"][..],
-        ),
+        // A key look-up through the shared probe: no scan, no predicate.
+        ("getCart", &[][..]),
     ] {
         let text = conn.explain(statement, false).unwrap().text;
         let shown: Vec<&str> = text
@@ -1280,7 +1278,7 @@ fn a_search_prunes_the_author_join_and_a_lookup_nothing() {
     let of_subject = scale.items as u64 / SUBJECTS.len() as u64;
     for (operator, count) in pruned(&metrics) {
         match operator.as_str() {
-            "IndexNlJoin(AUTHOR)#7" => {
+            "IndexNlJoin(AUTHOR)#4" => {
                 assert!((of_subject / 2..of_subject * 2).contains(&(count + PAGE_SIZE as u64)))
             }
             _ => assert_eq!(count, 0, "{operator}"),
@@ -1289,11 +1287,11 @@ fn a_search_prunes_the_author_join_and_a_lookup_nothing() {
     let explained = conn.explain("doSubjectSearch", true).unwrap().text;
     let join = explained
         .lines()
-        .position(|l| l.contains("IndexNlJoin(AUTHOR)#7"));
+        .position(|l| l.contains("IndexNlJoin(AUTHOR)#4"));
     let join = join.unwrap_or_else(|| panic!("{explained}"));
     let lines: Vec<&str> = explained.lines().collect();
     assert!(
-        lines[join].ends_with("(activated) top 50 by [I_TITLE] for TopN#8"),
+        lines[join].ends_with("(activated) top 50 by [I_TITLE] for TopN#5"),
         "{explained}"
     );
     assert!(
