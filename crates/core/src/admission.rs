@@ -38,7 +38,7 @@ impl Submission {
 ///
 /// The classification falls out of the plan shape: a query whose activations
 /// touch only index probes and filters is a point lookup (*light*); anything
-/// driving a table scan, join, sort, top-N, group-by, distinct or union is
+/// driving a table scan, join, sort, top-N, group-by or distinct is
 /// *heavy*. Updates are light: group-commit appends whose latency gates
 /// read-your-writes fences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

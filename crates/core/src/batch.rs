@@ -14,7 +14,7 @@ use crate::plan::{
 use shareddb_common::ids::{BatchId, TicketId};
 use shareddb_common::{Error, Expr, QueryId, Result, SortKey, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
-use shareddb_storage::{ProbeRange, SnapshotPin, UpdateOp};
+use shareddb_storage::{SnapshotPin, UpdateOp};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,12 +29,12 @@ pub enum Activation {
         /// `None` reads the executing batch's own snapshot.
         snapshot: Option<Snapshot>,
     },
-    /// Key/range look-up for a shared index probe.
+    /// Key look-up for a shared index probe.
     Probe {
         /// Probed column.
         column: usize,
-        /// Concrete key range.
-        range: ProbeRange,
+        /// Concrete key.
+        key: Value,
         /// Residual predicate on fetched rows.
         residual: Option<Expr>,
         /// Pinned MVCC read snapshot ([`SubmitOptions::pinned_snapshot`]).
@@ -263,11 +263,11 @@ fn bind_activation(
         },
         ActivationTemplate::Probe {
             column,
-            range,
+            key,
             residual,
         } => Activation::Probe {
             column: *column,
-            range: range.bind(params)?,
+            key: key.bind(params)?.eval(&Tuple::empty())?,
             residual: residual.as_ref().map(|e| e.bind(params)).transpose()?,
             snapshot: opts.pinned_snapshot.as_deref().copied(),
         },
@@ -341,7 +341,7 @@ pub fn bind_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ProbeTemplate, StatementSpec};
+    use crate::plan::StatementSpec;
 
     #[test]
     fn bind_query_substitutes_parameters() {
@@ -356,7 +356,7 @@ mod tests {
                 2,
                 ActivationTemplate::Probe {
                     column: 0,
-                    range: ProbeTemplate::Key(Expr::param(1)),
+                    key: Expr::param(1),
                     residual: None,
                 },
             )
@@ -382,10 +382,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match &q.activations[1].1 {
-            Activation::Probe { range, .. } => match range {
-                ProbeRange::Key(v) => assert_eq!(*v, Value::Int(11)),
-                _ => panic!("expected key"),
-            },
+            Activation::Probe { key, .. } => assert_eq!(*key, Value::Int(11)),
             other => panic!("unexpected {other:?}"),
         }
         // Missing parameters are an error.

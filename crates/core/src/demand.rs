@@ -1,6 +1,6 @@
 //! Row demand: a statement's Top-N limit, carried one edge down the plan.
 //!
-//! A query that some node `t` cuts to its first `limit` rows under sort keys
+//! A query that a Top-N `t` cuts to its first `limit` rows under sort keys
 //! `K` needs, of `t`'s producer `p`, only the rows that can be among them.
 //! [`push_down`] finds those `(t, p)` pairs per statement and rewrites the
 //! statement's activation template at `p` into an
@@ -26,49 +26,31 @@ pub fn push_down(plan: &GlobalPlan, registry: &mut StatementRegistry) {
     }
 }
 
-/// A node that cuts the statement's rows: `(t, K, limit)`.
+/// A Top-N that cuts the statement's rows: `(t, K, limit)`.
 type Cut = (OperatorId, Arc<[SortKey]>, usize);
 
 fn push_down_statement(plan: &GlobalPlan, spec: &mut StatementSpec) {
-    let StatementKind::Query {
-        root,
-        limit,
-        distinct,
-        ..
-    } = &spec.kind
-    else {
+    let StatementKind::Query { root, .. } = &spec.kind else {
         return;
     };
-    let (root, limit, distinct) = (*root, *limit, *distinct);
+    let root = *root;
     for (_, template) in &mut spec.activations {
         *template = template.base().clone();
     }
     let mut cuts: Vec<Cut> = Vec::new();
     for (t, template) in &spec.activations {
-        match (&plan.node(*t).spec, template) {
-            (OperatorSpec::TopN { keys }, ActivationTemplate::TopN { limit }) => {
-                cuts.push((*t, keys.as_slice().into(), *limit));
-            }
-            // `ORDER BY … LIMIT`: result routing keeps the first `limit` rows
-            // of the root sort — unless it has to deduplicate them first.
-            (OperatorSpec::Sort { keys }, _) if *t == root && !distinct => {
-                if let Some(limit) = limit {
-                    cuts.push((*t, keys.as_slice().into(), limit));
-                }
-            }
-            _ => {}
+        if let (OperatorSpec::TopN { keys }, ActivationTemplate::TopN { limit }) =
+            (&plan.node(*t).spec, template)
+        {
+            cuts.push((*t, keys.as_slice().into(), *limit));
         }
     }
     for (t, keys, limit) in cuts {
-        let mut demanded: Vec<OperatorId> =
-            producer(plan, spec, root, t, &keys).into_iter().collect();
-        // A sort learns its own cut the way its producer does; a Top-N has
-        // it in its activation.
-        if matches!(plan.node(t).spec, OperatorSpec::Sort { .. }) {
-            demanded.push(t);
-        }
+        let Some(p) = producer(plan, spec, root, t, &keys) else {
+            continue;
+        };
         for (op, template) in &mut spec.activations {
-            if demanded.contains(op) {
+            if *op == p {
                 *template = ActivationTemplate::Demand {
                     base: Box::new(template.clone()),
                     keys: Arc::clone(&keys),

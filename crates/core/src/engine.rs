@@ -447,9 +447,7 @@ impl Drop for Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::plan::{
-        ActivationTemplate, PlanBuilder, ProbeTemplate, StatementSpec, UpdateTemplate,
-    };
+    use crate::plan::{ActivationTemplate, PlanBuilder, StatementSpec, UpdateTemplate};
     use crate::SubmitOptions;
     use shareddb_common::agg::AggregateFunction;
     use shareddb_common::{tuple, DataType, Expr, SortKey, Value};
@@ -590,7 +588,7 @@ pub(crate) mod tests {
                 users_probe,
                 ActivationTemplate::Probe {
                     column: 0,
-                    range: ProbeTemplate::Key(Expr::param(0)),
+                    key: Expr::param(0),
                     residual: None,
                 },
             ))

@@ -309,7 +309,7 @@ fn template_class(schema: &Schema, predicate: &Expr) -> String {
 
 /// The row demand a template carries, as EXPLAIN shows it on the line of the
 /// operator that honours it: `top 50 by [I_PUB_DATE desc, I_TITLE] for
-/// TopN#9` — `for LIMIT` on a root sort that is told of the statement's own.
+/// TopN#9`.
 fn describe_demand(
     plan: &GlobalPlan,
     op: OperatorId,
@@ -335,13 +335,10 @@ fn describe_demand(
             }
         })
         .collect();
-    let consumer = match *consumer == op {
-        true => "LIMIT",
-        false => &plan.node(*consumer).name,
-    };
     Some(format!(
-        "top {limit} by [{}] for {consumer}",
-        keys.join(", ")
+        "top {limit} by [{}] for {}",
+        keys.join(", "),
+        plan.node(*consumer).name
     ))
 }
 

@@ -144,11 +144,6 @@ pub fn execute_on(
             aggregates,
         } => execute_group_by(activations, &active, only()?, group_columns, aggregates),
         OperatorSpec::Distinct => Ok(all(execute_distinct(&active, only()?))),
-        OperatorSpec::Union => Ok(all(inputs
-            .iter()
-            .flat_map(|input| restricted(input, &active))
-            .map(|(tuple, queries)| QTuple::new(tuple.clone(), queries))
-            .collect())),
     }
 }
 
@@ -623,10 +618,9 @@ fn execute_sort(
     input: &[QTuple],
     keys: &[SortKey],
 ) -> Emitted {
-    // A Top-N query's limit is its activation; a sort is told of the `LIMIT`
-    // its output is cut to by a demand.
+    // A Top-N query's limit is its activation; a sort keeps every row.
     let limits = PerQuery::of(activations.iter().filter_map(|(q, a)| match a {
-        Activation::TopN { limit } | Activation::Demand { limit, .. } => Some((*q, *limit)),
+        Activation::TopN { limit } => Some((*q, *limit)),
         _ => None,
     }));
     let ties = |a: u32, b: u32| {
@@ -1599,22 +1593,6 @@ mod tests {
         assert_eq!(out[0].tuple, tuple!["A"]);
         assert_eq!(out[0].queries, [1u32, 2].into_iter().collect());
         assert_eq!(out[1].queries, [1u32, 2].into_iter().collect());
-    }
-
-    #[test]
-    fn union_concatenates_inputs() {
-        let catalog = Catalog::new();
-        let a = vec![qt(tuple![1i64], &[1])];
-        let b = vec![qt(tuple![2i64], &[1]), qt(tuple![3i64], &[7])];
-        let out = execute_operator(
-            &OperatorSpec::Union,
-            &participate(&[1]),
-            vec![a, b],
-            &ctx(&catalog),
-        )
-        .unwrap();
-        // The tuple subscribed only by inactive query 7 is dropped.
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

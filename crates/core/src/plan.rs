@@ -12,8 +12,8 @@
 //! activation parameters — this is what makes the computation shareable.
 
 use shareddb_common::agg::AggregateFunction;
-use shareddb_common::{Error, Expr, Result, Schema, SortKey, Value};
-use shareddb_storage::{Catalog, ProbeRange};
+use shareddb_common::{Error, Expr, Result, Schema, SortKey};
+use shareddb_storage::Catalog;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -101,8 +101,6 @@ pub enum OperatorSpec {
     },
     /// Shared duplicate elimination over the full input tuple.
     Distinct,
-    /// Union of the tuples of all inputs (inputs must share a schema).
-    Union,
 }
 
 impl OperatorSpec {
@@ -119,7 +117,6 @@ impl OperatorSpec {
             OperatorSpec::TopN { .. } => "TopN".to_string(),
             OperatorSpec::GroupBy { .. } => "GroupBy".to_string(),
             OperatorSpec::Distinct => "Distinct".to_string(),
-            OperatorSpec::Union => "Union".to_string(),
         }
     }
 
@@ -453,22 +450,6 @@ impl<'a> PlanBuilder<'a> {
         Ok(self.push(OperatorSpec::Distinct, vec![input], schema))
     }
 
-    /// Adds a union of several same-schema inputs.
-    pub fn union(&mut self, inputs: Vec<OperatorId>) -> Result<OperatorId> {
-        if inputs.is_empty() {
-            return Err(Error::Internal("union of zero inputs".into()));
-        }
-        let schema = self.input_schema(inputs[0])?;
-        for &i in &inputs[1..] {
-            if self.input_schema(i)?.len() != schema.len() {
-                return Err(Error::Internal(
-                    "union inputs must have the same arity".into(),
-                ));
-            }
-        }
-        Ok(self.push(OperatorSpec::Union, inputs, schema))
-    }
-
     /// Finishes the plan.
     pub fn build(self) -> GlobalPlan {
         GlobalPlan { nodes: self.nodes }
@@ -489,13 +470,12 @@ pub enum ActivationTemplate {
         /// Predicate template (may contain parameters).
         predicate: Expr,
     },
-    /// Key or range look-up pushed into a shared index probe.
+    /// Key look-up pushed into a shared index probe.
     Probe {
         /// Probed column (index into the table schema).
         column: usize,
-        /// Key expression (parameter or literal) for an exact look-up; or
-        /// a range described by optional bound expressions.
-        range: ProbeTemplate,
+        /// Key expression (parameter or literal).
+        key: Expr,
         /// Residual predicate evaluated on fetched rows.
         residual: Option<Expr>,
     },
@@ -505,7 +485,7 @@ pub enum ActivationTemplate {
         predicate: Expr,
     },
     /// The query participates in the operator without per-query configuration
-    /// (joins, sorts, distinct, union).
+    /// (joins, sorts, distinct).
     Participate,
     /// Per-query row limit of a shared Top-N operator.
     TopN {
@@ -530,8 +510,7 @@ pub enum ActivationTemplate {
         keys: Arc<[SortKey]>,
         /// Rows the statement keeps.
         limit: usize,
-        /// The operator that cuts to `limit` (the statement's own `LIMIT`
-        /// when this is its root sort).
+        /// The Top-N that cuts to `limit`.
         consumer: OperatorId,
     },
 }
@@ -543,57 +522,6 @@ impl ActivationTemplate {
             ActivationTemplate::Demand { base, .. } => base,
             plain => plain,
         }
-    }
-}
-
-/// Template for a probe key or key range; expressions may contain parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProbeTemplate {
-    /// Exact key look-up.
-    Key(Expr),
-    /// Range look-up `[low, high]` with inclusive flags.
-    Range {
-        /// Lower bound (None = unbounded).
-        low: Option<(Expr, bool)>,
-        /// Upper bound (None = unbounded).
-        high: Option<(Expr, bool)>,
-    },
-}
-
-impl ProbeTemplate {
-    /// Binds parameters and evaluates the bound expressions to a concrete
-    /// [`ProbeRange`].
-    pub fn bind(&self, params: &[Value]) -> Result<ProbeRange> {
-        let eval =
-            |e: &Expr| -> Result<Value> { e.bind(params)?.eval(&shareddb_common::Tuple::empty()) };
-        Ok(match self {
-            ProbeTemplate::Key(e) => ProbeRange::Key(eval(e)?),
-            ProbeTemplate::Range { low, high } => {
-                let low = match low {
-                    None => std::ops::Bound::Unbounded,
-                    Some((e, inclusive)) => {
-                        let v = eval(e)?;
-                        if *inclusive {
-                            std::ops::Bound::Included(v)
-                        } else {
-                            std::ops::Bound::Excluded(v)
-                        }
-                    }
-                };
-                let high = match high {
-                    None => std::ops::Bound::Unbounded,
-                    Some((e, inclusive)) => {
-                        let v = eval(e)?;
-                        if *inclusive {
-                            std::ops::Bound::Included(v)
-                        } else {
-                            std::ops::Bound::Excluded(v)
-                        }
-                    }
-                };
-                ProbeRange::Range { low, high }
-            }
-        })
     }
 }
 
@@ -876,9 +804,7 @@ impl StatementRegistry {
                 // Only these read a demand; elsewhere it would hide `base`.
                 let demand_read = matches!(
                     node.spec,
-                    OperatorSpec::IndexNlJoin { .. }
-                        | OperatorSpec::GroupBy { .. }
-                        | OperatorSpec::Sort { .. }
+                    OperatorSpec::IndexNlJoin { .. } | OperatorSpec::GroupBy { .. }
                 );
                 let demanded = matches!(template, ActivationTemplate::Demand { .. });
                 if !compatible || (demanded && !demand_read) {
@@ -974,21 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn union_arity_check() {
-        let catalog = catalog();
-        let mut b = PlanBuilder::new(&catalog);
-        let users = b.table_scan("USERS").unwrap();
-        let orders = b.table_scan("ORDERS").unwrap();
-        let users2 = b.table_scan("USERS").unwrap();
-        assert!(b.union(vec![users, orders]).is_ok()); // same arity (3)
-        assert!(b.union(vec![]).is_err());
-        let join = b
-            .hash_join(users, orders, "USERS.USER_ID", "ORDERS.USER_ID")
-            .unwrap();
-        assert!(b.union(vec![users2, join]).is_err());
-    }
-
-    #[test]
     fn statement_registry_and_validation() {
         let catalog = catalog();
         let mut b = PlanBuilder::new(&catalog);
@@ -1042,27 +953,6 @@ mod tests {
         } else {
             panic!("expected update");
         }
-    }
-
-    #[test]
-    fn probe_template_binding() {
-        let t = ProbeTemplate::Key(Expr::param(0));
-        match t.bind(&[Value::Int(7)]).unwrap() {
-            ProbeRange::Key(v) => assert_eq!(v, Value::Int(7)),
-            _ => panic!("expected key"),
-        }
-        let t = ProbeTemplate::Range {
-            low: Some((Expr::param(0), true)),
-            high: None,
-        };
-        match t.bind(&[Value::Int(3)]).unwrap() {
-            ProbeRange::Range { low, high } => {
-                assert_eq!(low, std::ops::Bound::Included(Value::Int(3)));
-                assert_eq!(high, std::ops::Bound::Unbounded);
-            }
-            _ => panic!("expected range"),
-        }
-        assert!(t.bind(&[]).is_err());
     }
 
     #[test]

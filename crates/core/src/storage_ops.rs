@@ -83,12 +83,12 @@ impl StorageOperator {
                     .map(|(q, a)| match a {
                         Activation::Probe {
                             column,
-                            range,
+                            key,
                             residual,
                             snapshot: pinned,
                         } => {
-                            let mut pq = ProbeQuery::range(*q, *column, range.clone())
-                                .at_snapshot(at(pinned));
+                            let mut pq =
+                                ProbeQuery::key(*q, *column, key.clone()).at_snapshot(at(pinned));
                             if let Some(residual) = residual {
                                 pq = pq.with_residual(residual.clone());
                             }
@@ -130,7 +130,7 @@ mod tests {
     use crate::executor::{Executor, NodeRun, Run};
     use crate::stats::EngineStats;
     use shareddb_common::{tuple, DataType, Expr, Value};
-    use shareddb_storage::{ProbeRange, TableDef, UpdateOp};
+    use shareddb_storage::{TableDef, UpdateOp};
 
     fn catalog() -> Arc<Catalog> {
         let catalog = Catalog::new();
@@ -163,7 +163,7 @@ mod tests {
     fn key_act(key: i64) -> Activation {
         Activation::Probe {
             column: 0,
-            range: ProbeRange::Key(Value::Int(key)),
+            key: Value::Int(key),
             residual: None,
             snapshot: None,
         }

@@ -12,9 +12,12 @@
 //!
 //! * [`protocol`] — the length-prefixed binary wire protocol (frame formats,
 //!   value encoding, error codes, the incremental [`protocol::FrameDecoder`]).
-//! * [`server`] — the single-threaded readiness reactor (epoll on Linux, an
-//!   adaptive-parking poll loop elsewhere), admission control and graceful
-//!   drain.
+//! * [`server`] — the single-threaded readiness reactor (epoll), admission
+//!   control and graceful drain.
+//!
+//! The crate builds on Linux only: the reactor's one readiness source is
+//! `epoll`, and a graceful drain reads `TCP_INFO` to know a client has every
+//! reply.
 //!
 //! There is one way to ask a server how it is doing: `GET /metrics` on the
 //! wire port ([`Server::metrics_text`] in process), which reads every number
@@ -29,6 +32,9 @@
 //! received over the wire is auto-parameterised and matched against the
 //! compiled statement *types* — queries whose type is not part of the plan are
 //! rejected, mirroring the paper's prepared-workload model.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("shareddb-server needs Linux: its reactor is epoll and its drain reads TCP_INFO");
 
 pub mod protocol;
 mod reactor;

@@ -7,18 +7,18 @@
 //!   accept ──▶│ nonblocking sockets ──▶ FrameDecoder ──▶ admission ──▶ engine    │
 //!             │        ▲                (partial-frame      (atomic     submit   │
 //!             │        │                 buffers)            bound)        │     │
-//!             │   epoll/park                                               ▼     │
+//!             │     epoll                                                  ▼     │
 //!             │        ▲                per-conn reply queue ◀── completions     │
 //!             │        │                (submission order)       (one eventfd)   │
 //!             │   write queues ◀────────────┘                                    │
 //!             └────────────────────────────────────────────────────────────────--┘
 //! ```
 //!
-//! Sockets are nonblocking; readiness comes from `epoll` on Linux (via a tiny
-//! `extern "C"` binding — no crates.io dependency, following the `shims/`
-//! pattern of linking the platform directly) or from a portable adaptive
-//! parking loop everywhere else. Nothing in the reactor blocks on I/O or on
-//! the engine:
+//! Sockets are nonblocking; readiness comes from one level-triggered `epoll`
+//! set ([`Epoll`], a tiny `extern "C"` binding — no crates.io dependency,
+//! following the `shims/` pattern of linking the platform directly), so the
+//! crate is Linux-only, as is the `TCP_INFO` read a drain waits on. Nothing in
+//! the reactor blocks on I/O or on the engine:
 //!
 //! * reads land in a per-connection [`FrameDecoder`] that carries
 //!   partial-frame state, so a client that stalls mid-frame costs a buffer,
@@ -26,7 +26,7 @@
 //! * submitted statements park as [`Reply::Pending`] entries in the
 //!   connection's reply queue, each tagged with its place there; outcomes
 //!   come back through the reactor's one [`Completions`] queue, whose push
-//!   wakes the poll (an eventfd/condvar wake, not a timed poll) only when it
+//!   wakes the poll (an eventfd write, not a timed poll) only when it
 //!   found the queue empty — one wake carries whatever has gathered by the
 //!   time the reactor looks — and are filed by tag, so replies leave in
 //!   submission order whatever order the replicas finished in;
@@ -54,13 +54,14 @@ use shareddb_sql::compile::{bind_adhoc, canonicalize, parse_explain};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Poll token of the TCP listener.
 const LISTENER_TOKEN: u64 = 0;
-/// Poll token of the wakeup channel (eventfd / condvar).
+/// Poll token of the wakeup eventfd.
 const WAKE_TOKEN: u64 = 1;
 /// First token handed to a client connection.
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -77,53 +78,30 @@ pub(crate) const STALLED_FRAME_TIMEOUT: Duration = Duration::from_secs(30);
 /// with `400 Bad Request` — scrape requests are a handful of header lines.
 const MAX_HTTP_REQUEST: usize = 8 * 1024;
 
+/// Rows per [`Frame::ResultChunk`] of a statement's result.
+const CHUNK_ROWS: usize = 512;
+
 // ---------------------------------------------------------------------------
-// Poller abstraction
+// The poller: epoll through a direct syscall binding, no external crates
 // ---------------------------------------------------------------------------
 
 /// What a connection wants to be told about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Interest {
-    pub readable: bool,
-    pub writable: bool,
+struct Interest {
+    readable: bool,
+    writable: bool,
 }
 
 /// One readiness event.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Event {
-    pub token: u64,
-    pub readable: bool,
-    pub writable: bool,
+struct Event {
+    token: u64,
+    readable: bool,
+    writable: bool,
     /// Peer hangup / socket error: the connection is beyond saving.
-    pub closed: bool,
+    closed: bool,
 }
 
-/// Readiness source: epoll on Linux, adaptive-parking scan elsewhere.
-///
-/// `progressed` on [`Poller::poll`] reports whether the previous reactor
-/// iteration did useful work — the scan poller uses it to adapt its parking
-/// interval; epoll ignores it.
-pub(crate) trait Poller: Send {
-    fn register_listener(&mut self, listener: &TcpListener) -> std::io::Result<()>;
-    fn deregister_listener(&mut self, listener: &TcpListener);
-    fn register_conn(
-        &mut self,
-        stream: &TcpStream,
-        token: u64,
-        interest: Interest,
-    ) -> std::io::Result<()>;
-    fn update_conn(&mut self, stream: &TcpStream, token: u64, interest: Interest);
-    fn deregister_conn(&mut self, stream: &TcpStream, token: u64);
-    /// A handle other threads use to interrupt a sleeping [`Poller::poll`].
-    fn waker(&self) -> Arc<dyn Fn() + Send + Sync>;
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>, progressed: bool);
-}
-
-// ---------------------------------------------------------------------------
-// Linux epoll poller (direct syscall binding, no external crates)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
 mod sys {
     //! Minimal libc surface for epoll + eventfd (and the TCP state a drain
     //! waits on). The workspace has no
@@ -179,10 +157,8 @@ mod sys {
 /// An owned eventfd shared between the poller and the wakers it hands out;
 /// the fd stays open until the last waker is dropped, so a late wake can
 /// never hit a recycled descriptor.
-#[cfg(target_os = "linux")]
 struct EventFd(i32);
 
-#[cfg(target_os = "linux")]
 impl EventFd {
     fn wake(&self) {
         let one = 1u64.to_ne_bytes();
@@ -199,7 +175,6 @@ impl EventFd {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for EventFd {
     fn drop(&mut self) {
         unsafe {
@@ -208,16 +183,17 @@ impl Drop for EventFd {
     }
 }
 
-#[cfg(target_os = "linux")]
-pub(crate) struct EpollPoller {
+/// The reactor's readiness source: one level-triggered epoll set holding
+/// the listener, every client socket and an eventfd other threads wake it
+/// through.
+pub(crate) struct Epoll {
     epfd: i32,
     wake: Arc<EventFd>,
     events: Vec<sys::EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
-impl EpollPoller {
-    pub(crate) fn new() -> std::io::Result<EpollPoller> {
+impl Epoll {
+    pub(crate) fn new() -> std::io::Result<Epoll> {
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(std::io::Error::last_os_error());
@@ -228,7 +204,7 @@ impl EpollPoller {
             unsafe { sys::close(epfd) };
             return Err(err);
         }
-        let poller = EpollPoller {
+        let poller = Epoll {
             epfd,
             wake: Arc::new(EventFd(wakefd)),
             events: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
@@ -259,21 +235,8 @@ impl EpollPoller {
         }
         bits
     }
-}
 
-#[cfg(target_os = "linux")]
-impl Drop for EpollPoller {
-    fn drop(&mut self) {
-        unsafe {
-            sys::close(self.epfd);
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Poller for EpollPoller {
-    fn register_listener(&mut self, listener: &TcpListener) -> std::io::Result<()> {
-        use std::os::unix::io::AsRawFd;
+    pub(crate) fn register_listener(&self, listener: &TcpListener) -> std::io::Result<()> {
         self.ctl(
             sys::EPOLL_CTL_ADD,
             listener.as_raw_fd(),
@@ -282,18 +245,16 @@ impl Poller for EpollPoller {
         )
     }
 
-    fn deregister_listener(&mut self, listener: &TcpListener) {
-        use std::os::unix::io::AsRawFd;
+    fn deregister_listener(&self, listener: &TcpListener) {
         let _ = self.ctl(sys::EPOLL_CTL_DEL, listener.as_raw_fd(), 0, 0);
     }
 
     fn register_conn(
-        &mut self,
+        &self,
         stream: &TcpStream,
         token: u64,
         interest: Interest,
     ) -> std::io::Result<()> {
-        use std::os::unix::io::AsRawFd;
         self.ctl(
             sys::EPOLL_CTL_ADD,
             stream.as_raw_fd(),
@@ -302,8 +263,7 @@ impl Poller for EpollPoller {
         )
     }
 
-    fn update_conn(&mut self, stream: &TcpStream, token: u64, interest: Interest) {
-        use std::os::unix::io::AsRawFd;
+    fn update_conn(&self, stream: &TcpStream, token: u64, interest: Interest) {
         let _ = self.ctl(
             sys::EPOLL_CTL_MOD,
             stream.as_raw_fd(),
@@ -312,17 +272,19 @@ impl Poller for EpollPoller {
         );
     }
 
-    fn deregister_conn(&mut self, stream: &TcpStream, token: u64) {
-        use std::os::unix::io::AsRawFd;
+    fn deregister_conn(&self, stream: &TcpStream, token: u64) {
         let _ = self.ctl(sys::EPOLL_CTL_DEL, stream.as_raw_fd(), token, 0);
     }
 
-    fn waker(&self) -> Arc<dyn Fn() + Send + Sync> {
+    /// A handle other threads use to interrupt a sleeping [`Epoll::poll`].
+    pub(crate) fn waker(&self) -> Arc<dyn Fn() + Send + Sync> {
         let wake = Arc::clone(&self.wake);
         Arc::new(move || wake.wake())
     }
 
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>, _progressed: bool) {
+    /// Waits up to `timeout` (forever on `None`) and appends what became
+    /// ready; a wake only ends the wait.
+    fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) {
         let timeout_ms: i32 = match timeout {
             // Round up so a 100µs deadline doesn't busy-spin at timeout 0.
             Some(t) => t.as_millis().saturating_add(1).min(i32::MAX as u128) as i32,
@@ -356,114 +318,10 @@ impl Poller for EpollPoller {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Portable fallback: adaptive-parking scan poller
-// ---------------------------------------------------------------------------
-
-/// Minimum park between scan sweeps while work keeps arriving.
-const SCAN_PARK_MIN: Duration = Duration::from_micros(50);
-/// Maximum park once the server has gone idle.
-const SCAN_PARK_MAX: Duration = Duration::from_millis(25);
-
-/// The portable poller: no readiness syscall at all. Every sweep reports all
-/// registered sockets as ready per their interest and lets the reactor's
-/// nonblocking reads/writes discover the truth (`WouldBlock` is cheap). The
-/// park between sweeps adapts — 50µs while progressing, backing off to 25ms
-/// at idle — and wakers (completions, shutdown) interrupt the park through a
-/// condvar, so latency stays bounded without a hot spin.
-pub(crate) struct ScanPoller {
-    signal: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-    interests: HashMap<u64, Interest>,
-    listener_registered: bool,
-    park: Duration,
-}
-
-impl ScanPoller {
-    pub(crate) fn new() -> ScanPoller {
-        ScanPoller {
-            signal: Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new())),
-            interests: HashMap::new(),
-            listener_registered: false,
-            park: SCAN_PARK_MIN,
-        }
-    }
-}
-
-impl Poller for ScanPoller {
-    fn register_listener(&mut self, _listener: &TcpListener) -> std::io::Result<()> {
-        self.listener_registered = true;
-        Ok(())
-    }
-
-    fn deregister_listener(&mut self, _listener: &TcpListener) {
-        self.listener_registered = false;
-    }
-
-    fn register_conn(
-        &mut self,
-        _stream: &TcpStream,
-        token: u64,
-        interest: Interest,
-    ) -> std::io::Result<()> {
-        self.interests.insert(token, interest);
-        Ok(())
-    }
-
-    fn update_conn(&mut self, _stream: &TcpStream, token: u64, interest: Interest) {
-        self.interests.insert(token, interest);
-    }
-
-    fn deregister_conn(&mut self, _stream: &TcpStream, token: u64) {
-        self.interests.remove(&token);
-    }
-
-    fn waker(&self) -> Arc<dyn Fn() + Send + Sync> {
-        let signal = Arc::clone(&self.signal);
-        Arc::new(move || {
-            let (lock, cv) = &*signal;
-            *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            cv.notify_all();
-        })
-    }
-
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>, progressed: bool) {
-        self.park = if progressed {
-            SCAN_PARK_MIN
-        } else {
-            (self.park * 2).min(SCAN_PARK_MAX)
-        };
-        let park = match timeout {
-            Some(t) => t.min(self.park),
-            None => self.park,
-        };
-        {
-            let (lock, cv) = &*self.signal;
-            let mut woken = lock.lock().unwrap_or_else(|e| e.into_inner());
-            if !*woken {
-                let (guard, _) = cv
-                    .wait_timeout(woken, park)
-                    .unwrap_or_else(|e| e.into_inner());
-                woken = guard;
-            }
-            *woken = false;
-        }
-        if self.listener_registered {
-            events.push(Event {
-                token: LISTENER_TOKEN,
-                readable: true,
-                writable: false,
-                closed: false,
-            });
-        }
-        for (&token, &interest) in &self.interests {
-            if interest.readable || interest.writable {
-                events.push(Event {
-                    token,
-                    readable: interest.readable,
-                    writable: interest.writable,
-                    closed: false,
-                });
-            }
+impl Drop for Epoll {
+    fn drop(&mut self) {
+        unsafe {
+            sys::close(self.epfd);
         }
     }
 }
@@ -590,9 +448,7 @@ impl Conn {
 
 /// The peer acknowledged every byte written to `stream` and the FIN behind
 /// them (`TCP_INFO` state `FIN_WAIT2`, or `TIME_WAIT` once its own FIN came).
-#[cfg(target_os = "linux")]
 fn fin_acked(stream: &TcpStream) -> bool {
-    use std::os::unix::io::AsRawFd;
     // `tcpi_state` is the first byte of `struct tcp_info`.
     let mut info = [0u8; 8];
     let mut len = info.len() as u32;
@@ -611,12 +467,6 @@ fn fin_acked(stream: &TcpStream) -> bool {
     rc == 0 && matches!(info[0], sys::TCP_FIN_WAIT2 | sys::TCP_TIME_WAIT)
 }
 
-/// Without `TCP_INFO` a half-closed connection closes at once.
-#[cfg(not(target_os = "linux"))]
-fn fin_acked(_stream: &TcpStream) -> bool {
-    true
-}
-
 // ---------------------------------------------------------------------------
 // The reactor
 // ---------------------------------------------------------------------------
@@ -624,7 +474,7 @@ fn fin_acked(_stream: &TcpStream) -> bool {
 pub(crate) struct Reactor {
     shared: Arc<Shared>,
     listener: TcpListener,
-    poller: Box<dyn Poller>,
+    poller: Epoll,
     conns: HashMap<u64, Conn>,
     /// Where every replica puts the outcomes of this reactor's statements.
     completions: Arc<Completions>,
@@ -643,11 +493,8 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        listener: TcpListener,
-        poller: Box<dyn Poller>,
-    ) -> Reactor {
+    /// A reactor over `listener`, which `poller` already watches.
+    pub(crate) fn new(shared: Arc<Shared>, listener: TcpListener, poller: Epoll) -> Reactor {
         let completions = Arc::new(Completions::new(Some(poller.waker())));
         Reactor {
             shared,
@@ -666,16 +513,9 @@ impl Reactor {
     }
 
     pub(crate) fn run(mut self) {
-        if self.poller.register_listener(&self.listener).is_err() {
-            // Without a registered listener the server can never accept;
-            // treat as fatal and drain out.
-            self.begin_drain();
-        }
-        let mut progressed = true;
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) && self.drain_deadline.is_none() {
                 self.begin_drain();
-                progressed = true;
             }
 
             // Engine completions since the last sweep: each outcome goes to
@@ -697,7 +537,6 @@ impl Reactor {
             touched.sort_unstable();
             touched.dedup();
             for token in touched.drain(..) {
-                progressed = true;
                 self.pump_and_flush(token);
                 self.maybe_reap(token);
             }
@@ -730,18 +569,16 @@ impl Reactor {
             let timeout = self.next_timeout(now);
             self.events.clear();
             let mut events = std::mem::take(&mut self.events);
-            self.poller.poll(&mut events, timeout, progressed);
-            progressed = false;
+            self.poller.poll(&mut events, timeout);
             for event in &events {
                 match event.token {
-                    LISTENER_TOKEN => progressed |= self.accept_ready(),
-                    WAKE_TOKEN => {}
+                    LISTENER_TOKEN => self.accept_ready(),
                     token => {
                         if event.readable || event.closed {
-                            progressed |= self.conn_readable(token);
+                            self.conn_readable(token);
                         }
                         if event.writable || event.closed {
-                            progressed |= self.pump_and_flush(token);
+                            self.pump_and_flush(token);
                         }
                         self.maybe_reap(token);
                     }
@@ -877,12 +714,10 @@ impl Reactor {
 
     // -- accept ------------------------------------------------------------
 
-    fn accept_ready(&mut self) -> bool {
-        let mut accepted = false;
+    fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    accepted = true;
                     if self.drain_deadline.is_some() {
                         continue; // accepted only to close: we are draining
                     }
@@ -933,32 +768,27 @@ impl Reactor {
                 }
             }
         }
-        accepted
     }
 
     // -- read path ---------------------------------------------------------
 
-    fn conn_readable(&mut self, token: u64) -> bool {
+    fn conn_readable(&mut self, token: u64) {
         use std::io::ErrorKind::{Interrupted, WouldBlock};
         // A half-closed connection's bytes are dropped; its EOF closes it.
         if let Some(conn) = self.conns.get_mut(&token).filter(|c| c.half_closed) {
-            return match conn.stream.read(&mut self.scratch) {
-                Ok(n) if n > 0 => true,
-                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => false,
-                _ => {
-                    conn.dead = true;
-                    true
-                }
-            };
+            match conn.stream.read(&mut self.scratch) {
+                Ok(n) if n > 0 => {}
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+                _ => conn.dead = true,
+            }
+            return;
         }
-        let mut progressed = false;
         // One read per readiness report. A read that did not fill the buffer
         // drained the socket — asking again would only buy a `WouldBlock` —
-        // and what a full buffer left behind is reported again (both pollers
-        // are level-triggered) once the other connections had their turn and
+        // and what a full buffer left behind is reported again (epoll is
+        // level-triggered) once the other connections had their turn and
         // unless the write queue passed its high-water mark meanwhile.
         if let Some(conn) = self.conns.get_mut(&token).filter(|c| c.reading()) {
-            progressed = true;
             match conn.stream.read(&mut self.scratch) {
                 // Clean EOF (possibly a half-close: the client may still be
                 // reading its pending responses).
@@ -977,7 +807,7 @@ impl Reactor {
                         self.process_frames(token);
                     }
                 }
-                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => progressed = false,
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
                 Err(_) => conn.dead = true,
             }
         }
@@ -1000,7 +830,6 @@ impl Reactor {
             .checked_add_signed(mid_frame_delta)
             .unwrap_or(0);
         self.pump_and_flush(token);
-        progressed
     }
 
     /// Decodes and handles every complete frame in the connection's buffer,
@@ -1120,7 +949,7 @@ impl Reactor {
                 }
                 let reply = Frame::HelloOk {
                     version: PROTOCOL_VERSION,
-                    server_name: self.shared.config.server_name.clone(),
+                    server_name: "shareddb".into(),
                     statement_count: self.shared.registry.len() as u32,
                 };
                 if let Some(conn) = self.conns.get_mut(&token) {
@@ -1449,12 +1278,11 @@ impl Reactor {
     /// neither makes progress: a flush that drops the write queue below the
     /// high-water mark re-opens the pump, so a completed reply can never be
     /// stranded behind a consumed wakeup.
-    fn pump_and_flush(&mut self, token: u64) -> bool {
+    fn pump_and_flush(&mut self, token: u64) {
         let conn = match self.conns.get_mut(&token) {
             Some(c) if !c.dead => c,
-            _ => return false,
+            _ => return,
         };
-        let mut progressed = false;
         loop {
             let mut round = false;
             // Pump: ready bytes move straight out; pending statements only
@@ -1488,12 +1316,7 @@ impl Reactor {
                                 // Encoded where it is sent from.
                                 let out = conn.out_for_append();
                                 let ok = match outcome {
-                                    Ok(outcome) => encode_outcome(
-                                        out,
-                                        request_id,
-                                        &outcome,
-                                        self.shared.config.chunk_rows,
-                                    ),
+                                    Ok(outcome) => encode_outcome(out, request_id, &outcome),
                                     Err(e) => {
                                         out.extend_from_slice(
                                             &error_frame(request_id, &e).encode(),
@@ -1535,7 +1358,6 @@ impl Reactor {
                     }
                 }
             }
-            progressed |= round;
             if !round || conn.dead {
                 break;
             }
@@ -1553,7 +1375,6 @@ impl Reactor {
                 .record(statement, Phase::Flush, ready_at.elapsed());
         }
         self.update_interest(token);
-        progressed
     }
 
     fn update_interest(&mut self, token: u64) {
@@ -1637,12 +1458,7 @@ fn error_frame(request_id: u64, error: &Error) -> Frame {
 /// Appends a statement outcome to `buf` as its response frames. Returns
 /// false, leaving `buf` as it was, when a frame would exceed the protocol
 /// limit (the connection must be dropped).
-fn encode_outcome(
-    buf: &mut Vec<u8>,
-    request_id: u64,
-    outcome: &QueryOutcome,
-    chunk_rows: usize,
-) -> bool {
+fn encode_outcome(buf: &mut Vec<u8>, request_id: u64, outcome: &QueryOutcome) -> bool {
     match outcome {
         QueryOutcome::Updated { rows_affected } => {
             let frame = Frame::ResultChunk {
@@ -1657,11 +1473,10 @@ fn encode_outcome(
         }
         QueryOutcome::Rows(result) => {
             let start = buf.len();
-            let chunk_rows = chunk_rows.max(1);
-            let n_chunks = result.rows.len().div_ceil(chunk_rows).max(1);
+            let n_chunks = result.rows.len().div_ceil(CHUNK_ROWS).max(1);
             for (i, chunk) in result
                 .rows
-                .chunks(chunk_rows)
+                .chunks(CHUNK_ROWS)
                 .chain(std::iter::repeat_n(
                     &[][..],
                     usize::from(result.rows.is_empty()),

@@ -5,7 +5,7 @@
 //! ```text
 //!   client sockets      reactor (1 thread)                engine
 //!   ┌────────┐  bytes  ┌───────────────────┐  admit   ┌─────────────────┐
-//!   │ conn 1 ├────────▶│ epoll / poll loop │─────────▶│                 │
+//!   │ conn 1 ├────────▶│ epoll             │─────────▶│                 │
 //!   │        │◀────────┤ frame decoders    │◀─waker───┤  admission queue│
 //!   └────────┘  frames │ reply queues      │          │   → QueryBatch  │
 //!   ┌────────┐         │ write queues      │          │   → shared plan │
@@ -14,16 +14,16 @@
 //! ```
 //!
 //! A single [`crate::reactor::Reactor`] thread owns the listener and every
-//! client socket (nonblocking, readiness-driven — `epoll` on Linux through a
-//! direct libc binding, an adaptive-parking poll loop elsewhere). Incoming
-//! bytes accumulate in per-connection [`crate::protocol::FrameDecoder`]s;
-//! complete frames run admission control and are submitted to the engine;
-//! results are pumped back *in submission order* through per-connection reply
-//! queues when the engine's completion waker fires. Because responses are
-//! strictly ordered, clients can pipeline: many requests of one connection
-//! are in flight at once and all of them land in the same heartbeat window,
-//! which is exactly how SharedDB wants its work to arrive — many concurrent
-//! statements forming one big batch.
+//! client socket (nonblocking, readiness-driven — `epoll` through a direct
+//! libc binding). Incoming bytes accumulate in per-connection
+//! [`crate::protocol::FrameDecoder`]s; complete frames run admission control
+//! and are submitted to the engine; results are pumped back *in submission
+//! order* through per-connection reply queues when the engine's completion
+//! waker fires. Because responses are strictly ordered, clients can
+//! pipeline: many requests of one connection are in flight at once and all
+//! of them land in the same heartbeat window, which is exactly how SharedDB
+//! wants its work to arrive — many concurrent statements forming one big
+//! batch.
 //!
 //! Compared to the former thread-per-connection frontend this removes two OS
 //! threads per session (the server now scales to thousands of sockets) and
@@ -48,13 +48,11 @@
 //! in-flight work (bounded by `drain_timeout`, signalled event-driven by the
 //! reactor rather than polled), and only then is the engine stopped.
 
-use crate::reactor::{Poller, Reactor, ScanPoller};
+use crate::reactor::{Epoll, Reactor};
 use shareddb_cluster::{ClusterConfig, ClusterEngine};
 use shareddb_common::metrics::{escape_label_value, render_summary, HistogramSnapshot};
 use shareddb_common::{Error, Expr, Result};
-use shareddb_core::plan::{
-    ActivationTemplate, GlobalPlan, ProbeTemplate, StatementKind, UpdateTemplate,
-};
+use shareddb_core::plan::{ActivationTemplate, GlobalPlan, StatementKind, UpdateTemplate};
 use shareddb_core::stats::{
     PhaseTable, ScanRowsSnapshot, StatementPhaseSnapshot, UpdateRowsSnapshot,
 };
@@ -75,22 +73,14 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks a free port).
     pub bind_addr: String,
-    /// Name reported in the [`crate::protocol::Frame::HelloOk`] greeting.
-    pub server_name: String,
     /// Maximum unanswered statements per session before backpressure kicks in.
     pub max_inflight_per_session: usize,
     /// Engine admission-queue depth beyond which new statements are rejected.
     /// A *hard* bound: the check and the enqueue happen under the engine's
     /// queue lock, so concurrent sessions can never overshoot it.
     pub max_queue_depth: usize,
-    /// Rows per [`crate::protocol::Frame::ResultChunk`].
-    pub chunk_rows: usize,
     /// How long [`Server::shutdown`] waits for sessions to drain.
     pub drain_timeout: Duration,
-    /// Use the portable adaptive-parking poller even where an OS readiness
-    /// facility (Linux `epoll`) is available. Mainly for tests and for
-    /// diagnosing platform-specific reactor issues.
-    pub force_portable_poller: bool,
     /// Engine-cluster configuration: `cluster.replicas` engines serve this
     /// one wire endpoint (1 = the classic single-engine frontend). See
     /// [`shareddb_cluster::ClusterConfig`] for the hot-type thresholds.
@@ -113,12 +103,9 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             bind_addr: "127.0.0.1:0".into(),
-            server_name: "shareddb".into(),
             max_inflight_per_session: 64,
             max_queue_depth: 4096,
-            chunk_rows: 512,
             drain_timeout: Duration::from_secs(5),
-            force_portable_poller: false,
             cluster: ClusterConfig::default(),
             data_dir: None,
             wal_sync: SyncPolicy::EveryBatch,
@@ -721,7 +708,8 @@ impl Server {
         let listener = TcpListener::bind(&config.bind_addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let poller = build_poller(config.force_portable_poller);
+        let poller = Epoll::new()?;
+        poller.register_listener(&listener)?;
 
         let shared = Arc::new(Shared {
             engine: RwLock::new(Some(engine)),
@@ -860,19 +848,6 @@ impl Drop for Server {
     }
 }
 
-fn build_poller(force_portable: bool) -> Box<dyn Poller> {
-    #[cfg(target_os = "linux")]
-    {
-        if !force_portable {
-            if let Ok(poller) = crate::reactor::EpollPoller::new() {
-                return Box::new(poller);
-            }
-        }
-    }
-    let _ = force_portable;
-    Box::new(ScanPoller::new())
-}
-
 /// Number of positional parameters a registered statement takes, derived from
 /// the `Expr::Param` references of its templates.
 fn spec_param_count(spec: &shareddb_core::plan::StatementSpec) -> usize {
@@ -889,20 +864,8 @@ fn spec_param_count(spec: &shareddb_core::plan::StatementSpec) -> usize {
             ActivationTemplate::Scan { predicate } | ActivationTemplate::Filter { predicate } => {
                 scan(predicate, &mut max)
             }
-            ActivationTemplate::Probe {
-                range, residual, ..
-            } => {
-                match range {
-                    ProbeTemplate::Key(e) => scan(e, &mut max),
-                    ProbeTemplate::Range { low, high } => {
-                        if let Some((e, _)) = low {
-                            scan(e, &mut max);
-                        }
-                        if let Some((e, _)) = high {
-                            scan(e, &mut max);
-                        }
-                    }
-                }
+            ActivationTemplate::Probe { key, residual, .. } => {
+                scan(key, &mut max);
                 if let Some(e) = residual {
                     scan(e, &mut max);
                 }
@@ -980,12 +943,15 @@ mod tests {
         ]
     }
 
-    fn run_raw_session(server_config: ServerConfig) {
+    /// Raw-socket smoke test of the whole reactor path (the full client
+    /// library has its own loopback integration tests).
+    #[test]
+    fn raw_session_round_trip() {
         let mut server = Server::start_sql(
             catalog(),
             &workload(),
             EngineConfig::default(),
-            server_config,
+            ServerConfig::default(),
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -1099,22 +1065,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.sessions_opened, 1);
         assert_eq!(stats.sessions_active, 0);
-    }
-
-    /// Raw-socket smoke test of the whole reactor path (the full client
-    /// library has its own loopback integration tests).
-    #[test]
-    fn raw_session_round_trip() {
-        run_raw_session(ServerConfig::default());
-    }
-
-    /// The same protocol conversation over the portable fallback poller.
-    #[test]
-    fn raw_session_round_trip_portable_poller() {
-        run_raw_session(ServerConfig {
-            force_portable_poller: true,
-            ..ServerConfig::default()
-        });
     }
 
     #[test]

@@ -48,8 +48,8 @@ use crate::token::{tokenize, Token};
 use shareddb_common::agg::AggregateFunction;
 use shareddb_common::{BinaryOp, Column, DataType, Error, Expr, Result, Schema, SortKey, Value};
 use shareddb_core::plan::{
-    ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, PlanBuilder, ProbeTemplate,
-    StatementRegistry, StatementSpec, UpdateTemplate,
+    ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, PlanBuilder, StatementRegistry,
+    StatementSpec, UpdateTemplate,
 };
 use shareddb_storage::Catalog;
 use std::collections::hash_map::Entry;
@@ -226,7 +226,7 @@ impl<'a> SqlCompiler<'a> {
                 let node = shared(&mut self.probes, key, || self.builder.index_probe(base))?;
                 let template = ActivationTemplate::Probe {
                     column,
-                    range: ProbeTemplate::Key(value),
+                    key: value,
                     residual: (!conjuncts.is_empty()).then(|| Expr::conjunction(conjuncts)),
                 };
                 (node, template)
@@ -1653,7 +1653,7 @@ mod tests {
                 0,
                 ActivationTemplate::Probe {
                     column: 0,
-                    range: ProbeTemplate::Key(Expr::param(1)),
+                    key: Expr::param(1),
                     residual: Some(Expr::col(3).gt(Expr::param(0))),
                 }
             )]

@@ -1,6 +1,6 @@
 //! Shared index probes.
 //!
-//! For point and small-range accesses a full ClockScan cycle is wasteful, so
+//! For point accesses a full ClockScan cycle is wasteful, so
 //! SharedDB extends Crescando with B-tree indexes and a *shared index probe*
 //! operator (Section 4.4): "look-ups are enqueued in the pending query queue
 //! which is emptied at the beginning of each cycle. During the cycle, the
@@ -12,55 +12,16 @@
 //! Executing many look-ups per cycle gives the instruction- and data-cache
 //! locality benefits of batched information filters (Fischer & Kossmann,
 //! ICDE 2005 — reference [12] of the paper).
+//!
+//! A probe is a key look-up (`col = key`); a range is read by a scan served
+//! from the indexes ([`crate::clockscan`]).
 
 use crate::mvcc::TimestampOracle;
 use crate::table::{RowId, Table};
 use crate::update::{apply_cycle_updates, UpdateOp, UpdateResult};
 use parking_lot::RwLock;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
-use std::cmp::Ordering;
-use std::ops::Bound;
 use std::sync::Arc;
-
-/// The key range of one probe.
-#[derive(Debug, Clone)]
-pub enum ProbeRange {
-    /// Exact-match probe (`col = key`).
-    Key(Value),
-    /// Range probe with inclusive/exclusive bounds.
-    Range {
-        /// Lower bound.
-        low: Bound<Value>,
-        /// Upper bound.
-        high: Bound<Value>,
-    },
-}
-
-impl ProbeRange {
-    /// Probe for all keys greater than `v`.
-    pub fn greater_than(v: Value) -> Self {
-        ProbeRange::Range {
-            low: Bound::Excluded(v),
-            high: Bound::Unbounded,
-        }
-    }
-
-    /// Probe for all keys less than `v`.
-    pub fn less_than(v: Value) -> Self {
-        ProbeRange::Range {
-            low: Bound::Unbounded,
-            high: Bound::Excluded(v),
-        }
-    }
-
-    /// Probe for all keys in `[low, high]`.
-    pub fn between(low: Value, high: Value) -> Self {
-        ProbeRange::Range {
-            low: Bound::Included(low),
-            high: Bound::Included(high),
-        }
-    }
-}
 
 /// One index look-up registered for a probe cycle.
 #[derive(Debug, Clone)]
@@ -69,8 +30,8 @@ pub struct ProbeQuery {
     pub query_id: QueryId,
     /// The indexed column to probe.
     pub column: usize,
-    /// The key or key range to look up.
-    pub range: ProbeRange,
+    /// The key to look up.
+    pub key: Value,
     /// Optional residual predicate evaluated on the fetched rows.
     pub residual: Option<Expr>,
     /// Optional pinned read snapshot (`None` = the cycle's own snapshot; see
@@ -84,18 +45,7 @@ impl ProbeQuery {
         ProbeQuery {
             query_id,
             column,
-            range: ProbeRange::Key(key),
-            residual: None,
-            snapshot: None,
-        }
-    }
-
-    /// A range probe.
-    pub fn range(query_id: QueryId, column: usize, range: ProbeRange) -> Self {
-        ProbeQuery {
-            query_id,
-            column,
-            range,
+            key,
             residual: None,
             snapshot: None,
         }
@@ -186,23 +136,12 @@ impl IndexProbe {
     ) -> Result<()> {
         let mut hits = Hits::default();
         for q in queries {
-            let (query, residual) = (q.query_id, q.residual.as_ref());
-            match &q.range {
-                ProbeRange::Key(key) => {
-                    let fetched = table.eq_lookup(q.column);
-                    hits.collect(&[query], fetched.rows(key, snapshot), residual)?
-                }
-                ProbeRange::Range { low, high } if table.has_index_on(q.column) => {
-                    let fetched =
-                        table.index_range(q.column, low.as_ref(), high.as_ref(), snapshot);
-                    hits.collect(&[query], fetched.into_iter(), residual)?
-                }
-                ProbeRange::Range { low, high } => {
-                    let in_range =
-                        |(_, row): &(_, &Tuple)| range_contains(low, high, &row[q.column]);
-                    hits.collect(&[query], table.scan(snapshot).filter(in_range), residual)?
-                }
-            }
+            let fetched = table.eq_lookup(q.column);
+            hits.collect(
+                &[q.query_id],
+                fetched.rows(&q.key, snapshot),
+                q.residual.as_ref(),
+            )?
         }
         hits.emit(table, &mut result.tuples);
         Ok(())
@@ -260,18 +199,6 @@ impl Hits {
     }
 }
 
-/// SQL range membership: a comparison with NULL is never true, so a NULL key
-/// is in no range — not even one with an open end — and a NULL bound admits
-/// nothing.
-fn range_contains(low: &Bound<Value>, high: &Bound<Value>, v: &Value) -> bool {
-    let within = |bound: &Bound<Value>, outside: Ordering| match bound {
-        Bound::Unbounded => !v.is_null(),
-        Bound::Included(b) => v.sql_cmp(b).is_some_and(|o| o != outside),
-        Bound::Excluded(b) => v.sql_cmp(b) == Some(outside.reverse()),
-    };
-    within(low, Ordering::Less) && within(high, Ordering::Greater)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,21 +249,17 @@ mod tests {
     }
 
     #[test]
-    fn range_probe_and_residual() {
+    fn key_probe_and_residual() {
         let (_, _, probe) = setup();
-        let query = ProbeQuery::range(
-            QueryId(1),
-            2,
-            ProbeRange::between(Value::Int(18), Value::Int(19)),
-        )
-        .with_residual(Expr::col(0).lt(Expr::lit(100i64)));
+        let query = ProbeQuery::key(QueryId(1), 2, Value::Int(18))
+            .with_residual(Expr::col(0).lt(Expr::lit(100i64)));
         let res = probe.execute_batch(&[query], &[]).unwrap();
-        // QTY in {18, 19} occurs for 20 rows; residual keeps ids < 100 → 10.
-        assert_eq!(res.tuples.len(), 10);
+        // QTY 18 occurs for 10 rows; residual keeps ids < 100 → 5.
+        assert_eq!(res.tuples.len(), 5);
         assert!(res
             .tuples
             .iter()
-            .all(|t| t.tuple[2] >= Value::Int(18) && t.tuple[0] < Value::Int(100)));
+            .all(|t| t.tuple[2] == Value::Int(18) && t.tuple[0] < Value::Int(100)));
     }
 
     #[test]
@@ -362,34 +285,11 @@ mod tests {
         assert_eq!(res.tuples[0].tuple[0], Value::Int(42));
     }
 
+    /// SQL comparisons with NULL are never true: a NULL key matches nothing,
+    /// not even a stored NULL — on the indexed path and on the scan fallback
+    /// alike — and a probe emits the table's own row, not a copy.
     #[test]
-    fn greater_and_less_than_ranges() {
-        let (_, _, probe) = setup();
-        let queries = [
-            ProbeQuery::range(QueryId(1), 0, ProbeRange::greater_than(Value::Int(195))),
-            ProbeQuery::range(QueryId(2), 0, ProbeRange::less_than(Value::Int(2))),
-        ];
-        let res = probe.execute_batch(&queries, &[]).unwrap();
-        let q1: Vec<_> = res
-            .tuples
-            .iter()
-            .filter(|t| t.queries.contains(QueryId(1)))
-            .collect();
-        let q2: Vec<_> = res
-            .tuples
-            .iter()
-            .filter(|t| t.queries.contains(QueryId(2)))
-            .collect();
-        assert_eq!(q1.len(), 4); // 196..199
-        assert_eq!(q2.len(), 2); // 0, 1
-    }
-
-    /// SQL comparisons with NULL are never true: a NULL key is in no range,
-    /// least of all one that is open below (the index orders NULL first) —
-    /// on the indexed path and on the scan fallback alike — and a probe
-    /// emits the table's own row, not a copy.
-    #[test]
-    fn null_keys_are_in_no_range() {
+    fn a_null_key_matches_nothing() {
         let schema = Schema::new(vec![
             Column::new("ID", DataType::Int),
             Column::nullable("INDEXED", DataType::Int),
@@ -408,23 +308,16 @@ mod tests {
         }
         let table = Arc::new(RwLock::new(t));
         let probe = IndexProbe::new(Arc::clone(&table), Arc::new(TimestampOracle::new()));
-        let five = || Value::Int(5);
         for column in [1, 2] {
-            let ranges = [
-                (ProbeRange::less_than(five()), vec![2, 3]),
-                (ProbeRange::greater_than(five()), vec![4]),
-                (ProbeRange::between(Value::Null, five()), vec![]),
-                (ProbeRange::less_than(Value::Null), vec![]),
-            ];
-            for (range, expected) in ranges {
-                let query = ProbeQuery::range(QueryId(1), column, range.clone());
+            for (key, expected) in [(Value::Int(4), vec![3]), (Value::Null, vec![])] {
+                let query = ProbeQuery::key(QueryId(1), column, key.clone());
                 let res = probe.execute_batch(&[query], &[]).unwrap();
                 let ids: Vec<i64> = res
                     .tuples
                     .iter()
                     .map(|t| t.tuple[0].as_int().unwrap())
                     .collect();
-                assert_eq!(ids, expected, "column {column}, {range:?}");
+                assert_eq!(ids, expected, "column {column}, {key:?}");
                 let table = table.read();
                 let stored = |id: i64| table.row(RowId(id as u64 - 1)).unwrap().values();
                 assert!(res

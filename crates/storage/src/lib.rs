@@ -37,7 +37,7 @@ pub use catalog::{
     Catalog, CheckpointInfo, IndexDef, RecoveryReport, TableDef, CHECKPOINT_FILE, WAL_FILE,
 };
 pub use clockscan::{ClockScan, ScanCycleResult, ScanQuery};
-pub use index_probe::{IndexProbe, ProbeQuery, ProbeRange};
+pub use index_probe::{IndexProbe, ProbeQuery};
 pub use mvcc::{Snapshot, SnapshotPin, TimestampOracle};
 pub use predicate_index::PredicateClass;
 pub use table::{

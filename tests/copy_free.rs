@@ -164,8 +164,7 @@ fn an_operator_cycle_allocates_for_what_it_emits() {
     );
     let sort = (OperatorSpec::Sort { keys }, Activation::Participate, 10);
     let distinct = (OperatorSpec::Distinct, Activation::Participate, 10);
-    let union = (OperatorSpec::Union, Activation::Participate, 10);
-    for (spec, activation, emitted) in [top_n, sort, distinct, union] {
+    for (spec, activation, emitted) in [top_n, sort, distinct] {
         let activations = [(QueryId(1), activation)];
         let cycle = |input: &[QTuple]| {
             let (count, out) = allocations(|| {

@@ -25,9 +25,7 @@ use shareddb::baseline::{BaselineStatement, ClassicEngine, EngineProfile, QueryP
 use shareddb::common::{tuple, DataType, Expr, QTuple, QueryId, QuerySet, Tuple, Value};
 use shareddb::core::batch::Activation;
 use shareddb::core::operators::{execute_operator, ExecContext};
-use shareddb::core::plan::{
-    ActivationTemplate, OperatorSpec, PlanBuilder, ProbeTemplate, StatementSpec,
-};
+use shareddb::core::plan::{ActivationTemplate, OperatorSpec, PlanBuilder, StatementSpec};
 use shareddb::core::{Engine, EngineConfig, StatementRegistry, SubmitOptions};
 use shareddb::storage::{Catalog, ClockScan, ScanQuery, Snapshot, SnapshotPin, TableDef, UpdateOp};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,7 +80,7 @@ fn engine(catalog: &Arc<Catalog>) -> Engine {
             probe,
             ActivationTemplate::Probe {
                 column: 0,
-                range: ProbeTemplate::Key(Expr::param(0)),
+                key: Expr::param(0),
                 residual: None,
             },
         ))

@@ -464,18 +464,6 @@ fn admission_queue_bound_is_never_exceeded() {
 /// mid-frame is cleanly disconnected — neither can make shutdown hang.
 #[test]
 fn shutdown_drains_inflight_and_closes_stalled_clients() {
-    run_shutdown_under_load(false);
-}
-
-/// The same shutdown-under-load scenario through the portable
-/// adaptive-parking poller (`ServerConfig::force_portable_poller`): drain
-/// signalling and stalled-client handling must not depend on epoll.
-#[test]
-fn shutdown_under_load_portable_poller() {
-    run_shutdown_under_load(true);
-}
-
-fn run_shutdown_under_load(force_portable_poller: bool) {
     // Holds client A's queries queued until the shutdown.
     let engine_config = EngineConfig {
         heartbeat: Duration::from_secs(30),
@@ -483,7 +471,6 @@ fn run_shutdown_under_load(force_portable_poller: bool) {
     };
     let server_config = ServerConfig {
         drain_timeout: Duration::from_millis(200),
-        force_portable_poller,
         ..ServerConfig::default()
     };
     let mut server = start_server(engine_config, server_config);
@@ -545,25 +532,7 @@ fn run_shutdown_under_load(force_portable_poller: bool) {
 /// client library.
 #[test]
 fn byte_dribbled_frames_reassemble_and_ping_round_trips() {
-    run_frame_reassembly(false);
-}
-
-/// Frame reassembly through the portable poller: the incremental decoder
-/// must behave identically when readiness comes from the adaptive parking
-/// loop instead of epoll.
-#[test]
-fn byte_dribbled_frames_reassemble_portable_poller() {
-    run_frame_reassembly(true);
-}
-
-fn run_frame_reassembly(force_portable_poller: bool) {
-    let mut server = start_server(
-        EngineConfig::default(),
-        ServerConfig {
-            force_portable_poller,
-            ..ServerConfig::default()
-        },
-    );
+    let mut server = start_server(EngineConfig::default(), ServerConfig::default());
     let addr = server.local_addr();
 
     // Client-library keepalive.
@@ -771,6 +740,93 @@ fn sorted_limited_results_decode_with_schema() {
     server.shutdown();
 }
 
+/// A result longer than one `ResultChunk` (512 rows) arrives as ⌈rows / 512⌉
+/// frames of one request: the first alone carries `FIRST` and the schema,
+/// the last alone `LAST`, and the rows concatenate to the engine's, in order.
+#[test]
+fn a_long_result_arrives_in_chunks() {
+    use shareddb::server::protocol::chunk_flags;
+    const CHUNK_ROWS: usize = 512;
+    const ITEMS: i64 = 1_300;
+    let catalog = catalog();
+    catalog
+        .bulk_load(
+            "ITEM",
+            (200..ITEMS)
+                .map(|i| tuple![i, format!("title{i}"), (i % 50) as f64])
+                .collect(),
+        )
+        .unwrap();
+    let sql = "SELECT * FROM ITEM";
+    let mut server = Server::start_sql(
+        catalog,
+        &[("allItems", sql)],
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client_name: "chunks".into(),
+    };
+    write_frame(&mut stream, &hello).unwrap();
+    let greeting = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(greeting, Frame::HelloOk { .. }));
+    let query = Frame::Query {
+        request_id: 7,
+        sql: sql.into(),
+    };
+    write_frame(&mut stream, &query).unwrap();
+
+    let mut chunks = Vec::new();
+    loop {
+        let frame = read_frame(&mut stream).unwrap().unwrap();
+        let Frame::ResultChunk {
+            request_id,
+            flags,
+            schema,
+            rows,
+            ..
+        } = frame
+        else {
+            panic!("{frame:?}");
+        };
+        assert_eq!(request_id, 7);
+        chunks.push((flags, schema, rows));
+        if flags & chunk_flags::LAST != 0 {
+            break;
+        }
+    }
+    let expected = server
+        .with_cluster(|c| c.execute_sync("allItems", &[]))
+        .unwrap()
+        .unwrap();
+    let expected = expected.rows();
+    assert_eq!(expected.len(), ITEMS as usize);
+    assert_eq!(chunks.len(), expected.len().div_ceil(CHUNK_ROWS));
+    for (i, (flags, schema, rows)) in chunks.iter().enumerate() {
+        let (first, last) = (i == 0, i + 1 == chunks.len());
+        assert_eq!(flags & chunk_flags::FIRST != 0, first, "chunk {i}");
+        assert_eq!(flags & chunk_flags::LAST != 0, last, "chunk {i}");
+        assert_eq!(!schema.is_empty(), first, "chunk {i}: {schema:?}");
+        let full = if last {
+            expected.len() % CHUNK_ROWS
+        } else {
+            CHUNK_ROWS
+        };
+        assert_eq!(rows.len(), full, "chunk {i}");
+    }
+    assert_eq!(chunks[0].1.len(), 3);
+    let received: Vec<_> = chunks.into_iter().flat_map(|(_, _, rows)| rows).collect();
+    let expected: Vec<Vec<Value>> = expected
+        .iter()
+        .map(|row| row.values().into_owned())
+        .collect();
+    assert_eq!(received, expected);
+    server.shutdown();
+}
+
 /// One hostile title pattern must not stall the batch it rides in: twelve
 /// `%` against a title that almost matches took the recursive matcher longer
 /// than anyone waited; now the look-up sent behind it is answered within the
@@ -971,17 +1027,16 @@ enum Ending {
 /// in phase 1 of their batch, before the reads submitted ahead of them;
 /// look-ups; best-seller pages, which keep a batch busy longest — and read their
 /// replies as they come. Every request is answered exactly once, in
-/// submission order, with its own rows (a look-up names its item), whichever
-/// poller watches the sockets, however many replicas finish in whatever
-/// order, and whether the answer comes from a batch of its time, from one
+/// submission order, with its own rows (a look-up names its item), however
+/// many replicas finish in whatever order, and whether the answer comes from a batch of its time, from one
 /// formed during the drain or from the last batch of an engine shutting down.
-fn pipelined_replies(force_portable_poller: bool, replicas: usize, ending: Ending) {
+fn pipelined_replies(replicas: usize, ending: Ending) {
     use shareddb::cluster::ClusterConfig;
     use shareddb::server::protocol::chunk_flags;
     use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, SUBJECTS};
     const CONNECTIONS: u64 = 8;
     const EACH: u64 = 2_000;
-    let label = format!("portable {force_portable_poller}, {replicas} replicas, {ending:?}");
+    let label = format!("{replicas} replicas, {ending:?}");
 
     let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
@@ -1022,7 +1077,6 @@ fn pipelined_replies(force_portable_poller: bool, replicas: usize, ending: Endin
         // batch, which has as long again (and two seconds) to reach the
         // clients before the reactor gives up on them.
         drain_timeout: Duration::from_secs(1),
-        force_portable_poller,
         cluster: ClusterConfig {
             replicas,
             replicate_statements: vec!["getItemById".into()],
@@ -1117,22 +1171,22 @@ fn pipelined_replies(force_portable_poller: bool, replicas: usize, ending: Endin
 
 #[test]
 fn pipelined_replies_arrive_once_and_in_order() {
-    for (portable, replicas) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
-        pipelined_replies(portable, replicas, Ending::AllAnswered);
+    for replicas in [1, 4] {
+        pipelined_replies(replicas, Ending::AllAnswered);
     }
 }
 
 #[test]
 fn pipelined_replies_survive_a_drain() {
-    for (portable, replicas) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
-        pipelined_replies(portable, replicas, Ending::Drain);
+    for replicas in [1, 4] {
+        pipelined_replies(replicas, Ending::Drain);
     }
 }
 
 #[test]
 fn pipelined_replies_survive_an_engine_shutdown_with_statements_queued() {
-    for (portable, replicas) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
-        pipelined_replies(portable, replicas, Ending::EngineShutdown);
+    for replicas in [1, 4] {
+        pipelined_replies(replicas, Ending::EngineShutdown);
     }
 }
 
@@ -1144,17 +1198,22 @@ fn pipelined_replies_survive_an_engine_shutdown_with_statements_queued() {
 /// client's EOF.
 #[test]
 fn a_drain_delivers_every_reply_to_a_client_still_pipelining() {
-    for portable in [false, true] {
-        drain_under_a_pipelining_client(portable);
+    for replicas in [1, 4] {
+        drain_under_a_pipelining_client(replicas);
     }
 }
 
-fn drain_under_a_pipelining_client(force_portable_poller: bool) {
+fn drain_under_a_pipelining_client(replicas: usize) {
+    use shareddb::cluster::ClusterConfig;
     use shareddb::server::protocol::chunk_flags;
     use std::net::Shutdown;
-    let label = format!("portable {force_portable_poller}");
+    let label = format!("{replicas} replicas");
     let server_config = ServerConfig {
-        force_portable_poller,
+        cluster: ClusterConfig {
+            replicas,
+            replicate_statements: vec!["itemsCheaperThan".into()],
+            ..ClusterConfig::default()
+        },
         ..ServerConfig::default()
     };
     let mut server = start_server(EngineConfig::default(), server_config);

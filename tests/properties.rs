@@ -879,27 +879,24 @@ mod row_demand {
                 .map(|(a, b, queries)| QTuple::new(Tuple::new(vec![Value::Int(*a), Value::Int(*b)]), queries.clone()))
                 .collect();
             let queries = || (1..=QUERIES).map(QueryId).zip(&case.limits);
-            // A Top-N takes a limit from its activation, a sort from the
-            // demand that tells it of its statement's.
+            // A Top-N takes a limit from its activation; a sort keeps every
+            // row.
             let top_n = queries().map(|(q, limit)| match limit {
                 Some(limit) => (q, Activation::TopN { limit: *limit }),
                 None => (q, Activation::Participate),
             });
-            let sort = queries().map(|(q, limit)| match limit {
-                Some(limit) => (q, demand(Activation::Participate, &case.keys, *limit)),
-                None => (q, Activation::Participate),
-            });
+            let sort = queries().map(|(q, _)| (q, Activation::Participate));
             let keys = case.keys.clone();
             let cycles = [
-                (OperatorSpec::TopN { keys: keys.clone() }, top_n.collect::<Vec<_>>()),
-                (OperatorSpec::Sort { keys }, sort.collect::<Vec<_>>()),
+                (OperatorSpec::TopN { keys: keys.clone() }, top_n.collect::<Vec<_>>(), true),
+                (OperatorSpec::Sort { keys }, sort.collect::<Vec<_>>(), false),
             ];
-            for (spec, activations) in cycles {
+            for (spec, activations, cuts) in cycles {
                 let emitted = execute_on(&spec, &activations, &[&input], &ctx).unwrap();
                 let mut pruned = 0;
                 for (q, limit) in queries() {
                     let arrived = rows_of(&input, q);
-                    let limit = limit.unwrap_or(usize::MAX);
+                    let limit = limit.filter(|_| cuts).unwrap_or(usize::MAX);
                     let expected = sorted_then_cut(&arrived, &case.keys, limit);
                     prop_assert_eq!(rows_of(&emitted.tuples, q), expected, "{:?} of {:?}", q, spec);
                     pruned += arrived.len().saturating_sub(limit);
@@ -1220,7 +1217,7 @@ mod row_demand {
             let mut spec = StatementSpec::query("q", [t, p, beside][shape.root])
                 .activate(scan, everything)
                 .activate(p, at_p.clone())
-                .activate(t, at_t.clone());
+                .activate(t, at_t);
             if shape.reads_p_twice {
                 spec = spec.activate(beside, ActivationTemplate::Filter { predicate: Expr::lit(true) });
             }
@@ -1235,12 +1232,9 @@ mod row_demand {
             push_down(&plan, &mut registry);
             registry.validate(&plan).unwrap();
 
-            // The rule, said once more: some node cuts the statement's rows …
-            let sort_is_cut = !shape.top_n && shape.root == 0 && shape.limit.is_some() && !shape.distinct;
-            let cut = match shape.top_n {
-                true => Some(shape.top_n_limit),
-                false => shape.limit.filter(|_| sort_is_cut),
-            };
+            // The rule, said once more: a Top-N cuts the statement's rows (a
+            // root sort's `LIMIT` is routing's, whatever `distinct` says) …
+            let cut = shape.top_n.then_some(shape.top_n_limit);
             // … takes them from `p` alone, which hands them nowhere else, and
             // `p` can rank a row before it has built it.
             let ranks_early = !shape.join || shape.keys.iter().all(|k| k.column < 3);
@@ -1249,7 +1243,6 @@ mod row_demand {
             for (op, template) in &derived.activations {
                 let expected = match *op {
                     op if op == p => at_p_cut.map(|limit| (&at_p, limit, t)),
-                    op if op == t && sort_is_cut => shape.limit.map(|limit| (&at_t, limit, t)),
                     _ => None,
                 };
                 match (template, expected) {

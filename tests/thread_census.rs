@@ -1,7 +1,6 @@
 //! An engine's threads are its cores, not its operators, and they sleep when
 //! there is nothing to do. Alone in their test binary, and one at a time in
 //! it, so that the process holds no other engine's threads.
-#![cfg(target_os = "linux")]
 
 use shareddb::client::Connection;
 use shareddb::cluster::{ClusterConfig, ClusterEngine};
