@@ -30,7 +30,6 @@ use shareddb_common::{DataType, Error, Result, Value};
 use shareddb_server::protocol::{
     chunk_flags, read_frame, wire_to_error, write_frame, Frame, PROTOCOL_VERSION,
 };
-pub use shareddb_server::protocol::{WireAttributedCost, WireExplain, WireExplainNode};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -385,7 +384,7 @@ impl Connection {
     /// Keepalive no-op: round-trips a [`Frame::Ping`] without touching the
     /// engine. Useful for long-lived idle connections (liveness probing) and
     /// as the cheapest way to exercise the server's incremental frame
-    /// decoder. Requires a drained pipeline, like [`Connection::explain`].
+    /// decoder. Requires a drained pipeline, like [`Connection::prepare`].
     pub fn ping(&mut self) -> Result<()> {
         self.check_poisoned()?;
         self.check_pipeline_empty("ping")?;
@@ -400,33 +399,6 @@ impl Connection {
                 ..
             } => Err(wire_to_error(code, retryable, &message)),
             other => Err(Error::Io(format!("unexpected ping reply: {other:?}"))),
-        }
-    }
-
-    /// EXPLAIN the statement's view of the shared global plan. `text` is a
-    /// registered statement name or ad-hoc SQL, with or without a leading
-    /// `EXPLAIN [ANALYZE]` prefix; `analyze` additionally requests live
-    /// per-operator runtime counters and per-statement-type cost
-    /// attribution. Returns the typed [`WireExplain`] payload (the rendered
-    /// text plan is in [`WireExplain::text`]).
-    pub fn explain(&mut self, text: &str, analyze: bool) -> Result<WireExplain> {
-        self.check_poisoned()?;
-        self.check_pipeline_empty("requesting explain")?;
-        let request_id = self.fresh_request_id();
-        self.send(&Frame::Explain {
-            request_id,
-            analyze,
-            sql: text.into(),
-        })?;
-        match self.read()? {
-            Frame::ExplainReply { explain, .. } => Ok(explain),
-            Frame::Error {
-                code,
-                retryable,
-                message,
-                ..
-            } => Err(wire_to_error(code, retryable, &message)),
-            other => Err(Error::Io(format!("unexpected reply: {other:?}"))),
         }
     }
 

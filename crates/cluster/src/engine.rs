@@ -15,7 +15,7 @@ use shareddb_storage::Catalog;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// N engine replicas over one shared [`Catalog`], fronted by a [`Router`]
+/// N engine replicas over one shared [`Catalog`], fronted by a `Router`
 /// that dispatches each admitted statement by type (see the crate docs).
 pub struct ClusterEngine {
     engines: Vec<Engine>,

@@ -4,7 +4,7 @@
 //!
 //! * [`value`] — typed SQL values and data types.
 //! * [`schema`] — columns, schemas and name resolution.
-//! * [`tuple`] — row representation.
+//! * [`tuple`](mod@tuple) — row representation.
 //! * [`queryset`] — the NF² set-valued `query_id` attribute of the paper's
 //!   *data-query model* (Section 3.1), implemented as a sorted list.
 //! * [`qtuple`] — a tuple annotated with the set of interested queries.
@@ -15,7 +15,7 @@
 //!   [`value`].
 //! * [`ids`] — strongly-typed identifiers (queries, tables, clients, ...).
 //! * [`metrics`] — lock-free histograms, counters, gauges and registries.
-//! * [`crc32`] — hand-rolled CRC-32 for the WAL / checkpoint on-disk framing.
+//! * [`crc32`](mod@crc32) — hand-rolled CRC-32 for the WAL / checkpoint on-disk framing.
 //! * [`error`] — the common error type.
 
 pub mod agg;

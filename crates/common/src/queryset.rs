@@ -5,7 +5,7 @@
 //! bitmaps and lists — and chooses **lists** because they were more space- and
 //! time-efficient in all their experiments, "most tuples are interesting to
 //! only a handful of queries"; so does [`QuerySet`]: a sorted list of
-//! [`QueryId`]s. The handful — up to [`INLINE`] ids — lives in the set itself
+//! [`QueryId`]s. The handful — up to `INLINE` ids — lives in the set itself
 //! and costs no allocation; a longer list is one *shared* slice, so handing it
 //! on (`clone`, an intersection that keeps all of it, the next row of a scan
 //! that interests the same queries) bumps a counter.

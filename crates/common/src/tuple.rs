@@ -304,7 +304,7 @@ impl From<Vec<Value>> for Tuple {
 }
 
 impl<const N: usize> From<[Value; N]> for Tuple {
-    /// One allocation, no intermediate vector (what [`tuple!`](crate::tuple)
+    /// One allocation, no intermediate vector (what [`tuple!`](crate::tuple!)
     /// expands to, and with it every bulk load).
     fn from(values: [Value; N]) -> Self {
         Tuple(Repr::Row(values.into()))

@@ -27,44 +27,39 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One operator of an [`ExplainTree`], annotated with its sharing set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplainNode {
+#[derive(Debug)]
+struct ExplainNode {
     /// Operator id in the global plan.
-    pub id: OperatorId,
+    id: OperatorId,
     /// Operator name (e.g. `Scan(ITEM)#0`).
-    pub name: String,
+    name: String,
     /// Ids of the input operators.
-    pub inputs: Vec<OperatorId>,
+    inputs: Vec<OperatorId>,
     /// Names of every statement type sharing this operator (reachability ∪
     /// activations over the whole registry), in registry order. Always
     /// includes the explained statement itself.
-    pub sharing: Vec<String>,
+    sharing: Vec<String>,
     /// True when the explained statement has an activation template on this
     /// operator (as opposed to merely consuming its output downstream).
-    pub activated: bool,
+    activated: bool,
 }
 
 /// The annotated operator subtree of one statement type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplainTree {
+#[derive(Debug)]
+struct ExplainTree {
     /// Statement name.
-    pub statement: String,
+    statement: String,
     /// Root operator (the statement's result source); `None` for updates,
     /// which bypass the operator plan entirely.
-    pub root: Option<OperatorId>,
+    root: Option<OperatorId>,
     /// The subtree nodes in ascending id order (empty for updates).
-    pub nodes: Vec<ExplainNode>,
+    nodes: Vec<ExplainNode>,
 }
 
 impl ExplainTree {
     /// The node for operator `id`, if it is part of this statement's subtree.
-    pub fn node(&self, id: OperatorId) -> Option<&ExplainNode> {
+    fn node(&self, id: OperatorId) -> Option<&ExplainNode> {
         self.nodes.iter().find(|n| n.id == id)
-    }
-
-    /// Nodes shared with at least one *other* statement type.
-    pub fn shared_nodes(&self) -> Vec<&ExplainNode> {
-        self.nodes.iter().filter(|n| n.sharing.len() > 1).collect()
     }
 }
 
@@ -115,11 +110,7 @@ fn mark_subtree(plan: &GlobalPlan, root: OperatorId, touched: &mut [bool]) {
 }
 
 /// Builds the annotated subtree for the statement at `index`.
-pub fn explain_statement(
-    plan: &GlobalPlan,
-    registry: &StatementRegistry,
-    index: usize,
-) -> ExplainTree {
+fn explain_statement(plan: &GlobalPlan, registry: &StatementRegistry, index: usize) -> ExplainTree {
     let spec = registry.by_index(index);
     let root = spec.root();
     let mut nodes = Vec::new();
@@ -573,7 +564,7 @@ mod tests {
         let sort = tree.node(1).unwrap();
         assert_eq!(sort.sharing, vec!["allT".to_string()]);
         assert!(sort.activated);
-        assert_eq!(tree.shared_nodes().len(), 1);
+        assert_eq!(tree.nodes.iter().filter(|n| n.sharing.len() > 1).count(), 1);
         // From pointT's side the sort is invisible (not in its subtree).
         let point = explain_statement(&plan, &registry, 0);
         assert_eq!(point.nodes.len(), 1);

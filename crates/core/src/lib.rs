@@ -66,10 +66,7 @@ pub use batch::{Activation, ActiveQuery, QueryBatch};
 pub use completions::Completions;
 pub use config::EngineConfig;
 pub use engine::{Engine, QueryOutcome, ResultSet, SubmitOptions, WriteFence};
-pub use explain::{
-    explain_statement, render_dot, render_explain_text, sharing_sets, AnalyzeData, ExplainNode,
-    ExplainTree,
-};
+pub use explain::{render_dot, render_explain_text, sharing_sets, AnalyzeData};
 pub use merge::{merge_results, MergeSpec};
 pub use plan::{
     ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, OperatorSpec, PlanBuilder,

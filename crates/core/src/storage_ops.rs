@@ -8,7 +8,7 @@
 //! [`Catalog::apply_batch`] (one commit timestamp per heartbeat, group commit
 //! into the WAL) before any storage read of the batch runs, which gives every
 //! query of the batch a snapshot that includes the batch's own updates — the
-//! same ordering ClockScan implements internally.
+//! ordering of a ClockScan cycle.
 
 use crate::batch::Activation;
 use crate::stats::ScanCounters;

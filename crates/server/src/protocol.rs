@@ -17,7 +17,7 @@
 //! | `0x05` | — | *retired in v5* | was the `Stats` request; never reused, decodes as an unknown opcode |
 //! | `0x06` | C→S | [`Frame::Goodbye`] | empty |
 //! | `0x07` | C→S | [`Frame::Ping`] | `u64 request_id` — keepalive no-op |
-//! | `0x08` | C→S | [`Frame::Explain`] | `u64 request_id, u8 analyze, string sql` — plan introspection (v4) |
+//! | `0x08` | — | *retired in v6* | was the `Explain` request; never reused, decodes as an unknown opcode |
 //! | `0x81` | S→C | [`Frame::HelloOk`] | `u16 version, string server_name, u32 statement_count` |
 //! | `0x82` | S→C | [`Frame::Prepared`] | `u64 request_id, u32 statement_id, u32 param_count, u8 is_update` |
 //! | `0x83` | S→C | [`Frame::ResultChunk`] | `u64 request_id, u8 flags, u64 rows_affected, [schema], [rows]` |
@@ -25,7 +25,7 @@
 //! | `0x85` | — | *retired in v5* | was the `Stats` reply; the same port answers `GET /metrics` with a superset |
 //! | `0x86` | S→C | [`Frame::GoodbyeOk`] | empty |
 //! | `0x87` | S→C | [`Frame::Pong`] | `u64 request_id` |
-//! | `0x88` | S→C | [`Frame::ExplainReply`] | annotated statement subtree, see [`WireExplain`] (v4) |
+//! | `0x88` | — | *retired in v6* | was the `Explain` reply; `EXPLAIN [ANALYZE] …` is a [`Frame::Query`] answered with `PLAN` rows |
 //!
 //! A query result is a sequence of [`Frame::ResultChunk`]s sharing the
 //! request id: the first carries [`chunk_flags::FIRST`] and the result schema,
@@ -41,12 +41,14 @@
 use shareddb_common::{Column, DataType, Error, Result, Tuple, Value};
 use std::io::{Read, Write};
 
-/// Protocol version spoken by this build. v4 added
-/// [`Frame::Explain`]/[`Frame::ExplainReply`] — EXPLAIN / EXPLAIN ANALYZE of
-/// a statement's view of the shared global plan, with per-statement-type
-/// cost attribution; v5 retired the statistics frames (opcodes `0x05` /
-/// `0x85`): counters are read from `GET /metrics` on the same port.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// Protocol version spoken by this build. v4 added the `Explain` frames —
+/// EXPLAIN / EXPLAIN ANALYZE of a statement's view of the shared global
+/// plan as a typed tree; v5 retired the statistics frames (opcodes `0x05` /
+/// `0x85`): counters are read from `GET /metrics` on the same port; v6
+/// retired the `Explain` frames (opcodes `0x08` / `0x88`): `EXPLAIN
+/// [ANALYZE] …` is a [`Frame::Query`] answered with one `PLAN` row per line
+/// of the rendered plan.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Frames larger than this are rejected (malformed or hostile peer).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
@@ -94,90 +96,6 @@ pub mod error_codes {
     pub const OVERLOADED: u8 = 14;
 }
 
-/// One statement type's share of an operator's work (v4): how much of the
-/// operator's busy time, and how many of its output rows, were attributed to
-/// this statement type by the batch activation mix. The statement name
-/// `"_idle"` covers cycles the operator ran without an activation of its own.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireAttributedCost {
-    /// Statement type name (or `"_idle"`).
-    pub statement: String,
-    /// Activations of this statement type the operator processed.
-    pub activations: u64,
-    /// Output rows attributed to this statement type.
-    pub rows: u64,
-    /// Busy time attributed to this statement type, µs.
-    pub busy_us: u64,
-}
-
-/// One operator of the explained statement's subtree (v4).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireExplainNode {
-    /// Operator id (index into the global plan).
-    pub operator: u32,
-    /// Operator name, e.g. `"Scan(ITEM)#0"`.
-    pub name: String,
-    /// Plan ids of the operator's inputs **within this subtree**.
-    pub inputs: Vec<u32>,
-    /// Names of every statement type sharing this operator (the sharing
-    /// factor is this list's length).
-    pub sharing: Vec<String>,
-    /// Whether the explained statement activates this operator directly.
-    pub activated: bool,
-    /// Cycles the operator ran (EXPLAIN ANALYZE only, else 0).
-    pub cycles: u64,
-    /// Tuples the operator emitted (EXPLAIN ANALYZE only, else 0).
-    pub tuples: u64,
-    /// Total busy time, µs (EXPLAIN ANALYZE only, else 0).
-    pub busy_us: u64,
-    /// Per-statement-type cost attribution (EXPLAIN ANALYZE only).
-    pub attributed: Vec<WireAttributedCost>,
-}
-
-/// The [`Frame::ExplainReply`] payload (v4): the explained statement's
-/// operator subtree of the shared global plan, annotated with sharing sets
-/// and — for EXPLAIN ANALYZE — live runtime statistics and per-statement
-/// cost attribution, plus the server-rendered text form.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireExplain {
-    /// The matched statement type.
-    pub statement: String,
-    /// True for EXPLAIN ANALYZE (runtime stats populated).
-    pub analyze: bool,
-    /// Plan id of the statement's root operator; `u32::MAX` for updates
-    /// (which have no operator subtree — they apply on the storage owner).
-    pub root: u32,
-    /// The subtree's operators, in plan-id order.
-    pub nodes: Vec<WireExplainNode>,
-    /// The server-rendered text plan (what `EXPLAIN` prints).
-    pub text: String,
-}
-
-impl WireExplain {
-    /// Looks up a subtree node by plan id.
-    pub fn node(&self, operator: u32) -> Option<&WireExplainNode> {
-        self.nodes.iter().find(|n| n.operator == operator)
-    }
-
-    /// Nodes shared by more than one statement type.
-    pub fn shared_nodes(&self) -> Vec<&WireExplainNode> {
-        self.nodes.iter().filter(|n| n.sharing.len() > 1).collect()
-    }
-
-    /// The sharing factor of one operator (0 when it is not in the subtree).
-    pub fn sharing_factor(&self, operator: u32) -> usize {
-        self.node(operator).map(|n| n.sharing.len()).unwrap_or(0)
-    }
-
-    /// Busy µs of `operator` attributed to `statement` (0 when absent).
-    pub fn attributed_busy_us(&self, operator: u32, statement: &str) -> u64 {
-        self.node(operator)
-            .and_then(|n| n.attributed.iter().find(|a| a.statement == statement))
-            .map(|a| a.busy_us)
-            .unwrap_or(0)
-    }
-}
-
 /// One column of a result schema on the wire.
 pub type WireColumn = (String, DataType);
 
@@ -222,18 +140,6 @@ pub enum Frame {
     Ping {
         /// Client-chosen id echoed on the response.
         request_id: u64,
-    },
-    /// EXPLAIN / EXPLAIN ANALYZE (v4): resolves `sql` — a registered
-    /// statement name or ad-hoc SQL, with or without a leading
-    /// `EXPLAIN [ANALYZE]` — against the compiled statement types and
-    /// answers with the statement's annotated view of the global plan.
-    Explain {
-        /// Client-chosen id echoed on the response.
-        request_id: u64,
-        /// Request runtime statistics and cost attribution too.
-        analyze: bool,
-        /// Statement name or SQL text.
-        sql: String,
     },
     /// Server greeting.
     HelloOk {
@@ -285,13 +191,6 @@ pub enum Frame {
     Pong {
         /// Echoed request id.
         request_id: u64,
-    },
-    /// Answers [`Frame::Explain`] (v4).
-    ExplainReply {
-        /// Echoed request id.
-        request_id: u64,
-        /// The annotated statement subtree.
-        explain: WireExplain,
     },
 }
 
@@ -526,10 +425,8 @@ impl Frame {
             Frame::Prepared { .. } => 0x82,
             Frame::ResultChunk { .. } => RESULT_CHUNK,
             Frame::Error { .. } => 0x84,
-            Frame::Explain { .. } => 0x08,
             Frame::GoodbyeOk => 0x86,
             Frame::Pong { .. } => 0x87,
-            Frame::ExplainReply { .. } => 0x88,
         }
     }
 
@@ -564,49 +461,6 @@ impl Frame {
             }
             Frame::Ping { request_id } | Frame::Pong { request_id } => {
                 put_u64(&mut body, *request_id);
-            }
-            Frame::Explain {
-                request_id,
-                analyze,
-                sql,
-            } => {
-                put_u64(&mut body, *request_id);
-                put_u8(&mut body, *analyze as u8);
-                put_string(&mut body, sql);
-            }
-            Frame::ExplainReply {
-                request_id,
-                explain,
-            } => {
-                put_u64(&mut body, *request_id);
-                put_string(&mut body, &explain.statement);
-                put_u8(&mut body, explain.analyze as u8);
-                put_u32(&mut body, explain.root);
-                put_u32(&mut body, explain.nodes.len() as u32);
-                for node in &explain.nodes {
-                    put_u32(&mut body, node.operator);
-                    put_string(&mut body, &node.name);
-                    put_u32(&mut body, node.inputs.len() as u32);
-                    for input in &node.inputs {
-                        put_u32(&mut body, *input);
-                    }
-                    put_u32(&mut body, node.sharing.len() as u32);
-                    for statement in &node.sharing {
-                        put_string(&mut body, statement);
-                    }
-                    put_u8(&mut body, node.activated as u8);
-                    put_u64(&mut body, node.cycles);
-                    put_u64(&mut body, node.tuples);
-                    put_u64(&mut body, node.busy_us);
-                    put_u32(&mut body, node.attributed.len() as u32);
-                    for cost in &node.attributed {
-                        put_string(&mut body, &cost.statement);
-                        put_u64(&mut body, cost.activations);
-                        put_u64(&mut body, cost.rows);
-                        put_u64(&mut body, cost.busy_us);
-                    }
-                }
-                put_string(&mut body, &explain.text);
             }
             Frame::Goodbye | Frame::GoodbyeOk => {}
             Frame::HelloOk {
@@ -684,11 +538,6 @@ impl Frame {
             0x07 => Frame::Ping {
                 request_id: c.u64()?,
             },
-            0x08 => Frame::Explain {
-                request_id: c.u64()?,
-                analyze: c.u8()? != 0,
-                sql: c.string()?,
-            },
             0x81 => Frame::HelloOk {
                 version: c.u16()?,
                 server_name: c.string()?,
@@ -734,64 +583,6 @@ impl Frame {
             0x87 => Frame::Pong {
                 request_id: c.u64()?,
             },
-            0x88 => {
-                let request_id = c.u64()?;
-                let statement = c.string()?;
-                let analyze = c.u8()? != 0;
-                let root = c.u32()?;
-                let n_nodes = c.u32()? as usize;
-                let mut nodes = Vec::with_capacity(n_nodes.min(4096));
-                for _ in 0..n_nodes {
-                    let operator = c.u32()?;
-                    let name = c.string()?;
-                    let n_inputs = c.u32()? as usize;
-                    let mut inputs = Vec::with_capacity(n_inputs.min(64));
-                    for _ in 0..n_inputs {
-                        inputs.push(c.u32()?);
-                    }
-                    let n_sharing = c.u32()? as usize;
-                    let mut sharing = Vec::with_capacity(n_sharing.min(1024));
-                    for _ in 0..n_sharing {
-                        sharing.push(c.string()?);
-                    }
-                    let activated = c.u8()? != 0;
-                    let cycles = c.u64()?;
-                    let tuples = c.u64()?;
-                    let busy_us = c.u64()?;
-                    let n_attributed = c.u32()? as usize;
-                    let mut attributed = Vec::with_capacity(n_attributed.min(1024));
-                    for _ in 0..n_attributed {
-                        attributed.push(WireAttributedCost {
-                            statement: c.string()?,
-                            activations: c.u64()?,
-                            rows: c.u64()?,
-                            busy_us: c.u64()?,
-                        });
-                    }
-                    nodes.push(WireExplainNode {
-                        operator,
-                        name,
-                        inputs,
-                        sharing,
-                        activated,
-                        cycles,
-                        tuples,
-                        busy_us,
-                        attributed,
-                    });
-                }
-                let text = c.string()?;
-                Frame::ExplainReply {
-                    request_id,
-                    explain: WireExplain {
-                        statement,
-                        analyze,
-                        root,
-                        nodes,
-                        text,
-                    },
-                }
-            }
             other => return Err(malformed(format!("unknown opcode {other:#x}"))),
         };
         c.done()?;
@@ -1128,93 +919,6 @@ mod tests {
             message: "queue full".into(),
         });
         round_trip(Frame::GoodbyeOk);
-        round_trip(Frame::Explain {
-            request_id: 14,
-            analyze: true,
-            sql: "EXPLAIN ANALYZE SELECT * FROM ITEM WHERE I_ID = 3".into(),
-        });
-        round_trip(Frame::ExplainReply {
-            request_id: 14,
-            explain: WireExplain {
-                statement: "getItem".into(),
-                analyze: true,
-                root: 2,
-                nodes: vec![
-                    WireExplainNode {
-                        operator: 0,
-                        name: "Scan(ITEM)#0".into(),
-                        inputs: vec![],
-                        sharing: vec!["getItem".into(), "allItems".into()],
-                        activated: true,
-                        cycles: 12,
-                        tuples: 300,
-                        busy_us: 4_500,
-                        attributed: vec![
-                            WireAttributedCost {
-                                statement: "getItem".into(),
-                                activations: 8,
-                                rows: 8,
-                                busy_us: 1_000,
-                            },
-                            WireAttributedCost {
-                                statement: "_idle".into(),
-                                activations: 0,
-                                rows: 0,
-                                busy_us: 200,
-                            },
-                        ],
-                    },
-                    WireExplainNode {
-                        operator: 2,
-                        name: "Sort#2".into(),
-                        inputs: vec![0],
-                        sharing: vec!["getItem".into()],
-                        ..WireExplainNode::default()
-                    },
-                ],
-                text: "statement getItem: query\n  Sort#2 [shared by 1: getItem]\n".into(),
-            },
-        });
-    }
-
-    #[test]
-    fn explain_accessors_resolve_nodes_and_costs() {
-        let explain = WireExplain {
-            statement: "getItem".into(),
-            analyze: true,
-            root: 1,
-            nodes: vec![
-                WireExplainNode {
-                    operator: 0,
-                    name: "Scan(ITEM)#0".into(),
-                    sharing: vec!["getItem".into(), "allItems".into()],
-                    attributed: vec![WireAttributedCost {
-                        statement: "allItems".into(),
-                        activations: 2,
-                        rows: 400,
-                        busy_us: 900,
-                    }],
-                    ..WireExplainNode::default()
-                },
-                WireExplainNode {
-                    operator: 1,
-                    name: "Sort#1".into(),
-                    inputs: vec![0],
-                    sharing: vec!["getItem".into()],
-                    ..WireExplainNode::default()
-                },
-            ],
-            text: String::new(),
-        };
-        assert_eq!(explain.node(0).unwrap().name, "Scan(ITEM)#0");
-        assert!(explain.node(9).is_none());
-        assert_eq!(explain.sharing_factor(0), 2);
-        assert_eq!(explain.sharing_factor(1), 1);
-        assert_eq!(explain.sharing_factor(9), 0);
-        let shared: Vec<u32> = explain.shared_nodes().iter().map(|n| n.operator).collect();
-        assert_eq!(shared, vec![0]);
-        assert_eq!(explain.attributed_busy_us(0, "allItems"), 900);
-        assert_eq!(explain.attributed_busy_us(0, "getItem"), 0);
     }
 
     #[test]
@@ -1295,11 +999,14 @@ mod tests {
         // Garbage length.
         let mut cursor = std::io::Cursor::new(vec![0xff, 0xff, 0xff, 0xff, 0x06]);
         assert!(read_frame(&mut cursor).is_err());
-        // Unknown opcode — the retired statistics pair included, whatever
-        // body follows it.
+        // Unknown opcode — the retired statistics and explain pairs
+        // included, whatever body follows it.
         assert!(Frame::decode(&[0x77]).is_err());
         assert!(Frame::decode(&[0x05, 10, 0, 0, 0, 0, 0, 0, 0]).is_err());
         assert!(Frame::decode(&[0x85]).is_err());
+        let old_explain = [0x08, 14, 0, 0, 0, 0, 0, 0, 0, 1, 7, 0, 0, 0];
+        assert!(Frame::decode(&[&old_explain[..], b"getItem"].concat()).is_err());
+        assert!(Frame::decode(&[0x88, 14, 0, 0, 0, 0, 0, 0, 0]).is_err());
         // Trailing bytes.
         assert!(Frame::decode(&[0x06, 0x00]).is_err());
     }

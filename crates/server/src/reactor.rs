@@ -41,14 +41,14 @@
 //! deadline is armed.
 
 use crate::protocol::{
-    self, chunk_flags, encode_result_chunk, error_to_wire, Frame, FrameDecoder, WireAttributedCost,
-    WireExplain, WireExplainNode, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    self, chunk_flags, encode_result_chunk, error_to_wire, Frame, FrameDecoder, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 use crate::server::Shared;
 use shareddb_common::{DataType, Error, Value};
 use shareddb_core::completions::Completion;
 use shareddb_core::stats::OperatorStatsSnapshot;
-use shareddb_core::{explain_statement, render_explain_text, AnalyzeData};
+use shareddb_core::{render_explain_text, AnalyzeData};
 use shareddb_core::{Completions, Phase, QueryOutcome, SubmitOptions, WriteFence};
 use shareddb_sql::compile::{bind_adhoc, canonicalize, parse_explain};
 use std::collections::{HashMap, VecDeque};
@@ -999,7 +999,6 @@ impl Reactor {
                             rows_affected: 0,
                             schema: vec![("PLAN".into(), DataType::Text)],
                             rows: explain
-                                .text
                                 .lines()
                                 .map(|line| vec![Value::text(line)])
                                 .collect(),
@@ -1031,26 +1030,6 @@ impl Reactor {
             Frame::Ping { request_id } => {
                 self.enqueue_reply(token, &Frame::Pong { request_id });
             }
-            Frame::Explain {
-                request_id,
-                analyze,
-                sql,
-            } => {
-                // The text may carry its own EXPLAIN [ANALYZE] prefix; the
-                // frame flag and the textual ANALYZE OR together.
-                let (text_analyze, rest) = parse_explain(&sql).unwrap_or((false, sql.trim()));
-                let reply = match self
-                    .resolve_explain_target(rest)
-                    .and_then(|index| self.build_explain(index, analyze || text_analyze))
-                {
-                    Ok(explain) => Frame::ExplainReply {
-                        request_id,
-                        explain,
-                    },
-                    Err(e) => error_frame(request_id, &e),
-                };
-                self.enqueue_reply(token, &reply);
-            }
             Frame::Goodbye => {
                 self.enqueue_reply(token, &Frame::GoodbyeOk);
                 if let Some(conn) = self.conns.get_mut(&token) {
@@ -1064,8 +1043,7 @@ impl Reactor {
             | Frame::ResultChunk { .. }
             | Frame::Error { .. }
             | Frame::GoodbyeOk
-            | Frame::Pong { .. }
-            | Frame::ExplainReply { .. } => {
+            | Frame::Pong { .. } => {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.dead = true;
                 }
@@ -1096,10 +1074,10 @@ impl Reactor {
         }
     }
 
-    /// Builds the [`WireExplain`] payload for one statement type: the
-    /// annotated subtree, and — when `analyze` — per-operator counters
-    /// summed over replicas plus the cluster-merged cost attribution.
-    fn build_explain(&self, index: usize, analyze: bool) -> Result<WireExplain, Error> {
+    /// Renders one statement type's view of the global plan; when
+    /// `analyze`, with per-operator counters summed over replicas and the
+    /// cluster-merged cost attribution.
+    fn build_explain(&self, index: usize, analyze: bool) -> Result<String, Error> {
         let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
         let cluster = engine.as_ref().ok_or(Error::EngineShutdown)?;
         let plan = cluster.plan();
@@ -1132,55 +1110,13 @@ impl Reactor {
         } else {
             None
         };
-        let tree = explain_statement(plan, registry, index);
-        let text = render_explain_text(&cluster.catalog(), plan, registry, index, data.as_ref());
-        let nodes = tree
-            .nodes
-            .iter()
-            .map(|node| {
-                let (cycles, tuples, busy_us, attributed) = match &data {
-                    Some(data) => {
-                        let op = &data.operators[node.id];
-                        let attributed = data
-                            .attribution
-                            .iter()
-                            .filter(|e| e.operator == node.name)
-                            .map(|e| WireAttributedCost {
-                                statement: e.statement.clone(),
-                                activations: e.activations,
-                                rows: e.rows,
-                                busy_us: e.busy.as_micros() as u64,
-                            })
-                            .collect();
-                        (
-                            op.cycles,
-                            op.tuples_out,
-                            op.busy.as_micros() as u64,
-                            attributed,
-                        )
-                    }
-                    None => (0, 0, 0, Vec::new()),
-                };
-                WireExplainNode {
-                    operator: node.id as u32,
-                    name: node.name.clone(),
-                    inputs: node.inputs.iter().map(|&i| i as u32).collect(),
-                    sharing: node.sharing.clone(),
-                    activated: node.activated,
-                    cycles,
-                    tuples,
-                    busy_us,
-                    attributed,
-                }
-            })
-            .collect();
-        Ok(WireExplain {
-            statement: tree.statement,
-            analyze,
-            root: tree.root.map(|r| r as u32).unwrap_or(u32::MAX),
-            nodes,
-            text,
-        })
+        Ok(render_explain_text(
+            &cluster.catalog(),
+            plan,
+            registry,
+            index,
+            data.as_ref(),
+        ))
     }
 
     /// Admission control + submission of the statement at `statement` of

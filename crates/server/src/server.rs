@@ -13,7 +13,7 @@
 //!   └────────┘         └───────────────────┘          └─────────────────┘
 //! ```
 //!
-//! A single [`crate::reactor::Reactor`] thread owns the listener and every
+//! A single `Reactor` thread owns the listener and every
 //! client socket (nonblocking, readiness-driven — `epoll` through a direct
 //! libc binding). Incoming bytes accumulate in per-connection
 //! [`crate::protocol::FrameDecoder`]s; complete frames run admission control

@@ -1,7 +1,7 @@
 //! The ClockScan shared table scan.
 //!
 //! ClockScan (Unterbrunner et al., "Predictable Performance for Unpredictable
-//! Workloads", VLDB 2009 — reference [28] of the SharedDB paper) batches
+//! Workloads", VLDB 2009 — reference \[28\] of the SharedDB paper) batches
 //! queries *and* updates and processes a whole batch within a single pass over
 //! the table. SharedDB uses it as its shared-scan access path (Section 4.4):
 //!
@@ -10,8 +10,10 @@
 //!   exactly the batching model of the rest of SharedDB.
 //! * Query predicates are indexed (see [`crate::predicate_index`]) and the
 //!   scan performs a *query-data join* between rows and queries.
-//! * Updates are executed in arrival order as part of the same cycle, and all
-//!   select queries of the cycle read one consistent snapshot.
+//! * Updates are executed in arrival order before the cycle — through
+//!   [`Catalog::apply_batch`](crate::Catalog::apply_batch), under one commit
+//!   timestamp — and all select queries of the cycle read one consistent
+//!   snapshot that includes them.
 //! * A cycle does what its queries need and no more: when every query of a
 //!   snapshot group holds an equality, a `LIKE 'prefix%'` — or, on a column
 //!   indexed by gram, any `LIKE` whose pattern spells three bytes in a row
@@ -27,7 +29,7 @@ use crate::index_probe::Hits;
 use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::predicate_index::{PredicateClass, PredicateIndex};
 use crate::table::Table;
-use crate::update::{apply_cycle_updates, AccessPath, UpdateOp, UpdateResult};
+use crate::update::{refuse_cycle_updates, AccessPath, UpdateOp};
 use parking_lot::RwLock;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, WordTable};
 use std::sync::Arc;
@@ -41,7 +43,7 @@ pub struct ScanQuery {
     /// `Expr::lit(true)` for a full scan).
     pub predicate: Expr,
     /// Optional pinned read snapshot. `None` (the default) reads the cycle's
-    /// own snapshot — the latest committed state after the cycle's updates.
+    /// own snapshot — the latest committed state.
     /// A pinned snapshot lets a caller that runs one logical query in
     /// several scan cycles (a differential test comparing two engines) give
     /// every run the same consistent view.
@@ -76,8 +78,6 @@ pub struct ScanCycleResult {
     /// All rows selected by at least one query of the batch, annotated with
     /// the queries that selected them.
     pub tuples: Vec<QTuple>,
-    /// Per-update results, in arrival order.
-    pub update_results: Vec<UpdateResult>,
     /// The ids of the queries that were served by this cycle.
     pub served_queries: Vec<QueryId>,
     /// The snapshot the queries of this cycle read.
@@ -122,25 +122,23 @@ impl ClockScan {
     }
 
     /// Executes one cycle over an explicit batch (the engine owns the
-    /// queueing): applies the updates in arrival order, then evaluates all
-    /// queries against one consistent snapshot that includes them.
+    /// queueing): evaluates all queries against one consistent snapshot, the
+    /// latest committed state — which includes the batch's own updates, as
+    /// the engine commits them through the catalog first. `updates` must be
+    /// empty (the cycle writes nothing): a non-empty slice is an
+    /// [`Error::Internal`](shareddb_common::Error::Internal).
     pub fn execute_batch(
         &self,
         queries: &[ScanQuery],
         updates: &[UpdateOp],
     ) -> Result<ScanCycleResult> {
-        // Phase 1: apply updates in arrival order under a write lock.
-        let update_results = apply_cycle_updates(&self.table, &self.oracle, updates)?;
-
-        // Phase 2: evaluate all queries against one consistent snapshot that
-        // includes the updates applied above. Queries pinned to an explicit
-        // snapshot read that version set instead; queries are grouped by
-        // effective snapshot so each group still shares one table scan
-        // (with no pinned queries — the common case — this is exactly one
-        // group).
+        refuse_cycle_updates(updates)?;
+        // Queries pinned to an explicit snapshot read that version set
+        // instead; queries are grouped by effective snapshot so each group
+        // still shares one table scan (with no pinned queries — the common
+        // case — this is exactly one group).
         let snapshot = self.oracle.read_ts();
         let mut result = ScanCycleResult {
-            update_results,
             served_queries: queries.iter().map(|q| q.query_id).collect(),
             snapshot,
             ..ScanCycleResult::default()
@@ -276,37 +274,33 @@ impl ClockScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{Catalog, TableDef};
     use crate::table::{IndexKind, CHUNK_ROWS};
     use proptest::prelude::*;
     use proptest::TestRng;
     use shareddb_common::ids::Timestamp;
-    use shareddb_common::{tuple, BinaryOp, Column, DataType, Tuple, Value};
+    use shareddb_common::{tuple, BinaryOp, Column, DataType, Error, Tuple, Value};
 
-    fn setup() -> (Arc<RwLock<Table>>, Arc<TimestampOracle>, ClockScan) {
-        let schema = Schema::new(vec![
-            Column::new("ID", DataType::Int).with_qualifier("T"),
-            Column::new("CATEGORY", DataType::Text).with_qualifier("T"),
-            Column::new("PRICE", DataType::Float).with_qualifier("T"),
-        ]);
-        let table = Arc::new(RwLock::new(Table::new("T", schema, vec![0])));
-        let oracle = Arc::new(TimestampOracle::new());
-        {
-            let mut t = table.write();
-            for i in 0..100i64 {
-                t.insert(
-                    tuple![i, if i % 2 == 0 { "EVEN" } else { "ODD" }, (i % 10) as f64],
-                    Timestamp(0),
-                )
-                .unwrap();
-            }
-        }
-        let scan = ClockScan::new(Arc::clone(&table), Arc::clone(&oracle));
-        (table, oracle, scan)
+    fn setup() -> (Catalog, ClockScan) {
+        let catalog = Catalog::new();
+        let def = TableDef::new("T")
+            .column("ID", DataType::Int)
+            .column("CATEGORY", DataType::Text)
+            .column("PRICE", DataType::Float)
+            .primary_key(&["ID"]);
+        let table = catalog.create_table(def).unwrap();
+        let rows = (0..100i64).map(|i| {
+            let category = if i % 2 == 0 { "EVEN" } else { "ODD" };
+            tuple![i, category, (i % 10) as f64]
+        });
+        catalog.bulk_load("T", rows.collect()).unwrap();
+        let scan = ClockScan::new(table, catalog.oracle());
+        (catalog, scan)
     }
 
     #[test]
     fn queries_are_batched_and_share_the_pass() {
-        let (_, _, scan) = setup();
+        let (_, scan) = setup();
         let queries = [
             ScanQuery::new(QueryId(1), Expr::col(1).eq(Expr::lit("EVEN"))),
             ScanQuery::new(QueryId(2), Expr::col(2).gt_eq(Expr::lit(8.0f64))),
@@ -332,67 +326,59 @@ mod tests {
         assert_eq!(result.tuples.len(), 50 + 20 - 10);
     }
 
+    /// Updates commit through the catalog in arrival order; the next cycle
+    /// reads the state they left.
     #[test]
     fn updates_apply_in_arrival_order() {
-        let (_, _, scan) = setup();
+        let (catalog, scan) = setup();
         // Set price to 100 for ID 1, then delete ID 1: the delete wins.
-        let updates = [
-            UpdateOp::Update {
-                assignments: vec![(2, Expr::lit(100.0f64))],
-                predicate: Expr::col(0).eq(Expr::lit(1i64)),
-            },
-            UpdateOp::Delete {
-                predicate: Expr::col(0).eq(Expr::lit(1i64)),
-            },
-        ];
+        let update = UpdateOp::Update {
+            assignments: vec![(2, Expr::lit(100.0f64))],
+            predicate: Expr::col(0).eq(Expr::lit(1i64)),
+        };
+        assert_eq!(catalog.apply("T", update).unwrap().rows_affected, 1);
+        let delete = UpdateOp::Delete {
+            predicate: Expr::col(0).eq(Expr::lit(1i64)),
+        };
+        assert_eq!(catalog.apply("T", delete).unwrap().rows_affected, 1);
         let query = ScanQuery::new(QueryId(9), Expr::col(0).eq(Expr::lit(1i64)));
-        let result = scan.execute_batch(&[query], &updates).unwrap();
-        assert_eq!(result.update_results[0].rows_affected, 1);
-        assert_eq!(result.update_results[1].rows_affected, 1);
-        // The query of the same batch reads the post-update snapshot: row gone.
+        let result = scan.execute_batch(&[query], &[]).unwrap();
         assert!(result.tuples.is_empty());
     }
 
     #[test]
-    fn inserts_visible_to_same_cycle_queries() {
-        let (_, _, scan) = setup();
+    fn inserts_visible_to_the_next_cycle() {
+        let (catalog, scan) = setup();
         let insert = UpdateOp::Insert {
             values: tuple![1000i64, "NEW", 1.0f64],
         };
+        catalog.apply("T", insert).unwrap();
         let query = ScanQuery::new(QueryId(3), Expr::col(1).eq(Expr::lit("NEW")));
-        let result = scan.execute_batch(&[query], &[insert]).unwrap();
+        let result = scan.execute_batch(&[query], &[]).unwrap();
         assert_eq!(result.tuples.len(), 1);
         assert_eq!(result.tuples[0].tuple[0], Value::Int(1000));
     }
 
-    /// The ops of a cycle that succeeded before a failing one are applied at
-    /// the cycle's commit timestamp; it is published although the cycle
-    /// fails, so the very next snapshot shows them.
+    /// A storage cycle writes nothing: updates handed to one are refused,
+    /// not committed past the log.
     #[test]
-    fn a_failing_update_still_publishes_the_ones_before_it() {
-        let (table, oracle, scan) = setup();
-        let insert = |id: i64| UpdateOp::Insert {
-            values: tuple![id, "NEW", 1.0f64],
+    fn a_cycle_refuses_updates() {
+        let (catalog, scan) = setup();
+        let insert = UpdateOp::Insert {
+            values: tuple![1000i64, "NEW", 1.0f64],
         };
-        // Op 1 is fine, op 2 violates the primary key.
-        let failed = scan.execute_batch(&[], &[insert(1000), insert(1)]);
-        assert!(failed.is_err());
-        let visible = |id: i64| {
-            let key = [Value::Int(id)];
-            table.read().lookup_pk(&key, oracle.read_ts()).is_some()
-        };
-        assert!(visible(1000), "op 1 is applied but nobody published it");
-        // The same phase under the index probe.
-        let probe = crate::IndexProbe::new(Arc::clone(&table), Arc::clone(&oracle));
-        assert!(probe
-            .execute_batch(&[], &[insert(1001), insert(1)])
-            .is_err());
-        assert!(visible(1001), "op 1 is applied but nobody published it");
+        let full = [ScanQuery::full_scan(QueryId(1))];
+        let refused = scan.execute_batch(&full, std::slice::from_ref(&insert));
+        assert!(matches!(refused, Err(Error::Internal(_))), "{refused:?}");
+        let probe = crate::IndexProbe::new(catalog.table("T").unwrap(), catalog.oracle());
+        let refused = probe.execute_batch(&[], &[insert]);
+        assert!(matches!(refused, Err(Error::Internal(_))), "{refused:?}");
+        assert_eq!(scan.execute_batch(&full, &[]).unwrap().tuples.len(), 100);
     }
 
     #[test]
     fn an_empty_cycle_serves_nothing() {
-        let (_, _, scan) = setup();
+        let (_, scan) = setup();
         let empty = scan.execute_batch(&[], &[]).unwrap();
         assert!(empty.served_queries.is_empty());
         assert!(empty.tuples.is_empty());
@@ -404,7 +390,7 @@ mod tests {
 
     #[test]
     fn hundreds_of_concurrent_queries_bounded_output() {
-        let (_, _, scan) = setup();
+        let (_, scan) = setup();
         // 500 concurrent queries, each with a different predicate on PRICE.
         let queries: Vec<ScanQuery> = (0..500u32)
             .map(|i| {
@@ -426,16 +412,16 @@ mod tests {
     /// batch read the current state.
     #[test]
     fn pinned_snapshot_reads_older_version_set() {
-        let (_, oracle, scan) = setup();
-        let pinned = oracle.read_ts();
+        let (catalog, scan) = setup();
+        let pinned = catalog.pin();
         let delete_all = UpdateOp::Delete {
             predicate: Expr::lit(true),
         };
-        scan.execute_batch(&[], &[delete_all]).unwrap();
+        catalog.apply("T", delete_all).unwrap();
         let res = scan
             .execute_batch(
                 &[
-                    ScanQuery::full_scan(QueryId(1)).at_snapshot(Some(pinned)),
+                    ScanQuery::full_scan(QueryId(1)).at_snapshot(Some(*pinned)),
                     ScanQuery::full_scan(QueryId(2)),
                 ],
                 &[],
@@ -453,17 +439,20 @@ mod tests {
 
     #[test]
     fn snapshot_isolation_across_cycles() {
-        let (table, oracle, scan) = setup();
-        let before = oracle.read_ts();
+        let (catalog, scan) = setup();
+        let before = catalog.pin();
         let delete_all = UpdateOp::Delete {
             predicate: Expr::lit(true),
         };
-        let res = scan.execute_batch(&[], &[delete_all]).unwrap();
-        assert_eq!(res.update_results[0].rows_affected, 100);
+        assert_eq!(catalog.apply("T", delete_all).unwrap().rows_affected, 100);
+        let count = |snapshot: Option<Snapshot>| {
+            let full = [ScanQuery::full_scan(QueryId(1)).at_snapshot(snapshot)];
+            scan.execute_batch(&full, &[]).unwrap().tuples.len()
+        };
         // The old snapshot still sees all 100 rows.
-        assert_eq!(table.read().scan(before).count(), 100);
+        assert_eq!(count(Some(*before)), 100);
         // A new snapshot sees none.
-        assert_eq!(table.read().scan(oracle.read_ts()).count(), 0);
+        assert_eq!(count(None), 0);
     }
 
     /// A range on a column that grows with arrival order leaves out every
@@ -471,7 +460,8 @@ mod tests {
     /// cycle makes every chunk a candidate again.
     #[test]
     fn chunks_no_query_can_match_are_left_out() {
-        let (table, _, scan) = setup();
+        let (catalog, scan) = setup();
+        let table = catalog.table("T").unwrap();
         let rows = 3 * CHUNK_ROWS as i64;
         for i in 100..rows {
             let row = tuple![i, "LATE", 0.5f64];
@@ -489,7 +479,7 @@ mod tests {
         let old = UpdateOp::Insert {
             values: tuple![-1i64, "OLD", 0.5f64],
         };
-        scan.execute_batch(&[], &[old]).unwrap();
+        catalog.apply("T", old).unwrap();
         let early = ScanQuery::new(QueryId(3), Expr::col(0).lt(Expr::lit(0i64)));
         assert_eq!(counts(&[early]), (1, 1, 3 * CHUNK_ROWS));
     }
@@ -934,7 +924,9 @@ mod tests {
         let delete = UpdateOp::Delete {
             predicate: eq(0, Value::Int(7)),
         };
-        scan.execute_batch(&[], &[delete]).unwrap();
+        let commit = oracle.next_commit_ts();
+        crate::update::apply_update(&mut table.write(), &delete, commit).unwrap();
+        oracle.publish(commit);
         let by_key = || vec![eq(0, Value::Int(7))];
         assert_eq!(counts(by_key(), None), ([0, 1], 2, 0));
         assert_eq!(counts(by_key(), Some(before)), ([0, 1], 2, 1));

@@ -7,18 +7,20 @@
 //! updates are executed in the arrival order and multiple B-tree look-ups are
 //! used to evaluate all the select queries. [...] Just as the (shared) full
 //! table scan, the index probe operator guarantees that all select queries
-//! will read a consistent snapshot."
+//! will read a consistent snapshot." Here the updates of a batch commit
+//! through [`Catalog::apply_batch`](crate::Catalog::apply_batch) just before
+//! its cycles, in arrival order.
 //!
 //! Executing many look-ups per cycle gives the instruction- and data-cache
 //! locality benefits of batched information filters (Fischer & Kossmann,
-//! ICDE 2005 — reference [12] of the paper).
+//! ICDE 2005 — reference \[12\] of the paper).
 //!
 //! A probe is a key look-up (`col = key`); a range is read by a scan served
 //! from the indexes ([`crate::clockscan`]).
 
 use crate::mvcc::TimestampOracle;
 use crate::table::{RowId, Table};
-use crate::update::{apply_cycle_updates, UpdateOp, UpdateResult};
+use crate::update::{refuse_cycle_updates, UpdateOp};
 use parking_lot::RwLock;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
 use std::sync::Arc;
@@ -70,8 +72,6 @@ pub struct ProbeCycleResult {
     /// Fetched rows, annotated with the queries that selected them. Rows
     /// fetched by several probes of the batch are emitted once (NF² sharing).
     pub tuples: Vec<QTuple>,
-    /// Per-update results, in arrival order.
-    pub update_results: Vec<UpdateResult>,
     /// Ids of the queries served by this cycle.
     pub served_queries: Vec<QueryId>,
 }
@@ -96,18 +96,17 @@ impl IndexProbe {
     }
 
     /// Executes one cycle over an explicit batch (the engine owns the
-    /// queueing): applies the updates in arrival order, then executes all
-    /// look-ups against one consistent snapshot.
+    /// queueing): executes all look-ups against one consistent snapshot, the
+    /// latest committed state. `updates` must be empty, as for
+    /// [`ClockScan::execute_batch`](crate::ClockScan::execute_batch): a
+    /// non-empty slice is an [`Error::Internal`](shareddb_common::Error::Internal).
     pub fn execute_batch(
         &self,
         queries: &[ProbeQuery],
         updates: &[UpdateOp],
     ) -> Result<ProbeCycleResult> {
-        let mut result = ProbeCycleResult {
-            update_results: apply_cycle_updates(&self.table, &self.oracle, updates)?,
-            ..ProbeCycleResult::default()
-        };
-
+        refuse_cycle_updates(updates)?;
+        let mut result = ProbeCycleResult::default();
         let default_snapshot = self.oracle.read_ts();
         result.served_queries = queries.iter().map(|q| q.query_id).collect();
         if queries.is_empty() {
@@ -202,34 +201,36 @@ impl Hits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{Catalog, IndexDef, TableDef};
     use crate::table::IndexKind;
     use shareddb_common::{tuple, Column, DataType};
 
-    fn setup() -> (Arc<RwLock<Table>>, Arc<TimestampOracle>, IndexProbe) {
-        let schema = Schema::new(vec![
-            Column::new("ID", DataType::Int).with_qualifier("T"),
-            Column::new("NAME", DataType::Text).with_qualifier("T"),
-            Column::new("QTY", DataType::Int).with_qualifier("T"),
-        ]);
-        let mut t = Table::new("T", schema, vec![0]);
-        t.create_index("T_ID", 0, IndexKind::Values).unwrap();
-        t.create_index("T_QTY", 2, IndexKind::Values).unwrap();
-        for i in 0..200i64 {
-            t.insert(
-                tuple![i, format!("row{i}"), i % 20],
-                shareddb_common::ids::Timestamp(0),
-            )
-            .unwrap();
+    fn setup() -> (Catalog, IndexProbe) {
+        let catalog = Catalog::new();
+        let def = TableDef::new("T")
+            .column("ID", DataType::Int)
+            .column("NAME", DataType::Text)
+            .column("QTY", DataType::Int)
+            .primary_key(&["ID"]);
+        let table = catalog.create_table(def).unwrap();
+        for (name, column) in [("T_ID", "ID"), ("T_QTY", "QTY")] {
+            let def = IndexDef {
+                name: name.into(),
+                table: "T".into(),
+                column: column.into(),
+                kind: IndexKind::Values,
+            };
+            catalog.create_index(def).unwrap();
         }
-        let table = Arc::new(RwLock::new(t));
-        let oracle = Arc::new(TimestampOracle::new());
-        let probe = IndexProbe::new(Arc::clone(&table), Arc::clone(&oracle));
-        (table, oracle, probe)
+        let rows = (0..200i64).map(|i| tuple![i, format!("row{i}"), i % 20]);
+        catalog.bulk_load("T", rows.collect()).unwrap();
+        let probe = IndexProbe::new(table, catalog.oracle());
+        (catalog, probe)
     }
 
     #[test]
     fn batched_point_lookups_share_rows() {
-        let (_, _, probe) = setup();
+        let (_, probe) = setup();
         // Three queries, two of which ask for the same key.
         let queries = [
             ProbeQuery::key(QueryId(1), 0, Value::Int(5)),
@@ -250,7 +251,7 @@ mod tests {
 
     #[test]
     fn key_probe_and_residual() {
-        let (_, _, probe) = setup();
+        let (_, probe) = setup();
         let query = ProbeQuery::key(QueryId(1), 2, Value::Int(18))
             .with_residual(Expr::col(0).lt(Expr::lit(100i64)));
         let res = probe.execute_batch(&[query], &[]).unwrap();
@@ -263,22 +264,22 @@ mod tests {
     }
 
     #[test]
-    fn updates_run_before_lookups() {
-        let (_, _, probe) = setup();
+    fn a_committed_update_is_what_the_next_lookup_reads() {
+        let (catalog, probe) = setup();
         let update = UpdateOp::Update {
             assignments: vec![(2, Expr::lit(999i64))],
             predicate: Expr::col(0).eq(Expr::lit(3i64)),
         };
+        assert_eq!(catalog.apply("T", update).unwrap().rows_affected, 1);
         let query = ProbeQuery::key(QueryId(1), 0, Value::Int(3));
-        let res = probe.execute_batch(&[query], &[update]).unwrap();
-        assert_eq!(res.update_results[0].rows_affected, 1);
+        let res = probe.execute_batch(&[query], &[]).unwrap();
         assert_eq!(res.tuples.len(), 1);
         assert_eq!(res.tuples[0].tuple[2], Value::Int(999));
     }
 
     #[test]
     fn probe_on_unindexed_column_falls_back_to_scan() {
-        let (_, _, probe) = setup();
+        let (_, probe) = setup();
         let query = ProbeQuery::key(QueryId(1), 1, Value::text("row42"));
         let res = probe.execute_batch(&[query], &[]).unwrap();
         assert_eq!(res.tuples.len(), 1);
@@ -331,12 +332,13 @@ mod tests {
 
     #[test]
     fn deleted_rows_not_returned() {
-        let (_, _, probe) = setup();
+        let (catalog, probe) = setup();
         let delete = UpdateOp::Delete {
             predicate: Expr::col(0).eq(Expr::lit(10i64)),
         };
+        catalog.apply("T", delete).unwrap();
         let query = ProbeQuery::key(QueryId(1), 0, Value::Int(10));
-        let res = probe.execute_batch(&[query], &[delete]).unwrap();
+        let res = probe.execute_batch(&[query], &[]).unwrap();
         assert!(res.tuples.is_empty());
     }
 }

@@ -6,14 +6,16 @@
 //! * Main-memory, multi-versioned tables with snapshot-consistent reads
 //!   ([`table`], [`mvcc`]), their version arena summarised chunk by chunk
 //!   in a directory of per-column value ranges.
-//! * **ClockScan** shared table scans ([`clockscan`]): queries *and* updates
-//!   are batched and executed within a single pass over the data; query
-//!   predicates are indexed (a query-data join) instead of the data, and the
-//!   pass leaves out the chunks no query of its cycle can match.
+//! * **ClockScan** shared table scans ([`clockscan`]): the queries of a batch
+//!   are executed within a single pass over the data; query predicates are
+//!   indexed (a query-data join) instead of the data, and the pass leaves out
+//!   the chunks no query of its cycle can match.
 //! * B-tree indexes and **shared index probes** ([`btree`], [`index_probe`]):
-//!   look-ups of a whole batch of queries are executed in one cycle, with
-//!   updates applied in arrival order, so that all selects of the cycle read a
-//!   consistent snapshot.
+//!   look-ups of a whole batch of queries are executed in one cycle, so that
+//!   all selects of the cycle read a consistent snapshot.
+//! * The updates of a batch commit in arrival order under one timestamp
+//!   ([`Catalog::apply_batch`]) before its scans and probes run, which read a
+//!   snapshot that includes them.
 //! * A write-ahead log and checkpointing for durability ([`wal`]).
 //! * A catalog of tables and indexes ([`catalog`]).
 //!
@@ -46,6 +48,6 @@ pub use table::{
 pub use update::{AccessPath, UpdateOp, UpdateResult};
 pub use wal::{
     scan_frames, CountingSink, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy,
-    TornTail, Wal, WalConfig, WalScan, WalSink, WalStatsSnapshot, FRAME_HEADER_LEN, FRAME_MAGIC,
+    TornTail, Wal, WalScan, WalSink, WalStatsSnapshot, FRAME_HEADER_LEN, FRAME_MAGIC,
     WAL_FORMAT_VERSION,
 };

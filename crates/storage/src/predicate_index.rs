@@ -1,6 +1,6 @@
 //! Predicate indexing: the "query-data join" of ClockScan.
 //!
-//! The key trick of the Crescando ClockScan algorithm (Section 4.4, [28]) is
+//! The key trick of the Crescando ClockScan algorithm (Section 4.4, \[28\]) is
 //! to index the *query predicates* of a batch instead of the data, and to
 //! treat the scan as a join between data tuples and queries. While a cycle
 //! sweeps over the table, each row is probed against the predicate index to

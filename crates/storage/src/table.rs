@@ -787,7 +787,7 @@ pub struct EqLookup<'t> {
 
 impl<'t> EqLookup<'t> {
     /// The visible rows whose column is `sql_eq` to `key` — under whichever
-    /// spelling they were stored ([`index_keys`]). Nothing is allocated; the
+    /// spelling they were stored (`index_keys`). Nothing is allocated; the
     /// rows are the table's own versions. A NULL key equals nothing.
     pub fn rows<'k>(
         &'k self,

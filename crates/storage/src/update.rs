@@ -5,11 +5,10 @@
 //! (Section 4.4). An [`UpdateOp`] is the unit queued at a storage operator
 //! (ClockScan or index probe) and applied at the beginning of its next cycle.
 
-use crate::mvcc::{Snapshot, TimestampOracle};
+use crate::mvcc::Snapshot;
 use crate::table::{grams, index_keys, IndexKind, RowId, Table};
-use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
-use shareddb_common::{hash_words, BinaryOp, DataType, Expr, Result, Tuple, Value};
+use shareddb_common::{hash_words, BinaryOp, DataType, Error, Expr, Result, Tuple, Value};
 use std::ops::Bound;
 
 /// A single data-modification operation against one table.
@@ -380,29 +379,20 @@ pub(crate) fn apply_update(
     apply_update_via(table, update, commit_ts, AccessPath::choose)
 }
 
-/// The update phase of a storage operator's cycle: applies `updates` in
-/// arrival order at one fresh commit timestamp, up to the first that fails,
-/// and publishes the timestamp on every exit — what was applied before a
-/// failing operation is committed state the next snapshot must show, not
-/// versions waiting for some later writer's publish.
-pub(crate) fn apply_cycle_updates(
-    table: &RwLock<Table>,
-    oracle: &TimestampOracle,
-    updates: &[UpdateOp],
-) -> Result<Vec<UpdateResult>> {
-    if updates.is_empty() {
-        return Ok(Vec::new());
+/// A storage operator's cycle writes nothing: a batch's writes commit
+/// through [`Catalog::apply_ops`](crate::Catalog::apply_ops), which logs them
+/// and reclaims the versions they retire, before its scans and probes run.
+/// `execute_batch` keeps an `updates` parameter for the ledger's per-layer
+/// bench, which passes `&[]`; a non-empty slice is refused, not committed
+/// unlogged.
+pub(crate) fn refuse_cycle_updates(updates: &[UpdateOp]) -> Result<()> {
+    match updates.len() {
+        0 => Ok(()),
+        n => Err(Error::Internal(format!(
+            "{n} update(s) handed to a storage operator's cycle: writes commit through \
+             Catalog::apply_ops"
+        ))),
     }
-    let commit_ts = oracle.next_commit_ts();
-    let applied = {
-        let mut table = table.write();
-        let each = updates
-            .iter()
-            .map(|u| apply_update(&mut table, u, commit_ts));
-        each.collect()
-    };
-    oracle.publish(commit_ts);
-    applied
 }
 
 /// [`apply_update`] with the access-path rule as a parameter, so tests can

@@ -22,8 +22,8 @@
 //! 22      n     payload        UTF-8 record encoding (see below)
 //! ```
 //!
-//! The CRC is the reflected IEEE CRC-32 from [`shareddb_common::crc32`].
-//! A reader scans frames sequentially and **truncates at the first torn or
+//! The CRC is the reflected IEEE CRC-32 of
+//! [`shareddb_common::crc32`](mod@shareddb_common::crc32). A reader scans frames sequentially and **truncates at the first torn or
 //! corrupt frame** (short header, bad magic, unknown version, short payload,
 //! CRC mismatch, undecodable payload, or non-monotone LSN): everything before
 //! that offset is valid, everything after is discarded — recovery never
@@ -498,21 +498,6 @@ pub enum SyncPolicy {
     },
 }
 
-/// WAL configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct WalConfig {
-    /// Group-commit durability policy.
-    pub sync_policy: SyncPolicy,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            sync_policy: SyncPolicy::EveryBatch,
-        }
-    }
-}
-
 /// Point-in-time view of the WAL's counters and histograms, rendered at
 /// `/metrics` as `shareddb_wal_*`.
 #[derive(Debug, Clone)]
@@ -543,6 +528,7 @@ struct WalStats {
 struct WalInner {
     sink: Box<dyn WalSink>,
     next_lsn: u64,
+    sync_policy: SyncPolicy,
     last_sync: Instant,
 }
 
@@ -550,25 +536,20 @@ struct WalInner {
 /// (group commit per heartbeat) under a configurable fsync policy.
 pub struct Wal {
     inner: Mutex<WalInner>,
-    config: Mutex<WalConfig>,
     stats: WalStats,
 }
 
 impl Wal {
-    /// Creates a WAL over the given sink with the default config.
+    /// Creates a WAL over the given sink, syncing per
+    /// [`SyncPolicy::EveryBatch`] until [`Wal::set_sync_policy`] says otherwise.
     pub fn new(sink: Box<dyn WalSink>) -> Self {
-        Wal::with_config(sink, WalConfig::default())
-    }
-
-    /// Creates a WAL over the given sink and config.
-    pub fn with_config(sink: Box<dyn WalSink>, config: WalConfig) -> Self {
         Wal {
             inner: Mutex::new(WalInner {
                 sink,
                 next_lsn: 1,
+                sync_policy: SyncPolicy::EveryBatch,
                 last_sync: Instant::now(),
             }),
-            config: Mutex::new(config),
             stats: WalStats::default(),
         }
     }
@@ -583,14 +564,9 @@ impl Wal {
         Wal::new(Box::new(CountingSink::default()))
     }
 
-    /// The current configuration.
-    pub fn config(&self) -> WalConfig {
-        *self.config.lock()
-    }
-
     /// Replaces the sync policy (takes effect from the next group commit).
     pub fn set_sync_policy(&self, policy: SyncPolicy) {
-        self.config.lock().sync_policy = policy;
+        self.inner.lock().sync_policy = policy;
     }
 
     /// Replaces the sink and LSN counter — used by recovery to attach the
@@ -617,7 +593,6 @@ impl Wal {
         ts: Timestamp,
         ops: impl Iterator<Item = (&'a str, &'a UpdateOp)>,
     ) -> Result<()> {
-        let policy = self.config.lock().sync_policy;
         let mut inner = self.inner.lock();
         let mut bytes = 0u64;
         let mut append = |inner: &mut WalInner, payload: String| -> Result<()> {
@@ -636,7 +611,7 @@ impl Wal {
         }
         append(&mut inner, encode_record(&LogRecord::CommitBatch(ts)))?;
         inner.sink.flush()?;
-        let need_sync = match policy {
+        let need_sync = match inner.sync_policy {
             SyncPolicy::Always => true,
             SyncPolicy::EveryBatch => false,
             SyncPolicy::Interval { ms } => {
@@ -1225,12 +1200,8 @@ mod tests {
 
     #[test]
     fn sync_policy_always_fsyncs_per_batch() {
-        let wal = Wal::with_config(
-            Box::new(MemorySink::new()),
-            WalConfig {
-                sync_policy: SyncPolicy::Always,
-            },
-        );
+        let wal = Wal::in_memory();
+        wal.set_sync_policy(SyncPolicy::Always);
         for i in 0..3i64 {
             wal.log_batch(
                 Timestamp(i as u64 + 1),
@@ -1251,6 +1222,48 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wal.stats_snapshot().syncs, 0);
+    }
+
+    /// A counting sink the test keeps a handle on while the WAL owns it.
+    struct Watched(std::sync::Arc<Mutex<CountingSink>>);
+
+    impl WalSink for Watched {
+        fn append(&mut self, frame: &[u8]) -> Result<()> {
+            self.0.lock().append(frame)
+        }
+        fn flush(&mut self) -> Result<()> {
+            self.0.lock().flush()
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.0.lock().sync()
+        }
+    }
+
+    /// `Interval` fsyncs the first group commit after the interval and none
+    /// of those that follow it inside the interval.
+    #[test]
+    fn sync_policy_interval_fsyncs_once_per_interval() {
+        const INTERVAL: std::time::Duration = std::time::Duration::from_millis(250);
+        let sink = std::sync::Arc::new(Mutex::new(CountingSink::default()));
+        let wal = Wal::new(Box::new(Watched(std::sync::Arc::clone(&sink))));
+        wal.set_sync_policy(SyncPolicy::Interval {
+            ms: INTERVAL.as_millis() as u64,
+        });
+        let commit = |ts: u64| {
+            let op = UpdateOp::Insert {
+                values: tuple![ts as i64],
+            };
+            wal.log_batch(Timestamp(ts), &[("T".into(), op)]).unwrap();
+        };
+        let syncs = || (sink.lock().sync_count(), wal.stats_snapshot().syncs);
+        std::thread::sleep(INTERVAL);
+        for ts in 1..=10 {
+            commit(ts);
+        }
+        assert_eq!(syncs(), (1, 1));
+        std::thread::sleep(INTERVAL);
+        commit(11);
+        assert_eq!(syncs(), (2, 2));
     }
 
     #[test]

@@ -618,7 +618,7 @@ fn hostile_clients_are_dropped_cleanly() {
     write_frame(&mut s, &Frame::Ping { request_id: 1 }).unwrap();
     expect_dropped(s);
 
-    // A foreign protocol version — the last one that carried statistics
+    // A foreign protocol version — the last one that carried the explain
     // frames, or one from the future — gets an UNSUPPORTED error naming both
     // versions, then the close.
     for version in [PROTOCOL_VERSION - 1, 99] {
@@ -639,7 +639,9 @@ fn hostile_clients_are_dropped_cleanly() {
             } => {
                 assert_eq!(code, 13); // UNSUPPORTED
                 assert!(!retryable);
-                let named = format!("version {version} is not supported (server speaks 5)");
+                let named = format!(
+                    "version {version} is not supported (server speaks {PROTOCOL_VERSION})"
+                );
                 assert!(message.contains(&named), "{message}");
             }
             other => panic!("unexpected {other:?}"),
@@ -647,23 +649,31 @@ fn hostile_clients_are_dropped_cleanly() {
         expect_dropped(s);
     }
 
-    // Opcode 0x05 was the statistics request until v5: a greeted session
-    // that sends one is closed like any malformed frame, and the session
-    // beside it goes on.
-    let mut s = TcpStream::connect(addr).unwrap();
-    let hello = Frame::Hello {
-        version: PROTOCOL_VERSION,
-        client_name: "asks-for-stats".into(),
-    };
-    write_frame(&mut s, &hello).unwrap();
-    assert!(matches!(
-        read_frame(&mut s).unwrap().unwrap(),
-        Frame::HelloOk { .. }
-    ));
-    // length 9 | opcode | u64 request id
-    s.write_all(&[9, 0, 0, 0, 0x05, 1, 0, 0, 0, 0, 0, 0, 0])
-        .unwrap();
-    expect_dropped(s);
+    // Opcode 0x05 was the statistics request until v5, 0x08 / 0x88 the
+    // explain request and reply until v6: a greeted session that sends one
+    // is closed like any malformed frame, and the session beside it goes on.
+    let old_explain = [21, 0, 0, 0, 0x08, 1, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0];
+    let retired: [&[u8]; 3] = [
+        // length 9 | opcode | u64 request id
+        &[9, 0, 0, 0, 0x05, 1, 0, 0, 0, 0, 0, 0, 0],
+        // length 21 | opcode | u64 request id | u8 analyze | string "getItem"
+        &[&old_explain[..], b"getItem"].concat(),
+        &[9, 0, 0, 0, 0x88, 1, 0, 0, 0, 0, 0, 0, 0],
+    ];
+    for frame in retired {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+            client_name: "speaks-a-retired-frame".into(),
+        };
+        write_frame(&mut s, &hello).unwrap();
+        assert!(matches!(
+            read_frame(&mut s).unwrap().unwrap(),
+            Frame::HelloOk { .. }
+        ));
+        s.write_all(frame).unwrap();
+        expect_dropped(s);
+    }
     let outcome = bystander
         .query("SELECT * FROM ITEM WHERE I_ID = 5")
         .unwrap();
@@ -1294,4 +1304,125 @@ fn drain_under_a_pipelining_client(replicas: usize) {
         "{label}: {end:?} after {replies} replies"
     );
     assert_eq!(replies, server.stats().requests, "{label}");
+}
+
+/// `docs/OPERATIONS.md`'s *Wire protocol* section against the protocol: the
+/// version it names is `PROTOCOL_VERSION`, every opcode of a live row is the
+/// frame its row names and decodes, every frame is in the table, and every
+/// opcode of a retired row is refused.
+#[test]
+fn operations_doc_wire_table_matches_the_protocol() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/OPERATIONS.md");
+    let doc = std::fs::read_to_string(path).expect("docs/OPERATIONS.md must exist");
+    let section = doc
+        .split("## Wire protocol")
+        .nth(1)
+        .expect("a Wire protocol section");
+    let section = section.split("\n## ").next().unwrap();
+    let prose = section.split_whitespace().collect::<Vec<_>>().join(" ");
+    assert!(
+        prose.contains(&format!("protocol **v{PROTOCOL_VERSION}**")),
+        "the section must name protocol v{PROTOCOL_VERSION}"
+    );
+    assert!(
+        prose.contains(&format!("any version but {PROTOCOL_VERSION} is answered")),
+        "the handshake row must name v{PROTOCOL_VERSION}"
+    );
+
+    // One frame of every kind, by its opcode.
+    let frames = [
+        Frame::Hello {
+            version: PROTOCOL_VERSION,
+            client_name: "doc".into(),
+        },
+        Frame::Query {
+            request_id: 1,
+            sql: "EXPLAIN getItem".into(),
+        },
+        Frame::Prepare {
+            request_id: 2,
+            name: "getItem".into(),
+        },
+        Frame::ExecutePrepared {
+            request_id: 3,
+            statement_id: 0,
+            params: vec![Value::Int(5)],
+        },
+        Frame::Goodbye,
+        Frame::Ping { request_id: 4 },
+        Frame::HelloOk {
+            version: PROTOCOL_VERSION,
+            server_name: "doc".into(),
+            statement_count: 1,
+        },
+        Frame::Prepared {
+            request_id: 2,
+            statement_id: 0,
+            param_count: 1,
+            is_update: false,
+        },
+        Frame::ResultChunk {
+            request_id: 1,
+            flags: 3,
+            rows_affected: 0,
+            schema: vec![("PLAN".into(), DataType::Text)],
+            rows: vec![vec![Value::text("statement getItem: query")]],
+        },
+        Frame::Error {
+            request_id: 5,
+            code: 6,
+            retryable: false,
+            message: "unknown".into(),
+        },
+        Frame::GoodbyeOk,
+        Frame::Pong { request_id: 4 },
+    ];
+    let by_opcode = |opcode: u8| frames.iter().find(|f| f.encode()[4] == opcode);
+
+    let mut documented = Vec::new();
+    for row in section.lines().filter(|l| l.starts_with("| `0x")) {
+        // | opcodes | direction | frames |
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let opcodes = cells[1].split(" / ");
+        let opcodes: Vec<u8> = opcodes
+            .map(|op| u8::from_str_radix(op.trim_matches('`').trim_start_matches("0x"), 16))
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("{row}: {e}"));
+        if let Some(retired) = cells[3].strip_prefix("**retired in v") {
+            let version: u16 = retired.split("**").next().unwrap().parse().unwrap();
+            assert!(version <= PROTOCOL_VERSION, "{row}");
+            for opcode in opcodes {
+                assert!(
+                    by_opcode(opcode).is_none(),
+                    "{opcode:#x} is retired and live"
+                );
+                // Whatever body follows it: none, or a request id.
+                assert!(Frame::decode(&[opcode]).is_err(), "{opcode:#x} decodes");
+                let with_id = [opcode, 1, 0, 0, 0, 0, 0, 0, 0];
+                assert!(Frame::decode(&with_id).is_err(), "{opcode:#x} decodes");
+            }
+            continue;
+        }
+        let names = cells[3].split(" — ").next().unwrap().split(" / ");
+        let names: Vec<&str> = names.map(|n| n.trim().trim_matches('`')).collect();
+        assert_eq!(names.len(), opcodes.len(), "{row}");
+        for (opcode, name) in opcodes.into_iter().zip(names) {
+            let frame = by_opcode(opcode).unwrap_or_else(|| panic!("no frame has {opcode:#x}"));
+            let variant = format!("{frame:?}");
+            assert!(
+                variant.starts_with(name),
+                "{opcode:#x} is {variant}, not {name}"
+            );
+            let encoded = frame.encode();
+            assert_eq!(Frame::decode(&encoded[4..]).unwrap(), *frame, "{name}");
+            documented.push(opcode);
+        }
+    }
+    for frame in &frames {
+        let opcode = frame.encode()[4];
+        assert!(
+            documented.contains(&opcode),
+            "{frame:?} ({opcode:#x}) is not in the table"
+        );
+    }
 }

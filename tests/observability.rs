@@ -2,7 +2,7 @@
 //! on the binary-protocol port against what the engines report in process,
 //! the shape of the exposition, the slow-query log, and stats reset.
 
-use shareddb::client::Connection;
+use shareddb::client::{Connection, Outcome};
 use shareddb::common::{tuple, DataType, Value};
 use shareddb::core::stats::{Phase, StatementPhaseSnapshot};
 use shareddb::core::EngineConfig;
@@ -305,11 +305,47 @@ fn slow_query_log_fires_exactly_for_offenders() {
     server.shutdown();
 }
 
-/// EXPLAIN / EXPLAIN ANALYZE over the wire: the dedicated frame returns the
-/// statement's slice of the live global plan with sharing sets, and ANALYZE
-/// folds in runtime counters plus per-statement-type cost attribution. The
-/// textual `EXPLAIN <stmt>` form through the ordinary query path returns the
-/// same rendering as a one-column result set.
+/// `EXPLAIN [ANALYZE] <target>` sent as a query: the reply is one text
+/// `PLAN` column, one row per line of the rendered plan; the lines are joined
+/// back into the text the server rendered.
+fn explain(conn: &mut Connection, sql: &str) -> String {
+    match conn.query(sql).unwrap() {
+        Outcome::Rows(result) => {
+            assert_eq!(result.columns, vec![("PLAN".to_string(), DataType::Text)]);
+            let lines = result.rows.iter().map(|row| match &row[..] {
+                [Value::Text(line)] => format!("{line}\n"),
+                other => panic!("a PLAN row is one text cell: {other:?}"),
+            });
+            lines.collect()
+        }
+        other => panic!("{sql}: {other:?}"),
+    }
+}
+
+/// The lines EXPLAIN prints for one operator: its own line (`name [shared by
+/// N: …]`), then its predicate, counter and attribution lines.
+fn operator_lines<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
+    let mut lines = text.lines().map(str::trim_start);
+    let head = lines.find(|l| l.starts_with(&format!("{name} [shared by ")));
+    let head = head.unwrap_or_else(|| panic!("no operator {name} in {text}"));
+    let tail = lines.take_while(|l| l.starts_with("· ") || l.starts_with("predicate: "));
+    std::iter::once(head).chain(tail).collect()
+}
+
+/// The number after `key=` in an EXPLAIN ANALYZE line (`busy=` drops its `us`).
+fn field(line: &str, key: &str) -> u64 {
+    let at = line
+        .find(&format!(" {key}="))
+        .unwrap_or_else(|| panic!("{key} in {line}"));
+    let value = &line[at + key.len() + 2..];
+    let digits = value.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+    digits.parse().unwrap_or_else(|_| panic!("{key} in {line}"))
+}
+
+/// EXPLAIN / EXPLAIN ANALYZE over the wire, through the ordinary query path:
+/// the statement's slice of the live global plan with sharing sets, and under
+/// ANALYZE the runtime counters plus per-statement-type cost attribution of
+/// each operator, resolved by statement name or by ad-hoc SQL.
 #[test]
 fn explain_analyze_shows_shared_scan_with_attributed_costs() {
     const SHARED: &[(&str, &str)] = &[
@@ -333,78 +369,68 @@ fn explain_analyze_shows_shared_scan_with_attributed_costs() {
             .unwrap();
     }
 
-    // Static EXPLAIN: plan shape + sharing sets, no runtime numbers needed.
-    let explain = conn.explain("cheapItems", false).unwrap();
-    assert_eq!(explain.statement, "cheapItems");
-    assert!(!explain.analyze);
-    assert!(!explain.nodes.is_empty());
-    assert_eq!(
-        explain.text.lines().next().unwrap_or(""),
-        "statement cheapItems: query"
-    );
+    // Static EXPLAIN by statement name: plan shape + sharing sets, no
+    // runtime lines.
+    let text = explain(&mut conn, "EXPLAIN cheapItems");
+    assert_eq!(text.lines().next(), Some("statement cheapItems: query"));
+    assert!(text.lines().count() > 1, "no operator in {text}");
+    let runtime = text.lines().any(|l| l.trim_start().starts_with("· "));
+    assert!(!runtime, "runtime lines without ANALYZE: {text}");
     // Both full-scan statement types share ITEM's scan operator.
-    let scan_op = explain
-        .shared_nodes()
-        .iter()
-        .find(|n| n.sharing.iter().any(|s| s == "titledItems"))
-        .map(|n| n.operator)
-        .unwrap_or_else(|| panic!("no operator shared with titledItems in {explain:?}"));
-    assert!(explain.sharing_factor(scan_op) >= 2);
+    let shared = text.lines().map(str::trim_start).find(|l| {
+        let sharing = l.split_once(" [shared by ").map(|(_, s)| s);
+        sharing.is_some_and(|s| s.contains("titledItems"))
+    });
+    let shared = shared.unwrap_or_else(|| panic!("no operator shared with titledItems in {text}"));
+    let (scan_op, sharing) = shared.split_once(" [shared by ").unwrap();
+    let factor: usize = sharing.split(':').next().unwrap().parse().unwrap();
+    assert!(factor >= 2, "{shared}");
 
     // EXPLAIN ANALYZE: live counters and attribution on the same operator.
-    let explain = conn.explain("cheapItems", true).unwrap();
-    assert!(explain.analyze);
-    let scan = explain.node(scan_op).expect("same operator under analyze");
-    assert!(scan.cycles > 0, "no heartbeat cycles recorded: {scan:?}");
-    assert!(scan.tuples > 0, "shared scan produced no tuples: {scan:?}");
+    let text = explain(&mut conn, "EXPLAIN ANALYZE cheapItems");
+    let scan = operator_lines(&text, scan_op);
+    let counters = scan.iter().find(|l| l.starts_with("· cycles="));
+    let counters = counters.unwrap_or_else(|| panic!("no counters for {scan_op} in {text}"));
+    assert!(
+        field(counters, "cycles") > 0,
+        "no heartbeat cycles recorded: {counters}"
+    );
+    assert!(
+        field(counters, "rows") > 0,
+        "shared scan produced no tuples: {counters}"
+    );
+    let attributed: Vec<&str> = scan
+        .iter()
+        .copied()
+        .filter(|l| l.starts_with("· attributed "))
+        .collect();
     for statement in ["cheapItems", "titledItems"] {
-        let cost = scan
-            .attributed
-            .iter()
-            .find(|c| c.statement == statement)
-            .unwrap_or_else(|| panic!("no attribution for {statement} on {scan:?}"));
-        assert!(cost.activations >= 12, "{statement}: {cost:?}");
-        assert!(cost.rows > 0, "{statement}: {cost:?}");
+        let prefix = format!("· attributed {statement}: ");
+        let cost = attributed.iter().find(|l| l.starts_with(&prefix));
+        let cost = cost.unwrap_or_else(|| panic!("no attribution for {statement} in {text}"));
+        assert!(field(cost, "activations") >= 12, "{cost}");
+        assert!(field(cost, "rows") > 0, "{cost}");
     }
     // Attribution is a decomposition of the operator's busy time: the
     // per-statement parts (plus idle) sum back to the total. The two
     // snapshots are taken microseconds apart, so allow a small skew on top
     // of per-entry truncation.
-    let attributed_total: u64 = scan.attributed.iter().map(|c| c.busy_us).sum();
-    let delta = attributed_total.abs_diff(scan.busy_us);
+    let attributed_total: u64 = attributed.iter().map(|l| field(l, "busy")).sum();
+    let busy = field(counters, "busy");
     assert!(
-        delta <= 5_000,
-        "attributed busy {attributed_total}us drifted from operator busy {}us",
-        scan.busy_us
+        attributed_total.abs_diff(busy) <= 5_000,
+        "attributed busy {attributed_total}us drifted from operator busy {busy}us: {text}"
     );
-    // The rendered text carries the attribution lines.
-    assert!(
-        explain.text.contains("attributed cheapItems:"),
-        "{}",
-        explain.text
+    // Ad-hoc SQL text resolves to the statement type it canonicalises onto,
+    // with or without ANALYZE.
+    let adhoc = explain(
+        &mut conn,
+        "EXPLAIN ANALYZE SELECT * FROM ITEM WHERE I_COST < 3.5",
     );
-
-    // Textual EXPLAIN through the ordinary query path: one PLAN column, one
-    // row per rendered line, resolved by statement name...
-    let outcome = conn.query("EXPLAIN cheapItems").unwrap();
-    let lines: Vec<String> = outcome
-        .rows()
-        .iter()
-        .map(|r| match &r[0] {
-            Value::Text(t) => t.to_string(),
-            other => panic!("non-text PLAN cell {other:?}"),
-        })
-        .collect();
-    assert_eq!(
-        lines.first().map(String::as_str),
-        Some("statement cheapItems: query")
-    );
-    // ...or by ad-hoc SQL text canonicalised onto a known statement type.
-    conn.query("SELECT * FROM ITEM WHERE I_ID = 42").unwrap();
-    let outcome = conn
-        .query("EXPLAIN SELECT * FROM ITEM WHERE I_ID = 13")
-        .unwrap();
-    assert!(!outcome.rows().is_empty());
+    assert_eq!(adhoc.lines().next(), Some("statement cheapItems: query"));
+    assert!(adhoc.contains("· attributed cheapItems: "), "{adhoc}");
+    let adhoc = explain(&mut conn, "EXPLAIN SELECT * FROM ITEM WHERE I_ID = 13");
+    assert_eq!(adhoc.lines().next(), Some("statement getItem: query"));
     // Unknown text is a clean error, not a wedge.
     assert!(conn.query("EXPLAIN doesNotExist").is_err());
     let outcome = conn.query("SELECT * FROM ITEM WHERE I_ID = 7").unwrap();
@@ -710,17 +736,13 @@ fn update_row_counters_and_access_paths_on_tpcw() {
         ("refreshCart", "index(SCL_CART)"),
         ("clearCart", "index(SCL_CART)"),
     ] {
-        let text = conn.explain(statement, false).unwrap().text;
+        let text = explain(&mut conn, &format!("EXPLAIN {statement}"));
         assert!(
             text.ends_with(&format!("  rows found by: {path}\n")),
             "{statement}: {text}"
         );
     }
-    assert!(!conn
-        .explain("addToCart", false)
-        .unwrap()
-        .text
-        .contains("rows found by"));
+    assert!(!explain(&mut conn, "EXPLAIN addToCart").contains("rows found by"));
 
     server.reset_stats();
     assert!(!server
@@ -1016,7 +1038,7 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
         // A key look-up through the shared probe: no scan, no predicate.
         ("getCart", &[][..]),
     ] {
-        let text = conn.explain(statement, false).unwrap().text;
+        let text = explain(&mut conn, &format!("EXPLAIN {statement}"));
         let shown: Vec<&str> = text
             .lines()
             .filter_map(|l| l.trim_start().strip_prefix("predicate: "))
@@ -1284,7 +1306,7 @@ fn a_search_prunes_the_author_join_and_a_lookup_nothing() {
             _ => assert_eq!(count, 0, "{operator}"),
         }
     }
-    let explained = conn.explain("doSubjectSearch", true).unwrap().text;
+    let explained = explain(&mut conn, "EXPLAIN ANALYZE doSubjectSearch");
     let join = explained
         .lines()
         .position(|l| l.contains("IndexNlJoin(AUTHOR)#4"));
@@ -1298,16 +1320,12 @@ fn a_search_prunes_the_author_join_and_a_lookup_nothing() {
         lines[join + 1].contains(" rows=50 pruned=") && !lines[join + 1].contains("pruned=0 "),
         "{explained}"
     );
-    let static_text = conn.explain("getNewProducts", false).unwrap().text;
+    let static_text = explain(&mut conn, "EXPLAIN getNewProducts");
     assert!(
         static_text.contains("top 50 by [I_PUB_DATE desc, I_TITLE] for TopN#9"),
         "{static_text}"
     );
-    assert!(!conn
-        .explain("getBook", false)
-        .unwrap()
-        .text
-        .contains(" top "));
+    assert!(!explain(&mut conn, "EXPLAIN getBook").contains(" top "));
     let _ = conn.close();
     server.shutdown();
 }
