@@ -23,7 +23,8 @@
 //! wire port ([`Server::metrics_text`] in process), which reads every number
 //! from the engine that records it. In-process callers reach the same
 //! engines through [`Server::with_cluster`]. The wire protocol carries
-//! statements, results and EXPLAIN — no statistics (v5).
+//! statements and results — no statistics (v5) and no plan frames (v6):
+//! `EXPLAIN [ANALYZE] …` is a query whose rows are the rendered plan.
 //!
 //! Servers are started either over a pre-built plan
 //! ([`Server::start`], e.g. the TPC-W plan of `shareddb-tpcw`) or directly
