@@ -6,7 +6,7 @@
 //! is which.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $inner:ty) => {
@@ -99,35 +99,6 @@ id_newtype!(
     u64
 );
 
-/// Thread-safe generator for [`QueryId`]s.
-///
-/// The engine allocates a fresh query id for every admitted query; ids wrap
-/// around after `u32::MAX` which is safe because ids only need to be unique
-/// among *concurrently active* queries.
-#[derive(Debug, Default)]
-pub struct QueryIdGenerator {
-    next: AtomicU32,
-}
-
-impl QueryIdGenerator {
-    /// Creates a generator starting at id 1 (0 is reserved as a sentinel).
-    pub fn new() -> Self {
-        Self {
-            next: AtomicU32::new(1),
-        }
-    }
-
-    /// Allocates the next query id.
-    pub fn next_id(&self) -> QueryId {
-        let mut id = self.next.fetch_add(1, Ordering::Relaxed);
-        if id == 0 {
-            // Skip the reserved sentinel on wrap-around.
-            id = self.next.fetch_add(1, Ordering::Relaxed);
-        }
-        QueryId(id)
-    }
-}
-
 /// Thread-safe generator for [`TicketId`]s.
 #[derive(Debug, Default)]
 pub struct TicketGenerator {
@@ -151,8 +122,6 @@ impl TicketGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::Arc;
 
     #[test]
     fn newtypes_are_distinct_types_and_roundtrip() {
@@ -166,36 +135,6 @@ mod tests {
     fn ordering_follows_inner_value() {
         assert!(QueryId(1) < QueryId(2));
         assert!(Timestamp(10) > Timestamp(9));
-    }
-
-    #[test]
-    fn query_id_generator_is_unique_and_never_zero() {
-        let gen = QueryIdGenerator::new();
-        let mut seen = HashSet::new();
-        for _ in 0..10_000 {
-            let id = gen.next_id();
-            assert_ne!(id.raw(), 0);
-            assert!(seen.insert(id));
-        }
-    }
-
-    #[test]
-    fn query_id_generator_is_thread_safe() {
-        let gen = Arc::new(QueryIdGenerator::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let gen = Arc::clone(&gen);
-            handles.push(std::thread::spawn(move || {
-                (0..1000).map(|_| gen.next_id().raw()).collect::<Vec<_>>()
-            }));
-        }
-        let mut all = HashSet::new();
-        for h in handles {
-            for id in h.join().unwrap() {
-                assert!(all.insert(id), "duplicate id {id}");
-            }
-        }
-        assert_eq!(all.len(), 8000);
     }
 
     #[test]

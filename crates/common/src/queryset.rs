@@ -1,86 +1,56 @@
 //! The NF² set-valued `query_id` attribute (Section 3.1 of the paper).
 //!
 //! Every intermediate tuple of SharedDB carries the set of queries that are
-//! potentially interested in it. The paper evaluates two representations —
-//! bitmaps and lists — and chooses **lists** because they were more space- and
-//! time-efficient in all their experiments, "most tuples are interesting to
-//! only a handful of queries"; so does [`QuerySet`]: a sorted list of
-//! [`QueryId`]s. The handful — up to `INLINE` ids — lives in the set itself
-//! and costs no allocation; a longer list is one *shared* slice, so handing it
-//! on (`clone`, an intersection that keeps all of it, the next row of a scan
-//! that interests the same queries) bumps a counter.
+//! potentially interested in it. The paper weighs two representations —
+//! bitmaps and lists — and keeps lists, because "most tuples are interesting
+//! to only a handful of queries". Here a [`QuerySet`] is a **bitmap**: a base
+//! id and one `u64` word while its ids span at most 64, and beyond that the
+//! set's non-zero words, shared. What makes the bitmap pay is where the ids
+//! come from: the engine numbers a batch's queries by their place in the
+//! batch, so the ids of a run lie in one short span and every set of the run
+//! is one word, whatever the number of queries it holds. Building a row's
+//! set is then setting bits, restricting it to an operator's queries one
+//! shift and one AND, and nothing is sorted, merged or allocated per row;
+//! only the routing Γ at the top of the plan expands a set back to its ids.
+//! The ablation, against the sorted lists this module held before, is in
+//! `docs/REPRODUCTION.md`.
+//!
+//! Arbitrary ids still work: a wider set keeps only the words that hold one
+//! of its ids, so it costs at most what a list of them would.
 
 use crate::ids::QueryId;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Ids a set holds without allocating.
-const INLINE: usize = 5;
-
-/// List-based set of query ids, kept sorted and deduplicated.
-#[derive(Clone)]
+/// A set of query ids, as bits.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct QuerySet(Repr);
 
-/// Canonical: a set of at most [`INLINE`] ids is `Inline`, a longer one
-/// `Shared`; the ids past an inline set's length are not part of it.
-#[derive(Clone)]
+/// Canonical — equal sets are equal values, and hash alike: a set whose ids
+/// span at most 64 is a `Word` based at its least member (bit 0 is set), the
+/// empty set `Word { base: 0, bits: 0 }`, and a wider set `Words`.
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
-    Inline(u8, [QueryId; INLINE]),
-    Shared(Arc<[QueryId]>),
+    /// The id `base + i` for every bit `i` of `bits`.
+    Word { base: u32, bits: u64 },
+    /// The id `64 w + i` for every bit `i` of `bits` of every `(w, bits)`:
+    /// the words that are not zero, ascending by `w`.
+    Words(Arc<Box<[Aligned]>>),
 }
 
-/// A set under construction from ascending, distinct ids: inline while it
-/// fits, a vector once it does not.
-struct Builder {
-    len: usize,
-    inline: [QueryId; INLINE],
-    spill: Vec<QueryId>,
-    /// What the set can grow to, reserved when it spills.
-    at_most: usize,
-}
+/// The bits of the ids `64 w .. 64 w + 64`: `(w, bits)`.
+type Aligned = (u32, u64);
 
-impl Builder {
-    fn new(at_most: usize) -> Self {
-        Builder {
-            len: 0,
-            inline: [QueryId(0); INLINE],
-            spill: Vec::new(),
-            at_most,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, id: QueryId) {
-        if self.len < INLINE {
-            self.inline[self.len] = id;
-        } else {
-            if self.len == INLINE {
-                self.spill.reserve_exact(self.at_most.max(INLINE + 1));
-                self.spill.extend_from_slice(&self.inline);
-            }
-            self.spill.push(id);
-        }
-        self.len += 1;
-    }
-
-    fn extend(&mut self, ids: &[QueryId]) {
-        ids.iter().for_each(|&id| self.push(id));
-    }
-
-    fn finish(self) -> QuerySet {
-        if self.len <= INLINE {
-            QuerySet(Repr::Inline(self.len as u8, self.inline))
-        } else {
-            QuerySet(Repr::Shared(self.spill.into()))
-        }
-    }
+/// The aligned words of the ids `base + i`, bit `i` of `bits`: one or two.
+fn aligned(base: u32, bits: u64) -> [Aligned; 2] {
+    let (word, shift) = (base / 64, base % 64);
+    let high = bits.checked_shr(64 - shift).unwrap_or(0);
+    [(word, bits << shift), (word + u32::from(high != 0), high)]
 }
 
 impl QuerySet {
-    /// The empty set, as a constant: put together at run time, the array
-    /// of a handful is built on the side and copied in.
-    const EMPTY: QuerySet = QuerySet(Repr::Inline(0, [QueryId(0); INLINE]));
+    /// The empty set.
+    const EMPTY: QuerySet = QuerySet(Repr::Word { base: 0, bits: 0 });
 
     /// Creates an empty set.
     #[inline]
@@ -89,144 +59,172 @@ impl QuerySet {
     }
 
     /// Creates a set containing a single query.
+    #[inline]
     pub fn singleton(id: QueryId) -> Self {
-        let mut ids = [QueryId(0); INLINE];
-        ids[0] = id;
-        QuerySet(Repr::Inline(1, ids))
+        QuerySet(Repr::Word {
+            base: id.0,
+            bits: 1,
+        })
     }
 
-    /// Creates a set from an arbitrary iterator of ids (sorted + deduplicated).
+    /// Creates a set from an arbitrary iterator of ids, in any order and
+    /// with repeats.
     pub fn from_ids<I: IntoIterator<Item = QueryId>>(ids: I) -> Self {
-        let mut ids = ids.into_iter();
-        let mut first = [QueryId(0); INLINE];
-        let mut len = 0;
-        for id in ids.by_ref().take(INLINE) {
-            first[len] = id;
-            len += 1;
-        }
-        let Some(next) = ids.next() else {
-            // A handful: sorted where it lies, no allocation.
-            let first = &mut first[..len];
-            first.sort_unstable();
-            let mut set = Builder::new(len);
-            for (i, &id) in first.iter().enumerate() {
-                if i == 0 || first[i - 1] != id {
-                    set.push(id);
-                }
+        let mut set = QuerySet::new();
+        // The ids the word cannot take: none, unless they span more than 64.
+        let mut far = Vec::new();
+        for id in ids {
+            if !set.insert_in_word(id) {
+                far.push(id.0);
             }
-            return set.finish();
+        }
+        if far.is_empty() {
+            return set;
+        }
+        far.extend(set.iter().map(QueryId::raw));
+        far.sort_unstable();
+        let mut words: Vec<Aligned> = Vec::new();
+        for id in far {
+            match words.last_mut() {
+                Some((word, bits)) if *word == id / 64 => *bits |= 1 << (id % 64),
+                _ => words.push((id / 64, 1 << (id % 64))),
+            }
+        }
+        QuerySet::from_aligned(words)
+    }
+
+    /// The set of the ids `words` holds, ascending by word; a word may be
+    /// zero.
+    fn from_aligned(mut words: Vec<Aligned>) -> Self {
+        words.retain(|(_, bits)| *bits != 0);
+        let (Some(&(first, low)), Some(&(last, high))) = (words.first(), words.last()) else {
+            return QuerySet::EMPTY;
         };
-        let mut all = first.to_vec();
-        all.push(next);
-        all.extend(ids);
-        QuerySet::from_ids_like(&mut all, &QuerySet::new())
-    }
-
-    /// The set of `ids` — sorted and deduplicated in place, so one scratch
-    /// buffer serves every row of a cycle — sharing `like`'s slice when that
-    /// holds the same ids: a scan's neighbouring rows mostly interest the
-    /// same queries, and a set the previous row spilled is handed on instead
-    /// of allocated again.
-    pub fn from_ids_like(ids: &mut Vec<QueryId>, like: &QuerySet) -> Self {
-        ids.sort_unstable();
-        ids.dedup();
-        match &like.0 {
-            Repr::Shared(shared) if **shared == **ids => like.clone(),
-            _ => QuerySet::from_sorted(ids),
+        let least = u64::from(first) * 64 + u64::from(low.trailing_zeros());
+        let most = u64::from(last) * 64 + 63 - u64::from(high.leading_zeros());
+        if most - least >= 64 {
+            return QuerySet(Repr::Words(Arc::new(words.into_boxed_slice())));
         }
+        // One word, or the end of one and the start of the next.
+        let shift = least % 64;
+        let next = words.get(1).map_or(0, |(_, bits)| *bits);
+        let bits = low >> shift | next.checked_shl(64 - shift as u32).unwrap_or(0);
+        QuerySet(Repr::Word {
+            base: least as u32,
+            bits,
+        })
     }
 
-    /// The set of ascending, distinct `ids`.
-    fn from_sorted(ids: &[QueryId]) -> Self {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        if ids.len() <= INLINE {
-            let mut inline = [QueryId(0); INLINE];
-            inline[..ids.len()].copy_from_slice(ids);
-            QuerySet(Repr::Inline(ids.len() as u8, inline))
+    /// The set's aligned words, ascending, none of them zero.
+    fn words(&self) -> impl Iterator<Item = Aligned> + '_ {
+        let (word, words) = match &self.0 {
+            Repr::Word { base, bits } => (Some(aligned(*base, *bits)), &[][..]),
+            Repr::Words(words) => (None, &words[..]),
+        };
+        let word = word.into_iter().flatten().filter(|(_, bits)| *bits != 0);
+        word.chain(words.iter().copied())
+    }
+
+    /// Sets `id`'s bit if the set is one word and stays one: true when `id`
+    /// is a member afterwards.
+    #[inline]
+    fn insert_in_word(&mut self, id: QueryId) -> bool {
+        let Repr::Word { base, bits } = &mut self.0 else {
+            return false;
+        };
+        let id = id.0;
+        if *bits == 0 {
+            (*base, *bits) = (id, 1);
+        } else if id >= *base && id - *base < 64 {
+            *bits |= 1 << (id - *base);
+        } else if id < *base && *base - id <= bits.leading_zeros() {
+            (*base, *bits) = (id, *bits << (*base - id) | 1);
         } else {
-            QuerySet(Repr::Shared(ids.into()))
+            return false;
         }
+        true
     }
 
     /// Number of queries in the set.
     #[inline]
     pub fn len(&self) -> usize {
         match &self.0 {
-            Repr::Inline(len, _) => *len as usize,
-            Repr::Shared(ids) => ids.len(),
+            Repr::Word { bits, .. } => bits.count_ones() as usize,
+            Repr::Words(words) => words.iter().map(|(_, b)| b.count_ones() as usize).sum(),
         }
     }
 
     /// True when no query subscribed to the tuple.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        matches!(self.0, Repr::Word { bits: 0, .. })
     }
 
     /// True when `id` is a member.
+    #[inline]
     pub fn contains(&self, id: QueryId) -> bool {
+        self.rank(id).is_some()
+    }
+
+    /// The number of members below `id`, if `id` is a member: its place
+    /// among them in ascending order.
+    pub fn rank(&self, id: QueryId) -> Option<usize> {
+        let below = |bits: u64, bit: u32| (bits & ((1 << bit) - 1)).count_ones() as usize;
         match &self.0 {
-            Repr::Inline(len, ids) => ids[..*len as usize].contains(&id),
-            Repr::Shared(ids) => ids.binary_search(&id).is_ok(),
+            Repr::Word { base, bits } => {
+                let at = id.0.checked_sub(*base).filter(|at| *at < 64)?;
+                (bits >> at & 1 == 1).then(|| below(*bits, at))
+            }
+            Repr::Words(words) => {
+                let (word, bit) = (id.0 / 64, id.0 % 64);
+                let at = words.binary_search_by_key(&word, |(w, _)| *w).ok()?;
+                let before = words[..at].iter().map(|(_, b)| b.count_ones() as usize);
+                (words[at].1 >> bit & 1 == 1)
+                    .then(|| before.sum::<usize>() + below(words[at].1, bit))
+            }
         }
     }
 
     /// Inserts a query id; returns `true` when it was not already present.
     pub fn insert(&mut self, id: QueryId) -> bool {
-        let Err(at) = self.as_slice().binary_search(&id) else {
+        if self.contains(id) {
             return false;
-        };
-        match &mut self.0 {
-            Repr::Inline(len, ids) if (*len as usize) < INLINE => {
-                ids.copy_within(at..*len as usize, at + 1);
-                ids[at] = id;
-                *len += 1;
-            }
-            _ => {
-                let ids = self.as_slice();
-                let grown = ids[..at].iter().chain([&id]).chain(&ids[at..]);
-                self.0 = Repr::Shared(grown.copied().collect());
-            }
+        }
+        if !self.insert_in_word(id) {
+            *self = self.union(&QuerySet::singleton(id));
         }
         true
     }
 
     /// Removes a query id; returns `true` when it was present.
     pub fn remove(&mut self, id: QueryId) -> bool {
-        let Ok(at) = self.as_slice().binary_search(&id) else {
+        if !self.contains(id) {
             return false;
-        };
-        match &mut self.0 {
-            Repr::Inline(len, ids) => {
-                ids.copy_within(at + 1..*len as usize, at);
-                *len -= 1;
-            }
-            Repr::Shared(ids) => {
-                let mut rest = Builder::new(ids.len() - 1);
-                rest.extend(&ids[..at]);
-                rest.extend(&ids[at + 1..]);
-                *self = rest.finish();
-            }
         }
+        let (word, bit) = (id.0 / 64, id.0 % 64);
+        let clear = |(w, bits): Aligned| (w, if w == word { bits & !(1 << bit) } else { bits });
+        *self = QuerySet::from_aligned(self.words().map(clear).collect());
         true
     }
 
     /// Iterates over the members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.as_slice().iter().copied()
-    }
-
-    /// The members as a slice (always sorted).
-    #[inline]
-    pub fn as_slice(&self) -> &[QueryId] {
+    pub fn iter(&self) -> Ids<'_> {
         match &self.0 {
-            Repr::Inline(len, ids) => &ids[..*len as usize],
-            Repr::Shared(ids) => ids,
+            Repr::Word { base, bits } => Ids {
+                base: *base,
+                bits: *bits,
+                rest: [].iter(),
+            },
+            Repr::Words(words) => Ids {
+                base: 0,
+                bits: 0,
+                rest: words.iter(),
+            },
         }
     }
 
-    /// Set union. Linear merge of the two sorted lists; a union with the
-    /// empty set is the other set itself.
+    /// Set union: of two words that span at most 64 ids together, one OR; a
+    /// union with the empty set is the other set itself.
     pub fn union(&self, other: &QuerySet) -> QuerySet {
         if other.is_empty() {
             return self.clone();
@@ -234,233 +232,126 @@ impl QuerySet {
         if self.is_empty() {
             return other.clone();
         }
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = Builder::new(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
+        if let (Repr::Word { base: a, bits: x }, Repr::Word { base: b, bits: y }) =
+            (&self.0, &other.0)
+        {
+            let ((low, under), (high, over)) = if a <= b {
+                ((*a, *x), (*b, *y))
+            } else {
+                ((*b, *y), (*a, *x))
+            };
+            let shift = high - low;
+            if shift < 64 && over.leading_zeros() >= shift {
+                let bits = under | over << shift;
+                return QuerySet(Repr::Word { base: low, bits });
             }
         }
-        out.extend(&a[i..]);
-        out.extend(&b[j..]);
-        out.finish()
+        let mut words: Vec<Aligned> = self.words().chain(other.words()).collect();
+        words.sort_unstable_by_key(|(word, _)| *word);
+        words.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 |= next.1;
+            }
+            same
+        });
+        QuerySet::from_aligned(words)
     }
 
     /// In-place union (used by operators that accumulate subscriptions).
+    #[inline]
     pub fn union_in_place(&mut self, other: &QuerySet) {
         if !other.is_empty() {
             *self = self.union(other);
         }
     }
 
-    /// The members `keep` admits, asked in ascending order. Allocates only
-    /// when more than [`INLINE`] members stay and at least one goes: a set
-    /// that keeps all of itself is handed on as it is.
-    #[inline]
-    fn filtered(&self, mut keep: impl FnMut(QueryId) -> bool) -> QuerySet {
-        let ids = match &self.0 {
-            // What is left of a handful is a handful, built where it will
-            // lie: a set put together on the side and moved in is copied in
-            // pieces that do not line up with the pieces it was written in.
-            Repr::Inline(len, ids) => {
-                let mut out = QuerySet::new();
-                if let Repr::Inline(left, kept) = &mut out.0 {
-                    for &id in &ids[..*len as usize] {
-                        // No branch on the answer: which rows interest which
-                        // queries is what a processor cannot guess.
-                        kept[*left as usize] = id;
-                        *left += u8::from(keep(id));
-                    }
-                }
-                return out;
-            }
-            Repr::Shared(ids) => &ids[..],
-        };
-        let Some(dropped) = ids.iter().position(|&id| !keep(id)) else {
-            return self.clone();
-        };
-        let mut out = Builder::new(ids.len() - 1);
-        out.extend(&ids[..dropped]);
-        for &id in &ids[dropped + 1..] {
-            if keep(id) {
-                out.push(id);
-            }
-        }
-        out.finish()
-    }
-
     /// Set intersection. This is the heart of the *shared join*: amending the
     /// join predicate with `R.query_id = S.query_id` (Section 3.3) is
     /// implemented by intersecting the query sets of the two sides and only
-    /// emitting a joined tuple when the intersection is non-empty.
+    /// emitting a joined tuple when the intersection is non-empty — and of
+    /// every operator's restriction of its input to its own queries. Of two
+    /// words it is a shift and an AND.
+    #[inline]
     pub fn intersect(&self, other: &QuerySet) -> QuerySet {
-        // The result is the smaller side without what the larger one lacks:
-        // binary-search the larger one when the sizes are lopsided, walk it
-        // in step otherwise. An empty intersection — the common outcome when
-        // an operator restricts a tuple to its own queries —, one that fits
-        // inline and one that keeps the whole smaller side allocate nothing.
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
+        let (Repr::Word { base: a, bits: x }, Repr::Word { base: b, bits: y }) =
+            (&self.0, &other.0)
+        else {
+            return self.intersect_words(other);
         };
-        if large.len() > 16 * small.len().max(1) {
-            return small.filtered(|id| large.contains(id));
+        let bits = if a <= b {
+            x.checked_shr(b - a).unwrap_or(0) & y
+        } else {
+            y.checked_shr(a - b).unwrap_or(0) & x
+        };
+        if bits == 0 {
+            return QuerySet::EMPTY;
         }
-        let large = large.as_slice();
-        let mut j = 0;
-        small.filtered(|id| {
-            while j < large.len() && large[j] < id {
-                j += 1;
-            }
-            j < large.len() && large[j] == id
+        QuerySet(Repr::Word {
+            base: a.max(b) + bits.trailing_zeros(),
+            bits: bits >> bits.trailing_zeros(),
         })
     }
 
-    /// True when the two sets share at least one query id. Cheaper than
-    /// computing the full intersection when only the boolean answer matters.
+    /// [`QuerySet::intersect`] when one side is wider than a word: the
+    /// aligned words both hold, each looked up in the wider side.
+    fn intersect_words(&self, other: &QuerySet) -> QuerySet {
+        let (narrow, Repr::Words(wide)) = (self, &other.0) else {
+            return other.intersect_words(self);
+        };
+        let of_wide = |(word, bits): Aligned| {
+            let at = wide.binary_search_by_key(&word, |(w, _)| *w);
+            (word, at.map_or(0, |at| bits & wide[at].1))
+        };
+        QuerySet::from_aligned(narrow.words().map(of_wide).collect())
+    }
+
+    /// True when the two sets share at least one query id.
+    #[inline]
     pub fn intersects(&self, other: &QuerySet) -> bool {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
+        !self.intersect(other).is_empty()
     }
 
-    /// Returns the members that also appear in `keep`, dropping the rest.
-    /// Used when routing a shared result back to the queries of one consumer.
+    /// Keeps the members that also appear in `keep`, dropping the rest.
     pub fn retain_in(&mut self, keep: &QuerySet) {
-        *self = self.filtered(|id| keep.contains(id));
+        *self = self.intersect(keep);
     }
 
-    /// Approximate heap footprint in bytes: nothing for an inline set, the
-    /// shared slice and its two reference counts otherwise.
+    /// Approximate heap footprint in bytes: nothing for a set of one word;
+    /// the shared words, their box and their two reference counts otherwise.
     pub fn heap_size(&self) -> usize {
         match &self.0 {
-            Repr::Inline(..) => 0,
-            Repr::Shared(ids) => {
-                2 * std::mem::size_of::<usize>() + std::mem::size_of_val::<[QueryId]>(ids)
+            Repr::Word { .. } => 0,
+            Repr::Words(words) => {
+                2 * std::mem::size_of::<usize>()
+                    + std::mem::size_of::<Box<[Aligned]>>()
+                    + std::mem::size_of_val::<[Aligned]>(words)
             }
         }
     }
 }
 
-/// The query sets of a cycle's rows, each cut down to the queries active at
-/// one operator — the query-set half of an operator's gather pass, which
-/// meets every input row. Two things make a row cheap. The queries of a
-/// batch were numbered in a row, so the active ones are mostly a bitmap over
-/// a short span of ids, and whether a row's handful is among them is a shift
-/// and a mask each, without a branch. And a set too long to live inline is
-/// one slice shared by the rows that carry it — a scan hands the previous
-/// row's on —, so what is left of it is worked out once per run of rows that
-/// share it, not once per row.
-pub struct Restriction<'a> {
-    active: &'a QuerySet,
-    /// Bit `i` of `bitmap`: the query `first + i` is active. `None` when the
-    /// active ids span more than the bitmap holds.
-    first: u32,
-    bitmap: Option<[u64; Restriction::WORDS]>,
-    /// Per word of the bitmap, the active queries before it.
-    before: [u16; Restriction::WORDS],
-    /// The last shared slice met and what `active` leaves of it.
-    last: Option<(Arc<[QueryId]>, QuerySet)>,
+/// The members of a [`QuerySet`], ascending.
+pub struct Ids<'a> {
+    /// The id of bit 0 of `bits`.
+    base: u32,
+    /// The bits of the current word not yet handed out.
+    bits: u64,
+    rest: std::slice::Iter<'a, Aligned>,
 }
 
-impl<'a> Restriction<'a> {
-    const WORDS: usize = 16;
+impl Iterator for Ids<'_> {
+    type Item = QueryId;
 
-    /// Restricts to `active`.
-    pub fn to(active: &'a QuerySet) -> Self {
-        let ids = active.as_slice();
-        let first = ids.first().map_or(0, |id| id.0);
-        let spanned = ids
-            .last()
-            .is_some_and(|last| ((last.0 - first) as usize) < 64 * Self::WORDS);
-        let bitmap = spanned.then(|| {
-            let mut bitmap = [0u64; Self::WORDS];
-            for id in ids {
-                let at = (id.0 - first) as usize;
-                bitmap[at / 64] |= 1 << (at % 64);
-            }
-            bitmap
-        });
-        let mut before = [0; Self::WORDS];
-        for word in 1..Self::WORDS {
-            let bits = bitmap.map_or(0, |bitmap| bitmap[word - 1].count_ones());
-            before[word] = before[word - 1] + bits as u16;
-        }
-        Restriction {
-            active,
-            first,
-            bitmap,
-            before,
-            last: None,
-        }
-    }
-
-    /// The place of `id` among the active queries, in ascending order, if it
-    /// is one of them.
     #[inline]
-    fn place_of(&self, id: QueryId) -> Option<usize> {
-        let Some(bitmap) = &self.bitmap else {
-            return self.active.as_slice().binary_search(&id).ok();
-        };
-        let at = id.0.wrapping_sub(self.first) as usize;
-        let (word, bit) = (at / 64, at % 64);
-        let bits = *bitmap.get(word)?;
-        let below = (bits & ((1 << bit) - 1)).count_ones() as usize;
-        (bits >> bit & 1 == 1).then_some(self.before[word] as usize + below)
-    }
-
-    /// Calls `each` with the place among the active queries, in ascending
-    /// order, of every query in `queries ∩ active`, ascending.
-    #[inline]
-    pub fn places_of(&mut self, queries: &QuerySet, mut each: impl FnMut(usize)) {
-        match &queries.0 {
-            Repr::Inline(len, ids) => ids[..*len as usize]
-                .iter()
-                .filter_map(|id| self.place_of(*id))
-                .for_each(each),
-            Repr::Shared(_) => {
-                let left = self.of(queries);
-                let places = left.iter().map(|id| self.place_of(id));
-                places.for_each(|place| each(place.expect("an active query has a place")));
-            }
+    fn next(&mut self) -> Option<QueryId> {
+        while self.bits == 0 {
+            let &(word, bits) = self.rest.next()?;
+            (self.base, self.bits) = (word * 64, bits);
         }
-    }
-
-    /// `queries ∩ active`.
-    #[inline]
-    pub fn of(&mut self, queries: &QuerySet) -> QuerySet {
-        let Repr::Shared(slice) = &queries.0 else {
-            return queries.filtered(|id| self.place_of(id).is_some());
-        };
-        match &self.last {
-            Some((seen, left)) if Arc::ptr_eq(seen, slice) => left.clone(),
-            _ => {
-                let left = queries.intersect(self.active);
-                self.last = Some((Arc::clone(slice), left.clone()));
-                left
-            }
-        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(QueryId(self.base + bit))
     }
 }
 
@@ -470,24 +361,10 @@ impl Default for QuerySet {
     }
 }
 
-impl PartialEq for QuerySet {
-    fn eq(&self, other: &QuerySet) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for QuerySet {}
-
-impl Hash for QuerySet {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
 impl fmt::Debug for QuerySet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QuerySet")
-            .field("ids", &self.as_slice())
+            .field("ids", &self.iter().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -525,6 +402,10 @@ mod tests {
         ids.iter().copied().collect()
     }
 
+    fn raw(set: &QuerySet) -> Vec<u32> {
+        set.iter().map(QueryId::raw).collect()
+    }
+
     #[test]
     fn insert_keeps_sorted_and_deduplicated() {
         let mut s = QuerySet::new();
@@ -532,7 +413,7 @@ mod tests {
         assert!(s.insert(QueryId(1)));
         assert!(s.insert(QueryId(3)));
         assert!(!s.insert(QueryId(3)));
-        assert_eq!(s.as_slice(), &[QueryId(1), QueryId(3), QueryId(5)]);
+        assert_eq!(raw(&s), [1, 3, 5]);
         assert_eq!(s.len(), 3);
     }
 
@@ -579,11 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn intersect_lopsided_uses_binary_search_path() {
+    fn intersect_a_word_with_many() {
         let small = qs(&[100, 5000]);
         let large: QuerySet = (0u32..4096).collect();
         assert_eq!(small.intersect(&large), qs(&[100]));
         assert_eq!(large.intersect(&small), qs(&[100]));
+        assert_eq!(qs(&[4000, 4050]).intersect(&large), qs(&[4000, 4050]));
     }
 
     #[test]
@@ -596,39 +478,39 @@ mod tests {
     #[test]
     fn from_ids_deduplicates_unsorted_input() {
         let s = QuerySet::from_ids([QueryId(9), QueryId(1), QueryId(9), QueryId(4)]);
-        assert_eq!(s.as_slice(), &[QueryId(1), QueryId(4), QueryId(9)]);
+        assert_eq!(raw(&s), [1, 4, 9]);
+        let wide = QuerySet::from_ids([QueryId(300), QueryId(2), QueryId(300), QueryId(70)]);
+        assert_eq!(raw(&wide), [2, 70, 300]);
     }
 
-    /// Up to five ids live in the set; a longer list is one slice that
-    /// clones, full intersections and a scan's next row share.
     #[test]
-    fn the_handful_is_inline_and_a_longer_list_is_shared() {
-        assert!(std::mem::size_of::<QuerySet>() <= 24);
-        let five = qs(&[5, 4, 3, 2, 1, 3]);
-        assert_eq!((five.len(), five.heap_size()), (5, 0));
-        let mut six = five.clone();
-        assert!(six.insert(QueryId(0)));
-        assert_eq!(six, qs(&[0, 1, 2, 3, 4, 5]));
-        assert_eq!(six.heap_size(), 16 + 6 * 4);
-        let shared = |a: &QuerySet, b: &QuerySet| std::ptr::eq(a.as_slice(), b.as_slice());
-        assert!(shared(&six, &six.clone()));
-        assert!(shared(&six, &six.intersect(&(0u32..64).collect())));
-        assert!(shared(
-            &six,
-            &(0u32..64).collect::<QuerySet>().intersect(&six)
-        ));
-        assert!(shared(&six, &six.union(&QuerySet::new())));
-        let mut scratch = vec![QueryId(5), QueryId(0), QueryId(2), QueryId(1), QueryId(4)];
-        scratch.extend([QueryId(3), QueryId(3)]);
-        assert!(shared(&six, &QuerySet::from_ids_like(&mut scratch, &six)));
-        assert_eq!(
-            QuerySet::from_ids_like(&mut vec![QueryId(7)], &six),
-            qs(&[7])
-        );
-        // Back under the boundary the set is inline again.
-        assert!(six.remove(QueryId(3)));
-        assert_eq!((six.as_slice().len(), six.heap_size()), (5, 0));
-        assert_eq!(six, qs(&[0, 1, 2, 4, 5]));
+    fn rank_is_the_place_among_the_members() {
+        let s = qs(&[3, 9, 70, 200]);
+        let ranks: Vec<_> = [3, 9, 70, 200, 4].map(|id| s.rank(QueryId(id))).into();
+        assert_eq!(ranks, [Some(0), Some(1), Some(2), Some(3), None]);
+        assert_eq!(qs(&[5, 6]).rank(QueryId(6)), Some(1));
+    }
+
+    /// Ids within 64 of each other are one word, wherever they start; a
+    /// wider set holds the words of its span, shared by its clones, and is
+    /// one word again once it narrows.
+    #[test]
+    fn a_span_of_64_is_one_word_and_a_wider_one_is_shared() {
+        assert_eq!(std::mem::size_of::<QuerySet>(), 16);
+        let word = qs(&[1_000_063, 1_000_000, 1_000_017]);
+        assert_eq!((word.len(), word.heap_size()), (3, 0));
+        let mut wide = word.clone();
+        assert!(wide.insert(QueryId(1_000_064)));
+        assert_eq!(wide.heap_size(), 32 + 2 * 16);
+        assert_eq!(raw(&wide), [1_000_000, 1_000_017, 1_000_063, 1_000_064]);
+        let words = |s: &QuerySet| match &s.0 {
+            Repr::Words(words) => Arc::as_ptr(words),
+            Repr::Word { .. } => std::ptr::null(),
+        };
+        assert_eq!(words(&wide), words(&wide.clone()));
+        assert!(wide.remove(QueryId(1_000_000)));
+        assert_eq!((wide.len(), wide.heap_size()), (3, 0));
+        assert_eq!(wide, qs(&[1_000_064, 1_000_063, 1_000_017]));
         assert_eq!(
             format!("{:?}", qs(&[2, 1])),
             "QuerySet { ids: [QueryId(1), QueryId(2)] }"

@@ -11,8 +11,8 @@ use crate::engine::{Engine, QueryHandle, QueryOutcome, SubmitOptions};
 use crate::plan::{ActivationTemplate, GlobalPlan, OperatorId, OperatorSpec, StatementSpec};
 use crate::stats::Phase;
 use parking_lot::{Condvar, Mutex};
-use shareddb_common::ids::{QueryIdGenerator, TicketGenerator};
-use shareddb_common::{Error, Result, Value};
+use shareddb_common::ids::TicketGenerator;
+use shareddb_common::{Error, QueryId, Result, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -85,7 +85,6 @@ pub(crate) struct Queue {
 pub(crate) struct Admission {
     pub queue: Mutex<Queue>,
     pub signal: Condvar,
-    pub query_ids: QueryIdGenerator,
     pub tickets: TicketGenerator,
 }
 
@@ -106,7 +105,6 @@ impl Default for Admission {
         Admission {
             queue: Mutex::default(),
             signal: Condvar::new(),
-            query_ids: QueryIdGenerator::new(),
             tickets: TicketGenerator::new(),
         }
     }
@@ -161,8 +159,8 @@ impl Engine {
             update.admitted.submitted = submitted;
             Submission::Update(update)
         } else {
-            let query_id = self.inner.admission.query_ids.next_id();
-            let mut query = bind_query(spec, index, query_id, ticket, params, &opts)?;
+            // Its id is its place in the batch it joins, numbered there.
+            let mut query = bind_query(spec, index, QueryId(0), ticket, params, &opts)?;
             query.admitted.submitted = submitted;
             Submission::Query(query)
         };

@@ -124,8 +124,10 @@ impl Admitted {
 pub struct ActiveQuery {
     /// Statement, times and target.
     pub admitted: Admitted,
-    /// Unique id of this activation; this is the value that travels through
-    /// the data-query model.
+    /// Id of this activation, the value that travels through the
+    /// data-query model: its place in its batch, numbered when the batch
+    /// forms, so that the ids of a run lie in one short span and a query set
+    /// is one word ([`QuerySet`](shareddb_common::QuerySet)).
     pub query_id: QueryId,
     /// Operator whose output is this query's result.
     pub root: OperatorId,

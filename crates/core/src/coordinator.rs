@@ -17,7 +17,7 @@ use crate::routing::{finalize_query_result, QueryRows, RoutingTable};
 use crate::stats::{Phase, SlowQueryRecord};
 use crate::trace::TraceEvent;
 use shareddb_common::ids::BatchId;
-use shareddb_common::{Error, Result};
+use shareddb_common::{Error, QueryId, Result};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -141,6 +141,11 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
             }
         }
         batch.queries.append(&mut heavy);
+        // A query's id is its place in the batch: the ids of a run lie in
+        // one short span, and the query set of every row is one word.
+        for (place, query) in batch.queries.iter_mut().enumerate() {
+            query.query_id = QueryId(place as u32);
+        }
         // Counted before it is answered: whoever holds a reply of the batch
         // finds the batch in the counters.
         inner.stats.record_batch(batch.len());
@@ -362,16 +367,12 @@ impl BatchCtx<'_> {
     fn route(&self, run: &Run) -> RoutingTable {
         let nodes = self.inner.plan.len();
         let mut routed: RoutingTable = (0..nodes).map(|_| None).collect();
-        // The statements that read each root: what its table is sized for.
-        let mut readers = vec![0; nodes];
-        for q in &self.batch.queries {
-            readers[q.root] += 1;
-        }
+        let queries = self.batch.queries.len();
         for q in &self.batch.queries {
             routed[q.root].get_or_insert_with(|| {
                 let done = run.nodes[q.root].done.get();
                 let output = done.map_or(&[][..], |done| done.output.as_slice());
-                QueryRows::explode(output, readers[q.root])
+                QueryRows::explode(output, queries)
             });
         }
         routed

@@ -19,7 +19,6 @@
 use crate::batch::Activation;
 use crate::plan::{AggregateSpec, OperatorSpec};
 use shareddb_common::agg::{Accumulator, AggregateFunction};
-use shareddb_common::queryset::Restriction;
 use shareddb_common::sort::{compare_tuples, key_word};
 use shareddb_common::{
     hash_words, Error, QTuple, QueryId, QuerySet, Result, SortKey, Tuple, Value, WordTable,
@@ -158,9 +157,8 @@ fn restricted<'a>(
     input: &'a [QTuple],
     active: &'a QuerySet,
 ) -> impl Iterator<Item = (&'a Tuple, QuerySet)> {
-    let mut restriction = Restriction::to(active);
     input.iter().filter_map(move |t| {
-        let queries = restriction.of(&t.queries);
+        let queries = t.queries.intersect(active);
         (!queries.is_empty()).then_some((&t.tuple, queries))
     })
 }
@@ -488,14 +486,14 @@ fn execute_index_nl_join(
     if !demands.0.is_empty() {
         found.span_of = vec![NOT_LOOKED_UP; outer.len()];
         let mut filed: Vec<(u32, Ranked)> = Vec::new();
-        // A demand's place among the demanding queries is its slot.
-        let mut restriction = Restriction::to(&demanding);
         for (at, t) in outer.iter().enumerate() {
-            restriction.places_of(&t.queries, |slot| {
+            for query in t.queries.intersect(&demanding).iter() {
+                // A demand's place among the demanding queries is its slot.
+                let slot = demanding.rank(query).expect("a demanding query");
                 let (keys, _) = demands.0[slot].1;
                 filed.push((slot as u32, (key_word(&t.tuple, keys), link(at))));
                 found.span_of[at] = CANDIDATE;
-            });
+            }
         }
         let mut candidates = Candidates::file(&filed, demands.0.len());
         for (slot, &(query, (keys, limit))) in demands.0.iter().enumerate() {
@@ -539,14 +537,8 @@ fn execute_index_nl_join(
     }
     let mut wanted = wanted.into_iter().peekable();
     let mut emitted = Emitted::default();
-    let mut restriction = Restriction::to(&undemanding);
     for (at, t) in outer.iter().enumerate() {
-        // Mostly every query of the cycle demands: nothing to restrict to.
-        let mut queries = if undemanding.is_empty() {
-            QuerySet::new()
-        } else {
-            restriction.of(&t.queries)
-        };
+        let mut queries = t.queries.intersect(&undemanding);
         while let Some((_, q)) = wanted.next_if(|(chosen, _)| *chosen as usize == at) {
             queries.insert(q);
         }
@@ -632,9 +624,8 @@ fn execute_sort(
     let mut best: Vec<Vec<Ranked>> = limits.0.iter().map(room).map(Vec::with_capacity).collect();
     let mut kept: Vec<(Ranked, QuerySet)> = Vec::new();
     let mut emitted = Emitted::default();
-    let mut restriction = Restriction::to(active);
     for (at, t) in input.iter().enumerate() {
-        let mut queries = restriction.of(&t.queries);
+        let mut queries = t.queries.intersect(active);
         if queries.is_empty() {
             continue;
         }

@@ -18,44 +18,27 @@ use shareddb_common::{
 /// reads it (`None`: no query of the batch does).
 pub(crate) type RoutingTable = Vec<Option<QueryRows>>;
 
-/// One root's output by query: each query's rows, in output order.
-pub(crate) struct QueryRows {
-    /// Query id → its place in `rows`.
-    places: WordTable,
-    rows: Vec<(QueryId, Vec<Tuple>)>,
-}
+/// One root's output by query: each query's rows, in output order, under
+/// its id — its place in the batch.
+pub(crate) struct QueryRows(Vec<Vec<Tuple>>);
 
 impl QueryRows {
-    /// The Γ step over one root's output, which `readers` queries read.
-    pub(crate) fn explode(output: &[QTuple], readers: usize) -> Self {
-        let mut places = WordTable::with_room(readers);
-        let mut rows: Vec<(QueryId, Vec<Tuple>)> = Vec::with_capacity(readers);
+    /// The Γ step over one root's output, for a batch of `queries` queries:
+    /// the one place a query set is expanded back to its ids.
+    pub(crate) fn explode(output: &[QTuple], queries: usize) -> Self {
+        let mut rows = vec![Vec::new(); queries];
         for tuple in output {
             for query in tuple.queries.iter() {
-                let is_query = |place: u32| rows[place as usize].0 == query;
-                let place = *places.entry(word_of(query), rows.len() as u32, is_query);
-                if place as usize == rows.len() {
-                    rows.push((query, Vec::new()));
-                }
-                rows[place as usize].1.push(tuple.tuple.clone());
+                rows[query.raw() as usize].push(tuple.tuple.clone());
             }
         }
-        QueryRows { places, rows }
+        QueryRows(rows)
     }
 
     /// Takes the rows of `query` out.
     pub(crate) fn take(&mut self, query: QueryId) -> Vec<Tuple> {
-        let is_query = |place: u32| self.rows[place as usize].0 == query;
-        let place = self.places.get(word_of(query), is_query);
-        place.map_or_else(Vec::new, |place| {
-            std::mem::take(&mut self.rows[place as usize].1)
-        })
+        std::mem::take(&mut self.0[query.raw() as usize])
     }
-}
-
-/// The hash word of a query id.
-fn word_of(query: QueryId) -> u64 {
-    Value::Int(i64::from(query.raw())).hash_word()
 }
 
 pub(crate) fn finalize_query_result(

@@ -171,10 +171,7 @@ impl ClockScan {
         for (total, served) in result.query_classes.iter_mut().zip(index.class_counts()) {
             *total += served;
         }
-        let mut matches = Vec::new();
-        // Neighbouring rows mostly interest the same queries: a set too long
-        // to live inline is the previous row's, shared, when it is equal.
-        let mut previous = QuerySet::new();
+        let mut matches = QuerySet::new();
         for chunk in table.chunks() {
             if !index.may_match(&chunk.zones) {
                 result.rows_skipped += chunk.rows.len();
@@ -187,11 +184,8 @@ impl ClockScan {
                 if !matches.is_empty() {
                     // The emitted tuple *is* the stored version: a reference,
                     // not a copy.
-                    previous = QuerySet::from_ids_like(&mut matches, &previous);
-                    matches.clear();
-                    result
-                        .tuples
-                        .push(QTuple::new(row.clone(), previous.clone()));
+                    let queries = std::mem::take(&mut matches);
+                    result.tuples.push(QTuple::new(row.clone(), queries));
                 }
             }
         }
@@ -259,7 +253,7 @@ impl ClockScan {
         let mut hits = Hits::default();
         for (path, residual, queries) in &fetches {
             let fetched = path.visible_rows(table, snapshot);
-            hits.collect(queries.as_slice(), fetched, *residual)?;
+            hits.collect(queries, fetched, *residual)?;
         }
         for query in members {
             // The class the pass would have filed the query in.

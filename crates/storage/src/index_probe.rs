@@ -137,7 +137,7 @@ impl IndexProbe {
         for q in queries {
             let fetched = table.eq_lookup(q.column);
             hits.collect(
-                &[q.query_id],
+                &QuerySet::singleton(q.query_id),
                 fetched.rows(&q.key, snapshot),
                 q.residual.as_ref(),
             )?
@@ -147,53 +147,49 @@ impl IndexProbe {
     }
 }
 
-/// The `(row, query)` hits of one snapshot group of look-ups, however the
+/// The `(row, queries)` hits of one snapshot group of look-ups, however the
 /// rows were reached: by the probes of an [`IndexProbe`] cycle, or by the
 /// access paths of a scan cycle served from the indexes
 /// ([`crate::clockscan`]).
 #[derive(Default)]
-pub(crate) struct Hits(Vec<(RowId, QueryId)>);
+pub(crate) struct Hits(Vec<(RowId, QuerySet)>);
 
 impl Hits {
-    /// Files under each of `queries` — which fetch the same rows and hold
-    /// them against the same `residual` — those of the fetched rows, versions
+    /// Files under `queries` — which fetch the same rows and hold them
+    /// against the same `residual` — those of the fetched rows, versions
     /// their snapshot sees, that it admits.
     pub(crate) fn collect<'t>(
         &mut self,
-        queries: &[QueryId],
+        queries: &QuerySet,
         fetched: impl Iterator<Item = (RowId, &'t Tuple)>,
         residual: Option<&Expr>,
     ) -> Result<()> {
         for (rid, row) in fetched {
             if residual.map_or(Ok(true), |r| r.eval_predicate(row))? {
-                self.0.extend(queries.iter().map(|query| (rid, *query)));
+                self.0.push((rid, queries.clone()));
             }
         }
         Ok(())
     }
 
     /// Emits every hit row once, in ascending `RowId` — the order a scan
-    /// meets them in — with the queries that hit it: the NF² data-query
-    /// model stores a row once with the union of its interested queries.
+    /// meets them in — with the union of the queries that hit it: the NF²
+    /// data-query model stores a row once with all its interested queries.
     /// The emitted tuple *is* the stored version, not a copy.
     pub(crate) fn emit(mut self, table: &Table, out: &mut Vec<QTuple>) {
-        // Sorted, the hits of one row are neighbours and its queries ascend.
-        // Every fetch filed its rows in ascending order: the hits are a few
-        // long runs, which the stable sort merges and the unstable one would
-        // sort from scratch.
-        self.0.sort();
-        // As in a scan pass, a set too long to live inline is shared with
-        // the row before when both interest the same queries.
-        let (mut ids, mut previous) = (Vec::new(), QuerySet::new());
+        // Sorted, the hits of one row are neighbours. Every fetch filed its
+        // rows in ascending order: the hits are a few long runs, which the
+        // stable sort merges and the unstable one would sort from scratch.
+        self.0.sort_by_key(|(rid, _)| *rid);
         for of_row in self.0.chunk_by(|a, b| a.0 == b.0) {
             let row = table
                 .row(of_row[0].0)
                 .expect("a hit is a fetched row")
                 .values();
-            ids.clear();
-            ids.extend(of_row.iter().map(|(_, q)| *q));
-            previous = QuerySet::from_ids_like(&mut ids, &previous);
-            out.push(QTuple::new(row.clone(), previous.clone()));
+            let queries = of_row
+                .iter()
+                .fold(QuerySet::new(), |all, (_, of)| all.union(of));
+            out.push(QTuple::new(row.clone(), queries));
         }
     }
 }

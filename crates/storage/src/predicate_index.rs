@@ -15,10 +15,11 @@
 //!   `column ⟨op⟩ literal`. Entries are kept in flat runs, one per column,
 //!   literal family (integer-or-date, float, text, boolean) and bound kind,
 //!   each sorted by literal; queries with the same `(column, op, literal)`
-//!   collapse into *one* entry carrying their ids in ascending order. Per
-//!   row a run costs one value fetch and two binary searches over its
-//!   **distinct** literals — `O(log d)` comparisons, however many queries
-//!   share them — plus one copy of the ids of the entries that hold. Range
+//!   collapse into *one* entry carrying their [`QuerySet`]. Per row a run
+//!   costs one value fetch and two binary searches over its **distinct**
+//!   literals — `O(log d)` comparisons, however many queries share them —
+//!   plus one OR of the set of each entry that holds: the row's set is
+//!   built as bits, nothing sorted or deduplicated. Range
 //!   runs are ordered so the entries a value satisfies are a prefix (`>`,
 //!   `>=`) or a suffix (`<`, `<=`) of the run; nothing is compared per
 //!   query.
@@ -212,8 +213,8 @@ impl Bound {
 struct Entry {
     /// True when a value equal to the literal satisfies the comparison.
     inclusive: bool,
-    /// Queries whose whole predicate is this comparison, ascending.
-    exact: Vec<QueryId>,
+    /// Queries whose whole predicate is this comparison.
+    exact: QuerySet,
     /// Positions in `PredicateIndex::checked` of the queries that hold this
     /// comparison among other conjuncts.
     candidates: Vec<u32>,
@@ -339,16 +340,16 @@ impl<'a> PredicateIndex<'a> {
     /// Probes the index with one data tuple and returns the set of queries
     /// that select it.
     pub fn matching_queries(&self, tuple: &Tuple) -> Result<QuerySet> {
-        let mut ids = Vec::new();
-        self.matches_into(tuple, &mut ids)?;
-        Ok(QuerySet::from_ids(ids))
+        let mut queries = QuerySet::new();
+        self.matches_into(tuple, &mut queries)?;
+        Ok(queries)
     }
 
-    /// Appends the queries that select `tuple` to `out`, in no particular
-    /// order and each once (a query sits in exactly one entry or in the
-    /// residual list). A scan passes one buffer for all its rows.
+    /// Adds the queries that select `tuple` to `out`: the sets of the
+    /// entries that hold, OR-ed in, and the bit of each checked query whose
+    /// predicate holds.
     #[inline]
-    pub fn matches_into(&self, tuple: &Tuple, out: &mut Vec<QueryId>) -> Result<()> {
+    pub fn matches_into(&self, tuple: &Tuple, out: &mut QuerySet) -> Result<()> {
         for run in &self.runs {
             let (column, _, bound) = run.key;
             let Some((below, above)) = tuple.get(column).and_then(|v| run.literals.rank(v)) else {
@@ -362,7 +363,7 @@ impl<'a> PredicateIndex<'a> {
             };
             let at_literal = entries[below..above].iter().filter(|e| e.inclusive);
             for entry in strictly.iter().chain(at_literal) {
-                out.extend_from_slice(&entry.exact);
+                out.union_in_place(&entry.exact);
                 for &slot in &entry.candidates {
                     self.check(slot, tuple, out)?;
                 }
@@ -410,10 +411,10 @@ impl<'a> PredicateIndex<'a> {
         })
     }
 
-    fn check(&self, slot: u32, tuple: &Tuple, out: &mut Vec<QueryId>) -> Result<()> {
+    fn check(&self, slot: u32, tuple: &Tuple, out: &mut QuerySet) -> Result<()> {
         let (query_id, predicate) = &self.checked[slot as usize];
         if predicate.eval_predicate(tuple)? {
-            out.push(*query_id);
+            out.insert(*query_id);
         }
         Ok(())
     }

@@ -104,6 +104,72 @@ impl StoredRow {
 /// Versions per entry of the chunk directory.
 pub const CHUNK_ROWS: usize = 1024;
 
+/// The version arena: append-only, a chunk of [`CHUNK_ROWS`] versions
+/// allocated at a time and never moved. One vector would double by copying
+/// itself, the old copy and the new resident at once: a step of the table's
+/// whole arena in the peak resident set, which a run took or not depending
+/// on how many rows it wrote.
+#[derive(Default)]
+struct Versions(Vec<Vec<StoredRow>>);
+
+impl Versions {
+    fn len(&self) -> usize {
+        self.0
+            .last()
+            .map_or(0, |last| (self.0.len() - 1) * CHUNK_ROWS + last.len())
+    }
+
+    fn push(&mut self, version: StoredRow) {
+        match self.0.last_mut() {
+            Some(last) if last.len() < CHUNK_ROWS => last.push(version),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_ROWS);
+                chunk.push(version);
+                self.0.push(chunk);
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, at: usize) -> Option<&StoredRow> {
+        self.0.get(at / CHUNK_ROWS)?.get(at % CHUNK_ROWS)
+    }
+
+    fn get_mut(&mut self, at: usize) -> Option<&mut StoredRow> {
+        self.0.get_mut(at / CHUNK_ROWS)?.get_mut(at % CHUNK_ROWS)
+    }
+
+    /// The chunks, in order: every one full but the last.
+    fn chunks(&self) -> impl Iterator<Item = &[StoredRow]> {
+        self.0.iter().map(Vec::as_slice)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &StoredRow> {
+        self.0.iter().flatten()
+    }
+}
+
+impl std::ops::Index<usize> for Versions {
+    type Output = StoredRow;
+
+    #[inline]
+    fn index(&self, at: usize) -> &StoredRow {
+        &self.0[at / CHUNK_ROWS][at % CHUNK_ROWS]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Versions {
+    fn index_mut(&mut self, at: usize) -> &mut StoredRow {
+        &mut self.0[at / CHUNK_ROWS][at % CHUNK_ROWS]
+    }
+}
+
+impl fmt::Debug for Versions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// What one chunk holds in one column, NULLs aside. A zone is widened by
 /// every version appended to its chunk and by nothing else: ending a version
 /// leaves it alone, so it bounds dead and live versions alike.
@@ -215,7 +281,7 @@ pub struct Table {
     /// Columns forming the primary key (empty = no primary key).
     primary_key: Vec<usize>,
     /// Append-only arena of row versions.
-    rows: Vec<StoredRow>,
+    rows: Versions,
     /// Maps a primary key to the row id of its *latest* version, dead or
     /// alive; the versions before it hang off that one by their back-links.
     pk_index: KeyMap,
@@ -250,7 +316,7 @@ impl Table {
             zones: Vec::new(),
             schema,
             primary_key,
-            rows: Vec::new(),
+            rows: Versions::default(),
             pk_index: KeyMap::new(),
             indexes: Vec::new(),
             retired: VecDeque::new(),
@@ -401,7 +467,7 @@ impl Table {
     }
 
     /// True when the version `row_id` was written under the primary key `key`.
-    fn holds_key(rows: &[StoredRow], primary_key: &[usize], row_id: RowId, key: &[Value]) -> bool {
+    fn holds_key(rows: &Versions, primary_key: &[usize], row_id: RowId, key: &[Value]) -> bool {
         let row = rows[row_id.idx()].values();
         key.len() == primary_key.len() && primary_key.iter().zip(key).all(|(&c, k)| row[c] == *k)
     }
@@ -588,16 +654,13 @@ impl Table {
     /// version.
     pub fn chunks(&self) -> impl Iterator<Item = Chunk<'_>> + '_ {
         let width = self.zoned.len();
-        self.rows
-            .chunks(CHUNK_ROWS)
-            .enumerate()
-            .map(move |(i, rows)| Chunk {
-                rows,
-                zones: ChunkZones {
-                    columns: &self.zoned,
-                    zones: &self.zones[i * width..(i + 1) * width],
-                },
-            })
+        self.rows.chunks().enumerate().map(move |(i, rows)| Chunk {
+            rows,
+            zones: ChunkZones {
+                columns: &self.zoned,
+                zones: &self.zones[i * width..(i + 1) * width],
+            },
+        })
     }
 
     /// Iterates over all *live* row versions (the newest state), regardless of

@@ -312,3 +312,64 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     let ran: Vec<_> = cluster.engines().iter().map(|e| e.stats()).collect();
     assert!(ran.iter().filter(|r| r.queries > 0).count() > 1, "{ran:?}");
 }
+
+/// One batch of 150 pages — more queries than a word of query ids holds, so
+/// the rows of a subject carry ids spread over three words — answers every
+/// page as the same statement run in a batch of its own does: the scan, the
+/// joins, the group-join and Γ over query sets wider than a word.
+#[test]
+fn a_batch_wider_than_a_word_answers_as_batches_of_one() {
+    use shareddb::core::{Engine, QueryOutcome, SubmitOptions};
+    use shareddb::tpcw::build_shared_plan;
+
+    let scale = tiny_scale();
+    let catalog = Arc::new(build_catalog(&scale).unwrap());
+    let threshold = ParamGenerator::new(&scale).bestseller_threshold();
+    let pages: Vec<(&str, Vec<Value>)> = (0..150)
+        .map(|i| {
+            let subject = Value::text(SUBJECTS[i % SUBJECTS.len()]);
+            match i % 2 {
+                0 => ("doSubjectSearch", vec![subject]),
+                _ => ("getBestSellers", vec![subject, Value::Int(threshold)]),
+            }
+        })
+        .collect();
+    let engine = |heartbeat| {
+        let (plan, registry) = build_shared_plan(&catalog).unwrap();
+        let config = EngineConfig {
+            heartbeat,
+            ..EngineConfig::default()
+        };
+        Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap()
+    };
+    let rows = |outcome: QueryOutcome| outcome.rows().to_vec();
+
+    let alone = engine(Duration::ZERO);
+    let expected: Vec<_> = pages
+        .iter()
+        .map(|(statement, params)| rows(alone.execute_sync(statement, params).unwrap()))
+        .collect();
+    assert!(expected.iter().all(|page| !page.is_empty()));
+
+    // A warm-up runs at once; what is submitted behind it waits for the
+    // heartbeat and forms one batch — a round cut in two is run again.
+    let batched = engine(Duration::from_millis(30));
+    for round in 0.. {
+        batched.execute_sync(pages[0].0, &pages[0].1).unwrap();
+        let before = batched.stats().batches;
+        let handles: Vec<_> = pages
+            .iter()
+            .map(|(statement, params)| batched.submit(statement, params, SubmitOptions::default()))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        for ((statement, _), (handle, expected)) in
+            pages.iter().zip(handles.into_iter().zip(&expected))
+        {
+            assert_eq!(&rows(handle.wait().unwrap()), expected, "{statement}");
+        }
+        if batched.stats().batches == before + 1 {
+            break;
+        }
+        assert!(round < 3, "150 statements never formed one batch");
+    }
+}

@@ -64,11 +64,13 @@ proptest! {
     }
 }
 
-/// `QuerySet` keeps a handful of ids inline and a longer list in a shared
-/// slice: random operations around that boundary (0..=12 ids, so a set
-/// crosses it both ways), each checked against `BTreeSet`. Mutations of
+/// `QuerySet` is one word while its ids span at most 64 and shared words
+/// beyond: random operations around that boundary — ids from four bases, the
+/// last at the top of the id space, spread over spans from a handful to a
+/// few hundred, so a set crosses it both ways and meets sets based
+/// elsewhere — each checked against `BTreeSet`. Mutations of
 /// `crates/common/src/queryset.rs` this was checked to kill are listed in
-/// CHANGES.md (PR 20).
+/// CHANGES.md (PR 20, and the bit words of PR 41).
 mod queryset_across_the_inline_boundary {
     use super::*;
 
@@ -76,21 +78,32 @@ mod queryset_across_the_inline_boundary {
         (0..n).generate(rng)
     }
 
-    /// Up to twelve ids under 16 — sets overlap and are often equal — or, now
-    /// and then, a long one that sends `intersect` down its binary-search
-    /// path.
+    /// Where the ids of a case lie: `BASES[b] + 0 .. SPAN`.
+    const BASES: [u32; 4] = [0, 40, 1_000, u32::MAX - SPAN];
+    const SPAN: u32 = 300;
+
+    /// An id near one of the bases: mostly within a word of it.
+    fn some_id(rng: &mut TestRng, base: u32) -> u32 {
+        let reach = [16, 70, SPAN as usize][pick(rng, 3)];
+        base + pick(rng, reach) as u32
+    }
+
+    /// Up to twelve ids near one base — sets overlap and are often equal —
+    /// or, now and then, a long run with a step that spans several words.
     fn some_ids(rng: &mut TestRng) -> Vec<u32> {
+        let base = BASES[pick(rng, BASES.len())];
         if pick(rng, 8) == 0 {
             let step = 1 + pick(rng, 3) as u32;
-            return (0..100 + pick(rng, 100) as u32).map(|i| i * step).collect();
+            return (0..50 + pick(rng, 50) as u32)
+                .map(|i| base + i * step)
+                .collect();
         }
-        (0..pick(rng, 13)).map(|_| pick(rng, 16) as u32).collect()
+        (0..pick(rng, 13)).map(|_| some_id(rng, base)).collect()
     }
 
     #[derive(Debug)]
     enum Op {
         FromIds(Vec<u32>),
-        FromIdsLike(Vec<u32>),
         Insert(u32),
         Remove(u32),
         Union(Vec<u32>),
@@ -104,15 +117,17 @@ mod queryset_across_the_inline_boundary {
     impl Strategy for Ops {
         type Value = Vec<Op>;
         fn generate(&self, rng: &mut TestRng) -> Vec<Op> {
-            let op = |rng: &mut TestRng| match pick(rng, 12) {
-                0 => Op::FromIds(some_ids(rng)),
-                1 => Op::FromIdsLike(some_ids(rng)),
-                2..=4 => Op::Insert(pick(rng, 16) as u32),
-                5..=7 => Op::Remove(pick(rng, 16) as u32),
-                8 => Op::Union(some_ids(rng)),
-                9 => Op::UnionInPlace(some_ids(rng)),
-                10 => Op::Intersect(some_ids(rng)),
-                _ => Op::RetainIn(some_ids(rng)),
+            let op = |rng: &mut TestRng| {
+                let base = BASES[pick(rng, BASES.len())];
+                match pick(rng, 11) {
+                    0 => Op::FromIds(some_ids(rng)),
+                    1..=3 => Op::Insert(some_id(rng, base)),
+                    4..=6 => Op::Remove(some_id(rng, base)),
+                    7 => Op::Union(some_ids(rng)),
+                    8 => Op::UnionInPlace(some_ids(rng)),
+                    9 => Op::Intersect(some_ids(rng)),
+                    _ => Op::RetainIn(some_ids(rng)),
+                }
             };
             (0..1 + pick(rng, 40)).map(|_| op(rng)).collect()
         }
@@ -134,18 +149,6 @@ mod queryset_across_the_inline_boundary {
                     Op::FromIds(ids) => {
                         set = QuerySet::from_ids(ids.iter().copied().map(QueryId));
                         model = ids.iter().copied().collect();
-                    }
-                    Op::FromIdsLike(ids) => {
-                        // Once like the current set, once like itself: the
-                        // second is handed on, not rebuilt.
-                        let mut scratch: Vec<QueryId> = ids.iter().copied().map(QueryId).collect();
-                        set = QuerySet::from_ids_like(&mut scratch, &set);
-                        model = ids.iter().copied().collect();
-                        scratch.extend(ids.iter().rev().copied().map(QueryId));
-                        let again = QuerySet::from_ids_like(&mut scratch, &set);
-                        prop_assert_eq!(&again, &set);
-                        let handed_on = std::ptr::eq(again.as_slice(), set.as_slice());
-                        prop_assert_eq!(handed_on, set.heap_size() > 0, "{:?}", again);
                     }
                     Op::Insert(id) => {
                         prop_assert_eq!(set.insert(QueryId(*id)), model.insert(*id), "{:?}", op);
@@ -179,15 +182,20 @@ mod queryset_across_the_inline_boundary {
                 // The set reads as the model whichever way it is stored …
                 let expected: Vec<u32> = model.iter().copied().collect();
                 prop_assert_eq!(raw(&set), expected.clone(), "after {:?} on {:?}", op, before);
-                let slice: Vec<u32> = set.as_slice().iter().map(|q| q.raw()).collect();
-                prop_assert_eq!(&slice, &expected);
                 prop_assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()));
-                for id in 0..17 {
-                    prop_assert_eq!(set.contains(QueryId(id)), model.contains(&id));
+                for base in BASES {
+                    for id in (base..base + SPAN).step_by(7) {
+                        prop_assert_eq!(set.contains(QueryId(id)), model.contains(&id));
+                    }
                 }
-                // … is stored inline exactly when it is a handful, and equals
-                // — and hashes as — the same set built any other way.
-                prop_assert_eq!(set.heap_size() == 0, model.len() <= 5, "{:?}", set);
+                for (place, id) in expected.iter().enumerate() {
+                    prop_assert!(set.contains(QueryId(*id)));
+                    prop_assert_eq!(set.rank(QueryId(*id)), Some(place));
+                }
+                // … is one word exactly when its ids span at most 64, and
+                // equals — and hashes as — the same set built any other way.
+                let span = model.last().zip(model.first()).map_or(0, |(hi, lo)| hi - lo);
+                prop_assert_eq!(set.heap_size() == 0, span < 64, "{:?}", set);
                 let rebuilt: QuerySet = expected.iter().rev().copied().collect();
                 prop_assert_eq!(&rebuilt, &set);
                 prop_assert_eq!(hash_of(&rebuilt), hash_of(&set));
@@ -311,8 +319,8 @@ proptest! {
 fn tuples_and_query_sets_stay_small() {
     assert_eq!(std::mem::size_of::<Value>(), 24);
     assert_eq!(std::mem::size_of::<Tuple>(), 16);
-    assert!(std::mem::size_of::<QuerySet>() <= 24);
-    assert!(std::mem::size_of::<QTuple>() <= 40);
+    assert!(std::mem::size_of::<QuerySet>() <= 16);
+    assert!(std::mem::size_of::<QTuple>() <= 32);
 }
 
 // ---------------------------------------------------------------------------
@@ -1136,7 +1144,7 @@ mod row_demand {
             }
             prop_assert_eq!(pruning.pruned, pruned);
             // Ascending by key, then by query, as ever.
-            let place = |t: &QTuple| (t.tuple[0].clone(), t.queries.as_slice()[0]);
+            let place = |t: &QTuple| (t.tuple[0].clone(), t.queries.iter().next());
             prop_assert!(pruning.tuples.windows(2).all(|w| place(&w[0]) < place(&w[1])));
         }
     }
@@ -1421,6 +1429,263 @@ mod row_demand {
             prop_assert_eq!(fused.pruned, apart.pruned);
             if case.at_join.iter().all(|q| case.at_group_by.contains(q)) {
                 prop_assert_eq!(fused.joined, joined.tuples.len());
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Query sets as words: the operators against a model that keeps lists
+// ---------------------------------------------------------------------------
+
+/// The operators over query sets whose ids spread over more than one word
+/// and start anywhere — near 0, near 1 000, at the top of the id space —
+/// against a model that keeps each row's queries as a sorted list and
+/// spells out each operator's rule over it: the hash join, the group-join,
+/// the index-NL join under row demands and the Top-N, each output expanded
+/// per query the way Γ routes it.
+mod query_sets_as_words {
+    use super::*;
+    use shareddb::common::sort::compare_tuples;
+    use shareddb::common::{tuple, DataType};
+    use shareddb::core::operators::{execute_group_join, execute_on};
+    use shareddb::storage::{IndexDef, IndexKind, TableDef};
+    use std::collections::BTreeMap;
+
+    const QUERIES: u32 = 6;
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (0..n).generate(rng)
+    }
+
+    /// A row `(key, value)` and its queries, as a list.
+    type Row = (i64, i64, Vec<u32>);
+
+    #[derive(Debug)]
+    struct Case {
+        /// The six query ids, ascending: 1, 13 or 29 apart from a base, so
+        /// that two of them may lie more than a word apart.
+        ids: Vec<u32>,
+        build: Vec<Row>,
+        probe: Vec<Row>,
+        /// Per query: active at the join, at the group-by, and its limit.
+        at_join: Vec<bool>,
+        at_group_by: Vec<bool>,
+        limits: Vec<Option<usize>>,
+        keys: Vec<SortKey>,
+    }
+
+    struct Cases;
+
+    impl Strategy for Cases {
+        type Value = Case;
+        fn generate(&self, rng: &mut TestRng) -> Case {
+            let base = [0, 1_000, u32::MAX - 200][pick(rng, 3)] + pick(rng, 40) as u32;
+            let stride = [1, 13, 29][pick(rng, 3)];
+            let ids: Vec<u32> = (0..QUERIES).map(|k| base + k * stride).collect();
+            let row = |rng: &mut TestRng| {
+                let (key, value) = (pick(rng, 5) as i64, pick(rng, 6) as i64);
+                let queries = ids.iter().copied().filter(|_| pick(rng, 2) == 0);
+                (key, value, queries.collect())
+            };
+            let build = (0..pick(rng, 30)).map(|_| row(rng)).collect();
+            let probe = (0..pick(rng, 30)).map(|_| row(rng)).collect();
+            let flags = |rng: &mut TestRng| (0..QUERIES).map(|_| pick(rng, 4) > 0).collect();
+            let limit = |rng: &mut TestRng| (pick(rng, 3) > 0).then(|| pick(rng, 6));
+            let key = |rng: &mut TestRng| match pick(rng, 2) {
+                0 => SortKey::asc(pick(rng, 2)),
+                _ => SortKey::desc(pick(rng, 2)),
+            };
+            Case {
+                at_join: flags(rng),
+                at_group_by: flags(rng),
+                limits: (0..QUERIES).map(|_| limit(rng)).collect(),
+                keys: (0..1 + pick(rng, 2)).map(|_| key(rng)).collect(),
+                ids,
+                build,
+                probe,
+            }
+        }
+    }
+
+    fn qtuples(rows: &[Row]) -> Vec<QTuple> {
+        let row = |(k, v, queries): &Row| {
+            let tuple = Tuple::new(vec![Value::Int(*k), Value::Int(*v)]);
+            QTuple::new(tuple, queries.iter().copied().map(QueryId).collect())
+        };
+        rows.iter().map(row).collect()
+    }
+
+    /// The queries flagged, as a list.
+    fn flagged(ids: &[u32], flags: &[bool]) -> Vec<u32> {
+        ids.iter()
+            .zip(flags)
+            .filter(|(_, on)| **on)
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    fn common(a: &[u32], b: &[u32]) -> Vec<u32> {
+        a.iter().copied().filter(|id| b.contains(id)).collect()
+    }
+
+    /// Γ: each query's rows, in output order, from the sets expanded.
+    fn routed(out: &[QTuple]) -> BTreeMap<u32, Vec<Vec<Value>>> {
+        let mut rows: BTreeMap<u32, Vec<Vec<Value>>> = BTreeMap::new();
+        for t in out {
+            for (query, tuple) in t.explode() {
+                rows.entry(query.raw())
+                    .or_default()
+                    .push(tuple.values().to_vec());
+            }
+        }
+        rows
+    }
+
+    fn spelled(out: &[QTuple]) -> Vec<(Vec<Value>, Vec<u32>)> {
+        let set = |t: &QTuple| t.queries.iter().map(QueryId::raw).collect();
+        out.iter()
+            .map(|t| (t.tuple.values().to_vec(), set(t)))
+            .collect()
+    }
+
+    fn participate(ids: &[u32]) -> Vec<(QueryId, Activation)> {
+        ids.iter()
+            .map(|q| (QueryId(*q), Activation::Participate))
+            .collect()
+    }
+
+    /// `INNER(KEY, TAG)`, indexed on `KEY`: key `k` has `k % 3` rows.
+    fn inner_table() -> Catalog {
+        let catalog = Catalog::new();
+        let def = TableDef::new("INNER")
+            .column("KEY", DataType::Int)
+            .column("TAG", DataType::Int);
+        catalog.create_table(def).unwrap();
+        let index = IndexDef {
+            name: "INNER_KEY".into(),
+            table: "INNER".into(),
+            column: "KEY".into(),
+            kind: IndexKind::Values,
+        };
+        catalog.create_index(index).unwrap();
+        let rows = (0..5i64).flat_map(|k| (0..k % 3).map(move |n| tuple![k, 10 * k + n]));
+        catalog.bulk_load("INNER", rows.collect()).unwrap();
+        catalog
+    }
+
+    fn sorted_then_cut(rows: &[Vec<Value>], keys: &[SortKey], limit: usize) -> Vec<Vec<Value>> {
+        let mut sorted = rows.to_vec();
+        let tuple = |values: &Vec<Value>| Tuple::new(values.clone());
+        sorted.sort_by(|a, b| compare_tuples(&tuple(a), &tuple(b), keys));
+        sorted.truncate(limit);
+        sorted
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn query_sets_as_words_run_the_operators_the_lists_do(case in Cases) {
+            let catalog = inner_table();
+            let ctx = ExecContext { catalog: &catalog, snapshot: catalog.snapshot() };
+            let (build, probe) = (qtuples(&case.build), qtuples(&case.probe));
+            let at_join = flagged(&case.ids, &case.at_join);
+            let at_group_by = flagged(&case.ids, &case.at_group_by);
+
+            // Hash join: per probe row, its build rows in arrival order, for
+            // the queries of both that are active.
+            let join = OperatorSpec::HashJoin { build_key: 0, probe_key: 0 };
+            let mut pairs = Vec::new();
+            for (pk, pv, p) in &case.probe {
+                for (bk, bv, b) in case.build.iter().filter(|(bk, _, _)| bk == pk) {
+                    let queries = common(&common(b, &at_join), p);
+                    if !queries.is_empty() {
+                        let row = [*bk, *bv, *pk, *pv].map(Value::Int).to_vec();
+                        pairs.push((row, queries));
+                    }
+                }
+            }
+            let joined = execute_on(&join, &participate(&at_join), &[&build, &probe], &ctx).unwrap();
+            prop_assert_eq!(spelled(&joined.tuples), pairs.clone());
+
+            // Group-join: SUM and COUNT of the probe values by build key, per
+            // query active at both, ascending by key, then by query.
+            let group_by = OperatorSpec::GroupBy {
+                group_columns: vec![0],
+                aggregates: [AggregateFunction::Sum, AggregateFunction::Count]
+                    .map(|function| AggregateSpec { function, column: 3, output_name: format!("{function:?}") })
+                    .to_vec(),
+            };
+            let mut groups: BTreeMap<(i64, u32), (i64, i64)> = BTreeMap::new();
+            for (row, queries) in &pairs {
+                let Value::Int(key) = row[0] else { unreachable!() };
+                let Value::Int(value) = row[3] else { unreachable!() };
+                for q in common(queries, &at_group_by) {
+                    let group = groups.entry((key, q)).or_default();
+                    *group = (group.0 + value, group.1 + 1);
+                }
+            }
+            let grouped: Vec<_> = groups
+                .iter()
+                .map(|((key, q), (sum, count))| ([*key, *sum, *count].map(Value::Int).to_vec(), vec![*q]))
+                .collect();
+            let having = |q: &u32| (QueryId(*q), Activation::Having { predicate: None, partial: false });
+            let having: Vec<_> = at_group_by.iter().map(having).collect();
+            let fused = execute_group_join(&join, &participate(&at_join), &group_by, &having, &[&build, &probe]).unwrap();
+            prop_assert_eq!(spelled(&fused.tuples), grouped);
+
+            // Index-NL join: each outer (probe) row with the inner rows of its
+            // key, for every query that has it; a query with a limit demands
+            // its first rows under the keys, and gets them.
+            let nl_join = OperatorSpec::IndexNlJoin { table: "INNER".into(), outer_key: 0, inner_column: 0 };
+            let activations: Vec<_> = case.ids.iter().zip(&case.limits).map(|(q, limit)| {
+                let activation = match limit {
+                    Some(limit) => Activation::Demand {
+                        base: Box::new(Activation::Participate),
+                        keys: case.keys.clone().into(),
+                        limit: *limit,
+                    },
+                    None => Activation::Participate,
+                };
+                (QueryId(*q), activation)
+            }).collect();
+            let inner = catalog.table("INNER").unwrap();
+            let inner_rows: Vec<Tuple> = inner.read().scan_live().map(|(_, t)| t.clone()).collect();
+            let looked_up = execute_on(&nl_join, &activations, &[&probe], &ctx).unwrap();
+            let routed_join = routed(&looked_up.tuples);
+            for (q, limit) in case.ids.iter().zip(&case.limits) {
+                let mut all = Vec::new();
+                for (k, v, _) in case.probe.iter().filter(|(_, _, queries)| queries.contains(q)) {
+                    for matched in inner_rows.iter().filter(|t| t[0] == Value::Int(*k)) {
+                        let mut row = vec![Value::Int(*k), Value::Int(*v)];
+                        row.extend(matched.values().iter().cloned());
+                        all.push(row);
+                    }
+                }
+                let got = routed_join.get(q).cloned().unwrap_or_default();
+                match limit {
+                    None => prop_assert_eq!(got, all, "query {}", q),
+                    Some(limit) => prop_assert_eq!(
+                        sorted_then_cut(&got, &case.keys, *limit),
+                        sorted_then_cut(&all, &case.keys, *limit),
+                        "query {} under {:?}, {}", q, case.keys, limit
+                    ),
+                }
+            }
+
+            // Top-N: each query's first rows under the keys, stably.
+            let top_n = OperatorSpec::TopN { keys: case.keys.clone() };
+            let limits: Vec<_> = case.ids.iter().zip(&case.limits).map(|(q, limit)| {
+                (QueryId(*q), Activation::TopN { limit: limit.unwrap_or(usize::MAX) })
+            }).collect();
+            let kept = routed(&execute_on(&top_n, &limits, &[&build], &ctx).unwrap().tuples);
+            for (q, limit) in case.ids.iter().zip(&case.limits) {
+                let arrived: Vec<Vec<Value>> = case.build.iter()
+                    .filter(|(_, _, queries)| queries.contains(q))
+                    .map(|(k, v, _)| vec![Value::Int(*k), Value::Int(*v)])
+                    .collect();
+                let expected = sorted_then_cut(&arrived, &case.keys, limit.unwrap_or(usize::MAX));
+                prop_assert_eq!(kept.get(q).cloned().unwrap_or_default(), expected, "query {}", q);
             }
         }
     }
