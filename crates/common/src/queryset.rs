@@ -41,6 +41,32 @@ enum Repr {
 /// The bits of the ids `64 w .. 64 w + 64`: `(w, bits)`.
 type Aligned = (u32, u64);
 
+/// The bits of word `word` in `words` — ascending, none of them zero —: first
+/// where it lies if the words run without a gap, as those of a wide batch
+/// do, then by binary search.
+#[inline]
+fn bits_of(words: &[Aligned], word: u32) -> u64 {
+    let guess = word.wrapping_sub(words[0].0) as usize;
+    match words.get(guess) {
+        Some(&(at, bits)) if at == word => bits,
+        _ => words
+            .binary_search_by_key(&word, |(w, _)| *w)
+            .map_or(0, |at| words[at].1),
+    }
+}
+
+/// Sorts aligned words by `w` and ORs those of the same `w` into one.
+fn or_alike(words: &mut Vec<Aligned>) {
+    words.sort_unstable_by_key(|(word, _)| *word);
+    words.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 |= next.1;
+        }
+        same
+    });
+}
+
 /// The aligned words of the ids `base + i`, bit `i` of `bits`: one or two.
 fn aligned(base: u32, bits: u64) -> [Aligned; 2] {
     let (word, shift) = (base / 64, base % 64);
@@ -71,48 +97,46 @@ impl QuerySet {
     /// with repeats.
     pub fn from_ids<I: IntoIterator<Item = QueryId>>(ids: I) -> Self {
         let mut set = QuerySet::new();
-        // The ids the word cannot take: none, unless they span more than 64.
-        let mut far = Vec::new();
+        // The words of the ids the word cannot take: none, unless they span
+        // more than 64.
+        let mut far: Vec<Aligned> = Vec::new();
         for id in ids {
             if !set.insert_in_word(id) {
-                far.push(id.0);
+                far.push((id.0 / 64, 1 << (id.0 % 64)));
             }
         }
         if far.is_empty() {
             return set;
         }
-        far.extend(set.iter().map(QueryId::raw));
-        far.sort_unstable();
-        let mut words: Vec<Aligned> = Vec::new();
-        for id in far {
-            match words.last_mut() {
-                Some((word, bits)) if *word == id / 64 => *bits |= 1 << (id % 64),
-                _ => words.push((id / 64, 1 << (id % 64))),
-            }
-        }
-        QuerySet::from_aligned(words)
+        far.extend(set.words());
+        QuerySet::merge(&mut far)
     }
 
     /// The set of the ids `words` holds, ascending by word; a word may be
-    /// zero.
-    fn from_aligned(mut words: Vec<Aligned>) -> Self {
-        words.retain(|(_, bits)| *bits != 0);
-        let (Some(&(first, low)), Some(&(last, high))) = (words.first(), words.last()) else {
+    /// zero. Nothing is allocated unless the set is wider than a word: the
+    /// first two words that are not zero are looked at on the stack.
+    fn from_aligned(words: impl IntoIterator<Item = Aligned>) -> Self {
+        let mut words = words.into_iter().filter(|(_, bits)| *bits != 0);
+        let Some((first, low)) = words.next() else {
             return QuerySet::EMPTY;
         };
+        let second = words.next();
+        let third = second.and_then(|_| words.next());
         let least = u64::from(first) * 64 + u64::from(low.trailing_zeros());
+        let (last, high) = second.unwrap_or((first, low));
         let most = u64::from(last) * 64 + 63 - u64::from(high.leading_zeros());
-        if most - least >= 64 {
-            return QuerySet(Repr::Words(Arc::new(words.into_boxed_slice())));
+        if third.is_none() && most - least < 64 {
+            // One word, or the end of one and the start of the next.
+            let shift = least % 64;
+            let next = second.map_or(0, |(_, bits)| bits);
+            let bits = low >> shift | next.checked_shl(64 - shift as u32).unwrap_or(0);
+            return QuerySet(Repr::Word {
+                base: least as u32,
+                bits,
+            });
         }
-        // One word, or the end of one and the start of the next.
-        let shift = least % 64;
-        let next = words.get(1).map_or(0, |(_, bits)| *bits);
-        let bits = low >> shift | next.checked_shl(64 - shift as u32).unwrap_or(0);
-        QuerySet(Repr::Word {
-            base: least as u32,
-            bits,
-        })
+        let head = [Some((first, low)), second, third].into_iter().flatten();
+        QuerySet(Repr::Words(Arc::new(head.chain(words).collect())))
     }
 
     /// The set's aligned words, ascending, none of them zero.
@@ -163,25 +187,12 @@ impl QuerySet {
     /// True when `id` is a member.
     #[inline]
     pub fn contains(&self, id: QueryId) -> bool {
-        self.rank(id).is_some()
-    }
-
-    /// The number of members below `id`, if `id` is a member: its place
-    /// among them in ascending order.
-    pub fn rank(&self, id: QueryId) -> Option<usize> {
-        let below = |bits: u64, bit: u32| (bits & ((1 << bit) - 1)).count_ones() as usize;
         match &self.0 {
             Repr::Word { base, bits } => {
-                let at = id.0.checked_sub(*base).filter(|at| *at < 64)?;
-                (bits >> at & 1 == 1).then(|| below(*bits, at))
+                id.0.checked_sub(*base)
+                    .is_some_and(|at| at < 64 && bits >> at & 1 == 1)
             }
-            Repr::Words(words) => {
-                let (word, bit) = (id.0 / 64, id.0 % 64);
-                let at = words.binary_search_by_key(&word, |(w, _)| *w).ok()?;
-                let before = words[..at].iter().map(|(_, b)| b.count_ones() as usize);
-                (words[at].1 >> bit & 1 == 1)
-                    .then(|| before.sum::<usize>() + below(words[at].1, bit))
-            }
+            Repr::Words(words) => bits_of(words, id.0 / 64) >> (id.0 % 64) & 1 == 1,
         }
     }
 
@@ -203,7 +214,7 @@ impl QuerySet {
         }
         let (word, bit) = (id.0 / 64, id.0 % 64);
         let clear = |(w, bits): Aligned| (w, if w == word { bits & !(1 << bit) } else { bits });
-        *self = QuerySet::from_aligned(self.words().map(clear).collect());
+        *self = QuerySet::from_aligned(self.words().map(clear));
         true
     }
 
@@ -232,30 +243,38 @@ impl QuerySet {
         if self.is_empty() {
             return other.clone();
         }
-        if let (Repr::Word { base: a, bits: x }, Repr::Word { base: b, bits: y }) =
-            (&self.0, &other.0)
-        {
-            let ((low, under), (high, over)) = if a <= b {
-                ((*a, *x), (*b, *y))
-            } else {
-                ((*b, *y), (*a, *x))
-            };
-            let shift = high - low;
-            if shift < 64 && over.leading_zeros() >= shift {
-                let bits = under | over << shift;
-                return QuerySet(Repr::Word { base: low, bits });
-            }
+        if let Some(word) = self.union_in_word(other) {
+            return word;
         }
         let mut words: Vec<Aligned> = self.words().chain(other.words()).collect();
-        words.sort_unstable_by_key(|(word, _)| *word);
-        words.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 |= next.1;
-            }
-            same
-        });
-        QuerySet::from_aligned(words)
+        QuerySet::merge(&mut words)
+    }
+
+    /// The union of two sets of one word each, if it is one word too.
+    #[inline]
+    fn union_in_word(&self, other: &QuerySet) -> Option<QuerySet> {
+        let (Repr::Word { base: a, bits: x }, Repr::Word { base: b, bits: y }) =
+            (&self.0, &other.0)
+        else {
+            return None;
+        };
+        let ((low, under), (high, over)) = if a <= b {
+            ((*a, *x), (*b, *y))
+        } else {
+            ((*b, *y), (*a, *x))
+        };
+        let shift = high - low;
+        (shift < 64 && over.leading_zeros() >= shift).then(|| {
+            let bits = under | over << shift;
+            QuerySet(Repr::Word { base: low, bits })
+        })
+    }
+
+    /// The set of the ids of aligned words in any order, some of them for
+    /// the same ids; `words` is left empty.
+    fn merge(words: &mut Vec<Aligned>) -> QuerySet {
+        or_alike(words);
+        QuerySet::from_aligned(words.drain(..))
     }
 
     /// In-place union (used by operators that accumulate subscriptions).
@@ -294,16 +313,22 @@ impl QuerySet {
     }
 
     /// [`QuerySet::intersect`] when one side is wider than a word: the
-    /// aligned words both hold, each looked up in the wider side.
+    /// aligned words both hold, each of the other side's looked up in the
+    /// wider one. Of a word and a wider set, those are at most two, and
+    /// nothing is allocated; of two wider sets, only a wide result is.
     fn intersect_words(&self, other: &QuerySet) -> QuerySet {
         let (narrow, Repr::Words(wide)) = (self, &other.0) else {
             return other.intersect_words(self);
         };
-        let of_wide = |(word, bits): Aligned| {
-            let at = wide.binary_search_by_key(&word, |(w, _)| *w);
-            (word, at.map_or(0, |at| bits & wide[at].1))
-        };
-        QuerySet::from_aligned(narrow.words().map(of_wide).collect())
+        let of_wide = |(word, bits): Aligned| (word, bits & bits_of(wide, word));
+        // A row's queries within those an operator restricts to — the
+        // common case — are the row's set itself, shared.
+        if let Repr::Words(words) = &narrow.0 {
+            if words.iter().all(|&word| of_wide(word) == word) {
+                return narrow.clone();
+            }
+        }
+        QuerySet::from_aligned(narrow.words().map(of_wide))
     }
 
     /// True when the two sets share at least one query id.
@@ -328,6 +353,77 @@ impl QuerySet {
                     + std::mem::size_of_val::<[Aligned]>(words)
             }
         }
+    }
+}
+
+/// The union of many sets, made at once: the queries of a row, OR-ed in
+/// set by set. While it is one word each set is one OR; once it is wider,
+/// the sets' words pile up in a buffer the next union reuses and are merged
+/// when the union is taken, so no set is built between. A wide union equal
+/// to the last one taken is that one, shared: neighbouring rows of a scan
+/// mostly interest the same queries.
+#[derive(Default)]
+pub struct Union {
+    /// The union so far, while the buffer is empty.
+    set: QuerySet,
+    /// The aligned words of the union so far, in any order, once it is
+    /// wider than a word.
+    words: Vec<Aligned>,
+    /// The last union taken that was wider than a word.
+    last: QuerySet,
+}
+
+impl Union {
+    /// Adds the members of `set`.
+    #[inline]
+    pub fn add(&mut self, set: &QuerySet) {
+        if set.is_empty() {
+            return;
+        }
+        if self.words.is_empty() {
+            if self.set.is_empty() {
+                self.set = set.clone();
+                return;
+            }
+            if let Some(word) = self.set.union_in_word(set) {
+                self.set = word;
+                return;
+            }
+            self.words.extend(std::mem::take(&mut self.set).words());
+        }
+        self.words.extend(set.words());
+    }
+
+    /// Adds one query.
+    #[inline]
+    pub fn insert(&mut self, id: QueryId) {
+        self.add(&QuerySet::singleton(id));
+    }
+
+    /// True when nothing was added since the union was last taken.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.set.is_empty() && self.words.is_empty()
+    }
+
+    /// The union, leaving this one empty.
+    #[inline]
+    pub fn take(&mut self) -> QuerySet {
+        if self.words.is_empty() {
+            return std::mem::take(&mut self.set);
+        }
+        or_alike(&mut self.words);
+        if let Repr::Words(last) = &self.last.0 {
+            if last[..] == self.words[..] {
+                self.words.clear();
+                return self.last.clone();
+            }
+        }
+        let set = QuerySet::from_aligned(self.words.drain(..));
+        if matches!(set.0, Repr::Words(_)) {
+            self.last = set.clone();
+        }
+        set
     }
 }
 
@@ -469,6 +565,31 @@ mod tests {
     }
 
     #[test]
+    fn a_union_takes_each_set_once() {
+        let mut union = Union::default();
+        for set in [qs(&[3]), qs(&[]), qs(&[1, 60]), qs(&[2])] {
+            union.add(&set);
+        }
+        assert_eq!(union.take(), qs(&[1, 2, 3, 60]));
+        assert!(union.is_empty());
+        union.add(&qs(&[5, 6]));
+        union.insert(QueryId(500));
+        union.add(&qs(&[7, 7000]));
+        union.insert(QueryId(5));
+        let wide = union.take();
+        assert_eq!(wide, qs(&[5, 6, 7, 500, 7000]));
+        assert!(union.is_empty());
+        union.add(&qs(&[5, 6, 7]));
+        union.add(&qs(&[500, 7000]));
+        let again = union.take();
+        assert_eq!(again, wide);
+        assert!(
+            matches!((&wide.0, &again.0), (Repr::Words(a), Repr::Words(b)) if Arc::ptr_eq(a, b))
+        );
+        assert_eq!(union.take(), QuerySet::new());
+    }
+
+    #[test]
     fn retain_in_filters() {
         let mut s = qs(&[1, 2, 3, 4]);
         s.retain_in(&qs(&[2, 4, 9]));
@@ -481,14 +602,6 @@ mod tests {
         assert_eq!(raw(&s), [1, 4, 9]);
         let wide = QuerySet::from_ids([QueryId(300), QueryId(2), QueryId(300), QueryId(70)]);
         assert_eq!(raw(&wide), [2, 70, 300]);
-    }
-
-    #[test]
-    fn rank_is_the_place_among_the_members() {
-        let s = qs(&[3, 9, 70, 200]);
-        let ranks: Vec<_> = [3, 9, 70, 200, 4].map(|id| s.rank(QueryId(id))).into();
-        assert_eq!(ranks, [Some(0), Some(1), Some(2), Some(3), None]);
-        assert_eq!(qs(&[5, 6]).rank(QueryId(6)), Some(1));
     }
 
     /// Ids within 64 of each other are one word, wherever they start; a

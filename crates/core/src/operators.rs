@@ -19,6 +19,7 @@
 use crate::batch::Activation;
 use crate::plan::{AggregateSpec, OperatorSpec};
 use shareddb_common::agg::{Accumulator, AggregateFunction};
+use shareddb_common::queryset::Union;
 use shareddb_common::sort::{compare_tuples, key_word};
 use shareddb_common::{
     hash_words, Error, QTuple, QueryId, QuerySet, Result, SortKey, Tuple, Value, WordTable,
@@ -488,8 +489,7 @@ fn execute_index_nl_join(
         let mut filed: Vec<(u32, Ranked)> = Vec::new();
         for (at, t) in outer.iter().enumerate() {
             for query in t.queries.intersect(&demanding).iter() {
-                // A demand's place among the demanding queries is its slot.
-                let slot = demanding.rank(query).expect("a demanding query");
+                let slot = demands.slot(query).expect("a demanding query");
                 let (keys, _) = demands.0[slot].1;
                 filed.push((slot as u32, (key_word(&t.tuple, keys), link(at))));
                 found.span_of[at] = CANDIDATE;
@@ -531,10 +531,10 @@ fn execute_index_nl_join(
 
     // Output in outer order: every row for the queries that asked for all of
     // them, a demanding query's chosen rows for it as well.
-    let mut undemanding = active.clone();
-    for (q, _) in &demands.0 {
-        undemanding.remove(*q);
-    }
+    let undemanding: QuerySet = active
+        .iter()
+        .filter(|q| demands.slot(*q).is_none())
+        .collect();
     let mut wanted = wanted.into_iter().peekable();
     let mut emitted = Emitted::default();
     for (at, t) in outer.iter().enumerate() {
@@ -655,16 +655,11 @@ fn execute_sort(
     // The rank is total, so this is the stable sort by `keys`; a row several
     // queries kept lies in it once per query, side by side.
     kept.sort_unstable_by(|a, b| rank(&a.0, &b.0, &ties));
-    let mut last = END;
-    for ((_, at), queries) in kept {
-        match emitted.tuples.last_mut() {
-            Some(row) if at == last => row.queries.union_in_place(&queries),
-            _ => {
-                let row = input[at as usize].tuple.clone();
-                emitted.tuples.push(QTuple::new(row, queries));
-            }
-        }
-        last = at;
+    let mut queries = Union::default();
+    for of_row in kept.chunk_by(|a, b| a.0 .1 == b.0 .1) {
+        of_row.iter().for_each(|(_, of)| queries.add(of));
+        let row = input[of_row[0].0 .1 as usize].tuple.clone();
+        emitted.tuples.push(QTuple::new(row, queries.take()));
     }
     emitted
 }

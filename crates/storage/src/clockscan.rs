@@ -31,6 +31,7 @@ use crate::predicate_index::{PredicateClass, PredicateIndex};
 use crate::table::Table;
 use crate::update::{refuse_cycle_updates, AccessPath, UpdateOp};
 use parking_lot::RwLock;
+use shareddb_common::queryset::Union;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, WordTable};
 use std::sync::Arc;
 
@@ -171,7 +172,7 @@ impl ClockScan {
         for (total, served) in result.query_classes.iter_mut().zip(index.class_counts()) {
             *total += served;
         }
-        let mut matches = QuerySet::new();
+        let mut matches = Union::default();
         for chunk in table.chunks() {
             if !index.may_match(&chunk.zones) {
                 result.rows_skipped += chunk.rows.len();
@@ -184,7 +185,7 @@ impl ClockScan {
                 if !matches.is_empty() {
                     // The emitted tuple *is* the stored version: a reference,
                     // not a copy.
-                    let queries = std::mem::take(&mut matches);
+                    let queries = matches.take();
                     result.tuples.push(QTuple::new(row.clone(), queries));
                 }
             }

@@ -22,6 +22,7 @@ use crate::mvcc::TimestampOracle;
 use crate::table::{RowId, Table};
 use crate::update::{refuse_cycle_updates, UpdateOp};
 use parking_lot::RwLock;
+use shareddb_common::queryset::Union;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
 use std::sync::Arc;
 
@@ -181,15 +182,14 @@ impl Hits {
         // rows in ascending order: the hits are a few long runs, which the
         // stable sort merges and the unstable one would sort from scratch.
         self.0.sort_by_key(|(rid, _)| *rid);
+        let mut queries = Union::default();
         for of_row in self.0.chunk_by(|a, b| a.0 == b.0) {
             let row = table
                 .row(of_row[0].0)
                 .expect("a hit is a fetched row")
                 .values();
-            let queries = of_row
-                .iter()
-                .fold(QuerySet::new(), |all, (_, of)| all.union(of));
-            out.push(QTuple::new(row.clone(), queries));
+            of_row.iter().for_each(|(_, of)| queries.add(of));
+            out.push(QTuple::new(row.clone(), queries.take()));
         }
     }
 }

@@ -55,6 +55,7 @@
 //! probing the up to 1 024 versions it spares when the answer is no.
 
 use crate::table::{ChunkZones, Zone};
+use shareddb_common::queryset::Union;
 use shareddb_common::{BinaryOp, Expr, QueryId, QuerySet, Result, Text, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -340,16 +341,16 @@ impl<'a> PredicateIndex<'a> {
     /// Probes the index with one data tuple and returns the set of queries
     /// that select it.
     pub fn matching_queries(&self, tuple: &Tuple) -> Result<QuerySet> {
-        let mut queries = QuerySet::new();
+        let mut queries = Union::default();
         self.matches_into(tuple, &mut queries)?;
-        Ok(queries)
+        Ok(queries.take())
     }
 
     /// Adds the queries that select `tuple` to `out`: the sets of the
     /// entries that hold, OR-ed in, and the bit of each checked query whose
     /// predicate holds.
     #[inline]
-    pub fn matches_into(&self, tuple: &Tuple, out: &mut QuerySet) -> Result<()> {
+    pub fn matches_into(&self, tuple: &Tuple, out: &mut Union) -> Result<()> {
         for run in &self.runs {
             let (column, _, bound) = run.key;
             let Some((below, above)) = tuple.get(column).and_then(|v| run.literals.rank(v)) else {
@@ -363,7 +364,7 @@ impl<'a> PredicateIndex<'a> {
             };
             let at_literal = entries[below..above].iter().filter(|e| e.inclusive);
             for entry in strictly.iter().chain(at_literal) {
-                out.union_in_place(&entry.exact);
+                out.add(&entry.exact);
                 for &slot in &entry.candidates {
                     self.check(slot, tuple, out)?;
                 }
@@ -411,7 +412,7 @@ impl<'a> PredicateIndex<'a> {
         })
     }
 
-    fn check(&self, slot: u32, tuple: &Tuple, out: &mut QuerySet) -> Result<()> {
+    fn check(&self, slot: u32, tuple: &Tuple, out: &mut Union) -> Result<()> {
         let (query_id, predicate) = &self.checked[slot as usize];
         if predicate.eval_predicate(tuple)? {
             out.insert(*query_id);

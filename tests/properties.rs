@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use shareddb::common::agg::AggregateFunction;
+use shareddb::common::queryset;
 use shareddb::common::{QTuple, QueryId, QuerySet, SortKey, Tuple, Value};
 use shareddb::core::batch::Activation;
 use shareddb::core::operators::{execute_operator, ExecContext};
@@ -110,6 +111,9 @@ mod queryset_across_the_inline_boundary {
         UnionInPlace(Vec<u32>),
         Intersect(Vec<u32>),
         RetainIn(Vec<u32>),
+        /// The set and these, through one `queryset::Union`: a set of one
+        /// id is inserted, the others added.
+        UnionOfAll(Vec<Vec<u32>>),
     }
 
     struct Ops;
@@ -119,7 +123,8 @@ mod queryset_across_the_inline_boundary {
         fn generate(&self, rng: &mut TestRng) -> Vec<Op> {
             let op = |rng: &mut TestRng| {
                 let base = BASES[pick(rng, BASES.len())];
-                match pick(rng, 11) {
+                match pick(rng, 12) {
+                    11 => Op::UnionOfAll((0..pick(rng, 5)).map(|_| some_ids(rng)).collect()),
                     0 => Op::FromIds(some_ids(rng)),
                     1..=3 => Op::Insert(some_id(rng, base)),
                     4..=6 => Op::Remove(some_id(rng, base)),
@@ -143,6 +148,8 @@ mod queryset_across_the_inline_boundary {
         fn queryset_matches_btreeset(ops in Ops) {
             let mut set = QuerySet::new();
             let mut model: BTreeSet<u32> = BTreeSet::new();
+            // One for the whole case: a union reuses what the last left.
+            let mut union = queryset::Union::default();
             for op in &ops {
                 let before = set.clone();
                 match op {
@@ -178,6 +185,18 @@ mod queryset_across_the_inline_boundary {
                         set.retain_in(&qs(ids));
                         model.retain(|id| ids.contains(id));
                     }
+                    Op::UnionOfAll(sets) => {
+                        union.add(&set);
+                        for ids in sets {
+                            match ids[..] {
+                                [id] => union.insert(QueryId(id)),
+                                _ => union.add(&qs(ids)),
+                            }
+                            model.extend(ids);
+                        }
+                        set = union.take();
+                        prop_assert!(union.is_empty());
+                    }
                 }
                 // The set reads as the model whichever way it is stored …
                 let expected: Vec<u32> = model.iter().copied().collect();
@@ -188,9 +207,8 @@ mod queryset_across_the_inline_boundary {
                         prop_assert_eq!(set.contains(QueryId(id)), model.contains(&id));
                     }
                 }
-                for (place, id) in expected.iter().enumerate() {
+                for id in &expected {
                     prop_assert!(set.contains(QueryId(*id)));
-                    prop_assert_eq!(set.rank(QueryId(*id)), Some(place));
                 }
                 // … is one word exactly when its ids span at most 64, and
                 // equals — and hashes as — the same set built any other way.
