@@ -7,16 +7,20 @@
 //! id and one `u64` word while its ids span at most 64, and beyond that the
 //! set's non-zero words, shared. What makes the bitmap pay is where the ids
 //! come from: the engine numbers a batch's queries by their place in the
-//! batch, so the ids of a run lie in one short span and every set of the run
-//! is one word, whatever the number of queries it holds. Building a row's
-//! set is then setting bits, restricting it to an operator's queries one
-//! shift and one AND, and nothing is sorted, merged or allocated per row;
-//! only the routing Γ at the top of the plan expands a set back to its ids.
-//! The ablation, against the sorted lists this module held before, is in
-//! `docs/REPRODUCTION.md`.
+//! batch, so the ids of a run lie in one short span and, in a batch of at
+//! most 64 queries, every set of the run is one word, whatever the number of
+//! queries it holds. Building a row's set is then setting bits, restricting
+//! it to an operator's queries one shift and one AND, and nothing is sorted,
+//! merged or allocated per row; only the routing Γ at the top of the plan
+//! expands a set back to its ids. The ablation, against the sorted lists
+//! this module held before, is in `docs/REPRODUCTION.md`.
 //!
-//! Arbitrary ids still work: a wider set keeps only the words that hold one
-//! of its ids, so it costs at most what a list of them would.
+//! A larger batch, or arbitrary ids, make some sets wider: such a set keeps
+//! only the words that hold one of its ids, so it costs at most what a list
+//! of them would. A one-word set restricted by a wide one is still two ANDs
+//! at most, with nothing allocated; a wide set within the other is itself,
+//! shared; and a [`Union`] builds a row's wide set once, from a buffer the
+//! next row reuses, sharing it with the row before when the two are equal.
 
 use crate::ids::QueryId;
 use std::fmt;
