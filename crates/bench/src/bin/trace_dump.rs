@@ -1,28 +1,28 @@
-//! Batch-lifecycle trace dump: runs a short TPC-W mix against an in-process
-//! cluster and prints each replica's retained trace journal with operator
-//! and statement names resolved against the global plan.
+//! Trace dump: runs a short TPC-W mix against an in-process cluster and
+//! prints each replica's retained trace ring with operator and statement
+//! names resolved against the global plan.
 //!
-//! The journal is the drill-down companion to the `/metrics` histograms:
-//! percentiles say *how long* the execute phase took, the trace says *what a
-//! particular batch did* — how many statements it admitted, which shared
-//! operators actually fired and for how long, and where each query's rows
-//! were routed (the Γ step). The ring is bounded (`trace_capacity` events),
-//! so this is safe to leave on in production-shaped runs.
+//! The ring is the drill-down companion to the `/metrics` histograms:
+//! percentiles say *how long* the execute phase took, the ring says *what a
+//! particular batch did* — one `batch` record per batch that ran queries
+//! (its statement counts, and the shared operators that fired with their
+//! tuples and busy time) and one record per answered statement (its batch,
+//! rows and phase breakdown). The ring holds the engine's last 1 024
+//! records, so it is always on.
 //!
-//! Arguments: `--replicas N` (default 2), `--capacity EVENTS` (journal ring
-//! size, default 512), `--statements COUNT` (executions to drive, default
-//! 64). Environment: `TPCW_ITEMS` (scale, default 2000).
+//! Arguments: `--replicas N` (default 2), `--statements COUNT` (executions to
+//! drive, default 64). Environment: `TPCW_ITEMS` (scale, default 2000).
 
-use shareddb_bench::{bench_scale, env_usize};
+use shareddb_bench::bench_scale;
 use shareddb_cluster::{ClusterConfig, ClusterEngine};
 use shareddb_common::Value;
-use shareddb_core::{EngineConfig, Phase, TraceEvent};
+use shareddb_core::{EngineConfig, Phase};
 use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::{build_catalog, build_shared_plan};
 use std::sync::Arc;
 
 fn main() {
-    let (replicas, capacity, statements) = parse_args();
+    let (replicas, statements) = parse_args();
     let scale = bench_scale();
     let items = scale.items as i64;
     let catalog = Arc::new(build_catalog(&scale).expect("build TPC-W catalog"));
@@ -34,7 +34,7 @@ fn main() {
         catalog,
         plan,
         registry,
-        EngineConfig::default().trace_capacity(capacity),
+        EngineConfig::default(),
         ClusterConfig {
             replicas,
             replicate_statements: vec!["getItemById".to_string()],
@@ -69,55 +69,17 @@ fn main() {
 
     for (replica, engine) in cluster.engines().iter().enumerate() {
         let records = engine.trace();
-        println!("== replica {replica}: {} retained events ==", records.len());
+        println!(
+            "== replica {replica}: {} retained records ==",
+            records.len()
+        );
         for record in &records {
-            print!(
-                "[{:>4} {:>9.3}ms] ",
+            println!(
+                "[{:>4} {:>9.3}ms] {}",
                 record.seq,
-                record.at.as_secs_f64() * 1e3
+                record.at.as_secs_f64() * 1e3,
+                record.event.describe(&operator_names, &statement_names)
             );
-            match &record.event {
-                TraceEvent::OperatorFired { operator, .. } => {
-                    let name = operator_names
-                        .get(*operator)
-                        .map(String::as_str)
-                        .unwrap_or("?");
-                    println!("{} ({name})", record.event);
-                }
-                TraceEvent::QueryRouted { statement, .. } => {
-                    let name = statement_names
-                        .get(*statement)
-                        .map(String::as_str)
-                        .unwrap_or("?");
-                    println!("{} ({name})", record.event);
-                }
-                TraceEvent::BatchFormed {
-                    batch,
-                    queries,
-                    updates,
-                    mix,
-                } => {
-                    // The mix is what operator busy time gets attributed by,
-                    // so print it with statement names resolved.
-                    print!("batch {batch} formed: {queries} queries, {updates} updates");
-                    if mix.is_empty() {
-                        println!();
-                    } else {
-                        let named: Vec<String> = mix
-                            .iter()
-                            .map(|(statement, count)| {
-                                let name = statement_names
-                                    .get(*statement)
-                                    .map(String::as_str)
-                                    .unwrap_or("?");
-                                format!("{name}\u{00d7}{count}")
-                            })
-                            .collect();
-                        println!(", mix [{}]", named.join(", "));
-                    }
-                }
-                event => println!("{event}"),
-            }
         }
         println!();
     }
@@ -146,10 +108,9 @@ fn main() {
     cluster.shutdown();
 }
 
-fn parse_args() -> (usize, usize, usize) {
+fn parse_args() -> (usize, usize) {
     let mut replicas = 2usize;
-    let mut capacity = 512usize;
-    let mut statements = env_usize("TRACE_STATEMENTS", 64);
+    let mut statements = 64usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |what: &str| {
@@ -159,16 +120,15 @@ fn parse_args() -> (usize, usize, usize) {
         };
         match arg.as_str() {
             "--replicas" => replicas = value("--replicas needs N").max(1),
-            "--capacity" => capacity = value("--capacity needs EVENTS"),
             "--statements" => statements = value("--statements needs COUNT"),
             other => usage(&format!("unknown argument {other}")),
         }
     }
-    (replicas, capacity, statements)
+    (replicas, statements)
 }
 
 fn usage(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!("usage: trace_dump [--replicas N] [--capacity EVENTS] [--statements COUNT]");
+    eprintln!("usage: trace_dump [--replicas N] [--statements COUNT]");
     std::process::exit(2);
 }

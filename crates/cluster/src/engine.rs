@@ -7,10 +7,11 @@ use shareddb_common::{Result, Value};
 use shareddb_core::demand::push_down;
 use shareddb_core::engine::{QueryHandle, QueryOutcome};
 use shareddb_core::stats::{
-    merge_attribution, AttributionEntry, EngineStatsSnapshot, ScanRowsSnapshot, SlowQueryRecord,
-    UpdateRowsSnapshot,
+    merge_attribution, AttributionEntry, EngineStatsSnapshot, ScanRowsSnapshot, UpdateRowsSnapshot,
 };
-use shareddb_core::{Engine, EngineConfig, GlobalPlan, StatementRegistry, SubmitOptions};
+use shareddb_core::{
+    Engine, EngineConfig, GlobalPlan, StatementRecord, StatementRegistry, SubmitOptions,
+};
 use shareddb_storage::Catalog;
 use std::sync::Arc;
 use std::time::Duration;
@@ -199,8 +200,9 @@ impl ClusterEngine {
 
     /// Slow-query offenders summed over replicas: total count plus the
     /// retained records, each stamped with the replica that executed it
-    /// (replica order preserved within the concatenation).
-    pub fn slow_queries(&self) -> (u64, Vec<SlowQueryRecord>) {
+    /// (replica order preserved within the concatenation). A record names
+    /// its statement by index into [`ClusterEngine::registry`].
+    pub fn slow_queries(&self) -> (u64, Vec<StatementRecord>) {
         let mut total = 0;
         let mut records = Vec::new();
         for (replica, engine) in self.engines.iter().enumerate() {

@@ -18,13 +18,11 @@ pub struct EngineConfig {
     /// `usize::MAX`, the default, means the machine's
     /// `available_parallelism()`.
     pub core_budget: usize,
-    /// Statements whose end-to-end latency reaches this threshold are written
-    /// to the engine's slow-query log with their full phase breakdown
-    /// (admission / batch-wait / execute). `None` disables the log.
+    /// Statements whose end-to-end latency reaches this threshold have their
+    /// trace record copied to the engine's slow-query log, with its full
+    /// phase breakdown (admission / batch-wait / execute). `None` disables
+    /// the log.
     pub slow_query_threshold: Option<Duration>,
-    /// Capacity (in events) of the batch-lifecycle trace journal — a bounded
-    /// ring, so tracing is always-on with fixed memory. `0` disables tracing.
-    pub trace_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -33,7 +31,6 @@ impl Default for EngineConfig {
             heartbeat: Duration::ZERO,
             core_budget: usize::MAX,
             slow_query_threshold: None,
-            trace_capacity: 1024,
         }
     }
 }
@@ -50,12 +47,6 @@ impl EngineConfig {
     /// Sets the slow-query threshold (`None` disables the slow-query log).
     pub fn slow_query(mut self, threshold: Option<Duration>) -> Self {
         self.slow_query_threshold = threshold;
-        self
-    }
-
-    /// Sets the trace-journal capacity in events (0 disables tracing).
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.trace_capacity = events;
         self
     }
 }

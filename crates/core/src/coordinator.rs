@@ -14,11 +14,10 @@ use crate::batch::{Admitted, QueryBatch};
 use crate::engine::{EngineInner, QueryOutcome, WriteFence};
 use crate::executor::{NodeRun, Run};
 use crate::routing::{finalize_query_result, QueryRows, RoutingTable};
-use crate::stats::{Phase, SlowQueryRecord};
-use crate::trace::TraceEvent;
+use crate::stats::Phase;
+use crate::trace::{StatementRecord, TraceEvent};
 use shareddb_common::ids::BatchId;
 use shareddb_common::{Error, QueryId, Result};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -206,7 +205,6 @@ fn process_batch(inner: &EngineInner, batch: &QueryBatch) {
         batch,
         started: Instant::now(),
     };
-    ctx.trace_formed();
     ctx.apply_updates();
     if batch.queries.is_empty() {
         return;
@@ -220,29 +218,6 @@ fn process_batch(inner: &EngineInner, batch: &QueryBatch) {
 }
 
 impl BatchCtx<'_> {
-    fn trace_formed(&self) {
-        let (inner, batch) = (self.inner, self.batch);
-        // The statement-type mix (computed only when tracing is on — it
-        // allocates) is what the attribution table splits operator busy
-        // time by.
-        let mut mix: Vec<(usize, usize)> = Vec::new();
-        if inner.trace.capacity() > 0 {
-            let mut counts: HashMap<usize, usize> = HashMap::new();
-            let queries = batch.queries.iter().map(|q| &q.admitted);
-            for admitted in queries.chain(batch.updates.iter().map(|u| &u.admitted)) {
-                *counts.entry(admitted.statement_index).or_default() += 1;
-            }
-            mix.extend(counts);
-            mix.sort_unstable();
-        }
-        inner.trace.push(TraceEvent::BatchFormed {
-            batch: batch.id.0,
-            queries: batch.queries.len(),
-            updates: batch.updates.len(),
-            mix,
-        });
-    }
-
     /// Applies the batch's updates in arrival order (one commit timestamp
     /// for the whole batch, group commit into the WAL) and completes them.
     /// Each costs O(rows it touches) when its WHERE clause has an indexed
@@ -304,9 +279,9 @@ impl BatchCtx<'_> {
         Run { pin, nodes }
     }
 
-    /// Records every operator's cycle — active or not — in the counters,
-    /// the attribution table and the trace, and returns the first failure of
-    /// a node: a batch fails as one.
+    /// Records every operator's cycle — active or not — in the counters and
+    /// the attribution table, the batch and its active operators in the
+    /// trace, and returns the first failure of a node: a batch fails as one.
     fn fold_counters(&self, run: &Run) -> Option<Error> {
         let (inner, batch) = (self.inner, self.batch);
         let plan = &inner.plan;
@@ -322,7 +297,7 @@ impl BatchCtx<'_> {
                 act_counts[*op * n_stmts + q.admitted.statement_index] += 1;
             }
         }
-        let (mut active, mut total_busy) = (0, Duration::ZERO);
+        let mut fired = Vec::new();
         for (id, node) in run.nodes.iter().enumerate() {
             let done = node.done.get();
             let (tuples, pruned, busy) = match done {
@@ -341,21 +316,14 @@ impl BatchCtx<'_> {
                 .attribution
                 .record_cycle(id, counts, tuples as u64, busy);
             if done.is_some() {
-                active += 1;
-                total_busy += busy;
-                inner.trace.push(TraceEvent::OperatorFired {
-                    batch: batch.id.0,
-                    operator: id,
-                    tuples,
-                    busy_us: busy.as_micros() as u64,
-                });
+                fired.push((id, tuples, busy));
             }
         }
-        inner.trace.push(TraceEvent::OperatorsFired {
+        inner.trace.push(TraceEvent::Batch {
             batch: batch.id.0,
-            fired: plan.len(),
-            active,
-            total_busy_us: total_busy.as_micros() as u64,
+            queries: batch.queries.len(),
+            updates: batch.updates.len(),
+            operators: fired,
         });
         error
     }
@@ -393,20 +361,15 @@ impl BatchCtx<'_> {
                     finalize_query_result(inner, q, rows)
                 }
             };
-            inner.trace.push(TraceEvent::QueryRouted {
-                batch: batch.id.0,
-                statement: q.admitted.statement_index,
-                ticket: q.admitted.ticket.0,
-                rows: outcome.as_ref().map(|o| o.rows().len()).unwrap_or(0),
-                ok: outcome.is_ok(),
-            });
             self.complete(&q.admitted, outcome);
         }
     }
 
-    /// Books one statement of the batch and hands its outcome over — while
-    /// the batch's intermediates are still alive: a reader woken here works
-    /// beside the coordinator freeing them, not after it.
+    /// Books one statement of the batch — counters, phase histograms, its
+    /// trace record and, past the threshold, the slow-query log — and hands
+    /// its outcome over, while the batch's intermediates are still alive: a
+    /// reader woken here works beside the coordinator freeing them, not
+    /// after it.
     fn complete(&self, statement: &Admitted, outcome: Result<QueryOutcome>) {
         let (inner, stats, started) = (self.inner, &self.inner.stats, self.started);
         // One completion timestamp for every span, so total >= execute and
@@ -425,18 +388,22 @@ impl BatchCtx<'_> {
         stats.record_phase(index, Phase::BatchWait, batch_wait);
         stats.record_phase(index, Phase::Execute, execute);
         stats.record_phase(index, Phase::Total, latency);
+        let record = StatementRecord {
+            batch: self.batch.id.0,
+            statement: index,
+            ticket: statement.ticket.0,
+            rows: outcome.as_ref().map_or(0, |o| o.rows().len()),
+            ok: outcome.is_ok(),
+            replica: 0,
+            admission: statement.enqueued.duration_since(statement.submitted),
+            batch_wait,
+            execute,
+            total: latency,
+        };
+        inner.trace.push(TraceEvent::Statement(record));
         let slow = inner.config.slow_query_threshold;
         if slow.is_some_and(|threshold| latency >= threshold) {
-            stats.record_slow(SlowQueryRecord {
-                statement: inner.registry.by_index(index).name.clone(),
-                // The engine does not know its replica id; the cluster layer
-                // stamps it when concatenating logs.
-                replica: 0,
-                total: latency,
-                admission: statement.enqueued.duration_since(statement.submitted),
-                batch_wait,
-                execute,
-            });
+            inner.slow.push(record);
         }
         if let Some((queue, tag)) = &statement.completion {
             if queue.push(*tag, outcome) {
@@ -475,7 +442,7 @@ mod tests {
             let shared_a_batch = engine
                 .trace()
                 .iter()
-                .any(|record| matches!(record.event, TraceEvent::BatchFormed { queries: 2, .. }));
+                .any(|record| matches!(record.event, TraceEvent::Batch { queries: 2, .. }));
             if shared_a_batch {
                 assert!(
                     expected(bystander.as_ref().unwrap_err()),

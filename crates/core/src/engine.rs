@@ -26,11 +26,13 @@ use crate::executor::Executor;
 use crate::plan::{GlobalPlan, StatementRegistry};
 use crate::stats::{
     AttributionEntry, AttributionTable, EngineStats, EngineStatsSnapshot, OperatorStats,
-    OperatorStatsSnapshot, ScanCounters, ScanRowsSnapshot, SlowQueryRecord, StatementPhaseSnapshot,
+    OperatorStatsSnapshot, ScanCounters, ScanRowsSnapshot, StatementPhaseSnapshot,
     UpdateRowsSnapshot,
 };
 use crate::storage_ops::{build_storage_operators, StorageOperator};
-use crate::trace::{TraceJournal, TraceRecord};
+use crate::trace::{
+    Ring, StatementRecord, TraceEvent, TraceRecord, SLOW_LOG_CAPACITY, TRACE_CAPACITY,
+};
 use parking_lot::Mutex;
 use shareddb_common::ids::TicketId;
 use shareddb_common::{Error, Result, Schema, Tuple};
@@ -234,7 +236,11 @@ pub(crate) struct EngineInner {
     /// The scan and probe operators of the plan (shared with the executor);
     /// held here for their counters.
     pub(crate) storage_ops: Arc<Vec<Option<StorageOperator>>>,
-    pub(crate) trace: TraceJournal,
+    /// Every batch's and every statement's record.
+    pub(crate) trace: Ring<TraceEvent>,
+    /// The statement records that crossed the slow-query threshold; the
+    /// pushed count is the offender total.
+    pub(crate) slow: Ring<StatementRecord>,
 }
 
 /// The SharedDB engine: an always-on global plan plus the batching runtime.
@@ -278,7 +284,6 @@ impl Engine {
             catalog: Arc::clone(&catalog),
             plan: plan.clone(),
             registry,
-            trace: TraceJournal::new(config.trace_capacity),
             config,
             admission: Admission::default(),
             lane_of,
@@ -292,6 +297,8 @@ impl Engine {
             ),
             executor,
             storage_ops,
+            trace: Ring::new(TRACE_CAPACITY),
+            slow: Ring::new(SLOW_LOG_CAPACITY),
         });
 
         // A commit of any engine on the catalog may admit a read this one
@@ -384,12 +391,15 @@ impl Engine {
         self.inner.stats.update_rows_snapshot()
     }
 
-    /// Total slow-query offenders plus the retained tail of the log.
-    pub fn slow_queries(&self) -> (u64, Vec<SlowQueryRecord>) {
-        self.inner.stats.slow_queries()
+    /// Total slow-query offenders plus the retained tail of the log, oldest
+    /// first.
+    pub fn slow_queries(&self) -> (u64, Vec<StatementRecord>) {
+        let slow = &self.inner.slow;
+        let records = slow.snapshot().into_iter().map(|r| r.event).collect();
+        (slow.pushed(), records)
     }
 
-    /// The retained batch-lifecycle trace, oldest first.
+    /// The retained trace ring, oldest first.
     pub fn trace(&self) -> Vec<TraceRecord> {
         self.inner.trace.snapshot()
     }
@@ -407,6 +417,7 @@ impl Engine {
     /// the measured window.
     pub fn reset_stats(&self) {
         self.inner.stats.reset();
+        self.inner.slow.reset();
         for op in &self.inner.operator_stats {
             op.reset();
         }

@@ -41,7 +41,8 @@
 //!   sharing sets, text + DOT rendering.
 //! * [`stats`] — per-operator and engine-level metrics, phase histograms,
 //!   per-statement-type cost attribution.
-//! * [`trace`] — the bounded batch-lifecycle trace journal.
+//! * [`trace`] — the trace ring's two records, one per batch and one per
+//!   statement, and the bounded ring the slow-query log shares.
 //! * [`config`] — engine configuration.
 
 mod admission;
@@ -73,7 +74,7 @@ pub use plan::{
     StatementKind, StatementRegistry, StatementSpec,
 };
 pub use stats::{
-    merge_attribution, AttributionEntry, Phase, ScanRowsSnapshot, SlowQueryRecord,
-    StatementPhaseSnapshot, UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
+    merge_attribution, AttributionEntry, Phase, ScanRowsSnapshot, StatementPhaseSnapshot,
+    UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
 };
-pub use trace::{TraceEvent, TraceJournal, TraceRecord};
+pub use trace::{StatementRecord, TraceEvent, TraceRecord};

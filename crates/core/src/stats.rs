@@ -8,9 +8,7 @@
 //! ([`shareddb_common::metrics::Histogram`]); the benchmark harnesses and the
 //! server's metrics endpoint read the same counters.
 
-use parking_lot::Mutex;
 use shareddb_common::metrics::{Histogram, HistogramSnapshot};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -462,31 +460,6 @@ impl PhaseTable {
 }
 
 // ---------------------------------------------------------------------------
-// Slow-query log
-// ---------------------------------------------------------------------------
-
-/// One offender in the slow-query log: the full phase breakdown of a
-/// statement whose end-to-end latency crossed the configured threshold.
-#[derive(Debug, Clone)]
-pub struct SlowQueryRecord {
-    /// Statement name.
-    pub statement: String,
-    /// Replica the statement was routed to (stamped by the cluster layer;
-    /// 0 inside a single engine): which engine's batches to look at.
-    pub replica: usize,
-    /// End-to-end latency (submission → completion).
-    pub total: Duration,
-    /// Time spent binding + enqueueing.
-    pub admission: Duration,
-    /// Time spent waiting on the admission queue for a heartbeat.
-    pub batch_wait: Duration,
-    /// Time spent in the shared execution cycle.
-    pub execute: Duration,
-}
-
-const SLOW_LOG_CAPACITY: usize = 128;
-
-// ---------------------------------------------------------------------------
 // Engine-level statistics
 // ---------------------------------------------------------------------------
 
@@ -514,10 +487,6 @@ pub struct EngineStats {
     /// `[rows examined, rows affected]` per update statement type, by registry
     /// index (the names are the phase table's).
     update_rows: Vec<[AtomicU64; 2]>,
-    /// Total statements that crossed the slow-query threshold.
-    slow_total: AtomicU64,
-    /// The most recent offenders (bounded ring).
-    slow: Mutex<VecDeque<SlowQueryRecord>>,
     /// Executor tasks run on the coordinator thread / on a pool thread.
     tasks_run: [AtomicU64; 2],
     /// Notifications sent to parked pool threads.
@@ -730,25 +699,6 @@ impl EngineStats {
             .collect()
     }
 
-    /// Appends one offender to the slow-query log (bounded; the oldest entry
-    /// is dropped at capacity) and bumps the total-offenders counter.
-    pub fn record_slow(&self, record: SlowQueryRecord) {
-        self.slow_total.fetch_add(1, Ordering::Relaxed);
-        let mut slow = self.slow.lock();
-        if slow.len() >= SLOW_LOG_CAPACITY {
-            slow.pop_front();
-        }
-        slow.push_back(record);
-    }
-
-    /// Total offenders plus the retained tail of the slow-query log.
-    pub fn slow_queries(&self) -> (u64, Vec<SlowQueryRecord>) {
-        (
-            self.slow_total.load(Ordering::Relaxed),
-            self.slow.lock().iter().cloned().collect(),
-        )
-    }
-
     /// Per-statement per-phase histograms (statements with observations only).
     pub fn phase_snapshot(&self) -> Vec<StatementPhaseSnapshot> {
         self.phases.snapshot()
@@ -761,7 +711,7 @@ impl EngineStats {
         self.histogram.record(latency);
     }
 
-    /// Zeroes every counter, histogram and the slow-query log, so multi-phase
+    /// Zeroes every counter and histogram, so multi-phase
     /// bench harnesses can measure without warm-up contamination.
     pub fn reset(&self) {
         self.batches.store(0, Ordering::Relaxed);
@@ -777,8 +727,6 @@ impl EngineStats {
         for counter in self.update_rows.iter().flatten() {
             counter.store(0, Ordering::Relaxed);
         }
-        self.slow_total.store(0, Ordering::Relaxed);
-        self.slow.lock().clear();
         let wakes = [&self.worker_wakeups, &self.completion_wakes];
         for counter in self.tasks_run.iter().chain(wakes) {
             counter.store(0, Ordering::Relaxed);
@@ -884,26 +832,6 @@ mod tests {
         assert!(snap.iter().any(|s| s.statement == "_other"));
         table.reset();
         assert!(table.snapshot().is_empty());
-    }
-
-    #[test]
-    fn slow_query_log_is_bounded() {
-        let stats = EngineStats::default();
-        for i in 0..(SLOW_LOG_CAPACITY + 10) {
-            stats.record_slow(SlowQueryRecord {
-                statement: format!("q{i}"),
-                replica: 0,
-                total: Duration::from_millis(i as u64),
-                admission: Duration::ZERO,
-                batch_wait: Duration::ZERO,
-                execute: Duration::ZERO,
-            });
-        }
-        let (total, tail) = stats.slow_queries();
-        assert_eq!(total, (SLOW_LOG_CAPACITY + 10) as u64);
-        assert_eq!(tail.len(), SLOW_LOG_CAPACITY);
-        // The oldest entries were dropped.
-        assert_eq!(tail[0].statement, "q10");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use shareddb::core::plan::{OperatorNode, StatementSpec};
 use shareddb::core::storage_ops::build_storage_operators;
 use shareddb::core::{
     ActivationTemplate, Engine, EngineConfig, GlobalPlan, OperatorSpec, QueryOutcome,
-    StatementRegistry, SubmitOptions, TraceEvent,
+    StatementRecord, StatementRegistry, SubmitOptions, TraceEvent,
 };
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
@@ -372,10 +372,10 @@ fn a_lookup_completes_with_its_batch() {
     // Gathers the look-up and the best-seller page into one batch.
     let config = EngineConfig {
         heartbeat: Duration::from_millis(20),
-        slow_query_threshold: Some(Duration::ZERO),
         ..EngineConfig::default()
     };
     let engine = Engine::start(catalog, plan, registry, config).unwrap();
+    let (item_by_id, _) = engine.registry().get("getItemById").unwrap();
     let subject = ParamGenerator::new(&tpcw_scale())
         .calls(WebInteraction::BestSellers, &mut StdRng::seed_from_u64(1))
         .remove(0);
@@ -388,23 +388,24 @@ fn a_lookup_completes_with_its_batch() {
         light.wait().unwrap();
         heavy.wait().unwrap();
         let trace = engine.trace();
-        let shared = trace.iter().rev().find_map(|record| match record.event {
-            TraceEvent::BatchFormed {
-                batch, queries: 2, ..
-            } => Some(batch),
+        let shared = trace.iter().rev().find_map(|record| match &record.event {
+            TraceEvent::Batch {
+                batch,
+                queries: 2,
+                operators,
+                ..
+            } => Some((*batch, operators)),
             _ => None,
         });
-        let Some(shared) = shared else {
+        let Some((shared, operators)) = shared else {
             assert!(attempt < 20, "the two statements never shared a batch");
             continue;
         };
-        let slowest_operator = trace.iter().filter_map(|record| match record.event {
-            TraceEvent::OperatorFired { batch, busy_us, .. } if batch == shared => Some(busy_us),
+        let slowest_operator = operators.iter().map(|&(_, _, busy)| busy).max().unwrap();
+        let lookup = trace.iter().find_map(|record| match record.event {
+            TraceEvent::Statement(s) if s.batch == shared && s.statement == item_by_id => Some(s),
             _ => None,
         });
-        let slowest_operator = Duration::from_micros(slowest_operator.max().unwrap());
-        let (_, log) = engine.slow_queries();
-        let lookup = log.iter().rev().find(|r| r.statement == "getItemById");
         let lookup_executed = lookup.unwrap().execute;
         assert!(
             lookup_executed >= slowest_operator,
@@ -413,4 +414,83 @@ fn a_lookup_completes_with_its_batch() {
         );
         return;
     }
+}
+
+/// A statement's life is one record: every answered statement, query or
+/// update, has exactly one `Statement` record in the trace ring, naming a
+/// batch that has a `Batch` record (whose counts its statements make up) or
+/// that ran updates only; the slow-query log at threshold zero holds the
+/// same records; and the `Batch` records' busy times add up to the
+/// operators' own.
+#[test]
+fn a_statement_is_one_record_in_the_ring_and_the_slow_log() {
+    let (catalog, plan, registry) = tpcw_deployment();
+    let config = EngineConfig::default().slow_query(Some(Duration::ZERO));
+    let engine = Engine::start(catalog, plan, registry, config).unwrap();
+    let params = ParamGenerator::new(&tpcw_scale());
+    let calls: Vec<StatementCall> = ALL_INTERACTIONS
+        .into_iter()
+        .flat_map(|interaction| params.calls(interaction, &mut StdRng::seed_from_u64(3)))
+        .collect();
+    let handles: Vec<_> = calls
+        .iter()
+        .map(|call| engine.execute(call.statement, &call.params).unwrap())
+        .collect();
+    let mut tickets: Vec<u64> = handles.iter().map(|h| h.ticket().0).collect();
+    for handle in handles {
+        let _ = handle.wait();
+    }
+    // A lone write: a batch with no query, hence no `Batch` record.
+    let write = params.calls(WebInteraction::BuyConfirm, &mut StdRng::seed_from_u64(4));
+    let write = write
+        .iter()
+        .find(|call| engine.registry().get(call.statement).unwrap().1.is_update())
+        .unwrap();
+    let handle = engine.execute(write.statement, &write.params).unwrap();
+    tickets.push(handle.ticket().0);
+    handle.wait().unwrap();
+
+    let trace = engine.trace();
+    assert_eq!(trace[0].seq, 0, "the ring evicted records");
+    let statements: Vec<StatementRecord> = trace
+        .iter()
+        .filter_map(|record| match record.event {
+            TraceEvent::Statement(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    let mut recorded: Vec<u64> = statements.iter().map(|s| s.ticket).collect();
+    recorded.sort_unstable();
+    tickets.sort_unstable();
+    assert_eq!(recorded, tickets, "one record per answered statement");
+    let mut busy = Duration::ZERO;
+    let mut batches = HashSet::new();
+    for record in &trace {
+        let TraceEvent::Batch {
+            batch,
+            queries,
+            updates,
+            operators,
+        } = &record.event
+        else {
+            continue;
+        };
+        assert!(batches.insert(*batch), "batch {batch} recorded twice");
+        let of_batch = statements.iter().filter(|s| s.batch == *batch).count();
+        assert_eq!(of_batch, queries + updates, "batch {batch}");
+        busy += operators.iter().map(|&(_, _, busy)| busy).sum::<Duration>();
+    }
+    let mut update_only = 0;
+    for s in statements.iter().filter(|s| !batches.contains(&s.batch)) {
+        let spec = engine.registry().by_index(s.statement);
+        assert!(spec.is_update(), "{} has no batch record", spec.name);
+        update_only += 1;
+    }
+    assert!(update_only >= 1);
+
+    let (offenders, slow) = engine.slow_queries();
+    assert_eq!(offenders, tickets.len() as u64);
+    assert_eq!(slow, statements, "the slow log holds the ring's records");
+    let operator_busy: Duration = engine.operator_stats().iter().map(|op| op.busy).sum();
+    assert_eq!(busy, operator_busy);
 }

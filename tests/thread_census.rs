@@ -93,7 +93,7 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
     let mut small = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
     small.execute_sync("get", &[Value::Int(1)]).unwrap();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(engine_threads().len(), 4 + cores);
+    assert_eq!(started_threads(4 + cores).len(), 4 + cores);
     assert_eq!(small.stats().executor_threads, cores);
 
     large.shutdown();
