@@ -38,7 +38,6 @@ fn main() {
         ClusterConfig {
             replicas,
             replicate_statements: vec!["getItemById".to_string()],
-            ..ClusterConfig::default()
         },
     )
     .expect("start cluster");

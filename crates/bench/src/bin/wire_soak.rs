@@ -2,13 +2,13 @@
 //! concurrent writes, gated by invariants that hold however fast the host
 //! is.
 //!
-//! TPC-W at 500 items behind 4 replicas, `getBestSellers` on the replicated
-//! route (spread over the replicas by parameter hash, so every replica runs
-//! the shared join). 256 connections in closed loops — 4 run
-//! `getBestSellers`, 252 `getItemById` — beside 4 writers alternating
-//! `addOrderLine` and `adminUpdateItem`, each of which must affect exactly
-//! one row; `/metrics` is scraped once a second; the run lasts 5 s, under
-//! `EngineConfig::default()`.
+//! TPC-W at 500 items behind 4 replicas, `getBestSellers` and `getItemById`
+//! on the replicated route (spread over the replicas by parameter hash, so
+//! every replica answers look-ups and runs the shared join). 256
+//! connections in closed loops — 4 run `getBestSellers`, 252 `getItemById`
+//! — beside 4 writers alternating `addOrderLine` and `adminUpdateItem`, each
+//! of which must affect exactly one row; `/metrics` is scraped once a
+//! second; the run lasts 5 s, under `EngineConfig::default()`.
 //!
 //! ```text
 //! cargo run --release -p shareddb-bench --bin wire_soak
@@ -161,8 +161,7 @@ fn run_point() -> (Point, String) {
         max_inflight_per_session: 16,
         cluster: ClusterConfig {
             replicas: REPLICAS,
-            replicate_statements: vec!["getBestSellers".into()],
-            ..ClusterConfig::default()
+            replicate_statements: vec!["getBestSellers".into(), "getItemById".into()],
         },
         ..ServerConfig::default()
     };

@@ -14,7 +14,6 @@ use shareddb_core::{
 };
 use shareddb_storage::Catalog;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// N engine replicas over one shared [`Catalog`], fronted by a `Router`
 /// that dispatches each admitted statement by type (see the crate docs).
@@ -28,8 +27,13 @@ pub struct ClusterEngine {
 
 impl ClusterEngine {
     /// Starts `config.replicas` engines over one shared catalog and global
-    /// plan. With `replicas == 1` the cluster behaves exactly like a single
-    /// [`Engine`] (everything pinned to replica 0).
+    /// plan, with every statement type's route fixed for the cluster's
+    /// lifetime (see the crate docs). With `replicas == 1` the cluster
+    /// behaves exactly like a single [`Engine`].
+    ///
+    /// A name in `config.replicate_statements` that is not registered is
+    /// [`shareddb_common::Error::UnknownStatement`]; one that names an update
+    /// is [`shareddb_common::Error::InvalidParameter`].
     pub fn start(
         catalog: Arc<Catalog>,
         plan: GlobalPlan,
@@ -41,6 +45,7 @@ impl ClusterEngine {
         // EXPLAIN's source — shows the statements as they execute.
         registry.validate(&plan)?;
         push_down(&plan, &mut registry);
+        let router = Router::new(&registry, &config)?;
         let replicas = config.replicas.max(1);
         let mut engines = Vec::with_capacity(replicas);
         for _ in 0..replicas {
@@ -51,7 +56,6 @@ impl ClusterEngine {
                 engine_config.clone(),
             )?);
         }
-        let router = Router::new(&registry, &config);
         Ok(ClusterEngine {
             engines,
             router,
@@ -108,9 +112,6 @@ impl ClusterEngine {
         params: &[Value],
         opts: SubmitOptions,
     ) -> Result<ClusterHandle> {
-        self.router.note_submit(index);
-        self.router
-            .maybe_refresh(|| self.engines.iter().map(|e| e.queued()).collect());
         let replica = self.router.pick_replica(index, params);
         let handle = self.engines[replica].submit_prepared(index, params, opts)?;
         Ok(ClusterHandle { replica, handle })
@@ -126,16 +127,13 @@ impl ClusterEngine {
         self.execute(statement, params)?.wait()
     }
 
-    /// Aggregated statistics over all replicas. Latency percentiles are
-    /// computed from the **merged** per-replica histograms, so they are the
-    /// same numbers a single engine seeing all the traffic would report —
-    /// not a max-of-p99s approximation.
+    /// Aggregated statistics over all replicas. Latencies are read from the
+    /// **merged** per-replica histograms, so they are the same numbers a
+    /// single engine seeing all the traffic would report — not a max-of-p99s
+    /// approximation.
     pub fn stats(&self) -> EngineStatsSnapshot {
         let mut total = EngineStatsSnapshot::default();
-        let mut weighted_latency_nanos: u128 = 0;
         for stats in self.engines.iter().map(|e| e.stats()) {
-            let completed = stats.queries + stats.updates;
-            weighted_latency_nanos += stats.mean_latency.as_nanos() * completed as u128;
             total.batches += stats.batches;
             total.queries += stats.queries;
             total.updates += stats.updates;
@@ -146,17 +144,10 @@ impl ClusterEngine {
             total.worker_wakeups += stats.worker_wakeups;
             total.completion_wakes += stats.completion_wakes;
             total.executor_threads += stats.executor_threads;
-            total.max_latency = total.max_latency.max(stats.max_latency);
             total.histogram.merge_from(&stats.histogram);
             total.occupancy.merge_from(&stats.occupancy);
         }
-        let completed = (total.queries + total.updates) as u128;
-        if let Some(mean) = weighted_latency_nanos.checked_div(completed) {
-            total.mean_latency = std::time::Duration::from_nanos(mean as u64);
-        }
-        total.p50_latency = Duration::from_micros(total.histogram.percentile_us(0.50));
-        total.p95_latency = Duration::from_micros(total.histogram.percentile_us(0.95));
-        total.p99_latency = Duration::from_micros(total.histogram.percentile_us(0.99));
+        total.read_latencies();
         total
     }
 
@@ -238,12 +229,12 @@ impl ClusterEngine {
         self.engines.iter().map(|e| e.queued()).sum()
     }
 
-    /// Current route per statement type (name, route).
+    /// The route per statement type (name, route), fixed at start.
     pub fn routes(&self) -> Vec<(String, Route)> {
         self.registry
             .iter()
             .map(|s| s.name.clone())
-            .zip(self.router.routes())
+            .zip(self.router.routes().iter().copied())
             .collect()
     }
 
@@ -341,7 +332,7 @@ mod tests {
         cluster.engines().iter().map(|e| e.stats()).collect()
     }
 
-    fn start(replicas: usize, config: ClusterConfig) -> ClusterEngine {
+    fn try_start(replicas: usize, config: ClusterConfig) -> Result<ClusterEngine> {
         let catalog = catalog();
         let (plan, registry) = compile_workload(&catalog, WORKLOAD).unwrap();
         ClusterEngine::start(
@@ -351,7 +342,17 @@ mod tests {
             EngineConfig::default(),
             ClusterConfig { replicas, ..config },
         )
-        .unwrap()
+    }
+
+    fn start(replicas: usize, config: ClusterConfig) -> ClusterEngine {
+        try_start(replicas, config).unwrap()
+    }
+
+    fn replicating(name: &str) -> ClusterConfig {
+        ClusterConfig {
+            replicate_statements: vec![name.into()],
+            ..ClusterConfig::default()
+        }
     }
 
     #[test]
@@ -366,12 +367,20 @@ mod tests {
         }
     }
 
+    /// A type not named in `replicate_statements` stays on its home replica
+    /// however hot it runs: 600 ms of back-to-back look-ups (thousands a
+    /// second) move no route.
     #[test]
     fn cold_types_pin_to_one_replica() {
-        let cluster = start(4, ClusterConfig::default());
-        for i in 0..20 {
-            let outcome = cluster.execute_sync("getItem", &[Value::Int(i)]).unwrap();
+        let cluster = start(2, ClusterConfig::default());
+        let deadline = std::time::Instant::now() + Duration::from_millis(600);
+        let mut i = 0;
+        while std::time::Instant::now() < deadline {
+            let outcome = cluster
+                .execute_sync("getItem", &[Value::Int(i % 200)])
+                .unwrap();
             assert_eq!(outcome.rows().len(), 1);
+            i += 1;
         }
         let active: Vec<usize> = replica_stats(&cluster)
             .iter()
@@ -379,7 +388,30 @@ mod tests {
             .filter(|(_, s)| s.queries > 0)
             .map(|(i, _)| i)
             .collect();
-        assert_eq!(active.len(), 1, "cold type ran on replicas {active:?}");
+        assert_eq!(
+            active,
+            [0],
+            "getItem ran on replicas {active:?} after {i} look-ups"
+        );
+        let routes = cluster.routes();
+        assert!(
+            routes.contains(&("getItem".into(), Route::Pinned(0))),
+            "{routes:?}"
+        );
+    }
+
+    /// A replicated name is checked against the registry at start: a
+    /// misspelled one and an update are refused, not silently pinned.
+    #[test]
+    fn start_refuses_an_unknown_replicated_statement() {
+        let started = try_start(2, replicating("getItems"));
+        assert!(matches!(started, Err(Error::UnknownStatement(name)) if name == "getItems"));
+    }
+
+    #[test]
+    fn start_refuses_a_replicated_update() {
+        let started = try_start(2, replicating("addItem"));
+        assert!(matches!(started, Err(Error::InvalidParameter(_))));
     }
 
     #[test]
@@ -529,44 +561,6 @@ mod tests {
             .iter()
             .flat_map(|e| e.phase_snapshot())
             .all(|s| s.phases.iter().all(|h| h.is_empty())));
-    }
-
-    /// Dynamic promotion: a statement type whose submission rate crosses the
-    /// threshold is promoted to replicated routing by the stats-driven
-    /// refresh, without any static configuration.
-    #[test]
-    fn hot_types_are_promoted_from_engine_stats() {
-        let config = ClusterConfig {
-            hot_rate_per_s: 50.0,
-            refresh_interval: Duration::from_millis(10),
-            ..ClusterConfig::default()
-        };
-        let cluster = start(2, config);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut promoted = false;
-        while std::time::Instant::now() < deadline {
-            for i in 0..64 {
-                cluster.execute_sync("getItem", &[Value::Int(i)]).unwrap();
-            }
-            if cluster
-                .routes()
-                .iter()
-                .any(|(name, route)| name == "getItem" && *route == Route::Replicated)
-            {
-                promoted = true;
-                break;
-            }
-        }
-        assert!(
-            promoted,
-            "hot type was never promoted: {:?}",
-            cluster.routes()
-        );
-        // Updates are never promoted, whatever their rate looks like.
-        assert!(cluster
-            .routes()
-            .iter()
-            .any(|(name, route)| name == "addItem" && *route == Route::Pinned(0)));
     }
 
     /// The admission bound is accounted per replica: saturating one replica's

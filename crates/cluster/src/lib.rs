@@ -10,17 +10,16 @@
 //! A [`ClusterEngine`] owns N [`shareddb_core::Engine`] replicas over **one
 //! shared [`shareddb_storage::Catalog`]** — every replica runs the same
 //! always-on global plan, so any replica can answer any statement. A
-//! [`router::Route`] per statement type decides where executions go:
+//! [`router::Route`] per statement type, fixed at start from the
+//! configuration and the registry alone, decides where executions go:
 //!
-//! * **cold types stay pinned** to one home replica, so all executions of a
-//!   type keep batching through the same shared scans (the whole point of
-//!   SharedDB);
-//! * **hot types are replicated**: the router watches per-type submission
-//!   throughput and per-replica admission-queue depth (the engines'
-//!   [`shareddb_core::stats::EngineStats`]) and promotes a type once it
-//!   saturates its home engine. Its executions then spread over all
-//!   replicas — by a hash of the parameter vector (the same key always hits
-//!   the same replica), round-robin when parameterless;
+//! * **query types stay pinned** to one home replica, however hot they run,
+//!   so all executions of a type keep batching through the same shared scans
+//!   (the whole point of SharedDB);
+//! * **the query types named in [`ClusterConfig::replicate_statements`] are
+//!   replicated** instead: their executions spread over all replicas — by a hash of
+//!   the parameter vector (the same key always hits the same replica),
+//!   round-robin when parameterless;
 //! * **updates always pin to replica 0**, keeping the shared catalog's group
 //!   commit single-writer; MVCC snapshots make the writes visible to every
 //!   replica's next batch;
@@ -38,24 +37,14 @@ pub mod router;
 pub use engine::{ClusterEngine, ClusterHandle};
 pub use router::Route;
 
-use std::time::Duration;
-
 /// Configuration of a [`ClusterEngine`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of engine replicas (1 = single-engine behaviour).
     pub replicas: usize,
-    /// Submission rate (statements/s of one type) above which the type is
-    /// promoted to replicated routing at the next refresh.
-    pub hot_rate_per_s: f64,
-    /// Admission-queue depth at which a home replica counts as saturated;
-    /// its dominant statement type is then promoted even below the rate
-    /// threshold.
-    pub hot_queue_depth: usize,
-    /// How often the router re-evaluates routes from the engine statistics.
-    pub refresh_interval: Duration,
-    /// Statement types that are replicated from the start (no detection
-    /// delay); used by benchmarks and tests.
+    /// Query statement types that run on every replica; every other query
+    /// type stays on its home replica. [`ClusterEngine::start`] refuses an
+    /// unregistered name and an update.
     pub replicate_statements: Vec<String>,
 }
 
@@ -63,16 +52,13 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             replicas: 1,
-            hot_rate_per_s: 2_000.0,
-            hot_queue_depth: 128,
-            refresh_interval: Duration::from_millis(200),
             replicate_statements: Vec::new(),
         }
     }
 }
 
 impl ClusterConfig {
-    /// Configuration with `replicas` engines and default thresholds.
+    /// Configuration with `replicas` engines and no replicated type.
     pub fn with_replicas(replicas: usize) -> Self {
         ClusterConfig {
             replicas: replicas.max(1),

@@ -471,11 +471,8 @@ pub struct EngineStats {
     updates: AtomicU64,
     failed: AtomicU64,
     result_rows: AtomicU64,
-    /// Sum of query latencies in nanoseconds (submission to completion).
-    latency_nanos: AtomicU64,
-    /// Maximum observed latency in nanoseconds.
-    max_latency_nanos: AtomicU64,
-    /// End-to-end latency histogram over all statement types.
+    /// End-to-end latency histogram over all statement types (submission to
+    /// completion); every latency of the snapshot is read from it.
     histogram: Histogram,
     /// Batch-occupancy histogram: statements per processed batch. The shape
     /// of this distribution *is* the sharing opportunity — a p50 of 1 means
@@ -584,9 +581,10 @@ pub struct EngineStatsSnapshot {
     pub failed: u64,
     /// Total result rows delivered.
     pub result_rows: u64,
-    /// Mean query latency.
+    /// Mean statement latency (µs resolution, like every latency here: all
+    /// are read from `histogram`).
     pub mean_latency: Duration,
-    /// Maximum query latency.
+    /// Maximum statement latency.
     pub max_latency: Duration,
     /// Median latency upper bound.
     pub p50_latency: Duration,
@@ -617,6 +615,20 @@ pub struct EngineStatsSnapshot {
     /// Threads that run executor tasks: the coordinator and its pool (a
     /// gauge; summed over the replicas of a cluster).
     pub executor_threads: usize,
+}
+
+impl EngineStatsSnapshot {
+    /// Sets the mean, the maximum and the percentiles from `histogram` — of
+    /// one engine, or merged over replicas.
+    pub fn read_latencies(&mut self) {
+        let h = &self.histogram;
+        let mean_ns = (h.sum_us * 1_000).checked_div(h.count).unwrap_or(0);
+        self.mean_latency = Duration::from_nanos(mean_ns);
+        self.max_latency = Duration::from_micros(h.max_us);
+        self.p50_latency = Duration::from_micros(h.percentile_us(0.50));
+        self.p95_latency = Duration::from_micros(h.percentile_us(0.95));
+        self.p99_latency = Duration::from_micros(h.percentile_us(0.99));
+    }
 }
 
 impl EngineStats {
@@ -657,13 +669,13 @@ impl EngineStats {
     pub fn record_query(&self, rows: usize, latency: Duration) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.result_rows.fetch_add(rows as u64, Ordering::Relaxed);
-        self.record_latency(latency);
+        self.histogram.record(latency);
     }
 
     /// Records a completed update with its end-to-end latency.
     pub fn record_update(&self, latency: Duration) {
         self.updates.fetch_add(1, Ordering::Relaxed);
-        self.record_latency(latency);
+        self.histogram.record(latency);
     }
 
     /// Records a failed query or update.
@@ -704,13 +716,6 @@ impl EngineStats {
         self.phases.snapshot()
     }
 
-    fn record_latency(&self, latency: Duration) {
-        let nanos = latency.as_nanos() as u64;
-        self.latency_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_latency_nanos.fetch_max(nanos, Ordering::Relaxed);
-        self.histogram.record(latency);
-    }
-
     /// Zeroes every counter and histogram, so multi-phase
     /// bench harnesses can measure without warm-up contamination.
     pub fn reset(&self) {
@@ -719,8 +724,6 @@ impl EngineStats {
         self.updates.store(0, Ordering::Relaxed);
         self.failed.store(0, Ordering::Relaxed);
         self.result_rows.store(0, Ordering::Relaxed);
-        self.latency_nanos.store(0, Ordering::Relaxed);
-        self.max_latency_nanos.store(0, Ordering::Relaxed);
         self.histogram.reset();
         self.occupancy.reset();
         self.phases.reset();
@@ -735,23 +738,13 @@ impl EngineStats {
 
     /// Takes a snapshot.
     pub fn snapshot(&self) -> EngineStatsSnapshot {
-        let queries = self.queries.load(Ordering::Relaxed);
-        let updates = self.updates.load(Ordering::Relaxed);
-        let completed = queries + updates;
-        let total_latency = self.latency_nanos.load(Ordering::Relaxed);
-        let histogram = self.histogram.snapshot();
-        EngineStatsSnapshot {
+        let mut snapshot = EngineStatsSnapshot {
             batches: self.batches.load(Ordering::Relaxed),
-            queries,
-            updates,
+            queries: self.queries.load(Ordering::Relaxed),
+            updates: self.updates.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             result_rows: self.result_rows.load(Ordering::Relaxed),
-            mean_latency: Duration::from_nanos(total_latency.checked_div(completed).unwrap_or(0)),
-            max_latency: Duration::from_nanos(self.max_latency_nanos.load(Ordering::Relaxed)),
-            p50_latency: Duration::from_micros(histogram.percentile_us(0.50)),
-            p95_latency: Duration::from_micros(histogram.percentile_us(0.95)),
-            p99_latency: Duration::from_micros(histogram.percentile_us(0.99)),
-            histogram,
+            histogram: self.histogram.snapshot(),
             occupancy: self.occupancy.snapshot(),
             tasks_run_by_coordinator: self.tasks_run[0].load(Ordering::Relaxed),
             tasks_run_by_workers: self.tasks_run[1].load(Ordering::Relaxed),
@@ -759,7 +752,10 @@ impl EngineStats {
             completion_wakes: self.completion_wakes.load(Ordering::Relaxed),
             // Not a counter: the engine that owns the executor fills it in.
             executor_threads: 0,
-        }
+            ..EngineStatsSnapshot::default()
+        };
+        snapshot.read_latencies();
+        snapshot
     }
 }
 

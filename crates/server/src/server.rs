@@ -82,8 +82,9 @@ pub struct ServerConfig {
     /// How long [`Server::shutdown`] waits for sessions to drain.
     pub drain_timeout: Duration,
     /// Engine-cluster configuration: `cluster.replicas` engines serve this
-    /// one wire endpoint (1 = the classic single-engine frontend). See
-    /// [`shareddb_cluster::ClusterConfig`] for the hot-type thresholds.
+    /// one wire endpoint (1 = the classic single-engine frontend);
+    /// `cluster.replicate_statements` names the query types spread over
+    /// them. Every route is fixed at start.
     pub cluster: ClusterConfig,
     /// Durability directory. `Some(dir)` makes the server crash-consistent:
     /// on startup it recovers the catalog from `dir` (checkpoint + committed

@@ -51,7 +51,6 @@ fn start_cluster(replicas: usize, replicate: &[&str]) -> Server {
             cluster: ClusterConfig {
                 replicas,
                 replicate_statements: replicate.iter().map(|s| s.to_string()).collect(),
-                ..ClusterConfig::default()
             },
             ..ServerConfig::default()
         },
@@ -115,7 +114,6 @@ fn replicated_corpus_matches_single_replica() {
         let config = ClusterConfig {
             replicas,
             replicate_statements: cases.iter().map(|c| c.name.clone()).collect(),
-            ..ClusterConfig::default()
         };
         ClusterEngine::start(catalog, plan, registry, EngineConfig::default(), config).unwrap()
     };
@@ -190,7 +188,6 @@ fn attribution_merge_is_replica_count_invariant() {
             ClusterConfig {
                 replicas,
                 replicate_statements: vec!["getItem".into()],
-                ..ClusterConfig::default()
             },
         )
         .unwrap();

@@ -216,7 +216,6 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     let replicated = ClusterConfig {
         replicas: 4,
         replicate_statements: pages.iter().map(|(s, _)| s.to_string()).collect(),
-        ..ClusterConfig::default()
     };
     let cluster = ClusterEngine::start(
         Arc::clone(&catalog),

@@ -1090,7 +1090,6 @@ fn pipelined_replies(replicas: usize, ending: Ending) {
         cluster: ClusterConfig {
             replicas,
             replicate_statements: vec!["getItemById".into()],
-            ..ClusterConfig::default()
         },
         ..ServerConfig::default()
     };
@@ -1222,7 +1221,6 @@ fn drain_under_a_pipelining_client(replicas: usize) {
         cluster: ClusterConfig {
             replicas,
             replicate_statements: vec!["itemsCheaperThan".into()],
-            ..ClusterConfig::default()
         },
         ..ServerConfig::default()
     };
@@ -1425,4 +1423,96 @@ fn operations_doc_wire_table_matches_the_protocol() {
             "{frame:?} ({opcode:#x}) is not in the table"
         );
     }
+}
+
+/// Every `EngineConfig::x`, `ServerConfig::x` and `ClusterConfig::x` that
+/// `README.md` or `docs/*.md` names is a field of that type (read from the
+/// `Debug` output of its default) or one of its constructors and builder
+/// methods: a knob that went may not live on in the documents.
+#[test]
+fn config_fields_the_docs_name_exist() {
+    use shareddb::cluster::ClusterConfig;
+    // Naming the constructors keeps the lists below honest: one that goes
+    // fails to compile here.
+    let _ = (
+        EngineConfig::default,
+        EngineConfig::with_cores,
+        EngineConfig::slow_query,
+        ServerConfig::default,
+        ClusterConfig::default,
+        ClusterConfig::with_replicas,
+    );
+    let types = [
+        (
+            "EngineConfig",
+            format!("{:?}", EngineConfig::default()),
+            &["default", "with_cores", "slow_query"][..],
+        ),
+        (
+            "ServerConfig",
+            format!("{:?}", ServerConfig::default()),
+            &["default"][..],
+        ),
+        (
+            "ClusterConfig",
+            format!("{:?}", ClusterConfig::default()),
+            &["default", "with_replicas"][..],
+        ),
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths = vec![root.join("README.md")];
+    for entry in std::fs::read_dir(root.join("docs")).expect("docs/") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "md") {
+            paths.push(path);
+        }
+    }
+    let mut checked = 0;
+    for path in &paths {
+        let text = std::fs::read_to_string(path).unwrap();
+        for (name, debug, constructors) in &types {
+            let fields = debug_fields(debug);
+            let prefix = format!("{name}::");
+            for (at, _) in text.match_indices(&prefix) {
+                if text[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+                    continue; // a longer type name ending in this one
+                }
+                let rest = &text[at + prefix.len()..];
+                let end = rest
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .unwrap_or(rest.len());
+                let member = &rest[..end];
+                assert!(
+                    fields.contains(&member) || constructors.contains(&member),
+                    "{} names {name}::{member}, which is neither a field of {debug} \
+                     nor a constructor",
+                    path.display()
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "the documents name no config field");
+}
+
+/// The top-level field names of a struct's `Debug` output.
+fn debug_fields(debug: &str) -> Vec<&str> {
+    let body = &debug[debug.find('{').expect("a struct") + 1..];
+    let (mut depth, mut quoted, mut start) = (0i32, false, 0);
+    let mut fields = Vec::new();
+    for (i, c) in body.char_indices() {
+        match c {
+            '"' => quoted = !quoted,
+            _ if quoted => {}
+            '{' | '[' | '(' => depth += 1,
+            '}' | ']' | ')' if depth > 0 => depth -= 1,
+            ':' if depth == 0 && start <= i => {
+                fields.push(body[start..i].trim());
+                start = usize::MAX;
+            }
+            ',' if depth == 0 => start = i + 1,
+            _ => {}
+        }
+    }
+    fields
 }

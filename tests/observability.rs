@@ -492,7 +492,6 @@ fn slow_query_records_carry_replica() {
             cluster: ClusterConfig {
                 replicas: 3,
                 replicate_statements: vec!["getItem".into()],
-                ..ClusterConfig::default()
             },
             ..ServerConfig::default()
         },
@@ -1377,7 +1376,6 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
         cluster: ClusterConfig {
             replicas: 2,
             replicate_statements: vec!["getItemById".into(), "getBestSellers".into()],
-            ..ClusterConfig::default()
         },
         ..ServerConfig::default()
     };
