@@ -15,10 +15,13 @@
 //!   [`value`].
 //! * [`ids`] — strongly-typed identifiers (queries, tables, clients, ...).
 //! * [`metrics`] — lock-free histograms, counters, gauges and registries.
+//! * [`codec`] — the byte codec of values, shared by the wire protocol and
+//!   the write-ahead log.
 //! * [`crc32`](mod@crc32) — hand-rolled CRC-32 for the WAL / checkpoint on-disk framing.
 //! * [`error`] — the common error type.
 
 pub mod agg;
+pub mod codec;
 pub mod crc32;
 pub mod error;
 pub mod expr;

@@ -11,7 +11,8 @@
 //! global plan's Γ(query_id) router.
 //!
 //! * [`protocol`] — the length-prefixed binary wire protocol (frame formats,
-//!   value encoding, error codes, the incremental [`protocol::FrameDecoder`]).
+//!   error codes, the incremental [`protocol::FrameDecoder`]; values go
+//!   through [`shareddb_common::codec`], which the WAL shares).
 //! * [`server`] — the single-threaded readiness reactor (epoll), admission
 //!   control and graceful drain.
 //!

@@ -4,7 +4,10 @@
 //!
 //! Every frame is `u32 length (LE) | u8 opcode | body`; the length counts the
 //! opcode byte plus the body. Integers are little-endian; strings are
-//! `u32 length | UTF-8 bytes`; values are tagged (see [`encode_value`]).
+//! `u32 length | UTF-8 bytes`; values are a tag byte and their data, and
+//! `values` a `u32` count of them. These primitives are
+//! [`shareddb_common::codec`], the one value codec of the workspace: the
+//! write-ahead log stores its records with it too.
 //!
 //! ## Frames
 //!
@@ -38,6 +41,9 @@
 //! (error code [`error_codes::OVERLOADED`]): the statement was *not* admitted
 //! and the client may back off and retry.
 
+use shareddb_common::codec::{
+    malformed, put_string, put_u16, put_u32, put_u64, put_u8, put_values, Cursor,
+};
 use shareddb_common::{Column, DataType, Error, Result, Tuple, Value};
 use std::io::{Read, Write};
 
@@ -194,58 +200,6 @@ pub enum Frame {
     },
 }
 
-// ---------------------------------------------------------------------------
-// Primitive encoding
-// ---------------------------------------------------------------------------
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Appends the tagged encoding of one [`Value`].
-pub fn encode_value(buf: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Null => put_u8(buf, 0),
-        Value::Int(v) => {
-            put_u8(buf, 1);
-            put_u64(buf, *v as u64);
-        }
-        Value::Float(v) => {
-            put_u8(buf, 2);
-            put_u64(buf, v.to_bits());
-        }
-        Value::Text(s) => {
-            put_u8(buf, 3);
-            put_string(buf, s);
-        }
-        Value::Bool(b) => {
-            put_u8(buf, 4);
-            put_u8(buf, *b as u8);
-        }
-        Value::Date(v) => {
-            put_u8(buf, 5);
-            put_u64(buf, *v as u64);
-        }
-    }
-}
-
 fn data_type_tag(dt: DataType) -> u8 {
     match dt {
         DataType::Int => 1,
@@ -265,83 +219,6 @@ fn data_type_from_tag(tag: u8) -> Result<DataType> {
         5 => DataType::Date,
         other => return Err(malformed(format!("bad data type tag {other}"))),
     })
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-fn malformed(msg: impl Into<String>) -> Error {
-    Error::Io(format!("malformed frame: {}", msg.into()))
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(malformed("truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("invalid utf-8"))
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.u64()? as i64),
-            2 => Value::Float(f64::from_bits(self.u64()?)),
-            3 => Value::text(self.string()?),
-            4 => Value::Bool(self.u8()? != 0),
-            5 => Value::Date(self.u64()? as i64),
-            other => return Err(malformed(format!("bad value tag {other}"))),
-        })
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(self.value()?);
-        }
-        Ok(out)
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(malformed("trailing bytes"));
-        }
-        Ok(())
-    }
-}
-
-fn put_values<'a>(buf: &mut Vec<u8>, values: impl ExactSizeIterator<Item = &'a Value>) {
-    put_u32(buf, values.len() as u32);
-    for v in values {
-        encode_value(buf, v);
-    }
 }
 
 /// Opcode of [`Frame::ResultChunk`].
@@ -514,7 +391,7 @@ impl Frame {
 
     /// Decodes a frame body (the bytes after the length prefix).
     pub fn decode(body: &[u8]) -> Result<Frame> {
-        let mut c = Cursor { buf: body, pos: 0 };
+        let mut c = Cursor::new(body);
         let opcode = c.u8()?;
         let frame = match opcode {
             0x01 => Frame::Hello {

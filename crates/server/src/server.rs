@@ -96,7 +96,7 @@ pub struct ServerConfig {
     /// When to fsync the WAL (only meaningful with `data_dir`). See
     /// [`shareddb_storage::SyncPolicy`]: `Always` makes every acked update
     /// survive `kill -9` *and* power loss; `EveryBatch` (default) survives
-    /// process crashes; `Interval` bounds power-loss exposure by time.
+    /// process crashes.
     pub wal_sync: SyncPolicy,
 }
 

@@ -9,7 +9,8 @@ use crate::mvcc::{Snapshot, SnapshotPin, TimestampOracle};
 use crate::table::{IndexKind, Table};
 use crate::update::{apply_update, UpdateOp, UpdateResult};
 use crate::wal::{
-    committed_ops, encode_frame, scan_frames, FileSink, LogRecord, TornTail, Wal, WalSink as _,
+    committed_ops, put_frame, put_insert, put_record, scan_frames, FileSink, LogRecord, TornTail,
+    Wal, WalSink as _,
 };
 use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
@@ -271,36 +272,25 @@ impl Catalog {
         let mut rows = 0usize;
         {
             let mut sink = FileSink::create(&tmp)?;
-            let mut lsn = 0u64;
-            let mut append = |sink: &mut FileSink, record: &LogRecord| -> Result<()> {
+            let (mut frame, mut lsn) = (Vec::new(), 0u64);
+            let mut append = |payload: &dyn Fn(&mut Vec<u8>)| {
+                frame.clear();
                 lsn += 1;
-                sink.append(&encode_frame(lsn, record))
+                put_frame(&mut frame, lsn, payload);
+                sink.append(&frame)
             };
-            append(
-                &mut sink,
-                &LogRecord::CheckpointMeta {
-                    ts: snapshot.ts,
-                    wal_lsn,
-                },
-            )?;
-            append(&mut sink, &LogRecord::BeginBatch(snapshot.ts))?;
+            let ts = snapshot.ts;
+            append(&|buf| put_record(buf, &LogRecord::CheckpointMeta { ts, wal_lsn }))?;
+            append(&|buf| put_record(buf, &LogRecord::BeginBatch(ts)))?;
             for name in self.table_names() {
                 let handle = self.table(&name)?;
                 let table = handle.read();
                 for (_, row) in table.scan(*snapshot) {
-                    append(
-                        &mut sink,
-                        &LogRecord::Apply {
-                            table: name.clone(),
-                            op: UpdateOp::Insert {
-                                values: row.clone(),
-                            },
-                        },
-                    )?;
+                    append(&|buf| put_insert(buf, &name, row))?;
                     rows += 1;
                 }
             }
-            append(&mut sink, &LogRecord::CommitBatch(snapshot.ts))?;
+            append(&|buf| put_record(buf, &LogRecord::CommitBatch(ts)))?;
             sink.sync()?;
         }
         let path = dir.join(CHECKPOINT_FILE);
@@ -319,11 +309,12 @@ impl Catalog {
     /// WAL, a checkpoint is written atomically, so corruption here is an
     /// error, never silently truncated. Rows restore at timestamp 0 (visible
     /// to every snapshot); the returned info carries the checkpoint's
-    /// snapshot timestamp for WAL-tail filtering.
+    /// snapshot timestamp for WAL-tail filtering. A checkpoint of another
+    /// format version is refused as such.
     pub fn restore_checkpoint(&self, path: impl AsRef<Path>) -> Result<CheckpointInfo> {
         let path = path.as_ref();
         let bytes = std::fs::read(path)?;
-        let scan = scan_frames(&bytes);
+        let scan = scan_frames(&bytes)?;
         if let Some(torn) = scan.torn {
             return Err(Error::Recovery(format!(
                 "corrupt checkpoint {} at byte {}: {}",
@@ -509,6 +500,7 @@ impl std::fmt::Debug for Catalog {
 mod tests {
     use super::*;
     use crate::update::AccessPath;
+    use crate::wal::MAX_EXPR_DEPTH;
     use proptest::prelude::*;
     use proptest::TestRng;
     use shareddb_common::{tuple, Expr, Value};
@@ -604,7 +596,10 @@ mod tests {
 
     /// One bad write fails alone: its batch-mates commit, become visible with
     /// the batch's own timestamp, are the only ops in the WAL, and nothing of
-    /// the failed op surfaces later or after a restart.
+    /// the failed op surfaces later or after a restart. Bad includes what the
+    /// log could not replay: an assignment to a column the table lacks, a
+    /// predicate nested one level past the log's bound (one at the bound is
+    /// logged and replayed).
     #[test]
     fn failed_op_neither_poisons_nor_leaks() {
         let dir = temp_data_dir("poison");
@@ -614,6 +609,17 @@ mod tests {
         let insert = |id: i64, title: &str| {
             let values = tuple![id, title, 1.0f64];
             ("ITEM".to_string(), UpdateOp::Insert { values })
+        };
+        // `I_ID = -1` under an even number of NOTs: `depth` nodes deep,
+        // matching no row.
+        let delete_nested = |depth: usize| {
+            let no_row = Expr::col(0).eq(Expr::lit(-1i64));
+            let predicate = (2..depth).fold(no_row, |e, _| e.not());
+            ("ITEM".to_string(), UpdateOp::Delete { predicate })
+        };
+        let set_column_9 = UpdateOp::Update {
+            assignments: vec![(9, Expr::lit(0i64))],
+            predicate: Expr::lit(true),
         };
         let results = catalog
             .apply_batch(&[
@@ -626,13 +632,18 @@ mod tests {
                         predicate: Expr::col(1).like(Expr::col(0)),
                     },
                 ),
+                ("ITEM".into(), set_column_9),
+                delete_nested(MAX_EXPR_DEPTH + 1),
+                delete_nested(MAX_EXPR_DEPTH),
                 insert(2, "second"),
             ])
             .unwrap();
         let ok: Vec<bool> = results.iter().map(Result::is_ok).collect();
-        assert_eq!(ok, [true, false, false, false, true]);
+        assert_eq!(ok, [true, false, false, false, false, false, true, true]);
         assert!(matches!(results[1], Err(Error::ConstraintViolation(_))));
         assert!(matches!(results[2], Err(Error::UnknownTable(_))));
+        assert!(matches!(results[4], Err(Error::InvalidParameter(_))));
+        assert!(matches!(results[5], Err(Error::Unsupported(_))));
         let visible = |c: &Catalog| {
             let table = c.table("ITEM").unwrap();
             let t = table.read();
@@ -658,7 +669,7 @@ mod tests {
         let reborn = Catalog::new();
         reborn.create_table(item_def()).unwrap();
         let report = reborn.recover(&dir).unwrap();
-        assert_eq!(report.replayed_ops, 2);
+        assert_eq!(report.replayed_ops, 3);
         assert_eq!(visible(&reborn), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }

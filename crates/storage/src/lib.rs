@@ -49,5 +49,5 @@ pub use update::{AccessPath, UpdateOp, UpdateResult};
 pub use wal::{
     scan_frames, CountingSink, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink, SyncPolicy,
     TornTail, Wal, WalScan, WalSink, WalStatsSnapshot, FRAME_HEADER_LEN, FRAME_MAGIC,
-    WAL_FORMAT_VERSION,
+    MAX_EXPR_DEPTH, WAL_FORMAT_VERSION,
 };

@@ -7,6 +7,7 @@
 
 use crate::mvcc::Snapshot;
 use crate::table::{grams, index_keys, IndexKind, RowId, Table};
+use crate::wal::{nests_within, MAX_EXPR_DEPTH};
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{hash_words, BinaryOp, DataType, Error, Expr, Result, Tuple, Value};
 use std::ops::Bound;
@@ -370,7 +371,9 @@ impl AccessPath {
 /// has a primary key or secondary index behind it — one for a primary-key
 /// match, the key's live versions for a secondary index — and O(versions of
 /// the table, dead ones included) without. A predicate that fails to
-/// evaluate on a candidate fails the operation.
+/// evaluate on a candidate fails the operation, and so does one the log
+/// could not replay: an assignment to a column the table lacks, or an
+/// expression nested deeper than [`MAX_EXPR_DEPTH`].
 pub(crate) fn apply_update(
     table: &mut Table,
     update: &UpdateOp,
@@ -403,7 +406,7 @@ fn apply_update_via(
     commit_ts: Timestamp,
     choose: fn(&Table, &Expr) -> AccessPath,
 ) -> Result<UpdateResult> {
-    let predicate = match update {
+    let (assignments, predicate) = match update {
         UpdateOp::Insert { values } => {
             table.insert(values.clone(), commit_ts)?;
             return Ok(UpdateResult {
@@ -411,8 +414,27 @@ fn apply_update_via(
                 rows_examined: 0,
             });
         }
-        UpdateOp::Update { predicate, .. } | UpdateOp::Delete { predicate } => predicate,
+        UpdateOp::Update {
+            assignments,
+            predicate,
+        } => (Some(assignments), predicate),
+        UpdateOp::Delete { predicate } => (None, predicate),
     };
+    let arity = table.schema().len();
+    if let Some((column, _)) = assignments.into_iter().flatten().find(|(c, _)| *c >= arity) {
+        return Err(Error::InvalidParameter(format!(
+            "assignment to column {column} of a table with {arity} columns"
+        )));
+    }
+    let exprs = assignments.into_iter().flatten().map(|(_, e)| e);
+    if !exprs
+        .chain([predicate])
+        .all(|e| nests_within(e, MAX_EXPR_DEPTH))
+    {
+        return Err(Error::Unsupported(format!(
+            "an expression nested deeper than {MAX_EXPR_DEPTH} levels cannot be logged"
+        )));
+    }
     // Collect matching live rows first (borrow rules: select immutably, then
     // mutate).
     let candidates = choose(table, predicate).candidates(table);
@@ -424,7 +446,7 @@ fn apply_update_via(
         }
     }
     let rows_affected = matching.len();
-    if let UpdateOp::Update { assignments, .. } = update {
+    if let Some(assignments) = assignments {
         let mut updates = Vec::with_capacity(matching.len());
         for rid in matching {
             let old_row = table.row(rid).expect("candidate exists").values();

@@ -10,39 +10,35 @@
 //!
 //! ## On-disk format
 //!
-//! Every record is wrapped in a **frame** (all integers little-endian):
+//! Every record is a **frame**: a 22-byte header (magic `SDBW`, format
+//! version, payload length, LSN, CRC-32 — the reflected IEEE CRC of
+//! [`shareddb_common::crc32`](mod@shareddb_common::crc32) over the version,
+//! length, LSN and payload), then the payload: a record tag byte and the
+//! record's fields in the value codec the wire protocol speaks too
+//! ([`shareddb_common::codec`]), expressions a tag byte per node in prefix
+//! order. A reader scans frames sequentially and **truncates at the first
+//! torn or corrupt frame** (short header, bad magic, short payload, CRC
+//! mismatch, non-monotone LSN, undecodable payload): everything before that
+//! offset is valid, everything after is discarded — recovery never errors
+//! on a tail the crash tore. An intact frame of another format version is
+//! refused instead: another build wrote the file, and cutting it would
+//! throw its log away. [`committed_ops`] then drops the last batch if its
+//! `COMMIT` marker is missing, so a partially-framed group commit is never
+//! replayed.
 //!
-//! ```text
-//! offset  size  field
-//! 0       4     magic          b"SDBW" (0x53 0x44 0x42 0x57)
-//! 4       2     format version u16, currently 1
-//! 6       4     payload length u32
-//! 10      8     LSN            u64, strictly monotone within a file
-//! 18      4     CRC-32         over bytes 4..18 and the payload
-//! 22      n     payload        UTF-8 record encoding (see below)
-//! ```
-//!
-//! The CRC is the reflected IEEE CRC-32 of
-//! [`shareddb_common::crc32`](mod@shareddb_common::crc32). A reader scans frames sequentially and **truncates at the first torn or
-//! corrupt frame** (short header, bad magic, unknown version, short payload,
-//! CRC mismatch, undecodable payload, or non-monotone LSN): everything before
-//! that offset is valid, everything after is discarded — recovery never
-//! errors on a tail the crash tore. [`committed_ops`] then additionally drops
-//! the last batch if its `COMMIT` marker is missing, so a partially-framed
-//! group commit is never replayed.
-//!
-//! The byte-level specification (field tables, CRC coverage, payload
-//! grammar, durability matrix) lives in `docs/WAL_FORMAT.md`; the constants
-//! there are asserted against [`FRAME_MAGIC`] / [`WAL_FORMAT_VERSION`] by
-//! `tests/recovery.rs`.
+//! The byte-level specification (field and tag tables, the nesting bound,
+//! durability matrix) lives in `docs/WAL_FORMAT.md`; its constants and tag
+//! bytes are asserted against the encoder by `tests/recovery.rs`.
 
 use crate::update::UpdateOp;
 use parking_lot::Mutex;
+use shareddb_common::codec::{
+    encode_value, malformed, put_string, put_u16, put_u32, put_u64, put_u8, put_values, Cursor,
+};
 use shareddb_common::crc32::Crc32;
 use shareddb_common::ids::Timestamp;
 use shareddb_common::metrics::{Counter, Histogram, HistogramSnapshot};
-use shareddb_common::{BinaryOp, Error, Expr, Result, Tuple, UnaryOp, Value};
-use std::fmt::Write as _;
+use shareddb_common::{BinaryOp, Error, Expr, Result, Tuple, UnaryOp};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -50,14 +46,20 @@ use std::time::Instant;
 
 /// Magic bytes opening every frame: `SDBW`.
 pub const FRAME_MAGIC: [u8; 4] = *b"SDBW";
-/// Current frame format version.
-pub const WAL_FORMAT_VERSION: u16 = 1;
+/// Current frame format version: 2 since the payload became binary.
+pub const WAL_FORMAT_VERSION: u16 = 2;
 /// Fixed frame-header size in bytes (magic + version + length + LSN + CRC).
 pub const FRAME_HEADER_LEN: usize = 22;
 /// Upper bound on a single frame payload; larger declared lengths are treated
 /// as corruption (a bit flip in the length field must not make the reader
 /// attempt a multi-gigabyte allocation).
 pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
+/// Deepest expression a record may hold, counted in nodes from the root to
+/// a leaf: the decoder refuses anything deeper, so hostile bytes cannot
+/// recurse it off its stack, and an UPDATE or DELETE nesting deeper fails
+/// before it writes or is logged, so the log never holds what it cannot
+/// read back.
+pub const MAX_EXPR_DEPTH: usize = 256;
 
 /// One record of the write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,23 +95,28 @@ pub enum LogRecord {
 
 /// Encodes one record as a self-checking frame.
 pub fn encode_frame(lsn: u64, record: &LogRecord) -> Vec<u8> {
-    frame(lsn, &encode_record(record))
+    let mut buf = Vec::new();
+    put_frame(&mut buf, lsn, |buf| put_record(buf, record));
+    buf
 }
 
-/// The self-checking frame around one record's payload text.
-fn frame(lsn: u64, payload: &str) -> Vec<u8> {
-    let payload = payload.as_bytes();
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&lsn.to_le_bytes());
+/// Appends the self-checking frame of one record to `buf`: the header is
+/// reserved, `payload` writes the record in place behind it, then the
+/// payload's length and the CRC are patched in.
+pub(crate) fn put_frame(buf: &mut Vec<u8>, lsn: u64, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&FRAME_MAGIC);
+    put_u16(buf, WAL_FORMAT_VERSION);
+    put_u32(buf, 0); // the length, once it is known
+    put_u64(buf, lsn);
+    put_u32(buf, 0); // the CRC, once the payload is written
+    payload(buf);
+    let len = (buf.len() - start - FRAME_HEADER_LEN) as u32;
+    buf[start + 6..start + 10].copy_from_slice(&len.to_le_bytes());
     let mut crc = Crc32::new();
-    crc.update(&out[4..18]);
-    crc.update(payload);
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    crc.update(&buf[start + 4..start + 18]);
+    crc.update(&buf[start + FRAME_HEADER_LEN..]);
+    buf[start + 18..start + FRAME_HEADER_LEN].copy_from_slice(&crc.finish().to_le_bytes());
 }
 
 /// What [`FileSink::recover`] hands back: the valid `(lsn, record)` prefix,
@@ -141,17 +148,15 @@ impl WalScan {
     pub fn into_records(self) -> Vec<LogRecord> {
         self.records.into_iter().map(|(_, r)| r).collect()
     }
-
-    /// The next LSN to append with (one past the largest valid LSN).
-    pub fn next_lsn(&self) -> u64 {
-        self.records.last().map_or(1, |(lsn, _)| lsn + 1)
-    }
 }
 
-/// Scans a byte slice of frames, stopping (never erroring) at the first torn
-/// or corrupt frame. This is the torn-tail truncation primitive: recovery
-/// keeps `bytes[..valid_len]` and discards the rest.
-pub fn scan_frames(bytes: &[u8]) -> WalScan {
+/// Scans a byte slice of frames, stopping at the first torn or corrupt
+/// frame. This is the torn-tail truncation primitive: recovery keeps
+/// `bytes[..valid_len]` and discards the rest. The one error is an intact
+/// frame of another format version — another build wrote the file, and
+/// nothing may be cut then. Every version shares the header and its CRC
+/// coverage, so a damaged version field is a CRC mismatch, a torn tail.
+pub fn scan_frames(bytes: &[u8]) -> Result<WalScan> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     let mut last_lsn = 0u64;
@@ -170,10 +175,6 @@ pub fn scan_frames(bytes: &[u8]) -> WalScan {
         if rest[0..4] != FRAME_MAGIC {
             break Some(cut("bad frame magic"));
         }
-        let version = u16::from_le_bytes([rest[4], rest[5]]);
-        if version != WAL_FORMAT_VERSION {
-            break Some(cut("unknown frame format version"));
-        }
         let len = u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]);
         if len > MAX_FRAME_PAYLOAD {
             break Some(cut("implausible payload length"));
@@ -191,14 +192,18 @@ pub fn scan_frames(bytes: &[u8]) -> WalScan {
         if crc.finish() != stored_crc {
             break Some(cut("CRC mismatch"));
         }
+        // Intact by its CRC, which covers the version: another build wrote it.
+        let version = u16::from_le_bytes([rest[4], rest[5]]);
+        if version != WAL_FORMAT_VERSION {
+            return Err(Error::Recovery(format!(
+                "the frame at byte {offset} is of format version {version}; this build reads \
+                 version {WAL_FORMAT_VERSION} only"
+            )));
+        }
         if lsn <= last_lsn {
             break Some(cut("non-monotone LSN"));
         }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => break Some(cut("payload is not UTF-8")),
-        };
-        let record = match decode_record(text) {
+        let record = match get_record(&mut Cursor::new(payload)) {
             Ok(r) => r,
             Err(_) => break Some(cut("undecodable record payload")),
         };
@@ -206,11 +211,11 @@ pub fn scan_frames(bytes: &[u8]) -> WalScan {
         records.push((lsn, record));
         offset += FRAME_HEADER_LEN + len;
     };
-    WalScan {
+    Ok(WalScan {
         records,
         valid_len: offset as u64,
         torn,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -243,24 +248,12 @@ pub trait WalSink: Send {
 #[derive(Debug, Default)]
 pub struct CountingSink {
     bytes: u64,
-    flushes: usize,
-    syncs: usize,
 }
 
 impl CountingSink {
     /// Frame bytes appended so far.
     pub fn appended_bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Number of flush calls.
-    pub fn flush_count(&self) -> usize {
-        self.flushes
-    }
-
-    /// Number of sync calls.
-    pub fn sync_count(&self) -> usize {
-        self.syncs
     }
 }
 
@@ -270,23 +263,15 @@ impl WalSink for CountingSink {
         Ok(())
     }
     fn flush(&mut self) -> Result<()> {
-        self.flushes += 1;
-        Ok(())
-    }
-    fn sync(&mut self) -> Result<()> {
-        self.flushes += 1;
-        self.syncs += 1;
         Ok(())
     }
 }
 
 /// A sink that keeps frames in memory, for ever: for tests and benchmarks
-/// that read the records back, not for a server (see [`CountingSink`]).
+/// that read the bytes back, not for a server (see [`CountingSink`]).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     bytes: Vec<u8>,
-    flushes: usize,
-    syncs: usize,
 }
 
 impl MemorySink {
@@ -295,24 +280,9 @@ impl MemorySink {
         Self::default()
     }
 
-    /// Decodes the records appended so far.
-    pub fn records(&self) -> Vec<LogRecord> {
-        scan_frames(&self.bytes).into_records()
-    }
-
     /// The raw frame bytes appended so far.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Number of flush calls (used to test group commit).
-    pub fn flush_count(&self) -> usize {
-        self.flushes
-    }
-
-    /// Number of sync calls (used to test sync policies).
-    pub fn sync_count(&self) -> usize {
-        self.syncs
     }
 }
 
@@ -322,12 +292,6 @@ impl WalSink for MemorySink {
         Ok(())
     }
     fn flush(&mut self) -> Result<()> {
-        self.flushes += 1;
-        Ok(())
-    }
-    fn sync(&mut self) -> Result<()> {
-        self.flushes += 1;
-        self.syncs += 1;
         Ok(())
     }
     fn retained_bytes(&self) -> usize {
@@ -359,15 +323,17 @@ impl FileSink {
 
     /// Reads all valid records back from a log file. A torn or corrupt tail
     /// is silently dropped (the truncation rule); only real I/O failures
-    /// (missing file, permission) error.
+    /// (missing file, permission) and a frame of another format version
+    /// error.
     pub fn read_all(path: impl AsRef<Path>) -> Result<Vec<LogRecord>> {
         let bytes = std::fs::read(path.as_ref())?;
-        Ok(scan_frames(&bytes).into_records())
+        Ok(scan_frames(&bytes)?.into_records())
     }
 
     /// Recovery open: scans the file, **physically truncates** it at the
     /// first torn/corrupt frame so later appends continue from a clean tail,
-    /// and returns the valid records plus the next LSN to append with.
+    /// and returns the valid records plus the next LSN to append with. A
+    /// frame of another format version fails it, the file untouched.
     pub fn recover(path: impl AsRef<Path>) -> Result<RecoveredLog> {
         let path = path.as_ref();
         let bytes = match std::fs::read(path) {
@@ -375,13 +341,13 @@ impl FileSink {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
-        let scan = scan_frames(&bytes);
+        let scan = scan_frames(&bytes)?;
         if scan.valid_len < bytes.len() as u64 {
             let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(scan.valid_len)?;
             file.sync_data()?;
         }
-        let next_lsn = scan.next_lsn();
+        let next_lsn = scan.records.last().map_or(1, |(lsn, _)| lsn + 1);
         Ok((scan.records, next_lsn, scan.torn))
     }
 }
@@ -417,9 +383,7 @@ pub struct FaultConfig {
 }
 
 /// A [`WalSink`] wrapper that injects write faults (partial write, bit flip)
-/// into the frame stream before it reaches the inner sink. The read-side
-/// fault — a short read — is modelled by [`FaultSink::short_read`], which
-/// scans only a prefix of a log file.
+/// into the frame stream before it reaches the inner sink.
 pub struct FaultSink {
     inner: Box<dyn WalSink>,
     config: FaultConfig,
@@ -434,13 +398,6 @@ impl FaultSink {
             config,
             written: 0,
         }
-    }
-
-    /// Scans at most `limit` bytes of a log file — a short read of the tail.
-    pub fn short_read(path: impl AsRef<Path>, limit: u64) -> Result<WalScan> {
-        let mut bytes = std::fs::read(path.as_ref())?;
-        bytes.truncate(limit as usize);
-        Ok(scan_frames(&bytes))
     }
 }
 
@@ -489,13 +446,6 @@ pub enum SyncPolicy {
     /// survive a process crash (`kill -9`) but the tail may be lost on
     /// kernel panic or power loss.
     EveryBatch,
-    /// Like `EveryBatch`, plus an fsync at most once per interval: bounds
-    /// power-loss exposure to the interval without paying an fsync per
-    /// heartbeat.
-    Interval {
-        /// Maximum milliseconds between fsyncs.
-        ms: u64,
-    },
 }
 
 /// Point-in-time view of the WAL's counters and histograms, rendered at
@@ -529,7 +479,6 @@ struct WalInner {
     sink: Box<dyn WalSink>,
     next_lsn: u64,
     sync_policy: SyncPolicy,
-    last_sync: Instant,
 }
 
 /// The write-ahead log: wraps a sink and provides batch-granular appends
@@ -548,7 +497,6 @@ impl Wal {
                 sink,
                 next_lsn: 1,
                 sync_policy: SyncPolicy::EveryBatch,
-                last_sync: Instant::now(),
             }),
             stats: WalStats::default(),
         }
@@ -586,46 +534,40 @@ impl Wal {
     }
 
     /// [`Wal::log_batch`] over `(table, operation)` pairs wherever they lie:
-    /// each is encoded from there — a [`LogRecord::Apply`] would own a copy
-    /// of the table's name and of the operation.
+    /// each is encoded from there, straight into the batch's frames — a
+    /// [`LogRecord::Apply`] would own a copy of the table's name and of the
+    /// operation.
     pub(crate) fn log_ops<'a>(
         &self,
         ts: Timestamp,
         ops: impl Iterator<Item = (&'a str, &'a UpdateOp)>,
     ) -> Result<()> {
         let mut inner = self.inner.lock();
-        let mut bytes = 0u64;
-        let mut append = |inner: &mut WalInner, payload: String| -> Result<()> {
-            let lsn = inner.next_lsn;
-            let frame = frame(lsn, &payload);
-            inner.sink.append(&frame)?;
-            inner.next_lsn = lsn + 1;
-            bytes += frame.len() as u64;
-            Ok(())
-        };
-        append(&mut inner, encode_record(&LogRecord::BeginBatch(ts)))?;
+        let mut frames = Vec::new();
+        let mut lsn = inner.next_lsn;
+        put_frame(&mut frames, lsn, |buf| {
+            put_record(buf, &LogRecord::BeginBatch(ts))
+        });
         let mut logged = 0;
         for (table, op) in ops {
-            append(&mut inner, encode_apply(table, op))?;
+            lsn += 1;
+            put_frame(&mut frames, lsn, |buf| put_apply(buf, table, op));
             logged += 1;
         }
-        append(&mut inner, encode_record(&LogRecord::CommitBatch(ts)))?;
+        lsn += 1;
+        put_frame(&mut frames, lsn, |buf| {
+            put_record(buf, &LogRecord::CommitBatch(ts))
+        });
+        inner.sink.append(&frames)?;
+        inner.next_lsn = lsn + 1;
         inner.sink.flush()?;
-        let need_sync = match inner.sync_policy {
-            SyncPolicy::Always => true,
-            SyncPolicy::EveryBatch => false,
-            SyncPolicy::Interval { ms } => {
-                inner.last_sync.elapsed() >= std::time::Duration::from_millis(ms)
-            }
-        };
-        if need_sync {
+        if inner.sync_policy == SyncPolicy::Always {
             let started = Instant::now();
             inner.sink.sync()?;
-            inner.last_sync = Instant::now();
             self.stats.fsync_us.record(started.elapsed());
             self.stats.syncs.inc();
         }
-        self.stats.appended_bytes.add(bytes);
+        self.stats.appended_bytes.add(frames.len() as u64);
         self.stats.group_commit_size.record_us(logged);
         self.stats.batches.inc();
         Ok(())
@@ -636,7 +578,6 @@ impl Wal {
         let mut inner = self.inner.lock();
         let started = Instant::now();
         inner.sink.sync()?;
-        inner.last_sync = Instant::now();
         self.stats.fsync_us.record(started.elapsed());
         self.stats.syncs.inc();
         Ok(())
@@ -694,442 +635,282 @@ pub fn committed_ops(records: &[LogRecord]) -> Vec<(Timestamp, Vec<(String, Upda
 }
 
 // ---------------------------------------------------------------------------
-// Textual payload encoding
+// Binary payload encoding
 // ---------------------------------------------------------------------------
 
-fn encode_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push('N'),
-        Value::Int(i) => {
-            let _ = write!(out, "I{i}");
+/// Record tags: the first byte of a payload.
+const BEGIN: u8 = 1;
+const COMMIT: u8 = 2;
+const CHECKPOINT: u8 = 3;
+const INSERT: u8 = 4;
+const UPDATE: u8 = 5;
+const DELETE: u8 = 6;
+
+/// Expression node tags: the first byte of every node.
+const COLUMN: u8 = 0;
+const NAMED_COLUMN: u8 = 1;
+const LITERAL: u8 = 2;
+const PARAM: u8 = 3;
+const BINARY: u8 = 4;
+const UNARY: u8 = 5;
+const LIKE: u8 = 6;
+const IN_LIST: u8 = 7;
+const BETWEEN: u8 = 8;
+
+/// A binary operator is logged as its index here.
+const BINARY_OPS: [BinaryOp; 12] = {
+    use BinaryOp::*;
+    [Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or, Add, Sub, Mul, Div]
+};
+
+/// A unary operator is logged as its index here.
+const UNARY_OPS: [UnaryOp; 4] = {
+    use UnaryOp::*;
+    [Not, Neg, IsNull, IsNotNull]
+};
+
+/// The index of `op` in `table`, as the byte that logs it.
+fn op_byte<T: PartialEq>(table: &[T], op: &T) -> u8 {
+    table
+        .iter()
+        .position(|o| o == op)
+        .expect("every operator is in its table") as u8
+}
+
+/// The operator a logged byte names.
+fn op_of<T: Copy>(table: &[T], byte: u8) -> Result<T> {
+    table
+        .get(byte as usize)
+        .copied()
+        .ok_or_else(|| malformed(format!("bad operator {byte}")))
+}
+
+/// Appends one record's payload.
+pub(crate) fn put_record(buf: &mut Vec<u8>, record: &LogRecord) {
+    match record {
+        LogRecord::BeginBatch(ts) => {
+            put_u8(buf, BEGIN);
+            put_u64(buf, ts.0);
         }
-        Value::Float(f) => {
-            let _ = write!(out, "F{}", f.to_bits());
+        LogRecord::CommitBatch(ts) => {
+            put_u8(buf, COMMIT);
+            put_u64(buf, ts.0);
         }
-        Value::Bool(b) => {
-            let _ = write!(out, "B{}", if *b { 1 } else { 0 });
+        LogRecord::CheckpointMeta { ts, wal_lsn } => {
+            put_u8(buf, CHECKPOINT);
+            put_u64(buf, ts.0);
+            put_u64(buf, *wal_lsn);
         }
-        Value::Date(d) => {
-            let _ = write!(out, "D{d}");
-        }
-        Value::Text(s) => {
-            // Length-prefixed to avoid any escaping concerns.
-            let _ = write!(out, "T{}:{s}", s.len());
-        }
+        LogRecord::Apply { table, op } => put_apply(buf, table, op),
     }
 }
 
-fn decode_value(s: &str) -> Result<(Value, &str)> {
-    let bad = || Error::Recovery(format!("malformed value encoding: {s}"));
-    let mut chars = s.char_indices();
-    let (_, tag) = chars.next().ok_or_else(bad)?;
-    let rest = &s[1..];
-    match tag {
-        'N' => Ok((Value::Null, rest)),
-        'I' | 'D' | 'B' | 'F' => {
-            let end = rest.find([',', ')', ';', ' ']).unwrap_or(rest.len());
-            let (num, remainder) = rest.split_at(end);
-            let v = match tag {
-                'I' => Value::Int(num.parse().map_err(|_| bad())?),
-                'D' => Value::Date(num.parse().map_err(|_| bad())?),
-                'B' => Value::Bool(num == "1"),
-                'F' => Value::Float(f64::from_bits(num.parse().map_err(|_| bad())?)),
-                _ => unreachable!(),
-            };
-            Ok((v, remainder))
-        }
-        'T' => {
-            let colon = rest.find(':').ok_or_else(bad)?;
-            let len: usize = rest[..colon].parse().map_err(|_| bad())?;
-            let start = colon + 1;
-            if rest.len() < start + len || !rest.is_char_boundary(start + len) {
-                return Err(bad());
+/// Appends the payload of a [`LogRecord::Apply`], from the operation where
+/// it lies.
+fn put_apply(buf: &mut Vec<u8>, table: &str, op: &UpdateOp) {
+    match op {
+        UpdateOp::Insert { values } => put_insert(buf, table, values),
+        UpdateOp::Update {
+            assignments,
+            predicate,
+        } => {
+            put_u8(buf, UPDATE);
+            put_string(buf, table);
+            put_u32(buf, assignments.len() as u32);
+            for (column, expr) in assignments {
+                put_u32(buf, *column as u32);
+                put_expr(buf, expr);
             }
-            let text = &rest[start..start + len];
-            Ok((Value::text(text), &rest[start + len..]))
+            put_expr(buf, predicate);
         }
-        _ => Err(bad()),
-    }
-}
-
-fn encode_tuple(t: &Tuple, out: &mut String) {
-    out.push('(');
-    for (i, v) in t.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        UpdateOp::Delete { predicate } => {
+            put_u8(buf, DELETE);
+            put_string(buf, table);
+            put_expr(buf, predicate);
         }
-        encode_value(v, out);
-    }
-    out.push(')');
-}
-
-fn decode_tuple(s: &str) -> Result<(Tuple, &str)> {
-    let bad = || Error::Recovery(format!("malformed tuple encoding: {s}"));
-    let mut rest = s.strip_prefix('(').ok_or_else(bad)?;
-    let mut values = Vec::new();
-    loop {
-        if let Some(r) = rest.strip_prefix(')') {
-            return Ok((Tuple::new(values), r));
-        }
-        if !values.is_empty() {
-            rest = rest.strip_prefix(',').ok_or_else(bad)?;
-        }
-        let (v, r) = decode_value(rest)?;
-        values.push(v);
-        rest = r;
     }
 }
 
-// --- expression codec: prefix form, every node self-delimiting -------------
-
-fn binary_op_tag(op: BinaryOp) -> &'static str {
-    match op {
-        BinaryOp::Eq => "EQ",
-        BinaryOp::NotEq => "NE",
-        BinaryOp::Lt => "LT",
-        BinaryOp::LtEq => "LE",
-        BinaryOp::Gt => "GT",
-        BinaryOp::GtEq => "GE",
-        BinaryOp::And => "AND",
-        BinaryOp::Or => "OR",
-        BinaryOp::Add => "ADD",
-        BinaryOp::Sub => "SUB",
-        BinaryOp::Mul => "MUL",
-        BinaryOp::Div => "DIV",
-    }
+/// Appends the payload of an insert of `values` into `table`, from the row
+/// where it lies.
+pub(crate) fn put_insert(buf: &mut Vec<u8>, table: &str, values: &Tuple) {
+    put_u8(buf, INSERT);
+    put_string(buf, table);
+    put_values(buf, values.iter());
 }
 
-fn binary_op_from_tag(tag: &str) -> Option<BinaryOp> {
-    Some(match tag {
-        "EQ" => BinaryOp::Eq,
-        "NE" => BinaryOp::NotEq,
-        "LT" => BinaryOp::Lt,
-        "LE" => BinaryOp::LtEq,
-        "GT" => BinaryOp::Gt,
-        "GE" => BinaryOp::GtEq,
-        "AND" => BinaryOp::And,
-        "OR" => BinaryOp::Or,
-        "ADD" => BinaryOp::Add,
-        "SUB" => BinaryOp::Sub,
-        "MUL" => BinaryOp::Mul,
-        "DIV" => BinaryOp::Div,
-        _ => return None,
-    })
-}
-
-fn unary_op_tag(op: UnaryOp) -> &'static str {
-    match op {
-        UnaryOp::Not => "NOT",
-        UnaryOp::Neg => "NEG",
-        UnaryOp::IsNull => "ISN",
-        UnaryOp::IsNotNull => "INN",
-    }
-}
-
-fn unary_op_from_tag(tag: &str) -> Option<UnaryOp> {
-    Some(match tag {
-        "NOT" => UnaryOp::Not,
-        "NEG" => UnaryOp::Neg,
-        "ISN" => UnaryOp::IsNull,
-        "INN" => UnaryOp::IsNotNull,
-        _ => return None,
-    })
-}
-
-/// Encodes a (bound) expression in a self-delimiting prefix form; see
-/// `docs/WAL_FORMAT.md` for the grammar. Inverse of [`decode_expr`].
-fn encode_expr(expr: &Expr, out: &mut String) {
+/// Appends an expression in prefix form: each node's tag and fields, then
+/// its children.
+fn put_expr(buf: &mut Vec<u8>, expr: &Expr) {
     match expr {
         Expr::Column(i) => {
-            let _ = write!(out, "C{i};");
+            put_u8(buf, COLUMN);
+            put_u32(buf, *i as u32);
         }
         Expr::NamedColumn { qualifier, name } => {
-            out.push('M');
-            match qualifier {
-                Some(q) => {
-                    let _ = write!(out, "T{}:{q}", q.len());
-                }
-                None => out.push('N'),
+            put_u8(buf, NAMED_COLUMN);
+            put_u8(buf, qualifier.is_some() as u8);
+            if let Some(qualifier) = qualifier {
+                put_string(buf, qualifier);
             }
-            let _ = write!(out, ";T{}:{name};", name.len());
+            put_string(buf, name);
         }
         Expr::Literal(v) => {
-            out.push('V');
-            encode_value(v, out);
-            out.push(';');
+            put_u8(buf, LITERAL);
+            encode_value(buf, v);
         }
         Expr::Param(i) => {
-            let _ = write!(out, "P{i};");
+            put_u8(buf, PARAM);
+            put_u32(buf, *i as u32);
         }
         Expr::Binary { op, left, right } => {
-            let _ = write!(out, "B{};", binary_op_tag(*op));
-            encode_expr(left, out);
-            encode_expr(right, out);
+            put_u8(buf, BINARY);
+            put_u8(buf, op_byte(&BINARY_OPS, op));
+            put_expr(buf, left);
+            put_expr(buf, right);
         }
         Expr::Unary { op, expr } => {
-            let _ = write!(out, "U{};", unary_op_tag(*op));
-            encode_expr(expr, out);
+            put_u8(buf, UNARY);
+            put_u8(buf, op_byte(&UNARY_OPS, op));
+            put_expr(buf, expr);
         }
         Expr::Like {
             expr,
             pattern,
             negated,
         } => {
-            let _ = write!(out, "K{};", if *negated { 1 } else { 0 });
-            encode_expr(expr, out);
-            encode_expr(pattern, out);
+            put_u8(buf, LIKE);
+            put_u8(buf, *negated as u8);
+            put_expr(buf, expr);
+            put_expr(buf, pattern);
         }
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            let _ = write!(out, "I{},{};", if *negated { 1 } else { 0 }, list.len());
-            encode_expr(expr, out);
-            for item in list {
-                encode_expr(item, out);
-            }
+            put_u8(buf, IN_LIST);
+            put_u8(buf, *negated as u8);
+            put_u32(buf, list.len() as u32);
+            put_expr(buf, expr);
+            list.iter().for_each(|item| put_expr(buf, item));
         }
         Expr::Between { expr, low, high } => {
-            out.push_str("W;");
-            encode_expr(expr, out);
-            encode_expr(low, out);
-            encode_expr(high, out);
+            put_u8(buf, BETWEEN);
+            put_expr(buf, expr);
+            put_expr(buf, low);
+            put_expr(buf, high);
         }
     }
 }
 
-/// Decodes one expression from the head of `s`, returning the remainder.
-fn decode_expr(s: &str) -> Result<(Expr, &str)> {
-    let bad = || Error::Recovery(format!("malformed expr encoding: {s}"));
-    let tag = s.chars().next().ok_or_else(bad)?;
-    let rest = &s[1..];
-    // Splits `rest` at the next ';', yielding the head token and the number
-    // of bytes consumed including the separator.
-    let split_head = |rest: &str| -> Result<(String, usize)> {
-        let semi = rest.find(';').ok_or_else(bad)?;
-        Ok((rest[..semi].to_string(), semi + 1))
+/// True when no path from `expr` to a leaf is longer than `depth` nodes:
+/// what the decoder reads back. Recurses no deeper than `depth`.
+pub(crate) fn nests_within(expr: &Expr, depth: usize) -> bool {
+    let Some(depth) = depth.checked_sub(1) else {
+        return false;
     };
-    match tag {
-        'C' => {
-            let (tok, used) = split_head(rest)?;
-            Ok((Expr::Column(tok.parse().map_err(|_| bad())?), &rest[used..]))
-        }
-        'P' => {
-            let (tok, used) = split_head(rest)?;
-            Ok((Expr::Param(tok.parse().map_err(|_| bad())?), &rest[used..]))
-        }
-        'V' => {
-            let (v, r) = decode_value(rest)?;
-            let r = r.strip_prefix(';').ok_or_else(bad)?;
-            Ok((Expr::Literal(v), r))
-        }
-        'M' => {
-            let (qualifier, r) = match rest.chars().next() {
-                Some('N') => (None, &rest[1..]),
-                Some('T') => {
-                    let (v, r) = decode_value(rest)?;
-                    match v {
-                        Value::Text(q) => (Some(q.to_string()), r),
-                        _ => return Err(bad()),
+    let within = |e: &Expr| nests_within(e, depth);
+    match expr {
+        Expr::Column(_) | Expr::NamedColumn { .. } | Expr::Literal(_) | Expr::Param(_) => true,
+        Expr::Binary { left, right, .. } => within(left) && within(right),
+        Expr::Unary { expr, .. } => within(expr),
+        Expr::Like { expr, pattern, .. } => within(expr) && within(pattern),
+        Expr::InList { expr, list, .. } => within(expr) && list.iter().all(within),
+        Expr::Between { expr, low, high } => within(expr) && within(low) && within(high),
+    }
+}
+
+/// Reads one record's payload; every byte of it must belong to the record.
+fn get_record(c: &mut Cursor<'_>) -> Result<LogRecord> {
+    let record = match c.u8()? {
+        BEGIN => LogRecord::BeginBatch(Timestamp(c.u64()?)),
+        COMMIT => LogRecord::CommitBatch(Timestamp(c.u64()?)),
+        CHECKPOINT => LogRecord::CheckpointMeta {
+            ts: Timestamp(c.u64()?),
+            wal_lsn: c.u64()?,
+        },
+        tag @ (INSERT | UPDATE | DELETE) => {
+            let table = c.string()?;
+            let op = match tag {
+                INSERT => UpdateOp::Insert {
+                    values: Tuple::new(c.values()?),
+                },
+                UPDATE => {
+                    let assignments = (0..c.u32()?)
+                        .map(|_| Ok((c.u32()? as usize, get_expr(c, MAX_EXPR_DEPTH)?)))
+                        .collect::<Result<_>>()?;
+                    UpdateOp::Update {
+                        assignments,
+                        predicate: get_expr(c, MAX_EXPR_DEPTH)?,
                     }
                 }
-                _ => return Err(bad()),
+                _ => UpdateOp::Delete {
+                    predicate: get_expr(c, MAX_EXPR_DEPTH)?,
+                },
             };
-            let r = r.strip_prefix(';').ok_or_else(bad)?;
-            let (v, r) = decode_value(r)?;
-            let name = match v {
-                Value::Text(n) => n.to_string(),
-                _ => return Err(bad()),
-            };
-            let r = r.strip_prefix(';').ok_or_else(bad)?;
-            Ok((Expr::NamedColumn { qualifier, name }, r))
+            LogRecord::Apply { table, op }
         }
-        'B' => {
-            let (tok, used) = split_head(rest)?;
-            let op = binary_op_from_tag(&tok).ok_or_else(bad)?;
-            let (left, r) = decode_expr(&rest[used..])?;
-            let (right, r) = decode_expr(r)?;
-            Ok((
-                Expr::Binary {
-                    op,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                },
-                r,
-            ))
-        }
-        'U' => {
-            let (tok, used) = split_head(rest)?;
-            let op = unary_op_from_tag(&tok).ok_or_else(bad)?;
-            let (expr, r) = decode_expr(&rest[used..])?;
-            Ok((
-                Expr::Unary {
-                    op,
-                    expr: Box::new(expr),
-                },
-                r,
-            ))
-        }
-        'K' => {
-            let (tok, used) = split_head(rest)?;
-            let negated = tok == "1";
-            let (expr, r) = decode_expr(&rest[used..])?;
-            let (pattern, r) = decode_expr(r)?;
-            Ok((
-                Expr::Like {
-                    expr: Box::new(expr),
-                    pattern: Box::new(pattern),
-                    negated,
-                },
-                r,
-            ))
-        }
-        'I' => {
-            let (tok, used) = split_head(rest)?;
-            let (neg, count) = tok.split_once(',').ok_or_else(bad)?;
-            let negated = neg == "1";
-            let count: usize = count.parse().map_err(|_| bad())?;
-            let (expr, mut r) = decode_expr(&rest[used..])?;
-            let mut list = Vec::with_capacity(count);
-            for _ in 0..count {
-                let (item, r2) = decode_expr(r)?;
-                list.push(item);
-                r = r2;
-            }
-            Ok((
-                Expr::InList {
-                    expr: Box::new(expr),
-                    list,
-                    negated,
-                },
-                r,
-            ))
-        }
-        'W' => {
-            let r = rest.strip_prefix(';').ok_or_else(bad)?;
-            let (expr, r) = decode_expr(r)?;
-            let (low, r) = decode_expr(r)?;
-            let (high, r) = decode_expr(r)?;
-            Ok((
-                Expr::Between {
-                    expr: Box::new(expr),
-                    low: Box::new(low),
-                    high: Box::new(high),
-                },
-                r,
-            ))
-        }
-        _ => Err(bad()),
-    }
+        other => return Err(malformed(format!("unknown record tag {other}"))),
+    };
+    c.done()?;
+    Ok(record)
 }
 
-/// Encodes one record's payload text. Inverse of [`decode_record`].
-pub fn encode_record(record: &LogRecord) -> String {
-    match record {
-        LogRecord::BeginBatch(ts) => format!("BEGIN {}", ts.0),
-        LogRecord::CommitBatch(ts) => format!("COMMIT {}", ts.0),
-        LogRecord::CheckpointMeta { ts, wal_lsn } => format!("CKPT {} {}", ts.0, wal_lsn),
-        LogRecord::Apply { table, op } => encode_apply(table, op),
-    }
-}
-
-/// The payload text of a [`LogRecord::Apply`], from the operation where it
-/// lies.
-fn encode_apply(table: &str, op: &UpdateOp) -> String {
-    let mut out = String::new();
-    match op {
-        UpdateOp::Insert { values } => {
-            let _ = write!(out, "INSERT {table} ");
-            encode_tuple(values, &mut out);
-        }
-        UpdateOp::Update {
-            assignments,
-            predicate,
-        } => {
-            let _ = write!(out, "UPDATE {table} {};", assignments.len());
-            for (col, expr) in assignments {
-                let _ = write!(out, "{col};");
-                encode_expr(expr, &mut out);
-            }
-            encode_expr(predicate, &mut out);
-        }
-        UpdateOp::Delete { predicate } => {
-            let _ = write!(out, "DELETE {table} ");
-            encode_expr(predicate, &mut out);
-        }
-    }
-    out
-}
-
-/// Decodes one record payload.
-pub fn decode_record(line: &str) -> Result<LogRecord> {
-    let bad = || Error::Recovery(format!("malformed log record: {line}"));
-    if let Some(ts) = line.strip_prefix("BEGIN ") {
-        return Ok(LogRecord::BeginBatch(Timestamp(
-            ts.trim().parse().map_err(|_| bad())?,
+/// Reads one expression of at most `depth` levels. Inverse of [`put_expr`].
+fn get_expr(c: &mut Cursor<'_>, depth: usize) -> Result<Expr> {
+    let Some(depth) = depth.checked_sub(1) else {
+        return Err(malformed(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
         )));
-    }
-    if let Some(ts) = line.strip_prefix("COMMIT ") {
-        return Ok(LogRecord::CommitBatch(Timestamp(
-            ts.trim().parse().map_err(|_| bad())?,
-        )));
-    }
-    if let Some(rest) = line.strip_prefix("CKPT ") {
-        let (ts, lsn) = rest.split_once(' ').ok_or_else(bad)?;
-        return Ok(LogRecord::CheckpointMeta {
-            ts: Timestamp(ts.parse().map_err(|_| bad())?),
-            wal_lsn: lsn.trim().parse().map_err(|_| bad())?,
-        });
-    }
-    if let Some(rest) = line.strip_prefix("INSERT ") {
-        let (table, tuple_text) = rest.split_once(' ').ok_or_else(bad)?;
-        let (values, trailing) = decode_tuple(tuple_text)?;
-        if !trailing.is_empty() {
-            return Err(bad());
-        }
-        return Ok(LogRecord::Apply {
-            table: table.to_string(),
-            op: UpdateOp::Insert { values },
-        });
-    }
-    if let Some(rest) = line.strip_prefix("UPDATE ") {
-        let (table, rest) = rest.split_once(' ').ok_or_else(bad)?;
-        let (count, rest) = rest.split_once(';').ok_or_else(bad)?;
-        let count: usize = count.parse().map_err(|_| bad())?;
-        let mut assignments = Vec::with_capacity(count);
-        let mut rest = rest;
-        for _ in 0..count {
-            let (col, r) = rest.split_once(';').ok_or_else(bad)?;
-            let col: usize = col.parse().map_err(|_| bad())?;
-            let (expr, r) = decode_expr(r)?;
-            assignments.push((col, expr));
-            rest = r;
-        }
-        let (predicate, trailing) = decode_expr(rest)?;
-        if !trailing.is_empty() {
-            return Err(bad());
-        }
-        return Ok(LogRecord::Apply {
-            table: table.to_string(),
-            op: UpdateOp::Update {
-                assignments,
-                predicate,
+    };
+    let sub = |c: &mut Cursor<'_>| get_expr(c, depth).map(Box::new);
+    Ok(match c.u8()? {
+        COLUMN => Expr::Column(c.u32()? as usize),
+        NAMED_COLUMN => Expr::NamedColumn {
+            qualifier: match c.u8()? {
+                0 => None,
+                _ => Some(c.string()?),
             },
-        });
-    }
-    if let Some(rest) = line.strip_prefix("DELETE ") {
-        let (table, rest) = rest.split_once(' ').ok_or_else(bad)?;
-        let (predicate, trailing) = decode_expr(rest)?;
-        if !trailing.is_empty() {
-            return Err(bad());
+            name: c.string()?,
+        },
+        LITERAL => Expr::Literal(c.value()?),
+        PARAM => Expr::Param(c.u32()? as usize),
+        BINARY => Expr::Binary {
+            op: op_of(&BINARY_OPS, c.u8()?)?,
+            left: sub(c)?,
+            right: sub(c)?,
+        },
+        UNARY => Expr::Unary {
+            op: op_of(&UNARY_OPS, c.u8()?)?,
+            expr: sub(c)?,
+        },
+        LIKE => {
+            let negated = c.u8()? != 0;
+            Expr::Like {
+                expr: sub(c)?,
+                pattern: sub(c)?,
+                negated,
+            }
         }
-        return Ok(LogRecord::Apply {
-            table: table.to_string(),
-            op: UpdateOp::Delete { predicate },
-        });
-    }
-    Err(bad())
+        IN_LIST => {
+            let negated = c.u8()? != 0;
+            let items = c.u32()?;
+            Expr::InList {
+                expr: sub(c)?,
+                list: (0..items)
+                    .map(|_| get_expr(c, depth))
+                    .collect::<Result<_>>()?,
+                negated,
+            }
+        }
+        BETWEEN => Expr::Between {
+            expr: sub(c)?,
+            low: sub(c)?,
+            high: sub(c)?,
+        },
+        other => return Err(malformed(format!("unknown expression tag {other}"))),
+    })
 }
 
 #[cfg(test)]
@@ -1182,16 +963,8 @@ mod tests {
             let frame = encode_frame(lsn, &LogRecord::BeginBatch(Timestamp(lsn)));
             counting.append(&frame).unwrap();
             memory.append(&frame).unwrap();
-            if lsn % 10 == 0 {
-                counting.flush().unwrap();
-                memory.flush().unwrap();
-            }
         }
-        counting.sync().unwrap();
-        memory.sync().unwrap();
         assert_eq!(counting.appended_bytes(), memory.bytes().len() as u64);
-        assert_eq!(counting.flush_count(), memory.flush_count());
-        assert_eq!(counting.sync_count(), memory.sync_count());
         assert_eq!(
             (counting.retained_bytes(), memory.retained_bytes()),
             (0, memory.bytes().len())
@@ -1222,80 +995,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wal.stats_snapshot().syncs, 0);
-    }
-
-    /// A counting sink the test keeps a handle on while the WAL owns it.
-    struct Watched(std::sync::Arc<Mutex<CountingSink>>);
-
-    impl WalSink for Watched {
-        fn append(&mut self, frame: &[u8]) -> Result<()> {
-            self.0.lock().append(frame)
-        }
-        fn flush(&mut self) -> Result<()> {
-            self.0.lock().flush()
-        }
-        fn sync(&mut self) -> Result<()> {
-            self.0.lock().sync()
-        }
-    }
-
-    /// `Interval` fsyncs the first group commit after the interval and none
-    /// of those that follow it inside the interval.
-    #[test]
-    fn sync_policy_interval_fsyncs_once_per_interval() {
-        const INTERVAL: std::time::Duration = std::time::Duration::from_millis(250);
-        let sink = std::sync::Arc::new(Mutex::new(CountingSink::default()));
-        let wal = Wal::new(Box::new(Watched(std::sync::Arc::clone(&sink))));
-        wal.set_sync_policy(SyncPolicy::Interval {
-            ms: INTERVAL.as_millis() as u64,
-        });
-        let commit = |ts: u64| {
-            let op = UpdateOp::Insert {
-                values: tuple![ts as i64],
-            };
-            wal.log_batch(Timestamp(ts), &[("T".into(), op)]).unwrap();
-        };
-        let syncs = || (sink.lock().sync_count(), wal.stats_snapshot().syncs);
-        std::thread::sleep(INTERVAL);
-        for ts in 1..=10 {
-            commit(ts);
-        }
-        assert_eq!(syncs(), (1, 1));
-        std::thread::sleep(INTERVAL);
-        commit(11);
-        assert_eq!(syncs(), (2, 2));
-    }
-
-    #[test]
-    fn value_encoding_roundtrip() {
-        for v in [
-            Value::Null,
-            Value::Int(-42),
-            Value::Float(2.5),
-            Value::Float(f64::NAN),
-            Value::Bool(true),
-            Value::Date(15000),
-            Value::text("hello, world"),
-            Value::text("with)paren,and:colon; and space"),
-            Value::text(""),
-        ] {
-            let mut s = String::new();
-            encode_value(&v, &mut s);
-            let (decoded, rest) = decode_value(&s).unwrap();
-            assert!(rest.is_empty());
-            // NaN != NaN under PartialEq for floats, compare via total order.
-            assert_eq!(decoded.cmp(&v), std::cmp::Ordering::Equal);
-        }
-    }
-
-    #[test]
-    fn tuple_encoding_roundtrip() {
-        let t = tuple![1i64, "a,b)c", 2.5f64, Value::Null];
-        let mut s = String::new();
-        encode_tuple(&t, &mut s);
-        let (decoded, rest) = decode_tuple(&s).unwrap();
-        assert!(rest.is_empty());
-        assert_eq!(decoded, t);
     }
 
     #[test]
@@ -1343,14 +1042,69 @@ mod tests {
             ),
         ];
         for e in exprs {
-            let mut s = String::new();
-            encode_expr(&e, &mut s);
-            let (decoded, rest) = decode_expr(&s).unwrap_or_else(|err| panic!("{s}: {err}"));
-            assert!(rest.is_empty(), "{s} left {rest}");
-            assert_eq!(decoded, e, "{s}");
+            let mut buf = Vec::new();
+            put_expr(&mut buf, &e);
+            let mut c = Cursor::new(&buf);
+            assert_eq!(get_expr(&mut c, MAX_EXPR_DEPTH).unwrap(), e);
+            c.done().unwrap();
+            for cut in 0..buf.len() {
+                assert!(get_expr(&mut Cursor::new(&buf[..cut]), MAX_EXPR_DEPTH).is_err());
+            }
+        }
+        // Every operator, by the byte its table gives it.
+        for op in BINARY_OPS {
+            let e = Expr::col(0).binary(op, Expr::col(1));
+            let mut buf = Vec::new();
+            put_expr(&mut buf, &e);
+            assert_eq!(get_expr(&mut Cursor::new(&buf), 2).unwrap(), e);
+        }
+        for op in UNARY_OPS {
+            let e = Expr::Unary {
+                op,
+                expr: Box::new(Expr::col(0)),
+            };
+            let mut buf = Vec::new();
+            put_expr(&mut buf, &e);
+            assert_eq!(get_expr(&mut Cursor::new(&buf), 2).unwrap(), e);
         }
     }
 
+    /// An expression as deep as the bound reads back; one node deeper is
+    /// refused by the reader and by [`nests_within`], which the write path
+    /// asks — over every child position, an IN list's items included.
+    #[test]
+    fn expressions_nest_to_the_bound_and_no_deeper() {
+        let nest = |depth: usize, wrap: &dyn Fn(Expr) -> Expr| {
+            (1..depth).fold(Expr::col(0), |e, _| wrap(e))
+        };
+        let wraps: [&dyn Fn(Expr) -> Expr; 4] = [
+            &|e| e.not(),
+            &|e| Expr::lit(1i64).binary(BinaryOp::Add, e),
+            &|e| Expr::Between {
+                expr: Box::new(Expr::col(1)),
+                low: Box::new(Expr::lit(0i64)),
+                high: Box::new(e),
+            },
+            &|e| Expr::InList {
+                expr: Box::new(Expr::col(1)),
+                list: vec![Expr::lit(0i64), e],
+                negated: false,
+            },
+        ];
+        for wrap in wraps {
+            for (depth, fits) in [(MAX_EXPR_DEPTH, true), (MAX_EXPR_DEPTH + 1, false)] {
+                let e = nest(depth, wrap);
+                assert_eq!(nests_within(&e, MAX_EXPR_DEPTH), fits, "{depth}");
+                let mut buf = Vec::new();
+                put_expr(&mut buf, &e);
+                let read = get_expr(&mut Cursor::new(&buf), MAX_EXPR_DEPTH);
+                assert_eq!(read.ok(), fits.then_some(e), "{depth}");
+            }
+        }
+    }
+
+    /// Every kind of record comes back from its frame as it went; a payload
+    /// with an unknown tag, a trailing byte or a cut anywhere is a torn tail.
     #[test]
     fn record_roundtrip_all_kinds() {
         let records = vec![
@@ -1384,12 +1138,29 @@ mod tests {
             },
         ];
         for rec in records {
-            let encoded = encode_record(&rec);
-            let decoded = decode_record(&encoded).unwrap_or_else(|e| panic!("{encoded}: {e}"));
-            assert_eq!(decoded, rec, "{encoded}");
+            let frame = encode_frame(1, &rec);
+            let scan = scan_frames(&frame).unwrap();
+            assert!(scan.torn.is_none(), "{rec:?}");
+            assert_eq!(scan.into_records(), std::slice::from_ref(&rec));
+            let payload = &frame[FRAME_HEADER_LEN..];
+            for len in 0..payload.len() {
+                let scan = scan_frames(&reframe(&payload[..len])).unwrap();
+                assert!(scan.records.is_empty(), "{rec:?} cut to {len}");
+            }
+            let longer = reframe(&[payload, &[0]].concat());
+            assert!(scan_frames(&longer).unwrap().records.is_empty(), "{rec:?}");
         }
-        assert!(decode_record("GARBAGE").is_err());
-        assert!(decode_record("INSERT T (I1) tail").is_err());
+        for garbage in [&b"GARBAGE"[..], &[0], &[7, 0, 0, 0, 0, 0, 0, 0, 0]] {
+            let scan = scan_frames(&reframe(garbage)).unwrap();
+            assert_eq!(scan.torn.unwrap().reason, "undecodable record payload");
+        }
+    }
+
+    /// A frame at LSN 1 around any payload bytes, its CRC right.
+    fn reframe(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_frame(&mut buf, 1, |buf| buf.extend_from_slice(payload));
+        buf
     }
 
     #[test]
@@ -1403,12 +1174,12 @@ mod tests {
         let mut bytes = encode_frame(1, &LogRecord::BeginBatch(Timestamp(1)));
         bytes.extend(encode_frame(2, &rec));
         bytes.extend(encode_frame(3, &LogRecord::CommitBatch(Timestamp(1))));
-        let scan = scan_frames(&bytes);
+        let scan = scan_frames(&bytes).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(scan.valid_len, bytes.len() as u64);
         assert_eq!(scan.records.len(), 3);
         assert_eq!(scan.records[1], (2, rec));
-        assert_eq!(scan.next_lsn(), 4);
+        assert_eq!(scan.records[2].0, 3);
     }
 
     #[test]
@@ -1427,7 +1198,7 @@ mod tests {
 
         // Torn mid-record: cut the second frame short.
         let torn = &bytes[..first + 10];
-        let scan = scan_frames(torn);
+        let scan = scan_frames(torn).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.valid_len, first as u64);
         let tail = scan.torn.unwrap();
@@ -1438,7 +1209,7 @@ mod tests {
         let mut flipped = bytes.clone();
         let n = flipped.len();
         flipped[n - 3] ^= 0x40;
-        let scan = scan_frames(&flipped);
+        let scan = scan_frames(&flipped).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "CRC mismatch");
 
@@ -1446,14 +1217,14 @@ mod tests {
         // panic or huge allocation.
         let mut flipped = bytes.clone();
         flipped[first + 8] ^= 0xFF; // high byte of the payload length
-        let scan = scan_frames(&flipped);
+        let scan = scan_frames(&flipped).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn.is_some());
 
         // Garbage magic after a valid prefix.
         let mut garbage = bytes[..first].to_vec();
         garbage.extend_from_slice(b"not a frame at all........");
-        let scan = scan_frames(&garbage);
+        let scan = scan_frames(&garbage).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "bad frame magic");
     }
@@ -1462,7 +1233,7 @@ mod tests {
     fn scan_rejects_non_monotone_lsn() {
         let mut bytes = encode_frame(5, &LogRecord::BeginBatch(Timestamp(1)));
         bytes.extend(encode_frame(5, &LogRecord::CommitBatch(Timestamp(1))));
-        let scan = scan_frames(&bytes);
+        let scan = scan_frames(&bytes).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "non-monotone LSN");
     }
@@ -1564,7 +1335,7 @@ mod tests {
             sink.sync().unwrap();
         }
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 40);
-        let scan = scan_frames(&std::fs::read(&path).unwrap());
+        let scan = scan_frames(&std::fs::read(&path).unwrap()).unwrap();
         assert!(scan.torn.is_some());
         assert!(scan.records.len() < 4);
 
@@ -1586,12 +1357,12 @@ mod tests {
                 .unwrap();
             sink.sync().unwrap();
         }
-        let scan = scan_frames(&std::fs::read(&path2).unwrap());
+        let scan = scan_frames(&std::fs::read(&path2).unwrap()).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "CRC mismatch");
 
         // Short read: only a prefix of the file is visible.
-        let scan = FaultSink::short_read(&path2, 10).unwrap();
+        let scan = scan_frames(&std::fs::read(&path2).unwrap()[..10]).unwrap();
         assert!(scan.records.is_empty());
         assert!(scan.torn.is_some());
         let _ = std::fs::remove_file(&path);

@@ -379,7 +379,7 @@ proptest! {
     fn text_is_the_string_it_was_built_from(a in Strings, b in Strings) {
         use shareddb::common::Text;
         use shareddb::server::protocol::Frame;
-        use shareddb::storage::wal::{decode_record, encode_frame, encode_record, scan_frames, LogRecord};
+        use shareddb::storage::wal::{encode_frame, scan_frames, LogRecord};
         use shareddb::storage::UpdateOp;
 
         let (ta, tb) = (Text::from(a.as_str()), Text::from(b.clone()));
@@ -399,11 +399,10 @@ proptest! {
         prop_assert_eq!(va.as_text().unwrap(), a.as_str());
         prop_assert_eq!(va.to_string(), format!("'{a}'"));
         prop_assert_eq!(va.heap_size(), if a.len() <= 22 { 0 } else { a.len() });
-        // The WAL, as text and framed, and the wire.
+        // The WAL's frames and the wire.
         let op = UpdateOp::Insert { values: Tuple::new(vec![va.clone(), Value::Int(1), vb.clone()]) };
         let record = LogRecord::Apply { table: "T".into(), op };
-        prop_assert_eq!(&decode_record(&encode_record(&record)).unwrap(), &record);
-        let scanned = scan_frames(&encode_frame(7, &record)).into_records();
+        let scanned = scan_frames(&encode_frame(7, &record)).unwrap().into_records();
         prop_assert_eq!(scanned, vec![record]);
         let frame = Frame::ExecutePrepared { request_id: 1, statement_id: 2, params: vec![va, vb] };
         let body = frame.encode();

@@ -8,10 +8,11 @@ use shareddb::common::{tuple, DataType, Expr, Value};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::wal::{
-    committed_ops, FaultConfig, FaultSink, FileSink, MemorySink, SyncPolicy, Wal, FRAME_HEADER_LEN,
-    FRAME_MAGIC, WAL_FORMAT_VERSION,
+    committed_ops, encode_frame, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink,
+    SyncPolicy, Wal, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_EXPR_DEPTH, WAL_FORMAT_VERSION,
 };
-use shareddb::storage::{Catalog, TableDef, UpdateOp, WAL_FILE};
+use shareddb::storage::{Catalog, TableDef, UpdateOp, CHECKPOINT_FILE, WAL_FILE};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -606,9 +607,195 @@ fn batch_mates_fail_alone_over_the_wire() {
 // The documented format is the implemented format
 // ---------------------------------------------------------------------------
 
-/// Spot-checks `docs/WAL_FORMAT.md` against the implementation constants so
-/// the spec cannot silently drift: magic, version, header length, CRC check
-/// value.
+/// A data directory another format version wrote — a WAL alone, or a
+/// checkpoint and a WAL — is refused with both versions named, and its
+/// files are left byte for byte as they were: a torn tail is cut, another
+/// build's log is not. The frames are version 1's: the same header around a
+/// text payload.
+#[test]
+fn a_data_dir_of_another_format_version_is_refused_untouched() {
+    let v1_frame = |lsn: u64, payload: &str| {
+        let mut header = FRAME_MAGIC.to_vec();
+        header.extend(1u16.to_le_bytes());
+        header.extend((payload.len() as u32).to_le_bytes());
+        header.extend(lsn.to_le_bytes());
+        let crc = shareddb::common::crc32(&[&header[4..], payload.as_bytes()].concat());
+        [&header[..], &crc.to_le_bytes(), payload.as_bytes()].concat()
+    };
+    let row = "INSERT ITEM (I1,T5:first,F4607182418800017408)";
+    let wal = [
+        v1_frame(1, "BEGIN 2"),
+        v1_frame(2, row),
+        v1_frame(3, "COMMIT 2"),
+    ]
+    .concat();
+    let checkpoint = [
+        v1_frame(1, "CKPT 1 0"),
+        v1_frame(2, "BEGIN 1"),
+        v1_frame(3, row),
+        v1_frame(4, "COMMIT 1"),
+    ]
+    .concat();
+    for with_checkpoint in [false, true] {
+        let dir = temp_dir(&format!("v1-{with_checkpoint}"));
+        std::fs::write(dir.join(WAL_FILE), &wal).unwrap();
+        if with_checkpoint {
+            std::fs::write(dir.join(CHECKPOINT_FILE), &checkpoint).unwrap();
+        }
+        let catalog = Catalog::new();
+        catalog.create_table(item_def()).unwrap();
+        let error = catalog
+            .recover(&dir)
+            .expect_err("a version-1 data dir must be refused");
+        let message = error.to_string();
+        let current = format!("version {WAL_FORMAT_VERSION}");
+        assert!(
+            message.contains("version 1") && message.contains(&current),
+            "{message}"
+        );
+        assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), wal);
+        if with_checkpoint {
+            let kept = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+            assert_eq!(kept, checkpoint);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The `| `0xNN` | `NAME` |` rows of the doc's tag tables, by name.
+fn doc_tags(doc: &str) -> BTreeMap<String, u8> {
+    doc.lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let byte = cells.get(1)?.strip_prefix("`0x")?.strip_suffix('`')?;
+            let name = cells.get(2)?.split_whitespace().next()?.trim_matches('`');
+            Some((name.to_string(), u8::from_str_radix(byte, 16).ok()?))
+        })
+        .collect()
+}
+
+/// The tag byte the encoder writes for each named variant, read off the
+/// payloads of real frames: a record's tag opens its payload; a `DELETE`
+/// of table `T` puts its predicate's tag at payload byte 6 and an
+/// operator's at 7; an `INSERT` into `T` its first value's tag at 10.
+fn encoder_tags() -> BTreeMap<String, u8> {
+    use shareddb::common::ids::Timestamp;
+    use shareddb::common::{BinaryOp, Tuple, UnaryOp};
+    let payload = |record: &LogRecord| encode_frame(1, record)[FRAME_HEADER_LEN..].to_vec();
+    let apply = |op| LogRecord::Apply {
+        table: "T".into(),
+        op,
+    };
+    let delete = |predicate| payload(&apply(UpdateOp::Delete { predicate }));
+    let insert = |value| {
+        let values = Tuple::new(vec![value]);
+        payload(&apply(UpdateOp::Insert { values }))
+    };
+    let c = || Box::new(Expr::col(0));
+    let ts = Timestamp(1);
+    let records = [
+        ("BEGIN", LogRecord::BeginBatch(ts)),
+        ("COMMIT", LogRecord::CommitBatch(ts)),
+        ("CKPT", LogRecord::CheckpointMeta { ts, wal_lsn: 0 }),
+        (
+            "INSERT",
+            apply(UpdateOp::Insert {
+                values: tuple![1i64],
+            }),
+        ),
+        (
+            "UPDATE",
+            apply(UpdateOp::Update {
+                assignments: vec![],
+                predicate: Expr::lit(true),
+            }),
+        ),
+        (
+            "DELETE",
+            apply(UpdateOp::Delete {
+                predicate: Expr::lit(true),
+            }),
+        ),
+    ];
+    let values = [
+        ("NULL", Value::Null),
+        ("INT", Value::Int(1)),
+        ("FLOAT", Value::Float(1.0)),
+        ("TEXT", Value::text("x")),
+        ("BOOL", Value::Bool(true)),
+        ("DATE", Value::Date(1)),
+    ];
+    let exprs = [
+        ("COLUMN", Expr::col(0)),
+        (
+            "NAMED_COLUMN",
+            Expr::NamedColumn {
+                qualifier: None,
+                name: "A".into(),
+            },
+        ),
+        ("LITERAL", Expr::lit(1i64)),
+        ("PARAM", Expr::param(0)),
+        ("BINARY", Expr::col(0).eq(Expr::col(1))),
+        ("UNARY", Expr::col(0).not()),
+        ("LIKE", Expr::col(0).like(Expr::lit("a%"))),
+        (
+            "IN_LIST",
+            Expr::InList {
+                expr: c(),
+                list: vec![],
+                negated: false,
+            },
+        ),
+        (
+            "BETWEEN",
+            Expr::Between {
+                expr: c(),
+                low: c(),
+                high: c(),
+            },
+        ),
+    ];
+    use BinaryOp::*;
+    let binary = [
+        ("EQ", Eq),
+        ("NE", NotEq),
+        ("LT", Lt),
+        ("LE", LtEq),
+        ("GT", Gt),
+        ("GE", GtEq),
+        ("AND", And),
+        ("OR", Or),
+        ("ADD", Add),
+        ("SUB", Sub),
+        ("MUL", Mul),
+        ("DIV", Div),
+    ];
+    let unary = [
+        ("NOT", UnaryOp::Not),
+        ("NEG", UnaryOp::Neg),
+        ("IS_NULL", UnaryOp::IsNull),
+        ("IS_NOT_NULL", UnaryOp::IsNotNull),
+    ];
+    let mut tags = Vec::new();
+    tags.extend(records.map(|(name, r)| (name, payload(&r)[0])));
+    tags.extend(values.map(|(name, v)| (name, insert(v)[10])));
+    tags.extend(exprs.map(|(name, e)| (name, delete(e)[6])));
+    tags.extend(binary.map(|(name, op)| {
+        let (left, right) = (c(), c());
+        (name, delete(Expr::Binary { op, left, right })[7])
+    }));
+    tags.extend(unary.map(|(name, op)| (name, delete(Expr::Unary { op, expr: c() })[7])));
+    let by_name: BTreeMap<String, u8> = tags.iter().map(|(n, b)| (n.to_string(), *b)).collect();
+    assert_eq!(by_name.len(), tags.len(), "a name listed twice");
+    by_name
+}
+
+/// Spot-checks `docs/WAL_FORMAT.md` against the implementation so the spec
+/// cannot silently drift: magic, version, header length, CRC check value,
+/// the nesting bound, every tag byte of its record, value, expression and
+/// operator tables (each the byte the encoder writes for that variant, and
+/// every variant listed), and its worked expression example.
 #[test]
 fn wal_format_doc_matches_implementation() {
     let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/WAL_FORMAT.md"))
@@ -620,7 +807,7 @@ fn wal_format_doc_matches_implementation() {
         doc.contains("0x53 0x44 0x42 0x57"),
         "doc must spell the magic out in hex"
     );
-    assert_eq!(WAL_FORMAT_VERSION, 1);
+    assert_eq!(WAL_FORMAT_VERSION, 2);
     assert!(
         doc.contains(&format!("version is `{WAL_FORMAT_VERSION}`")),
         "doc must state the current format version"
@@ -636,4 +823,37 @@ fn wal_format_doc_matches_implementation() {
         doc.contains("0xCBF43926"),
         "doc must pin the CRC-32 check value"
     );
+    assert!(
+        doc.contains(&format!("nesting bound is `{MAX_EXPR_DEPTH}`")),
+        "doc must state the expression nesting bound"
+    );
+    assert_eq!(doc_tags(&doc), encoder_tags());
+    // The worked example: the hex pairs opening each line of its block.
+    let example = doc
+        .split("Example: `I_COST < 100.0 AND I_ID = 7`")
+        .nth(1)
+        .and_then(|rest| rest.split("```text").nth(1))
+        .and_then(|block| block.split("```").next())
+        .expect("doc must carry the worked expression example");
+    let documented: Vec<u8> = example
+        .lines()
+        .flat_map(|line| {
+            line.split_whitespace().map_while(|pair| {
+                (pair.len() == 2)
+                    .then(|| u8::from_str_radix(pair, 16).ok())
+                    .flatten()
+            })
+        })
+        .collect();
+    let predicate = Expr::col(2)
+        .lt(Expr::lit(100.0f64))
+        .and(Expr::col(0).eq(Expr::lit(7i64)));
+    let frame = encode_frame(
+        1,
+        &LogRecord::Apply {
+            table: "T".into(),
+            op: UpdateOp::Delete { predicate },
+        },
+    );
+    assert_eq!(documented, frame[FRAME_HEADER_LEN + 6..]);
 }
