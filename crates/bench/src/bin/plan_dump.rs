@@ -18,7 +18,7 @@
 
 use shareddb_bench::{bench_scale, env_usize};
 use shareddb_common::Value;
-use shareddb_core::{render_dot, render_explain_text, AnalyzeData, Engine, EngineConfig};
+use shareddb_core::{render_dot, render_explain_text, Engine, EngineConfig};
 use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::{build_catalog, build_shared_plan};
 use std::sync::Arc;
@@ -71,11 +71,7 @@ fn main() {
                 eprintln!("statement {i} failed: {e}");
             }
         }
-        let data = AnalyzeData {
-            operators: engine.operator_stats(),
-            attribution: engine.attribution_stats(),
-            wall: engine.stats_wall(),
-        };
+        let data = engine.stats();
         engine.shutdown();
         Some(data)
     } else {

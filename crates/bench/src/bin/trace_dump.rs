@@ -85,7 +85,7 @@ fn main() {
 
     println!("== phase latency summaries ==");
     for (replica, engine) in cluster.engines().iter().enumerate() {
-        for snap in engine.phase_snapshot() {
+        for snap in engine.stats().phases {
             for phase in Phase::ALL {
                 let histogram = snap.phase(phase);
                 if histogram.is_empty() {

@@ -26,7 +26,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shareddb_client::Connection;
 use shareddb_cluster::ClusterConfig;
-use shareddb_common::metrics::HistogramSnapshot;
 use shareddb_common::Value;
 use shareddb_core::{EngineConfig, Phase};
 use shareddb_server::{Server, ServerConfig};
@@ -223,17 +222,14 @@ fn run_point() -> (Point, String) {
         (clients, scraper.join().expect("scraper"), elapsed)
     });
 
-    let mut server_light = HistogramSnapshot::default();
-    let replica_queries = server
+    let (server_light, replica_queries) = server
         .with_cluster(|cluster| {
+            let phases = cluster.stats().phases;
+            let light = phases.iter().find(|s| s.statement == "getItemById");
+            let light = light.map(|s| s.phase(Phase::Total).clone());
             let engines = cluster.engines();
-            for engine in engines {
-                let phases = engine.phase_snapshot();
-                if let Some(s) = phases.iter().find(|s| s.statement == "getItemById") {
-                    server_light.merge_from(s.phase(Phase::Total));
-                }
-            }
-            engines.iter().map(|e| e.stats().queries).collect()
+            let queries = engines.iter().map(|e| e.stats().queries).collect();
+            (light.unwrap_or_default(), queries)
         })
         .unwrap_or_default();
     server.shutdown();

@@ -6,9 +6,7 @@ use crate::ClusterConfig;
 use shareddb_common::{Result, Value};
 use shareddb_core::demand::push_down;
 use shareddb_core::engine::{QueryHandle, QueryOutcome};
-use shareddb_core::stats::{
-    merge_attribution, AttributionEntry, EngineStatsSnapshot, ScanRowsSnapshot, UpdateRowsSnapshot,
-};
+use shareddb_core::stats::EngineStatsSnapshot;
 use shareddb_core::{
     Engine, EngineConfig, GlobalPlan, StatementRecord, StatementRegistry, SubmitOptions,
 };
@@ -127,66 +125,16 @@ impl ClusterEngine {
         self.execute(statement, params)?.wait()
     }
 
-    /// Aggregated statistics over all replicas. Latencies are read from the
-    /// **merged** per-replica histograms, so they are the same numbers a
-    /// single engine seeing all the traffic would report — not a max-of-p99s
-    /// approximation.
+    /// Statistics summed over all replicas: each replica's
+    /// [`Engine::stats`] merged by [`EngineStatsSnapshot::merge_from`].
+    /// Because every replica deploys the same plan, the sum reads like a
+    /// single engine that saw all the traffic.
     pub fn stats(&self) -> EngineStatsSnapshot {
         let mut total = EngineStatsSnapshot::default();
-        for stats in self.engines.iter().map(|e| e.stats()) {
-            total.batches += stats.batches;
-            total.queries += stats.queries;
-            total.updates += stats.updates;
-            total.failed += stats.failed;
-            total.result_rows += stats.result_rows;
-            total.tasks_run_by_coordinator += stats.tasks_run_by_coordinator;
-            total.tasks_run_by_workers += stats.tasks_run_by_workers;
-            total.worker_wakeups += stats.worker_wakeups;
-            total.completion_wakes += stats.completion_wakes;
-            total.executor_threads += stats.executor_threads;
-            total.histogram.merge_from(&stats.histogram);
-            total.occupancy.merge_from(&stats.occupancy);
+        for engine in &self.engines {
+            total.merge_from(&engine.stats());
         }
-        total.read_latencies();
         total
-    }
-
-    /// Rows examined and affected per update statement type, summed over
-    /// replicas (every replica applies its own batches' writes to the one
-    /// shared catalog).
-    pub fn update_row_stats(&self) -> Vec<UpdateRowsSnapshot> {
-        let mut merged: Vec<UpdateRowsSnapshot> = Vec::new();
-        for snap in self.engines.iter().flat_map(|e| e.update_row_stats()) {
-            match merged.iter_mut().find(|m| m.statement == snap.statement) {
-                Some(total) => {
-                    total.examined += snap.examined;
-                    total.affected += snap.affected;
-                }
-                None => merged.push(snap),
-            }
-        }
-        merged
-    }
-
-    /// What the shared scans did, per table, summed over replicas (and over
-    /// the scan operators of one table, should a plan have several).
-    pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
-        let mut merged: Vec<ScanRowsSnapshot> = Vec::new();
-        for snap in self.engines.iter().flat_map(|e| e.scan_row_stats()) {
-            match merged.iter_mut().find(|m| m.table == snap.table) {
-                Some(total) => {
-                    total.examined += snap.examined;
-                    total.emitted += snap.emitted;
-                    total.skipped += snap.skipped;
-                    let sums = total.queries.iter_mut().chain(&mut total.cycles);
-                    for (sum, served) in sums.zip(snap.queries.into_iter().chain(snap.cycles)) {
-                        *sum += served;
-                    }
-                }
-                None => merged.push(snap),
-            }
-        }
-        merged
     }
 
     /// Slow-query offenders summed over replicas: total count plus the
@@ -205,15 +153,6 @@ impl ClusterEngine {
             }));
         }
         (total, records)
-    }
-
-    /// Cluster-wide cost attribution: per-replica tables summed by
-    /// `(operator, statement)` key. Because every replica deploys the same
-    /// plan, the merged table reads exactly like a single engine that saw
-    /// all the traffic.
-    pub fn attribution_stats(&self) -> Vec<AttributionEntry> {
-        let per_replica: Vec<_> = self.engines.iter().map(|e| e.attribution_stats()).collect();
-        merge_attribution(&per_replica)
     }
 
     /// Zeroes every replica's statistics (counters, histograms, slow-query
@@ -545,9 +484,12 @@ mod tests {
         assert_eq!(total.p99_latency.as_micros() as u64, p99);
 
         // Each replica recorded the phases of the look-ups it ran.
-        for (stats, engine) in replicas.iter().zip(cluster.engines()) {
-            let phases = engine.phase_snapshot();
-            let snap = phases.iter().find(|s| s.statement == "getItem").unwrap();
+        for stats in &replicas {
+            let snap = stats
+                .phases
+                .iter()
+                .find(|s| s.statement == "getItem")
+                .unwrap();
             assert_eq!(snap.phase(Phase::Execute).count, stats.queries);
             assert_eq!(snap.phase(Phase::Total).count, stats.queries);
         }
@@ -559,7 +501,7 @@ mod tests {
         assert!(cluster
             .engines()
             .iter()
-            .flat_map(|e| e.phase_snapshot())
+            .flat_map(|e| e.stats().phases)
             .all(|s| s.phases.iter().all(|h| h.is_empty())));
     }
 

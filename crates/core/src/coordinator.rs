@@ -279,45 +279,42 @@ impl BatchCtx<'_> {
         Run { pin, nodes }
     }
 
-    /// Records every operator's cycle — active or not — in the counters and
-    /// the attribution table, the batch and its active operators in the
-    /// trace, and returns the first failure of a node: a batch fails as one.
+    /// Records the run — a cycle of every operator — and the cycle of each
+    /// node that ran in the attribution table, the batch and its active
+    /// operators in the trace, and returns the first failure of a node: a
+    /// batch fails as one.
     fn fold_counters(&self, run: &Run) -> Option<Error> {
         let (inner, batch) = (self.inner, self.batch);
-        let plan = &inner.plan;
         let mut error = None;
-        // Attribution splits every operator's cycle across the batch's
-        // activation mix; feeding it the numbers record_cycle consumes is
-        // what makes the attributed sums match the per-operator totals
-        // exactly.
-        let n_stmts = inner.attribution.statement_count();
-        let mut act_counts: Vec<u64> = vec![0; plan.len() * n_stmts];
-        for q in &batch.queries {
-            for (op, _) in &q.activations {
-                act_counts[*op * n_stmts + q.admitted.statement_index] += 1;
-            }
-        }
+        inner.attribution.record_run();
+        // `(statement, activations)` of one node, ascending by statement.
+        let mut counts: Vec<(usize, u64)> = Vec::new();
         let mut fired = Vec::new();
         for (id, node) in run.nodes.iter().enumerate() {
-            let done = node.done.get();
-            let (tuples, pruned, busy) = match done {
-                None => (0, 0, Duration::ZERO),
-                Some(done) => match &done.pruned {
-                    Ok(pruned) => (done.rows, *pruned, done.busy),
-                    Err(e) => {
-                        error.get_or_insert_with(|| e.clone());
-                        (done.rows, 0, done.busy)
-                    }
-                },
+            let Some(done) = node.done.get() else {
+                continue;
             };
-            let counts = &act_counts[id * n_stmts..(id + 1) * n_stmts];
-            inner.operator_stats[id].record_cycle(done.is_some(), tuples, pruned, busy);
+            let pruned = match &done.pruned {
+                Ok(pruned) => *pruned,
+                Err(e) => {
+                    error.get_or_insert_with(|| e.clone());
+                    0
+                }
+            };
+            counts.clear();
+            for (query, _) in &node.activations {
+                let statement = batch.queries[query.0 as usize].admitted.statement_index;
+                match counts.iter_mut().find(|(s, _)| *s == statement) {
+                    Some((_, n)) => *n += 1,
+                    None => counts.push((statement, 1)),
+                }
+            }
+            counts.sort_unstable();
+            let rows = done.rows as u64;
             inner
                 .attribution
-                .record_cycle(id, counts, tuples as u64, busy);
-            if done.is_some() {
-                fired.push((id, tuples, busy));
-            }
+                .record_cycle(id, &counts, rows, pruned as u64, done.busy);
+            fired.push((id, done.rows, done.busy));
         }
         inner.trace.push(TraceEvent::Batch {
             batch: batch.id.0,
@@ -499,7 +496,8 @@ mod tests {
         for h in handles {
             h.wait().unwrap();
         }
-        let operators = engine.operator_stats();
+        let stats = engine.stats();
+        let operators = &stats.operators;
         // The group-join's join ran inside its group-by every time: it counts
         // the pairs it matched, the group-by the time of both.
         let (join, group_by) = (&operators[11], &operators[12]);
@@ -510,11 +508,11 @@ mod tests {
         assert_eq!(join.active_cycles, group_by.active_cycles);
         assert!(join.tuples_out > 0 && group_by.busy > Duration::ZERO);
         assert_eq!(join.busy, Duration::ZERO);
-        let attribution = engine.attribution_stats();
+        let attribution = &stats.attribution;
         // The invariant the whole attribution design hangs on: per operator,
         // the attributed busy times and rows — including the `_idle`
         // residual — sum EXACTLY to the operator's own counters.
-        for op in &operators {
+        for op in operators {
             let busy: Duration = attribution
                 .iter()
                 .filter(|e| e.operator == op.name)
@@ -544,7 +542,7 @@ mod tests {
             "expected a shared scan, got {sharers:?}"
         );
         engine.reset_stats();
-        assert!(engine.attribution_stats().is_empty());
+        assert!(engine.stats().attribution.is_empty());
     }
 
     // -- read-your-writes session fences ------------------------------------

@@ -10,8 +10,8 @@
 //!   hand every outcome back;
 //! * per task — `executor`: one operator cycle is one task, one thread is
 //!   one core (Section 4.3);
-//! * for the engine's life — this module: [`Engine`] (start, shutdown, the
-//!   statistics accessors), its shared state, and the types a caller holds:
+//! * for the engine's life — this module: [`Engine`] (start, shutdown, its
+//!   one statistics snapshot), its shared state, and the types a caller holds:
 //!   [`ResultSet`], [`QueryOutcome`], [`QueryHandle`], [`SubmitOptions`],
 //!   [`WriteFence`].
 //!
@@ -24,11 +24,7 @@ use crate::config::EngineConfig;
 use crate::coordinator::coordinator_loop;
 use crate::executor::Executor;
 use crate::plan::{GlobalPlan, StatementRegistry};
-use crate::stats::{
-    AttributionEntry, AttributionTable, EngineStats, EngineStatsSnapshot, OperatorStats,
-    OperatorStatsSnapshot, ScanCounters, ScanRowsSnapshot, StatementPhaseSnapshot,
-    UpdateRowsSnapshot,
-};
+use crate::stats::{AttributionTable, EngineStats, EngineStatsSnapshot, ScanCounters};
 use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{
     Ring, StatementRecord, TraceEvent, TraceRecord, SLOW_LOG_CAPACITY, TRACE_CAPACITY,
@@ -226,10 +222,9 @@ pub(crate) struct EngineInner {
     /// Start of the current statistics window (engine start, or the last
     /// [`Engine::reset_stats`]); the wall clock for busy-fraction numbers.
     pub(crate) stats_epoch: Mutex<Instant>,
-    pub(crate) operator_stats: Vec<OperatorStats>,
-    /// Per-operator × per-statement-type cost attribution, recorded alongside
-    /// `operator_stats` from the same folded per-batch numbers (so attributed
-    /// busy times sum exactly to the per-operator busy counters).
+    /// The one record of operator cycles: per-operator × per-statement-type
+    /// cost attribution, whose row sums are each operator's busy time and
+    /// rows.
     pub(crate) attribution: AttributionTable,
     /// Runs each batch's operator cycles as tasks.
     pub(crate) executor: Arc<Executor>,
@@ -290,7 +285,6 @@ impl Engine {
             shutdown: AtomicBool::new(false),
             stats,
             stats_epoch: Mutex::new(Instant::now()),
-            operator_stats: (0..plan.len()).map(|_| OperatorStats::default()).collect(),
             attribution: AttributionTable::new(
                 plan.nodes().iter().map(|n| n.name.clone()).collect(),
                 statement_names,
@@ -337,44 +331,25 @@ impl Engine {
         &self.inner.registry
     }
 
-    /// Engine-level statistics.
+    /// Everything the engine records, in one snapshot: its counters and
+    /// histograms, the operators and their cost attribution, phases, scans
+    /// and update rows, over the window since start or the last
+    /// [`Engine::reset_stats`]. Replicas are summed by
+    /// [`EngineStatsSnapshot::merge_from`].
     pub fn stats(&self) -> EngineStatsSnapshot {
+        let inner = &self.inner;
+        let (operators, attribution) = inner.attribution.snapshot();
         EngineStatsSnapshot {
-            executor_threads: self.inner.executor.threads(),
-            ..self.inner.stats.snapshot()
+            executor_threads: inner.executor.threads(),
+            wall: inner.stats_epoch.lock().elapsed(),
+            operators,
+            attribution,
+            scans: self
+                .scan_counters()
+                .map(|(table, counters)| counters.snapshot(table))
+                .collect(),
+            ..inner.stats.snapshot()
         }
-    }
-
-    /// Per-operator statistics.
-    pub fn operator_stats(&self) -> Vec<OperatorStatsSnapshot> {
-        self.inner
-            .plan
-            .nodes()
-            .iter()
-            .map(|n| self.inner.operator_stats[n.id].snapshot(&n.name))
-            .collect()
-    }
-
-    /// Per-operator × per-statement-type cost attribution: for every
-    /// operator, who (which statement type) the busy time and output rows
-    /// were spent on, split by each batch's activation mix. The entries for
-    /// one operator — including the `_idle` residual — sum exactly to that
-    /// operator's totals in [`Engine::operator_stats`].
-    pub fn attribution_stats(&self) -> Vec<AttributionEntry> {
-        self.inner.attribution.snapshot()
-    }
-
-    /// Per-statement-type, per-phase latency histograms.
-    pub fn phase_snapshot(&self) -> Vec<StatementPhaseSnapshot> {
-        self.inner.stats.phase_snapshot()
-    }
-
-    /// Rows examined, emitted and skipped, and queries served per predicate
-    /// class, by every shared scan of the plan since the last reset.
-    pub fn scan_row_stats(&self) -> Vec<ScanRowsSnapshot> {
-        self.scan_counters()
-            .map(|(table, counters)| counters.snapshot(table))
-            .collect()
     }
 
     fn scan_counters(&self) -> impl Iterator<Item = (&String, &ScanCounters)> {
@@ -384,11 +359,6 @@ impl Engine {
             }) => Some((table, counters)),
             _ => None,
         })
-    }
-
-    /// Rows examined and affected per update statement type.
-    pub fn update_row_stats(&self) -> Vec<UpdateRowsSnapshot> {
-        self.inner.stats.update_rows_snapshot()
     }
 
     /// Total slow-query offenders plus the retained tail of the log, oldest
@@ -404,23 +374,13 @@ impl Engine {
         self.inner.trace.snapshot()
     }
 
-    /// Wall-clock length of the current statistics window (time since engine
-    /// start or the last [`Engine::reset_stats`]); the denominator for
-    /// per-operator busy fractions.
-    pub fn stats_wall(&self) -> Duration {
-        self.inner.stats_epoch.lock().elapsed()
-    }
-
-    /// Zeroes the engine-level statistics, phase histograms, slow-query log
-    /// and per-operator counters, and restarts the busy-fraction wall clock.
+    /// Zeroes the engine-level statistics, phase histograms, slow-query log,
+    /// operator and scan counters, and restarts the busy-fraction wall clock.
     /// Bench harnesses call this after warm-up so reported numbers cover only
     /// the measured window.
     pub fn reset_stats(&self) {
         self.inner.stats.reset();
         self.inner.slow.reset();
-        for op in &self.inner.operator_stats {
-            op.reset();
-        }
         self.inner.attribution.reset();
         self.scan_counters()
             .for_each(|(_, counters)| counters.reset());
@@ -749,18 +709,14 @@ pub(crate) mod tests {
             rows.rows()[0][1],
             Value::text(format!("user{}", expected[0].0))
         );
-        let stats = engine.operator_stats();
+        let data = engine.stats();
+        let stats = &data.operators;
         assert_eq!(
             (stats[11].active_cycles, stats[11].busy),
             (1, Duration::ZERO)
         );
         assert_eq!(stats[11].tuples_out, 3 * expected.len() as u64);
         let (index, _) = engine.registry().get("salesByUser").unwrap();
-        let data = crate::AnalyzeData {
-            operators: stats,
-            attribution: engine.attribution_stats(),
-            wall: engine.stats_wall(),
-        };
         let text = crate::render_explain_text(
             &engine.catalog(),
             engine.plan(),
@@ -969,7 +925,7 @@ pub(crate) mod tests {
     fn operator_stats_are_recorded() {
         let engine = build_engine(EngineConfig::default());
         engine.execute_sync("usersByCountry", &[]).unwrap();
-        let stats = engine.operator_stats();
+        let stats = engine.stats().operators;
         assert_eq!(stats.len(), engine.plan().len());
         // The USERS scan must have processed at least one active cycle.
         let users_scan = stats

@@ -20,11 +20,10 @@ use crate::plan::{
     ActivationTemplate, GlobalPlan, OperatorId, StatementKind, StatementRegistry, StatementSpec,
     UpdateTemplate,
 };
-use crate::stats::{AttributionEntry, OperatorStatsSnapshot};
+use crate::stats::EngineStatsSnapshot;
 use shareddb_common::{DataType, Expr, Schema, SortOrder, Value};
 use shareddb_storage::{AccessPath, Catalog, PredicateClass};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// One operator of an [`ExplainTree`], annotated with its sharing set.
 #[derive(Debug)]
@@ -61,19 +60,6 @@ impl ExplainTree {
     fn node(&self, id: OperatorId) -> Option<&ExplainNode> {
         self.nodes.iter().find(|n| n.id == id)
     }
-}
-
-/// Live runtime stats folded into `EXPLAIN ANALYZE` output: per-operator
-/// counters (indexed by operator id, full plan order), the attribution
-/// snapshot, and the wall-clock window the counters cover.
-#[derive(Debug, Clone)]
-pub struct AnalyzeData {
-    /// Per-operator counters in plan order.
-    pub operators: Vec<OperatorStatsSnapshot>,
-    /// Nonzero attribution cells (operator × statement type).
-    pub attribution: Vec<AttributionEntry>,
-    /// Wall-clock window the counters were accumulated over.
-    pub wall: Duration,
 }
 
 /// The per-operator sharing sets of the whole plan: for each operator, the
@@ -146,8 +132,9 @@ fn explain_statement(plan: &GlobalPlan, registry: &StatementRegistry, index: usi
 
 /// Renders the statement's annotated subtree as indented text — the body of
 /// an `EXPLAIN [ANALYZE]` reply. Deterministic for a fixed plan + registry
-/// (golden-tested over the SQL conformance corpus); `analyze` appends live
-/// counters and the per-statement attributed costs under each node. An
+/// (golden-tested over the SQL conformance corpus); `analyze` — an engine's
+/// [`crate::Engine::stats`], or a cluster's — appends live counters and the
+/// per-statement attributed costs under each node. An
 /// `UPDATE`/`DELETE` statement shows the access path its rows are found by,
 /// a query the predicate-index class each of its scan predicates lands in
 /// and, beside it, the access path a cycle of such queries alone can take.
@@ -156,7 +143,7 @@ pub fn render_explain_text(
     plan: &GlobalPlan,
     registry: &StatementRegistry,
     index: usize,
-    analyze: Option<&AnalyzeData>,
+    analyze: Option<&EngineStatsSnapshot>,
 ) -> String {
     let tree = explain_statement(plan, registry, index);
     let spec = registry.by_index(index);
@@ -358,7 +345,7 @@ fn render_node_text(
     depth: usize,
     classes: &[(OperatorId, String)],
     notes: &[(OperatorId, String)],
-    analyze: Option<&AnalyzeData>,
+    analyze: Option<&EngineStatsSnapshot>,
     out: &mut String,
 ) {
     let Some(node) = tree.node(id) else { return };
@@ -459,6 +446,7 @@ mod tests {
     use crate::plan::{ActivationTemplate, PlanBuilder, StatementSpec, UpdateTemplate};
     use shareddb_common::SortKey;
     use shareddb_storage::{IndexDef, IndexKind, TableDef};
+    use std::time::Duration;
 
     fn fixture() -> (Catalog, GlobalPlan, StatementRegistry) {
         let catalog = Catalog::new();
@@ -617,9 +605,9 @@ mod tests {
     #[test]
     fn analyze_appends_runtime_and_attribution() {
         let (catalog, plan, registry) = fixture();
-        let data = AnalyzeData {
+        let data = EngineStatsSnapshot {
             operators: vec![
-                OperatorStatsSnapshot {
+                crate::stats::OperatorStatsSnapshot {
                     name: plan.node(0).name.clone(),
                     cycles: 4,
                     active_cycles: 3,
@@ -627,7 +615,7 @@ mod tests {
                     rows_pruned: 7,
                     busy: Duration::from_micros(90),
                 },
-                OperatorStatsSnapshot {
+                crate::stats::OperatorStatsSnapshot {
                     name: plan.node(1).name.clone(),
                     cycles: 4,
                     active_cycles: 1,
@@ -636,7 +624,7 @@ mod tests {
                     busy: Duration::from_micros(30),
                 },
             ],
-            attribution: vec![AttributionEntry {
+            attribution: vec![crate::stats::AttributionEntry {
                 operator: plan.node(0).name.clone(),
                 statement: "pointT".into(),
                 activations: 3,
@@ -644,6 +632,7 @@ mod tests {
                 busy: Duration::from_micros(60),
             }],
             wall: Duration::from_secs(1),
+            ..EngineStatsSnapshot::default()
         };
         let text = render_explain_text(&catalog, &plan, &registry, 0, Some(&data));
         assert!(text.contains("cycles=4 active=3 rows=12 pruned=7 busy=90us"));

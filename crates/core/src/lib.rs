@@ -39,8 +39,10 @@
 //!   per-layer bench.
 //! * [`explain`] — EXPLAIN/EXPLAIN ANALYZE: annotated statement subtrees,
 //!   sharing sets, text + DOT rendering.
-//! * [`stats`] — per-operator and engine-level metrics, phase histograms,
-//!   per-statement-type cost attribution.
+//! * [`stats`] — the engine's one snapshot and the one sum over replicas:
+//!   engine-level counters, phase histograms, and the operator cycles'
+//!   single record — per-statement-type cost attribution, whose row sums are
+//!   each operator's busy time and rows.
 //! * [`trace`] — the trace ring's two records, one per batch and one per
 //!   statement, and the bounded ring the slow-query log shares.
 //! * [`config`] — engine configuration.
@@ -67,14 +69,14 @@ pub use batch::{Activation, ActiveQuery, QueryBatch};
 pub use completions::Completions;
 pub use config::EngineConfig;
 pub use engine::{Engine, QueryOutcome, ResultSet, SubmitOptions, WriteFence};
-pub use explain::{render_dot, render_explain_text, sharing_sets, AnalyzeData};
+pub use explain::{render_dot, render_explain_text, sharing_sets};
 pub use merge::{merge_results, MergeSpec};
 pub use plan::{
     ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, OperatorSpec, PlanBuilder,
     StatementKind, StatementRegistry, StatementSpec,
 };
 pub use stats::{
-    merge_attribution, AttributionEntry, Phase, ScanRowsSnapshot, StatementPhaseSnapshot,
+    AttributionEntry, EngineStatsSnapshot, Phase, ScanRowsSnapshot, StatementPhaseSnapshot,
     UpdateRowsSnapshot, IDLE_STATEMENT, NUM_PHASES,
 };
 pub use trace::{StatementRecord, TraceEvent, TraceRecord};

@@ -1,12 +1,15 @@
 //! Engine and operator statistics.
 //!
 //! SharedDB's value proposition is *predictability*: the engine therefore
-//! keeps cheap, always-on counters — per-operator cycle counts and busy time,
-//! engine-level batch/query/latency counters, and **phase-tagged latency
-//! histograms** that break a statement's life into admission → batch-wait →
-//! execute → flush at the network layer. All hot-path recording is lock-free
-//! ([`shareddb_common::metrics::Histogram`]); the benchmark harnesses and the
-//! server's metrics endpoint read the same counters.
+//! keeps cheap, always-on counters — one record of every operator cycle (its
+//! busy time and rows split by the statement types it served), engine-level
+//! batch/query/latency counters, and **phase-tagged latency histograms** that
+//! break a statement's life into admission → batch-wait → execute → flush at
+//! the network layer. All hot-path recording is lock-free
+//! ([`shareddb_common::metrics::Histogram`]); an engine hands all of it out
+//! as one [`EngineStatsSnapshot`], and [`EngineStatsSnapshot::merge_from`] is
+//! the one sum over replicas the benchmark harnesses and the server's metrics
+//! endpoint read.
 
 use shareddb_common::metrics::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,16 +20,19 @@ use std::time::Duration;
 pub struct OperatorStatsSnapshot {
     /// Operator name.
     pub name: String,
-    /// Number of cycles (batches) processed.
+    /// Number of cycles: the batches that ran the plan, which every
+    /// operator counts, active or not.
     pub cycles: u64,
-    /// Number of cycles that had at least one active query.
+    /// Number of cycles in which the operator ran (had at least one
+    /// activation).
     pub active_cycles: u64,
-    /// Total tuples emitted.
+    /// Total tuples emitted: the sum of the operator's attributed rows.
     pub tuples_out: u64,
     /// Total work row demands let the operator skip
     /// ([`crate::operators::Emitted::pruned`]).
     pub rows_pruned: u64,
-    /// Total busy time across cycles.
+    /// Total busy time across cycles: the sum of the operator's attributed
+    /// busy time.
     pub busy: Duration,
 }
 
@@ -34,78 +40,15 @@ impl OperatorStatsSnapshot {
     /// Fraction of `wall` this operator spent busy (0.0 when `wall` is zero).
     ///
     /// Computed against a caller-supplied wall-clock window (engine uptime,
-    /// or time since the last stats reset) so the number stays meaningful
-    /// after [`EngineStats::reset`] — snapshots taken against a stale wall
-    /// clock were how replica imbalance used to hide.
+    /// or time since the last stats reset: [`EngineStatsSnapshot::wall`]) so
+    /// the number stays meaningful after a reset — snapshots taken against a
+    /// stale wall clock were how replica imbalance used to hide.
     pub fn busy_fraction(&self, wall: Duration) -> f64 {
         if wall.is_zero() {
             0.0
         } else {
             self.busy.as_secs_f64() / wall.as_secs_f64()
         }
-    }
-
-    /// Mean tuples emitted per cycle that actually had active queries.
-    pub fn tuples_per_active_cycle(&self) -> f64 {
-        if self.active_cycles == 0 {
-            0.0
-        } else {
-            self.tuples_out as f64 / self.active_cycles as f64
-        }
-    }
-}
-
-/// Mutable per-operator counters (owned by the engine, updated by operator
-/// threads).
-#[derive(Debug, Default)]
-pub struct OperatorStats {
-    cycles: AtomicU64,
-    active_cycles: AtomicU64,
-    tuples_out: AtomicU64,
-    rows_pruned: AtomicU64,
-    busy_nanos: AtomicU64,
-}
-
-impl OperatorStats {
-    /// Records one processed cycle.
-    pub fn record_cycle(
-        &self,
-        had_queries: bool,
-        tuples_out: usize,
-        rows_pruned: usize,
-        busy: Duration,
-    ) {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-        if had_queries {
-            self.active_cycles.fetch_add(1, Ordering::Relaxed);
-        }
-        self.tuples_out
-            .fetch_add(tuples_out as u64, Ordering::Relaxed);
-        self.rows_pruned
-            .fetch_add(rows_pruned as u64, Ordering::Relaxed);
-        self.busy_nanos
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot.
-    pub fn snapshot(&self, name: &str) -> OperatorStatsSnapshot {
-        OperatorStatsSnapshot {
-            name: name.to_string(),
-            cycles: self.cycles.load(Ordering::Relaxed),
-            active_cycles: self.active_cycles.load(Ordering::Relaxed),
-            tuples_out: self.tuples_out.load(Ordering::Relaxed),
-            rows_pruned: self.rows_pruned.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.cycles.store(0, Ordering::Relaxed);
-        self.active_cycles.store(0, Ordering::Relaxed);
-        self.tuples_out.store(0, Ordering::Relaxed);
-        self.rows_pruned.store(0, Ordering::Relaxed);
-        self.busy_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -114,15 +57,13 @@ impl OperatorStats {
 // ---------------------------------------------------------------------------
 
 /// The reserved attribution column for operator cycles in which no registered
-/// statement type had an activation (e.g. a shared scan revolving for a batch
-/// whose queries all target other operators). Keeping this residual explicit
-/// is what makes the attribution *exact*: for every operator, the attributed
-/// busy times across all columns — including `_idle` — sum to the operator's
-/// total busy time in [`OperatorStats`].
+/// statement type had an activation. Keeping this residual explicit is what
+/// makes the attribution *exact*: an operator's busy time and rows are, by
+/// definition, the sums of its attributed cells — `_idle` included.
 pub const IDLE_STATEMENT: &str = "_idle";
 
 /// One cell of the attribution matrix (lock-free, updated by the coordinator
-/// once per operator per batch).
+/// once per operator that ran, per batch).
 #[derive(Debug, Default)]
 struct AttributionCell {
     activations: AtomicU64,
@@ -147,7 +88,8 @@ pub struct AttributionEntry {
     pub busy: Duration,
 }
 
-/// Per-operator × per-statement-type cost attribution.
+/// The engine's one record of operator cycles: per operator × per statement
+/// type cost attribution, plus what belongs to the operator alone.
 ///
 /// SharedDB executes *one* shared cycle per operator per batch, so a plain
 /// per-operator counter cannot say **who** paid for a heavy cycle. This table
@@ -157,7 +99,10 @@ pub struct AttributionEntry {
 /// busy time and `allItems` 1/4. The split is proportional-by-activation
 /// (the engine has no per-activation timer inside a shared cycle — that is
 /// the whole point of sharing), with the integer-division remainder assigned
-/// to the last active statement so per-batch sums are exact, not rounded.
+/// to the last active statement so per-batch sums are exact, not rounded. An
+/// operator's busy time and rows are read back as its row's sums; beside the
+/// cells it keeps only its active cycles and pruned rows, and the table one
+/// count of the batches that ran the plan — every operator's cycles.
 ///
 /// Storage is a flat `operators × (statements + 1)` matrix of atomics sized
 /// once at engine start — recording is alloc-free and lock-free, same
@@ -168,6 +113,10 @@ pub struct AttributionTable {
     operators: Vec<String>,
     statements: Vec<String>,
     cells: Vec<AttributionCell>,
+    /// `[active cycles, rows pruned]` per operator.
+    ran: Vec<[AtomicU64; 2]>,
+    /// Batches that ran the plan.
+    runs: AtomicU64,
 }
 
 impl AttributionTable {
@@ -178,48 +127,47 @@ impl AttributionTable {
             .map(|_| AttributionCell::default())
             .collect();
         AttributionTable {
+            ran: operators.iter().map(|_| Default::default()).collect(),
             operators,
             statements,
             cells,
+            runs: AtomicU64::new(0),
         }
     }
 
-    /// Number of statement columns (excluding the `_idle` residual).
-    pub fn statement_count(&self) -> usize {
-        self.statements.len()
+    /// Records one batch that ran the plan: a cycle of every operator.
+    pub fn record_run(&self) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one operator cycle: `counts[i]` activations of statement `i`
-    /// in this batch, and the cycle's total output tuples and busy time.
-    /// `counts.len()` must equal [`AttributionTable::statement_count`].
+    /// Records the cycle of one operator that ran: `counts` holds
+    /// `(statement index, activations)` pairs in ascending statement order,
+    /// each count nonzero; `tuples`, `pruned` and `busy` are the cycle's.
     ///
     /// Busy time and rows are split proportionally to the activation counts;
     /// the division remainder goes to the last active statement, so the
     /// row-sum invariant (`Σ attributed busy == operator busy`) holds
     /// exactly. A cycle with no activations lands entirely in `_idle`.
-    pub fn record_cycle(&self, operator: usize, counts: &[u64], tuples: u64, busy: Duration) {
-        debug_assert_eq!(counts.len(), self.statements.len());
-        let cols = self.statements.len() + 1;
-        let base = operator * cols;
-        let total: u64 = counts.iter().sum();
+    pub fn record_cycle(
+        &self,
+        operator: usize,
+        counts: &[(usize, u64)],
+        tuples: u64,
+        pruned: u64,
+        busy: Duration,
+    ) {
+        let [active, rows_pruned] = &self.ran[operator];
+        active.fetch_add(1, Ordering::Relaxed);
+        rows_pruned.fetch_add(pruned, Ordering::Relaxed);
+        let base = operator * (self.statements.len() + 1);
+        let idle = [(self.statements.len(), 0)];
+        let counts = if counts.is_empty() { &idle[..] } else { counts };
+        let total: u64 = counts.iter().map(|(_, count)| count).sum();
         let busy_nanos = busy.as_nanos() as u64;
-        if total == 0 {
-            let idle = &self.cells[base + self.statements.len()];
-            idle.rows.fetch_add(tuples, Ordering::Relaxed);
-            idle.busy_nanos.fetch_add(busy_nanos, Ordering::Relaxed);
-            return;
-        }
-        let last = counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .expect("total > 0 implies a nonzero count");
         let mut given_busy = 0u64;
         let mut given_rows = 0u64;
-        for (i, &count) in counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let (share_busy, share_rows) = if i == last {
+        for (i, &(statement, count)) in counts.iter().enumerate() {
+            let (share_busy, share_rows) = if i + 1 == counts.len() {
                 (busy_nanos - given_busy, tuples - given_rows)
             } else {
                 let b = (busy_nanos as u128 * count as u128 / total as u128) as u64;
@@ -228,28 +176,40 @@ impl AttributionTable {
             };
             given_busy += share_busy;
             given_rows += share_rows;
-            let cell = &self.cells[base + i];
+            let cell = &self.cells[base + statement];
             cell.activations.fetch_add(count, Ordering::Relaxed);
             cell.rows.fetch_add(share_rows, Ordering::Relaxed);
             cell.busy_nanos.fetch_add(share_busy, Ordering::Relaxed);
         }
     }
 
-    /// Every nonzero cell, operator-major, statement columns in registry
-    /// order with `_idle` last.
-    pub fn snapshot(&self) -> Vec<AttributionEntry> {
+    /// Every operator's counters, in plan order, and every nonzero cell,
+    /// operator-major, statement columns in registry order with `_idle`
+    /// last.
+    pub fn snapshot(&self) -> (Vec<OperatorStatsSnapshot>, Vec<AttributionEntry>) {
         let cols = self.statements.len() + 1;
-        let mut out = Vec::new();
-        for (op, operator) in self.operators.iter().enumerate() {
+        let cycles = self.runs.load(Ordering::Relaxed);
+        let mut operators = Vec::with_capacity(self.operators.len());
+        let mut attribution = Vec::new();
+        for (op, (operator, [active, pruned])) in self.operators.iter().zip(&self.ran).enumerate() {
+            let mut counters = OperatorStatsSnapshot {
+                name: operator.clone(),
+                cycles,
+                active_cycles: active.load(Ordering::Relaxed),
+                rows_pruned: pruned.load(Ordering::Relaxed),
+                ..OperatorStatsSnapshot::default()
+            };
             for col in 0..cols {
                 let cell = &self.cells[op * cols + col];
                 let activations = cell.activations.load(Ordering::Relaxed);
                 let rows = cell.rows.load(Ordering::Relaxed);
-                let busy_nanos = cell.busy_nanos.load(Ordering::Relaxed);
-                if activations == 0 && rows == 0 && busy_nanos == 0 {
+                let busy = Duration::from_nanos(cell.busy_nanos.load(Ordering::Relaxed));
+                if activations == 0 && rows == 0 && busy.is_zero() {
                     continue;
                 }
-                out.push(AttributionEntry {
+                counters.tuples_out += rows;
+                counters.busy += busy;
+                attribution.push(AttributionEntry {
                     operator: operator.clone(),
                     statement: self
                         .statements
@@ -258,50 +218,23 @@ impl AttributionTable {
                         .unwrap_or_else(|| IDLE_STATEMENT.to_string()),
                     activations,
                     rows,
-                    busy: Duration::from_nanos(busy_nanos),
+                    busy,
                 });
             }
+            operators.push(counters);
         }
-        out
+        (operators, attribution)
     }
 
-    /// Zeroes every cell.
+    /// Zeroes every cell and counter.
     pub fn reset(&self) {
-        for cell in &self.cells {
-            cell.activations.store(0, Ordering::Relaxed);
-            cell.rows.store(0, Ordering::Relaxed);
-            cell.busy_nanos.store(0, Ordering::Relaxed);
-        }
+        let cells = self.cells.iter();
+        let counters = cells.flat_map(|c| [&c.activations, &c.rows, &c.busy_nanos]);
+        let counters = counters
+            .chain(self.ran.iter().flatten())
+            .chain([&self.runs]);
+        counters.for_each(|c| c.store(0, Ordering::Relaxed));
     }
-}
-
-/// Merges per-replica attribution snapshots by `(operator, statement)` key,
-/// summing counters. Order is first-seen, which for replicas of one shared
-/// plan (identical operator/statement universes) reproduces the single-
-/// replica order — cell-exact, the same property the phase histograms get
-/// from bucket-wise merging.
-pub fn merge_attribution(per_replica: &[Vec<AttributionEntry>]) -> Vec<AttributionEntry> {
-    let mut index: std::collections::HashMap<(String, String), usize> =
-        std::collections::HashMap::new();
-    let mut out: Vec<AttributionEntry> = Vec::new();
-    for part in per_replica {
-        for entry in part {
-            let key = (entry.operator.clone(), entry.statement.clone());
-            match index.get(&key) {
-                Some(&slot) => {
-                    let merged = &mut out[slot];
-                    merged.activations += entry.activations;
-                    merged.rows += entry.rows;
-                    merged.busy += entry.busy;
-                }
-                None => {
-                    index.insert(key, out.len());
-                    out.push(entry.clone());
-                }
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +317,7 @@ impl PhaseHistograms {
 }
 
 /// Per-phase histograms of one statement type (plain-data snapshot).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatementPhaseSnapshot {
     /// Statement name (registry name, or `_other` for untracked statements).
     pub statement: String,
@@ -568,8 +501,10 @@ impl ScanCounters {
     }
 }
 
-/// Point-in-time snapshot of the engine counters.
-#[derive(Debug, Clone, Default)]
+/// Point-in-time snapshot of everything an engine records — the one
+/// snapshot it hands out ([`crate::Engine::stats`]). Replicas are summed by
+/// [`EngineStatsSnapshot::merge_from`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStatsSnapshot {
     /// Number of processed batches (heartbeats with work).
     pub batches: u64,
@@ -615,12 +550,107 @@ pub struct EngineStatsSnapshot {
     /// Threads that run executor tasks: the coordinator and its pool (a
     /// gauge; summed over the replicas of a cluster).
     pub executor_threads: usize,
+    /// Wall-clock length of the statistics window (time since engine start
+    /// or the last reset): the denominator of busy fractions. The longest
+    /// window of the merged replicas.
+    pub wall: Duration,
+    /// Per-operator counters, in plan order.
+    pub operators: Vec<OperatorStatsSnapshot>,
+    /// Nonzero attribution cells (operator × statement type): per operator,
+    /// they sum to its `busy` and `tuples_out` exactly.
+    pub attribution: Vec<AttributionEntry>,
+    /// Per-statement-type, per-phase latency histograms (statements with
+    /// observations only).
+    pub phases: Vec<StatementPhaseSnapshot>,
+    /// What every shared scan did, per table.
+    pub scans: Vec<ScanRowsSnapshot>,
+    /// Rows examined and affected per update statement type (those that
+    /// applied at least one operation).
+    pub update_rows: Vec<UpdateRowsSnapshot>,
 }
 
 impl EngineStatsSnapshot {
-    /// Sets the mean, the maximum and the percentiles from `histogram` — of
-    /// one engine, or merged over replicas.
-    pub fn read_latencies(&mut self) {
+    /// Adds `other` — another replica's snapshot — into this one, the only
+    /// sum over replicas: counters and histograms add, operators merge by
+    /// position (replicas deploy one plan), attribution cells by `(operator,
+    /// statement)` in first-seen order, phases by statement, scans by table
+    /// and update rows by statement; the window is the longest. Merging into
+    /// [`EngineStatsSnapshot::default`] copies; the latencies are read from
+    /// the merged histogram, so they are those a single engine seeing all
+    /// the traffic would report, not a max-of-p99s approximation.
+    pub fn merge_from(&mut self, other: &EngineStatsSnapshot) {
+        self.batches += other.batches;
+        self.queries += other.queries;
+        self.updates += other.updates;
+        self.failed += other.failed;
+        self.result_rows += other.result_rows;
+        self.tasks_run_by_coordinator += other.tasks_run_by_coordinator;
+        self.tasks_run_by_workers += other.tasks_run_by_workers;
+        self.worker_wakeups += other.worker_wakeups;
+        self.completion_wakes += other.completion_wakes;
+        self.executor_threads += other.executor_threads;
+        self.histogram.merge_from(&other.histogram);
+        self.occupancy.merge_from(&other.occupancy);
+        self.wall = self.wall.max(other.wall);
+        if self.operators.is_empty() {
+            self.operators.clone_from(&other.operators);
+        } else {
+            for (total, op) in self.operators.iter_mut().zip(&other.operators) {
+                total.cycles += op.cycles;
+                total.active_cycles += op.active_cycles;
+                total.tuples_out += op.tuples_out;
+                total.rows_pruned += op.rows_pruned;
+                total.busy += op.busy;
+            }
+        }
+        let attribution = (&mut self.attribution, &other.attribution);
+        merge_keyed(
+            attribution,
+            |e| (&e.operator, &e.statement),
+            |total, e| {
+                total.activations += e.activations;
+                total.rows += e.rows;
+                total.busy += e.busy;
+            },
+        );
+        merge_keyed(
+            (&mut self.phases, &other.phases),
+            |s| (&s.statement, ""),
+            |total, s| {
+                for (sum, phase) in total.phases.iter_mut().zip(&s.phases) {
+                    sum.merge_from(phase);
+                }
+            },
+        );
+        merge_keyed(
+            (&mut self.scans, &other.scans),
+            |s| (&s.table, ""),
+            |total, s| {
+                let sums = [&mut total.examined, &mut total.emitted, &mut total.skipped];
+                let sums = sums.into_iter().chain(&mut total.queries);
+                let counted = [s.examined, s.emitted, s.skipped].into_iter();
+                for (sum, n) in sums
+                    .chain(&mut total.cycles)
+                    .zip(counted.chain(s.queries).chain(s.cycles))
+                {
+                    *sum += n;
+                }
+            },
+        );
+        let update_rows = (&mut self.update_rows, &other.update_rows);
+        merge_keyed(
+            update_rows,
+            |s| (&s.statement, ""),
+            |total, s| {
+                total.examined += s.examined;
+                total.affected += s.affected;
+            },
+        );
+        self.read_latencies();
+    }
+
+    /// Sets the mean, the maximum and the percentiles from `histogram`.
+    fn read_latencies(&mut self) {
         let h = &self.histogram;
         let mean_ns = (h.sum_us * 1_000).checked_div(h.count).unwrap_or(0);
         self.mean_latency = Duration::from_nanos(mean_ns);
@@ -628,6 +658,21 @@ impl EngineStatsSnapshot {
         self.p50_latency = Duration::from_micros(h.percentile_us(0.50));
         self.p95_latency = Duration::from_micros(h.percentile_us(0.95));
         self.p99_latency = Duration::from_micros(h.percentile_us(0.99));
+    }
+}
+
+/// Adds every item of `from` into the item of `into` with the same `key`, or
+/// appends a copy of it: first-seen order.
+fn merge_keyed<T: Clone>(
+    (into, from): (&mut Vec<T>, &Vec<T>),
+    key: impl Fn(&T) -> (&String, &str),
+    add: impl Fn(&mut T, &T),
+) {
+    for item in from {
+        match into.iter_mut().find(|total| key(total) == key(item)) {
+            Some(total) => add(total, item),
+            None => into.push(item.clone()),
+        }
     }
 }
 
@@ -698,7 +743,7 @@ impl EngineStats {
 
     /// Row counts of every update statement type that has applied at least
     /// one operation since the last reset.
-    pub fn update_rows_snapshot(&self) -> Vec<UpdateRowsSnapshot> {
+    fn update_rows_snapshot(&self) -> Vec<UpdateRowsSnapshot> {
         let names = self.phases.slots.iter().map(|(name, _)| name);
         names
             .zip(&self.update_rows)
@@ -709,11 +754,6 @@ impl EngineStats {
             })
             .filter(|snap| snap.examined + snap.affected > 0)
             .collect()
-    }
-
-    /// Per-statement per-phase histograms (statements with observations only).
-    pub fn phase_snapshot(&self) -> Vec<StatementPhaseSnapshot> {
-        self.phases.snapshot()
     }
 
     /// Zeroes every counter and histogram, so multi-phase
@@ -736,7 +776,7 @@ impl EngineStats {
         }
     }
 
-    /// Takes a snapshot.
+    /// Takes a snapshot of the counters, histograms and update row counts.
     pub fn snapshot(&self) -> EngineStatsSnapshot {
         let mut snapshot = EngineStatsSnapshot {
             batches: self.batches.load(Ordering::Relaxed),
@@ -750,8 +790,10 @@ impl EngineStats {
             tasks_run_by_workers: self.tasks_run[1].load(Ordering::Relaxed),
             worker_wakeups: self.worker_wakeups.load(Ordering::Relaxed),
             completion_wakes: self.completion_wakes.load(Ordering::Relaxed),
-            // Not a counter: the engine that owns the executor fills it in.
-            executor_threads: 0,
+            phases: self.phases.snapshot(),
+            update_rows: self.update_rows_snapshot(),
+            // What the engine alone knows — its executor, its operators, its
+            // scans and its window — the engine fills in.
             ..EngineStatsSnapshot::default()
         };
         snapshot.read_latencies();
@@ -764,22 +806,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn operator_stats_accumulate() {
-        let stats = OperatorStats::default();
-        stats.record_cycle(true, 10, 3, Duration::from_millis(2));
-        stats.record_cycle(false, 0, 0, Duration::from_millis(1));
-        let snap = stats.snapshot("HashJoin#3");
+    fn operator_counters_are_their_cells_sums() {
+        let table = AttributionTable::new(vec!["HashJoin#3".into()], vec!["light".into()]);
+        table.record_run();
+        table.record_cycle(0, &[(0, 1)], 10, 3, Duration::from_millis(2));
+        table.record_run();
+        let (operators, _) = table.snapshot();
+        let snap = &operators[0];
         assert_eq!(snap.cycles, 2);
         assert_eq!(snap.active_cycles, 1);
         assert_eq!(snap.tuples_out, 10);
         assert_eq!(snap.rows_pruned, 3);
-        assert_eq!(snap.busy, Duration::from_millis(3));
+        assert_eq!(snap.busy, Duration::from_millis(2));
         assert_eq!(snap.name, "HashJoin#3");
-        assert_eq!(snap.tuples_per_active_cycle(), 10.0);
-        let frac = snap.busy_fraction(Duration::from_millis(6));
+        let frac = snap.busy_fraction(Duration::from_millis(4));
         assert!((frac - 0.5).abs() < 1e-9);
-        stats.reset();
-        assert_eq!(stats.snapshot("HashJoin#3").cycles, 0);
+        table.reset();
+        assert_eq!(table.snapshot().0[0].cycles, 0);
     }
 
     #[test]
@@ -838,10 +881,10 @@ mod tests {
         );
         // A batch where Scan#0 serves 3 light + 1 heavy activations; the
         // 1000ns cycle does not divide evenly (750 / 250 does, so use 999).
-        table.record_cycle(0, &[3, 1], 10, Duration::from_nanos(999));
+        table.record_cycle(0, &[(0, 3), (1, 1)], 10, 0, Duration::from_nanos(999));
         // A cycle with no activations lands in _idle.
-        table.record_cycle(1, &[0, 0], 2, Duration::from_nanos(77));
-        let snap = table.snapshot();
+        table.record_cycle(1, &[], 2, 0, Duration::from_nanos(77));
+        let (_, snap) = table.snapshot();
         let cell = |op: &str, stmt: &str| {
             snap.iter()
                 .find(|e| e.operator == op && e.statement == stmt)
@@ -866,25 +909,34 @@ mod tests {
         assert_eq!(idle.rows, 2);
         assert_eq!(idle.busy, Duration::from_nanos(77));
         table.reset();
-        assert!(table.snapshot().is_empty());
+        assert!(table.snapshot().1.is_empty());
     }
 
     #[test]
     fn attribution_merge_sums_by_key() {
         let make = |busy: u64| {
             let t = AttributionTable::new(vec!["Scan#0".into()], vec!["light".into()]);
-            t.record_cycle(0, &[2], 5, Duration::from_nanos(busy));
-            t.snapshot()
+            t.record_cycle(0, &[(0, 2)], 5, 0, Duration::from_nanos(busy));
+            let (operators, attribution) = t.snapshot();
+            EngineStatsSnapshot {
+                operators,
+                attribution,
+                ..EngineStatsSnapshot::default()
+            }
         };
-        let merged = merge_attribution(&[make(100), make(300)]);
+        let mut merged = make(100);
+        merged.merge_from(&make(300));
+        let merged = merged.attribution;
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].operator, "Scan#0");
         assert_eq!(merged[0].statement, "light");
         assert_eq!(merged[0].activations, 4);
         assert_eq!(merged[0].rows, 10);
         assert_eq!(merged[0].busy, Duration::from_nanos(400));
-        // Merging one snapshot is the identity.
-        assert_eq!(merge_attribution(&[make(100)]), make(100));
+        // Merging one snapshot into nothing is the identity.
+        let mut one = EngineStatsSnapshot::default();
+        one.merge_from(&make(100));
+        assert_eq!(one, make(100));
     }
 
     #[test]

@@ -47,8 +47,7 @@ use crate::protocol::{
 use crate::server::Shared;
 use shareddb_common::{DataType, Error, Value};
 use shareddb_core::completions::Completion;
-use shareddb_core::stats::OperatorStatsSnapshot;
-use shareddb_core::{render_explain_text, AnalyzeData};
+use shareddb_core::render_explain_text;
 use shareddb_core::{Completions, Phase, QueryOutcome, SubmitOptions, WriteFence};
 use shareddb_sql::compile::{bind_adhoc, canonicalize, parse_explain};
 use std::collections::{HashMap, VecDeque};
@@ -1075,41 +1074,14 @@ impl Reactor {
     }
 
     /// Renders one statement type's view of the global plan; when
-    /// `analyze`, with per-operator counters summed over replicas and the
-    /// cluster-merged cost attribution.
+    /// `analyze`, with the cluster's statistics: per-operator counters and
+    /// cost attribution summed over replicas.
     fn build_explain(&self, index: usize, analyze: bool) -> Result<String, Error> {
         let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
         let cluster = engine.as_ref().ok_or(Error::EngineShutdown)?;
         let plan = cluster.plan();
         let registry = cluster.registry();
-        let data = if analyze {
-            let mut wall = Duration::ZERO;
-            let mut operators: Vec<OperatorStatsSnapshot> = plan
-                .nodes()
-                .iter()
-                .map(|node| OperatorStatsSnapshot {
-                    name: node.name.clone(),
-                    ..OperatorStatsSnapshot::default()
-                })
-                .collect();
-            for engine in cluster.engines() {
-                wall = wall.max(engine.stats_wall());
-                for (total, snap) in operators.iter_mut().zip(engine.operator_stats()) {
-                    total.cycles += snap.cycles;
-                    total.active_cycles += snap.active_cycles;
-                    total.tuples_out += snap.tuples_out;
-                    total.rows_pruned += snap.rows_pruned;
-                    total.busy += snap.busy;
-                }
-            }
-            Some(AnalyzeData {
-                operators,
-                attribution: cluster.attribution_stats(),
-                wall,
-            })
-        } else {
-            None
-        };
+        let data = analyze.then(|| cluster.stats());
         Ok(render_explain_text(
             &cluster.catalog(),
             plan,

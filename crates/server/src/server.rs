@@ -174,9 +174,10 @@ impl Shared {
     /// counters in total and per replica, the WAL, per-statement per-phase
     /// latency summaries (each replica's, then the frontend's flush phase),
     /// update and scan row counters, operator utilisation and attribution.
-    /// Every number is read from the engine that records it
-    /// ([`ClusterEngine::engines`]) and written through [`family`], one
-    /// metric family at a time.
+    /// Every number is read from the snapshot of the engine that records it
+    /// where a series is labelled by replica, and from their sum,
+    /// [`ClusterEngine::stats`], where it is a total; each is written
+    /// through [`family`], one metric family at a time.
     pub(crate) fn metrics_text(&self) -> String {
         let mut out = String::with_capacity(4096);
         let w = &mut out;
@@ -327,12 +328,13 @@ impl Shared {
 
         // Phase-tagged latency summaries: per replica, then the reactor's
         // flush phase.
-        let mut phases: Vec<(String, Vec<StatementPhaseSnapshot>)> = engines
+        let flush = self.flush_phases.snapshot();
+        let phases: Vec<(String, &[StatementPhaseSnapshot])> = replica_stats
             .iter()
             .enumerate()
-            .map(|(i, engine)| (replica(i), engine.phase_snapshot()))
+            .map(|(i, stats)| (replica(i), &stats.phases[..]))
+            .chain([("replica=\"frontend\"".into(), &flush[..])])
             .collect();
-        phases.push(("replica=\"frontend\"".into(), self.flush_phases.snapshot()));
         let phases = phases.iter();
         summaries(
             w,
@@ -343,7 +345,7 @@ impl Shared {
         // The write path's useful-work ratio per update statement type:
         // live versions its WHERE clause was evaluated on vs rows it changed.
         // examined ≫ affected means the statement has no usable index.
-        let update_rows = cluster.update_row_stats();
+        let update_rows = &total.update_rows;
         let statement =
             |s: &UpdateRowsSnapshot| format!("statement=\"{}\"", escape_label_value(&s.statement));
         family(
@@ -364,7 +366,7 @@ impl Shared {
         // served per predicate class (`residual` = evaluated row by row, the
         // un-shared path), and how many of its cycles were a pass over the
         // table and how many were served from its indexes.
-        let scan_rows = cluster.scan_row_stats();
+        let scan_rows = &total.scans;
         let table = |s: &ScanRowsSnapshot| format!("table=\"{}\"", escape_label_value(&s.table));
         family(
             w,
@@ -479,15 +481,14 @@ impl Shared {
         // and the input a statement's row demand let an operator skip: outer
         // rows a join did not look up, groups not built, rows a Top-N did not
         // keep.
-        let operators: Vec<_> = engines
+        let operators: Vec<_> = replica_stats
             .iter()
             .enumerate()
-            .flat_map(|(i, e)| {
-                let wall = e.stats_wall();
-                e.operator_stats().into_iter().map(move |op| {
+            .flat_map(|(i, stats)| {
+                stats.operators.iter().map(move |op| {
                     let operator = escape_label_value(&op.name);
                     let labels = format!("replica=\"{i}\",operator=\"{operator}\"");
-                    (labels, wall, op)
+                    (labels, stats.wall, op)
                 })
             })
             .collect();
@@ -520,11 +521,11 @@ impl Shared {
         // operator's busy time split by the activation mix of its batches
         // (`stmt_type="_idle"` covers cycles with no activation of that
         // operator).
-        let attributed: Vec<_> = engines
+        let attributed: Vec<_> = replica_stats
             .iter()
             .enumerate()
-            .flat_map(|(i, e)| {
-                e.attribution_stats().into_iter().map(move |entry| {
+            .flat_map(|(i, stats)| {
+                stats.attribution.iter().map(move |entry| {
                     let labels = format!(
                         "replica=\"{i}\",operator=\"{}\",stmt_type=\"{}\"",
                         escape_label_value(&entry.operator),
@@ -752,10 +753,10 @@ impl Server {
     }
 
     /// Runs `read` on the engine cluster — the one way in to everything the
-    /// engines record: `c.engines()` for a replica's counters, phase,
-    /// operator and attribution tables, queue depths and trace
-    /// ring; `c.slow_queries()`, `c.routes()` and the other cluster-wide
-    /// sums. `None` once the server has shut its engines down.
+    /// engines record: `c.engines()[i].stats()` for a replica's counters,
+    /// phase, operator and attribution tables, `c.stats()` for their sum,
+    /// queue depths and trace rings; `c.slow_queries()`, `c.routes()`.
+    /// `None` once the server has shut its engines down.
     pub fn with_cluster<T>(&self, read: impl FnOnce(&ClusterEngine) -> T) -> Option<T> {
         let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
         engine.as_ref().map(read)
@@ -781,7 +782,7 @@ impl Server {
     /// Cluster-wide per-operator × per-statement-type cost attribution,
     /// merged over replicas by `(operator, statement)` key.
     pub fn attribution_stats(&self) -> Option<Vec<shareddb_core::AttributionEntry>> {
-        self.with_cluster(|c| c.attribution_stats())
+        self.with_cluster(|c| c.stats().attribution)
     }
 
     /// What startup recovery restored and replayed, when the server runs

@@ -27,5 +27,5 @@ pub use compile::{
     bind_adhoc, canonicalize, compile_workload, parse_explain, SqlCompiler, SqlTemplate,
     TemplateSlot,
 };
-pub use logical::{LogicalPlan, QueryPlanSummary};
+pub use logical::LogicalPlan;
 pub use parser::parse;

@@ -7,7 +7,7 @@
 //! predicates, and the query-level operations (group-by, order-by, limit,
 //! distinct).
 
-use crate::ast::{SelectItem, SelectStatement, Statement, AGG_REF_QUALIFIER};
+use crate::ast::{SelectItem, SelectStatement, AGG_REF_QUALIFIER};
 use shareddb_common::agg::AggregateFunction;
 use shareddb_common::{BinaryOp, Error, Expr, Result};
 use std::collections::BTreeMap;
@@ -46,15 +46,6 @@ impl JoinEdge {
             None
         }
     }
-
-    /// A stable key identifying the shared join this edge belongs to
-    /// (same tables + same join columns = shareable, Section 3.3).
-    pub fn share_key(&self) -> String {
-        format!(
-            "{}.{}={}.{}",
-            self.left_table, self.left_column, self.right_table, self.right_column
-        )
-    }
 }
 
 /// The logical plan of one SELECT query after per-query optimisation.
@@ -85,23 +76,6 @@ pub struct LogicalPlan {
     pub limit: Option<usize>,
     /// DISTINCT flag.
     pub distinct: bool,
-}
-
-/// A terse summary of the plan used by reports and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryPlanSummary {
-    /// Base tables read.
-    pub tables: Vec<String>,
-    /// Number of join edges.
-    pub joins: usize,
-    /// Number of pushed-down predicates.
-    pub pushed_predicates: usize,
-    /// Whether the query aggregates, sorts or limits.
-    pub has_group_by: bool,
-    /// Whether the query sorts.
-    pub has_order_by: bool,
-    /// Whether the query limits.
-    pub has_limit: bool,
 }
 
 impl LogicalPlan {
@@ -177,28 +151,6 @@ impl LogicalPlan {
         }
         plan.joins.sort();
         Ok(plan)
-    }
-
-    /// Builds the plan from any parsed statement; only SELECTs have one.
-    pub fn from_statement(statement: &Statement) -> Result<LogicalPlan> {
-        match statement {
-            Statement::Select(s) => LogicalPlan::from_select(s),
-            _ => Err(Error::Unsupported(
-                "logical plans are only built for SELECT statements".into(),
-            )),
-        }
-    }
-
-    /// The summary of the plan.
-    pub fn summary(&self) -> QueryPlanSummary {
-        QueryPlanSummary {
-            tables: self.tables.values().cloned().collect(),
-            joins: self.joins.len(),
-            pushed_predicates: self.table_predicates.values().map(Vec::len).sum(),
-            has_group_by: !self.group_by.is_empty() || !self.aggregates.is_empty(),
-            has_order_by: !self.order_by.is_empty(),
-            has_limit: self.limit.is_some(),
-        }
     }
 
     /// The pushed-down predicate of one table as a single conjunction
@@ -293,7 +245,17 @@ fn classify(conjunct: &Expr, plan: &LogicalPlan) -> Classification {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Statement;
     use crate::parser::parse;
+
+    fn edge(left: (&str, &str), right: (&str, &str)) -> JoinEdge {
+        JoinEdge {
+            left_table: left.0.into(),
+            left_column: left.1.into(),
+            right_table: right.0.into(),
+            right_column: right.1.into(),
+        }
+    }
 
     fn plan_of(sql: &str) -> LogicalPlan {
         match parse(sql).unwrap() {
@@ -306,13 +268,12 @@ mod tests {
     fn pushdown_on_figure3_query() {
         let plan = plan_of("SELECT * FROM R, S WHERE R.ID = S.ID AND R.CITY = ? AND S.PRICE < ?");
         assert_eq!(plan.joins.len(), 1);
-        assert_eq!(plan.joins[0].share_key(), "R.ID=S.ID");
+        assert_eq!(plan.joins[0], edge(("R", "ID"), ("S", "ID")));
         assert_eq!(plan.table_predicates["R"].len(), 1);
         assert_eq!(plan.table_predicates["S"].len(), 1);
         assert!(plan.residual.is_empty());
-        let summary = plan.summary();
-        assert_eq!(summary.joins, 1);
-        assert_eq!(summary.pushed_predicates, 2);
+        let pushed: usize = plan.table_predicates.values().map(Vec::len).sum();
+        assert_eq!(pushed, 2);
     }
 
     #[test]
@@ -329,7 +290,7 @@ mod tests {
         );
         assert_eq!(plan.tables["U"], "USERS");
         assert_eq!(plan.tables["O"], "ORDERS");
-        assert_eq!(plan.joins[0].share_key(), "O.USER_ID=U.USER_ID");
+        assert_eq!(plan.joins[0], edge(("O", "USER_ID"), ("U", "USER_ID")));
         assert_eq!(plan.table_predicates["U"].len(), 1);
     }
 
@@ -339,8 +300,8 @@ mod tests {
             "SELECT * FROM ITEM WHERE I_SUBJECT = ? AND I_COST < 10 ORDER BY I_TITLE LIMIT 50",
         );
         assert_eq!(plan.table_predicates["ITEM"].len(), 2);
-        assert!(plan.summary().has_order_by);
-        assert!(plan.summary().has_limit);
+        assert_eq!(plan.order_by.len(), 1);
+        assert_eq!(plan.limit, Some(50));
         assert_eq!(plan.table_predicate("ITEM").split_conjuncts().len(), 2);
         assert_eq!(plan.table_predicate("MISSING"), Expr::lit(true));
     }
@@ -355,7 +316,7 @@ mod tests {
     #[test]
     fn group_by_and_aggregates_are_captured() {
         let plan = plan_of("SELECT COUNTRY, SUM(USER_ID) FROM USERS GROUP BY COUNTRY");
-        assert!(plan.summary().has_group_by);
+        assert_eq!(plan.group_by.len(), 1);
         assert_eq!(plan.aggregates.len(), 1);
         assert_eq!(plan.aggregates[0].0, AggregateFunction::Sum);
     }
@@ -384,11 +345,5 @@ mod tests {
         assert_eq!(plan.agg_refs.len(), 1);
         assert_eq!(plan.agg_refs[0].0, AggregateFunction::Count);
         assert!(plan.having.is_some());
-    }
-
-    #[test]
-    fn non_select_is_rejected() {
-        let stmt = parse("DELETE FROM T WHERE A = 1").unwrap();
-        assert!(LogicalPlan::from_statement(&stmt).is_err());
     }
 }

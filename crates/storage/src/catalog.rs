@@ -9,13 +9,15 @@ use crate::mvcc::{Snapshot, SnapshotPin, TimestampOracle};
 use crate::table::{IndexKind, Table};
 use crate::update::{apply_update, UpdateOp, UpdateResult};
 use crate::wal::{
-    committed_ops, put_frame, put_insert, put_record, scan_frames, FileSink, LogRecord, TornTail,
-    Wal, WalSink as _,
+    committed_batches, put_frame, put_insert, put_record, scan_frames, FileSink, LogRecord,
+    TornTail, Wal, WalSink as _,
 };
 use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{Column, DataType, Error, Result, Schema, Tuple};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -313,8 +315,34 @@ impl Catalog {
     /// format version is refused as such.
     pub fn restore_checkpoint(&self, path: impl AsRef<Path>) -> Result<CheckpointInfo> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path)?;
-        let scan = scan_frames(&bytes)?;
+        let refuse = |what: &str| Error::Recovery(format!("checkpoint {} {what}", path.display()));
+        // The file is read a frame at a time, and nothing is inserted before
+        // all of it is read: it must be intact, open with its metadata, hold
+        // nothing but inserts and close with its commit marker. Its rows
+        // wait in runs of one table each; they are the tables' rows to be,
+        // moved in, not copied.
+        let (mut meta, mut last_commit, mut others, mut frames) = (None, None, false, 0);
+        let mut runs: Vec<(String, Vec<Tuple>)> = Vec::new();
+        let scan = scan_frames(BufReader::new(File::open(path)?), |_, record| {
+            last_commit = None;
+            match record {
+                LogRecord::CheckpointMeta { ts, wal_lsn } if frames == 0 => {
+                    meta = Some((ts, wal_lsn))
+                }
+                LogRecord::Apply {
+                    table,
+                    op: UpdateOp::Insert { values },
+                } => match runs.last_mut() {
+                    Some((run, rows)) if *run == table => rows.push(values),
+                    _ => runs.push((table, vec![values])),
+                },
+                LogRecord::BeginBatch(_) => {}
+                LogRecord::CommitBatch(ts) => last_commit = Some(ts),
+                _ => others = true,
+            }
+            frames += 1;
+            Ok(())
+        })?;
         if let Some(torn) = scan.torn {
             return Err(Error::Recovery(format!(
                 "corrupt checkpoint {} at byte {}: {}",
@@ -323,44 +351,19 @@ impl Catalog {
                 torn.reason
             )));
         }
-        let records = scan.into_records();
-        let (ts, wal_lsn) = match records.first() {
-            Some(LogRecord::CheckpointMeta { ts, wal_lsn }) => (*ts, *wal_lsn),
-            _ => {
-                return Err(Error::Recovery(format!(
-                    "checkpoint {} does not start with checkpoint metadata",
-                    path.display()
-                )))
-            }
+        let Some((ts, wal_lsn)) = meta else {
+            return Err(refuse("does not start with checkpoint metadata"));
         };
-        match records.last() {
-            Some(LogRecord::CommitBatch(commit_ts)) if *commit_ts == ts => {}
-            _ => {
-                return Err(Error::Recovery(format!(
-                    "checkpoint {} is missing its commit marker",
-                    path.display()
-                )))
-            }
+        if last_commit != Some(ts) {
+            return Err(refuse("is missing its commit marker"));
         }
-        let mut restored = 0usize;
-        for record in &records[1..] {
-            match record {
-                LogRecord::Apply {
-                    table: table_name,
-                    op: UpdateOp::Insert { values },
-                } => {
-                    let handle = self.table(table_name)?;
-                    let mut table = handle.write();
-                    table.insert(values.clone(), Timestamp(0))?;
-                    restored += 1;
-                }
-                LogRecord::BeginBatch(_) | LogRecord::CommitBatch(_) => {}
-                _ => {
-                    return Err(Error::Recovery(
-                        "checkpoint contains non-insert records".into(),
-                    ));
-                }
-            }
+        if others {
+            return Err(refuse("contains non-insert records"));
+        }
+        // One lock per run of rows of one table.
+        let mut restored = 0;
+        for (table, rows) in runs {
+            restored += self.bulk_load(&table, rows)?;
         }
         Ok(CheckpointInfo {
             rows: restored,
@@ -394,26 +397,29 @@ impl Catalog {
             (0, Timestamp(0))
         };
         let wal_path = dir.join(WAL_FILE);
-        let (records, next_lsn, torn_tail) = FileSink::recover(&wal_path)?;
-        let records: Vec<LogRecord> = records.into_iter().map(|(_, r)| r).collect();
-        let mut replayed_batches = 0usize;
-        let mut replayed_ops = 0usize;
-        let mut max_ts = checkpoint_ts;
-        for (ts, ops) in committed_ops(&records) {
+        let (mut replayed_batches, mut replayed_ops, mut max_ts) = (0, 0, checkpoint_ts);
+        // Each committed batch is applied as its commit marker is read, a run
+        // of operations on one table under one lock.
+        let replay = committed_batches(|ts, ops| {
             if ts <= checkpoint_ts {
-                continue; // already inside the checkpoint snapshot
+                return Ok(()); // already inside the checkpoint snapshot
             }
-            for (table_name, op) in &ops {
-                let handle = self.table(table_name)?;
+            let mut run = ops.iter().peekable();
+            while let Some((name, op)) = run.next() {
+                let handle = self.table(name)?;
                 let mut table = handle.write();
                 apply_update(&mut table, op, ts)?;
+                while let Some((_, op)) = run.next_if(|(next, _)| next == name) {
+                    apply_update(&mut table, op, ts)?;
+                }
             }
-            if ts > max_ts {
-                max_ts = ts;
-            }
+            max_ts = max_ts.max(ts);
             replayed_batches += 1;
             replayed_ops += ops.len();
-        }
+            Ok(())
+        });
+        let scan = FileSink::recover(&wal_path, replay)?;
+        let (next_lsn, torn_tail) = (scan.last_lsn + 1, scan.torn);
         self.oracle.restore(max_ts);
         // Nothing reads yet: what the replay retired goes before anyone can.
         let low_water = self.oracle.low_water();

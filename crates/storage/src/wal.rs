@@ -22,9 +22,9 @@
 //! offset is valid, everything after is discarded — recovery never errors
 //! on a tail the crash tore. An intact frame of another format version is
 //! refused instead: another build wrote the file, and cutting it would
-//! throw its log away. [`committed_ops`] then drops the last batch if its
-//! `COMMIT` marker is missing, so a partially-framed group commit is never
-//! replayed.
+//! throw its log away. A scan hands its records to a visitor one frame at a
+//! time; [`committed_batches`] applies each batch when its `COMMIT` marker
+//! arrives, so a partially-framed group commit is never replayed.
 //!
 //! The byte-level specification (field and tag tables, the nesting bound,
 //! durability matrix) lives in `docs/WAL_FORMAT.md`; its constants and tag
@@ -40,7 +40,7 @@ use shareddb_common::ids::Timestamp;
 use shareddb_common::metrics::{Counter, Histogram, HistogramSnapshot};
 use shareddb_common::{BinaryOp, Error, Expr, Result, Tuple, UnaryOp};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -119,10 +119,6 @@ pub(crate) fn put_frame(buf: &mut Vec<u8>, lsn: u64, payload: impl FnOnce(&mut V
     buf[start + 18..start + FRAME_HEADER_LEN].copy_from_slice(&crc.finish().to_le_bytes());
 }
 
-/// What [`FileSink::recover`] hands back: the valid `(lsn, record)` prefix,
-/// the next LSN to append with, and the torn tail it truncated (if any).
-pub type RecoveredLog = (Vec<(u64, LogRecord)>, u64, Option<TornTail>);
-
 /// Where and why a frame scan stopped before the end of the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TornTail {
@@ -132,68 +128,71 @@ pub struct TornTail {
     pub reason: String,
 }
 
-/// Result of scanning a byte stream of frames.
-#[derive(Debug)]
+/// How far a frame scan got: the records themselves went to its visitor.
+#[derive(Debug, Default)]
 pub struct WalScan {
-    /// Decoded `(lsn, record)` pairs of the valid prefix, in file order.
-    pub records: Vec<(u64, LogRecord)>,
     /// Length in bytes of the valid prefix.
     pub valid_len: u64,
+    /// LSN of the last record of the valid prefix (0 when it is empty).
+    pub last_lsn: u64,
     /// `Some` when the scan stopped at a torn or corrupt frame.
     pub torn: Option<TornTail>,
 }
 
-impl WalScan {
-    /// The records without their LSNs.
-    pub fn into_records(self) -> Vec<LogRecord> {
-        self.records.into_iter().map(|(_, r)| r).collect()
-    }
-}
-
-/// Scans a byte slice of frames, stopping at the first torn or corrupt
-/// frame. This is the torn-tail truncation primitive: recovery keeps
-/// `bytes[..valid_len]` and discards the rest. The one error is an intact
-/// frame of another format version — another build wrote the file, and
-/// nothing may be cut then. Every version shares the header and its CRC
-/// coverage, so a damaged version field is a CRC mismatch, a torn tail.
-pub fn scan_frames(bytes: &[u8]) -> Result<WalScan> {
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    let mut last_lsn = 0u64;
+/// Reads frames from `source` one at a time and hands each record of the
+/// valid prefix to `visit`, `(lsn, record)` in file order, stopping at the
+/// first torn or corrupt frame. This is the torn-tail truncation primitive:
+/// recovery keeps the first `valid_len` bytes and discards the rest. Only
+/// one frame is held at a time, whatever the length of the input. The
+/// errors end the scan where they arise: a read failure, what `visit`
+/// returns, and an intact frame of another format version — another build
+/// wrote the file, and nothing may be cut then. Every version shares the
+/// header and its CRC coverage, so a damaged version field is a CRC
+/// mismatch, a torn tail.
+pub fn scan_frames(
+    mut source: impl Read,
+    mut visit: impl FnMut(u64, LogRecord) -> Result<()>,
+) -> Result<WalScan> {
+    let mut frame = Vec::new();
+    let (mut offset, mut last_lsn) = (0u64, 0u64);
     let torn = loop {
-        if offset == bytes.len() {
+        let cut = |reason: &str| {
+            Some(TornTail {
+                offset,
+                reason: reason.to_string(),
+            })
+        };
+        frame.clear();
+        read_up_to(&mut source, &mut frame, FRAME_HEADER_LEN)?;
+        if frame.is_empty() {
             break None;
         }
-        let cut = |reason: &str| TornTail {
-            offset: offset as u64,
-            reason: reason.to_string(),
-        };
-        let rest = &bytes[offset..];
-        if rest.len() < FRAME_HEADER_LEN {
-            break Some(cut("torn frame header (short read)"));
+        if frame.len() < FRAME_HEADER_LEN {
+            break cut("torn frame header (short read)");
         }
-        if rest[0..4] != FRAME_MAGIC {
-            break Some(cut("bad frame magic"));
+        if frame[0..4] != FRAME_MAGIC {
+            break cut("bad frame magic");
         }
-        let len = u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]);
+        let len = u32::from_le_bytes([frame[6], frame[7], frame[8], frame[9]]);
         if len > MAX_FRAME_PAYLOAD {
-            break Some(cut("implausible payload length"));
+            break cut("implausible payload length");
         }
         let len = len as usize;
-        if rest.len() < FRAME_HEADER_LEN + len {
-            break Some(cut("torn frame payload (short read)"));
+        read_up_to(&mut source, &mut frame, len)?;
+        if frame.len() < FRAME_HEADER_LEN + len {
+            break cut("torn frame payload (short read)");
         }
-        let lsn = u64::from_le_bytes(rest[10..18].try_into().unwrap());
-        let stored_crc = u32::from_le_bytes(rest[18..22].try_into().unwrap());
-        let payload = &rest[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
+        let lsn = u64::from_le_bytes(frame[10..18].try_into().unwrap());
+        let stored_crc = u32::from_le_bytes(frame[18..22].try_into().unwrap());
+        let payload = &frame[FRAME_HEADER_LEN..];
         let mut crc = Crc32::new();
-        crc.update(&rest[4..18]);
+        crc.update(&frame[4..18]);
         crc.update(payload);
         if crc.finish() != stored_crc {
-            break Some(cut("CRC mismatch"));
+            break cut("CRC mismatch");
         }
         // Intact by its CRC, which covers the version: another build wrote it.
-        let version = u16::from_le_bytes([rest[4], rest[5]]);
+        let version = u16::from_le_bytes([frame[4], frame[5]]);
         if version != WAL_FORMAT_VERSION {
             return Err(Error::Recovery(format!(
                 "the frame at byte {offset} is of format version {version}; this build reads \
@@ -201,21 +200,29 @@ pub fn scan_frames(bytes: &[u8]) -> Result<WalScan> {
             )));
         }
         if lsn <= last_lsn {
-            break Some(cut("non-monotone LSN"));
+            break cut("non-monotone LSN");
         }
         let record = match get_record(&mut Cursor::new(payload)) {
             Ok(r) => r,
-            Err(_) => break Some(cut("undecodable record payload")),
+            Err(_) => break cut("undecodable record payload"),
         };
         last_lsn = lsn;
-        records.push((lsn, record));
-        offset += FRAME_HEADER_LEN + len;
+        visit(lsn, record)?;
+        offset += (FRAME_HEADER_LEN + len) as u64;
     };
     Ok(WalScan {
-        records,
-        valid_len: offset as u64,
+        valid_len: offset,
+        last_lsn,
         torn,
     })
+}
+
+/// Appends up to `n` bytes of `source` to `buf`, fewer only where the
+/// source ends. `buf` grows as the bytes arrive, not by what a damaged
+/// length field declares.
+fn read_up_to(source: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> Result<()> {
+    source.take(n as u64).read_to_end(buf)?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -321,34 +328,30 @@ impl FileSink {
         &self.path
     }
 
-    /// Reads all valid records back from a log file. A torn or corrupt tail
-    /// is silently dropped (the truncation rule); only real I/O failures
-    /// (missing file, permission) and a frame of another format version
-    /// error.
-    pub fn read_all(path: impl AsRef<Path>) -> Result<Vec<LogRecord>> {
-        let bytes = std::fs::read(path.as_ref())?;
-        Ok(scan_frames(&bytes)?.into_records())
-    }
-
-    /// Recovery open: scans the file, **physically truncates** it at the
-    /// first torn/corrupt frame so later appends continue from a clean tail,
-    /// and returns the valid records plus the next LSN to append with. A
-    /// frame of another format version fails it, the file untouched.
-    pub fn recover(path: impl AsRef<Path>) -> Result<RecoveredLog> {
+    /// Recovery open: scans the file, handing each record of its valid
+    /// prefix to `visit` ([`scan_frames`]), then **physically truncates** it
+    /// at the first torn/corrupt frame so later appends continue from a
+    /// clean tail; the next LSN to append with is `last_lsn + 1`. A missing
+    /// file is an empty log. A frame of another format version, or an error
+    /// of `visit`, fails it with the file untouched.
+    pub fn recover(
+        path: impl AsRef<Path>,
+        visit: impl FnMut(u64, LogRecord) -> Result<()>,
+    ) -> Result<WalScan> {
         let path = path.as_ref();
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        let file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalScan::default()),
             Err(e) => return Err(e.into()),
         };
-        let scan = scan_frames(&bytes)?;
-        if scan.valid_len < bytes.len() as u64 {
+        let len = file.metadata()?.len();
+        let scan = scan_frames(BufReader::new(file), visit)?;
+        if scan.valid_len < len {
             let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(scan.valid_len)?;
             file.sync_data()?;
         }
-        let next_lsn = scan.records.last().map_or(1, |(lsn, _)| lsn + 1);
-        Ok((scan.records, next_lsn, scan.torn))
+        Ok(scan)
     }
 }
 
@@ -607,31 +610,31 @@ impl Wal {
     }
 }
 
-/// Extracts the committed operations of a record stream, dropping batches
-/// without a commit marker (torn writes at the tail of the log) and
-/// checkpoint metadata records.
-pub fn committed_ops(records: &[LogRecord]) -> Vec<(Timestamp, Vec<(String, UpdateOp)>)> {
-    let mut out = Vec::new();
+/// A visitor for [`scan_frames`] that gathers the operations of one batch
+/// and hands the batch to `apply` when its commit marker arrives: a batch
+/// without one — torn writes at the tail of the log — is never handed over,
+/// and checkpoint metadata is skipped. The operations move from the decoder
+/// to `apply`; nothing is cloned.
+pub fn committed_batches(
+    mut apply: impl FnMut(Timestamp, Vec<(String, UpdateOp)>) -> Result<()>,
+) -> impl FnMut(u64, LogRecord) -> Result<()> {
     let mut current: Option<(Timestamp, Vec<(String, UpdateOp)>)> = None;
-    for record in records {
+    move |_, record| {
         match record {
-            LogRecord::BeginBatch(ts) => current = Some((*ts, Vec::new())),
+            LogRecord::BeginBatch(ts) => current = Some((ts, Vec::new())),
             LogRecord::Apply { table, op } => {
                 if let Some((_, ops)) = current.as_mut() {
-                    ops.push((table.clone(), op.clone()));
+                    ops.push((table, op));
                 }
             }
-            LogRecord::CommitBatch(ts) => {
-                if let Some((begin_ts, ops)) = current.take() {
-                    if begin_ts == *ts {
-                        out.push((begin_ts, ops));
-                    }
-                }
-            }
+            LogRecord::CommitBatch(ts) => match current.take() {
+                Some((begin_ts, ops)) if begin_ts == ts => return apply(ts, ops),
+                _ => {}
+            },
             LogRecord::CheckpointMeta { .. } => {}
         }
+        Ok(())
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1139,21 +1142,42 @@ mod tests {
         ];
         for rec in records {
             let frame = encode_frame(1, &rec);
-            let scan = scan_frames(&frame).unwrap();
+            let (records, scan) = scanned(&frame);
             assert!(scan.torn.is_none(), "{rec:?}");
-            assert_eq!(scan.into_records(), std::slice::from_ref(&rec));
+            assert_eq!(records, [(1, rec.clone())]);
             let payload = &frame[FRAME_HEADER_LEN..];
             for len in 0..payload.len() {
-                let scan = scan_frames(&reframe(&payload[..len])).unwrap();
-                assert!(scan.records.is_empty(), "{rec:?} cut to {len}");
+                let (records, _) = scanned(&reframe(&payload[..len]));
+                assert!(records.is_empty(), "{rec:?} cut to {len}");
             }
             let longer = reframe(&[payload, &[0]].concat());
-            assert!(scan_frames(&longer).unwrap().records.is_empty(), "{rec:?}");
+            assert!(scanned(&longer).0.is_empty(), "{rec:?}");
         }
         for garbage in [&b"GARBAGE"[..], &[0], &[7, 0, 0, 0, 0, 0, 0, 0, 0]] {
-            let scan = scan_frames(&reframe(garbage)).unwrap();
+            let (_, scan) = scanned(&reframe(garbage));
             assert_eq!(scan.torn.unwrap().reason, "undecodable record payload");
         }
+    }
+
+    /// The records of `bytes`, and how far the scan got.
+    fn scanned(bytes: &[u8]) -> (Vec<(u64, LogRecord)>, WalScan) {
+        let mut records = Vec::new();
+        let scan = scan_frames(bytes, |lsn, record| {
+            records.push((lsn, record));
+            Ok(())
+        });
+        (records, scan.unwrap())
+    }
+
+    /// The committed batches of `bytes`.
+    fn committed(bytes: &[u8]) -> Vec<(Timestamp, Vec<(String, UpdateOp)>)> {
+        let mut batches = Vec::new();
+        let visit = committed_batches(|ts, ops| {
+            batches.push((ts, ops));
+            Ok(())
+        });
+        scan_frames(bytes, visit).unwrap();
+        batches
     }
 
     /// A frame at LSN 1 around any payload bytes, its CRC right.
@@ -1174,12 +1198,12 @@ mod tests {
         let mut bytes = encode_frame(1, &LogRecord::BeginBatch(Timestamp(1)));
         bytes.extend(encode_frame(2, &rec));
         bytes.extend(encode_frame(3, &LogRecord::CommitBatch(Timestamp(1))));
-        let scan = scan_frames(&bytes).unwrap();
+        let (records, scan) = scanned(&bytes);
         assert!(scan.torn.is_none());
         assert_eq!(scan.valid_len, bytes.len() as u64);
-        assert_eq!(scan.records.len(), 3);
-        assert_eq!(scan.records[1], (2, rec));
-        assert_eq!(scan.records[2].0, 3);
+        assert_eq!(records.len(), 3);
+        assert_eq!(records[1], (2, rec));
+        assert_eq!(records[2].0, 3);
     }
 
     #[test]
@@ -1198,8 +1222,8 @@ mod tests {
 
         // Torn mid-record: cut the second frame short.
         let torn = &bytes[..first + 10];
-        let scan = scan_frames(torn).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let (records, scan) = scanned(torn);
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.valid_len, first as u64);
         let tail = scan.torn.unwrap();
         assert_eq!(tail.offset, first as u64);
@@ -1209,23 +1233,23 @@ mod tests {
         let mut flipped = bytes.clone();
         let n = flipped.len();
         flipped[n - 3] ^= 0x40;
-        let scan = scan_frames(&flipped).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let (records, scan) = scanned(&flipped);
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "CRC mismatch");
 
         // Bit flip in the length field: implausible length or CRC, never a
         // panic or huge allocation.
         let mut flipped = bytes.clone();
         flipped[first + 8] ^= 0xFF; // high byte of the payload length
-        let scan = scan_frames(&flipped).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let (records, scan) = scanned(&flipped);
+        assert_eq!(records.len(), 1);
         assert!(scan.torn.is_some());
 
         // Garbage magic after a valid prefix.
         let mut garbage = bytes[..first].to_vec();
         garbage.extend_from_slice(b"not a frame at all........");
-        let scan = scan_frames(&garbage).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let (records, scan) = scanned(&garbage);
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "bad frame magic");
     }
 
@@ -1233,8 +1257,8 @@ mod tests {
     fn scan_rejects_non_monotone_lsn() {
         let mut bytes = encode_frame(5, &LogRecord::BeginBatch(Timestamp(1)));
         bytes.extend(encode_frame(5, &LogRecord::CommitBatch(Timestamp(1))));
-        let scan = scan_frames(&bytes).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let (records, scan) = scanned(&bytes);
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "non-monotone LSN");
     }
 
@@ -1253,18 +1277,22 @@ mod tests {
         )
         .unwrap();
         wal.sync().unwrap();
-        let records = FileSink::read_all(&path).unwrap();
+        let (records, _) = scanned(&std::fs::read(&path).unwrap());
         assert_eq!(records.len(), 3);
-        assert_eq!(records[0], LogRecord::BeginBatch(Timestamp(1)));
-        let (records, next_lsn, torn) = FileSink::recover(&path).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(next_lsn, 4);
-        assert!(torn.is_none());
+        assert_eq!(records[0].1, LogRecord::BeginBatch(Timestamp(1)));
+        let mut visited = 0;
+        let scan = FileSink::recover(&path, |_, _| {
+            visited += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(visited, 3);
+        assert_eq!(scan.last_lsn + 1, 4);
+        assert!(scan.torn.is_none());
         // Recovering a missing file is an empty log, not an error.
-        let (records, next_lsn, torn) = FileSink::recover(temp_path("missing.wal")).unwrap();
-        assert!(records.is_empty());
-        assert_eq!(next_lsn, 1);
-        assert!(torn.is_none());
+        let scan = FileSink::recover(temp_path("missing.wal"), |_, _| panic!("a record")).unwrap();
+        assert_eq!(scan.last_lsn + 1, 1);
+        assert!(scan.torn.is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1290,9 +1318,15 @@ mod tests {
         let file = OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(full - 3).unwrap();
         drop(file);
-        let (records, next_lsn, torn) = FileSink::recover(&path).unwrap();
-        assert_eq!(records.len(), 2); // BEGIN + INSERT survive, COMMIT torn
-        assert!(torn.is_some());
+        let mut visited = 0;
+        let scan = FileSink::recover(&path, |_, _| {
+            visited += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(visited, 2); // BEGIN + INSERT survive, COMMIT torn
+        assert!(scan.torn.is_some());
+        let next_lsn = scan.last_lsn + 1;
         // The file was physically truncated: appends resume cleanly.
         let wal = Wal::new(Box::new(FileSink::create(&path).unwrap()));
         wal.install_sink(Box::new(FileSink::create(&path).unwrap()), next_lsn);
@@ -1307,9 +1341,8 @@ mod tests {
         )
         .unwrap();
         wal.sync().unwrap();
-        let records = FileSink::read_all(&path).unwrap();
         // Torn batch 1 has no COMMIT; batch 2 is complete.
-        let committed = committed_ops(&records);
+        let committed = committed(&std::fs::read(&path).unwrap());
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].0, Timestamp(2));
         let _ = std::fs::remove_file(&path);
@@ -1335,9 +1368,9 @@ mod tests {
             sink.sync().unwrap();
         }
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 40);
-        let scan = scan_frames(&std::fs::read(&path).unwrap()).unwrap();
+        let (records, scan) = scanned(&std::fs::read(&path).unwrap());
         assert!(scan.torn.is_some());
-        assert!(scan.records.len() < 4);
+        assert!(records.len() < 4);
 
         // Bit flip: CRC detects, scan cuts at the flipped frame.
         let path2 = temp_path("fault-flip.wal");
@@ -1357,20 +1390,20 @@ mod tests {
                 .unwrap();
             sink.sync().unwrap();
         }
-        let scan = scan_frames(&std::fs::read(&path2).unwrap()).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let (records, scan) = scanned(&std::fs::read(&path2).unwrap());
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.torn.unwrap().reason, "CRC mismatch");
 
         // Short read: only a prefix of the file is visible.
-        let scan = scan_frames(&std::fs::read(&path2).unwrap()[..10]).unwrap();
-        assert!(scan.records.is_empty());
+        let (records, scan) = scanned(&std::fs::read(&path2).unwrap()[..10]);
+        assert!(records.is_empty());
         assert!(scan.torn.is_some());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
     }
 
     #[test]
-    fn committed_ops_drops_torn_tail() {
+    fn committed_batches_drop_torn_tail() {
         let records = vec![
             LogRecord::BeginBatch(Timestamp(1)),
             LogRecord::Apply {
@@ -1393,7 +1426,11 @@ mod tests {
             },
             // no commit for batch 2 (crash)
         ];
-        let committed = committed_ops(&records);
+        let bytes: Vec<u8> = (1..)
+            .zip(&records)
+            .flat_map(|(lsn, record)| encode_frame(lsn, record))
+            .collect();
+        let committed = committed(&bytes);
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].0, Timestamp(1));
         assert_eq!(committed[0].1.len(), 1);

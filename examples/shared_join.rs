@@ -135,7 +135,7 @@ fn main() -> shareddb::Result<()> {
     println!("200 further concurrent join queries:        {other_rows} rows");
 
     println!("\nPer-operator statistics (note: ONE join operator served everything):");
-    for op in engine.operator_stats() {
+    for op in engine.stats().operators {
         if op.active_cycles > 0 {
             println!(
                 "  {:<22} cycles={} tuples_out={} busy={:?}",

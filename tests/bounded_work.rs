@@ -11,7 +11,7 @@
 //! versions are a constant. What a point leaves in the engine's own counters:
 //!
 //! * **(i) A pass reads the table once, not once per query.** Per table,
-//!   the rows a ClockScan cycle examines (`Engine::scan_row_stats`) are at
+//!   the rows a ClockScan cycle examines (`Engine::stats().scans`) are at
 //!   most the table's versions at every point; and where every cycle of both
 //!   points was a pass (ORDER_LINE: a range has no index to go through; ITEM
 //!   goes through `ITEM_SUBJECT` while few subjects are asked for, which
@@ -92,10 +92,10 @@ fn run_point(engine: &Engine, scale: &TpcwScale, clients: usize) -> Point {
     );
     let batches = stats.batches as f64;
     let mut execute = HistogramSnapshot::default();
-    for statement in engine.phase_snapshot() {
+    for statement in &stats.phases {
         execute.merge_from(statement.phase(Phase::Execute));
     }
-    let operators = engine.operator_stats();
+    let operators = &stats.operators;
     Point {
         clients,
         statements_per_batch: stats.queries as f64 / batches,
@@ -103,8 +103,8 @@ fn run_point(engine: &Engine, scale: &TpcwScale, clients: usize) -> Point {
             / batches,
         active_nodes: operators.iter().filter(|op| op.active_cycles > 0).count(),
         mean_execute_us: execute.mean_us(),
-        scans: engine
-            .scan_row_stats()
+        scans: stats
+            .scans
             .into_iter()
             .map(|s| (s.table, (s.examined, s.cycles[0], s.cycles[1])))
             .collect(),

@@ -13,6 +13,7 @@ use shareddb::sql::SqlCompiler;
 use shareddb::storage::{Catalog, TableDef};
 use shareddb_bench::conformance::{corpus_catalog, load_corpus, Case, Expectation};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn catalog() -> Arc<Catalog> {
     let catalog = Catalog::new();
@@ -177,7 +178,7 @@ fn attribution_merge_is_replica_count_invariant() {
     use shareddb::core::AttributionEntry;
     use std::collections::BTreeMap;
 
-    fn attributed_work(replicas: usize) -> (Vec<AttributionEntry>, Vec<Vec<AttributionEntry>>) {
+    fn attributed_work(replicas: usize) -> (Vec<AttributionEntry>, Vec<EngineStatsSnapshot>) {
         let catalog = catalog();
         let (plan, registry) = shareddb::sql::compile_workload(&catalog, WORKLOAD).unwrap();
         let mut cluster = ClusterEngine::start(
@@ -197,12 +198,8 @@ fn attribution_merge_is_replica_count_invariant() {
                 .unwrap();
             assert_eq!(outcome.rows().len(), 1);
         }
-        let merged = cluster.attribution_stats();
-        let per_replica = cluster
-            .engines()
-            .iter()
-            .map(|e| e.attribution_stats())
-            .collect();
+        let merged = cluster.stats().attribution;
+        let per_replica = cluster.engines().iter().map(|e| e.stats()).collect();
         cluster.shutdown();
         (merged, per_replica)
     }
@@ -227,8 +224,15 @@ fn attribution_merge_is_replica_count_invariant() {
     // The merge is exactly the element-wise sum of the replica snapshots —
     // merge the SAME snapshot the replicas reported (idle busy time keeps
     // accruing between two live snapshot calls, so those can't be compared).
-    let merged_four = shareddb::core::merge_attribution(&per_replica_four);
-    let flattened: Vec<AttributionEntry> = per_replica_four.iter().flatten().cloned().collect();
+    let mut merged_four = EngineStatsSnapshot::default();
+    for replica in &per_replica_four {
+        merged_four.merge_from(replica);
+    }
+    let merged_four = merged_four.attribution;
+    let flattened: Vec<AttributionEntry> = per_replica_four
+        .iter()
+        .flat_map(|replica| replica.attribution.iter().cloned())
+        .collect();
     assert_eq!(work_by_key(&merged_four), work_by_key(&flattened));
     let merged_busy: u128 = merged_four.iter().map(|e| e.busy.as_nanos()).sum();
     let replica_busy: u128 = flattened.iter().map(|e| e.busy.as_nanos()).sum();
@@ -257,13 +261,133 @@ fn attribution_merge_is_replica_count_invariant() {
     // getItem attribution.
     let routed = per_replica_four
         .iter()
-        .filter(|entries| {
-            entries
+        .filter(|replica| {
+            replica
+                .attribution
                 .iter()
                 .any(|e| e.statement == "getItem" && e.activations > 0)
         })
         .count();
     assert!(routed > 1, "hash routing left attribution on one replica");
+}
+
+/// A cluster's statistics are its replicas' merged in one place: after a
+/// mixed TPC-W stream on two replicas, `getBestSellers` replicated and the
+/// other types pinned, `ClusterEngine::stats()` is the `merge_from` fold of
+/// the replicas' snapshots field by field; every attribution cell is the
+/// sum of the replicas' cells of its `(operator, statement)`; and in every
+/// snapshot an operator's busy time and rows are the sums of its cells and
+/// its cycles the batches that ran the plan.
+#[test]
+fn cluster_stats_are_one_merge_of_the_replicas() {
+    use rand::SeedableRng;
+    use shareddb::core::TraceEvent;
+    use shareddb::tpcw::{build_catalog, build_shared_plan, Mix, ParamGenerator, TpcwScale};
+    use std::collections::BTreeMap;
+
+    let scale = TpcwScale::tiny();
+    let catalog = Arc::new(build_catalog(&scale).unwrap());
+    let (plan, registry) = build_shared_plan(&catalog).unwrap();
+    let mut cluster = ClusterEngine::start(
+        catalog,
+        plan,
+        registry,
+        EngineConfig::default(),
+        ClusterConfig {
+            replicas: 2,
+            replicate_statements: vec!["getBestSellers".into()],
+        },
+    )
+    .unwrap();
+    let generator = ParamGenerator::new(&scale);
+    std::thread::scope(|scope| {
+        for seed in 0..4u64 {
+            let (cluster, generator) = (&cluster, &generator);
+            scope.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                for _ in 0..20 {
+                    let interaction = Mix::Shopping.sample(&mut rng);
+                    for call in generator.calls(interaction, &mut rng) {
+                        let handle = cluster.execute(call.statement, &call.params).unwrap();
+                        handle.wait().unwrap();
+                    }
+                }
+                for page in 0..4 {
+                    let subject = Value::text(shareddb::tpcw::SUBJECTS[page]);
+                    let threshold = Value::Int(generator.bestseller_threshold());
+                    let params = [subject, threshold];
+                    cluster.execute_sync("getBestSellers", &params).unwrap();
+                }
+            });
+        }
+    });
+    // Joins the coordinators: nothing is counted after this.
+    cluster.shutdown();
+
+    let total = cluster.stats();
+    let replicas: Vec<EngineStatsSnapshot> = cluster.engines().iter().map(|e| e.stats()).collect();
+    let mut fold = EngineStatsSnapshot::default();
+    for replica in &replicas {
+        fold.merge_from(replica);
+    }
+    // The window is a clock read at each call: the later fold's is longer.
+    assert!(total.wall <= fold.wall && !total.wall.is_zero());
+    fold.wall = total.wall;
+    assert_eq!(total.operators, fold.operators);
+    assert_eq!(total.attribution, fold.attribution);
+    assert_eq!(total.phases, fold.phases);
+    assert_eq!(total.scans, fold.scans);
+    assert_eq!(total.update_rows, fold.update_rows);
+    assert_eq!(total.histogram, fold.histogram);
+    assert_eq!(total, fold);
+    assert!(replicas.iter().all(|r| r.queries > 0), "{replicas:?}");
+    assert!(total.updates > 0, "a stream without writes");
+
+    // Cell by cell, the merge is the replicas' sum under one key each.
+    let mut by_key: BTreeMap<(&str, &str), (u64, u64, u128)> = BTreeMap::new();
+    for entry in replicas.iter().flat_map(|r| &r.attribution) {
+        let cell = by_key
+            .entry((&entry.operator, &entry.statement))
+            .or_default();
+        cell.0 += entry.activations;
+        cell.1 += entry.rows;
+        cell.2 += entry.busy.as_nanos();
+    }
+    assert_eq!(total.attribution.len(), by_key.len(), "a key merged twice");
+    for entry in &total.attribution {
+        let cell = by_key[&(entry.operator.as_str(), entry.statement.as_str())];
+        let merged = (entry.activations, entry.rows, entry.busy.as_nanos());
+        assert_eq!(merged, cell, "{} / {}", entry.operator, entry.statement);
+    }
+
+    // An operator's books close on its cells; its cycles are the batches
+    // that ran the plan — per replica, the trace ring's batch records.
+    let batches_of = |engine: &shareddb::core::Engine| {
+        let trace = engine.trace();
+        assert_eq!(trace.first().map(|r| r.seq), Some(0), "the ring wrapped");
+        let batches = trace
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::Batch { .. }));
+        batches.count() as u64
+    };
+    let mut books: Vec<(&EngineStatsSnapshot, u64)> = replicas
+        .iter()
+        .zip(cluster.engines().iter().map(batches_of))
+        .collect();
+    books.push((&total, books.iter().map(|(_, batches)| batches).sum()));
+    for (snapshot, batches) in books {
+        for op in &snapshot.operators {
+            let cells = snapshot
+                .attribution
+                .iter()
+                .filter(|e| e.operator == op.name);
+            let (rows, busy) = cells.fold((0, Duration::ZERO), |(rows, busy), e| {
+                (rows + e.rows, busy + e.busy)
+            });
+            assert_eq!((op.tuples_out, op.busy), (rows, busy), "{}", op.name);
+            assert_eq!(op.cycles, batches, "{}", op.name);
+        }
+    }
 }
 
 /// `replicas: 1` (the default) keeps the classic single-engine behaviour:

@@ -295,14 +295,14 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     assert!(first_pages.iter().any(|page| *page != first_pages[0]));
     // And the engine did prune: the join by the demand of the searches, the
     // group-by by that of the best-seller pages.
-    let stats = whole.operator_stats();
+    let stats = whole.stats().operators;
     for pruning in ["IndexNlJoin(AUTHOR)#4", "GroupBy#12"] {
         let op = stats.iter().find(|op| op.name == pruning).unwrap();
         assert!(op.rows_pruned > 0, "{pruning}: {op:?}");
     }
     // So did the replicas the pages were routed to, more than one of them.
     let pruned_by = |name: &str| -> Vec<u64> {
-        let operators = cluster.engines().iter().flat_map(|e| e.operator_stats());
+        let operators = cluster.engines().iter().flat_map(|e| e.stats().operators);
         let named = operators.filter(|op| op.name == name);
         named.map(|op| op.rows_pruned).collect()
     };

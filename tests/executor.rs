@@ -178,7 +178,7 @@ fn check_against_serial_walk(
 /// tasks both on the coordinator and (with more than one thread) on the pool.
 fn assert_every_node_was_exercised(fleet: &[Deployment]) {
     for deployment in fleet {
-        for op in deployment.engine.operator_stats() {
+        for op in deployment.engine.stats().operators {
             assert!(op.active_cycles > 0, "{} never had a task", op.name);
         }
         let stats = deployment.engine.stats();
@@ -491,6 +491,6 @@ fn a_statement_is_one_record_in_the_ring_and_the_slow_log() {
     let (offenders, slow) = engine.slow_queries();
     assert_eq!(offenders, tickets.len() as u64);
     assert_eq!(slow, statements, "the slow log holds the ring's records");
-    let operator_busy: Duration = engine.operator_stats().iter().map(|op| op.busy).sum();
+    let operator_busy: Duration = engine.stats().operators.iter().map(|op| op.busy).sum();
     assert_eq!(busy, operator_busy);
 }

@@ -248,7 +248,7 @@ fn scratch_dir() -> PathBuf {
 /// Any outcome but a panic is allowed; what comes back is checked for
 /// consistency.
 fn read_from_disk(dir: &std::path::Path, bytes: &[u8]) {
-    let (scan, largest) = largest_allocation(|| scan_frames(bytes));
+    let (scan, largest) = largest_allocation(|| scan_frames(bytes, |_, _| Ok(())));
     assert!(
         largest <= allocation_cap(bytes.len()),
         "the scan of {} bytes allocated {largest} at once",
@@ -294,7 +294,8 @@ fn hostile_disk_regressions_are_torn_tails() {
     nested.extend([0u8, 0, 0, 0, 0]); // COLUMN 0
     for payload in ["DELETE T é".as_bytes(), &nested] {
         let bytes = frame(WAL_FORMAT_VERSION, 1, payload);
-        let torn = scan_frames(&bytes).unwrap().torn.expect("a torn tail");
+        let scan = scan_frames(&bytes[..], |_, _| Ok(()));
+        let torn = scan.unwrap().torn.expect("a torn tail");
         assert_eq!(
             (torn.offset, torn.reason.as_str()),
             (0, "undecodable record payload")

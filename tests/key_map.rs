@@ -301,7 +301,7 @@ fn pinned_key_lookups_equal_the_scanning_engine() {
     // A key look-up pinned to the past was served by the key map, not by a
     // pass: every cycle of the ITEMS scan fetched its one or two spellings
     // of the key and walked nothing.
-    let scans = engine.scan_row_stats();
+    let scans = engine.stats().scans;
     let items = scans.iter().find(|s| s.table == "ITEMS").unwrap();
     assert_eq!(items.cycles[0], 0, "{items:?}");
     assert!(items.cycles[1] > 0);
@@ -426,7 +426,7 @@ fn pinned_title_searches_equal_the_scanning_engine() {
     // The pins do see different pages: an item left, one came, one came back.
     assert!(pages.len() >= 4, "{pages:?}");
     // Every ITEM cycle was served from ITEM_TITLE; none walked the table.
-    let scans = engine.scan_row_stats();
+    let scans = engine.stats().scans;
     let items = scans.iter().find(|s| s.table == "ITEM").unwrap();
     assert_eq!(items.cycles[0], 0, "{items:?}");
     assert!(items.cycles[1] as usize >= pins.len() * patterns.len());

@@ -60,7 +60,7 @@ fn http_exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
 /// One replica's phase histograms of one statement type, read from the
 /// engine that recorded them.
 fn replica_phases(server: &Server, replica: usize, statement: &str) -> StatementPhaseSnapshot {
-    let phases = server.with_cluster(|c| c.engines()[replica].phase_snapshot());
+    let phases = server.with_cluster(|c| c.engines()[replica].stats().phases);
     let mut phases = phases.unwrap().into_iter();
     phases.find(|s| s.statement == statement).unwrap()
 }
@@ -660,7 +660,7 @@ fn reset_stats_clears_every_surface() {
     assert!(stats.histogram.is_empty());
     assert!(server.flush_phase_stats().is_empty());
     assert_eq!(server.with_cluster(|c| c.slow_queries()).unwrap().0, 0);
-    let phases = server.with_cluster(|c| c.engines()[0].phase_snapshot());
+    let phases = server.with_cluster(|c| c.engines()[0].stats().phases);
     assert!(phases.unwrap().is_empty());
 
     // The engine keeps serving after a reset, and new work is counted fresh.
@@ -1195,7 +1195,7 @@ fn lone_lookups_cycle_every_operator_and_run_one_task() {
             .unwrap();
         assert_eq!(rows.rows().len(), 1);
     }
-    for op in engine.operator_stats() {
+    for op in engine.stats().operators {
         assert_eq!(op.cycles, N, "{}", op.name);
         if op.name.starts_with("Probe(ITEM)") {
             assert_eq!(op.active_cycles, N);
@@ -1447,7 +1447,11 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
     // The numbers are the engines': nothing ran since the scrape.
     let (total, replicas) = server
         .with_cluster(|c| {
-            let replica = |e: &shareddb::core::Engine| (e.stats(), e.phase_snapshot());
+            let replica = |e: &shareddb::core::Engine| {
+                let stats = e.stats();
+                let phases = stats.phases.clone();
+                (stats, phases)
+            };
             (
                 c.stats(),
                 c.engines().iter().map(replica).collect::<Vec<_>>(),

@@ -402,7 +402,13 @@ proptest! {
         // The WAL's frames and the wire.
         let op = UpdateOp::Insert { values: Tuple::new(vec![va.clone(), Value::Int(1), vb.clone()]) };
         let record = LogRecord::Apply { table: "T".into(), op };
-        let scanned = scan_frames(&encode_frame(7, &record)).unwrap().into_records();
+        let mut scanned = Vec::new();
+        let frame = encode_frame(7, &record);
+        let scan = scan_frames(&frame[..], |_, record| {
+            scanned.push(record);
+            Ok(())
+        });
+        prop_assert!(scan.unwrap().torn.is_none());
         prop_assert_eq!(scanned, vec![record]);
         let frame = Frame::ExecutePrepared { request_id: 1, statement_id: 2, params: vec![va, vb] };
         let body = frame.encode();

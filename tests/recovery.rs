@@ -4,17 +4,78 @@
 //! and logging, Section 4.4).
 
 use proptest::prelude::*;
+use shareddb::common::ids::Timestamp;
 use shareddb::common::{tuple, DataType, Expr, Value};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::wal::{
-    committed_ops, encode_frame, FaultConfig, FaultSink, FileSink, LogRecord, MemorySink,
-    SyncPolicy, Wal, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_EXPR_DEPTH, WAL_FORMAT_VERSION,
+    committed_batches, encode_frame, scan_frames, FaultConfig, FaultSink, FileSink, LogRecord,
+    MemorySink, SyncPolicy, Wal, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_EXPR_DEPTH, WAL_FORMAT_VERSION,
 };
 use shareddb::storage::{Catalog, TableDef, UpdateOp, CHECKPOINT_FILE, WAL_FILE};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Counts the live heap bytes of each thread and their high-water mark.
+struct Live;
+
+thread_local! {
+    /// `(live bytes, most live bytes since the last reset)` of this thread.
+    static LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+}
+
+fn count(delta: isize) {
+    // Const-initialised and without a destructor: touching it allocates
+    // nothing.
+    let _ = LIVE.try_with(|live| {
+        let (now, peak) = live.get();
+        live.set((now + delta, peak.max(now + delta)));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator, which
+// upholds the `GlobalAlloc` contract; the count is a statistic.
+unsafe impl GlobalAlloc for Live {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize);
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize));
+        // SAFETY: `ptr` was returned by `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Old and new block are both live while the bytes move.
+        count(new_size as isize);
+        count(-(layout.size() as isize));
+        // SAFETY: the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Live = Live;
+
+/// `work`'s result and its transient heap on this thread: the most bytes it
+/// held live at once beyond those it leaves live.
+fn transient_heap<R>(work: impl FnOnce() -> R) -> (R, usize) {
+    let start = LIVE.with(|live| {
+        let (now, _) = live.get();
+        live.set((now, now));
+        now
+    });
+    let result = work();
+    let (end, peak) = LIVE.with(Cell::get);
+    assert!(end >= start, "the work freed what it did not allocate");
+    (result, (peak - end) as usize)
+}
 
 fn item_def() -> TableDef {
     TableDef::new("ITEM")
@@ -22,6 +83,30 @@ fn item_def() -> TableDef {
         .column("I_TITLE", DataType::Text)
         .column("I_COST", DataType::Float)
         .primary_key(&["I_ID"])
+}
+
+/// The records of the valid prefix of a log file.
+fn read_records(path: &Path) -> Vec<LogRecord> {
+    let mut records = Vec::new();
+    let bytes = std::fs::read(path).unwrap();
+    let scan = scan_frames(&bytes[..], |_, record| {
+        records.push(record);
+        Ok(())
+    });
+    scan.unwrap();
+    records
+}
+
+/// The committed batches of a log file, as recovery replays them.
+fn committed(path: &Path) -> Vec<(Timestamp, Vec<(String, UpdateOp)>)> {
+    let mut batches = Vec::new();
+    let bytes = std::fs::read(path).unwrap();
+    let visit = committed_batches(|ts, ops| {
+        batches.push((ts, ops));
+        Ok(())
+    });
+    scan_frames(&bytes[..], visit).unwrap();
+    batches
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -46,6 +131,34 @@ fn live_rows(catalog: &Catalog, table: &str) -> Vec<Vec<Value>> {
         .collect();
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     rows
+}
+
+/// Restoring a checkpoint reads one frame at a time, not the file: what the
+/// restore allocates beyond the rows it leaves — the read buffers, the runs
+/// of decoded rows waiting for the whole file to check out, the tables
+/// growing — stays under one and a half times the length of the file, at
+/// two sizes of the TPC-W catalog.
+#[test]
+fn restore_holds_a_frame_not_the_file() {
+    use shareddb::tpcw::schema::create_schema;
+    use shareddb::tpcw::{build_catalog, TpcwScale};
+    for items in [200, 1_000] {
+        let dir = temp_dir(&format!("transient-{items}"));
+        let info = build_catalog(&TpcwScale::with_items(items))
+            .unwrap()
+            .checkpoint(&dir)
+            .unwrap();
+        let file_len = std::fs::metadata(&info.path).unwrap().len() as usize;
+        let fresh = Catalog::new();
+        create_schema(&fresh).unwrap();
+        let (restored, transient) = transient_heap(|| fresh.restore_checkpoint(&info.path));
+        assert_eq!(restored.unwrap().rows, info.rows);
+        assert!(
+            transient * 2 < file_len * 3,
+            "{items} items: restoring {file_len} bytes held {transient} bytes beyond its rows"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -134,16 +247,16 @@ fn wal_records_batches_in_commit_order() {
             .unwrap();
     }
     file_catalog.wal().sync().unwrap();
-    let records = FileSink::read_all(&path).unwrap();
+    let records = read_records(&path);
     // 5 batches × (BEGIN + 1 op + COMMIT).
     assert_eq!(records.len(), 15);
-    let committed = committed_ops(&records);
+    let committed = committed(&path);
     assert_eq!(committed.len(), 5);
     assert!(committed.windows(2).all(|w| w[0].0 < w[1].0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression: `FileSink::read_all` used to fail hard when the final record
+/// Regression: reading the log back used to fail hard when the final record
 /// was truncated mid-write. A torn tail is the *normal* crash outcome; it
 /// must read as "the log ends here", never as an error.
 #[test]
@@ -164,7 +277,7 @@ fn read_all_survives_mid_record_truncation() {
             .unwrap();
     }
     catalog.wal().sync().unwrap();
-    let full = FileSink::read_all(&path).unwrap();
+    let full = read_records(&path);
     assert_eq!(full.len(), 12);
 
     // Truncate mid-way through the final frame, as a crash during a write
@@ -174,10 +287,10 @@ fn read_all_survives_mid_record_truncation() {
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(cut).unwrap();
         drop(file);
-        let records = FileSink::read_all(&path).unwrap();
+        let records = read_records(&path);
         assert!(records.len() < full.len());
         // Only whole committed batches survive.
-        for (_, ops) in committed_ops(&records) {
+        for (_, ops) in committed(&path) {
             assert!(!ops.is_empty());
         }
     }
