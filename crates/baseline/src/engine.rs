@@ -14,7 +14,7 @@
 //! a mutex; a reply has a channel of one slot to itself.
 
 use crate::exec::{execute_plan, execute_update, QueryPlan};
-use parking_lot::Mutex;
+use shareddb_common::sync::Mutex;
 use shareddb_common::{Error, Result, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::{Catalog, UpdateOp};

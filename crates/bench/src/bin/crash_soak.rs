@@ -27,6 +27,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shareddb_client::Connection;
+use shareddb_common::sync::Mutex;
 use shareddb_common::{tuple, DataType, Value};
 use shareddb_server::{Server, ServerConfig};
 use shareddb_storage::{Catalog, SyncPolicy, TableDef};
@@ -35,7 +36,7 @@ use std::io::Write as _;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deterministic per-row amount so the verifier can recompute what every
@@ -231,9 +232,9 @@ fn write_phase(
                         Value::text(format!("c{cycle}w{writer}")),
                         Value::Float(amount_for(id)),
                     ];
-                    attempted.lock().unwrap_or_else(|e| e.into_inner()).push(id);
+                    attempted.lock().push(id);
                     match conn.execute(&prepared, &params) {
-                        Ok(_) => acked.lock().unwrap_or_else(|e| e.into_inner()).push(id),
+                        Ok(_) => acked.lock().push(id),
                         // Retryable = rejected before admission; not durable,
                         // keep going. Anything else means the kill landed.
                         Err(e) if e.is_retryable() => {
@@ -252,8 +253,8 @@ fn write_phase(
         // Writer threads unblock with connection errors and exit the scope.
     });
 
-    let attempted = attempted.lock().unwrap_or_else(|e| e.into_inner());
-    let acked = acked.lock().unwrap_or_else(|e| e.into_inner());
+    let attempted = attempted.lock();
+    let acked = acked.lock();
     ledger.attempted.extend(attempted.iter().copied());
     ledger.acked.extend(acked.iter().copied());
     (acked.len(), attempted.len())

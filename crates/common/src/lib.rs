@@ -18,6 +18,8 @@
 //! * [`codec`] — the byte codec of values, shared by the wire protocol and
 //!   the write-ahead log.
 //! * [`crc32`](mod@crc32) — hand-rolled CRC-32 for the WAL / checkpoint on-disk framing.
+//! * [`sync`] — the locks: poison-ignoring `Mutex` / `RwLock` and a
+//!   `Condvar` that makes no system call while nobody waits.
 //! * [`error`] — the common error type.
 
 pub mod agg;
@@ -31,6 +33,7 @@ pub mod qtuple;
 pub mod queryset;
 pub mod schema;
 pub mod sort;
+pub mod sync;
 pub mod tuple;
 pub mod value;
 pub mod wordtable;

@@ -10,8 +10,8 @@ use crate::completions::Completions;
 use crate::engine::{Engine, QueryHandle, QueryOutcome, SubmitOptions};
 use crate::plan::{ActivationTemplate, GlobalPlan, OperatorId, OperatorSpec, StatementSpec};
 use crate::stats::Phase;
-use parking_lot::{Condvar, Mutex};
 use shareddb_common::ids::TicketGenerator;
+use shareddb_common::sync::{Condvar, Mutex};
 use shareddb_common::{Error, QueryId, Result, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;

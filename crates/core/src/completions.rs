@@ -8,7 +8,7 @@
 //! the reader's own pace sets how much one wake carries.
 
 use crate::engine::QueryOutcome;
-use parking_lot::{Condvar, Mutex};
+use shareddb_common::sync::{Condvar, Mutex};
 use shareddb_common::Result;
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,10 +84,10 @@ impl Completions {
                 return Some(outcome);
             }
             match deadline {
-                None => self.parked.wait(&mut queue),
+                None => queue = self.parked.wait(queue),
                 Some(deadline) => {
                     let left = deadline.checked_duration_since(Instant::now())?;
-                    self.parked.wait_for(&mut queue, left);
+                    queue = self.parked.wait_timeout(queue, left).0;
                 }
             }
         }

@@ -66,23 +66,21 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
                     let timeout = park.due.saturating_duration_since(Instant::now());
                     if unchanged && !timeout.is_zero() {
                         queue.fence_parked = true;
-                        inner.admission.signal.wait_for(&mut queue, timeout);
+                        queue = inner.admission.signal.wait_timeout(queue, timeout).0;
                         queue.fence_parked = false;
                     }
                     continue;
                 }
                 if queue.statements.is_empty() {
-                    inner.admission.signal.wait(&mut queue);
+                    queue = inner.admission.signal.wait(queue);
                     continue;
                 }
                 let since = last_batch_start.map_or(heartbeat, |start| start.elapsed());
                 if since >= heartbeat {
                     break;
                 }
-                inner
-                    .admission
-                    .signal
-                    .wait_for(&mut queue, heartbeat - since);
+                let spacing = heartbeat - since;
+                queue = inner.admission.signal.wait_timeout(queue, spacing).0;
             }
             let shutting_down = inner.shutdown.load(Ordering::Acquire);
             if shutting_down && queue.statements.is_empty() {
@@ -375,8 +373,8 @@ impl BatchCtx<'_> {
         let now = Instant::now();
         let latency = now.duration_since(statement.submitted);
         match &outcome {
-            Ok(QueryOutcome::Rows(rs)) => stats.record_query(rs.len(), latency),
-            Ok(QueryOutcome::Updated { .. }) => stats.record_update(latency),
+            Ok(QueryOutcome::Rows(rs)) => stats.record_query(rs.len()),
+            Ok(QueryOutcome::Updated { .. }) => stats.record_update(),
             Err(_) => stats.record_failure(),
         }
         let batch_wait = started.duration_since(statement.enqueued);
@@ -510,8 +508,8 @@ mod tests {
         assert_eq!(join.busy, Duration::ZERO);
         let attribution = &stats.attribution;
         // The invariant the whole attribution design hangs on: per operator,
-        // the attributed busy times and rows — including the `_idle`
-        // residual — sum EXACTLY to the operator's own counters.
+        // the attributed busy times and rows sum EXACTLY to the operator's
+        // own counters.
         for op in operators {
             let busy: Duration = attribution
                 .iter()

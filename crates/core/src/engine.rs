@@ -29,8 +29,8 @@ use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{
     Ring, StatementRecord, TraceEvent, TraceRecord, SLOW_LOG_CAPACITY, TRACE_CAPACITY,
 };
-use parking_lot::Mutex;
 use shareddb_common::ids::TicketId;
+use shareddb_common::sync::Mutex;
 use shareddb_common::{Error, Result, Schema, Tuple};
 use shareddb_storage::{Catalog, SnapshotPin};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -35,7 +35,7 @@ use crate::operators::{execute_group_join, execute_on, Emitted, ExecContext};
 use crate::plan::{GlobalPlan, OperatorId, OperatorNode};
 use crate::stats::EngineStats;
 use crate::storage_ops::StorageOperator;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use shareddb_common::sync::{Condvar, Mutex};
 use shareddb_common::{Error, QTuple, QueryId, QuerySet, Result};
 use shareddb_storage::{Catalog, SnapshotPin};
 use std::collections::VecDeque;
@@ -252,14 +252,14 @@ impl Executor {
                     return;
                 }
                 schedule.coordinator_parked = true;
-                self.idle.wait(&mut schedule);
+                schedule = self.idle.wait(schedule);
                 schedule.coordinator_parked = false;
             } else {
                 if schedule.shutdown {
                     return;
                 }
                 schedule.parked_workers += 1;
-                self.work.wait(&mut schedule);
+                schedule = self.work.wait(schedule);
                 schedule.parked_workers -= 1;
             }
         }
@@ -267,7 +267,7 @@ impl Executor {
 
     /// Accounts a finished (and published) task: readies the consumers it
     /// was the last active producer of, and ends the run with the last task.
-    fn finish(&self, schedule: &mut MutexGuard<'_, Schedule>, run: &Run, node: OperatorId) {
+    fn finish(&self, schedule: &mut Schedule, run: &Run, node: OperatorId) {
         let before = schedule.ready.len();
         for &consumer in &self.consumers[node] {
             // A join run inside its group-by hands its producers on to it.
@@ -294,7 +294,7 @@ impl Executor {
     /// Wakes parked threads for `pushed` tasks just made ready by a thread
     /// that takes the first of them itself: one thread per task beyond it,
     /// the coordinator before a pool thread.
-    fn wake(&self, schedule: &mut MutexGuard<'_, Schedule>, pushed: usize) {
+    fn wake(&self, schedule: &mut Schedule, pushed: usize) {
         let mut spare = pushed.saturating_sub(1);
         if spare > 0 && schedule.coordinator_parked {
             schedule.coordinator_parked = false;

@@ -3,7 +3,7 @@
 //! SharedDB's value proposition is *predictability*: the engine therefore
 //! keeps cheap, always-on counters — one record of every operator cycle (its
 //! busy time and rows split by the statement types it served), engine-level
-//! batch/query/latency counters, and **phase-tagged latency histograms** that
+//! batch/query counters, and **phase-tagged latency histograms** that
 //! break a statement's life into admission → batch-wait → execute → flush at
 //! the network layer. All hot-path recording is lock-free
 //! ([`shareddb_common::metrics::Histogram`]); an engine hands all of it out
@@ -56,10 +56,10 @@ impl OperatorStatsSnapshot {
 // Per-operator × per-statement-type cost attribution
 // ---------------------------------------------------------------------------
 
-/// The reserved attribution column for operator cycles in which no registered
-/// statement type had an activation. Keeping this residual explicit is what
-/// makes the attribution *exact*: an operator's busy time and rows are, by
-/// definition, the sums of its attributed cells — `_idle` included.
+/// A statement name no attribution cell carries: an operator runs only for
+/// its activations (see [`AttributionTable::record_cycle`]), so every cycle
+/// is booked to the statements it served. Readers that filter the name out
+/// still compile.
 pub const IDLE_STATEMENT: &str = "_idle";
 
 /// One cell of the attribution matrix (lock-free, updated by the coordinator
@@ -76,7 +76,7 @@ struct AttributionCell {
 pub struct AttributionEntry {
     /// Operator name (`GlobalPlan` node name, e.g. `ClockScan#0`).
     pub operator: String,
-    /// Statement type name, or [`IDLE_STATEMENT`] for the residual column.
+    /// Statement type name.
     pub statement: String,
     /// Batches in which this statement type activated this operator, summed
     /// over the statement's queries (two pipelined `getItem`s in one batch
@@ -104,10 +104,9 @@ pub struct AttributionEntry {
 /// cells it keeps only its active cycles and pruned rows, and the table one
 /// count of the batches that ran the plan — every operator's cycles.
 ///
-/// Storage is a flat `operators × (statements + 1)` matrix of atomics sized
-/// once at engine start — recording is alloc-free and lock-free, same
-/// discipline as [`shareddb_common::metrics::Histogram`]. The extra column is
-/// [`IDLE_STATEMENT`].
+/// Storage is a flat `operators × statements` matrix of atomics sized once
+/// at engine start — recording is alloc-free and lock-free, same discipline
+/// as [`shareddb_common::metrics::Histogram`].
 #[derive(Debug, Default)]
 pub struct AttributionTable {
     operators: Vec<String>,
@@ -121,9 +120,9 @@ pub struct AttributionTable {
 
 impl AttributionTable {
     /// A matrix with one row per operator (plan order) and one column per
-    /// statement (registry order) plus the `_idle` residual column.
+    /// statement (registry order).
     pub fn new(operators: Vec<String>, statements: Vec<String>) -> AttributionTable {
-        let cells = (0..operators.len() * (statements.len() + 1))
+        let cells = (0..operators.len() * statements.len())
             .map(|_| AttributionCell::default())
             .collect();
         AttributionTable {
@@ -142,12 +141,13 @@ impl AttributionTable {
 
     /// Records the cycle of one operator that ran: `counts` holds
     /// `(statement index, activations)` pairs in ascending statement order,
-    /// each count nonzero; `tuples`, `pruned` and `busy` are the cycle's.
+    /// at least one and each count nonzero — an operator runs only for its
+    /// activations; `tuples`, `pruned` and `busy` are the cycle's.
     ///
     /// Busy time and rows are split proportionally to the activation counts;
     /// the division remainder goes to the last active statement, so the
     /// row-sum invariant (`Σ attributed busy == operator busy`) holds
-    /// exactly. A cycle with no activations lands entirely in `_idle`.
+    /// exactly.
     pub fn record_cycle(
         &self,
         operator: usize,
@@ -159,9 +159,8 @@ impl AttributionTable {
         let [active, rows_pruned] = &self.ran[operator];
         active.fetch_add(1, Ordering::Relaxed);
         rows_pruned.fetch_add(pruned, Ordering::Relaxed);
-        let base = operator * (self.statements.len() + 1);
-        let idle = [(self.statements.len(), 0)];
-        let counts = if counts.is_empty() { &idle[..] } else { counts };
+        debug_assert!(!counts.is_empty(), "a cycle that ran had no activation");
+        let base = operator * self.statements.len();
         let total: u64 = counts.iter().map(|(_, count)| count).sum();
         let busy_nanos = busy.as_nanos() as u64;
         let mut given_busy = 0u64;
@@ -184,10 +183,9 @@ impl AttributionTable {
     }
 
     /// Every operator's counters, in plan order, and every nonzero cell,
-    /// operator-major, statement columns in registry order with `_idle`
-    /// last.
+    /// operator-major, statement columns in registry order.
     pub fn snapshot(&self) -> (Vec<OperatorStatsSnapshot>, Vec<AttributionEntry>) {
-        let cols = self.statements.len() + 1;
+        let cols = self.statements.len();
         let cycles = self.runs.load(Ordering::Relaxed);
         let mut operators = Vec::with_capacity(self.operators.len());
         let mut attribution = Vec::new();
@@ -199,7 +197,7 @@ impl AttributionTable {
                 rows_pruned: pruned.load(Ordering::Relaxed),
                 ..OperatorStatsSnapshot::default()
             };
-            for col in 0..cols {
+            for (col, statement) in self.statements.iter().enumerate() {
                 let cell = &self.cells[op * cols + col];
                 let activations = cell.activations.load(Ordering::Relaxed);
                 let rows = cell.rows.load(Ordering::Relaxed);
@@ -211,11 +209,7 @@ impl AttributionTable {
                 counters.busy += busy;
                 attribution.push(AttributionEntry {
                     operator: operator.clone(),
-                    statement: self
-                        .statements
-                        .get(col)
-                        .cloned()
-                        .unwrap_or_else(|| IDLE_STATEMENT.to_string()),
+                    statement: statement.clone(),
                     activations,
                     rows,
                     busy,
@@ -404,9 +398,6 @@ pub struct EngineStats {
     updates: AtomicU64,
     failed: AtomicU64,
     result_rows: AtomicU64,
-    /// End-to-end latency histogram over all statement types (submission to
-    /// completion); every latency of the snapshot is read from it.
-    histogram: Histogram,
     /// Batch-occupancy histogram: statements per processed batch. The shape
     /// of this distribution *is* the sharing opportunity — a p50 of 1 means
     /// the heartbeat mostly forms singleton batches and shared cycles are
@@ -516,24 +507,9 @@ pub struct EngineStatsSnapshot {
     pub failed: u64,
     /// Total result rows delivered.
     pub result_rows: u64,
-    /// Mean statement latency (µs resolution, like every latency here: all
-    /// are read from `histogram`).
-    pub mean_latency: Duration,
-    /// Maximum statement latency.
-    pub max_latency: Duration,
-    /// Median latency upper bound.
-    pub p50_latency: Duration,
-    /// 95th-percentile latency upper bound.
-    pub p95_latency: Duration,
-    /// 99th-percentile latency upper bound.
-    pub p99_latency: Duration,
-    /// The full end-to-end latency histogram the percentiles were read from;
-    /// merging these across replicas reproduces the cluster-wide percentiles
-    /// exactly instead of approximating them from per-replica numbers.
-    pub histogram: HistogramSnapshot,
     /// Statements-per-batch occupancy histogram (recorded in "microsecond"
     /// units: one unit = one statement), merged bucket-wise across replicas
-    /// like the latency histograms.
+    /// like the phase histograms.
     pub occupancy: HistogramSnapshot,
     /// Executor tasks (operator cycles, one per active node of a batch) the
     /// coordinator ran itself.
@@ -575,8 +551,8 @@ impl EngineStatsSnapshot {
     /// position (replicas deploy one plan), attribution cells by `(operator,
     /// statement)` in first-seen order, phases by statement, scans by table
     /// and update rows by statement; the window is the longest. Merging into
-    /// [`EngineStatsSnapshot::default`] copies; the latencies are read from
-    /// the merged histogram, so they are those a single engine seeing all
+    /// [`EngineStatsSnapshot::default`] copies. Histograms add bucket-wise,
+    /// so a merged phase's percentiles are those a single engine seeing all
     /// the traffic would report, not a max-of-p99s approximation.
     pub fn merge_from(&mut self, other: &EngineStatsSnapshot) {
         self.batches += other.batches;
@@ -589,7 +565,6 @@ impl EngineStatsSnapshot {
         self.worker_wakeups += other.worker_wakeups;
         self.completion_wakes += other.completion_wakes;
         self.executor_threads += other.executor_threads;
-        self.histogram.merge_from(&other.histogram);
         self.occupancy.merge_from(&other.occupancy);
         self.wall = self.wall.max(other.wall);
         if self.operators.is_empty() {
@@ -646,18 +621,6 @@ impl EngineStatsSnapshot {
                 total.affected += s.affected;
             },
         );
-        self.read_latencies();
-    }
-
-    /// Sets the mean, the maximum and the percentiles from `histogram`.
-    fn read_latencies(&mut self) {
-        let h = &self.histogram;
-        let mean_ns = (h.sum_us * 1_000).checked_div(h.count).unwrap_or(0);
-        self.mean_latency = Duration::from_nanos(mean_ns);
-        self.max_latency = Duration::from_micros(h.max_us);
-        self.p50_latency = Duration::from_micros(h.percentile_us(0.50));
-        self.p95_latency = Duration::from_micros(h.percentile_us(0.95));
-        self.p99_latency = Duration::from_micros(h.percentile_us(0.99));
     }
 }
 
@@ -710,17 +673,15 @@ impl EngineStats {
         self.completion_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a completed query with its end-to-end latency.
-    pub fn record_query(&self, rows: usize, latency: Duration) {
+    /// Records a completed query.
+    pub fn record_query(&self, rows: usize) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.result_rows.fetch_add(rows as u64, Ordering::Relaxed);
-        self.histogram.record(latency);
     }
 
-    /// Records a completed update with its end-to-end latency.
-    pub fn record_update(&self, latency: Duration) {
+    /// Records a completed update.
+    pub fn record_update(&self) {
         self.updates.fetch_add(1, Ordering::Relaxed);
-        self.histogram.record(latency);
     }
 
     /// Records a failed query or update.
@@ -764,7 +725,6 @@ impl EngineStats {
         self.updates.store(0, Ordering::Relaxed);
         self.failed.store(0, Ordering::Relaxed);
         self.result_rows.store(0, Ordering::Relaxed);
-        self.histogram.reset();
         self.occupancy.reset();
         self.phases.reset();
         for counter in self.update_rows.iter().flatten() {
@@ -778,13 +738,12 @@ impl EngineStats {
 
     /// Takes a snapshot of the counters, histograms and update row counts.
     pub fn snapshot(&self) -> EngineStatsSnapshot {
-        let mut snapshot = EngineStatsSnapshot {
+        EngineStatsSnapshot {
             batches: self.batches.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             updates: self.updates.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             result_rows: self.result_rows.load(Ordering::Relaxed),
-            histogram: self.histogram.snapshot(),
             occupancy: self.occupancy.snapshot(),
             tasks_run_by_coordinator: self.tasks_run[0].load(Ordering::Relaxed),
             tasks_run_by_workers: self.tasks_run[1].load(Ordering::Relaxed),
@@ -795,9 +754,7 @@ impl EngineStats {
             // What the engine alone knows — its executor, its operators, its
             // scans and its window — the engine fills in.
             ..EngineStatsSnapshot::default()
-        };
-        snapshot.read_latencies();
-        snapshot
+        }
     }
 }
 
@@ -826,11 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_stats_latencies() {
+    fn engine_stats_count_and_reset() {
         let stats = EngineStats::default();
-        stats.record_query(5, Duration::from_millis(1));
-        stats.record_query(5, Duration::from_millis(3));
-        stats.record_update(Duration::from_millis(2));
+        stats.record_query(5);
+        stats.record_query(5);
+        stats.record_update();
         stats.record_failure();
         stats.record_batch(3);
         let snap = stats.snapshot();
@@ -840,17 +797,10 @@ mod tests {
         assert_eq!(snap.updates, 1);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.result_rows, 10);
-        assert_eq!(snap.mean_latency, Duration::from_millis(2));
-        assert_eq!(snap.max_latency, Duration::from_millis(3));
-        assert!(snap.p99_latency >= Duration::from_millis(3));
-        assert!(snap.p50_latency <= snap.p95_latency);
-        assert!(snap.p95_latency <= snap.p99_latency);
-        assert_eq!(snap.histogram.count, 3);
         stats.reset();
         let snap = stats.snapshot();
         assert_eq!(snap.queries, 0);
-        assert_eq!(snap.histogram.count, 0);
-        assert_eq!(snap.p99_latency, Duration::ZERO);
+        assert_eq!(snap.occupancy.count, 0);
     }
 
     #[test]
@@ -882,8 +832,6 @@ mod tests {
         // A batch where Scan#0 serves 3 light + 1 heavy activations; the
         // 1000ns cycle does not divide evenly (750 / 250 does, so use 999).
         table.record_cycle(0, &[(0, 3), (1, 1)], 10, 0, Duration::from_nanos(999));
-        // A cycle with no activations lands in _idle.
-        table.record_cycle(1, &[], 2, 0, Duration::from_nanos(77));
         let (_, snap) = table.snapshot();
         let cell = |op: &str, stmt: &str| {
             snap.iter()
@@ -904,10 +852,6 @@ mod tests {
         );
         assert_eq!(light.rows + heavy.rows, 10);
         assert!(light.busy > heavy.busy);
-        let idle = cell("Join#1", IDLE_STATEMENT);
-        assert_eq!(idle.activations, 0);
-        assert_eq!(idle.rows, 2);
-        assert_eq!(idle.busy, Duration::from_nanos(77));
         table.reset();
         assert!(table.snapshot().1.is_empty());
     }

@@ -15,7 +15,7 @@
 //! where records are read ([`TraceEvent::describe`], the `trace_dump` bench
 //! bin).
 
-use parking_lot::Mutex;
+use shareddb_common::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

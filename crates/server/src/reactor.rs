@@ -1077,7 +1077,7 @@ impl Reactor {
     /// `analyze`, with the cluster's statistics: per-operator counters and
     /// cost attribution summed over replicas.
     fn build_explain(&self, index: usize, analyze: bool) -> Result<String, Error> {
-        let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
+        let engine = self.shared.engine.read();
         let cluster = engine.as_ref().ok_or(Error::EngineShutdown)?;
         let plan = cluster.plan();
         let registry = cluster.registry();
@@ -1121,7 +1121,7 @@ impl Reactor {
         // replica it routes to waits for that write's commit to be visible.
         let is_update = self.shared.registry.by_index(statement).is_update();
         let write_fence = is_update.then(|| Arc::new(WriteFence::new()));
-        let guard = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
+        let guard = self.shared.engine.read();
         // Global queue-depth backpressure: enforced inside the engine under
         // the admission-queue lock, so concurrent sessions cannot overshoot
         // the bound (the old check-then-enqueue TOCTOU is gone).

@@ -51,6 +51,7 @@
 use crate::reactor::{Epoll, Reactor};
 use shareddb_cluster::{ClusterConfig, ClusterEngine};
 use shareddb_common::metrics::{escape_label_value, render_summary, HistogramSnapshot};
+use shareddb_common::sync::{Condvar, Mutex, RwLock};
 use shareddb_common::{Error, Expr, Result};
 use shareddb_core::plan::{ActivationTemplate, GlobalPlan, StatementKind, UpdateTemplate};
 use shareddb_core::stats::{
@@ -64,9 +65,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -158,16 +159,19 @@ pub(crate) struct Shared {
 
 impl Shared {
     pub(crate) fn notify_drained(&self) {
-        let mut drained = self.drained.lock().unwrap_or_else(|e| e.into_inner());
-        *drained = true;
+        *self.drained.lock() = true;
         self.drained_cv.notify_all();
     }
 
     fn wait_drained(&self, timeout: Duration) {
-        let drained = self.drained.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = self
-            .drained_cv
-            .wait_timeout_while(drained, timeout, |d| !*d);
+        let started = Instant::now();
+        let mut drained = self.drained.lock();
+        while !*drained {
+            let Some(left) = timeout.checked_sub(started.elapsed()) else {
+                return;
+            };
+            drained = self.drained_cv.wait_timeout(drained, left).0;
+        }
     }
 
     /// Renders the full Prometheus text exposition: server counters, engine
@@ -203,7 +207,7 @@ impl Shared {
             load(&self.scrapes),
         );
 
-        let engine = self.engine.read().unwrap_or_else(|e| e.into_inner());
+        let engine = self.engine.read();
         let Some(cluster) = engine.as_ref() else {
             return out;
         };
@@ -477,8 +481,7 @@ impl Shared {
 
         // Operator utilisation (busy fraction of the stats window) and total
         // busy time — the latter is the attribution denominator: the
-        // attributed series below sums to it per operator, `_idle` included —
-        // and the input a statement's row demand let an operator skip: outer
+        // attributed series below sums to it per operator — and the input a statement's row demand let an operator skip: outer
         // rows a join did not look up, groups not built, rows a Top-N did not
         // keep.
         let operators: Vec<_> = replica_stats
@@ -518,9 +521,8 @@ impl Shared {
         );
 
         // Per-operator × per-statement-type cost attribution: each
-        // operator's busy time split by the activation mix of its batches
-        // (`stmt_type="_idle"` covers cycles with no activation of that
-        // operator).
+        // operator's busy time split by the activation mix of the cycles it
+        // ran (an operator runs only for its activations).
         let attributed: Vec<_> = replica_stats
             .iter()
             .enumerate()
@@ -758,12 +760,12 @@ impl Server {
     /// queue depths and trace rings; `c.slow_queries()`, `c.routes()`.
     /// `None` once the server has shut its engines down.
     pub fn with_cluster<T>(&self, read: impl FnOnce(&ClusterEngine) -> T) -> Option<T> {
-        let engine = self.shared.engine.read().unwrap_or_else(|e| e.into_inner());
+        let engine = self.shared.engine.read();
         engine.as_ref().map(read)
     }
 
-    /// Engine statistics (batches, queries, latencies), aggregated over all
-    /// replicas.
+    /// Engine statistics (batches, queries, phase latencies), aggregated
+    /// over all replicas.
     pub fn engine_stats(&self) -> Option<shareddb_core::stats::EngineStatsSnapshot> {
         self.with_cluster(|c| c.stats())
     }
@@ -829,12 +831,7 @@ impl Server {
         // fails it with a clean shutdown error; completion wakers hand those
         // results to the reactor, which delivers them and closes the
         // remaining sessions.
-        let engine = self
-            .shared
-            .engine
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
+        let engine = self.shared.engine.write().take();
         if let Some(mut engine) = engine {
             engine.shutdown();
         }

@@ -12,8 +12,8 @@ use crate::wal::{
     committed_batches, put_frame, put_insert, put_record, scan_frames, FileSink, LogRecord,
     TornTail, Wal, WalSink as _,
 };
-use parking_lot::RwLock;
 use shareddb_common::ids::Timestamp;
+use shareddb_common::sync::RwLock;
 use shareddb_common::{Column, DataType, Error, Result, Schema, Tuple};
 use std::collections::HashMap;
 use std::fs::File;

@@ -30,8 +30,8 @@ use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::predicate_index::{PredicateClass, PredicateIndex};
 use crate::table::Table;
 use crate::update::{refuse_cycle_updates, AccessPath, UpdateOp};
-use parking_lot::RwLock;
 use shareddb_common::queryset::Union;
+use shareddb_common::sync::RwLock;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, WordTable};
 use std::sync::Arc;
 

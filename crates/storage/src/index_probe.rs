@@ -21,8 +21,8 @@
 use crate::mvcc::TimestampOracle;
 use crate::table::{RowId, Table};
 use crate::update::{refuse_cycle_updates, UpdateOp};
-use parking_lot::RwLock;
 use shareddb_common::queryset::Union;
+use shareddb_common::sync::RwLock;
 use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
 use std::sync::Arc;
 

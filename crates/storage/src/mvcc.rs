@@ -13,8 +13,8 @@
 //! is seen by no reader that is or will be — the storage layer gives its
 //! payload back (`Table::reclaim`).
 
-use parking_lot::Mutex;
 use shareddb_common::ids::Timestamp;
+use shareddb_common::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;

@@ -31,13 +31,13 @@
 //! bytes are asserted against the encoder by `tests/recovery.rs`.
 
 use crate::update::UpdateOp;
-use parking_lot::Mutex;
 use shareddb_common::codec::{
     encode_value, malformed, put_string, put_u16, put_u32, put_u64, put_u8, put_values, Cursor,
 };
 use shareddb_common::crc32::Crc32;
 use shareddb_common::ids::Timestamp;
 use shareddb_common::metrics::{Counter, Histogram, HistogramSnapshot};
+use shareddb_common::sync::Mutex;
 use shareddb_common::{BinaryOp, Error, Expr, Result, Tuple, UnaryOp};
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};

@@ -11,10 +11,10 @@
 
 use crate::driver::TpcwDatabase;
 use shareddb_client::{Connection, Outcome, Prepared};
+use shareddb_common::sync::Mutex;
 use shareddb_common::{Error, Result, Value};
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 struct PooledConnection {
@@ -46,7 +46,7 @@ impl RemoteSystem {
     }
 
     fn checkout(&self) -> Result<PooledConnection> {
-        if let Some(pooled) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
+        if let Some(pooled) = self.pool.lock().pop() {
             return Ok(pooled);
         }
         Ok(PooledConnection {
@@ -56,10 +56,7 @@ impl RemoteSystem {
     }
 
     fn checkin(&self, pooled: PooledConnection) {
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(pooled);
+        self.pool.lock().push(pooled);
     }
 }
 

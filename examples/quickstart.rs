@@ -5,9 +5,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use shareddb::common::agg::AggregateFunction;
+use shareddb::common::metrics::HistogramSnapshot;
 use shareddb::common::{tuple, DataType, Expr, SortKey, Value};
 use shareddb::core::plan::{ActivationTemplate, PlanBuilder, StatementSpec, UpdateTemplate};
-use shareddb::core::{Engine, EngineConfig, StatementRegistry};
+use shareddb::core::{Engine, EngineConfig, Phase, StatementRegistry};
 use shareddb::storage::{Catalog, TableDef};
 use std::sync::Arc;
 
@@ -128,10 +129,18 @@ fn main() -> shareddb::Result<()> {
         println!("country {} -> total account {}", row[0], row[1]);
     }
 
+    // Every statement's end-to-end latency is its `Total` phase.
     let stats = engine.stats();
+    let mut latency = HistogramSnapshot::default();
+    for statement in &stats.phases {
+        latency.merge_from(statement.phase(Phase::Total));
+    }
     println!(
-        "engine processed {} queries / {} updates in {} batches (mean latency {:?})",
-        stats.queries, stats.updates, stats.batches, stats.mean_latency
+        "engine processed {} queries / {} updates in {} batches (mean latency {:.0} µs)",
+        stats.queries,
+        stats.updates,
+        stats.batches,
+        latency.mean_us()
     );
     Ok(())
 }

@@ -9,9 +9,11 @@
 # first `#[cfg(test)]` line, comments and blank lines included, so that a
 # line moved into a comment or a test is not a line removed. The benchmark
 # the driver pins (`crates/bench/src/bin/ledger/`) is listed on its own row
-# and kept out of the total a simplification is judged by; the integration
-# tests (`tests/`) and each crate's in-file test modules are listed beside
-# it, and under the table the five largest files of the total (no file is
+# and kept out of the total a simplification is judged by; so is each
+# offline stand-in under `shims/`, one row apiece, so that a stand-in the
+# repo stops needing shows as lines gone. The integration tests (`tests/`)
+# and each crate's in-file test modules are listed beside them, and under
+# the table the five largest files of the total (no file is
 # meant to hold a fifth of a crate: ROADMAP, aim 2). `target/` is never read.
 # To compare two commits, run it on a checkout of each.
 set -euo pipefail
@@ -41,6 +43,10 @@ done
 echo "| **crates, outside the ledger** | **$total** | |"
 read -r code test < <(find crates/bench/src/bin/ledger -name '*.rs' | sort | count)
 echo "| crates/bench/src/bin/ledger | $code | $test |"
+for shim in shims/*/; do
+    read -r code test < <(find "$shim" -name '*.rs' | sort | count)
+    echo "| ${shim%/} | $code | $test |"
+done
 read -r code test < <(find src examples -name '*.rs' | sort | count)
 echo "| src + examples | $code | $test |"
 echo "| tests/ | $(find tests -name '*.rs' -print0 | xargs -0 cat | wc -l) | |"

@@ -599,7 +599,6 @@ fn attributed_busy_sums_to_operator_busy_in_metrics() {
     for line in body.lines() {
         if line.starts_with("shareddb_attributed_busy_us{")
             && label(line, "operator") == Some(&shared_scan)
-            && label(line, "stmt_type") != Some("_idle")
         {
             assert!(value(line) > 0, "zero attributed busy: {line}");
         }
@@ -657,7 +656,6 @@ fn reset_stats_clears_every_surface() {
     let stats = server.engine_stats().unwrap();
     assert_eq!(stats.queries, 0);
     assert_eq!(stats.batches, 0);
-    assert!(stats.histogram.is_empty());
     assert!(server.flush_phase_stats().is_empty());
     assert_eq!(server.with_cluster(|c| c.slow_queries()).unwrap().0, 0);
     let phases = server.with_cluster(|c| c.engines()[0].stats().phases);
