@@ -12,21 +12,19 @@
 //! output a client gets from `EXPLAIN ANALYZE <stmt>` over the wire.
 //!
 //! Arguments: `--statement NAME` (one statement instead of all),
-//! `--analyze [COUNT]` via `PLAN_DUMP_STATEMENTS` (mix size, default 64),
-//! `--dot` (emit the digraph instead of text; combine with `--statement` to
-//! highlight that statement's subtree). Environment: `TPCW_ITEMS` (scale).
+//! `--analyze` (drive [`shareddb_bench::drive_dump_mix`]'s 64 statements
+//! first), `--dot` (emit the digraph instead of text; combine with
+//! `--statement` to highlight that statement's subtree). Environment:
+//! `TPCW_ITEMS` (scale).
 
-use shareddb_bench::{bench_scale, env_usize};
-use shareddb_common::Value;
+use shareddb_bench::{bench_scale, drive_dump_mix};
 use shareddb_core::{render_dot, render_explain_text, Engine, EngineConfig};
-use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::{build_catalog, build_shared_plan};
 use std::sync::Arc;
 
 fn main() {
     let args = parse_args();
     let scale = bench_scale();
-    let items = scale.items as i64;
     let catalog = Arc::new(build_catalog(&scale).expect("build TPC-W catalog"));
     let (plan, registry) = build_shared_plan(&catalog).expect("build global plan");
 
@@ -50,27 +48,9 @@ fn main() {
             EngineConfig::default(),
         )
         .expect("start engine");
-        for i in 0..args.statements {
-            let outcome = match i % 8 {
-                7 => engine.execute_sync(
-                    "getBestSellers",
-                    &[Value::text(SUBJECTS[i % SUBJECTS.len()]), Value::Int(0)],
-                ),
-                6 => engine.execute_sync(
-                    "addOrderLine",
-                    &[
-                        Value::Int(70_000_000 + i as i64),
-                        Value::Int(i as i64 % 16),
-                        Value::Int(i as i64 % items.max(1)),
-                        Value::Int(1),
-                    ],
-                ),
-                _ => engine.execute_sync("getItemById", &[Value::Int(i as i64 * 7 % items.max(1))]),
-            };
-            if let Err(e) = outcome {
-                eprintln!("statement {i} failed: {e}");
-            }
-        }
+        drive_dump_mix(scale.items, |statement, params| {
+            engine.execute_sync(statement, params)
+        });
         let data = engine.stats();
         engine.shutdown();
         Some(data)
@@ -114,7 +94,6 @@ struct Args {
     statement: Option<String>,
     analyze: bool,
     dot: bool,
-    statements: usize,
 }
 
 fn parse_args() -> Args {
@@ -122,7 +101,6 @@ fn parse_args() -> Args {
         statement: None,
         analyze: false,
         dot: false,
-        statements: env_usize("PLAN_DUMP_STATEMENTS", 64),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

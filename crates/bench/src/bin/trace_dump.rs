@@ -10,21 +10,26 @@
 //! rows and phase breakdown). The ring holds the engine's last 1 024
 //! records, so it is always on.
 //!
-//! Arguments: `--replicas N` (default 2), `--statements COUNT` (executions to
-//! drive, default 64). Environment: `TPCW_ITEMS` (scale, default 2000).
+//! No arguments: two replicas, [`shareddb_bench::drive_dump_mix`]'s 64
+//! statements. Environment: `TPCW_ITEMS` (scale, default 2000).
 
-use shareddb_bench::bench_scale;
+use shareddb_bench::{bench_scale, drive_dump_mix};
 use shareddb_cluster::{ClusterConfig, ClusterEngine};
-use shareddb_common::Value;
 use shareddb_core::{EngineConfig, Phase};
-use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::{build_catalog, build_shared_plan};
 use std::sync::Arc;
 
+/// Replicas of the dumped cluster: two, so that a replicated type's
+/// look-ups show on both.
+const REPLICAS: usize = 2;
+
 fn main() {
-    let (replicas, statements) = parse_args();
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument {arg}");
+        eprintln!("usage: trace_dump");
+        std::process::exit(2);
+    }
     let scale = bench_scale();
-    let items = scale.items as i64;
     let catalog = Arc::new(build_catalog(&scale).expect("build TPC-W catalog"));
     let (plan, registry) = build_shared_plan(&catalog).expect("build global plan");
     let operator_names: Vec<String> = plan.nodes().iter().map(|n| n.name.clone()).collect();
@@ -36,35 +41,15 @@ fn main() {
         registry,
         EngineConfig::default(),
         ClusterConfig {
-            replicas,
+            replicas: REPLICAS,
             replicate_statements: vec!["getItemById".to_string()],
         },
     )
     .expect("start cluster");
 
-    // A deterministic light/heavy/update mix: enough traffic that batches
-    // carry more than one statement, small enough to read the output.
-    for i in 0..statements {
-        let outcome = match i % 8 {
-            7 => cluster.execute_sync(
-                "getBestSellers",
-                &[Value::text(SUBJECTS[i % SUBJECTS.len()]), Value::Int(0)],
-            ),
-            6 => cluster.execute_sync(
-                "addOrderLine",
-                &[
-                    Value::Int(60_000_000 + i as i64),
-                    Value::Int(i as i64 % 16),
-                    Value::Int(i as i64 % items.max(1)),
-                    Value::Int(1),
-                ],
-            ),
-            _ => cluster.execute_sync("getItemById", &[Value::Int(i as i64 * 7 % items.max(1))]),
-        };
-        if let Err(e) = outcome {
-            eprintln!("statement {i} failed: {e}");
-        }
-    }
+    drive_dump_mix(scale.items, |statement, params| {
+        cluster.execute_sync(statement, params)
+    });
 
     for (replica, engine) in cluster.engines().iter().enumerate() {
         let records = engine.trace();
@@ -105,29 +90,4 @@ fn main() {
     }
 
     cluster.shutdown();
-}
-
-fn parse_args() -> (usize, usize) {
-    let mut replicas = 2usize;
-    let mut statements = 64usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| usage(what))
-        };
-        match arg.as_str() {
-            "--replicas" => replicas = value("--replicas needs N").max(1),
-            "--statements" => statements = value("--statements needs COUNT"),
-            other => usage(&format!("unknown argument {other}")),
-        }
-    }
-    (replicas, statements)
-}
-
-fn usage(message: &str) -> ! {
-    eprintln!("{message}");
-    eprintln!("usage: trace_dump [--replicas N] [--statements COUNT]");
-    std::process::exit(2);
 }

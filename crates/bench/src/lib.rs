@@ -20,7 +20,13 @@
 pub mod conformance;
 pub mod figures;
 
+use shareddb_common::{Result, Value};
+use shareddb_core::QueryOutcome;
+use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::TpcwScale;
+
+/// Statements in the mix of [`drive_dump_mix`].
+const DUMP_MIX_STATEMENTS: usize = 64;
 
 /// Reads a usize parameter from the environment with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -34,6 +40,38 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 /// override with `TPCW_ITEMS`).
 pub fn bench_scale() -> TpcwScale {
     TpcwScale::with_items(env_usize("TPCW_ITEMS", 2_000))
+}
+
+/// Drives the deterministic light/heavy/update mix `plan_dump --analyze` and
+/// `trace_dump` run through `execute`, over a catalog of `items` items:
+/// enough traffic that batches carry more than one statement, small enough
+/// to read the output. Of every eight statements, six are `getItemById`,
+/// one `addOrderLine` and one `getBestSellers`; a failure is printed and
+/// the mix goes on.
+pub fn drive_dump_mix(items: usize, execute: impl Fn(&str, &[Value]) -> Result<QueryOutcome>) {
+    let items = items.max(1) as i64;
+    for i in 0..DUMP_MIX_STATEMENTS {
+        let n = i as i64;
+        let outcome = match i % 8 {
+            7 => execute(
+                "getBestSellers",
+                &[Value::text(SUBJECTS[i % SUBJECTS.len()]), Value::Int(0)],
+            ),
+            6 => execute(
+                "addOrderLine",
+                &[
+                    Value::Int(70_000_000 + n),
+                    Value::Int(n % 16),
+                    Value::Int(n % items),
+                    Value::Int(1),
+                ],
+            ),
+            _ => execute("getItemById", &[Value::Int(n * 7 % items)]),
+        };
+        if let Err(e) = outcome {
+            eprintln!("statement {i} failed: {e}");
+        }
+    }
 }
 
 #[cfg(test)]

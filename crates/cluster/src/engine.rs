@@ -553,10 +553,11 @@ mod tests {
     }
 
     /// Read-your-writes across 4 replicas: a pipelined INSERT → SELECT on
-    /// the same session observes the write on every round when the read
-    /// carries the session's write fence, and provably reads stale without
-    /// it (the negative control routes to a replica whose batch forms before
-    /// the write replica's paced group commit).
+    /// the same session observes the write on every round when the read is
+    /// submitted to the replica its write went to ([`ClusterHandle::replica`]),
+    /// and provably reads stale through the router (the negative control
+    /// routes to a replica whose batch forms before the write replica's
+    /// paced group commit).
     #[test]
     fn read_your_writes_across_replicas() {
         let catalog = catalog();
@@ -573,12 +574,14 @@ mod tests {
             ClusterConfig::with_replicas(4),
         )
         .unwrap();
+        let (all_items, _) = cluster.registry().get("allItems").unwrap();
         // Heat the write replica's pacing clock (updates pin to replica 0,
         // like getItem) so the negative-control insert waits out the full
         // 60ms pacing. The read statement's home replica stays cold — its
         // first batch forms immediately.
         cluster.execute_sync("getItem", &[Value::Int(0)]).unwrap();
-        // Negative control: unfenced pipelined write → read loses the race.
+        // Negative control: a pipelined write → read through the router
+        // loses the race.
         let write = cluster
             .execute(
                 "addItem",
@@ -589,36 +592,24 @@ mod tests {
         assert_eq!(
             stale.rows().len(),
             200,
-            "unfenced pipelined read should miss the still-uncommitted insert"
+            "a routed pipelined read should miss the still-uncommitted insert"
         );
         write.wait().unwrap();
-        // Fenced rounds: 100% of N pipelined write→read pairs observe the
-        // session's write, whichever replica serves the read.
+        // Rounds: 100% of N pipelined write→read pairs observe the session's
+        // write when the read follows it to its replica.
         for round in 0..8i64 {
-            let fence = Arc::new(shareddb_core::WriteFence::new());
             let write = cluster
-                .submit(
+                .execute(
                     "addItem",
                     &[
                         Value::Int(10_000 + round),
                         Value::text("FICTION"),
                         Value::Float(2.0),
                     ],
-                    SubmitOptions {
-                        write_fence: Some(Arc::clone(&fence)),
-                        ..SubmitOptions::default()
-                    },
                 )
                 .unwrap();
-            let rows = cluster
-                .submit(
-                    "allItems",
-                    &[],
-                    SubmitOptions {
-                        read_after: Some(Arc::clone(&fence)),
-                        ..SubmitOptions::default()
-                    },
-                )
+            let rows = cluster.engines()[write.replica()]
+                .submit_prepared(all_items, &[], SubmitOptions::default())
                 .unwrap()
                 .wait()
                 .unwrap();
@@ -626,7 +617,7 @@ mod tests {
                 rows.rows()
                     .iter()
                     .any(|r| r[0] == Value::Int(10_000 + round)),
-                "round {round}: fenced read missed the session's write"
+                "round {round}: a read behind its write missed it"
             );
             write.wait().unwrap();
         }

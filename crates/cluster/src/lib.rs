@@ -2,7 +2,7 @@
 //!
 //! Replicated SharedDB engines behind one endpoint (paper §4.5: "hot
 //! operators that saturate a core are replicated or partitioned"). This
-//! crate is the *replicated* half — routing and session fences. A replica
+//! crate is the *replicated* half — routing. A replica
 //! partitions **statements**, and nothing partitions rows: every statement
 //! runs whole, in one batch on one snapshot, on the replica it is routed to
 //! (`docs/ARCHITECTURE.md`, *Replicas partition statements*).
@@ -21,12 +21,14 @@
 //!   the parameter vector (the same key always hits the same replica),
 //!   round-robin when parameterless;
 //! * **updates always pin to replica 0**, keeping the shared catalog's group
-//!   commit single-writer; MVCC snapshots make the writes visible to every
-//!   replica's next batch;
-//! * **read-your-writes crosses replicas** through
-//!   [`shareddb_core::WriteFence`]: a read carrying its session's fence is
-//!   held out of any replica's batch until the committed watermark covers
-//!   the write.
+//!   commit single-writer; a write's commit is published before it is
+//!   answered, so every replica's next batch sees an answered write.
+//!
+//! Read-your-writes is a route, not a wait: a session's read submitted
+//! behind its own unanswered write goes to the write's replica
+//! ([`ClusterHandle::replica`], then [`ClusterEngine::engines`]), whose FIFO
+//! queue and updates-first batches show it the write. The network server's
+//! reactor keeps that rule per connection.
 //!
 //! With `replicas == 1` the cluster degenerates to exactly the single-engine
 //! behaviour, which is how the network server embeds it by default.

@@ -18,7 +18,7 @@
 //!   Either way one execution runs whole on one replica.
 
 use crate::ClusterConfig;
-use shareddb_common::{hash_values, Error, Result, Value};
+use shareddb_common::{hash_words, Error, Result, Value};
 use shareddb_core::StatementRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -96,11 +96,11 @@ impl Router {
     }
 }
 
-/// Stable hash of a parameter vector ([`shareddb_common::hash_values`],
-/// seeded by the statement index so two replicated types with the same keys
-/// still spread differently).
+/// Hash of a parameter vector ([`hash_words`], the statement index folded
+/// in first so two replicated types with the same keys still spread
+/// differently). Stable within the process, which is all routing needs.
 fn hash_params(index: usize, params: &[Value]) -> u64 {
-    hash_values(index as u64, params)
+    hash_words([&Value::Int(index as i64)].into_iter().chain(params))
 }
 
 #[cfg(test)]

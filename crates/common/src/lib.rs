@@ -47,5 +47,5 @@ pub use queryset::QuerySet;
 pub use schema::{Column, Schema};
 pub use sort::{SortKey, SortOrder};
 pub use tuple::Tuple;
-pub use value::{hash_values, hash_words, DataType, Text, Value};
+pub use value::{hash_words, DataType, Text, Value};
 pub use wordtable::WordTable;

@@ -358,41 +358,6 @@ impl Ord for Value {
     }
 }
 
-/// Stable FNV-1a hash of a value sequence with a caller-chosen seed mixed
-/// into the offset basis: what cluster routing hashes a parameter vector
-/// with. Unlike the [`Hash`] impl below, the encoding is explicitly versioned
-/// by the tag bytes and independent of `std` hasher internals.
-pub fn hash_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-    let mut eat = |byte: u8| {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for value in values {
-        match value {
-            Value::Null => eat(0),
-            Value::Int(i) => {
-                eat(1);
-                i.to_le_bytes().into_iter().for_each(&mut eat);
-            }
-            Value::Float(f) => {
-                eat(2);
-                f.to_bits().to_le_bytes().into_iter().for_each(&mut eat);
-            }
-            Value::Text(s) => {
-                eat(3);
-                s.as_bytes().iter().copied().for_each(&mut eat);
-            }
-            Value::Bool(b) => eat(4 + *b as u8),
-            Value::Date(d) => {
-                eat(6);
-                d.to_le_bytes().into_iter().for_each(&mut eat);
-            }
-        }
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
 // Key words
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! and are grouped into a [`QueryBatch`] at the next heartbeat (Section 3.2).
 
 use crate::completions::Completions;
-use crate::engine::{SubmitOptions, WriteFence};
+use crate::engine::SubmitOptions;
 use crate::plan::OperatorId;
 use crate::plan::{
     ActivationTemplate, ComputedColumn, StatementKind, StatementSpec, UpdateTemplate,
@@ -144,11 +144,6 @@ pub struct ActiveQuery {
     /// The snapshot its scans and probes read ([`SubmitOptions::pinned_snapshot`]),
     /// held until the query completes.
     pub pin: Option<SnapshotPin>,
-    /// Read-your-writes fence ([`SubmitOptions::read_after`]): the
-    /// coordinator defers this query until the fence's write is covered by
-    /// the committed watermark (or the covering update rides in the same
-    /// batch).
-    pub read_after: Option<Arc<WriteFence>>,
 }
 
 /// One admitted update.
@@ -160,9 +155,6 @@ pub struct ActiveUpdate {
     pub table: String,
     /// The bound update operation.
     pub op: UpdateOp,
-    /// Session write fence ([`SubmitOptions::write_fence`]): resolved by the
-    /// engine at the committed watermark once this update's batch group-commits.
-    pub write_fence: Option<Arc<WriteFence>>,
 }
 
 /// One batch ("generation") of queries and updates processed by a heartbeat.
@@ -202,7 +194,7 @@ impl QueryBatch {
 }
 
 /// Binds a query statement: substitutes parameters into every activation
-/// template and attaches the submission's snapshot and fence options.
+/// template and attaches the submission's snapshot.
 pub fn bind_query(
     spec: &StatementSpec,
     statement_index: usize,
@@ -249,7 +241,6 @@ pub fn bind_query(
         distinct: *distinct,
         activations,
         pin: opts.pinned_snapshot.clone(),
-        read_after: opts.read_after.clone(),
     })
 }
 
@@ -293,7 +284,7 @@ fn bind_activation(
 }
 
 /// Binds an update statement into a storage [`UpdateOp`] and attaches the
-/// submission's completion target and session fence.
+/// submission's completion target.
 pub fn bind_update(
     spec: &StatementSpec,
     statement_index: usize,
@@ -336,7 +327,6 @@ pub fn bind_update(
         admitted: Admitted::now(statement_index, ticket, opts),
         table: table.clone(),
         op,
-        write_fence: opts.write_fence.clone(),
     })
 }
 

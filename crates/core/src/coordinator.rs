@@ -1,9 +1,7 @@
 //! The coordinator thread: one heartbeat after another, each one batch.
 //!
-//! [`coordinator_loop`] waits for work, drains the admission queue whole,
-//! holds back reads whose session fence is not covered yet — parking
-//! until a submission or a commit when it held back every one — and hands
-//! what is left to [`process_batch`] — a sequence of named steps over one
+//! [`coordinator_loop`] waits for work, drains the admission queue whole and
+//! hands it to [`process_batch`] — a sequence of named steps over one
 //! [`BatchCtx`]: apply the updates (group commit), build the run, run it on
 //! the executor, fold the done records into the counters, Γ-route the roots'
 //! outputs, and complete every query. A second batch in flight is a change
@@ -11,7 +9,7 @@
 
 use crate::admission::{Lane, Submission};
 use crate::batch::{Admitted, QueryBatch};
-use crate::engine::{EngineInner, QueryOutcome, WriteFence};
+use crate::engine::{EngineInner, QueryOutcome};
 use crate::executor::{NodeRun, Run};
 use crate::routing::{finalize_query_result, QueryRows, RoutingTable};
 use crate::stats::Phase;
@@ -20,31 +18,13 @@ use shareddb_common::ids::BatchId;
 use shareddb_common::{Error, QueryId, Result};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long a read defers on an unresolved (or uncovered) session write
-/// fence before being admitted anyway — a wedged writer must not hang
-/// readers forever.
-const FENCE_WAIT_CAP: Duration = Duration::from_secs(1);
-
-/// Left by a drain that held back every read it took: until the queue grows,
-/// a commit is counted ([`crate::admission::Queue::commits`]) or the oldest
-/// held read's cap runs out, draining again would hold back the same reads.
-struct FencePark {
-    /// Statements queued once the held reads went back.
-    queued: usize,
-    /// Commits counted when they were drained.
-    commits: u64,
-    /// When the oldest of them is admitted whatever its fence.
-    due: Instant,
-}
+use std::time::Instant;
 
 pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
     let heartbeat = inner.config.heartbeat;
     let mut batch_seq: u64 = 0;
     // `None` until the first batch, which never waits for the heartbeat.
     let mut last_batch_start: Option<Instant> = None;
-    let mut parked: Option<FencePark> = None;
     loop {
         // Wait for work (or shutdown), then for the heartbeat's spacing since
         // the last batch started. Over an empty queue the wait has no
@@ -52,26 +32,13 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
         // under the queue lock and notifies, so an idle engine's coordinator
         // sleeps until then; the spacing is one timed wait that only the
         // shutdown cuts short.
-        let (submissions, commits, shutting_down) = {
+        let submissions: Vec<Submission> = {
             let mut queue = inner.admission.queue.lock();
             loop {
                 if inner.shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                if let Some(park) = parked.take() {
-                    // The held reads' writes commit on some *other* replica:
-                    // sleep until a commit, a submission or a cap, if none yet.
-                    let unchanged =
-                        queue.statements.len() == park.queued && queue.commits == park.commits;
-                    let timeout = park.due.saturating_duration_since(Instant::now());
-                    if unchanged && !timeout.is_zero() {
-                        queue.fence_parked = true;
-                        queue = inner.admission.signal.wait_timeout(queue, timeout).0;
-                        queue.fence_parked = false;
-                    }
-                    continue;
-                }
-                if queue.statements.is_empty() {
+                if queue.is_empty() {
                     queue = inner.admission.signal.wait(queue);
                     continue;
                 }
@@ -82,38 +49,12 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
                 let spacing = heartbeat - since;
                 queue = inner.admission.signal.wait_timeout(queue, spacing).0;
             }
-            let shutting_down = inner.shutdown.load(Ordering::Acquire);
-            if shutting_down && queue.statements.is_empty() {
+            if queue.is_empty() {
+                // Only a shutdown leaves the wait over an empty queue.
                 break;
             }
-            let drained: Vec<Submission> = queue.statements.drain(..).collect();
-            (drained, queue.commits, shutting_down)
+            queue.drain(..).collect()
         };
-
-        let (admitted, deferred) = if shutting_down {
-            (submissions, Vec::new())
-        } else {
-            hold_fenced_reads(&inner, submissions)
-        };
-        if admitted.is_empty() && !deferred.is_empty() {
-            let oldest = deferred.iter().map(|s| s.admitted().enqueued).min();
-            parked = oldest.map(|oldest| FencePark {
-                queued: deferred.len(),
-                commits,
-                due: oldest + FENCE_WAIT_CAP,
-            });
-        }
-        if !deferred.is_empty() {
-            // Deferred queries go back to the *front* of the queue in
-            // reverse drain order, preserving FIFO.
-            let mut queue = inner.admission.queue.lock();
-            for submission in deferred.into_iter().rev() {
-                queue.statements.push_front(submission);
-            }
-        }
-        if admitted.is_empty() {
-            continue;
-        }
 
         last_batch_start = Some(Instant::now());
         batch_seq += 1;
@@ -126,7 +67,7 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
         // heavy pages to be finished (arrival order cost `heavy_light` 7 %
         // of its light statements/s).
         let mut heavy = Vec::new();
-        for submission in admitted {
+        for submission in submissions {
             match submission {
                 Submission::Query(q)
                     if inner.lane_of[q.admitted.statement_index] == Lane::Heavy =>
@@ -148,44 +89,6 @@ pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
         inner.stats.record_batch(batch.len());
         process_batch(&inner, &batch);
     }
-}
-
-/// Read-your-writes: splits what a drain took into what its batch
-/// admits and the queries it holds back — those whose session fence is not
-/// yet covered by the committed watermark, unless the covering update rides
-/// in this very batch (updates group-commit before the batch's snapshot is
-/// taken) or the fence has been pending past [`FENCE_WAIT_CAP`].
-fn hold_fenced_reads(
-    inner: &EngineInner,
-    submissions: Vec<Submission>,
-) -> (Vec<Submission>, Vec<Submission>) {
-    let fenced = |s: &Submission| matches!(s, Submission::Query(q) if q.read_after.is_some());
-    if !submissions.iter().any(fenced) {
-        return (submissions, Vec::new());
-    }
-    let watermark = inner.catalog.oracle().read_ts().ts.0;
-    let batch_fences: Vec<Arc<WriteFence>> = submissions
-        .iter()
-        .filter_map(|s| match s {
-            Submission::Update(u) => u.write_fence.clone(),
-            _ => None,
-        })
-        .collect();
-    let admit = |submission: &Submission| {
-        let Submission::Query(query) = submission else {
-            return true;
-        };
-        query.read_after.as_ref().is_none_or(|fence| {
-            let covered = fence.committed_ts().is_some_and(|ts| ts <= watermark);
-            let in_batch = batch_fences.iter().any(|f| Arc::ptr_eq(f, fence));
-            covered || in_batch || query.admitted.enqueued.elapsed() >= FENCE_WAIT_CAP
-        })
-    };
-    // The usual case holds nothing back: the drained list is the batch as it is.
-    if submissions.iter().all(admit) {
-        return (submissions, Vec::new());
-    }
-    submissions.into_iter().partition(admit)
 }
 
 /// What every step of one batch reads.
@@ -227,21 +130,6 @@ impl BatchCtx<'_> {
         }
         let ops = updates.iter().map(|u| (u.table.as_str(), &u.op));
         let applied = inner.catalog.apply_ops(ops);
-        // Resolve session write fences at the watermark now covering this
-        // group commit — in the error path too: a failed write constrains no
-        // read, and a session must not block on it.
-        let oracle = inner.catalog.oracle();
-        let watermark = oracle.read_ts().ts.0;
-        let mut fenced = false;
-        for fence in updates.iter().filter_map(|u| u.write_fence.as_ref()) {
-            fence.resolve(watermark);
-            fenced = true;
-        }
-        if fenced {
-            // The publish woke the replicas holding reads back before the
-            // fences it covers were resolved: once more, now that they are.
-            oracle.wake_subscribers();
-        }
         // Each update completes with its own result; only a failure of the
         // log itself fails them all.
         let results = applied.unwrap_or_else(|e| vec![Err(e); updates.len()]);
@@ -413,9 +301,8 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::engine::tests::build_engine;
-    use crate::engine::{Engine, SubmitOptions};
-    use crate::plan::StatementRegistry;
     use shareddb_common::Value;
+    use std::time::Duration;
 
     /// One batch holding `broken` and a healthy look-up: both get `broken`'s
     /// error (a batch fails as one), `failed` counts each failed handle once,
@@ -541,93 +428,5 @@ mod tests {
         );
         engine.reset_stats();
         assert!(engine.stats().attribution.is_empty());
-    }
-
-    // -- read-your-writes session fences ------------------------------------
-
-    /// Engines over one shared catalog emulate replicas: a slow writer
-    /// (a 50 ms heartbeat) and two fast readers, taking turns. A read
-    /// carrying the session's write fence observes the write on every round;
-    /// the unfenced negative control reads stale data.
-    #[test]
-    fn read_your_writes_fence_blocks_stale_reads() {
-        // Holds each write queued for up to 50 ms after the last batch.
-        let writer = build_engine(EngineConfig {
-            heartbeat: Duration::from_millis(50),
-            ..EngineConfig::default()
-        });
-        let readers = [0, 1].map(|_| {
-            Engine::start(
-                writer.catalog(),
-                writer.plan().clone(),
-                registry_like(&writer),
-                EngineConfig::default(),
-            )
-            .unwrap()
-        });
-        // Warm-up batch: the first batch never waits for the heartbeat, so
-        // the first submission would commit immediately; consume that slot.
-        writer.execute_sync("userById", &[Value::Int(0)]).unwrap();
-        // Negative control first (on pristine data): pipelined write → read
-        // without a fence races the writer's 50ms pacing and loses.
-        let handle = writer
-            .execute(
-                "addOrder",
-                &[Value::Int(20_000), Value::Int(1), Value::Float(1.0)],
-            )
-            .unwrap();
-        let rows = readers[0]
-            .execute_sync("ordersOfUser", &[Value::text("user1")])
-            .unwrap();
-        assert!(
-            !rows.rows().iter().any(|r| r[4] == Value::Int(20_000)),
-            "unfenced pipelined read should miss the still-uncommitted write"
-        );
-        handle.wait().unwrap();
-        // Fenced rounds: 100% of N pipelined write→read pairs observe the
-        // session's write, whichever replica executes the read.
-        for round in 0..10i64 {
-            let fence = Arc::new(WriteFence::new());
-            let write = writer
-                .submit(
-                    "addOrder",
-                    &[Value::Int(30_000 + round), Value::Int(2), Value::Float(1.0)],
-                    SubmitOptions {
-                        write_fence: Some(Arc::clone(&fence)),
-                        ..SubmitOptions::default()
-                    },
-                )
-                .unwrap();
-            let rows = readers[round as usize % 2]
-                .submit(
-                    "ordersOfUser",
-                    &[Value::text("user2")],
-                    SubmitOptions {
-                        read_after: Some(Arc::clone(&fence)),
-                        ..SubmitOptions::default()
-                    },
-                )
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert!(
-                rows.rows()
-                    .iter()
-                    .any(|r| r[4] == Value::Int(30_000 + round)),
-                "round {round}: fenced read missed the session's write"
-            );
-            write.wait().unwrap();
-        }
-    }
-
-    /// Rebuilds the writer fixture's registry for a second engine over the
-    /// same catalog and plan (registries are not cloneable through the
-    /// engine, so re-register the same statement specs).
-    fn registry_like(engine: &Engine) -> StatementRegistry {
-        let mut registry = StatementRegistry::new();
-        for spec in engine.registry().iter() {
-            registry.register(spec.clone()).unwrap();
-        }
-        registry
     }
 }

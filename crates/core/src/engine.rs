@@ -12,8 +12,7 @@
 //!   one core (Section 4.3);
 //! * for the engine's life — this module: [`Engine`] (start, shutdown, its
 //!   one statistics snapshot), its shared state, and the types a caller holds:
-//!   [`ResultSet`], [`QueryOutcome`], [`QueryHandle`], [`SubmitOptions`],
-//!   [`WriteFence`].
+//!   [`ResultSet`], [`QueryOutcome`], [`QueryHandle`], [`SubmitOptions`].
 //!
 //! Clients interact through [`Engine::execute`] (asynchronous, returns a
 //! [`QueryHandle`]) or [`Engine::execute_sync`].
@@ -33,7 +32,7 @@ use shareddb_common::ids::TicketId;
 use shareddb_common::sync::Mutex;
 use shareddb_common::{Error, Result, Schema, Tuple};
 use shareddb_storage::{Catalog, SnapshotPin};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -134,47 +133,6 @@ impl QueryHandle {
     }
 }
 
-/// A session's last-write fence, the carrier of read-your-writes guarantees
-/// across engine replicas.
-///
-/// The submitter of an update attaches a fresh fence via
-/// [`SubmitOptions::write_fence`]; the engine resolves it to the committed
-/// MVCC watermark once the update's batch has group-committed (or failed —
-/// a failed write constrains no read). A later read in the same session
-/// carries the fence as [`SubmitOptions::read_after`]: any replica's
-/// coordinator holds the read out of its batch until the shared committed
-/// watermark covers the write, so a pipelined UPDATE → SELECT pair observes
-/// the write no matter which replica serves the read.
-#[derive(Debug, Default)]
-pub struct WriteFence {
-    /// Committed watermark covering the write, stored off by one so `0` can
-    /// mean "not yet resolved" even when the watermark itself is 0 (a write
-    /// that failed before anything ever committed constrains no read).
-    ts_plus_one: AtomicU64,
-}
-
-impl WriteFence {
-    /// An unresolved fence.
-    pub fn new() -> WriteFence {
-        WriteFence::default()
-    }
-
-    /// Marks the fence resolved at `ts` (the committed watermark covering
-    /// the write). Monotonic; resolving twice keeps the larger watermark.
-    pub fn resolve(&self, ts: u64) {
-        self.ts_plus_one
-            .fetch_max(ts.saturating_add(1), Ordering::Release);
-    }
-
-    /// The committed watermark covering the write, once resolved.
-    pub fn committed_ts(&self) -> Option<u64> {
-        match self.ts_plus_one.load(Ordering::Acquire) {
-            0 => None,
-            v => Some(v - 1),
-        }
-    }
-}
-
 /// Options for [`Engine::submit`].
 #[derive(Clone, Default)]
 pub struct SubmitOptions {
@@ -196,17 +154,6 @@ pub struct SubmitOptions {
     /// commits between them — the hook the differential tests compare two
     /// engines through, under a concurrent writer.
     pub pinned_snapshot: Option<SnapshotPin>,
-    /// For updates: the session fence the engine resolves once this write's
-    /// batch has group-committed. The submitter keeps the [`Arc`] and
-    /// threads it into later reads of the same session as
-    /// [`SubmitOptions::read_after`].
-    pub write_fence: Option<Arc<WriteFence>>,
-    /// For queries: hold this read out of any batch until the session's last
-    /// write (the fence) is covered by the committed MVCC watermark — the
-    /// read-your-writes session guarantee. A read whose write rides in the
-    /// same batch is admitted directly (updates commit in Phase 1, before
-    /// the batch's snapshot is taken).
-    pub read_after: Option<Arc<WriteFence>>,
 }
 
 pub(crate) struct EngineInner {
@@ -295,15 +242,9 @@ impl Engine {
             slow: Ring::new(SLOW_LOG_CAPACITY),
         });
 
-        // A commit of any engine on the catalog may admit a read this one
-        // holds back on its session fence.
-        let engine = Arc::downgrade(&inner);
-        let committed = move || engine.upgrade().map(|e| e.admission.committed()).is_some();
-        catalog.oracle().subscribe(committed);
-
         let coordinator_inner = Arc::clone(&inner);
         let coordinator = std::thread::Builder::new()
-            .name("shareddb-coordinator".to_string())
+            .name("sdb-coordinator".to_string())
             .spawn(move || coordinator_loop(coordinator_inner))
             .map_err(|e| {
                 inner.executor.shutdown();
@@ -945,18 +886,5 @@ pub(crate) mod tests {
             Err(Error::DeadlineExceeded) | Ok(_) => {}
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    /// A fence resolved by a *failed* write must not wedge fenced readers.
-    #[test]
-    fn failed_write_releases_its_fence() {
-        let fence = WriteFence::new();
-        assert_eq!(fence.committed_ts(), None);
-        fence.resolve(0); // watermark 0: nothing ever committed
-        assert_eq!(fence.committed_ts(), Some(0));
-        fence.resolve(7);
-        assert_eq!(fence.committed_ts(), Some(7));
-        fence.resolve(3); // monotonic
-        assert_eq!(fence.committed_ts(), Some(7));
     }
 }

@@ -154,7 +154,7 @@ impl Executor {
         for i in 1..workers {
             let worker = Arc::clone(&executor);
             let spawned = std::thread::Builder::new()
-                .name(format!("shareddb-worker-{i}"))
+                .name(format!("sdb-worker-{i}"))
                 .spawn(move || worker.work(false));
             match spawned {
                 Ok(handle) => executor.schedule.lock().pool.push(handle),

@@ -68,7 +68,7 @@ pub use admission::Lane;
 pub use batch::{Activation, ActiveQuery, QueryBatch};
 pub use completions::Completions;
 pub use config::EngineConfig;
-pub use engine::{Engine, QueryOutcome, ResultSet, SubmitOptions, WriteFence};
+pub use engine::{Engine, QueryOutcome, ResultSet, SubmitOptions};
 pub use explain::{render_dot, render_explain_text, sharing_sets};
 pub use merge::{merge_results, MergeSpec};
 pub use plan::{

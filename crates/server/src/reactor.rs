@@ -48,7 +48,7 @@ use crate::server::Shared;
 use shareddb_common::{DataType, Error, Value};
 use shareddb_core::completions::Completion;
 use shareddb_core::render_explain_text;
-use shareddb_core::{Completions, Phase, QueryOutcome, SubmitOptions, WriteFence};
+use shareddb_core::{Completions, Phase, QueryOutcome, SubmitOptions};
 use shareddb_sql::compile::{bind_adhoc, canonicalize, parse_explain};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -388,11 +388,12 @@ struct Conn {
     frame_started: Option<Instant>,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// Read-your-writes session fence: the latest update this session
-    /// submitted. Subsequent reads carry it as
-    /// [`SubmitOptions::read_after`], so whichever replica they land on
-    /// defers them until that write's group commit is visible.
-    last_write: Option<Arc<WriteFence>>,
+    /// Read-your-writes: the session's updates not yet answered, and the
+    /// replica they went to. While one is unanswered the session's reads go
+    /// there too, behind it in that replica's queue; once it is answered its
+    /// commit is published, and every replica's next batch sees it.
+    unanswered_writes: usize,
+    write_replica: usize,
     /// Unrecoverable socket or protocol failure: drop without flushing.
     dead: bool,
     /// A drain shut the write side after the last owed reply: what the
@@ -527,7 +528,17 @@ impl Reactor {
                     continue;
                 };
                 let slot = (tag.wrapping_sub(conn.front_seq) & SEQ_MASK) as usize;
-                if let Some(Reply::Pending { outcome: place, .. }) = conn.replies.get_mut(slot) {
+                if let Some(Reply::Pending {
+                    outcome: place,
+                    statement,
+                    ..
+                }) = conn.replies.get_mut(slot)
+                {
+                    if conn.unanswered_writes > 0
+                        && self.shared.registry.by_index(*statement).is_update()
+                    {
+                        conn.unanswered_writes -= 1;
+                    }
                     *place = Some(outcome);
                     self.touched.push(token);
                 }
@@ -752,7 +763,8 @@ impl Reactor {
                             read_closed: false,
                             frame_started: None,
                             interest,
-                            last_write: None,
+                            unanswered_writes: 0,
+                            write_replica: 0,
                             dead: false,
                             half_closed: false,
                         },
@@ -1105,7 +1117,6 @@ impl Reactor {
         // Where the outcome is to be filed: the slot the reply is about to
         // take in this connection's queue.
         let seq = conn.front_seq.wrapping_add(conn.replies.len() as u64) & SEQ_MASK;
-        let last_write = conn.last_write.clone();
         // Per-session in-flight cap: a pipelining client beyond its budget is
         // rejected (retryably) rather than throttled, so its already-admitted
         // work keeps flowing.
@@ -1116,36 +1127,37 @@ impl Reactor {
             self.enqueue_reply(token, &error_frame(request_id, &e));
             return;
         }
-        // Read-your-writes: an update gets a fresh session fence (remembered
-        // on success), a query carries the session's latest fence so any
-        // replica it routes to waits for that write's commit to be visible.
+        // Read-your-writes: a read behind an unanswered write of its session
+        // queues behind it on the write's replica, which applies a batch's
+        // updates before its reads run.
         let is_update = self.shared.registry.by_index(statement).is_update();
-        let write_fence = is_update.then(|| Arc::new(WriteFence::new()));
+        let follow = (!is_update && conn.unanswered_writes > 0).then_some(conn.write_replica);
+        let opts = SubmitOptions {
+            // Global queue-depth backpressure: enforced inside the engine
+            // under the admission-queue lock, so concurrent sessions cannot
+            // overshoot the bound.
+            max_queue_depth: Some(self.shared.config.max_queue_depth),
+            completions: Some((Arc::clone(&self.completions), token << SEQ_BITS | seq)),
+            ..SubmitOptions::default()
+        };
         let guard = self.shared.engine.read();
-        // Global queue-depth backpressure: enforced inside the engine under
-        // the admission-queue lock, so concurrent sessions cannot overshoot
-        // the bound (the old check-then-enqueue TOCTOU is gone).
-        let outcome = match guard.as_ref() {
-            Some(engine) => engine.submit_prepared(
-                statement,
-                params,
-                SubmitOptions {
-                    max_queue_depth: Some(self.shared.config.max_queue_depth),
-                    completions: Some((Arc::clone(&self.completions), token << SEQ_BITS | seq)),
-                    write_fence: write_fence.clone(),
-                    read_after: if is_update { None } else { last_write },
-                    ..SubmitOptions::default()
-                },
-            ),
-            None => Err(Error::EngineShutdown),
+        let outcome = match (guard.as_ref(), follow) {
+            (Some(cluster), Some(replica)) => cluster.engines()[replica]
+                .submit_prepared(statement, params, opts)
+                .map(|_| replica),
+            (Some(cluster), None) => cluster
+                .submit_prepared(statement, params, opts)
+                .map(|handle| handle.replica()),
+            (None, _) => Err(Error::EngineShutdown),
         };
         drop(guard);
         match outcome {
-            Ok(_) => {
+            Ok(replica) => {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.inflight += 1;
-                    if let Some(fence) = write_fence {
-                        conn.last_write = Some(fence);
+                    if is_update {
+                        conn.unanswered_writes += 1;
+                        conn.write_replica = replica;
                     }
                     conn.replies.push_back(Reply::Pending {
                         request_id,

@@ -737,7 +737,7 @@ impl Server {
         let reactor_waker = poller.waker();
         let reactor = Reactor::new(Arc::clone(&shared), listener, poller);
         let reactor_thread = std::thread::Builder::new()
-            .name("shareddb-reactor".into())
+            .name("sdb-reactor".into())
             .spawn(move || reactor.run())
             .map_err(|e| Error::Internal(format!("failed to spawn reactor thread: {e}")))?;
 

@@ -77,8 +77,7 @@ pub fn group_by_snapshot<Q>(
 ///   reader that a later commit could overtake takes it through `pin()`.
 /// * `next_commit_ts()` allocates a fresh commit timestamp for a batch of
 ///   updates; once the batch finished applying its updates the engine calls
-///   `publish()` so that subsequent snapshots observe them, and whoever
-///   `subscribe`d is woken.
+///   `publish()` so that subsequent snapshots observe them.
 pub struct TimestampOracle {
     /// Latest committed (visible) timestamp.
     committed: AtomicU64,
@@ -88,8 +87,6 @@ pub struct TimestampOracle {
     /// the low-water mark read `committed` under this lock, so no reader
     /// reads a timestamp the mark has already passed.
     pins: Mutex<BTreeMap<u64, usize>>,
-    /// Woken after every publish, each kept while it returns `true`.
-    subscribers: Mutex<Vec<Box<dyn Fn() -> bool + Send + Sync>>>,
 }
 
 impl Default for TimestampOracle {
@@ -106,7 +103,6 @@ impl TimestampOracle {
             committed: AtomicU64::new(0),
             next: AtomicU64::new(1),
             pins: Mutex::default(),
-            subscribers: Mutex::default(),
         }
     }
 
@@ -155,50 +151,14 @@ impl TimestampOracle {
     /// so post-recovery commits order after everything the log replayed.
     pub fn restore(&self, ts: Timestamp) {
         self.publish(ts);
-        let mut current = self.next.load(Ordering::Relaxed);
-        while current < ts.0 + 1 {
-            match self.next.compare_exchange_weak(
-                current,
-                ts.0 + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
-        }
+        self.next.fetch_max(ts.0 + 1, Ordering::AcqRel);
     }
 
     /// Publishes a commit timestamp: snapshots taken afterwards will see all
-    /// versions written with timestamps `<= ts`. Wakes the subscribers.
+    /// versions written with timestamps `<= ts`. Monotonic: publishing an
+    /// older timestamp changes nothing.
     pub fn publish(&self, ts: Timestamp) {
-        // Monotonic max update.
-        let mut current = self.committed.load(Ordering::Relaxed);
-        while current < ts.0 {
-            match self.committed.compare_exchange_weak(
-                current,
-                ts.0,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
-        }
-        self.wake_subscribers();
-    }
-
-    /// Calls `waker` after every publish — and every [`Self::wake_subscribers`]
-    /// — until it returns `false`.
-    pub fn subscribe(&self, waker: impl Fn() -> bool + Send + Sync + 'static) {
-        self.subscribers.lock().push(Box::new(waker));
-    }
-
-    /// Wakes the subscribers as a publish does: for a state that changed
-    /// with the committed timestamp but after it (a session fence resolved
-    /// at the watermark that covers its write).
-    pub fn wake_subscribers(&self) {
-        self.subscribers.lock().retain(|waker| waker());
+        self.committed.fetch_max(ts.0, Ordering::AcqRel);
     }
 }
 
@@ -304,15 +264,10 @@ mod tests {
     }
 
     /// The low-water mark is the oldest pin, or the committed timestamp
-    /// when nothing is pinned; a clone is a pin of its own, and a publish
-    /// wakes every subscriber that still wants it.
+    /// when nothing is pinned; a clone is a pin of its own.
     #[test]
     fn the_low_water_mark_is_the_oldest_pin() {
-        use std::sync::atomic::AtomicUsize;
         let oracle = Arc::new(TimestampOracle::new());
-        let woken = Arc::new(AtomicUsize::new(0));
-        let counted = Arc::clone(&woken);
-        oracle.subscribe(move || counted.fetch_add(1, Ordering::Relaxed) < 1);
         let commit = |oracle: &TimestampOracle| oracle.publish(oracle.next_commit_ts());
         commit(&oracle);
         let first = oracle.pin();
@@ -329,8 +284,6 @@ mod tests {
         drop(second);
         commit(&oracle);
         assert_eq!((oracle.low_water(), oracle.pin_count()), (Timestamp(4), 0));
-        // Woken twice: the second call returned false and unsubscribed.
-        assert_eq!(woken.load(Ordering::Relaxed), 2);
     }
 
     #[test]

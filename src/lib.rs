@@ -15,7 +15,7 @@
 //!   scans, B-tree indexes, snapshot isolation, write-ahead logging).
 //! * [`core`] — shared operators, the global plan, and the batched runtime.
 //! * [`cluster`] — replicated engines behind one endpoint: statement-type
-//!   routing, hot-operator replication, session fences (§4.5).
+//!   routing, hot-operator replication, read-your-writes by route (§4.5).
 //! * [`sql`] — the SQL-subset front end and the global-plan compiler.
 //! * [`baseline`] — query-at-a-time baseline engines used for comparison.
 //! * [`tpcw`] — the TPC-W benchmark used in the paper's evaluation.

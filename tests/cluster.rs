@@ -4,7 +4,7 @@
 //! after traffic through the real reactor and client library.
 
 use shareddb::client::Connection;
-use shareddb::cluster::{ClusterConfig, ClusterEngine};
+use shareddb::cluster::{ClusterConfig, ClusterEngine, Route};
 use shareddb::common::{tuple, DataType, Value};
 use shareddb::core::stats::EngineStatsSnapshot;
 use shareddb::core::EngineConfig;
@@ -396,5 +396,68 @@ fn single_replica_default_is_unchanged() {
     assert_eq!(replicas[0].queries, server.engine_stats().unwrap().queries);
     assert_eq!(replicas[0].queries, 1);
     conn.close().unwrap();
+    server.shutdown();
+}
+
+/// Read-your-writes over the wire, across replicas: one connection pipelines
+/// an INSERT (updates pin to replica 0, paced by a 60 ms heartbeat so the
+/// race is real) and then a SELECT of a type homed on replica 1, and every
+/// round's read holds its row. The negative control — a second connection's
+/// read, routed to replica 1 while the write still waits out the pacing —
+/// reads stale.
+#[test]
+fn a_pipelined_read_sees_its_sessions_write_on_another_replicas_type() {
+    let mut server = Server::start_sql(
+        catalog(),
+        WORKLOAD,
+        EngineConfig {
+            heartbeat: Duration::from_millis(60),
+            ..EngineConfig::default()
+        },
+        ServerConfig {
+            cluster: ClusterConfig::with_replicas(4),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let routes = server.with_cluster(|c| c.routes()).unwrap();
+    let home = |name: &str| routes.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!(home("addItem"), Route::Pinned(0));
+    assert_eq!(home("allItems"), Route::Pinned(1));
+    let mut writer = Connection::connect(server.local_addr()).unwrap();
+    let mut other = Connection::connect(server.local_addr()).unwrap();
+    let (add_item, all_items) = (
+        writer.prepare("addItem").unwrap(),
+        writer.prepare("allItems").unwrap(),
+    );
+    let others_all_items = other.prepare("allItems").unwrap();
+    let holds = |rows: &[Vec<Value>], id: i64| rows.iter().any(|r| r[0] == Value::Int(id));
+    // Heats the write replica's pacing clock; replica 1 stays cold, so its
+    // first batch forms at once.
+    let get_item = writer.prepare("getItem").unwrap();
+    writer.execute(&get_item, &[Value::Int(0)]).unwrap();
+
+    let row = |id: i64| [Value::Int(id), Value::text("fresh"), Value::Float(1.0)];
+    let write = writer.submit(&add_item, &row(9_000)).unwrap();
+    let stale = other.execute(&others_all_items, &[]).unwrap();
+    assert!(
+        !holds(stale.rows(), 9_000),
+        "another session's read should miss the still-uncommitted insert"
+    );
+    assert_eq!(writer.wait(write).unwrap().rows_affected(), 1);
+
+    for round in 0..8i64 {
+        let id = 10_000 + round;
+        let write = writer.submit(&add_item, &row(id)).unwrap();
+        let read = writer.submit(&all_items, &[]).unwrap();
+        assert_eq!(writer.wait(write).unwrap().rows_affected(), 1);
+        let rows = writer.wait(read).unwrap();
+        assert!(
+            holds(rows.rows(), id),
+            "round {round}: the read missed its session's write"
+        );
+    }
+    writer.close().unwrap();
+    other.close().unwrap();
     server.shutdown();
 }

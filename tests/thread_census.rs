@@ -5,7 +5,7 @@
 use shareddb::client::Connection;
 use shareddb::cluster::{ClusterConfig, ClusterEngine};
 use shareddb::common::{tuple, DataType, Value};
-use shareddb::core::{Engine, EngineConfig, SubmitOptions, WriteFence};
+use shareddb::core::{Engine, EngineConfig, TraceEvent};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
@@ -17,13 +17,13 @@ use std::time::{Duration, Instant};
 /// Held by each test for its whole length: they count the process's threads.
 static ALONE: Mutex<()> = Mutex::new(());
 
-/// Names (`comm`, at most 15 bytes) of this process's `shareddb-*` threads.
+/// Names (`comm`, at most 15 bytes) of this process's `sdb-*` threads.
 fn engine_threads() -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim().to_string())
-        .filter(|comm| comm.starts_with("shareddb-"))
+        .filter(|comm| comm.starts_with("sdb-"))
         .collect();
     names.sort();
     names
@@ -45,7 +45,7 @@ fn coordinators() -> Vec<PathBuf> {
     let tasks = tasks.filter_map(|task| {
         let task = task.ok()?.path();
         let comm = std::fs::read_to_string(task.join("comm")).ok()?;
-        (comm.trim() == "shareddb-coordi").then_some(task)
+        (comm.trim() == "sdb-coordinator").then_some(task)
     });
     tasks.collect()
 }
@@ -78,7 +78,8 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
     assert!(plan.len() >= 20);
     let mut large = Engine::start(catalog, plan, registry, EngineConfig::with_cores(4)).unwrap();
     large.execute_sync("getItemById", &[Value::Int(1)]).unwrap();
-    let four = ["coordi", "worker", "worker", "worker"].map(|kind| format!("shareddb-{kind}"));
+    let four =
+        ["coordinator", "worker-1", "worker-2", "worker-3"].map(|kind| format!("sdb-{kind}"));
     assert_eq!(started_threads(4), four);
 
     // One operator, as many cores as the machine has.
@@ -123,7 +124,7 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
         .rows()
         .is_empty());
     conn.close().unwrap();
-    let one = ["coordi", "reacto", "worker"].map(|kind| format!("shareddb-{kind}"));
+    let one = ["coordinator", "reactor", "worker-1"].map(|kind| format!("sdb-{kind}"));
     assert_eq!(started_threads(3), one);
     server.shutdown();
     assert_eq!(engine_threads(), Vec::<String>::new());
@@ -141,10 +142,10 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
     )
     .unwrap();
     cluster.execute_sync("get", &[Value::Int(1)]).unwrap();
-    let eight = ["coordi"; 4]
+    let eight = ["coordinator"; 4]
         .iter()
-        .chain(&["worker"; 4])
-        .map(|kind| format!("shareddb-{kind}"))
+        .chain(&["worker-1"; 4])
+        .map(|kind| format!("sdb-{kind}"))
         .collect::<Vec<_>>();
     assert_eq!(started_threads(8), eight);
     assert_eq!(cluster.stats().executor_threads, 8);
@@ -190,12 +191,13 @@ fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
     }
 }
 
-/// A read held back on its session fence sleeps until the write's commit
-/// wakes it: a write that commits on a second engine 50 ms later costs the
-/// reader's coordinator a handful of context switches, where a re-check
-/// every 100 µs cost about 500.
+/// Read-your-writes is a route: a read queued behind its session's write on
+/// the write's replica is answered by that write's batch — updates apply
+/// before the batch's reads run — and its coordinator waits for nothing but
+/// the heartbeat's spacing: a handful of context switches, no commit wake-up
+/// and no timed wait of its own.
 #[test]
-fn a_fenced_read_sleeps_until_its_write_commits_elsewhere() {
+fn a_read_behind_its_write_is_answered_by_the_writes_batch() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = Arc::new(Catalog::new());
     let table = TableDef::new("T")
@@ -209,46 +211,51 @@ fn a_fenced_read_sleeps_until_its_write_commits_elsewhere() {
         ("put", "UPDATE T SET V = ? WHERE ID = ?"),
     ];
     let (plan, registry) = compile_workload(&catalog, &statements).unwrap();
-    let config = EngineConfig::default();
-    let mut reader =
-        Engine::start(Arc::clone(&catalog), plan.clone(), registry.clone(), config).unwrap();
-    reader.execute_sync("get", &[Value::Int(1)]).unwrap();
-    let reading = coordinators();
     // Holds the write queued: its batch starts 50 ms after the warm-up's.
     let paced = EngineConfig {
         heartbeat: Duration::from_millis(50),
         ..EngineConfig::default()
     };
-    let mut writer = Engine::start(catalog, plan, registry, paced).unwrap();
+    let mut engine = Engine::start(catalog, plan, registry, paced).unwrap();
     // The first batch runs at once; the next one 50 ms after it.
-    writer.execute_sync("get", &[Value::Int(1)]).unwrap();
-    let before = switches(&reading[0]);
+    engine.execute_sync("get", &[Value::Int(1)]).unwrap();
+    let before = coordinator_switches();
 
-    let fence = Arc::new(WriteFence::new());
-    let fenced = |write_fence, read_after| SubmitOptions {
-        write_fence,
-        read_after,
-        ..SubmitOptions::default()
-    };
-    let put = [Value::Int(7), Value::Int(1)];
-    let write = writer.submit("put", &put, fenced(Some(Arc::clone(&fence)), None));
     let started = Instant::now();
-    let read = reader.submit("get", &[Value::Int(1)], fenced(None, Some(fence)));
-    let rows = read.unwrap().wait().unwrap();
+    let write = engine
+        .execute("put", &[Value::Int(7), Value::Int(1)])
+        .unwrap();
+    let read = engine.execute("get", &[Value::Int(1)]).unwrap();
+    let rows = read.wait().unwrap();
     let waited = started.elapsed();
-    let woken = switches(&reading[0]) - before;
-    write.unwrap().wait().unwrap();
+    let woken = coordinator_switches() - before;
+    write.wait().unwrap();
     eprintln!("the read waited {waited:?}; its coordinator switched {woken} times");
     assert_eq!(
         rows.rows()[0][1],
         Value::Int(7),
         "the read missed its write"
     );
-    assert!(
-        waited >= Duration::from_millis(20) && waited < Duration::from_millis(900),
-        "the read waited {waited:?}: not for the write's commit"
+    let batches: Vec<(usize, usize)> = engine
+        .trace()
+        .iter()
+        .filter_map(|record| match record.event {
+            TraceEvent::Batch {
+                queries, updates, ..
+            } => Some((queries, updates)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        batches,
+        [(1, 0), (1, 1)],
+        "the read rode in its write's batch"
     );
-    assert!(woken <= 10, "{woken} wake-ups of the reader's coordinator");
-    reader.shutdown();
-    writer.shutdown();
+    assert!(
+        waited < Duration::from_millis(900),
+        "the read waited {waited:?}: past its write's batch"
+    );
+    assert!(woken <= 10, "{woken} wake-ups of the coordinator");
+    engine.shutdown();
+    assert_eq!(engine_threads(), Vec::<String>::new());
 }
