@@ -21,8 +21,10 @@
 //!    acks, so the invariant is exact, not probabilistic.
 //!
 //! `crash_soak` takes no flags and reads no environment: 20 cycles, 4 writer
-//! connections, the report in `BENCH_crash_soak.json`. Exit code 0 = all
-//! invariants held in every cycle.
+//! connections, the report in `BENCH_crash_soak.json` (with each cycle's
+//! restart time, `recovery_us`, scraped from `shareddb_recovery_us`; the
+//! slowest is printed at the end). Exit code 0 = all invariants held in
+//! every cycle.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,12 +81,13 @@ fn main() {
     for cycle in 0..CYCLES {
         let report = run_cycle(cycle, &data_dir, &port_file, &mut ledger, &mut failures);
         eprintln!(
-            "cycle {:>3}: recovered {} rows ({} replayed batches, torn_tail={}), \
+            "cycle {:>3}: recovered {} rows ({} replayed batches, torn_tail={}, {} us), \
              acked {:+}, attempted {:+}{}",
             cycle,
             report.recovered_rows,
             report.replayed_batches,
             report.torn_tail,
+            report.recovery_us,
             report.acked_this_cycle,
             report.attempted_this_cycle,
             if report.ok {
@@ -98,10 +101,16 @@ fn main() {
 
     let pass = failures.is_empty();
     write_report(&ledger, &cycle_reports, pass);
+    let slowest = cycle_reports
+        .iter()
+        .map(|r| r.recovery_us)
+        .max()
+        .unwrap_or(0);
     eprintln!(
-        "crash_soak: {CYCLES} cycles, {} attempted, {} acked, {}",
+        "crash_soak: {CYCLES} cycles, {} attempted, {} acked, slowest recovery {} us, {}",
         ledger.attempted.len(),
         ledger.acked.len(),
+        slowest,
         if pass { "PASS" } else { "FAIL" },
     );
     for f in &failures {
@@ -124,6 +133,7 @@ struct CycleReport {
     checkpoint_rows: u64,
     replayed_batches: u64,
     torn_tail: bool,
+    recovery_us: u64,
     acked_this_cycle: usize,
     attempted_this_cycle: usize,
     ok: bool,
@@ -175,6 +185,7 @@ fn run_cycle(
                 checkpoint_rows: recovery.checkpoint_rows,
                 replayed_batches: recovery.replayed_batches,
                 torn_tail: recovery.torn_tail,
+                recovery_us: recovery.recovery_us,
                 acked_this_cycle: acked,
                 attempted_this_cycle: attempted,
                 ok,
@@ -190,6 +201,7 @@ fn run_cycle(
                 checkpoint_rows: recovery.checkpoint_rows,
                 replayed_batches: recovery.replayed_batches,
                 torn_tail: recovery.torn_tail,
+                recovery_us: recovery.recovery_us,
                 acked_this_cycle: 0,
                 attempted_this_cycle: 0,
                 ok: false,
@@ -403,6 +415,8 @@ struct RecoveryMetrics {
     checkpoint_rows: u64,
     replayed_batches: u64,
     torn_tail: bool,
+    /// Startup recovery plus its compaction, in microseconds.
+    recovery_us: u64,
 }
 
 /// Pulls the `shareddb_recovery_*` gauges off the child's `/metrics`
@@ -429,6 +443,7 @@ fn scrape_recovery_metrics(addr: SocketAddr) -> RecoveryMetrics {
             .copied()
             .unwrap_or(0.0) as u64,
         torn_tail: values.get("shareddb_recovery_torn_tail").copied() == Some(1.0),
+        recovery_us: values.get("shareddb_recovery_us").copied().unwrap_or(0.0) as u64,
     }
 }
 
@@ -466,13 +481,14 @@ fn write_report(ledger: &Ledger, reports: &[CycleReport], pass: bool) {
     for (i, r) in reports.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"cycle\": {}, \"recovered_rows\": {}, \"checkpoint_rows\": {}, \
-             \"replayed_batches\": {}, \"torn_tail\": {}, \"acked\": {}, \
-             \"attempted\": {}, \"ok\": {}}}{}\n",
+             \"replayed_batches\": {}, \"torn_tail\": {}, \"recovery_us\": {}, \
+             \"acked\": {}, \"attempted\": {}, \"ok\": {}}}{}\n",
             r.cycle,
             r.recovered_rows,
             r.checkpoint_rows,
             r.replayed_batches,
             r.torn_tail,
+            r.recovery_us,
             r.acked_this_cycle,
             r.attempted_this_cycle,
             r.ok,

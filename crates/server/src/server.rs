@@ -149,8 +149,9 @@ pub(crate) struct Shared {
     pub(crate) scrapes: AtomicU64,
     /// Malformed or unroutable HTTP requests answered with 4xx.
     pub(crate) http_errors: AtomicU64,
-    /// What startup recovery replayed (`None` when running in-memory).
-    pub(crate) recovery: Option<RecoveryReport>,
+    /// What startup recovery replayed, and how long it and the compaction
+    /// behind it took (`None` when running in-memory).
+    pub(crate) recovery: Option<(RecoveryReport, Duration)>,
     /// Event-driven drain signal: the reactor flips the flag and notifies
     /// once every session has flushed and closed (no timed polling).
     drained: Mutex<bool>,
@@ -279,7 +280,8 @@ impl Shared {
         summaries(w, "shareddb_wal_fsync_us", [("", &wal.fsync_us)]);
         let group_commit_size = [("", &wal.group_commit_size)];
         summaries(w, "shareddb_wal_group_commit_size", group_commit_size);
-        if let Some(recovery) = &self.recovery {
+        if let Some((recovery, took)) = &self.recovery {
+            scalar(w, "shareddb_recovery_us", "gauge", took.as_micros());
             scalar(
                 w,
                 "shareddb_recovery_checkpoint_rows",
@@ -696,9 +698,10 @@ impl Server {
         let recovery = match &config.data_dir {
             Some(dir) => {
                 catalog.wal().set_sync_policy(config.wal_sync);
+                let start = Instant::now();
                 let report = catalog.recover(dir)?;
                 catalog.compact(dir)?;
-                Some(report)
+                Some((report, start.elapsed()))
             }
             None => None,
         };
@@ -790,7 +793,7 @@ impl Server {
     /// What startup recovery restored and replayed, when the server runs
     /// with [`ServerConfig::data_dir`]; `None` in-memory.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.shared.recovery.as_ref()
+        self.shared.recovery.as_ref().map(|(report, _)| report)
     }
 
     /// The Prometheus text exposition also served over HTTP at `/metrics`.

@@ -10,14 +10,14 @@ use crate::table::{IndexKind, Table};
 use crate::update::{apply_update, UpdateOp, UpdateResult};
 use crate::wal::{
     committed_batches, put_frame, put_insert, put_record, scan_frames, FileSink, LogRecord,
-    TornTail, Wal, WalSink as _,
+    TornTail, Wal,
 };
 use shareddb_common::ids::Timestamp;
 use shareddb_common::sync::RwLock;
 use shareddb_common::{Column, DataType, Error, Result, Schema, Tuple};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -27,6 +27,8 @@ pub const WAL_FILE: &str = "wal.log";
 pub const CHECKPOINT_FILE: &str = "checkpoint.sdb";
 /// Scratch name a checkpoint is written under before the atomic rename.
 pub const CHECKPOINT_TMP_FILE: &str = "checkpoint.tmp";
+/// Bytes of frames [`Catalog::checkpoint`] gathers before one `write`.
+const CHECKPOINT_BLOCK: usize = 1 << 20;
 
 /// Definition of a table to create.
 #[derive(Debug, Clone)]
@@ -257,10 +259,12 @@ impl Catalog {
     /// file opening with a [`LogRecord::CheckpointMeta`] (the pinned MVCC
     /// snapshot timestamp and the WAL LSN current at checkpoint start),
     /// followed by one `INSERT` record per live row, bracketed by a
-    /// begin/commit pair. The file is written to `checkpoint.tmp`, fsync'd,
-    /// and atomically renamed to `checkpoint.sdb` — a crash mid-checkpoint
-    /// leaves the previous checkpoint intact. A checkpoint plus the WAL tail
-    /// (committed batches with `ts > checkpoint.ts`) suffices to recover.
+    /// begin/commit pair. The frames are encoded into one buffer that goes
+    /// to `checkpoint.tmp` a block of 1 MiB at a time; the file is then
+    /// fsync'd and atomically renamed to `checkpoint.sdb` — a crash
+    /// mid-checkpoint leaves the previous checkpoint intact. A checkpoint
+    /// plus the WAL tail (committed batches with `ts > checkpoint.ts`)
+    /// suffices to recover.
     ///
     /// Safe under concurrent writers: rows are read at one pinned snapshot
     /// and the WAL is left untouched.
@@ -270,31 +274,35 @@ impl Catalog {
         let snapshot = self.pin();
         let wal_lsn = self.wal.next_lsn().saturating_sub(1);
         let tmp = dir.join(CHECKPOINT_TMP_FILE);
-        let _ = std::fs::remove_file(&tmp); // FileSink appends; start clean
-        let mut rows = 0usize;
-        {
-            let mut sink = FileSink::create(&tmp)?;
-            let (mut frame, mut lsn) = (Vec::new(), 0u64);
-            let mut append = |payload: &dyn Fn(&mut Vec<u8>)| {
-                frame.clear();
-                lsn += 1;
-                put_frame(&mut frame, lsn, payload);
-                sink.append(&frame)
-            };
-            let ts = snapshot.ts;
-            append(&|buf| put_record(buf, &LogRecord::CheckpointMeta { ts, wal_lsn }))?;
-            append(&|buf| put_record(buf, &LogRecord::BeginBatch(ts)))?;
-            for name in self.table_names() {
-                let handle = self.table(&name)?;
-                let table = handle.read();
-                for (_, row) in table.scan(*snapshot) {
-                    append(&|buf| put_insert(buf, &name, row))?;
-                    rows += 1;
-                }
+        let mut file = File::create(&tmp)?;
+        // Room for a block plus the frame that carries it past the mark,
+        // so the buffer is not reallocated for any frame up to a block.
+        let mut block = Vec::with_capacity(2 * CHECKPOINT_BLOCK);
+        let (mut lsn, mut rows) = (0u64, 0usize);
+        let mut append = |payload: &dyn Fn(&mut Vec<u8>)| -> Result<()> {
+            lsn += 1;
+            put_frame(&mut block, lsn, payload);
+            if block.len() >= CHECKPOINT_BLOCK {
+                file.write_all(&block)?;
+                block.clear();
             }
-            append(&|buf| put_record(buf, &LogRecord::CommitBatch(ts)))?;
-            sink.sync()?;
+            Ok(())
+        };
+        let ts = snapshot.ts;
+        append(&|buf| put_record(buf, &LogRecord::CheckpointMeta { ts, wal_lsn }))?;
+        append(&|buf| put_record(buf, &LogRecord::BeginBatch(ts)))?;
+        for name in self.table_names() {
+            let handle = self.table(&name)?;
+            let table = handle.read();
+            for (_, row) in table.scan(*snapshot) {
+                append(&|buf| put_insert(buf, &name, row))?;
+                rows += 1;
+            }
         }
+        append(&|buf| put_record(buf, &LogRecord::CommitBatch(ts)))?;
+        file.write_all(&block)?;
+        file.sync_data()?;
+        drop(file);
         let path = dir.join(CHECKPOINT_FILE);
         std::fs::rename(&tmp, &path)?;
         sync_dir(dir);

@@ -161,6 +161,82 @@ fn restore_holds_a_frame_not_the_file() {
     }
 }
 
+/// A checkpoint file is its records' frames and nothing else, LSNs from 1:
+/// the metadata, the begin marker, one insert per live row (tables in name
+/// order, each in scan order), the commit marker — byte for byte what
+/// `encode_frame` makes of them. The 1 000-item TPC-W catalog is ≈ 2 MB, so
+/// the writer's buffer goes out mid-file as well as at its end; a table of
+/// NULL, Float, Date and Text values rides along.
+#[test]
+fn checkpoint_file_is_its_frames() {
+    use shareddb::tpcw::{build_catalog, TpcwScale};
+    let dir = temp_dir("checkpoint-bytes");
+    let catalog = build_catalog(&TpcwScale::with_items(1_000)).unwrap();
+    catalog
+        .create_table(
+            TableDef::new("MIXED")
+                .column("M_ID", DataType::Int)
+                .nullable_column("M_NOTE", DataType::Text)
+                .nullable_column("M_PRICE", DataType::Float)
+                .nullable_column("M_DAY", DataType::Date)
+                .primary_key(&["M_ID"]),
+        )
+        .unwrap();
+    let day = Value::date_from_ymd(2024, 2, 29);
+    catalog
+        .bulk_load(
+            "MIXED",
+            vec![
+                tuple![1i64, Value::Null, -0.0f64, day.clone()],
+                tuple![2i64, "façade — ü", f64::MAX, Value::Null],
+                tuple![3i64, "", Value::Null, day],
+            ],
+        )
+        .unwrap();
+    let info = catalog.checkpoint(&dir).unwrap();
+
+    let mut records = vec![
+        LogRecord::CheckpointMeta {
+            ts: info.ts,
+            wal_lsn: info.wal_lsn,
+        },
+        LogRecord::BeginBatch(info.ts),
+    ];
+    let mut names = catalog.table_names();
+    names.sort();
+    for name in names {
+        let handle = catalog.table(&name).unwrap();
+        let table = handle.read();
+        records.extend(
+            table
+                .scan(catalog.snapshot())
+                .map(|(_, row)| LogRecord::Apply {
+                    table: name.clone(),
+                    op: UpdateOp::Insert {
+                        values: row.clone(),
+                    },
+                }),
+        );
+    }
+    records.push(LogRecord::CommitBatch(info.ts));
+    let expected: Vec<u8> = (1..)
+        .zip(&records)
+        .flat_map(|(lsn, record)| encode_frame(lsn, record))
+        .collect();
+
+    let file = std::fs::read(&info.path).unwrap();
+    assert!(
+        file.len() > 1 << 20,
+        "{} bytes: one block or less",
+        file.len()
+    );
+    assert_eq!(info.rows, records.len() - 3);
+    assert_eq!(file.len(), expected.len(), "the file's length");
+    let first_difference = file.iter().zip(&expected).position(|(a, b)| a != b);
+    assert_eq!(first_difference, None, "the first byte that differs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn checkpoint_then_recover_matches_original_state() {
     let dir = temp_dir("recovery");
@@ -616,6 +692,16 @@ fn durable_server_restart_serves_recovered_data() {
         let metrics = server.metrics_text();
         assert!(metrics.contains("shareddb_wal_last_lsn"));
         assert!(metrics.contains("shareddb_recovery_checkpoint_rows"));
+        let recovery_us: u64 = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix("shareddb_recovery_us "))
+            .expect("the restart time is exported")
+            .parse()
+            .unwrap();
+        assert!(
+            recovery_us > 0,
+            "recovery and compaction took {recovery_us} us"
+        );
 
         let mut conn = shareddb::client::Connection::connect(server.local_addr()).unwrap();
         let get = conn.prepare("getItem").unwrap();
