@@ -15,8 +15,15 @@
 //! sorted; "is it filed already" is a look at the list's last id. Leaves are
 //! allocated once, at the size a split finds them at, and a key appended past
 //! the end of a full leaf starts the next leaf alone: keys that arrive
-//! ascending — ids handed out in order, most of a bulk load — leave every
-//! leaf behind them full, not half empty for good.
+//! ascending — ids handed out in order — leave every leaf behind them full,
+//! not half empty for good.
+//!
+//! A bulk load does not insert at all: [`BTreeIndex::from_sorted`] builds an
+//! empty index bottom up from the run's `(key, row)` pairs sorted once —
+//! leaves of `MAX_KEYS` keys, all full but the last, each posting list
+//! allocated once at its length, and each level above packed from the one
+//! below — in one pass and without a descent, whatever order the keys came
+//! in. Inserts into it later split its full leaves as any other.
 //!
 //! The tree is single-writer / multi-reader; the owning [`crate::Table`] wraps
 //! it in the appropriate lock. Visibility (MVCC) is *not* handled here — the
@@ -102,11 +109,6 @@ impl Default for BTreeIndex {
     }
 }
 
-/// The 32 bits of a row id (see the module docs).
-fn posting(row: RowId) -> u32 {
-    u32::try_from(row.0).expect("a table holds fewer than 2^32 row versions")
-}
-
 impl BTreeIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
@@ -115,6 +117,80 @@ impl BTreeIndex {
             len: 0,
             entries: 0,
         }
+    }
+
+    /// Builds the index of `(key, row)` pairs sorted by key, the rows of a
+    /// key ascending — what [`BTreeIndex::insert`] would hold after filing
+    /// them in that order, a pair repeated back to back filed once — bottom
+    /// up: leaves of `MAX_KEYS` keys, all full but the last, each posting
+    /// list allocated once at its length, and the levels above them of as
+    /// few nodes as hold them, children spread evenly. Of keys equal under
+    /// `Value::cmp` the first spelling is kept, as by the insert that files
+    /// it first.
+    pub fn from_sorted(pairs: &[(&Value, u32)]) -> Self {
+        debug_assert!(
+            pairs.windows(2).all(|w| w[0] <= w[1]),
+            "pairs sorted by key, the rows of a key ascending"
+        );
+        let (mut len, mut entries) = (0, 0);
+        let mut leaves: Vec<(Value, Node)> = Vec::new();
+        let mut leaf = LeafNode::new();
+        let mut rest = pairs;
+        while let Some(&(key, _)) = rest.first() {
+            let run = rest.iter().take_while(|(k, _)| *k == key).count();
+            let (group, after) = rest.split_at(run);
+            rest = after;
+            let distinct = 1 + group.windows(2).filter(|w| w[0].1 != w[1].1).count();
+            let postings = if distinct == 1 {
+                Postings::One(group[0].1)
+            } else {
+                let mut rows = Vec::with_capacity(distinct);
+                for &(_, row) in group {
+                    if rows.last() != Some(&row) {
+                        rows.push(row);
+                    }
+                }
+                Postings::Many(rows)
+            };
+            if leaf.keys.len() == MAX_KEYS {
+                let full = std::mem::replace(&mut leaf, LeafNode::new());
+                leaves.push((full.keys[0].clone(), Node::Leaf(full)));
+            }
+            leaf.keys.push(key.clone());
+            leaf.postings.push(postings);
+            len += 1;
+            entries += distinct;
+        }
+        // The last leaf; an empty tree's only one, whose least key no
+        // separator ever takes.
+        let least = leaf.keys.first().cloned().unwrap_or(Value::Null);
+        leaves.push((least, Node::Leaf(leaf)));
+        // Each level above: nodes of up to MAX_KEYS + 1 children, spread
+        // evenly, each known by its least key — its separator in the parent.
+        let mut level = leaves;
+        while level.len() > 1 {
+            let parents = level.len().div_ceil(MAX_KEYS + 1);
+            let (fanout, wider) = (level.len() / parents, level.len() % parents);
+            let mut children = level.into_iter();
+            level = (0..parents)
+                .map(|p| {
+                    let fanout = fanout + usize::from(p < wider);
+                    let (least, first) = children.next().expect("a child per slot");
+                    let mut node = InternalNode {
+                        keys: Vec::with_capacity(fanout - 1),
+                        children: Vec::with_capacity(fanout),
+                    };
+                    node.children.push(first);
+                    for (sep, child) in children.by_ref().take(fanout - 1) {
+                        node.keys.push(sep);
+                        node.children.push(child);
+                    }
+                    (least, Node::Internal(node))
+                })
+                .collect();
+        }
+        let (_, root) = level.pop().expect("a level of one node");
+        BTreeIndex { root, len, entries }
     }
 
     /// Number of distinct keys.
@@ -135,7 +211,7 @@ impl BTreeIndex {
     /// Inserts a `(key, row)` pair. The rows of a key arrive ascending; the
     /// one filed last under the key is ignored when it arrives again.
     pub fn insert(&mut self, key: Value, row: RowId) {
-        let (added_key, added_entry, result) = self.root.insert(key, posting(row));
+        let (added_key, added_entry, result) = self.root.insert(key, row.posting());
         if added_key {
             self.len += 1;
         }
@@ -800,6 +876,128 @@ mod tests {
         }
     }
 
+    /// The tree as a model: every key's rows, in the order filed.
+    type Model = BTreeMap<i64, Vec<u32>>;
+
+    /// Applies `steps` to the tree and the model, `next_row` the last row id
+    /// handed out, checking the invariants and counts after each; returns
+    /// whether a pair was removed.
+    fn apply_steps(
+        tree: &mut BTreeIndex,
+        model: &mut Model,
+        steps: &[Step],
+        next_row: &mut u32,
+    ) -> bool {
+        let mut removed = false;
+        for step in steps {
+            match *step {
+                Step::Insert { key, fresh } => {
+                    *next_row += fresh as u32;
+                    tree.insert(Value::Int(key), RowId::from(*next_row));
+                    let rows = model.entry(key).or_default();
+                    if rows.last() != Some(next_row) {
+                        rows.push(*next_row);
+                    }
+                }
+                Step::Remove { key, nth } => {
+                    let rows = model.get(&key).cloned().unwrap_or_default();
+                    let row = if rows.is_empty() {
+                        7
+                    } else {
+                        rows[nth % rows.len()]
+                    };
+                    let was_there = tree.remove(&Value::Int(key), RowId::from(row));
+                    prop_assert_eq!(was_there, !rows.is_empty());
+                    removed |= was_there;
+                    if let Some(rows) = model.get_mut(&key) {
+                        rows.retain(|r| *r != row);
+                        if rows.is_empty() {
+                            model.remove(&key);
+                        }
+                    }
+                }
+            }
+            assert_counts(tree, model);
+        }
+        removed
+    }
+
+    /// The invariants hold and the counts are the model's.
+    fn assert_counts(tree: &BTreeIndex, model: &Model) {
+        tree.check_invariants().unwrap();
+        prop_assert_eq!(tree.key_count(), model.len());
+        prop_assert_eq!(
+            tree.entry_count(),
+            model.values().map(Vec::len).sum::<usize>()
+        );
+    }
+
+    /// The tree holds the model: each key's postings, every key in order,
+    /// and the range `[lo, lo + len)` with its length.
+    fn assert_holds(tree: &BTreeIndex, model: &Model, lo: i64, len: i64) {
+        assert_counts(tree, model);
+        for (key, rows) in model {
+            prop_assert_eq!(tree.get(&Value::Int(*key)), &rows[..]);
+        }
+        let all: Vec<(i64, Vec<u32>)> = tree
+            .iter_all()
+            .into_iter()
+            .map(|(key, rows)| {
+                (
+                    key.as_int().unwrap(),
+                    rows.iter().map(|r| r.0 as u32).collect(),
+                )
+            })
+            .collect();
+        prop_assert_eq!(all, model.clone().into_iter().collect::<Vec<_>>());
+        let hi = lo + len;
+        let (low, high) = (Value::Int(lo), Value::Int(hi));
+        let got: Vec<(i64, u64)> = tree
+            .range(Bound::Included(&low), Bound::Excluded(&high))
+            .into_iter()
+            .map(|(k, row)| (k.as_int().unwrap(), row.0))
+            .collect();
+        let expect: Vec<(i64, u64)> = model
+            .range(lo..hi)
+            .flat_map(|(k, rows)| rows.iter().map(|row| (*k, u64::from(*row))))
+            .collect();
+        prop_assert_eq!(
+            tree.range_len(Bound::Included(&low), Bound::Excluded(&high)),
+            expect.len()
+        );
+        prop_assert_eq!(got, expect);
+    }
+
+    /// `(key, row)` pairs sorted, as a bulk load hands them over: as many as
+    /// fill a leaf, a leaf and one, a full node of full leaves and one more
+    /// (or none, or one), under keys that repeat often, seldom, or never,
+    /// now and then the pair before again.
+    struct SortedPairs;
+
+    impl Strategy for SortedPairs {
+        type Value = Vec<(i64, u32)>;
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            const FULL: usize = MAX_KEYS * (MAX_KEYS + 1);
+            const SIZES: [usize; 6] = [0, 1, MAX_KEYS, MAX_KEYS + 1, FULL, FULL + 1];
+            let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+            let n = SIZES[pick(rng, SIZES.len())];
+            let keys = [1 + n / 8, 1 + 10 * n, 0][pick(rng, 3)];
+            let mut pairs: Vec<(i64, u32)> = Vec::with_capacity(n);
+            while pairs.len() < n {
+                let pair = match pairs.last() {
+                    Some(&last) if keys > 0 && pick(rng, 8) == 0 => last,
+                    // No key space: every key its own, so the sizes are
+                    // the key counts the leaves and nodes fill at.
+                    _ if keys == 0 => (3 * pairs.len() as i64, pick(rng, 2 * n) as u32),
+                    _ => (pick(rng, keys) as i64, pick(rng, 2 * n) as u32),
+                };
+                pairs.push(pair);
+            }
+            pairs.sort();
+            pairs
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -810,66 +1008,39 @@ mod tests {
         /// but the last full.
         #[test]
         fn btree_matches_model(case in AnySteps, lo in 0i64..300, len in 0i64..100) {
-            let mut tree = BTreeIndex::new();
-            let mut model: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-            let mut next_row = 0u32;
-            let mut removed = false;
-            for step in &case.steps {
-                match *step {
-                    Step::Insert { key, fresh } => {
-                        next_row += fresh as u32;
-                        tree.insert(Value::Int(key), RowId::from(next_row));
-                        let rows = model.entry(key).or_default();
-                        if rows.last() != Some(&next_row) {
-                            rows.push(next_row);
-                        }
-                    }
-                    Step::Remove { key, nth } => {
-                        let rows = model.get(&key).cloned().unwrap_or_default();
-                        let row = if rows.is_empty() { 7 } else { rows[nth % rows.len()] };
-                        let was_there = tree.remove(&Value::Int(key), RowId::from(row));
-                        prop_assert_eq!(was_there, !rows.is_empty());
-                        removed |= was_there;
-                        if let Some(rows) = model.get_mut(&key) {
-                            rows.retain(|r| *r != row);
-                            if rows.is_empty() {
-                                model.remove(&key);
-                            }
-                        }
-                    }
-                }
-                tree.check_invariants().unwrap();
-                prop_assert_eq!(tree.key_count(), model.len());
-                prop_assert_eq!(tree.entry_count(), model.values().map(Vec::len).sum::<usize>());
-            }
-            for (key, rows) in &model {
-                prop_assert_eq!(tree.get(&Value::Int(*key)), &rows[..]);
-            }
-            let all: Vec<(i64, Vec<u32>)> = tree
-                .iter_all()
-                .into_iter()
-                .map(|(key, rows)| (key.as_int().unwrap(), rows.iter().map(|r| r.0 as u32).collect()))
-                .collect();
-            prop_assert_eq!(all, model.clone().into_iter().collect::<Vec<_>>());
-            // Range scan.
-            let hi = lo + len;
-            let (low, high) = (Value::Int(lo), Value::Int(hi));
-            let got: Vec<(i64, u64)> = tree
-                .range(Bound::Included(&low), Bound::Excluded(&high))
-                .into_iter()
-                .map(|(k, row)| (k.as_int().unwrap(), row.0))
-                .collect();
-            let expect: Vec<(i64, u64)> = model
-                .range(lo..hi)
-                .flat_map(|(k, rows)| rows.iter().map(|row| (*k, u64::from(*row))))
-                .collect();
-            prop_assert_eq!(tree.range_len(Bound::Included(&low), Bound::Excluded(&high)), expect.len());
-            prop_assert_eq!(got, expect);
+            let (mut tree, mut model) = (BTreeIndex::new(), Model::new());
+            let removed = apply_steps(&mut tree, &mut model, &case.steps, &mut 0);
+            assert_holds(&tree, &model, lo, len);
             if case.ascending && !removed {
                 let fill = tree.leaf_fill();
                 let full = &fill[..fill.len() - 1];
                 prop_assert!(full.iter().all(|&keys| keys == MAX_KEYS), "{:?}", fill);
             }
+        }
+
+        /// A tree built bottom up from sorted pairs is the tree their inserts
+        /// build: the model's keys, postings, counts and ranges, every leaf
+        /// but the last full — and it stays the model through random inserts
+        /// and removals after, which split its full leaves and nodes.
+        #[test]
+        fn btree_from_sorted_matches_model(pairs in SortedPairs, steps in AnySteps, lo in 0i64..300, len in 0i64..100) {
+            let values: Vec<Value> = pairs.iter().map(|&(key, _)| Value::Int(key)).collect();
+            let sorted: Vec<(&Value, u32)> = values.iter().zip(&pairs).map(|(key, &(_, row))| (key, row)).collect();
+            let mut tree = BTreeIndex::from_sorted(&sorted);
+            let mut model = Model::new();
+            for &(key, row) in &pairs {
+                let rows = model.entry(key).or_default();
+                if rows.last() != Some(&row) {
+                    rows.push(row);
+                }
+            }
+            assert_holds(&tree, &model, lo, len);
+            let fill = tree.leaf_fill();
+            let full = &fill[..fill.len() - 1];
+            prop_assert!(full.iter().all(|&keys| keys == MAX_KEYS), "{:?}", fill);
+            let mut next_row = pairs.iter().map(|&(_, row)| row).max().unwrap_or(0);
+            apply_steps(&mut tree, &mut model, &steps.steps, &mut next_row);
+            assert_holds(&tree, &model, lo, len);
         }
     }
 }

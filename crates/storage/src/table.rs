@@ -40,6 +40,11 @@ impl RowId {
     fn idx(self) -> usize {
         self.0 as usize
     }
+
+    /// The 32 bits an index posts the row id as ([`crate::btree`]).
+    pub(crate) fn posting(self) -> u32 {
+        u32::try_from(self.0).expect("a table holds fewer than 2^32 row versions")
+    }
 }
 
 /// A row id as an index posts it ([`crate::btree`]).
@@ -146,6 +151,13 @@ impl Versions {
 
     fn iter(&self) -> impl Iterator<Item = &StoredRow> {
         self.0.iter().flatten()
+    }
+
+    /// The versions from `first` on, each with its id.
+    fn iter_from(&self, first: usize) -> impl Iterator<Item = (RowId, &StoredRow)> {
+        let chunks = self.0.get(first / CHUNK_ROWS..).unwrap_or_default();
+        let rows = chunks.iter().flatten().skip(first % CHUNK_ROWS);
+        rows.zip(first..).map(|(row, at)| (RowId(at as u64), row))
     }
 }
 
@@ -271,6 +283,29 @@ impl SecondaryIndex {
             (IndexKind::Grams, _) => {}
         }
     }
+
+    /// Files a run of versions, ids ascending and above every id filed yet:
+    /// what [`SecondaryIndex::file`] leaves after filing them one by one. A
+    /// value index sorts the run's values once — stably, so the ids under a
+    /// key stay ascending — and is built bottom up from them when it holds
+    /// nothing yet; a gram index files version by version.
+    fn file_run<'a>(&mut self, run: impl Iterator<Item = (RowId, &'a Tuple)>) {
+        let column = self.column;
+        if self.kind == IndexKind::Grams {
+            return run.for_each(|(row_id, row)| self.file(&row[column], row_id));
+        }
+        let mut pairs: Vec<(&Value, u32)> = run
+            .map(|(row_id, row)| (&row[column], row_id.posting()))
+            .collect();
+        pairs.sort_by(|a, b| a.0.cmp(b.0));
+        if self.tree.is_empty() {
+            self.tree = BTreeIndex::from_sorted(&pairs);
+        } else {
+            for (value, row) in pairs {
+                self.tree.insert(value.clone(), RowId::from(row));
+            }
+        }
+    }
 }
 
 /// A main-memory, multi-versioned table with an optional primary key and any
@@ -385,11 +420,11 @@ impl Table {
             kind,
             tree: BTreeIndex::new(),
         };
-        for (i, row) in self.rows.iter().enumerate() {
-            if row.holds_payload() {
-                index.file(&row.values[column], RowId(i as u64));
-            }
-        }
+        let held = self
+            .rows
+            .iter_from(0)
+            .filter(|(_, row)| row.holds_payload());
+        index.file_run(held.map(|(row_id, row)| (row_id, &row.values)));
         self.indexes.push(index);
         Ok(())
     }
@@ -452,44 +487,94 @@ impl Table {
     /// Fails when the tuple does not match the schema or when a live row with
     /// the same primary key already exists.
     pub fn insert(&mut self, values: Tuple, ts: Timestamp) -> Result<RowId> {
+        let row_id = self.add_version(values, ts)?;
+        self.index_version(row_id);
+        Ok(row_id)
+    }
+
+    /// Inserts a run of new rows with the given commit timestamp, in order,
+    /// and returns how many. Ends at the first row [`Table::insert`] would
+    /// refuse, with its error, leaving the rows before it inserted: the
+    /// table then holds what inserting row after row until that error
+    /// leaves. Each row is checked and filed under its key as it comes; the
+    /// secondary indexes file the run's versions at its end, a value index
+    /// from one sorted pass (`SecondaryIndex::file_run`).
+    pub(crate) fn load(&mut self, rows: Vec<Tuple>, ts: Timestamp) -> Result<usize> {
+        let first = self.rows.len();
+        let added = rows
+            .into_iter()
+            .try_for_each(|row| self.add_version(row, ts).map(drop));
+        for index in &mut self.indexes {
+            let run = self.rows.iter_from(first);
+            index.file_run(run.map(|(row_id, row)| (row_id, &row.values)));
+        }
+        added.map(|()| self.rows.len() - first)
+    }
+
+    /// Checks a new row — its schema, and under a primary key that no live
+    /// row holds the key — appends it and files it under its key, the key
+    /// hashed once, from the row's own columns. The secondary indexes are
+    /// the caller's to file it in.
+    fn add_version(&mut self, values: Tuple, ts: Timestamp) -> Result<RowId> {
         self.schema.check_tuple(&values.values())?;
         if self.primary_key.is_empty() {
             return Ok(self.push_version(values, ts));
         }
-        let key = self.pk_values(&values);
-        if self.lookup_pk_live(&key).is_some() {
-            return Err(self.duplicate_key(&key));
+        let (rows, columns) = (&self.rows, &self.primary_key);
+        let key = || columns.iter().map(|&c| &values[c]);
+        let hash = KeyMap::hash(key());
+        let newest = self
+            .pk_index
+            .get(hash, |row| Self::holds_key(rows, columns, row, key()));
+        if newest.is_some_and(|row| rows[row.idx()].is_live()) {
+            return Err(self.duplicate_key(&self.pk_values(&values)));
         }
         // The key map reads keys from the arena: the version goes in first.
         let row_id = self.push_version(values, ts);
-        self.file_key(&key, row_id);
+        self.file_key(hash, row_id);
         Ok(row_id)
     }
 
-    /// True when the version `row_id` was written under the primary key `key`.
-    fn holds_key(rows: &Versions, primary_key: &[usize], row_id: RowId, key: &[Value]) -> bool {
+    /// True when the version `row_id` was written under the primary key whose
+    /// values, in key-column order, `key` yields.
+    fn holds_key<'k>(
+        rows: &Versions,
+        primary_key: &[usize],
+        row_id: RowId,
+        mut key: impl ExactSizeIterator<Item = &'k Value>,
+    ) -> bool {
         let row = rows[row_id.idx()].values();
-        key.len() == primary_key.len() && primary_key.iter().zip(key).all(|(&c, k)| row[c] == *k)
+        key.len() == primary_key.len() && primary_key.iter().all(|&c| key.next() == Some(&row[c]))
     }
 
-    /// Points the key map's entry for `key` at `row_id`, a version in the
-    /// arena, and links it back to the version the entry pointed at.
-    fn file_key(&mut self, key: &[Value], row_id: RowId) {
+    /// Points the key map's entry for the key of `row_id` — a version in the
+    /// arena, its key hashing to `hash` — at it, and links it back to the
+    /// version the entry pointed at.
+    fn file_key(&mut self, hash: u64, row_id: RowId) {
         let (rows, columns) = (&self.rows, &self.primary_key);
-        let hash = KeyMap::hash(key);
-        let is_key = |row| Self::holds_key(rows, columns, row, key);
+        let filed = rows[row_id.idx()].values();
+        let is_key = |row| Self::holds_key(rows, columns, row, columns.iter().map(|&c| &filed[c]));
         let previous = self.pk_index.insert(hash, row_id, is_key);
         self.rows[row_id.idx()].previous = previous.map_or(NO_VERSION, |row| row.0 as u32);
     }
 
     /// The newest version written under `key`, dead or alive.
     fn newest_version(&self, key: &[Value]) -> Option<RowId> {
-        let is_key = |row| Self::holds_key(&self.rows, &self.primary_key, row, key);
+        let is_key = |row| Self::holds_key(&self.rows, &self.primary_key, row, key.iter());
         self.pk_index.get(KeyMap::hash(key), is_key)
     }
 
-    /// Appends a version to the arena — the one place that does — filing it
-    /// in the secondary indexes and widening the zones of the tail chunk.
+    /// Files the version `row_id` in every secondary index.
+    fn index_version(&mut self, row_id: RowId) {
+        let row = &self.rows[row_id.idx()].values;
+        for index in &mut self.indexes {
+            index.file(&row[index.column], row_id);
+        }
+    }
+
+    /// Appends a version to the arena — the one place that does — widening
+    /// the zones of the tail chunk. Filing it in the secondary indexes is
+    /// the caller's ([`Table::index_version`], or a run's `file_run`).
     fn push_version(&mut self, values: Tuple, begin: Timestamp) -> RowId {
         let row_id = RowId(self.rows.len() as u64);
         if self.rows.len().is_multiple_of(CHUNK_ROWS) {
@@ -499,9 +584,6 @@ impl Table {
         let tail = self.zones.len() - self.zoned.len();
         for (zone, &column) in self.zones[tail..].iter_mut().zip(&self.zoned) {
             zone.widen(&values[column]);
-        }
-        for index in &mut self.indexes {
-            index.file(&values[index.column], row_id);
         }
         self.rows.push(StoredRow {
             values,
@@ -570,6 +652,7 @@ impl Table {
         for ((row_id, new_values), (new_key, moved)) in updates.into_iter().zip(keys) {
             self.rows[row_id.idx()].end = ts;
             let new_id = self.push_version(new_values, ts);
+            self.index_version(new_id);
             // A row moved to another key leaves the old key's entry where it
             // is, pointing at the version just ended: older snapshots find it
             // there, the live look-up sees it is dead, and a later insert
@@ -578,7 +661,7 @@ impl Table {
                 self.retired.push_back(row_id);
             }
             if !self.primary_key.is_empty() {
-                self.file_key(&new_key, new_id);
+                self.file_key(KeyMap::hash(&new_key), new_id);
             }
         }
         Ok(())
@@ -1316,5 +1399,182 @@ mod tests {
         let mut t = items_table();
         assert!(t.insert(tuple!["oops", "A", 1.0f64], Timestamp(1)).is_err());
         assert!(t.insert(tuple![1i64], Timestamp(1)).is_err());
+    }
+
+    /// A second run into a loaded table files a key deleted since under it
+    /// again, linked back to the version deleted, and indexes the run beside
+    /// the first: every snapshot finds the version of its time.
+    #[test]
+    fn a_second_load_links_a_reloaded_key_back() {
+        let mut t = items_table();
+        t.create_index("ITEM_PRICE", 2, IndexKind::Values).unwrap();
+        let books = (0..100i64).map(|i| tuple![i, format!("Book {i}"), (i % 10) as f64]);
+        let books = books.collect();
+        assert_eq!(t.load(books, Timestamp(1)).unwrap(), 100);
+        let old = t.lookup_pk_live(&[Value::Int(7)]).unwrap();
+        t.delete_row(old, Timestamp(2)).unwrap();
+        let again = vec![
+            tuple![7i64, "Book 7", 3.5f64],
+            tuple![100i64, "Book 100", 3.5f64],
+        ];
+        assert_eq!(t.load(again, Timestamp(3)).unwrap(), 2);
+        let found = |ts| t.lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(ts)));
+        let found: Vec<_> = (1..=3).map(|ts| found(ts).map(|(rid, _)| rid)).collect();
+        assert_eq!(found, [Some(old), None, Some(RowId(100))]);
+        let priced: Vec<_> = t
+            .index_postings(2, IndexKind::Values, &Value::Float(3.5))
+            .collect();
+        assert_eq!(priced, [RowId(100), RowId(101)]);
+        assert_eq!(
+            t.index_postings(2, IndexKind::Values, &Value::Float(7.0))
+                .len(),
+            10
+        );
+        let taken = t.load(vec![tuple![100i64, "Book 100", 1.0f64]], Timestamp(4));
+        assert!(matches!(taken, Err(Error::ConstraintViolation(_))));
+    }
+
+    // -- a run loaded at once against the same rows inserted one by one ------
+
+    /// One step of a load history.
+    #[derive(Debug, Clone)]
+    enum LoadStep {
+        /// A run of rows `(key, value)`; `None` is a row the schema refuses.
+        Load(Vec<Option<(i64, i64)>>),
+        /// Deletes the live row of a key.
+        Delete(i64),
+        /// Gives the live row of a key another value.
+        Update(i64, i64),
+    }
+
+    struct LoadHistories;
+
+    impl Strategy for LoadHistories {
+        /// Whether the table has a primary key, and the steps.
+        type Value = (bool, Vec<LoadStep>);
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+            // Few keys: runs that repeat a key, in themselves or against a
+            // live row; many: runs that load whole.
+            let keys = [8, 1000][pick(rng, 2)];
+            let mut steps = Vec::new();
+            for _ in 0..1 + pick(rng, 6) {
+                steps.push(match pick(rng, 4) {
+                    0 => LoadStep::Delete(pick(rng, keys) as i64),
+                    1 => LoadStep::Update(pick(rng, keys) as i64, pick(rng, 5) as i64),
+                    _ => {
+                        let mut rows = Vec::new();
+                        for _ in 0..pick(rng, 30) {
+                            let refused = pick(rng, 20) == 0;
+                            let row = (pick(rng, keys) as i64, pick(rng, 5) as i64);
+                            rows.push((!refused).then_some(row));
+                        }
+                        LoadStep::Load(rows)
+                    }
+                });
+            }
+            (pick(rng, 4) != 0, steps)
+        }
+    }
+
+    /// The row of `key` with `value`: NULL for value 0, and a title whose
+    /// grams the value and the key decide.
+    fn load_row(key: i64, value: i64) -> Tuple {
+        let value_or_null = if value == 0 {
+            Value::Null
+        } else {
+            Value::Int(value)
+        };
+        tuple![key, value_or_null, format!("TITLE {value} NO {key}")]
+    }
+
+    /// A table of `(K, V, T)` — keyed by `K` or not — with an index by value
+    /// on `V` and by gram on `T`, and by value on `T` unless `late`.
+    fn load_table(keyed: bool, late: bool) -> Table {
+        let schema = Schema::new(vec![
+            Column::new("K", DataType::Int),
+            Column::nullable("V", DataType::Int),
+            Column::new("T", DataType::Text),
+        ]);
+        let mut t = Table::new("T", schema, if keyed { vec![0] } else { vec![] });
+        t.create_index("T_V", 1, IndexKind::Values).unwrap();
+        t.create_index("T_GRAMS", 2, IndexKind::Grams).unwrap();
+        if !late {
+            t.create_index("T_T", 2, IndexKind::Values).unwrap();
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Table::load` leaves what `Table::insert` leaves row after row,
+        /// stopping at the first error: the same result or error, and then
+        /// the same arena, back-links, key map and index entries — runs that
+        /// fail part way (a row the schema refuses, a key live in the table
+        /// or earlier in the run) with their prefix keyed and indexed, runs
+        /// into a loaded table, keys deleted and loaded again. The value
+        /// index on `T` is built by `create_index` over the whole arena at
+        /// the end on the loaded side, row by row on the other.
+        #[test]
+        fn a_load_equals_its_rows_inserted_one_by_one(history in LoadHistories) {
+            let (keyed, steps) = history;
+            let (mut loaded, mut inserted) = (load_table(keyed, true), load_table(keyed, false));
+            let live = |t: &Table, key: i64| {
+                let mut rows = t.scan_live();
+                rows.find(|(_, row)| row[0] == Value::Int(key)).map(|(row_id, _)| row_id)
+            };
+            for (ts, step) in (1..).map(Timestamp).zip(&steps) {
+                match step {
+                    LoadStep::Load(rows) => {
+                        let rows = rows.iter().map(|row| match *row {
+                            Some((key, value)) => load_row(key, value),
+                            None => tuple!["refused", 1i64, "T"],
+                        });
+                        let mut one_by_one = Ok(0);
+                        for row in rows.clone() {
+                            match inserted.insert(row, ts) {
+                                Ok(_) => one_by_one = one_by_one.map(|n| n + 1),
+                                Err(error) => {
+                                    one_by_one = Err(error);
+                                    break;
+                                }
+                            }
+                        }
+                        let at_once = loaded.load(rows.collect(), ts);
+                        prop_assert_eq!(format!("{at_once:?}"), format!("{one_by_one:?}"));
+                    }
+                    LoadStep::Delete(key) => {
+                        for t in [&mut loaded, &mut inserted] {
+                            if let Some(row_id) = live(t, *key) {
+                                t.delete_row(row_id, ts).unwrap();
+                            }
+                        }
+                    }
+                    LoadStep::Update(key, value) => {
+                        for t in [&mut loaded, &mut inserted] {
+                            if let Some(row_id) = live(t, *key) {
+                                t.update_row(row_id, load_row(*key, *value), ts).unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+            loaded.create_index("T_T", 2, IndexKind::Values).unwrap();
+            prop_assert_eq!(loaded.dump(), inserted.dump(), "{:?}", steps);
+            let mut keys: Vec<(usize, IndexKind, Value)> = Vec::new();
+            for (_, row) in inserted.rows.iter_from(0) {
+                let (value, title) = (&row.values()[1], &row.values()[2]);
+                keys.push((1, IndexKind::Values, value.clone()));
+                keys.push((2, IndexKind::Values, title.clone()));
+                if let Value::Text(title) = title {
+                    keys.extend(grams(title).map(|gram| (2, IndexKind::Grams, gram)));
+                }
+            }
+            for (column, kind, key) in &keys {
+                let postings = |t: &Table| t.index_postings(*column, *kind, key).collect::<Vec<_>>();
+                prop_assert_eq!(postings(&loaded), postings(&inserted), "{:?} {}", kind, key);
+            }
+        }
     }
 }

@@ -921,12 +921,28 @@ mod tests {
     use super::*;
     use shareddb_common::tuple;
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("shareddb-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        path
+    /// The temporary directory of one test, removed with what it holds when
+    /// the test ends, passed or failed.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(test: &str) -> Self {
+            let pid = std::process::id();
+            let dir = std::env::temp_dir().join(format!("shareddb-wal-test-{pid}-{test}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        fn path(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -1264,7 +1280,8 @@ mod tests {
 
     #[test]
     fn file_sink_roundtrip_and_recover() {
-        let path = temp_path("roundtrip.wal");
+        let dir = TempDir::new("roundtrip");
+        let path = dir.path("roundtrip.wal");
         let wal = Wal::new(Box::new(FileSink::create(&path).unwrap()));
         wal.log_batch(
             Timestamp(1),
@@ -1290,15 +1307,15 @@ mod tests {
         assert_eq!(scan.last_lsn + 1, 4);
         assert!(scan.torn.is_none());
         // Recovering a missing file is an empty log, not an error.
-        let scan = FileSink::recover(temp_path("missing.wal"), |_, _| panic!("a record")).unwrap();
+        let scan = FileSink::recover(dir.path("missing.wal"), |_, _| panic!("a record")).unwrap();
         assert_eq!(scan.last_lsn + 1, 1);
         assert!(scan.torn.is_none());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn recover_truncates_torn_file_for_clean_appends() {
-        let path = temp_path("torn-append.wal");
+        let dir = TempDir::new("torn-append");
+        let path = dir.path("torn-append.wal");
         {
             let wal = Wal::new(Box::new(FileSink::create(&path).unwrap()));
             wal.log_batch(
@@ -1345,13 +1362,13 @@ mod tests {
         let committed = committed(&std::fs::read(&path).unwrap());
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].0, Timestamp(2));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn fault_sink_partial_write_and_bit_flip() {
         // Partial write: the tail past the cut never reaches the file.
-        let path = temp_path("fault-partial.wal");
+        let dir = TempDir::new("fault");
+        let path = dir.path("fault-partial.wal");
         {
             let inner = Box::new(FileSink::create(&path).unwrap());
             let mut sink = FaultSink::new(
@@ -1373,7 +1390,7 @@ mod tests {
         assert!(records.len() < 4);
 
         // Bit flip: CRC detects, scan cuts at the flipped frame.
-        let path2 = temp_path("fault-flip.wal");
+        let path2 = dir.path("fault-flip.wal");
         {
             let inner = Box::new(FileSink::create(&path2).unwrap());
             let frame1 = encode_frame(1, &LogRecord::BeginBatch(Timestamp(1)));
@@ -1398,8 +1415,6 @@ mod tests {
         let (records, scan) = scanned(&std::fs::read(&path2).unwrap()[..10]);
         assert!(records.is_empty());
         assert!(scan.torn.is_some());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&path2);
     }
 
     #[test]
