@@ -2,10 +2,7 @@
 //! concurrent writes, gated by invariants that hold however fast the host
 //! is.
 //!
-//! TPC-W at 500 items behind 4 replicas, `getBestSellers` and `getItemById`
-//! on the replicated route (spread over the replicas by parameter hash, so
-//! every replica answers look-ups and runs the shared join). 256
-//! connections in closed loops — 4 run `getBestSellers`, 252 `getItemById`
+//! TPC-W at 500 items behind one engine. 256 connections in closed loops — 4 run `getBestSellers`, 252 `getItemById`
 //! — beside 4 writers alternating `addOrderLine` and `adminUpdateItem`, each
 //! of which must affect exactly one row; `/metrics` is scraped once a
 //! second; the run lasts 5 s, under `EngineConfig::default()`.
@@ -18,14 +15,13 @@
 //! the run — look-ups and best-seller pages a second in columns of their
 //! own, so that starved best-sellers show — and one of the gates
 //! ([`verdict`]), writes the last scrape to `BENCH_metrics_scrape.prom` and
-//! exits 1 if a gate fails. What the scrape must show — every replica
-//! answered and ran the shared join, versions reclaimed, a well-formed
+//! exits 1 if a gate fails. What the scrape must show — the engine answered
+//! queries and ran the shared join, versions reclaimed, a well-formed
 //! exposition — is checked on the file by the CI lane that runs this.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shareddb_client::Connection;
-use shareddb_cluster::ClusterConfig;
 use shareddb_common::Value;
 use shareddb_core::{EngineConfig, Phase};
 use shareddb_server::{Server, ServerConfig};
@@ -37,7 +33,6 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 const ITEMS: usize = 500;
-const REPLICAS: usize = 4;
 const BEST_SELLERS: usize = 4;
 const LOOKUPS: usize = 252;
 const WRITERS: usize = 4;
@@ -54,14 +49,13 @@ struct Point {
     best_sellers_per_s: f64,
     light_p50_us: u64,
     light_p99_us: u64,
-    /// The replicas' own `getItemById` end-to-end p99: no client-thread
+    /// The engine's own `getItemById` end-to-end p99: no client-thread
     /// scheduling in it.
     server_light_p99_us: u64,
     updates: u64,
     errors: u64,
     /// Statements each connection completed: best-sellers, look-ups, writers.
     completed: Vec<u64>,
-    replica_queries: Vec<u64>,
 }
 
 /// One gate on the run.
@@ -74,11 +68,10 @@ struct Check {
 
 fn main() {
     let (point, scrape) = run_point();
-    println!("| look-ups/s | best-sellers/s | light p50 ms | light p99 ms | server light p99 ms | updates | errors | queries per replica |");
-    println!("|---:|---:|---:|---:|---:|---:|---:|---|");
-    let replicas: Vec<String> = point.replica_queries.iter().map(u64::to_string).collect();
+    println!("| look-ups/s | best-sellers/s | light p50 ms | light p99 ms | server light p99 ms | updates | errors |");
+    println!("|---:|---:|---:|---:|---:|---:|---:|");
     println!(
-        "| {:.0} | {:.1} | {:.2} | {:.2} | {:.2} | {} | {} | {} |",
+        "| {:.0} | {:.1} | {:.2} | {:.2} | {:.2} | {} | {} |",
         point.lookups_per_s,
         point.best_sellers_per_s,
         point.light_p50_us as f64 / 1e3,
@@ -86,7 +79,6 @@ fn main() {
         point.server_light_p99_us as f64 / 1e3,
         point.updates,
         point.errors,
-        replicas.join(" / "),
     );
     let checks = verdict(&point);
     println!("\n| gate | measured | bound | |\n|---|---|---|---|");
@@ -109,7 +101,7 @@ fn main() {
 
 /// The gates on the run.
 fn verdict(p: &Point) -> Vec<Check> {
-    // A wedged reactor or replica leaves a connection with nothing.
+    // A wedged reactor or engine leaves a connection with nothing.
     let idle = p.completed.iter().filter(|&&n| n == 0).count();
     let ceiling = LIGHT_P99_CEILING.as_micros() as u64;
     vec![
@@ -158,10 +150,6 @@ fn run_point() -> (Point, String) {
     let (plan, registry) = build_shared_plan(&catalog).expect("plan");
     let server_config = ServerConfig {
         max_inflight_per_session: 16,
-        cluster: ClusterConfig {
-            replicas: REPLICAS,
-            replicate_statements: vec!["getBestSellers".into(), "getItemById".into()],
-        },
         ..ServerConfig::default()
     };
     let mut server = Server::start(
@@ -222,14 +210,11 @@ fn run_point() -> (Point, String) {
         (clients, scraper.join().expect("scraper"), elapsed)
     });
 
-    let (server_light, replica_queries) = server
-        .with_cluster(|cluster| {
-            let phases = cluster.stats().phases;
-            let light = phases.iter().find(|s| s.statement == "getItemById");
-            let light = light.map(|s| s.phase(Phase::Total).clone());
-            let engines = cluster.engines();
-            let queries = engines.iter().map(|e| e.stats().queries).collect();
-            (light.unwrap_or_default(), queries)
+    let server_light = server
+        .engine_stats()
+        .and_then(|stats| {
+            let light = stats.phases.iter().find(|s| s.statement == "getItemById");
+            light.map(|s| s.phase(Phase::Total).clone())
         })
         .unwrap_or_default();
     server.shutdown();
@@ -259,7 +244,6 @@ fn run_point() -> (Point, String) {
         updates: count(Role::Writer),
         errors: clients.iter().filter(|c| c.failed).count() as u64,
         completed: clients.iter().map(|c| c.completed).collect(),
-        replica_queries,
     };
     (point, scrape)
 }
@@ -365,15 +349,14 @@ mod tests {
     /// The run as a 2-vCPU host measured it.
     fn measured() -> Point {
         Point {
-            lookups_per_s: 53_577.0,
-            best_sellers_per_s: 828.0,
-            light_p50_us: 4_620,
-            light_p99_us: 8_880,
-            server_light_p99_us: 4_095,
-            updates: 4_116,
+            lookups_per_s: 79_622.0,
+            best_sellers_per_s: 1_104.7,
+            light_p50_us: 3_070,
+            light_p99_us: 5_970,
+            server_light_p99_us: 2_047,
+            updates: 7_636,
             errors: 0,
             completed: vec![40; BEST_SELLERS + LOOKUPS + WRITERS],
-            replica_queries: vec![65_000; REPLICAS],
         }
     }
 

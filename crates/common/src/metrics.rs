@@ -7,8 +7,8 @@
 //! fixed-size array of `AtomicU64` buckets with power-of-two boundaries, so
 //! recording is a couple of relaxed atomic adds — cheap enough to stay
 //! always-on in the engine's hot path — and two histograms merge by adding
-//! their buckets, which makes per-replica and per-partition statistics
-//! aggregate losslessly (the merged percentile is computed from the merged
+//! their buckets, which makes statistics of several sources (statement
+//! types, runs) aggregate losslessly (the merged percentile is computed from the merged
 //! counts, never approximated from pre-computed percentiles).
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -277,7 +277,6 @@ impl BatchCtx<'_> {
             ticket: statement.ticket.0,
             rows: outcome.as_ref().map_or(0, |o| o.rows().len()),
             ok: outcome.is_ok(),
-            replica: 0,
             admission: statement.enqueued.duration_since(statement.submitted),
             batch_wait,
             execute,

@@ -275,8 +275,7 @@ impl Engine {
     /// Everything the engine records, in one snapshot: its counters and
     /// histograms, the operators and their cost attribution, phases, scans
     /// and update rows, over the window since start or the last
-    /// [`Engine::reset_stats`]. Replicas are summed by
-    /// [`EngineStatsSnapshot::merge_from`].
+    /// [`Engine::reset_stats`].
     pub fn stats(&self) -> EngineStatsSnapshot {
         let inner = &self.inner;
         let (operators, attribution) = inner.attribution.snapshot();

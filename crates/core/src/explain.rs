@@ -133,7 +133,7 @@ fn explain_statement(plan: &GlobalPlan, registry: &StatementRegistry, index: usi
 /// Renders the statement's annotated subtree as indented text — the body of
 /// an `EXPLAIN [ANALYZE]` reply. Deterministic for a fixed plan + registry
 /// (golden-tested over the SQL conformance corpus); `analyze` — an engine's
-/// [`crate::Engine::stats`], or a cluster's — appends live counters and the
+/// [`crate::Engine::stats`] — appends live counters and the
 /// per-statement attributed costs under each node. An
 /// `UPDATE`/`DELETE` statement shows the access path its rows are found by,
 /// a query the predicate-index class each of its scan predicates lands in

@@ -39,7 +39,7 @@
 //!   per-layer bench.
 //! * [`explain`] — EXPLAIN/EXPLAIN ANALYZE: annotated statement subtrees,
 //!   sharing sets, text + DOT rendering.
-//! * [`stats`] — the engine's one snapshot and the one sum over replicas:
+//! * [`stats`] — the engine's one snapshot:
 //!   engine-level counters, phase histograms, and the operator cycles'
 //!   single record — per-statement-type cost attribution, whose row sums are
 //!   each operator's busy time and rows.

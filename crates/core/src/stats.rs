@@ -7,9 +7,8 @@
 //! break a statement's life into admission → batch-wait → execute → flush at
 //! the network layer. All hot-path recording is lock-free
 //! ([`shareddb_common::metrics::Histogram`]); an engine hands all of it out
-//! as one [`EngineStatsSnapshot`], and [`EngineStatsSnapshot::merge_from`] is
-//! the one sum over replicas the benchmark harnesses and the server's metrics
-//! endpoint read.
+//! as one [`EngineStatsSnapshot`], which the benchmark harnesses and the
+//! server's metrics endpoint read.
 
 use shareddb_common::metrics::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,8 +40,7 @@ impl OperatorStatsSnapshot {
     ///
     /// Computed against a caller-supplied wall-clock window (engine uptime,
     /// or time since the last stats reset: [`EngineStatsSnapshot::wall`]) so
-    /// the number stays meaningful after a reset — snapshots taken against a
-    /// stale wall clock were how replica imbalance used to hide.
+    /// the number stays meaningful after a reset.
     pub fn busy_fraction(&self, wall: Duration) -> f64 {
         if wall.is_zero() {
             0.0
@@ -493,8 +491,7 @@ impl ScanCounters {
 }
 
 /// Point-in-time snapshot of everything an engine records — the one
-/// snapshot it hands out ([`crate::Engine::stats`]). Replicas are summed by
-/// [`EngineStatsSnapshot::merge_from`].
+/// snapshot it hands out ([`crate::Engine::stats`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStatsSnapshot {
     /// Number of processed batches (heartbeats with work).
@@ -508,8 +505,7 @@ pub struct EngineStatsSnapshot {
     /// Total result rows delivered.
     pub result_rows: u64,
     /// Statements-per-batch occupancy histogram (recorded in "microsecond"
-    /// units: one unit = one statement), merged bucket-wise across replicas
-    /// like the phase histograms.
+    /// units: one unit = one statement).
     pub occupancy: HistogramSnapshot,
     /// Executor tasks (operator cycles, one per active node of a batch) the
     /// coordinator ran itself.
@@ -524,11 +520,10 @@ pub struct EngineStatsSnapshot {
     /// at a time, far below it when the reader is handed batches.
     pub completion_wakes: u64,
     /// Threads that run executor tasks: the coordinator and its pool (a
-    /// gauge; summed over the replicas of a cluster).
+    /// gauge).
     pub executor_threads: usize,
     /// Wall-clock length of the statistics window (time since engine start
-    /// or the last reset): the denominator of busy fractions. The longest
-    /// window of the merged replicas.
+    /// or the last reset): the denominator of busy fractions.
     pub wall: Duration,
     /// Per-operator counters, in plan order.
     pub operators: Vec<OperatorStatsSnapshot>,
@@ -543,100 +538,6 @@ pub struct EngineStatsSnapshot {
     /// Rows examined and affected per update statement type (those that
     /// applied at least one operation).
     pub update_rows: Vec<UpdateRowsSnapshot>,
-}
-
-impl EngineStatsSnapshot {
-    /// Adds `other` — another replica's snapshot — into this one, the only
-    /// sum over replicas: counters and histograms add, operators merge by
-    /// position (replicas deploy one plan), attribution cells by `(operator,
-    /// statement)` in first-seen order, phases by statement, scans by table
-    /// and update rows by statement; the window is the longest. Merging into
-    /// [`EngineStatsSnapshot::default`] copies. Histograms add bucket-wise,
-    /// so a merged phase's percentiles are those a single engine seeing all
-    /// the traffic would report, not a max-of-p99s approximation.
-    pub fn merge_from(&mut self, other: &EngineStatsSnapshot) {
-        self.batches += other.batches;
-        self.queries += other.queries;
-        self.updates += other.updates;
-        self.failed += other.failed;
-        self.result_rows += other.result_rows;
-        self.tasks_run_by_coordinator += other.tasks_run_by_coordinator;
-        self.tasks_run_by_workers += other.tasks_run_by_workers;
-        self.worker_wakeups += other.worker_wakeups;
-        self.completion_wakes += other.completion_wakes;
-        self.executor_threads += other.executor_threads;
-        self.occupancy.merge_from(&other.occupancy);
-        self.wall = self.wall.max(other.wall);
-        if self.operators.is_empty() {
-            self.operators.clone_from(&other.operators);
-        } else {
-            for (total, op) in self.operators.iter_mut().zip(&other.operators) {
-                total.cycles += op.cycles;
-                total.active_cycles += op.active_cycles;
-                total.tuples_out += op.tuples_out;
-                total.rows_pruned += op.rows_pruned;
-                total.busy += op.busy;
-            }
-        }
-        let attribution = (&mut self.attribution, &other.attribution);
-        merge_keyed(
-            attribution,
-            |e| (&e.operator, &e.statement),
-            |total, e| {
-                total.activations += e.activations;
-                total.rows += e.rows;
-                total.busy += e.busy;
-            },
-        );
-        merge_keyed(
-            (&mut self.phases, &other.phases),
-            |s| (&s.statement, ""),
-            |total, s| {
-                for (sum, phase) in total.phases.iter_mut().zip(&s.phases) {
-                    sum.merge_from(phase);
-                }
-            },
-        );
-        merge_keyed(
-            (&mut self.scans, &other.scans),
-            |s| (&s.table, ""),
-            |total, s| {
-                let sums = [&mut total.examined, &mut total.emitted, &mut total.skipped];
-                let sums = sums.into_iter().chain(&mut total.queries);
-                let counted = [s.examined, s.emitted, s.skipped].into_iter();
-                for (sum, n) in sums
-                    .chain(&mut total.cycles)
-                    .zip(counted.chain(s.queries).chain(s.cycles))
-                {
-                    *sum += n;
-                }
-            },
-        );
-        let update_rows = (&mut self.update_rows, &other.update_rows);
-        merge_keyed(
-            update_rows,
-            |s| (&s.statement, ""),
-            |total, s| {
-                total.examined += s.examined;
-                total.affected += s.affected;
-            },
-        );
-    }
-}
-
-/// Adds every item of `from` into the item of `into` with the same `key`, or
-/// appends a copy of it: first-seen order.
-fn merge_keyed<T: Clone>(
-    (into, from): (&mut Vec<T>, &Vec<T>),
-    key: impl Fn(&T) -> (&String, &str),
-    add: impl Fn(&mut T, &T),
-) {
-    for item in from {
-        match into.iter_mut().find(|total| key(total) == key(item)) {
-            Some(total) => add(total, item),
-            None => into.push(item.clone()),
-        }
-    }
 }
 
 impl EngineStats {
@@ -854,33 +755,6 @@ mod tests {
         assert!(light.busy > heavy.busy);
         table.reset();
         assert!(table.snapshot().1.is_empty());
-    }
-
-    #[test]
-    fn attribution_merge_sums_by_key() {
-        let make = |busy: u64| {
-            let t = AttributionTable::new(vec!["Scan#0".into()], vec!["light".into()]);
-            t.record_cycle(0, &[(0, 2)], 5, 0, Duration::from_nanos(busy));
-            let (operators, attribution) = t.snapshot();
-            EngineStatsSnapshot {
-                operators,
-                attribution,
-                ..EngineStatsSnapshot::default()
-            }
-        };
-        let mut merged = make(100);
-        merged.merge_from(&make(300));
-        let merged = merged.attribution;
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].operator, "Scan#0");
-        assert_eq!(merged[0].statement, "light");
-        assert_eq!(merged[0].activations, 4);
-        assert_eq!(merged[0].rows, 10);
-        assert_eq!(merged[0].busy, Duration::from_nanos(400));
-        // Merging one snapshot into nothing is the identity.
-        let mut one = EngineStatsSnapshot::default();
-        one.merge_from(&make(100));
-        assert_eq!(one, make(100));
     }
 
     #[test]

@@ -253,8 +253,8 @@ mod tests {
     }
 
     /// One run reads one snapshot: a run pinned at S and executed after the
-    /// catalog committed S+1 — as another replica's group commit lands
-    /// between the tasks of a batch — returns the rows of S from its scan,
+    /// catalog committed S+1 — as a commit of another engine on the same
+    /// catalog lands between the tasks of a batch — returns the rows of S from its scan,
     /// its probe and the look-ups of its join alike.
     #[test]
     fn a_run_reads_its_own_snapshot_after_a_later_commit() {
@@ -276,7 +276,7 @@ mod tests {
             pin: catalog.pin(),
             nodes,
         };
-        // Another replica deletes the ten HISTORY items, item 10 among them.
+        // Another writer deletes the ten HISTORY items, item 10 among them.
         let delete = UpdateOp::Delete {
             predicate: history(),
         };

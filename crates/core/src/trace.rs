@@ -39,9 +39,6 @@ pub struct StatementRecord {
     pub rows: usize,
     /// Whether the statement completed successfully.
     pub ok: bool,
-    /// Replica the statement ran on: 0 as an engine records it, stamped by
-    /// the cluster layer when it concatenates its replicas' slow-query logs.
-    pub replica: usize,
     /// Submission → enqueued: binding and enqueueing.
     pub admission: Duration,
     /// Enqueued → the batch taken up: waiting for a heartbeat.
@@ -233,7 +230,6 @@ mod tests {
                 ticket: i as u64,
                 rows: 0,
                 ok: true,
-                replica: 0,
                 admission: Duration::ZERO,
                 batch_wait: Duration::ZERO,
                 execute: Duration::ZERO,
@@ -260,7 +256,6 @@ mod tests {
             ticket: 99,
             rows: 3,
             ok: true,
-            replica: 0,
             admission: Duration::ZERO,
             batch_wait: Duration::from_micros(2),
             execute: Duration::from_micros(4),

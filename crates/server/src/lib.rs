@@ -1,9 +1,8 @@
 //! # shareddb-server
 //!
-//! The SharedDB **network frontend**: a one-thread reactor that owns a
-//! [`shareddb_cluster::ClusterEngine`] — N always-on [`shareddb_core::Engine`]
-//! replicas, one by default — and funnels the statements of many client
-//! connections into the engines' admission queues, so that one
+//! The SharedDB **network frontend**: a one-thread reactor in front of one
+//! always-on [`shareddb_core::Engine`] that funnels the statements of many
+//! client connections into the engine's admission queue, so that one
 //! [`shareddb_core::QueryBatch`] serves many sockets. This is the missing
 //! client tier of the paper's architecture (Figure 1): concurrent queries from
 //! many clients are admitted, queued while the current batch executes, formed
@@ -23,7 +22,7 @@
 //! There is one way to ask a server how it is doing: `GET /metrics` on the
 //! wire port ([`Server::metrics_text`] in process), which reads every number
 //! from the engine that records it. In-process callers reach the same
-//! engines through [`Server::with_cluster`]. The wire protocol carries
+//! engine through [`Server::with_engine`]. The wire protocol carries
 //! statements and results — no statistics (v5) and no plan frames (v6):
 //! `EXPLAIN [ANALYZE] …` is a query whose rows are the rendered plan.
 //!

@@ -29,7 +29,7 @@
 //!   wakes the poll (an eventfd write, not a timed poll) only when it
 //!   found the queue empty — one wake carries whatever has gathered by the
 //!   time the reactor looks — and are filed by tag, so replies leave in
-//!   submission order whatever order the replicas finished in;
+//!   submission order whatever order the engine answered them in;
 //! * responses drain through a per-connection write queue flushed when the
 //!   socket is writable; a connection whose write queue passes the high-water
 //!   mark stops being polled for readability (socket-level backpressure)
@@ -388,12 +388,6 @@ struct Conn {
     frame_started: Option<Instant>,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// Read-your-writes: the session's updates not yet answered, and the
-    /// replica they went to. While one is unanswered the session's reads go
-    /// there too, behind it in that replica's queue; once it is answered its
-    /// commit is published, and every replica's next batch sees it.
-    unanswered_writes: usize,
-    write_replica: usize,
     /// Unrecoverable socket or protocol failure: drop without flushing.
     dead: bool,
     /// A drain shut the write side after the last owed reply: what the
@@ -476,7 +470,7 @@ pub(crate) struct Reactor {
     listener: TcpListener,
     poller: Epoll,
     conns: HashMap<u64, Conn>,
-    /// Where every replica puts the outcomes of this reactor's statements.
+    /// Where the engine puts the outcomes of this reactor's statements.
     completions: Arc<Completions>,
     next_token: u64,
     /// Set when a drain begins: the hard deadline after which surviving
@@ -528,17 +522,7 @@ impl Reactor {
                     continue;
                 };
                 let slot = (tag.wrapping_sub(conn.front_seq) & SEQ_MASK) as usize;
-                if let Some(Reply::Pending {
-                    outcome: place,
-                    statement,
-                    ..
-                }) = conn.replies.get_mut(slot)
-                {
-                    if conn.unanswered_writes > 0
-                        && self.shared.registry.by_index(*statement).is_update()
-                    {
-                        conn.unanswered_writes -= 1;
-                    }
+                if let Some(Reply::Pending { outcome: place, .. }) = conn.replies.get_mut(slot) {
                     *place = Some(outcome);
                     self.touched.push(token);
                 }
@@ -763,8 +747,6 @@ impl Reactor {
                             read_closed: false,
                             frame_started: None,
                             interest,
-                            unanswered_writes: 0,
-                            write_replica: 0,
                             dead: false,
                             half_closed: false,
                         },
@@ -1086,16 +1068,16 @@ impl Reactor {
     }
 
     /// Renders one statement type's view of the global plan; when
-    /// `analyze`, with the cluster's statistics: per-operator counters and
-    /// cost attribution summed over replicas.
+    /// `analyze`, with the engine's statistics: per-operator counters and
+    /// cost attribution.
     fn build_explain(&self, index: usize, analyze: bool) -> Result<String, Error> {
         let engine = self.shared.engine.read();
-        let cluster = engine.as_ref().ok_or(Error::EngineShutdown)?;
-        let plan = cluster.plan();
-        let registry = cluster.registry();
-        let data = analyze.then(|| cluster.stats());
+        let engine = engine.as_ref().ok_or(Error::EngineShutdown)?;
+        let plan = engine.plan();
+        let registry = engine.registry();
+        let data = analyze.then(|| engine.stats());
         Ok(render_explain_text(
-            &cluster.catalog(),
+            &engine.catalog(),
             plan,
             registry,
             index,
@@ -1127,11 +1109,9 @@ impl Reactor {
             self.enqueue_reply(token, &error_frame(request_id, &e));
             return;
         }
-        // Read-your-writes: a read behind an unanswered write of its session
-        // queues behind it on the write's replica, which applies a batch's
-        // updates before its reads run.
-        let is_update = self.shared.registry.by_index(statement).is_update();
-        let follow = (!is_update && conn.unanswered_writes > 0).then_some(conn.write_replica);
+        // Read-your-writes needs nothing here: a read queues behind its
+        // session's write on the engine's one FIFO admission queue, and a
+        // batch applies its updates before its reads run.
         let opts = SubmitOptions {
             // Global queue-depth backpressure: enforced inside the engine
             // under the admission-queue lock, so concurrent sessions cannot
@@ -1141,24 +1121,15 @@ impl Reactor {
             ..SubmitOptions::default()
         };
         let guard = self.shared.engine.read();
-        let outcome = match (guard.as_ref(), follow) {
-            (Some(cluster), Some(replica)) => cluster.engines()[replica]
-                .submit_prepared(statement, params, opts)
-                .map(|_| replica),
-            (Some(cluster), None) => cluster
-                .submit_prepared(statement, params, opts)
-                .map(|handle| handle.replica()),
-            (None, _) => Err(Error::EngineShutdown),
+        let outcome = match guard.as_ref() {
+            Some(engine) => engine.submit_prepared(statement, params, opts),
+            None => Err(Error::EngineShutdown),
         };
         drop(guard);
         match outcome {
-            Ok(replica) => {
+            Ok(_) => {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.inflight += 1;
-                    if is_update {
-                        conn.unanswered_writes += 1;
-                        conn.write_replica = replica;
-                    }
                     conn.replies.push_back(Reply::Pending {
                         request_id,
                         statement,

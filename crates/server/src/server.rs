@@ -36,20 +36,18 @@
 //!
 //! * `max_inflight_per_session` — statements a single connection may have
 //!   unanswered; prevents one client from monopolising a batch.
-//! * `max_queue_depth` — bound on an engine's admission queue, enforced
+//! * `max_queue_depth` — bound on the engine's admission queue, enforced
 //!   **atomically** under the queue lock
-//!   ([`shareddb_core::SubmitOptions::max_queue_depth`]) of the replica the
-//!   cluster router picked (N replicas admit up to N × `max_queue_depth`,
-//!   each queue individually exact); requests beyond it are rejected with a
-//!   *retryable* [`crate::protocol::error_codes::OVERLOADED`] error instead
-//!   of growing the queue without bound.
+//!   ([`shareddb_core::SubmitOptions::max_queue_depth`]); requests beyond it
+//!   are rejected with a *retryable*
+//!   [`crate::protocol::error_codes::OVERLOADED`] error instead of growing
+//!   the queue without bound.
 //!
 //! On [`Server::shutdown`] the listener stops accepting, sessions drain their
 //! in-flight work (bounded by `drain_timeout`, signalled event-driven by the
 //! reactor rather than polled), and only then is the engine stopped.
 
 use crate::reactor::{Epoll, Reactor};
-use shareddb_cluster::{ClusterConfig, ClusterEngine};
 use shareddb_common::metrics::{escape_label_value, render_summary, HistogramSnapshot};
 use shareddb_common::sync::{Condvar, Mutex, RwLock};
 use shareddb_common::{Error, Expr, Result};
@@ -57,7 +55,7 @@ use shareddb_core::plan::{ActivationTemplate, GlobalPlan, StatementKind, UpdateT
 use shareddb_core::stats::{
     PhaseTable, ScanRowsSnapshot, StatementPhaseSnapshot, UpdateRowsSnapshot,
 };
-use shareddb_core::{EngineConfig, Phase, StatementRegistry};
+use shareddb_core::{Engine, EngineConfig, Phase, StatementRegistry};
 use shareddb_sql::compile::{canonicalize, SqlTemplate};
 use shareddb_sql::compile_workload;
 use shareddb_storage::{Catalog, PredicateClass, RecoveryReport, ScanCycleResult, SyncPolicy};
@@ -82,11 +80,6 @@ pub struct ServerConfig {
     pub max_queue_depth: usize,
     /// How long [`Server::shutdown`] waits for sessions to drain.
     pub drain_timeout: Duration,
-    /// Engine-cluster configuration: `cluster.replicas` engines serve this
-    /// one wire endpoint (1 = the classic single-engine frontend);
-    /// `cluster.replicate_statements` names the query types spread over
-    /// them. Every route is fixed at start.
-    pub cluster: ClusterConfig,
     /// Durability directory. `Some(dir)` makes the server crash-consistent:
     /// on startup it recovers the catalog from `dir` (checkpoint + committed
     /// WAL tail, truncating any torn record), compacts the log while still
@@ -108,7 +101,6 @@ impl Default for ServerConfig {
             max_inflight_per_session: 64,
             max_queue_depth: 4096,
             drain_timeout: Duration::from_secs(5),
-            cluster: ClusterConfig::default(),
             data_dir: None,
             wal_sync: SyncPolicy::EveryBatch,
         }
@@ -129,7 +121,7 @@ pub struct ServerStatsSnapshot {
 }
 
 pub(crate) struct Shared {
-    pub(crate) engine: RwLock<Option<ClusterEngine>>,
+    pub(crate) engine: RwLock<Option<Engine>>,
     pub(crate) registry: StatementRegistry,
     pub(crate) param_counts: Vec<usize>,
     /// canonical SQL text → (statement's registry index, template slot map);
@@ -176,13 +168,11 @@ impl Shared {
     }
 
     /// Renders the full Prometheus text exposition: server counters, engine
-    /// counters in total and per replica, the WAL, per-statement per-phase
-    /// latency summaries (each replica's, then the frontend's flush phase),
-    /// update and scan row counters, operator utilisation and attribution.
-    /// Every number is read from the snapshot of the engine that records it
-    /// where a series is labelled by replica, and from their sum,
-    /// [`ClusterEngine::stats`], where it is a total; each is written
-    /// through [`family`], one metric family at a time.
+    /// counters, the WAL, per-statement per-phase latency summaries (the
+    /// engine's, then the frontend's flush phase), update and scan row
+    /// counters, operator utilisation and attribution. Every engine number
+    /// is read from one [`Engine::stats`] snapshot and written through
+    /// [`family`], one metric family at a time.
     pub(crate) fn metrics_text(&self) -> String {
         let mut out = String::with_capacity(4096);
         let w = &mut out;
@@ -209,18 +199,15 @@ impl Shared {
         );
 
         let engine = self.engine.read();
-        let Some(cluster) = engine.as_ref() else {
+        let Some(engine) = engine.as_ref() else {
             return out;
         };
-        let engines = cluster.engines();
-        let replica = |i: usize| format!("replica=\"{i}\"");
-        // Engine counters, aggregated and per replica.
-        let total = cluster.stats();
-        scalar(w, "shareddb_engine_batches", "counter", total.batches);
-        scalar(w, "shareddb_engine_queries", "counter", total.queries);
-        scalar(w, "shareddb_engine_updates", "counter", total.updates);
-        scalar(w, "shareddb_engine_failed", "counter", total.failed);
-        scalar(w, "shareddb_engine_queued", "gauge", cluster.queued());
+        let stats = engine.stats();
+        scalar(w, "shareddb_engine_batches", "counter", stats.batches);
+        scalar(w, "shareddb_engine_queries", "counter", stats.queries);
+        scalar(w, "shareddb_engine_updates", "counter", stats.updates);
+        scalar(w, "shareddb_engine_failed", "counter", stats.failed);
+        scalar(w, "shareddb_engine_queued", "gauge", engine.queued());
         // The executor: who ran the operator cycles, and what it cost in
         // cross-thread hand-offs (wake-ups ÷ batches).
         family(
@@ -228,46 +215,43 @@ impl Shared {
             "shareddb_executor_tasks_total",
             "counter",
             [
-                ("ran_on=\"coordinator\"", total.tasks_run_by_coordinator),
-                ("ran_on=\"worker\"", total.tasks_run_by_workers),
+                ("ran_on=\"coordinator\"", stats.tasks_run_by_coordinator),
+                ("ran_on=\"worker\"", stats.tasks_run_by_workers),
             ],
         );
         scalar(
             w,
             "shareddb_executor_worker_wakeups_total",
             "counter",
-            total.worker_wakeups,
+            stats.worker_wakeups,
         );
         // The hand-off back: wakes ÷ (queries + updates) is 1 when statements
         // come one at a time and far below it when outcomes reach their
         // reader a batch at a time.
-        let replica_stats: Vec<_> = engines.iter().map(|e| e.stats()).collect();
-        family(
+        scalar(
             w,
             "shareddb_engine_completion_wakes_total",
             "counter",
-            replica_stats
-                .iter()
-                .enumerate()
-                .map(|(i, stats)| (replica(i), stats.completion_wakes)),
+            stats.completion_wakes,
         );
         scalar(
             w,
             "shareddb_executor_threads",
             "gauge",
-            total.executor_threads,
+            stats.executor_threads,
         );
         scalar(
             w,
             "shareddb_slow_queries",
             "counter",
-            cluster.slow_queries().0,
+            engine.slow_queries().0,
         );
 
         // Write-ahead-log durability series: how many bytes and group
         // commits the log absorbed, how often and how slowly it fsynced,
         // and the commit-batch size distribution.
-        let wal = cluster.catalog().wal().stats_snapshot();
+        let catalog = engine.catalog();
+        let wal = catalog.wal().stats_snapshot();
         scalar(
             w,
             "shareddb_wal_appended_bytes",
@@ -302,56 +286,24 @@ impl Shared {
             );
         }
 
-        family(
-            w,
-            "shareddb_replica_queries",
-            "counter",
-            replica_stats
-                .iter()
-                .enumerate()
-                .map(|(i, stats)| (replica(i), stats.queries)),
-        );
-
-        // Statements each replica has queued for its next batch.
-        family(
-            w,
-            "shareddb_admission_queue_depth",
-            "gauge",
-            engines
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (replica(i), e.queued())),
-        );
-
         // Batch occupancy: how many statements each heartbeat batch carried
         // (the sharing opportunity the batcher actually realised).
-        let occupancy = replica_stats.iter().enumerate();
-        summaries(
-            w,
-            "shareddb_batch_occupancy",
-            occupancy.map(|(i, stats)| (replica(i), &stats.occupancy)),
-        );
+        summaries(w, "shareddb_batch_occupancy", [("", &stats.occupancy)]);
 
-        // Phase-tagged latency summaries: per replica, then the reactor's
-        // flush phase.
+        // Phase-tagged latency summaries: the engine's phases, then the
+        // reactor's flush phase. Only the frontend records `flush` and empty
+        // histograms are skipped, so no series is written twice.
         let flush = self.flush_phases.snapshot();
-        let phases: Vec<(String, &[StatementPhaseSnapshot])> = replica_stats
-            .iter()
-            .enumerate()
-            .map(|(i, stats)| (replica(i), &stats.phases[..]))
-            .chain([("replica=\"frontend\"".into(), &flush[..])])
-            .collect();
-        let phases = phases.iter();
         summaries(
             w,
             "shareddb_phase_latency_us",
-            phases.flat_map(|(extra, statements)| phase_samples(statements, extra)),
+            phase_samples(&stats.phases).chain(phase_samples(&flush)),
         );
 
         // The write path's useful-work ratio per update statement type:
         // live versions its WHERE clause was evaluated on vs rows it changed.
         // examined ≫ affected means the statement has no usable index.
-        let update_rows = &total.update_rows;
+        let update_rows = &stats.update_rows;
         let statement =
             |s: &UpdateRowsSnapshot| format!("statement=\"{}\"", escape_label_value(&s.statement));
         family(
@@ -372,7 +324,7 @@ impl Shared {
         // served per predicate class (`residual` = evaluated row by row, the
         // un-shared path), and how many of its cycles were a pass over the
         // table and how many were served from its indexes.
-        let scan_rows = &total.scans;
+        let scan_rows = &stats.scans;
         let table = |s: &ScanRowsSnapshot| format!("table=\"{}\"", escape_label_value(&s.table));
         family(
             w,
@@ -416,7 +368,6 @@ impl Shared {
         // gave back, and the entries of each of its B-trees — one per
         // version, dead ones included. A primary key is indexed by its
         // table's key map and has no tree here. The pins hold GC back.
-        let catalog = cluster.catalog();
         let pins = catalog.oracle().pin_count();
         scalar(w, "shareddb_snapshot_pins", "gauge", pins);
         let tables: Vec<_> = catalog
@@ -467,8 +418,8 @@ impl Shared {
 
         // Static sharing factor per operator: how many statement types'
         // subtrees or activation lists touch it in the global plan.
-        let plan = cluster.plan();
-        let sets = shareddb_core::sharing_sets(plan, cluster.registry());
+        let plan = engine.plan();
+        let sets = shareddb_core::sharing_sets(plan, engine.registry());
         family(
             w,
             "shareddb_operator_sharing_factor",
@@ -486,16 +437,11 @@ impl Shared {
         // attributed series below sums to it per operator — and the input a statement's row demand let an operator skip: outer
         // rows a join did not look up, groups not built, rows a Top-N did not
         // keep.
-        let operators: Vec<_> = replica_stats
+        let operator = |name: &str| format!("operator=\"{}\"", escape_label_value(name));
+        let operators: Vec<_> = stats
+            .operators
             .iter()
-            .enumerate()
-            .flat_map(|(i, stats)| {
-                stats.operators.iter().map(move |op| {
-                    let operator = escape_label_value(&op.name);
-                    let labels = format!("replica=\"{i}\",operator=\"{operator}\"");
-                    (labels, stats.wall, op)
-                })
-            })
+            .map(|op| (operator(&op.name), op))
             .collect();
         family(
             w,
@@ -503,7 +449,7 @@ impl Shared {
             "gauge",
             operators
                 .iter()
-                .map(|(labels, wall, op)| (labels, format!("{:.6}", op.busy_fraction(*wall)))),
+                .map(|(labels, op)| (labels, format!("{:.6}", op.busy_fraction(stats.wall)))),
         );
         family(
             w,
@@ -511,7 +457,7 @@ impl Shared {
             "counter",
             operators
                 .iter()
-                .map(|(labels, _, op)| (labels, op.busy.as_micros())),
+                .map(|(labels, op)| (labels, op.busy.as_micros())),
         );
         family(
             w,
@@ -519,24 +465,22 @@ impl Shared {
             "counter",
             operators
                 .iter()
-                .map(|(labels, _, op)| (labels, op.rows_pruned)),
+                .map(|(labels, op)| (labels, op.rows_pruned)),
         );
 
         // Per-operator × per-statement-type cost attribution: each
         // operator's busy time split by the activation mix of the cycles it
         // ran (an operator runs only for its activations).
-        let attributed: Vec<_> = replica_stats
+        let attributed: Vec<_> = stats
+            .attribution
             .iter()
-            .enumerate()
-            .flat_map(|(i, stats)| {
-                stats.attribution.iter().map(move |entry| {
-                    let labels = format!(
-                        "replica=\"{i}\",operator=\"{}\",stmt_type=\"{}\"",
-                        escape_label_value(&entry.operator),
-                        escape_label_value(&entry.statement)
-                    );
-                    (labels, entry)
-                })
+            .map(|entry| {
+                let labels = format!(
+                    "{},stmt_type=\"{}\"",
+                    operator(&entry.operator),
+                    escape_label_value(&entry.statement)
+                );
+                (labels, entry)
             })
             .collect();
         family(
@@ -607,16 +551,14 @@ fn scalar(out: &mut String, name: &str, kind: &str, value: impl std::fmt::Displa
 }
 
 /// The phase snapshots of one set of statements, each with its
-/// `statement`/`phase` labels behind the caller's extra label (replica id or
-/// `frontend`): samples of `shareddb_phase_latency_us`.
-fn phase_samples<'a>(
-    statements: &'a [StatementPhaseSnapshot],
-    extra: &'a str,
-) -> impl Iterator<Item = (String, &'a HistogramSnapshot)> {
-    statements.iter().flat_map(move |snap| {
+/// `statement`/`phase` labels: samples of `shareddb_phase_latency_us`.
+fn phase_samples(
+    statements: &[StatementPhaseSnapshot],
+) -> impl Iterator<Item = (String, &HistogramSnapshot)> {
+    statements.iter().flat_map(|snap| {
         Phase::ALL.into_iter().map(move |phase| {
             let labels = format!(
-                "{extra},statement=\"{}\",phase=\"{}\"",
+                "statement=\"{}\",phase=\"{}\"",
                 escape_label_value(&snap.statement),
                 phase.name()
             );
@@ -705,13 +647,7 @@ impl Server {
             }
             None => None,
         };
-        let engine = ClusterEngine::start(
-            catalog,
-            plan,
-            registry.clone(),
-            engine_config,
-            config.cluster.clone(),
-        )?;
+        let engine = Engine::start(catalog, plan, registry.clone(), engine_config)?;
         let listener = TcpListener::bind(&config.bind_addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -757,25 +693,23 @@ impl Server {
         self.addr
     }
 
-    /// Runs `read` on the engine cluster — the one way in to everything the
-    /// engines record: `c.engines()[i].stats()` for a replica's counters,
-    /// phase, operator and attribution tables, `c.stats()` for their sum,
-    /// queue depths and trace rings; `c.slow_queries()`, `c.routes()`.
-    /// `None` once the server has shut its engines down.
-    pub fn with_cluster<T>(&self, read: impl FnOnce(&ClusterEngine) -> T) -> Option<T> {
+    /// Runs `read` on the engine — the one way in to everything it records:
+    /// `e.stats()` for its counters, phase, operator and attribution tables,
+    /// `e.trace()`, `e.slow_queries()`. `None` once the server has shut the
+    /// engine down.
+    pub fn with_engine<T>(&self, read: impl FnOnce(&Engine) -> T) -> Option<T> {
         let engine = self.shared.engine.read();
         engine.as_ref().map(read)
     }
 
-    /// Engine statistics (batches, queries, phase latencies), aggregated
-    /// over all replicas.
+    /// Engine statistics (batches, queries, phase latencies).
     pub fn engine_stats(&self) -> Option<shareddb_core::stats::EngineStatsSnapshot> {
-        self.with_cluster(|c| c.stats())
+        self.with_engine(Engine::stats)
     }
 
     /// Statements admitted to the engine but not yet formed into a batch.
     pub fn queued(&self) -> usize {
-        self.with_cluster(|c| c.queued()).unwrap_or(0)
+        self.with_engine(Engine::queued).unwrap_or(0)
     }
 
     /// Per-statement Flush-phase histograms recorded by the reactor's write
@@ -784,10 +718,9 @@ impl Server {
         self.shared.flush_phases.snapshot()
     }
 
-    /// Cluster-wide per-operator × per-statement-type cost attribution,
-    /// merged over replicas by `(operator, statement)` key.
+    /// Per-operator × per-statement-type cost attribution.
     pub fn attribution_stats(&self) -> Option<Vec<shareddb_core::AttributionEntry>> {
-        self.with_cluster(|c| c.stats().attribution)
+        self.with_engine(|e| e.stats().attribution)
     }
 
     /// What startup recovery restored and replayed, when the server runs
@@ -801,10 +734,10 @@ impl Server {
         self.shared.metrics_text()
     }
 
-    /// Zeroes engine, cluster and frontend-flush statistics. Bench harnesses
+    /// Zeroes engine and frontend-flush statistics. Bench harnesses
     /// call this after warm-up so sweep points measure only their own window.
     pub fn reset_stats(&self) {
-        self.with_cluster(|c| c.reset_stats());
+        self.with_engine(Engine::reset_stats);
         self.shared.flush_phases.reset();
     }
 

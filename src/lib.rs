@@ -14,8 +14,6 @@
 //! * [`storage`] — the Crescando-style storage manager (ClockScan shared
 //!   scans, B-tree indexes, snapshot isolation, write-ahead logging).
 //! * [`core`] — shared operators, the global plan, and the batched runtime.
-//! * [`cluster`] — replicated engines behind one endpoint: statement-type
-//!   routing, hot-operator replication, read-your-writes by route (§4.5).
 //! * [`sql`] — the SQL-subset front end and the global-plan compiler.
 //! * [`baseline`] — query-at-a-time baseline engines used for comparison.
 //! * [`tpcw`] — the TPC-W benchmark used in the paper's evaluation.
@@ -31,7 +29,6 @@
 
 pub use shareddb_baseline as baseline;
 pub use shareddb_client as client;
-pub use shareddb_cluster as cluster;
 pub use shareddb_common as common;
 pub use shareddb_core as core;
 pub use shareddb_server as server;

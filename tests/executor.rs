@@ -421,7 +421,8 @@ fn a_lookup_completes_with_its_batch() {
 /// batch that has a `Batch` record (whose counts its statements make up) or
 /// that ran updates only; the slow-query log at threshold zero holds the
 /// same records; and the `Batch` records' busy times add up to the
-/// operators' own.
+/// operators' own, whose cycles are the batches that ran the plan — those
+/// with a `Batch` record.
 #[test]
 fn a_statement_is_one_record_in_the_ring_and_the_slow_log() {
     let (catalog, plan, registry) = tpcw_deployment();
@@ -491,6 +492,10 @@ fn a_statement_is_one_record_in_the_ring_and_the_slow_log() {
     let (offenders, slow) = engine.slow_queries();
     assert_eq!(offenders, tickets.len() as u64);
     assert_eq!(slow, statements, "the slow log holds the ring's records");
-    let operator_busy: Duration = engine.stats().operators.iter().map(|op| op.busy).sum();
+    let operators = engine.stats().operators;
+    let operator_busy: Duration = operators.iter().map(|op| op.busy).sum();
     assert_eq!(busy, operator_busy);
+    for op in &operators {
+        assert_eq!(op.cycles, batches.len() as u64, "{}", op.name);
+    }
 }

@@ -809,7 +809,7 @@ fn a_long_result_arrives_in_chunks() {
         }
     }
     let expected = server
-        .with_cluster(|c| c.execute_sync("allItems", &[]))
+        .with_engine(|e| e.execute_sync("allItems", &[]))
         .unwrap()
         .unwrap();
     let expected = expected.rows();
@@ -950,6 +950,42 @@ fn reads_under_a_whole_table_writer_see_one_snapshot() {
     server.shutdown();
 }
 
+/// Read-your-writes over the wire: one connection pipelines an INSERT and
+/// then a look-up of its row — another statement type — behind a 60 ms
+/// heartbeat, so that both wait in the admission queue for one batch, and
+/// every round's read holds its row: the queue is FIFO and a batch applies
+/// its updates before its reads run.
+#[test]
+fn a_pipelined_read_sees_its_sessions_write() {
+    let paced = EngineConfig {
+        heartbeat: Duration::from_millis(60),
+        ..EngineConfig::default()
+    };
+    let mut server = start_server(paced, ServerConfig::default());
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let (add_item, get_item) = (
+        conn.prepare("addItem").unwrap(),
+        conn.prepare("getItem").unwrap(),
+    );
+    // Heats the pacing clock: the next batch forms a heartbeat after this.
+    conn.execute(&get_item, &[Value::Int(0)]).unwrap();
+    for round in 0..8i64 {
+        let id = 10_000 + round;
+        let row = [Value::Int(id), Value::text("fresh"), Value::Float(1.0)];
+        let write = conn.submit(&add_item, &row).unwrap();
+        let read = conn.submit(&get_item, &[Value::Int(id)]).unwrap();
+        assert_eq!(conn.wait(write).unwrap().rows_affected(), 1);
+        let rows = conn.wait(read).unwrap();
+        assert_eq!(
+            rows.rows().len(),
+            1,
+            "round {round}: the read missed its session's write"
+        );
+    }
+    conn.close().unwrap();
+    server.shutdown();
+}
+
 /// A multi-megabyte reply does not stall another connection: while one
 /// connection reads a 2 MB sorted table back to back, another's pings keep
 /// completing — the reactor only ships bytes the coordinator has finished.
@@ -1028,7 +1064,7 @@ enum Ending {
     /// the drain delivers them from the batches still to come.
     Drain,
     /// The same behind a heartbeat that never comes: what the reactor
-    /// submitted is still queued in the engines when the drain times out
+    /// submitted is still queued in the engine when the drain times out
     /// and `Engine::shutdown` finds it.
     EngineShutdown,
 }
@@ -1037,16 +1073,15 @@ enum Ending {
 /// in phase 1 of their batch, before the reads submitted ahead of them;
 /// look-ups; best-seller pages, which keep a batch busy longest — and read their
 /// replies as they come. Every request is answered exactly once, in
-/// submission order, with its own rows (a look-up names its item), however
-/// many replicas finish in whatever order, and whether the answer comes from a batch of its time, from one
-/// formed during the drain or from the last batch of an engine shutting down.
-fn pipelined_replies(replicas: usize, ending: Ending) {
-    use shareddb::cluster::ClusterConfig;
+/// submission order, with its own rows (a look-up names its item), whether
+/// the answer comes from a batch of its time, from one formed during the
+/// drain or from the last batch of an engine shutting down.
+fn pipelined_replies(ending: Ending) {
     use shareddb::server::protocol::chunk_flags;
     use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, SUBJECTS};
     const CONNECTIONS: u64 = 8;
     const EACH: u64 = 2_000;
-    let label = format!("{replicas} replicas, {ending:?}");
+    let label = format!("{ending:?}");
 
     let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
@@ -1087,10 +1122,6 @@ fn pipelined_replies(replicas: usize, ending: Ending) {
         // batch, which has as long again (and two seconds) to reach the
         // clients before the reactor gives up on them.
         drain_timeout: Duration::from_secs(1),
-        cluster: ClusterConfig {
-            replicas,
-            replicate_statements: vec!["getItemById".into()],
-        },
         ..ServerConfig::default()
     };
     let mut server = Server::start(catalog, plan, registry, engine_config, server_config).unwrap();
@@ -1180,23 +1211,17 @@ fn pipelined_replies(replicas: usize, ending: Ending) {
 
 #[test]
 fn pipelined_replies_arrive_once_and_in_order() {
-    for replicas in [1, 4] {
-        pipelined_replies(replicas, Ending::AllAnswered);
-    }
+    pipelined_replies(Ending::AllAnswered);
 }
 
 #[test]
 fn pipelined_replies_survive_a_drain() {
-    for replicas in [1, 4] {
-        pipelined_replies(replicas, Ending::Drain);
-    }
+    pipelined_replies(Ending::Drain);
 }
 
 #[test]
 fn pipelined_replies_survive_an_engine_shutdown_with_statements_queued() {
-    for replicas in [1, 4] {
-        pipelined_replies(replicas, Ending::EngineShutdown);
-    }
+    pipelined_replies(Ending::EngineShutdown);
 }
 
 /// A client that keeps pipelining through `Server::shutdown` reads every
@@ -1207,24 +1232,9 @@ fn pipelined_replies_survive_an_engine_shutdown_with_statements_queued() {
 /// client's EOF.
 #[test]
 fn a_drain_delivers_every_reply_to_a_client_still_pipelining() {
-    for replicas in [1, 4] {
-        drain_under_a_pipelining_client(replicas);
-    }
-}
-
-fn drain_under_a_pipelining_client(replicas: usize) {
-    use shareddb::cluster::ClusterConfig;
     use shareddb::server::protocol::chunk_flags;
     use std::net::Shutdown;
-    let label = format!("{replicas} replicas");
-    let server_config = ServerConfig {
-        cluster: ClusterConfig {
-            replicas,
-            replicate_statements: vec!["itemsCheaperThan".into()],
-        },
-        ..ServerConfig::default()
-    };
-    let mut server = start_server(EngineConfig::default(), server_config);
+    let mut server = start_server(EngineConfig::default(), ServerConfig::default());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
@@ -1243,7 +1253,7 @@ fn drain_under_a_pipelining_client(replicas: usize) {
     };
     write_frame(&mut stream, &prepare).unwrap();
     let Some(Frame::Prepared { statement_id, .. }) = read_frame(&mut stream).unwrap() else {
-        panic!("{label}: no statement id");
+        panic!("no statement id");
     };
 
     // The sender pipelines (ten rows a reply; past 64 in flight a reply is
@@ -1291,17 +1301,14 @@ fn drain_under_a_pipelining_client(replicas: usize) {
 
     let started = Instant::now();
     while server.stats().requests < 20_000 {
-        assert!(started.elapsed() < Duration::from_secs(60), "{label}: hung");
+        assert!(started.elapsed() < Duration::from_secs(60), "hung");
         std::thread::sleep(Duration::from_millis(1));
     }
     server.shutdown();
     let (replies, end) = reader.join().unwrap();
     sender.join().unwrap();
-    assert!(
-        matches!(end, Ok(None)),
-        "{label}: {end:?} after {replies} replies"
-    );
-    assert_eq!(replies, server.stats().requests, "{label}");
+    assert!(matches!(end, Ok(None)), "{end:?} after {replies} replies");
+    assert_eq!(replies, server.stats().requests);
 }
 
 /// `docs/OPERATIONS.md`'s *Wire protocol* section against the protocol: the
@@ -1425,13 +1432,12 @@ fn operations_doc_wire_table_matches_the_protocol() {
     }
 }
 
-/// Every `EngineConfig::x`, `ServerConfig::x` and `ClusterConfig::x` that
-/// `README.md` or `docs/*.md` names is a field of that type (read from the
+/// Every `EngineConfig::x` and `ServerConfig::x` that `README.md` or
+/// `docs/*.md` names is a field of that type (read from the
 /// `Debug` output of its default) or one of its constructors and builder
 /// methods: a knob that went may not live on in the documents.
 #[test]
 fn config_fields_the_docs_name_exist() {
-    use shareddb::cluster::ClusterConfig;
     // Naming the constructors keeps the lists below honest: one that goes
     // fails to compile here.
     let _ = (
@@ -1439,8 +1445,6 @@ fn config_fields_the_docs_name_exist() {
         EngineConfig::with_cores,
         EngineConfig::slow_query,
         ServerConfig::default,
-        ClusterConfig::default,
-        ClusterConfig::with_replicas,
     );
     let types = [
         (
@@ -1452,11 +1456,6 @@ fn config_fields_the_docs_name_exist() {
             "ServerConfig",
             format!("{:?}", ServerConfig::default()),
             &["default"][..],
-        ),
-        (
-            "ClusterConfig",
-            format!("{:?}", ClusterConfig::default()),
-            &["default", "with_replicas"][..],
         ),
     ];
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));

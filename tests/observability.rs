@@ -57,10 +57,10 @@ fn http_exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
     response
 }
 
-/// One replica's phase histograms of one statement type, read from the
-/// engine that recorded them.
-fn replica_phases(server: &Server, replica: usize, statement: &str) -> StatementPhaseSnapshot {
-    let phases = server.with_cluster(|c| c.engines()[replica].stats().phases);
+/// The phase histograms of one statement type, read from the engine that
+/// recorded them.
+fn engine_phases(server: &Server, statement: &str) -> StatementPhaseSnapshot {
+    let phases = server.with_engine(|e| e.stats().phases);
     let mut phases = phases.unwrap().into_iter();
     phases.find(|s| s.statement == statement).unwrap()
 }
@@ -110,7 +110,7 @@ fn metrics_endpoint_serves_phase_histograms() {
         );
     }
     // The phase histograms for the exercised statement are present and
-    // nonzero, on the replica, and the frontend flush phase exists.
+    // nonzero, and the frontend flush phase exists.
     let count_of = |needle: &str| -> u64 {
         body.lines()
             .find(|l| l.contains(needle) && l.contains("_count"))
@@ -119,11 +119,11 @@ fn metrics_endpoint_serves_phase_histograms() {
             .unwrap_or_else(|| panic!("missing series {needle}"))
     };
     for phase in ["admission", "batch_wait", "execute", "total"] {
-        let series = format!("replica=\"0\",statement=\"getItem\",phase=\"{phase}\"");
+        let series = format!("{{statement=\"getItem\",phase=\"{phase}\"}}");
         assert_eq!(count_of(&series), QUERIES as u64, "phase {phase}");
     }
     assert_eq!(
-        count_of("replica=\"frontend\",statement=\"getItem\",phase=\"flush\""),
+        count_of("{statement=\"getItem\",phase=\"flush\"}"),
         QUERIES as u64
     );
     assert!(body.contains("shareddb_metrics_scrapes 1"));
@@ -132,7 +132,7 @@ fn metrics_endpoint_serves_phase_histograms() {
     // engine's and the frontend's phase tables agree with the exposition.
     let outcome = conn.execute(&prepared, &[Value::Int(7)]).unwrap();
     assert_eq!(outcome.rows().len(), 1);
-    let phases = replica_phases(&server, 0, "getItem");
+    let phases = engine_phases(&server, "getItem");
     let execute = phases.phase(Phase::Execute);
     assert_eq!(execute.count, QUERIES as u64 + 1);
     let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|p| execute.percentile_us(p));
@@ -141,7 +141,7 @@ fn metrics_endpoint_serves_phase_histograms() {
     let flush = server.flush_phase_stats();
     let flush = flush.iter().find(|s| s.statement == "getItem").unwrap();
     assert!(flush.phase(Phase::Flush).count >= QUERIES as u64);
-    assert!(!body.contains("replica=\"cluster\""));
+    assert!(!body.contains("replica="));
 
     let _ = conn.close();
     server.shutdown();
@@ -275,10 +275,10 @@ fn slow_query_log_fires_exactly_for_offenders() {
     for i in 0..QUERIES {
         conn.execute(&prepared, &[Value::Int(i as i64)]).unwrap();
     }
-    let (count, records) = server.with_cluster(|c| c.slow_queries()).unwrap();
+    let (count, records) = server.with_engine(|e| e.slow_queries()).unwrap();
     assert_eq!(count, QUERIES as u64);
     assert_eq!(records.len(), QUERIES);
-    let name = |index| server.with_cluster(|c| c.registry().by_index(index).name.clone());
+    let name = |index| server.with_engine(|e| e.registry().by_index(index).name.clone());
     for record in &records {
         assert_eq!(name(record.statement).unwrap(), "getItem");
         assert!(record.total >= record.batch_wait);
@@ -299,7 +299,7 @@ fn slow_query_log_fires_exactly_for_offenders() {
     for i in 0..QUERIES {
         conn.execute(&prepared, &[Value::Int(i as i64)]).unwrap();
     }
-    let (count, records) = server.with_cluster(|c| c.slow_queries()).unwrap();
+    let (count, records) = server.with_engine(|e| e.slow_queries()).unwrap();
     assert_eq!(count, 0);
     assert!(records.is_empty());
     let _ = conn.close();
@@ -479,44 +479,6 @@ fn metrics_escape_labels_with_quotes_and_backslashes() {
     server.shutdown();
 }
 
-/// Slow-query records carry the routed replica: on a 3-replica cluster with
-/// a sub-microsecond threshold, the offenders land on more than one replica.
-#[test]
-fn slow_query_records_carry_replica() {
-    use shareddb::cluster::ClusterConfig;
-    let mut server = Server::start_sql(
-        catalog(),
-        WORKLOAD,
-        EngineConfig::default().slow_query(Some(Duration::from_nanos(1))),
-        ServerConfig {
-            cluster: ClusterConfig {
-                replicas: 3,
-                replicate_statements: vec!["getItem".into()],
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut conn = Connection::connect(server.local_addr()).unwrap();
-    let prepared = conn.prepare("getItem").unwrap();
-    for i in 0..48 {
-        conn.execute(&prepared, &[Value::Int(i)]).unwrap();
-    }
-    let (count, records) = server.with_cluster(|c| c.slow_queries()).unwrap();
-    assert_eq!(count, 48);
-    let mut replicas_seen = std::collections::HashSet::new();
-    for record in &records {
-        assert!(record.replica < 3, "replica out of range: {record:?}");
-        replicas_seen.insert(record.replica);
-    }
-    assert!(
-        replicas_seen.len() > 1,
-        "hash routing left every slow record on one replica: {replicas_seen:?}"
-    );
-    let _ = conn.close();
-    server.shutdown();
-}
-
 /// The PR's acceptance shape on `/metrics`: with two statement types sharing
 /// one scan, the exposition carries the sharing factor, a per-type attributed
 /// busy series for both types on that operator, and the attributed parts sum
@@ -621,13 +583,13 @@ fn attributed_busy_sums_to_operator_busy_in_metrics() {
     // Batch occupancy summary: present, counted, and a plausible mean.
     let occupancy_count = body
         .lines()
-        .find(|l| l.starts_with("shareddb_batch_occupancy_count{replica=\"0\"}"))
+        .find(|l| l.starts_with("shareddb_batch_occupancy_count "))
         .map(value)
         .expect("batch occupancy count missing");
     assert!(occupancy_count > 0);
     let occupancy_sum = body
         .lines()
-        .find(|l| l.starts_with("shareddb_batch_occupancy_sum{replica=\"0\"}"))
+        .find(|l| l.starts_with("shareddb_batch_occupancy_sum "))
         .map(value)
         .expect("batch occupancy sum missing");
     assert!(occupancy_sum >= 48, "48 statements ran: {occupancy_sum}");
@@ -657,8 +619,8 @@ fn reset_stats_clears_every_surface() {
     assert_eq!(stats.queries, 0);
     assert_eq!(stats.batches, 0);
     assert!(server.flush_phase_stats().is_empty());
-    assert_eq!(server.with_cluster(|c| c.slow_queries()).unwrap().0, 0);
-    let phases = server.with_cluster(|c| c.engines()[0].stats().phases);
+    assert_eq!(server.with_engine(|e| e.slow_queries()).unwrap().0, 0);
+    let phases = server.with_engine(|e| e.stats().phases);
     assert!(phases.unwrap().is_empty());
 
     // The engine keeps serving after a reset, and new work is counted fresh.
@@ -1208,6 +1170,12 @@ fn lone_lookups_cycle_every_operator_and_run_one_task() {
         }
     }
     let stats = engine.stats();
+    let lookups = stats
+        .attribution
+        .iter()
+        .filter(|e| e.statement == "getItemById");
+    let activations: u64 = lookups.map(|e| e.activations).sum();
+    assert_eq!(activations, N, "every look-up is attributed once");
     assert_eq!(stats.tasks_run_by_coordinator, N, "{stats:?}");
     assert_eq!((stats.tasks_run_by_workers, stats.worker_wakeups), (0, 0));
     assert_eq!(stats.executor_threads, threads);
@@ -1267,7 +1235,7 @@ fn a_search_prunes_the_author_join_and_a_lookup_nothing() {
         Server::start(catalog, plan, registry, config, ServerConfig::default()).unwrap();
     let mut conn = Connection::connect(server.local_addr()).unwrap();
     let pruned = |metrics: &str| -> Vec<(String, u64)> {
-        let series = "shareddb_operator_rows_pruned_total{replica=\"0\",operator=\"";
+        let series = "shareddb_operator_rows_pruned_total{operator=\"";
         let lines = metrics.lines().filter_map(|l| l.strip_prefix(series));
         lines
             .map(|l| {
@@ -1355,29 +1323,23 @@ fn series_of(series: &str) -> (&str, Vec<&str>) {
 }
 
 /// The exposition is well formed by construction, and what it carries is
-/// what the engines count: after a mixed read / write load on a two-replica
-/// TPC-W server, every family of the scrape has one `# TYPE` line
+/// what the engine counts: after a mixed read / write load on a TPC-W
+/// server, every family of the scrape has one `# TYPE` line
 /// ahead of its samples, its samples stand in one group, the set of
 /// `(family, label keys)` is the checked-in `tests/metrics_families.txt` —
 /// taken from the scrape of this load at the commit before the engines were
 /// read directly, and extended on purpose by whoever adds a series — and the
-/// engine counters and phase counts equal what `engines()` reports.
+/// engine counters and phase counts equal what the engine and the frontend
+/// report.
 #[test]
 fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
-    use shareddb::cluster::ClusterConfig;
     use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale, SUBJECTS};
     use std::collections::{BTreeSet, HashMap};
 
     let catalog = Arc::new(build_catalog(&TpcwScale::with_items(1_000)).unwrap());
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
-    let server_config = ServerConfig {
-        cluster: ClusterConfig {
-            replicas: 2,
-            replicate_statements: vec!["getItemById".into(), "getBestSellers".into()],
-        },
-        ..ServerConfig::default()
-    };
     let engine_config = EngineConfig::default();
+    let server_config = ServerConfig::default();
     let mut server = Server::start(catalog, plan, registry, engine_config, server_config).unwrap();
     let addr = server.local_addr();
     let mut conn = Connection::connect(addr).unwrap();
@@ -1442,47 +1404,36 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
         "left: scraped, right: tests/metrics_families.txt"
     );
 
-    // The numbers are the engines': nothing ran since the scrape.
-    let (total, replicas) = server
-        .with_cluster(|c| {
-            let replica = |e: &shareddb::core::Engine| {
-                let stats = e.stats();
-                let phases = stats.phases.clone();
-                (stats, phases)
-            };
-            (
-                c.stats(),
-                c.engines().iter().map(replica).collect::<Vec<_>>(),
-            )
-        })
-        .unwrap();
+    // The numbers are the engine's: nothing ran since the scrape.
+    let total = server.engine_stats().unwrap();
     assert_eq!((total.queries, total.updates, total.failed), (72, 24, 0));
     assert_eq!(total.batches, 96);
     assert_eq!(samples["shareddb_engine_batches"], total.batches);
     assert_eq!(samples["shareddb_engine_queries"], total.queries);
     assert_eq!(samples["shareddb_engine_updates"], total.updates);
     assert_eq!(samples["shareddb_engine_failed"], total.failed);
+    // The engine's phases and the frontend's flush phase are one family:
+    // a series for each histogram that holds a sample, and no other.
+    let flush = server.flush_phase_stats();
     let mut phase_counts = 0;
-    for (i, (stats, statements)) in replicas.iter().enumerate() {
-        let series = format!("shareddb_replica_queries{{replica=\"{i}\"}}");
-        assert_eq!(samples[series.as_str()], stats.queries);
-        assert!(stats.queries > 0, "replica {i} sat idle");
-        for snap in statements {
-            for phase in Phase::ALL {
-                let count = snap.phase(phase).count;
-                let series = format!(
-                    "shareddb_phase_latency_us_count{{replica=\"{i}\",statement=\"{}\",phase=\"{}\"}}",
-                    snap.statement,
-                    phase.name()
-                );
-                assert_eq!(samples.get(series.as_str()).copied().unwrap_or(0), count);
-                phase_counts += usize::from(count > 0);
+    for snap in total.phases.iter().chain(&flush) {
+        for phase in Phase::ALL {
+            let count = snap.phase(phase).count;
+            if count == 0 {
+                continue;
             }
+            let series = format!(
+                "shareddb_phase_latency_us_count{{statement=\"{}\",phase=\"{}\"}}",
+                snap.statement,
+                phase.name()
+            );
+            assert_eq!(samples.get(series.as_str()), Some(&count), "{series}");
+            phase_counts += 1;
         }
     }
-    let scraped = samples.keys().filter(|s| {
-        s.starts_with("shareddb_phase_latency_us_count{") && !s.contains("replica=\"frontend\"")
-    });
+    let scraped = samples
+        .keys()
+        .filter(|s| s.starts_with("shareddb_phase_latency_us_count{"));
     assert_eq!(scraped.count(), phase_counts);
 
     let _ = conn.close();
@@ -1509,7 +1460,7 @@ fn completion_wakes_are_one_per_lone_statement_and_few_per_batch() {
             line[name.len()..].trim().parse().unwrap()
         };
         (
-            series("shareddb_engine_completion_wakes_total{replica=\"0\"}"),
+            series("shareddb_engine_completion_wakes_total "),
             series("shareddb_engine_queries ") + series("shareddb_engine_updates "),
         )
     };

@@ -3,7 +3,6 @@
 //! it, so that the process holds no other engine's threads.
 
 use shareddb::client::Connection;
-use shareddb::cluster::{ClusterConfig, ClusterEngine};
 use shareddb::common::{tuple, DataType, Value};
 use shareddb::core::{Engine, EngineConfig, TraceEvent};
 use shareddb::server::{Server, ServerConfig};
@@ -29,14 +28,29 @@ fn engine_threads() -> Vec<String> {
     names
 }
 
+/// How long a thread may take to show up in, or leave, `/proc/self/task`.
+const SETTLE: Duration = Duration::from_secs(5);
+
 /// [`engine_threads`], once `count` of them have named themselves — a thread
 /// does that when it first runs, which nothing waits for.
 fn started_threads(count: usize) -> Vec<String> {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while engine_threads().len() < count && std::time::Instant::now() < deadline {
+    let deadline = Instant::now() + SETTLE;
+    while engine_threads().len() < count && Instant::now() < deadline {
         std::thread::yield_now();
     }
     engine_threads()
+}
+
+/// Asserts that no `sdb-*` thread is left after a shutdown. A joined thread
+/// can linger in `/proc/self/task` for a moment after `join` returns, so
+/// this polls under the deadline [`started_threads`] uses; a thread that is
+/// really left running still fails it.
+fn stopped_threads() {
+    let deadline = Instant::now() + SETTLE;
+    while !engine_threads().is_empty() && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(engine_threads(), Vec::<String>::new());
 }
 
 /// The `/proc` directories of this process's coordinator threads.
@@ -68,7 +82,7 @@ fn coordinator_switches() -> u64 {
 }
 
 #[test]
-fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none() {
+fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_server_adds_its_reactor() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(engine_threads(), Vec::<String>::new());
 
@@ -99,21 +113,19 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
 
     large.shutdown();
     small.shutdown();
-    assert_eq!(engine_threads(), Vec::<String>::new());
+    stopped_threads();
 
-    // A default server — one replica — is its reactor and that engine: no
-    // thread of the cluster layer's own (it once parked two merge workers).
+    // A server is its reactor and its engine, nothing else.
     let item_by_id = [("get", "SELECT * FROM T WHERE ID = ?")];
     let catalog = Arc::new(Catalog::new());
     let table = TableDef::new("T")
         .column("ID", DataType::Int)
         .primary_key(&["ID"]);
     catalog.create_table(table).unwrap();
-    let engine_config = EngineConfig::with_cores(2);
     let mut server = Server::start_sql(
-        Arc::clone(&catalog),
+        catalog,
         &item_by_id,
-        engine_config.clone(),
+        EngineConfig::with_cores(2),
         ServerConfig::default(),
     )
     .unwrap();
@@ -127,30 +139,7 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_cluster_adds_none()
     let one = ["coordinator", "reactor", "worker-1"].map(|kind| format!("sdb-{kind}"));
     assert_eq!(started_threads(3), one);
     server.shutdown();
-    assert_eq!(engine_threads(), Vec::<String>::new());
-
-    // Four replicas of two cores are four coordinators and four workers and
-    // nothing else: every replica still starts its own pool (ROADMAP, *one
-    // executor*: a process-wide pool would show up here as a diff).
-    let (plan, registry) = compile_workload(&catalog, &item_by_id).unwrap();
-    let mut cluster = ClusterEngine::start(
-        catalog,
-        plan,
-        registry,
-        engine_config,
-        ClusterConfig::with_replicas(4),
-    )
-    .unwrap();
-    cluster.execute_sync("get", &[Value::Int(1)]).unwrap();
-    let eight = ["coordinator"; 4]
-        .iter()
-        .chain(&["worker-1"; 4])
-        .map(|kind| format!("sdb-{kind}"))
-        .collect::<Vec<_>>();
-    assert_eq!(started_threads(8), eight);
-    assert_eq!(cluster.stats().executor_threads, 8);
-    cluster.shutdown();
-    assert_eq!(engine_threads(), Vec::<String>::new());
+    stopped_threads();
 }
 
 /// With nothing queued the coordinator parks until a submission or a
@@ -187,12 +176,13 @@ fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
         // does the shutdown.
         engine.execute_sync("get", &[Value::Int(1)]).unwrap();
         engine.shutdown();
-        assert_eq!(engine_threads(), Vec::<String>::new());
+        stopped_threads();
     }
 }
 
-/// Read-your-writes is a route: a read queued behind its session's write on
-/// the write's replica is answered by that write's batch — updates apply
+/// Read-your-writes is the queue's order: a read queued behind its session's
+/// write on the engine's one admission queue is answered by that write's
+/// batch — updates apply
 /// before the batch's reads run — and its coordinator waits for nothing but
 /// the heartbeat's spacing: a handful of context switches, no commit wake-up
 /// and no timed wait of its own.
@@ -257,5 +247,5 @@ fn a_read_behind_its_write_is_answered_by_the_writes_batch() {
     );
     assert!(woken <= 10, "{woken} wake-ups of the coordinator");
     engine.shutdown();
-    assert_eq!(engine_threads(), Vec::<String>::new());
+    stopped_threads();
 }
