@@ -7,7 +7,7 @@
 //! typed [`RemoteResultSet`]s.
 //!
 //! Pipelining is how a single client becomes a *good* SharedDB citizen: all
-//! statements submitted within one heartbeat window land in the same
+//! statements submitted while a batch runs land in the next
 //! [`shareddb_core::QueryBatch`] and are answered by one shared execution.
 //!
 //! ```no_run

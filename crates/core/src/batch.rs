@@ -3,7 +3,7 @@
 //! A client executes a registered statement with a parameter vector. The
 //! engine *binds* the statement's activation templates with those parameters,
 //! producing an [`ActiveQuery`] (or [`ActiveUpdate`]); active queries queue up
-//! and are grouped into a [`QueryBatch`] at the next heartbeat (Section 3.2).
+//! while a batch runs and are the next [`QueryBatch`] (Section 3.2).
 
 use crate::completions::Completions;
 use crate::engine::SubmitOptions;
@@ -13,8 +13,7 @@ use crate::plan::{
 };
 use shareddb_common::ids::{BatchId, TicketId};
 use shareddb_common::{Error, Expr, QueryId, Result, SortKey, Tuple, Value};
-use shareddb_storage::mvcc::Snapshot;
-use shareddb_storage::{SnapshotPin, UpdateOp};
+use shareddb_storage::UpdateOp;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,9 +24,6 @@ pub enum Activation {
     Scan {
         /// Bound predicate.
         predicate: Expr,
-        /// Pinned MVCC read snapshot ([`SubmitOptions::pinned_snapshot`]);
-        /// `None` reads the executing batch's own snapshot.
-        snapshot: Option<Snapshot>,
     },
     /// Key look-up for a shared index probe.
     Probe {
@@ -37,8 +33,6 @@ pub enum Activation {
         key: Value,
         /// Residual predicate on fetched rows.
         residual: Option<Expr>,
-        /// Pinned MVCC read snapshot ([`SubmitOptions::pinned_snapshot`]).
-        snapshot: Option<Snapshot>,
     },
     /// Residual predicate for a shared filter.
     Filter {
@@ -141,9 +135,6 @@ pub struct ActiveQuery {
     pub distinct: bool,
     /// Bound activations per operator.
     pub activations: Vec<(OperatorId, Activation)>,
-    /// The snapshot its scans and probes read ([`SubmitOptions::pinned_snapshot`]),
-    /// held until the query completes.
-    pub pin: Option<SnapshotPin>,
 }
 
 /// One admitted update.
@@ -157,7 +148,8 @@ pub struct ActiveUpdate {
     pub op: UpdateOp,
 }
 
-/// One batch ("generation") of queries and updates processed by a heartbeat.
+/// One batch ("generation") of queries and updates: what queued while the
+/// last batch ran.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBatch {
     /// Batch sequence number.
@@ -194,7 +186,7 @@ impl QueryBatch {
 }
 
 /// Binds a query statement: substitutes parameters into every activation
-/// template and attaches the submission's snapshot.
+/// template.
 pub fn bind_query(
     spec: &StatementSpec,
     statement_index: usize,
@@ -219,7 +211,7 @@ pub fn bind_query(
     let activations = spec
         .activations
         .iter()
-        .map(|(op, template)| Ok((*op, bind_activation(template, params, opts)?)))
+        .map(|(op, template)| Ok((*op, bind_activation(template, params)?)))
         .collect::<Result<Vec<_>>>()?;
     let compute = compute
         .iter()
@@ -240,19 +232,13 @@ pub fn bind_query(
         limit: *limit,
         distinct: *distinct,
         activations,
-        pin: opts.pinned_snapshot.clone(),
     })
 }
 
-fn bind_activation(
-    template: &ActivationTemplate,
-    params: &[Value],
-    opts: &SubmitOptions,
-) -> Result<Activation> {
+fn bind_activation(template: &ActivationTemplate, params: &[Value]) -> Result<Activation> {
     Ok(match template {
         ActivationTemplate::Scan { predicate } => Activation::Scan {
             predicate: predicate.bind(params)?,
-            snapshot: opts.pinned_snapshot.as_deref().copied(),
         },
         ActivationTemplate::Probe {
             column,
@@ -262,7 +248,6 @@ fn bind_activation(
             column: *column,
             key: key.bind(params)?.eval(&Tuple::empty())?,
             residual: residual.as_ref().map(|e| e.bind(params)).transpose()?,
-            snapshot: opts.pinned_snapshot.as_deref().copied(),
         },
         ActivationTemplate::Filter { predicate } => Activation::Filter {
             predicate: predicate.bind(params)?,
@@ -276,7 +261,7 @@ fn bind_activation(
         ActivationTemplate::Demand {
             base, keys, limit, ..
         } => Activation::Demand {
-            base: Box::new(bind_activation(base, params, opts)?),
+            base: Box::new(bind_activation(base, params)?),
             keys: Arc::clone(keys),
             limit: *limit,
         },

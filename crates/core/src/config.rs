@@ -2,15 +2,11 @@
 
 use std::time::Duration;
 
-/// Configuration of the batched SharedDB runtime.
+/// Configuration of the batched SharedDB runtime. There is no batching
+/// knob: what arrives while a batch runs is queued, and the queue is the
+/// next batch as soon as that one is done (Section 3.2).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// The least time between the starts of two batches. The default, zero,
-    /// is the paper's rule (Section 3.2): what arrives while a batch runs is
-    /// queued, and the queue is the next batch as soon as that one is done.
-    /// A longer spacing only gathers more statements into one batch or holds
-    /// them queued; the engine's first batch never waits for it.
-    pub heartbeat: Duration,
     /// Number of CPU cores the engine may use concurrently — the `maxcpus`
     /// knob of Section 5.1. It is the number of threads that run operator
     /// cycles: the coordinator plus `core_budget − 1` pool threads (no
@@ -28,7 +24,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            heartbeat: Duration::ZERO,
             core_budget: usize::MAX,
             slow_query_threshold: None,
         }
@@ -59,7 +54,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = EngineConfig::default();
         assert!(c.core_budget >= 1);
-        assert_eq!(c.heartbeat, Duration::ZERO);
         assert_eq!(EngineConfig::with_cores(0).core_budget, 1); // clamped
     }
 }

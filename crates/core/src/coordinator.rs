@@ -1,7 +1,8 @@
-//! The coordinator thread: one heartbeat after another, each one batch.
+//! The coordinator thread: one batch after another.
 //!
-//! [`coordinator_loop`] waits for work, drains the admission queue whole and
-//! hands it to [`process_batch`] — a sequence of named steps over one
+//! [`coordinator_loop`] waits for work, drains the admission queue whole
+//! (whatever queued while the last batch ran) and hands it to
+//! [`process_batch`] — a sequence of named steps over one
 //! [`BatchCtx`]: apply the updates (group commit), build the run, run it on
 //! the executor, fold the done records into the counters, Γ-route the roots'
 //! outputs, and complete every query. A second batch in flight is a change
@@ -21,42 +22,23 @@ use std::sync::Arc;
 use std::time::Instant;
 
 pub(crate) fn coordinator_loop(inner: Arc<EngineInner>) {
-    let heartbeat = inner.config.heartbeat;
     let mut batch_seq: u64 = 0;
-    // `None` until the first batch, which never waits for the heartbeat.
-    let mut last_batch_start: Option<Instant> = None;
     loop {
-        // Wait for work (or shutdown), then for the heartbeat's spacing since
-        // the last batch started. Over an empty queue the wait has no
-        // timeout: whoever fills the queue or sets the shutdown flag does so
-        // under the queue lock and notifies, so an idle engine's coordinator
-        // sleeps until then; the spacing is one timed wait that only the
-        // shutdown cuts short.
+        // Park over an empty queue, with no timeout: whoever fills the queue
+        // or sets the shutdown flag does so under the queue lock and
+        // notifies, so an idle engine's coordinator sleeps until then. A
+        // shutdown still answers what it finds queued, from one last batch.
         let submissions: Vec<Submission> = {
             let mut queue = inner.admission.queue.lock();
-            loop {
+            while queue.is_empty() {
                 if inner.shutdown.load(Ordering::Acquire) {
-                    break;
+                    return;
                 }
-                if queue.is_empty() {
-                    queue = inner.admission.signal.wait(queue);
-                    continue;
-                }
-                let since = last_batch_start.map_or(heartbeat, |start| start.elapsed());
-                if since >= heartbeat {
-                    break;
-                }
-                let spacing = heartbeat - since;
-                queue = inner.admission.signal.wait_timeout(queue, spacing).0;
-            }
-            if queue.is_empty() {
-                // Only a shutdown leaves the wait over an empty queue.
-                break;
+                queue = inner.admission.signal.wait(queue);
             }
             queue.drain(..).collect()
         };
 
-        last_batch_start = Some(Instant::now());
         batch_seq += 1;
         let mut batch = QueryBatch {
             id: BatchId(batch_seq),
@@ -166,9 +148,9 @@ impl BatchCtx<'_> {
     }
 
     /// Records the run — a cycle of every operator — and the cycle of each
-    /// node that ran in the attribution table, the batch and its active
-    /// operators in the trace, and returns the first failure of a node: a
-    /// batch fails as one.
+    /// node that ran in the attribution table, the batch, the snapshot it
+    /// read and its active operators in the trace, and returns the first
+    /// failure of a node: a batch fails as one.
     fn fold_counters(&self, run: &Run) -> Option<Error> {
         let (inner, batch) = (self.inner, self.batch);
         let mut error = None;
@@ -206,6 +188,7 @@ impl BatchCtx<'_> {
             batch: batch.id.0,
             queries: batch.queries.len(),
             updates: batch.updates.len(),
+            snapshot: run.pin.ts,
             operators: fired,
         });
         error
@@ -309,30 +292,37 @@ mod tests {
     /// thread.
     fn broken_statement_fails_its_batch_only(broken: &str, expected: fn(&Error) -> bool) {
         for cores in [1, 2, 8] {
-            // Gathers the two statements into the second batch.
-            let mut engine = build_engine(EngineConfig {
-                heartbeat: Duration::from_millis(30),
-                ..EngineConfig::with_cores(cores)
-            });
-            engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
+            let mut engine = build_engine(EngineConfig::with_cores(cores));
+            // Gathers the two statements into one batch: the look-up ahead
+            // of them waits for USERS, held here, and they queue behind it.
+            let users = engine.catalog().table("USERS").unwrap();
+            let hold = users.write();
+            let ahead = engine.execute("userById", &[Value::Int(1)]).unwrap();
+            while engine.queued() > 0 {
+                std::thread::yield_now();
+            }
             let bystander = engine.execute("userById", &[Value::Int(2)]).unwrap();
             let failing = engine.execute(broken, &[]).unwrap();
+            drop(hold);
+            ahead.wait().unwrap();
             let error = failing.wait().unwrap_err();
             assert!(expected(&error), "{cores} cores: unexpected {error:?}");
-            let bystander = bystander.wait();
-            let shared_a_batch = engine
-                .trace()
-                .iter()
-                .any(|record| matches!(record.event, TraceEvent::Batch { queries: 2, .. }));
-            if shared_a_batch {
-                assert!(
-                    expected(bystander.as_ref().unwrap_err()),
-                    "a batch fails as one"
-                );
-            }
+            let error = bystander.wait().unwrap_err();
+            assert!(expected(&error), "{cores} cores: a batch fails as one");
+            let shared = engine.trace().iter().any(|record| {
+                matches!(
+                    record.event,
+                    TraceEvent::Batch {
+                        batch: 2,
+                        queries: 2,
+                        ..
+                    }
+                )
+            });
+            assert!(shared, "{cores} cores: the two statements shared batch 2");
             assert_eq!(
                 engine.stats().failed,
-                1 + bystander.is_err() as u64,
+                2,
                 "{cores} cores: one failure per failed handle"
             );
             let rows = engine.execute_sync("userById", &[Value::Int(33)]).unwrap();
@@ -361,7 +351,7 @@ mod tests {
 
     #[test]
     fn attribution_sums_to_operator_busy_exactly() {
-        // No heartbeat: what queues behind the first batch shares the next.
+        // What queues behind the first batch shares the next.
         let engine = build_engine(EngineConfig::default());
         // A mixed workload: four query types sharing the USERS/ORDERS scans,
         // one of them a group-join.

@@ -23,7 +23,9 @@ use crate::config::EngineConfig;
 use crate::coordinator::coordinator_loop;
 use crate::executor::Executor;
 use crate::plan::{GlobalPlan, StatementRegistry};
-use crate::stats::{AttributionTable, EngineStats, EngineStatsSnapshot, ScanCounters};
+use crate::stats::{
+    AttributionEntry, AttributionTable, EngineStats, EngineStatsSnapshot, Phase, ScanCounters,
+};
 use crate::storage_ops::{build_storage_operators, StorageOperator};
 use crate::trace::{
     Ring, StatementRecord, TraceEvent, TraceRecord, SLOW_LOG_CAPACITY, TRACE_CAPACITY,
@@ -31,7 +33,7 @@ use crate::trace::{
 use shareddb_common::ids::TicketId;
 use shareddb_common::sync::Mutex;
 use shareddb_common::{Error, Result, Schema, Tuple};
-use shareddb_storage::{Catalog, SnapshotPin};
+use shareddb_storage::Catalog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -146,14 +148,6 @@ pub struct SubmitOptions {
     /// number of statements and engines and is woken once per drain, not per
     /// statement. `None` answers through the returned [`QueryHandle`].
     pub completions: Option<(Arc<Completions>, u64)>,
-    /// Pin every storage read (shared scan / index probe) of this query to a
-    /// fixed MVCC snapshot ([`Catalog::pin`]) instead of the executing
-    /// batch's own. The query holds a clone of the pin from its submission
-    /// until it completes, so nothing it may read is reclaimed meanwhile.
-    /// Two executions pinned to one snapshot read one version set whatever
-    /// commits between them — the hook the differential tests compare two
-    /// engines through, under a concurrent writer.
-    pub pinned_snapshot: Option<SnapshotPin>,
 }
 
 pub(crate) struct EngineInner {
@@ -301,12 +295,29 @@ impl Engine {
         })
     }
 
-    /// Total slow-query offenders plus the retained tail of the log, oldest
-    /// first.
-    pub fn slow_queries(&self) -> (u64, Vec<StatementRecord>) {
-        let slow = &self.inner.slow;
-        let records = slow.snapshot().into_iter().map(|r| r.event).collect();
-        (slow.pushed(), records)
+    /// The retained tail of the slow-query log, oldest first.
+    pub fn slow_queries(&self) -> Vec<StatementRecord> {
+        let records = self.inner.slow.snapshot().into_iter();
+        records.map(|r| r.event).collect()
+    }
+
+    /// Total slow-query offenders, retained in the log or not.
+    pub fn slow_query_count(&self) -> u64 {
+        self.inner.slow.pushed()
+    }
+
+    /// The cost attribution alone: the nonzero cells of [`Engine::stats`]'s
+    /// `attribution`.
+    pub fn attribution(&self) -> Vec<AttributionEntry> {
+        self.inner.attribution.snapshot().1
+    }
+
+    /// Records a reply's [`Phase::Flush`] — its outcome ready at the network
+    /// reactor → its last byte accepted by the socket — for the statement at
+    /// registry `statement`, in the engine's one phase table.
+    pub fn record_flush(&self, statement: usize, flushed: Duration) {
+        let stats = &self.inner.stats;
+        stats.record_phase(statement, Phase::Flush, flushed);
     }
 
     /// The retained trace ring, oldest first.
@@ -332,8 +343,7 @@ impl Engine {
     pub fn shutdown(&mut self) {
         {
             // Under the queue lock: the coordinator checks the flag under it
-            // before every wait — the one without a timeout and the
-            // heartbeat's timed one — so it sees the flag or the notify.
+            // before it parks, so it sees the flag or the notify.
             let _queue = self.inner.admission.queue.lock();
             if self.inner.shutdown.swap(true, Ordering::AcqRel) {
                 return;
@@ -686,8 +696,8 @@ pub(crate) mod tests {
 
     #[test]
     fn concurrent_queries_share_one_batch() {
-        // No heartbeat: the 49 statements behind the first batch are queued
-        // while it runs and form the next.
+        // The statements behind the first batch are queued while it runs
+        // and form the next.
         let engine = build_engine(EngineConfig::default());
         let handles: Vec<_> = (0..50)
             .map(|i| {
@@ -768,20 +778,31 @@ pub(crate) mod tests {
     }
 
     /// A shutdown answers what it finds queued — here a thousand statements
-    /// held queued by a heartbeat that never comes, a failing one among them, all
-    /// bound for one queue nobody reads meanwhile — from one last batch:
-    /// every tag once, a failed statement counted once, the reader woken
-    /// once for the lot; and admits nothing after.
+    /// held queued behind a batch that waits for a table the test holds
+    /// until the shutdown has begun, a failing one among them, all bound for
+    /// one queue nobody reads meanwhile — from one last batch: every tag
+    /// once, a failed statement counted once, the reader woken once for the
+    /// lot; and admits nothing after.
     #[test]
     fn shutdown_answers_what_is_queued_exactly_once() {
-        // Holds them queued: no batch follows the warm-up's. The warm-up is
-        // answered at once on any host — the first batch does not measure
-        // its spacing from a clock reading the heartbeat before start-up.
-        let mut engine = build_engine(EngineConfig {
-            heartbeat: Duration::MAX,
-            ..EngineConfig::default()
+        let mut engine = build_engine(EngineConfig::default());
+        let (users, inner) = (
+            engine.catalog().table("USERS").unwrap(),
+            Arc::clone(&engine.inner),
+        );
+        let (taken, held) = std::sync::mpsc::channel();
+        let holder = std::thread::spawn(move || {
+            let _hold = users.write();
+            taken.send(()).unwrap();
+            while !inner.shutdown.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         });
-        engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
+        held.recv().unwrap();
+        let ahead = engine.execute("userById", &[Value::Int(1)]).unwrap();
+        while engine.queued() > 0 {
+            std::thread::yield_now();
+        }
         let queue = Arc::new(Completions::new(Some(Arc::new(|| {}))));
         for tag in 0..1_000u64 {
             let (statement, params) = match tag {
@@ -797,8 +818,11 @@ pub(crate) mod tests {
         }
         let mut outcomes = Vec::new();
         queue.take(&mut outcomes);
-        assert!(outcomes.is_empty(), "a batch before its heartbeat");
+        assert!(outcomes.is_empty(), "answered behind a held batch");
+        assert_eq!(engine.queued(), 1_000);
         engine.shutdown();
+        holder.join().unwrap();
+        assert_eq!(ahead.wait().unwrap().rows().len(), 1);
         queue.take(&mut outcomes);
         outcomes.sort_by_key(|(tag, _)| *tag);
         let tags: Vec<u64> = outcomes.iter().map(|(tag, _)| *tag).collect();
@@ -807,7 +831,8 @@ pub(crate) mod tests {
         let failed = outcomes.iter().filter(|(_, o)| o.is_err()).count() as u64;
         let stats = engine.stats();
         assert_eq!((failed, stats.failed), (1_000, 1_000), "{stats:?}");
-        // The warm-up's private slot, and the queue once.
+        assert_eq!(stats.batches, 2, "the held batch and the last one");
+        // The held statement's private slot, and the queue once.
         assert_eq!(stats.completion_wakes, 2);
         assert!(matches!(
             engine.execute("usersByCountry", &[]),
@@ -815,50 +840,6 @@ pub(crate) mod tests {
         ));
         queue.take(&mut outcomes);
         assert_eq!(outcomes.len(), 1_000);
-    }
-
-    /// A shutdown cuts the heartbeat's timed wait short: an engine paced at
-    /// 30 s, with statements queued behind it, stops in well under a second
-    /// and answers each of them once, from one last batch.
-    #[test]
-    fn shutdown_answers_a_paced_queue_at_once() {
-        // Holds them queued: the batch after the warm-up's is 30 s away.
-        let mut engine = build_engine(EngineConfig {
-            heartbeat: Duration::from_secs(30),
-            ..EngineConfig::default()
-        });
-        engine.execute_sync("userById", &[Value::Int(1)]).unwrap();
-        let queue = Arc::new(Completions::new(None));
-        for tag in 0..10u64 {
-            let opts = SubmitOptions {
-                completions: Some((Arc::clone(&queue), tag)),
-                ..SubmitOptions::default()
-            };
-            engine
-                .submit("userById", &[Value::Int(tag as i64)], opts)
-                .unwrap();
-        }
-        // The test holds wherever the coordinator is; the pause puts it in
-        // its timed wait, so that a shutdown that does not notify is caught.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(engine.queued(), 10);
-        let started = Instant::now();
-        engine.shutdown();
-        let stopped = started.elapsed();
-        assert!(
-            stopped < Duration::from_secs(1),
-            "shutdown took {stopped:?}"
-        );
-        let mut outcomes = Vec::new();
-        queue.take(&mut outcomes);
-        outcomes.sort_by_key(|(tag, _)| *tag);
-        let answers: Vec<(u64, Value)> = outcomes
-            .into_iter()
-            .map(|(tag, outcome)| (tag, outcome.unwrap().rows()[0][0].clone()))
-            .collect();
-        let expected: Vec<(u64, Value)> = (0..10).map(|t| (t, Value::Int(t as i64))).collect();
-        assert_eq!(answers, expected);
-        assert_eq!(engine.stats().batches, 2);
     }
 
     #[test]

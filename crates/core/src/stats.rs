@@ -239,7 +239,7 @@ impl AttributionTable {
 pub enum Phase {
     /// Submit call → enqueued on the admission queue (binding + lock wait).
     Admission,
-    /// Admission queue → drained into a batch at a heartbeat.
+    /// Admission queue → drained into the next batch.
     BatchWait,
     /// Batch formation → this statement's result routed (shared-cycle time).
     Execute,
@@ -311,7 +311,7 @@ impl PhaseHistograms {
 /// Per-phase histograms of one statement type (plain-data snapshot).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatementPhaseSnapshot {
-    /// Statement name (registry name, or `_other` for untracked statements).
+    /// Statement name (registry name).
     pub statement: String,
     /// One histogram snapshot per [`Phase`], in [`Phase::ALL`] order.
     pub phases: [HistogramSnapshot; NUM_PHASES],
@@ -327,12 +327,10 @@ impl StatementPhaseSnapshot {
 /// Per-statement-type phase histograms, keyed by registry index.
 ///
 /// Slots are allocated once at engine start from the statement registry, so
-/// the hot path is a bounds-checked index — no lock, no hashing. Statements
-/// outside the registry range (none today) fall into a shared `_other` slot.
+/// the hot path is a bounds-checked index — no lock, no hashing.
 #[derive(Debug, Default)]
 pub struct PhaseTable {
     slots: Vec<(String, PhaseHistograms)>,
-    other: PhaseHistograms,
 }
 
 impl PhaseTable {
@@ -343,16 +341,12 @@ impl PhaseTable {
                 .into_iter()
                 .map(|n| (n, PhaseHistograms::default()))
                 .collect(),
-            other: PhaseHistograms::default(),
         }
     }
 
-    /// Records one phase observation for the statement at `index`.
+    /// Records one phase observation for the statement at registry `index`.
     pub fn record(&self, index: usize, phase: Phase, d: Duration) {
-        match self.slots.get(index) {
-            Some((_, h)) => h.record(phase, d),
-            None => self.other.record(phase, d),
-        }
+        self.slots[index].1.record(phase, d);
     }
 
     /// Snapshots every statement that has recorded at least one observation.
@@ -366,12 +360,6 @@ impl PhaseTable {
                 });
             }
         }
-        if !self.other.is_empty() {
-            out.push(StatementPhaseSnapshot {
-                statement: "_other".to_string(),
-                phases: self.other.snapshot(),
-            });
-        }
         out
     }
 
@@ -380,7 +368,6 @@ impl PhaseTable {
         for (_, h) in &self.slots {
             h.reset();
         }
-        self.other.reset();
     }
 }
 
@@ -398,8 +385,8 @@ pub struct EngineStats {
     result_rows: AtomicU64,
     /// Batch-occupancy histogram: statements per processed batch. The shape
     /// of this distribution *is* the sharing opportunity — a p50 of 1 means
-    /// the heartbeat mostly forms singleton batches and shared cycles are
-    /// wasted revolutions.
+    /// batches are mostly singletons and shared cycles are wasted
+    /// revolutions.
     occupancy: Histogram,
     /// Per-statement-type, per-phase latency histograms.
     phases: PhaseTable,
@@ -450,7 +437,7 @@ pub struct ScanRowsSnapshot {
     /// Queries served per predicate class, in the order of
     /// `shareddb_storage::PredicateClass::NAMES`.
     pub queries: [u64; 3],
-    /// Cycles (snapshot groups of them) served per path, in the order of
+    /// Cycles served per path, in the order of
     /// `shareddb_storage::ScanCycleResult::PATHS`.
     pub cycles: [u64; 2],
 }
@@ -462,8 +449,10 @@ pub struct ScanRowsSnapshot {
 pub struct ScanCounters([AtomicU64; 8]);
 
 impl ScanCounters {
-    /// Adds one scan cycle: `rows` are the examined, emitted and skipped.
-    pub fn record(&self, rows: [usize; 3], queries: [usize; 3], paths: [usize; 2]) {
+    /// Adds one scan cycle: `rows` are the examined, emitted and skipped;
+    /// `by_index` says which path served it.
+    pub fn record(&self, rows: [usize; 3], queries: [usize; 3], by_index: bool) {
+        let paths = [usize::from(!by_index), usize::from(by_index)];
         let cycle = rows.into_iter().chain(queries).chain(paths);
         for (total, counted) in self.0.iter().zip(cycle) {
             total.fetch_add(counted as u64, Ordering::Relaxed);
@@ -494,7 +483,7 @@ impl ScanCounters {
 /// snapshot it hands out ([`crate::Engine::stats`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStatsSnapshot {
-    /// Number of processed batches (heartbeats with work).
+    /// Number of processed batches.
     pub batches: u64,
     /// Number of completed queries.
     pub queries: u64,
@@ -710,16 +699,13 @@ mod tests {
         table.record(0, Phase::Execute, Duration::from_micros(100));
         table.record(0, Phase::Execute, Duration::from_micros(200));
         table.record(1, Phase::BatchWait, Duration::from_millis(5));
-        // Out-of-range indexes land in the `_other` slot.
-        table.record(99, Phase::Total, Duration::from_micros(1));
         let snap = table.snapshot();
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.len(), 2);
         let light = snap.iter().find(|s| s.statement == "light").unwrap();
         assert_eq!(light.phase(Phase::Execute).count, 2);
         assert_eq!(light.phase(Phase::BatchWait).count, 0);
         let heavy = snap.iter().find(|s| s.statement == "heavy").unwrap();
         assert_eq!(heavy.phase(Phase::BatchWait).count, 1);
-        assert!(snap.iter().any(|s| s.statement == "_other"));
         table.reset();
         assert!(table.snapshot().is_empty());
     }

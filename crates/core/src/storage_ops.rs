@@ -2,10 +2,10 @@
 //!
 //! These adapt the activations of the current batch to the batch interfaces of
 //! the `shareddb-storage` operators ([`ClockScan`] and [`IndexProbe`]) and
-//! return tuples in the data-query model, read at the snapshot the batch
-//! hands over (its own, or a query's pinned one). Updates are *not* routed through
+//! return tuples in the data-query model, read at the one snapshot the batch
+//! pins for its run. Updates are *not* routed through
 //! these adapters: the engine applies the updates of a batch through
-//! [`Catalog::apply_batch`] (one commit timestamp per heartbeat, group commit
+//! [`Catalog::apply_batch`] (one commit timestamp per batch, group commit
 //! into the WAL) before any storage read of the batch runs, which gives every
 //! query of the batch a snapshot that includes the batch's own updates — the
 //! ordering of a ClockScan cycle.
@@ -50,31 +50,27 @@ impl StorageOperator {
         )))
     }
 
-    /// Executes the storage operator for one batch of activations: a query
-    /// without a pinned snapshot reads the batch's `snapshot`.
+    /// Executes the storage operator for one batch of activations, every
+    /// query reading the batch's `snapshot`.
     pub fn execute(
         &self,
         activations: &[(QueryId, Activation)],
         snapshot: Snapshot,
     ) -> Result<Vec<QTuple>> {
-        let at = |pinned: &Option<Snapshot>| Some(pinned.unwrap_or(snapshot));
         match self {
             StorageOperator::Scan { scan, counters, .. } => {
                 let queries: Vec<ScanQuery> = activations
                     .iter()
                     .map(|(q, a)| match a {
-                        Activation::Scan {
-                            predicate,
-                            snapshot: pinned,
-                        } => Ok(ScanQuery::new(*q, predicate.clone()).at_snapshot(at(pinned))),
+                        Activation::Scan { predicate } => Ok(ScanQuery::new(*q, predicate.clone())),
                         other => Err(Error::Internal(format!(
                             "scan operator received a non-scan activation: {other:?}"
                         ))),
                     })
                     .collect::<Result<_>>()?;
-                let cycle = scan.execute_batch(&queries, &[])?;
+                let cycle = scan.execute_at(&queries, snapshot)?;
                 let rows = [cycle.rows_examined, cycle.tuples.len(), cycle.rows_skipped];
-                counters.record(rows, cycle.query_classes, cycle.groups_served);
+                counters.record(rows, cycle.query_classes, cycle.by_index);
                 Ok(cycle.tuples)
             }
             StorageOperator::Probe(probe) => {
@@ -85,10 +81,8 @@ impl StorageOperator {
                             column,
                             key,
                             residual,
-                            snapshot: pinned,
                         } => {
-                            let mut pq =
-                                ProbeQuery::key(*q, *column, key.clone()).at_snapshot(at(pinned));
+                            let mut pq = ProbeQuery::key(*q, *column, key.clone());
                             if let Some(residual) = residual {
                                 pq = pq.with_residual(residual.clone());
                             }
@@ -99,7 +93,7 @@ impl StorageOperator {
                         ))),
                     })
                     .collect::<Result<_>>()?;
-                Ok(probe.execute_batch(&queries, &[])?.tuples)
+                Ok(probe.execute_at(&queries, snapshot)?.tuples)
             }
         }
     }
@@ -154,10 +148,7 @@ mod tests {
     }
 
     fn scan_act(predicate: Expr) -> Activation {
-        Activation::Scan {
-            predicate,
-            snapshot: None,
-        }
+        Activation::Scan { predicate }
     }
 
     fn key_act(key: i64) -> Activation {
@@ -165,7 +156,6 @@ mod tests {
             column: 0,
             key: Value::Int(key),
             residual: None,
-            snapshot: None,
         }
     }
 
@@ -212,13 +202,14 @@ mod tests {
             .is_err());
     }
 
-    /// A pinned snapshot flows through the scan adapter: the query reads the
-    /// pinned version set even after later commits, beside one that reads
-    /// the batch's.
+    /// The adapters read the snapshot they are handed: a scan and a probe
+    /// at a pin taken before a delete read the old version set after the
+    /// commit, at the latest state none of it.
     #[test]
-    fn pinned_snapshot_flows_through_scan() {
+    fn the_adapters_read_the_snapshot_they_are_handed() {
         let catalog = catalog();
         let scan = StorageOperator::scan(&catalog, "ITEM").unwrap();
+        let probe = StorageOperator::probe(&catalog, "ITEM").unwrap();
         let pinned = catalog.pin();
         catalog
             .apply_batch(&[(
@@ -228,28 +219,19 @@ mod tests {
                 },
             )])
             .unwrap();
-        let out = scan
-            .execute(
-                &[
-                    (
-                        QueryId(1),
-                        Activation::Scan {
-                            predicate: Expr::lit(true),
-                            snapshot: Some(*pinned),
-                        },
-                    ),
-                    (QueryId(2), scan_act(Expr::lit(true))),
-                ],
-                catalog.snapshot(),
-            )
-            .unwrap();
-        let count = |q: u32| {
-            out.iter()
-                .filter(|t| t.queries.contains(QueryId(q)))
-                .count()
+        let all = [(QueryId(1), scan_act(Expr::lit(true)))];
+        let ten = [(QueryId(2), key_act(10))];
+        let rows = |op: &StorageOperator, acts: &[(QueryId, Activation)], at| {
+            op.execute(acts, at).unwrap().len()
         };
-        assert_eq!(count(1), 50, "pinned query lost the old version set");
-        assert_eq!(count(2), 0);
+        assert_eq!(
+            rows(&scan, &all, *pinned),
+            50,
+            "the scan lost the old version set"
+        );
+        assert_eq!(rows(&probe, &ten, *pinned), 1);
+        assert_eq!(rows(&scan, &all, catalog.snapshot()), 0);
+        assert_eq!(rows(&probe, &ten, catalog.snapshot()), 0);
     }
 
     /// One run reads one snapshot: a run pinned at S and executed after the

@@ -15,6 +15,7 @@
 //! where records are read ([`TraceEvent::describe`], the `trace_dump` bench
 //! bin).
 
+use shareddb_common::ids::Timestamp;
 use shareddb_common::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +42,7 @@ pub struct StatementRecord {
     pub ok: bool,
     /// Submission → enqueued: binding and enqueueing.
     pub admission: Duration,
-    /// Enqueued → the batch taken up: waiting for a heartbeat.
+    /// Enqueued → the batch taken up: waiting for the batch ahead.
     pub batch_wait: Duration,
     /// The batch taken up → answered: the shared execution cycle.
     pub execute: Duration,
@@ -60,6 +61,9 @@ pub enum TraceEvent {
         queries: usize,
         /// Updates in the batch.
         updates: usize,
+        /// The commit timestamp every read of the batch saw: its snapshot,
+        /// taken after its own updates.
+        snapshot: Timestamp,
         /// `(operator id, tuples emitted, busy time)` of every operator that
         /// had a task this cycle, ids ascending (resolve names via the plan).
         operators: Vec<(usize, usize, Duration)>,
@@ -154,6 +158,7 @@ impl TraceEvent {
                 batch,
                 queries,
                 updates,
+                snapshot,
                 operators: fired,
             } => {
                 let fired: Vec<String> = fired
@@ -167,7 +172,8 @@ impl TraceEvent {
                     })
                     .collect();
                 format!(
-                    "batch {batch}: {queries} queries, {updates} updates; {}",
+                    "batch {batch}: {queries} queries, {updates} updates at ts {}; {}",
+                    snapshot.0,
                     fired.join(", ")
                 )
             }
@@ -197,6 +203,7 @@ mod tests {
             batch,
             queries: 1,
             updates: 0,
+            snapshot: Timestamp(12),
             operators: vec![(0, 3, Duration::from_micros(5))],
         }
     }
@@ -248,7 +255,7 @@ mod tests {
         let operators = ["Scan(ITEM)#0".to_string()];
         let statements = ["a".to_string(), "getItem".to_string()];
         let s = batch(7).describe(&operators, &statements);
-        assert!(s.contains("batch 7"));
+        assert!(s.contains("batch 7: 1 queries, 0 updates at ts 12; "));
         assert!(s.contains("Scan(ITEM)#0 3 tuples 5us"));
         let statement = TraceEvent::Statement(StatementRecord {
             batch: 9,
@@ -268,6 +275,7 @@ mod tests {
             batch: 1,
             queries: 0,
             updates: 0,
+            snapshot: Timestamp(1),
             operators: vec![(5, 0, Duration::ZERO)],
         };
         assert!(unknown

@@ -6,7 +6,7 @@
 //! [`shareddb_core::QueryBatch`] serves many sockets. This is the missing
 //! client tier of the paper's architecture (Figure 1): concurrent queries from
 //! many clients are admitted, queued while the current batch executes, formed
-//! into the next batch at the heartbeat, and answered through the shared
+//! into the next batch, and answered through the shared
 //! global plan's Γ(query_id) router.
 //!
 //! * [`protocol`] — the length-prefixed binary wire protocol (frame formats,

@@ -48,7 +48,7 @@ use crate::server::Shared;
 use shareddb_common::{DataType, Error, Value};
 use shareddb_core::completions::Completion;
 use shareddb_core::render_explain_text;
-use shareddb_core::{Completions, Phase, QueryOutcome, SubmitOptions};
+use shareddb_core::{Completions, QueryOutcome, SubmitOptions};
 use shareddb_sql::compile::{bind_adhoc, canonicalize, parse_explain};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -1118,7 +1118,6 @@ impl Reactor {
             // overshoot the bound.
             max_queue_depth: Some(self.shared.config.max_queue_depth),
             completions: Some((Arc::clone(&self.completions), token << SEQ_BITS | seq)),
-            ..SubmitOptions::default()
         };
         let guard = self.shared.engine.read();
         let outcome = match guard.as_ref() {
@@ -1254,16 +1253,20 @@ impl Reactor {
             }
         }
         // Every reply whose last byte the socket accepted has flushed:
-        // record its Flush-phase latency (outcome ready → on the wire).
-        while conn
-            .pending_flush
-            .front()
-            .is_some_and(|&(watermark, _, _)| watermark <= conn.flushed)
-        {
-            let (_, ready_at, statement) = conn.pending_flush.pop_front().unwrap();
-            self.shared
-                .flush_phases
-                .record(statement, Phase::Flush, ready_at.elapsed());
+        // record its Flush-phase latency (outcome ready → on the wire) in the
+        // engine's phase table, under one read guard for all of them.
+        let flushed = |conn: &Conn| {
+            let front = conn.pending_flush.front();
+            front.is_some_and(|&(watermark, _, _)| watermark <= conn.flushed)
+        };
+        if flushed(conn) {
+            let engine = self.shared.engine.read();
+            while flushed(conn) {
+                let (_, ready_at, statement) = conn.pending_flush.pop_front().unwrap();
+                if let Some(engine) = engine.as_ref() {
+                    engine.record_flush(statement, ready_at.elapsed());
+                }
+            }
         }
         self.update_interest(token);
     }

@@ -21,7 +21,7 @@
 //! order* through per-connection reply queues when the engine's completion
 //! waker fires. Because responses are strictly ordered, clients can
 //! pipeline: many requests of one connection are in flight at once and all
-//! of them land in the same heartbeat window, which is exactly how SharedDB
+//! of them queue behind the batch that is running, which is exactly how SharedDB
 //! wants its work to arrive — many concurrent statements forming one big
 //! batch.
 //!
@@ -52,9 +52,7 @@ use shareddb_common::metrics::{escape_label_value, render_summary, HistogramSnap
 use shareddb_common::sync::{Condvar, Mutex, RwLock};
 use shareddb_common::{Error, Expr, Result};
 use shareddb_core::plan::{ActivationTemplate, GlobalPlan, StatementKind, UpdateTemplate};
-use shareddb_core::stats::{
-    PhaseTable, ScanRowsSnapshot, StatementPhaseSnapshot, UpdateRowsSnapshot,
-};
+use shareddb_core::stats::{ScanRowsSnapshot, StatementPhaseSnapshot, UpdateRowsSnapshot};
 use shareddb_core::{Engine, EngineConfig, Phase, StatementRegistry};
 use shareddb_sql::compile::{canonicalize, SqlTemplate};
 use shareddb_sql::compile_workload;
@@ -134,9 +132,6 @@ pub(crate) struct Shared {
     pub(crate) sessions_active: AtomicU64,
     pub(crate) requests: AtomicU64,
     pub(crate) rejected: AtomicU64,
-    /// Per-statement Flush-phase histograms (reply ready → bytes handed to
-    /// the socket), recorded by the reactor's write path.
-    pub(crate) flush_phases: PhaseTable,
     /// Plain-HTTP `/metrics` requests served by the reactor.
     pub(crate) scrapes: AtomicU64,
     /// Malformed or unroutable HTTP requests answered with 4xx.
@@ -169,7 +164,7 @@ impl Shared {
 
     /// Renders the full Prometheus text exposition: server counters, engine
     /// counters, the WAL, per-statement per-phase latency summaries (the
-    /// engine's, then the frontend's flush phase), update and scan row
+    /// reactor's flush phase among them), update and scan row
     /// counters, operator utilisation and attribution. Every engine number
     /// is read from one [`Engine::stats`] snapshot and written through
     /// [`family`], one metric family at a time.
@@ -244,7 +239,7 @@ impl Shared {
             w,
             "shareddb_slow_queries",
             "counter",
-            engine.slow_queries().0,
+            engine.slow_query_count(),
         );
 
         // Write-ahead-log durability series: how many bytes and group
@@ -286,19 +281,13 @@ impl Shared {
             );
         }
 
-        // Batch occupancy: how many statements each heartbeat batch carried
+        // Batch occupancy: how many statements each batch carried
         // (the sharing opportunity the batcher actually realised).
         summaries(w, "shareddb_batch_occupancy", [("", &stats.occupancy)]);
 
-        // Phase-tagged latency summaries: the engine's phases, then the
-        // reactor's flush phase. Only the frontend records `flush` and empty
-        // histograms are skipped, so no series is written twice.
-        let flush = self.flush_phases.snapshot();
-        summaries(
-            w,
-            "shareddb_phase_latency_us",
-            phase_samples(&stats.phases).chain(phase_samples(&flush)),
-        );
+        // Phase-tagged latency summaries, the reactor's flush phase among
+        // them: one table, so no series is written twice.
+        summaries(w, "shareddb_phase_latency_us", phase_samples(&stats.phases));
 
         // The write path's useful-work ratio per update statement type:
         // live versions its WHERE clause was evaluated on vs rows it changed.
@@ -632,9 +621,8 @@ impl Server {
         config: ServerConfig,
     ) -> Result<Server> {
         let param_counts = registry.iter().map(spec_param_count).collect();
-        let statement_names: Vec<String> = registry.iter().map(|s| s.name.clone()).collect();
         // Durable mode: recover disk state and attach the WAL while still
-        // quiescent (no engine heartbeats yet), then compact so the next
+        // quiescent (no engine batches yet), then compact so the next
         // recovery starts from a checkpoint covering everything live now —
         // including bulk-loaded seed rows, which the WAL never records.
         let recovery = match &config.data_dir {
@@ -665,7 +653,6 @@ impl Server {
             sessions_active: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            flush_phases: PhaseTable::new(statement_names),
             scrapes: AtomicU64::new(0),
             http_errors: AtomicU64::new(0),
             recovery,
@@ -712,15 +699,9 @@ impl Server {
         self.with_engine(Engine::queued).unwrap_or(0)
     }
 
-    /// Per-statement Flush-phase histograms recorded by the reactor's write
-    /// path (reply ready → bytes handed to the socket).
-    pub fn flush_phase_stats(&self) -> Vec<StatementPhaseSnapshot> {
-        self.shared.flush_phases.snapshot()
-    }
-
     /// Per-operator × per-statement-type cost attribution.
     pub fn attribution_stats(&self) -> Option<Vec<shareddb_core::AttributionEntry>> {
-        self.with_engine(|e| e.stats().attribution)
+        self.with_engine(Engine::attribution)
     }
 
     /// What startup recovery restored and replayed, when the server runs
@@ -734,11 +715,11 @@ impl Server {
         self.shared.metrics_text()
     }
 
-    /// Zeroes engine and frontend-flush statistics. Bench harnesses
-    /// call this after warm-up so sweep points measure only their own window.
+    /// Zeroes the engine's statistics, the reactor's flush phase among them.
+    /// Bench harnesses call this after warm-up so sweep points measure only
+    /// their own window.
     pub fn reset_stats(&self) {
         self.with_engine(Engine::reset_stats);
-        self.shared.flush_phases.reset();
     }
 
     /// Server-level statistics.

@@ -130,7 +130,7 @@ impl Catalog {
     /// Pins the latest committed state: a read at it sees the version set
     /// committed when it was taken, whatever commits meanwhile, until the pin
     /// and its clones are dropped — across the threads and engines sharing
-    /// this catalog (`SubmitOptions::pinned_snapshot` in `shareddb-core`).
+    /// this catalog (a batch of `shareddb-core` reads under one).
     pub fn pin(&self) -> SnapshotPin {
         self.oracle.pin()
     }

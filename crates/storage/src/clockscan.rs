@@ -14,11 +14,11 @@
 //!   [`Catalog::apply_batch`](crate::Catalog::apply_batch), under one commit
 //!   timestamp — and all select queries of the cycle read one consistent
 //!   snapshot that includes them.
-//! * A cycle does what its queries need and no more: when every query of a
-//!   snapshot group holds an equality, a `LIKE 'prefix%'` — or, on a column
+//! * A cycle does what its queries need and no more: when every query of
+//!   the cycle holds an equality, a `LIKE 'prefix%'` — or, on a column
 //!   indexed by gram, any `LIKE` whose pattern spells three bytes in a row
 //!   (`'%BOOK 12%'`) — an index of the table answers, and the posting lists
-//!   they name are together shorter than the table, the group is served
+//!   they name are together shorter than the table, the cycle is served
 //!   through those indexes — the same rows, in the same order, as the pass
 //!   would have emitted (`ClockScan::serve_from_indexes`).
 //!
@@ -43,12 +43,6 @@ pub struct ScanQuery {
     /// Bound selection predicate on the scanned table (use
     /// `Expr::lit(true)` for a full scan).
     pub predicate: Expr,
-    /// Optional pinned read snapshot. `None` (the default) reads the cycle's
-    /// own snapshot — the latest committed state.
-    /// A pinned snapshot lets a caller that runs one logical query in
-    /// several scan cycles (a differential test comparing two engines) give
-    /// every run the same consistent view.
-    pub snapshot: Option<Snapshot>,
 }
 
 impl ScanQuery {
@@ -57,19 +51,12 @@ impl ScanQuery {
         ScanQuery {
             query_id,
             predicate,
-            snapshot: None,
         }
     }
 
     /// A full-table scan for the given query.
     pub fn full_scan(query_id: QueryId) -> Self {
         ScanQuery::new(query_id, Expr::lit(true))
-    }
-
-    /// Pins the query to a fixed read snapshot.
-    pub fn at_snapshot(mut self, snapshot: Option<Snapshot>) -> Self {
-        self.snapshot = snapshot;
-        self
     }
 }
 
@@ -79,13 +66,9 @@ pub struct ScanCycleResult {
     /// All rows selected by at least one query of the batch, annotated with
     /// the queries that selected them.
     pub tuples: Vec<QTuple>,
-    /// The ids of the queries that were served by this cycle.
-    pub served_queries: Vec<QueryId>,
-    /// The snapshot the queries of this cycle read.
-    pub snapshot: Snapshot,
     /// Visible rows of the table probed against the predicate index
     /// (`tuples.len() / rows_examined` is the scan's useful-work ratio); for
-    /// a group served from the indexes, the versions fetched through their
+    /// a cycle served from the indexes, the versions fetched through their
     /// posting lists and the key map.
     pub rows_examined: usize,
     /// Versions, visible or not, in the chunks the pass left out because no
@@ -94,14 +77,14 @@ pub struct ScanCycleResult {
     /// Queries served per predicate class, in the order of
     /// [`PredicateClass::NAMES`](crate::predicate_index::PredicateClass::NAMES).
     pub query_classes: [usize; 3],
-    /// Snapshot groups of the cycle (one, unless queries are pinned) served
-    /// by each path, in the order of [`ScanCycleResult::PATHS`].
-    pub groups_served: [usize; 2],
+    /// Whether the table's indexes served the cycle rather than the pass
+    /// (`false` too for a cycle with no queries).
+    pub by_index: bool,
 }
 
 impl ScanCycleResult {
-    /// How a snapshot group is served: by the pass over the version arena,
-    /// or through the table's indexes.
+    /// The two ways a cycle is served, by name (`PATHS[by_index as usize]`):
+    /// the pass over the version arena, or the table's indexes.
     pub const PATHS: [&'static str; 2] = ["scan", "index"];
 }
 
@@ -123,49 +106,42 @@ impl ClockScan {
     }
 
     /// Executes one cycle over an explicit batch (the engine owns the
-    /// queueing): evaluates all queries against one consistent snapshot, the
-    /// latest committed state — which includes the batch's own updates, as
-    /// the engine commits them through the catalog first. `updates` must be
-    /// empty (the cycle writes nothing): a non-empty slice is an
-    /// [`Error::Internal`](shareddb_common::Error::Internal).
+    /// queueing) at the latest committed state — which includes the batch's
+    /// own updates, as the engine commits them through the catalog first.
+    /// `updates` must be empty (the cycle writes nothing): a non-empty slice
+    /// is an [`Error::Internal`](shareddb_common::Error::Internal).
     pub fn execute_batch(
         &self,
         queries: &[ScanQuery],
         updates: &[UpdateOp],
     ) -> Result<ScanCycleResult> {
         refuse_cycle_updates(updates)?;
-        // Queries pinned to an explicit snapshot read that version set
-        // instead; queries are grouped by effective snapshot so each group
-        // still shares one table scan (with no pinned queries — the common
-        // case — this is exactly one group).
-        let snapshot = self.oracle.read_ts();
-        let mut result = ScanCycleResult {
-            served_queries: queries.iter().map(|q| q.query_id).collect(),
-            snapshot,
-            ..ScanCycleResult::default()
-        };
+        self.execute_at(queries, self.oracle.read_ts())
+    }
+
+    /// Executes one cycle in which every query reads `snapshot` — a
+    /// timestamp the caller keeps pinned ([`crate::Catalog::pin`]) while the
+    /// cycle runs, or one nobody commits past.
+    pub fn execute_at(&self, queries: &[ScanQuery], snapshot: Snapshot) -> Result<ScanCycleResult> {
+        let mut result = ScanCycleResult::default();
         if !queries.is_empty() {
-            let groups = crate::mvcc::group_by_snapshot(queries, snapshot, |q| q.snapshot);
             let table = self.table.read();
-            for (snapshot, members) in groups {
-                let by_index = Self::serve_from_indexes(&table, snapshot, &members, &mut result)?;
-                if !by_index {
-                    Self::scan(&table, snapshot, &members, &mut result)?;
-                }
-                result.groups_served[by_index as usize] += 1;
+            result.by_index = Self::serve_from_indexes(&table, snapshot, queries, &mut result)?;
+            if !result.by_index {
+                Self::scan(&table, snapshot, queries, &mut result)?;
             }
         }
         Ok(result)
     }
 
-    /// One pass for one snapshot group: walks the version arena chunk by
-    /// chunk, leaving out every chunk whose zones no query of the group can
-    /// meet (a group holding a LIKE or a text comparison meets all of them),
-    /// and probes each visible row against the group's predicate index.
+    /// One pass: walks the version arena chunk by chunk, leaving out every
+    /// chunk whose zones no query of the cycle can meet (a cycle holding a
+    /// LIKE or a text comparison meets all of them), and probes each visible
+    /// row against the cycle's predicate index.
     fn scan(
         table: &Table,
         snapshot: Snapshot,
-        members: &[&ScanQuery],
+        members: &[ScanQuery],
         result: &mut ScanCycleResult,
     ) -> Result<()> {
         let index = PredicateIndex::over(members.iter().map(|q| (q.query_id, &q.predicate)));
@@ -193,14 +169,14 @@ impl ClockScan {
         Ok(())
     }
 
-    /// Serves one snapshot group through the table's indexes instead of a
-    /// pass, if that is possible and cheaper, and says whether it did.
+    /// Serves the cycle through the table's indexes instead of a pass, if
+    /// that is possible and cheaper, and says whether it did.
     ///
     /// Possible: [`AccessPath::choose`] — the rule writes find their rows by
     /// — names the key map or a secondary index for *every* query of the
-    /// group (one query without an indexed equality, prefix or gram needs the
+    /// cycle (one query without an indexed equality, prefix or gram needs the
     /// pass anyway, and the pass serves the others for the price of a probe per
-    /// row); the key map answers for whichever snapshot the group reads.
+    /// row); the key map answers for whichever snapshot the cycle reads.
     /// Cheaper: the versions to fetch — the lengths of the posting lists,
     /// read off the B-tree before anything is fetched, and one per key of the
     /// key map, of every *distinct* path: queries that ask the same thing
@@ -216,10 +192,10 @@ impl ClockScan {
     fn serve_from_indexes(
         table: &Table,
         snapshot: Snapshot,
-        members: &[&ScanQuery],
+        members: &[ScanQuery],
         result: &mut ScanCycleResult,
     ) -> Result<bool> {
-        // What the group fetches: each distinct `(path, residual)` once,
+        // What the cycle fetches: each distinct `(path, residual)` once,
         // with the queries that carry it — the sixteen subject searches of
         // a batch name a dozen subjects.
         let mut fetches: Vec<(AccessPath, Option<&Expr>, QuerySet)> = Vec::new();
@@ -301,7 +277,6 @@ mod tests {
             ScanQuery::new(QueryId(2), Expr::col(2).gt_eq(Expr::lit(8.0f64))),
         ];
         let result = scan.execute_batch(&queries, &[]).unwrap();
-        assert_eq!(result.served_queries.len(), 2);
 
         // 50 even rows, 20 rows with price >= 8 (10 of which are even).
         let q1_rows: usize = result
@@ -375,11 +350,10 @@ mod tests {
     fn an_empty_cycle_serves_nothing() {
         let (_, scan) = setup();
         let empty = scan.execute_batch(&[], &[]).unwrap();
-        assert!(empty.served_queries.is_empty());
         assert!(empty.tuples.is_empty());
+        assert_eq!((empty.rows_examined, empty.by_index), (0, false));
         let full = [ScanQuery::full_scan(QueryId(2))];
         let second = scan.execute_batch(&full, &[]).unwrap();
-        assert_eq!(second.served_queries, vec![QueryId(2)]);
         assert_eq!(second.tuples.len(), 100);
     }
 
@@ -402,36 +376,9 @@ mod tests {
         assert!(total_subscriptions >= 500);
     }
 
-    /// A query pinned to an older snapshot reads that version set even when
-    /// the cycle's own snapshot has moved on; unpinned queries of the same
-    /// batch read the current state.
-    #[test]
-    fn pinned_snapshot_reads_older_version_set() {
-        let (catalog, scan) = setup();
-        let pinned = catalog.pin();
-        let delete_all = UpdateOp::Delete {
-            predicate: Expr::lit(true),
-        };
-        catalog.apply("T", delete_all).unwrap();
-        let res = scan
-            .execute_batch(
-                &[
-                    ScanQuery::full_scan(QueryId(1)).at_snapshot(Some(*pinned)),
-                    ScanQuery::full_scan(QueryId(2)),
-                ],
-                &[],
-            )
-            .unwrap();
-        let count = |q: u32| {
-            res.tuples
-                .iter()
-                .filter(|t| t.queries.contains(QueryId(q)))
-                .count()
-        };
-        assert_eq!(count(1), 100, "pinned query lost the old version set");
-        assert_eq!(count(2), 0, "unpinned query saw resurrected rows");
-    }
-
+    /// A cycle reads the snapshot it is handed: one pinned before a delete
+    /// reads the old version set after the commit, as the next cycle at
+    /// the latest state reads none of it.
     #[test]
     fn snapshot_isolation_across_cycles() {
         let (catalog, scan) = setup();
@@ -440,14 +387,15 @@ mod tests {
             predicate: Expr::lit(true),
         };
         assert_eq!(catalog.apply("T", delete_all).unwrap().rows_affected, 100);
-        let count = |snapshot: Option<Snapshot>| {
-            let full = [ScanQuery::full_scan(QueryId(1)).at_snapshot(snapshot)];
-            scan.execute_batch(&full, &[]).unwrap().tuples.len()
-        };
-        // The old snapshot still sees all 100 rows.
-        assert_eq!(count(Some(*before)), 100);
-        // A new snapshot sees none.
-        assert_eq!(count(None), 0);
+        let full = [ScanQuery::full_scan(QueryId(1))];
+        let at = |snapshot: Snapshot| scan.execute_at(&full, snapshot).unwrap().tuples.len();
+        assert_eq!(
+            at(*before),
+            100,
+            "the pinned cycle lost the old version set"
+        );
+        assert_eq!(at(catalog.snapshot()), 0);
+        assert_eq!(scan.execute_batch(&full, &[]).unwrap().tuples.len(), 0);
     }
 
     /// A range on a column that grows with arrival order leaves out every
@@ -640,22 +588,25 @@ mod tests {
         cycles: Vec<Cycle>,
     }
 
-    /// The predicates of one cycle, each with the timestamp it is pinned to.
-    type Cycle = Vec<(Expr, Option<u64>)>;
+    /// The timestamp one cycle reads (`None`: the latest) and its
+    /// predicates.
+    type Cycle = (Option<u64>, Vec<Expr>);
+
+    /// A past timestamp one time in five, else the latest.
+    fn pinned(rng: &mut TestRng, last_write: usize) -> Option<u64> {
+        (pick(rng, 5) == 0).then(|| 1 + pick(rng, 1 + last_write) as u64)
+    }
 
     fn cycle(rng: &mut TestRng, last_write: usize) -> Cycle {
         // Mostly few: the fewer a cycle holds, the more it leaves out.
-        let mut queries: Vec<(Expr, Option<u64>)> = (0..[1, 1, 2, 4][pick(rng, 4)])
-            .map(|_| {
-                let pinned = (pick(rng, 5) == 0).then(|| 1 + pick(rng, 1 + last_write) as u64);
-                (predicate(rng), pinned)
-            })
+        let mut queries: Vec<Expr> = (0..[1, 1, 2, 4][pick(rng, 4)])
+            .map(|_| predicate(rng))
             .collect();
         // Duplicates of one comparison collapse into one entry.
         if pick(rng, 3) == 0 {
             queries.push(queries[0].clone());
         }
-        queries
+        (pinned(rng, last_write), queries)
     }
 
     struct Cases;
@@ -718,19 +669,17 @@ mod tests {
     fn full_walk(
         table: &Table,
         queries: &[ScanQuery],
-        latest: Snapshot,
+        snapshot: Snapshot,
     ) -> Vec<(Tuple, Vec<QueryId>)> {
         let mut emitted = Vec::new();
-        for (snapshot, members) in crate::mvcc::group_by_snapshot(queries, latest, |q| q.snapshot) {
-            for (_, row) in table.scan(snapshot) {
-                let selecting = members
-                    .iter()
-                    .filter(|q| q.predicate.eval_predicate(row).unwrap());
-                let mut ids: Vec<QueryId> = selecting.map(|q| q.query_id).collect();
-                ids.sort();
-                if !ids.is_empty() {
-                    emitted.push((row.clone(), ids));
-                }
+        for (_, row) in table.scan(snapshot) {
+            let selecting = queries
+                .iter()
+                .filter(|q| q.predicate.eval_predicate(row).unwrap());
+            let mut ids: Vec<QueryId> = selecting.map(|q| q.query_id).collect();
+            ids.sort();
+            if !ids.is_empty() {
+                emitted.push((row.clone(), ids));
             }
         }
         emitted
@@ -749,29 +698,32 @@ mod tests {
         let oracle = Arc::new(TimestampOracle::new());
         oracle.restore(Timestamp(last_write));
         let scan = ClockScan::new(Arc::clone(&table), Arc::clone(&oracle));
-        for queries in cycles {
-            let queries: Vec<ScanQuery> = queries
+        for (pinned, predicates) in cycles {
+            let queries: Vec<ScanQuery> = predicates
                 .iter()
                 .enumerate()
-                .map(|(i, (predicate, pinned))| {
-                    let pinned = pinned.map(|ts| Snapshot::at(Timestamp(ts)));
-                    ScanQuery::new(QueryId(i as u32), predicate.clone()).at_snapshot(pinned)
-                })
+                .map(|(i, predicate)| ScanQuery::new(QueryId(i as u32), predicate.clone()))
                 .collect();
-            let cycle = scan.execute_batch(&queries, &[]).unwrap();
+            let (cycle, snapshot) = match pinned {
+                Some(ts) => {
+                    let snapshot = Snapshot::at(Timestamp(*ts));
+                    (scan.execute_at(&queries, snapshot).unwrap(), snapshot)
+                }
+                None => (scan.execute_batch(&queries, &[]).unwrap(), oracle.read_ts()),
+            };
             let emitted: Vec<(Tuple, Vec<QueryId>)> = cycle
                 .tuples
                 .iter()
                 .map(|t| (t.tuple.clone(), t.queries.iter().collect()))
                 .collect();
-            let expected = full_walk(&table.read(), &queries, oracle.read_ts());
+            let expected = full_walk(&table.read(), &queries, snapshot);
             prop_assert!(
                 emitted == expected,
-                "{queries:?}: {} rows, the full walk {} ({} versions left out, groups served {:?})\nin {case:#?}",
+                "{queries:?} at {snapshot:?}: {} rows, the full walk {} ({} versions left out, by index {})\nin {case:#?}",
                 emitted.len(),
                 expected.len(),
                 cycle.rows_skipped,
-                cycle.groups_served
+                cycle.by_index
             );
         }
     }
@@ -838,81 +790,82 @@ mod tests {
         let counts = |predicates: Vec<Expr>, pinned: Option<Snapshot>| {
             let queries = predicates.into_iter().enumerate();
             let queries: Vec<ScanQuery> = queries
-                .map(|(i, p)| ScanQuery::new(QueryId(i as u32), p).at_snapshot(pinned))
+                .map(|(i, p)| ScanQuery::new(QueryId(i as u32), p))
                 .collect();
-            let cycle = scan.execute_batch(&queries, &[]).unwrap();
-            let expected = full_walk(&table.read(), &queries, oracle.read_ts());
+            let snapshot = pinned.unwrap_or_else(|| oracle.read_ts());
+            let cycle = scan.execute_at(&queries, snapshot).unwrap();
+            let expected = full_walk(&table.read(), &queries, snapshot);
             let emitted = cycle.tuples.iter();
             assert!(emitted
                 .map(|t| (t.tuple.clone(), t.queries.iter().collect()))
                 .eq(expected));
-            (cycle.groups_served, cycle.rows_examined, cycle.tuples.len())
+            (cycle.by_index, cycle.rows_examined, cycle.tuples.len())
         };
         // Ten versions hold N = 3; the second spelling's list is empty.
-        assert_eq!(counts(vec![eq(1, Value::Int(3))], None), ([0, 1], 10, 10));
-        assert_eq!(counts(vec![eq(1, Value::Date(3))], None), ([0, 1], 10, 10));
+        assert_eq!(counts(vec![eq(1, Value::Int(3))], None), (true, 10, 10));
+        assert_eq!(counts(vec![eq(1, Value::Date(3))], None), (true, 10, 10));
         // Fetched rows are held against the rest of the predicate.
         let and_small = eq(1, Value::Int(3)).and(Expr::col(4).lt(Expr::lit(50i64)));
-        assert_eq!(counts(vec![and_small], None), ([0, 1], 10, 5));
+        assert_eq!(counts(vec![and_small], None), (true, 10, 5));
         // Two queries, five rows in common: 10 + 25 fetched, 30 emitted.
         let two = vec![eq(1, Value::Int(3)), eq(2, Value::Date(3))];
-        assert_eq!(counts(two, None), ([0, 1], 35, 30));
+        assert_eq!(counts(two, None), (true, 35, 30));
         // One key of the key map, under either spelling.
-        assert_eq!(counts(vec![eq(0, Value::Int(7))], None), ([0, 1], 2, 1));
+        assert_eq!(counts(vec![eq(0, Value::Int(7))], None), (true, 2, 1));
         // A prefix is a range of the index: the entries in it are the cost,
         // and the pattern is held against every row fetched.
         let like = |pattern: &str| Expr::col(3).like(Expr::lit(pattern));
-        assert_eq!(counts(vec![like("a%")], None), ([0, 1], 50, 50));
+        assert_eq!(counts(vec![like("a%")], None), (true, 50, 50));
         let both = vec![eq(1, Value::Int(3)), like("a%")];
-        assert_eq!(counts(both, None), ([0, 1], 60, 60));
+        assert_eq!(counts(both, None), (true, 60, 60));
         // An infix is the shortest posting list among the pattern's grams —
         // `K 7`, ` 7 `, `7 o`: eleven titles hold the first, one all three —
         // and the pattern is held against every row fetched.
         let title = |pattern: &str| Expr::col(5).like(Expr::lit(pattern));
-        assert_eq!(counts(vec![title("%K 7 o%")], None), ([0, 1], 1, 1));
-        assert_eq!(counts(vec![title("%OK 7%")], None), ([0, 1], 11, 11));
-        assert_eq!(counts(vec![title("%K 7_ of%")], None), ([0, 1], 11, 10));
+        assert_eq!(counts(vec![title("%K 7 o%")], None), (true, 1, 1));
+        assert_eq!(counts(vec![title("%OK 7%")], None), (true, 11, 11));
+        assert_eq!(counts(vec![title("%K 7_ of%")], None), (true, 11, 10));
         // Two segments: `K 3` of the first (11 titles) is rarer than `f 3`
         // of the second (14).
-        assert_eq!(counts(vec![title("BOOK 3%of 3")], None), ([0, 1], 11, 3));
-        assert_eq!(counts(vec![title("%no such%")], None), ([0, 1], 0, 0));
+        assert_eq!(counts(vec![title("BOOK 3%of 3")], None), (true, 11, 3));
+        assert_eq!(counts(vec![title("%no such%")], None), (true, 0, 0));
         let beside = vec![eq(1, Value::Int(3)), title("%K 7 o%")];
-        assert_eq!(counts(beside, None), ([0, 1], 11, 11));
+        assert_eq!(counts(beside, None), (true, 11, 11));
         // A gram every title holds names the whole table: the pass is as
         // cheap; and so is it when no segment is three bytes long.
         for (pattern, selected) in [("%BOOK%", 100), ("%7_ o%", 10), ("_O%", 100)] {
-            assert_eq!(counts(vec![title(pattern)], None), ([1, 0], 100, selected));
+            assert_eq!(counts(vec![title(pattern)], None), (false, 100, selected));
         }
         let negated = Expr::Like {
             expr: Box::new(Expr::col(5)),
             pattern: Box::new(Expr::lit("%K 7 o%")),
             negated: true,
         };
-        assert_eq!(counts(vec![negated], None), ([1, 0], 100, 99));
-        // A query no index answers takes the group to the pass …
+        assert_eq!(counts(vec![negated], None), (false, 100, 99));
+        // A query no index answers takes the cycle to the pass …
         for (pattern, selected) in [("%a", 60), ("%", 100), ("a_%", 10), ("a%a%", 10)] {
             let beside = vec![eq(1, Value::Int(3)), like(pattern)];
-            assert_eq!(counts(beside, None), ([1, 0], 100, selected), "{pattern}");
+            assert_eq!(counts(beside, None), (false, 100, selected), "{pattern}");
         }
         let by_float = vec![eq(1, Value::Float(3.0))];
-        assert_eq!(counts(by_float, None), ([1, 0], 100, 10));
+        assert_eq!(counts(by_float, None), (false, 100, 10));
         // … and so do posting lists as long as the table: 50 + 50.
         let halves = vec![eq(3, Value::text("a")), eq(3, Value::text("b"))];
-        assert_eq!(counts(halves, None), ([1, 0], 100, 100));
+        assert_eq!(counts(halves, None), (false, 100, 100));
         // Queries that ask the same thing share one fetch, and it is the
         // fetches that are held against the pass: the same half three times
         // is 50 versions, not 150 — beside a residual of its own, 50 more.
         let thrice = vec![eq(3, Value::text("a")); 3];
-        assert_eq!(counts(thrice, None), ([0, 1], 50, 50));
+        assert_eq!(counts(thrice, None), (true, 50, 50));
         let twice = vec![
             eq(1, Value::Int(3)),
             eq(2, Value::Date(3)),
             eq(1, Value::Int(3)),
         ];
-        assert_eq!(counts(twice, None), ([0, 1], 35, 30));
+        assert_eq!(counts(twice, None), (true, 35, 30));
         let and_odd = eq(3, Value::text("a")).and(Expr::col(4).lt(Expr::lit(50i64)));
         let held = vec![eq(3, Value::text("a")), and_odd.clone(), and_odd];
-        assert_eq!(counts(held, None), ([1, 0], 100, 50));
+        assert_eq!(counts(held, None), (false, 100, 50));
         // After a write the key map leads a pinned query back to the version
         // it sees; the secondary indexes hold every version anyway.
         let before = oracle.read_ts();
@@ -923,11 +876,11 @@ mod tests {
         crate::update::apply_update(&mut table.write(), &delete, commit).unwrap();
         oracle.publish(commit);
         let by_key = || vec![eq(0, Value::Int(7))];
-        assert_eq!(counts(by_key(), None), ([0, 1], 2, 0));
-        assert_eq!(counts(by_key(), Some(before)), ([0, 1], 2, 1));
+        assert_eq!(counts(by_key(), None), (true, 2, 0));
+        assert_eq!(counts(by_key(), Some(before)), (true, 2, 1));
         let sevens = || vec![eq(1, Value::Int(7))];
-        assert_eq!(counts(sevens(), None), ([0, 1], 10, 9));
-        assert_eq!(counts(sevens(), Some(before)), ([0, 1], 10, 10));
+        assert_eq!(counts(sevens(), None), (true, 10, 9));
+        assert_eq!(counts(sevens(), Some(before)), (true, 10, 10));
     }
 
     /// An integer or a date under either spelling, now and then the float
@@ -1186,22 +1139,15 @@ mod tests {
                 .collect();
             let cycles = (0..1 + pick(rng, 6)).map(|_| {
                 // Few queries: the fewer, the shorter their posting lists.
-                let mut queries: Vec<(Expr, Option<u64>)> = (0..[1, 1, 2, 3][pick(rng, 4)])
-                    .map(|_| {
-                        let pinned =
-                            (pick(rng, 5) == 0).then(|| 1 + pick(rng, 1 + writes.len()) as u64);
-                        (indexed_predicate(rng, rows.len()), pinned)
-                    })
+                let mut queries: Vec<Expr> = (0..[1, 1, 2, 3][pick(rng, 4)])
+                    .map(|_| indexed_predicate(rng, rows.len()))
                     .collect();
                 // The same question more than once: one fetch, filed under
-                // every query that asks it, pinned elsewhere or not.
+                // every query that asks it.
                 for _ in 0..[0, 0, 1, 3][pick(rng, 4)] {
-                    let (predicate, _) = queries[pick(rng, queries.len())].clone();
-                    let pinned =
-                        (pick(rng, 5) == 0).then(|| 1 + pick(rng, 1 + writes.len()) as u64);
-                    queries.push((predicate, pinned));
+                    queries.push(queries[pick(rng, queries.len())].clone());
                 }
-                queries
+                (pinned(rng, writes.len()), queries)
             });
             IndexedCase {
                 cycles: cycles.collect(),
@@ -1214,7 +1160,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Serving a group from the indexes never changes what a cycle emits:
+        /// Serving a cycle from the indexes never changes what a cycle emits:
         /// the same rows with the same query sets in the same order as the
         /// full walk — over dead versions and moved keys, numbers stored and
         /// asked for under either spelling, equalities, prefixes and patterns

@@ -18,7 +18,7 @@
 //! A probe is a key look-up (`col = key`); a range is read by a scan served
 //! from the indexes ([`crate::clockscan`]).
 
-use crate::mvcc::TimestampOracle;
+use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::table::{RowId, Table};
 use crate::update::{refuse_cycle_updates, UpdateOp};
 use shareddb_common::queryset::Union;
@@ -37,9 +37,6 @@ pub struct ProbeQuery {
     pub key: Value,
     /// Optional residual predicate evaluated on the fetched rows.
     pub residual: Option<Expr>,
-    /// Optional pinned read snapshot (`None` = the cycle's own snapshot; see
-    /// [`crate::clockscan::ScanQuery::snapshot`]).
-    pub snapshot: Option<crate::mvcc::Snapshot>,
 }
 
 impl ProbeQuery {
@@ -50,19 +47,12 @@ impl ProbeQuery {
             column,
             key,
             residual: None,
-            snapshot: None,
         }
     }
 
     /// Attaches a residual predicate.
     pub fn with_residual(mut self, residual: Expr) -> Self {
         self.residual = Some(residual);
-        self
-    }
-
-    /// Pins the probe to a fixed read snapshot.
-    pub fn at_snapshot(mut self, snapshot: Option<crate::mvcc::Snapshot>) -> Self {
-        self.snapshot = snapshot;
         self
     }
 }
@@ -73,8 +63,6 @@ pub struct ProbeCycleResult {
     /// Fetched rows, annotated with the queries that selected them. Rows
     /// fetched by several probes of the batch are emitted once (NF² sharing).
     pub tuples: Vec<QTuple>,
-    /// Ids of the queries served by this cycle.
-    pub served_queries: Vec<QueryId>,
 }
 
 /// The shared index-probe operator for one table.
@@ -97,9 +85,8 @@ impl IndexProbe {
     }
 
     /// Executes one cycle over an explicit batch (the engine owns the
-    /// queueing): executes all look-ups against one consistent snapshot, the
-    /// latest committed state. `updates` must be empty, as for
-    /// [`ClockScan::execute_batch`](crate::ClockScan::execute_batch): a
+    /// queueing) at the latest committed state. `updates` must be empty, as
+    /// for [`ClockScan::execute_batch`](crate::ClockScan::execute_batch): a
     /// non-empty slice is an [`Error::Internal`](shareddb_common::Error::Internal).
     pub fn execute_batch(
         &self,
@@ -107,33 +94,22 @@ impl IndexProbe {
         updates: &[UpdateOp],
     ) -> Result<ProbeCycleResult> {
         refuse_cycle_updates(updates)?;
+        self.execute_at(queries, self.oracle.read_ts())
+    }
+
+    /// Executes one cycle in which every look-up reads `snapshot` (see
+    /// [`ClockScan::execute_at`](crate::ClockScan::execute_at)); rows fetched
+    /// by several probes of the cycle are emitted once.
+    pub fn execute_at(
+        &self,
+        queries: &[ProbeQuery],
+        snapshot: Snapshot,
+    ) -> Result<ProbeCycleResult> {
         let mut result = ProbeCycleResult::default();
-        let default_snapshot = self.oracle.read_ts();
-        result.served_queries = queries.iter().map(|q| q.query_id).collect();
         if queries.is_empty() {
             return Ok(result);
         }
-
-        // Group probes by their effective snapshot (pinned probes read their
-        // own version set); within each group the fetched rows deduplicate as
-        // before.
-        let groups = crate::mvcc::group_by_snapshot(queries, default_snapshot, |q| q.snapshot);
         let table = self.table.read();
-        for (snapshot, members) in groups {
-            self.probe_group(&table, snapshot, &members, &mut result)?;
-        }
-        Ok(result)
-    }
-
-    /// Executes one snapshot group of probes: every look-up reads `snapshot`,
-    /// and rows fetched by several probes of the group are emitted once.
-    fn probe_group(
-        &self,
-        table: &Table,
-        snapshot: crate::mvcc::Snapshot,
-        queries: &[&ProbeQuery],
-        result: &mut ProbeCycleResult,
-    ) -> Result<()> {
         let mut hits = Hits::default();
         for q in queries {
             let fetched = table.eq_lookup(q.column);
@@ -143,12 +119,12 @@ impl IndexProbe {
                 q.residual.as_ref(),
             )?
         }
-        hits.emit(table, &mut result.tuples);
-        Ok(())
+        hits.emit(&table, &mut result.tuples);
+        Ok(result)
     }
 }
 
-/// The `(row, queries)` hits of one snapshot group of look-ups, however the
+/// The `(row, queries)` hits of one cycle's look-ups, however the
 /// rows were reached: by the probes of an [`IndexProbe`] cycle, or by the
 /// access paths of a scan cycle served from the indexes
 /// ([`crate::clockscan`]).
@@ -234,7 +210,6 @@ mod tests {
             ProbeQuery::key(QueryId(3), 0, Value::Int(7)),
         ];
         let res = probe.execute_batch(&queries, &[]).unwrap();
-        assert_eq!(res.served_queries.len(), 3);
         // Row 5 appears once, subscribed by queries 1 and 2.
         assert_eq!(res.tuples.len(), 2);
         let row5 = res

@@ -50,27 +50,6 @@ impl Snapshot {
 /// Timestamp value used for "still live" row versions.
 pub const TS_INFINITY: Timestamp = Timestamp(u64::MAX);
 
-/// Groups a cycle's queries by their effective read snapshot: queries whose
-/// `pin` is `None` read `default`, pinned queries read their own version
-/// set. Shared by the ClockScan and IndexProbe cycle loops so each group
-/// still shares one pass; with no pinned queries (the common case) this is
-/// a single group.
-pub fn group_by_snapshot<Q>(
-    queries: &[Q],
-    default: Snapshot,
-    pin: impl Fn(&Q) -> Option<Snapshot>,
-) -> Vec<(Snapshot, Vec<&Q>)> {
-    let mut groups: Vec<(Snapshot, Vec<&Q>)> = Vec::new();
-    for q in queries {
-        let effective = pin(q).unwrap_or(default);
-        match groups.iter_mut().find(|(s, _)| *s == effective) {
-            Some((_, members)) => members.push(q),
-            None => groups.push((effective, vec![q])),
-        }
-    }
-    groups
-}
-
 /// Monotonic logical-clock source shared by the storage layer and the engine.
 ///
 /// * `read_ts()` returns the timestamp of the latest committed state; a

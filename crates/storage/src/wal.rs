@@ -2,7 +2,7 @@
 //!
 //! Crescando "keeps all data in main memory, but it also supports full
 //! recovery by checkpointing and logging all data to disk" (Section 4.4).
-//! SharedDB group-commits one log record batch per heartbeat, which keeps the
+//! SharedDB group-commits one log record batch per query batch, which keeps the
 //! logging cost per query constant regardless of batch size.
 //!
 //! The log is *logical*: it records the applied [`UpdateOp`]s per table in
@@ -485,7 +485,7 @@ struct WalInner {
 }
 
 /// The write-ahead log: wraps a sink and provides batch-granular appends
-/// (group commit per heartbeat) under a configurable fsync policy.
+/// (group commit per query batch) under a configurable fsync policy.
 pub struct Wal {
     inner: Mutex<WalInner>,
     stats: WalStats,

@@ -106,7 +106,7 @@ fn main() -> shareddb::Result<()> {
 
     // 4. Start the engine and fire hundreds of concurrent queries: they are
     //    batched and answered by ONE shared join, ONE shared sort and ONE
-    //    shared group-by per heartbeat.
+    //    shared group-by per batch.
     let engine = Engine::start(catalog, plan, registry, EngineConfig::default())?;
     let handles: Vec<_> = (0..500)
         .map(|i| {

@@ -104,7 +104,7 @@ fn main() -> shareddb::Result<()> {
     )?;
 
     // Submit both query types (plus many concurrent instances) at once: they
-    // are answered by a single shared join per heartbeat.
+    // are answered by a single shared join per batch.
     let q1 = engine.execute("ordersByCountry", &[Value::text("DE")])?;
     let q2 = engine.execute(
         "ordersByCountryAndYear",

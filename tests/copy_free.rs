@@ -23,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Counts every allocation (a `realloc` counts as one): per thread, for the
 /// exact comparisons of single-threaded work, and process-wide, for bounds on
@@ -537,40 +537,57 @@ fn a_heavy_batch_allocates_less_than_once_per_tuple() {
 }
 
 /// What the hand-off costs a look-up, as a count: sixty-four `getItemById`
-/// submitted and then waited for — one batch: the heartbeat gathers them —
-/// allocate, over every thread of the engine, what binding, the probe, the
-/// result sets and the batch itself need and one shared slot per statement
-/// for the way back, which holds the outcome in place: no channel with its
-/// queue, no map entry. 316 a round (4.9 a statement) at the parent, 252
-/// (3.9) when this was written.
+/// submitted and then waited for — one batch: they queue behind a look-up
+/// whose batch waits for ITEM, which the test holds, and whose cost, that of
+/// a lone look-up, is counted apart and taken off — allocate, over every
+/// thread of the engine, what binding, the probe, the result sets and the
+/// batch itself need and one shared slot per statement for the way back,
+/// which holds the outcome in place: no channel with its queue, no map
+/// entry. 316 a round (4.9 a statement) at the parent, 252 (3.9) when this
+/// was written.
 #[test]
 fn a_lookup_allocates_one_slot_for_its_way_back() {
     let _alone = alone();
     const BATCH: u64 = 64;
     let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
-    // Gathers a round's statements into one batch.
-    let config = EngineConfig {
-        heartbeat: Duration::from_millis(5),
-        ..EngineConfig::default()
-    };
-    let engine = Engine::start(catalog, plan, registry, config).unwrap();
-    let round = || {
+    let config = EngineConfig::default();
+    let engine = Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap();
+    let item = catalog.table("ITEM").unwrap();
+    let counted = |run: &dyn Fn()| {
         let before = EVERYWHERE.load(Ordering::Relaxed);
-        let submit = |i| {
-            let params = [Value::Int(i as i64)];
-            engine.submit("getItemById", &params, SubmitOptions::default())
-        };
-        let handles: Vec<_> = (0..BATCH).map(|i| submit(i).unwrap()).collect();
+        run();
+        EVERYWHERE.load(Ordering::Relaxed) - before
+    };
+    let look_up = |i: u64| {
+        let params = [Value::Int(i as i64)];
+        engine.submit("getItemById", &params, SubmitOptions::default())
+    };
+    let lone = || assert_eq!(look_up(0).unwrap().wait().unwrap().rows().len(), 1);
+    let round = || {
+        let hold = item.write();
+        let ahead = look_up(0).unwrap();
+        while engine.queued() > 0 {
+            std::thread::yield_now();
+        }
+        let handles: Vec<_> = (0..BATCH).map(|i| look_up(i).unwrap()).collect();
+        drop(hold);
+        assert_eq!(ahead.wait().unwrap().rows().len(), 1);
         for handle in handles {
             assert_eq!(handle.wait().unwrap().rows().len(), 1);
         }
-        EVERYWHERE.load(Ordering::Relaxed) - before
     };
-    // The first rounds size what is kept from batch to batch; a round the
-    // heartbeat cut in two pays for two batches.
-    let rounds: Vec<u64> = (0..12).map(|_| round()).collect();
-    let per_statement = *rounds[4..].iter().min().unwrap() as f64 / BATCH as f64;
-    eprintln!("{per_statement:.1} allocations a look-up ({rounds:?} a round of {BATCH})");
+    // The first rounds size what is kept from batch to batch.
+    let (mut rounds, mut lones) = (Vec::new(), Vec::new());
+    for _ in 0..12 {
+        lones.push(counted(&lone));
+        rounds.push(counted(&round));
+    }
+    let least = |counts: &[u64]| *counts[4..].iter().min().unwrap();
+    let per_statement = (least(&rounds) - least(&lones)) as f64 / BATCH as f64;
+    eprintln!(
+        "{per_statement:.1} allocations a look-up ({rounds:?} a round of {BATCH} behind one \
+         of {lones:?})"
+    );
     assert!(per_statement <= 4.5, "{per_statement} ({rounds:?})");
 }

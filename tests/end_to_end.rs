@@ -152,13 +152,16 @@ fn updates_are_visible_across_engines_sharing_a_catalog() {
 /// of two subjects have lost their AUTHOR row, so the join under a search has
 /// to look past them to fill its page of fifty — while a writer keeps moving
 /// publication dates. Every page the shared engine answers is row for row
-/// what the query-at-a-time engine computes at the same pinned snapshot.
+/// what the query-at-a-time engine computes at the snapshot its batch read
+/// (`TraceEvent::Batch`), kept from reclamation by a pin taken before the
+/// submit.
 #[test]
 fn pages_look_past_items_without_an_author_on_every_lane() {
     use shareddb::baseline::ClassicEngine;
+    use shareddb::common::ids::Timestamp;
     use shareddb::common::{Expr, Tuple};
-    use shareddb::core::{Engine, SubmitOptions};
-    use shareddb::storage::UpdateOp;
+    use shareddb::core::{Engine, TraceEvent};
+    use shareddb::storage::{Snapshot, UpdateOp};
     use shareddb::tpcw::{build_shared_plan, register_baseline_statements, PAGE_SIZE};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -239,21 +242,39 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
         })
     };
 
+    // The snapshot the batch that answered `ticket` read.
+    let read_at = |ticket: u64| {
+        let trace = shared.trace();
+        let batch = trace.iter().find_map(|record| match record.event {
+            TraceEvent::Statement(s) if s.ticket == ticket => Some(s.batch),
+            _ => None,
+        });
+        let snapshot = trace.iter().find_map(|record| match record.event {
+            TraceEvent::Batch {
+                batch: b, snapshot, ..
+            } if Some(b) == batch => Some(snapshot),
+            _ => None,
+        });
+        Snapshot::at(snapshot.expect("the statement's batch is in the trace"))
+    };
     let mut first_pages: Vec<Vec<Tuple>> = Vec::new();
+    let mut snapshots: Vec<Timestamp> = Vec::new();
     for round in 0..12 {
         for (statement, params) in &pages {
-            let snapshot = catalog.pin();
-            let pinned = || SubmitOptions {
-                pinned_snapshot: Some(snapshot.clone()),
-                ..SubmitOptions::default()
-            };
-            let want = classic.execute_at(statement, params, *snapshot).unwrap();
+            // Whatever the batch reads is at or after the pin, so no version
+            // it sees is reclaimed before the reference reads it too.
+            let _history = catalog.pin();
+            let handle = shared.execute(statement, params).unwrap();
+            let ticket = handle.ticket().0;
+            let got = handle.wait().unwrap();
+            let snapshot = read_at(ticket);
+            snapshots.push(snapshot.ts);
+            let want = classic.execute_at(statement, params, snapshot).unwrap();
             assert!(!want.is_empty());
-            let got = shared.submit(statement, params, pinned()).unwrap().wait();
             assert_eq!(
-                got.unwrap().rows(),
+                got.rows(),
                 &want[..],
-                "{statement}{params:?}, round {round}"
+                "{statement}{params:?}, round {round} at {snapshot:?}"
             );
             if *statement == "getNewProducts" && params[0] == subjects[0] {
                 first_pages.push(want);
@@ -262,8 +283,11 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
     }
     stop.store(true, Ordering::Relaxed);
     assert!(writer.join().unwrap() > 0, "the writer never ran");
-    // The writer was seen: the newest products of a subject changed meanwhile.
+    // The writer was seen: the newest products of a subject changed
+    // meanwhile, and the batches read snapshots it had moved on.
     assert!(first_pages.iter().any(|page| *page != first_pages[0]));
+    assert!(snapshots.windows(2).all(|w| w[0] <= w[1]), "{snapshots:?}");
+    assert!(snapshots[0] < snapshots[snapshots.len() - 1]);
     // And the engine did prune: the join by the demand of the searches, the
     // group-by by that of the best-seller pages.
     let stats = shared.stats().operators;
@@ -279,7 +303,7 @@ fn pages_look_past_items_without_an_author_on_every_lane() {
 /// joins, the group-join and Γ over query sets wider than a word.
 #[test]
 fn a_batch_wider_than_a_word_answers_as_batches_of_one() {
-    use shareddb::core::{Engine, QueryOutcome, SubmitOptions};
+    use shareddb::core::{Engine, QueryOutcome, TraceEvent};
     use shareddb::tpcw::build_shared_plan;
 
     let scale = tiny_scale();
@@ -294,42 +318,47 @@ fn a_batch_wider_than_a_word_answers_as_batches_of_one() {
             }
         })
         .collect();
-    let engine = |heartbeat| {
+    let engine = || {
         let (plan, registry) = build_shared_plan(&catalog).unwrap();
-        let config = EngineConfig {
-            heartbeat,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig::default();
         Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap()
     };
     let rows = |outcome: QueryOutcome| outcome.rows().to_vec();
 
-    let alone = engine(Duration::ZERO);
+    let alone = engine();
     let expected: Vec<_> = pages
         .iter()
         .map(|(statement, params)| rows(alone.execute_sync(statement, params).unwrap()))
         .collect();
     assert!(expected.iter().all(|page| !page.is_empty()));
 
-    // A warm-up runs at once; what is submitted behind it waits for the
-    // heartbeat and forms one batch — a round cut in two is run again.
-    let batched = engine(Duration::from_millis(30));
-    for round in 0.. {
-        batched.execute_sync(pages[0].0, &pages[0].1).unwrap();
-        let before = batched.stats().batches;
-        let handles: Vec<_> = pages
-            .iter()
-            .map(|(statement, params)| batched.submit(statement, params, SubmitOptions::default()))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        for ((statement, _), (handle, expected)) in
-            pages.iter().zip(handles.into_iter().zip(&expected))
-        {
-            assert_eq!(&rows(handle.wait().unwrap()), expected, "{statement}");
-        }
-        if batched.stats().batches == before + 1 {
-            break;
-        }
-        assert!(round < 3, "150 statements never formed one batch");
+    // Gathers the 150 into one batch: the page ahead of them reads ITEM,
+    // held here, and they queue behind its batch.
+    let batched = engine();
+    let item = catalog.table("ITEM").unwrap();
+    let hold = item.write();
+    let ahead = batched.execute(pages[0].0, &pages[0].1).unwrap();
+    while batched.queued() > 0 {
+        std::thread::yield_now();
     }
+    let handles: Vec<_> = pages
+        .iter()
+        .map(|(statement, params)| batched.execute(statement, params))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    drop(hold);
+    assert_eq!(&rows(ahead.wait().unwrap()), &expected[0]);
+    for ((statement, _), (handle, expected)) in pages.iter().zip(handles.into_iter().zip(&expected))
+    {
+        assert_eq!(&rows(handle.wait().unwrap()), expected, "{statement}");
+    }
+    let batches: Vec<usize> = batched
+        .trace()
+        .iter()
+        .filter_map(|record| match record.event {
+            TraceEvent::Batch { queries, .. } => Some(queries),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(batches, [1, 150]);
 }

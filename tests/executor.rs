@@ -40,18 +40,13 @@ struct Deployment {
     engine: Engine,
 }
 
-/// The same data and plan at 1, 2 and 8 executor threads. The heartbeat
-/// gathers the statements submitted right after a warm-up statement into one
-/// batch.
+/// The same data and plan at 1, 2 and 8 executor threads.
 fn fleet(build: impl Fn() -> (Arc<Catalog>, GlobalPlan, StatementRegistry)) -> Vec<Deployment> {
     [1, 2, 8]
         .into_iter()
         .map(|cores| {
             let (catalog, plan, registry) = build();
-            let config = EngineConfig {
-                heartbeat: Duration::from_millis(4),
-                ..EngineConfig::with_cores(cores)
-            };
+            let config = EngineConfig::with_cores(cores);
             let engine = Engine::start(Arc::clone(&catalog), plan, registry, config).unwrap();
             Deployment {
                 cores,
@@ -133,12 +128,14 @@ fn serial_walk(deployment: &Deployment, calls: &[&StatementCall]) -> Vec<Vec<Tup
         .collect()
 }
 
-/// Runs `calls` as one burst on every deployment — the writes first, so that
-/// every read is in their batch or a later one — and compares each read with
-/// the serial walk over the same data, and the writes across deployments.
+/// Runs `calls` as one batch on every deployment — the writes first, so
+/// that every read sees them — and compares each read with the serial walk
+/// over the same data, and the writes across deployments. The batch is what
+/// queued behind `ahead`, a statement that reads `held`: its batch waits for
+/// that table, which the test holds until the burst is submitted.
 fn check_against_serial_walk(
     fleet: &[Deployment],
-    warm_up: &StatementCall,
+    (held, ahead): (&str, &StatementCall),
     calls: &[StatementCall],
 ) {
     let is_update = |call: &&StatementCall| {
@@ -150,11 +147,16 @@ fn check_against_serial_walk(
     let mut written: Vec<Vec<usize>> = Vec::new();
     for deployment in fleet {
         let engine = &deployment.engine;
-        engine
-            .execute_sync(warm_up.statement, &warm_up.params)
-            .unwrap();
+        let table = deployment.catalog.table(held).unwrap();
+        let hold = table.write();
+        let ahead = engine.execute(ahead.statement, &ahead.params).unwrap();
+        while engine.queued() > 0 {
+            std::thread::yield_now();
+        }
         let submit = |call: &&StatementCall| engine.execute(call.statement, &call.params).unwrap();
         let handles: Vec<_> = writes.iter().chain(&reads).map(submit).collect();
+        drop(hold);
+        ahead.wait().unwrap();
         let outcomes: Vec<QueryOutcome> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
         let (wrote, read) = outcomes.split_at(writes.len());
         written.push(wrote.iter().map(|o| o.rows_affected()).collect());
@@ -312,7 +314,7 @@ fn figure_2_burst(rng: &mut TestRng) -> Vec<StatementCall> {
 
 #[test]
 fn executor_equals_serial_walk() {
-    let warm_up = |statement| StatementCall {
+    let look_up = |statement| StatementCall {
         statement,
         params: vec![Value::Int(0)],
     };
@@ -322,7 +324,10 @@ fn executor_equals_serial_walk() {
     run_cases(
         "executor_equals_serial_walk/tpcw",
         ProptestConfig::with_cases(48),
-        |rng| check_against_serial_walk(&tpcw, &warm_up("getItemById"), &tpcw_burst(rng, &params)),
+        |rng| {
+            let ahead = look_up("getItemById");
+            check_against_serial_walk(&tpcw, ("ITEM", &ahead), &tpcw_burst(rng, &params))
+        },
     );
     assert_every_node_was_exercised(&tpcw);
 
@@ -330,7 +335,10 @@ fn executor_equals_serial_walk() {
     run_cases(
         "executor_equals_serial_walk/figure_2",
         ProptestConfig::with_cases(96),
-        |rng| check_against_serial_walk(&figure_2, &warm_up("userById"), &figure_2_burst(rng)),
+        |rng| {
+            let ahead = look_up("userById");
+            check_against_serial_walk(&figure_2, ("USERS", &ahead), &figure_2_burst(rng))
+        },
     );
     assert_every_node_was_exercised(&figure_2);
 }
@@ -369,51 +377,54 @@ fn executor_stress() {
 #[test]
 fn a_lookup_completes_with_its_batch() {
     let (catalog, plan, registry) = tpcw_deployment();
-    // Gathers the look-up and the best-seller page into one batch.
-    let config = EngineConfig {
-        heartbeat: Duration::from_millis(20),
-        ..EngineConfig::default()
-    };
-    let engine = Engine::start(catalog, plan, registry, config).unwrap();
+    let engine = Engine::start(
+        Arc::clone(&catalog),
+        plan,
+        registry,
+        EngineConfig::default(),
+    )
+    .unwrap();
     let (item_by_id, _) = engine.registry().get("getItemById").unwrap();
     let subject = ParamGenerator::new(&tpcw_scale())
         .calls(WebInteraction::BestSellers, &mut StdRng::seed_from_u64(1))
         .remove(0);
-    for attempt in 0.. {
-        engine
-            .execute_sync("getItemById", &[Value::Int(0)])
-            .unwrap();
-        let heavy = engine.execute(subject.statement, &subject.params).unwrap();
-        let light = engine.execute("getItemById", &[Value::Int(7)]).unwrap();
-        light.wait().unwrap();
-        heavy.wait().unwrap();
-        let trace = engine.trace();
-        let shared = trace.iter().rev().find_map(|record| match &record.event {
-            TraceEvent::Batch {
-                batch,
-                queries: 2,
-                operators,
-                ..
-            } => Some((*batch, operators)),
-            _ => None,
-        });
-        let Some((shared, operators)) = shared else {
-            assert!(attempt < 20, "the two statements never shared a batch");
-            continue;
-        };
-        let slowest_operator = operators.iter().map(|&(_, _, busy)| busy).max().unwrap();
-        let lookup = trace.iter().find_map(|record| match record.event {
-            TraceEvent::Statement(s) if s.batch == shared && s.statement == item_by_id => Some(s),
-            _ => None,
-        });
-        let lookup_executed = lookup.unwrap().execute;
-        assert!(
-            lookup_executed >= slowest_operator,
-            "the look-up was answered after {lookup_executed:?}, before the batch's \
-             slowest operator ({slowest_operator:?}) had finished"
-        );
-        return;
+    // Gathers the look-up and the best-seller page into one batch: the
+    // look-up ahead of them waits for ITEM, held here, and they queue
+    // behind its batch.
+    let item = catalog.table("ITEM").unwrap();
+    let hold = item.write();
+    let ahead = engine.execute("getItemById", &[Value::Int(0)]).unwrap();
+    while engine.queued() > 0 {
+        std::thread::yield_now();
     }
+    let heavy = engine.execute(subject.statement, &subject.params).unwrap();
+    let light = engine.execute("getItemById", &[Value::Int(7)]).unwrap();
+    drop(hold);
+    ahead.wait().unwrap();
+    light.wait().unwrap();
+    heavy.wait().unwrap();
+    let trace = engine.trace();
+    let shared = trace.iter().find_map(|record| match &record.event {
+        TraceEvent::Batch {
+            batch: 2,
+            queries: 2,
+            operators,
+            ..
+        } => Some(operators),
+        _ => None,
+    });
+    let operators = shared.expect("the two statements shared batch 2");
+    let slowest_operator = operators.iter().map(|&(_, _, busy)| busy).max().unwrap();
+    let lookup = trace.iter().find_map(|record| match record.event {
+        TraceEvent::Statement(s) if s.batch == 2 && s.statement == item_by_id => Some(s),
+        _ => None,
+    });
+    let lookup_executed = lookup.unwrap().execute;
+    assert!(
+        lookup_executed >= slowest_operator,
+        "the look-up was answered after {lookup_executed:?}, before the batch's \
+         slowest operator ({slowest_operator:?}) had finished"
+    );
 }
 
 /// A statement's life is one record: every answered statement, query or
@@ -472,6 +483,7 @@ fn a_statement_is_one_record_in_the_ring_and_the_slow_log() {
             queries,
             updates,
             operators,
+            ..
         } = &record.event
         else {
             continue;
@@ -489,7 +501,7 @@ fn a_statement_is_one_record_in_the_ring_and_the_slow_log() {
     }
     assert!(update_only >= 1);
 
-    let (offenders, slow) = engine.slow_queries();
+    let (offenders, slow) = (engine.slow_query_count(), engine.slow_queries());
     assert_eq!(offenders, tickets.len() as u64);
     assert_eq!(slow, statements, "the slow log holds the ring's records");
     let operators = engine.stats().operators;

@@ -14,10 +14,11 @@
 //! kept, deleted and written again under a writer that keeps retitling the
 //! rest of the catalog.
 //!
-//! `SubmitOptions::pinned_snapshot` pins a statement's storage reads — its
-//! scans and probes. The look-ups of an `IndexNlJoin` read the snapshot of
-//! the batch they run in, so the join is pinned where that snapshot is
-//! handed to it: as an operator cycle over the references its scan emits.
+//! An engine's batch reads the latest commit, so a past snapshot is read
+//! the way a batch hands one to its operators: a storage cycle at that
+//! snapshot (`ClockScan::execute_at`, `IndexProbe::execute_at`), and for a
+//! join an operator cycle over the references its scan emitted. With the
+//! writer at rest the engine's own answers are held to the same reference.
 //! Every snapshot is held by a `Catalog::pin` for as long as it is read: the
 //! writer's commits reclaim whatever no pin sees.
 
@@ -26,8 +27,11 @@ use shareddb::common::{tuple, DataType, Expr, QTuple, QueryId, QuerySet, Tuple, 
 use shareddb::core::batch::Activation;
 use shareddb::core::operators::{execute_operator, ExecContext};
 use shareddb::core::plan::{ActivationTemplate, OperatorSpec, PlanBuilder, StatementSpec};
-use shareddb::core::{Engine, EngineConfig, StatementRegistry, SubmitOptions};
-use shareddb::storage::{Catalog, ClockScan, ScanQuery, Snapshot, SnapshotPin, TableDef, UpdateOp};
+use shareddb::core::{Engine, EngineConfig, StatementRegistry};
+use shareddb::storage::{
+    Catalog, ClockScan, IndexProbe, ProbeQuery, ScanQuery, Snapshot, SnapshotPin, TableDef,
+    UpdateOp,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -143,9 +147,8 @@ fn reference(catalog: &Arc<Catalog>) -> ClassicEngine {
 fn join_cycle(catalog: &Arc<Catalog>, group: i64, snapshot: Snapshot) -> Vec<Tuple> {
     let query = QueryId(1);
     let refs = ClockScan::new(catalog.table("REFS").unwrap(), catalog.oracle());
-    let of_group = Expr::col(1).eq(Expr::lit(group));
-    let of_group = ScanQuery::new(query, of_group).at_snapshot(Some(snapshot));
-    let outer: Vec<QTuple> = refs.execute_batch(&[of_group], &[]).unwrap().tuples;
+    let of_group = ScanQuery::new(query, Expr::col(1).eq(Expr::lit(group)));
+    let outer: Vec<QTuple> = refs.execute_at(&[of_group], snapshot).unwrap().tuples;
     assert!(outer
         .iter()
         .all(|t| t.queries == QuerySet::singleton(query)));
@@ -161,6 +164,24 @@ fn join_cycle(catalog: &Arc<Catalog>, group: i64, snapshot: Snapshot) -> Vec<Tup
     let activations = [(query, Activation::Participate)];
     let joined = execute_operator(&join, &activations, vec![outer], &ctx).unwrap();
     joined.into_iter().map(|t| t.tuple).collect()
+}
+
+/// The `probed` statement at `snapshot`: one index-probe cycle.
+fn probe_cycle(catalog: &Arc<Catalog>, key: i64, snapshot: Snapshot) -> Vec<Tuple> {
+    let probe = IndexProbe::new(catalog.table("ITEMS").unwrap(), catalog.oracle());
+    let by_key = ProbeQuery::key(QueryId(1), 0, Value::Int(key));
+    let cycle = probe.execute_at(&[by_key], snapshot).unwrap();
+    cycle.tuples.into_iter().map(|t| t.tuple).collect()
+}
+
+/// The `scanned` statement at `snapshot`: one scan cycle, which the key map
+/// serves — it fetches the key's one or two spellings and walks nothing.
+fn scan_cycle(catalog: &Arc<Catalog>, key: i64, snapshot: Snapshot) -> Vec<Tuple> {
+    let scan = ClockScan::new(catalog.table("ITEMS").unwrap(), catalog.oracle());
+    let by_key = ScanQuery::new(QueryId(1), item_is(key));
+    let cycle = scan.execute_at(&[by_key], snapshot).unwrap();
+    assert!(cycle.by_index, "a pass served ITEMS by key {key}");
+    cycle.tuples.into_iter().map(|t| t.tuple).collect()
 }
 
 fn item_is(id: i64) -> Expr {
@@ -244,6 +265,11 @@ fn pinned_key_lookups_equal_the_scanning_engine() {
     }
     assert!(pins.windows(2).all(|w| w[0].ts < w[1].ts));
 
+    // Compare under the writer: its first commit past the last pin first.
+    let last_pin = pins.last().unwrap().ts;
+    while catalog.snapshot().ts <= last_pin {
+        std::thread::yield_now();
+    }
     let mut compared = 0;
     let mut differing_views = std::collections::HashSet::new();
     for round in 0..3 {
@@ -258,18 +284,11 @@ fn pinned_key_lookups_equal_the_scanning_engine() {
             for (statement, param) in calls {
                 let params = [Value::Int(param)];
                 let want = classic.execute_at(statement, &params, **snapshot).unwrap();
-                if statement == "joined" {
-                    let got = join_cycle(&catalog, param, **snapshot);
-                    assert_eq!(sorted(got), sorted(want), "joined({param}) at pin {pin}");
-                    compared += 1;
-                    continue;
-                }
-                let pinned = SubmitOptions {
-                    pinned_snapshot: Some(snapshot.clone()),
-                    ..SubmitOptions::default()
+                let got = match statement {
+                    "probed" => probe_cycle(&catalog, param, **snapshot),
+                    "scanned" => scan_cycle(&catalog, param, **snapshot),
+                    _ => join_cycle(&catalog, param, **snapshot),
                 };
-                let got = engine.submit(statement, &params, pinned).unwrap();
-                let got = got.wait().unwrap().rows().to_vec();
                 assert_eq!(
                     sorted(got),
                     sorted(want.clone()),
@@ -285,32 +304,36 @@ fn pinned_key_lookups_equal_the_scanning_engine() {
     stop.store(true, Ordering::Relaxed);
     let writes = writer.join().unwrap();
     assert!(writes > 0 && compared > 0);
-    // With the writer at rest the batch's snapshot is the latest one, and the
-    // join inside the engine is the join at that snapshot.
-    for group in 0..8 {
-        let params = [Value::Int(group)];
-        let want = classic.execute_at("joined", &params, catalog.snapshot());
-        let got = engine.execute_sync("joined", &params).unwrap();
+    // With the writer at rest the batch's snapshot is the latest one, and
+    // each statement inside the engine is its cycles at that snapshot.
+    let calls = [1, 2, 3, 4, 5, 104, 7_777]
+        .into_iter()
+        .flat_map(|key| [("probed", key), ("scanned", key)])
+        .chain((0..8).map(|group| ("joined", group)));
+    for (statement, param) in calls {
+        let params = [Value::Int(param)];
+        let want = classic.execute_at(statement, &params, catalog.snapshot());
+        let got = engine.execute_sync(statement, &params).unwrap();
         let got = sorted(got.rows().to_vec());
-        assert_eq!(got, sorted(want.unwrap()), "joined({group})");
+        assert_eq!(got, sorted(want.unwrap()), "{statement}({param})");
     }
     // The pins do see different things: items 1–5 are there and gone, under
     // two or three values each.
     assert!(differing_views.len() >= 5 + 6, "{differing_views:?}");
 
-    // A key look-up pinned to the past was served by the key map, not by a
-    // pass: every cycle of the ITEMS scan fetched its one or two spellings
-    // of the key and walked nothing.
+    // The engine's key look-ups were served by the key map, not by a pass:
+    // every cycle of the ITEMS scan fetched its one or two spellings of the
+    // key and walked nothing.
     let scans = engine.stats().scans;
     let items = scans.iter().find(|s| s.table == "ITEMS").unwrap();
-    assert_eq!(items.cycles[0], 0, "{items:?}");
-    assert!(items.cycles[1] > 0);
+    assert_eq!(items.cycles, [0, 7], "{items:?}");
 }
 
 /// `doTitleSearch` of the TPC-W plan — an infix `LIKE` on `ITEM.I_TITLE`, a
 /// look-up of each item's author, the first page by title — pinned before
 /// and after titles change, against a query-at-a-time engine that walks ITEM
-/// and AUTHOR whole: the same page at every pin, and no ITEM cycle was a
+/// and AUTHOR whole: the same page at every pin, read as a batch's cycles,
+/// and from the engine once the writer is at rest; no ITEM cycle was a
 /// pass.
 #[test]
 fn pinned_title_searches_equal_the_scanning_engine() {
@@ -401,6 +424,35 @@ fn pinned_title_searches_equal_the_scanning_engine() {
         "VOLUME %",
         "%no such title%",
     ];
+    // The statement at `snapshot` as a batch hands it to its operators: the
+    // ITEM cycle, served from ITEM_TITLE; each item's author by key; the
+    // first page by title.
+    let page_at = |pattern: &str, snapshot: Snapshot| -> Vec<Tuple> {
+        let items = ClockScan::new(catalog.table("ITEM").unwrap(), catalog.oracle());
+        let titled = ScanQuery::new(QueryId(1), Expr::col(TITLE).like(Expr::lit(pattern)));
+        let cycle = items.execute_at(&[titled], snapshot).unwrap();
+        assert!(cycle.by_index, "a pass served {pattern}");
+        let join = OperatorSpec::IndexNlJoin {
+            table: "AUTHOR".into(),
+            outer_key: 2,
+            inner_column: 0,
+        };
+        let ctx = ExecContext {
+            catalog: catalog.as_ref(),
+            snapshot,
+        };
+        let activations = [(QueryId(1), Activation::Participate)];
+        let joined = execute_operator(&join, &activations, vec![cycle.tuples], &ctx).unwrap();
+        let mut page: Vec<Tuple> = joined.into_iter().map(|t| t.tuple).collect();
+        page.sort_by(|a, b| a[TITLE].cmp(&b[TITLE]));
+        page.truncate(PAGE_SIZE);
+        page
+    };
+    // Compare under the writer: its first commit past the last pin first.
+    let last_pin = pins.last().unwrap().ts;
+    while catalog.snapshot().ts <= last_pin {
+        std::thread::yield_now();
+    }
     let mut pages = std::collections::HashSet::new();
     for (pin, snapshot) in pins.iter().enumerate() {
         for pattern in patterns {
@@ -408,12 +460,7 @@ fn pinned_title_searches_equal_the_scanning_engine() {
             let want = classic
                 .execute_at("doTitleSearch", &params, **snapshot)
                 .unwrap();
-            let pinned = SubmitOptions {
-                pinned_snapshot: Some(snapshot.clone()),
-                ..SubmitOptions::default()
-            };
-            let got = engine.submit("doTitleSearch", &params, pinned).unwrap();
-            let got = got.wait().unwrap().rows().to_vec();
+            let got = page_at(pattern, **snapshot);
             assert_eq!(got, want, "{pattern} at pin {pin}");
             if pattern == "%BOOK 12%" {
                 let titles: Vec<String> = want.iter().map(|row| row[TITLE].to_string()).collect();
@@ -425,9 +472,15 @@ fn pinned_title_searches_equal_the_scanning_engine() {
     assert!(writer.join().unwrap() > 0);
     // The pins do see different pages: an item left, one came, one came back.
     assert!(pages.len() >= 4, "{pages:?}");
-    // Every ITEM cycle was served from ITEM_TITLE; none walked the table.
+    // With the writer at rest the engine answers the page at the latest
+    // snapshot, every ITEM cycle served from ITEM_TITLE.
+    for pattern in patterns {
+        let params = [Value::text(pattern)];
+        let want = classic.execute_at("doTitleSearch", &params, catalog.snapshot());
+        let got = engine.execute_sync("doTitleSearch", &params).unwrap();
+        assert_eq!(got.rows(), &want.unwrap()[..], "{pattern}");
+    }
     let scans = engine.stats().scans;
     let items = scans.iter().find(|s| s.table == "ITEM").unwrap();
-    assert_eq!(items.cycles[0], 0, "{items:?}");
-    assert!(items.cycles[1] as usize >= pins.len() * patterns.len());
+    assert_eq!(items.cycles, [0, patterns.len() as u64], "{items:?}");
 }

@@ -12,7 +12,7 @@ use shareddb::storage::{Catalog, TableDef};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn catalog() -> Arc<Catalog> {
@@ -54,18 +54,60 @@ fn start_server(engine_config: EngineConfig, server_config: ServerConfig) -> Ser
     Server::start_sql(catalog(), WORKLOAD, engine_config, server_config).unwrap()
 }
 
-/// Acceptance criterion: concurrent connections issuing queries in the same
-/// heartbeat window are answered from a single `QueryBatch`, observable via
-/// `EngineStats`.
+/// A batch held in flight: a thread of the test takes a table's write lock
+/// and keeps it, and a look-up of that table is submitted to the engine, so
+/// the coordinator waits in the look-up's batch and what clients send
+/// meanwhile stays queued behind it. Dropping the hold lets the batch go.
+struct Hold(mpsc::Sender<Duration>);
+
+impl Hold {
+    /// Holds `table` and runs `statement(0)`, which reads it, into a batch.
+    fn new(server: &Server, table: &str, statement: &str) -> Hold {
+        let table = server.with_engine(|e| e.catalog().table(table).unwrap());
+        let table = table.unwrap();
+        let (release, released) = mpsc::channel();
+        let (taken, held) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _hold = table.write();
+            taken.send(()).unwrap();
+            // A dropped hold lets go at once.
+            std::thread::sleep(released.recv().unwrap_or(Duration::ZERO));
+        });
+        held.recv().unwrap();
+        let ahead = server.with_engine(|e| e.execute(statement, &[Value::Int(0)]));
+        ahead.unwrap().unwrap();
+        queued(server, 0);
+        Hold(release)
+    }
+
+    /// Lets the batch go `after` from now, from the holding thread: for a
+    /// test about to block in `Server::shutdown`, whose engine shutdown
+    /// waits for the batch. A release after the drain timeout meets the
+    /// engine shutting down; an earlier one only answers what is queued
+    /// from an ordinary batch.
+    fn release_after(self, after: Duration) {
+        self.0.send(after).unwrap();
+    }
+}
+
+/// Waits until the server's engine holds `n` statements queued: what the
+/// clients sent has been read and submitted behind a held batch.
+fn queued(server: &Server, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.queued() != n {
+        assert!(Instant::now() < deadline, "never {n} queued");
+        std::thread::yield_now();
+    }
+}
+
+/// Acceptance criterion: concurrent connections issuing queries while a
+/// batch runs are answered from the next `QueryBatch`, one for all of them,
+/// observable in the engine's trace.
 #[test]
 fn concurrent_connections_share_one_batch() {
+    use shareddb::core::TraceEvent;
     const CLIENTS: usize = 8;
-    // Gathers the statements arriving within 250 ms into one batch.
-    let engine_config = EngineConfig {
-        heartbeat: Duration::from_millis(250),
-        ..EngineConfig::default()
-    };
-    let mut server = start_server(engine_config, ServerConfig::default());
+    let mut server = start_server(EngineConfig::default(), ServerConfig::default());
     let addr = server.local_addr();
 
     // Warm up every connection (prepares the statement, completes one batch)
@@ -89,21 +131,24 @@ fn concurrent_connections_share_one_batch() {
     }
     barrier.wait(); // warmups done
     let before = server.engine_stats().unwrap();
+    let hold = Hold::new(&server, "ITEM", "getItem");
     barrier.wait(); // go
+    queued(&server, CLIENTS);
+    drop(hold);
     for t in threads {
         t.join().unwrap();
     }
     let after = server.engine_stats().unwrap();
     let queries = after.queries - before.queries;
     let batches = after.batches - before.batches;
-    assert_eq!(queries, CLIENTS as u64);
-    // Strictly fewer batches than queries ⇒ by pigeonhole at least one batch
-    // answered ≥ 2 queries from different sockets. With the paced heartbeat
-    // the common case is a single batch for all eight.
-    assert!(
-        batches < queries,
-        "no batching across connections: {batches} batches for {queries} queries"
-    );
+    // The look-up held in flight, then the eight sockets' queries as one.
+    assert_eq!((queries, batches), (CLIENTS as u64 + 1, 2));
+    let trace = server.with_engine(|e| e.trace()).unwrap();
+    let last = trace.iter().rev().find_map(|record| match record.event {
+        TraceEvent::Batch { queries, .. } => Some(queries),
+        _ => None,
+    });
+    assert_eq!(last, Some(CLIENTS), "one batch for every socket");
     server.shutdown();
 }
 
@@ -150,24 +195,16 @@ fn pipelined_submissions_batch_and_preserve_order() {
 /// shutdown error instead of dropping the socket.
 #[test]
 fn backpressure_rejects_with_retryable_error() {
-    // Holds everything queued for the whole test.
-    let engine_config = EngineConfig {
-        heartbeat: Duration::from_secs(30),
-        ..EngineConfig::default()
-    };
     let server_config = ServerConfig {
         max_inflight_per_session: 4,
         drain_timeout: Duration::from_millis(100),
         ..ServerConfig::default()
     };
-    let mut server = start_server(engine_config, server_config);
+    let mut server = start_server(EngineConfig::default(), server_config);
     let mut conn = Connection::connect(server.local_addr()).unwrap();
     let get_item = conn.prepare("getItem").unwrap();
-
-    // Arm the heartbeat pacing: the engine's very first batch runs
-    // immediately, so complete one statement before the burst — everything
-    // submitted afterwards stays queued for the full (glacial) heartbeat.
-    conn.execute(&get_item, &[Value::Int(0)]).unwrap();
+    // Everything submitted from here on stays queued until the shutdown.
+    let hold = Hold::new(&server, "ITEM", "getItem");
 
     // 4 admitted + 2 rejected by the per-session in-flight cap.
     let tickets: Vec<_> = (0..6)
@@ -180,11 +217,12 @@ fn backpressure_rejects_with_retryable_error() {
     }
     let stats = server.stats();
     assert_eq!(stats.rejected, 2, "stats: {stats:?}");
-    assert_eq!(stats.requests, 7, "stats: {stats:?}");
+    assert_eq!(stats.requests, 6, "stats: {stats:?}");
 
     // Graceful drain: the admitted statements are *executed* as the engine's
     // final batch, the rejected ones fail with the retryable overload error —
     // all delivered in submission order over the still-open socket.
+    hold.release_after(Duration::from_millis(400));
     server.shutdown();
     let mut outcomes = Vec::new();
     for ticket in tickets {
@@ -210,22 +248,17 @@ fn backpressure_rejects_with_retryable_error() {
 /// Global queue-depth backpressure (as opposed to the per-session cap).
 #[test]
 fn queue_depth_backpressure_rejects() {
-    // Holds everything queued for the whole test.
-    let engine_config = EngineConfig {
-        heartbeat: Duration::from_secs(30),
-        ..EngineConfig::default()
-    };
     let server_config = ServerConfig {
         max_queue_depth: 2,
         max_inflight_per_session: 1024,
         drain_timeout: Duration::from_millis(100),
         ..ServerConfig::default()
     };
-    let mut server = start_server(engine_config, server_config);
+    let mut server = start_server(EngineConfig::default(), server_config);
     let mut conn = Connection::connect(server.local_addr()).unwrap();
     let get_item = conn.prepare("getItem").unwrap();
-    // Arm the heartbeat pacing (see backpressure_rejects_with_retryable_error).
-    conn.execute(&get_item, &[Value::Int(0)]).unwrap();
+    // Everything submitted from here on stays queued until the shutdown.
+    let hold = Hold::new(&server, "ITEM", "getItem");
     for i in 0..8 {
         conn.submit(&get_item, &[Value::Int(i)]).unwrap();
     }
@@ -238,6 +271,7 @@ fn queue_depth_backpressure_rejects() {
         "queue-depth limit never rejected: {:?}",
         server.stats()
     );
+    hold.release_after(Duration::from_millis(400));
     server.shutdown();
 }
 
@@ -372,28 +406,16 @@ fn admission_queue_bound_is_never_exceeded() {
     const CONNS: usize = 8;
     const PER_CONN: i64 = 16;
     const DEPTH: usize = 4;
-    // Holds everything queued for the whole test.
-    let engine_config = EngineConfig {
-        heartbeat: Duration::from_secs(30),
-        ..EngineConfig::default()
-    };
     let server_config = ServerConfig {
         max_queue_depth: DEPTH,
         max_inflight_per_session: 1024,
         drain_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
     };
-    let mut server = start_server(engine_config, server_config);
+    let mut server = start_server(EngineConfig::default(), server_config);
     let addr = server.local_addr();
-
-    // Arm the heartbeat pacing: the engine's very first batch runs
-    // immediately; everything submitted afterwards stays queued.
-    {
-        let mut conn = Connection::connect(addr).unwrap();
-        let get_item = conn.prepare("getItem").unwrap();
-        conn.execute(&get_item, &[Value::Int(0)]).unwrap();
-        conn.close().unwrap();
-    }
+    // Everything submitted from here on stays queued until the shutdown.
+    let hold = Hold::new(&server, "ITEM", "getItem");
 
     let submitted = Arc::new(Barrier::new(CONNS + 1));
     let observed = std::thread::scope(|scope| {
@@ -425,9 +447,9 @@ fn admission_queue_bound_is_never_exceeded() {
             });
         }
         // Sampler: watches the queue depth for the whole hammer phase, until
-        // the server has processed all 128 submissions (plus the arming one).
+        // the server has processed all 128 submissions.
         let mut max_queued = 0;
-        let expected_requests = (CONNS as u64) * (PER_CONN as u64) + 1;
+        let expected_requests = (CONNS as u64) * (PER_CONN as u64);
         let deadline = Instant::now() + Duration::from_secs(10);
         while server.stats().requests < expected_requests && Instant::now() < deadline {
             max_queued = max_queued.max(server.queued());
@@ -438,15 +460,16 @@ fn admission_queue_bound_is_never_exceeded() {
         // scope would leave the submitters blocked on their tickets forever.
         let queued_at_peak = server.queued();
         let stats = server.stats();
+        hold.release_after(Duration::from_millis(500));
         server.shutdown();
         (queued_at_peak, max_queued, stats)
     });
     let (queued_at_peak, max_queued, stats) = observed;
-    // All 128 submissions were in and nothing had drained (glacial
-    // heartbeat): the queue must hold exactly DEPTH, every submission beyond
-    // that must have been rejected, and no sampled instant may ever have seen
-    // the queue above the bound.
-    assert_eq!(stats.requests, (CONNS as u64) * (PER_CONN as u64) + 1);
+    // All 128 submissions were in and nothing had drained (a held batch):
+    // the queue must hold exactly DEPTH, every submission beyond that must
+    // have been rejected, and no sampled instant may ever have seen the
+    // queue above the bound.
+    assert_eq!(stats.requests, (CONNS as u64) * (PER_CONN as u64));
     assert_eq!(queued_at_peak, DEPTH, "bound overshot: {stats:?}");
     assert_eq!(
         stats.rejected,
@@ -464,22 +487,18 @@ fn admission_queue_bound_is_never_exceeded() {
 /// mid-frame is cleanly disconnected — neither can make shutdown hang.
 #[test]
 fn shutdown_drains_inflight_and_closes_stalled_clients() {
-    // Holds client A's queries queued until the shutdown.
-    let engine_config = EngineConfig {
-        heartbeat: Duration::from_secs(30),
-        ..EngineConfig::default()
-    };
     let server_config = ServerConfig {
         drain_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
     };
-    let mut server = start_server(engine_config, server_config);
+    let mut server = start_server(EngineConfig::default(), server_config);
     let addr = server.local_addr();
 
-    // Client A: pipelined queries in flight behind the glacial heartbeat.
+    // Client A: pipelined queries queued behind a held batch until the
+    // shutdown.
     let mut a = Connection::connect(addr).unwrap();
     let get_item = a.prepare("getItem").unwrap();
-    a.execute(&get_item, &[Value::Int(0)]).unwrap(); // arm pacing
+    let hold = Hold::new(&server, "ITEM", "getItem");
     let tickets: Vec<_> = (1..4)
         .map(|i| a.submit(&get_item, &[Value::Int(i)]).unwrap())
         .collect();
@@ -504,6 +523,7 @@ fn shutdown_drains_inflight_and_closes_stalled_clients() {
     std::thread::sleep(Duration::from_millis(50)); // let the server read it
 
     let started = Instant::now();
+    hold.release_after(Duration::from_millis(500));
     server.shutdown();
     let elapsed = started.elapsed();
     assert!(
@@ -951,29 +971,26 @@ fn reads_under_a_whole_table_writer_see_one_snapshot() {
 }
 
 /// Read-your-writes over the wire: one connection pipelines an INSERT and
-/// then a look-up of its row — another statement type — behind a 60 ms
-/// heartbeat, so that both wait in the admission queue for one batch, and
-/// every round's read holds its row: the queue is FIFO and a batch applies
-/// its updates before its reads run.
+/// then a look-up of its row — another statement type — behind a held
+/// batch, so that both wait in the admission queue for one batch, and every
+/// round's read holds its row: the queue is FIFO and a batch applies its
+/// updates before its reads run.
 #[test]
 fn a_pipelined_read_sees_its_sessions_write() {
-    let paced = EngineConfig {
-        heartbeat: Duration::from_millis(60),
-        ..EngineConfig::default()
-    };
-    let mut server = start_server(paced, ServerConfig::default());
+    let mut server = start_server(EngineConfig::default(), ServerConfig::default());
     let mut conn = Connection::connect(server.local_addr()).unwrap();
     let (add_item, get_item) = (
         conn.prepare("addItem").unwrap(),
         conn.prepare("getItem").unwrap(),
     );
-    // Heats the pacing clock: the next batch forms a heartbeat after this.
-    conn.execute(&get_item, &[Value::Int(0)]).unwrap();
     for round in 0..8i64 {
         let id = 10_000 + round;
         let row = [Value::Int(id), Value::text("fresh"), Value::Float(1.0)];
+        let hold = Hold::new(&server, "ITEM", "getItem");
         let write = conn.submit(&add_item, &row).unwrap();
         let read = conn.submit(&get_item, &[Value::Int(id)]).unwrap();
+        queued(&server, 2);
+        drop(hold);
         assert_eq!(conn.wait(write).unwrap().rows_affected(), 1);
         let rows = conn.wait(read).unwrap();
         assert_eq!(
@@ -1060,12 +1077,12 @@ fn a_multi_megabyte_reply_does_not_stall_a_ping() {
 enum Ending {
     /// Every statement is answered, then the server is shut down.
     AllAnswered,
-    /// `Server::shutdown` with a heartbeat's worth of statements in flight:
-    /// the drain delivers them from the batches still to come.
+    /// `Server::shutdown` with statements still in flight: the drain
+    /// delivers them from the batches still to come.
     Drain,
-    /// The same behind a heartbeat that never comes: what the reactor
-    /// submitted is still queued in the engine when the drain times out
-    /// and `Engine::shutdown` finds it.
+    /// The same behind a batch held until the drain has timed out: what the
+    /// reactor submitted is still queued in the engine when
+    /// `Engine::shutdown` finds it.
     EngineShutdown,
 }
 
@@ -1104,17 +1121,6 @@ fn pipelined_replies(ending: Ending) {
             params,
         }
     };
-    // Drain: gathers a batch every 20 ms; EngineShutdown: holds everything
-    // after the first batch queued until the engine shuts down.
-    let heartbeat = match ending {
-        Ending::AllAnswered => Duration::ZERO,
-        Ending::Drain => Duration::from_millis(20),
-        Ending::EngineShutdown => Duration::from_secs(30),
-    };
-    let engine_config = EngineConfig {
-        heartbeat,
-        ..EngineConfig::default()
-    };
     let server_config = ServerConfig {
         max_inflight_per_session: EACH as usize,
         max_queue_depth: (CONNECTIONS * EACH) as usize,
@@ -1124,8 +1130,14 @@ fn pipelined_replies(ending: Ending) {
         drain_timeout: Duration::from_secs(1),
         ..ServerConfig::default()
     };
+    let drain_timeout = server_config.drain_timeout;
+    let engine_config = EngineConfig::default();
     let mut server = Server::start(catalog, plan, registry, engine_config, server_config).unwrap();
     let addr = server.local_addr();
+    // EngineShutdown: everything the clients send stays queued until the
+    // drain has timed out.
+    let hold =
+        (ending == Ending::EngineShutdown).then(|| Hold::new(&server, "ITEM", "getItemById"));
 
     let clients: Vec<_> = (0..CONNECTIONS)
         .map(|_| {
@@ -1199,6 +1211,9 @@ fn pipelined_replies(ending: Ending) {
             "{label}: hung"
         );
         std::thread::sleep(Duration::from_millis(1));
+    }
+    if let Some(hold) = hold {
+        hold.release_after(drain_timeout + Duration::from_millis(300));
     }
     server.shutdown();
     for client in clients {

@@ -57,6 +57,16 @@ fn http_exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
     response
 }
 
+/// Waits until the server's engine holds `n` statements queued: what a
+/// client sent has been read and submitted behind a held batch.
+fn queued(server: &Server, n: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.queued() != n {
+        assert!(std::time::Instant::now() < deadline, "never {n} queued");
+        std::thread::yield_now();
+    }
+}
+
 /// The phase histograms of one statement type, read from the engine that
 /// recorded them.
 fn engine_phases(server: &Server, statement: &str) -> StatementPhaseSnapshot {
@@ -138,9 +148,7 @@ fn metrics_endpoint_serves_phase_histograms() {
     let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|p| execute.percentile_us(p));
     assert!(p50 <= p95 && p95 <= p99 && p99 <= execute.max_us);
     assert!(execute.mean_us() <= execute.max_us as f64);
-    let flush = server.flush_phase_stats();
-    let flush = flush.iter().find(|s| s.statement == "getItem").unwrap();
-    assert!(flush.phase(Phase::Flush).count >= QUERIES as u64);
+    assert!(phases.phase(Phase::Flush).count >= QUERIES as u64);
     assert!(!body.contains("replica="));
 
     let _ = conn.close();
@@ -275,7 +283,8 @@ fn slow_query_log_fires_exactly_for_offenders() {
     for i in 0..QUERIES {
         conn.execute(&prepared, &[Value::Int(i as i64)]).unwrap();
     }
-    let (count, records) = server.with_engine(|e| e.slow_queries()).unwrap();
+    let slow_log = |e: &shareddb::core::Engine| (e.slow_query_count(), e.slow_queries());
+    let (count, records) = server.with_engine(slow_log).unwrap();
     assert_eq!(count, QUERIES as u64);
     assert_eq!(records.len(), QUERIES);
     let name = |index| server.with_engine(|e| e.registry().by_index(index).name.clone());
@@ -299,7 +308,7 @@ fn slow_query_log_fires_exactly_for_offenders() {
     for i in 0..QUERIES {
         conn.execute(&prepared, &[Value::Int(i as i64)]).unwrap();
     }
-    let (count, records) = server.with_engine(|e| e.slow_queries()).unwrap();
+    let (count, records) = server.with_engine(slow_log).unwrap();
     assert_eq!(count, 0);
     assert!(records.is_empty());
     let _ = conn.close();
@@ -394,7 +403,7 @@ fn explain_analyze_shows_shared_scan_with_attributed_costs() {
     let counters = counters.unwrap_or_else(|| panic!("no counters for {scan_op} in {text}"));
     assert!(
         field(counters, "cycles") > 0,
-        "no heartbeat cycles recorded: {counters}"
+        "no operator cycles recorded: {counters}"
     );
     assert!(
         field(counters, "rows") > 0,
@@ -598,8 +607,9 @@ fn attributed_busy_sums_to_operator_busy_in_metrics() {
     server.shutdown();
 }
 
-/// `reset_stats` zeroes engine counters, phase histograms and the frontend
-/// flush table, so bench sweep points measure only their own window.
+/// `reset_stats` zeroes engine counters and phase histograms, the reactor's
+/// flush phase among them, so bench sweep points measure only their own
+/// window.
 #[test]
 fn reset_stats_clears_every_surface() {
     let mut server =
@@ -611,15 +621,14 @@ fn reset_stats_clears_every_surface() {
         conn.execute(&prepared, &[Value::Int(i)]).unwrap();
     }
     assert!(server.engine_stats().unwrap().queries >= 8);
-    assert!(!server.flush_phase_stats().is_empty());
+    assert!(engine_phases(&server, "getItem").phase(Phase::Flush).count > 0);
 
     server.reset_stats();
 
     let stats = server.engine_stats().unwrap();
     assert_eq!(stats.queries, 0);
     assert_eq!(stats.batches, 0);
-    assert!(server.flush_phase_stats().is_empty());
-    assert_eq!(server.with_engine(|e| e.slow_queries()).unwrap().0, 0);
+    assert_eq!(server.with_engine(|e| e.slow_query_count()), Some(0));
     let phases = server.with_engine(|e| e.stats().phases);
     assert!(phases.unwrap().is_empty());
 
@@ -773,16 +782,12 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     register_baseline_statements(&classic);
 
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
-    // Gathers the statements sent within 50 ms into one batch.
-    let engine_config = EngineConfig {
-        heartbeat: Duration::from_millis(50),
-        ..EngineConfig::default()
-    };
+    let customer = catalog.table("CUSTOMER").unwrap();
     let mut server = Server::start(
         catalog,
         plan,
         registry,
-        engine_config,
+        EngineConfig::default(),
         ServerConfig::default(),
     )
     .unwrap();
@@ -910,31 +915,28 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
     // the ITEM cycle they share is served from the indexes still — the
     // subject's posting list and that of the pattern's rarest gram, `K 1`,
     // are what is examined — and the ORDER_LINE scan leaves out what it left
-    // out before. The heartbeat makes sharing a batch all but certain, the
-    // batch counter makes it known; a round that did not share is run again.
+    // out before. The two share a batch for certain: they queue behind a
+    // look-up of a customer whose batch waits for CUSTOMER, held here.
     // (Cycles so far: none a pass over ITEM, seven served from its indexes —
     // six of them a subject's posting list — and three passes over
     // ORDER_LINE, of which the first two left nothing out.)
-    let (mut item_probes, mut item_fetched, mut line_passes) = (7, 6 * arts, 3);
     let title = [Value::text("%BOOK 1%")];
-    let shared = (0..5).any(|_| {
-        let batches = server.engine_stats().unwrap().batches;
-        let best = conn.prepare("getBestSellers").unwrap();
-        let search = conn.prepare("doTitleSearch").unwrap();
-        let best = conn.submit(&best, &latest).unwrap();
-        let search = conn.submit(&search, &title).unwrap();
-        same_as_classic("getBestSellers", &latest, conn.wait(best).unwrap().rows());
-        let found = conn.wait(search).unwrap();
-        assert!(!found.rows().is_empty());
-        same_as_classic("doTitleSearch", &title, found.rows());
-        let batches = server.engine_stats().unwrap().batches - batches;
-        // Apart, each is served from its own index.
-        item_probes += batches;
-        item_fetched += arts + first_ones;
-        line_passes += 1;
-        batches == 1
-    });
-    assert!(shared, "the two statements never shared a batch");
+    let best = conn.prepare("getBestSellers").unwrap();
+    let search = conn.prepare("doTitleSearch").unwrap();
+    let hold = customer.write();
+    let ahead = server.with_engine(|e| e.execute("getCustomerById", &[Value::Int(1)]));
+    let ahead = ahead.unwrap().unwrap();
+    queued(&server, 0);
+    let best = conn.submit(&best, &latest).unwrap();
+    let search = conn.submit(&search, &title).unwrap();
+    queued(&server, 2);
+    drop(hold);
+    assert_eq!(ahead.wait().unwrap().rows().len(), 1);
+    same_as_classic("getBestSellers", &latest, conn.wait(best).unwrap().rows());
+    let found = conn.wait(search).unwrap();
+    assert!(!found.rows().is_empty());
+    same_as_classic("doTitleSearch", &title, found.rows());
+    let (item_probes, mut item_fetched, line_passes) = (8, 7 * arts + first_ones, 4);
     let metrics = server.metrics_text();
     assert_eq!(scan_cycles(&metrics, "ITEM"), [0, item_probes]);
     let [examined, _, skipped] = scan_rows(&metrics, "ITEM");
@@ -1412,11 +1414,10 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
     assert_eq!(samples["shareddb_engine_queries"], total.queries);
     assert_eq!(samples["shareddb_engine_updates"], total.updates);
     assert_eq!(samples["shareddb_engine_failed"], total.failed);
-    // The engine's phases and the frontend's flush phase are one family:
-    // a series for each histogram that holds a sample, and no other.
-    let flush = server.flush_phase_stats();
+    // The engine's phases, the reactor's flush phase among them, are one
+    // family: a series for each histogram that holds a sample, and no other.
     let mut phase_counts = 0;
-    for snap in total.phases.iter().chain(&flush) {
+    for snap in &total.phases {
         for phase in Phase::ALL {
             let count = snap.phase(phase).count;
             if count == 0 {
@@ -1447,11 +1448,7 @@ fn exposition_is_grouped_by_family_and_carries_the_engines_numbers() {
 /// for the first and finds the others when it looks.
 #[test]
 fn completion_wakes_are_one_per_lone_statement_and_few_per_batch() {
-    // Gathers what a client pipelines into one batch.
-    let mut server = start_server(EngineConfig {
-        heartbeat: Duration::from_millis(10),
-        ..EngineConfig::default()
-    });
+    let mut server = start_server(EngineConfig::default());
     let counts = |server: &Server| {
         let metrics = server.metrics_text();
         let series = |name: &str| -> u64 {
@@ -1492,17 +1489,29 @@ fn completion_wakes_are_one_per_lone_statement_and_few_per_batch() {
     };
     assert_eq!(settled(&server), (20, 20));
 
+    let item = server.with_engine(|e| e.catalog().table("ITEM").unwrap());
+    let item = item.unwrap();
     for _ in 0..10 {
+        // What the client pipelines is one batch: it queues behind a look-up
+        // whose batch waits for ITEM, held here.
+        let hold = item.write();
+        let ahead = server.with_engine(|e| e.execute("getItem", &[Value::Int(0)]));
+        let ahead = ahead.unwrap().unwrap();
+        queued(&server, 0);
         let tickets: Vec<_> = (0..60)
             .map(|i| conn.submit(&get_item, &[Value::Int(i)]).unwrap())
             .collect();
+        queued(&server, 60);
+        drop(hold);
+        assert_eq!(ahead.wait().unwrap().rows().len(), 1);
         for ticket in tickets {
             assert_eq!(conn.wait(ticket).unwrap().rows().len(), 1);
         }
     }
     let (wakes, answered) = counts(&server);
-    assert_eq!(answered, 620);
-    let ratio = (wakes - 20) as f64 / 600.0;
+    assert_eq!(answered, 630);
+    // Each look-up ahead was answered alone: a wake of its own.
+    let ratio = (wakes - 20 - 10) as f64 / 600.0;
     assert!(ratio < 0.5, "{wakes} wakes for {answered} statements");
     let _ = conn.close();
     server.shutdown();

@@ -740,11 +740,7 @@ fn batch_mates_fail_alone_over_the_wire() {
     let start = || {
         let catalog = Catalog::new();
         catalog.create_table(item_def()).unwrap();
-        // Gathers the statements sent within 300 ms into one batch.
-        let engine_config = EngineConfig {
-            heartbeat: std::time::Duration::from_millis(300),
-            ..EngineConfig::default()
-        };
+        let engine_config = EngineConfig::default();
         let server_config = ServerConfig {
             data_dir: Some(dir.clone()),
             wal_sync: SyncPolicy::Always,
@@ -759,31 +755,43 @@ fn batch_mates_fail_alone_over_the_wire() {
     };
     let item = |id: i64, title: &str| [Value::Int(id), Value::text(title), Value::Float(1.0)];
 
-    let mut good_id = 1; // ids 2..=good_id are the good batch-mates
+    let good_id = 2; // the good batch-mate
     {
         let mut server = start();
         let mut a = Connection::connect(server.local_addr()).unwrap();
         let mut b = Connection::connect(server.local_addr()).unwrap();
         let (add_a, add_b) = (a.prepare("addItem").unwrap(), b.prepare("addItem").unwrap());
-        // Also the warm-up: the engine's first batch runs at once.
         a.execute(&add_a, &item(1, "first")).unwrap();
-        // The heartbeat makes sharing a batch all but certain, the batch
-        // counter makes it known; a round that did not share is run again.
-        let shared = (0..5).any(|_| {
-            good_id += 1;
-            let batches = server.engine_stats().unwrap().batches;
-            let duplicate = a.submit(&add_a, &item(1, "duplicate")).unwrap();
-            let good = b.submit(&add_b, &item(good_id, "good")).unwrap();
-            let (duplicate, good) = (a.wait(duplicate), b.wait(good));
-            let error = duplicate.expect_err("the duplicate key must be refused");
-            assert!(
-                error.to_string().contains("duplicate primary key"),
-                "{error}"
-            );
-            assert_eq!(good.unwrap().rows_affected(), 1);
-            server.engine_stats().unwrap().batches == batches + 1
-        });
-        assert!(shared, "the two writes never shared a batch");
+        // The two writes share a batch for certain: they queue behind a
+        // look-up whose batch waits for ITEM, held here.
+        let item_table = server.with_engine(|e| e.catalog().table("ITEM").unwrap());
+        let item_table = item_table.unwrap();
+        let batches = server.engine_stats().unwrap().batches;
+        let hold = item_table.write();
+        let ahead = server.with_engine(|e| e.execute("getItem", &[Value::Int(1)]));
+        let ahead = ahead.unwrap().unwrap();
+        let queued = |n: usize| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while server.queued() != n {
+                assert!(std::time::Instant::now() < deadline, "never {n} queued");
+                std::thread::yield_now();
+            }
+        };
+        queued(0);
+        let duplicate = a.submit(&add_a, &item(1, "duplicate")).unwrap();
+        let good = b.submit(&add_b, &item(good_id, "good")).unwrap();
+        queued(2);
+        drop(hold);
+        assert_eq!(ahead.wait().unwrap().rows().len(), 1);
+        let (duplicate, good) = (a.wait(duplicate), b.wait(good));
+        let error = duplicate.expect_err("the duplicate key must be refused");
+        assert!(
+            error.to_string().contains("duplicate primary key"),
+            "{error}"
+        );
+        assert_eq!(good.unwrap().rows_affected(), 1);
+        let after = server.engine_stats().unwrap().batches;
+        assert_eq!(after, batches + 2, "the look-up's batch, then the writes'");
         assert_eq!(titles(&mut a, 1), [Value::text("first")]);
         assert_eq!(titles(&mut b, good_id), [Value::text("good")]);
         let (_, _) = (a.close(), b.close());
@@ -793,9 +801,7 @@ fn batch_mates_fail_alone_over_the_wire() {
         let mut server = start();
         let mut conn = Connection::connect(server.local_addr()).unwrap();
         assert_eq!(titles(&mut conn, 1), [Value::text("first")]);
-        for id in 2..=good_id {
-            assert_eq!(titles(&mut conn, id), [Value::text("good")]);
-        }
+        assert_eq!(titles(&mut conn, good_id), [Value::text("good")]);
         let _ = conn.close();
         server.shutdown();
     }

@@ -4,7 +4,7 @@
 
 use shareddb::client::Connection;
 use shareddb::common::{tuple, DataType, Value};
-use shareddb::core::{Engine, EngineConfig, TraceEvent};
+use shareddb::core::{Engine, EngineConfig, GlobalPlan, StatementRegistry, TraceEvent};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::sql::compile_workload;
 use shareddb::storage::{Catalog, TableDef};
@@ -143,52 +143,27 @@ fn an_engine_has_one_thread_per_core_whatever_its_plan_and_a_server_adds_its_rea
 }
 
 /// With nothing queued the coordinator parks until a submission or a
-/// shutdown wakes it — paced or not — instead of waking every heartbeat
-/// (≈ 480 times a second at 2 ms). A paced engine's spacing is one timed
-/// wait on the same condition variable, not a poll.
+/// shutdown wakes it: no timer wakes it.
 #[test]
 fn an_idle_engine_sleeps_until_a_statement_or_a_shutdown_wakes_it() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
-    let catalog = Arc::new(Catalog::new());
-    let table = TableDef::new("T")
-        .column("ID", DataType::Int)
-        .primary_key(&["ID"]);
-    catalog.create_table(table).unwrap();
-    catalog.bulk_load("T", vec![tuple![1i64]]).unwrap();
-    let (plan, registry) =
-        compile_workload(&catalog, &[("get", "SELECT * FROM T WHERE ID = ?")]).unwrap();
-    for heartbeat in [Duration::ZERO, Duration::from_millis(50)] {
-        let config = EngineConfig {
-            heartbeat,
-            ..EngineConfig::default()
-        };
-        let policy = format!("heartbeat {heartbeat:?}");
-        let mut engine =
-            Engine::start(Arc::clone(&catalog), plan.clone(), registry.clone(), config).unwrap();
-        // The second statement waits out the spacing after the first batch.
-        engine.execute_sync("get", &[Value::Int(1)]).unwrap();
-        engine.execute_sync("get", &[Value::Int(1)]).unwrap();
-        let before = coordinator_switches();
-        std::thread::sleep(Duration::from_secs(1));
-        let woken = coordinator_switches() - before;
-        assert!(woken <= 5, "{policy}: {woken} wake-ups in an idle second");
-        // A parked coordinator still answers: a statement wakes it, and so
-        // does the shutdown.
-        engine.execute_sync("get", &[Value::Int(1)]).unwrap();
-        engine.shutdown();
-        stopped_threads();
-    }
+    let (catalog, plan, registry) = one_table();
+    let mut engine = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
+    engine.execute_sync("get", &[Value::Int(1)]).unwrap();
+    engine.execute_sync("get", &[Value::Int(1)]).unwrap();
+    let before = coordinator_switches();
+    std::thread::sleep(Duration::from_secs(1));
+    let woken = coordinator_switches() - before;
+    assert!(woken <= 5, "{woken} wake-ups in an idle second");
+    // A parked coordinator still answers: a statement wakes it, and so
+    // does the shutdown.
+    engine.execute_sync("get", &[Value::Int(1)]).unwrap();
+    engine.shutdown();
+    stopped_threads();
 }
 
-/// Read-your-writes is the queue's order: a read queued behind its session's
-/// write on the engine's one admission queue is answered by that write's
-/// batch — updates apply
-/// before the batch's reads run — and its coordinator waits for nothing but
-/// the heartbeat's spacing: a handful of context switches, no commit wake-up
-/// and no timed wait of its own.
-#[test]
-fn a_read_behind_its_write_is_answered_by_the_writes_batch() {
-    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+/// `T(ID key, V)` holding the row `(1, 0)`, and `get` / `put` by key.
+fn one_table() -> (Arc<Catalog>, GlobalPlan, StatementRegistry) {
     let catalog = Arc::new(Catalog::new());
     let table = TableDef::new("T")
         .column("ID", DataType::Int)
@@ -201,21 +176,111 @@ fn a_read_behind_its_write_is_answered_by_the_writes_batch() {
         ("put", "UPDATE T SET V = ? WHERE ID = ?"),
     ];
     let (plan, registry) = compile_workload(&catalog, &statements).unwrap();
-    // Holds the write queued: its batch starts 50 ms after the warm-up's.
-    let paced = EngineConfig {
-        heartbeat: Duration::from_millis(50),
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::start(catalog, plan, registry, paced).unwrap();
-    // The first batch runs at once; the next one 50 ms after it.
-    engine.execute_sync("get", &[Value::Int(1)]).unwrap();
-    let before = coordinator_switches();
+    (catalog, plan, registry)
+}
 
-    let started = Instant::now();
+/// `(queries, updates)` of every batch in the engine's trace that ran
+/// queries, oldest first.
+fn batches(engine: &Engine) -> Vec<(usize, usize)> {
+    let trace = engine.trace();
+    let batches = trace.iter().filter_map(|record| match record.event {
+        TraceEvent::Batch {
+            queries, updates, ..
+        } => Some((queries, updates)),
+        _ => None,
+    });
+    batches.collect()
+}
+
+/// The batching rule: what arrives while a batch runs is queued, and the
+/// queue is the next batch once that one is done. The coordinator is held in
+/// a batch whose look-up waits for `T`, which the test holds; forty look-ups
+/// from four threads queue meanwhile and are the next batch, exactly. After
+/// it the coordinator parks with no timer: nothing wakes it in an idle
+/// second.
+#[test]
+fn what_queues_while_a_batch_runs_is_the_next_batch() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    const THREADS: usize = 4;
+    const EACH: usize = 10;
+    let (catalog, plan, registry) = one_table();
+    let engine = Engine::start(
+        Arc::clone(&catalog),
+        plan,
+        registry,
+        EngineConfig::default(),
+    );
+    let mut engine = engine.unwrap();
+    let table = catalog.table("T").unwrap();
+    let hold = table.write();
+    let ahead = engine.execute("get", &[Value::Int(1)]).unwrap();
+    while engine.queued() > 0 {
+        std::thread::yield_now();
+    }
+    let handles: Vec<_> = std::thread::scope(|scope| {
+        let submit = || -> Vec<_> {
+            let each = (0..EACH).map(|_| engine.execute("get", &[Value::Int(1)]));
+            each.collect()
+        };
+        let submitters: Vec<_> = (0..THREADS).map(|_| scope.spawn(submit)).collect();
+        let handles = submitters.into_iter().map(|s| s.join().unwrap());
+        handles.flatten().collect()
+    });
+    assert_eq!(
+        engine.queued(),
+        THREADS * EACH,
+        "they queue behind the held batch"
+    );
+    drop(hold);
+    ahead.wait().unwrap();
+    for handle in handles {
+        assert_eq!(handle.unwrap().wait().unwrap().rows().len(), 1);
+    }
+    assert_eq!(batches(&engine), [(1, 0), (THREADS * EACH, 0)]);
+
+    // The coordinator parked once the batch was answered; let it get there,
+    // then count: a timed wait of any period under two seconds would show.
+    std::thread::sleep(Duration::from_millis(100));
+    let before = coordinator_switches();
+    std::thread::sleep(Duration::from_secs(1));
+    let woken = coordinator_switches() - before;
+    assert!(woken <= 1, "{woken} wake-ups in an idle second");
+    engine.shutdown();
+    stopped_threads();
+}
+
+/// Read-your-writes is the queue's order: a read queued behind its session's
+/// write on the engine's one admission queue is answered by that write's
+/// batch — updates apply before the batch's reads run — and its coordinator
+/// waits for nothing but the batch ahead: a handful of context switches, no
+/// commit wake-up and no timed wait of its own.
+#[test]
+fn a_read_behind_its_write_is_answered_by_the_writes_batch() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (catalog, plan, registry) = one_table();
+    let mut engine = Engine::start(
+        Arc::clone(&catalog),
+        plan,
+        registry,
+        EngineConfig::default(),
+    )
+    .unwrap();
+    // Holds the write queued: the look-up ahead of it waits for T, held
+    // here, and the write and the read queue behind its batch.
+    let table = catalog.table("T").unwrap();
+    let hold = table.write();
+    let ahead = engine.execute("get", &[Value::Int(1)]).unwrap();
+    while engine.queued() > 0 {
+        std::thread::yield_now();
+    }
     let write = engine
         .execute("put", &[Value::Int(7), Value::Int(1)])
         .unwrap();
     let read = engine.execute("get", &[Value::Int(1)]).unwrap();
+    let before = coordinator_switches();
+    let started = Instant::now();
+    drop(hold);
+    ahead.wait().unwrap();
     let rows = read.wait().unwrap();
     let waited = started.elapsed();
     let woken = coordinator_switches() - before;
@@ -226,18 +291,8 @@ fn a_read_behind_its_write_is_answered_by_the_writes_batch() {
         Value::Int(7),
         "the read missed its write"
     );
-    let batches: Vec<(usize, usize)> = engine
-        .trace()
-        .iter()
-        .filter_map(|record| match record.event {
-            TraceEvent::Batch {
-                queries, updates, ..
-            } => Some((queries, updates)),
-            _ => None,
-        })
-        .collect();
     assert_eq!(
-        batches,
+        batches(&engine),
         [(1, 0), (1, 1)],
         "the read rode in its write's batch"
     );
