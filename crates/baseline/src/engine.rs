@@ -168,14 +168,23 @@ impl ClassicEngine {
 
     /// A registered query's result at `snapshot`, computed on the calling
     /// thread: what a shared execution pinned to the same snapshot must
-    /// return, whatever is written meanwhile — while the caller holds the
-    /// pin ([`Catalog::pin`](shareddb_storage::Catalog::pin)).
+    /// return, whatever is written meanwhile — while the caller holds a pin
+    /// ([`Catalog::pin`](shareddb_storage::Catalog::pin)) at or below the
+    /// snapshot. A snapshot below the low-water mark is an error: the
+    /// versions it reads may have been reclaimed.
     pub fn execute_at(
         &self,
         statement: &str,
         params: &[Value],
         snapshot: Snapshot,
     ) -> Result<Vec<Tuple>> {
+        let low_water = self.shared.catalog.oracle().low_water();
+        if snapshot.ts < low_water {
+            return Err(Error::Internal(format!(
+                "snapshot {:?} is below the low-water mark {low_water:?}",
+                snapshot.ts
+            )));
+        }
         let registered = self.shared.statements.lock().get(statement).cloned();
         match registered {
             Some(BaselineStatement::Query(plan)) => {
@@ -316,6 +325,7 @@ fn worker_loop(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shareddb_common::ids::Timestamp;
     use shareddb_common::{tuple, DataType, Expr};
     use shareddb_storage::TableDef;
 
@@ -405,6 +415,43 @@ mod tests {
         assert_eq!(engine.execute_sync("all", &[]).unwrap().len(), 200);
         let stats = engine.stats();
         assert!(stats.updates >= 2);
+    }
+
+    /// Under a writer, a read one commit below every pin is refused: its
+    /// versions may be reclaimed, and an index-NL join over reclaimed rows
+    /// would index an empty row. At the pin it reads the whole table.
+    #[test]
+    fn a_read_below_every_pin_is_an_error() {
+        let catalog = catalog();
+        let engine = ClassicEngine::start(Arc::clone(&catalog), EngineProfile::Tuned, 1);
+        let joined = QueryPlan::IndexNlJoin {
+            outer: Box::new(QueryPlan::scan("ITEM")),
+            table: "ITEM".into(),
+            outer_key: 0,
+            inner_column: 0,
+        };
+        engine.register("joined", BaselineStatement::Query(joined));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 0..2_000 {
+                    let op = UpdateOp::Update {
+                        assignments: vec![(1, Expr::lit(Value::text(format!("R{round}"))))],
+                        predicate: Expr::col(0).lt(Expr::lit(10i64)),
+                    };
+                    catalog.apply("ITEM", op).unwrap();
+                }
+            });
+            while catalog.snapshot().ts.0 == 0 {
+                std::thread::yield_now();
+            }
+            for _ in 0..50 {
+                let pin = catalog.pin();
+                let below = Snapshot::at(Timestamp(pin.ts.0 - 1));
+                let refused = engine.execute_at("joined", &[], below);
+                assert!(matches!(refused, Err(Error::Internal(_))), "{refused:?}");
+                assert_eq!(engine.execute_at("joined", &[], *pin).unwrap().len(), 200);
+            }
+        });
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! **one shared global plan** — exactly how a real workload deploys — and
 //! then execute against a fixed, hand-computable dataset; any drift in
 //! parser, logical optimisation, plan merging or operator behaviour fails
-//! the run. The `sql_conformance` bin wires this into the CI lane, and the
-//! workspace integration test `tests/sql_conformance.rs` runs the same
-//! corpus under `cargo test`.
+//! the run. The workspace integration test `tests/sql_conformance.rs` runs
+//! the corpus under `cargo test`, and the CI `sql-conformance` lane runs
+//! that test.
 //!
 //! ## Case file format
 //!

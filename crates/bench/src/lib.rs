@@ -14,8 +14,8 @@
 //!
 //! The sweeps are [`figures`]; `docs/figures/` holds a committed run and
 //! `docs/REPRODUCTION.md` reads it. The repository's benchmark is the
-//! `ledger` binary (`BENCHMARK.json`); `wire_soak`, `crash_soak` and
-//! `sql_conformance` drive the CI lanes.
+//! `ledger` binary (`BENCHMARK.json`); `wire_soak` and `crash_soak` drive
+//! CI lanes, and [`conformance`] is run by `tests/sql_conformance.rs`.
 
 pub mod conformance;
 pub mod figures;

@@ -30,12 +30,6 @@ impl QTuple {
         }
     }
 
-    /// True when no active query is interested in the tuple; such tuples can
-    /// be dropped by any operator without affecting results.
-    pub fn is_dead(&self) -> bool {
-        self.queries.is_empty()
-    }
-
     /// Expands the compact NF² representation into the redundant
     /// first-normal-form representation shown on the left of Figure 1 —
     /// one `(tuple, query)` pair per subscribed query. Only used at the edge
@@ -71,12 +65,5 @@ mod tests {
         );
         let pairs: Vec<_> = t.explode().map(|(q, _)| q.raw()).collect();
         assert_eq!(pairs, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn dead_tuples() {
-        let t = QTuple::new(tuple![1i64], QuerySet::new());
-        assert!(t.is_dead());
-        assert!(!QTuple::for_query(tuple![1i64], QueryId(9)).is_dead());
     }
 }

@@ -77,30 +77,29 @@ pub fn key_word(row: &Tuple, keys: &[SortKey]) -> u64 {
         .map_or(0, |key| row[key.column].order_word(key.order))
 }
 
-/// Sorts a vector of tuples by the given keys (stable sort, so ties keep their
-/// arrival order — important for reproducible test expectations).
-pub fn sort_tuples(tuples: &mut [Tuple], keys: &[SortKey]) {
-    tuples.sort_by(|a, b| compare_tuples(a, b, keys));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuple;
 
+    /// Sorts `tuples` stably by `keys`, as an operator ranks its rows.
+    fn sort(tuples: &mut [Tuple], keys: &[SortKey]) {
+        tuples.sort_by(|a, b| compare_tuples(a, b, keys));
+    }
+
     #[test]
     fn single_key_ascending_descending() {
         let mut ts = vec![tuple![3i64, "c"], tuple![1i64, "a"], tuple![2i64, "b"]];
-        sort_tuples(&mut ts, &[SortKey::asc(0)]);
+        sort(&mut ts, &[SortKey::asc(0)]);
         assert_eq!(ts[0][0], crate::Value::Int(1));
-        sort_tuples(&mut ts, &[SortKey::desc(0)]);
+        sort(&mut ts, &[SortKey::desc(0)]);
         assert_eq!(ts[0][0], crate::Value::Int(3));
     }
 
     #[test]
     fn multi_key_breaks_ties() {
         let mut ts = vec![tuple![1i64, "b"], tuple![1i64, "a"], tuple![0i64, "z"]];
-        sort_tuples(&mut ts, &[SortKey::asc(0), SortKey::asc(1)]);
+        sort(&mut ts, &[SortKey::asc(0), SortKey::asc(1)]);
         assert_eq!(ts[0], tuple![0i64, "z"]);
         assert_eq!(ts[1], tuple![1i64, "a"]);
         assert_eq!(ts[2], tuple![1i64, "b"]);
@@ -109,9 +108,9 @@ mod tests {
     #[test]
     fn nulls_sort_first_ascending() {
         let mut ts = vec![tuple![1i64], tuple![crate::Value::Null], tuple![0i64]];
-        sort_tuples(&mut ts, &[SortKey::asc(0)]);
+        sort(&mut ts, &[SortKey::asc(0)]);
         assert_eq!(ts[0], tuple![crate::Value::Null]);
-        sort_tuples(&mut ts, &[SortKey::desc(0)]);
+        sort(&mut ts, &[SortKey::desc(0)]);
         assert_eq!(ts[2], tuple![crate::Value::Null]);
     }
 

@@ -260,17 +260,6 @@ impl Value {
         }
     }
 
-    /// Extracts a boolean; errors on other types.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::TypeMismatch {
-                expected: "Bool".into(),
-                found: format!("{other:?}"),
-            }),
-        }
-    }
-
     /// SQL comparison: returns `None` when either side is NULL (three-valued
     /// logic), otherwise the ordering. Numeric types are compared after
     /// coercion to `f64` when mixed.
@@ -641,7 +630,6 @@ mod tests {
         assert_eq!(Value::text("x").as_text().unwrap(), "x");
         assert!(Value::text("x").as_int().is_err());
         assert!(Value::Int(1).as_text().is_err());
-        assert!(Value::Bool(true).as_bool().unwrap());
     }
 
     #[test]

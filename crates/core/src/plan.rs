@@ -120,14 +120,6 @@ impl OperatorSpec {
         }
     }
 
-    /// True when the operator reads a base table (no plan inputs).
-    pub fn is_storage(&self) -> bool {
-        matches!(
-            self,
-            OperatorSpec::TableScan { .. } | OperatorSpec::IndexProbe { .. }
-        )
-    }
-
     /// The base table accessed by storage operators.
     pub fn storage_table(&self) -> Option<&str> {
         match self {
@@ -875,7 +867,7 @@ mod tests {
         let sort = b.sort(join, vec![SortKey::asc(0)]).unwrap();
         let plan = b.build();
         assert_eq!(plan.len(), 5);
-        assert!(plan.node(users).spec.is_storage());
+        assert_eq!(plan.node(users).spec.storage_table(), Some("USERS"));
         assert_eq!(plan.node(join).inputs, vec![users, orders]);
         assert_eq!(plan.node(join).schema.len(), 6);
         assert_eq!(plan.node(gamma).schema.len(), 2);

@@ -116,53 +116,6 @@ pub enum Statement {
     },
 }
 
-impl Statement {
-    /// Number of `?` parameters in the statement.
-    pub fn parameter_count(&self) -> usize {
-        fn count(expr: &Expr, max: &mut usize) {
-            expr.visit(&mut |e| {
-                if let Expr::Param(i) = e {
-                    *max = (*max).max(*i + 1);
-                }
-            });
-        }
-        let mut max = 0;
-        match self {
-            Statement::Select(s) => {
-                if let Some(w) = &s.where_clause {
-                    count(w, &mut max);
-                }
-                if let Some(h) = &s.having {
-                    count(h, &mut max);
-                }
-            }
-            Statement::Insert { values, .. } => {
-                for v in values {
-                    count(v, &mut max);
-                }
-            }
-            Statement::Update {
-                assignments,
-                where_clause,
-                ..
-            } => {
-                for (_, v) in assignments {
-                    count(v, &mut max);
-                }
-                if let Some(w) = where_clause {
-                    count(w, &mut max);
-                }
-            }
-            Statement::Delete { where_clause, .. } => {
-                if let Some(w) = where_clause {
-                    count(w, &mut max);
-                }
-            }
-        }
-        max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,20 +132,5 @@ mod tests {
             alias: None,
         };
         assert_eq!(t.effective_name(), "USERS");
-    }
-
-    #[test]
-    fn parameter_count_spans_clauses() {
-        let s = Statement::Update {
-            table: "T".into(),
-            assignments: vec![("A".into(), Expr::param(2))],
-            where_clause: Some(Expr::col(0).eq(Expr::param(0))),
-        };
-        assert_eq!(s.parameter_count(), 3);
-        let s = Statement::Delete {
-            table: "T".into(),
-            where_clause: None,
-        };
-        assert_eq!(s.parameter_count(), 0);
     }
 }

@@ -53,11 +53,6 @@ impl ScanQuery {
             predicate,
         }
     }
-
-    /// A full-table scan for the given query.
-    pub fn full_scan(query_id: QueryId) -> Self {
-        ScanQuery::new(query_id, Expr::lit(true))
-    }
 }
 
 /// Result of one ClockScan cycle.
@@ -337,7 +332,7 @@ mod tests {
         let insert = UpdateOp::Insert {
             values: tuple![1000i64, "NEW", 1.0f64],
         };
-        let full = [ScanQuery::full_scan(QueryId(1))];
+        let full = [ScanQuery::new(QueryId(1), Expr::lit(true))];
         let refused = scan.execute_batch(&full, std::slice::from_ref(&insert));
         assert!(matches!(refused, Err(Error::Internal(_))), "{refused:?}");
         let probe = crate::IndexProbe::new(catalog.table("T").unwrap(), catalog.oracle());
@@ -352,7 +347,7 @@ mod tests {
         let empty = scan.execute_batch(&[], &[]).unwrap();
         assert!(empty.tuples.is_empty());
         assert_eq!((empty.rows_examined, empty.by_index), (0, false));
-        let full = [ScanQuery::full_scan(QueryId(2))];
+        let full = [ScanQuery::new(QueryId(2), Expr::lit(true))];
         let second = scan.execute_batch(&full, &[]).unwrap();
         assert_eq!(second.tuples.len(), 100);
     }
@@ -387,7 +382,7 @@ mod tests {
             predicate: Expr::lit(true),
         };
         assert_eq!(catalog.apply("T", delete_all).unwrap().rows_affected, 100);
-        let full = [ScanQuery::full_scan(QueryId(1))];
+        let full = [ScanQuery::new(QueryId(1), Expr::lit(true))];
         let at = |snapshot: Snapshot| scan.execute_at(&full, snapshot).unwrap().tuples.len();
         assert_eq!(
             at(*before),

@@ -10,9 +10,10 @@
 //!   are executed within a single pass over the data; query predicates are
 //!   indexed (a query-data join) instead of the data, and the pass leaves out
 //!   the chunks no query of its cycle can match.
-//! * B-tree indexes and **shared index probes** ([`btree`], [`index_probe`]):
-//!   look-ups of a whole batch of queries are executed in one cycle, so that
-//!   all selects of the cycle read a consistent snapshot.
+//! * B-tree indexes — the standard library's ordered map from a key to its
+//!   posting list ([`btree`]) — and **shared index probes**
+//!   ([`index_probe`]): look-ups of a whole batch of queries are executed in
+//!   one cycle, so that all selects of the cycle read a consistent snapshot.
 //! * The updates of a batch commit in arrival order under one timestamp
 //!   ([`Catalog::apply_batch`]) before its scans and probes run, which read a
 //!   snapshot that includes them.

@@ -429,33 +429,12 @@ impl Table {
         Ok(())
     }
 
-    /// Names of the secondary indexes.
-    pub fn index_names(&self) -> Vec<&str> {
-        self.indexes.iter().map(|i| i.name.as_str()).collect()
-    }
-
     /// Every secondary index with the `(key, version)` entries it holds —
     /// one per version ever written, dead ones included (one per distinct
     /// gram of each, under a gram index). O(indexes).
     pub fn index_entry_counts(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
         let counts = self.indexes.iter();
         counts.map(|i| (i.name.as_str(), i.tree.entry_count()))
-    }
-
-    /// Every secondary index with its kind and the bytes its tree holds on
-    /// the heap ([`BTreeIndex::heap_size`]), in the order of
-    /// [`Table::index_entry_counts`]. O(nodes).
-    pub fn index_heap_sizes(&self) -> impl Iterator<Item = (&str, IndexKind, usize)> + '_ {
-        let sizes = self.indexes.iter();
-        sizes.map(|i| (i.name.as_str(), i.kind, i.tree.heap_size()))
-    }
-
-    /// Returns the column a named index is built on.
-    pub fn index_column(&self, name: &str) -> Option<usize> {
-        self.indexes
-            .iter()
-            .find(|i| i.name.eq_ignore_ascii_case(name))
-            .map(|i| i.column)
     }
 
     /// The index of `kind` on `column`.
@@ -592,14 +571,6 @@ impl Table {
             previous: NO_VERSION,
         });
         row_id
-    }
-
-    /// Replaces the row version `row_id` with `new_values` at timestamp `ts`.
-    /// Returns the id of the new version.
-    pub fn update_row(&mut self, row_id: RowId, new_values: Tuple, ts: Timestamp) -> Result<RowId> {
-        let new_id = RowId(self.rows.len() as u64);
-        self.update_rows(vec![(row_id, new_values)], ts)?;
-        Ok(new_id)
     }
 
     /// Replaces each listed live version (ascending `RowId`) with its new
@@ -992,11 +963,7 @@ impl Table {
             })
             .collect();
         keys.sort();
-        let indexes: Vec<_> = self
-            .indexes
-            .iter()
-            .map(|i| (&i.name, i.tree.range(Bound::Unbounded, Bound::Unbounded)))
-            .collect();
+        let indexes: Vec<_> = self.indexes.iter().map(|i| (&i.name, &i.tree)).collect();
         format!("{:#?}\n{keys:#?}\n{indexes:?}", self.rows)
     }
 }
@@ -1055,9 +1022,9 @@ mod tests {
     fn update_creates_new_version_old_snapshot_unaffected() {
         let mut t = items_table();
         let r1 = t.insert(tuple![1i64, "A", 1.0f64], Timestamp(1)).unwrap();
-        let r2 = t
-            .update_row(r1, tuple![1i64, "A", 9.0f64], Timestamp(5))
+        t.update_rows(vec![(r1, tuple![1i64, "A", 9.0f64])], Timestamp(5))
             .unwrap();
+        let r2 = t.lookup_pk_live(&[Value::Int(1)]).unwrap();
         assert_ne!(r1, r2);
         // Old snapshot still reads the old price.
         let old = t.read(r1, Snapshot::at(Timestamp(3))).unwrap();
@@ -1070,7 +1037,7 @@ mod tests {
         assert_eq!(visible[0].1[2], Value::Float(9.0));
         // Updating a superseded version is a bug.
         assert!(t
-            .update_row(r1, tuple![1i64, "A", 2.0f64], Timestamp(6))
+            .update_rows(vec![(r1, tuple![1i64, "A", 2.0f64])], Timestamp(6))
             .is_err());
     }
 
@@ -1089,7 +1056,7 @@ mod tests {
     fn pk_lookup_follows_versions() {
         let mut t = items_table();
         let r1 = t.insert(tuple![7i64, "A", 1.0f64], Timestamp(1)).unwrap();
-        t.update_row(r1, tuple![7i64, "A", 2.0f64], Timestamp(3))
+        t.update_rows(vec![(r1, tuple![7i64, "A", 2.0f64])], Timestamp(3))
             .unwrap();
         let (rid, row) = t
             .lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(3)))
@@ -1137,8 +1104,8 @@ mod tests {
         let long = [Value::Int(7), Value::Int(2), Value::Int(1)];
         assert_eq!(t.lookup_pk_live(&long), None);
         // (7, 2) moves to (7, 9): the old key is free, the new one taken.
-        let moved = t
-            .update_row(RowId(23), tuple![7i64, 9i64, 1i64], Timestamp(2))
+        let moved = RowId(t.version_count() as u64);
+        t.update_rows(vec![(RowId(23), tuple![7i64, 9i64, 1i64])], Timestamp(2))
             .unwrap();
         assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
         assert_eq!(t.lookup_pk_live(&key(7, 9)), Some(moved));
@@ -1215,7 +1182,7 @@ mod tests {
         let mut put = |t: &mut Table, from: i64, to: i64, ts: u64| {
             serial += 1;
             if let Some(row) = live(t, from) {
-                let _ = t.update_row(row, tuple![to, serial], Timestamp(ts));
+                let _ = t.update_rows(vec![(row, tuple![to, serial])], Timestamp(ts));
             }
         };
         for (write, own_timestamp) in history {
@@ -1311,7 +1278,6 @@ mod tests {
         assert_eq!(ranged.len(), 20); // prices 8 and 9
         assert!(t.has_index_on(2));
         assert!(!t.has_index_on(1));
-        assert_eq!(t.index_column("item_price"), Some(2));
     }
 
     #[test]
@@ -1319,7 +1285,7 @@ mod tests {
         let mut t = items_table();
         t.create_index("ITEM_PRICE", 2, IndexKind::Values).unwrap();
         let r = t.insert(tuple![1i64, "A", 5.0f64], Timestamp(1)).unwrap();
-        t.update_row(r, tuple![1i64, "A", 6.0f64], Timestamp(5))
+        t.update_rows(vec![(r, tuple![1i64, "A", 6.0f64])], Timestamp(5))
             .unwrap();
         // At ts=2, only the old version (price 5.0) is visible.
         let snap = Snapshot::at(Timestamp(2));
@@ -1370,10 +1336,11 @@ mod tests {
         );
         // An update appends to the tail chunk and widens it; the chunk of the
         // version it ended, and of one deleted, keep what they held.
-        t.update_row(RowId(3), tuple![3i64, "x", Value::Null], Timestamp(2))
-            .unwrap();
-        t.update_row(RowId(4), tuple![-4i64, "x", 99.0f64], Timestamp(2))
-            .unwrap();
+        let updates = vec![
+            (RowId(3), tuple![3i64, "x", Value::Null]),
+            (RowId(4), tuple![-4i64, "x", 99.0f64]),
+        ];
+        t.update_rows(updates, Timestamp(2)).unwrap();
         t.delete_row(RowId(0), Timestamp(2)).unwrap();
         assert_eq!(zones(&t, 0), [Zone::Int(0, last - 1), Zone::Int(-4, last)]);
         assert_eq!(
@@ -1554,7 +1521,7 @@ mod tests {
                     LoadStep::Update(key, value) => {
                         for t in [&mut loaded, &mut inserted] {
                             if let Some(row_id) = live(t, *key) {
-                                t.update_row(row_id, load_row(*key, *value), ts).unwrap();
+                                t.update_rows(vec![(row_id, load_row(*key, *value))], ts).unwrap();
                             }
                         }
                     }

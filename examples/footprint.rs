@@ -1,13 +1,12 @@
 //! What a loaded TPC-W catalog holds in memory, before a statement is run:
-//! the resident set of the process, and each secondary index's entries and
-//! the bytes its tree holds for them (`docs/OPERATIONS.md`, *The footprint*).
+//! the resident set of the process, and each secondary index's entries
+//! (`docs/OPERATIONS.md`, *The footprint*).
 //!
 //! ```sh
 //! cargo run --offline --release --example footprint            # 20 000 items
 //! TPCW_ITEMS=2000 cargo run --offline --release --example footprint
 //! ```
 
-use shareddb::storage::IndexKind;
 use shareddb::tpcw::{build_catalog, TpcwScale};
 
 /// `VmRSS` of this process in MiB (0 where `/proc` is not there).
@@ -27,25 +26,15 @@ fn main() {
     let catalog = build_catalog(&TpcwScale::with_items(items)).expect("the catalog loads");
     let loaded = resident_mib();
     println!("{items} items: resident {loaded:.1} MiB ({before:.1} MiB before the load)\n");
-    println!(
-        "{:<20}{:<18}{:>10}{:>12}{:>10}",
-        "table", "index", "entries", "bytes", "B/entry"
-    );
-    // `[by value, by gram]`: entries and bytes.
-    let mut totals = [(0usize, 0usize); 2];
+    println!("{:<20}{:<18}{:>10}", "table", "index", "entries");
+    let mut total = 0;
     for name in catalog.table_names() {
         let table = catalog.table(&name).expect("a listed table");
         let table = table.read();
-        let counts = table.index_entry_counts().zip(table.index_heap_sizes());
-        for ((index, entries), (_, kind, bytes)) in counts {
-            let per_entry = bytes as f64 / entries.max(1) as f64;
-            println!("{name:<20}{index:<18}{entries:>10}{bytes:>12}{per_entry:>10.1}");
-            let total = &mut totals[(kind == IndexKind::Grams) as usize];
-            *total = (total.0 + entries, total.1 + bytes);
+        for (index, entries) in table.index_entry_counts() {
+            println!("{name:<20}{index:<18}{entries:>10}");
+            total += entries;
         }
     }
-    for (kind, (entries, bytes)) in ["by value", "by gram"].iter().zip(totals) {
-        let per_entry = bytes as f64 / entries.max(1) as f64;
-        println!("indexes {kind}: {entries} entries, {bytes} bytes, {per_entry:.1} B/entry");
-    }
+    println!("indexes: {total} entries");
 }

@@ -1,7 +1,6 @@
 //! Property-based tests over the core data structures and invariants:
 //!
 //! * the NF² query-set algebra (union / intersection laws),
-//! * the B+-tree index against a model (`BTreeMap`),
 //! * the equivalence of the *shared* join/sort/top-N/group-by execution with
 //!   per-query execution — the central correctness claim of the paper: routing
 //!   a single big shared operator by query id returns exactly what each query
