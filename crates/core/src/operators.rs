@@ -80,7 +80,9 @@ pub fn execute_operator(
 ///
 /// Whatever a cycle hashes or ranks rows by, it gathers as one 64-bit word a
 /// row ([`hash_words`], [`key_word`]): its tables, sized once from its input,
-/// compare words before keys, its selections words before rows.
+/// compare words before keys, its selections words before rows. A join
+/// whose build keys are integers over a span no larger than its probe input
+/// hashes nothing: it files its build rows in an array indexed by the key.
 ///
 /// A query that carries an [`Activation::Demand`] gets, of what the operator
 /// would emit for it, a sub-sequence that holds its first `limit` rows under
@@ -344,7 +346,7 @@ fn execute_hash_join(
     build_key: usize,
     probe_key: usize,
 ) -> Vec<QTuple> {
-    let side = BuildSide::of(build, active, build_key);
+    let side = BuildSide::of(build, active, build_key, probe.len());
     // Probe phase: the effective join predicate is
     // `build_key = probe_key AND build.query_id ∩ probe.query_id ≠ ∅`. The
     // build side carries only queries active here, so the intersection
@@ -363,14 +365,69 @@ fn execute_hash_join(
 }
 
 /// A hash join's build phase: the (restricted) build side — NULL never
-/// joins —, hashed on its join key into a table sized for it. The rows lie
-/// in one vector, those of one key chained in arrival order; the table maps
-/// a key to the first row of its chain, which names the last, so a key
-/// costs no allocation of its own.
+/// joins —, filed by its join key. The rows lie in one vector, those of one
+/// key chained in arrival order; [`Heads`] maps a key to the first row of
+/// its chain, which names the last, so a key costs no allocation of its own.
 struct BuildSide<'a> {
     rows: Vec<BuildRow<'a>>,
-    table: WordTable,
+    heads: Heads,
     key: usize,
+    /// Every chain holds one row: no two build rows share a key.
+    distinct: bool,
+}
+
+/// Where a build side's chains start.
+enum Heads {
+    /// Indexed by `key - min`: taken when every build key is an `Int` of at
+    /// most 2^53 in magnitude ([`int_span`]) and the array is no larger than
+    /// the probe input the cycle holds ([`addressed`]).
+    Array { min: i64, first: Vec<u32> },
+    /// By the hash word of the key, in a table sized for the build side.
+    Words(WordTable),
+}
+
+/// The greatest magnitude of a key the array takes: every `Int` up to it is
+/// a distinct `f64`, so `Value`'s equality of an `Int` and a `Float` is that
+/// of the integers.
+const EXACT: u64 = 1 << 53;
+
+/// The least of `keys` and the number of integers from it to the greatest,
+/// when every key is an `Int` of at most [`EXACT`] in magnitude; `(0, 0)`
+/// for no key.
+fn int_span<'v>(keys: impl Iterator<Item = &'v Value>) -> Option<(i64, u64)> {
+    let mut bounds: Option<(i64, i64)> = None;
+    for key in keys {
+        match *key {
+            Value::Int(k) if k.unsigned_abs() <= EXACT => {
+                bounds = Some(bounds.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k))));
+            }
+            _ => return None,
+        }
+    }
+    Some(bounds.map_or((0, 0), |(lo, hi)| (lo, hi.abs_diff(lo) + 1)))
+}
+
+/// The size rule: an array of `span` chain heads takes no more bytes than
+/// the `probe_rows` tuples of the probe input.
+fn addressed(span: u64, probe_rows: usize) -> bool {
+    let probe_bytes = std::mem::size_of::<QTuple>() as u64 * probe_rows as u64;
+    span.saturating_mul(std::mem::size_of::<u32>() as u64) <= probe_bytes
+}
+
+impl Heads {
+    /// The array slot `key` is filed at: an `Int`'s, or a `Float`'s that
+    /// equals one — `3.0`, not `2.5` nor `-0.0`, which equals no `Int` —
+    /// within the span; no other value equals an `Int`.
+    #[inline]
+    fn slot(min: i64, first: &[u32], key: &Value) -> Option<usize> {
+        let k = match *key {
+            Value::Int(k) => k,
+            Value::Float(f) if (f as i64 as f64).to_bits() == f.to_bits() => f as i64,
+            _ => return None,
+        };
+        let at = usize::try_from(k.checked_sub(min)?).ok()?;
+        (at < first.len()).then_some(at)
+    }
 }
 
 struct BuildRow<'a> {
@@ -382,7 +439,8 @@ struct BuildRow<'a> {
 }
 
 impl<'a> BuildSide<'a> {
-    fn of(build: &'a [QTuple], active: &'a QuerySet, key: usize) -> Self {
+    /// The build side of a cycle whose probe input holds `probe_rows` rows.
+    fn of(build: &'a [QTuple], active: &'a QuerySet, key: usize, probe_rows: usize) -> Self {
         let mut rows: Vec<BuildRow<'a>> = restricted(build, active)
             .filter(|(tuple, _)| !tuple[key].is_null())
             .map(|(tuple, queries)| BuildRow {
@@ -392,23 +450,57 @@ impl<'a> BuildSide<'a> {
                 last: END,
             })
             .collect();
-        let mut table = WordTable::with_room(rows.len());
+        let mut heads = match int_span(rows.iter().map(|row| &row.tuple[key])) {
+            Some((min, span)) if addressed(span, probe_rows) => {
+                let first = vec![END; usize::try_from(span).expect("no larger than the probe")];
+                Heads::Array { min, first }
+            }
+            _ => Heads::Words(WordTable::with_room(rows.len())),
+        };
+        took_array(matches!(heads, Heads::Array { .. }));
+        let mut distinct = true;
         for at in 0..link(rows.len()) {
             let value = &rows[at as usize].tuple[key];
-            let same_key = |first: u32| rows[first as usize].tuple[key] == *value;
-            let first = *table.entry(word_of([value]), at, same_key) as usize;
+            let first = match &mut heads {
+                Heads::Array { min, first } => {
+                    let slot = Heads::slot(*min, first, value).expect("a build key in its span");
+                    let head = &mut first[slot];
+                    if *head == END {
+                        *head = at;
+                    }
+                    *head as usize
+                }
+                Heads::Words(table) => {
+                    let same_key = |first: u32| rows[first as usize].tuple[key] == *value;
+                    *table.entry(word_of([value]), at, same_key) as usize
+                }
+            };
             let last = std::mem::replace(&mut rows[first].last, at);
             if last != END {
                 rows[last as usize].next = at;
+                distinct = false;
             }
         }
-        BuildSide { rows, table, key }
+        BuildSide {
+            rows,
+            heads,
+            key,
+            distinct,
+        }
     }
 
     /// The first of the rows whose key equals `key`, [`END`] if none does.
+    #[inline]
     fn first(&self, key: &Value) -> u32 {
-        let same_key = |first: u32| self.rows[first as usize].tuple[self.key] == *key;
-        self.table.get(word_of([key]), same_key).unwrap_or(END)
+        match &self.heads {
+            Heads::Array { min, first } => {
+                Heads::slot(*min, first, key).map_or(END, |slot| first[slot])
+            }
+            Heads::Words(table) => {
+                let same_key = |first: u32| self.rows[first as usize].tuple[self.key] == *key;
+                table.get(word_of([key]), same_key).unwrap_or(END)
+            }
+        }
     }
 }
 
@@ -690,7 +782,9 @@ fn execute_group_by(
 /// it, then the group-by's HAVING, row demand and output order. `inputs` are
 /// the join's. The group-by groups by build-side columns only
 /// ([`crate::plan::GlobalPlan::group_join_of`]), so a build row falls into
-/// one group, found the first time one of its pairs counts; a pair counts
+/// one group: itself when the group columns hold the join key and no two
+/// build rows share a key, else the group found the first time one of its
+/// pairs counts. A pair counts
 /// for `build.queries ∩ probe.queries ∩ active(group-by)`, the build side
 /// restricted to the queries active at both. The pairs arrive in the order
 /// the join emits them, so every accumulator sees the values it would see
@@ -721,30 +815,45 @@ pub fn execute_group_join(
         ));
     };
     let active = active_set(join_activations).intersect(&active_set(activations));
-    let side = BuildSide::of(build, &active, *build_key);
-    let mut groups = Groups::new(group_columns, aggregates, side.rows.len());
-    let mut group_of = vec![END; side.rows.len()];
+    let side = BuildSide::of(build, &active, *build_key, probe.len());
+    // Grouped by the join key among other columns, over distinct keys, a
+    // build row is a group of its own; otherwise it finds its group the
+    // first time one of its pairs counts.
+    let own_groups = side.distinct && group_columns.contains(build_key);
+    took_own_groups(own_groups);
+    let (mut groups, mut group_of) = if own_groups {
+        let rows = side.rows.iter().map(|row| row.tuple);
+        (Groups::of_rows(group_columns, aggregates, rows), Vec::new())
+    } else {
+        let groups = Groups::new(group_columns, aggregates, side.rows.len());
+        (groups, vec![END; side.rows.len()])
+    };
     let mut joined = 0;
     for probe in *probe {
         let mut at = side.first(&probe.tuple[*probe_key]);
         while at != END {
-            let (row, build) = (at as usize, &side.rows[at as usize]);
+            let (row, build) = (at, &side.rows[at as usize]);
             at = build.next;
             let queries = build.queries.intersect(&probe.queries);
             if queries.is_empty() {
                 continue;
             }
             joined += 1;
-            let group = &mut group_of[row];
-            if *group == END {
-                *group = groups.of_row(build.tuple);
-            }
+            let group = if own_groups {
+                row
+            } else {
+                let group = &mut group_of[row as usize];
+                if *group == END {
+                    *group = groups.of_row(build.tuple);
+                }
+                *group
+            };
             let width = build.tuple.len();
             let value = |c: usize| match c.checked_sub(width) {
                 None => &build.tuple[c],
                 Some(c) => &probe.tuple[c],
             };
-            groups.accumulate(*group, &queries, value)?;
+            groups.accumulate(group, &queries, value)?;
         }
     }
     let mut emitted = emit(groups, activations)?;
@@ -755,7 +864,9 @@ pub fn execute_group_join(
 /// The groups of one group-by cycle. Phase 1 (shared) puts every
 /// interesting row in its group once, regardless of which query it belongs
 /// to: a group is the first row that fell into it, whose grouping columns are
-/// its key, found through a table of the keys' hash words. Phase 2 (per
+/// its key, found through a table of the keys' hash words — or, for rows
+/// known to be groups of their own ([`Groups::of_rows`]), the row itself,
+/// found by its position with no table at all. Phase 2 (per
 /// query): aggregation state is per query because each query may aggregate a
 /// different subset of the group — one slot per (group, query), the slots of
 /// a group chained ascending by query from the group, slot `i` owning the
@@ -786,6 +897,19 @@ impl<'a> Groups<'a> {
             groups: Vec::new(),
             slots: Vec::new(),
             accumulators: Vec::new(),
+        }
+    }
+
+    /// One group per row of `rows`, group `i` the `i`-th, and no table:
+    /// rows known to be groups of their own, found by their position.
+    fn of_rows(
+        group_columns: &'a [usize],
+        aggregates: &'a [AggregateSpec],
+        rows: impl Iterator<Item = &'a Tuple>,
+    ) -> Self {
+        Groups {
+            groups: rows.map(|row| (row, END)).collect(),
+            ..Groups::new(group_columns, aggregates, 0)
         }
     }
 
@@ -1069,6 +1193,28 @@ fn word_of<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
     hash_words(key)
 }
 
+/// Counts, under test, whether a build side took the array ([`Heads`]);
+/// nothing otherwise.
+#[inline]
+fn took_array(_array: bool) {
+    #[cfg(test)]
+    tests::took(match _array {
+        true => tests::Took::Array,
+        false => tests::Took::Words,
+    });
+}
+
+/// Counts, under test, whether a group-join's build rows were groups of
+/// their own; nothing otherwise.
+#[inline]
+fn took_own_groups(_own: bool) {
+    #[cfg(test)]
+    tests::took(match _own {
+        true => tests::Took::OwnGroups,
+        false => tests::Took::KeyedGroups,
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1081,6 +1227,47 @@ mod tests {
         /// Set by a test that wants every key of its cycles to share one hash
         /// word ([`word_of`]).
         pub(super) static COLLIDE: Cell<bool> = const { Cell::new(false) };
+        /// How many cycles of this thread took each [`Took`], by [`took`]
+        /// ([`took_array`], [`took_own_groups`]).
+        static TOOK: Cell<[usize; 4]> = const { Cell::new([0; 4]) };
+    }
+
+    /// The build table and the group rule a cycle takes.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum Took {
+        Array,
+        Words,
+        /// A build row is its own group.
+        OwnGroups,
+        /// Groups found by the hash words of their keys.
+        KeyedGroups,
+    }
+
+    /// Counts a cycle that took `kind`.
+    pub(super) fn took(kind: Took) {
+        let mut counts = TOOK.get();
+        counts[kind as usize] += 1;
+        TOOK.set(counts);
+    }
+
+    /// What the cycles `case` runs took: per [`Took`], whether any did.
+    fn taken(case: impl FnOnce()) -> [bool; 4] {
+        let before = TOOK.get();
+        case();
+        let after = TOOK.get();
+        std::array::from_fn(|kind| after[kind] > before[kind])
+    }
+
+    /// Asserts that each of `kinds` was taken in at least a tenth of `cases`.
+    fn each_a_tenth(cases: &[[bool; 4]], kinds: &[Took]) {
+        for &kind in kinds {
+            let took = cases.iter().filter(|taken| taken[kind as usize]).count();
+            assert!(
+                took * 10 >= cases.len(),
+                "{kind:?} in {took} of {} cases",
+                cases.len()
+            );
+        }
     }
 
     fn ctx(catalog: &Catalog) -> ExecContext<'_> {
@@ -1640,6 +1827,15 @@ mod tests {
     /// and is one slice shared by the rows that carry it, or a slice of its
     /// own, equal to that one or not.
     fn some_rows(rng: &mut TestRng) -> Vec<QTuple> {
+        rows_keyed(rng, some_key, some_key)
+    }
+
+    /// [`some_rows`], their two keys drawn by `first` and `second`.
+    fn rows_keyed(
+        rng: &mut TestRng,
+        first: impl Fn(&mut TestRng) -> Value,
+        second: impl Fn(&mut TestRng) -> Value,
+    ) -> Vec<QTuple> {
         let crowd = |first: u32| -> QuerySet { (first..first + 3).chain(9..14).collect() };
         let shared = crowd(2);
         let rows = 0..pick(rng, 24);
@@ -1653,7 +1849,7 @@ mod tests {
                     few.into_iter().collect()
                 }
             };
-            let values = tuple![some_key(rng), some_key(rng), payload as i64];
+            let values = tuple![first(rng), second(rng), payload as i64];
             QTuple::new(values, queries)
         };
         rows.map(|payload| row(payload, rng)).collect()
@@ -1680,6 +1876,91 @@ mod tests {
         }
     }
 
+    /// The join keys of a case, which choose its build table: integers
+    /// over a narrow span, negative ones among them, or at the top or the
+    /// bottom of the exact integers (±2^53) — the array —; over a wide span
+    /// (`0` beside `1 << 40`), past 2^53, or beside other types — the word
+    /// table.
+    struct JoinKeys {
+        ints: Vec<i64>,
+        others: bool,
+    }
+
+    impl JoinKeys {
+        fn some(rng: &mut TestRng) -> Self {
+            const TOP: i64 = 1 << 53;
+            let (ints, others) = match pick(rng, 6) {
+                0 => (vec![-2, -1, 0, 1, 2, 3], false),
+                1 => (vec![0, 1, 1 << 40], false),
+                2 => (vec![TOP - 1, TOP], false),
+                3 => (vec![-TOP, 1 - TOP], false),
+                4 => (vec![TOP + 1, TOP + 2], false),
+                _ => (vec![0, 1, 2, 3], true),
+            };
+            JoinKeys { ints, others }
+        }
+
+        fn int(&self, rng: &mut TestRng) -> i64 {
+            self.ints[pick(rng, self.ints.len())]
+        }
+
+        /// One of the integers, now and then NULL or, beside other types,
+        /// the integer as a `Float`, a `Date` or a `Text`.
+        fn build(&self, rng: &mut TestRng) -> Value {
+            let k = self.int(rng);
+            match pick(rng, 10) {
+                0 => Value::Null,
+                1 | 2 if self.others => match pick(rng, 3) {
+                    0 => Value::Float(k as f64),
+                    1 => Value::Date(k),
+                    _ => Value::text(k.to_string()),
+                },
+                _ => Value::Int(k),
+            }
+        }
+
+        /// One of the integers as an `Int` or a `Float`, one past them,
+        /// `2.5`, `-0.0` (which equals no `Int`), a `Date`, a `Text` or NULL.
+        fn probe(&self, rng: &mut TestRng) -> Value {
+            let k = self.int(rng);
+            match pick(rng, 12) {
+                0 => Value::Null,
+                1 | 2 => Value::Float(k as f64),
+                3 => Value::Float(2.5),
+                4 => Value::Float(-0.0),
+                5 => Value::Date(k),
+                6 => Value::text(k.to_string()),
+                7 => Value::Int(k + 1),
+                _ => Value::Int(k),
+            }
+        }
+    }
+
+    /// Build rows `(key, join key, payload)` and probe rows `(join key, key,
+    /// payload)`: in a quarter of the cases both keys of both sides drawn by
+    /// [`some_key`] — `Bool` keys and fractional `Float`s on both sides —,
+    /// else the join keys under [`JoinKeys`], a third of the builds with
+    /// distinct join keys, the rest perhaps repeating them.
+    fn some_join(rng: &mut TestRng) -> Inputs {
+        if pick(rng, 4) == 0 {
+            return SomeInputs.generate(rng);
+        }
+        let keys = JoinKeys::some(rng);
+        let mut left = rows_keyed(rng, some_key, |rng| keys.build(rng));
+        if pick(rng, 3) == 0 {
+            left.truncate(keys.ints.len());
+            for (row, k) in left.iter_mut().zip(&keys.ints) {
+                let values = tuple![row.tuple[0].clone(), *k, row.tuple[2].clone()];
+                row.tuple = values;
+            }
+        }
+        Inputs {
+            left,
+            right: rows_keyed(rng, |rng| keys.probe(rng), some_key),
+            active: (1..=4).filter(|_| pick(rng, 4) != 0).collect(),
+        }
+    }
+
     /// Runs `cycle` with the hash words of its keys as they are and with one
     /// word for every key.
     fn with_and_without_collisions(cycle: impl Fn()) {
@@ -1690,17 +1971,18 @@ mod tests {
         COLLIDE.set(false);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The hash join emits what a nested loop with the key predicate
-        /// and the query-set intersection emits, pair for pair in the
-        /// loop's order — keys of mixed types that compare equal, NULL keys
-        /// (which never join) and keys that all share one hash word
-        /// included.
-        #[test]
-        fn hash_join_is_a_nested_loop_with_the_key_predicate(case in SomeInputs) {
-            let catalog = Catalog::new();
+    /// The hash join emits what a nested loop with the key predicate and
+    /// the query-set intersection emits, pair for pair in the loop's order
+    /// — over either build table, keys of mixed types that compare equal,
+    /// NULL keys (which never join) and keys that all share one hash word
+    /// included.
+    #[test]
+    fn hash_join_is_a_nested_loop_with_the_key_predicate() {
+        let catalog = Catalog::new();
+        let mut cases = Vec::new();
+        let config = ProptestConfig::with_cases(256);
+        proptest::run_cases("hash_join_is", config, |rng| {
+            let case = some_join(rng);
             let active: QuerySet = case.active.iter().copied().collect();
             let mut expected = Vec::new();
             for probe in &case.right {
@@ -1708,19 +1990,126 @@ mod tests {
                     let (build_key, probe_key) = (&build.tuple[1], &probe.tuple[0]);
                     let queries = build.queries.intersect(&active).intersect(&probe.queries);
                     if !build_key.is_null() && build_key == probe_key && !queries.is_empty() {
-                        let values: Vec<Value> = build.tuple.iter().chain(&probe.tuple).cloned().collect();
-                        expected.push((values, queries));
+                        let values = build.tuple.iter().chain(&probe.tuple).cloned();
+                        expected.push((values.collect::<Vec<_>>(), queries));
                     }
                 }
             }
-            let spec = OperatorSpec::HashJoin { build_key: 1, probe_key: 0 };
-            with_and_without_collisions(|| {
-                let inputs = vec![case.left.clone(), case.right.clone()];
-                let out = execute_operator(&spec, &participate(&case.active), inputs, &ctx(&catalog));
-                let out: Vec<_> = out.unwrap().into_iter().map(|t| (t.tuple.into_values(), t.queries)).collect();
-                assert_eq!(out, expected);
-            });
+            let spec = OperatorSpec::HashJoin {
+                build_key: 1,
+                probe_key: 0,
+            };
+            cases.push(taken(|| {
+                with_and_without_collisions(|| {
+                    let inputs = vec![case.left.clone(), case.right.clone()];
+                    let out =
+                        execute_operator(&spec, &participate(&case.active), inputs, &ctx(&catalog));
+                    let out: Vec<_> = out
+                        .unwrap()
+                        .into_iter()
+                        .map(|t| (t.tuple.into_values(), t.queries))
+                        .collect();
+                    assert_eq!(out, expected, "{case:?}");
+                })
+            }));
+        });
+        each_a_tenth(&cases, &[Took::Array, Took::Words]);
+    }
+
+    /// A group-join emits what its group-by emits over its join — over
+    /// either build table, with a build row as its own group (grouped by the
+    /// join key, over distinct keys) or with groups found by their keys.
+    #[test]
+    fn group_by_is_the_same_run_as_a_group_join() {
+        let catalog = Catalog::new();
+        let mut cases = Vec::new();
+        let config = ProptestConfig::with_cases(256);
+        proptest::run_cases("group_by_is_the_same_run_as_a_group_join", config, |rng| {
+            let case = some_join(rng);
+            let join = OperatorSpec::HashJoin {
+                build_key: 1,
+                probe_key: 0,
+            };
+            let aggregate = |function, column| AggregateSpec {
+                function,
+                column,
+                output_name: format!("{function:?}{column}"),
+            };
+            let group_by = OperatorSpec::GroupBy {
+                group_columns: [vec![1], vec![0, 1], vec![0], vec![]][pick(rng, 4)].clone(),
+                aggregates: vec![
+                    aggregate(AggregateFunction::Sum, 5),
+                    aggregate(AggregateFunction::Count, 2),
+                ],
+            };
+            let at_join = participate(&case.active);
+            let having = |q: &u32| {
+                let having = Activation::Having {
+                    predicate: None,
+                    partial: false,
+                };
+                (QueryId(*q), having)
+            };
+            let at_group_by: Vec<_> = case.active.iter().map(having).collect();
+            let inputs: [&[QTuple]; 2] = [&case.left, &case.right];
+            let joined = execute_on(&join, &at_join, &inputs, &ctx(&catalog)).unwrap();
+            let apart = execute_on(&group_by, &at_group_by, &[&joined.tuples], &ctx(&catalog));
+            let spelled = |out: Vec<QTuple>| -> Vec<(String, QuerySet)> {
+                let spell = |t: QTuple| (format!("{:?}", t.tuple.values()), t.queries);
+                out.into_iter().map(spell).collect()
+            };
+            let apart = spelled(apart.unwrap().tuples);
+            cases.push(taken(|| {
+                with_and_without_collisions(|| {
+                    let fused =
+                        execute_group_join(&join, &at_join, &group_by, &at_group_by, &inputs);
+                    let fused = fused.unwrap();
+                    assert_eq!(fused.joined, joined.tuples.len(), "{case:?}");
+                    assert_eq!(spelled(fused.tuples), apart, "{case:?}");
+                })
+            }));
+        });
+        let kinds = [Took::Array, Took::Words, Took::OwnGroups, Took::KeyedGroups];
+        each_a_tenth(&cases, &kinds);
+    }
+
+    /// The size rule at its edge: chain heads that take as many bytes as
+    /// the probe input are an array, one head more is the word table — and
+    /// the join reads the same either way.
+    #[test]
+    fn an_array_of_chain_heads_is_no_larger_than_the_probe_input() {
+        let catalog = Catalog::new();
+        let spec = OperatorSpec::HashJoin {
+            build_key: 0,
+            probe_key: 0,
+        };
+        let heads_a_row = std::mem::size_of::<QTuple>() / std::mem::size_of::<u32>();
+        for probe_rows in [1, 5] {
+            let fits = (probe_rows * heads_a_row) as i64;
+            for (span, kind) in [(fits, Took::Array), (fits + 1, Took::Words)] {
+                let build = vec![
+                    qt(tuple![-3i64, "low"], &[1]),
+                    qt(tuple![span - 4, "high"], &[1]),
+                ];
+                let probe: Vec<QTuple> = (0..probe_rows)
+                    .map(|_| qt(tuple![span - 4], &[1]))
+                    .collect();
+                let mut out = Vec::new();
+                let took = taken(|| {
+                    let inputs = vec![build, probe];
+                    out = execute_operator(&spec, &participate(&[1]), inputs, &ctx(&catalog))
+                        .unwrap();
+                });
+                let only = |k: Took| std::array::from_fn(|i| i == k as usize);
+                assert_eq!(took, only(kind), "span {span}, {probe_rows} probe rows");
+                assert_eq!(out.len(), probe_rows);
+                assert!(out.iter().all(|t| t.tuple[1] == Value::text("high")));
+            }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The group-by emits, per group and query, what a `BTreeMap` from
         /// `(key, query)` to a sum and a count holds, in the map's order: a

@@ -9,9 +9,11 @@
 # Each run is appended to DIR/parent.jsonl or DIR/change.jsonl (default DIR:
 # target/ledger_pairs) in the format `ledger compare` reads, so pairs
 # accumulate over calls (and over workloads). A line names the commit its
-# binary was built from, `"rev"`: HEAD of the checkout two directories above
-# the binary (CHECKOUT/target/release/ledger), with "-dirty" when that
-# checkout has uncommitted changes. A PR's lines go on to the root
+# binary was built from, `"rev"`: HEAD of the git checkout that holds the
+# binary's real path (symlinks resolved; CHECKOUT/target/release/ledger),
+# with "-dirty" when that checkout has uncommitted changes. A binary outside
+# any checkout (a shared or moved target directory) stops the script before
+# its first run: a line that cannot name its commit is not written. A PR's lines go on to the root
 # BENCH_ledger.jsonl, the trajectory of the benchmark from PR to PR. The script ends with `ledger
 # compare parent.jsonl change.jsonl` — medians and spreads against the bounds
 # of BENCHMARK.json — and, for WORKLOAD, the pair-by-pair score of every
@@ -47,12 +49,19 @@ shift 3
 mkdir -p "$out"
 
 rev() { # binary
-    local checkout rev
-    checkout=$(dirname "$1")/../..
-    rev=$(git -C "$checkout" rev-parse HEAD 2>/dev/null) || { echo unknown; return; }
-    git -C "$checkout" diff --quiet HEAD 2>/dev/null || rev="$rev-dirty"
+    local binary checkout rev
+    binary=$(readlink -f "$1") || return 1
+    checkout=$(git -C "$(dirname "$binary")" rev-parse --show-toplevel 2>/dev/null) || {
+        echo "ledger_pairs: $1 lies in no git checkout; build it inside the checkout of its commit" >&2
+        return 1
+    }
+    rev=$(git -C "$checkout" rev-parse HEAD) || return 1
+    git -C "$checkout" diff --quiet HEAD || rev="$rev-dirty"
     echo "$rev"
 }
+
+parent_rev=$(rev "$parent") || exit 2
+change_rev=$(rev "$change") || exit 2
 
 run() { # side binary seed
     local line
@@ -62,8 +71,10 @@ run() { # side binary seed
         *) echo "ledger_pairs: $1 run of $workload, seed $3, failed or was incorrect: $line" >&2
            exit 1 ;;
     esac
+    local rev=$parent_rev
+    [ "$1" = change ] && rev=$change_rev
     printf '{"workload":"%s","seed":%s,"rev":"%s","result":%s}\n' \
-        "$workload" "$3" "$(rev "$2")" "$line" >>"$out/$1.jsonl"
+        "$workload" "$3" "$rev" "$line" >>"$out/$1.jsonl"
     echo "ledger_pairs: $workload seed $3 $1 done" >&2
 }
 

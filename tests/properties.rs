@@ -795,6 +795,77 @@ fn index_probe_spells_int_and_date_alike() {
 }
 
 // ---------------------------------------------------------------------------
+// Join keys: what chooses a join's build table and a group-join's groups
+// ---------------------------------------------------------------------------
+
+/// The join keys of a case. A build side files its keys in an array of
+/// chain heads when every key is an `Int` of at most 2^53 in magnitude and
+/// the array is no larger than the probe input, in a table of hash words
+/// otherwise; the keys here take each: integers over a narrow span,
+/// negative ones among them, or at the top or the bottom of the exact
+/// integers (±2^53), against a wide span (`0` beside `1 << 40`), integers
+/// past 2^53, or integers beside other types.
+struct JoinKeys {
+    ints: Vec<i64>,
+    others: bool,
+}
+
+impl JoinKeys {
+    fn some(rng: &mut TestRng) -> Self {
+        const TOP: i64 = 1 << 53;
+        let (ints, others) = match (0..6usize).generate(rng) {
+            0 => (vec![-2, -1, 0, 1, 2, 3], false),
+            1 => (vec![0, 1, 1 << 40], false),
+            2 => (vec![TOP - 1, TOP], false),
+            3 => (vec![-TOP, 1 - TOP], false),
+            4 => (vec![TOP + 1, TOP + 2], false),
+            _ => (vec![0, 1, 2, 3], true),
+        };
+        JoinKeys { ints, others }
+    }
+
+    fn int(&self, rng: &mut TestRng) -> i64 {
+        self.ints[(0..self.ints.len()).generate(rng)]
+    }
+
+    /// One of the integers, now and then NULL or, beside other types, the
+    /// integer as a `Float`, a `Date` or a `Text`.
+    fn build(&self, rng: &mut TestRng) -> Value {
+        let k = self.int(rng);
+        match (0..10usize).generate(rng) {
+            0 => Value::Null,
+            1 | 2 if self.others => match (0..3usize).generate(rng) {
+                0 => Value::Float(k as f64),
+                1 => Value::Date(k),
+                _ => Value::text(k.to_string()),
+            },
+            _ => Value::Int(k),
+        }
+    }
+
+    /// Distinct keys of the build side, up to `n` of them.
+    fn distinct(&self, n: usize) -> Vec<Value> {
+        self.ints.iter().take(n).map(|k| Value::Int(*k)).collect()
+    }
+
+    /// One of the integers as an `Int` or a `Float`, one past them, `2.5`,
+    /// `-0.0` (which equals no `Int`), a `Date`, a `Text` or NULL.
+    fn probe(&self, rng: &mut TestRng) -> Value {
+        let k = self.int(rng);
+        match (0..12usize).generate(rng) {
+            0 => Value::Null,
+            1 | 2 => Value::Float(k as f64),
+            3 => Value::Float(2.5),
+            4 => Value::Float(-0.0),
+            5 => Value::Date(k),
+            6 => Value::text(k.to_string()),
+            7 => Value::Int(k + 1),
+            _ => Value::Int(k),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Row demand: what an operator prunes, the cut above it cannot miss
 // ---------------------------------------------------------------------------
 
@@ -1316,16 +1387,18 @@ mod row_demand {
     // -- (e) the group-join ---------------------------------------------------
 
     /// A hash join `B ⋈ P` on `KEY` under a group-by, run apart and as one
-    /// group-join cycle. Build rows `(KEY, G, X)`: keys few — a NULL now and
-    /// then, `3.0` beside `3` — and repeated, a key's second row being a
-    /// second version of it (another `G` and `X`), as a cycle whose queries
-    /// read under different pinned snapshots meets them; probe rows `(KEY, N,
-    /// Y)`. `X` and `Y` are floats whose sums depend on their order. The
-    /// group-by groups by build-side columns — with the join key or without
-    /// it, or none —, aggregates columns of either side and carries per query
-    /// a HAVING or none, partial mode or not, and a demand or none; the
-    /// queries active at the join are mostly, not always, active at the
-    /// group-by too.
+    /// group-join cycle. Build rows `(KEY, G, X)`: keys few, drawn by
+    /// [`JoinKeys`] — a NULL now and then, `3.0` beside `3` — and either
+    /// distinct or repeated, a key's second row being a second version of it
+    /// (another `G` and `X`), as a cycle whose queries read under different
+    /// pinned snapshots meets them; probe rows `(KEY, N, Y)`, their keys
+    /// those of the build side, their `Float` spellings, `2.5`, `-0.0`,
+    /// dates, texts and NULL. `X` and `Y` are floats whose sums depend on
+    /// their order. The group-by groups by build-side columns — with the
+    /// join key or without it, or none —, aggregates columns of either side
+    /// and carries per query a HAVING or none, partial mode or not, and a
+    /// demand or none; the queries active at the join are mostly, not
+    /// always, active at the group-by too.
     #[derive(Debug)]
     struct GroupJoin {
         build: Vec<(Value, i64, f64, QuerySet)>,
@@ -1344,17 +1417,19 @@ mod row_demand {
     impl Strategy for GroupJoins {
         type Value = GroupJoin;
         fn generate(&self, rng: &mut TestRng) -> GroupJoin {
-            let key = |rng: &mut TestRng| match pick(rng, 8) {
-                0 => Value::Null,
-                1 => Value::Float(3.0),
-                k => Value::Int(k as i64 % 5),
-            };
+            let keys = JoinKeys::some(rng);
             let float = |rng: &mut TestRng| [0.1, 0.2, 0.3, 1e16, -1e16, 2.5][pick(rng, 6)];
-            let row =
-                |rng: &mut TestRng| (key(rng), pick(rng, 3) as i64, float(rng), some_queries(rng));
-            let mut build: Vec<_> = (0..pick(rng, 12)).map(|_| row(rng)).collect();
+            let row = |rng: &mut TestRng, key: Value| {
+                (key, pick(rng, 3) as i64, float(rng), some_queries(rng))
+            };
+            let distinct = pick(rng, 3) == 0;
+            let build_keys = match distinct {
+                true => keys.distinct(pick(rng, 12)),
+                false => (0..pick(rng, 12)).map(|_| keys.build(rng)).collect(),
+            };
+            let mut build: Vec<_> = build_keys.into_iter().map(|k| row(rng, k)).collect();
             for at in 0..build.len() {
-                if pick(rng, 3) == 0 {
+                if !distinct && pick(rng, 3) == 0 {
                     let version = (
                         build[at].0.clone(),
                         pick(rng, 3) as i64,
@@ -1386,9 +1461,10 @@ mod row_demand {
             if pick(rng, 4) == 0 {
                 at_group_by = some_queries(rng).iter().collect();
             }
+            let probe_keys: Vec<Value> = (0..pick(rng, 16)).map(|_| keys.probe(rng)).collect();
             GroupJoin {
                 build,
-                probe: (0..pick(rng, 16)).map(|_| row(rng)).collect(),
+                probe: probe_keys.into_iter().map(|k| row(rng, k)).collect(),
                 group_columns,
                 aggregates: (0..1 + pick(rng, 2)).map(|_| aggregate(rng)).collect(),
                 at_join,
@@ -1445,6 +1521,13 @@ mod row_demand {
                 })
                 .collect();
             let joined = execute_on(&join, &at_join, &[&build, &probe], &ctx).unwrap();
+            // The join against its nested loop: NULL never joins.
+            let meets = |b: &(Value, i64, f64, QuerySet), p: &(Value, i64, f64, QuerySet)| {
+                let queries = b.3.iter().filter(|q| case.at_join.contains(q) && p.3.contains(*q));
+                !b.0.is_null() && b.0 == p.0 && queries.count() > 0
+            };
+            let pairs = case.probe.iter().map(|p| case.build.iter().filter(|b| meets(b, p)).count());
+            prop_assert_eq!(joined.tuples.len(), pairs.sum::<usize>());
             let apart = execute_on(&group_by, &at_group_by, &[&joined.tuples], &ctx).unwrap();
             let fused = execute_group_join(&join, &at_join, &group_by, &at_group_by, &[&build, &probe]).unwrap();
             prop_assert_eq!(spelled(&fused.tuples), spelled(&apart.tuples));
@@ -1490,6 +1573,12 @@ mod query_sets_as_words {
         ids: Vec<u32>,
         build: Vec<Row>,
         probe: Vec<Row>,
+        /// The join keys of the build and the probe rows, in their order,
+        /// drawn by [`JoinKeys`]. In a third of the cases the build's are
+        /// distinct, and the joins read only the build rows they key; the
+        /// index-NL join and the Top-N read every row under its own key.
+        build_keys: Vec<Value>,
+        probe_keys: Vec<Value>,
         /// Per query: active at the join, at the group-by, and its limit.
         at_join: Vec<bool>,
         at_group_by: Vec<bool>,
@@ -1510,8 +1599,14 @@ mod query_sets_as_words {
                 let queries = ids.iter().copied().filter(|_| pick(rng, 2) == 0);
                 (key, value, queries.collect())
             };
-            let build = (0..pick(rng, 30)).map(|_| row(rng)).collect();
-            let probe = (0..pick(rng, 30)).map(|_| row(rng)).collect();
+            let build: Vec<Row> = (0..pick(rng, 30)).map(|_| row(rng)).collect();
+            let probe: Vec<Row> = (0..pick(rng, 30)).map(|_| row(rng)).collect();
+            let keys = JoinKeys::some(rng);
+            let build_keys = match pick(rng, 3) {
+                0 => keys.distinct(build.len()),
+                _ => build.iter().map(|_| keys.build(rng)).collect(),
+            };
+            let probe_keys = probe.iter().map(|_| keys.probe(rng)).collect();
             let flags = |rng: &mut TestRng| (0..QUERIES).map(|_| pick(rng, 4) > 0).collect();
             let limit = |rng: &mut TestRng| (pick(rng, 3) > 0).then(|| pick(rng, 6));
             let key = |rng: &mut TestRng| match pick(rng, 2) {
@@ -1526,16 +1621,24 @@ mod query_sets_as_words {
                 ids,
                 build,
                 probe,
+                build_keys,
+                probe_keys,
             }
         }
     }
 
     fn qtuples(rows: &[Row]) -> Vec<QTuple> {
-        let row = |(k, v, queries): &Row| {
-            let tuple = Tuple::new(vec![Value::Int(*k), Value::Int(*v)]);
+        let keys: Vec<Value> = rows.iter().map(|(k, _, _)| Value::Int(*k)).collect();
+        keyed(rows, &keys)
+    }
+
+    /// The rows, each under the key of its place in `keys`.
+    fn keyed(rows: &[Row], keys: &[Value]) -> Vec<QTuple> {
+        let row = |((_, v, queries), k): (&Row, &Value)| {
+            let tuple = Tuple::new(vec![k.clone(), Value::Int(*v)]);
             QTuple::new(tuple, queries.iter().copied().map(QueryId).collect())
         };
-        rows.iter().map(row).collect()
+        rows.iter().zip(keys).map(row).collect()
     }
 
     /// The queries flagged, as a list.
@@ -1611,23 +1714,25 @@ mod query_sets_as_words {
             let catalog = inner_table();
             let ctx = ExecContext { catalog: &catalog, snapshot: catalog.snapshot() };
             let (build, probe) = (qtuples(&case.build), qtuples(&case.probe));
+            let (join_build, join_probe) = (keyed(&case.build, &case.build_keys), keyed(&case.probe, &case.probe_keys));
             let at_join = flagged(&case.ids, &case.at_join);
             let at_group_by = flagged(&case.ids, &case.at_group_by);
 
             // Hash join: per probe row, its build rows in arrival order, for
-            // the queries of both that are active.
+            // the queries of both that are active — NULL never joins.
             let join = OperatorSpec::HashJoin { build_key: 0, probe_key: 0 };
             let mut pairs = Vec::new();
-            for (pk, pv, p) in &case.probe {
-                for (bk, bv, b) in case.build.iter().filter(|(bk, _, _)| bk == pk) {
+            for ((_, pv, p), pk) in case.probe.iter().zip(&case.probe_keys) {
+                let builds = case.build.iter().zip(&case.build_keys);
+                for ((_, bv, b), bk) in builds.filter(|(_, bk)| !bk.is_null() && *bk == pk) {
                     let queries = common(&common(b, &at_join), p);
                     if !queries.is_empty() {
-                        let row = [*bk, *bv, *pk, *pv].map(Value::Int).to_vec();
+                        let row = vec![bk.clone(), Value::Int(*bv), pk.clone(), Value::Int(*pv)];
                         pairs.push((row, queries));
                     }
                 }
             }
-            let joined = execute_on(&join, &participate(&at_join), &[&build, &probe], &ctx).unwrap();
+            let joined = execute_on(&join, &participate(&at_join), &[&join_build, &join_probe], &ctx).unwrap();
             prop_assert_eq!(spelled(&joined.tuples), pairs.clone());
 
             // Group-join: SUM and COUNT of the probe values by build key, per
@@ -1638,22 +1743,21 @@ mod query_sets_as_words {
                     .map(|function| AggregateSpec { function, column: 3, output_name: format!("{function:?}") })
                     .to_vec(),
             };
-            let mut groups: BTreeMap<(i64, u32), (i64, i64)> = BTreeMap::new();
+            let mut groups: BTreeMap<(Value, u32), (i64, i64)> = BTreeMap::new();
             for (row, queries) in &pairs {
-                let Value::Int(key) = row[0] else { unreachable!() };
                 let Value::Int(value) = row[3] else { unreachable!() };
                 for q in common(queries, &at_group_by) {
-                    let group = groups.entry((key, q)).or_default();
+                    let group = groups.entry((row[0].clone(), q)).or_default();
                     *group = (group.0 + value, group.1 + 1);
                 }
             }
             let grouped: Vec<_> = groups
                 .iter()
-                .map(|((key, q), (sum, count))| ([*key, *sum, *count].map(Value::Int).to_vec(), vec![*q]))
+                .map(|((key, q), (sum, count))| (vec![key.clone(), Value::Int(*sum), Value::Int(*count)], vec![*q]))
                 .collect();
             let having = |q: &u32| (QueryId(*q), Activation::Having { predicate: None, partial: false });
             let having: Vec<_> = at_group_by.iter().map(having).collect();
-            let fused = execute_group_join(&join, &participate(&at_join), &group_by, &having, &[&build, &probe]).unwrap();
+            let fused = execute_group_join(&join, &participate(&at_join), &group_by, &having, &[&join_build, &join_probe]).unwrap();
             prop_assert_eq!(spelled(&fused.tuples), grouped);
 
             // Index-NL join: each outer (probe) row with the inner rows of its
