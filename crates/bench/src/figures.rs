@@ -98,21 +98,13 @@ impl Setting {
         *self.cores.last().expect("at least one core count")
     }
 
-    /// `CLIENTS` clients offering `rate` interactions a second of `mix`
-    /// (infinite: a closed loop).
-    fn driver(&self, mix: Mix, rate: f64) -> DriverConfig {
-        let (emulated_browsers, think_time) = if rate.is_finite() {
-            (rate.round().max(1.0) as usize, Duration::from_secs(1))
-        } else {
-            (CLIENTS, Duration::ZERO)
-        };
+    /// `CLIENTS` clients offering `rate` interactions a second (infinite: a
+    /// closed loop).
+    fn driver(&self, rate: f64) -> DriverConfig {
         DriverConfig {
-            mix,
-            emulated_browsers,
-            think_time,
+            offered_per_s: rate,
             duration: self.duration,
             client_threads: CLIENTS,
-            time_limit_scale: 1.0,
             seed: 7,
         }
     }
@@ -251,16 +243,15 @@ fn varying_load(setting: &Setting) -> Sweep {
     let (mut probes, mut rows) = (Vec::new(), Vec::new());
     for mix in MIXES {
         let sample = |rng: &mut StdRng| mix.sample(rng);
-        let closed = setting.driver(mix, f64::INFINITY);
+        let closed = setting.driver(f64::INFINITY);
         let capacity = System::QueryAtATime
             .measure(setting, cores, &closed, sample)
             .wips;
         probes.push(format!("{}:{capacity:.1}", mix.name()));
         for system in SYSTEMS {
             for &load in &setting.loads {
-                let config = setting.driver(mix, load * capacity);
-                let report = system.measure(setting, cores, &config, sample);
-                let offered = report.offered_rate;
+                let offered = load * capacity;
+                let report = system.measure(setting, cores, &setting.driver(offered), sample);
                 let fields = format_args!("{},{load},{offered:.1}", mix.name());
                 rows.push(row(fields, &report));
             }
@@ -277,7 +268,7 @@ fn scale_cores(setting: &Setting) -> Sweep {
     for mix in MIXES {
         for system in SYSTEMS {
             for &cores in &setting.cores {
-                let config = setting.driver(mix, f64::INFINITY);
+                let config = setting.driver(f64::INFINITY);
                 let report = system.measure(setting, cores, &config, |rng| mix.sample(rng));
                 rows.push(row(format_args!("{},{cores}", mix.name()), &report));
             }
@@ -292,8 +283,7 @@ fn interactions(setting: &Setting) -> Sweep {
     let mut rows = Vec::new();
     for system in SYSTEMS {
         for &interaction in &setting.interactions {
-            // The mix is unused: the run draws only `interaction`.
-            let config = setting.driver(Mix::Shopping, f64::INFINITY);
+            let config = setting.driver(f64::INFINITY);
             let cores = setting.all_cores();
             let report = system.measure(setting, cores, &config, |_| interaction);
             rows.push(row(format_args!("{}", interaction.name()), &report));
@@ -339,18 +329,16 @@ fn batch_response(setting: &Setting) -> Sweep {
 fn load_interaction(setting: &Setting) -> Sweep {
     let cores = setting.all_cores();
     let (light, heavy) = (WebInteraction::ProductDetail, WebInteraction::BestSellers);
-    // The mix is unused: every run here draws its own interactions.
-    let driver = |rate| setting.driver(Mix::Shopping, rate);
-    let closed = driver(f64::INFINITY);
+    let closed = setting.driver(f64::INFINITY);
     let capacity = System::QueryAtATime
         .measure(setting, cores, &closed, |_| heavy)
         .wips;
     let mut rows = Vec::new();
     for system in SYSTEMS {
         for &share in &setting.heavy_shares {
-            let config = driver(LIGHT_LOAD * capacity / (1.0 - share));
+            let offered = LIGHT_LOAD * capacity / (1.0 - share);
             let pick = |rng: &mut StdRng| if rng.gen_bool(share) { heavy } else { light };
-            let report = system.measure(setting, cores, &config, pick);
+            let report = system.measure(setting, cores, &setting.driver(offered), pick);
             let seconds = setting.duration.as_secs_f64();
             let per_s = |i: WebInteraction| {
                 format!(
@@ -358,7 +346,7 @@ fn load_interaction(setting: &Setting) -> Sweep {
                     report.successful_by_interaction[i as usize] as f64 / seconds
                 )
             };
-            let (offered, light, heavy) = (report.offered_rate, per_s(light), per_s(heavy));
+            let (light, heavy) = (per_s(light), per_s(heavy));
             rows.push(row(
                 format_args!("{share},{offered:.1},{light},{heavy}"),
                 &report,

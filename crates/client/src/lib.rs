@@ -33,7 +33,6 @@ use shareddb_server::protocol::{
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// Metadata of a prepared statement on the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,19 +113,15 @@ pub struct Connection {
     next_request_id: u64,
     /// Request ids awaiting responses, in submission order.
     pending: VecDeque<u64>,
-    /// Set when the stream desynchronised (e.g. a deadline expired mid-read);
-    /// the connection refuses further use.
+    /// Set when a transport failure left the stream's position unknown (a
+    /// closed socket, a malformed or unexpected frame); the connection
+    /// refuses further use.
     poisoned: bool,
 }
 
 impl Connection {
     /// Connects and performs the Hello handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Connection> {
-        Connection::connect_named(addr, "shareddb-client")
-    }
-
-    /// Connects with an explicit client name (shown in server diagnostics).
-    pub fn connect_named(addr: impl ToSocketAddrs, client_name: &str) -> Result<Connection> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
@@ -140,7 +135,7 @@ impl Connection {
         };
         conn.send(&Frame::Hello {
             version: PROTOCOL_VERSION,
-            client_name: client_name.into(),
+            client_name: "shareddb-client".into(),
         })?;
         match conn.read()? {
             Frame::HelloOk { .. } => Ok(conn),
@@ -157,7 +152,7 @@ impl Connection {
     fn check_poisoned(&self) -> Result<()> {
         if self.poisoned {
             return Err(Error::Io(
-                "connection is poisoned (a previous deadline expired mid-response)".into(),
+                "connection is poisoned (a previous transport failure desynchronised it)".into(),
             ));
         }
         Ok(())
@@ -169,8 +164,8 @@ impl Connection {
         Ok(())
     }
 
-    /// Reads one frame. Any transport failure (closed socket, timeout,
-    /// malformed frame) leaves the stream state unknown and poisons the
+    /// Reads one frame. Any transport failure (closed socket, malformed
+    /// frame) leaves the stream state unknown and poisons the
     /// connection; a well-formed [`Frame::Error`] does not.
     fn read(&mut self) -> Result<Frame> {
         match read_frame(&mut self.reader) {
@@ -342,37 +337,6 @@ impl Connection {
     pub fn execute(&mut self, statement: &Prepared, params: &[Value]) -> Result<Outcome> {
         let ticket = self.submit(statement, params)?;
         self.wait(ticket)
-    }
-
-    /// Submits and waits, giving up after `deadline`. A timed-out connection
-    /// is poisoned (the response may still be in flight) and cannot be
-    /// reused.
-    pub fn execute_with_deadline(
-        &mut self,
-        statement: &Prepared,
-        params: &[Value],
-        deadline: Duration,
-    ) -> Result<Outcome> {
-        let started = std::time::Instant::now();
-        let ticket = self.submit(statement, params)?;
-        self.reader
-            .get_ref()
-            .set_read_timeout(Some(deadline.max(Duration::from_millis(1))))?;
-        let result = self.wait(ticket);
-        let _ = self.reader.get_ref().set_read_timeout(None);
-        match result {
-            // The socket timeout is per read(2) call, so a slow multi-chunk
-            // response can complete past the deadline; that is still a
-            // deadline miss (the stream is in sync, no poisoning needed).
-            Ok(_) if started.elapsed() > deadline => Err(Error::DeadlineExceeded),
-            // Only an I/O failure *at* the deadline is a timeout; earlier
-            // ones are real connection failures and must stay visible.
-            Err(Error::Io(_)) if started.elapsed() >= deadline => {
-                self.poisoned = true;
-                Err(Error::DeadlineExceeded)
-            }
-            other => other,
-        }
     }
 
     /// Executes an ad-hoc SQL statement.

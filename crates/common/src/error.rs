@@ -83,21 +83,6 @@ impl Error {
     pub fn is_retryable(&self) -> bool {
         matches!(self, Error::Overloaded(_))
     }
-
-    /// True when the error was caused by the client (bad SQL, bad parameters)
-    /// rather than by the engine.
-    pub fn is_user_error(&self) -> bool {
-        matches!(
-            self,
-            Error::Parse(_)
-                | Error::UnknownTable(_)
-                | Error::UnknownColumn(_)
-                | Error::TypeMismatch { .. }
-                | Error::InvalidParameter(_)
-                | Error::UnknownStatement(_)
-                | Error::ConstraintViolation(_)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -114,14 +99,6 @@ mod tests {
         };
         assert!(e.to_string().contains("Int"));
         assert!(e.to_string().contains("Text"));
-    }
-
-    #[test]
-    fn user_error_classification() {
-        assert!(Error::Parse("x".into()).is_user_error());
-        assert!(Error::UnknownColumn("c".into()).is_user_error());
-        assert!(!Error::EngineShutdown.is_user_error());
-        assert!(!Error::Internal("bug".into()).is_user_error());
     }
 
     #[test]

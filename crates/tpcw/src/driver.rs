@@ -1,5 +1,4 @@
-//! The workload driver: emulated browsers, offered-load control and WIPS
-//! measurement.
+//! The workload driver: interactions offered at a rate, and WIPS measurement.
 //!
 //! The paper's clients are emulated browsers (EBs) with an exponentially
 //! distributed think time (mean 7 s) issuing web interactions against the
@@ -7,20 +6,20 @@
 //! per second (WIPS), where an interaction only counts if it finishes within
 //! its TPC-W response-time limit (Section 5.1).
 //!
-//! The reproduction uses an open-loop driver: the offered load implied by a
-//! number of EBs (`EBs / think_time`) is translated into a target arrival
-//! rate, and a pool of client threads issues interactions on that schedule,
-//! each timed from when it was due; a zero think time is a closed loop, each
-//! client issuing its next interaction as soon as its last one is answered.
-//! Interactions that miss their (scaled) response-time limit count as timed
-//! out, and so do those a busy client pool starts too late. This preserves the
-//! quantity the figures plot — successful throughput as a function of offered
-//! load — without emulating a multi-machine client tier. The sweeps of the
-//! paper's figures that drive it are `shareddb_bench::figures`.
+//! The reproduction offers the load a population of EBs implies (their number
+//! over their mean think time) as one rate: a pool of client threads issues
+//! interactions on a schedule of `offered_per_s` a second, each timed from
+//! when it was due; an infinite rate is a closed loop, each client issuing
+//! its next interaction as soon as its last one is answered. Interactions
+//! that miss their response-time limit count as timed out, and so do those a
+//! busy client pool starts too late. This preserves the quantity the figures plot — successful throughput
+//! as a function of offered load — without emulating a multi-machine client
+//! tier. The sweeps of the paper's figures that drive it are
+//! `shareddb_bench::figures`.
 
 use crate::plans;
 use crate::schema::TpcwScale;
-use crate::workload::{Mix, ParamGenerator, WebInteraction};
+use crate::workload::{ParamGenerator, WebInteraction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shareddb_baseline::{ClassicEngine, EngineProfile};
@@ -104,21 +103,13 @@ impl TpcwDatabase for BaselineSystem {
 /// Driver configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
-    /// Workload mix.
-    pub mix: Mix,
-    /// Number of emulated browsers generating load.
-    pub emulated_browsers: usize,
-    /// Mean think time of one emulated browser. The TPC-W value is 7 s; the
-    /// reproduction scales it down so laptop-scale runs exercise the same
-    /// offered-load range in seconds instead of hours. Zero is a closed loop.
-    pub think_time: Duration,
+    /// Offered load in web interactions a second; `f64::INFINITY` is a
+    /// closed loop.
+    pub offered_per_s: f64,
     /// Measurement duration.
     pub duration: Duration,
     /// Number of client worker threads issuing interactions.
     pub client_threads: usize,
-    /// Scale factor applied to the TPC-W response-time limits (1.0 keeps the
-    /// 3–5 s limits of the specification).
-    pub time_limit_scale: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -126,22 +117,11 @@ pub struct DriverConfig {
 impl Default for DriverConfig {
     fn default() -> Self {
         DriverConfig {
-            mix: Mix::Shopping,
-            emulated_browsers: 100,
-            think_time: Duration::from_millis(100),
+            offered_per_s: 1000.0,
             duration: Duration::from_secs(2),
             client_threads: 16,
-            time_limit_scale: 1.0,
             seed: 1,
         }
-    }
-}
-
-impl DriverConfig {
-    /// Offered load in web interactions per second implied by the EB count
-    /// and think time (infinite for a closed loop).
-    pub fn offered_rate(&self) -> f64 {
-        self.emulated_browsers as f64 / self.think_time.as_secs_f64()
     }
 }
 
@@ -150,8 +130,6 @@ impl DriverConfig {
 pub struct DriverReport {
     /// System under test.
     pub system: String,
-    /// Offered interactions per second.
-    pub offered_rate: f64,
     /// Successful web interactions per second (the WIPS metric).
     pub wips: f64,
     /// Attempted interactions.
@@ -169,17 +147,9 @@ pub struct DriverReport {
     pub mean_latency: Duration,
 }
 
-/// Runs one measurement of a system under the given configuration.
-pub fn run_workload(
-    db: &dyn TpcwDatabase,
-    scale: &TpcwScale,
-    config: &DriverConfig,
-) -> DriverReport {
-    run_interactions(db, scale, config, |rng| config.mix.sample(rng))
-}
-
-/// [`run_workload`] with each interaction drawn by `pick` instead of from
-/// `config.mix`: one interaction alone, or a stream of two in a set ratio.
+/// Runs one measurement of `db` under `config`, each interaction drawn by
+/// `pick`: a mix's [`Mix::sample`](crate::Mix::sample), one interaction
+/// alone, or a stream of two in a set ratio.
 pub fn run_interactions(
     db: &dyn TpcwDatabase,
     scale: &TpcwScale,
@@ -194,9 +164,8 @@ pub fn run_interactions(
     let latency_nanos = AtomicU64::new(0);
     let schedule_slot = AtomicUsize::new(0);
 
-    let interarrival = Duration::from_secs_f64(1.0 / config.offered_rate().max(1e-6));
+    let interarrival = Duration::from_secs_f64(1.0 / config.offered_per_s.max(1e-6));
     let start = Instant::now();
-    let deadline_scale = config.time_limit_scale.max(0.01);
 
     std::thread::scope(|scope| {
         for thread_idx in 0..config.client_threads.max(1) {
@@ -226,7 +195,7 @@ pub fn run_interactions(
                         std::thread::sleep(scheduled - elapsed);
                     }
                     let interaction = pick(&mut rng);
-                    let limit = interaction.time_limit().mul_f64(deadline_scale);
+                    let limit = interaction.time_limit();
                     let calls = generator.calls(interaction, &mut rng);
                     attempted.fetch_add(1, Ordering::Relaxed);
                     // An open loop times an interaction from when it was due,
@@ -276,7 +245,6 @@ pub fn run_interactions(
     let successful_count = successful_by_interaction.iter().sum::<u64>();
     DriverReport {
         system: db.system_name(),
-        offered_rate: config.offered_rate(),
         wips: successful_count as f64 / elapsed,
         attempted: attempted.into_inner(),
         successful: successful_count,
@@ -296,6 +264,7 @@ pub fn run_interactions(
 mod tests {
     use super::*;
     use crate::schema::build_catalog;
+    use crate::workload::Mix;
 
     fn catalog() -> Arc<Catalog> {
         Arc::new(build_catalog(&TpcwScale::tiny()).unwrap())
@@ -307,15 +276,12 @@ mod tests {
         let scale = TpcwScale::tiny();
         let db = SharedDbSystem::new(catalog, EngineConfig::default()).unwrap();
         let config = DriverConfig {
-            mix: Mix::Shopping,
-            emulated_browsers: 50,
-            think_time: Duration::from_millis(100),
+            offered_per_s: 500.0,
             duration: Duration::from_millis(500),
             client_threads: 4,
-            time_limit_scale: 1.0,
             seed: 11,
         };
-        let report = run_workload(&db, &scale, &config);
+        let report = run_interactions(&db, &scale, &config, |rng| Mix::Shopping.sample(rng));
         assert_eq!(report.system, "SharedDB");
         assert!(report.attempted > 0);
         assert!(report.successful > 0, "report: {report:?}");
@@ -329,15 +295,12 @@ mod tests {
         let scale = TpcwScale::tiny();
         let db = BaselineSystem::new(catalog, 4);
         let config = DriverConfig {
-            mix: Mix::Ordering,
-            emulated_browsers: 50,
-            think_time: Duration::from_millis(100),
+            offered_per_s: 500.0,
             duration: Duration::from_millis(500),
             client_threads: 4,
-            time_limit_scale: 1.0,
             seed: 12,
         };
-        let report = run_workload(&db, &scale, &config);
+        let report = run_interactions(&db, &scale, &config, |rng| Mix::Ordering.sample(rng));
         assert!(report.successful > 0, "report: {report:?}");
         assert_eq!(report.failed, 0, "report: {report:?}");
         assert_eq!(report.system, "query-at-a-time");
@@ -349,7 +312,7 @@ mod tests {
         let scale = TpcwScale::tiny();
         let db = SharedDbSystem::new(catalog, EngineConfig::default()).unwrap();
         let config = DriverConfig {
-            think_time: Duration::ZERO,
+            offered_per_s: f64::INFINITY,
             duration: Duration::from_millis(300),
             client_threads: 2,
             ..Default::default()
@@ -357,16 +320,24 @@ mod tests {
         let report = run_interactions(&db, &scale, &config, |_| WebInteraction::BestSellers);
         assert!(report.successful > 0, "report: {report:?}");
         assert_eq!(report.successful_by_interaction[2], report.successful);
-        assert_eq!(report.offered_rate, f64::INFINITY);
     }
 
+    /// An open loop claims slot `n` at `n / rate` and stops at the first slot
+    /// past the duration, so it attempts at most ⌊rate × duration⌋ + 1
+    /// interactions however many clients wait for a slot.
     #[test]
-    fn offered_rate_computation() {
+    fn an_open_loop_attempts_no_more_than_its_schedule() {
+        let catalog = catalog();
+        let scale = TpcwScale::tiny();
+        let db = SharedDbSystem::new(catalog, EngineConfig::default()).unwrap();
         let config = DriverConfig {
-            emulated_browsers: 700,
-            think_time: Duration::from_secs(7),
-            ..Default::default()
+            offered_per_s: 200.0,
+            duration: Duration::from_millis(500),
+            client_threads: 4,
+            seed: 13,
         };
-        assert!((config.offered_rate() - 100.0).abs() < 1e-9);
+        let report = run_interactions(&db, &scale, &config, |_| WebInteraction::ProductDetail);
+        assert!(report.attempted <= 101, "report: {report:?}");
+        assert_eq!(report.failed, 0, "report: {report:?}");
     }
 }

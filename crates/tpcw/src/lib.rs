@@ -11,22 +11,18 @@
 //!   registered under identical statement names.
 //! * [`workload`] — the fourteen web interactions, the Browsing / Shopping /
 //!   Ordering mixes, and parameter generation.
-//! * [`driver`] — emulated-browser workload driver measuring WIPS under
-//!   response-time limits, with adapters for SharedDB and the baselines.
-//! * [`remote`] — a driver adapter running the workload over the
-//!   `shareddb-server` wire protocol instead of in-process.
+//! * [`driver`] — the workload driver: interactions offered at a rate (or in
+//!   a closed loop) to SharedDB or the query-at-a-time baseline, both in
+//!   process, measuring WIPS under the response-time limits.
 
 pub mod driver;
 pub mod plans;
-pub mod remote;
 pub mod schema;
 pub mod workload;
 
 pub use driver::{
-    run_interactions, run_workload, BaselineSystem, DriverConfig, DriverReport, SharedDbSystem,
-    TpcwDatabase,
+    run_interactions, BaselineSystem, DriverConfig, DriverReport, SharedDbSystem, TpcwDatabase,
 };
 pub use plans::{build_shared_plan, register_baseline_statements, statement_names, PAGE_SIZE, SQL};
-pub use remote::RemoteSystem;
 pub use schema::{build_catalog, create_schema, load_data, TpcwScale, SUBJECTS};
 pub use workload::{Mix, ParamGenerator, StatementCall, WebInteraction, ALL_INTERACTIONS};

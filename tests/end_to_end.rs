@@ -6,8 +6,8 @@ use shareddb::baseline::EngineProfile;
 use shareddb::common::Value;
 use shareddb::core::EngineConfig;
 use shareddb::tpcw::{
-    build_catalog, run_workload, BaselineSystem, DriverConfig, Mix, ParamGenerator, SharedDbSystem,
-    TpcwDatabase, TpcwScale, ALL_INTERACTIONS, SUBJECTS,
+    build_catalog, run_interactions, BaselineSystem, DriverConfig, Mix, ParamGenerator,
+    SharedDbSystem, TpcwDatabase, TpcwScale, ALL_INTERACTIONS, SUBJECTS,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,15 +92,12 @@ fn concurrent_mixed_workload_is_robust() {
     let catalog = Arc::new(build_catalog(&scale).unwrap());
     let db = SharedDbSystem::new(catalog, EngineConfig::default()).unwrap();
     let config = DriverConfig {
-        mix: Mix::Shopping,
-        emulated_browsers: 100,
-        think_time: Duration::from_millis(100),
+        offered_per_s: 1000.0,
         duration: Duration::from_millis(600),
         client_threads: 8,
-        time_limit_scale: 1.0,
         seed: 5,
     };
-    let report = run_workload(&db, &scale, &config);
+    let report = run_interactions(&db, &scale, &config, |rng| Mix::Shopping.sample(rng));
     assert!(report.attempted >= 10, "report: {report:?}");
     assert_eq!(report.failed, 0, "report: {report:?}");
     assert!(report.successful > 0);

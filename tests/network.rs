@@ -9,6 +9,7 @@ use shareddb::core::EngineConfig;
 use shareddb::server::protocol::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
 use shareddb::server::{Server, ServerConfig};
 use shareddb::storage::{Catalog, TableDef};
+use shareddb::tpcw::DriverConfig;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -714,6 +715,21 @@ fn hostile_clients_are_dropped_cleanly() {
     let stats = server.stats();
     assert_eq!(stats.sessions_active, 0, "leaked sessions: {stats:?}");
     server.shutdown();
+}
+
+/// A refused connection is an I/O error from `connect`, not a panic.
+#[test]
+fn a_refused_connection_is_an_io_error() {
+    // Reserve a free port, then close it so that nobody listens there.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    match Connection::connect(addr) {
+        Err(Error::Io(_)) => {}
+        Err(other) => panic!("expected an I/O error, got {other:?}"),
+        Ok(_) => panic!("connect to a closed port succeeded"),
+    }
 }
 
 /// An idle server parks in the poller with no timers armed: it must burn
@@ -1447,8 +1463,8 @@ fn operations_doc_wire_table_matches_the_protocol() {
     }
 }
 
-/// Every `EngineConfig::x` and `ServerConfig::x` that `README.md` or
-/// `docs/*.md` names is a field of that type (read from the
+/// Every `EngineConfig::x`, `ServerConfig::x` and `DriverConfig::x` that
+/// `README.md` or `docs/*.md` names is a field of that type (read from the
 /// `Debug` output of its default) or one of its constructors and builder
 /// methods: a knob that went may not live on in the documents.
 #[test]
@@ -1460,6 +1476,7 @@ fn config_fields_the_docs_name_exist() {
         EngineConfig::with_cores,
         EngineConfig::slow_query,
         ServerConfig::default,
+        DriverConfig::default,
     );
     let types = [
         (
@@ -1470,6 +1487,11 @@ fn config_fields_the_docs_name_exist() {
         (
             "ServerConfig",
             format!("{:?}", ServerConfig::default()),
+            &["default"][..],
+        ),
+        (
+            "DriverConfig",
+            format!("{:?}", DriverConfig::default()),
             &["default"][..],
         ),
     ];
