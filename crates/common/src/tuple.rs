@@ -8,9 +8,10 @@
 //! of a join operator names its two inputs instead of copying their values,
 //! and a join of a join nests. Either way `clone` bumps a counter, and both
 //! shapes read alike — `len`, `get`, indexing, `iter`, `==`, `Hash`, `Ord` and
-//! `Display` see the concatenated values and never the shape. Versions are
-//! never changed in place (an update appends a new version), so sharing needs
-//! no lock, and a reader that still holds a row keeps its old values alive.
+//! `Display` see the concatenated values and never the shape. A payload is
+//! never written into (an update appends a new version, or hands the version
+//! a new payload), so sharing needs no lock, and a reader that still holds a
+//! row keeps its old values alive.
 //!
 //! Values are copied only where a payload is genuinely new: [`Tuple::project`]
 //! and computed columns, a group-by's output, and [`Tuple::values`] /

@@ -354,9 +354,10 @@ impl Shared {
 
         // The footprint: the versions each table holds, dead ones included,
         // those of them that still hold a payload, the payloads version GC
-        // gave back, and the entries of each of its B-trees — one per
-        // version, dead ones included. A primary key is indexed by its
-        // table's key map and has no tree here. The pins hold GC back.
+        // gave back, the updates written over their version in place, and
+        // the entries of each of its B-trees — one per version, dead ones
+        // included. A primary key is indexed by its table's key map and has
+        // no tree here. The pins hold GC back.
         let pins = catalog.oracle().pin_count();
         scalar(w, "shareddb_snapshot_pins", "gauge", pins);
         let tables: Vec<_> = catalog
@@ -390,6 +391,14 @@ impl Shared {
             tables
                 .iter()
                 .map(|(table, stored)| (table, stored.read().reclaimed_count())),
+        );
+        family(
+            w,
+            "shareddb_updates_in_place_total",
+            "counter",
+            tables
+                .iter()
+                .map(|(table, stored)| (table, stored.read().in_place_count())),
         );
         family(
             w,

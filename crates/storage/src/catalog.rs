@@ -205,9 +205,12 @@ impl Catalog {
     /// was told, what later snapshots see and what recovery replays agree.
     /// The outer `Err` is a failure of the log itself.
     ///
-    /// Once the commit is published, each table it wrote reclaims what no
-    /// pinned snapshot sees any more ([`Table::reclaim`]): work bounded by
-    /// what earlier commits retired.
+    /// An update that leaves its row's key and indexed columns as they were
+    /// overwrites the version in place when no pinned snapshot sees it
+    /// ([`Table::update_rows`]); the pins are held from that decision until
+    /// the commit is published (`TimestampOracle::begin_commit`). Once it
+    /// is, each table it wrote reclaims what no pinned snapshot sees any more
+    /// ([`Table::reclaim`]): work bounded by what earlier commits retired.
     pub fn apply_batch(&self, ops: &[(String, UpdateOp)]) -> Result<Vec<Result<UpdateResult>>> {
         self.apply_ops(ops.iter().map(|(table, op)| (table.as_str(), op)))
     }
@@ -221,13 +224,16 @@ impl Catalog {
         if ops.clone().next().is_none() {
             return Ok(Vec::new());
         }
-        let commit_ts = self.oracle.next_commit_ts();
+        // Nothing is pinned from here until the commit is published: an
+        // update the newest pin cannot tell apart overwrites in place.
+        let commit = self.oracle.begin_commit();
+        let newest_pin = commit.newest_pin();
         let mut written: Vec<Arc<RwLock<Table>>> = Vec::new();
         let results: Vec<Result<UpdateResult>> = ops
             .clone()
             .map(|(table_name, op)| {
                 let handle = self.table(table_name)?;
-                let applied = apply_update(&mut handle.write(), op, commit_ts);
+                let applied = apply_update(&mut handle.write(), op, commit.ts, newest_pin);
                 if !written.iter().any(|t| Arc::ptr_eq(t, &handle)) {
                     written.push(handle);
                 }
@@ -237,10 +243,9 @@ impl Catalog {
         let applied = ops.zip(&results).filter(|(_, result)| result.is_ok());
         let mut applied = applied.map(|(op, _)| op).peekable();
         if applied.peek().is_some() {
-            self.wal.log_ops(commit_ts, applied)?;
+            self.wal.log_ops(commit.ts, applied)?;
         }
-        self.oracle.publish(commit_ts);
-        let low_water = self.oracle.low_water();
+        let low_water = commit.publish();
         for table in written {
             table.write().reclaim(low_water);
         }
@@ -404,7 +409,8 @@ impl Catalog {
         let wal_path = dir.join(WAL_FILE);
         let (mut replayed_batches, mut replayed_ops, mut max_ts) = (0, 0, checkpoint_ts);
         // Each committed batch is applied as its commit marker is read, a run
-        // of operations on one table under one lock.
+        // of operations on one table under one lock; nothing reads yet, so
+        // no pin keeps an update from overwriting in place.
         let replay = committed_batches(|ts, ops| {
             if ts <= checkpoint_ts {
                 return Ok(()); // already inside the checkpoint snapshot
@@ -413,9 +419,9 @@ impl Catalog {
             while let Some((name, op)) = run.next() {
                 let handle = self.table(name)?;
                 let mut table = handle.write();
-                apply_update(&mut table, op, ts)?;
+                apply_update(&mut table, op, ts, None)?;
                 while let Some((_, op)) = run.next_if(|(next, _)| next == name) {
-                    apply_update(&mut table, op, ts)?;
+                    apply_update(&mut table, op, ts, None)?;
                 }
             }
             max_ts = max_ts.max(ts);
@@ -510,6 +516,7 @@ impl std::fmt::Debug for Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mvcc::TS_INFINITY;
     use crate::update::AccessPath;
     use crate::wal::MAX_EXPR_DEPTH;
     use proptest::prelude::*;
@@ -1268,5 +1275,203 @@ mod tests {
             counts(),
             (versions, KEYS as usize, versions - KEYS as usize)
         );
+    }
+
+    // -- overwriting in place against the append-only path ------------------
+
+    /// One write of an in-place history, over keys `0..6`: `U(K key, V,
+    /// TITLE, N)`, V indexed by value, TITLE by gram, N by nothing.
+    #[derive(Debug, Clone, Copy)]
+    enum InPlaceWrite {
+        Insert(i64, i64),
+        /// A new N under the key: unkeyed and unindexed.
+        SetN(i64, i64),
+        /// V assigned its own value and a new N: unindexed all the same.
+        KeepV(i64, i64),
+        /// A new N for every row of one V, found through the value index.
+        SetNByV(i64, i64),
+        /// A new V under the key: an indexed column.
+        SetV(i64, i64),
+        /// A new TITLE under the key: a column indexed by gram.
+        Retitle(i64, i64),
+        Delete(i64),
+        /// The row under the first key moves to the second.
+        Move(i64, i64),
+    }
+
+    impl InPlaceWrite {
+        /// True for a write that changes neither a key nor an indexed column.
+        fn unindexed(self) -> bool {
+            use InPlaceWrite::*;
+            matches!(self, SetN(..) | KeepV(..) | SetNByV(..))
+        }
+
+        fn op(self, serial: usize) -> UpdateOp {
+            use InPlaceWrite::*;
+            let by_key = |key: i64| Expr::col(0).eq(Expr::lit(key));
+            let update = |assignments: Vec<(usize, Expr)>, predicate| UpdateOp::Update {
+                assignments,
+                predicate,
+            };
+            let title = |x: i64| Expr::lit(format!("TITLE {x} NO {serial}"));
+            match self {
+                Insert(key, x) => UpdateOp::Insert {
+                    values: tuple![key, x % 3, format!("TITLE {x} NO {serial}"), x],
+                },
+                SetN(key, x) => update(vec![(3, Expr::lit(x))], by_key(key)),
+                KeepV(key, x) => update(vec![(1, Expr::col(1)), (3, Expr::lit(x))], by_key(key)),
+                SetNByV(v, x) => update(vec![(3, Expr::lit(x))], Expr::col(1).eq(Expr::lit(v))),
+                SetV(key, x) => update(vec![(1, Expr::lit(x % 3))], by_key(key)),
+                Retitle(key, x) => update(vec![(2, title(x))], by_key(key)),
+                Delete(key) => UpdateOp::Delete {
+                    predicate: by_key(key),
+                },
+                Move(key, to) => update(vec![(0, Expr::lit(to))], by_key(key)),
+            }
+        }
+    }
+
+    struct InPlaceHistories;
+
+    impl Strategy for InPlaceHistories {
+        type Value = Vec<(Vec<InPlaceWrite>, bool, Option<usize>)>;
+        /// Commits of one to three writes, each after a pin taken or not and
+        /// a pin (modulo those held) dropped or not.
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            use InPlaceWrite::*;
+            let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+            let write = |rng: &mut TestRng| {
+                let (key, x) = (pick(rng, 6) as i64, pick(rng, 6) as i64);
+                match pick(rng, 10) {
+                    0 => Insert(key, x),
+                    1 | 2 => SetN(key, x),
+                    3 => KeepV(key, x),
+                    4 => SetNByV(key % 3, x),
+                    5 => SetV(key, x),
+                    6 => Retitle(key, x),
+                    7 => Delete(key),
+                    _ => Move(key, x),
+                }
+            };
+            let commits = 1 + pick(rng, 30);
+            let commit = |rng: &mut TestRng| {
+                let writes = (0..1 + pick(rng, 3)).map(|_| write(rng)).collect();
+                let unpin = (pick(rng, 3) == 0).then(|| pick(rng, 8));
+                (writes, pick(rng, 3) == 0, unpin)
+            };
+            (0..commits).map(|_| commit(rng)).collect()
+        }
+    }
+
+    /// What `snapshot` reads of `U`, labelled: the pass, the key map for
+    /// every key, a fetch through the value index for every V and through
+    /// the gram index for two infixes, each re-checked by its predicate —
+    /// rows spelled out exactly, in order.
+    fn in_place_reads(table: &Table, snapshot: crate::mvcc::Snapshot) -> Vec<String> {
+        let sorted = |rows: &mut dyn Iterator<Item = &Tuple>| {
+            let mut rows: Vec<String> = rows.map(|row| format!("{row:?}")).collect();
+            rows.sort();
+            rows
+        };
+        let mut reads = vec![format!(
+            "pass {:?}",
+            sorted(&mut table.scan(snapshot).map(|r| r.1))
+        )];
+        for key in 0..7 {
+            let found = table.lookup_pk(&[Value::Int(key)], snapshot);
+            reads.push(format!("key {key}: {:?}", found.map(|(_, row)| row)));
+        }
+        let by_value = (0..3).map(|v| Expr::col(1).eq(Expr::lit(v)));
+        let infixes =
+            ["TLE 1 ", "NO 1"].map(|infix| Expr::col(2).like(Expr::lit(format!("%{infix}%"))));
+        for predicate in by_value.chain(infixes) {
+            let path = AccessPath::choose(table, &predicate);
+            assert_ne!(path, AccessPath::Scan, "{predicate} took the pass");
+            let fetched = path.visible_rows(table, snapshot);
+            let mut kept = fetched
+                .map(|(_, row)| row)
+                .filter(|row| predicate.eval_predicate(row).unwrap());
+            reads.push(format!("{predicate}: {:?}", sorted(&mut kept)));
+        }
+        reads
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Overwriting in place changes nothing a pin can read: random
+        /// updates of unindexed columns, of indexed ones, key moves, inserts
+        /// and deletes commit through `apply_ops` while pins are taken and
+        /// dropped at random, beside a model table that appends every
+        /// update. After every commit the latest state, and each pin still
+        /// held, read through the pass, the key map and the value and gram
+        /// indexes exactly what the model read as its latest state at that
+        /// commit. A commit of unindexed updates with nothing pinned grows
+        /// neither the arena nor any index.
+        #[test]
+        fn in_place_updates_read_as_the_append_only_model(history in InPlaceHistories) {
+            let catalog = Catalog::new();
+            let def = TableDef::new("U")
+                .column("K", DataType::Int)
+                .column("V", DataType::Int)
+                .column("TITLE", DataType::Text)
+                .column("N", DataType::Int)
+                .primary_key(&["K"]);
+            catalog.create_table(def).unwrap();
+            let mut model = Table::new("U", catalog.table("U").unwrap().read().schema().clone(), vec![0]);
+            for (name, column, kind) in [("U_V", 1, IndexKind::Values), ("U_TITLE", 2, IndexKind::Grams)] {
+                let (table, column_name) = ("U".to_string(), ["K", "V", "TITLE", "N"][column].to_string());
+                catalog.create_index(IndexDef { name: name.into(), table, column: column_name, kind }).unwrap();
+                model.create_index(name, column, kind).unwrap();
+            }
+            let rows: Vec<Tuple> = (0..4i64).map(|k| tuple![k, k % 3, format!("TITLE {k} NO 0"), k]).collect();
+            catalog.bulk_load("U", rows.clone()).unwrap();
+            model.load(rows, Timestamp(0)).unwrap();
+            let table = catalog.table("U").unwrap();
+            let footprint = |table: &Table| {
+                let entries: Vec<usize> = table.index_entry_counts().map(|(_, n)| n).collect();
+                (table.version_count(), entries)
+            };
+            let mut states = std::collections::BTreeMap::new();
+            states.insert(Timestamp(0), in_place_reads(&model, crate::mvcc::Snapshot::default()));
+            let mut pins: Vec<SnapshotPin> = Vec::new();
+            let mut serial = 0;
+            for (writes, pin, unpin) in &history {
+                if *pin {
+                    pins.push(catalog.pin());
+                }
+                if let Some(at) = unpin.filter(|_| !pins.is_empty()) {
+                    drop(pins.remove(at % pins.len()));
+                }
+                let ops: Vec<UpdateOp> = writes.iter().map(|write| {
+                    serial += 1;
+                    write.op(serial)
+                }).collect();
+                let before = footprint(&table.read());
+                let quiet = pins.is_empty() && writes.iter().all(|w| w.unindexed());
+                let results = catalog.apply_ops(ops.iter().map(|op| ("U", op))).unwrap();
+                let commit = catalog.snapshot().ts;
+                for (op, result) in ops.iter().zip(results) {
+                    let modelled = apply_update(&mut model, op, commit, Some(TS_INFINITY));
+                    prop_assert_eq!(result.map(|r| r.rows_affected).ok(), modelled.map(|r| r.rows_affected).ok());
+                }
+                let table = table.read();
+                if quiet {
+                    prop_assert_eq!(footprint(&table), before, "{:?} grew the table", writes);
+                }
+                // The model's latest state is what a pin taken now must read
+                // for as long as it is held, whatever is written meanwhile.
+                let latest = in_place_reads(&model, crate::mvcc::Snapshot::at(commit));
+                states.insert(commit, latest);
+                let held = pins.iter().map(|pin| pin.ts).chain([commit]);
+                for ts in held {
+                    prop_assert_eq!(
+                        &in_place_reads(&table, crate::mvcc::Snapshot::at(ts)),
+                        &states[&ts],
+                        "at {:?}\nin {:?}", ts, history
+                    );
+                }
+            }
+        }
     }
 }

@@ -653,7 +653,11 @@ mod tests {
             }
             for (i, op) in self.writes.iter().enumerate() {
                 // A write that fails (a taken key, a dead row) writes nothing.
-                let _ = crate::update::apply_update(&mut table, op, Timestamp(2 + i as u64));
+                // Every other one finds the snapshot before it pinned; the
+                // rest overwrite in place what they may, widening old chunks.
+                let pinned = (i % 2 == 0).then_some(Timestamp(1 + i as u64));
+                let _ =
+                    crate::update::apply_update(&mut table, op, Timestamp(2 + i as u64), pinned);
             }
             table
         }
@@ -868,7 +872,7 @@ mod tests {
             predicate: eq(0, Value::Int(7)),
         };
         let commit = oracle.next_commit_ts();
-        crate::update::apply_update(&mut table.write(), &delete, commit).unwrap();
+        crate::update::apply_update(&mut table.write(), &delete, commit, None).unwrap();
         oracle.publish(commit);
         let by_key = || vec![eq(0, Value::Int(7))];
         assert_eq!(counts(by_key(), None), (true, 2, 0));
@@ -1170,8 +1174,10 @@ mod tests {
                 table.insert(row.clone(), Timestamp(1)).unwrap();
             }
             for (i, op) in case.writes.iter().enumerate() {
-                // A write that fails (a taken key, a dead row) writes nothing.
-                let _ = crate::update::apply_update(&mut table, op, Timestamp(2 + i as u64));
+                // A write that fails (a taken key, a dead row) writes nothing;
+                // every other one finds the snapshot before it pinned.
+                let pinned = (i % 2 == 0).then_some(Timestamp(1 + i as u64));
+                let _ = crate::update::apply_update(&mut table, op, Timestamp(2 + i as u64), pinned);
             }
             let last_write = 1 + case.writes.len() as u64;
             assert_cycles_equal_full_walk(table, last_write, &case.cycles, &case);

@@ -11,7 +11,12 @@
 //! ([`TimestampOracle::pin`]): the oldest pin is the **low-water mark**
 //! ([`TimestampOracle::low_water`]), and a version that ended at or before it
 //! is seen by no reader that is or will be — the storage layer gives its
-//! payload back (`Table::reclaim`).
+//! payload back (`Table::reclaim`). The newest pin bounds what a commit may
+//! overwrite: a live version that began after it is seen by no pin, so an
+//! update that leaves its key and indexed columns alone writes over it in
+//! place (`Table::update_rows`). A commit holds the pins from that decision
+//! until it is published (`TimestampOracle::begin_commit`), so no snapshot
+//! pinned meanwhile can miss the row.
 
 use shareddb_common::ids::Timestamp;
 use shareddb_common::sync::Mutex;
@@ -19,7 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// A read snapshot: all row versions with `begin <= ts < end` are visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -108,7 +113,11 @@ impl TimestampOracle {
     /// timestamp when nothing is pinned. No reader sees, or will see, a
     /// version that ended at or before it.
     pub fn low_water(&self) -> Timestamp {
-        let pins = self.pins.lock();
+        self.low_water_of(&self.pins.lock())
+    }
+
+    /// [`Self::low_water`] of the pin registry, held by the caller.
+    fn low_water_of(&self, pins: &BTreeMap<u64, usize>) -> Timestamp {
         let oldest = pins.keys().next().copied();
         Timestamp(oldest.unwrap_or_else(|| self.committed.load(Ordering::Acquire)))
     }
@@ -122,6 +131,22 @@ impl TimestampOracle {
     /// Allocates a fresh commit timestamp (strictly increasing).
     pub fn next_commit_ts(&self) -> Timestamp {
         Timestamp(self.next.fetch_add(1, Ordering::AcqRel))
+    }
+
+    /// Opens a commit: allocates its timestamp and holds the pin registry
+    /// until [`Commit::publish`]. No snapshot is pinned while the commit
+    /// writes, so what [`Commit::newest_pin`] says no pin sees stays unseen
+    /// until the commit is visible; a pinner waits at most one commit, and
+    /// commits follow one another in timestamp order. Take no table lock
+    /// before it: a commit waits for table locks while it holds the pins.
+    pub(crate) fn begin_commit(&self) -> Commit<'_> {
+        let pins = self.pins.lock();
+        let ts = self.next_commit_ts();
+        Commit {
+            oracle: self,
+            pins,
+            ts,
+        }
     }
 
     /// Restores the oracle after recovery: the committed watermark jumps to
@@ -138,6 +163,32 @@ impl TimestampOracle {
     /// older timestamp changes nothing.
     pub fn publish(&self, ts: Timestamp) {
         self.committed.fetch_max(ts.0, Ordering::AcqRel);
+    }
+}
+
+/// A commit in progress ([`TimestampOracle::begin_commit`]): it holds the
+/// pin registry from before its first write until it is published. Dropped
+/// unpublished, it lets pinners in and publishes nothing.
+pub(crate) struct Commit<'o> {
+    oracle: &'o TimestampOracle,
+    pins: MutexGuard<'o, BTreeMap<u64, usize>>,
+    /// The commit timestamp.
+    pub(crate) ts: Timestamp,
+}
+
+impl Commit<'_> {
+    /// The newest pinned snapshot, `None` when nothing is pinned: a version
+    /// that began after it is seen by no pin, and by none taken before this
+    /// commit is published.
+    pub(crate) fn newest_pin(&self) -> Option<Timestamp> {
+        self.pins.keys().next_back().map(|&ts| Timestamp(ts))
+    }
+
+    /// Publishes the commit, lets pinners in and returns the low-water mark
+    /// after it ([`TimestampOracle::low_water`]).
+    pub(crate) fn publish(self) -> Timestamp {
+        self.oracle.publish(self.ts);
+        self.oracle.low_water_of(&self.pins)
     }
 }
 
@@ -263,6 +314,36 @@ mod tests {
         drop(second);
         commit(&oracle);
         assert_eq!((oracle.low_water(), oracle.pin_count()), (Timestamp(4), 0));
+    }
+
+    /// A commit holds the pins from its start until it is published: it
+    /// reads the newest pin, a pinner on another thread waits for it and
+    /// pins what it published (one that did not wait would read 1 if it ran
+    /// first), and the low-water mark comes back with it.
+    #[test]
+    fn a_commit_holds_the_pins_until_it_is_published() {
+        let oracle = Arc::new(TimestampOracle::new());
+        let commit = oracle.begin_commit();
+        assert_eq!((commit.ts, commit.newest_pin()), (Timestamp(1), None));
+        assert_eq!(commit.publish(), Timestamp(1));
+        let held = oracle.pin();
+        let commit = oracle.begin_commit();
+        assert_eq!(commit.newest_pin(), Some(Timestamp(1)));
+        let pinner = std::thread::spawn({
+            let oracle = Arc::clone(&oracle);
+            move || oracle.pin().ts
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!pinner.is_finished(), "a pin was taken inside a commit");
+        assert_eq!(commit.publish(), Timestamp(1), "the oldest pin");
+        assert_eq!(pinner.join().unwrap(), Timestamp(2));
+        drop(held);
+        // Dropped unpublished, a commit publishes nothing.
+        drop(oracle.begin_commit());
+        assert_eq!(
+            (oracle.read_ts().ts, oracle.pin().ts),
+            (Timestamp(2), Timestamp(2))
+        );
     }
 
     #[test]

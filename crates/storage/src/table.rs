@@ -1,19 +1,24 @@
 //! Multi-versioned, main-memory tables.
 //!
-//! Tables store every row version in an append-only arena. A version carries a
-//! `[begin, end)` timestamp interval; reads at a snapshot only observe
+//! Tables store every row version in an arena of versions. A version carries
+//! a `[begin, end)` timestamp interval; reads at a snapshot only observe
 //! versions whose interval contains the snapshot timestamp (snapshot
-//! isolation, Section 4.4). Updates never modify a version in place: they end
-//! the old version and append a new one, which keeps concurrent readers of an
-//! older snapshot consistent without any locking during the scan itself.
+//! isolation, Section 4.4). An update that a pinned snapshot could tell
+//! apart ends the old version and appends a new one, which keeps readers of
+//! the older snapshot consistent without any locking during the scan
+//! itself. One that no pin can — the version began after the newest pin,
+//! and the update leaves its key and every indexed column as they were — is
+//! written over the version **in place** ([`Table::update_rows`]): the
+//! history it would have appended is history no reader needs.
 //!
 //! Over the arena sits a **chunk directory**: one entry per run of
 //! [`CHUNK_ROWS`] versions holding, for every numeric column, a [`Zone`] —
-//! the smallest and largest value ever appended to that chunk. It is kept
-//! where versions are pushed and only ever widens, so it covers dead versions
-//! as well as live ones and holds under every snapshot; a shared scan walks
-//! the arena through [`Table::chunks`] and passes over a chunk whose zones no
-//! query of its cycle can meet.
+//! the smallest and largest value ever written to that chunk. It is widened
+//! where versions are pushed or overwritten and never narrows, so it covers
+//! dead versions and overwritten payloads as well as live ones and holds
+//! under every snapshot; a shared scan walks the arena through
+//! [`Table::chunks`] and passes over a chunk whose zones no query of its
+//! cycle can meet.
 //!
 //! A version that ended with a successor filed under its key is **retired**;
 //! [`Table::reclaim`] gives its payload back once it ended at or before the
@@ -60,7 +65,8 @@ impl From<u32> for RowId {
 pub struct StoredRow {
     /// The row payload, or [`RECLAIMED`] once given back.
     values: Tuple,
-    /// Commit timestamp of the write that created this version.
+    /// Commit timestamp of the write that created this version, or that
+    /// last overwrote it in place.
     pub begin: Timestamp,
     /// Commit timestamp of the write that superseded / deleted this version
     /// (`TS_INFINITY` while live).
@@ -109,11 +115,11 @@ impl StoredRow {
 /// Versions per entry of the chunk directory.
 pub const CHUNK_ROWS: usize = 1024;
 
-/// The version arena: append-only, a chunk of [`CHUNK_ROWS`] versions
-/// allocated at a time and never moved. One vector would double by copying
-/// itself, the old copy and the new resident at once: a step of the table's
-/// whole arena in the peak resident set, which a run took or not depending
-/// on how many rows it wrote.
+/// The version arena: slots are only ever appended, a chunk of
+/// [`CHUNK_ROWS`] versions allocated at a time and never moved. One vector
+/// would double by copying itself, the old copy and the new resident at
+/// once: a step of the table's whole arena in the peak resident set, which a
+/// run took or not depending on how many rows it wrote.
 #[derive(Default)]
 struct Versions(Vec<Vec<StoredRow>>);
 
@@ -315,7 +321,7 @@ pub struct Table {
     schema: Schema,
     /// Columns forming the primary key (empty = no primary key).
     primary_key: Vec<usize>,
-    /// Append-only arena of row versions.
+    /// The arena of row versions: slots are appended, never moved.
     rows: Versions,
     /// Maps a primary key to the row id of its *latest* version, dead or
     /// alive; the versions before it hang off that one by their back-links.
@@ -336,6 +342,8 @@ pub struct Table {
     retired: VecDeque<RowId>,
     /// Versions whose payload [`Table::reclaim`] gave back.
     reclaimed: usize,
+    /// Updates [`Table::update_rows`] wrote over their version in place.
+    overwritten: usize,
 }
 
 impl Table {
@@ -356,6 +364,7 @@ impl Table {
             indexes: Vec::new(),
             retired: VecDeque::new(),
             reclaimed: 0,
+            overwritten: 0,
         }
     }
 
@@ -388,6 +397,12 @@ impl Table {
     /// Versions whose payload was given back, since the table was created.
     pub fn reclaimed_count(&self) -> usize {
         self.reclaimed
+    }
+
+    /// Updates written over their version in place, since the table was
+    /// created: each one a version and its postings not appended.
+    pub fn in_place_count(&self) -> usize {
+        self.overwritten
     }
 
     /// Number of live rows. Costs one pass over the whole version arena —
@@ -560,10 +575,7 @@ impl Table {
             let directory = self.zones.len() + self.zoned.len();
             self.zones.resize(directory, Zone::Empty);
         }
-        let tail = self.zones.len() - self.zoned.len();
-        for (zone, &column) in self.zones[tail..].iter_mut().zip(&self.zoned) {
-            zone.widen(&values[column]);
-        }
+        self.widen_zones(row_id, &values);
         self.rows.push(StoredRow {
             values,
             begin,
@@ -573,14 +585,51 @@ impl Table {
         row_id
     }
 
+    /// Widens the zones of the chunk of `row_id` — an entry the directory
+    /// holds — by `values`.
+    fn widen_zones(&mut self, row_id: RowId, values: &Tuple) {
+        let first = row_id.idx() / CHUNK_ROWS * self.zoned.len();
+        let zones = &mut self.zones[first..first + self.zoned.len()];
+        for (zone, &column) in zones.iter_mut().zip(&self.zoned) {
+            zone.widen(&values[column]);
+        }
+    }
+
+    /// True when `new` leaves every column `old` is filed under — the primary
+    /// key's and each secondary index's — as it was: the same value of the
+    /// same variant, so the key map and every posting list file it where
+    /// they file `old`.
+    fn files_alike(&self, old: &Tuple, new: &Tuple) -> bool {
+        let same = |c: usize| {
+            std::mem::discriminant(&old[c]) == std::mem::discriminant(&new[c]) && old[c] == new[c]
+        };
+        let indexed = self.indexes.iter().map(|index| index.column);
+        self.primary_key.iter().copied().chain(indexed).all(same)
+    }
+
     /// Replaces each listed live version (ascending `RowId`) with its new
     /// tuple at timestamp `ts`, **all or nothing**: every new version is
     /// validated — schema, liveness, primary-key uniqueness against the
     /// table *and* against the earlier rows of this call, exactly as applying
-    /// them one by one would see it — before the first version is ended, so
-    /// an error leaves the table untouched. New versions are appended in the
-    /// order given.
-    pub fn update_rows(&mut self, updates: Vec<(RowId, Tuple)>, ts: Timestamp) -> Result<()> {
+    /// them one by one would see it — before the first version is changed,
+    /// so an error leaves the table untouched.
+    ///
+    /// `newest_pin` is the newest snapshot a reader holds (`None`: none is
+    /// held, nor will one be taken before `ts` is published). A version that
+    /// began after it, whose update leaves its key and indexed columns as
+    /// they were (the same value of the same variant), is **overwritten in
+    /// place**: it keeps its `RowId` and back-link, takes the new payload
+    /// and `begin` = `ts`, and widens its chunk's zones; the key map, the
+    /// posting lists and the retired versions are left alone, and the old
+    /// payload is dropped (a reader holding it keeps its reference). Every
+    /// other version is ended and its successor appended, in the order
+    /// given.
+    pub fn update_rows(
+        &mut self,
+        updates: Vec<(RowId, Tuple)>,
+        ts: Timestamp,
+        newest_pin: Option<Timestamp>,
+    ) -> Result<()> {
         // Keys vacated / taken by earlier pk-changing rows of this call.
         let mut freed: HashSet<Vec<Value>> = HashSet::new();
         let mut claimed: HashSet<Vec<Value>> = HashSet::new();
@@ -603,6 +652,11 @@ impl Table {
                     "row versions to update are not in ascending order at {row_id:?}"
                 )));
             }
+            let unseen = newest_pin.is_none_or(|pin| pin < old.begin);
+            if unseen && self.files_alike(&old.values, new_values) {
+                keys.push(None);
+                continue;
+            }
             let old_key = self.pk_values(&old.values);
             let new_key = self.pk_values(new_values);
             let moved = old_key != new_key;
@@ -617,10 +671,17 @@ impl Table {
                 freed.insert(old_key);
                 claimed.insert(new_key.clone());
             }
-            keys.push((new_key, moved));
+            keys.push(Some((new_key, moved)));
         }
-        // End the old versions and append the new ones.
-        for ((row_id, new_values), (new_key, moved)) in updates.into_iter().zip(keys) {
+        // Overwrite, or end the old versions and append the new ones.
+        for ((row_id, new_values), filed) in updates.into_iter().zip(keys) {
+            let Some((new_key, moved)) = filed else {
+                self.widen_zones(row_id, &new_values);
+                let version = &mut self.rows[row_id.idx()];
+                (version.values, version.begin) = (new_values, ts);
+                self.overwritten += 1;
+                continue;
+            };
             self.rows[row_id.idx()].end = ts;
             let new_id = self.push_version(new_values, ts);
             self.index_version(new_id);
@@ -1022,7 +1083,9 @@ mod tests {
     fn update_creates_new_version_old_snapshot_unaffected() {
         let mut t = items_table();
         let r1 = t.insert(tuple![1i64, "A", 1.0f64], Timestamp(1)).unwrap();
-        t.update_rows(vec![(r1, tuple![1i64, "A", 9.0f64])], Timestamp(5))
+        // A snapshot at 3 is pinned: the update appends.
+        let pinned = Some(Timestamp(3));
+        t.update_rows(vec![(r1, tuple![1i64, "A", 9.0f64])], Timestamp(5), pinned)
             .unwrap();
         let r2 = t.lookup_pk_live(&[Value::Int(1)]).unwrap();
         assert_ne!(r1, r2);
@@ -1037,8 +1100,73 @@ mod tests {
         assert_eq!(visible[0].1[2], Value::Float(9.0));
         // Updating a superseded version is a bug.
         assert!(t
-            .update_rows(vec![(r1, tuple![1i64, "A", 2.0f64])], Timestamp(6))
+            .update_rows(vec![(r1, tuple![1i64, "A", 2.0f64])], Timestamp(6), None)
             .is_err());
+    }
+
+    /// An update no pin can tell apart is written over its version: the
+    /// same id and back-link, the new payload from the commit on, no
+    /// posting or key filed again, its own chunk's zones widened. One that
+    /// changes an indexed column, or whose version a pin sees, appends.
+    #[test]
+    fn an_update_no_pin_sees_is_written_over_its_version() {
+        let mut t = items_table();
+        t.create_index("ITEM_TITLE", 1, IndexKind::Values).unwrap();
+        for i in 0..=CHUNK_ROWS as i64 {
+            t.insert(tuple![i, format!("Book {i}"), 1.0f64], Timestamp(1))
+                .unwrap();
+        }
+        let seven = t.lookup_pk_live(&[Value::Int(7)]).unwrap();
+        t.update_rows(
+            vec![(seven, tuple![7i64, "Book 7", 2.0f64])],
+            Timestamp(2),
+            None,
+        )
+        .unwrap();
+        t.update_rows(
+            vec![(seven, tuple![7i64, "Book 7", 3.0f64])],
+            Timestamp(3),
+            Some(Timestamp(1)),
+        )
+        .unwrap();
+        assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 1, 2));
+        assert_eq!(t.lookup_pk_live(&[Value::Int(7)]), Some(seven));
+        let row = t.row(seven).unwrap();
+        assert_eq!(
+            (row.begin, row.previous, row.is_live()),
+            (Timestamp(3), NO_VERSION, true)
+        );
+        assert_eq!(row.values()[2], Value::Float(3.0));
+        assert_eq!(
+            t.index_entry_counts().collect::<Vec<_>>(),
+            [("ITEM_TITLE", CHUNK_ROWS + 1)]
+        );
+        let zones = |t: &Table| t.chunks().map(|c| c.zones.zone(2)).collect::<Vec<_>>();
+        assert_eq!(zones(&t), [Zone::Float(1.0, 3.0), Zone::Float(1.0, 1.0)]);
+        // A snapshot at 3 is pinned: the next update of the row appends.
+        t.update_rows(
+            vec![(seven, tuple![7i64, "Book 7", 4.0f64])],
+            Timestamp(4),
+            Some(Timestamp(3)),
+        )
+        .unwrap();
+        let eighth = t.lookup_pk_live(&[Value::Int(7)]).unwrap();
+        assert_eq!(eighth, RowId(CHUNK_ROWS as u64 + 1));
+        assert_eq!(
+            t.read(seven, Snapshot::at(Timestamp(3))).unwrap()[2],
+            Value::Float(3.0)
+        );
+        // A new title is filed under its own key: appended, pinned or not.
+        let retitled = tuple![7i64, "Book seven", 4.0f64];
+        t.update_rows(vec![(eighth, retitled)], Timestamp(5), None)
+            .unwrap();
+        assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 3, 2));
+        // So is a key spelled as another variant, equal as it is.
+        let one = t.lookup_pk_live(&[Value::Int(1)]).unwrap();
+        let spelled = tuple![Value::Float(1.0), "Book 1", 1.0f64];
+        t.update_rows(vec![(one, spelled)], Timestamp(6), None)
+            .unwrap();
+        assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 4, 2));
     }
 
     #[test]
@@ -1056,7 +1184,8 @@ mod tests {
     fn pk_lookup_follows_versions() {
         let mut t = items_table();
         let r1 = t.insert(tuple![7i64, "A", 1.0f64], Timestamp(1)).unwrap();
-        t.update_rows(vec![(r1, tuple![7i64, "A", 2.0f64])], Timestamp(3))
+        let pinned = Some(Timestamp(2));
+        t.update_rows(vec![(r1, tuple![7i64, "A", 2.0f64])], Timestamp(3), pinned)
             .unwrap();
         let (rid, row) = t
             .lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(3)))
@@ -1105,8 +1234,12 @@ mod tests {
         assert_eq!(t.lookup_pk_live(&long), None);
         // (7, 2) moves to (7, 9): the old key is free, the new one taken.
         let moved = RowId(t.version_count() as u64);
-        t.update_rows(vec![(RowId(23), tuple![7i64, 9i64, 1i64])], Timestamp(2))
-            .unwrap();
+        t.update_rows(
+            vec![(RowId(23), tuple![7i64, 9i64, 1i64])],
+            Timestamp(2),
+            None,
+        )
+        .unwrap();
         assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
         assert_eq!(t.lookup_pk_live(&key(7, 9)), Some(moved));
         let at = |ts| Snapshot::at(Timestamp(ts));
@@ -1182,7 +1315,7 @@ mod tests {
         let mut put = |t: &mut Table, from: i64, to: i64, ts: u64| {
             serial += 1;
             if let Some(row) = live(t, from) {
-                let _ = t.update_rows(vec![(row, tuple![to, serial])], Timestamp(ts));
+                let _ = t.update_rows(vec![(row, tuple![to, serial])], Timestamp(ts), None);
             }
         };
         for (write, own_timestamp) in history {
@@ -1285,7 +1418,7 @@ mod tests {
         let mut t = items_table();
         t.create_index("ITEM_PRICE", 2, IndexKind::Values).unwrap();
         let r = t.insert(tuple![1i64, "A", 5.0f64], Timestamp(1)).unwrap();
-        t.update_rows(vec![(r, tuple![1i64, "A", 6.0f64])], Timestamp(5))
+        t.update_rows(vec![(r, tuple![1i64, "A", 6.0f64])], Timestamp(5), None)
             .unwrap();
         // At ts=2, only the old version (price 5.0) is visible.
         let snap = Snapshot::at(Timestamp(2));
@@ -1340,7 +1473,8 @@ mod tests {
             (RowId(3), tuple![3i64, "x", Value::Null]),
             (RowId(4), tuple![-4i64, "x", 99.0f64]),
         ];
-        t.update_rows(updates, Timestamp(2)).unwrap();
+        t.update_rows(updates, Timestamp(2), Some(Timestamp(1)))
+            .unwrap();
         t.delete_row(RowId(0), Timestamp(2)).unwrap();
         assert_eq!(zones(&t, 0), [Zone::Int(0, last - 1), Zone::Int(-4, last)]);
         assert_eq!(
@@ -1521,7 +1655,7 @@ mod tests {
                     LoadStep::Update(key, value) => {
                         for t in [&mut loaded, &mut inserted] {
                             if let Some(row_id) = live(t, *key) {
-                                t.update_rows(vec![(row_id, load_row(*key, *value))], ts).unwrap();
+                                t.update_rows(vec![(row_id, load_row(*key, *value))], ts, None).unwrap();
                             }
                         }
                     }

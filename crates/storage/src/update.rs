@@ -373,13 +373,15 @@ impl AccessPath {
 /// the table, dead ones included) without. A predicate that fails to
 /// evaluate on a candidate fails the operation, and so does one the log
 /// could not replay: an assignment to a column the table lacks, or an
-/// expression nested deeper than [`MAX_EXPR_DEPTH`].
+/// expression nested deeper than [`MAX_EXPR_DEPTH`]. `newest_pin` decides
+/// which updated versions are overwritten in place ([`Table::update_rows`]).
 pub(crate) fn apply_update(
     table: &mut Table,
     update: &UpdateOp,
     commit_ts: Timestamp,
+    newest_pin: Option<Timestamp>,
 ) -> Result<UpdateResult> {
-    apply_update_via(table, update, commit_ts, AccessPath::choose)
+    apply_update_via(table, update, commit_ts, newest_pin, AccessPath::choose)
 }
 
 /// A storage operator's cycle writes nothing: a batch's writes commit
@@ -404,6 +406,7 @@ fn apply_update_via(
     table: &mut Table,
     update: &UpdateOp,
     commit_ts: Timestamp,
+    newest_pin: Option<Timestamp>,
     choose: fn(&Table, &Expr) -> AccessPath,
 ) -> Result<UpdateResult> {
     let (assignments, predicate) = match update {
@@ -456,7 +459,7 @@ fn apply_update_via(
             }
             updates.push((rid, Tuple::new(new_values)));
         }
-        table.update_rows(updates, commit_ts)?;
+        table.update_rows(updates, commit_ts, newest_pin)?;
     } else {
         for rid in matching {
             table.delete_row(rid, commit_ts)?;
@@ -472,6 +475,7 @@ fn apply_update_via(
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, IndexDef, TableDef};
+    use crate::mvcc::TS_INFINITY;
     use proptest::prelude::*;
     use proptest::TestRng;
     use shareddb_common::{tuple, Column, DataType, Schema, UnaryOp};
@@ -544,6 +548,9 @@ mod tests {
     fn rows_examined_is_the_candidate_count() {
         let mut table = big_table();
         let ts = Timestamp(1);
+        // A pin that sees every version: each update appends.
+        let apply_update =
+            |table: &mut Table, op: &UpdateOp, ts| apply_update(table, op, ts, Some(TS_INFINITY));
         let id_is = |id: i64| Expr::col(0).eq(Expr::lit(id));
         let counts = |r: UpdateResult| (r.rows_examined, r.rows_affected);
         // adminUpdateItem / updateCustomerLogin: one key, one row.
@@ -598,6 +605,16 @@ mod tests {
             counts(apply_update(&mut table, &by_qty, ts).unwrap()),
             (live, 1)
         );
+        // Nothing pinned: a key's update overwrites its version, and the
+        // next finds the one version there is.
+        let versions = table.version_count();
+        let by_key = set(2, Expr::lit(8i64), id_is(4_322));
+        for _ in 0..2 {
+            let applied = super::apply_update(&mut table, &by_key, ts, None);
+            assert_eq!(counts(applied.unwrap()), (1, 1));
+        }
+        assert_eq!(table.version_count(), versions);
+        assert_eq!(table.in_place_count(), 2);
     }
 
     #[test]
@@ -791,6 +808,7 @@ mod tests {
         let ts = Timestamp(1);
         // A predicate that does not evaluate is the operation's error, not
         // "0 rows affected".
+        let apply_update = |table: &mut Table, op: &UpdateOp, ts| apply_update(table, op, ts, None);
         let bad_predicate = delete(Expr::col(0).like(Expr::lit(1i64)));
         assert!(apply_update(&mut table, &bad_predicate, ts).is_err());
         // The fourth line of the cart collides with a key: nothing moves.
@@ -1054,15 +1072,17 @@ mod tests {
         /// Index-assisted selection and the plain scan are the same function:
         /// after every operation both tables hold identical arenas (values,
         /// `begin`, `end`, in order), key maps and index contents, and report
-        /// the same outcome.
+        /// the same outcome — every other batch with the snapshot before it
+        /// pinned, the rest free to overwrite in place.
         #[test]
         fn indexed_selection_equals_scan_selection(case in Cases) {
             let (mut indexed, mut reference) = (case.table(), case.table());
             for (batch, ops) in case.batches.iter().enumerate() {
                 let ts = Timestamp(batch as u64 + 1);
+                let pinned = (batch % 2 == 1).then_some(Timestamp(batch as u64));
                 for op in ops {
-                    let got = apply_update_via(&mut indexed, op, ts, AccessPath::choose);
-                    let expected = apply_update_via(&mut reference, op, ts, scan_only);
+                    let got = apply_update_via(&mut indexed, op, ts, pinned, AccessPath::choose);
+                    let expected = apply_update_via(&mut reference, op, ts, pinned, scan_only);
                     let same_outcome = match (&got, &expected) {
                         (Ok(got), Ok(expected)) => {
                             got.rows_affected == expected.rows_affected
@@ -1086,62 +1106,108 @@ mod tests {
         }
     }
 
+    /// Runs `case` through a durable catalog — with the snapshot before
+    /// each batch pinned through its commit, or nothing pinned — beside the
+    /// scan reference under the same pins, then recovers a second catalog
+    /// from the log.
+    fn replay(case: &Case, pinned: bool) {
+        let dir = std::env::temp_dir().join(format!(
+            "shareddb-update-prop-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let catalog = Catalog::new();
+            let mut def = TableDef::new("T");
+            for (i, &data_type) in TYPES.iter().enumerate() {
+                def = match i {
+                    2 | 5 => def.nullable_column(&format!("C{i}"), data_type),
+                    _ => def.column(&format!("C{i}"), data_type),
+                };
+            }
+            let key: Vec<String> = case.primary_key.iter().map(|c| format!("C{c}")).collect();
+            let key: Vec<&str> = key.iter().map(String::as_str).collect();
+            catalog.create_table(def.primary_key(&key)).unwrap();
+            let grams = case
+                .grams
+                .then_some((2, IndexKind::Grams, "T_GRAMS".to_string()));
+            let by_value = case
+                .indexed
+                .iter()
+                .map(|&c| (c, IndexKind::Values, format!("T_C{c}")));
+            for (column, kind, name) in by_value.chain(grams) {
+                let (table, column) = ("T".into(), format!("C{column}"));
+                catalog
+                    .create_index(IndexDef {
+                        name,
+                        table,
+                        column,
+                        kind,
+                    })
+                    .unwrap();
+            }
+            catalog.recover(&dir).unwrap();
+            catalog
+        };
+        let live = open();
+        let mut reference = case.table();
+        for (batch, ops) in case.batches.iter().enumerate() {
+            let named: Vec<(String, UpdateOp)> =
+                ops.iter().map(|op| ("T".to_string(), op.clone())).collect();
+            let pin = pinned.then(|| live.pin());
+            let results = live.apply_batch(&named).unwrap();
+            let commit = Timestamp(batch as u64 + 1);
+            let newest_pin = pin.as_ref().map(|pin| pin.ts);
+            for (op, result) in ops.iter().zip(results) {
+                let expected = apply_update_via(&mut reference, op, commit, newest_pin, scan_only);
+                prop_assert_eq!(
+                    result.map(|r| r.rows_affected).ok(),
+                    expected.map(|r| r.rows_affected).ok()
+                );
+            }
+            // The commit reclaims what it retired below its low-water mark.
+            reference.reclaim(newest_pin.unwrap_or(commit));
+        }
+        let dump = |catalog: &Catalog| catalog.table("T").unwrap().read().dump();
+        // Qualifiers aside (the catalog's columns carry the table name),
+        // the dumps hold no schema, so they compare across the two.
+        prop_assert_eq!(dump(&live), reference.dump());
+        let recovered = open();
+        if pinned {
+            // The replay pins nothing and overwrites where the live run
+            // appended: the live rows are the same, not the arena.
+            let live_rows = |catalog: &Catalog| {
+                let table = catalog.table("T").unwrap();
+                let table = table.read();
+                let mut rows: Vec<String> = table
+                    .scan_live()
+                    .map(|(_, row)| format!("{row:?}"))
+                    .collect();
+                rows.sort();
+                rows
+            };
+            prop_assert_eq!(live_rows(&recovered), live_rows(&live));
+        } else {
+            prop_assert_eq!(dump(&recovered), dump(&live));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Replaying the WAL reproduces the live state, arena for arena —
         /// which also says failed operations left nothing behind and were
-        /// not logged — and both equal the scan reference, reclaimed
-        /// payloads included.
+        /// not logged — and both equal the scan reference under the same
+        /// rule for overwriting in place, reclaimed payloads included. With
+        /// the snapshot before each batch pinned, the live catalog equals
+        /// the reference, which appended what a pin sees, and the replay
+        /// its live rows.
         #[test]
         fn recovery_replays_the_live_state(case in Cases) {
-            let dir = std::env::temp_dir().join(format!(
-                "shareddb-update-prop-{}-{:?}", std::process::id(), std::thread::current().id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let open = || {
-                let catalog = Catalog::new();
-                let mut def = TableDef::new("T");
-                for (i, &data_type) in TYPES.iter().enumerate() {
-                    def = match i {
-                        2 | 5 => def.nullable_column(&format!("C{i}"), data_type),
-                        _ => def.column(&format!("C{i}"), data_type),
-                    };
-                }
-                let key: Vec<String> = case.primary_key.iter().map(|c| format!("C{c}")).collect();
-                let key: Vec<&str> = key.iter().map(String::as_str).collect();
-                catalog.create_table(def.primary_key(&key)).unwrap();
-                for &column in &case.indexed {
-                    let (name, table, column) = (format!("T_C{column}"), "T".into(), format!("C{column}"));
-                    let kind = IndexKind::Values;
-                    catalog.create_index(IndexDef { name, table, column, kind }).unwrap();
-                }
-                if case.grams {
-                    let (name, table, column) = ("T_GRAMS".into(), "T".into(), "C2".into());
-                    let kind = IndexKind::Grams;
-                    catalog.create_index(IndexDef { name, table, column, kind }).unwrap();
-                }
-                catalog.recover(&dir).unwrap();
-                catalog
-            };
-            let live = open();
-            let mut reference = case.table();
-            for (batch, ops) in case.batches.iter().enumerate() {
-                let named: Vec<(String, UpdateOp)> = ops.iter().map(|op| ("T".to_string(), op.clone())).collect();
-                let results = live.apply_batch(&named).unwrap();
-                let commit = Timestamp(batch as u64 + 1);
-                for (op, result) in ops.iter().zip(results) {
-                    let expected = apply_update_via(&mut reference, op, commit, scan_only);
-                    prop_assert_eq!(result.map(|r| r.rows_affected).ok(), expected.map(|r| r.rows_affected).ok());
-                }
-                // Nothing is pinned: the commit reclaims what it retired.
-                reference.reclaim(commit);
-            }
-            let dump = |catalog: &Catalog| catalog.table("T").unwrap().read().dump();
-            // Qualifiers aside (the catalog's columns carry the table name),
-            // the dumps hold no schema, so they compare across the two.
-            prop_assert_eq!(dump(&live), reference.dump());
-            prop_assert_eq!(dump(&open()), dump(&live));
-            let _ = std::fs::remove_dir_all(&dir);
+            replay(&case, false);
+            replay(&case, true);
         }
     }
 }

@@ -6,9 +6,14 @@
 //! (`getBestSellers` twice, `getNewProducts`, `doSubjectSearch`, subjects in
 //! rotation) — driven closed-loop by 4, 32 and 128 submitter threads, the
 //! same number of statements at each point. A write pre-roll comes first —
-//! ten `adminUpdateItem` an item, through the engine — so that ITEM holds
-//! eleven versions a row; nothing is written during the points, so a table's
-//! versions are a constant. What a point leaves in the engine's own counters:
+//! ten `adminUpdateItem` an item, through the engine. With nothing pinned
+//! each is written over its item's version in place, so ITEM holds one
+//! version a row; the test's pinned variant takes a pin of the latest state
+//! before every hundred of them, as a reader that keeps reading would, so
+//! that each appends and ITEM holds eleven versions a row, then drops it and
+//! commits one more price change, which reclaims what the pins held. Nothing
+//! is written during the points, so a table's versions are a constant. What
+//! a point leaves in the engine's own counters:
 //!
 //! * **(i) A pass reads the table once, not once per query.** Per table,
 //!   the rows a ClockScan cycle examines (`Engine::stats().scans`) are at
@@ -35,11 +40,18 @@
 //!   still hold one (`Table::payload_count`, what
 //!   `shareddb_table_payloads{table="ITEM"}` exports) are its live rows at
 //!   every point: the pre-roll's commits reclaimed every version they
-//!   superseded, pinned by no batch.
+//!   superseded once no pin saw it.
+//! * **(v) Reading ITEM costs what it cost when the engine was fresh**
+//!   (without pins; ROADMAP item 4). Over one fixed round of reads, the
+//!   versions a cycle served from ITEM's indexes fetches per row it returns,
+//!   and the chunks a pass over ITEM visits, are within `AGED` (1.5) × what
+//!   the same round read before the pre-roll: 1.0 and 1.0 both times. An
+//!   arena that appends every update reads 11 and 11 here.
 
 use shareddb::common::metrics::HistogramSnapshot;
 use shareddb::common::Value;
 use shareddb::core::{Engine, EngineConfig, Phase};
+use shareddb::storage::{Catalog, SnapshotPin, CHUNK_ROWS};
 use shareddb::tpcw::schema::SUBJECTS;
 use shareddb::tpcw::workload::ParamGenerator;
 use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
@@ -49,6 +61,7 @@ const POINTS: [usize; 3] = [4, 32, 128];
 const STATEMENTS_PER_POINT: usize = 2_048;
 const PRE_ROLL: usize = 10_000;
 const SUBLINEAR: f64 = 0.5;
+const AGED: f64 = 1.5;
 
 /// What one load point left in the engine's counters.
 struct Point {
@@ -122,9 +135,14 @@ fn item_payloads(engine: &Engine) -> usize {
 }
 
 /// `PRE_ROLL` price and date changes spread over the items, pipelined a
-/// hundred at a time.
-fn pre_roll(engine: &Engine, scale: &TpcwScale) {
+/// hundred at a time — each hundred, when `pinned`, under a pin of the state
+/// before it, held until the next is taken.
+fn pre_roll(engine: &Engine, catalog: &Catalog, scale: &TpcwScale, pinned: bool) {
+    let mut pin: Option<SnapshotPin> = None;
     for first in (0..PRE_ROLL).step_by(100) {
+        if pinned {
+            pin = Some(catalog.pin());
+        }
         let handles: Vec<_> = (first..first + 100)
             .map(|n| {
                 let item = Value::Int((n * 7_919 % scale.items) as i64);
@@ -139,19 +157,80 @@ fn pre_roll(engine: &Engine, scale: &TpcwScale) {
             assert_eq!(handle.wait().unwrap().rows_affected(), 1);
         }
     }
+    drop(pin);
+}
+
+/// What reading ITEM cost over one fixed round of reads, from the engine's
+/// counters: versions fetched per row returned by the cycles served from
+/// its indexes (a subject search and the newest products of every subject,
+/// one statement a batch), and chunks visited by a pass (a title search
+/// whose pattern holds no gram).
+fn item_read_cost(engine: &Engine, catalog: &Catalog) -> (f64, f64) {
+    let item_scans = |engine: &Engine| {
+        let mut scans = engine.stats().scans.into_iter();
+        scans.find(|s| s.table == "ITEM").expect("ITEM was scanned")
+    };
+    engine.reset_stats();
+    for subject in SUBJECTS {
+        for statement in ["doSubjectSearch", "getNewProducts"] {
+            engine
+                .execute_sync(statement, &[Value::text(subject)])
+                .unwrap();
+        }
+    }
+    let served = item_scans(engine);
+    assert_eq!(served.cycles[0], 0, "a subject's cycle took the pass");
+    let fetched_per_row = served.examined as f64 / served.emitted as f64;
+    engine.reset_stats();
+    let pattern = [Value::text("%_K_1_")];
+    assert!(!engine
+        .execute_sync("doTitleSearch", &pattern)
+        .unwrap()
+        .rows()
+        .is_empty());
+    let passed = item_scans(engine);
+    assert_eq!(passed.cycles, [1, 0], "the title search took no pass");
+    let versions = catalog.table("ITEM").unwrap().read().version_count() as u64;
+    let walked = versions - passed.skipped;
+    (fetched_per_row, walked.div_ceil(CHUNK_ROWS as u64) as f64)
 }
 
 #[test]
 fn work_per_heartbeat_is_bounded_by_the_data_not_by_the_clients() {
+    bounded_over_the_pre_roll(false);
+}
+
+/// (i)–(iv) over history: every pre-roll update appends under a pin.
+#[test]
+fn work_per_heartbeat_is_bounded_over_history_a_pin_held() {
+    bounded_over_the_pre_roll(true);
+}
+
+fn bounded_over_the_pre_roll(pinned: bool) {
     let scale = TpcwScale::with_items(1_000);
     let catalog = std::sync::Arc::new(build_catalog(&scale).unwrap());
     let (plan, registry) = build_shared_plan(&catalog).unwrap();
     let config = EngineConfig::default();
     let engine = Engine::start(catalog.clone(), plan, registry, config).unwrap();
     let versions = |table: &str| catalog.table(table).unwrap().read().version_count() as f64;
-    pre_roll(&engine, &scale);
+    let fresh = item_read_cost(&engine, &catalog);
+    pre_roll(&engine, &catalog, &scale, pinned);
     let live_items = catalog.table("ITEM").unwrap().read().live_count();
-    assert_eq!(versions("ITEM") as usize, live_items + PRE_ROLL);
+    if pinned {
+        assert_eq!(versions("ITEM") as usize, live_items + PRE_ROLL);
+        // One more price change, nothing pinned: what the pins held goes.
+        let cost = [Value::Int(0), Value::Float(2.0), Value::Date(15_000)];
+        engine.execute_sync("adminUpdateItem", &cost).unwrap();
+    } else {
+        assert_eq!(versions("ITEM") as usize, live_items);
+        // (v)
+        let aged = item_read_cost(&engine, &catalog);
+        eprintln!("ITEM versions fetched a row, chunks a pass: fresh {fresh:?}, aged {aged:?}");
+        assert!(
+            aged.0 <= AGED * fresh.0 && aged.1 <= AGED * fresh.1,
+            "after the pre-roll ITEM reads {aged:?}, fresh {fresh:?}"
+        );
+    }
 
     let points: Vec<Point> = POINTS
         .map(|clients| run_point(&engine, &scale, clients))

@@ -14,7 +14,7 @@ use shareddb::core::{
     ActivationTemplate, Engine, EngineConfig, OperatorSpec, PlanBuilder, QueryBatch,
     StatementRegistry, StatementSpec, SubmitOptions,
 };
-use shareddb::storage::{Catalog, ClockScan, ScanQuery, TableDef};
+use shareddb::storage::{Catalog, ClockScan, ScanQuery, Table, TableDef};
 use shareddb::tpcw::{
     build_catalog, build_shared_plan, register_baseline_statements, ParamGenerator, TpcwScale,
     PAGE_SIZE, SUBJECTS,
@@ -258,10 +258,11 @@ fn a_batch_allocates_per_row_emitted_not_per_row_and_consumer() {
 }
 
 /// The probe path hands out the stored version as well, and a result set a
-/// client holds keeps its old values when the row is updated later: the
-/// shared version is immutable, the update appended a new one — and when the
-/// arena gives the superseded version's payload back, the client's reference
-/// keeps it alive.
+/// client holds keeps its old values when the row is updated later: a
+/// payload is immutable. With nothing pinned the update is written over the
+/// version in place, a new payload under the same id; under a pin it
+/// appends a new version, and when a commit after the pin is gone gives the
+/// superseded payload back, the client's reference keeps it alive.
 #[test]
 fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
     let _alone = alone();
@@ -292,8 +293,28 @@ fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
         "the held row changed under the client"
     );
     assert!(!fresh.rows()[0].ptr_eq(&held.rows()[0]));
-    // No snapshot was pinned at the commit: the arena reclaimed the
-    // superseded version, and the held row is the client's alone.
+    // No snapshot was pinned at the commit: the update was written over the
+    // version, and the held row is the client's alone.
+    let stored = |table: &Table| table.row(version).unwrap().values().clone();
+    assert_eq!(table.read().lookup_pk_live(&item), Some(version));
+    assert!(stored(&table.read()).ptr_eq(&fresh.rows()[0]));
+
+    // Under a pin the update appends; the version the pin sees keeps its
+    // payload until a commit after the pin is dropped gives it back.
+    let pin = catalog.pin();
+    let newer_cost = Value::Float(old_cost.as_float().unwrap() + 2.0);
+    let update = [item[0].clone(), newer_cost.clone(), Value::Date(15_404)];
+    engine.execute_sync("adminUpdateItem", &update).unwrap();
+    assert_ne!(table.read().lookup_pk_live(&item), Some(version));
+    assert_eq!(table.read().read(version, *pin).unwrap()[4], new_cost);
+    drop(pin);
+    let other = [Value::Int(6), newer_cost, Value::Date(15_404)];
+    engine.execute_sync("adminUpdateItem", &other).unwrap();
+    assert_eq!(
+        fresh.rows()[0][4],
+        new_cost,
+        "the held row changed under the client"
+    );
     let table = table.read();
     let superseded = table.row(version).unwrap();
     assert!(!superseded.is_live() && !superseded.holds_payload());

@@ -1016,10 +1016,12 @@ fn scan_row_counters_and_predicate_classes_on_tpcw() {
 }
 
 /// The footprint as a scrape: a table's versions move by exactly the writes
-/// applied, every B-tree over a column's values holds an entry per version
-/// of its table, the gram index one per distinct gram of each, and no B-tree
-/// repeats a primary key — the key map is its only index. Superseded
-/// versions give their payloads back; no pin outlives its reader.
+/// that append, every B-tree over a column's values holds an entry per
+/// version of its table, the gram index one per distinct gram of each, and
+/// no B-tree repeats a primary key — the key map is its only index. A price
+/// change committed with nothing pinned is written over its version in
+/// place; under a pin it appends, and a commit after the pin is gone gives
+/// the superseded payloads back. No pin outlives its reader.
 #[test]
 fn table_versions_and_index_entries_on_tpcw() {
     use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
@@ -1085,10 +1087,14 @@ fn table_versions_and_index_entries_on_tpcw() {
         let prepared = conn.prepare(statement).unwrap();
         conn.execute(&prepared, params).unwrap().rows_affected()
     };
-    for i in 0..7i64 {
-        let item = [Value::Int(i * 3), Value::Float(9.5), Value::Date(15_403)];
-        assert_eq!(run("adminUpdateItem", &item), 1);
-    }
+    type Run<'a> = dyn FnMut(&str, &[Value]) -> u64 + 'a;
+    let update_items = |run: &mut Run, items: std::ops::Range<i64>, cost: f64| {
+        for i in items {
+            let item = [Value::Int(i * 3), Value::Float(cost), Value::Date(15_403)];
+            assert_eq!(run("adminUpdateItem", &item), 1);
+        }
+    };
+    update_items(&mut run, 0..7, 9.5);
     let lines = versions(&fresh, "SHOPPING_CART_LINE");
     for line in 0..3i64 {
         let params = [900_001 + line, 3, 11 + line, 1].map(Value::Int);
@@ -1097,35 +1103,53 @@ fn table_versions_and_index_entries_on_tpcw() {
     // A delete ends versions and writes none.
     assert_eq!(run("clearCart", &[Value::Int(3)]), 4);
     let written = server.metrics_text();
-    assert_eq!(versions(&written, "ITEM"), 1_007);
-    assert_eq!(entries(&written, "ITEM", "ITEM_SUBJECT"), 1_007);
-    assert_eq!(entries(&written, "ITEM", "ITEM_AUTHOR"), 1_007);
-    // A version that keeps its title is posted under every gram of it again.
-    let rewritten = grams_of(&mut (0..7).map(|i| i * 3));
-    assert_eq!(entries(&written, "ITEM", "ITEM_TITLE"), titles + rewritten);
+    let of_table = |family: &str, table: &str| format!("{family}{{table=\"{table}\"}}");
+    let counts = |metrics: &str, table: &str| {
+        [
+            "shareddb_table_payloads",
+            "shareddb_gc_versions_reclaimed_total",
+            "shareddb_updates_in_place_total",
+        ]
+        .map(|family| gauge(metrics, &of_table(family, table)))
+    };
+    // Nothing was pinned at the price changes: each was written over its
+    // version, and ITEM and its B-trees hold what they held.
+    assert_eq!(versions(&written, "ITEM"), 1_000);
+    for index in ["ITEM_SUBJECT", "ITEM_AUTHOR"] {
+        assert_eq!(entries(&written, "ITEM", index), 1_000, "{index}");
+    }
+    assert_eq!(entries(&written, "ITEM", "ITEM_TITLE"), titles);
+    assert_eq!(counts(&written, "ITEM"), [1_000, 0, 7]);
     assert_eq!(versions(&written, "SHOPPING_CART_LINE"), lines + 3);
     assert_eq!(
         entries(&written, "SHOPPING_CART_LINE", "SCL_CART"),
         lines + 3
     );
     assert_eq!(versions(&written, "AUTHOR"), versions(&fresh, "AUTHOR"));
-    // Version GC: each price change committed with nothing pinned, so the
-    // version it superseded gave its payload back at once; a deleted cart
-    // line keeps its, the key map reads its key from it.
-    let of_table = |family: &str, table: &str| format!("{family}{{table=\"{table}\"}}");
-    let payloads = |table: &str| gauge(&written, &of_table("shareddb_table_payloads", table));
-    let reclaimed = |table| {
-        gauge(
-            &written,
-            &of_table("shareddb_gc_versions_reclaimed_total", table),
-        )
-    };
-    assert_eq!((payloads("ITEM"), reclaimed("ITEM")), (1_000, 7));
+    // A deleted cart line keeps its payload: the key map reads its key from
+    // it.
     let cart_lines = versions(&written, "SHOPPING_CART_LINE");
-    assert_eq!(payloads("SHOPPING_CART_LINE"), cart_lines);
-    assert_eq!(reclaimed("SHOPPING_CART_LINE"), 0);
+    assert_eq!(counts(&written, "SHOPPING_CART_LINE"), [cart_lines, 0, 0]);
+
+    // Under a pin each price change appends a version, posted under every
+    // gram of its title again; the first commit after the pin is dropped
+    // gives the superseded payloads back.
+    let pin = catalog.pin();
+    update_items(&mut run, 0..7, 10.5);
+    let pinned = server.metrics_text();
+    assert_eq!(versions(&pinned, "ITEM"), 1_007);
+    assert_eq!(entries(&pinned, "ITEM", "ITEM_SUBJECT"), 1_007);
+    assert_eq!(entries(&pinned, "ITEM", "ITEM_AUTHOR"), 1_007);
+    let rewritten = grams_of(&mut (0..7).map(|i| i * 3));
+    assert_eq!(entries(&pinned, "ITEM", "ITEM_TITLE"), titles + rewritten);
+    assert_eq!(counts(&pinned, "ITEM"), [1_007, 0, 7]);
+    assert_eq!(gauge(&pinned, "shareddb_snapshot_pins "), 1);
+    drop(pin);
+    update_items(&mut run, 7..8, 10.5);
+    let released = server.metrics_text();
+    assert_eq!(counts(&released, "ITEM"), [1_000, 7, 8]);
     assert_eq!(
-        gauge(&written, "shareddb_snapshot_pins "),
+        gauge(&released, "shareddb_snapshot_pins "),
         0,
         "a leaked pin"
     );
