@@ -203,13 +203,15 @@ impl Catalog {
     /// unknown table, predicate that does not evaluate) leaves its table
     /// untouched, and only the successful ones are logged — so what a client
     /// was told, what later snapshots see and what recovery replays agree.
-    /// The outer `Err` is a failure of the log itself.
+    /// The outer `Err` is a failure of the log itself; the commit is
+    /// published all the same, as its writes are in the tables already (the
+    /// next commit would show them).
     ///
-    /// An update that leaves its row's key and indexed columns as they were
-    /// overwrites the version in place when no pinned snapshot sees it
-    /// ([`Table::update_rows`]); the pins are held from that decision until
-    /// the commit is published (`TimestampOracle::begin_commit`). Once it
-    /// is, each table it wrote reclaims what no pinned snapshot sees any more
+    /// A commit that starts while nothing is pinned writes an update that
+    /// leaves its row's key and indexed columns as they were over the
+    /// version in place ([`Table::update_rows`]), and no snapshot is pinned
+    /// until it is published (`TimestampOracle::begin_commit`). Once it is,
+    /// each table it wrote reclaims what no pinned snapshot sees any more
     /// ([`Table::reclaim`]): work bounded by what earlier commits retired.
     pub fn apply_batch(&self, ops: &[(String, UpdateOp)]) -> Result<Vec<Result<UpdateResult>>> {
         self.apply_ops(ops.iter().map(|(table, op)| (table.as_str(), op)))
@@ -224,16 +226,16 @@ impl Catalog {
         if ops.clone().next().is_none() {
             return Ok(Vec::new());
         }
-        // Nothing is pinned from here until the commit is published: an
-        // update the newest pin cannot tell apart overwrites in place.
+        // Unpinned, the commit keeps pinners out until it is published and
+        // may overwrite in place; it is published however it ends, a failed
+        // log included, as its writes are in the tables already.
         let commit = self.oracle.begin_commit();
-        let newest_pin = commit.newest_pin();
         let mut written: Vec<Arc<RwLock<Table>>> = Vec::new();
         let results: Vec<Result<UpdateResult>> = ops
             .clone()
             .map(|(table_name, op)| {
                 let handle = self.table(table_name)?;
-                let applied = apply_update(&mut handle.write(), op, commit.ts, newest_pin);
+                let applied = apply_update(&mut handle.write(), op, commit.ts, commit.pinned);
                 if !written.iter().any(|t| Arc::ptr_eq(t, &handle)) {
                     written.push(handle);
                 }
@@ -419,9 +421,9 @@ impl Catalog {
             while let Some((name, op)) = run.next() {
                 let handle = self.table(name)?;
                 let mut table = handle.write();
-                apply_update(&mut table, op, ts, None)?;
+                apply_update(&mut table, op, ts, false)?;
                 while let Some((_, op)) = run.next_if(|(next, _)| next == name) {
-                    apply_update(&mut table, op, ts, None)?;
+                    apply_update(&mut table, op, ts, false)?;
                 }
             }
             max_ts = max_ts.max(ts);
@@ -516,7 +518,6 @@ impl std::fmt::Debug for Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mvcc::TS_INFINITY;
     use crate::update::AccessPath;
     use crate::wal::MAX_EXPR_DEPTH;
     use proptest::prelude::*;
@@ -1277,6 +1278,57 @@ mod tests {
         );
     }
 
+    /// A log whose every append fails.
+    struct FailingSink;
+
+    impl crate::wal::WalSink for FailingSink {
+        fn append(&mut self, _frame: &[u8]) -> Result<()> {
+            Err(Error::Internal("the disk is full".into()))
+        }
+        fn flush(&mut self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A commit whose log fails is published all the same: an update
+    /// written over its version in place, or appended under a pin, is read
+    /// by every snapshot pinned after it, and the pin held through it still
+    /// reads the old version. No row goes missing.
+    #[test]
+    fn a_commit_whose_log_fails_leaves_no_row_unseen() {
+        let catalog = Catalog::new();
+        catalog.create_table(item_def()).unwrap();
+        catalog
+            .bulk_load("ITEM", vec![tuple![1i64, "a", 1.0f64]])
+            .unwrap();
+        catalog.wal().install_sink(Box::new(FailingSink), 1);
+        let set_cost = |cost: f64| {
+            let op = UpdateOp::Update {
+                assignments: vec![(2, Expr::lit(cost))],
+                predicate: Expr::col(0).eq(Expr::lit(1i64)),
+            };
+            assert!(catalog.apply("ITEM", op).is_err(), "the log failed");
+        };
+        let table = catalog.table("ITEM").unwrap();
+        let cost = |snapshot: Snapshot| {
+            let table = table.read();
+            let found = table.lookup_pk(&[Value::Int(1)], snapshot);
+            let costs = table.scan(snapshot).map(|(_, row)| row[2].clone());
+            (
+                found.map(|(_, row)| row[2].clone()),
+                costs.collect::<Vec<_>>(),
+            )
+        };
+        let read = |want: f64| (Some(Value::Float(want)), vec![Value::Float(want)]);
+        set_cost(2.0);
+        assert_eq!(table.read().in_place_count(), 1);
+        assert_eq!(cost(*catalog.pin()), read(2.0));
+        let held = catalog.pin();
+        set_cost(3.0);
+        assert_eq!(table.read().in_place_count(), 1, "a pin is held");
+        assert_eq!((cost(*held), cost(*catalog.pin())), (read(2.0), read(3.0)));
+    }
+
     // -- overwriting in place against the append-only path ------------------
 
     /// One write of an in-place history, over keys `0..6`: `U(K key, V,
@@ -1452,7 +1504,7 @@ mod tests {
                 let results = catalog.apply_ops(ops.iter().map(|op| ("U", op))).unwrap();
                 let commit = catalog.snapshot().ts;
                 for (op, result) in ops.iter().zip(results) {
-                    let modelled = apply_update(&mut model, op, commit, Some(TS_INFINITY));
+                    let modelled = apply_update(&mut model, op, commit, true);
                     prop_assert_eq!(result.map(|r| r.rows_affected).ok(), modelled.map(|r| r.rows_affected).ok());
                 }
                 let table = table.read();

@@ -655,7 +655,7 @@ mod tests {
                 // A write that fails (a taken key, a dead row) writes nothing.
                 // Every other one finds the snapshot before it pinned; the
                 // rest overwrite in place what they may, widening old chunks.
-                let pinned = (i % 2 == 0).then_some(Timestamp(1 + i as u64));
+                let pinned = i % 2 == 0;
                 let _ =
                     crate::update::apply_update(&mut table, op, Timestamp(2 + i as u64), pinned);
             }
@@ -872,7 +872,7 @@ mod tests {
             predicate: eq(0, Value::Int(7)),
         };
         let commit = oracle.next_commit_ts();
-        crate::update::apply_update(&mut table.write(), &delete, commit, None).unwrap();
+        crate::update::apply_update(&mut table.write(), &delete, commit, false).unwrap();
         oracle.publish(commit);
         let by_key = || vec![eq(0, Value::Int(7))];
         assert_eq!(counts(by_key(), None), (true, 2, 0));
@@ -1176,7 +1176,7 @@ mod tests {
             for (i, op) in case.writes.iter().enumerate() {
                 // A write that fails (a taken key, a dead row) writes nothing;
                 // every other one finds the snapshot before it pinned.
-                let pinned = (i % 2 == 0).then_some(Timestamp(1 + i as u64));
+                let pinned = i % 2 == 0;
                 let _ = crate::update::apply_update(&mut table, op, Timestamp(2 + i as u64), pinned);
             }
             let last_write = 1 + case.writes.len() as u64;

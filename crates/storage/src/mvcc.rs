@@ -11,20 +11,19 @@
 //! ([`TimestampOracle::pin`]): the oldest pin is the **low-water mark**
 //! ([`TimestampOracle::low_water`]), and a version that ended at or before it
 //! is seen by no reader that is or will be — the storage layer gives its
-//! payload back (`Table::reclaim`). The newest pin bounds what a commit may
-//! overwrite: a live version that began after it is seen by no pin, so an
-//! update that leaves its key and indexed columns alone writes over it in
-//! place (`Table::update_rows`). A commit holds the pins from that decision
-//! until it is published (`TimestampOracle::begin_commit`), so no snapshot
-//! pinned meanwhile can miss the row.
+//! payload back (`Table::reclaim`). A commit that starts while nothing is
+//! pinned may write an update over its version in place
+//! (`Table::update_rows`): no reader sees the version it replaces. No
+//! snapshot is pinned from its start until it is published
+//! (`TimestampOracle::begin_commit`), so none can miss the row.
 
 use shareddb_common::ids::Timestamp;
-use shareddb_common::sync::Mutex;
+use shareddb_common::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 /// A read snapshot: all row versions with `begin <= ts < end` are visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,10 +66,33 @@ pub struct TimestampOracle {
     committed: AtomicU64,
     /// Next commit timestamp to hand out.
     next: AtomicU64,
-    /// The pinned snapshots: how many pins hold each timestamp. Pinning and
-    /// the low-water mark read `committed` under this lock, so no reader
+    /// The pinned snapshots and the commits that keep pinners out. Pinning
+    /// and the low-water mark read `committed` under this lock, so no reader
     /// reads a timestamp the mark has already passed.
-    pins: Mutex<BTreeMap<u64, usize>>,
+    pins: Mutex<Pins>,
+    /// Notified when the last commit that started unpinned is published.
+    unpinned_done: Condvar,
+}
+
+/// The pin registry of a [`TimestampOracle`].
+#[derive(Default)]
+struct Pins {
+    /// How many pins hold each timestamp.
+    held: BTreeMap<u64, usize>,
+    /// Commits in flight that started while nothing was pinned: each may
+    /// overwrite versions in place, so no snapshot is pinned until the last
+    /// of them is published.
+    unpinned_commits: usize,
+    /// Pinners waiting for those commits. A commit that starts while one
+    /// waits counts as pinned, so a pinner waits only for the commits
+    /// already in flight when it came.
+    waiting: usize,
+}
+
+impl Pins {
+    fn add(&mut self, ts: Timestamp) {
+        *self.held.entry(ts.0).or_default() += 1;
+    }
 }
 
 impl Default for TimestampOracle {
@@ -87,6 +109,7 @@ impl TimestampOracle {
             committed: AtomicU64::new(0),
             next: AtomicU64::new(1),
             pins: Mutex::default(),
+            unpinned_done: Condvar::new(),
         }
     }
 
@@ -99,10 +122,20 @@ impl TimestampOracle {
 
     /// Pins the latest committed state: every version it sees keeps its
     /// payload until the returned guard — and every clone of it — is dropped.
+    /// Waits for the commits in flight that started while nothing was pinned
+    /// (`begin_commit`); hold no table lock while pinning, as those
+    /// commits may wait for it.
     pub fn pin(self: &Arc<Self>) -> SnapshotPin {
         let mut pins = self.pins.lock();
+        if pins.unpinned_commits > 0 {
+            pins.waiting += 1;
+            while pins.unpinned_commits > 0 {
+                pins = self.unpinned_done.wait(pins);
+            }
+            pins.waiting -= 1;
+        }
         let snapshot = self.read_ts();
-        *pins.entry(snapshot.ts.0).or_default() += 1;
+        pins.add(snapshot.ts);
         SnapshotPin {
             oracle: Arc::clone(self),
             snapshot,
@@ -117,15 +150,15 @@ impl TimestampOracle {
     }
 
     /// [`Self::low_water`] of the pin registry, held by the caller.
-    fn low_water_of(&self, pins: &BTreeMap<u64, usize>) -> Timestamp {
-        let oldest = pins.keys().next().copied();
+    fn low_water_of(&self, pins: &Pins) -> Timestamp {
+        let oldest = pins.held.keys().next().copied();
         Timestamp(oldest.unwrap_or_else(|| self.committed.load(Ordering::Acquire)))
     }
 
     /// Pins held now: a count that never falls back to 0 on an idle server
     /// is a leaked pin.
     pub fn pin_count(&self) -> usize {
-        self.pins.lock().values().sum()
+        self.pins.lock().held.values().sum()
     }
 
     /// Allocates a fresh commit timestamp (strictly increasing).
@@ -133,19 +166,22 @@ impl TimestampOracle {
         Timestamp(self.next.fetch_add(1, Ordering::AcqRel))
     }
 
-    /// Opens a commit: allocates its timestamp and holds the pin registry
-    /// until [`Commit::publish`]. No snapshot is pinned while the commit
-    /// writes, so what [`Commit::newest_pin`] says no pin sees stays unseen
-    /// until the commit is visible; a pinner waits at most one commit, and
-    /// commits follow one another in timestamp order. Take no table lock
-    /// before it: a commit waits for table locks while it holds the pins.
+    /// Opens a commit: allocates its timestamp and tells it whether a
+    /// snapshot is pinned ([`Commit::pinned`]). One that starts while
+    /// nothing is pinned keeps pinners out until it is published, so no
+    /// snapshot taken meanwhile can miss a version it overwrote in place.
+    /// Only [`Self::pin`] waits, and only for the commits in flight when it
+    /// came.
     pub(crate) fn begin_commit(&self) -> Commit<'_> {
-        let pins = self.pins.lock();
-        let ts = self.next_commit_ts();
+        let mut pins = self.pins.lock();
+        let pinned = !pins.held.is_empty() || pins.waiting > 0;
+        if !pinned {
+            pins.unpinned_commits += 1;
+        }
         Commit {
             oracle: self,
-            pins,
-            ts,
+            ts: self.next_commit_ts(),
+            pinned,
         }
     }
 
@@ -166,29 +202,39 @@ impl TimestampOracle {
     }
 }
 
-/// A commit in progress ([`TimestampOracle::begin_commit`]): it holds the
-/// pin registry from before its first write until it is published. Dropped
-/// unpublished, it lets pinners in and publishes nothing.
+/// A commit in progress ([`TimestampOracle::begin_commit`]). It is
+/// published when dropped, however it ends: a commit whose log failed has
+/// written its tables all the same, and the next commit would show them.
 pub(crate) struct Commit<'o> {
     oracle: &'o TimestampOracle,
-    pins: MutexGuard<'o, BTreeMap<u64, usize>>,
     /// The commit timestamp.
     pub(crate) ts: Timestamp,
+    /// True when a snapshot was pinned, or a pinner waited, as the commit
+    /// started: it may see any version the commit writes over, so every
+    /// update appends. False: none is pinned until the commit is published.
+    pub(crate) pinned: bool,
 }
 
 impl Commit<'_> {
-    /// The newest pinned snapshot, `None` when nothing is pinned: a version
-    /// that began after it is seen by no pin, and by none taken before this
-    /// commit is published.
-    pub(crate) fn newest_pin(&self) -> Option<Timestamp> {
-        self.pins.keys().next_back().map(|&ts| Timestamp(ts))
-    }
-
-    /// Publishes the commit, lets pinners in and returns the low-water mark
-    /// after it ([`TimestampOracle::low_water`]).
+    /// Publishes the commit and returns the low-water mark after it
+    /// ([`TimestampOracle::low_water`]).
     pub(crate) fn publish(self) -> Timestamp {
+        let oracle = self.oracle;
+        drop(self);
+        oracle.low_water()
+    }
+}
+
+impl Drop for Commit<'_> {
+    fn drop(&mut self) {
         self.oracle.publish(self.ts);
-        self.oracle.low_water_of(&self.pins)
+        if !self.pinned {
+            let mut pins = self.oracle.pins.lock();
+            pins.unpinned_commits -= 1;
+            if pins.unpinned_commits == 0 {
+                self.oracle.unpinned_done.notify_all();
+            }
+        }
     }
 }
 
@@ -209,8 +255,7 @@ impl Deref for SnapshotPin {
 
 impl Clone for SnapshotPin {
     fn clone(&self) -> Self {
-        let mut pins = self.oracle.pins.lock();
-        *pins.entry(self.snapshot.ts.0).or_default() += 1;
+        self.oracle.pins.lock().add(self.snapshot.ts);
         SnapshotPin {
             oracle: Arc::clone(&self.oracle),
             snapshot: self.snapshot,
@@ -221,10 +266,10 @@ impl Clone for SnapshotPin {
 impl Drop for SnapshotPin {
     fn drop(&mut self) {
         let (mut pins, ts) = (self.oracle.pins.lock(), self.snapshot.ts.0);
-        let count = pins.get_mut(&ts).expect("a pin is registered");
+        let count = pins.held.get_mut(&ts).expect("a pin is registered");
         *count -= 1;
         if *count == 0 {
-            pins.remove(&ts);
+            pins.held.remove(&ts);
         }
     }
 }
@@ -316,34 +361,36 @@ mod tests {
         assert_eq!((oracle.low_water(), oracle.pin_count()), (Timestamp(4), 0));
     }
 
-    /// A commit holds the pins from its start until it is published: it
-    /// reads the newest pin, a pinner on another thread waits for it and
-    /// pins what it published (one that did not wait would read 1 if it ran
-    /// first), and the low-water mark comes back with it.
+    /// A commit that starts while nothing is pinned keeps pinners out until
+    /// it is published; the low-water mark does not wait for it. One that
+    /// starts while a pinner waits counts as pinned and keeps no one out,
+    /// and a commit dropped unpublished — its log failed — is published all
+    /// the same.
     #[test]
-    fn a_commit_holds_the_pins_until_it_is_published() {
+    fn an_unpinned_commit_keeps_pinners_out_until_it_is_published() {
         let oracle = Arc::new(TimestampOracle::new());
-        let commit = oracle.begin_commit();
-        assert_eq!((commit.ts, commit.newest_pin()), (Timestamp(1), None));
-        assert_eq!(commit.publish(), Timestamp(1));
-        let held = oracle.pin();
-        let commit = oracle.begin_commit();
-        assert_eq!(commit.newest_pin(), Some(Timestamp(1)));
+        let first = oracle.begin_commit();
+        assert_eq!((first.ts, first.pinned), (Timestamp(1), false));
+        assert_eq!(oracle.low_water(), Timestamp(0));
         let pinner = std::thread::spawn({
             let oracle = Arc::clone(&oracle);
-            move || oracle.pin().ts
+            move || oracle.pin()
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        while oracle.pins.lock().waiting == 0 && !pinner.is_finished() {
+            std::thread::yield_now();
+        }
+        let second = oracle.begin_commit();
+        assert!(second.pinned, "a pinner waits");
         assert!(!pinner.is_finished(), "a pin was taken inside a commit");
-        assert_eq!(commit.publish(), Timestamp(1), "the oldest pin");
-        assert_eq!(pinner.join().unwrap(), Timestamp(2));
-        drop(held);
-        // Dropped unpublished, a commit publishes nothing.
-        drop(oracle.begin_commit());
-        assert_eq!(
-            (oracle.read_ts().ts, oracle.pin().ts),
-            (Timestamp(2), Timestamp(2))
-        );
+        assert_eq!(first.publish(), Timestamp(1));
+        let pin = pinner.join().unwrap();
+        assert_eq!(pin.ts, Timestamp(1));
+        assert_eq!(oracle.pin().ts, Timestamp(1), "the second commit is pinned");
+        drop(second);
+        assert_eq!(oracle.read_ts().ts, Timestamp(2));
+        drop(pin);
+        assert!(!oracle.begin_commit().pinned);
+        assert_eq!((oracle.pin().ts, oracle.pin_count()), (Timestamp(3), 1));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! Tables store every row version in an arena of versions. A version carries
 //! a `[begin, end)` timestamp interval; reads at a snapshot only observe
 //! versions whose interval contains the snapshot timestamp (snapshot
-//! isolation, Section 4.4). An update that a pinned snapshot could tell
-//! apart ends the old version and appends a new one, which keeps readers of
-//! the older snapshot consistent without any locking during the scan
-//! itself. One that no pin can — the version began after the newest pin,
-//! and the update leaves its key and every indexed column as they were — is
-//! written over the version **in place** ([`Table::update_rows`]): the
-//! history it would have appended is history no reader needs.
+//! isolation, Section 4.4). An update committed while a snapshot is pinned
+//! ends the old version and appends a new one, which keeps readers of the
+//! older snapshot consistent without any locking during the scan itself.
+//! One committed while nothing is pinned, that leaves its key and every
+//! indexed column as they were, is written over the version **in place**
+//! ([`Table::update_rows`]): the history it would have appended is history
+//! no reader needs.
 //!
 //! Over the arena sits a **chunk directory**: one entry per run of
 //! [`CHUNK_ROWS`] versions holding, for every numeric column, a [`Zone`] —
@@ -614,11 +614,11 @@ impl Table {
     /// them one by one would see it — before the first version is changed,
     /// so an error leaves the table untouched.
     ///
-    /// `newest_pin` is the newest snapshot a reader holds (`None`: none is
-    /// held, nor will one be taken before `ts` is published). A version that
-    /// began after it, whose update leaves its key and indexed columns as
-    /// they were (the same value of the same variant), is **overwritten in
-    /// place**: it keeps its `RowId` and back-link, takes the new payload
+    /// `pinned` says whether a reader may hold a snapshot older than `ts`
+    /// (false: none is held, nor will one be taken before `ts` is
+    /// published). Unpinned, a version whose update leaves its key and
+    /// indexed columns as they were (the same value of the same variant) is
+    /// **overwritten in place**: it keeps its `RowId` and back-link, takes the new payload
     /// and `begin` = `ts`, and widens its chunk's zones; the key map, the
     /// posting lists and the retired versions are left alone, and the old
     /// payload is dropped (a reader holding it keeps its reference). Every
@@ -628,7 +628,7 @@ impl Table {
         &mut self,
         updates: Vec<(RowId, Tuple)>,
         ts: Timestamp,
-        newest_pin: Option<Timestamp>,
+        pinned: bool,
     ) -> Result<()> {
         // Keys vacated / taken by earlier pk-changing rows of this call.
         let mut freed: HashSet<Vec<Value>> = HashSet::new();
@@ -652,8 +652,7 @@ impl Table {
                     "row versions to update are not in ascending order at {row_id:?}"
                 )));
             }
-            let unseen = newest_pin.is_none_or(|pin| pin < old.begin);
-            if unseen && self.files_alike(&old.values, new_values) {
+            if !pinned && self.files_alike(&old.values, new_values) {
                 keys.push(None);
                 continue;
             }
@@ -1083,9 +1082,8 @@ mod tests {
     fn update_creates_new_version_old_snapshot_unaffected() {
         let mut t = items_table();
         let r1 = t.insert(tuple![1i64, "A", 1.0f64], Timestamp(1)).unwrap();
-        // A snapshot at 3 is pinned: the update appends.
-        let pinned = Some(Timestamp(3));
-        t.update_rows(vec![(r1, tuple![1i64, "A", 9.0f64])], Timestamp(5), pinned)
+        // A snapshot is pinned: the update appends.
+        t.update_rows(vec![(r1, tuple![1i64, "A", 9.0f64])], Timestamp(5), true)
             .unwrap();
         let r2 = t.lookup_pk_live(&[Value::Int(1)]).unwrap();
         assert_ne!(r1, r2);
@@ -1100,14 +1098,14 @@ mod tests {
         assert_eq!(visible[0].1[2], Value::Float(9.0));
         // Updating a superseded version is a bug.
         assert!(t
-            .update_rows(vec![(r1, tuple![1i64, "A", 2.0f64])], Timestamp(6), None)
+            .update_rows(vec![(r1, tuple![1i64, "A", 2.0f64])], Timestamp(6), false)
             .is_err());
     }
 
-    /// An update no pin can tell apart is written over its version: the
-    /// same id and back-link, the new payload from the commit on, no
-    /// posting or key filed again, its own chunk's zones widened. One that
-    /// changes an indexed column, or whose version a pin sees, appends.
+    /// An update committed while nothing is pinned is written over its
+    /// version: the same id and back-link, the new payload from the commit
+    /// on, no posting or key filed again, its own chunk's zones widened. One
+    /// that changes an indexed column, or is committed under a pin, appends.
     #[test]
     fn an_update_no_pin_sees_is_written_over_its_version() {
         let mut t = items_table();
@@ -1120,13 +1118,13 @@ mod tests {
         t.update_rows(
             vec![(seven, tuple![7i64, "Book 7", 2.0f64])],
             Timestamp(2),
-            None,
+            false,
         )
         .unwrap();
         t.update_rows(
             vec![(seven, tuple![7i64, "Book 7", 3.0f64])],
             Timestamp(3),
-            Some(Timestamp(1)),
+            false,
         )
         .unwrap();
         assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 1, 2));
@@ -1147,7 +1145,7 @@ mod tests {
         t.update_rows(
             vec![(seven, tuple![7i64, "Book 7", 4.0f64])],
             Timestamp(4),
-            Some(Timestamp(3)),
+            true,
         )
         .unwrap();
         let eighth = t.lookup_pk_live(&[Value::Int(7)]).unwrap();
@@ -1158,13 +1156,13 @@ mod tests {
         );
         // A new title is filed under its own key: appended, pinned or not.
         let retitled = tuple![7i64, "Book seven", 4.0f64];
-        t.update_rows(vec![(eighth, retitled)], Timestamp(5), None)
+        t.update_rows(vec![(eighth, retitled)], Timestamp(5), false)
             .unwrap();
         assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 3, 2));
         // So is a key spelled as another variant, equal as it is.
         let one = t.lookup_pk_live(&[Value::Int(1)]).unwrap();
         let spelled = tuple![Value::Float(1.0), "Book 1", 1.0f64];
-        t.update_rows(vec![(one, spelled)], Timestamp(6), None)
+        t.update_rows(vec![(one, spelled)], Timestamp(6), false)
             .unwrap();
         assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 4, 2));
     }
@@ -1184,8 +1182,7 @@ mod tests {
     fn pk_lookup_follows_versions() {
         let mut t = items_table();
         let r1 = t.insert(tuple![7i64, "A", 1.0f64], Timestamp(1)).unwrap();
-        let pinned = Some(Timestamp(2));
-        t.update_rows(vec![(r1, tuple![7i64, "A", 2.0f64])], Timestamp(3), pinned)
+        t.update_rows(vec![(r1, tuple![7i64, "A", 2.0f64])], Timestamp(3), true)
             .unwrap();
         let (rid, row) = t
             .lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(3)))
@@ -1237,7 +1234,7 @@ mod tests {
         t.update_rows(
             vec![(RowId(23), tuple![7i64, 9i64, 1i64])],
             Timestamp(2),
-            None,
+            false,
         )
         .unwrap();
         assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
@@ -1315,7 +1312,7 @@ mod tests {
         let mut put = |t: &mut Table, from: i64, to: i64, ts: u64| {
             serial += 1;
             if let Some(row) = live(t, from) {
-                let _ = t.update_rows(vec![(row, tuple![to, serial])], Timestamp(ts), None);
+                let _ = t.update_rows(vec![(row, tuple![to, serial])], Timestamp(ts), true);
             }
         };
         for (write, own_timestamp) in history {
@@ -1418,7 +1415,7 @@ mod tests {
         let mut t = items_table();
         t.create_index("ITEM_PRICE", 2, IndexKind::Values).unwrap();
         let r = t.insert(tuple![1i64, "A", 5.0f64], Timestamp(1)).unwrap();
-        t.update_rows(vec![(r, tuple![1i64, "A", 6.0f64])], Timestamp(5), None)
+        t.update_rows(vec![(r, tuple![1i64, "A", 6.0f64])], Timestamp(5), false)
             .unwrap();
         // At ts=2, only the old version (price 5.0) is visible.
         let snap = Snapshot::at(Timestamp(2));
@@ -1473,8 +1470,7 @@ mod tests {
             (RowId(3), tuple![3i64, "x", Value::Null]),
             (RowId(4), tuple![-4i64, "x", 99.0f64]),
         ];
-        t.update_rows(updates, Timestamp(2), Some(Timestamp(1)))
-            .unwrap();
+        t.update_rows(updates, Timestamp(2), true).unwrap();
         t.delete_row(RowId(0), Timestamp(2)).unwrap();
         assert_eq!(zones(&t, 0), [Zone::Int(0, last - 1), Zone::Int(-4, last)]);
         assert_eq!(
@@ -1655,7 +1651,7 @@ mod tests {
                     LoadStep::Update(key, value) => {
                         for t in [&mut loaded, &mut inserted] {
                             if let Some(row_id) = live(t, *key) {
-                                t.update_rows(vec![(row_id, load_row(*key, *value))], ts, None).unwrap();
+                                t.update_rows(vec![(row_id, load_row(*key, *value))], ts, true).unwrap();
                             }
                         }
                     }

@@ -373,15 +373,15 @@ impl AccessPath {
 /// the table, dead ones included) without. A predicate that fails to
 /// evaluate on a candidate fails the operation, and so does one the log
 /// could not replay: an assignment to a column the table lacks, or an
-/// expression nested deeper than [`MAX_EXPR_DEPTH`]. `newest_pin` decides
-/// which updated versions are overwritten in place ([`Table::update_rows`]).
+/// expression nested deeper than [`MAX_EXPR_DEPTH`]. `pinned` decides
+/// whether updated versions may be overwritten in place ([`Table::update_rows`]).
 pub(crate) fn apply_update(
     table: &mut Table,
     update: &UpdateOp,
     commit_ts: Timestamp,
-    newest_pin: Option<Timestamp>,
+    pinned: bool,
 ) -> Result<UpdateResult> {
-    apply_update_via(table, update, commit_ts, newest_pin, AccessPath::choose)
+    apply_update_via(table, update, commit_ts, pinned, AccessPath::choose)
 }
 
 /// A storage operator's cycle writes nothing: a batch's writes commit
@@ -406,7 +406,7 @@ fn apply_update_via(
     table: &mut Table,
     update: &UpdateOp,
     commit_ts: Timestamp,
-    newest_pin: Option<Timestamp>,
+    pinned: bool,
     choose: fn(&Table, &Expr) -> AccessPath,
 ) -> Result<UpdateResult> {
     let (assignments, predicate) = match update {
@@ -459,7 +459,7 @@ fn apply_update_via(
             }
             updates.push((rid, Tuple::new(new_values)));
         }
-        table.update_rows(updates, commit_ts, newest_pin)?;
+        table.update_rows(updates, commit_ts, pinned)?;
     } else {
         for rid in matching {
             table.delete_row(rid, commit_ts)?;
@@ -475,7 +475,6 @@ fn apply_update_via(
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, IndexDef, TableDef};
-    use crate::mvcc::TS_INFINITY;
     use proptest::prelude::*;
     use proptest::TestRng;
     use shareddb_common::{tuple, Column, DataType, Schema, UnaryOp};
@@ -548,9 +547,8 @@ mod tests {
     fn rows_examined_is_the_candidate_count() {
         let mut table = big_table();
         let ts = Timestamp(1);
-        // A pin that sees every version: each update appends.
-        let apply_update =
-            |table: &mut Table, op: &UpdateOp, ts| apply_update(table, op, ts, Some(TS_INFINITY));
+        // A snapshot is pinned: each update appends.
+        let apply_update = |table: &mut Table, op: &UpdateOp, ts| apply_update(table, op, ts, true);
         let id_is = |id: i64| Expr::col(0).eq(Expr::lit(id));
         let counts = |r: UpdateResult| (r.rows_examined, r.rows_affected);
         // adminUpdateItem / updateCustomerLogin: one key, one row.
@@ -610,7 +608,7 @@ mod tests {
         let versions = table.version_count();
         let by_key = set(2, Expr::lit(8i64), id_is(4_322));
         for _ in 0..2 {
-            let applied = super::apply_update(&mut table, &by_key, ts, None);
+            let applied = super::apply_update(&mut table, &by_key, ts, false);
             assert_eq!(counts(applied.unwrap()), (1, 1));
         }
         assert_eq!(table.version_count(), versions);
@@ -808,7 +806,8 @@ mod tests {
         let ts = Timestamp(1);
         // A predicate that does not evaluate is the operation's error, not
         // "0 rows affected".
-        let apply_update = |table: &mut Table, op: &UpdateOp, ts| apply_update(table, op, ts, None);
+        let apply_update =
+            |table: &mut Table, op: &UpdateOp, ts| apply_update(table, op, ts, false);
         let bad_predicate = delete(Expr::col(0).like(Expr::lit(1i64)));
         assert!(apply_update(&mut table, &bad_predicate, ts).is_err());
         // The fourth line of the cart collides with a key: nothing moves.
@@ -1079,7 +1078,7 @@ mod tests {
             let (mut indexed, mut reference) = (case.table(), case.table());
             for (batch, ops) in case.batches.iter().enumerate() {
                 let ts = Timestamp(batch as u64 + 1);
-                let pinned = (batch % 2 == 1).then_some(Timestamp(batch as u64));
+                let pinned = batch % 2 == 1;
                 for op in ops {
                     let got = apply_update_via(&mut indexed, op, ts, pinned, AccessPath::choose);
                     let expected = apply_update_via(&mut reference, op, ts, pinned, scan_only);
@@ -1158,16 +1157,15 @@ mod tests {
             let pin = pinned.then(|| live.pin());
             let results = live.apply_batch(&named).unwrap();
             let commit = Timestamp(batch as u64 + 1);
-            let newest_pin = pin.as_ref().map(|pin| pin.ts);
             for (op, result) in ops.iter().zip(results) {
-                let expected = apply_update_via(&mut reference, op, commit, newest_pin, scan_only);
+                let expected = apply_update_via(&mut reference, op, commit, pinned, scan_only);
                 prop_assert_eq!(
                     result.map(|r| r.rows_affected).ok(),
                     expected.map(|r| r.rows_affected).ok()
                 );
             }
             // The commit reclaims what it retired below its low-water mark.
-            reference.reclaim(newest_pin.unwrap_or(commit));
+            reference.reclaim(pin.map_or(commit, |pin| pin.ts));
         }
         let dump = |catalog: &Catalog| catalog.table("T").unwrap().read().dump();
         // Qualifiers aside (the catalog's columns carry the table name),
@@ -1202,7 +1200,7 @@ mod tests {
         /// not logged — and both equal the scan reference under the same
         /// rule for overwriting in place, reclaimed payloads included. With
         /// the snapshot before each batch pinned, the live catalog equals
-        /// the reference, which appended what a pin sees, and the replay
+        /// the reference, which appended under the pins, and the replay
         /// its live rows.
         #[test]
         fn recovery_replays_the_live_state(case in Cases) {

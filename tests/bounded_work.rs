@@ -8,10 +8,10 @@
 //! same number of statements at each point. A write pre-roll comes first —
 //! ten `adminUpdateItem` an item, through the engine. With nothing pinned
 //! each is written over its item's version in place, so ITEM holds one
-//! version a row; the test's pinned variant takes a pin of the latest state
-//! before every hundred of them, as a reader that keeps reading would, so
-//! that each appends and ITEM holds eleven versions a row, then drops it and
-//! commits one more price change, which reclaims what the pins held. Nothing
+//! version a row; the test's pinned variant holds a pin through the
+//! pre-roll, as a long reader would, so that each appends and ITEM holds
+//! eleven versions a row, then drops it and commits one more price change,
+//! which reclaims what the pin held. Nothing
 //! is written during the points, so a table's versions are a constant. What
 //! a point leaves in the engine's own counters:
 //!
@@ -51,7 +51,7 @@
 use shareddb::common::metrics::HistogramSnapshot;
 use shareddb::common::Value;
 use shareddb::core::{Engine, EngineConfig, Phase};
-use shareddb::storage::{Catalog, SnapshotPin, CHUNK_ROWS};
+use shareddb::storage::{Catalog, CHUNK_ROWS};
 use shareddb::tpcw::schema::SUBJECTS;
 use shareddb::tpcw::workload::ParamGenerator;
 use shareddb::tpcw::{build_catalog, build_shared_plan, TpcwScale};
@@ -135,14 +135,10 @@ fn item_payloads(engine: &Engine) -> usize {
 }
 
 /// `PRE_ROLL` price and date changes spread over the items, pipelined a
-/// hundred at a time — each hundred, when `pinned`, under a pin of the state
-/// before it, held until the next is taken.
+/// hundred at a time — when `pinned`, under a pin of the state before them.
 fn pre_roll(engine: &Engine, catalog: &Catalog, scale: &TpcwScale, pinned: bool) {
-    let mut pin: Option<SnapshotPin> = None;
+    let _pin = pinned.then(|| catalog.pin());
     for first in (0..PRE_ROLL).step_by(100) {
-        if pinned {
-            pin = Some(catalog.pin());
-        }
         let handles: Vec<_> = (first..first + 100)
             .map(|n| {
                 let item = Value::Int((n * 7_919 % scale.items) as i64);
@@ -157,7 +153,6 @@ fn pre_roll(engine: &Engine, catalog: &Catalog, scale: &TpcwScale, pinned: bool)
             assert_eq!(handle.wait().unwrap().rows_affected(), 1);
         }
     }
-    drop(pin);
 }
 
 /// What reading ITEM cost over one fixed round of reads, from the engine's
@@ -218,7 +213,7 @@ fn bounded_over_the_pre_roll(pinned: bool) {
     let live_items = catalog.table("ITEM").unwrap().read().live_count();
     if pinned {
         assert_eq!(versions("ITEM") as usize, live_items + PRE_ROLL);
-        // One more price change, nothing pinned: what the pins held goes.
+        // One more price change, nothing pinned: what the pin held goes.
         let cost = [Value::Int(0), Value::Float(2.0), Value::Date(15_000)];
         engine.execute_sync("adminUpdateItem", &cost).unwrap();
     } else {
