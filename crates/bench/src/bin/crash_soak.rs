@@ -34,7 +34,6 @@ use shareddb_common::{tuple, DataType, Value};
 use shareddb_server::{Server, ServerConfig};
 use shareddb_storage::{Catalog, SyncPolicy, TableDef};
 use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -422,7 +421,7 @@ struct RecoveryMetrics {
 /// Pulls the `shareddb_recovery_*` gauges off the child's `/metrics`
 /// endpoint — the same exposition an operator would scrape.
 fn scrape_recovery_metrics(addr: SocketAddr) -> RecoveryMetrics {
-    let Some(body) = scrape(addr) else {
+    let Some(body) = shareddb_bench::scrape_metrics(addr) else {
         return RecoveryMetrics::default();
     };
     let mut values = HashMap::new();
@@ -445,19 +444,6 @@ fn scrape_recovery_metrics(addr: SocketAddr) -> RecoveryMetrics {
         torn_tail: values.get("shareddb_recovery_torn_tail").copied() == Some(1.0),
         recovery_us: values.get("shareddb_recovery_us").copied().unwrap_or(0.0) as u64,
     }
-}
-
-fn scrape(addr: SocketAddr) -> Option<String> {
-    use std::io::Read as _;
-    let mut stream = std::net::TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: soak\r\n\r\n")
-        .ok()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).ok()?;
-    let (head, body) = response.split_once("\r\n\r\n")?;
-    head.starts_with("HTTP/1.1 200").then(|| body.to_string())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

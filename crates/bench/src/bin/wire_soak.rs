@@ -27,7 +27,6 @@ use shareddb_core::{EngineConfig, Phase};
 use shareddb_server::{Server, ServerConfig};
 use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::{build_catalog, build_shared_plan, ParamGenerator, TpcwScale};
-use std::io::{Read as _, Write as _};
 use std::net::SocketAddr;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -191,7 +190,7 @@ fn run_point() -> (Point, String) {
             let started = Instant::now();
             let mut last = String::new();
             while started.elapsed() < POINT {
-                if let Some(body) = scrape_metrics(load.addr) {
+                if let Some(body) = shareddb_bench::scrape_metrics(load.addr) {
                     last = body;
                 }
                 std::thread::sleep(SCRAPE_EVERY.min(POINT.saturating_sub(started.elapsed())));
@@ -326,20 +325,6 @@ impl Load {
         let _ = conn.close();
         client
     }
-}
-
-/// One blocking `/metrics` scrape over a throwaway TCP connection (the
-/// server answers with `Connection: close`); returns the response body.
-fn scrape_metrics(addr: SocketAddr) -> Option<String> {
-    let mut stream = std::net::TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: soak\r\n\r\n")
-        .ok()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).ok()?;
-    let (head, body) = response.split_once("\r\n\r\n")?;
-    head.starts_with("HTTP/1.1 200").then(|| body.to_string())
 }
 
 #[cfg(test)]

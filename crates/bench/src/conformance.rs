@@ -549,6 +549,27 @@ mod tests {
         assert!(parse_case("t", "nonsense\n").is_err());
     }
 
+    /// No two operators with inputs have the same spec over the same inputs,
+    /// in the corpus's one plan nor in any positive case's plan alone.
+    #[test]
+    fn each_configuration_is_one_operator() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/sql_corpus");
+        let cases = load_corpus(&dir).unwrap();
+        let catalog = corpus_catalog();
+        let mut corpus = SqlCompiler::new(&catalog);
+        let positive = cases
+            .iter()
+            .filter(|c| matches!(c.expect, Expectation::Rows { .. }));
+        for case in positive {
+            let mut alone = SqlCompiler::new(&catalog);
+            alone.add_statement(&case.name, &case.sql).unwrap();
+            assert_eq!(alone.finish().0.twins(), None, "{}", case.name);
+            corpus.add_statement(&case.name, &case.sql).unwrap();
+        }
+        let (plan, _) = corpus.finish();
+        assert_eq!(plan.twins(), None, "plan:\n{plan}");
+    }
+
     #[test]
     fn literal_lists_parse() {
         assert_eq!(

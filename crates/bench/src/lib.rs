@@ -24,6 +24,9 @@ use shareddb_common::{Result, Value};
 use shareddb_core::QueryOutcome;
 use shareddb_tpcw::schema::SUBJECTS;
 use shareddb_tpcw::TpcwScale;
+use std::io::{Read as _, Write as _};
+use std::net::SocketAddr;
+use std::time::Duration;
 
 /// Statements in the mix of [`drive_dump_mix`].
 const DUMP_MIX_STATEMENTS: usize = 64;
@@ -34,6 +37,21 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// One blocking `/metrics` scrape of the server at `addr` over a throwaway
+/// TCP connection (the server answers with `Connection: close`): the
+/// response body, or `None` when the scrape fails or is not answered 200.
+pub fn scrape_metrics(addr: SocketAddr) -> Option<String> {
+    let mut stream = std::net::TcpStream::connect(addr).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: soak\r\n\r\n")
+        .ok()?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response).ok()?;
+    let (head, body) = response.split_once("\r\n\r\n")?;
+    head.starts_with("HTTP/1.1 200").then(|| body.to_string())
 }
 
 /// The TPC-W scale of `plan_dump` and `trace_dump` (default 2000 items;

@@ -37,11 +37,6 @@ impl QTuple {
     pub fn explode(&self) -> impl Iterator<Item = (QueryId, &Tuple)> + '_ {
         self.queries.iter().map(move |q| (q, &self.tuple))
     }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_size(&self) -> usize {
-        self.tuple.heap_size() + self.queries.heap_size()
-    }
 }
 
 impl fmt::Display for QTuple {

@@ -434,10 +434,11 @@ pub(crate) mod tests {
         let users_scan = b.table_scan("USERS").unwrap();
         let orders_scan = b.table_scan("ORDERS").unwrap();
         let users_probe = b.index_probe("USERS").unwrap();
+        // ORDERS builds, so that this join is not the group-join's below.
         let join = b
-            .hash_join(users_scan, orders_scan, "USERS.USER_ID", "ORDERS.USER_ID")
+            .hash_join(orders_scan, users_scan, "ORDERS.USER_ID", "USERS.USER_ID")
             .unwrap();
-        let join_sort = b.sort(join, vec![SortKey::asc(4)]).unwrap();
+        let join_sort = b.sort(join, vec![SortKey::asc(0)]).unwrap();
         let gamma = b
             .group_by(
                 users_scan,
@@ -500,7 +501,8 @@ pub(crate) mod tests {
                         },
                     )
                     .activate(join, ActivationTemplate::Participate)
-                    .activate(join_sort, ActivationTemplate::Participate),
+                    .activate(join_sort, ActivationTemplate::Participate)
+                    .project(vec![4, 5, 6, 7, 0, 1, 2, 3]),
             )
             .unwrap();
         // Q3: point look-up of one user through the shared index probe.

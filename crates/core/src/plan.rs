@@ -183,6 +183,18 @@ impl GlobalPlan {
             .collect()
     }
 
+    /// Two nodes with inputs that have the same spec over the same inputs,
+    /// if the plan holds such a pair: one built by [`PlanBuilder`] never
+    /// does, each configuration being one shared operator.
+    pub fn twins(&self) -> Option<(OperatorId, OperatorId)> {
+        let with_inputs = self.nodes.iter().filter(|a| !a.inputs.is_empty());
+        with_inputs.clone().find_map(|a| {
+            let twin =
+                |b: &&OperatorNode| b.id > a.id && (&b.spec, &b.inputs) == (&a.spec, &a.inputs);
+            with_inputs.clone().find(twin).map(|b| (a.id, b.id))
+        })
+    }
+
     /// The hash join the group-by node `id` runs inside its own cycle, a
     /// group-join ([`crate::operators::execute_group_join`]): its only input,
     /// when that is a hash join feeding nothing else and every grouping
@@ -261,7 +273,14 @@ impl<'a> PlanBuilder<'a> {
         }
     }
 
+    /// Adds a node, or returns the node with inputs already built with the
+    /// same spec over the same inputs (Section 3.3). Storage leaves are
+    /// added as asked: a self-join needs one per occurrence of its table.
     fn push(&mut self, spec: OperatorSpec, inputs: Vec<OperatorId>, schema: Schema) -> OperatorId {
+        let twin = |n: &&OperatorNode| !n.inputs.is_empty() && n.spec == spec && n.inputs == inputs;
+        if let Some(node) = self.nodes.iter().find(twin) {
+            return node.id;
+        }
         let id = self.nodes.len();
         let name = format!("{}#{id}", spec.label());
         self.nodes.push(OperatorNode {
@@ -877,6 +896,30 @@ mod tests {
         let rendering = plan.render();
         assert!(rendering.contains("HashJoin"));
         assert!(rendering.contains("Scan(USERS)"));
+    }
+
+    /// The one sharing rule: an operator asked for twice with the same spec
+    /// over the same inputs is one node; a different spec, input order or a
+    /// storage leaf is a node of its own.
+    #[test]
+    fn a_configuration_asked_for_twice_is_one_node() {
+        let catalog = catalog();
+        let mut b = PlanBuilder::new(&catalog);
+        let users = b.table_scan("USERS").unwrap();
+        let orders = b.table_scan("ORDERS").unwrap();
+        assert_eq!(b.filter(users).unwrap(), b.filter(users).unwrap());
+        let key = || vec![SortKey::asc(0)];
+        let sort = b.sort(users, key()).unwrap();
+        assert_eq!(b.sort(users, key()).unwrap(), sort);
+        assert_ne!(b.top_n(users, key()).unwrap(), sort);
+        let (u, o) = ("USERS.USER_ID", "ORDERS.USER_ID");
+        let users_build = b.hash_join(users, orders, u, o).unwrap();
+        assert_eq!(b.hash_join(users, orders, u, o).unwrap(), users_build);
+        assert_ne!(b.hash_join(orders, users, o, u).unwrap(), users_build);
+        assert_ne!(b.table_scan("USERS").unwrap(), users);
+        let plan = b.build();
+        assert_eq!(plan.len(), 8, "{plan}");
+        assert_eq!(plan.twins(), None);
     }
 
     #[test]

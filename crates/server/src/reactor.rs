@@ -855,7 +855,6 @@ impl Reactor {
             Some(len) => len,
             None => {
                 if conn.decoder.buffered() > MAX_HTTP_REQUEST {
-                    self.shared.http_errors.fetch_add(1, Ordering::Relaxed);
                     let response = http_response(400, "Bad Request", "request too large\n");
                     self.finish_http(token, response);
                 }
@@ -875,18 +874,11 @@ impl Reactor {
                     }
                     r
                 } else {
-                    self.shared.http_errors.fetch_add(1, Ordering::Relaxed);
                     http_response(404, "Not Found", "only /metrics is served here\n")
                 }
             }
-            Some(_) => {
-                self.shared.http_errors.fetch_add(1, Ordering::Relaxed);
-                http_response(405, "Method Not Allowed", "use GET /metrics\n")
-            }
-            None => {
-                self.shared.http_errors.fetch_add(1, Ordering::Relaxed);
-                http_response(400, "Bad Request", "malformed request line\n")
-            }
+            Some(_) => http_response(405, "Method Not Allowed", "use GET /metrics\n"),
+            None => http_response(400, "Bad Request", "malformed request line\n"),
         };
         self.finish_http(token, response)
     }

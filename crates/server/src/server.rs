@@ -134,8 +134,6 @@ pub(crate) struct Shared {
     pub(crate) rejected: AtomicU64,
     /// Plain-HTTP `/metrics` requests served by the reactor.
     pub(crate) scrapes: AtomicU64,
-    /// Malformed or unroutable HTTP requests answered with 4xx.
-    pub(crate) http_errors: AtomicU64,
     /// What startup recovery replayed, and how long it and the compaction
     /// behind it took (`None` when running in-memory).
     pub(crate) recovery: Option<(RecoveryReport, Duration)>,
@@ -663,7 +661,6 @@ impl Server {
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             scrapes: AtomicU64::new(0),
-            http_errors: AtomicU64::new(0),
             recovery,
             drained: Mutex::new(false),
             drained_cv: Condvar::new(),

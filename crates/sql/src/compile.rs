@@ -4,33 +4,32 @@
 //! per-query optimisation of [`crate::logical::LogicalPlan`]; step 2 (here)
 //! *merges* the logical plans of the whole workload into one executable
 //! [`GlobalPlan`] with shared operators, and registers each statement's
-//! activation path against the plan. Sharing follows Section 3.3:
+//! activation path against the plan. Sharing follows Section 3.3, by one
+//! rule that [`PlanBuilder`] keeps: an operator with the same configuration
+//! over the same inputs is one shared node. Storage leaves are the exception:
+//! one shared scan or index probe per base table *occurrence*, so self-joins
+//! get distinct nodes. A statement's operators:
 //!
-//! * one shared **scan** per base table (per occurrence, so self-joins get
-//!   distinct nodes) activated with each statement's pushed-down predicate,
-//! * one shared **index probe** per base table (per occurrence) for a
-//!   statement that neither groups nor limits and whose pushed-down
-//!   predicate holds `column = ?` on the table's single-column primary key
-//!   or a value index: the key is the probe's, the other conjuncts its
-//!   residual,
-//! * one shared **hash join** per `(inputs, join columns)` pair — statements
-//!   joining the same tables on the same keys reuse the same operator,
-//! * one shared **index-NL join** per `(outer input, table, join columns)`
-//!   for an equi-join edge to a table with no pushed-down predicate whose
-//!   join column is its primary key or value-indexed: the table is looked up
-//!   row by row and gets no scan (the key side of a key/foreign-key join),
+//! * a table's **index probe** when the statement neither groups nor limits
+//!   and its pushed-down predicate holds `column = ?` on the table's
+//!   single-column primary key or a value index: the key is the probe's, the
+//!   other conjuncts its residual; else its **scan** with the predicate,
+//! * a **hash join** per equi-join edge between two pieces, the smaller node
+//!   building, so the same inputs joined on the same keys share one join,
+//! * an **index-NL join** for an equi-join edge to a table with no pushed-down
+//!   predicate whose join column is its primary key or value-indexed: the
+//!   table is looked up row by row and gets no scan (the key side of a
+//!   key/foreign-key join),
 //! * general join **graphs**: the equi-join edges are clustered into a
-//!   spanning tree of shared joins; cycle-closing edges become residual
-//!   equality filters over the join output, and FROM pieces with no join
-//!   edge at all connect through a shared batched **nested-loop join**
-//!   (cross product),
-//! * one shared **filter**, **group-by**, **distinct** and **sort** node per
-//!   distinct configuration. HAVING (and ORDER BY) may reference aggregate
-//!   outputs; aggregates not in the SELECT list are computed as hidden
-//!   columns of the shared group-by,
-//! * ORDER BY with LIMIT: one shared **Top-N** per `(input, keys)`, the
-//!   limit the statement's activation — unless the statement de-duplicates
-//!   again at result routing, where the limit has to follow that.
+//!   spanning tree of joins; cycle-closing edges become residual equality
+//!   filters over the join output, and FROM pieces with no join edge at all
+//!   connect through a batched **nested-loop join** (cross product),
+//! * a **filter**, **group-by**, **distinct** and **sort**. HAVING (and ORDER
+//!   BY) may reference aggregate outputs; aggregates not in the SELECT list
+//!   are computed as hidden columns of the group-by,
+//! * ORDER BY with LIMIT: a **Top-N**, the limit the statement's activation —
+//!   unless the statement de-duplicates again at result routing, where the
+//!   limit has to follow that.
 //!
 //! The TPC-W statements (`tpcw::SQL`) compile into the paper's Figure 6 by
 //! these rules.
@@ -104,23 +103,6 @@ pub struct SqlCompiler<'a> {
     scans: HashMap<(String, usize), OperatorId>,
     /// (base table, occurrence within one statement) → shared index probe.
     probes: HashMap<(String, usize), OperatorId>,
-    /// (build node, probe node, build column, probe column) → shared join.
-    joins: HashMap<(OperatorId, OperatorId, usize, usize), OperatorId>,
-    /// (outer node, inner table, outer column, inner column) → shared
-    /// index nested-loop join.
-    nl_joins: HashMap<(OperatorId, String, usize, usize), OperatorId>,
-    /// (build node, probe node) → shared nested-loop join (cross product).
-    cross_joins: HashMap<(OperatorId, OperatorId), OperatorId>,
-    /// input node → shared residual-filter node.
-    filters: HashMap<OperatorId, OperatorId>,
-    /// (input node, grouping + aggregate shape) → shared group-by node.
-    group_bys: HashMap<(OperatorId, String), OperatorId>,
-    /// (input node, key shape) → shared sort node.
-    sorts: HashMap<(OperatorId, String), OperatorId>,
-    /// (input node, key shape) → shared Top-N node.
-    top_ns: HashMap<(OperatorId, String), OperatorId>,
-    /// input node → shared distinct node.
-    distincts: HashMap<OperatorId, OperatorId>,
     registry: StatementRegistry,
 }
 
@@ -132,14 +114,6 @@ impl<'a> SqlCompiler<'a> {
             builder: PlanBuilder::new(catalog),
             scans: HashMap::new(),
             probes: HashMap::new(),
-            joins: HashMap::new(),
-            nl_joins: HashMap::new(),
-            cross_joins: HashMap::new(),
-            filters: HashMap::new(),
-            group_bys: HashMap::new(),
-            sorts: HashMap::new(),
-            top_ns: HashMap::new(),
-            distincts: HashMap::new(),
             registry: StatementRegistry::new(),
         }
     }
@@ -288,9 +262,7 @@ impl<'a> SqlCompiler<'a> {
         let p_idx = clusters[pi].res.resolve(Some(p.0), p.1)?;
         let b_path = clusters[bi].plan.column(b_idx).qualified_name();
         let p_path = clusters[pi].plan.column(p_idx).qualified_name();
-        let join_node = shared(&mut self.joins, (b_node, p_node, b_idx, p_idx), || {
-            self.builder.hash_join(b_node, p_node, &b_path, &p_path)
-        })?;
+        let join_node = self.builder.hash_join(b_node, p_node, &b_path, &p_path)?;
         // Merge the probe cluster into the build cluster.
         let probe = clusters.remove(pi);
         let bi = if pi < bi { bi - 1 } else { bi };
@@ -314,14 +286,11 @@ impl<'a> SqlCompiler<'a> {
         }
         let schema = self.table_schema(table)?;
         let outer_idx = clusters[outer].res.resolve(Some(outer_alias), outer_col)?;
-        let inner_idx = schema.resolve(None, inner_col)?;
         let outer_node = clusters[outer].node;
-        let key = (outer_node, table.clone(), outer_idx, inner_idx);
         let outer_path = clusters[outer].plan.column(outer_idx).qualified_name();
-        let join_node = shared(&mut self.nl_joins, key, || {
-            self.builder
-                .index_nl_join(outer_node, table, &outer_path, inner_col)
-        })?;
+        let join_node = self
+            .builder
+            .index_nl_join(outer_node, table, &outer_path, inner_col)?;
         pending.retain(|a| *a != inner_alias);
         clusters[outer].merge(Cluster::new(join_node, inner_alias, schema), join_node);
         Ok(true)
@@ -404,10 +373,7 @@ impl<'a> SqlCompiler<'a> {
             clusters.sort_by_key(|c| c.node);
             let probe = clusters.remove(1);
             let build = &mut clusters[0];
-            let key = (build.node, probe.node);
-            let join_node = shared(&mut self.cross_joins, key, || {
-                self.builder.nested_loop_join(key.0, key.1)
-            })?;
+            let join_node = self.builder.nested_loop_join(build.node, probe.node)?;
             build.merge(probe, join_node);
         }
         let cluster = clusters.pop().expect("one cluster");
@@ -422,7 +388,7 @@ impl<'a> SqlCompiler<'a> {
         // cycle-closing join edges, → shared filter over the join output.
         let residuals: Vec<Expr> = lp.residual.iter().cloned().chain(residual_edges).collect();
         if !residuals.is_empty() {
-            let node = shared(&mut self.filters, root, || self.builder.filter(root))?;
+            let node = self.builder.filter(root)?;
             let predicate = Expr::conjunction(residuals).resolve(&res_schema)?;
             activations.push((node, ActivationTemplate::Filter { predicate }));
             root = node;
@@ -473,33 +439,29 @@ impl<'a> SqlCompiler<'a> {
                 };
                 agg_ref_cols.push(group_width + idx);
             }
-            let shape = format!("{group_cols:?}/{aggs:?}");
-            let key = (root, shape);
-            let node = shared(&mut self.group_bys, key, || {
-                let group_paths: Vec<String> = group_cols
-                    .iter()
-                    .map(|&c| plan_schema.column(c).qualified_name())
-                    .collect();
-                let agg_names: Vec<String> = aggs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (f, c))| {
-                        format!("{f:?}{}_{}", i, plan_schema.column(*c).name).to_ascii_uppercase()
-                    })
-                    .collect();
-                let agg_paths: Vec<String> = aggs
-                    .iter()
-                    .map(|(_, c)| plan_schema.column(*c).qualified_name())
-                    .collect();
-                self.builder.group_by(
-                    root,
-                    group_paths.iter().map(String::as_str).collect(),
-                    aggs.iter()
-                        .zip(agg_paths.iter().zip(agg_names.iter()))
-                        .map(|((f, _), (path, name))| (*f, path.as_str(), name.as_str()))
-                        .collect(),
-                )
-            })?;
+            let group_paths: Vec<String> = group_cols
+                .iter()
+                .map(|&c| plan_schema.column(c).qualified_name())
+                .collect();
+            let agg_names: Vec<String> = aggs
+                .iter()
+                .enumerate()
+                .map(|(i, (f, c))| {
+                    format!("{f:?}{}_{}", i, plan_schema.column(*c).name).to_ascii_uppercase()
+                })
+                .collect();
+            let agg_paths: Vec<String> = aggs
+                .iter()
+                .map(|(_, c)| plan_schema.column(*c).qualified_name())
+                .collect();
+            let node = self.builder.group_by(
+                root,
+                group_paths.iter().map(String::as_str).collect(),
+                aggs.iter()
+                    .zip(agg_paths.iter().zip(agg_names.iter()))
+                    .map(|((f, _), (path, name))| (*f, path.as_str(), name.as_str()))
+                    .collect(),
+            )?;
             // Mirror the builder's output schema in the alias-qualified
             // resolution world; everything downstream of the group-by
             // (HAVING, DISTINCT, ORDER BY, projection) resolves against it.
@@ -507,15 +469,13 @@ impl<'a> SqlCompiler<'a> {
                 .iter()
                 .map(|&c| res_schema.column(c).clone())
                 .collect();
-            for (i, (f, c)) in aggs.iter().enumerate() {
+            for ((f, c), name) in aggs.iter().zip(agg_names) {
                 let data_type = match f {
                     AggregateFunction::Count => DataType::Int,
                     AggregateFunction::Avg => DataType::Float,
                     _ => plan_schema.column(*c).data_type,
                 };
-                let agg_name =
-                    format!("{f:?}{}_{}", i, plan_schema.column(*c).name).to_ascii_uppercase();
-                res_cols.push(Column::nullable(agg_name, data_type));
+                res_cols.push(Column::nullable(name, data_type));
             }
             res_schema = Schema::new(res_cols);
             let predicate = match &lp.having {
@@ -528,7 +488,7 @@ impl<'a> SqlCompiler<'a> {
 
         // DISTINCT → shared duplicate elimination.
         if lp.distinct {
-            let node = shared(&mut self.distincts, root, || self.builder.distinct(root))?;
+            let node = self.builder.distinct(root)?;
             activations.push((node, ActivationTemplate::Participate));
             root = node;
         }
@@ -605,16 +565,15 @@ impl<'a> SqlCompiler<'a> {
                     SortKey::asc(col)
                 });
             }
-            let key = (root, format!("{keys:?}"));
             root = match limit.filter(|_| !redistinct) {
                 Some(n) => {
-                    let node = shared(&mut self.top_ns, key, || self.builder.top_n(root, keys))?;
+                    let node = self.builder.top_n(root, keys)?;
                     activations.push((node, ActivationTemplate::TopN { limit: n }));
                     limit = None;
                     node
                 }
                 None => {
-                    let node = shared(&mut self.sorts, key, || self.builder.sort(root, keys))?;
+                    let node = self.builder.sort(root, keys)?;
                     activations.push((node, ActivationTemplate::Participate));
                     node
                 }
@@ -729,8 +688,8 @@ impl<'a> SqlCompiler<'a> {
     }
 }
 
-/// The node `nodes` holds for `key`, built by `build` the first time: one
-/// shared operator per configuration.
+/// The leaf `nodes` holds for `key`, built by `build` the first time: one
+/// shared scan or probe per (table, occurrence).
 fn shared<K: std::hash::Hash + Eq>(
     nodes: &mut HashMap<K, OperatorId>,
     key: K,

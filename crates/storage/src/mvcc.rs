@@ -39,6 +39,14 @@ impl Default for Snapshot {
 }
 
 impl Snapshot {
+    /// The snapshot that sees exactly the live versions, those whose `end`
+    /// is still [`TS_INFINITY`] — what a write acts on: every version begun,
+    /// by the commit being applied too, and none ended. No commit timestamp
+    /// reaches it.
+    pub const LIVE: Snapshot = Snapshot {
+        ts: Timestamp(u64::MAX - 1),
+    };
+
     /// Creates a snapshot at the given timestamp.
     pub fn at(ts: Timestamp) -> Self {
         Snapshot { ts }
@@ -294,6 +302,16 @@ mod tests {
         assert!(!snap.sees(Timestamp(6), TS_INFINITY));
         assert!(!snap.sees(Timestamp(0), Timestamp(5))); // deleted at 5
         assert!(snap.sees(Timestamp(0), Timestamp(6)));
+    }
+
+    #[test]
+    fn the_live_snapshot_sees_the_live_versions_only() {
+        let live = Snapshot::LIVE;
+        assert!(live.sees(Timestamp(0), TS_INFINITY));
+        assert!(live.sees(Timestamp(u64::MAX - 2), TS_INFINITY));
+        assert!(!live.sees(Timestamp(0), Timestamp(7)));
+        assert!(!live.sees(Timestamp(7), Timestamp(7)));
+        assert!(!live.sees(Timestamp(0), Timestamp(u64::MAX - 1)));
     }
 
     #[test]

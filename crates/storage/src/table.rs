@@ -663,7 +663,8 @@ impl Table {
                 // Primary-key update: treat as delete + insert, enforcing
                 // uniqueness of the new key.
                 let taken = claimed.contains(&new_key)
-                    || (!freed.contains(&new_key) && self.lookup_pk_live(&new_key).is_some());
+                    || (!freed.contains(&new_key)
+                        && self.lookup_pk(&new_key, Snapshot::LIVE).is_some());
                 if taken {
                     return Err(self.duplicate_key(&new_key));
                 }
@@ -777,15 +778,12 @@ impl Table {
         })
     }
 
-    /// Iterates over all *live* row versions (the newest state), regardless of
-    /// snapshots. Updates and deletes act on live versions because updates are
-    /// applied in arrival order against the latest state (Section 4.4).
+    /// Iterates over all *live* row versions (the newest state): the scan at
+    /// [`Snapshot::LIVE`]. Updates and deletes act on live versions because
+    /// updates are applied in arrival order against the latest state
+    /// (Section 4.4).
     pub fn scan_live(&self) -> impl Iterator<Item = (RowId, &Tuple)> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_live())
-            .map(|(i, r)| (RowId(i as u64), r.values()))
+        self.scan(Snapshot::LIVE)
     }
 
     /// The version of a primary key that `snapshot` sees, if any — exact
@@ -811,13 +809,6 @@ impl Table {
         }
     }
 
-    /// Looks up the latest *live* version for a primary key regardless of
-    /// snapshots (used by updates, which always act on the newest state).
-    pub fn lookup_pk_live(&self, key: &[Value]) -> Option<RowId> {
-        let row_id = self.newest_version(key)?;
-        self.rows[row_id.idx()].is_live().then_some(row_id)
-    }
-
     /// The posting list of `key` in the index of `kind` on `column`: every
     /// version ever written with that key — that value, or a value holding
     /// that gram — dead ones included, ascending (none when the column has
@@ -833,18 +824,6 @@ impl Table {
             .index_on(column, kind)
             .map_or(&[][..], |i| i.tree.get(key));
         postings.iter().map(|&row| RowId::from(row))
-    }
-
-    /// The *live* versions of [`Table::index_postings`], in posting-list
-    /// order: O(versions with the key).
-    pub fn index_lookup_live<'a>(
-        &'a self,
-        column: usize,
-        kind: IndexKind,
-        key: &Value,
-    ) -> impl Iterator<Item = RowId> + 'a {
-        let postings = self.index_postings(column, kind, key);
-        postings.filter(|rid| self.rows[rid.idx()].is_live())
     }
 
     /// Resolves how rows with `column = key` are found — the primary-key map
@@ -874,26 +853,17 @@ impl Table {
         high: Bound<&Value>,
         snapshot: Snapshot,
     ) -> Vec<(RowId, &Tuple)> {
-        self.index_range_versions(column, low, high)
+        let ranged = self.ranged(column, low, high);
+        let versions = ranged.map_or(Vec::new(), |(tree, low, high)| tree.range_rows(low, high));
+        versions
             .into_iter()
             .filter_map(|rid| self.read(rid, snapshot).map(|t| (rid, t)))
             .collect()
     }
 
-    /// Every version — dead ones included — the index on `column` files
-    /// under a key of the range, in key order (none without an index).
-    pub fn index_range_versions(
-        &self,
-        column: usize,
-        low: Bound<&Value>,
-        high: Bound<&Value>,
-    ) -> Vec<RowId> {
-        let ranged = self.ranged(column, low, high);
-        ranged.map_or(Vec::new(), |(tree, low, high)| tree.range_rows(low, high))
-    }
-
-    /// The length of [`Table::index_range_versions`], read off the index
-    /// before a version is fetched: what fetching through the range costs.
+    /// How many versions — dead ones included — the index on `column` files
+    /// under a key of the range, read off the index before a version is
+    /// fetched: what fetching through the range costs.
     pub fn index_range_len(&self, column: usize, low: Bound<&Value>, high: Bound<&Value>) -> usize {
         let ranged = self.ranged(column, low, high);
         ranged.map_or(0, |(tree, low, high)| tree.range_len(low, high))
@@ -1046,6 +1016,11 @@ mod tests {
     use proptest::TestRng;
     use shareddb_common::{tuple, Column, DataType};
 
+    /// The live version of a primary key.
+    fn live_pk(t: &Table, key: &[Value]) -> Option<RowId> {
+        t.lookup_pk(key, Snapshot::LIVE).map(|(rid, _)| rid)
+    }
+
     fn items_table() -> Table {
         let schema = Schema::new(vec![
             Column::new("ITEM_ID", DataType::Int).with_qualifier("ITEM"),
@@ -1085,7 +1060,7 @@ mod tests {
         // A snapshot is pinned: the update appends.
         t.update_rows(vec![(r1, tuple![1i64, "A", 9.0f64])], Timestamp(5), true)
             .unwrap();
-        let r2 = t.lookup_pk_live(&[Value::Int(1)]).unwrap();
+        let r2 = live_pk(&t, &[Value::Int(1)]).unwrap();
         assert_ne!(r1, r2);
         // Old snapshot still reads the old price.
         let old = t.read(r1, Snapshot::at(Timestamp(3))).unwrap();
@@ -1114,7 +1089,7 @@ mod tests {
             t.insert(tuple![i, format!("Book {i}"), 1.0f64], Timestamp(1))
                 .unwrap();
         }
-        let seven = t.lookup_pk_live(&[Value::Int(7)]).unwrap();
+        let seven = live_pk(&t, &[Value::Int(7)]).unwrap();
         t.update_rows(
             vec![(seven, tuple![7i64, "Book 7", 2.0f64])],
             Timestamp(2),
@@ -1128,7 +1103,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 1, 2));
-        assert_eq!(t.lookup_pk_live(&[Value::Int(7)]), Some(seven));
+        assert_eq!(live_pk(&t, &[Value::Int(7)]), Some(seven));
         let row = t.row(seven).unwrap();
         assert_eq!(
             (row.begin, row.previous, row.is_live()),
@@ -1148,7 +1123,7 @@ mod tests {
             true,
         )
         .unwrap();
-        let eighth = t.lookup_pk_live(&[Value::Int(7)]).unwrap();
+        let eighth = live_pk(&t, &[Value::Int(7)]).unwrap();
         assert_eq!(eighth, RowId(CHUNK_ROWS as u64 + 1));
         assert_eq!(
             t.read(seven, Snapshot::at(Timestamp(3))).unwrap()[2],
@@ -1160,7 +1135,7 @@ mod tests {
             .unwrap();
         assert_eq!((t.version_count(), t.in_place_count()), (CHUNK_ROWS + 3, 2));
         // So is a key spelled as another variant, equal as it is.
-        let one = t.lookup_pk_live(&[Value::Int(1)]).unwrap();
+        let one = live_pk(&t, &[Value::Int(1)]).unwrap();
         let spelled = tuple![Value::Float(1.0), "Book 1", 1.0f64];
         t.update_rows(vec![(one, spelled)], Timestamp(6), false)
             .unwrap();
@@ -1199,7 +1174,7 @@ mod tests {
         assert!(t
             .lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(0)))
             .is_none());
-        assert!(t.lookup_pk_live(&[Value::Int(7)]).is_some());
+        assert!(live_pk(&t, &[Value::Int(7)]).is_some());
         assert!(t
             .lookup_pk(&[Value::Int(99)], Snapshot::at(Timestamp(9)))
             .is_none());
@@ -1223,12 +1198,12 @@ mod tests {
             }
         }
         let key = |order, line| [Value::Int(order), Value::Int(line)];
-        assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(RowId(23)));
-        assert_eq!(t.lookup_pk_live(&key(7, 3)), None);
+        assert_eq!(live_pk(&t, &key(7, 2)), Some(RowId(23)));
+        assert_eq!(live_pk(&t, &key(7, 3)), None);
         // Neither a prefix of the key nor the key with a column to spare.
-        assert_eq!(t.lookup_pk_live(&[Value::Int(7)]), None);
+        assert_eq!(live_pk(&t, &[Value::Int(7)]), None);
         let long = [Value::Int(7), Value::Int(2), Value::Int(1)];
-        assert_eq!(t.lookup_pk_live(&long), None);
+        assert_eq!(live_pk(&t, &long), None);
         // (7, 2) moves to (7, 9): the old key is free, the new one taken.
         let moved = RowId(t.version_count() as u64);
         t.update_rows(
@@ -1237,8 +1212,8 @@ mod tests {
             false,
         )
         .unwrap();
-        assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
-        assert_eq!(t.lookup_pk_live(&key(7, 9)), Some(moved));
+        assert_eq!(live_pk(&t, &key(7, 2)), None);
+        assert_eq!(live_pk(&t, &key(7, 9)), Some(moved));
         let at = |ts| Snapshot::at(Timestamp(ts));
         let found = |t: &Table, key: &[Value], ts| t.lookup_pk(key, at(ts)).map(|(rid, _)| rid);
         assert_eq!(found(&t, &key(7, 2), 1), Some(RowId(23)));
@@ -1246,12 +1221,12 @@ mod tests {
         assert_eq!(found(&t, &key(7, 9), 1), None);
         assert_eq!(found(&t, &key(7, 9), 2), Some(moved));
         let again = t.insert(tuple![7i64, 2i64, 5i64], Timestamp(3)).unwrap();
-        assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(again));
+        assert_eq!(live_pk(&t, &key(7, 2)), Some(again));
         // A deleted key stays on the map, dead, until it is written again.
         t.delete_row(again, Timestamp(4)).unwrap();
-        assert_eq!(t.lookup_pk_live(&key(7, 2)), None);
+        assert_eq!(live_pk(&t, &key(7, 2)), None);
         let reborn = t.insert(tuple![7i64, 2i64, 6i64], Timestamp(5)).unwrap();
-        assert_eq!(t.lookup_pk_live(&key(7, 2)), Some(reborn));
+        assert_eq!(live_pk(&t, &key(7, 2)), Some(reborn));
         assert!(t.insert(tuple![7i64, 2i64, 7i64], Timestamp(6)).is_err());
         let seen: Vec<_> = (1..=5).map(|ts| found(&t, &key(7, 2), ts)).collect();
         let expected = [Some(RowId(23)), None, Some(again), None, Some(reborn)];
@@ -1308,7 +1283,7 @@ mod tests {
     fn apply_history(t: &mut Table, history: &[(Write, bool)]) -> u64 {
         let mut ts = 1;
         let mut serial = 0i64;
-        let live = |t: &Table, key: i64| t.lookup_pk_live(&[Value::Int(key)]);
+        let live = |t: &Table, key: i64| live_pk(t, &[Value::Int(key)]);
         let mut put = |t: &mut Table, from: i64, to: i64, ts: u64| {
             serial += 1;
             if let Some(row) = live(t, from) {
@@ -1346,7 +1321,7 @@ mod tests {
     }
 
     fn drop_key(t: &mut Table, key: i64, ts: u64) {
-        if let Some(row) = t.lookup_pk_live(&[Value::Int(key)]) {
+        if let Some(row) = live_pk(t, &[Value::Int(key)]) {
             t.delete_row(row, Timestamp(ts)).unwrap();
         }
     }
@@ -1508,7 +1483,7 @@ mod tests {
         let books = (0..100i64).map(|i| tuple![i, format!("Book {i}"), (i % 10) as f64]);
         let books = books.collect();
         assert_eq!(t.load(books, Timestamp(1)).unwrap(), 100);
-        let old = t.lookup_pk_live(&[Value::Int(7)]).unwrap();
+        let old = live_pk(&t, &[Value::Int(7)]).unwrap();
         t.delete_row(old, Timestamp(2)).unwrap();
         let again = vec![
             tuple![7i64, "Book 7", 3.5f64],

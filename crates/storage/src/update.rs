@@ -302,8 +302,8 @@ impl AccessPath {
         }
     }
 
-    /// The versions the path leads to that `snapshot` sees (none for the
-    /// scan), whatever the snapshot — each once, in no order.
+    /// The versions the path leads to that `snapshot` sees, whatever the
+    /// snapshot — each once, in no order (the scan's in `RowId` order).
     pub fn visible_rows<'t>(
         &'t self,
         table: &'t Table,
@@ -328,32 +328,19 @@ impl AccessPath {
             .iter()
             .flat_map(move |key| table.index_postings(column, kind, key))
             .filter_map(move |rid| table.read(rid, snapshot).map(|row| (rid, row)));
-        keyed.chain(posted).chain(ranged)
+        let scanned = matches!(self, AccessPath::Scan).then(|| table.scan(snapshot));
+        keyed
+            .chain(posted)
+            .chain(ranged)
+            .chain(scanned.into_iter().flatten())
     }
 
-    /// The live candidates in ascending `RowId` — the order the scan visits
-    /// them in, so the arena, the WAL and recovery replay do not depend on
-    /// the path.
+    /// The live candidates — the path's rows at [`Snapshot::LIVE`] — in
+    /// ascending `RowId`: the order the scan visits them in, so the arena,
+    /// the WAL and recovery replay do not depend on the path.
     fn candidates(&self, table: &Table) -> Vec<RowId> {
-        let mut rows: Vec<RowId> = match self {
-            AccessPath::PrimaryKey(keys) => keys
-                .iter()
-                .filter_map(|key| table.lookup_pk_live(key))
-                .collect(),
-            AccessPath::Index { .. } | AccessPath::IndexGrams { .. } => {
-                let (column, kind, keys) = self.posted();
-                let live = keys.iter();
-                live.flat_map(|key| table.index_lookup_live(column, kind, key))
-                    .collect()
-            }
-            AccessPath::IndexRange { column, low, high } => {
-                let (low, high) = Self::bounds(low, high);
-                let mut rows = table.index_range_versions(*column, low, high);
-                rows.retain(|&rid| table.row(rid).is_some_and(|row| row.is_live()));
-                rows
-            }
-            AccessPath::Scan => return table.scan_live().map(|(rid, _)| rid).collect(),
-        };
+        let live = self.visible_rows(table, Snapshot::LIVE);
+        let mut rows: Vec<RowId> = live.map(|(rid, _)| rid).collect();
         rows.sort_unstable();
         rows.dedup();
         rows
@@ -840,8 +827,8 @@ mod tests {
             apply_update(&mut table, &down, ts).unwrap().rows_affected,
             4
         );
-        assert!(table.lookup_pk_live(&[Value::Int(39)]).is_none());
-        assert!(table.lookup_pk_live(&[Value::Int(35)]).is_some());
+        assert!(table.lookup_pk(&[Value::Int(39)], Snapshot::LIVE).is_none());
+        assert!(table.lookup_pk(&[Value::Int(35)], Snapshot::LIVE).is_some());
     }
 
     fn cart_lines(cart: i64) -> Expr {

@@ -479,6 +479,15 @@ mod tests {
         assert_eq!(join.map(String::as_str), Some("HashJoin#11"));
     }
 
+    /// No two operators with inputs have the same spec over the same inputs:
+    /// each configuration the workload asks for is one shared node.
+    #[test]
+    fn each_configuration_is_one_operator() {
+        let catalog = build_catalog(&TpcwScale::tiny()).unwrap();
+        let (plan, _) = build_shared_plan(&catalog).unwrap();
+        assert_eq!(plan.twins(), None, "plan:\n{plan}");
+    }
+
     /// The five operators the ledger's per-layer benchmark picks out of the
     /// plan (the first node of each shape) are the Figure 6 roles they time.
     #[test]

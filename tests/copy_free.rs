@@ -14,7 +14,7 @@ use shareddb::core::{
     ActivationTemplate, Engine, EngineConfig, OperatorSpec, PlanBuilder, QueryBatch,
     StatementRegistry, StatementSpec, SubmitOptions,
 };
-use shareddb::storage::{Catalog, ClockScan, ScanQuery, Table, TableDef};
+use shareddb::storage::{Catalog, ClockScan, ScanQuery, Snapshot, Table, TableDef};
 use shareddb::tpcw::{
     build_catalog, build_shared_plan, register_baseline_statements, ParamGenerator, TpcwScale,
     PAGE_SIZE, SUBJECTS,
@@ -296,7 +296,8 @@ fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
     // No snapshot was pinned at the commit: the update was written over the
     // version, and the held row is the client's alone.
     let stored = |table: &Table| table.row(version).unwrap().values().clone();
-    assert_eq!(table.read().lookup_pk_live(&item), Some(version));
+    let live = |table: &Table| table.lookup_pk(&item, Snapshot::LIVE).map(|(rid, _)| rid);
+    assert_eq!(live(&table.read()), Some(version));
     assert!(stored(&table.read()).ptr_eq(&fresh.rows()[0]));
 
     // Under a pin the update appends; the version the pin sees keeps its
@@ -305,7 +306,7 @@ fn a_held_result_row_is_the_stored_version_and_survives_an_update() {
     let newer_cost = Value::Float(old_cost.as_float().unwrap() + 2.0);
     let update = [item[0].clone(), newer_cost.clone(), Value::Date(15_404)];
     engine.execute_sync("adminUpdateItem", &update).unwrap();
-    assert_ne!(table.read().lookup_pk_live(&item), Some(version));
+    assert_ne!(live(&table.read()), Some(version));
     assert_eq!(table.read().read(version, *pin).unwrap()[4], new_cost);
     drop(pin);
     let other = [Value::Int(6), newer_cost, Value::Date(15_404)];
